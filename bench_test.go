@@ -27,7 +27,6 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/obs"
 	"repro/internal/radio"
-	"repro/internal/sim"
 	"repro/internal/space"
 )
 
@@ -134,19 +133,19 @@ func BenchmarkE13Density(b *testing.B) {
 // compute and one broadcast at steady state, which bounds what a real
 // deployment spends per Tc/Ts period.
 
-func benchSteadySim(b *testing.B, g *graph.G, dmax int) *sim.Sim {
+func benchSteadySim(b *testing.B, g *graph.G, dmax int) *engine.Engine {
 	b.Helper()
-	s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: dmax}, Seed: 1}, g)
+	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: 1}, g)
 	s.RunUntilConverged(400, 3)
 	return s
 }
 
 func BenchmarkNodeCompute(b *testing.B) {
 	s := benchSteadySim(b, graph.Line(10), 4)
-	n := s.Nodes[5]
+	n := s.Node(5)
 	msgs := []core.Message{
-		s.Nodes[NodeID(4)].BuildMessage(),
-		s.Nodes[NodeID(6)].BuildMessage(),
+		s.Node(4).BuildMessage(),
+		s.Node(6).BuildMessage(),
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -159,7 +158,7 @@ func BenchmarkNodeCompute(b *testing.B) {
 
 func BenchmarkNodeBuildMessage(b *testing.B) {
 	s := benchSteadySim(b, graph.Line(10), 4)
-	n := s.Nodes[5]
+	n := s.Node(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := n.BuildMessage()
@@ -419,10 +418,10 @@ func BenchmarkSpatialStep(b *testing.B) {
 func BenchmarkCompute(b *testing.B) {
 	s := benchSteadySim(b, graph.Grid(5, 5), 3)
 	center := NodeID(13) // interior node of the 5×5 grid
-	n := s.Nodes[center]
+	n := s.Node(center)
 	var msgs []core.Message
 	for _, u := range graph.Grid(5, 5).Neighbors(center) {
-		msgs = append(msgs, s.Nodes[u].BuildMessage())
+		msgs = append(msgs, s.Node(u).BuildMessage())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -734,7 +733,6 @@ func BenchmarkParkedTick(b *testing.B) {
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			s := parkedEngine(4, mode.eager, mode.noMemo)
-			s.ComputesRun, s.ComputesSkipped = 0, 0
 			before := s.Introspect().Snapshot().Counters
 			phaseBefore := s.Introspect().Snapshot().PhaseNs
 			b.ReportAllocs()
@@ -750,14 +748,15 @@ func BenchmarkParkedTick(b *testing.B) {
 			for name, ns := range s.Introspect().Snapshot().PhaseNs {
 				b.ReportMetric(float64(ns-phaseBefore[name])/float64(b.N), "ph_"+name+"_ns")
 			}
-			if total := s.ComputesRun + s.ComputesSkipped; total > 0 {
-				b.ReportMetric(float64(s.ComputesSkipped)/float64(total), "skipfrac")
+			run := after["computes_run"] - before["computes_run"]
+			skipped := after["computes_skipped"] - before["computes_skipped"]
+			if total := run + skipped; total > 0 {
+				b.ReportMetric(float64(skipped)/float64(total), "skipfrac")
 				if !mode.eager && !mode.noMemo {
 					memo := after["skips_memo"] - before["skips_memo"]
 					b.ReportMetric(float64(memo)/float64(total), "memofrac")
 				}
 			}
-			run := after["computes_run"] - before["computes_run"]
 			if run > 0 {
 				var sum uint64
 				for c := introspect.WakeCause(0); c < introspect.NumWakeCauses; c++ {
@@ -791,17 +790,17 @@ func BenchmarkParkedSweep(b *testing.B) {
 	for _, active := range []float64{0, 0.02, 0.10, 0.50} {
 		b.Run(fmt.Sprintf("active=%g", active), func(b *testing.B) {
 			s := parkedEngineAt(4, false, false, active)
-			s.ComputesRun, s.ComputesSkipped = 0, 0
-			before := s.Introspect().Snapshot().Counters["skips_memo"]
+			before := s.Introspect().Counters()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Step()
 			}
 			b.StopTimer()
-			if total := s.ComputesRun + s.ComputesSkipped; total > 0 {
-				b.ReportMetric(float64(s.ComputesSkipped)/float64(total), "skipfrac")
-				memo := s.Introspect().Snapshot().Counters["skips_memo"] - before
-				b.ReportMetric(float64(memo)/float64(total), "memofrac")
+			after := s.Introspect().Counters()
+			skipped := after["computes_skipped"] - before["computes_skipped"]
+			if total := after["computes_run"] - before["computes_run"] + skipped; total > 0 {
+				b.ReportMetric(float64(skipped)/float64(total), "skipfrac")
+				b.ReportMetric(float64(after["skips_memo"]-before["skips_memo"])/float64(total), "memofrac")
 			}
 		})
 	}

@@ -108,7 +108,9 @@ func main() {
 	}
 	fmt.Printf("\nfinal: groups=%d singletons=%d mean_size=%.2f converged=%v\n",
 		st.Groups, st.Singletons, st.MeanSize, st.Converged)
-	fmt.Printf("traffic: %d msgs, %d bytes, %d deliveries\n", s.MessagesSent, s.BytesSent, s.Deliveries)
+	reg := s.Introspect()
+	fmt.Printf("traffic: %d msgs, %d bytes, %d deliveries\n", reg.Get(introspect.CtrMessagesSent),
+		reg.Get(introspect.CtrBytesSent), reg.Get(introspect.CtrDeliveries))
 }
 
 func build(p engine.Params, topo string, n int, seed int64) (*engine.Engine, error) {

@@ -34,8 +34,9 @@
 // process (-shard-index i -peers addr0,addr1,...), with shard 0 printing
 // the merged report. The merged run is bit-identical to -shards 1 on
 // the same scenario (requires -join 0 -leave 0, no -chaos, no
-// -duration); -fingerprint prints the end-of-run state fold that CI
-// compares across process counts.
+// -duration, and none of -introspect, -flight-every, -trace-wakes, which
+// are single-process only and rejected); -fingerprint prints the
+// end-of-run state fold that CI compares across process counts.
 //
 // -introspect serves net/http/pprof and the engine's flight-recorder
 // registry as JSON for the run's lifetime; -flight-every interleaves
@@ -87,7 +88,7 @@ func main() {
 	introspectAddr := flag.String("introspect", "", "serve net/http/pprof and the flight-recorder registry JSON on this address for the run's lifetime (e.g. localhost:6060)")
 	flightEvery := flag.Int("flight-every", 0, "stream a flight-recorder snapshot record into -stats every k rounds, plus one at run end (0: off; JSONL sinks only)")
 	traceWakes := flag.String("trace-wakes", "", "stream per-node wake-attribution JSONL records to this file (which skip-check gate woke each computed node, and whose traffic)")
-	shards := flag.Int("shards", 1, "split the run over this many shard owners (internal/dist); >1 requires -join 0 -leave 0 and no -chaos, and the merged run is bit-identical to -shards 1")
+	shards := flag.Int("shards", 1, "split the run over this many shard owners (internal/dist); >1 requires -join 0 -leave 0 and no -chaos, -flight-every, -trace-wakes or -introspect, and the merged run is bit-identical to -shards 1")
 	transport := flag.String("transport", "loopback", "shard transport: loopback (all shards in this process) or tcp (one process per shard; see -peers)")
 	shardIndex := flag.Int("shard-index", 0, "this process's shard under -transport tcp")
 	peers := flag.String("peers", "", "comma-separated listen addresses of all shards, index-aligned, under -transport tcp (this process listens on its own entry)")
@@ -175,7 +176,8 @@ func main() {
 	var err error
 	if *shards > 1 {
 		// Distributed run: dist.Config.Validate rejects what the split
-		// cannot carry (churn, chaos, wall-clock caps).
+		// cannot carry (churn, chaos, wall-clock caps, -flight-every,
+		// -trace-wakes, -introspect, -episodes).
 		dcfg := dist.Config{Soak: cfg, Shards: *shards}
 		switch *transport {
 		case "loopback":

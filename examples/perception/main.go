@@ -67,7 +67,7 @@ func main() {
 	snap := s.Snapshot()
 	for _, group := range snap.Groups() {
 		leader := group[0]
-		view := s.Nodes[leader].View()
+		view := s.Node(leader).View()
 		fused, n := fuse(view, sensed)
 		fmt.Printf("  group %v: fused friction %.2f over %d sensors\n", group, fused, n)
 	}

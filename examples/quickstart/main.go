@@ -27,7 +27,7 @@ func main() {
 
 	// Every member of a group holds the same view — that is the agreement
 	// property the applications build on.
-	view := s.Nodes[2].View()
+	view := s.Node(2).View()
 	fmt.Println("node n2's view:", view)
 
 	// Break the road inside the first group: that group is stretched

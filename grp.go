@@ -22,6 +22,7 @@ package grp
 
 import (
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/metrics"
@@ -29,7 +30,6 @@ import (
 	"repro/internal/priority"
 	"repro/internal/radio"
 	"repro/internal/runtime"
-	"repro/internal/sim"
 	"repro/internal/space"
 )
 
@@ -73,24 +73,24 @@ var (
 // Simulation.
 type (
 	// Sim is the deterministic discrete-event simulator.
-	Sim = sim.Sim
+	Sim = engine.Engine
 	// SimParams configures a simulation.
-	SimParams = sim.Params
+	SimParams = engine.Params
 	// SpatialTopology animates nodes in the plane with a mobility model.
-	SpatialTopology = sim.SpatialTopology
+	SpatialTopology = engine.SpatialTopology
 	// StaticTopology wraps a fixed graph.
-	StaticTopology = sim.StaticTopology
+	StaticTopology = engine.StaticTopology
 )
 
 // NewSim builds a simulation over an arbitrary topology.
-func NewSim(p SimParams, topo sim.Topology) *Sim { return sim.New(p, topo) }
+func NewSim(p SimParams, topo engine.Topology) *Sim { return engine.New(p, topo) }
 
 // NewStaticSim builds a simulation over a fixed graph.
-func NewStaticSim(p SimParams, g *Graph) *Sim { return sim.NewStatic(p, g) }
+func NewStaticSim(p SimParams, g *Graph) *Sim { return engine.NewStatic(p, g) }
 
 // NewSpatialTopology places nodes with the mobility model and returns the
 // animated topology.
-var NewSpatialTopology = sim.NewSpatialTopology
+var NewSpatialTopology = engine.NewSpatialTopology
 
 // Live runtime.
 type (

@@ -24,6 +24,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/mobility"
 	"repro/internal/obs"
 	"repro/internal/space"
@@ -53,11 +54,16 @@ func newScenario(workers int, selfCheck bool) *scenario {
 	e := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 11, Workers: workers}, topo)
 	s := &scenario{w: w, e: e, churn: rand.New(rand.NewSource(13)), next: 500}
 	if selfCheck {
-		for _, n := range e.Nodes {
-			n.SelfCheck = true
-		}
+		armSelfCheck(e)
 	}
 	return s
+}
+
+// armSelfCheck turns the reference oracle on at every current member.
+func armSelfCheck(e *engine.Engine) {
+	for _, v := range e.Order() {
+		e.Node(v).SelfCheck = true
+	}
 }
 
 // step applies one round of churn and advances one full round.
@@ -74,7 +80,7 @@ func (s *scenario) step(r int, selfCheck bool) {
 		s.w.Place(v, space.Point{X: s.churn.Float64() * 24, Y: s.churn.Float64() * 24})
 		s.e.AddNode(v)
 		if selfCheck {
-			s.e.Nodes[v].SelfCheck = true
+			s.e.Node(v).SelfCheck = true
 		}
 	}
 	s.e.StepRound()
@@ -87,15 +93,27 @@ type roundRec struct {
 	StateHash uint64
 	MsgHash   uint64
 	Stats     obs.RoundStats
-	Msgs      int
-	Bytes     int
-	Delivs    int
+	Msgs      uint64
+	Bytes     uint64
+	Delivs    uint64
+}
+
+// record captures one observed round of e.
+func record(e *engine.Engine, st obs.RoundStats) roundRec {
+	sh, mh := hashRound(e)
+	reg := e.Introspect()
+	return roundRec{
+		StateHash: sh, MsgHash: mh, Stats: st,
+		Msgs:   reg.Get(introspect.CtrMessagesSent),
+		Bytes:  reg.Get(introspect.CtrBytesSent),
+		Delivs: reg.Get(introspect.CtrDeliveries),
+	}
 }
 
 func hashRound(e *engine.Engine) (state, msgs uint64) {
 	hs, hm := fnv.New64a(), fnv.New64a()
 	for _, v := range e.Order() {
-		n := e.Nodes[v]
+		n := e.Node(v)
 		fmt.Fprintf(hs, "%d|%s|%v|%s|%s|%d\n", v, n.List(), n.View(), n.Priority(), n.GroupPriority(), n.QuarantineOf(v))
 		m := n.BuildMessage()
 		p, g, q := m.PrioMaps()
@@ -129,12 +147,7 @@ func run(t *testing.T, workers, rounds int, selfCheck bool) []roundRec {
 	recs := make([]roundRec, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		s.step(r, selfCheck)
-		st := tr.Observe()
-		sh, mh := hashRound(s.e)
-		recs = append(recs, roundRec{
-			StateHash: sh, MsgHash: mh, Stats: st,
-			Msgs: s.e.MessagesSent, Bytes: s.e.BytesSent, Delivs: s.e.Deliveries,
-		})
+		recs = append(recs, record(s.e, tr.Observe()))
 	}
 	return recs
 }
@@ -188,16 +201,16 @@ func TestGraphMatchesBruteForceReference(t *testing.T) {
 		ref := graph.NewRef()
 		ids := s.w.Nodes()
 		for _, v := range ids {
-			if _, live := s.e.Nodes[v]; live {
+			if s.e.Node(v) != nil {
 				ref.AddNode(v)
 			}
 		}
 		for i, u := range ids {
-			if _, live := s.e.Nodes[u]; !live {
+			if s.e.Node(u) == nil {
 				continue
 			}
 			for _, v := range ids[i+1:] {
-				if _, live := s.e.Nodes[v]; !live {
+				if s.e.Node(v) == nil {
 					continue
 				}
 				if s.w.CanReach(u, v) && s.w.CanReach(v, u) {
@@ -239,9 +252,7 @@ func commuterScenario(workers int, selfCheck bool) *engine.Engine {
 	topo := engine.NewSpatialTopology(w, m, 0.2, ids, rand.New(rand.NewSource(19)))
 	e := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 19, Workers: workers}, topo)
 	if selfCheck {
-		for _, n := range e.Nodes {
-			n.SelfCheck = true
-		}
+		armSelfCheck(e)
 	}
 	return e
 }
@@ -313,9 +324,7 @@ func chaosRun(t *testing.T, workers, rounds int) []roundRec {
 		Seed:    29,
 		Workers: workers,
 	}, topo)
-	for _, n := range e.Nodes {
-		n.SelfCheck = true
-	}
+	armSelfCheck(e)
 	positions := map[ident.NodeID]space.Point{}
 	inj := fault.NewInjector(prof, e, fault.Hooks{
 		Leave: func(v ident.NodeID) {
@@ -332,16 +341,9 @@ func chaosRun(t *testing.T, workers, rounds int) []roundRec {
 	recs := make([]roundRec, 0, rounds)
 	for r := 1; r <= rounds; r++ {
 		inj.Apply(r)
-		for _, n := range e.Nodes {
-			n.SelfCheck = true // rejoined nodes come back with fresh cores
-		}
+		armSelfCheck(e) // rejoined nodes come back with fresh cores
 		e.StepRound()
-		st := tr.Observe()
-		sh, mh := hashRound(e)
-		recs = append(recs, roundRec{
-			StateHash: sh, MsgHash: mh, Stats: st,
-			Msgs: e.MessagesSent, Bytes: e.BytesSent, Delivs: e.Deliveries,
-		})
+		recs = append(recs, record(e, tr.Observe()))
 	}
 	if inj.FaultsInjected == 0 {
 		t.Fatal("chaos conformance run injected no faults — the comparison is vacuous")
@@ -375,12 +377,7 @@ func TestDeltaGraphSeqAndParallelBitIdentical(t *testing.T) {
 		recs := make([]roundRec, 0, 40)
 		for r := 0; r < 40; r++ {
 			e.StepRound()
-			st := tr.Observe()
-			sh, mh := hashRound(e)
-			recs = append(recs, roundRec{
-				StateHash: sh, MsgHash: mh, Stats: st,
-				Msgs: e.MessagesSent, Bytes: e.BytesSent, Delivs: e.Deliveries,
-			})
+			recs = append(recs, record(e, tr.Observe()))
 		}
 		return recs
 	}

@@ -63,33 +63,10 @@ func TestRegistryBitIdenticalOnDeltaPath(t *testing.T) {
 	}
 }
 
-// TestRegistryMatchesLegacyCounters asserts the registry agrees exactly
-// with the engine's original plain-field counters over a churning run —
-// the two accounting systems observe the same events at the same sites.
-func TestRegistryMatchesLegacyCounters(t *testing.T) {
-	s := newScenario(4, false)
-	for r := 0; r < 60; r++ {
-		s.step(r, false)
-	}
-	c := s.e.Introspect().Snapshot().Counters
-	for name, want := range map[string]int{
-		"messages_sent":    s.e.MessagesSent,
-		"bytes_sent":       s.e.BytesSent,
-		"deliveries":       s.e.Deliveries,
-		"computes_run":     s.e.ComputesRun,
-		"computes_skipped": s.e.ComputesSkipped,
-		"ticks":            s.e.Tick(),
-	} {
-		if c[name] != uint64(want) {
-			t.Errorf("registry %s = %d, legacy counter = %d", name, c[name], want)
-		}
-	}
-}
-
-// wakeScenario is the commuter world with EagerCompute selectable: the
-// wake-attribution accounting must close in both modes (under eager
+// wakeScenario is the commuter world with the compute mode selectable:
+// the wake-attribution accounting must close in every mode (under eager
 // compute the skip-eligible boundaries execute as quiet replays).
-func wakeScenario(eager bool) *engine.Engine {
+func wakeScenario(mode computeMode) *engine.Engine {
 	w := space.NewWorld(2.5)
 	ids := make([]ident.NodeID, 150)
 	for i := range ids {
@@ -98,7 +75,8 @@ func wakeScenario(eager bool) *engine.Engine {
 	m := &mobility.Commuter{Side: 33, SpeedMin: 0.5, SpeedMax: 2, Pause: 1, ActiveFraction: 0.08}
 	topo := engine.NewSpatialTopology(w, m, 0.2, ids, rand.New(rand.NewSource(19)))
 	return engine.New(engine.Params{
-		Cfg: core.Config{Dmax: 3}, Seed: 19, Workers: 4, EagerCompute: eager,
+		Cfg: core.Config{Dmax: 3}, Seed: 19, Workers: 4,
+		EagerCompute: mode.eager, DisableMemo: mode.disableMemo,
 	}, topo)
 }
 
@@ -113,7 +91,7 @@ func TestWakeHistogramAccountsAllComputes(t *testing.T) {
 		eager bool
 	}{{"skip", false}, {"eager", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := wakeScenario(tc.eager)
+			e := wakeScenario(computeMode{eager: tc.eager})
 			e.TraceWakes(true)
 			traced := make(map[introspect.WakeCause]uint64)
 			for r := 0; r < 50; r++ {
@@ -156,5 +134,41 @@ func TestWakeHistogramAccountsAllComputes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSkipDecisionEqualsExplanation pins that the scheduler's skip
+// decision and the recorder's wake attribution are one walk (skipGate),
+// across modes: an eager run takes every decision without acting on it,
+// so its wake histogram must explain a version-grained-skip run
+// completely — every boundary that run replayed shows up as a quiet
+// replay here, and every compute it executed carries the same cause.
+// (The memo is off in the acting run: a memoized replay moves the record
+// off the executed path's arm/consume sequence, so the two runs' gate
+// inputs would no longer be comparable boundary by boundary.)
+func TestSkipDecisionEqualsExplanation(t *testing.T) {
+	counters := func(m computeMode) map[string]uint64 {
+		e := wakeScenario(m)
+		for r := 0; r < 80; r++ {
+			e.StepRound()
+		}
+		return e.Introspect().Counters()
+	}
+	eager, acted := counters(modeEager), counters(modeNoMemo)
+	for cause := introspect.WakeCause(0); cause < introspect.NumWakeCauses; cause++ {
+		name := cause.Counter().String()
+		if cause != introspect.WakeQuietReplay && eager[name] != acted[name] {
+			t.Errorf("%s: eager %d, skipping %d", name, eager[name], acted[name])
+		}
+	}
+	skipped := acted["computes_skipped"]
+	if skipped == 0 {
+		t.Fatal("the skipping run skipped nothing — the comparison is vacuous")
+	}
+	if got := eager["wakes_quiet_replay"]; got != skipped {
+		t.Errorf("eager run explains %d boundaries as quiet replays, the skipping run replayed %d", got, skipped)
+	}
+	if byClass := acted["skips_fixpoint"] + acted["skips_lonely"] + acted["skips_held"]; byClass != skipped {
+		t.Errorf("skip classes sum to %d, computes_skipped = %d", byClass, skipped)
 	}
 }

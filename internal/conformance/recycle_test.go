@@ -88,14 +88,10 @@ func runRecycleMode(t *testing.T, workers, rounds int, m computeMode) (recs []ro
 	tr := obs.NewGroupTracker(s.e)
 	for r := 0; r < rounds; r++ {
 		s.step(r)
-		st := tr.Observe()
-		sh, mh := hashRound(s.e)
-		recs = append(recs, roundRec{
-			StateHash: sh, MsgHash: mh, Stats: st,
-			Msgs: s.e.MessagesSent, Bytes: s.e.BytesSent, Delivs: s.e.Deliveries,
-		})
+		recs = append(recs, record(s.e, tr.Observe()))
 	}
-	return recs, s.e.ComputesSkipped, s.e.Introspect().Snapshot().Counters["skips_memo"]
+	_, skipped, memo = computeCounters(s.e)
+	return recs, skipped, memo
 }
 
 // TestSlotRecycleSignatures runs the recycling churn in every compute

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/introspect"
 	"repro/internal/obs"
 )
 
@@ -37,15 +39,18 @@ func runMode(t *testing.T, workers, rounds int, m computeMode) (recs []roundRec,
 	tr := obs.NewGroupTracker(s.e)
 	for r := 0; r < rounds; r++ {
 		s.step(r, false)
-		st := tr.Observe()
-		sh, mh := hashRound(s.e)
-		recs = append(recs, roundRec{
-			StateHash: sh, MsgHash: mh, Stats: st,
-			Msgs: s.e.MessagesSent, Bytes: s.e.BytesSent, Delivs: s.e.Deliveries,
-		})
+		recs = append(recs, record(s.e, tr.Observe()))
 	}
-	memo = s.e.Introspect().Snapshot().Counters["skips_memo"]
-	return recs, s.e.ComputesRun, s.e.ComputesSkipped, memo
+	ran, skipped, memo = computeCounters(s.e)
+	return recs, ran, skipped, memo
+}
+
+// computeCounters reads the executed, skipped and memo-replayed compute
+// counts off the flight recorder.
+func computeCounters(e *engine.Engine) (ran, skipped int, memo uint64) {
+	reg := e.Introspect()
+	return int(reg.Get(introspect.CtrComputesRun)), int(reg.Get(introspect.CtrComputesSkipped)),
+		reg.Get(introspect.CtrSkipMemo)
 }
 
 // runCommuterMode is the same over the commuter scenario (fixed
@@ -58,15 +63,10 @@ func runCommuterMode(t *testing.T, workers, rounds int, m computeMode) (recs []r
 	tr := obs.NewGroupTracker(e)
 	for r := 0; r < rounds; r++ {
 		e.StepRound()
-		st := tr.Observe()
-		sh, mh := hashRound(e)
-		recs = append(recs, roundRec{
-			StateHash: sh, MsgHash: mh, Stats: st,
-			Msgs: e.MessagesSent, Bytes: e.BytesSent, Delivs: e.Deliveries,
-		})
+		recs = append(recs, record(e, tr.Observe()))
 	}
-	memo = e.Introspect().Snapshot().Counters["skips_memo"]
-	return recs, e.ComputesRun, e.ComputesSkipped, memo
+	ran, skipped, memo = computeCounters(e)
+	return recs, ran, skipped, memo
 }
 
 func assertSameStream(t *testing.T, name string, a, b []roundRec) {

@@ -6,7 +6,7 @@
 // priorities, and delays view admission with the quarantine.
 //
 // The package is pure protocol logic: it has no clocks, no radio and no
-// goroutines. A driver (internal/sim for deterministic experiments,
+// goroutines. A driver (internal/engine for deterministic experiments,
 // internal/runtime for a live goroutine deployment) calls
 //
 //	Receive(msg)    upon message reception,
@@ -402,7 +402,7 @@ const (
 	// auto-rejected under an active hold. Such a round consults the round
 	// counter only through the hold-expiry filter, so with an identical
 	// inbox it replays itself verbatim until the first hold expires: a
-	// driver may replay it with SkipHeldRound while
+	// driver may replay it with SkipQuietRound while
 	// Computes() < HoldHorizon(). The classification additionally
 	// requires that the round neither dropped nor added/refreshed any
 	// boundary-memory entry (an expiry or a fresh rejection makes the
@@ -418,14 +418,17 @@ const (
 func (n *Node) RoundQuietness() Quietness { return n.quiet }
 
 // SkipQuietRound applies the exact effect a Compute would have on a
-// QuietFixpoint state receiving the same inbox as the round that
-// classified it: the logical round counter advances and the buffered
-// messages are consumed; nothing observable moves (Version included).
-// The caller owns the precondition — RoundQuietness() == QuietFixpoint,
-// no intervening LoadState, and a buffered message set identical (same
-// senders, same message contents) to the classified round's. The engine
-// establishes it by tracking per-sender message versions between compute
-// boundaries.
+// QuietFixpoint or QuietHeld state receiving the same inbox as the round
+// that classified it: the logical round counter advances and the buffered
+// messages are consumed; nothing observable moves (Version included) —
+// on a held state the boundary memory and every streak provably
+// reproduce themselves too. The caller owns the precondition —
+// RoundQuietness() is one of the two, no intervening LoadState, a
+// buffered message set identical (same senders, same message contents)
+// to the classified round's, and for QuietHeld Computes() < HoldHorizon()
+// so the replayed round's expiry filter keeps the memory untouched. The
+// engine establishes it by tracking per-sender message versions between
+// compute boundaries.
 func (n *Node) SkipQuietRound() {
 	n.computes++
 	clear(n.msgSet)
@@ -596,9 +599,9 @@ func (n *Node) InboxReadDigest() uint64 {
 
 // HoldHorizon returns the earliest boundary-memory expiry (0 when the
 // memory is empty): the last round counter value for which a QuietHeld
-// round still replays itself. A driver may call SkipHeldRound while
-// Computes() < HoldHorizon(); the round that would reach the horizon
-// drops the expired hold and must run in full.
+// round still replays itself. A driver may call SkipQuietRound on such a
+// state while Computes() < HoldHorizon(); the round that would reach the
+// horizon drops the expired hold and must run in full.
 func (n *Node) HoldHorizon() uint64 {
 	var min uint64
 	for i := range n.rejected {
@@ -607,20 +610,6 @@ func (n *Node) HoldHorizon() uint64 {
 		}
 	}
 	return min
-}
-
-// SkipHeldRound applies the exact effect a Compute would have on a
-// QuietHeld state receiving the same inbox as the round that classified
-// it: the round counter advances and the buffered messages are consumed;
-// the boundary memory, every streak, and the whole versioned state
-// provably reproduce themselves. The caller owns the precondition —
-// RoundQuietness() == QuietHeld, an identical inbox, no intervening
-// LoadState, and Computes() < HoldHorizon() so the replayed round's
-// expiry filter keeps the memory untouched.
-func (n *Node) SkipHeldRound() {
-	n.computes++
-	clear(n.msgSet)
-	n.msgSet = n.msgSet[:0]
 }
 
 // AppendView appends the view members in ascending order to buf and

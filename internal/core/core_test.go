@@ -12,7 +12,7 @@ import (
 
 // ring is a tiny synchronous driver for unit tests: every round each node
 // broadcasts to its neighbors in g, then every node computes. The real
-// drivers live in internal/sim and internal/runtime.
+// drivers live in internal/engine and internal/runtime.
 type ring struct {
 	g     *graph.G
 	nodes map[ident.NodeID]*Node

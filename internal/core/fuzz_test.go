@@ -13,19 +13,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ident"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
 // fuzzSeeds collects realistic frames from a short live run plus a few
 // pathological hand-built ones.
 func fuzzSeeds(f *testing.F) {
-	s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: 3}, Seed: 4}, graph.Line(5))
+	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 4}, graph.Line(5))
 	s.StepTicks(12)
-	for _, n := range s.Nodes {
-		f.Add(wire.Encode(n.BuildMessage()))
+	for _, v := range s.Order() {
+		f.Add(wire.Encode(s.Node(v).BuildMessage()))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x52, 0x47, 0x01})

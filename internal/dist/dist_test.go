@@ -5,9 +5,13 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/obs"
 )
 
@@ -275,6 +279,79 @@ func TestValidateRejects(t *testing.T) {
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestValidateNamesUndistributedExtras pins that the sink-adjacent
+// SoakConfig extras only obs.RunSoak serves are refused by name — a
+// sharded run asked for them used to succeed and write nothing.
+func TestValidateNamesUndistributedExtras(t *testing.T) {
+	for field, soak := range map[string]obs.SoakConfig{
+		"FlightEvery":    {N: 10, FlightEvery: 10},
+		"WakeTrace":      {N: 10, WakeTrace: func(int, introspect.WakeRec) error { return nil }},
+		"IntrospectAddr": {N: 10, IntrospectAddr: "localhost:0"},
+		"Episodes":       {N: 10, Episodes: func(obs.Episode) error { return nil }},
+	} {
+		c := Config{Soak: soak, Shards: 2}
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s set: Validate returned %v, want an error naming the field", field, err)
+		}
+		if _, err := RunLoopback(c); err == nil {
+			t.Errorf("%s set: RunLoopback ran", field)
+		}
+	}
+}
+
+// slowTransport stalls every Exchange, standing in for a slow peer.
+type slowTransport struct {
+	Transport
+	delay time.Duration
+}
+
+func (s slowTransport) Exchange(seq uint64, out [][]byte) ([][]byte, error) {
+	time.Sleep(s.delay)
+	return s.Transport.Exchange(seq, out)
+}
+
+// TestArbitrateClockExcludesExchangeWait pins that an engine phase clock
+// covers only that phase's own body: the barrier wait a shard spends in
+// Exchange between BuildPhase and FinishTick (250 ms here) must not land
+// on the arbitrate clock, which a Perfect channel keeps far below it.
+func TestArbitrateClockExcludesExchangeWait(t *testing.T) {
+	const shards, ticks, delay = 2, 5, 50 * time.Millisecond
+	cfg := Config{Soak: commuterSoak(ticks), Shards: shards}
+	trs := NewLoopback(shards)
+	shs := make([]*Shard, shards)
+	for i := range shs {
+		sh, err := NewShard(cfg, i, slowTransport{trs[i], delay})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shs[i] = sh
+	}
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for i, sh := range shs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < ticks && errs[i] == nil; k++ {
+				errs[i] = sh.Tick()
+			}
+			if errs[i] != nil {
+				trs[i].Close() // release the peer from the barrier
+			}
+		}()
+	}
+	wg.Wait()
+	trs[0].Close()
+	for i, sh := range shs {
+		if errs[i] != nil {
+			t.Fatalf("shard %d: %v", i, errs[i])
+		}
+		if got := time.Duration(sh.E.Introspect().PhaseNs(introspect.PhaseArbitrate)); got >= ticks*delay/2 {
+			t.Errorf("shard %d: arbitrate clock %v over %d ticks includes the %v Exchange waits", i, got, ticks, delay)
 		}
 	}
 }

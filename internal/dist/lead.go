@@ -122,9 +122,9 @@ func readIDList(buf []byte) ([]ident.NodeID, []byte, error) {
 // which the lead mirror also starts from — so the skip semantics match
 // the single-process tracker's own version-gated extraction exactly).
 func (sh *Shard) collectSync(rs *roundSync) {
-	rs.msgs = uint64(sh.E.MessagesSent)
-	rs.bytes = uint64(sh.E.BytesSent)
-	rs.delivs = uint64(sh.E.Deliveries)
+	rs.msgs = sh.reg.Get(introspect.CtrMessagesSent)
+	rs.bytes = sh.reg.Get(introspect.CtrBytesSent)
+	rs.delivs = sh.reg.Get(introspect.CtrDeliveries)
 	rs.computed = rs.computed[:0]
 	rs.views = rs.views[:0]
 	sh.E.DrainDirty(func(computed [engine.NumShards][]int32, added []ident.NodeID, removed []engine.RemovedNode) {

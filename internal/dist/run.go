@@ -21,10 +21,6 @@ import (
 // stream, final report and fingerprint are bit-identical, while the
 // Flight counters are per-shard sums (deliberately not conformance
 // surface: replicated work like ticks counts once per shard).
-//
-// Sink-adjacent extras of SoakConfig that RunSoak serves in-process
-// (FlightEvery, WakeTrace, IntrospectAddr, Episodes) are not distributed
-// and are ignored here.
 func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 	sh, err := NewShard(cfg, index, tr)
 	if err != nil {
@@ -44,9 +40,7 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 	var syncBuf []byte
 	out := make([][]byte, cfg.Shards)
 	res := &obs.SoakResult{}
-	safetySum, groupSum := 0.0, 0.0
 	start := time.Now()
-	var st obs.RoundStats
 
 	for r := 1; r <= soak.MaxRounds; r++ {
 		if err := sh.StepRound(); err != nil {
@@ -76,31 +70,13 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 			}
 			ls.apply(p, prs)
 		}
-		st = tracker.Observe()
+		st := tracker.Observe()
 		if soak.Sink != nil {
 			if err := soak.Sink.Write(st); err != nil {
 				return nil, fmt.Errorf("dist: sink: %w", err)
 			}
 		}
-		res.Rounds++
-		if st.Converged {
-			res.ConvergedRounds++
-		}
-		if st.Agreement {
-			res.AgreementRounds++
-		}
-		if !st.Continuity {
-			res.ContinuityBreaks++
-			if st.Topological {
-				res.UnexcusedBreaks++
-			}
-		}
-		if !st.Topological {
-			res.TopologyBreaks++
-		}
-		res.ViolatingNodes += st.ContinuityViolations
-		safetySum += st.SafetyRate
-		groupSum += float64(st.Groups)
+		res.Fold(st)
 		if soak.Progress != nil && r%soak.ProgressEvery == 0 {
 			soak.Progress(r, st)
 		}
@@ -142,18 +118,8 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 	if len(pairs) != soak.N {
 		return nil, fmt.Errorf("dist: fingerprint covers %d of %d nodes", len(pairs), soak.N)
 	}
-	res.Final = st
-	res.Ticks = sh.E.Tick()
 	res.Fingerprint = obs.FoldFingerprint(pairs)
-	res.Elapsed = time.Since(start)
-	if s := res.Elapsed.Seconds(); s > 0 {
-		res.TicksPerSec = float64(res.Ticks) / s
-	}
-	if res.Rounds > 0 {
-		res.MeanSafetyRate = safetySum / float64(res.Rounds)
-		res.MeanGroups = groupSum / float64(res.Rounds)
-	}
-	res.Flight = sh.reg.Snapshot()
+	res.Finish(sh.E.Tick(), start, sh.reg)
 	return res, nil
 }
 

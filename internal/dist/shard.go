@@ -29,7 +29,10 @@ type Config struct {
 // Validate rejects configurations the deterministic split cannot carry:
 // the boundary protocol replays broadcasts from replicas, so anything
 // that would consume the engines' RNG streams asymmetrically or change
-// membership mid-run is out of scope for the distributed wrapper.
+// membership mid-run is out of scope for the distributed wrapper — and so
+// are the sink-adjacent extras obs.RunSoak serves in-process, which no
+// shard would honor: asking for them fails here instead of silently
+// writing nothing.
 func (c *Config) Validate() error {
 	if c.Shards < 1 || c.Shards > 64 {
 		return fmt.Errorf("dist: %d shards outside [1,64]", c.Shards)
@@ -45,6 +48,19 @@ func (c *Config) Validate() error {
 	}
 	if c.Soak.Duration != 0 {
 		return fmt.Errorf("dist: wall-clock caps would desynchronize the shard barrier")
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"FlightEvery", c.Soak.FlightEvery != 0},
+		{"WakeTrace", c.Soak.WakeTrace != nil},
+		{"IntrospectAddr", c.Soak.IntrospectAddr != ""},
+		{"Episodes", c.Soak.Episodes != nil},
+	} {
+		if f.set {
+			return fmt.Errorf("dist: SoakConfig.%s is not distributed", f.name)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package engine is the shared execution substrate under both drivers of
-// the GRP reproduction: the deterministic phase-parallel scheduler that
-// internal/sim wraps for every experiment, and the topology/membership
+// the GRP reproduction: the deterministic phase-parallel scheduler every
+// experiment, benchmark and soak runs on, and the topology/membership
 // abstractions the live goroutine runtime (internal/runtime) routes
 // through.
 //
@@ -39,9 +39,11 @@
 // then is identical — tracked as per-sender (incarnation, message
 // version) signatures maintained during delivery — replays the no-op in
 // O(1) (core.Node.SkipQuietRound / SkipLonelyRound) instead of
-// re-deriving it. Tick cost therefore tracks the active set, not the
-// roster. Params.EagerCompute disables the skip; traces are bit-identical
-// either way, which the conformance suite pins.
+// re-deriving it. One function, skipGate, both takes that decision and
+// names the gate that broke it for the flight recorder. Tick cost
+// therefore tracks the active set, not the roster. Params.EagerCompute
+// disables the skip; traces are bit-identical either way, which the
+// conformance suite pins.
 //
 // Phases 2 and 5 read and write disjoint per-node state (core.Node is
 // only ever touched by its own shard's worker; messages are immutable
@@ -168,12 +170,10 @@ type resolvedDelivery struct {
 
 // shardScratch is one shard's reusable per-tick buffers.
 type shardScratch struct {
-	txs     []radio.Tx
-	bytes   int
-	deliv   []resolvedDelivery
-	ran     int                  // computes executed this tick
-	skipped int                  // compute boundaries satisfied by the activity skip
-	wakes   []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
+	txs   []radio.Tx
+	bytes int
+	deliv []resolvedDelivery
+	wakes []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
 }
 
 // cachedMsg is one node's last built broadcast, valid while the node's
@@ -339,17 +339,15 @@ type RemovedNode struct {
 
 // Engine is one running simulation.
 type Engine struct {
-	P     Params
-	Topo  Topology
-	Nodes map[ident.NodeID]*core.Node
+	P    Params
+	Topo Topology
 
 	rng       *rand.Rand // global stream: topology + channel + jitter phases
 	shardRNGs [NumShards]*rand.Rand
 	tick      int
 
 	// recs is the slot-indexed per-node bookkeeping (see nodeRec), indexed
-	// by roster slot; Nodes remains the public protocol-node map,
-	// maintained in lockstep.
+	// by roster slot — together with the roster, the one node index.
 	recs []nodeRec
 
 	order     *Roster
@@ -409,22 +407,6 @@ type Engine struct {
 	// sample, so the arbitrate phase can route per-tick deltas into the
 	// registry (radio.DropCounter channels only).
 	lastDrops uint64
-
-	// phaseMark threads the wall-clock phase boundary across the split
-	// tick (AdvancePhase → BuildPhase → FinishTick), so a distributed
-	// caller interleaving transport work between the phases still gets
-	// per-phase timings that cover only engine work.
-	phaseMark time.Time
-
-	// MessagesSent counts broadcasts; BytesSent their encoded sizes;
-	// Deliveries successful receptions. ComputesRun counts protocol
-	// computes executed; ComputesSkipped the compute boundaries satisfied
-	// by the activity-driven skip instead.
-	MessagesSent    int
-	BytesSent       int
-	Deliveries      int
-	ComputesRun     int
-	ComputesSkipped int
 }
 
 // New builds a simulation over the topology with one fresh GRP node per
@@ -434,7 +416,6 @@ func New(p Params, topo Topology) *Engine {
 	e := &Engine{
 		P:            p,
 		Topo:         topo,
-		Nodes:        make(map[ident.NodeID]*core.Node),
 		rng:          rand.New(rand.NewSource(p.Seed)),
 		order:        NewRoster(),
 		computeWheel: newPeriodicWheel(p.Tc),
@@ -492,7 +473,6 @@ func (e *Engine) addNode(v ident.NodeID) {
 	rec.stateDig, rec.stateDigVer = 0, 0
 	rec.seeded = false
 	rec.lie, rec.lieVer, rec.lieSize = nil, 0, 0
-	e.Nodes[v] = rec.n
 	if e.P.Jitter {
 		rec.phase = e.rng.Intn(e.P.Tc)
 	}
@@ -511,10 +491,9 @@ func (e *Engine) addNode(v ident.NodeID) {
 // AddNode introduces a fresh node mid-run (it must already be present in
 // the topology, e.g. placed in the world or added to the static graph).
 func (e *Engine) AddNode(v ident.NodeID) {
-	if _, ok := e.Nodes[v]; ok {
-		return
+	if !e.order.Has(v) {
+		e.addNode(v)
 	}
-	e.addNode(v)
 }
 
 // RemoveNode makes a node leave: it stops sending and computing, and its
@@ -526,7 +505,6 @@ func (e *Engine) RemoveNode(v ident.NodeID) {
 		return
 	}
 	rec := &e.recs[slot]
-	delete(e.Nodes, v)
 	e.memberGen++
 	if e.P.RandomizedSends {
 		e.sendOneshot.removeEverywhere(v)
@@ -665,6 +643,15 @@ func (e *Engine) NodeAtSlot(s int32) *core.Node {
 	return e.recs[s].n
 }
 
+// Node returns member v's protocol node, or nil when v is not currently a
+// member.
+func (e *Engine) Node(v ident.NodeID) *core.Node {
+	if slot := e.order.SlotOf(v); slot >= 0 {
+		return e.recs[slot].n
+	}
+	return nil
+}
+
 // SlotCap returns the roster's slot table size: every live slot is below
 // it, so slot-indexed observer arrays size themselves to it.
 func (e *Engine) SlotCap() int { return e.order.SlotCap() }
@@ -756,12 +743,29 @@ func (e *Engine) Step() {
 // RNG stream. Distributed callers use the split form (AdvancePhase,
 // BuildPhase, FinishTick); everyone else calls Step.
 func (e *Engine) AdvancePhase() {
-	// Phase 1: topology (global RNG stream). phaseMark threads the
-	// wall-clock phase boundaries into the registry's non-deterministic
-	// section — the deterministic counters below never see a clock.
-	e.phaseMark = time.Now()
+	start := time.Now()
 	e.Topo.Advance(e.rng)
-	e.phaseMark = e.markPhase(introspect.PhaseAdvance, e.phaseMark)
+	e.endPhase(introspect.PhaseAdvance, start)
+}
+
+// endPhase accumulates the wall-clock time since start into the
+// registry's non-deterministic section — the deterministic counters never
+// see a clock. Every phase method times exactly its own body, so whatever
+// a distributed caller does between the phases is on nobody's clock.
+func (e *Engine) endPhase(p introspect.Phase, start time.Time) {
+	e.reg.AddPhaseNs(p, time.Since(start).Nanoseconds())
+}
+
+// appendLive appends the current members among ids to dst. dst may alias
+// ids' own backing (an in-place filter): the write index never passes the
+// read index.
+func (e *Engine) appendLive(dst, ids []ident.NodeID) []ident.NodeID {
+	for _, u := range ids {
+		if e.order.SlotOf(u) >= 0 {
+			dst = append(dst, u)
+		}
+	}
+	return dst
 }
 
 // BuildPhase runs phase 2 of a tick: every member whose send timer fires
@@ -771,15 +775,14 @@ func (e *Engine) AdvancePhase() {
 // retained for FinishTick's arbitration; distributed callers read it to
 // route boundary copies of due broadcasts to neighboring shards.
 func (e *Engine) BuildPhase() []radio.Tx {
-	now := e.phaseMark
+	start := time.Now()
 
-	// Phase 2: build. The wheel hands each shard exactly its due senders
-	// in canonical order; workers draw send backoffs from their shard's
-	// private stream, so the draw sequence is independent of the worker
-	// count. Broadcasts and receiver sets come from each node's
-	// slot-indexed record: messages revalidate against the node's state
-	// version, receiver sets against the epoch bumped below on any
-	// (topology, membership) change.
+	// The wheel hands each shard exactly its due senders in canonical
+	// order; workers draw send backoffs from their shard's private stream,
+	// so the draw sequence is independent of the worker count. Broadcasts
+	// and receiver sets come from each node's slot-indexed record:
+	// messages revalidate against the node's state version, receiver sets
+	// against the epoch bumped below on any (topology, membership) change.
 	rower, _ := e.Topo.(RowTopology)
 	g := e.Topo.Graph()
 	if g != e.recvG || g.Generation() != e.recvGen || e.memberGen != e.recvMem {
@@ -837,42 +840,29 @@ func (e *Engine) BuildPhase() []radio.Tx {
 				// membership changed somewhere). Before re-deriving, try the
 				// fine-grained row check: a RowTopology serving the very
 				// same row under the same membership generation proves this
-				// sender's receiver set is untouched.
+				// sender's receiver set is untouched. Refilling the record's
+				// recycled slice is safe: transmissions referencing the old
+				// backing were consumed within their own tick.
 				if row, ok := rowFor(rower, ent.id); ok {
 					if rec.rowMem == e.memberGen && sameRow(rec.rowRef, row) {
 						rowHits++
 					} else {
 						rowRefills++
-						live := rec.recv[:0]
-						for _, u := range row {
-							if e.order.SlotOf(u) >= 0 {
-								live = append(live, u)
-							}
-						}
-						rec.recv = live
+						rec.recv = e.appendLive(rec.recv[:0], row)
 						rec.rowRef = row
 						rec.rowMem = e.memberGen
 					}
 				} else {
-					// Refill the record's recycled slice and drop dead nodes
-					// in place. Reuse is safe: transmissions referencing the
-					// old backing were consumed within their own tick.
 					rebuilds++
 					buf := e.Topo.AppendReceivers(ent.id, rec.recv[:0])
-					live := buf[:0]
-					for _, u := range buf {
-						if e.order.SlotOf(u) >= 0 {
-							live = append(live, u)
-						}
-					}
-					rec.recv = live
+					rec.recv = e.appendLive(buf[:0], buf)
 					rec.rowRef = nil
 				}
 				rec.recvEpoch = e.recvEpoch
 			}
 			if rec.lie != nil {
 				// A Byzantine liar transmits its forged frame instead of
-				// assembling a genuine broadcast; the deliver phase below
+				// assembling a genuine broadcast; the deliver phase
 				// resolves its receptions to the lie.
 				sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
 				sc.bytes += rec.lieSize
@@ -906,13 +896,11 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	for s := range e.scratch {
 		sc := &e.scratch[s]
 		txs = append(txs, sc.txs...)
-		e.MessagesSent += len(sc.txs)
-		e.BytesSent += sc.bytes
 		e.reg.Add(introspect.CtrMessagesSent, uint64(len(sc.txs)))
 		e.reg.Add(introspect.CtrBytesSent, uint64(sc.bytes))
 	}
 	e.txsBuf = txs
-	e.phaseMark = e.markPhase(introspect.PhaseBuild, now)
+	e.endPhase(introspect.PhaseBuild, start)
 	return e.txsBuf
 }
 
@@ -950,223 +938,173 @@ func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, 
 // most once per tick, so no receiver ever sees two deliveries from the
 // same sender in one tick. Step is FinishTick(nil).
 func (e *Engine) FinishTick(ext []ExternalDelivery) {
-	now := e.phaseMark
-	txs := e.txsBuf
+	e.arbitrate()
+	e.deliver(ext)
+	e.compute()
+}
 
-	if len(txs) > 0 {
-		// Phase 3: channel arbitration (global RNG stream, sequential),
-		// through the recycled delivery buffer when the channel supports
-		// it.
-		if bc, ok := e.P.Channel.(radio.BufferedChannel); ok {
-			e.delivBuf = bc.AppendDeliverSlot(txs, e.rng, e.delivBuf[:0])
-		} else {
-			e.delivBuf = append(e.delivBuf[:0], e.P.Channel.DeliverSlot(txs, e.rng)...)
-		}
-		// Route the channel's suppressed-delivery count into the registry
-		// as a per-tick delta (drops only move inside DeliverSlot, so the
-		// running total equals the channel's own cumulative counter).
-		if dc, ok := e.P.Channel.(radio.DropCounter); ok {
-			if d := dc.DroppedDeliveries(); d != e.lastDrops {
-				e.reg.Add(introspect.CtrRadioDrops, d-e.lastDrops)
-				e.lastDrops = d
-			}
-		}
-		now = e.markPhase(introspect.PhaseArbitrate, now)
+// arbitrate runs phase 3: the channel decides, on the global RNG stream
+// and sequentially, which receptions of BuildPhase's slate succeed. The
+// result stays in delivBuf for the deliver phase.
+func (e *Engine) arbitrate() {
+	e.delivBuf = e.delivBuf[:0]
+	if len(e.txsBuf) == 0 {
+		return
+	}
+	start := time.Now()
+	// Through the recycled delivery buffer when the channel supports it.
+	if bc, ok := e.P.Channel.(radio.BufferedChannel); ok {
+		e.delivBuf = bc.AppendDeliverSlot(e.txsBuf, e.rng, e.delivBuf)
 	} else {
-		e.delivBuf = e.delivBuf[:0]
+		e.delivBuf = append(e.delivBuf, e.P.Channel.DeliverSlot(e.txsBuf, e.rng)...)
 	}
-	deliveries := e.delivBuf
+	// Route the channel's suppressed-delivery count into the registry as a
+	// per-tick delta (drops only move inside DeliverSlot, so the running
+	// total equals the channel's own cumulative counter).
+	if dc, ok := e.P.Channel.(radio.DropCounter); ok {
+		if d := dc.DroppedDeliveries(); d != e.lastDrops {
+			e.reg.Add(introspect.CtrRadioDrops, d-e.lastDrops)
+			e.lastDrops = d
+		}
+	}
+	e.endPhase(introspect.PhaseArbitrate, start)
+}
 
-	if len(txs) > 0 || len(ext) > 0 {
-		// Phase 4: deliver. Receptions are partitioned by receiver shard
-		// on the coordinator — with the receiver record and sender message
-		// resolved up front (the two ID→slot probes here are the radio
-		// contract's boundary) — then stored in parallel: each node's
-		// inbox and signature are only ever touched by its own shard's
-		// worker.
-		for s := range e.scratch {
-			e.scratch[s].deliv = e.scratch[s].deliv[:0]
+// deliver runs phase 4: the receptions arbitrate left in delivBuf, plus
+// ext, are partitioned by receiver shard on the coordinator — with the
+// receiver record and sender message resolved up front (the two ID→slot
+// probes here are the radio contract's boundary) — then stored in
+// parallel: each node's inbox and signature are only ever touched by its
+// own shard's worker.
+func (e *Engine) deliver(ext []ExternalDelivery) {
+	if len(e.txsBuf) == 0 && len(ext) == 0 {
+		return
+	}
+	start := time.Now()
+	for s := range e.scratch {
+		e.scratch[s].deliv = e.scratch[s].deliv[:0]
+	}
+	delivs := uint64(0)
+	for _, d := range e.delivBuf {
+		toSlot := e.order.SlotOf(d.To)
+		if toSlot < 0 {
+			continue
 		}
-		delivs := uint64(0)
-		for _, d := range deliveries {
-			toSlot := e.order.SlotOf(d.To)
-			if toSlot < 0 {
-				continue
-			}
-			e.Deliveries++
-			delivs++
-			fromSlot := e.order.SlotOf(d.From)
-			if fromSlot < 0 {
-				// A channel implementation fabricated or replayed a
-				// delivery from a sender that is no longer (or never was)
-				// live: count it, deliver nothing — the pre-rewrite
-				// message-cache lookup yielded a zero Message here, which
-				// Receive dropped.
-				continue
-			}
-			from := &e.recs[fromSlot]
-			msg, ver := &from.cm.m, from.cm.ver
-			if from.lie != nil {
-				msg, ver = from.lie, from.lieVer
-			}
-			sc := &e.scratch[shardOf(d.To)]
-			sc.deliv = append(sc.deliv, resolvedDelivery{
-				to:   &e.recs[toSlot],
-				msg:  msg,
-				from: senderVer{id: d.From, gen: from.gen, ver: ver},
-			})
+		delivs++
+		fromSlot := e.order.SlotOf(d.From)
+		if fromSlot < 0 {
+			// A channel implementation fabricated or replayed a delivery
+			// from a sender that is no longer (or never was) live: count
+			// it, deliver nothing.
+			continue
 		}
-		// External receptions (distributed wrapper): the sender's record
-		// lives in another process, so the (gen, ver) signature arrives
-		// resolved; only the receiver is looked up locally. Appending
-		// after the local partition keeps each scratch list single-writer;
-		// within a shard the relative order is irrelevant (see above).
-		for _, x := range ext {
-			toSlot := e.order.SlotOf(x.To)
-			if toSlot < 0 {
-				continue
-			}
-			e.Deliveries++
-			delivs++
-			sc := &e.scratch[shardOf(x.To)]
-			sc.deliv = append(sc.deliv, resolvedDelivery{
-				to:   &e.recs[toSlot],
-				msg:  x.Msg,
-				from: senderVer{id: x.From, gen: x.Gen, ver: x.Ver},
-			})
+		from := &e.recs[fromSlot]
+		msg, ver := &from.cm.m, from.cm.ver
+		if from.lie != nil {
+			msg, ver = from.lie, from.lieVer
 		}
-		e.reg.Add(introspect.CtrDeliveries, delivs)
-		e.runShards(func(s int) {
-			var elided uint64
-			for _, d := range e.scratch[s].deliv {
-				if d.from.ver == ^uint64(0) {
-					// An unbuilt broadcast (fabricated delivery) is a zero
-					// Message that Receive drops; it never enters the
-					// inbox, so it must not enter the signature either.
-					d.to.n.ReceiveRef(d.msg)
-					continue
-				}
-				var dup bool
-				d.to.pending, dup = pendingUpsert(d.to.pending, d.from)
-				if !dup {
-					d.to.n.ReceiveRef(d.msg)
-				} else {
-					elided++
-				}
-			}
-			e.reg.Shard(s).Add(introspect.CtrDeliveriesElided, elided)
+		sc := &e.scratch[shardOf(d.To)]
+		sc.deliv = append(sc.deliv, resolvedDelivery{
+			to:   &e.recs[toSlot],
+			msg:  msg,
+			from: senderVer{id: d.From, gen: from.gen, ver: ver},
 		})
-		now = e.markPhase(introspect.PhaseDeliver, now)
 	}
+	// External receptions (distributed wrapper): the sender's record lives
+	// in another process, so the (gen, ver) signature arrives resolved;
+	// only the receiver is looked up locally. Appending after the local
+	// partition keeps each scratch list single-writer; within a shard the
+	// relative order is irrelevant (see FinishTick).
+	for _, x := range ext {
+		toSlot := e.order.SlotOf(x.To)
+		if toSlot < 0 {
+			continue
+		}
+		delivs++
+		sc := &e.scratch[shardOf(x.To)]
+		sc.deliv = append(sc.deliv, resolvedDelivery{
+			to:   &e.recs[toSlot],
+			msg:  x.Msg,
+			from: senderVer{id: x.From, gen: x.Gen, ver: x.Ver},
+		})
+	}
+	e.reg.Add(introspect.CtrDeliveries, delivs)
+	e.runShards(func(s int) {
+		var elided uint64
+		for _, d := range e.scratch[s].deliv {
+			if d.from.ver == ^uint64(0) {
+				// An unbuilt broadcast (fabricated delivery) is a zero
+				// Message that Receive drops; it never enters the inbox, so
+				// it must not enter the signature either.
+				d.to.n.ReceiveRef(d.msg)
+				continue
+			}
+			var dup bool
+			d.to.pending, dup = pendingUpsert(d.to.pending, d.from)
+			if !dup {
+				d.to.n.ReceiveRef(d.msg)
+			} else {
+				elided++
+			}
+		}
+		e.reg.Shard(s).Add(introspect.CtrDeliveriesElided, elided)
+	})
+	e.endPhase(introspect.PhaseDeliver, start)
+}
 
-	// Phase 5: compute, activity-driven. A node runs its full Compute
-	// unless its last executed round was quiet (armed), its state version
-	// is untouched since (fixVer — LoadState and any other external
-	// mutation disarm via this), and the inbox signature of this window
-	// equals the one the quiet round consumed — in which case the round
-	// provably reproduces itself and is replayed in O(1). A signature that
-	// differs in sender versions only gets a content-aware second chance
-	// through the per-node fixpoint memo (DESIGN.md §2i).
+// compute runs phase 5, activity-driven, and closes the tick. skipGate
+// decides every due node: a licensed replay (WakeQuietReplay) is applied
+// in O(1); any other cause gets the fixpoint memo's content-aware second
+// chance (memoReplay) and, failing that, runs the full Compute with that
+// cause as its wake attribution — so every executed compute carries
+// exactly one cause and the per-cause histogram accounts for 100% of the
+// computes run. Under EagerCompute the decision is taken but not acted
+// on: a licensed replay computes anyway and is the only source of
+// WakeQuietReplay counts.
+func (e *Engine) compute() {
+	start := time.Now()
 	cdue := e.computeWheel.due(e.tick)
+	memoOn := !e.P.EagerCompute && !e.P.DisableMemo
 	e.runShards(func(s int) {
 		sc := &e.scratch[s]
-		sc.ran, sc.skipped = 0, 0
 		sc.wakes = sc.wakes[:0]
-		var skipFix, skipLonely, skipHeld, skipMemo uint64
+		var ran, skipFix, skipLonely, skipHeld, skipMemo uint64
 		var wk [introspect.NumWakeCauses]uint64
-		memoOn := !e.P.EagerCompute && !e.P.DisableMemo
 		for _, ent := range cdue[s] {
 			rec := &e.recs[ent.slot]
 			if rec.id != ent.id {
 				continue // defensive: wheels are maintained on removal
 			}
+			cause, offender := skipGate(rec)
+			if cause == introspect.WakeQuietReplay && !e.P.EagerCompute {
+				switch rec.quiet {
+				case core.QuietLonely:
+					rec.n.SkipLonelyRound()
+					skipLonely++
+				case core.QuietHeld:
+					rec.n.SkipQuietRound()
+					skipHeld++
+				default:
+					rec.n.SkipQuietRound()
+					skipFix++
+				}
+				rec.fixVer = rec.n.Version()
+				rec.pending = rec.pending[:0]
+				continue
+			}
 			var preInbox uint64
-			havePre := false
-			if !e.P.EagerCompute {
-				if rec.armed && rec.n.Version() == rec.fixVer &&
-					(rec.quiet != core.QuietHeld || rec.n.Computes() < rec.holdExp) &&
-					senderVersEqual(rec.pending, rec.consumed) {
-					switch rec.quiet {
-					case core.QuietLonely:
-						rec.n.SkipLonelyRound()
-						skipLonely++
-					case core.QuietHeld:
-						rec.n.SkipHeldRound()
-						skipHeld++
-					default:
-						rec.n.SkipQuietRound()
-						skipFix++
-					}
-					rec.fixVer = rec.n.Version()
-					rec.pending = rec.pending[:0]
-					sc.skipped++
+			probed := false
+			if memoOn {
+				var replayed bool
+				if preInbox, probed, replayed = rec.memoReplay(); replayed {
+					skipMemo++
 					continue
 				}
-				// Content-aware second chance: the signature check failed —
-				// sender versions moved, the sender set changed, or the
-				// node's own last round was not quiet — but if the memo
-				// holds a proof that this exact (state content, inbox
-				// content) pair is a fixpoint, the round is a replay of a
-				// round already executed: a re-probe cycle oscillating the
-				// node (and its neighbors' broadcasts) through content it
-				// has visited before. The version-stamp gate fences off
-				// external state mutations (LoadState, PoisonBoundary bump
-				// the version past stateDigVer), and the hold-horizon gate
-				// keeps the replayed round's expiry filter a no-op — the
-				// compute counter, which the replay advances exactly like a
-				// real compute, can then never feed the expiry jitter: a
-				// proven-quiet round rejects nobody, so the jitter hash is
-				// unreachable (DESIGN.md §2i). The inbox digest is the
-				// read-masked projection (core.Node.InboxReadDigest):
-				// content only unread records carry — a double-marked
-				// mover's ticking clock echoed through a border node's
-				// broadcast — cannot break the match, and the equal state
-				// digest pins the mask itself, because the tracked-ID set
-				// it projects onto is part of the hashed state.
-				if memoOn && rec.seeded && rec.n.Version() == rec.stateDigVer {
-					if hh := rec.n.HoldHorizon(); hh == 0 || rec.n.Computes() < hh {
-						preInbox, havePre = rec.n.InboxReadDigest(), true
-						if rec.memoHit(rec.stateDig, preInbox) {
-							if hh == 0 {
-								rec.n.SkipQuietRound()
-								rec.quiet = core.QuietFixpoint
-							} else {
-								rec.n.SkipHeldRound()
-								rec.quiet = core.QuietHeld
-								rec.holdExp = hh
-							}
-							// The replayed round consumed this window's
-							// signature: swap it into consumed exactly as the
-							// executed path does, and re-arm — follow-up
-							// identical windows take the cheap path above.
-							rec.armed = true
-							rec.fixVer = rec.n.Version()
-							rec.pending, rec.consumed = rec.consumed[:0], rec.pending
-							skipMemo++
-							sc.skipped++
-							continue
-						}
-					}
-				}
 			}
-			// Wake attribution: classify which gate of the skip check broke
-			// before the compute disturbs the evidence. Every executed
-			// compute gets exactly one cause, so the per-cause histogram
-			// accounts for 100% of the computes run.
-			cause, offender := classifyWake(rec)
 			wk[cause]++
 			if e.traceWakes {
 				sc.wakes = append(sc.wakes, introspect.WakeRec{Node: ent.id, Cause: cause, Sender: offender})
 			}
-			// Non-probed rounds deliberately do not capture an inbox
-			// digest for the memo: hashing the inbox of every executed
-			// compute costs more than the memo returns (most runs are
-			// self-active wakes that never produce a storable proof, and
-			// the prover round that re-enters quiescence needs none — its
-			// unchanged-window case is the signature skip's job). The memo
-			// seeds itself on the first re-probe instead: that round's
-			// probe above already paid for both digests, and when it
-			// executes and proves quiet, the pair is stored below.
 			rec.n.ComputeIn(&rec.bld)
 			rec.seeded = true
 			q := rec.n.RoundQuietness()
@@ -1187,12 +1125,12 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 			// have moved the state — and, when a *probed* round just proved
 			// itself a fixpoint of the inbox whose digest the probe
 			// captured, record the (state, inbox) content proof. Only
-			// probed rounds store; the others hold no pre-compute inbox
-			// digest and prove nothing worth one — lonely rounds move the
-			// state (the isolation clock ticks), QuietNone rounds likewise,
-			// and the first quiet round after real activity is the
-			// signature skip's case until the window churns, at which point
-			// the re-probe seeds the memo. A round that entered the too-far
+			// probed rounds store: hashing the inbox of every executed
+			// compute costs more than the memo returns (most runs are
+			// self-active wakes that never produce a storable proof, and
+			// the first quiet round after real activity is the signature
+			// skip's case until the window churns, at which point the
+			// re-probe seeds the memo). A round that entered the too-far
 			// contest read priorities the masked inbox digest does not
 			// cover, so its proof would overclaim
 			// (core.Node.RoundOverflowed). Stale proofs for content the
@@ -1202,18 +1140,18 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 			if memoOn {
 				rec.stateDig = rec.n.StateDigest()
 				rec.stateDigVer = rec.n.Version()
-				if havePre && (q == core.QuietFixpoint || q == core.QuietHeld) && !rec.n.RoundOverflowed() {
+				if probed && (q == core.QuietFixpoint || q == core.QuietHeld) && !rec.n.RoundOverflowed() {
 					rec.memoStore(rec.stateDig, preInbox)
 				}
 			}
-			sc.ran++
+			ran++
 			if e.dirtyOn {
 				e.dirtyComputed[s] = append(e.dirtyComputed[s], ent.slot)
 			}
 		}
 		lane := e.reg.Shard(s)
-		lane.Add(introspect.CtrComputesRun, uint64(sc.ran))
-		lane.Add(introspect.CtrComputesSkipped, uint64(sc.skipped))
+		lane.Add(introspect.CtrComputesRun, ran)
+		lane.Add(introspect.CtrComputesSkipped, skipFix+skipLonely+skipHeld+skipMemo)
 		lane.Add(introspect.CtrSkipFixpoint, skipFix)
 		lane.Add(introspect.CtrSkipLonely, skipLonely)
 		lane.Add(introspect.CtrSkipHeld, skipHeld)
@@ -1222,35 +1160,38 @@ func (e *Engine) FinishTick(ext []ExternalDelivery) {
 			lane.Add(introspect.WakeCause(c).Counter(), n)
 		}
 	})
-	for s := range e.scratch {
-		e.ComputesRun += e.scratch[s].ran
-		e.ComputesSkipped += e.scratch[s].skipped
-		if e.traceWakes {
+	if e.traceWakes {
+		for s := range e.scratch {
 			e.wakeRing = append(e.wakeRing, e.scratch[s].wakes...)
 		}
 	}
-	e.markPhase(introspect.PhaseCompute, now)
 	e.reg.Inc(introspect.CtrTicks)
-
 	e.tick++
+	e.endPhase(introspect.PhaseCompute, start)
 }
 
-// markPhase closes one wall-clock phase window: it accumulates the time
-// since start into the registry's non-deterministic section and returns
-// the new boundary instant.
-func (e *Engine) markPhase(p introspect.Phase, start time.Time) time.Time {
-	now := time.Now()
-	e.reg.AddPhaseNs(p, now.Sub(start).Nanoseconds())
-	return now
-}
-
-// classifyWake attributes an executed compute to the first skip-check
-// gate that broke, in the predicate's own evaluation order. For the
-// inbox-signature causes it also reports the first offending sender in
-// signature (ascending ID) order: the node whose fresh traffic — or
-// silence — woke this one. A compute with every gate intact (possible
-// only under EagerCompute) is a quiet replay.
-func classifyWake(rec *nodeRec) (introspect.WakeCause, ident.NodeID) {
+// skipGate is the activity-skip decision and its explanation in one walk
+// over the record's gates, in evaluation order. WakeQuietReplay means
+// every gate held: the node's last executed round was quiet (armed), its
+// state version is untouched since (fixVer — LoadState and any other
+// external mutation disarm via this), a held round is still short of its
+// boundary-memory horizon, and the inbox signature of this window equals
+// the one the quiet round consumed — the round provably reproduces itself
+// and the scheduler may replay it. Any other cause names the first gate
+// that broke, which is what the flight recorder logs when the compute
+// then runs; for the inbox-signature causes the second result is the
+// first offending sender in signature (ascending ID) order: the node
+// whose fresh traffic — or silence — woke this one.
+//
+// The two sorted signatures are walked once, in lockstep while the sender
+// set (id and incarnation) agrees. A version that moved on the way is
+// only remembered: if the sets agree to the end, the window is exactly
+// the shape the fixpoint memo covers (WakeMemoMiss — the walk reads the
+// signatures only, never the memo table, so the histogram is a pure
+// function of the trace in every mode); if the set changes further on,
+// the remembered mover was the first divergence and is plain fresh
+// traffic — a later set change must not read as version-only churn.
+func skipGate(rec *nodeRec) (introspect.WakeCause, ident.NodeID) {
 	switch {
 	case !rec.seeded:
 		return introspect.WakeFresh, ident.None
@@ -1261,57 +1202,82 @@ func classifyWake(rec *nodeRec) (introspect.WakeCause, ident.NodeID) {
 	case rec.quiet == core.QuietHeld && rec.n.Computes() >= rec.holdExp:
 		return introspect.WakeHoldExpiry, ident.None
 	}
-	// Version-only churn first: when the whole signature keeps the same
-	// sender set (every id and incarnation pairwise equal) and only some
-	// versions moved, the round is exactly the shape the fixpoint memo
-	// covers — an executed compute here means the memo missed (or is
-	// disabled; classification reads the signatures only, never the memo
-	// table, so the histogram stays a pure deterministic function of the
-	// trace in every mode). The whole signature must be checked before
-	// the divergence walk below: stopping at the first differing version
-	// would misread a later set change as version-only churn.
 	p, c := rec.pending, rec.consumed
-	if len(p) == len(c) {
-		sameSet, firstVer := true, -1
-		for i := range p {
-			if p[i].id != c[i].id || p[i].gen != c[i].gen {
-				sameSet = false
-				break
-			}
-			if firstVer < 0 && p[i] != c[i] {
-				firstVer = i
-			}
+	i, moved := 0, -1
+	for i < len(p) && i < len(c) && p[i].id == c[i].id && p[i].gen == c[i].gen {
+		if moved < 0 && p[i].ver != c[i].ver {
+			moved = i
 		}
-		if sameSet && firstVer >= 0 {
-			return introspect.WakeMemoMiss, p[firstVer].id
-		}
+		i++
 	}
-	// Merge-walk the two sorted signatures for the first divergence: an
-	// entry pending has that consumed lacks (or carries at a different
-	// version) is fresh traffic; an entry only consumed has is a sender
-	// gone silent (departure, movement, or a stopped broadcast).
-	i, j := 0, 0
-	for i < len(p) && j < len(c) {
-		switch {
-		case p[i].id == c[j].id:
-			if p[i] != c[j] {
-				return introspect.WakeInboxNew, p[i].id
-			}
-			i++
-			j++
-		case p[i].id < c[j].id:
-			return introspect.WakeInboxNew, p[i].id
-		default:
-			return introspect.WakeInboxLost, c[j].id
+	switch {
+	case i == len(p) && i == len(c):
+		if moved >= 0 {
+			return introspect.WakeMemoMiss, p[moved].id
 		}
-	}
-	if i < len(p) {
+		return introspect.WakeQuietReplay, ident.None
+	case moved >= 0:
+		return introspect.WakeInboxNew, p[moved].id
+	case i == len(c) || (i < len(p) && p[i].id <= c[i].id):
+		// An entry pending has that consumed lacks (or carries under
+		// another incarnation) is fresh traffic …
 		return introspect.WakeInboxNew, p[i].id
+	default:
+		// … an entry only consumed has is a sender gone silent
+		// (departure, movement, or a stopped broadcast).
+		return introspect.WakeInboxLost, c[i].id
 	}
-	if j < len(c) {
-		return introspect.WakeInboxLost, c[j].id
+}
+
+// memoReplay is the skip decision's content-aware second chance
+// (DESIGN.md §2i), taken when skipGate named a broken gate — sender
+// versions moved, the sender set changed, or the node's own last round
+// was not quiet: if the memo holds a proof that this exact (state
+// content, inbox content) pair is a fixpoint, the round is a replay of a
+// round already executed — a re-probe cycle oscillating the node (and its
+// neighbors' broadcasts) through content it has visited before — and is
+// applied here. The version-stamp gate fences off external state
+// mutations (LoadState, PoisonBoundary bump the version past
+// stateDigVer), and the hold-horizon gate keeps the replayed round's
+// expiry filter a no-op — the compute counter, which the replay advances
+// exactly like a real compute, can then never feed the expiry jitter: a
+// proven-quiet round rejects nobody, so the jitter hash is unreachable.
+// The inbox digest is the read-masked projection
+// (core.Node.InboxReadDigest): content only unread records carry — a
+// double-marked mover's ticking clock echoed through a border node's
+// broadcast — cannot break the match, and the equal state digest pins the
+// mask itself, because the tracked-ID set it projects onto is part of the
+// hashed state.
+//
+// probed reports that both gates held and inbox is this window's digest:
+// when the round then executes and proves quiet, the caller stores the
+// pair — the memo seeds itself on re-probes, whose digests are already
+// paid for.
+func (rec *nodeRec) memoReplay() (inbox uint64, probed, replayed bool) {
+	if !rec.seeded || rec.n.Version() != rec.stateDigVer {
+		return 0, false, false
 	}
-	return introspect.WakeQuietReplay, ident.None
+	hh := rec.n.HoldHorizon()
+	if hh != 0 && rec.n.Computes() >= hh {
+		return 0, false, false
+	}
+	inbox = rec.n.InboxReadDigest()
+	if !rec.memoHit(rec.stateDig, inbox) {
+		return inbox, true, false
+	}
+	rec.n.SkipQuietRound()
+	rec.quiet = core.QuietFixpoint
+	if hh != 0 {
+		rec.quiet = core.QuietHeld
+		rec.holdExp = hh
+	}
+	// The replayed round consumed this window's signature: swap it into
+	// consumed exactly as the executed path does, and re-arm — follow-up
+	// identical windows take skipGate's cheap path.
+	rec.armed = true
+	rec.fixVer = rec.n.Version()
+	rec.pending, rec.consumed = rec.consumed[:0], rec.pending
+	return inbox, true, true
 }
 
 // rowFor fetches the receiver row view from a RowTopology, tolerating a
@@ -1333,19 +1299,6 @@ func sameRow(a, b []ident.NodeID) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
-// senderVersEqual reports whether two inbox signatures are identical.
-func senderVersEqual(a, b []senderVer) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // StepTicks advances k ticks.
 func (e *Engine) StepTicks(k int) {
 	for i := 0; i < k; i++ {
@@ -1365,9 +1318,9 @@ func (e *Engine) StepRound() { e.StepTicks(e.P.Tc) }
 // when the topology or the membership actually changed — on a static
 // topology this removes the per-round O(V+E) graph clone entirely.
 func (e *Engine) Snapshot() metrics.Snapshot {
-	views := make(map[ident.NodeID]map[ident.NodeID]bool, len(e.Nodes))
+	views := make(map[ident.NodeID]map[ident.NodeID]bool, e.order.Len())
 	for _, v := range e.order.IDs() {
-		views[v] = e.Nodes[v].ViewSet()
+		views[v] = e.Node(v).ViewSet()
 	}
 	return metrics.Snapshot{G: e.SnapshotGraph(), Views: views}
 }
@@ -1379,10 +1332,7 @@ func (e *Engine) Snapshot() metrics.Snapshot {
 // from the builder's cache and replaced, never mutated, when the topology
 // or the membership changes.
 func (e *Engine) SnapshotGraph() *graph.G {
-	return e.snap.Graph(e.Topo.Graph(), e.memberGen, func(v ident.NodeID) bool {
-		_, ok := e.Nodes[v]
-		return ok
-	})
+	return e.snap.Graph(e.Topo.Graph(), e.memberGen, e.order.Has)
 }
 
 // RunUntilConverged steps whole rounds until the legitimacy predicate

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/ident"
 )
 
@@ -55,6 +57,43 @@ func TestRosterSlotLifecycle(t *testing.T) {
 	}
 	if r.SlotOf(999) != NoSlot {
 		t.Fatal("SlotOf on a non-member must be NoSlot")
+	}
+}
+
+// TestNodeIndexFollowsRoster pins Engine.Node, the one ID→node index,
+// through a slot's whole life: nil for an ID never added, nil once
+// removed, still nil when a different ID has recycled the slot, and the
+// fresh incarnation — not the departed node — once the ID is re-added.
+func TestNodeIndexFollowsRoster(t *testing.T) {
+	g := graph.Line(5)
+	e := New(Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, &StaticTopology{G: g})
+	e.RemoveNode(5) // in the graph, out of the roster until it joins below
+	e.StepTicks(6)
+
+	if e.Node(99) != nil {
+		t.Fatal("Node of a never-added ID is not nil")
+	}
+	old, slot := e.Node(2), e.SlotOf(2)
+	if old == nil || old != e.NodeAtSlot(slot) {
+		t.Fatalf("Node(2) = %p, slot table holds %p", old, e.NodeAtSlot(slot))
+	}
+	e.RemoveNode(2)
+	if e.Node(2) != nil {
+		t.Fatal("Node of a removed ID is not nil")
+	}
+	e.AddNode(5)
+	if e.SlotOf(5) != slot {
+		t.Fatalf("joiner got slot %d, want the freed slot %d", e.SlotOf(5), slot)
+	}
+	if e.Node(2) != nil {
+		t.Fatal("Node of a removed ID resolves to the slot's new occupant")
+	}
+	if n := e.Node(5); n == nil || n == old || n.ID() != 5 {
+		t.Fatalf("Node(5) = %v after recycling the slot", n)
+	}
+	e.AddNode(2)
+	if n := e.Node(2); n == nil || n == old || n.ID() != 2 || n.Computes() != 0 {
+		t.Fatalf("re-added ID resolves to %v, want a fresh incarnation", n)
 	}
 }
 

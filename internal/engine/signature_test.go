@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func TestPendingUpsert(t *testing.T) {
 		}
 	}
 	want := []senderVer{sv(2, 1, 20), sv(5, 1, 10), sv(7, 1, 40), sv(9, 1, 30)}
-	if !senderVersEqual(p, want) {
+	if !slices.Equal(p, want) {
 		t.Fatalf("after inserts: %v, want %v", p, want)
 	}
 
@@ -41,7 +42,7 @@ func TestPendingUpsert(t *testing.T) {
 		t.Fatal("changed version reported as duplicate")
 	}
 	want[1] = sv(5, 1, 11)
-	if !senderVersEqual(p, want) {
+	if !slices.Equal(p, want) {
 		t.Fatalf("after overwrite: %v, want %v", p, want)
 	}
 
@@ -50,7 +51,7 @@ func TestPendingUpsert(t *testing.T) {
 	if !dup {
 		t.Fatal("exact repeat not reported as duplicate")
 	}
-	if !senderVersEqual(p, want) {
+	if !slices.Equal(p, want) {
 		t.Fatalf("repeat mutated the signature: %v", p)
 	}
 
@@ -61,37 +62,13 @@ func TestPendingUpsert(t *testing.T) {
 		t.Fatal("new incarnation reported as duplicate")
 	}
 	want[1] = sv(5, 2, 11)
-	if !senderVersEqual(p, want) {
+	if !slices.Equal(p, want) {
 		t.Fatalf("after incarnation bump: %v, want %v", p, want)
 	}
 }
 
-func TestSenderVersEqual(t *testing.T) {
-	base := []senderVer{sv(2, 1, 20), sv(5, 1, 10)}
-	cases := []struct {
-		name string
-		b    []senderVer
-		want bool
-	}{
-		{"identical", []senderVer{sv(2, 1, 20), sv(5, 1, 10)}, true},
-		{"both empty", nil, false}, // vs base; see below for empty-empty
-		{"shorter", []senderVer{sv(2, 1, 20)}, false},
-		{"version moved", []senderVer{sv(2, 1, 21), sv(5, 1, 10)}, false},
-		{"incarnation moved", []senderVer{sv(2, 2, 20), sv(5, 1, 10)}, false},
-		{"sender swapped", []senderVer{sv(3, 1, 20), sv(5, 1, 10)}, false},
-	}
-	for _, c := range cases {
-		if got := senderVersEqual(base, c.b); got != c.want {
-			t.Errorf("%s: senderVersEqual = %v, want %v", c.name, got, c.want)
-		}
-	}
-	if !senderVersEqual(nil, []senderVer{}) {
-		t.Error("nil and empty signatures must be equal")
-	}
-}
-
 // wakeRec builds a nodeRec in the armed, version-stable state where
-// classifyWake reaches the signature walk.
+// skipGate reaches the signature walk.
 func wakeRec(pending, consumed []senderVer) *nodeRec {
 	rec := &nodeRec{n: core.NewNode(1, core.Config{Dmax: 3})}
 	rec.seeded = true
@@ -107,23 +84,23 @@ func TestClassifyWakeOffenders(t *testing.T) {
 	t.Run("gates before the signature", func(t *testing.T) {
 		rec := wakeRec(nil, nil)
 		rec.seeded = false
-		if c, _ := classifyWake(rec); c != introspect.WakeFresh {
+		if c, _ := skipGate(rec); c != introspect.WakeFresh {
 			t.Fatalf("unseeded: %v", c)
 		}
 		rec = wakeRec(nil, nil)
 		rec.armed = false
-		if c, _ := classifyWake(rec); c != introspect.WakeSelfActive {
+		if c, _ := skipGate(rec); c != introspect.WakeSelfActive {
 			t.Fatalf("unarmed: %v", c)
 		}
 		rec = wakeRec(nil, nil)
 		rec.fixVer++
-		if c, _ := classifyWake(rec); c != introspect.WakeVersionBump {
+		if c, _ := skipGate(rec); c != introspect.WakeVersionBump {
 			t.Fatalf("version moved: %v", c)
 		}
 		rec = wakeRec(nil, nil)
 		rec.quiet = core.QuietHeld
 		rec.holdExp = rec.n.Computes() // horizon reached
-		if c, _ := classifyWake(rec); c != introspect.WakeHoldExpiry {
+		if c, _ := skipGate(rec); c != introspect.WakeHoldExpiry {
 			t.Fatalf("hold expired: %v", c)
 		}
 	})
@@ -133,7 +110,7 @@ func TestClassifyWakeOffenders(t *testing.T) {
 			[]senderVer{sv(2, 1, 20), sv(5, 1, 11), sv(9, 1, 31)},
 			[]senderVer{sv(2, 1, 20), sv(5, 1, 10), sv(9, 1, 30)},
 		)
-		c, who := classifyWake(rec)
+		c, who := skipGate(rec)
 		if c != introspect.WakeMemoMiss || who != 5 {
 			t.Fatalf("got (%v, %v), want (memo_miss, 5)", c, who)
 		}
@@ -147,7 +124,7 @@ func TestClassifyWakeOffenders(t *testing.T) {
 			[]senderVer{sv(2, 1, 20), sv(5, 2, 10)},
 			[]senderVer{sv(2, 1, 20), sv(5, 1, 10)},
 		)
-		c, who := classifyWake(rec)
+		c, who := skipGate(rec)
 		if c != introspect.WakeInboxNew || who != 5 {
 			t.Fatalf("got (%v, %v), want (inbox_new, 5)", c, who)
 		}
@@ -158,7 +135,7 @@ func TestClassifyWakeOffenders(t *testing.T) {
 			[]senderVer{sv(2, 1, 20), sv(9, 1, 30)},
 			[]senderVer{sv(2, 1, 20), sv(5, 1, 10), sv(9, 1, 30)},
 		)
-		c, who := classifyWake(rec)
+		c, who := skipGate(rec)
 		if c != introspect.WakeInboxLost || who != 5 {
 			t.Fatalf("got (%v, %v), want (inbox_lost, 5)", c, who)
 		}
@@ -167,7 +144,7 @@ func TestClassifyWakeOffenders(t *testing.T) {
 			[]senderVer{sv(2, 1, 20)},
 			[]senderVer{sv(2, 1, 20), sv(9, 1, 30)},
 		)
-		c, who = classifyWake(rec)
+		c, who = skipGate(rec)
 		if c != introspect.WakeInboxLost || who != 9 {
 			t.Fatalf("got (%v, %v), want (inbox_lost, 9)", c, who)
 		}
@@ -181,20 +158,51 @@ func TestClassifyWakeOffenders(t *testing.T) {
 			[]senderVer{sv(2, 1, 20), sv(3, 1, 40), sv(9, 1, 31)},
 			[]senderVer{sv(2, 1, 20), sv(5, 1, 10), sv(9, 1, 30)},
 		)
-		c, who := classifyWake(rec)
+		c, who := skipGate(rec)
 		if c != introspect.WakeInboxNew || who != 3 {
 			t.Fatalf("got (%v, %v), want (inbox_new, 3)", c, who)
 		}
 	})
 
 	t.Run("intact signature is a quiet replay", func(t *testing.T) {
-		rec := wakeRec(
-			[]senderVer{sv(2, 1, 20)},
-			[]senderVer{sv(2, 1, 20)},
-		)
-		c, who := classifyWake(rec)
-		if c != introspect.WakeQuietReplay || who != ident.None {
-			t.Fatalf("got (%v, %v), want (quiet_replay, none)", c, who)
+		// WakeQuietReplay is the replay licence itself: exactly the equal
+		// signatures get it, a nil one equalling an empty one.
+		for _, sig := range [][2][]senderVer{
+			{{sv(2, 1, 20)}, {sv(2, 1, 20)}},
+			{{sv(2, 1, 20), sv(5, 1, 10)}, {sv(2, 1, 20), sv(5, 1, 10)}},
+			{nil, {}},
+			{{}, nil},
+		} {
+			c, who := skipGate(wakeRec(sig[0], sig[1]))
+			if c != introspect.WakeQuietReplay || who != ident.None {
+				t.Fatalf("%v vs %v: got (%v, %v), want (quiet_replay, none)", sig[0], sig[1], c, who)
+			}
+		}
+	})
+
+	t.Run("any signature difference withholds the replay", func(t *testing.T) {
+		base := []senderVer{sv(2, 1, 20), sv(5, 1, 10)}
+		for _, c := range []struct {
+			name    string
+			pending []senderVer
+			want    introspect.WakeCause
+			who     ident.NodeID
+		}{
+			{"empty", nil, introspect.WakeInboxLost, 2},
+			{"shorter", []senderVer{sv(2, 1, 20)}, introspect.WakeInboxLost, 5},
+			{"longer", []senderVer{sv(2, 1, 20), sv(5, 1, 10), sv(9, 1, 30)}, introspect.WakeInboxNew, 9},
+			{"version moved", []senderVer{sv(2, 1, 21), sv(5, 1, 10)}, introspect.WakeMemoMiss, 2},
+			{"incarnation moved", []senderVer{sv(2, 2, 20), sv(5, 1, 10)}, introspect.WakeInboxNew, 2},
+			{"sender swapped", []senderVer{sv(3, 1, 20), sv(5, 1, 10)}, introspect.WakeInboxLost, 2},
+			// A version move ahead of a set change is the first divergence:
+			// plain fresh traffic from the mover, never version-only churn.
+			{"version moved, then a sender lost", []senderVer{sv(2, 1, 21)}, introspect.WakeInboxNew, 2},
+			{"version moved, then a sender swapped", []senderVer{sv(2, 1, 21), sv(7, 1, 10)}, introspect.WakeInboxNew, 2},
+		} {
+			got, who := skipGate(wakeRec(c.pending, base))
+			if got != c.want || who != c.who {
+				t.Errorf("%s: got (%v, %v), want (%v, %v)", c.name, got, who, c.want, c.who)
+			}
 		}
 	})
 }

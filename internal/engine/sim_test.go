@@ -1,4 +1,4 @@
-package sim
+package engine
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/mobility"
 	"repro/internal/radio"
 	"repro/internal/space"
@@ -163,8 +164,10 @@ func TestLossyChannelStillConvergesSlowly(t *testing.T) {
 func TestAccounting(t *testing.T) {
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 2}, Seed: 10}, graph.Line(3))
 	s.StepTicks(10)
-	if s.MessagesSent == 0 || s.BytesSent == 0 || s.Deliveries == 0 {
-		t.Fatalf("accounting: msgs=%d bytes=%d deliv=%d", s.MessagesSent, s.BytesSent, s.Deliveries)
+	reg := s.Introspect()
+	msgs, bytes, delivs := reg.Get(introspect.CtrMessagesSent), reg.Get(introspect.CtrBytesSent), reg.Get(introspect.CtrDeliveries)
+	if msgs == 0 || bytes == 0 || delivs == 0 {
+		t.Fatalf("accounting: msgs=%d bytes=%d deliv=%d", msgs, bytes, delivs)
 	}
 	if s.Tick() != 10 {
 		t.Fatalf("tick = %d", s.Tick())

@@ -11,28 +11,23 @@ import (
 
 // Topology abstracts where messages can travel at the current instant.
 // Both drivers share it: the deterministic engine advances it once per
-// tick, the live runtime routes broadcasts through Receivers.
+// tick, the live runtime routes broadcasts through AppendReceivers.
 type Topology interface {
 	// Advance moves the topology forward by one tick.
 	Advance(rng *rand.Rand)
 	// Graph returns the current symmetric communication graph.
 	Graph() *graph.G
-	// Receivers returns the nodes that can hear a broadcast from v. It
-	// must be safe for concurrent read-only use (the build phase calls it
-	// from several workers at once), and it must be coherent with Graph():
-	// the receiver sets may only change together with the identity or
-	// mutation generation of the graph Graph() returns. The engine caches
-	// receiver sets on that key (a Receivers that drifted under an
-	// unchanged graph could not be replayed deterministically anyway);
-	// topologies whose vicinity changes every tick must, like
-	// SpatialTopology, produce a fresh or generation-bumped graph in
-	// Advance.
-	Receivers(v ident.NodeID) []ident.NodeID
 	// AppendReceivers appends the nodes that can hear a broadcast from v
-	// to buf and returns the extended slice — the allocation-free variant
-	// of Receivers the engine's build phase recycles its per-node
-	// receiver buffers through. Same concurrency and coherence contract
-	// as Receivers.
+	// to buf and returns the extended slice (the engine's build phase
+	// recycles its per-node receiver buffers through it). It must be safe
+	// for concurrent read-only use (the build phase calls it from several
+	// workers at once), and it must be coherent with Graph(): the receiver
+	// sets may only change together with the identity or mutation
+	// generation of the graph Graph() returns. The engine caches receiver
+	// sets on that key (receivers that drifted under an unchanged graph
+	// could not be replayed deterministically anyway); topologies whose
+	// vicinity changes every tick must, like SpatialTopology, produce a
+	// fresh or generation-bumped graph in Advance.
 	AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.NodeID
 	// Nodes returns the current node population in ascending order.
 	Nodes() []ident.NodeID
@@ -75,10 +70,7 @@ func (t *StaticTopology) Advance(*rand.Rand) {}
 // Graph implements Topology.
 func (t *StaticTopology) Graph() *graph.G { return t.G }
 
-// Receivers implements Topology: the graph's neighbors.
-func (t *StaticTopology) Receivers(v ident.NodeID) []ident.NodeID { return t.G.Neighbors(v) }
-
-// AppendReceivers implements Topology without allocating.
+// AppendReceivers implements Topology: the graph's neighbors.
 func (t *StaticTopology) AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
 	return t.G.AppendNeighbors(v, buf)
 }
@@ -121,11 +113,9 @@ func (t *SpatialTopology) Advance(rng *rand.Rand) {
 // Graph implements Topology.
 func (t *SpatialTopology) Graph() *graph.G { return t.cached }
 
-// Receivers implements Topology: the world's vicinity relation (which may
-// be asymmetric; the protocol is in charge of symmetry detection).
-func (t *SpatialTopology) Receivers(v ident.NodeID) []ident.NodeID { return t.World.Receivers(v) }
-
-// AppendReceivers implements Topology without allocating.
+// AppendReceivers implements Topology: the world's vicinity relation
+// (which may be asymmetric; the protocol is in charge of symmetry
+// detection).
 func (t *SpatialTopology) AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
 	return t.World.AppendReceivers(v, buf)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/introspect"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -192,14 +193,15 @@ func E11Overhead() *trace.Table {
 		s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: 1}, g)
 		s.RunUntilConverged(600, 3)
 		// Measure a steady window.
-		m0, b0, t0 := s.MessagesSent, s.BytesSent, s.Tick()
+		reg := s.Introspect()
+		m0, b0, t0 := reg.Get(introspect.CtrMessagesSent), reg.Get(introspect.CtrBytesSent), s.Tick()
 		const window = 50
 		for i := 0; i < window; i++ {
 			s.StepRound()
 		}
 		rounds := float64(s.Tick()-t0) / float64(s.P.Tc)
-		msgs := float64(s.MessagesSent - m0)
-		bytes := float64(s.BytesSent - b0)
+		msgs := float64(reg.Get(introspect.CtrMessagesSent) - m0)
+		bytes := float64(reg.Get(introspect.CtrBytesSent) - b0)
 		tb.AddRow(tc.name, n, tc.dmax,
 			msgs/float64(n)/rounds, bytes/float64(n)/rounds, bytes/msgs)
 	}

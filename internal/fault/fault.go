@@ -426,7 +426,7 @@ func (in *Injector) crash(r int) {
 	if v == ident.None {
 		return
 	}
-	n := in.e.Nodes[v]
+	n := in.e.Node(v)
 	if rng.Float64() >= in.Crash().CorruptP {
 		n.LoadState(antlist.Singleton(ident.Plain(v)), nil, nil, priority.New(v))
 	} else {
@@ -484,8 +484,8 @@ func (in *Injector) storm(r int) {
 // the standalone entry point for tests and experiments that do not want
 // a full scheduled profile. It reports whether v is a live member.
 func CrashNode(e *engine.Engine, v ident.NodeID, rng *rand.Rand, corrupt bool) bool {
-	n, ok := e.Nodes[v]
-	if !ok {
+	n := e.Node(v)
+	if n == nil {
 		return false
 	}
 	if !corrupt {

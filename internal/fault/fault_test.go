@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/mobility"
 	"repro/internal/radio"
 	"repro/internal/space"
@@ -197,10 +198,11 @@ func (cw *chaosWorld) trace(rounds int) []string {
 	for r := 1; r <= rounds; r++ {
 		evs := cw.inj.Apply(r)
 		cw.e.StepRound()
-		s := fmt.Sprintf("r%d evs%v msgs%d bytes%d deliv%d", r, evs,
-			cw.e.MessagesSent, cw.e.BytesSent, cw.e.Deliveries)
+		reg := cw.e.Introspect()
+		s := fmt.Sprintf("r%d evs%v msgs%d bytes%d deliv%d", r, evs, reg.Get(introspect.CtrMessagesSent),
+			reg.Get(introspect.CtrBytesSent), reg.Get(introspect.CtrDeliveries))
 		for _, v := range cw.e.Order() {
-			s += fmt.Sprintf("|%d:%v", v, cw.e.Nodes[v].View())
+			s += fmt.Sprintf("|%d:%v", v, cw.e.Node(v).View())
 		}
 		out = append(out, s)
 	}
@@ -301,7 +303,7 @@ func TestCrashNodeTargeted(t *testing.T) {
 	if !CrashNode(cw.e, v, rng, false) {
 		t.Fatal("CrashNode refused a live member")
 	}
-	if got := cw.e.Nodes[v].View(); len(got) != 1 || got[0] != v {
+	if got := cw.e.Node(v).View(); len(got) != 1 || got[0] != v {
 		t.Fatalf("zeroed crash left view %v", got)
 	}
 	if CrashNode(cw.e, ident.NodeID(9999), rng, true) {

@@ -48,7 +48,7 @@ func FoldFingerprint(pairs []NodeHashPair) uint64 {
 // AppendEngineHashes appends one pair per current member of e.
 func AppendEngineHashes(dst []NodeHashPair, e *engine.Engine) []NodeHashPair {
 	for _, v := range e.Order() {
-		dst = append(dst, NodeHashPair{ID: v, Hash: NodeStateHash(v, e.Nodes[v])})
+		dst = append(dst, NodeHashPair{ID: v, Hash: NodeStateHash(v, e.Node(v))})
 	}
 	return dst
 }

@@ -167,6 +167,48 @@ type SoakResult struct {
 	// Fingerprint is the end-of-run state fingerprint (0 unless
 	// SoakConfig.Fingerprint was set).
 	Fingerprint uint64
+
+	safetySum, groupSum float64 // running sums behind the two means
+}
+
+// Fold accumulates one observed round: the per-round half of the result
+// that the single-process and the distributed round loops share.
+func (r *SoakResult) Fold(st RoundStats) {
+	r.Rounds++
+	if st.Converged {
+		r.ConvergedRounds++
+	}
+	if st.Agreement {
+		r.AgreementRounds++
+	}
+	if !st.Continuity {
+		r.ContinuityBreaks++
+		if st.Topological {
+			r.UnexcusedBreaks++
+		}
+	}
+	if !st.Topological {
+		r.TopologyBreaks++
+	}
+	r.ViolatingNodes += st.ContinuityViolations
+	r.safetySum += st.SafetyRate
+	r.groupSum += float64(st.Groups)
+	r.Final = st
+}
+
+// Finish closes the result at run end: the tick count, the wall clock
+// since start, the per-round means and the final flight snapshot.
+func (r *SoakResult) Finish(ticks int, start time.Time, reg *introspect.Registry) {
+	r.Ticks = ticks
+	r.Elapsed = time.Since(start)
+	if s := r.Elapsed.Seconds(); s > 0 {
+		r.TicksPerSec = float64(ticks) / s
+	}
+	if r.Rounds > 0 {
+		r.MeanSafetyRate = r.safetySum / float64(r.Rounds)
+		r.MeanGroups = r.groupSum / float64(r.Rounds)
+	}
+	r.Flight = reg.Snapshot()
 }
 
 // Report renders the human-readable final report.
@@ -304,15 +346,12 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 
 	res := &SoakResult{}
-	safetySum := 0.0
-	groupSum := 0.0
 	start := time.Now()
 	deadline := time.Time{}
 	if cfg.Duration > 0 {
 		deadline = start.Add(cfg.Duration)
 	}
 
-	var st RoundStats
 	for r := 1; r <= cfg.MaxRounds; r++ {
 		// Churn before the round: the topology advances over the change
 		// before the next observation (the tracker's contract).
@@ -340,7 +379,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		}
 
 		e.StepRound()
-		st = tr.Observe()
+		st := tr.Observe()
 		if cfg.WakeTrace != nil {
 			var werr error
 			e.DrainWakes(func(wakes []introspect.WakeRec) {
@@ -372,25 +411,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			}
 		}
 
-		res.Rounds++
-		if st.Converged {
-			res.ConvergedRounds++
-		}
-		if st.Agreement {
-			res.AgreementRounds++
-		}
-		if !st.Continuity {
-			res.ContinuityBreaks++
-			if st.Topological {
-				res.UnexcusedBreaks++
-			}
-		}
-		if !st.Topological {
-			res.TopologyBreaks++
-		}
-		res.ViolatingNodes += st.ContinuityViolations
-		safetySum += st.SafetyRate
-		groupSum += float64(st.Groups)
+		res.Fold(st)
 
 		if cfg.Progress != nil && r%cfg.ProgressEvery == 0 {
 			cfg.Progress(r, st)
@@ -400,18 +421,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		}
 	}
 
-	res.Final = st
-	res.Ticks = e.Tick()
 	if cfg.Fingerprint {
 		res.Fingerprint = EngineFingerprint(e)
-	}
-	res.Elapsed = time.Since(start)
-	if s := res.Elapsed.Seconds(); s > 0 {
-		res.TicksPerSec = float64(res.Ticks) / s
-	}
-	if res.Rounds > 0 {
-		res.MeanSafetyRate = safetySum / float64(res.Rounds)
-		res.MeanGroups = groupSum / float64(res.Rounds)
 	}
 	if inj != nil {
 		res.FaultsInjected = inj.FaultsInjected
@@ -431,7 +442,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		}
 	}
 	reg := e.Introspect()
-	res.Flight = reg.Snapshot()
+	res.Finish(e.Tick(), start, reg)
 
 	// Chaos cross-check: the registry counts injections at the emission
 	// site inside the injector; its totals must match the injector's own

@@ -64,16 +64,20 @@ type engineSource struct {
 	e *engine.Engine
 }
 
-func (s engineSource) Workers() int                 { return s.e.P.Workers }
-func (s engineSource) Dmax() int                    { return s.e.P.Cfg.Dmax }
-func (s engineSource) TrackDirty()                  { s.e.TrackDirty() }
-func (s engineSource) SlotCap() int                 { return s.e.SlotCap() }
-func (s engineSource) Order() []ident.NodeID        { return s.e.Order() }
-func (s engineSource) SlotOf(v ident.NodeID) int32  { return s.e.SlotOf(v) }
-func (s engineSource) SnapshotGraph() *graph.G      { return s.e.SnapshotGraph() }
-func (s engineSource) Tick() int                    { return s.e.Tick() }
-func (s engineSource) TrafficTotals() (int, int)    { return s.e.MessagesSent, s.e.Deliveries }
+func (s engineSource) Workers() int                     { return s.e.P.Workers }
+func (s engineSource) Dmax() int                        { return s.e.P.Cfg.Dmax }
+func (s engineSource) TrackDirty()                      { s.e.TrackDirty() }
+func (s engineSource) SlotCap() int                     { return s.e.SlotCap() }
+func (s engineSource) Order() []ident.NodeID            { return s.e.Order() }
+func (s engineSource) SlotOf(v ident.NodeID) int32      { return s.e.SlotOf(v) }
+func (s engineSource) SnapshotGraph() *graph.G          { return s.e.SnapshotGraph() }
+func (s engineSource) Tick() int                        { return s.e.Tick() }
 func (s engineSource) Introspect() *introspect.Registry { return s.e.Introspect() }
+
+func (s engineSource) TrafficTotals() (msgs, delivs int) {
+	reg := s.e.Introspect()
+	return int(reg.Get(introspect.CtrMessagesSent)), int(reg.Get(introspect.CtrDeliveries))
+}
 
 func (s engineSource) ViewerAtSlot(slot int32) Viewer {
 	// The nil *core.Node must become a nil interface, not a non-nil

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/mobility"
 	"repro/internal/radio"
 	"repro/internal/space"
@@ -38,10 +39,11 @@ func TestLossyDrawsWorkerIndependent(t *testing.T) {
 		out := make([]string, 0, 80)
 		for r := 1; r <= 80; r++ {
 			e.StepRound()
+			reg := e.Introspect()
 			s := fmt.Sprintf("r%d msgs%d deliv%d drops%d", r,
-				e.MessagesSent, e.Deliveries, drops)
+				reg.Get(introspect.CtrMessagesSent), reg.Get(introspect.CtrDeliveries), drops)
 			for _, v := range e.Order() {
-				s += fmt.Sprintf("|%d:%v", v, e.Nodes[v].View())
+				s += fmt.Sprintf("|%d:%v", v, e.Node(v).View())
 			}
 			out = append(out, s)
 		}

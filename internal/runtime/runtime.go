@@ -1,7 +1,7 @@
 // Package runtime is the live deployment substrate: every GRP node runs
 // as its own goroutine with real send/compute timers, exchanging messages
 // over channels through a router goroutine that models the radio
-// topology. Where internal/sim is the deterministic instrument for
+// topology. Where internal/engine is the deterministic instrument for
 // experiments, this package is how the protocol actually deploys — nodes
 // and message passing map one-to-one onto goroutines and channels.
 //
@@ -182,6 +182,7 @@ func (c *Cluster) run(p *proc) {
 // loss.
 func (c *Cluster) route() {
 	defer c.wg.Done()
+	var recv []ident.NodeID // recycled: only this goroutine routes
 	for {
 		select {
 		case <-c.done:
@@ -189,7 +190,8 @@ func (c *Cluster) route() {
 		case m := <-c.broadcasts:
 			c.mu.RLock()
 			c.reg.Inc(introspect.CtrMessagesSent)
-			for _, u := range c.topo.Receivers(m.From) {
+			recv = c.topo.AppendReceivers(m.From, recv[:0])
+			for _, u := range recv {
 				if p, ok := c.procs[u]; ok {
 					select {
 					case p.inbox <- m:

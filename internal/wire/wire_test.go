@@ -8,10 +8,10 @@ import (
 
 	"repro/internal/antlist"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/priority"
-	"repro/internal/sim"
 )
 
 func sampleMessage() core.Message {
@@ -94,10 +94,10 @@ func TestQuarClamping(t *testing.T) {
 // every message a node would actually broadcast.
 func TestQuickLiveMessagesRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: 3}, Seed: seed}, graph.Line(6))
+		s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: seed}, graph.Line(6))
 		s.StepTicks(20 + int(uint64(seed)%17))
-		for _, n := range s.Nodes {
-			m := n.BuildMessage()
+		for _, v := range s.Order() {
+			m := s.Node(v).BuildMessage()
 			got, err := Decode(Encode(m))
 			if err != nil {
 				return false
@@ -132,10 +132,10 @@ func normalize(m map[ident.NodeID]priority.P) map[ident.NodeID]priority.P {
 func TestEncodedSizeMatchesEstimate(t *testing.T) {
 	// core.Message.EncodedSize is the overhead experiments' estimate; the
 	// real frame must stay within a small constant of it.
-	s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: 4}, Seed: 2}, graph.Line(8))
+	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: 2}, graph.Line(8))
 	s.StepTicks(40)
-	for _, n := range s.Nodes {
-		m := n.BuildMessage()
+	for _, v := range s.Order() {
+		m := s.Node(v).BuildMessage()
 		real := len(Encode(m))
 		est := m.EncodedSize()
 		diff := real - est

@@ -9,10 +9,10 @@ import (
 	"math/rand"
 
 	"repro/internal/antlist"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/priority"
-	"repro/internal/sim"
 )
 
 // CorruptionKind selects what kind of garbage to inject for the
@@ -33,12 +33,12 @@ const (
 // Corrupt injects garbage of the given kind into a fraction of the
 // simulation's nodes, deterministically from rng. It returns the number
 // of corrupted nodes.
-func Corrupt(s *sim.Sim, kind CorruptionKind, fraction float64, rng *rand.Rand) int {
+func Corrupt(s *engine.Engine, kind CorruptionKind, fraction float64, rng *rand.Rand) int {
 	corrupted := 0
 	ghostBase := uint32(60000)
 	for _, v := range s.Topo.Nodes() {
-		n, ok := s.Nodes[v]
-		if !ok || rng.Float64() >= fraction {
+		n := s.Node(v)
+		if n == nil || rng.Float64() >= fraction {
 			continue
 		}
 		corrupted++
@@ -74,10 +74,10 @@ func Corrupt(s *sim.Sim, kind CorruptionKind, fraction float64, rng *rand.Rand) 
 
 // HasGhosts reports whether any node's list mentions an ID that is not a
 // live node of the simulation.
-func HasGhosts(s *sim.Sim) bool {
-	for _, n := range s.Nodes {
-		for _, u := range n.List().IDs() {
-			if _, ok := s.Nodes[u]; !ok {
+func HasGhosts(s *engine.Engine) bool {
+	for _, v := range s.Order() {
+		for _, u := range s.Node(v).List().IDs() {
+			if s.Node(u) == nil {
 				return true
 			}
 		}
@@ -86,10 +86,10 @@ func HasGhosts(s *sim.Sim) bool {
 }
 
 // MaxListLen returns the longest list length across all nodes.
-func MaxListLen(s *sim.Sim) int {
+func MaxListLen(s *engine.Engine) int {
 	out := 0
-	for _, n := range s.Nodes {
-		if l := n.List().Len(); l > out {
+	for _, v := range s.Order() {
+		if l := s.Node(v).List().Len(); l > out {
 			out = l
 		}
 	}

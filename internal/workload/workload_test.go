@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
 func TestCorruptGhostsInjectsAndHeals(t *testing.T) {
-	s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, graph.Line(6))
+	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, graph.Line(6))
 	rng := rand.New(rand.NewSource(2))
 	n := Corrupt(s, CorruptGhosts, 1.0, rng)
 	if n != 6 {
@@ -28,7 +28,7 @@ func TestCorruptGhostsInjectsAndHeals(t *testing.T) {
 }
 
 func TestCorruptOversizedShrinks(t *testing.T) {
-	s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: 2}, Seed: 1}, graph.Line(5))
+	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 2}, Seed: 1}, graph.Line(5))
 	Corrupt(s, CorruptOversized, 1.0, rand.New(rand.NewSource(3)))
 	if MaxListLen(s) <= 3 {
 		t.Fatal("oversized lists not injected")
@@ -41,7 +41,7 @@ func TestCorruptOversizedShrinks(t *testing.T) {
 
 func TestCorruptViewsAndPrioritiesRecover(t *testing.T) {
 	for _, kind := range []CorruptionKind{CorruptViews, CorruptPriorities} {
-		s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, graph.Line(5))
+		s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, graph.Line(5))
 		Corrupt(s, kind, 0.6, rand.New(rand.NewSource(4)))
 		if _, ok := s.RunUntilConverged(200, 3); !ok {
 			t.Fatalf("kind %d: no reconvergence: %v", kind, s.Snapshot().Groups())
@@ -50,7 +50,7 @@ func TestCorruptViewsAndPrioritiesRecover(t *testing.T) {
 }
 
 func TestCorruptFractionZero(t *testing.T) {
-	s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: 2}, Seed: 1}, graph.Line(4))
+	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 2}, Seed: 1}, graph.Line(4))
 	if n := Corrupt(s, CorruptGhosts, 0, rand.New(rand.NewSource(1))); n != 0 {
 		t.Fatalf("corrupted %d nodes at fraction 0", n)
 	}
@@ -103,7 +103,7 @@ func TestDoubleJoinQuarantineProtectsAgreement(t *testing.T) {
 	// With quarantine the core group admits at most one joiner and views
 	// stay consistent; the run must reconverge to a legal partition.
 	g, _, _ := DoubleJoin(4, 4)
-	s := sim.NewStatic(sim.Params{Cfg: core.Config{Dmax: 4}, Seed: 7}, g)
+	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: 7}, g)
 	if _, ok := s.RunUntilConverged(300, 3); !ok {
 		t.Fatalf("double join did not converge: %v", s.Snapshot().Groups())
 	}
