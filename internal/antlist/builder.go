@@ -22,8 +22,9 @@ type Builder struct {
 	// spare arena the next merge writes into before the buffers swap.
 	spareEnts []ident.Entry
 	spareOffs []int32
-	// round arena for Filter results: cleaned received lists live here for
-	// the duration of one fold round; Reset recycles it.
+	// round arena for Filter and Singleton results: cleaned and replaced
+	// received lists live here for the duration of one fold round;
+	// BeginRound recycles it.
 	filtEnts []ident.Entry
 	filtOffs []int32
 	// seen is the large-merge dedup set (reused across merges): group-sized
@@ -48,6 +49,16 @@ func (b *Builder) BeginRound(owner ident.Entry) {
 	b.Reset(owner)
 	b.filtEnts = b.filtEnts[:0]
 	b.filtOffs = b.filtOffs[:0]
+}
+
+// Singleton is the package-level Singleton carved from the round arena
+// instead of the heap: valid, like a Filter result, until the builder's
+// next BeginRound — the lifetime of the replacement list a compute
+// substitutes for a held, ignored or rejected sender's.
+func (b *Builder) Singleton(e ident.Entry) List {
+	b.filtEnts = append(b.filtEnts, e)
+	n := len(b.filtEnts)
+	return List{ents: b.filtEnts[n-1 : n : n], offs: singletonOffs}
 }
 
 // Filter returns l with only the entries keep accepts, every position kept

@@ -195,6 +195,40 @@ func TestPublishSharesUnchanged(t *testing.T) {
 	}
 }
 
+// TestBuilderSingletonLivesInRoundArena pins the arena-carved singleton:
+// equal to the heap one, still intact after the arena grew under it and
+// a Filter result was carved next to it, and allocation-free once the
+// arena has its capacity.
+func TestBuilderSingletonLivesInRoundArena(t *testing.T) {
+	var b Builder
+	b.BeginRound(ident.Plain(1))
+	first := b.Singleton(ident.Double(7))
+	filtered := b.Filter(mk([]uint32{1}, []uint32{2, 3}), func(e ident.Entry) bool { return e.ID != 3 })
+	var rest []List
+	for u := uint32(10); u < 200; u++ { // forces the arena to reallocate
+		rest = append(rest, b.Singleton(ident.Single(ident.NodeID(u))))
+	}
+	if !first.Equal(Singleton(ident.Double(7))) || !filtered.Equal(mk([]uint32{1}, []uint32{2})) {
+		t.Fatalf("arena growth disturbed earlier results: %v %v", first, filtered)
+	}
+	for i, l := range rest {
+		if !l.Equal(Singleton(ident.Single(ident.NodeID(10 + i)))) {
+			t.Fatalf("singleton %d = %v", i, l)
+		}
+	}
+	b.Ant(first)
+	if !b.View().Equal(FromSets(Set{ident.Plain(1)}, Set{ident.Double(7)})) {
+		t.Fatalf("fold of an arena singleton = %v", b.View())
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		b.BeginRound(ident.Plain(1))
+		b.Singleton(ident.Double(7))
+		b.Singleton(ident.Single(8))
+	}); allocs != 0 {
+		t.Fatalf("%.0f allocs per round for arena singletons", allocs)
+	}
+}
+
 func randomSets(r *rand.Rand) []Set {
 	depth := 1 + r.Intn(4)
 	sets := make([]Set, 0, depth)

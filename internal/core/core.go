@@ -910,7 +910,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 		case n.rejectedUntil(u) != 0:
 			// Boundary memory: the sender was recently rejected as
 			// incompatible; hold the boundary while views consolidate.
-			lu = antlist.Singleton(ident.Double(u))
+			lu = b.Singleton(ident.Double(u))
 			if n.Tracer != nil {
 				n.trace("hold %v until c%d", u, n.rejectedUntil(u))
 			}
@@ -918,7 +918,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 			// Line 4: the list is ignored but the sender is kept
 			// (single mark: asymmetric / unconfirmed link). Not evidence
 			// of incompatibility: the streak is left alone.
-			lu = antlist.Singleton(ident.Single(u))
+			lu = b.Singleton(ident.Single(u))
 			if n.Tracer != nil {
 				n.trace("notgood %v: %v", u, msg.List)
 			}
@@ -930,7 +930,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 				if n.Tracer != nil {
 					n.trace("incompat %v: cleaned=%v partial=%v list=%v", u, lu, b.View(), n.list)
 				}
-				lu = n.escalate(u)
+				lu = n.escalate(b, u)
 			} else {
 				n.setStreak(u, 0)
 			}
@@ -958,7 +958,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 						// Line 19: the neighbor that provided w is
 						// ignored (after the debounce; see escalate).
 						u := incs[i].msg.From
-						incs[i].list = n.escalate(u)
+						incs[i].list = n.escalate(b, u)
 						if n.Tracer != nil {
 							n.trace("contest lost to %v: drop provider %v (streak %d)", w.ID, u, n.streakOf(u))
 						}
@@ -1243,16 +1243,17 @@ func precMap(s []prec) map[ident.NodeID]priority.P {
 // while the observation streak is below the debounce threshold (transient
 // detour-inflated positions during convergence fire false contests; a
 // soft ignore does not reset the neighbor's handshake), and the hard
-// double-mark cut once the incompatibility persists.
-func (n *Node) escalate(u ident.NodeID) antlist.List {
+// double-mark cut once the incompatibility persists. The replacement
+// lives in b's round arena, as long as the compute that asked for it.
+func (n *Node) escalate(b *antlist.Builder, u ident.NodeID) antlist.List {
 	c := n.streakOf(u) + 1
 	if c < n.cfg.rejectDebounce() {
 		n.setStreak(u, c)
-		return antlist.Singleton(ident.Single(u))
+		return b.Singleton(ident.Single(u))
 	}
 	n.setStreak(u, 0)
 	n.reject(u)
-	return antlist.Singleton(ident.Double(u))
+	return b.Singleton(ident.Double(u))
 }
 
 // foreignDepth returns the deepest position in lu holding a plain entry

@@ -1314,9 +1314,10 @@ func (e *Engine) StepRound() { e.StepTicks(e.P.Tc) }
 // Snapshot captures the current configuration for the metrics predicates.
 // Only live protocol nodes contribute views. The view maps are fresh on
 // every call (snapshots are routinely held across rounds); the restricted
-// topology graph is served from the builder's cache and only re-derived
-// when the topology or the membership actually changed — on a static
-// topology this removes the per-round O(V+E) graph clone entirely.
+// topology graph comes from metrics.SnapshotBuilder — the cached pointer
+// while neither topology nor membership changed, otherwise a copy-on-write
+// sibling of the topology's graph (every node live) or a copy of the
+// induced subgraph.
 func (e *Engine) Snapshot() metrics.Snapshot {
 	views := make(map[ident.NodeID]map[ident.NodeID]bool, e.order.Len())
 	for _, v := range e.order.IDs() {
@@ -1328,9 +1329,9 @@ func (e *Engine) Snapshot() metrics.Snapshot {
 // SnapshotGraph returns the topology graph restricted to the live
 // protocol nodes — the G half of Snapshot without materializing any view
 // map. Incremental observers key their per-node neighborhood caches on
-// its (pointer, generation) identity; like Snapshot's graph it is served
-// from the builder's cache and replaced, never mutated, when the topology
-// or the membership changes.
+// its (pointer, generation) identity; like Snapshot's graph it is
+// replaced, never mutated, when the topology or the membership changes.
+// Call it between ticks: it marks the topology's graph shared.
 func (e *Engine) SnapshotGraph() *graph.G {
 	return e.snap.Graph(e.Topo.Graph(), e.memberGen, e.order.Has)
 }

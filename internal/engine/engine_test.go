@@ -143,7 +143,9 @@ func TestEngineConvergesParallel(t *testing.T) {
 
 // TestSnapshotCacheTracksMutation guards the incremental snapshot
 // builder: a link cut in the static graph must be visible in the next
-// snapshot while snapshots taken before the cut keep the old topology.
+// snapshot while snapshots taken before the cut keep the old topology —
+// although, with every node live, they share the topology's storage
+// (copy-on-write) instead of copying it.
 func TestSnapshotCacheTracksMutation(t *testing.T) {
 	g := graph.Line(6)
 	e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, g)
@@ -151,6 +153,9 @@ func TestSnapshotCacheTracksMutation(t *testing.T) {
 	before := e.Snapshot()
 	if !before.G.HasEdge(3, 4) {
 		t.Fatal("edge missing before cut")
+	}
+	if a, b := g.NeighborsView(3), before.G.NeighborsView(3); &a[0] != &b[0] {
+		t.Fatal("all-live snapshot should share the topology's rows")
 	}
 	mid := e.Snapshot()
 	if mid.G != before.G {
@@ -161,8 +166,10 @@ func TestSnapshotCacheTracksMutation(t *testing.T) {
 	if after.G.HasEdge(3, 4) {
 		t.Fatal("cut not reflected in fresh snapshot")
 	}
-	if !before.G.HasEdge(3, 4) {
-		t.Fatal("held snapshot was mutated by the cache rebuild")
+	g.AddNode(7)
+	g.RemoveNode(1)
+	if !before.G.HasEdge(3, 4) || !before.G.HasEdge(1, 2) || before.G.HasNode(7) {
+		t.Fatal("held snapshot was mutated by a later topology edit")
 	}
 	e.RemoveNode(6)
 	if e.Snapshot().G.HasNode(6) {

@@ -192,10 +192,11 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	return g
 }
 
-// unshareAdj privatizes the adjacency storage of a graph built by
-// ApplyDelta (or one whose storage ApplyDelta borrowed) before the first
-// in-place mutation: every row is copied into one fresh arena, with caps
-// pinned so later growth reallocates privately.
+// unshareAdj privatizes the adjacency storage of a graph that shares rows
+// (ApplyDelta) or rows and header (identity Restrict) with another before
+// the first in-place mutation: every row is copied into one fresh arena,
+// with caps pinned so later growth reallocates privately, under a fresh
+// header — the old one may be a sibling's and is left as it was.
 func (g *G) unshareAdj() {
 	if !g.cowAdj {
 		return
@@ -205,10 +206,12 @@ func (g *G) unshareAdj() {
 		total += len(s)
 	}
 	arena := make([]ident.NodeID, 0, total)
+	adj := make([][]ident.NodeID, len(g.adj))
 	for i, s := range g.adj {
 		start := len(arena)
 		arena = append(arena, s...)
-		g.adj[i] = arena[start:len(arena):len(arena)]
+		adj[i] = arena[start:len(arena):len(arena)]
 	}
+	g.adj = adj
 	g.cowAdj = false
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -10,22 +11,35 @@ import (
 // FuzzCSROps replays an arbitrary mutation/query sequence decoded from
 // the fuzz input against both the CSR graph and the retained map-of-maps
 // reference, asserting every observable agrees after every operation.
-// Each input byte pair is one op: the low bits of the first byte select
-// the operation, the second byte (mod 16) the operand node(s) — a small
-// ID space keeps collisions (re-adds, double-removes, duplicate edges)
-// frequent.
+// Each input byte pair is one op: the first byte mod 6 selects the
+// operation, the second byte (mod 16) the operand node(s) — a small ID
+// space keeps collisions (re-adds, double-removes, duplicate edges)
+// frequent. Op 5 takes an identity Restrict (a copy-on-write sibling
+// sharing index, roster, row header and rows) beside a clone of the
+// reference at that moment; from then on bit 0x40 of the first byte
+// swaps which of the two graphs the ops go to, and both are checked
+// against their own references after every op — so a write that leaks
+// across the sharing, in either direction, diverges one of them.
 func FuzzCSROps(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x02, 0x23, 0x02, 0x31, 0x03, 0x23})
 	f.Add([]byte{0x02, 0x12, 0x02, 0x13, 0x02, 0x14, 0x01, 0x01, 0x02, 0x12})
 	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 0x01, 0x01, 0x03, 0x11, 0x02, 0x11})
 	f.Add([]byte{0x02, 0xab, 0x02, 0xba, 0x02, 0xcd, 0x01, 0x0b, 0x02, 0xdc})
+	// Share, then: AddNode on the source, AddNode on the sibling (0x42 =
+	// swap + op 0), RemoveNode on each, edge edits on each.
+	f.Add([]byte{0x02, 0x12, 0x02, 0x23, 0x05, 0x00, 0x00, 0x70, 0x42, 0x80, 0x01, 0x10, 0x43, 0x20, 0x02, 0x13, 0x45, 0x12})
+	// Share, re-share from the sibling, shrink and regrow both sides.
+	f.Add([]byte{0x02, 0x12, 0x02, 0x34, 0x05, 0x00, 0x47, 0x00, 0x01, 0x30, 0x00, 0x90, 0x43, 0x10, 0x42, 0xa0, 0x03, 0x12})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := New()
-		ref := NewRef()
+		g, sib := New(), (*G)(nil)
+		ref, sibRef := NewRef(), (*Ref)(nil)
 		for i := 0; i+1 < len(data); i += 2 {
-			op := data[i] % 5
+			op := data[i] % 6
 			a := ident.NodeID(data[i+1]>>4) + 1
 			b := ident.NodeID(data[i+1]&0xf) + 1
+			if sib != nil && data[i]&0x40 != 0 {
+				g, sib, ref, sibRef = sib, g, sibRef, ref
+			}
 			switch op {
 			case 0:
 				g.AddNode(a)
@@ -61,10 +75,29 @@ func FuzzCSROps(f *testing.F) {
 						t.Fatalf("restrict neighbors of %v: %v vs %v", v, r.Neighbors(v), want)
 					}
 				}
+			case 5:
+				gen := g.Generation()
+				sib = g.Restrict(func(ident.NodeID) bool { return true })
+				sibRef = ref.clone()
+				if g.Generation() != gen || sib.Generation() != 0 {
+					t.Fatalf("identity restrict: generations %d→%d, sibling %d", gen, g.Generation(), sib.Generation())
+				}
 			}
 			checkSame(t, g, ref)
+			if sib != nil {
+				checkSame(t, sib, sibRef)
+			}
 		}
 	})
+}
+
+// clone deep-copies the reference graph.
+func (g *Ref) clone() *Ref {
+	out := NewRef()
+	for v, nb := range g.adj {
+		out.adj[v] = maps.Clone(nb)
+	}
+	return out
 }
 
 // FuzzCSRFromEdges decodes an arbitrary edge list (self-loops and

@@ -43,13 +43,13 @@ type G struct {
 	sortedOK bool
 
 	// sharedIdx marks idx/nodes as shared with another graph built over
-	// the same roster (FromEdgesShared); any node mutation first takes a
-	// private copy.
+	// the same roster (FromEdgesShared, ApplyDelta, identity Restrict);
+	// any node mutation first takes a private copy.
 	sharedIdx bool
 
-	// cowAdj marks the adjacency rows as shared with another graph
-	// (ApplyDelta); any edge mutation first privatizes every row
-	// (unshareAdj in delta.go).
+	// cowAdj marks the adjacency rows (ApplyDelta) or rows and header
+	// both (identity Restrict) as shared with another graph; any edge
+	// mutation first privatizes them (unshareAdj in delta.go).
 	cowAdj bool
 
 	edges int
@@ -155,10 +155,10 @@ func (g *G) ensure(v ident.NodeID) int32 {
 	return i
 }
 
-// unshareIdx takes a private copy of a roster shared via FromEdgesShared
-// or ApplyDelta before the first node mutation. The sorted-roster cache
-// may be shared too (ApplyDelta); it is detached rather than copied so the
-// next roster() rebuild cannot scribble over the sibling's cache.
+// unshareIdx takes a private copy of a roster shared via FromEdgesShared,
+// ApplyDelta or Restrict before the first node mutation. The sorted-roster
+// cache may be shared too (the latter two); it is detached rather than
+// copied so the next roster() rebuild cannot scribble over the sibling's.
 func (g *G) unshareIdx() {
 	if !g.sharedIdx {
 		return
@@ -512,22 +512,46 @@ func (g *G) String() string {
 	return fmt.Sprintf("graph(n=%d, m=%d)", g.NumNodes(), g.NumEdges())
 }
 
-// Restrict returns the subgraph induced by the nodes keep accepts, as a
-// deep copy in one pass. The kept adjacencies are filtered into a single
-// arena, so the restriction of a CSR graph is itself laid out flat.
+// Restrict returns the subgraph induced by the nodes keep accepts (keep is
+// called once per node). When it accepts every node the result is a
+// copy-on-write sibling at the cost of one G: it shares g's node index,
+// roster, row header and rows, and either graph privatizes what it is
+// about to write (unshareIdx, unshareAdj) before any later mutation. Like
+// ApplyDelta(prev, …) this sets two flags on its receiver, so Restrict
+// must be called from a sequential phase, never beside concurrent readers
+// of g. Otherwise the result is a deep copy in one pass, the kept
+// adjacencies filtered into a single arena.
 func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
-	out := &G{idx: make(map[ident.NodeID]int32, len(g.nodes))}
+	cut := 0 // first rejected slot
+	for cut < len(g.nodes) && keep(g.nodes[cut]) {
+		cut++
+	}
+	if cut == len(g.nodes) {
+		// The cap pin makes either side's next ensure() reallocate the
+		// header instead of appending into the other's backing array: a
+		// shared header is never written.
+		g.adj = g.adj[:len(g.adj):len(g.adj)]
+		g.sharedIdx, g.cowAdj = true, true
+		out := &G{idx: g.idx, nodes: g.nodes, adj: g.adj, sharedIdx: true, cowAdj: true, edges: g.edges}
+		if g.sortedOK {
+			out.sorted, out.sortedOK = g.sorted, true
+		}
+		return out
+	}
+	out := &G{idx: make(map[ident.NodeID]int32, len(g.nodes)-1)}
+	slots := make([]int32, 0, len(g.nodes)-1) // out slot → g slot
 	total := 0
 	for i, v := range g.nodes {
-		if keep(v) {
+		if i < cut || (i > cut && keep(v)) {
 			out.ensure(v)
+			slots = append(slots, int32(i))
 			total += len(g.adj[i])
 		}
 	}
 	arena := make([]ident.NodeID, 0, total)
-	for oi, v := range out.nodes {
+	for oi, i := range slots {
 		start := len(arena)
-		for _, u := range g.adj[g.idx[v]] {
+		for _, u := range g.adj[i] {
 			if _, kept := out.idx[u]; kept {
 				arena = append(arena, u)
 			}

@@ -5,17 +5,28 @@ import (
 	"repro/internal/ident"
 )
 
-// SnapshotBuilder incrementally maintains the topology half of a
-// Snapshot. The seed engine cloned the whole communication graph and then
-// deleted the dead nodes on *every* snapshot — O(V+E) maps per round even
-// when nothing moved. The builder instead caches the restricted copy and
-// re-derives it only when the source graph (pointer or generation — the
-// latter catches in-place mutations like the experiments' link cuts) or
-// the live membership changed. The cached graph is handed out shared:
-// that is safe because snapshots are read-only for every predicate, and
-// because the cache is replaced, never mutated, when the topology changes
-// — snapshots held across rounds (Tracker, ΠT/ΠC) keep seeing the
-// topology of their own round.
+// SnapshotBuilder maintains the topology half of a Snapshot: the source
+// graph restricted to the live nodes (graph.G.Restrict).
+//
+//   - Every node of src live — the soak path, where world and engine
+//     membership are equal by construction: the restriction is the
+//     identity and the result is a copy-on-write sibling of src, one
+//     graph header over src's index, roster and rows. A mobile world
+//     hands out a new src every tick, so this is the per-round cost.
+//   - Some node of src not live (static topologies with departed nodes):
+//     a deep copy of the induced subgraph.
+//   - Same src (pointer and generation — the latter catches in-place
+//     mutations like the experiments' link cuts) and same membership as
+//     the last call: the cached graph itself, same pointer — which is
+//     what lets the tracker skip its neighbourhood sweep on a static
+//     topology.
+//
+// The graph is handed out shared and read-only. A snapshot held across
+// rounds (Tracker, ΠT/ΠC) keeps seeing the topology of its own round: the
+// cache is replaced, never mutated, and a later in-place edit of src
+// privatizes src's storage first instead of writing through the sibling.
+// Graph sets src's sharing flags (see Restrict), so it belongs between
+// rounds, never beside a phase that reads src concurrently.
 type SnapshotBuilder struct {
 	src     *graph.G
 	srcGen  uint64
