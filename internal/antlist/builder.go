@@ -7,9 +7,9 @@ import "repro/internal/ident"
 // double-buffered entry arenas with no per-operation allocation, and a
 // single commit-time copy (List.Publish on the final View) produces the
 // immutable list a node stores and broadcasts — which itself degenerates to
-// zero copies when the round left the list unchanged. Drivers recycle one
-// Builder per node (the engine keeps it on the node's record); a Builder
-// must not be used from two goroutines at once.
+// zero copies when the round left the list unchanged. A Builder keeps
+// nothing between rounds, so it belongs to whoever runs the computes
+// (core.Scratch), not to a node; one goroutine at a time.
 //
 // The merge semantics replicate the nested reference operators (RefList in
 // reference.go) bit for bit: position-wise union with the strongest mark

@@ -301,9 +301,11 @@ func TestDeltaGraphMatchesBruteForceReference(t *testing.T) {
 // chaosRun drives the walled churning scenario with the deterministic
 // fault injector armed on top — crash-recovery with corrupted reloads,
 // Byzantine liars, a burst-lossy channel, flapping neighborhoods — and
-// every node's SelfCheck oracle on. It pins the acceptance criterion
-// that phase-aligned injection preserves the seq-vs-parallel equality.
-func chaosRun(t *testing.T, workers, rounds int) []roundRec {
+// every node's SelfCheck oracle on or off. It pins the acceptance
+// criterion that phase-aligned injection preserves the seq-vs-parallel
+// equality. Besides the per-round records it returns the flight recorder's
+// final counter block (wake histogram included).
+func chaosRun(t *testing.T, workers, rounds int, selfCheck bool) ([]roundRec, map[string]uint64) {
 	t.Helper()
 	w := space.NewWorld(2.5)
 	ids := make([]ident.NodeID, 60)
@@ -324,7 +326,9 @@ func chaosRun(t *testing.T, workers, rounds int) []roundRec {
 		Seed:    29,
 		Workers: workers,
 	}, topo)
-	armSelfCheck(e)
+	if selfCheck {
+		armSelfCheck(e)
+	}
 	positions := map[ident.NodeID]space.Point{}
 	inj := fault.NewInjector(prof, e, fault.Hooks{
 		Leave: func(v ident.NodeID) {
@@ -341,14 +345,16 @@ func chaosRun(t *testing.T, workers, rounds int) []roundRec {
 	recs := make([]roundRec, 0, rounds)
 	for r := 1; r <= rounds; r++ {
 		inj.Apply(r)
-		armSelfCheck(e) // rejoined nodes come back with fresh cores
+		if selfCheck {
+			armSelfCheck(e) // rejoined nodes come back with fresh cores
+		}
 		e.StepRound()
 		recs = append(recs, record(e, tr.Observe()))
 	}
 	if inj.FaultsInjected == 0 {
 		t.Fatal("chaos conformance run injected no faults — the comparison is vacuous")
 	}
-	return recs
+	return recs, e.Introspect().Snapshot().Counters
 }
 
 // TestChaosSeqAndParallelBitIdentical asserts the full record stream is
@@ -357,11 +363,37 @@ func chaosRun(t *testing.T, workers, rounds int) []roundRec {
 // injection is phase-aligned and coordinator-side, so it must not
 // perturb the determinism contract.
 func TestChaosSeqAndParallelBitIdentical(t *testing.T) {
-	seq := chaosRun(t, 1, 80)
-	par := chaosRun(t, 4, 80)
+	seq, _ := chaosRun(t, 1, 80, true)
+	par, _ := chaosRun(t, 4, 80, true)
 	for r := range seq {
 		if !reflect.DeepEqual(seq[r], par[r]) {
 			t.Fatalf("round %d diverged:\nseq: %+v\npar: %+v", r+1, seq[r], par[r])
+		}
+	}
+}
+
+// TestScratchCarriesNoState pins the ownership rule of core.Scratch —
+// nothing in it is read before it is written within one call — on the
+// engine's shared per-shard scratches: with SelfCheck armed every node
+// scribbles garbage over every buffer of its shard's scratch after each
+// compute and each inbox digest, so the next node of the shard starts from
+// a poisoned one. The churning chaos run must not notice: state and
+// broadcast hashes, Ω statistics, and every registry counter (the wake
+// histogram among them) equal an unscribbled twin's, at 1 and 4 workers.
+func TestScratchCarriesNoState(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		clean, cleanCtr := chaosRun(t, workers, 80, false)
+		dirty, dirtyCtr := chaosRun(t, workers, 80, true)
+		for r := range clean {
+			if !reflect.DeepEqual(clean[r], dirty[r]) {
+				t.Fatalf("workers=%d round %d diverged:\nclean:     %+v\nscribbled: %+v", workers, r+1, clean[r], dirty[r])
+			}
+		}
+		if !reflect.DeepEqual(cleanCtr, dirtyCtr) {
+			t.Fatalf("workers=%d registry diverged:\nclean:     %v\nscribbled: %v", workers, cleanCtr, dirtyCtr)
+		}
+		if cleanCtr["skips_memo"] == 0 {
+			t.Fatal("no memo replay — InboxReadDigest's scratch use went unexercised")
 		}
 	}
 }

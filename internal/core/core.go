@@ -17,18 +17,17 @@
 // The output used by applications is View: the composition of the node's
 // group.
 //
-// The compute phase is allocation-light: the round's checked senders live
-// in slice-backed scratch reused across computes (never maps rebuilt per
-// round), priority learning reads the flat Message.Recs records instead
-// of per-message maps, the view/quarantine maps are double-buffered, and
-// the ancestor-list fold composes inside a recycled antlist.Builder arena
-// — a single commit-time copy publishes the immutable list, and a round
-// that leaves the list unchanged publishes nothing at all (see ComputeIn).
-// What may be retained across rounds is exactly the state whose content
-// the protocol defines (list, view, quarantine, priority caches) plus
-// scratch that is fully overwritten before use; everything reachable from
-// an emitted Message is immutable. The pre-rewrite map-based paths are
-// retained in reference.go as a differential oracle (see SelfCheck).
+// The compute phase is allocation-light: the round's checked senders, the
+// ancestor-list fold and the rebuilt view, quarantine and priority tables
+// all compose in a Scratch (slice-backed, never maps rebuilt per round),
+// priority learning reads the flat Message.Recs records instead of
+// per-message maps, and only what actually changed is copied into the
+// node — a round that reproduces the state copies nothing (see ComputeIn).
+// A Node holds exactly the state whose content the protocol defines (list,
+// view, quarantine, priority caches); whoever runs the compute holds the
+// scratch; everything reachable from an emitted Message is immutable. The
+// pre-rewrite map-based paths are retained in reference.go as a
+// differential oracle (see SelfCheck).
 package core
 
 import (
@@ -177,7 +176,8 @@ func containsID(ids []ident.NodeID, id ident.NodeID) bool {
 	return false
 }
 
-// Node is the GRP state of one network node.
+// Node is the GRP state of one network node — state only: the working
+// memory a compute needs lives in a Scratch the node merely points to.
 type Node struct {
 	cfg Config
 	id  ident.NodeID
@@ -190,16 +190,17 @@ type Node struct {
 
 	// SelfCheck, when true, cross-validates every Compute and
 	// BuildMessage against the retained pre-rewrite reference
-	// implementations (reference.go) and panics on any divergence. The
-	// conformance suite runs whole engines with it on; production paths
-	// pay a single branch.
+	// implementations (reference.go) and panics on any divergence, and
+	// scribbles over the scratch after every use so that a read of
+	// another compute's leftovers diverges too. The conformance suite runs
+	// whole engines with it on; production paths pay a single branch.
 	SelfCheck bool
 
 	list antlist.List
 	// view and quar are group-sized and consulted constantly, so they are
 	// sorted slices, not maps: a linear probe with early exit beats a map
 	// at these sizes, and the per-compute rebuild is an append-and-sort
-	// into a recycled buffer instead of a map churn.
+	// into the scratch instead of a map churn.
 	view     []ident.NodeID // ascending
 	quar     []quarEntry    // ascending by id
 	prios    []prec         // node-priority cache, ascending by id
@@ -231,23 +232,38 @@ type Node struct {
 	// proofs must never be taken from such a round (see InboxReadDigest).
 	overflowed bool
 
-	// Per-node scratch reused across computes (never escapes): the view
-	// and quarantine double-buffers swap with the live slices each round;
-	// incsBuf holds the round's checked senders in preference order (the
-	// former workBuf map, now slice-backed: the map rebuild and the
-	// per-sender box were the protocol's top allocation sites at scale);
-	// heardBuf collects the round's inherited quarantines; bld is the
-	// fallback fold arena for drivers that call Compute instead of
-	// handing in their own recycled builder via ComputeIn.
-	viewSpare  []ident.NodeID
-	quarSpare  []quarEntry
-	priosSpare []prec
-	gprsSpare  []prec
-	incsBuf    []incoming
-	heardBuf   []heardRec
-	readSetBuf []ident.NodeID // InboxReadDigest's sorted tracked-ID scratch
-	orderBuf   []int32        // InboxReadDigest's preference-sort scratch
-	bld        antlist.Builder
+	scr *Scratch // where computes work: SetScratch's, else a private one
+}
+
+// Scratch is the working memory of one compute: the fold arena, the
+// round's checked senders and heard quarantines, the buffers the new view,
+// quarantine and priority tables are built in before being compared with
+// the node's own, and InboxReadDigest's tracked-ID set. Nothing in a
+// Scratch is read before it is written within one call, so it carries no
+// state between computes and nodes that never compute at the same time may
+// share one: records hold state, the worker holds scratch. The zero value
+// is ready to use.
+type Scratch struct {
+	bld     antlist.Builder
+	incs    []incoming // the inbox in preference order
+	heard   []heardRec
+	view    []ident.NodeID
+	quar    []quarEntry
+	prios   []prec
+	gprs    []prec
+	readSet []ident.NodeID
+}
+
+// SetScratch makes n work in s, which a driver running many nodes one at a
+// time shares among them (the engine: one per shard).
+func (n *Node) SetScratch(s *Scratch) { n.scr = s }
+
+// scratch returns the node's working memory, private if none was set.
+func (n *Node) scratch() *Scratch {
+	if n.scr == nil {
+		n.scr = new(Scratch)
+	}
+	return n.scr
 }
 
 // prioOf looks u up in the node-priority cache.
@@ -570,29 +586,24 @@ func (n *Node) RoundOverflowed() bool { return n.overflowed }
 // identical result, except when the round enters the too-far contest,
 // which RoundOverflowed exposes so callers refuse the proof.
 func (n *Node) InboxReadDigest() uint64 {
-	ids := n.readSetBuf[:0]
+	s := n.scratch()
+	ids := s.readSet[:0]
 	for _, e := range n.list.Entries() {
 		ids = append(ids, e.ID)
 	}
 	ids = append(ids, n.id)
 	slices.Sort(ids)
-	n.readSetBuf = ids
+	s.readSet = ids
 	inRead := func(u ident.NodeID) bool {
 		_, ok := slices.BinarySearch(ids, u)
 		return ok
 	}
-	ord := n.orderBuf[:0]
-	for i := range n.msgSet {
-		ord = append(ord, int32(i))
-	}
-	slices.SortFunc(ord, func(x, y int32) int {
-		return n.prefCmp(&n.msgSet[x], &n.msgSet[y])
-	})
-	n.orderBuf = ord
 	h := digMix(digSeed, uint64(len(n.msgSet)))
-	for _, i := range ord {
-		m := &n.msgSet[i]
-		h = digMix(h, m.MaskedDigest(n.id, inRead, n.rejectedUntil(m.From) != 0))
+	for _, in := range n.sortedInbox(s) {
+		h = digMix(h, in.msg.MaskedDigest(n.id, inRead, n.rejectedUntil(in.msg.From) != 0))
+	}
+	if n.SelfCheck {
+		s.scribble()
 	}
 	return h
 }
@@ -707,10 +718,6 @@ func (n *Node) PoisonBoundary(u ident.NodeID, holdComputes uint64) {
 // observability for the fault experiments that poison them.
 func (n *Node) BoundaryHolds() int { return len(n.rejected) }
 
-// viewEqual reports whether two ascending view slices have identical
-// membership.
-func viewEqual(a, b []ident.NodeID) bool { return slices.Equal(a, b) }
-
 // Receive stores a neighbor's message. Only the last message per sender is
 // kept (one-message channel); self-messages are ignored. The buffer is a
 // small slice scanned linearly — sender counts are node degrees, where
@@ -801,10 +808,11 @@ func (n *Node) BuildMessage() Message {
 	return m
 }
 
-// incoming is one checked entry of the message set during a computation.
+// incoming is one checked entry of the message set during a computation:
+// the buffered message (in place, in n.msgSet) and the list it is folded as.
 type incoming struct {
 	list antlist.List
-	msg  Message
+	msg  *Message
 }
 
 // prefCmp is Compute's stable preference order over received messages:
@@ -835,10 +843,20 @@ func (n *Node) prefCmp(x, y *Message) int {
 	return 1
 }
 
+// sortedInbox returns the buffered messages in preference order — the one
+// walk Compute and InboxReadDigest share — built in s.incs.
+func (n *Node) sortedInbox(s *Scratch) []incoming {
+	incs := s.incs[:0]
+	for i := range n.msgSet {
+		incs = append(incs, incoming{msg: &n.msgSet[i]})
+	}
+	slices.SortFunc(incs, func(x, y incoming) int { return n.prefCmp(x.msg, y.msg) })
+	s.incs = incs
+	return incs
+}
+
 // Compute runs procedure compute() of §4.3 and then resets the message
-// buffer (line 5 of the main algorithm), folding in the node's own arena
-// builder. Drivers that recycle a builder per node record (the engine)
-// call ComputeIn instead.
+// buffer (line 5 of the main algorithm), working in the node's scratch.
 func (n *Node) Compute() { n.ComputeIn(nil) }
 
 // ComputeIn is Compute with the fold arena supplied by the caller: the
@@ -847,10 +865,11 @@ func (n *Node) Compute() { n.ComputeIn(nil) }
 // round that reproduces the current list byte for byte keeps the existing
 // allocation and, when nothing else observable moved either, leaves the
 // node's Version untouched so drivers keep their cached broadcast. A nil
-// builder uses the node's own.
+// builder uses the scratch's own.
 func (n *Node) ComputeIn(b *antlist.Builder) {
+	s := n.scratch()
 	if b == nil {
-		b = &n.bld
+		b = &s.bld
 	}
 	n.computes++
 	dmax := n.cfg.Dmax
@@ -870,13 +889,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	// instead of an arbitrary choice that can flip between rounds and
 	// keep the network in metastable partitions. The fold itself (⊕) is
 	// order-independent.
-	incs := n.incsBuf[:0]
-	for i := range n.msgSet {
-		incs = append(incs, incoming{msg: n.msgSet[i]})
-	}
-	slices.SortFunc(incs, func(x, y incoming) int {
-		return n.prefCmp(&x.msg, &y.msg)
-	})
+	incs := n.sortedInbox(s)
 	// Expire boundary memory (in-place filter; empty at steady state of an
 	// interior node, stable under an active hold at a group boundary).
 	if len(n.rejected) > 0 {
@@ -903,7 +916,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	// recycled builder arena; b.View() is a zero-copy read of it.
 	b.BeginRound(ident.Plain(n.id))
 	for i := range incs {
-		msg := &incs[i].msg
+		msg := incs[i].msg
 		u := msg.From
 		lu := n.cleanReceived(b, msg.List)
 		switch {
@@ -978,7 +991,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	if n.SelfCheck {
 		refPrios, refGprs = precMap(n.prios), precMap(n.gprs)
 	}
-	n.learnPriorities(newList, incs)
+	priosSame, gprsSame := n.learnPriorities(s, newList, incs)
 	if n.SelfCheck {
 		n.checkRefLearnPriorities(newList, incs, refPrios, refGprs)
 	}
@@ -986,6 +999,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	// Line 30: update quarantines. The quarantine clock of a node starts
 	// when it first appears *plain* (marked entries are not propagated, so
 	// the group learns about the newcomer only from then on).
+	nq := s.quar[:0]
 	if !n.cfg.DisableQuarantine {
 		// The smallest remaining quarantine heard per node this round
 		// (inheritance; see the Quar record), plus the reverse direction:
@@ -995,9 +1009,9 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 		// quarantine) syncs to the same k, and both sides' views flip in
 		// the same round. The fold is a min, so the slice-backed scratch
 		// (empty at steady state) replays the former map bit for bit.
-		heard := n.heardBuf[:0]
+		heard := s.heard[:0]
 		for i := range incs {
-			msg := &incs[i].msg
+			msg := incs[i].msg
 			selfQ := int32(-1)
 			for _, r := range msg.Recs {
 				if r.Quar >= 0 {
@@ -1016,11 +1030,10 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 				}
 			}
 		}
-		n.heardBuf = heard
+		s.heard = heard
 		// The new quarantine slice is appended in list order (each node
 		// appears once in a normalized fold), the self entry forced to 0,
 		// then sorted — same content the former map rebuild produced.
-		nq := n.quarSpare[:0]
 		selfAt := -1
 		for _, e := range newList.Entries() {
 			if e.Mark.Marked() {
@@ -1052,10 +1065,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 			nq = append(nq, quarEntry{id: n.id})
 		}
 		slices.SortFunc(nq, func(a, b quarEntry) int { return cmp.Compare(a.id, b.id) })
-		n.quarSpare = n.quar
-		n.quar = nq
 	} else {
-		nq := n.quarSpare[:0]
 		self := false
 		for _, e := range newList.Entries() {
 			if e.ID == n.id {
@@ -1068,12 +1078,12 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 		}
 		slices.SortFunc(nq, func(a, b quarEntry) int { return cmp.Compare(a.id, b.id) })
 		nq = slices.CompactFunc(nq, func(a, b quarEntry) bool { return a.id == b.id })
-		n.quarSpare = n.quar
-		n.quar = nq
 	}
+	s.quar = nq
+	quarSame := commit(&n.quar, nq)
 
 	// Line 31: the view is the plain-marked nodes with null quarantine.
-	nv := n.viewSpare[:0]
+	nv := s.view[:0]
 	for _, e := range newList.Entries() {
 		if !e.Mark.Marked() && e.ID != n.id {
 			if q, _ := quarGet(n.quar, e.ID); q == 0 {
@@ -1083,6 +1093,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	}
 	nv = append(nv, n.id)
 	slices.Sort(nv)
+	s.view = nv
 
 	// Line 32: priorities increase only while the node is not in a group.
 	// "Not in a group" is read as *hearing nobody*: the clock ages while
@@ -1125,12 +1136,10 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	if listChanged {
 		n.list = newList.Clone()
 	}
-	viewChanged := !viewEqual(nv, n.view)
+	viewChanged := !commit(&n.view, nv)
 	if viewChanged {
 		n.viewVer++
 	}
-	n.viewSpare = n.view
-	n.view = nv
 
 	// Group priority: the smallest priority of the view's members.
 	gp := n.self
@@ -1147,19 +1156,16 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	clear(n.msgSet)
 	n.msgSet = n.msgSet[:0]
 	clear(incs)
-	n.incsBuf = incs[:0]
 
 	// Version moves only when the observable state did: every output of
 	// BuildMessage, View and List is a pure function of (list, view,
 	// quarantine, priority caches, self, group), so an unchanged round —
 	// the steady state — leaves the version alone and drivers keep serving
-	// their cached broadcast without re-assembling it. The double-buffer
-	// spares still hold the pre-round content, which makes the change
-	// checks plain slice compares.
-	quarSame := slices.Equal(n.quar, n.quarSpare)
-	gprsSame := slices.Equal(n.gprs, n.gprsSpare)
+	// their cached broadcast without re-assembling it. Each table was
+	// compared at its commit; storeSelfPrio's later write to the priority
+	// cache moves exactly when self does.
 	versionMoved := listChanged || viewChanged || n.self != oldSelf || n.group != oldGroup ||
-		!quarSame || !slices.Equal(n.prios, n.priosSpare) || !gprsSame
+		!quarSame || !priosSame || !gprsSame
 	if versionMoved {
 		n.version++
 	}
@@ -1190,6 +1196,9 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 			n.self == oldSelf.Tick() && n.group == n.self:
 			n.quiet = QuietLonely
 		}
+	}
+	if n.SelfCheck {
+		s.scribble()
 	}
 }
 
@@ -1594,12 +1603,12 @@ func holeTruncate(l antlist.List) antlist.List {
 // advertised position carried in the record — the map-based original
 // (retained in reference.go as the oracle) probed three maps and
 // re-scanned the sender's list for the position on every lookup. The
-// caches are rebuilt into recycled spare buffers keyed by the new list's
-// node set, which replaces the old update-then-prune map walk with
-// appends and one small sort.
-func (n *Node) learnPriorities(newList antlist.List, incs []incoming) {
-	np := n.priosSpare[:0]
-	ng := n.gprsSpare[:0]
+// caches are rebuilt in the scratch keyed by the new list's node set, which
+// replaces the old update-then-prune map walk with appends and one small
+// sort; the results report whether each cache stayed as it was (commit).
+func (n *Node) learnPriorities(s *Scratch, newList antlist.List, incs []incoming) (priosSame, gprsSame bool) {
+	np := s.prios[:0]
+	ng := s.gprs[:0]
 	selfSeen := false
 	for i := 0; i < newList.Len(); i++ {
 		for _, e := range newList.At(i) {
@@ -1663,10 +1672,17 @@ func (n *Node) learnPriorities(newList antlist.List, incs []incoming) {
 	byID := func(a, b prec) int { return cmp.Compare(a.id, b.id) }
 	slices.SortFunc(np, byID)
 	slices.SortFunc(ng, byID)
-	n.priosSpare = n.prios
-	n.gprsSpare = n.gprs
-	n.prios = np
-	n.gprs = ng
+	s.prios, s.gprs = np, ng
+	return commit(&n.prios, np), commit(&n.gprs, ng)
+}
+
+// commit makes *live equal to built, a table rebuilt in the scratch, and
+// reports whether it already was: an unchanged table is not even written.
+func commit[T comparable](live *[]T, built []T) (same bool) {
+	if same = slices.Equal(*live, built); !same {
+		*live = append((*live)[:0], built...)
+	}
+	return same
 }
 
 // String summarizes the node for debugging.

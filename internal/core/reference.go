@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/antlist"
@@ -201,3 +202,20 @@ func quarMapsEqual(a, b map[ident.NodeID]int) bool {
 	return true
 }
 
+// scribble replaces every buffer of s, at its capacity, with garbage about
+// a node that does not exist. A later use that read anything before
+// writing it would fold that node in and diverge from an unscribbled twin.
+func (s *Scratch) scribble() {
+	const junk = ident.NodeID(0xBAD0BAD0)
+	l := antlist.Singleton(ident.Double(junk))
+	s.bld.BeginRound(ident.Single(junk))
+	s.bld.Ant(s.bld.Singleton(ident.Plain(junk)))
+	s.bld.Ant(l)
+	s.incs = slices.Repeat([]incoming{{list: l, msg: &Message{From: junk, List: l}}}, cap(s.incs))
+	s.heard = slices.Repeat([]heardRec{{id: junk, q: 1}}, cap(s.heard))
+	s.view = slices.Repeat([]ident.NodeID{junk}, cap(s.view))
+	s.quar = slices.Repeat([]quarEntry{{id: junk, q: 1}}, cap(s.quar))
+	s.prios = slices.Repeat([]prec{{id: junk}}, cap(s.prios))
+	s.gprs = slices.Repeat([]prec{{id: junk}}, cap(s.gprs))
+	s.readSet = slices.Repeat([]ident.NodeID{junk}, cap(s.readSet))
+}

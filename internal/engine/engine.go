@@ -57,7 +57,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/antlist"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
@@ -168,12 +167,15 @@ type resolvedDelivery struct {
 	from senderVer
 }
 
-// shardScratch is one shard's reusable per-tick buffers.
+// shardScratch is one shard's reusable buffers: the per-tick slates, and
+// the scratch every node of the shard computes in — a shard is a function
+// of the node ID worked by one worker at a time at any Workers setting.
 type shardScratch struct {
 	txs   []radio.Tx
 	bytes int
 	deliv []resolvedDelivery
 	wakes []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
+	core  core.Scratch
 }
 
 // cachedMsg is one node's last built broadcast, valid while the node's
@@ -187,12 +189,13 @@ type cachedMsg struct {
 }
 
 // nodeRec consolidates the engine's per-node bookkeeping — the protocol
-// node, its timer phase, the cached broadcast, the cached receiver set,
-// the recycled fold arena and the activity-skip signature — into one
-// slot-indexed record: the hot phases reach it by array index from the
-// wheel entries, with no map probe at all. A record's mutable fields are
-// only ever written by its own shard's worker (or by the coordinator
-// between phases). Records are recycled in place when their slot is:
+// node, its timer phase, the cached broadcast, the cached receiver set
+// and the activity-skip signature — into one slot-indexed record: the hot
+// phases reach it by array index from the wheel entries, with no map probe
+// at all. Records hold state; what a compute needs only while it runs is
+// the shard's (shardScratch.core). A record's mutable fields are only ever
+// written by its own shard's worker (or by the coordinator between
+// phases). Records are recycled in place when their slot is:
 // identity-bearing fields reset on reuse, buffers keep their capacity.
 type nodeRec struct {
 	n   *core.Node
@@ -214,11 +217,6 @@ type nodeRec struct {
 	// every untouched row. rowRef aliases read-only topology storage.
 	rowRef []ident.NodeID
 	rowMem uint64
-
-	// bld is the node's recycled antlist fold arena: every Compute of this
-	// record composes its ⊕ fold in here (core.Node.ComputeIn), so the
-	// per-round list machinery allocates only when a list actually changes.
-	bld antlist.Builder
 
 	// Activity-skip state. pending is the inbox signature accumulated
 	// since the last compute boundary (ascending by sender, last write
@@ -436,7 +434,9 @@ func New(p Params, topo Topology) *Engine {
 	if st, ok := topo.(*SpatialTopology); ok && st.World.Workers == 0 {
 		st.World.Workers = p.Workers
 	}
-	for _, v := range topo.Nodes() {
+	nodes := topo.Nodes()
+	e.recs = make([]nodeRec, 0, len(nodes))
+	for _, v := range nodes {
 		e.addNode(v)
 	}
 	return e
@@ -455,8 +455,9 @@ func (e *Engine) addNode(v ident.NodeID) {
 	}
 	rec := &e.recs[slot]
 	// Recycle the record in place: identity-bearing fields reset, buffers
-	// (receiver cache, fold arena, signatures) keep their capacity.
+	// (receiver cache, signatures) keep their capacity.
 	rec.n = core.NewNode(v, e.P.Cfg)
+	rec.n.SetScratch(&e.scratch[shardOf(v)].core)
 	rec.id = v
 	rec.gen = e.memberGen
 	rec.phase = 0
@@ -515,6 +516,9 @@ func (e *Engine) RemoveNode(v ident.NodeID) {
 	rec.n = nil
 	rec.id = ident.None
 	rec.lie, rec.lieVer, rec.lieSize = nil, 0, 0
+	// A free slot may never be recycled: it must not pin the last broadcast
+	// or the row, a slice of a whole graph generation's adjacency slab.
+	rec.cm, rec.rowRef = cachedMsg{}, nil
 	if e.dirtyOn {
 		e.dirtyRemoved = append(e.dirtyRemoved, RemovedNode{ID: v, Slot: slot})
 	}
@@ -1105,7 +1109,7 @@ func (e *Engine) compute() {
 			if e.traceWakes {
 				sc.wakes = append(sc.wakes, introspect.WakeRec{Node: ent.id, Cause: cause, Sender: offender})
 			}
-			rec.n.ComputeIn(&rec.bld)
+			rec.n.Compute()
 			rec.seeded = true
 			q := rec.n.RoundQuietness()
 			if q != core.QuietNone {
