@@ -1,6 +1,7 @@
 package antlist
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/ident"
@@ -109,15 +110,18 @@ func (l List) Clone() List {
 	return out
 }
 
-// Publish returns an immutable list with the receiver's content: prev
-// itself when the content is identical (so unchanged rounds keep sharing
-// one allocation), else a fresh deep copy. This is the commit-time copy
-// detaching a Builder-backed view before it is stored or broadcast.
+// Publish returns an immutable list with the receiver's content, detached
+// from any Builder arena: prev itself when the content is identical (so
+// unchanged rounds keep sharing one allocation), a copy of the entries over
+// prev's never-mutated offsets when only the shape is, else a deep copy.
 func (l List) Publish(prev List) List {
-	if l.Equal(prev) {
+	if l.Len() == 0 || !slices.Equal(l.offs, prev.offs) {
+		return l.Clone()
+	}
+	if slices.Equal(l.ents, prev.ents) {
 		return prev
 	}
-	return l.Clone()
+	return List{ents: slices.Clone(l.ents), offs: prev.offs}
 }
 
 // Position returns the smallest position at which id appears and the entry

@@ -2,6 +2,7 @@ package antlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,47 @@ func TestPublishSharesUnchanged(t *testing.T) {
 	b.Reset(ident.Plain(9)) // clobber the arena
 	if !got2.Equal(mk([]uint32{1}, []uint32{4})) {
 		t.Fatalf("published list aliased the builder arena: %v", got2)
+	}
+}
+
+// TestQuickPublish is Publish's contract over random (fold, prev) pairs —
+// prev re-marked, prev itself, or an unrelated list: the result equals a
+// Clone, shares prev's offsets exactly when the shapes match (and prev's
+// entries exactly when those match too), and survives the builder arena
+// being clobbered.
+func TestQuickPublish(t *testing.T) {
+	shared := 0
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		prev := randomList(rr)
+		next := prev.Clone()
+		switch rr.Intn(3) {
+		case 0:
+			e := &next.ents[rr.Intn(len(next.ents))]
+			e.Mark = (e.Mark + 1) % 3
+		case 1:
+			next = randomList(rr)
+		}
+		var b Builder
+		b.Load(next)
+		view := b.View()
+		pub := view.Publish(prev)
+		sameShape := slices.Equal(next.offs, prev.offs)
+		if sameShape {
+			shared++
+		}
+		b.Reset(ident.Plain(99))
+		b.Ant(randomList(rr))
+		return pub.Equal(next) &&
+			(&pub.offs[0] == &prev.offs[0]) == sameShape &&
+			(&pub.ents[0] == &prev.ents[0]) == next.Equal(prev) &&
+			&pub.offs[0] != &view.offs[0] && &pub.ents[0] != &view.ents[0]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if shared < 100 {
+		t.Fatalf("only %d of 300 pairs had matching shapes — the sharing went unexercised", shared)
 	}
 }
 

@@ -304,8 +304,11 @@ func TestDeltaGraphMatchesBruteForceReference(t *testing.T) {
 // every node's SelfCheck oracle on or off. It pins the acceptance
 // criterion that phase-aligned injection preserves the seq-vs-parallel
 // equality. Besides the per-round records it returns the flight recorder's
-// final counter block (wake histogram included).
-func chaosRun(t *testing.T, workers, rounds int, selfCheck bool) ([]roundRec, map[string]uint64) {
+// final counter block (wake histogram included). A jitteredHold jitters
+// the compute timers — in lockstep every receiver of a broadcast computes
+// before its sender replaces it — and, unless negative, overrides the ticks
+// a replaced broadcast's records sit out of the engine's pool.
+func chaosRun(t *testing.T, workers, rounds int, selfCheck bool, jitteredHold ...int) ([]roundRec, map[string]uint64) {
 	t.Helper()
 	w := space.NewWorld(2.5)
 	ids := make([]ident.NodeID, 60)
@@ -325,9 +328,15 @@ func chaosRun(t *testing.T, workers, rounds int, selfCheck bool) ([]roundRec, ma
 		Channel: prof.NewChannel(nil),
 		Seed:    29,
 		Workers: workers,
+		Jitter:  len(jitteredHold) > 0,
 	}, topo)
 	if selfCheck {
 		armSelfCheck(e)
+	}
+	for _, h := range jitteredHold {
+		if h >= 0 {
+			e.SetRecsHold(h)
+		}
 	}
 	positions := map[ident.NodeID]space.Point{}
 	inj := fault.NewInjector(prof, e, fault.Hooks{
@@ -377,24 +386,51 @@ func TestChaosSeqAndParallelBitIdentical(t *testing.T) {
 // engine's shared per-shard scratches: with SelfCheck armed every node
 // scribbles garbage over every buffer of its shard's scratch after each
 // compute and each inbox digest, so the next node of the shard starts from
-// a poisoned one. The churning chaos run must not notice: state and
-// broadcast hashes, Ω statistics, and every registry counter (the wake
+// a poisoned one. The same arming poisons a replaced broadcast's records
+// the moment the engine's pool may hand them to another node of the shard
+// (DESIGN.md §2k: retired records are dead), which the second pass, on
+// jittered timers, covers. The churning chaos run must not notice: state
+// and broadcast hashes, Ω statistics, and every registry counter (the wake
 // histogram among them) equal an unscribbled twin's, at 1 and 4 workers.
 func TestScratchCarriesNoState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		clean, cleanCtr := chaosRun(t, workers, 80, false)
-		dirty, dirtyCtr := chaosRun(t, workers, 80, true)
-		for r := range clean {
-			if !reflect.DeepEqual(clean[r], dirty[r]) {
-				t.Fatalf("workers=%d round %d diverged:\nclean:     %+v\nscribbled: %+v", workers, r+1, clean[r], dirty[r])
+		for _, hold := range [][]int{nil, {-1}} {
+			clean, cleanCtr := chaosRun(t, workers, 80, false, hold...)
+			dirty, dirtyCtr := chaosRun(t, workers, 80, true, hold...)
+			for r := range clean {
+				if !reflect.DeepEqual(clean[r], dirty[r]) {
+					t.Fatalf("workers=%d hold=%v round %d diverged:\nclean:     %+v\nscribbled: %+v", workers, hold, r+1, clean[r], dirty[r])
+				}
+			}
+			if !reflect.DeepEqual(cleanCtr, dirtyCtr) {
+				t.Fatalf("workers=%d hold=%v registry diverged:\nclean:     %v\nscribbled: %v", workers, hold, cleanCtr, dirtyCtr)
+			}
+			if cleanCtr["skips_memo"] == 0 {
+				t.Fatal("no memo replay — InboxReadDigest's scratch use went unexercised")
 			}
 		}
-		if !reflect.DeepEqual(cleanCtr, dirtyCtr) {
-			t.Fatalf("workers=%d registry diverged:\nclean:     %v\nscribbled: %v", workers, cleanCtr, dirtyCtr)
-		}
-		if cleanCtr["skips_memo"] == 0 {
-			t.Fatal("no memo replay — InboxReadDigest's scratch use went unexercised")
-		}
+	}
+}
+
+// TestRetiredRecsHeldTooShortIsCaught is the mutation check of "retired
+// records are dead": with the pool's hold period forced from Tc to 0, a
+// replaced broadcast is poisoned, and built into again, while receivers
+// that have not computed since its last delivery still read it, so the
+// scribbled run must panic in an oracle or leave the clean run's trace.
+// Tc−1 must still pass: the tick of slack the derivation claims.
+func TestRetiredRecsHeldTooShortIsCaught(t *testing.T) {
+	const tc = 2 // the engine's default compute period, which chaosRun keeps
+	clean, _ := chaosRun(t, 1, 80, false, -1)
+	scribbled := func(hold int) (recs []roundRec, panicked any) {
+		defer func() { panicked = recover() }()
+		recs, _ = chaosRun(t, 1, 80, true, hold)
+		return recs, nil
+	}
+	if recs, p := scribbled(0); p == nil && reflect.DeepEqual(clean, recs) {
+		t.Fatal("hold 0 went unnoticed: no receiver outlives a replacement here, or the poison is not armed")
+	}
+	if recs, p := scribbled(tc - 1); p != nil || !reflect.DeepEqual(clean, recs) {
+		t.Fatalf("hold Tc-1 diverged (panic: %v): Tc leaves no slack", p)
 	}
 }
 

@@ -25,9 +25,9 @@
 // node — a round that reproduces the state copies nothing (see ComputeIn).
 // A Node holds exactly the state whose content the protocol defines (list,
 // view, quarantine, priority caches); whoever runs the compute holds the
-// scratch; everything reachable from an emitted Message is immutable. The
-// pre-rewrite map-based paths are retained in reference.go as a
-// differential oracle (see SelfCheck).
+// scratch; nothing reachable from an emitted Message is written while a
+// receiver holds it (see BuildMessage). The pre-rewrite map-based paths are
+// retained in reference.go as a differential oracle (see SelfCheck).
 package core
 
 import (
@@ -644,7 +644,7 @@ func (n *Node) QuarantineOf(u ident.NodeID) int {
 // Nil maps leave the corresponding field at a consistent default derived
 // from the list.
 func (n *Node) LoadState(list antlist.List, view map[ident.NodeID]bool, quar map[ident.NodeID]int, self priority.P) {
-	n.list = list.Clone()
+	n.list = list.Publish(n.list)
 	n.view = n.view[:0]
 	if view != nil {
 		for k, in := range view {
@@ -747,14 +747,30 @@ func (n *Node) PendingMessages() int { return len(n.msgSet) }
 
 // BuildMessage assembles the broadcast for the Ts timer: the current list
 // with the priorities of every node in it and the group priority. The
-// result is immutable and a pure function of the node's state (see
-// Version), so drivers may cache and share it between computes. The list
-// is shared, not cloned: the node never mutates a list in place (every
-// Compute rebuilds it), so the broadcast stays valid for as long as any
-// receiver holds it.
-func (n *Node) BuildMessage() Message {
-	recs := make([]PrioRec, 0, n.list.NodeCount()+1)
-	selfSeen := false
+// result is a pure function of the node's state (see Version), so drivers
+// may cache and share it between computes. The list is shared, not cloned:
+// the node never mutates a list in place (every Compute rebuilds it). A
+// receiver aliases List and Recs until its next Compute or Skip*Round
+// resets its message set, and no longer.
+func (n *Node) BuildMessage() Message { return n.BuildMessageIn(nil) }
+
+// RecsNeeded is the broadcast's record count: one per list entry, plus the
+// node's own when a corrupted list omits it.
+func (n *Node) RecsNeeded() int {
+	if n.list.Has(n.id) {
+		return n.list.NodeCount()
+	}
+	return n.list.NodeCount() + 1
+}
+
+// BuildMessageIn is BuildMessage assembled into recs[:0], which no receiver
+// may still hold; it allocates only when cap(recs) < RecsNeeded().
+func (n *Node) BuildMessageIn(recs []PrioRec) Message {
+	need := n.RecsNeeded()
+	if cap(recs) < need {
+		recs = make([]PrioRec, 0, need)
+	}
+	recs = recs[:0]
 	for i := 0; i < n.list.Len(); i++ {
 		for _, e := range n.list.At(i) {
 			u := e.ID
@@ -763,7 +779,6 @@ func (n *Node) BuildMessage() Message {
 				HasPrio: true, HasGroupPrio: true,
 			}
 			if u == n.id {
-				selfSeen = true
 				r.Prio, r.GroupPrio = n.self, n.group
 			} else {
 				if p, ok := n.prioOf(u); ok {
@@ -788,7 +803,7 @@ func (n *Node) BuildMessage() Message {
 			recs = append(recs, r)
 		}
 	}
-	if !selfSeen {
+	if len(recs) < need { // a corrupted list omits the node itself
 		recs = append(recs, PrioRec{
 			ID: n.id, Pos: -1, Quar: -1,
 			HasPrio: true, HasGroupPrio: true,
@@ -1134,7 +1149,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	// only when the list actually moved).
 	listChanged := !newList.Equal(n.list)
 	if listChanged {
-		n.list = newList.Clone()
+		n.list = newList.Publish(n.list)
 	}
 	viewChanged := !commit(&n.view, nv)
 	if viewChanged {

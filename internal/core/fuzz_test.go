@@ -20,20 +20,24 @@ import (
 )
 
 // fuzzSeeds collects realistic frames from a short live run plus a few
-// pathological hand-built ones.
+// pathological hand-built ones. The second argument sizes the recycled
+// buffer: spare%4 − 1 records more than the broadcast needs.
 func fuzzSeeds(f *testing.F) {
 	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 4}, graph.Line(5))
 	s.StepTicks(12)
 	for _, v := range s.Order() {
-		f.Add(wire.Encode(s.Node(v).BuildMessage()))
+		f.Add(wire.Encode(s.Node(v).BuildMessage()), uint8(0)) // one short
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x52, 0x47, 0x01})
+	frame := wire.Encode(s.Node(s.Order()[2]).BuildMessage())
+	f.Add(frame, uint8(1)) // exact
+	f.Add(frame, uint8(3)) // two over: the pool's near fit
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0x52, 0x47, 0x01}, uint8(0))
 }
 
 func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, spare uint8) {
 		m, err := wire.Decode(data)
 		if err != nil {
 			return // malformed frame: rejected before the protocol sees it
@@ -80,6 +84,18 @@ func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 		}
 		if len(dq) != len(oq) {
 			t.Fatalf("round trip quars mismatch: %v vs %v", dq, oq)
+		}
+
+		// Built into a dirty buffer it is the same broadcast, in that
+		// buffer exactly when the buffer is large enough.
+		dirty := make([]core.PrioRec, max(0, n.RecsNeeded()+int(spare%4)-1))
+		core.PoisonRecs(dirty)
+		in := n.BuildMessageIn(dirty[:len(dirty)/2])
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("built into %d dirty records: %+v, fresh: %+v", len(dirty), in, out)
+		}
+		if fits := len(dirty) >= len(out.Recs); fits != (len(dirty) > 0 && &in.Recs[0] == &dirty[0]) {
+			t.Fatalf("%d records needed, %d offered, used: %v", len(out.Recs), len(dirty), !fits)
 		}
 
 		// A second compute with no traffic detects the departure and

@@ -15,16 +15,13 @@ import (
 // are compared" across several hops — see DESIGN.md §3).
 //
 // The metadata rides in Recs, one flat record per list entry (plus the
-// sender itself when a corrupted list omits it), sorted by (ID, Pos).
-// This replaced the three per-message maps (node priorities, group
-// priorities, quarantines) of the previous representation: one slice
-// allocation instead of three map builds per broadcast, binary-search
-// lookups instead of map probes on the receive path, and the entry's
-// list position carried inline so receivers never re-scan the list for
-// it. Both the message and everything it references are immutable once
-// built — BuildMessage shares the sender's own list rather than cloning
-// it, and drivers cache and share messages between computes (see
-// Node.Version).
+// sender itself when a corrupted list omits it), sorted by (ID, Pos): one
+// slice per broadcast, scanned on the receive path, with the entry's list
+// position inline so receivers never re-scan the list for it. A message and
+// what it references are never written while a receiver may read them —
+// BuildMessage shares the sender's own list rather than cloning it, and
+// drivers cache and share messages between computes (see Node.Version) —
+// but only that long: see BuildMessage for when Recs may be built into again.
 type Message struct {
 	From      ident.NodeID
 	List      antlist.List

@@ -219,3 +219,10 @@ func (s *Scratch) scribble() {
 	s.gprs = slices.Repeat([]prec{{id: junk}}, cap(s.gprs))
 	s.readSet = slices.Repeat([]ident.NodeID{junk}, cap(s.readSet))
 }
+
+// PoisonRecs is scribble for the records of a replaced broadcast (see
+// Node.BuildMessageIn): a receiver still reading them diverges.
+func PoisonRecs(recs []PrioRec) {
+	bad := PrioRec{ID: ^ident.NodeID(0), HasPrio: true, Pos: -7, Quar: 99, Prio: priority.P{Clock: 1 << 40}}
+	copy(recs[:cap(recs)], slices.Repeat([]PrioRec{bad}, cap(recs)))
+}

@@ -46,13 +46,14 @@
 // conformance suite pins.
 //
 // Phases 2 and 5 read and write disjoint per-node state (core.Node is
-// only ever touched by its own shard's worker; messages are immutable
-// once built), so the fan-out needs no locks.
+// only ever touched by its own shard's worker; a message is not written
+// while a receiver holds it), so the fan-out needs no locks.
 package engine
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -176,7 +177,57 @@ type shardScratch struct {
 	deliv []resolvedDelivery
 	wakes []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
 	core  core.Scratch
+	recs  recsPool
 }
+
+// recsPool is one shard's replaced broadcasts' records, oldest first per
+// capacity (DESIGN.md §2k): retired at tick t, built into again from t+Tc
+// on by any node of the shard, left to the GC if unclaimed by t+2·Tc.
+type recsPool struct{ byCap [][]retiredRecs }
+
+type retiredRecs struct {
+	recs   []core.PrioRec
+	tick   int
+	poison bool // retired by a node under SelfCheck
+}
+
+func (p *recsPool) retire(recs []core.PrioRec, tick int, poison bool) {
+	if c := cap(recs); c > 0 {
+		p.byCap = append(p.byCap, make([][]retiredRecs, max(0, c+1-len(p.byCap)))...)
+		p.byCap[c] = append(p.byCap[c], retiredRecs{recs, tick, poison})
+	}
+}
+
+// take returns records of capacity need, or up to two more, retired by ripe.
+func (p *recsPool) take(need, ripe int) []core.PrioRec {
+	for c := need; c <= need+2 && c < len(p.byCap); c++ {
+		if q := p.byCap[c]; len(q) > 0 && q[0].tick <= ripe {
+			recs := q[0].recs
+			p.byCap[c] = slices.Delete(q, 0, 1)
+			return recs
+		}
+	}
+	return nil
+}
+
+// sweep ends a tick's build: what was retired at ripe is poisoned if its
+// node asked; what was retired by stale is dropped, emptied arrays too.
+func (p *recsPool) sweep(ripe, stale int) {
+	for c, q := range p.byCap {
+		q = slices.DeleteFunc(q, func(r retiredRecs) bool {
+			if r.tick == ripe && r.poison {
+				core.PoisonRecs(r.recs)
+			}
+			return r.tick <= stale
+		})
+		if p.byCap[c] = q; len(q) == 0 {
+			p.byCap[c] = nil
+		}
+	}
+}
+
+// SetRecsHold is a test seam: conformance shows a hold below Tc is caught.
+func (e *Engine) SetRecsHold(ticks int) { e.recsHold = ticks }
 
 // cachedMsg is one node's last built broadcast, valid while the node's
 // state version is unchanged (a node's message is a pure function of its
@@ -356,6 +407,7 @@ type Engine struct {
 	computeWheel *periodicWheel
 
 	scratch  [NumShards]shardScratch
+	recsHold int // ticks replaced records sit out of their shard's recsPool: Tc
 	txsBuf   []radio.Tx
 	delivBuf []radio.Delivery
 
@@ -417,6 +469,7 @@ func New(p Params, topo Topology) *Engine {
 		rng:          rand.New(rand.NewSource(p.Seed)),
 		order:        NewRoster(),
 		computeWheel: newPeriodicWheel(p.Tc),
+		recsHold:     p.Tc,
 		recvEpoch:    1, // fresh records (epoch 0) start invalid
 		reg:          introspect.NewRegistry(NumShards),
 	}
@@ -721,9 +774,9 @@ func pendingUpsert(p []senderVer, sv senderVer) ([]senderVer, bool) {
 // local member. Gen and Ver identify the sender's incarnation and the
 // state version the broadcast was built at — the same pair a local
 // delivery carries in its inbox signature — so the activity skip and the
-// repeat-elision work identically across the process boundary. Msg must
-// be immutable for the duration of the tick (core.Node.ReceiveRef copies
-// it into the inbox).
+// repeat-elision work identically across the process boundary. ReceiveRef
+// copies Msg's header only: List and Recs stay aliased until the receiver's
+// next compute, up to Tc ticks later (dist's ghosts: one decode per frame).
 type ExternalDelivery struct {
 	To   ident.NodeID
 	From ident.NodeID
@@ -874,7 +927,8 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			}
 			if rec.cm.ver != rec.n.Version() {
 				builds++
-				m := rec.n.BuildMessage()
+				sc.recs.retire(rec.cm.m.Recs, e.tick, rec.n.SelfCheck)
+				m := rec.n.BuildMessageIn(sc.recs.take(rec.n.RecsNeeded(), e.tick-e.recsHold))
 				rec.cm = cachedMsg{m: m, size: m.EncodedSize(), ver: rec.n.Version()}
 			} else {
 				cacheHits++
@@ -882,6 +936,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
 			sc.bytes += rec.cm.size
 		}
+		sc.recs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-e.P.Tc)
 		lane := e.reg.Shard(s)
 		lane.Add(introspect.CtrMsgBuilds, builds)
 		lane.Add(introspect.CtrMsgCacheHits, cacheHits)
@@ -913,9 +968,9 @@ func (e *Engine) BuildPhase() []radio.Tx {
 // armed Byzantine lie — together with the (incarnation, version) pair
 // its deliveries are signed with. ok is false when v is not a member or
 // its send timer has not fired yet this run (no broadcast built). The
-// message aliases engine-owned storage: it is valid until v's next
-// rebuild and must not be mutated. Distributed wrappers call this after
-// BuildPhase to encode boundary copies of due broadcasts.
+// message aliases engine-owned storage: it is valid until v's next rebuild
+// and for Tc ticks after, and must not be mutated. Distributed wrappers call
+// this after BuildPhase to encode boundary copies of due broadcasts.
 func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, ok bool) {
 	slot := e.order.SlotOf(v)
 	if slot < 0 {

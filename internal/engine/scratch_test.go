@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/mobility"
 	"repro/internal/space"
 )
@@ -94,8 +95,9 @@ func TestFootprint(t *testing.T) {
 	}
 	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	t.Logf("live heap per node: %d B", perNode)
-	// Measured 3.4 KB (5.5 KB when every node kept a private fold arena
-	// and work buffers).
+	// Measured 3.6 KB, of which ≈ 0.17 KB are the pool: the records this
+	// world retired in its last 2·Tc ticks and the queues that hold them
+	// (5.5 KB when every node kept a private fold arena and work buffers).
 	if budget := int64(4096); perNode > budget {
 		t.Errorf("live heap per node = %d B, budget %d B", perNode, budget)
 	}
@@ -139,5 +141,72 @@ func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 			t.Fatal("departed node's broadcast still reachable after RemoveNode")
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// pooledRecs counts the retired record buffers (and queue arrays) every
+// shard's pool holds.
+func pooledRecs(e *Engine) (bufs, arrays int) {
+	for s := range e.scratch {
+		for _, q := range e.scratch[s].recs.byCap {
+			bufs += len(q)
+			if q != nil {
+				arrays++
+			}
+		}
+	}
+	return bufs, arrays
+}
+
+// TestRecsPoolDrains pins the pool's bound: it holds what was retired in
+// the last 2·Tc ticks and nothing else — after the whole-world rebuild
+// storm of a converging start, 4·Tc ticks without a rebuild leave no
+// buffer and no queue array behind.
+func TestRecsPoolDrains(t *testing.T) {
+	g := graph.New()
+	for v := ident.NodeID(1); v <= 400; v++ { // 80 lines of 5: each merges into one group
+		if g.AddNode(v); v%5 != 1 {
+			g.AddEdge(v-1, v)
+		}
+	}
+	e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 2, Workers: 2}, g)
+	e.StepTicks(3 * e.P.Tc)
+	if bufs, _ := pooledRecs(e); bufs == 0 {
+		t.Fatal("a converging world retired no broadcast — the check is vacuous")
+	}
+	builds := func() uint64 { return e.Introspect().Get(introspect.CtrMsgBuilds) }
+	for quiet, last := 0, builds(); quiet < 4*e.P.Tc; {
+		if e.Step(); builds() != last {
+			quiet, last = 0, builds()
+		} else {
+			quiet++
+		}
+		if e.Tick() > 4000 {
+			t.Fatal("the world never settled")
+		}
+	}
+	if bufs, arrays := pooledRecs(e); bufs != 0 || arrays != 0 {
+		t.Fatalf("after 4·Tc quiet ticks the pool holds %d buffers in %d queue arrays", bufs, arrays)
+	}
+}
+
+// TestSteadyRebuildsAllocateNothing drives isolated nodes, whose ticking
+// lonely clocks move every broadcast once a compute period: after warm-up
+// each rebuild is assembled into the records the same shard retired a
+// period earlier, and no allocation scales with the rebuilds.
+func TestSteadyRebuildsAllocateNothing(t *testing.T) {
+	g := graph.New()
+	for v := ident.NodeID(1); v <= 300; v++ {
+		g.AddNode(v)
+	}
+	e := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}, g)
+	e.StepTicks(3 * e.P.Tc)
+	before := e.Introspect().Get(introspect.CtrMsgBuilds)
+	step := testing.AllocsPerRun(10*e.P.Tc, e.Step)
+	if got := e.Introspect().Get(introspect.CtrMsgBuilds) - before; got < 300*10 {
+		t.Fatalf("%d rebuilds in 10 periods of 300 lonely nodes — the check is vacuous", got)
+	}
+	if step > 3 { // the closures the three fanned-out phases hand to runShards
+		t.Errorf("a tick allocates %.2f times in steady state, want the 3 phase closures", step)
 	}
 }
