@@ -618,7 +618,7 @@ func BenchmarkFold(b *testing.B) {
 			for _, l := range lists {
 				bld.Ant(l)
 			}
-			prev = bld.View().Publish(prev)
+			prev = bld.View().Publish(prev, nil)
 		}
 		if prev.NodeCount() == 0 {
 			b.Fatal("empty fold")

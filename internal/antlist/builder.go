@@ -6,8 +6,8 @@ import "repro/internal/ident"
 // fold (Reset, then one Ant per checked sender) runs entirely in two
 // double-buffered entry arenas with no per-operation allocation, and a
 // single commit-time copy (List.Publish on the final View) produces the
-// immutable list a node stores and broadcasts — which itself degenerates to
-// zero copies when the round left the list unchanged. A Builder keeps
+// list a node stores and broadcasts — which itself degenerates to zero
+// copies when the round left the list unchanged. A Builder keeps
 // nothing between rounds, so it belongs to whoever runs the computes
 // (core.Scratch), not to a node; one goroutine at a time.
 //

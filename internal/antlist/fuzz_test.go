@@ -64,7 +64,7 @@ func FuzzAntBuilder(f *testing.F) {
 				t.Fatalf("%s diverged:\narena %v\nref   %v", op, got, want)
 			}
 			// The committed copy must be detached and identical.
-			pub := got.Publish(List{})
+			pub := got.Publish(List{}, nil)
 			if !pub.Equal(want) {
 				t.Fatalf("%s publish diverged: %v vs %v", op, pub, want)
 			}

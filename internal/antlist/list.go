@@ -17,8 +17,9 @@ import (
 // Compared to the previous slice-of-sets form this makes every whole-list
 // walk one linear scan, lets Truncate and tail-trimming reslice instead of
 // copy, and lets the fold run entirely inside a recycled Builder arena with
-// a single commit-time copy (see Builder). Lists are immutable once built;
-// At returns zero-copy views into the arena. The pre-arena nested form and
+// a single commit-time copy (see Builder). A list is not written while a
+// receiver holds it (its entries may be published into again after: see
+// Store); At returns zero-copy views. The pre-arena nested form and
 // its operators are retained verbatim in reference.go (RefList) as the
 // differential oracle the Builder is fuzzed against.
 type List struct {
@@ -97,31 +98,62 @@ func (l List) Owner() ident.NodeID {
 }
 
 // Clone returns a deep copy of the list, detached from any shared arena.
-func (l List) Clone() List {
+func (l List) Clone() List { return l.Publish(List{}, nil) }
+
+// Store is where Publish puts a list. Offsets are interned per shape and
+// never written again, so lists share them freely (like singletonOffs);
+// entries go into storage Take vouches nothing reads any more. The zero
+// value interns and allocates, a nil Store only allocates; one goroutine
+// at a time.
+type Store struct {
+	// Take returns entry storage of capacity ≥ need no reader holds, or nil.
+	Take   func(need int) []ident.Entry
+	shapes map[uint64][][]int32 // interned offsets by hash
+}
+
+// intern returns the store's one copy of offs.
+func (s *Store) intern(offs []int32) []int32 {
+	if s == nil {
+		return slices.Clone(offs)
+	}
+	h := uint64(len(offs))
+	for _, o := range offs {
+		h = (h ^ uint64(o)) * 1099511628211
+	}
+	for _, o := range s.shapes[h] {
+		if slices.Equal(o, offs) {
+			return o
+		}
+	}
+	if s.shapes == nil {
+		s.shapes = make(map[uint64][][]int32)
+	}
+	offs = slices.Clone(offs)
+	s.shapes[h] = append(s.shapes[h], offs)
+	return offs
+}
+
+// Publish returns a list with the receiver's content, detached from any
+// Builder arena and not written while a receiver may hold it: prev itself
+// when the content is identical (so unchanged rounds keep sharing one
+// allocation), else a copy of the entries, in st's storage if it has some,
+// over prev's offsets when the shape is prev's and st's interned ones when
+// it is not.
+func (l List) Publish(prev List, st *Store) List {
 	if l.Len() == 0 {
 		return List{}
 	}
-	out := List{
-		ents: make([]ident.Entry, len(l.ents)),
-		offs: make([]int32, len(l.offs)),
-	}
-	copy(out.ents, l.ents)
-	copy(out.offs, l.offs)
-	return out
-}
-
-// Publish returns an immutable list with the receiver's content, detached
-// from any Builder arena: prev itself when the content is identical (so
-// unchanged rounds keep sharing one allocation), a copy of the entries over
-// prev's never-mutated offsets when only the shape is, else a deep copy.
-func (l List) Publish(prev List) List {
-	if l.Len() == 0 || !slices.Equal(l.offs, prev.offs) {
-		return l.Clone()
-	}
-	if slices.Equal(l.ents, prev.ents) {
+	offs := prev.offs
+	if !slices.Equal(l.offs, offs) {
+		offs = st.intern(l.offs)
+	} else if slices.Equal(l.ents, prev.ents) {
 		return prev
 	}
-	return List{ents: slices.Clone(l.ents), offs: prev.offs}
+	var ents []ident.Entry
+	if st != nil && st.Take != nil {
+		ents = st.Take(len(l.ents))
+	}
+	return List{ents: append(ents[:0], l.ents...), offs: offs}
 }
 
 // Position returns the smallest position at which id appears and the entry
@@ -230,7 +262,7 @@ func (l List) DeleteMarkedExcept(keep ident.NodeID) List {
 
 // Truncate returns the list cut to at most n positions (keeping a0..a(n-1)),
 // then normalized. Used by compute() line 28 to drop too-far ancestors.
-// The cut is a reslice of the (immutable) arena, not a copy.
+// The cut is a reslice of the arena, not a copy.
 func (l List) Truncate(n int) List {
 	if l.Len() <= n {
 		return l
@@ -335,7 +367,7 @@ func (l List) normalizeLarge() List {
 }
 
 // trimTail drops trailing empty sets (by reslicing — the backing array is
-// shared, which is safe for immutable lists), mapping the all-empty list
+// shared, which is safe as neither list is written), mapping the all-empty list
 // to the zero List.
 func trimTail(l List) List {
 	n := l.Len()

@@ -175,18 +175,18 @@ func TestPublishSharesUnchanged(t *testing.T) {
 	var b Builder
 	b.Reset(ident.Plain(1))
 	b.Ant(mk([]uint32{2}, []uint32{3}))
-	prev := b.View().Publish(List{})
+	prev := b.View().Publish(List{}, nil)
 	// Same fold again: Publish must hand back prev itself, not a copy.
 	b.Reset(ident.Plain(1))
 	b.Ant(mk([]uint32{2}, []uint32{3}))
-	got := b.View().Publish(prev)
+	got := b.View().Publish(prev, nil)
 	if &got.ents[0] != &prev.ents[0] {
 		t.Fatal("Publish of unchanged content should return prev's storage")
 	}
 	// Changed fold: fresh storage, detached from the builder arena.
 	b.Reset(ident.Plain(1))
 	b.Ant(mk([]uint32{4}))
-	got2 := b.View().Publish(prev)
+	got2 := b.View().Publish(prev, nil)
 	if got2.Equal(prev) {
 		t.Fatal("changed fold compared equal")
 	}
@@ -217,7 +217,7 @@ func TestQuickPublish(t *testing.T) {
 		var b Builder
 		b.Load(next)
 		view := b.View()
-		pub := view.Publish(prev)
+		pub := view.Publish(prev, nil)
 		sameShape := slices.Equal(next.offs, prev.offs)
 		if sameShape {
 			shared++
@@ -234,6 +234,67 @@ func TestQuickPublish(t *testing.T) {
 	}
 	if shared < 100 {
 		t.Fatalf("only %d of 300 pairs had matching shapes — the sharing went unexercised", shared)
+	}
+}
+
+// TestQuickPublishIntoStore is Publish's contract with a Store over random
+// (fold, prev) pairs and dirty storage of every relative capacity — none,
+// too short, exact, up to two over: the result equals a Clone; it lives in
+// the offered storage exactly when that is large enough; its offsets are
+// prev's when the shape is prev's and otherwise the store's one copy of the
+// shape, which no later Publish, into whatever storage, ever writes.
+func TestQuickPublishIntoStore(t *testing.T) {
+	var st Store
+	interned := map[*int32][2][]int32{} // by first offset: the interned slice, and a copy of its content then
+	used := 0
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		prev, next := randomList(rr), randomList(rr)
+		if rr.Intn(3) == 0 {
+			next = FromSets(prev.Ref()...)
+			next.ents[rr.Intn(len(next.ents))].Mark = ident.MarkDouble
+		}
+		var dirty []ident.Entry
+		if spare := rr.Intn(5) - 2; spare > -2 {
+			dirty = slices.Repeat([]ident.Entry{ident.Double(0xBAD)}, max(0, next.NodeCount()+spare))
+		}
+		st.Take = func(need int) []ident.Entry {
+			if need != next.NodeCount() {
+				t.Errorf("Take(%d) for %d entries", need, next.NodeCount())
+			}
+			return dirty[:len(dirty)/2]
+		}
+		pub := next.Publish(prev, &st)
+		if next.Equal(prev) {
+			return &pub.ents[0] == &prev.ents[0]
+		}
+		fits := len(dirty) >= next.NodeCount()
+		if fits {
+			used++
+		}
+		if sameShape := slices.Equal(next.offs, prev.offs); sameShape != (&pub.offs[0] == &prev.offs[0]) {
+			return false
+		} else if !sameShape {
+			if again := next.Publish(List{}, &st); &again.offs[0] != &pub.offs[0] {
+				return false
+			}
+			if _, seen := interned[&pub.offs[0]]; !seen {
+				interned[&pub.offs[0]] = [2][]int32{pub.offs, slices.Clone(pub.offs)}
+			}
+		}
+		for _, o := range interned {
+			if !slices.Equal(o[0], o[1]) {
+				return false
+			}
+		}
+		return pub.Equal(next.Clone()) && fits == (len(dirty) > 0 && &pub.ents[0] == &dirty[0]) &&
+			&pub.offs[0] != &next.offs[0] && &pub.ents[0] != &next.ents[0]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if used < 100 || len(interned) < 50 {
+		t.Fatalf("%d of 500 results in offered storage, %d shapes interned — the store went unexercised", used, len(interned))
 	}
 }
 

@@ -306,8 +306,9 @@ func TestDeltaGraphMatchesBruteForceReference(t *testing.T) {
 // equality. Besides the per-round records it returns the flight recorder's
 // final counter block (wake histogram included). A jitteredHold jitters
 // the compute timers — in lockstep every receiver of a broadcast computes
-// before its sender replaces it — and, unless negative, overrides the ticks
-// a replaced broadcast's records sit out of the engine's pool.
+// before its sender replaces it — and overrides the ticks a replaced
+// broadcast's records, and after them its list's entries, sit out of the
+// engine's pools (negative or absent: Tc).
 func chaosRun(t *testing.T, workers, rounds int, selfCheck bool, jitteredHold ...int) ([]roundRec, map[string]uint64) {
 	t.Helper()
 	w := space.NewWorld(2.5)
@@ -333,11 +334,13 @@ func chaosRun(t *testing.T, workers, rounds int, selfCheck bool, jitteredHold ..
 	if selfCheck {
 		armSelfCheck(e)
 	}
-	for _, h := range jitteredHold {
+	holds := [2]int{e.P.Tc, e.P.Tc}
+	for i, h := range jitteredHold {
 		if h >= 0 {
-			e.SetRecsHold(h)
+			holds[i] = h
 		}
 	}
+	e.SetRecsHold(holds[0], holds[1])
 	positions := map[ident.NodeID]space.Point{}
 	inj := fault.NewInjector(prof, e, fault.Hooks{
 		Leave: func(v ident.NodeID) {
@@ -386,10 +389,11 @@ func TestChaosSeqAndParallelBitIdentical(t *testing.T) {
 // engine's shared per-shard scratches: with SelfCheck armed every node
 // scribbles garbage over every buffer of its shard's scratch after each
 // compute and each inbox digest, so the next node of the shard starts from
-// a poisoned one. The same arming poisons a replaced broadcast's records
-// the moment the engine's pool may hand them to another node of the shard
-// (DESIGN.md §2k: retired records are dead), which the second pass, on
-// jittered timers, covers. The churning chaos run must not notice: state
+// a poisoned one. The same arming poisons a replaced broadcast's records,
+// and the entries of its list if the commit moved it, the moment the
+// engine's pools may hand them to another node of the shard (DESIGN.md §2k:
+// a retired broadcast is dead), which the second pass, on jittered timers,
+// covers. The churning chaos run must not notice: state
 // and broadcast hashes, Ω statistics, and every registry counter (the wake
 // histogram among them) equal an unscribbled twin's, at 1 and 4 workers.
 func TestScratchCarriesNoState(t *testing.T) {
@@ -419,11 +423,24 @@ func TestScratchCarriesNoState(t *testing.T) {
 // scribbled run must panic in an oracle or leave the clean run's trace.
 // Tc−1 must still pass: the tick of slack the derivation claims.
 func TestRetiredRecsHeldTooShortIsCaught(t *testing.T) {
+	heldTooShortIsCaught(t, 0)
+}
+
+// TestRetiredListHeldTooShortIsCaught is its twin for the entries of a
+// replaced list, the records keeping their Tc: same derivation, same slack.
+func TestRetiredListHeldTooShortIsCaught(t *testing.T) {
+	heldTooShortIsCaught(t, 1)
+}
+
+// heldTooShortIsCaught shortens the hold of one pool: 0 records, 1 entries.
+func heldTooShortIsCaught(t *testing.T, pool int) {
 	const tc = 2 // the engine's default compute period, which chaosRun keeps
 	clean, _ := chaosRun(t, 1, 80, false, -1)
 	scribbled := func(hold int) (recs []roundRec, panicked any) {
 		defer func() { panicked = recover() }()
-		recs, _ = chaosRun(t, 1, 80, true, hold)
+		holds := []int{-1, -1}
+		holds[pool] = hold
+		recs, _ = chaosRun(t, 1, 80, true, holds...)
 		return recs, nil
 	}
 	if recs, p := scribbled(0); p == nil && reflect.DeepEqual(clean, recs) {

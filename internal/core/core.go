@@ -244,6 +244,9 @@ type Node struct {
 // share one: records hold state, the worker holds scratch. The zero value
 // is ready to use.
 type Scratch struct {
+	// Lists is where a changed list is committed (ComputeIn, LoadState): a
+	// driver that knows when a replaced list is dead sets Lists.Take.
+	Lists   antlist.Store
 	bld     antlist.Builder
 	incs    []incoming // the inbox in preference order
 	heard   []heardRec
@@ -644,7 +647,7 @@ func (n *Node) QuarantineOf(u ident.NodeID) int {
 // Nil maps leave the corresponding field at a consistent default derived
 // from the list.
 func (n *Node) LoadState(list antlist.List, view map[ident.NodeID]bool, quar map[ident.NodeID]int, self priority.P) {
-	n.list = list.Publish(n.list)
+	n.list = list.Publish(n.list, &n.scratch().Lists)
 	n.view = n.view[:0]
 	if view != nil {
 		for k, in := range view {
@@ -749,7 +752,7 @@ func (n *Node) PendingMessages() int { return len(n.msgSet) }
 // with the priorities of every node in it and the group priority. The
 // result is a pure function of the node's state (see Version), so drivers
 // may cache and share it between computes. The list is shared, not cloned:
-// the node never mutates a list in place (every Compute rebuilds it). A
+// a commit that changes it publishes into other storage (Scratch.Lists). A
 // receiver aliases List and Recs until its next Compute or Skip*Round
 // resets its message set, and no longer.
 func (n *Node) BuildMessage() Message { return n.BuildMessageIn(nil) }
@@ -1149,7 +1152,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	// only when the list actually moved).
 	listChanged := !newList.Equal(n.list)
 	if listChanged {
-		n.list = newList.Publish(n.list)
+		n.list = newList.Publish(n.list, &s.Lists)
 	}
 	viewChanged := !commit(&n.view, nv)
 	if viewChanged {

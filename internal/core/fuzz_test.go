@@ -21,7 +21,8 @@ import (
 
 // fuzzSeeds collects realistic frames from a short live run plus a few
 // pathological hand-built ones. The second argument sizes the recycled
-// buffer: spare%4 − 1 records more than the broadcast needs.
+// buffers: spare%4 − 1 records more than the broadcast needs, and as many
+// entries more than a committed list needs.
 func fuzzSeeds(f *testing.F) {
 	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 4}, graph.Line(5))
 	s.StepTicks(12)
@@ -44,8 +45,24 @@ func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 		}
 		n := core.NewNode(1, core.Config{Dmax: 3})
 		n.SelfCheck = true // cross-validate against the reference oracle
+		// n commits its lists into dirty storage, as an engine's pool hands
+		// it out; a twin that allocates them must reach the same state.
+		var scr core.Scratch
+		var offered []ident.Entry
+		scr.Lists.Take = func(need int) []ident.Entry {
+			offered = make([]ident.Entry, max(0, need+int(spare%4)-1))
+			core.PoisonEntries(offered)
+			return offered[:len(offered)/2]
+		}
+		n.SetScratch(&scr)
+		twin := core.NewNode(1, core.Config{Dmax: 3})
 		n.Receive(m)
 		n.Compute()
+		twin.Receive(m)
+		twin.Compute()
+		if n.StateDigest() != twin.StateDigest() || !n.List().Equal(twin.List()) {
+			t.Fatalf("committed into %d dirty entries: %v, allocated: %v", len(offered), n, twin)
+		}
 
 		// Structural invariants must hold whatever the frame contained.
 		if !n.InView(1) {
@@ -84,6 +101,10 @@ func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 		}
 		if len(dq) != len(oq) {
 			t.Fatalf("round trip quars mismatch: %v vs %v", dq, oq)
+		}
+
+		if ents := out.List.Entries(); offered != nil && (len(offered) >= len(ents)) != (len(offered) > 0 && &ents[0] == &offered[0]) {
+			t.Fatalf("%d entries committed, %d offered, used: %v", len(ents), len(offered), len(offered) > 0 && &ents[0] == &offered[0])
 		}
 
 		// Built into a dirty buffer it is the same broadcast, in that

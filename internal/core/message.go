@@ -21,7 +21,7 @@ import (
 // what it references are never written while a receiver may read them —
 // BuildMessage shares the sender's own list rather than cloning it, and
 // drivers cache and share messages between computes (see Node.Version) —
-// but only that long: see BuildMessage for when Recs may be built into again.
+// but only that long: see BuildMessage for when they may be written again.
 type Message struct {
 	From      ident.NodeID
 	List      antlist.List

@@ -220,8 +220,15 @@ func (s *Scratch) scribble() {
 	s.readSet = slices.Repeat([]ident.NodeID{junk}, cap(s.readSet))
 }
 
-// PoisonRecs is scribble for the records of a replaced broadcast (see
-// Node.BuildMessageIn): a receiver still reading them diverges.
+// PoisonEntries and PoisonRecs are scribble for a replaced broadcast's list
+// entries and records: a receiver still reading them diverges.
+func PoisonEntries(ents []ident.Entry) {
+	ents = ents[:cap(ents)]
+	for i := range ents {
+		ents[i] = ident.Plain(0xBAD0BAD1)
+	}
+}
+
 func PoisonRecs(recs []PrioRec) {
 	bad := PrioRec{ID: ^ident.NodeID(0), HasPrio: true, Pos: -7, Quar: 99, Prio: priority.P{Clock: 1 << 40}}
 	copy(recs[:cap(recs)], slices.Repeat([]PrioRec{bad}, cap(recs)))

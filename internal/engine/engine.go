@@ -53,7 +53,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -177,57 +176,73 @@ type shardScratch struct {
 	deliv []resolvedDelivery
 	wakes []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
 	core  core.Scratch
-	recs  recsPool
+	recs  pool[core.PrioRec]
+	ents  pool[ident.Entry]
 }
 
-// recsPool is one shard's replaced broadcasts' records, oldest first per
-// capacity (DESIGN.md §2k): retired at tick t, built into again from t+Tc
-// on by any node of the shard, left to the GC if unclaimed by t+2·Tc.
-type recsPool struct{ byCap [][]retiredRecs }
+// pool is one shard's storage of replaced broadcasts — their records, or
+// their lists' entries — oldest first per capacity (DESIGN.md §2k): retired
+// at tick t, written again from t+Tc on by any node of the shard, left to
+// the GC if unclaimed by t+2·Tc.
+type pool[T any] struct{ byCap []fifo[T] }
 
-type retiredRecs struct {
-	recs   []core.PrioRec
+type fifo[T any] struct {
+	q    []retired[T]
+	head int // q[:head] were taken since the last sweep
+	idle int // sweeps in a row that left q empty
+}
+
+type retired[T any] struct {
+	buf    []T
 	tick   int
 	poison bool // retired by a node under SelfCheck
 }
 
-func (p *recsPool) retire(recs []core.PrioRec, tick int, poison bool) {
-	if c := cap(recs); c > 0 {
-		p.byCap = append(p.byCap, make([][]retiredRecs, max(0, c+1-len(p.byCap)))...)
-		p.byCap[c] = append(p.byCap[c], retiredRecs{recs, tick, poison})
+func (p *pool[T]) retire(buf []T, tick int, poison bool) {
+	if c := cap(buf); c > 0 {
+		p.byCap = append(p.byCap, make([]fifo[T], max(0, c+1-len(p.byCap)))...)
+		p.byCap[c].q = append(p.byCap[c].q, retired[T]{buf, tick, poison})
 	}
 }
 
-// take returns records of capacity need, or up to two more, retired by ripe.
-func (p *recsPool) take(need, ripe int) []core.PrioRec {
+// take returns storage of capacity need, or up to two more, retired by ripe.
+func (p *pool[T]) take(need, ripe int) []T {
 	for c := need; c <= need+2 && c < len(p.byCap); c++ {
-		if q := p.byCap[c]; len(q) > 0 && q[0].tick <= ripe {
-			recs := q[0].recs
-			p.byCap[c] = slices.Delete(q, 0, 1)
-			return recs
+		if f := &p.byCap[c]; f.head < len(f.q) && f.q[f.head].tick <= ripe {
+			f.head++
+			return f.q[f.head-1].buf
 		}
 	}
 	return nil
 }
 
 // sweep ends a tick's build: what was retired at ripe is poisoned if its
-// node asked; what was retired by stale is dropped, emptied arrays too.
-func (p *recsPool) sweep(ripe, stale int) {
-	for c, q := range p.byCap {
-		q = slices.DeleteFunc(q, func(r retiredRecs) bool {
-			if r.tick == ripe && r.poison {
-				core.PoisonRecs(r.recs)
+// node asked; what was retired by stale is dropped, and so is the array of
+// a queue empty for longer than that took.
+func (p *pool[T]) sweep(ripe, stale int, poison func([]T)) {
+	for c := range p.byCap {
+		f, n := &p.byCap[c], 0
+		for _, r := range f.q[f.head:] {
+			if r.tick <= stale {
+				continue
 			}
-			return r.tick <= stale
-		})
-		if p.byCap[c] = q; len(q) == 0 {
-			p.byCap[c] = nil
+			if r.tick == ripe && r.poison {
+				poison(r.buf)
+			}
+			f.q[n] = r
+			n++
+		}
+		clear(f.q[n:])
+		if f.q, f.head = f.q[:n], 0; n > 0 {
+			f.idle = 0
+		} else if f.idle++; f.idle > ripe-stale {
+			f.q = nil
 		}
 	}
 }
 
-// SetRecsHold is a test seam: conformance shows a hold below Tc is caught.
-func (e *Engine) SetRecsHold(ticks int) { e.recsHold = ticks }
+// SetRecsHold is a test seam: conformance shows either hold below Tc is caught.
+func (e *Engine) SetRecsHold(recs, ents int) { e.recsHold, e.entsHold = recs, ents }
 
 // cachedMsg is one node's last built broadcast, valid while the node's
 // state version is unchanged (a node's message is a pure function of its
@@ -407,7 +422,8 @@ type Engine struct {
 	computeWheel *periodicWheel
 
 	scratch  [NumShards]shardScratch
-	recsHold int // ticks replaced records sit out of their shard's recsPool: Tc
+	recsHold int // ticks replaced records sit out of their shard's pool: Tc
+	entsHold int // the same for a replaced list's entries
 	txsBuf   []radio.Tx
 	delivBuf []radio.Delivery
 
@@ -470,11 +486,14 @@ func New(p Params, topo Topology) *Engine {
 		order:        NewRoster(),
 		computeWheel: newPeriodicWheel(p.Tc),
 		recsHold:     p.Tc,
+		entsHold:     p.Tc,
 		recvEpoch:    1, // fresh records (epoch 0) start invalid
 		reg:          introspect.NewRegistry(NumShards),
 	}
 	for s := range e.shardRNGs {
 		e.shardRNGs[s] = rand.New(rand.NewSource(shardSeed(p.Seed, s)))
+		sc := &e.scratch[s]
+		sc.core.Lists.Take = func(need int) []ident.Entry { return sc.ents.take(need, e.tick-e.entsHold) }
 	}
 	if p.RandomizedSends {
 		e.sendOneshot = newOneshotWheel(p.Ts)
@@ -929,6 +948,11 @@ func (e *Engine) BuildPhase() []radio.Tx {
 				builds++
 				sc.recs.retire(rec.cm.m.Recs, e.tick, rec.n.SelfCheck)
 				m := rec.n.BuildMessageIn(sc.recs.take(rec.n.RecsNeeded(), e.tick-e.recsHold))
+				// The replaced list is dead with the records iff the commit
+				// moved it: Publish returns prev itself on equal content.
+				if old, cur := rec.cm.m.List.Entries(), m.List.Entries(); cap(old) > 0 && (cap(cur) == 0 || &old[:1][0] != &cur[:1][0]) {
+					sc.ents.retire(old, e.tick, rec.n.SelfCheck)
+				}
 				rec.cm = cachedMsg{m: m, size: m.EncodedSize(), ver: rec.n.Version()}
 			} else {
 				cacheHits++
@@ -936,7 +960,8 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
 			sc.bytes += rec.cm.size
 		}
-		sc.recs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-e.P.Tc)
+		sc.recs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-e.P.Tc, core.PoisonRecs)
+		sc.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-e.P.Tc, core.PoisonEntries)
 		lane := e.reg.Shard(s)
 		lane.Add(introspect.CtrMsgBuilds, builds)
 		lane.Add(introspect.CtrMsgCacheHits, cacheHits)
@@ -968,9 +993,10 @@ func (e *Engine) BuildPhase() []radio.Tx {
 // armed Byzantine lie — together with the (incarnation, version) pair
 // its deliveries are signed with. ok is false when v is not a member or
 // its send timer has not fired yet this run (no broadcast built). The
-// message aliases engine-owned storage: it is valid until v's next rebuild
-// and for Tc ticks after, and must not be mutated. Distributed wrappers call
-// this after BuildPhase to encode boundary copies of due broadcasts.
+// message aliases engine-owned storage (records and list entries return to
+// the shard's pools): it is valid until v's next rebuild and for Tc ticks
+// after, and must not be mutated. Distributed wrappers call this after
+// BuildPhase to encode boundary copies of due broadcasts.
 func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, ok bool) {
 	slot := e.order.SlotOf(v)
 	if slot < 0 {

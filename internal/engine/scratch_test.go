@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/antlist"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
@@ -144,21 +145,97 @@ func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	}
 }
 
-// pooledRecs counts the retired record buffers (and queue arrays) every
-// shard's pool holds.
-func pooledRecs(e *Engine) (bufs, arrays int) {
-	for s := range e.scratch {
-		for _, q := range e.scratch[s].recs.byCap {
-			bufs += len(q)
-			if q != nil {
-				arrays++
-			}
+// held counts the retired buffers a pool still offers and its queue arrays.
+func held[T any](p *pool[T]) (bufs, arrays int) {
+	for _, f := range p.byCap {
+		bufs += len(f.q) - f.head
+		if f.q != nil {
+			arrays++
 		}
 	}
 	return bufs, arrays
 }
 
-// TestRecsPoolDrains pins the pool's bound: it holds what was retired in
+// pooled sums held over every shard: record buffers, entry buffers, arrays.
+func pooled(e *Engine) (recs, ents, arrays int) {
+	for s := range e.scratch {
+		r, ra := held(&e.scratch[s].recs)
+		n, na := held(&e.scratch[s].ents)
+		recs, ents, arrays = recs+r, ents+n, arrays+ra+na
+	}
+	return recs, ents, arrays
+}
+
+// offers reports whether p still offers the buffer that starts at at.
+func offers[T any](p *pool[T], at *T) bool {
+	for _, f := range p.byCap {
+		for _, r := range f.q[f.head:] {
+			if &r.buf[:1][0] == at {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestRetirementFollowsListIdentity pins the rule where BuildPhase decides
+// it: a rebuild retires the replaced records always and the replaced list's
+// entries only when the rebuilt broadcast's list is other storage; and what
+// never was a cached broadcast of a member — a lie, a ghost frame of another
+// process, the last broadcast and list of a removed node — enters no pool.
+func TestRetirementFollowsListIdentity(t *testing.T) {
+	g := graph.New()
+	for v := ident.NodeID(1); v <= 3; v++ {
+		g.AddNode(v)
+	}
+	g.AddEdge(1, 2)
+	e := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, g)
+	e.StepTicks(12 * e.P.Tc)
+	// 1 and 2 have settled; 3 is alone, and its ticking clock moves its
+	// broadcast every period but never its list.
+	if recs, ents, _ := pooled(e); recs == 0 || ents != 0 {
+		t.Fatalf("priority-only rebuilds left %d record and %d entry buffers pooled, want some and none", recs, ents)
+	}
+
+	forge := func(from ident.NodeID, far ...ident.NodeID) *core.Message {
+		sets := []antlist.Set{antlist.NewSet(ident.Plain(from))}
+		for _, u := range far {
+			sets = append(sets, antlist.NewSet(ident.Plain(u)))
+		}
+		l := antlist.FromSets(sets...)
+		return &core.Message{From: from, List: l, Recs: core.RecsFromMaps(l, nil, nil, nil)}
+	}
+	lie, ghost := forge(1, 2, 77), forge(9, 3)
+	e.SetLie(1, lie)
+	outside := []*core.Message{lie, ghost}
+	moved := false
+	for i := 0; i < 8*e.P.Tc; i++ {
+		if i == 4*e.P.Tc { // 2 has folded the lie in by now
+			last, live := e.recs[e.SlotOf(2)].cm.m, e.Node(2).BuildMessage()
+			outside = append(outside, &last, &live)
+			e.RemoveNode(2)
+			g.RemoveNode(2)
+		}
+		e.AdvancePhase()
+		e.BuildPhase()
+		e.FinishTick([]ExternalDelivery{{To: 3, From: 9, Gen: 1, Ver: 1, Msg: ghost}})
+		for s := range e.scratch {
+			for _, m := range outside {
+				if offers(&e.scratch[s].ents, &m.List.Entries()[0]) || offers(&e.scratch[s].recs, &m.Recs[0]) {
+					t.Fatalf("tick %d: shard %d pools storage of %v, which no member's rebuild replaced", e.Tick(), s, m)
+				}
+			}
+		}
+		if _, ents, _ := pooled(e); ents > 0 {
+			moved = true
+		}
+	}
+	if !moved || e.Node(3).List().Len() < 2 {
+		t.Fatalf("no moved list was retired (%v) or 3 never folded the ghost in (%v) — the check is vacuous", moved, e.Node(3))
+	}
+}
+
+// TestRecsPoolDrains pins both pools' bound: each holds what was retired in
 // the last 2·Tc ticks and nothing else — after the whole-world rebuild
 // storm of a converging start, 4·Tc ticks without a rebuild leave no
 // buffer and no queue array behind.
@@ -171,8 +248,8 @@ func TestRecsPoolDrains(t *testing.T) {
 	}
 	e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 2, Workers: 2}, g)
 	e.StepTicks(3 * e.P.Tc)
-	if bufs, _ := pooledRecs(e); bufs == 0 {
-		t.Fatal("a converging world retired no broadcast — the check is vacuous")
+	if recs, ents, _ := pooled(e); recs == 0 || ents == 0 {
+		t.Fatalf("a converging world holds %d retired records and %d retired lists — the check is vacuous", recs, ents)
 	}
 	builds := func() uint64 { return e.Introspect().Get(introspect.CtrMsgBuilds) }
 	for quiet, last := 0, builds(); quiet < 4*e.P.Tc; {
@@ -185,8 +262,8 @@ func TestRecsPoolDrains(t *testing.T) {
 			t.Fatal("the world never settled")
 		}
 	}
-	if bufs, arrays := pooledRecs(e); bufs != 0 || arrays != 0 {
-		t.Fatalf("after 4·Tc quiet ticks the pool holds %d buffers in %d queue arrays", bufs, arrays)
+	if recs, ents, arrays := pooled(e); recs != 0 || ents != 0 || arrays != 0 {
+		t.Fatalf("after 4·Tc quiet ticks the pools hold %d record and %d entry buffers in %d queue arrays", recs, ents, arrays)
 	}
 }
 
@@ -207,6 +284,60 @@ func TestSteadyRebuildsAllocateNothing(t *testing.T) {
 		t.Fatalf("%d rebuilds in 10 periods of 300 lonely nodes — the check is vacuous", got)
 	}
 	if step > 3 { // the closures the three fanned-out phases hand to runShards
+		t.Errorf("a tick allocates %.2f times in steady state, want the 3 phase closures", step)
+	}
+}
+
+// blinkTopo links its nodes in pairs for one tick of every period.
+type blinkTopo struct {
+	on, off *graph.G
+	period  int
+	tick    int
+}
+
+func (b *blinkTopo) Advance(*rand.Rand) { b.tick++ }
+func (b *blinkTopo) Graph() *graph.G {
+	if b.tick%b.period == 0 {
+		return b.on
+	}
+	return b.off
+}
+func (b *blinkTopo) AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
+	return b.Graph().AppendNeighbors(v, buf)
+}
+func (b *blinkTopo) Nodes() []ident.NodeID { return b.on.Nodes() }
+
+// TestSteadyCommitsAllocateNothing drives pairs that hear each other in one
+// tick of every two compute periods, on jittered timers: every compute
+// flips its node's list between (v) and (v, {u'}), and after warm-up each
+// commit is published into entries its shard retired a period earlier, over
+// offsets interned once — no allocation scales with the commits.
+func TestSteadyCommitsAllocateNothing(t *testing.T) {
+	const n = 300
+	on, off := graph.New(), graph.New()
+	for v := ident.NodeID(1); v <= n; v++ {
+		on.AddNode(v)
+		off.AddNode(v)
+		if v%2 == 0 {
+			on.AddEdge(v-1, v)
+		}
+	}
+	p := Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}
+	p.normalize()
+	e := New(p, &blinkTopo{on: on, off: off, period: 2 * p.Tc})
+	e.StepTicks(8 * p.Tc)
+	list := e.Node(1).List()
+	before := e.Introspect().Get(introspect.CtrMsgBuilds)
+	step := testing.AllocsPerRun(10*p.Tc, e.Step)
+	// A rebuild per compute is a commit per compute: nothing else moves here.
+	if got := e.Introspect().Get(introspect.CtrMsgBuilds) - before; got < n*10 {
+		t.Fatalf("%d rebuilds in 10 periods of %d blinking nodes — the check is vacuous", got, n)
+	}
+	e.StepTicks(p.Tc)
+	if now := e.Node(1).List(); now.Equal(list) || now.Len()+list.Len() != 3 {
+		t.Fatalf("node 1's list went %v → %v over an odd number of periods, want (1) ↔ (1,{2'})", list, now)
+	}
+	if step > 3 {
 		t.Errorf("a tick allocates %.2f times in steady state, want the 3 phase closures", step)
 	}
 }

@@ -232,11 +232,16 @@ func compactIDs(ids []ident.NodeID) []ident.NodeID {
 	return slices.Compact(ids)
 }
 
-// gridInsert adds v (already in pos) to its cell.
+// gridInsert adds v (already in pos) to its cell; a cell entered anew
+// takes the slice some emptied cell left behind.
 func (w *World) gridInsert(v ident.NodeID, p Point) {
 	k := w.cellAt(p)
 	w.cellOf[v] = k
-	w.cells[k] = append(w.cells[k], cellNode{id: v, pt: p})
+	lst, ok := w.cells[k]
+	if n := len(w.freeCells); !ok && n > 0 {
+		lst, w.freeCells = w.freeCells[n-1], w.freeCells[:n-1]
+	}
+	w.cells[k] = append(lst, cellNode{id: v, pt: p})
 }
 
 // gridRemove deletes v from cell k (swap-delete; cell lists are
@@ -252,6 +257,7 @@ func (w *World) gridRemove(v ident.NodeID, k cellKey) {
 	}
 	if len(lst) == 0 {
 		delete(w.cells, k)
+		w.freeCells = append(w.freeCells, lst)
 	} else {
 		w.cells[k] = lst
 	}

@@ -79,6 +79,7 @@ type World struct {
 	cellSize  float64
 	maxRange  float64
 	cells     map[cellKey][]cellNode
+	freeCells [][]cellNode // emptied cells' slices, for gridInsert
 	cellOf    map[ident.NodeID]cellKey
 	wallCells map[cellKey][]int
 	dirty     bool

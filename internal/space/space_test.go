@@ -256,6 +256,27 @@ func TestGridMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestEmptiedCellSliceIsReused pins gridInsert's free list: a node leaving
+// a cell empty and entering an empty one takes the emptied slice along, a
+// cell already occupied keeps its own, and the vicinity queries stay right.
+func TestEmptiedCellSliceIsReused(t *testing.T) {
+	w := NewWorld(1)
+	w.Place(1, Point{0.5, 0.5})
+	w.Place(2, Point{7.5, 0.5})
+	w.Place(3, Point{7.6, 0.5})
+	checkAgainstOracle(t, w, "built")
+	was := &w.cells[w.cellOf[1]][0]
+	w.Place(1, Point{3.5, 3.5})
+	if now := &w.cells[w.cellOf[1]][0]; now != was || len(w.cells) != 2 || len(w.freeCells) != 0 {
+		t.Fatalf("entered an empty cell: slice reused %v, %d cells, %d free", now == was, len(w.cells), len(w.freeCells))
+	}
+	w.Place(1, Point{7.4, 0.4})
+	if lst := w.cells[w.cellOf[1]]; len(lst) != 3 || len(w.freeCells) != 1 {
+		t.Fatalf("joined an occupied cell: %v, %d free", lst, len(w.freeCells))
+	}
+	checkAgainstOracle(t, w, "hopped")
+}
+
 // TestGridParallelBuildMatchesSequential pins the determinism of the
 // sharded SymmetricGraph build: identical edge sets at any worker width.
 func TestGridParallelBuildMatchesSequential(t *testing.T) {

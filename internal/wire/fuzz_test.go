@@ -10,7 +10,8 @@ import (
 // panic, and decoding is a normalization — re-encoding an accepted frame
 // and decoding again must be a fixpoint (the decoder defensively sorts
 // and deduplicates hostile input, so byte-level identity only holds for
-// canonical frames; see TestRoundTrip for that case).
+// canonical frames; see TestRoundTrip for that case). Every accepted
+// message must also encode exactly as the map-era oracle encodes it.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Encode(sampleMessage()))
@@ -21,6 +22,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkOracle(t, m)
 		re := Encode(m)
 		m2, err := Decode(re)
 		if err != nil {
@@ -63,6 +65,7 @@ func FuzzDecodeHostile(f *testing.F) {
 				}
 			}
 		}
+		checkOracle(t, m)
 		re := Encode(m)
 		if _, err := Decode(re); err != nil {
 			t.Fatalf("accepted corrupted frame does not re-encode: %v", err)

@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/antlist"
 	"repro/internal/core"
@@ -48,30 +47,36 @@ func Encode(m core.Message) []byte {
 }
 
 // AppendEncode serializes m, appending to dst. The frame layout is
-// unchanged from the map-era message representation: the flat records are
-// exploded back into the two priority sections and the quarantine
-// section, so frames interoperate across the representations and the E11
-// overhead numbers stay comparable.
+// unchanged from the map-era message representation: the flat records,
+// sorted by ID, are walked once per section, each section taking an ID's
+// first record that has its field — so frames interoperate across the
+// representations and the E11 overhead numbers stay comparable.
 func AppendEncode(dst []byte, m core.Message) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, magic)
 	dst = append(dst, version)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.From))
 	dst = appendPrio(dst, m.GroupPrio)
 	dst = m.List.AppendBinary(dst)
-	prios, gprios, quars := m.PrioMaps()
-	dst = appendPrioMap(dst, prios)
-	dst = appendPrioMap(dst, gprios)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(quars)))
-	for _, id := range sortedIDs(quars) {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-		q := quars[id]
-		if q < 0 {
-			q = 0
+	for sec := 0; sec < 3; sec++ { // node priorities, group priorities, quarantines
+		at, n, last := len(dst), 0, ident.None
+		dst = append(dst, 0, 0)
+		for i := range m.Recs {
+			r := &m.Recs[i]
+			if has := [...]bool{r.HasPrio, r.HasGroupPrio, r.Quar >= 0}[sec]; !has || n > 0 && r.ID == last {
+				continue
+			}
+			last, n = r.ID, n+1
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.ID))
+			switch sec {
+			case 0:
+				dst = appendPrio(dst, r.Prio)
+			case 1:
+				dst = appendPrio(dst, r.GroupPrio)
+			default:
+				dst = append(dst, byte(min(r.Quar, 255)))
+			}
 		}
-		if q > 255 {
-			q = 255
-		}
-		dst = append(dst, byte(q))
+		binary.LittleEndian.PutUint16(dst[at:], uint16(n))
 	}
 	return dst
 }
@@ -140,15 +145,6 @@ func readPrio(buf []byte) (priority.P, []byte, error) {
 	return p, buf[12:], nil
 }
 
-func appendPrioMap(dst []byte, m map[ident.NodeID]priority.P) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m)))
-	for _, id := range sortedPrioIDs(m) {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-		dst = appendPrio(dst, m[id])
-	}
-	return dst
-}
-
 func readPrioMap(buf []byte) (map[ident.NodeID]priority.P, []byte, error) {
 	if len(buf) < 2 {
 		return nil, buf, ErrTruncated
@@ -169,26 +165,4 @@ func readPrioMap(buf []byte) (map[ident.NodeID]priority.P, []byte, error) {
 		buf = rest
 	}
 	return out, buf, nil
-}
-
-func sortedIDs(m map[ident.NodeID]int) []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
-}
-
-func sortedPrioIDs(m map[ident.NodeID]priority.P) []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
-}
-
-func sortIDs(ids []ident.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

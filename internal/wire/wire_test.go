@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,6 +36,72 @@ func sampleMessage() core.Message {
 			map[ident.NodeID]int{1: 2}),
 		GroupPrio: priority.P{Clock: 2, ID: 3},
 	}
+}
+
+// encodeViaMaps is the map-era encoder, kept as AppendEncode's oracle: the
+// records exploded into PrioMaps' three maps, each written in sorted-key
+// order. Frames must stay byte-identical to it.
+func encodeViaMaps(m core.Message) []byte {
+	dst := binary.LittleEndian.AppendUint16(nil, magic)
+	dst = append(dst, version)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.From))
+	dst = appendPrio(dst, m.GroupPrio)
+	dst = m.List.AppendBinary(dst)
+	prios, gprios, quars := m.PrioMaps()
+	for _, pm := range []map[ident.NodeID]priority.P{prios, gprios} {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(pm)))
+		for _, id := range sortedKeys(pm) {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+			dst = appendPrio(dst, pm[id])
+		}
+	}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(quars)))
+	for _, id := range sortedKeys(quars) {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+		dst = append(dst, byte(min(max(quars[id], 0), 255)))
+	}
+	return dst
+}
+
+func sortedKeys[V any](m map[ident.NodeID]V) []ident.NodeID {
+	ids := make([]ident.NodeID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// checkOracle fails unless m encodes exactly as the map-era encoder did.
+func checkOracle(t *testing.T, m core.Message) {
+	t.Helper()
+	if got, want := Encode(m), encodeViaMaps(m); !bytes.Equal(got, want) {
+		t.Fatalf("frame of %+v left the map-era encoding:\n got %x\nwant %x", m, got, want)
+	}
+}
+
+// TestEncodeMatchesMapEraOracle pins the frame bytes on every broadcast of
+// a settled world, and on records the walk must skip or merge: a corrupted
+// list repeating a node, half-advertised priorities, a clamped quarantine.
+func TestEncodeMatchesMapEraOracle(t *testing.T) {
+	e := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 7}, graph.Clusters(5, 4, 2, true))
+	e.StepTicks(60)
+	for _, v := range e.Order() {
+		m, _, _, ok := e.BroadcastOf(v)
+		if !ok {
+			t.Fatalf("settled node %v has no broadcast", v)
+		}
+		checkOracle(t, *m)
+	}
+	p := priority.P{Clock: 5, ID: 2}
+	checkOracle(t, core.Message{From: 2, Recs: []core.PrioRec{
+		{ID: 1, Pos: 1, Quar: -1, HasGroupPrio: true, GroupPrio: p},
+		{ID: 1, Pos: 2, Quar: 300, HasPrio: true, Prio: p, HasGroupPrio: true},
+		{ID: 2, Pos: 0, Quar: -1},
+		{ID: 4, Pos: 1, Quar: 0, HasPrio: true, Prio: p},
+		{ID: 4, Pos: 3, Quar: 9, HasPrio: true},
+	}})
+	checkOracle(t, core.Message{From: 9})
 }
 
 func TestRoundTrip(t *testing.T) {
