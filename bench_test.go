@@ -458,11 +458,25 @@ func BenchmarkCSRBuild(b *testing.B) {
 			}
 		}
 	})
-	b.Run("csr-shared-index", func(b *testing.B) {
+	// The spatial rebuild's shape: one finished row per node, with and
+	// without the previous graph's node index to share.
+	rows := make([]graph.NodeAdj, len(nodes))
+	for i, u := range nodes {
+		rows[i] = graph.NodeAdj{Node: u, Adj: src.NeighborsView(u)}
+	}
+	b.Run("rows-arena", func(b *testing.B) {
 		b.ReportAllocs()
-		prev := graph.FromEdges(nodes, edges)
 		for i := 0; i < b.N; i++ {
-			g := graph.FromEdgesShared(prev, nodes, edges)
+			if g := graph.FromRows(nil, nodes, rows); g.NumNodes() != n {
+				b.Fatal("bad graph")
+			}
+		}
+	})
+	b.Run("rows-shared-index", func(b *testing.B) {
+		b.ReportAllocs()
+		prev := graph.FromRows(nil, nodes, rows)
+		for i := 0; i < b.N; i++ {
+			g := graph.FromRows(prev, nodes, rows)
 			if g.NumNodes() != n {
 				b.Fatal("bad graph")
 			}
@@ -646,7 +660,7 @@ func BenchmarkFold(b *testing.B) {
 // BenchmarkIncrementalGraph measures mobile graph maintenance at n=20000
 // in the mostly-parked regime (2% of nodes move per rebuild): the
 // delta-incremental path (vicinity re-scan of the movers + ApplyDelta
-// CSR patch) against the full FromEdgesShared rebuild of the same world.
+// CSR patch) against the full FromRows rebuild of the same world.
 // The acceptance criterion is delta < full at this scale.
 func BenchmarkIncrementalGraph(b *testing.B) {
 	const n = 20000

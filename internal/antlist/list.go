@@ -2,7 +2,6 @@ package antlist
 
 import (
 	"slices"
-	"strings"
 
 	"repro/internal/ident"
 )
@@ -436,15 +435,16 @@ func (l List) Equal(o List) bool {
 }
 
 // String renders the list as ({n1},{n2,n3'},...).
-func (l List) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
+func (l List) String() string { return string(l.AppendString(nil)) }
+
+// AppendString appends what String returns to b.
+func (l List) AppendString(b []byte) []byte {
+	b = append(b, '(')
 	for i := 0; i < l.Len(); i++ {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.At(i).String())
+		b = l.At(i).AppendString(b)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }

@@ -180,13 +180,16 @@ func (s Set) Equal(o Set) bool {
 }
 
 // String renders the set as {n1, n2', n3”}.
-func (s Set) String() string {
-	out := "{"
+func (s Set) String() string { return string(s.AppendString(nil)) }
+
+// AppendString appends what String returns to b.
+func (s Set) AppendString(b []byte) []byte {
+	b = append(b, '{')
 	for i, e := range s {
 		if i > 0 {
-			out += ","
+			b = append(b, ',')
 		}
-		out += e.String()
+		b = e.AppendString(b)
 	}
-	return out + "}"
+	return append(b, '}')
 }

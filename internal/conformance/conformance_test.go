@@ -13,6 +13,7 @@
 package conformance
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -110,11 +111,28 @@ func record(e *engine.Engine, st obs.RoundStats) roundRec {
 	}
 }
 
+// fmtState is the fmt rendering of a node's state line, the one
+// core.Node.AppendState must reproduce byte for byte.
+func fmtState(n *core.Node) string {
+	v := n.ID()
+	return fmt.Sprintf("%d|%s|%v|%s|%s|%d\n", v, n.List(), n.View(), n.Priority(), n.GroupPriority(), n.QuarantineOf(v))
+}
+
+// hashRound hashes every node's state line and broadcast. It is called on
+// every observed round of every scenario of the suite — churn, walls,
+// chaos faults, slot recycling — so it is also where the allocation-free
+// rendering the run fingerprints hash (core.Node.AppendState) is held
+// equal to the fmt one over all those states.
 func hashRound(e *engine.Engine) (state, msgs uint64) {
 	hs, hm := fnv.New64a(), fnv.New64a()
+	var line []byte
 	for _, v := range e.Order() {
 		n := e.Node(v)
-		fmt.Fprintf(hs, "%d|%s|%v|%s|%s|%d\n", v, n.List(), n.View(), n.Priority(), n.GroupPriority(), n.QuarantineOf(v))
+		want := fmtState(n)
+		if line = n.AppendState(line[:0]); string(line) != want {
+			panic(fmt.Sprintf("AppendState of %v renders %q, fmt renders %q", v, line, want))
+		}
+		hs.Write(line)
 		m := n.BuildMessage()
 		p, g, q := m.PrioMaps()
 		fmt.Fprintf(hm, "%d|%s|%s|%d\n", m.From, m.List, m.GroupPrio, m.EncodedSize())
@@ -472,5 +490,28 @@ func TestDeltaGraphSeqAndParallelBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(seq[r], par[r]) {
 			t.Fatalf("round %d diverged:\nseq: %+v\npar: %+v", r+1, seq[r], par[r])
 		}
+	}
+}
+
+// TestFingerprintIsFoldOfFmtLines rebuilds an engine's fingerprint the way
+// every pinned one was made — FNV-1a of each node's fmt-rendered state
+// line, folded in ascending ID order through hash/fnv — and requires the
+// allocation-free path (AppendState lines, inline FNV-1a) to return it.
+func TestFingerprintIsFoldOfFmtLines(t *testing.T) {
+	s := newScenario(1, false)
+	for r := 0; r < 12; r++ {
+		s.step(r, false)
+	}
+	fold := fnv.New64a()
+	for _, v := range s.e.Order() { // ascending
+		h := fnv.New64a()
+		h.Write([]byte(fmtState(s.e.Node(v))))
+		var b [12]byte
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		binary.LittleEndian.PutUint64(b[4:], h.Sum64())
+		fold.Write(b[:])
+	}
+	if got, want := obs.EngineFingerprint(s.e), fold.Sum64(); got != want {
+		t.Fatalf("EngineFingerprint %016x, fold of the fmt lines %016x", got, want)
 	}
 }

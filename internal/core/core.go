@@ -34,6 +34,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/antlist"
 	"repro/internal/ident"
@@ -639,6 +640,27 @@ func (n *Node) QuarantineOf(u ident.NodeID) int {
 		return q
 	}
 	return -1
+}
+
+// AppendState appends one line holding the node's protocol-visible state
+// — list, view, own and group priority, self-quarantine — to b: byte for
+// byte what fmt prints for "%d|%s|%v|%s|%s|%d\n" over ID, List, View,
+// Priority, GroupPriority and QuarantineOf(ID), without cloning any of
+// them. It is the line the trace fingerprints hash.
+func (n *Node) AppendState(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(n.id), 10)
+	b = n.list.AppendString(append(b, '|'))
+	b = append(b, "|["...)
+	for i, v := range n.view {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = v.AppendString(b)
+	}
+	b = n.self.AppendString(append(b, "]|"...))
+	b = n.group.AppendString(append(b, '|'))
+	b = strconv.AppendInt(append(b, '|'), int64(n.QuarantineOf(n.id)), 10)
+	return append(b, '\n')
 }
 
 // LoadState overwrites the node's protocol state. It exists for the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -541,5 +542,43 @@ func TestComputesCounter(t *testing.T) {
 	n.Compute()
 	if n.Computes() != 2 {
 		t.Fatalf("Computes = %d", n.Computes())
+	}
+}
+
+// TestAppendStateMatchesFmt holds AppendState equal to the fmt rendering
+// it replaced under the run fingerprints, on the states a run rarely or
+// never visits (internal/conformance holds it on those every scenario
+// does): every mark, one outside the lattice included, infinite
+// priorities, empty and corrupted lists, an empty view, a quarantined and
+// an untracked self. The String methods fmt calls are themselves written
+// over the append helpers, so each line is also pinned to the literal
+// bytes fmt.Sprintf-built Strings gave it.
+func TestAppendStateMatchesFmt(t *testing.T) {
+	const me = ident.NodeID(7)
+	set := antlist.NewSet
+	for _, st := range []struct {
+		list antlist.List
+		view map[ident.NodeID]bool
+		quar map[ident.NodeID]int
+		self priority.P
+		want string
+	}{
+		{antlist.Singleton(ident.Plain(me)), nil, nil, priority.New(me),
+			"7|({n7})|[n7]|pr(0@n7)|pr(0@n7)|0\n"},
+		{antlist.List{}, map[ident.NodeID]bool{}, map[ident.NodeID]int{}, priority.Infinite,
+			"7|()|[]|pr(∞)|pr(∞)|-1\n"},
+		{antlist.FromSets(set(ident.Plain(me)), set(ident.Single(3), ident.Double(4), ident.Entry{ID: 5, Mark: 9}), set(ident.Plain(4294967295))),
+			map[ident.NodeID]bool{3: true, me: true, 4294967295: true, 4: false}, map[ident.NodeID]int{me: 3, 3: 1}, priority.P{Clock: ^uint64(0) - 1, ID: 1},
+			"7|({n7},{n3',n4'',n5},{n4294967295})|[n3 n7 n4294967295]|pr(18446744073709551614@n1)|pr(18446744073709551614@n1)|3\n"},
+		{antlist.FromSets(set(), set(ident.Double(me)), set(), set(ident.Plain(2), ident.Plain(1))),
+			map[ident.NodeID]bool{1: true}, map[ident.NodeID]int{2: 12}, priority.P{},
+			"7|({},{n7''},{},{n1,n2})|[n1]|pr(0@n0)|pr(0@n0)|-1\n"},
+	} {
+		n := NewNode(me, Config{Dmax: 3})
+		n.LoadState(st.list, st.view, st.quar, st.self)
+		viaFmt := fmt.Sprintf("%d|%s|%v|%s|%s|%d\n", me, n.List(), n.View(), n.Priority(), n.GroupPriority(), n.QuarantineOf(me))
+		if got := string(n.AppendState([]byte("kept:"))); got != "kept:"+st.want || viaFmt != st.want {
+			t.Errorf("AppendState renders %q, fmt renders %q, want %q", got, viaFmt, st.want)
+		}
 	}
 }

@@ -147,33 +147,37 @@ func TestEngineConvergesParallel(t *testing.T) {
 // although, with every node live, they share the topology's storage
 // (copy-on-write) instead of copying it.
 func TestSnapshotCacheTracksMutation(t *testing.T) {
-	g := graph.Line(6)
-	e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, g)
-	e.StepRound()
-	before := e.Snapshot()
-	if !before.G.HasEdge(3, 4) {
-		t.Fatal("edge missing before cut")
-	}
-	if a, b := g.NeighborsView(3), before.G.NeighborsView(3); &a[0] != &b[0] {
-		t.Fatal("all-live snapshot should share the topology's rows")
-	}
-	mid := e.Snapshot()
-	if mid.G != before.G {
-		t.Fatal("unchanged topology should reuse the cached graph")
-	}
-	g.RemoveEdge(3, 4)
-	after := e.Snapshot()
-	if after.G.HasEdge(3, 4) {
-		t.Fatal("cut not reflected in fresh snapshot")
-	}
-	g.AddNode(7)
-	g.RemoveNode(1)
-	if !before.G.HasEdge(3, 4) || !before.G.HasEdge(1, 2) || before.G.HasNode(7) {
-		t.Fatal("held snapshot was mutated by a later topology edit")
-	}
-	e.RemoveNode(6)
-	if e.Snapshot().G.HasNode(6) {
-		t.Fatal("removed node still in snapshot graph")
+	// Over both storage forms of the topology: a generator's rows under
+	// their own headers, and the packed copy of them (what a bulk build —
+	// a mobile world's rebuild — hands the engine).
+	for _, g := range []*graph.G{graph.Line(6), graph.Line(6).Clone()} {
+		e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, g)
+		e.StepRound()
+		before := e.Snapshot()
+		if !before.G.HasEdge(3, 4) {
+			t.Fatal("edge missing before cut")
+		}
+		if a, b := g.NeighborsView(3), before.G.NeighborsView(3); &a[0] != &b[0] {
+			t.Fatal("all-live snapshot should share the topology's rows")
+		}
+		mid := e.Snapshot()
+		if mid.G != before.G {
+			t.Fatal("unchanged topology should reuse the cached graph")
+		}
+		g.RemoveEdge(3, 4)
+		after := e.Snapshot()
+		if after.G.HasEdge(3, 4) {
+			t.Fatal("cut not reflected in fresh snapshot")
+		}
+		g.AddNode(7)
+		g.RemoveNode(1)
+		if !before.G.HasEdge(3, 4) || !before.G.HasEdge(1, 2) || before.G.HasNode(7) {
+			t.Fatal("held snapshot was mutated by a later topology edit")
+		}
+		e.RemoveNode(6)
+		if e.Snapshot().G.HasNode(6) {
+			t.Fatal("removed node still in snapshot graph")
+		}
 	}
 }
 

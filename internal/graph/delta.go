@@ -7,17 +7,34 @@ import (
 	"repro/internal/ident"
 )
 
-// NodeAdj is one node's full replacement adjacency for ApplyDelta: the
-// complete, strictly ascending neighbor set the node has after a change.
+// NodeAdj is one node's full adjacency — a replacement row for ApplyDelta,
+// the row itself for FromRows: the complete, strictly ascending neighbor
+// set of the node.
 type NodeAdj struct {
 	Node ident.NodeID
 	Adj  []ident.NodeID
 }
 
+// checkRow panics unless r.Adj is strictly ascending, self-free and names
+// only nodes of idx — the row contract of ApplyDelta and FromRows.
+func checkRow(who string, idx map[ident.NodeID]int32, r NodeAdj) {
+	for k, v := range r.Adj {
+		if v == r.Node {
+			panic(fmt.Sprintf("graph: %s: self-loop on %v", who, r.Node))
+		}
+		if k > 0 && r.Adj[k-1] >= v {
+			panic(fmt.Sprintf("graph: %s: adjacency of %v not strictly ascending", who, r.Node))
+		}
+		if _, ok := idx[v]; !ok {
+			panic(fmt.Sprintf("graph: %s: adjacency of %v names unknown node %v", who, r.Node, v))
+		}
+	}
+}
+
 // ApplyDelta builds the graph that differs from prev only at the given
 // nodes: each updates entry replaces that node's whole adjacency, and the
 // mirror halves of every gained or lost edge are patched into the affected
-// neighbors. This is the incremental sibling of FromEdgesShared for the
+// neighbors. This is the incremental sibling of FromRows for the
 // mobile-world rebuild where only a fraction of nodes moved: instead of
 // re-deriving every adjacency, only the movers' rows (supplied by the
 // caller's vicinity re-scan) and the rows they touch are rewritten; all
@@ -29,14 +46,15 @@ type NodeAdj struct {
 // The node set is unchanged by construction — membership churn must go
 // through a full rebuild.
 //
-// Sharing semantics: the result shares prev's roster (as FromEdgesShared
-// does) and every unpatched adjacency slice. Both graphs are marked
-// copy-on-write: the first in-place mutation of either (AddEdge,
-// RemoveEdge, RemoveNode) privatizes its adjacency storage first, so the
-// sharing is invisible to callers — reads stay zero-copy (NeighborsView
-// over a patched CSR is exactly as valid as over a bulk-built one), and
-// the generation contract is preserved because ApplyDelta returns a fresh
-// graph (new pointer, generation zero) rather than mutating prev.
+// Sharing semantics: the result shares prev's roster (as FromRows does)
+// and every unpatched row. It is unpacked whatever prev is: one fresh
+// header whose untouched rows alias prev's storage, a packed prev's arena
+// included, so a row nobody patched keeps its backing pointer from graph
+// to graph (the identity the receiver caches key on). Both graphs are
+// marked copy-on-write — the first in-place mutation of either privatizes
+// its adjacency storage first — so the sharing is invisible to callers,
+// and the generation contract is preserved because ApplyDelta returns a
+// fresh graph (new pointer, generation zero) rather than mutating prev.
 func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	// The updated-node set, ascending, for the mirror-patch membership
 	// tests (an edge between two updated nodes is fully described by their
@@ -59,12 +77,11 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	g := &G{
 		idx:   prev.idx,
 		nodes: prev.nodes,
-		adj:   make([][]ident.NodeID, len(prev.adj)),
+		adj:   prev.header(),
 		edges: prev.edges,
 	}
 	prev.sharedIdx = true
 	g.sharedIdx = true
-	copy(g.adj, prev.adj)
 	// Adjacency storage is shared slice-by-slice from here on; flag both
 	// sides so any later in-place mutation privatizes first.
 	g.cowAdj, prev.cowAdj = true, true
@@ -97,20 +114,10 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 		if !ok {
 			panic(fmt.Sprintf("graph: ApplyDelta: unknown node %v", u))
 		}
-		for k := range na {
-			if na[k] == u {
-				panic(fmt.Sprintf("graph: ApplyDelta: self-loop on %v", u))
-			}
-			if k > 0 && na[k-1] >= na[k] {
-				panic(fmt.Sprintf("graph: ApplyDelta: adjacency of %v not strictly ascending", u))
-			}
-			if _, ok := prev.idx[na[k]]; !ok {
-				panic(fmt.Sprintf("graph: ApplyDelta: adjacency of %v names unknown node %v", u, na[k]))
-			}
-		}
+		checkRow("ApplyDelta", prev.idx, updates[i])
 		// Diff the old and new rows; mirror the changes into rows that are
 		// not themselves updated.
-		old := prev.adj[iu]
+		old := prev.row(iu)
 		oi, ni := 0, 0
 		for oi < len(old) || ni < len(na) {
 			switch {
@@ -162,7 +169,7 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 			hi++
 		}
 		slot := patches[lo].slot
-		old := prev.adj[slot]
+		old := prev.row(slot)
 		row := make([]ident.NodeID, 0, len(old)+hi-lo)
 		pi := lo
 		for oi := 0; oi < len(old) || pi < hi; {
@@ -192,26 +199,34 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	return g
 }
 
-// unshareAdj privatizes the adjacency storage of a graph that shares rows
-// (ApplyDelta) or rows and header (identity Restrict) with another before
-// the first in-place mutation: every row is copied into one fresh arena,
-// with caps pinned so later growth reallocates privately, under a fresh
-// header — the old one may be a sibling's and is left as it was.
+// header returns a fresh row header over g's adjacency storage: one
+// slice per slot, aliasing the rows where they are.
+func (g *G) header() [][]ident.NodeID {
+	adj := make([][]ident.NodeID, len(g.nodes))
+	for i := range adj {
+		adj[i] = g.row(int32(i))
+	}
+	return adj
+}
+
+// unshareAdj makes the adjacency storage writable before the first
+// in-place mutation: unpacked, under a header of the graph's own — an old
+// one may be a sibling's and is left as it was — and, when rows are shared
+// with another graph (ApplyDelta, identity Restrict), copied into one
+// fresh arena. Caps stay pinned either way, so later growth of a row
+// reallocates it privately.
 func (g *G) unshareAdj() {
-	if !g.cowAdj {
+	if g.off == nil && !g.cowAdj {
 		return
 	}
-	total := 0
-	for _, s := range g.adj {
-		total += len(s)
+	adj := g.header()
+	if g.cowAdj {
+		arena := make([]ident.NodeID, 0, 2*g.edges)
+		for i, s := range adj {
+			start := len(arena)
+			arena = append(arena, s...)
+			adj[i] = arena[start:len(arena):len(arena)]
+		}
 	}
-	arena := make([]ident.NodeID, 0, total)
-	adj := make([][]ident.NodeID, len(g.adj))
-	for i, s := range g.adj {
-		start := len(arena)
-		arena = append(arena, s...)
-		adj[i] = arena[start:len(arena):len(arena)]
-	}
-	g.adj = adj
-	g.cowAdj = false
+	g.adj, g.off, g.arena, g.cowAdj = adj, nil, nil, false
 }

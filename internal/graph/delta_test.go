@@ -122,33 +122,47 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 }
 
 func TestApplyDeltaLeavesPrevIntact(t *testing.T) {
-	w := newDeltaWorld(8)
-	w.set(1, 2, true)
-	w.set(2, 3, true)
-	w.set(3, 4, true)
-	prev := w.build()
-	snapshot := prev.Clone()
+	// Over a packed base (straight from the bulk build) and an unpacked one
+	// (the same graph after an in-place edit and its undo).
+	for _, unpack := range []bool{false, true} {
+		w := newDeltaWorld(8)
+		w.set(1, 2, true)
+		w.set(2, 3, true)
+		w.set(3, 4, true)
+		prev := w.build()
+		if unpack {
+			prev.AddEdge(7, 8)
+			prev.RemoveEdge(7, 8)
+		}
+		if packed := prev.off != nil; packed == unpack {
+			t.Fatalf("base packed = %v with unpack = %v", packed, unpack)
+		}
+		snapshot := prev.Clone()
 
-	w.set(2, 3, false)
-	w.set(2, 5, true)
-	g := ApplyDelta(prev, w.updatesFor([]ident.NodeID{2}))
-	if !prev.Equal(snapshot) {
-		t.Fatal("ApplyDelta mutated prev")
-	}
-	if g.HasEdge(2, 3) || !g.HasEdge(2, 5) || !g.HasEdge(1, 2) {
-		t.Fatalf("patched graph wrong: %v", g.NeighborsView(2))
-	}
+		w.set(2, 3, false)
+		w.set(2, 5, true)
+		g := ApplyDelta(prev, w.updatesFor([]ident.NodeID{2}))
+		if !prev.Equal(snapshot) {
+			t.Fatal("ApplyDelta mutated prev")
+		}
+		if g.HasEdge(2, 3) || !g.HasEdge(2, 5) || !g.HasEdge(1, 2) {
+			t.Fatalf("patched graph wrong: %v", g.NeighborsView(2))
+		}
+		if a, b := prev.NeighborsView(4), g.NeighborsView(4); &a[0] != &b[0] {
+			t.Fatal("an untouched row must be shared with prev")
+		}
 
-	// COW: mutating the patched graph must not leak into prev, and vice
-	// versa — including rows the delta shared untouched.
-	g.RemoveEdge(3, 4)
-	g.AddEdge(6, 7)
-	if !prev.Equal(snapshot) {
-		t.Fatal("mutating the patched graph corrupted prev")
-	}
-	prev.RemoveEdge(1, 2)
-	if g.HasEdge(1, 2) != true {
-		t.Fatal("mutating prev leaked into the patched graph")
+		// COW: mutating the patched graph must not leak into prev, and vice
+		// versa — including rows the delta shared untouched.
+		g.RemoveEdge(3, 4)
+		g.AddEdge(6, 7)
+		if !prev.Equal(snapshot) {
+			t.Fatal("mutating the patched graph corrupted prev")
+		}
+		prev.RemoveEdge(1, 2)
+		if g.HasEdge(1, 2) != true {
+			t.Fatal("mutating prev leaked into the patched graph")
+		}
 	}
 }
 

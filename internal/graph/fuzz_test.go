@@ -19,7 +19,10 @@ import (
 // reference at that moment; from then on bit 0x40 of the first byte
 // swaps which of the two graphs the ops go to, and both are checked
 // against their own references after every op — so a write that leaks
-// across the sharing, in either direction, diverges one of them.
+// across the sharing, in either direction, diverges one of them. Bit 0x80
+// first replaces the graph the op goes to by its packed Clone, so ops —
+// sharing included — also start from offsets + arena; no earlier seed
+// sets it.
 func FuzzCSROps(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x02, 0x23, 0x02, 0x31, 0x03, 0x23})
 	f.Add([]byte{0x02, 0x12, 0x02, 0x13, 0x02, 0x14, 0x01, 0x01, 0x02, 0x12})
@@ -30,6 +33,11 @@ func FuzzCSROps(f *testing.F) {
 	f.Add([]byte{0x02, 0x12, 0x02, 0x23, 0x05, 0x00, 0x00, 0x70, 0x42, 0x80, 0x01, 0x10, 0x43, 0x20, 0x02, 0x13, 0x45, 0x12})
 	// Share, re-share from the sibling, shrink and regrow both sides.
 	f.Add([]byte{0x02, 0x12, 0x02, 0x34, 0x05, 0x00, 0x47, 0x00, 0x01, 0x30, 0x00, 0x90, 0x43, 0x10, 0x42, 0xa0, 0x03, 0x12})
+	// Pack, share, then edit the packed source and its sibling in turn; a
+	// partial restriction of what is left.
+	f.Add([]byte{0x02, 0x12, 0x02, 0x23, 0x02, 0x34, 0x83, 0x00, 0x02, 0x13, 0x45, 0x23, 0x42, 0x90, 0x01, 0x20, 0x82, 0x00})
+	// Every mutator as the first write to a packed graph.
+	f.Add([]byte{0x02, 0x12, 0x02, 0x13, 0x81, 0x12, 0x84, 0x50, 0x85, 0x10, 0x80, 0x45, 0x82, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, sib := New(), (*G)(nil)
 		ref, sibRef := NewRef(), (*Ref)(nil)
@@ -39,6 +47,9 @@ func FuzzCSROps(f *testing.F) {
 			b := ident.NodeID(data[i+1]&0xf) + 1
 			if sib != nil && data[i]&0x40 != 0 {
 				g, sib, ref, sibRef = sib, g, sibRef, ref
+			}
+			if data[i]&0x80 != 0 {
+				g = g.Clone()
 			}
 			switch op {
 			case 0:
@@ -124,9 +135,12 @@ func FuzzCSRFromEdges(f *testing.F) {
 		}
 		g := FromEdges(nodes, edges)
 		checkSame(t, g, ref)
-		// The shared-index rebuild path must agree too.
+		// The shared-index rebuild from g's own rows must agree too.
 		roster := g.Nodes()
-		g2 := FromEdgesShared(g, append([]ident.NodeID(nil), g.nodes...), edges)
+		g2 := FromRows(g, slices.Clone(g.nodes), rowsOf(g))
+		if !g2.sharedIdx || !g.sharedIdx {
+			t.Fatal("rebuild over an equal roster did not share the index")
+		}
 		checkSame(t, g2, ref)
 		if !slices.Equal(roster, g2.Nodes()) {
 			t.Fatal("shared-index rebuild changed the roster")
@@ -189,4 +203,14 @@ func checkSame(t *testing.T, g *G, ref *Ref) {
 			}
 		}
 	}
+}
+
+// rowsOf returns g's rows as FromRows input, in descending slot order (any
+// order must do).
+func rowsOf(g *G) []NodeAdj {
+	rows := make([]NodeAdj, 0, len(g.nodes))
+	for i := len(g.nodes) - 1; i >= 0; i-- {
+		rows = append(rows, NodeAdj{Node: g.nodes[i], Adj: g.row(int32(i))})
+	}
+	return rows
 }

@@ -3,20 +3,22 @@
 // the Dynamic Group Service specification (ΠA, ΠS, ΠM, ΠT) is defined
 // against — plus generators for the topologies used by the experiments.
 //
-// Storage is CSR-style: a node-index map plus per-node sorted flat
-// neighbor slices. Bulk construction (FromEdges — the shape the spatial
-// index's sharded build produces) lays every adjacency out in one shared
-// arena; incremental mutation (AddEdge/RemoveEdge, the experiments' link
-// cuts) edits the slices in place, falling back to a private copy when an
-// arena-backed slice must grow. Compared to the previous map-of-maps
-// representation this removes the per-node map allocations that dominated
-// the per-tick graph rebuild at n=20000, makes neighbor iteration a
-// cache-friendly slice scan in ascending order, and lets observers diff
+// Storage is CSR: a node-index map plus one ascending neighbor row per
+// node, in one of two forms read through row(i). A bulk-built graph
+// (FromRows — the spatial index's per-tick rebuild — FromEdges, Clone, a
+// partial Restrict) is packed: n+1 offsets over one arena, no per-row
+// header. The first in-place mutation (AddEdge/RemoveEdge, the
+// experiments' link cuts) unpacks it into one slice header per row, still
+// aliasing the arena, and edits those in place, a row that must grow
+// taking a private copy; an ApplyDelta child is unpacked from birth, its
+// untouched rows aliasing its parent's storage. Either way neighbor
+// iteration is a slice scan in ascending order, and observers diff
 // neighborhoods with a flat slice compare (NeighborsView).
 package graph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/ident"
@@ -35,7 +37,14 @@ type Edge struct{ U, V ident.NodeID }
 type G struct {
 	idx   map[ident.NodeID]int32 // node → slot
 	nodes []ident.NodeID         // slot → node (insertion order)
-	adj   [][]ident.NodeID       // slot → neighbors, ascending
+
+	// Slot → neighbors, ascending; read through row(i). Packed (off != nil,
+	// adj == nil): row i is arena[off[i]:off[i+1]], and nothing is ever
+	// written. Unpacked (off == nil): row i is adj[i]; unshareAdj is the only
+	// way from the first form to the second.
+	off   []uint32
+	arena []ident.NodeID
+	adj   [][]ident.NodeID
 
 	// sorted caches the ascending roster; rebuilt lazily after node
 	// membership changes (edge mutations never invalidate it).
@@ -43,12 +52,12 @@ type G struct {
 	sortedOK bool
 
 	// sharedIdx marks idx/nodes as shared with another graph built over
-	// the same roster (FromEdgesShared, ApplyDelta, identity Restrict);
-	// any node mutation first takes a private copy.
+	// the same roster (FromRows, ApplyDelta, identity Restrict); any node
+	// mutation first takes a private copy.
 	sharedIdx bool
 
-	// cowAdj marks the adjacency rows (ApplyDelta) or rows and header
-	// both (identity Restrict) as shared with another graph; any edge
+	// cowAdj marks the adjacency rows (ApplyDelta) or the whole adjacency
+	// storage (identity Restrict) as shared with another graph; any
 	// mutation first privatizes them (unshareAdj in delta.go).
 	cowAdj bool
 
@@ -61,80 +70,134 @@ func New() *G {
 	return &G{idx: make(map[ident.NodeID]int32)}
 }
 
-// FromEdges bulk-builds a graph over the given nodes and undirected
-// edges in a single arena: degrees are counted, one flat neighbor array
-// is allocated, and each node's segment is filled and sorted. Endpoints
-// absent from nodes are added; self-loops and duplicate edges are
-// ignored. This is the construction path of the spatial index's 64-shard
-// fan-out — the result is identical for any permutation of edges.
+// FromEdges bulk-builds a packed graph over the given nodes and
+// undirected edges: degrees are counted into the offsets, one arena is
+// allocated, and each node's segment is filled, sorted and compacted.
+// Endpoints absent from nodes are added; self-loops and duplicate edges
+// are ignored. The result is identical for any permutation of edges.
 func FromEdges(nodes []ident.NodeID, edges []Edge) *G {
-	return FromEdgesShared(nil, nodes, edges)
-}
-
-// FromEdgesShared is FromEdges with one amortization: when prev is a
-// graph whose slots were created over exactly this node sequence (the
-// per-tick rebuild of a mobile world whose membership didn't change),
-// the new graph shares prev's node index instead of rebuilding the map.
-// Both graphs mark the roster shared and take a private copy before any
-// later node mutation, so sharing is invisible to callers.
-func FromEdgesShared(prev *G, nodes []ident.NodeID, edges []Edge) *G {
-	g := &G{}
-	if prev != nil && len(prev.nodes) == len(nodes) && slices.Equal(prev.nodes, nodes) {
-		prev.sharedIdx = true
-		g.idx = prev.idx
-		g.nodes = prev.nodes
-		g.adj = make([][]ident.NodeID, len(nodes))
-		g.sharedIdx = true
-	} else {
-		g.idx = make(map[ident.NodeID]int32, len(nodes))
-		for _, v := range nodes {
-			g.ensure(v)
-		}
+	g := &G{idx: make(map[ident.NodeID]int32, len(nodes)), nodes: make([]ident.NodeID, 0, len(nodes))}
+	for _, v := range nodes {
+		g.addSlot(v)
 	}
 	for _, e := range edges {
 		if e.U != e.V {
-			g.ensure(e.U)
-			g.ensure(e.V)
+			g.addSlot(e.U)
+			g.addSlot(e.V)
 		}
 	}
-	deg := make([]int32, len(g.nodes))
+	n := len(g.nodes)
+	off := make([]uint32, n+1)
 	for _, e := range edges {
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			off[g.idx[e.U]+1]++
+			off[g.idx[e.V]+1]++
 		}
-		deg[g.idx[e.U]]++
-		deg[g.idx[e.V]]++
 	}
-	total := 0
-	for _, d := range deg {
-		total += int(d)
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
 	}
-	arena := make([]ident.NodeID, total)
-	off := int32(0)
-	for i, d := range deg {
-		// Full slice expressions pin cap to the segment: a later AddEdge
-		// that must grow this adjacency reallocates a private slice
-		// instead of clobbering the next node's segment.
-		g.adj[i] = arena[off : off : off+d]
-		off += d
-	}
+	// off[i] is the fill cursor of row i: once every edge is placed it has
+	// reached the row's end, which is where row i+1 began.
+	arena := make([]ident.NodeID, off[n])
 	for _, e := range edges {
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			iu, iv := g.idx[e.U], g.idx[e.V]
+			arena[off[iu]] = e.V
+			off[iu]++
+			arena[off[iv]] = e.U
+			off[iv]++
 		}
-		iu, iv := g.idx[e.U], g.idx[e.V]
-		g.adj[iu] = append(g.adj[iu], e.V)
-		g.adj[iv] = append(g.adj[iv], e.U)
 	}
-	for i := range g.adj {
-		s := g.adj[i]
-		slices.Sort(s)
-		s = slices.Compact(s) // drop duplicate edges
-		g.adj[i] = s
-		g.edges += len(s)
+	// Sort each segment and close the gaps duplicate edges leave: rows move
+	// down to the write position w, and off[i] becomes row i's new start.
+	lo, w := uint32(0), uint32(0)
+	for i := 0; i < n; i++ {
+		hi := off[i]
+		off[i] = w
+		seg := arena[lo:hi]
+		slices.Sort(seg)
+		for k, v := range seg {
+			if k == 0 || v != arena[w-1] {
+				arena[w] = v
+				w++
+			}
+		}
+		lo = hi
 	}
-	g.edges /= 2
+	off[n] = w
+	g.off, g.arena, g.edges = off, arena[:w], int(w)/2
 	return g
+}
+
+// FromRows bulk-builds a packed graph from one finished row per node: the
+// full-rebuild sibling of ApplyDelta, fed by the same vicinity scan. rows
+// holds exactly one entry per node of nodes, in any order, each Adj
+// strictly ascending, self-free and naming only nodes of nodes (violations
+// panic); that v is in u's row iff u is in v's is the caller's symmetric
+// link predicate's to guarantee, and is not re-checked. The rows are
+// copied, not adopted. When prev was built over exactly this node
+// sequence (a mobile world's rebuild with unchanged membership), the
+// result shares its node index copy-on-write instead of rebuilding the
+// map: either graph takes a private copy before a later node mutation.
+func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
+	g := &G{}
+	if prev != nil && slices.Equal(prev.nodes, nodes) {
+		prev.sharedIdx, g.sharedIdx = true, true
+		g.idx, g.nodes = prev.idx, prev.nodes
+	} else {
+		g.idx, g.nodes = make(map[ident.NodeID]int32, len(nodes)), make([]ident.NodeID, 0, len(nodes))
+		for _, v := range nodes {
+			g.addSlot(v)
+		}
+	}
+	n := len(g.nodes)
+	if len(rows) != n {
+		panic(fmt.Sprintf("graph: FromRows: %d rows for %d nodes", len(rows), n))
+	}
+	// off[i+1] holds len(row i)+1 until the prefix sum, so that zero means
+	// "no row yet": n rows, none unknown, none repeated — none missing.
+	off := make([]uint32, n+1)
+	for _, r := range rows {
+		i, ok := g.idx[r.Node]
+		if !ok {
+			panic(fmt.Sprintf("graph: FromRows: unknown node %v", r.Node))
+		}
+		if off[i+1] != 0 {
+			panic(fmt.Sprintf("graph: FromRows: duplicate row for %v", r.Node))
+		}
+		off[i+1] = uint32(len(r.Adj)) + 1
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] = off[i] + off[i+1] - 1
+	}
+	arena := make([]ident.NodeID, off[n])
+	for _, r := range rows {
+		checkRow("FromRows", g.idx, r)
+		copy(arena[off[g.idx[r.Node]]:], r.Adj)
+	}
+	g.off, g.arena, g.edges = off, arena, len(arena)/2
+	return g
+}
+
+// addSlot gives v a slot in the roster of a graph under bulk construction
+// (no adjacency storage yet), if it has none.
+func (g *G) addSlot(v ident.NodeID) {
+	if _, ok := g.idx[v]; !ok {
+		g.idx[v] = int32(len(g.nodes))
+		g.nodes = append(g.nodes, v)
+	}
+}
+
+// row returns slot i's neighbors, ascending, in either storage form. A
+// packed row's cap is pinned to its segment, so that nothing appended to
+// it can reach the next row.
+func (g *G) row(i int32) []ident.NodeID {
+	if g.off != nil {
+		lo, hi := g.off[i], g.off[i+1]
+		return g.arena[lo:hi:hi]
+	}
+	return g.adj[i]
 }
 
 // ensure returns v's slot, creating it if needed (no generation bump —
@@ -144,6 +207,7 @@ func (g *G) ensure(v ident.NodeID) int32 {
 		return i
 	}
 	g.unshareIdx()
+	g.unshareAdj()
 	if g.idx == nil {
 		g.idx = make(map[ident.NodeID]int32)
 	}
@@ -155,7 +219,7 @@ func (g *G) ensure(v ident.NodeID) int32 {
 	return i
 }
 
-// unshareIdx takes a private copy of a roster shared via FromEdgesShared,
+// unshareIdx takes a private copy of a roster shared via FromRows,
 // ApplyDelta or Restrict before the first node mutation. The sorted-roster
 // cache may be shared too (the latter two); it is detached rather than
 // copied so the next roster() rebuild cannot scribble over the sibling's.
@@ -163,31 +227,24 @@ func (g *G) unshareIdx() {
 	if !g.sharedIdx {
 		return
 	}
-	idx := make(map[ident.NodeID]int32, len(g.idx))
-	for v, i := range g.idx {
-		idx[v] = i
-	}
-	g.idx = idx
+	g.idx = maps.Clone(g.idx)
 	g.nodes = slices.Clone(g.nodes)
 	g.sorted, g.sortedOK = nil, false
 	g.sharedIdx = false
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, packed.
 func (g *G) Clone() *G {
 	out := &G{
-		idx:   make(map[ident.NodeID]int32, len(g.idx)),
+		idx:   maps.Clone(g.idx),
 		nodes: slices.Clone(g.nodes),
-		adj:   make([][]ident.NodeID, len(g.adj)),
+		off:   make([]uint32, len(g.nodes)+1),
+		arena: make([]ident.NodeID, 0, 2*g.edges),
 		edges: g.edges,
 	}
-	for v, i := range g.idx {
-		out.idx[v] = i
-	}
-	for i, nb := range g.adj {
-		if len(nb) > 0 {
-			out.adj[i] = slices.Clone(nb)
-		}
+	for i := range g.nodes {
+		out.arena = append(out.arena, g.row(int32(i))...)
+		out.off[i+1] = uint32(len(out.arena))
 	}
 	return out
 }
@@ -280,7 +337,7 @@ func (g *G) RemoveEdge(u, v ident.NodeID) {
 	if !ok {
 		return
 	}
-	if _, found := slices.BinarySearch(g.adj[iu], v); !found {
+	if _, found := slices.BinarySearch(g.row(iu), v); !found {
 		return
 	}
 	g.unshareAdj()
@@ -298,7 +355,7 @@ func (g *G) HasEdge(u, v ident.NodeID) bool {
 	if !ok {
 		return false
 	}
-	_, found := slices.BinarySearch(g.adj[i], v)
+	_, found := slices.BinarySearch(g.row(i), v)
 	return found
 }
 
@@ -346,7 +403,7 @@ func (g *G) IndexOf(v ident.NodeID) int32 {
 // NeighborsAt is NeighborsView by internal index (see IndexOf): the
 // map-free adjacency access for index-based scans. i must be a valid
 // index for this graph.
-func (g *G) NeighborsAt(i int32) []ident.NodeID { return g.adj[i] }
+func (g *G) NeighborsAt(i int32) []ident.NodeID { return g.row(i) }
 
 // Neighbors returns v's neighbors in ascending order (a fresh copy).
 func (g *G) Neighbors(v ident.NodeID) []ident.NodeID {
@@ -354,7 +411,7 @@ func (g *G) Neighbors(v ident.NodeID) []ident.NodeID {
 	if !ok {
 		return nil
 	}
-	return slices.Clone(g.adj[i])
+	return slices.Clone(g.row(i))
 }
 
 // NeighborsView returns v's neighbors in ascending order as a view of the
@@ -366,7 +423,7 @@ func (g *G) NeighborsView(v ident.NodeID) []ident.NodeID {
 	if !ok {
 		return nil
 	}
-	return g.adj[i]
+	return g.row(i)
 }
 
 // AppendNeighbors appends v's neighbors in ascending order to buf and
@@ -377,7 +434,7 @@ func (g *G) AppendNeighbors(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
 	if !ok {
 		return buf
 	}
-	return append(buf, g.adj[i]...)
+	return append(buf, g.row(i)...)
 }
 
 // ForEachNeighbor calls fn for every neighbor of v, in ascending order —
@@ -388,7 +445,7 @@ func (g *G) ForEachNeighbor(v ident.NodeID, fn func(u ident.NodeID)) {
 	if !ok {
 		return
 	}
-	for _, u := range g.adj[i] {
+	for _, u := range g.row(i) {
 		fn(u)
 	}
 }
@@ -399,7 +456,7 @@ func (g *G) Degree(v ident.NodeID) int {
 	if !ok {
 		return 0
 	}
-	return len(g.adj[i])
+	return len(g.row(i))
 }
 
 // BFSFrom returns the distance from src to every reachable node, optionally
@@ -415,7 +472,7 @@ func (g *G) BFSFrom(src ident.NodeID, within map[ident.NodeID]bool) map[ident.No
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.adj[g.idx[v]] {
+		for _, u := range g.row(g.idx[v]) {
 			if within != nil && !within[u] {
 				continue
 			}
@@ -500,7 +557,7 @@ func (g *G) Equal(o *G) bool {
 	}
 	for v, i := range g.idx {
 		j, ok := o.idx[v]
-		if !ok || !slices.Equal(g.adj[i], o.adj[j]) {
+		if !ok || !slices.Equal(g.row(i), o.row(j)) {
 			return false
 		}
 	}
@@ -515,24 +572,21 @@ func (g *G) String() string {
 // Restrict returns the subgraph induced by the nodes keep accepts (keep is
 // called once per node). When it accepts every node the result is a
 // copy-on-write sibling at the cost of one G: it shares g's node index,
-// roster, row header and rows, and either graph privatizes what it is
-// about to write (unshareIdx, unshareAdj) before any later mutation. Like
-// ApplyDelta(prev, …) this sets two flags on its receiver, so Restrict
-// must be called from a sequential phase, never beside concurrent readers
-// of g. Otherwise the result is a deep copy in one pass, the kept
-// adjacencies filtered into a single arena.
+// roster and adjacency storage in whichever form g has it, and either
+// graph privatizes what it is about to write (unshareIdx, unshareAdj)
+// before any later mutation. Like ApplyDelta(prev, …) this sets two flags
+// on its receiver, so Restrict must be called from a sequential phase,
+// never beside concurrent readers of g. Otherwise the result is a deep
+// copy in one pass, packed.
 func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 	cut := 0 // first rejected slot
 	for cut < len(g.nodes) && keep(g.nodes[cut]) {
 		cut++
 	}
 	if cut == len(g.nodes) {
-		// The cap pin makes either side's next ensure() reallocate the
-		// header instead of appending into the other's backing array: a
-		// shared header is never written.
-		g.adj = g.adj[:len(g.adj):len(g.adj)]
 		g.sharedIdx, g.cowAdj = true, true
-		out := &G{idx: g.idx, nodes: g.nodes, adj: g.adj, sharedIdx: true, cowAdj: true, edges: g.edges}
+		out := &G{idx: g.idx, nodes: g.nodes, off: g.off, arena: g.arena, adj: g.adj,
+			sharedIdx: true, cowAdj: true, edges: g.edges}
 		if g.sortedOK {
 			out.sorted, out.sortedOK = g.sorted, true
 		}
@@ -543,23 +597,22 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 	total := 0
 	for i, v := range g.nodes {
 		if i < cut || (i > cut && keep(v)) {
-			out.ensure(v)
+			out.addSlot(v)
 			slots = append(slots, int32(i))
-			total += len(g.adj[i])
+			total += len(g.row(int32(i)))
 		}
 	}
-	arena := make([]ident.NodeID, 0, total)
+	out.off = make([]uint32, len(slots)+1)
+	out.arena = make([]ident.NodeID, 0, total)
 	for oi, i := range slots {
-		start := len(arena)
-		for _, u := range g.adj[i] {
+		for _, u := range g.row(i) {
 			if _, kept := out.idx[u]; kept {
-				arena = append(arena, u)
+				out.arena = append(out.arena, u)
 			}
 		}
-		out.adj[oi] = arena[start:len(arena):len(arena)]
-		out.edges += len(out.adj[oi])
+		out.off[oi+1] = uint32(len(out.arena))
 	}
-	out.edges /= 2
+	out.edges = len(out.arena) / 2
 	return out
 }
 

@@ -268,39 +268,43 @@ func TestAppendVariantsMatchAllocating(t *testing.T) {
 // zero) over the source's storage, and a restriction that drops a node is
 // not.
 func TestRestrictIdentityShares(t *testing.T) {
-	g := Grid(4, 4)
-	g.RemoveEdge(1, 2) // generation > 0, and rows edited in place
-	all := func(ident.NodeID) bool { return true }
-	s := g.Restrict(all)
-	if s == g || s.Generation() != 0 {
-		t.Fatalf("sibling must be a fresh graph at generation 0 (got %d)", s.Generation())
-	}
-	if !s.Equal(g) || s.NumEdges() != g.NumEdges() || !slices.Equal(s.Nodes(), g.Nodes()) {
-		t.Fatalf("sibling %v differs from source %v", s, g)
-	}
-	for _, v := range g.Nodes() {
-		a, b := g.NeighborsView(v), s.NeighborsView(v)
-		if len(a) == 0 || &a[0] != &b[0] {
-			t.Fatalf("row of %v is not shared", v)
+	unpacked := Grid(4, 4)
+	unpacked.RemoveEdge(1, 2) // generation > 0, and rows edited in place
+	// The same over both storage forms: rows under their own headers, and
+	// the packed copy of them.
+	for _, g := range []*G{unpacked, unpacked.Clone()} {
+		all := func(ident.NodeID) bool { return true }
+		s := g.Restrict(all)
+		if s == g || s.Generation() != 0 {
+			t.Fatalf("sibling must be a fresh graph at generation 0 (got %d)", s.Generation())
 		}
-	}
-	p := g.Restrict(func(v ident.NodeID) bool { return v != 16 })
-	if a, b := g.NeighborsView(6), p.NeighborsView(6); &a[0] == &b[0] || !slices.Equal(a, b) {
-		t.Fatal("a partial restriction must copy its rows")
-	}
+		if !s.Equal(g) || s.NumEdges() != g.NumEdges() || !slices.Equal(s.Nodes(), g.Nodes()) {
+			t.Fatalf("sibling %v differs from source %v", s, g)
+		}
+		for _, v := range g.Nodes() {
+			a, b := g.NeighborsView(v), s.NeighborsView(v)
+			if len(a) == 0 || &a[0] != &b[0] {
+				t.Fatalf("row of %v is not shared", v)
+			}
+		}
+		p := g.Restrict(func(v ident.NodeID) bool { return v != 16 })
+		if a, b := g.NeighborsView(6), p.NeighborsView(6); &a[0] == &b[0] || !slices.Equal(a, b) {
+			t.Fatal("a partial restriction must copy its rows")
+		}
 
-	// Either side grows and shrinks without the other noticing.
-	want := g.Clone()
-	s.AddNode(100)
-	s.RemoveNode(6)
-	s.AddEdge(1, 2)
-	if !g.Equal(want) {
-		t.Fatal("mutating the sibling leaked into the source")
-	}
-	s2 := g.Restrict(all)
-	g.AddNode(200)
-	g.RemoveNode(7)
-	if !s2.Equal(want) || s2.HasNode(200) {
-		t.Fatal("mutating the source leaked into the sibling")
+		// Either side grows and shrinks without the other noticing.
+		want := g.Clone()
+		s.AddNode(100)
+		s.RemoveNode(6)
+		s.AddEdge(1, 2)
+		if !g.Equal(want) {
+			t.Fatal("mutating the sibling leaked into the source")
+		}
+		s2 := g.Restrict(all)
+		g.AddNode(200)
+		g.RemoveNode(7)
+		if !s2.Equal(want) || s2.HasNode(200) {
+			t.Fatal("mutating the source leaked into the sibling")
+		}
 	}
 }

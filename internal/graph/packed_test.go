@@ -1,0 +1,267 @@
+package graph
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/ident"
+)
+
+// Tests of the packed storage form (offsets + arena): construction
+// against the map reference, copy-on-write between a packed graph, its
+// identity-Restrict sibling and its ApplyDelta child, and row identity
+// down a delta chain.
+
+// randomRows draws a random roster (sparse IDs, shuffled slot order, some
+// nodes isolated) with a symmetric random edge set, and returns it as
+// FromRows input in a random row order beside the reference graph.
+func randomRows(rng *rand.Rand) (nodes []ident.NodeID, rows []NodeAdj, ref *Ref) {
+	n := 1 + rng.Intn(24)
+	seen := map[ident.NodeID]bool{}
+	for len(nodes) < n {
+		if v := ident.NodeID(1 + rng.Intn(200)); !seen[v] {
+			seen[v] = true
+			nodes = append(nodes, v)
+		}
+	}
+	ref = NewRef()
+	for _, v := range nodes {
+		ref.AddNode(v)
+	}
+	for k := rng.Intn(3 * (n + 1)); k > 0 && n > 2; k-- {
+		u, v := nodes[rng.Intn(n-2)], nodes[rng.Intn(n-2)] // the last two stay isolated
+		ref.AddEdge(u, v)
+	}
+	for _, i := range rng.Perm(n) {
+		rows = append(rows, NodeAdj{Node: nodes[i], Adj: ref.Neighbors(nodes[i])})
+	}
+	return nodes, rows, ref
+}
+
+func TestFromRowsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var prev *G
+	for round := 0; round < 300; round++ {
+		nodes, rows, ref := randomRows(rng)
+		// prev is nil, the last graph (a different roster: no sharing), or
+		// a graph over this very roster (shared index).
+		switch round % 3 {
+		case 1:
+			prev = nil
+		case 2:
+			prev = FromRows(nil, nodes, rows)
+		}
+		g := FromRows(prev, nodes, rows)
+		if shared := round%3 == 2; g.sharedIdx != shared {
+			t.Fatalf("round %d: sharedIdx = %v, want %v", round, g.sharedIdx, shared)
+		}
+		checkSame(t, g, ref)
+		if g.off == nil || g.adj != nil {
+			t.Fatalf("round %d: FromRows result is not packed", round)
+		}
+		for i, v := range nodes {
+			if g.IndexOf(v) != int32(i) {
+				t.Fatalf("round %d: slot of %v is %d, want roster position %d", round, v, g.IndexOf(v), i)
+			}
+		}
+		// The rows were copied, not adopted.
+		for _, r := range rows {
+			if len(r.Adj) > 0 && &r.Adj[0] == &g.NeighborsView(r.Node)[0] {
+				t.Fatalf("round %d: row of %v aliases the caller's slice", round, r.Node)
+			}
+		}
+		// The same graph from its edge list, duplicates, self-loops and
+		// endpoints absent from the roster included.
+		var edges []Edge
+		for _, r := range rows {
+			for _, v := range r.Adj {
+				edges = append(edges, Edge{U: r.Node, V: v}, Edge{U: v, V: v})
+			}
+		}
+		cut := len(nodes) / 2
+		fe := FromEdges(nodes[cut:], edges)
+		for _, v := range nodes[:cut] {
+			fe.AddNode(v) // the isolated ones are still missing
+		}
+		checkSame(t, fe, ref)
+		prev = g
+	}
+	if g := FromRows(nil, nil, nil); g.NumNodes() != 0 || !g.Equal(New()) {
+		t.Fatalf("empty roster built %v", g)
+	}
+}
+
+func TestFromRowsPanicsOnViolations(t *testing.T) {
+	nodes := []ident.NodeID{1, 2, 3}
+	ok := []NodeAdj{{Node: 1, Adj: []ident.NodeID{2}}, {Node: 2, Adj: []ident.NodeID{1}}, {Node: 3}}
+	if g := FromRows(nil, nodes, ok); g.NumEdges() != 1 || !g.HasEdge(2, 1) || g.Degree(3) != 0 {
+		t.Fatalf("well-formed rows built %v", g)
+	}
+	with := func(i int, r NodeAdj) []NodeAdj {
+		rows := slices.Clone(ok)
+		rows[i] = r
+		return rows
+	}
+	for name, rows := range map[string][]NodeAdj{
+		"missing node":     ok[:2],
+		"surplus row":      append(slices.Clone(ok), NodeAdj{Node: 3}),
+		"duplicate row":    with(2, NodeAdj{Node: 1, Adj: []ident.NodeID{2}}),
+		"unknown node":     with(2, NodeAdj{Node: 9}),
+		"unknown neighbor": with(2, NodeAdj{Node: 3, Adj: []ident.NodeID{9}}),
+		"self-loop":        with(2, NodeAdj{Node: 3, Adj: []ident.NodeID{3}}),
+		"unsorted":         with(2, NodeAdj{Node: 3, Adj: []ident.NodeID{2, 1}}),
+		"repeated":         with(2, NodeAdj{Node: 3, Adj: []ident.NodeID{1, 1}}),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			FromRows(nil, nodes, rows)
+		}()
+	}
+}
+
+// TestPackedCopyOnWrite mutates a packed graph, its identity-Restrict
+// sibling and its ApplyDelta child in every order, and after every
+// mutation requires the other two — and a second-generation child — to be
+// what they were.
+func TestPackedCopyOnWrite(t *testing.T) {
+	all := func(ident.NodeID) bool { return true }
+	mutate := func(g *G) {
+		g.RemoveEdge(1, 2) // a row all three share
+		g.AddEdge(2, 7)    // grows two rows
+		g.AddNode(50)
+		g.RemoveNode(4) // swap-deletes a slot
+	}
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		w := newDeltaWorld(8)
+		for _, e := range [][2]ident.NodeID{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 6}, {7, 8}} {
+			w.set(e[0], e[1], true)
+		}
+		base := w.build()
+		if base.off == nil {
+			t.Fatal("FromEdges result is not packed")
+		}
+		sib := base.Restrict(all)
+		w.set(5, 6, false)
+		w.set(5, 8, true)
+		child := ApplyDelta(base, w.updatesFor([]ident.NodeID{5}))
+		graphs := [3]*G{base, sib, child}
+		var want [3]*G
+		for i, g := range graphs {
+			want[i] = g.Clone()
+		}
+		for _, k := range order {
+			mutate(graphs[k])
+			want[k] = graphs[k].Clone()
+			for i, g := range graphs {
+				if !g.Equal(want[i]) || !slices.Equal(g.Nodes(), want[i].Nodes()) {
+					t.Fatalf("order %v: mutating graph %d changed graph %d: %v, want %v", order, k, i, g, want[i])
+				}
+			}
+		}
+		// Each graph, mutated and unpacked by now, is still a sound base.
+		for i, g := range graphs {
+			if !g.Restrict(all).Equal(want[i]) || !ApplyDelta(g, nil).Equal(want[i]) {
+				t.Fatalf("order %v: graph %d no longer shares soundly", order, i)
+			}
+		}
+	}
+}
+
+// TestRowIdentityAcrossDeltaChain pins what the receiver caches key on: a
+// row no delta step patched keeps its backing array from the packed base
+// through every child, and a patched one does not.
+func TestRowIdentityAcrossDeltaChain(t *testing.T) {
+	w := newDeltaWorld(10)
+	for i := 1; i < 10; i++ {
+		w.set(ident.NodeID(i), ident.NodeID(i+1), true)
+	}
+	base := w.build()
+	w.set(1, 2, false) // patches rows 1 (update) and 2 (mirror)
+	c1 := ApplyDelta(base, w.updatesFor([]ident.NodeID{1}))
+	w.set(9, 10, false) // rows 9 and 10
+	c2 := ApplyDelta(c1, w.updatesFor([]ident.NodeID{10}))
+	rowPtr := func(g *G, v ident.NodeID) *ident.NodeID {
+		row := g.NeighborsAt(g.IndexOf(v))
+		if len(row) == 0 {
+			return nil
+		}
+		return &row[0]
+	}
+	for v := ident.NodeID(3); v <= 8; v++ {
+		if p := rowPtr(base, v); p == nil || p != rowPtr(c1, v) || p != rowPtr(c2, v) {
+			t.Fatalf("untouched row %v moved along the chain", v)
+		}
+	}
+	if rowPtr(base, 2) == rowPtr(c1, 2) || rowPtr(c1, 2) != rowPtr(c2, 2) {
+		t.Fatal("row 2: patched by the first step only")
+	}
+	if rowPtr(base, 9) != rowPtr(c1, 9) || rowPtr(c1, 9) == rowPtr(c2, 9) {
+		t.Fatal("row 9: patched by the second step only")
+	}
+	// The rows of the packed base read the same through every accessor.
+	for _, v := range w.nodes {
+		if p := rowPtr(base, v); p != nil && p != &base.NeighborsView(v)[0] {
+			t.Fatalf("NeighborsAt and NeighborsView of %v disagree", v)
+		}
+	}
+}
+
+// TestReadersAgreeAcrossForms reads one graph through every accessor in
+// both storage forms — the generator's rows under their own headers and
+// the packed copy of them — and against the map reference: row(i) is the
+// only place that knows the difference.
+func TestReadersAgreeAcrossForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	unpacked := RandomGeometric(40, 12, 3, rng)
+	unpacked.AddNode(77) // isolated
+	packed := unpacked.Clone()
+	if unpacked.off != nil || packed.off == nil {
+		t.Fatal("expected one graph of each form")
+	}
+	ref := NewRef()
+	for _, v := range unpacked.Nodes() {
+		ref.AddNode(v)
+		for _, u := range unpacked.Neighbors(v) {
+			ref.AddEdge(v, u)
+		}
+	}
+	if ref.NumNodes() != packed.NumNodes() || !packed.Equal(unpacked) || !unpacked.Equal(packed) {
+		t.Fatalf("packed %v, unpacked %v, reference n=%d", packed, unpacked, ref.NumNodes())
+	}
+	comp := map[ident.NodeID]bool{}
+	for v := range ref.BFSFrom(1, nil) {
+		comp[v] = true
+	}
+	for _, g := range []*G{unpacked, packed} {
+		checkSame(t, g, ref)
+		if g.String() != packed.String() || g.IndexOf(999) != -1 || g.Neighbors(999) != nil || g.HasEdge(999, 1) {
+			t.Fatalf("%v: unknown-node queries", g)
+		}
+		for _, v := range g.Nodes() {
+			var seen []ident.NodeID
+			g.ForEachNeighbor(v, func(u ident.NodeID) {
+				seen = append(seen, u)
+				if !ref.HasEdge(v, u) {
+					t.Fatalf("phantom edge %v-%v", v, u)
+				}
+			})
+			if !slices.Equal(seen, g.NeighborsAt(g.IndexOf(v))) {
+				t.Fatalf("ForEachNeighbor(%v) = %v", v, seen)
+			}
+		}
+		if !g.InducedConnected(comp) || g.InducedConnected(map[ident.NodeID]bool{1: true, 77: true}) || !g.InducedConnected(nil) {
+			t.Fatal("InducedConnected disagrees with the BFS component")
+		}
+		if got, want := g.InducedDiameter(comp), ref.InducedDiameter(comp); got != want {
+			t.Fatalf("InducedDiameter = %d, reference %d", got, want)
+		}
+		if g.InducedDiameter(g.NodeSet()) != Infinity || ref.InducedDiameter(g.NodeSet()) != Infinity {
+			t.Fatal("a graph with an isolated node has infinite diameter")
+		}
+	}
+}

@@ -17,7 +17,10 @@
 // never propagated more than one hop.
 package ident
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // NodeID identifies a node. IDs are dense small integers in simulations but
 // nothing in the protocol relies on density; only equality and total order
@@ -28,7 +31,12 @@ type NodeID uint32
 const None NodeID = 0
 
 // String renders the ID as the paper does (n<id>).
-func (id NodeID) String() string { return fmt.Sprintf("n%d", uint32(id)) }
+func (id NodeID) String() string { return string(id.AppendString(nil)) }
+
+// AppendString appends what String returns to b.
+func (id NodeID) AppendString(b []byte) []byte {
+	return strconv.AppendUint(append(b, 'n'), uint64(id), 10)
+}
 
 // Mark is the per-entry mark level.
 type Mark uint8
@@ -77,15 +85,18 @@ type Entry struct {
 }
 
 // String renders the entry with the paper's bar notation.
-func (e Entry) String() string {
+func (e Entry) String() string { return string(e.AppendString(nil)) }
+
+// AppendString appends what String returns to b.
+func (e Entry) AppendString(b []byte) []byte {
+	b = e.ID.AppendString(b)
 	switch e.Mark {
 	case MarkSingle:
-		return e.ID.String() + "'"
+		b = append(b, '\'')
 	case MarkDouble:
-		return e.ID.String() + "''"
-	default:
-		return e.ID.String()
+		b = append(b, "''"...)
 	}
+	return b
 }
 
 // Plain returns an unmarked entry for id.

@@ -1,25 +1,27 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ident"
 )
 
-// NodeStateHash digests one node's protocol-visible state: the same
-// fields, in the same rendering, as the conformance suite's per-round
-// state hash — list, view, priorities and self-quarantine. Equal hashes
-// across two runs are the per-node witness of a bit-identical trace.
-func NodeStateHash(v ident.NodeID, n *core.Node) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%v|%s|%s|%d\n",
-		v, n.List(), n.View(), n.Priority(), n.GroupPriority(), n.QuarantineOf(v))
-	return h.Sum64()
+// FNV-1a, 64 bit, written out: the fingerprint runs once per node at the
+// end of a run — inside the timed window of a sharded run's last round —
+// and must not allocate per node.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnv1a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
 }
 
 // NodeHashPair carries one node's state hash to the fingerprint fold.
@@ -34,21 +36,29 @@ type NodeHashPair struct {
 // lets a distributed run (internal/dist) assemble the identical
 // fingerprint from per-shard fragments.
 func FoldFingerprint(pairs []NodeHashPair) uint64 {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].ID < pairs[j].ID })
-	h := fnv.New64a()
+	slices.SortFunc(pairs, func(a, b NodeHashPair) int { return cmp.Compare(a.ID, b.ID) })
+	h := uint64(fnvOffset64)
 	var b [12]byte
 	for _, p := range pairs {
 		binary.LittleEndian.PutUint32(b[:], uint32(p.ID))
 		binary.LittleEndian.PutUint64(b[4:], p.Hash)
-		h.Write(b[:])
+		h = fnv1a(h, b[:])
 	}
-	return h.Sum64()
+	return h
 }
 
-// AppendEngineHashes appends one pair per current member of e.
+// AppendEngineHashes appends one pair per current member of e: the digest
+// of the node's protocol-visible state as core.Node.AppendState renders it
+// — the same fields, in the same rendering, as the conformance suite's
+// per-round state hash. Equal hashes across two runs are the per-node
+// witness of a bit-identical trace.
 func AppendEngineHashes(dst []NodeHashPair, e *engine.Engine) []NodeHashPair {
-	for _, v := range e.Order() {
-		dst = append(dst, NodeHashPair{ID: v, Hash: NodeStateHash(v, e.Node(v))})
+	order := e.Order()
+	dst = slices.Grow(dst, len(order))
+	var line []byte
+	for _, v := range order {
+		line = e.Node(v).AppendState(line[:0])
+		dst = append(dst, NodeHashPair{ID: v, Hash: fnv1a(fnvOffset64, line)})
 	}
 	return dst
 }

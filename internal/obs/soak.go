@@ -93,7 +93,7 @@ type SoakConfig struct {
 	WakeTrace func(round int, w introspect.WakeRec) error
 
 	// Fingerprint computes the end-of-run state fingerprint (the fold of
-	// every node's NodeStateHash) into SoakResult.Fingerprint — the
+	// every node's state hash) into SoakResult.Fingerprint — the
 	// value a distributed run (internal/dist) must reproduce exactly.
 	Fingerprint bool
 }

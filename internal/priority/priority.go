@@ -10,7 +10,7 @@
 package priority
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ident"
 )
@@ -53,11 +53,15 @@ func (p P) Tick() P { return P{Clock: p.Clock + 1, ID: p.ID} }
 func (p P) IsInfinite() bool { return p == Infinite }
 
 // String implements fmt.Stringer.
-func (p P) String() string {
+func (p P) String() string { return string(p.AppendString(nil)) }
+
+// AppendString appends what String returns to b.
+func (p P) AppendString(b []byte) []byte {
 	if p.IsInfinite() {
-		return "pr(∞)"
+		return append(b, "pr(∞)"...)
 	}
-	return fmt.Sprintf("pr(%d@%s)", p.Clock, p.ID)
+	b = strconv.AppendUint(append(b, "pr("...), p.Clock, 10)
+	return append(p.ID.AppendString(append(b, '@')), ')')
 }
 
 // MinOf returns the smallest priority among ps, or Infinite when empty.

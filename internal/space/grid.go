@@ -116,7 +116,7 @@ func (w *World) rebuildIndex() {
 // population, before the delta rebuild stops paying: past roughly a
 // quarter of the nodes, re-scanning the movers plus patching their
 // neighbors' rows costs about as much as the full sharded rebuild (which
-// also lays the whole CSR out in one arena), so the builder falls back.
+// also packs the whole CSR into one arena), so the builder falls back.
 const deltaFraction = 4
 
 // markMoved records a changed position for the delta rebuild. The slice
@@ -163,21 +163,22 @@ func (w *World) deltaViable(n int) bool {
 	return len(w.movedDirty) <= n/deltaFraction
 }
 
-// buildSymmetricGraphDelta re-scans only the moved nodes' vicinities —
-// an edge can appear or disappear only if at least one endpoint moved, so
-// the movers' full replacement rows describe every change — and patches
-// prev through graph.ApplyDelta. The scan fans out over the same 64
-// NodeID shards as the full build (shard-major merge order, canonical at
-// any worker count); the patched result is bit-identical to a full
-// rebuild from the same positions.
-func (w *World) buildSymmetricGraphDelta(prev *graph.G) *graph.G {
-	// deltaViable — the only production gate, evaluated immediately before
-	// this — already sorted and deduplicated the moved set.
-	dirty := w.movedDirty
+// scanRows derives, from the grid, the complete ascending row of every
+// node in ids: the nodes within both endpoints' TX ranges that no wall
+// separates it from. It is the one vicinity scan behind both rebuilds —
+// the movers' replacement rows for graph.ApplyDelta, every node's row for
+// graph.FromRows. The scan fans out over the 64 NodeID shards; workers
+// only read shared state (pos, cells, ranges, walls) and write their own
+// shard's scratch, and the shards are merged in shard order, so the rows
+// are identical at any worker count. The link predicate is evaluated from
+// the lower ID's end whichever node is being scanned, so the two rows of
+// an edge agree to the last bit of the wall test. The result aliases the
+// world's scratch: valid until the next scan.
+func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 	for s := range w.shardNodes {
 		w.shardNodes[s] = w.shardNodes[s][:0]
 	}
-	for _, v := range dirty {
+	for _, v := range ids {
 		s := shardOf(v)
 		w.shardNodes[s] = append(w.shardNodes[s], v)
 	}
@@ -199,10 +200,18 @@ func (w *World) buildSymmetricGraphDelta(prev *graph.G) *graph.G {
 						if rv := w.rangeOf(c.id); rv < r {
 							r = rv
 						}
-						if pu.Dist(c.pt) > r {
+						// Dist decides; two candidates in three of a 3×3 block
+						// are out of range by far more than any rounding of the
+						// squares and are dropped before it.
+						dx, dy := pu.X-c.pt.X, pu.Y-c.pt.Y
+						if dx*dx+dy*dy > r*r*(1+1e-9) || pu.Dist(c.pt) > r {
 							continue
 						}
-						if w.wallBlocked(pu, c.pt) {
+						a, b := pu, c.pt
+						if c.id < u {
+							a, b = b, a
+						}
+						if w.wallBlocked(a, b) {
 							continue
 						}
 						nbrs = append(nbrs, c.id)
@@ -214,12 +223,12 @@ func (w *World) buildSymmetricGraphDelta(prev *graph.G) *graph.G {
 		}
 		w.shardAdjs[s], w.shardNbrs[s] = adjs, nbrs
 	})
-	updates := w.updBuf[:0]
+	rows := w.rowBuf[:0]
 	for s := range w.shardAdjs {
-		updates = append(updates, w.shardAdjs[s]...)
+		rows = append(rows, w.shardAdjs[s]...)
 	}
-	w.updBuf = updates
-	return graph.ApplyDelta(prev, updates)
+	w.rowBuf = rows
+	return rows
 }
 
 // sortIDs sorts a NodeID slice ascending.
@@ -294,10 +303,6 @@ func (w *World) wallBlocked(pu, pv Point) bool {
 	return false
 }
 
-// gridEdge is one undirected link found by the sharded build (the bulk
-// construction shape graph.FromEdges consumes).
-type gridEdge = graph.Edge
-
 // runShards applies fn to every shard: inline when Workers ≤ 1, else on
 // a pool of Workers goroutines with a static shard-to-worker assignment
 // (the engine's fan-out shape). fn must only write shard-local state.
@@ -323,60 +328,4 @@ func (w *World) runShards(fn func(s int)) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-// buildSymmetricGraph computes the bidirectional-link graph from the
-// grid: each shard scans its own nodes in canonical (ascending) order,
-// collects the edges (u,v), u < v, whose distance is within both
-// endpoints' TX ranges and that no wall crosses, and the shard edge
-// lists are merged in shard order. Workers only read shared state (pos,
-// cells, ranges, walls) and write their own shard's edge buffer, so the
-// result is identical at any worker count.
-func (w *World) buildSymmetricGraph(nodes []ident.NodeID) *graph.G {
-	for s := range w.shardNodes {
-		w.shardNodes[s] = w.shardNodes[s][:0]
-	}
-	for _, v := range nodes {
-		s := shardOf(v)
-		w.shardNodes[s] = append(w.shardNodes[s], v)
-	}
-	w.runShards(func(s int) {
-		edges := w.shardEdges[s][:0]
-		for _, u := range w.shardNodes[s] {
-			pu := w.pos[u]
-			ru := w.rangeOf(u)
-			k := w.cellOf[u]
-			for cx := k.cx - 1; cx <= k.cx+1; cx++ {
-				for cy := k.cy - 1; cy <= k.cy+1; cy++ {
-					for _, c := range w.cells[cellKey{cx, cy}] {
-						if c.id <= u {
-							continue
-						}
-						r := ru
-						if rv := w.rangeOf(c.id); rv < r {
-							r = rv
-						}
-						if pu.Dist(c.pt) > r {
-							continue
-						}
-						if w.wallBlocked(pu, c.pt) {
-							continue
-						}
-						edges = append(edges, gridEdge{U: u, V: c.id})
-					}
-				}
-			}
-		}
-		w.shardEdges[s] = edges
-	})
-	// Merge the shard edge lists in shard order (canonical at any worker
-	// count) and bulk-build the CSR graph: one arena instead of a map of
-	// maps assembled edge by edge. The previous graph's node index is
-	// reused when only positions moved (the common mobile tick).
-	all := w.edgeBuf[:0]
-	for s := range w.shardEdges {
-		all = append(all, w.shardEdges[s]...)
-	}
-	w.edgeBuf = all
-	return graph.FromEdgesShared(w.symGraph, nodes, all)
 }

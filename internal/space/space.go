@@ -14,7 +14,6 @@ package space
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/ident"
@@ -54,9 +53,9 @@ type World struct {
 	// topologies).
 	Workers int
 	// DisableDelta forces every SymmetricGraph rebuild down the full
-	// FromEdgesShared path even when the delta-incremental patch would
-	// apply. For A/B benchmarks and ablations; the graphs are identical
-	// either way.
+	// FromRows path even when the delta-incremental patch would apply.
+	// For A/B benchmarks and ablations; the graphs are identical either
+	// way.
 	DisableDelta bool
 
 	pos map[ident.NodeID]Point
@@ -88,10 +87,14 @@ type World struct {
 	wallsLen  int
 	wallsPtr  *Segment
 
-	// Sharded-build scratch and the generation-keyed graph cache.
+	// Row-scan scratch (scanRows in grid.go: per shard the nodes to scan,
+	// their rows and the rows' storage; rowBuf is the shard-order merge
+	// handed to graph.FromRows or graph.ApplyDelta) and the
+	// generation-keyed graph cache.
 	shardNodes [numShards][]ident.NodeID
-	shardEdges [numShards][]gridEdge
-	edgeBuf    []gridEdge
+	shardAdjs  [numShards][]graph.NodeAdj
+	shardNbrs  [numShards][]ident.NodeID
+	rowBuf     []graph.NodeAdj
 	symGraph   *graph.G
 	symGen     uint64
 
@@ -99,14 +102,10 @@ type World struct {
 	// the last committed graph build, the nodes whose position actually
 	// changed; deltaFull poisons the delta path until the next full
 	// rebuild (membership churn, structural reindex, or a dirty set past
-	// the worthwhile fraction). The per-shard scratch carries each dirty
-	// node's re-scanned adjacency into graph.ApplyDelta.
+	// the worthwhile fraction).
 	movedDirty  []ident.NodeID
 	movedUnique int // distinct movers at the last compaction
 	deltaFull   bool
-	shardAdjs   [numShards][]graph.NodeAdj
-	shardNbrs   [numShards][]ident.NodeID
-	updBuf      []graph.NodeAdj
 
 	// Row-delta record for RowsChanged: when the cached graph was produced
 	// by one delta step from rowDirtyFrom, rowDirty holds (a superset of)
@@ -216,7 +215,7 @@ func (w *World) Nodes() []ident.NodeID {
 		for v := range w.pos {
 			ids = append(ids, v)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		w.ids = ids
 		w.idsDirty = false
 	}
@@ -261,11 +260,11 @@ func (w *World) CanReach(u, v ident.NodeID) bool {
 // call, the same graph (same pointer, same mutation generation) is
 // returned, so downstream receiver caches stay hot. Callers must treat
 // the returned graph as read-only.
-// Rebuilds go down one of two paths with identical results: when only a
-// small fraction of nodes moved since the last build (and the membership
-// and radio configuration stayed put), the delta path re-scans just the
-// movers' vicinities and patches the previous CSR through
-// graph.ApplyDelta; otherwise the full 64-shard fan-out rebuild runs.
+// Rebuilds go down one of two paths with identical results, both fed by
+// scanRows: when only a small fraction of nodes moved since the last
+// build (and the membership and radio configuration stayed put), the
+// movers' rows patch the previous CSR through graph.ApplyDelta; otherwise
+// every node's row is packed by graph.FromRows.
 func (w *World) SymmetricGraph() *graph.G {
 	w.validate()
 	if w.symGraph != nil && w.symGen == w.gen {
@@ -274,11 +273,15 @@ func (w *World) SymmetricGraph() *graph.G {
 	nodes := w.Nodes()
 	var g *graph.G
 	if w.deltaViable(len(nodes)) {
+		// An edge can appear or disappear only if an endpoint moved, so the
+		// movers' rows (deltaViable sorted and deduplicated the set)
+		// describe every change.
 		prev := w.symGraph
-		g = w.buildSymmetricGraphDelta(prev)
+		g = graph.ApplyDelta(prev, w.scanRows(w.movedDirty))
 		w.recordRowDelta(prev, g)
 	} else {
-		g = w.buildSymmetricGraph(nodes)
+		// prev only lends its node index, when the roster is the same.
+		g = graph.FromRows(w.symGraph, nodes, w.scanRows(nodes))
 		w.rowDirtyFrom, w.rowDirtyTo = nil, nil
 	}
 	w.symGraph, w.symGen = g, w.gen
@@ -352,7 +355,7 @@ func (w *World) RowsChanged(since *graph.G) ([]ident.NodeID, bool) {
 }
 
 // recordRowDelta derives the RowsChanged set of a delta rebuild from the
-// update rows the build just scanned (still in updBuf): an edge can only
+// update rows the build just scanned (still in rowBuf): an edge can only
 // have appeared or disappeared between a mover and a member of its old or
 // new row, so movers plus both rows cover every changed row. The set
 // overapproximates — a neighbor that kept its edge to a mover is listed
@@ -360,7 +363,7 @@ func (w *World) RowsChanged(since *graph.G) ([]ident.NodeID, bool) {
 // revalidation, never a stale cache.
 func (w *World) recordRowDelta(prev, g *graph.G) {
 	d := w.rowDirty[:0]
-	for _, upd := range w.updBuf {
+	for _, upd := range w.rowBuf {
 		d = append(d, upd.Node)
 		d = append(d, upd.Adj...)
 		if i := prev.IndexOf(upd.Node); i >= 0 {

@@ -1,7 +1,9 @@
 package space
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -402,7 +404,7 @@ func TestDeltaRebuildMatchesBruteForce(t *testing.T) {
 			w.Remove(ident.NodeID(1 + rng.Intn(n)))
 			checkAgainstOracle(t, w, "after leave")
 		case 20:
-			w.Place(ident.NodeID(n + 1), Point{X: 5, Y: 5})
+			w.Place(ident.NodeID(n+1), Point{X: 5, Y: 5})
 			checkAgainstOracle(t, w, "after join")
 		case 28:
 			w.SetWalls([]Segment{{A: Point{X: 12, Y: 0}, B: Point{X: 12, Y: 25}}})
@@ -500,4 +502,101 @@ func TestDeltaSurvivesRepeatedMovers(t *testing.T) {
 		t.Fatal("repeated movers poisoned the delta path")
 	}
 	checkAgainstOracle(t, w, "repeated movers")
+}
+
+// TestFullDeltaAndBruteForceAgree drives four worlds through one history
+// — walls, per-node TX ranges above and below the default, a few movers a
+// round, joins and leaves — with the rebuild forced full or left to the
+// delta path, at Workers 1 and 4: one row scan feeds both rebuilds, so
+// after every round the four graphs must hold the same rows, and those of
+// the all-pairs oracle.
+func TestFullDeltaAndBruteForceAgree(t *testing.T) {
+	type variant struct {
+		workers int
+		full    bool
+	}
+	variants := []variant{{1, false}, {4, false}, {1, true}, {4, true}}
+	worlds := make([]*World, len(variants))
+	for i, v := range variants {
+		w := NewWorld(2.0)
+		w.Workers, w.DisableDelta = v.workers, v.full
+		w.Walls = []Segment{{A: Point{X: 10, Y: -1}, B: Point{X: 10, Y: 14}}, {A: Point{X: 3, Y: 17}, B: Point{X: 21, Y: 16.5}}}
+		w.TxRange = map[ident.NodeID]float64{4: 3.5, 9: 0.7, 33: 2.6, 90: 0}
+		worlds[i] = w
+	}
+	each := func(fn func(w *World)) {
+		for _, w := range worlds {
+			fn(w)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	point := func() Point { return Point{X: rng.Float64()*26 - 2, Y: rng.Float64()*26 - 2} }
+	n := ident.NodeID(140)
+	for v := ident.NodeID(1); v <= n; v++ {
+		p := point()
+		each(func(w *World) { w.Place(v, p) })
+	}
+	deltaRounds := 0
+	for round := 0; round < 36; round++ {
+		for j := 0; j < 1+rng.Intn(5); j++ {
+			v, p := 1+ident.NodeID(rng.Intn(int(n))), point()
+			each(func(w *World) {
+				if _, ok := w.Pos(v); ok { // not one that left
+					w.Place(v, p)
+				}
+			})
+		}
+		switch round % 9 {
+		case 4:
+			v := 1 + ident.NodeID(rng.Intn(int(n)))
+			each(func(w *World) { w.Remove(v) })
+		case 7:
+			n++
+			p := point()
+			each(func(w *World) { w.Place(n, p) })
+		}
+		if worlds[0].deltaViable(len(worlds[0].Nodes())) {
+			deltaRounds++
+		}
+		want := bruteSymmetricGraph(worlds[0])
+		for i, w := range worlds {
+			got := w.SymmetricGraph()
+			if !got.Equal(want) {
+				t.Fatalf("round %d, %+v: grid %v, brute %v", round, variants[i], got, want)
+			}
+			for _, v := range w.Nodes() {
+				if !slices.IsSorted(got.NeighborsView(v)) {
+					t.Fatalf("round %d, %+v: row of %v not ascending", round, variants[i], v)
+				}
+			}
+		}
+	}
+	if deltaRounds < 20 {
+		t.Fatalf("delta path exercised only %d/36 rounds", deltaRounds)
+	}
+}
+
+// TestRangeBoundaryMatchesBruteForce puts pairs at the range itself and
+// one rounding step either side of it — where the scan's squared-distance
+// shortcut must leave the verdict to Dist — in every orientation of a
+// Pythagorean offset, and holds the grid graph to the all-pairs oracle.
+func TestRangeBoundaryMatchesBruteForce(t *testing.T) {
+	const r = 2.5
+	w := NewWorld(r)
+	id := ident.NodeID(0)
+	at := func(p Point) { id++; w.Place(id, p) }
+	for i, d := range []float64{r, math.Nextafter(r, 0), math.Nextafter(r, 9), r * (1 + 1e-12), r * (1 - 1e-12), r * (1 + 1e-8)} {
+		for j, dir := range []Point{{1, 0}, {0, -1}, {0.6, 0.8}, {-0.8, 0.6}, {5.0 / 13, -12.0 / 13}, {math.Sqrt2 / 2, math.Sqrt2 / 2}} {
+			o := Point{X: 40 * float64(i), Y: 40 * float64(j)} // pairs far apart from each other
+			at(o)
+			at(o.Add(d*dir.X, d*dir.Y))
+		}
+	}
+	got, want := w.SymmetricGraph(), bruteSymmetricGraph(w)
+	if !got.Equal(want) {
+		t.Fatalf("grid %v, brute %v", got, want)
+	}
+	if want.NumEdges() == 0 || want.NumEdges() == int(id)/2 {
+		t.Fatalf("%d of %d boundary pairs linked: the cases straddle nothing", want.NumEdges(), id/2)
+	}
 }
