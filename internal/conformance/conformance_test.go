@@ -409,8 +409,8 @@ func TestChaosSeqAndParallelBitIdentical(t *testing.T) {
 // compute and each inbox digest, so the next node of the shard starts from
 // a poisoned one. The same arming poisons a replaced broadcast's records,
 // and the entries of its list if the commit moved it, the moment the
-// engine's pools may hand them to another node of the shard (DESIGN.md §2k:
-// a retired broadcast is dead), which the second pass, on jittered timers,
+// engine's pools may hand them to another node of the shard (DESIGN.md
+// §2.3, pools: a retired broadcast is dead), which the second pass, on jittered timers,
 // covers. The churning chaos run must not notice: state
 // and broadcast hashes, Ω statistics, and every registry counter (the wake
 // histogram among them) equal an unscribbled twin's, at 1 and 4 workers.

@@ -74,10 +74,9 @@ func wakeScenario(mode computeMode) *engine.Engine {
 	}
 	m := &mobility.Commuter{Side: 33, SpeedMin: 0.5, SpeedMax: 2, Pause: 1, ActiveFraction: 0.08}
 	topo := engine.NewSpatialTopology(w, m, 0.2, ids, rand.New(rand.NewSource(19)))
-	return engine.New(engine.Params{
-		Cfg: core.Config{Dmax: 3}, Seed: 19, Workers: 4,
-		EagerCompute: mode.eager, DisableMemo: mode.disableMemo,
-	}, topo)
+	e := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 19, Workers: 4}, topo)
+	e.SetSkipMode(mode.eager, mode.disableMemo)
+	return e
 }
 
 // TestWakeHistogramAccountsAllComputes asserts every executed compute is

@@ -83,8 +83,7 @@ func (s *recycleScenario) step(r int) {
 func runRecycleMode(t *testing.T, workers, rounds int, m computeMode) (recs []roundRec, skipped int, memo uint64) {
 	t.Helper()
 	s := newRecycleScenario(workers)
-	s.e.P.EagerCompute = m.eager
-	s.e.P.DisableMemo = m.disableMemo
+	s.e.SetSkipMode(m.eager, m.disableMemo)
 	tr := obs.NewGroupTracker(s.e)
 	for r := 0; r < rounds; r++ {
 		s.step(r)

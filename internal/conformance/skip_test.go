@@ -10,8 +10,8 @@ import (
 )
 
 // These tests pin the activity-driven compute skip (engine phase 5) to
-// the eager execution: Params.EagerCompute disables the skip, and the
-// full per-round record stream — protocol state, broadcast contents,
+// the eager execution: Engine.SetSkipMode(true, false) disables the skip,
+// and the full per-round record stream — protocol state, broadcast contents,
 // Ω-partition statistics, traffic counters — must be bit-identical with
 // it on and off, sequentially and at 4 workers, on both the churning
 // walled world and the mostly-parked commuter world. They also assert the
@@ -34,8 +34,7 @@ var (
 func runMode(t *testing.T, workers, rounds int, m computeMode) (recs []roundRec, ran, skipped int, memo uint64) {
 	t.Helper()
 	s := newScenario(workers, false)
-	s.e.P.EagerCompute = m.eager
-	s.e.P.DisableMemo = m.disableMemo
+	s.e.SetSkipMode(m.eager, m.disableMemo)
 	tr := obs.NewGroupTracker(s.e)
 	for r := 0; r < rounds; r++ {
 		s.step(r, false)
@@ -58,8 +57,7 @@ func computeCounters(e *engine.Engine) (ran, skipped int, memo uint64) {
 func runCommuterMode(t *testing.T, workers, rounds int, m computeMode) (recs []roundRec, ran, skipped int, memo uint64) {
 	t.Helper()
 	e := commuterScenario(workers, false)
-	e.P.EagerCompute = m.eager
-	e.P.DisableMemo = m.disableMemo
+	e.SetSkipMode(m.eager, m.disableMemo)
 	tr := obs.NewGroupTracker(e)
 	for r := 0; r < rounds; r++ {
 		e.StepRound()
@@ -135,7 +133,7 @@ func TestCommuterSkipMatchesEagerCompute(t *testing.T) {
 }
 
 // TestMemoMatchesDisabled is the differential proof the tentpole hangs
-// on (ISSUE 9, DESIGN.md §2i): with the fixpoint memo force-disabled vs
+// on (ISSUE 9, DESIGN.md §2.3): with the fixpoint memo force-disabled vs
 // enabled, the full per-round record stream — protocol state, broadcast
 // contents, Ω-partition statistics, traffic counters — must be
 // bit-identical on the churning walled world. A memoized replay advances
@@ -148,7 +146,7 @@ func TestMemoMatchesDisabled(t *testing.T) {
 	on, nRan, nSkipped, nMemo := runMode(t, 1, 60, modeDefault)
 	assertSameStream(t, "memo-off vs memo-on", off, on)
 	if oMemo != 0 {
-		t.Fatalf("DisableMemo run recorded %d memoized replays", oMemo)
+		t.Fatalf("memo-less run recorded %d memoized replays", oMemo)
 	}
 	if nMemo == 0 {
 		t.Fatal("memo run never replayed through the memo — the new class is dead and this test proves nothing")

@@ -475,7 +475,7 @@ func (n *Node) SkipLonelyRound() {
 
 // StateDigest returns a 64-bit content hash of every decision-relevant
 // input Compute consults, with exactly two deliberate exclusions that
-// the fixpoint-memo machinery (the caller, DESIGN.md §2i) accounts for
+// the fixpoint-memo machinery (the caller, DESIGN.md §2.3) accounts for
 // by other means:
 //
 //   - the compute counter, which enters Compute only through the
@@ -581,7 +581,7 @@ func (n *Node) RoundOverflowed() bool { return n.overflowed }
 // HoldHorizon gate, which keeps them live again.
 //
 // Together with StateDigest this is the fixpoint-memo key (DESIGN.md
-// §2i). The masking is sound because equal state digests pin the list
+// §2.3). The masking is sound because equal state digests pin the list
 // and the boundary-memory IDs, and therefore pin the mask itself: a
 // proof stored as (StateDigest, InboxReadDigest) can only be consulted
 // from a state whose tracked set and held-sender set — and hence whose

@@ -66,7 +66,7 @@ func (m Message) Digest() uint64 {
 // resolves priority records for (nil means all — the full Digest, which
 // ignores dropList).
 //
-// The engine's fixpoint memo (DESIGN.md §2i) keys inbox content on this
+// The engine's fixpoint memo (DESIGN.md §2.3) keys inbox content on this
 // projection rather than the raw bytes, because a broadcast routinely
 // carries content its receiver provably ignores: a border node re-
 // advertises the ticking isolation clock of a commuter it double-marked,

@@ -1,0 +1,200 @@
+package dist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/ident"
+	"repro/internal/introspect"
+	"repro/internal/obs"
+)
+
+// sampleSyncs covers the sync layout's shapes: the empty report, a view
+// of length 0 beside longer ones, and every scalar field at a distinct
+// non-zero value so a field dropped from one side of the codec shows.
+func sampleSyncs() []*roundSync {
+	return []*roundSync{
+		{},
+		{msgs: 0x0102030405060708, delivs: 0x1112131415161718, computed: []ident.NodeID{3, 9, 27}},
+		{msgs: 5, delivs: 7, computed: []ident.NodeID{1}, views: []viewUpd{
+			{id: 1, ver: 2},
+			{id: 4, ver: 0x2122232425262728, view: []ident.NodeID{4, 5, 6}},
+			{id: 0xfffffffe, ver: 1, view: []ident.NodeID{0xfffffffe}},
+		}},
+	}
+}
+
+func TestSyncRoundTrip(t *testing.T) {
+	for i, want := range sampleSyncs() {
+		buf := appendSync(nil, want)
+		got, err := decodeSync(buf)
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		if got.msgs != want.msgs || got.delivs != want.delivs {
+			t.Errorf("sample %d: counters (%d, %d), want (%d, %d)", i, got.msgs, got.delivs, want.msgs, want.delivs)
+		}
+		if !slices.Equal(got.computed, want.computed) {
+			t.Errorf("sample %d: computed %v, want %v", i, got.computed, want.computed)
+		}
+		if !slices.EqualFunc(got.views, want.views, func(a, b viewUpd) bool {
+			return a.id == b.id && a.ver == b.ver && slices.Equal(a.view, b.view)
+		}) {
+			t.Errorf("sample %d: views %v, want %v", i, got.views, want.views)
+		}
+		// The layout is 2 magic + 2 counters + two length-prefixed sections.
+		size := 2 + 16 + 4 + 4*len(want.computed) + 4
+		for _, u := range want.views {
+			size += 16 + 4*len(u.view)
+		}
+		if len(buf) != size {
+			t.Errorf("sample %d: %d bytes, want %d", i, len(buf), size)
+		}
+	}
+}
+
+// sampleRegistry fills every counter and every phase clock with its own
+// value, so a block that is shifted, shortened or skipped cannot decode
+// to the same numbers.
+func sampleRegistry() *introspect.Registry {
+	reg := introspect.NewRegistry(0)
+	for id := introspect.CounterID(0); id < introspect.NumCounters; id++ {
+		reg.Add(id, 1000+7*uint64(id))
+	}
+	for p := introspect.Phase(0); p < introspect.NumPhases; p++ {
+		reg.AddPhaseNs(p, 1e6+13*int64(p))
+	}
+	return reg
+}
+
+func samplePairs() [][]obs.NodeHashPair {
+	return [][]obs.NodeHashPair{
+		nil,
+		{{ID: 1, Hash: 0x3132333435363738}, {ID: 2, Hash: 1}, {ID: 0xfffffffe, Hash: ^uint64(0)}},
+	}
+}
+
+func TestFinalRoundTrip(t *testing.T) {
+	reg := sampleRegistry()
+	for i, want := range samplePairs() {
+		pairs, counters, phases, err := decodeFinal(appendFinal(nil, want, reg))
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		if !slices.Equal(pairs, want) {
+			t.Errorf("sample %d: pairs %v, want %v", i, pairs, want)
+		}
+		if len(counters) != int(introspect.NumCounters) || len(phases) != int(introspect.NumPhases) {
+			t.Fatalf("sample %d: %d counters, %d phases", i, len(counters), len(phases))
+		}
+		for id, v := range counters {
+			if v != reg.Get(introspect.CounterID(id)) {
+				t.Errorf("sample %d: counter %d = %d, want %d", i, id, v, reg.Get(introspect.CounterID(id)))
+			}
+		}
+		for p, ns := range phases {
+			if ns != reg.PhaseNs(introspect.Phase(p)) {
+				t.Errorf("sample %d: phase %d = %d ns, want %d", i, p, ns, reg.PhaseNs(introspect.Phase(p)))
+			}
+		}
+	}
+}
+
+// TestHostileLengthsAllocateNothingBig overwrites each length field a
+// TCP peer controls (the computed count, nview, a view's length; n, nc,
+// np) with values the rest of the frame cannot back, and requires the
+// decoder to refuse before it sizes an allocation by them.
+func TestHostileLengthsAllocateNothingBig(t *testing.T) {
+	sync := appendSync(nil, sampleSyncs()[2])
+	final := appendFinal(nil, samplePairs()[1], sampleRegistry())
+	afterPairs := 6 + 12*len(samplePairs()[1])
+	cases := []struct {
+		name   string
+		frame  []byte
+		at     int
+		decode func([]byte) error
+	}{
+		{"sync computed", sync, 18, syncErr},
+		{"sync nview", sync, 26, syncErr},
+		{"sync view length", sync, 30 + 12, syncErr},
+		{"final n", final, 2, finalErr},
+		{"final nc", final, afterPairs, finalErr},
+		{"final np", final, afterPairs + 4 + 8*int(introspect.NumCounters), finalErr},
+	}
+	for _, c := range cases {
+		for _, n := range []uint32{^uint32(0), 1 << 31, uint32(len(c.frame))} {
+			bad := bytes.Clone(c.frame)
+			binary.LittleEndian.PutUint32(bad[c.at:], n)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.decode(bad)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s = %d accepted", c.name, n)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+				t.Errorf("%s = %d: decode allocated %d bytes for a %d-byte frame", c.name, n, grew, len(bad))
+			}
+		}
+	}
+}
+
+func syncErr(b []byte) error  { _, err := decodeSync(b); return err }
+func finalErr(b []byte) error { _, _, _, err := decodeFinal(b); return err }
+
+// checkDecode is the property FuzzDecodeSyncFinal holds on any bytes:
+// each decoder returns an error or a value, never panics, and — both
+// layouts being canonical: every byte is a field, trailing bytes are
+// refused — an accepted frame re-encodes to the very bytes that came in,
+// which bounds what a decode can have allocated by the input's length.
+func checkDecode(t testing.TB, data []byte) {
+	if rs, err := decodeSync(data); err == nil {
+		if re := appendSync(nil, rs); !bytes.Equal(re, data) {
+			t.Fatalf("accepted sync re-encodes to %x, came in as %x", re, data)
+		}
+	}
+	if pairs, counters, phases, err := decodeFinal(data); err == nil {
+		reg := introspect.NewRegistry(0)
+		for id, v := range counters {
+			reg.Add(introspect.CounterID(id), v)
+		}
+		for p, ns := range phases {
+			reg.AddPhaseNs(introspect.Phase(p), ns)
+		}
+		if re := appendFinal(nil, pairs, reg); !bytes.Equal(re, data) {
+			t.Fatalf("accepted final re-encodes to %x, came in as %x", re, data)
+		}
+	}
+}
+
+// FuzzDecodeSyncFinal is the hostile-peer model for the two frames that
+// reach a shard over TCP beside the boundary batch. Every truncation and
+// every single-bit flip of every valid sample is checked on each run,
+// plain `go test` included; they are checked directly rather than added
+// to the corpus because 8 700 seeds spend a 30 s fuzz smoke gathering
+// baseline coverage. The corpus is the valid frames, and the fuzzer
+// mutates from there.
+func FuzzDecodeSyncFinal(f *testing.F) {
+	var frames [][]byte
+	for _, rs := range sampleSyncs() {
+		frames = append(frames, appendSync(nil, rs))
+	}
+	for _, pairs := range samplePairs() {
+		frames = append(frames, appendFinal(nil, pairs, sampleRegistry()))
+	}
+	for _, frame := range frames {
+		f.Add(frame)
+		for cut := 0; cut < len(frame); cut++ {
+			checkDecode(f, frame[:cut])
+		}
+		for bit := 0; bit < 8*len(frame); bit++ {
+			flipped := bytes.Clone(frame)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			checkDecode(f, flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data) })
+}

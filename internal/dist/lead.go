@@ -20,9 +20,9 @@ import (
 // moved past the last shipped one), so sync traffic follows protocol
 // activity, not the population.
 type roundSync struct {
-	msgs, bytes, delivs uint64
-	computed            []ident.NodeID
-	views               []viewUpd
+	msgs, delivs uint64
+	computed     []ident.NodeID
+	views        []viewUpd
 }
 
 type viewUpd struct {
@@ -36,7 +36,6 @@ const syncMagic = 0x4753 // "GS"
 func appendSync(dst []byte, rs *roundSync) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, syncMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, rs.msgs)
-	dst = binary.LittleEndian.AppendUint64(dst, rs.bytes)
 	dst = binary.LittleEndian.AppendUint64(dst, rs.delivs)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs.computed)))
 	for _, v := range rs.computed {
@@ -56,16 +55,15 @@ func appendSync(dst []byte, rs *roundSync) []byte {
 
 func decodeSync(buf []byte) (*roundSync, error) {
 	rs := &roundSync{}
-	if len(buf) < 2+24+4 {
+	if len(buf) < 2+16+4 {
 		return nil, fmt.Errorf("dist: sync truncated")
 	}
 	if binary.LittleEndian.Uint16(buf) != syncMagic {
 		return nil, fmt.Errorf("dist: bad sync magic")
 	}
 	rs.msgs = binary.LittleEndian.Uint64(buf[2:])
-	rs.bytes = binary.LittleEndian.Uint64(buf[10:])
-	rs.delivs = binary.LittleEndian.Uint64(buf[18:])
-	buf = buf[26:]
+	rs.delivs = binary.LittleEndian.Uint64(buf[10:])
+	buf = buf[18:]
 	ids, buf, err := readIDList(buf)
 	if err != nil {
 		return nil, err
@@ -76,7 +74,7 @@ func decodeSync(buf []byte) (*roundSync, error) {
 	}
 	nview := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
-	if uint64(nview) > uint64(len(buf)/16)+1 {
+	if uint64(nview) > uint64(len(buf)/16) {
 		return nil, fmt.Errorf("dist: sync truncated")
 	}
 	rs.views = make([]viewUpd, 0, nview)
@@ -123,7 +121,6 @@ func readIDList(buf []byte) ([]ident.NodeID, []byte, error) {
 // the single-process tracker's own version-gated extraction exactly).
 func (sh *Shard) collectSync(rs *roundSync) {
 	rs.msgs = sh.reg.Get(introspect.CtrMessagesSent)
-	rs.bytes = sh.reg.Get(introspect.CtrBytesSent)
 	rs.delivs = sh.reg.Get(introspect.CtrDeliveries)
 	rs.computed = rs.computed[:0]
 	rs.views = rs.views[:0]
@@ -172,7 +169,6 @@ type leadSource struct {
 
 	computed [engine.NumShards][]int32
 	msgs     [64]uint64 // cumulative per contributing shard
-	bytes    [64]uint64
 	delivs   [64]uint64
 
 	snap metrics.SnapshotBuilder
@@ -197,7 +193,6 @@ func newLeadSource(sh *Shard, soak *obs.SoakConfig) *leadSource {
 // lead's own) first, then peers in ascending index order.
 func (ls *leadSource) apply(shard int, rs *roundSync) {
 	ls.msgs[shard] = rs.msgs
-	ls.bytes[shard] = rs.bytes
 	ls.delivs[shard] = rs.delivs
 	for _, v := range rs.computed {
 		slot := ls.roster.SlotOf(v)
@@ -260,12 +255,3 @@ func (ls *leadSource) TrafficTotals() (msgs, delivs int) {
 }
 
 func (ls *leadSource) Introspect() *introspect.Registry { return ls.sh.E.Introspect() }
-
-// globalBytes sums the cumulative per-shard broadcast byte counters.
-func (ls *leadSource) globalBytes() uint64 {
-	var b uint64
-	for s := 0; s < ls.sh.N; s++ {
-		b += ls.bytes[s]
-	}
-	return b
-}

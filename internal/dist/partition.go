@@ -8,7 +8,7 @@
 // the single-process engine at any shard count — pinned by the
 // conformance suite and a CI smoke over both transports.
 //
-// See DESIGN.md §2j for the ghost-boundary protocol and the determinism
+// See DESIGN.md §2.6 for the ghost-boundary protocol and the determinism
 // argument.
 package dist
 

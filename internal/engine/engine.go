@@ -41,9 +41,8 @@
 // O(1) (core.Node.SkipQuietRound / SkipLonelyRound) instead of
 // re-deriving it. One function, skipGate, both takes that decision and
 // names the gate that broke it for the flight recorder. Tick cost
-// therefore tracks the active set, not the roster. Params.EagerCompute
-// disables the skip; traces are bit-identical either way, which the
-// conformance suite pins.
+// therefore tracks the active set, not the roster. The conformance suite
+// pins the trace bit-identical to the eager engine's (SetSkipMode).
 //
 // Phases 2 and 5 read and write disjoint per-node state (core.Node is
 // only ever touched by its own shard's worker; a message is not written
@@ -105,18 +104,6 @@ type Params struct {
 	// hold on the collision channel — with fixed phases, two aligned
 	// neighbors would collide deterministically forever.
 	RandomizedSends bool
-	// EagerCompute disables the activity-driven compute skip: every due
-	// node runs its full Compute even when the round is provably a no-op.
-	// The trace is bit-identical either way (the conformance suite pins
-	// this); the flag exists for that differential proof and for
-	// measuring the skip's effect.
-	EagerCompute bool
-	// DisableMemo disables only the content-aware second chance of the
-	// skip predicate (the fixpoint memo, DESIGN.md §2i), leaving the
-	// version-grained skip in place. Like EagerCompute the trace is
-	// bit-identical either way — the flag exists for the differential
-	// conformance proof of the memo and for measuring its effect.
-	DisableMemo bool
 	// Seed drives all randomness (mobility, channel, jitter, send
 	// backoff). The same seed reproduces the same execution bit for bit
 	// regardless of Workers.
@@ -148,7 +135,7 @@ func (p *Params) normalize() {
 // generation disambiguates removed-and-readded nodes whose version
 // counters restart — equal signatures therefore imply byte-identical
 // buffered message sets. A signature mismatch is not the end of the
-// skip decision: the fixpoint memo (DESIGN.md §2i) gives windows whose
+// skip decision: the fixpoint memo (DESIGN.md §2.3) gives windows whose
 // *content* the node has already proven harmless a second chance, keyed
 // on digests of the buffered messages themselves rather than on these
 // identity triples.
@@ -181,9 +168,9 @@ type shardScratch struct {
 }
 
 // pool is one shard's storage of replaced broadcasts — their records, or
-// their lists' entries — oldest first per capacity (DESIGN.md §2k): retired
-// at tick t, written again from t+Tc on by any node of the shard, left to
-// the GC if unclaimed by t+2·Tc.
+// their lists' entries — oldest first per capacity (DESIGN.md §2.3,
+// pools): retired at tick t, written again from t+Tc on by any node of
+// the shard, left to the GC if unclaimed by t+2·Tc.
 type pool[T any] struct{ byCap []fifo[T] }
 
 type fifo[T any] struct {
@@ -244,6 +231,12 @@ func (p *pool[T]) sweep(ripe, stale int, poison func([]T)) {
 // SetRecsHold is a test seam: conformance shows either hold below Tc is caught.
 func (e *Engine) SetRecsHold(recs, ents int) { e.recsHold, e.entsHold = recs, ents }
 
+// SetSkipMode is a test seam, to be called before the first tick: eager
+// runs every due node's full Compute even where the skip is licensed, and
+// noMemo switches off only the fixpoint memo's second chance. These are
+// the reference engines conformance holds the default trace equal to.
+func (e *Engine) SetSkipMode(eager, noMemo bool) { e.eager, e.noMemo = eager, noMemo }
+
 // cachedMsg is one node's last built broadcast, valid while the node's
 // state version is unchanged (a node's message is a pure function of its
 // state, which only Compute and LoadState move — see core.Node.Version).
@@ -301,7 +294,7 @@ type nodeRec struct {
 	holdExp  uint64
 	fixVer   uint64
 
-	// Fixpoint memo (DESIGN.md §2i): up to memoCap (state content digest,
+	// Fixpoint memo (DESIGN.md §2.3): up to memoCap (state content digest,
 	// read-masked inbox digest) pairs proven — by an executed Compute
 	// that classified quiet — to reproduce the node's state. When the
 	// exact signature check above fails, a memo hit on the *current*
@@ -422,8 +415,10 @@ type Engine struct {
 	computeWheel *periodicWheel
 
 	scratch  [NumShards]shardScratch
-	recsHold int // ticks replaced records sit out of their shard's pool: Tc
-	entsHold int // the same for a replaced list's entries
+	recsHold int  // ticks replaced records sit out of their shard's pool: Tc
+	entsHold int  // the same for a replaced list's entries
+	eager    bool // SetSkipMode: a licensed replay computes anyway
+	noMemo   bool // SetSkipMode: no fixpoint-memo second chance
 	txsBuf   []radio.Tx
 	delivBuf []radio.Delivery
 
@@ -1143,13 +1138,13 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 // chance (memoReplay) and, failing that, runs the full Compute with that
 // cause as its wake attribution — so every executed compute carries
 // exactly one cause and the per-cause histogram accounts for 100% of the
-// computes run. Under EagerCompute the decision is taken but not acted
-// on: a licensed replay computes anyway and is the only source of
-// WakeQuietReplay counts.
+// computes run. On an eager engine (SetSkipMode) the decision is taken
+// but not acted on: a licensed replay computes anyway and is the only
+// source of WakeQuietReplay counts.
 func (e *Engine) compute() {
 	start := time.Now()
 	cdue := e.computeWheel.due(e.tick)
-	memoOn := !e.P.EagerCompute && !e.P.DisableMemo
+	memoOn := !e.eager && !e.noMemo
 	e.runShards(func(s int) {
 		sc := &e.scratch[s]
 		sc.wakes = sc.wakes[:0]
@@ -1161,7 +1156,7 @@ func (e *Engine) compute() {
 				continue // defensive: wheels are maintained on removal
 			}
 			cause, offender := skipGate(rec)
-			if cause == introspect.WakeQuietReplay && !e.P.EagerCompute {
+			if cause == introspect.WakeQuietReplay && !e.eager {
 				switch rec.quiet {
 				case core.QuietLonely:
 					rec.n.SkipLonelyRound()
@@ -1315,7 +1310,7 @@ func skipGate(rec *nodeRec) (introspect.WakeCause, ident.NodeID) {
 }
 
 // memoReplay is the skip decision's content-aware second chance
-// (DESIGN.md §2i), taken when skipGate named a broken gate — sender
+// (DESIGN.md §2.3), taken when skipGate named a broken gate — sender
 // versions moved, the sender set changed, or the node's own last round
 // was not quiet: if the memo holds a proof that this exact (state
 // content, inbox content) pair is a fixpoint, the round is a replay of a

@@ -72,7 +72,7 @@ const (
 	CtrWakeMemoMiss    // signature churned in versions only, but no memo proof covered it
 	CtrWakeInboxNew    // inbox signature gained or changed a sender entry
 	CtrWakeInboxLost   // inbox signature lost a sender entry (silence, departure)
-	CtrWakeQuietReplay // skip-eligible round computed anyway (EagerCompute)
+	CtrWakeQuietReplay // skip-eligible round computed anyway (Engine.SetSkipMode)
 
 	// Fault injection (internal/fault routes emit through the registry).
 	CtrFaultsInjected     // fault events emitted
@@ -188,7 +188,7 @@ const (
 	// silent, departed, or moved out of range.
 	WakeInboxLost
 	// WakeQuietReplay: every gate held — the round was skip-eligible but
-	// computed anyway (EagerCompute). Zero on the default path.
+	// computed anyway (Engine.SetSkipMode). Zero on the default path.
 	WakeQuietReplay
 
 	// NumWakeCauses sizes per-cause accumulators.
