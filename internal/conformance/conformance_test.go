@@ -60,6 +60,10 @@ func newScenario(workers int, selfCheck bool) *scenario {
 	return s
 }
 
+// newTracker attaches the tracker every scenario run observes through;
+// TestBorrowedGraphMatchesHeldSnapshot swaps it.
+var newTracker = obs.NewGroupTracker
+
 // armSelfCheck turns the reference oracle on at every current member.
 func armSelfCheck(e *engine.Engine) {
 	for _, v := range e.Order() {
@@ -161,7 +165,7 @@ func sortedKeys[V any](m map[ident.NodeID]V) []ident.NodeID {
 func run(t *testing.T, workers, rounds int, selfCheck bool) []roundRec {
 	t.Helper()
 	s := newScenario(workers, selfCheck)
-	tr := obs.NewGroupTracker(s.e)
+	tr := newTracker(s.e)
 	recs := make([]roundRec, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		s.step(r, selfCheck)
@@ -275,6 +279,18 @@ func commuterScenario(workers int, selfCheck bool) *engine.Engine {
 	return e
 }
 
+// commuterRun observes 40 rounds of the commuter scenario.
+func commuterRun(workers int, selfCheck bool) []roundRec {
+	e := commuterScenario(workers, selfCheck)
+	tr := newTracker(e)
+	recs := make([]roundRec, 0, 40)
+	for r := 0; r < 40; r++ {
+		e.StepRound()
+		recs = append(recs, record(e, tr.Observe()))
+	}
+	return recs
+}
+
 // TestDeltaGraphMatchesBruteForceReference rebuilds the symmetric graph by
 // brute force on the map-of-maps reference every round of the commuter
 // scenario and asserts the engine's patched CSR matches — nodes, edges,
@@ -371,7 +387,7 @@ func chaosRun(t *testing.T, workers, rounds int, selfCheck bool, jitteredHold ..
 			w.Place(v, positions[v])
 		},
 	})
-	tr := obs.NewGroupTracker(e)
+	tr := newTracker(e)
 	recs := make([]roundRec, 0, rounds)
 	for r := 1; r <= rounds; r++ {
 		inj.Apply(r)
@@ -474,18 +490,8 @@ func heldTooShortIsCaught(t *testing.T, pool int) {
 // executions with the reference oracles armed — the delta patch path under
 // the same determinism contract as everything else.
 func TestDeltaGraphSeqAndParallelBitIdentical(t *testing.T) {
-	runC := func(workers int) []roundRec {
-		e := commuterScenario(workers, true)
-		tr := obs.NewGroupTracker(e)
-		recs := make([]roundRec, 0, 40)
-		for r := 0; r < 40; r++ {
-			e.StepRound()
-			recs = append(recs, record(e, tr.Observe()))
-		}
-		return recs
-	}
-	seq := runC(1)
-	par := runC(4)
+	seq := commuterRun(1, true)
+	par := commuterRun(4, true)
 	for r := range seq {
 		if !reflect.DeepEqual(seq[r], par[r]) {
 			t.Fatalf("round %d diverged:\nseq: %+v\npar: %+v", r+1, seq[r], par[r])

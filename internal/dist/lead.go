@@ -234,13 +234,13 @@ func (ls *leadSource) DrainDirty(fn func([engine.NumShards][]int32, []ident.Node
 	}
 }
 
-// SnapshotGraph restricts the lead's replicated full-world graph to the
+// LiveGraph restricts the lead's replicated full-world graph to the
 // (fixed) global membership — the same restriction the single-process
-// engine serves, and like it the identity: a copy-on-write sibling of the
-// replicated graph, not a copy. The liveGen is constant because
-// membership never changes in a distributed run.
-func (ls *leadSource) SnapshotGraph() *graph.G {
-	return ls.snap.Graph(ls.sh.Topo.Graph(), 1, func(v ident.NodeID) bool {
+// engine serves, and like it the identity: the replicated graph itself,
+// borrowed for the Observe. The liveGen is constant because membership
+// never changes in a distributed run.
+func (ls *leadSource) LiveGraph() *graph.G {
+	return ls.snap.Live(ls.sh.Topo.Graph(), 1, func(v ident.NodeID) bool {
 		return ls.roster.SlotOf(v) >= 0
 	})
 }

@@ -1411,9 +1411,16 @@ func (e *Engine) Snapshot() metrics.Snapshot {
 // map. Incremental observers key their per-node neighborhood caches on
 // its (pointer, generation) identity; like Snapshot's graph it is
 // replaced, never mutated, when the topology or the membership changes.
-// Call it between ticks: it marks the topology's graph shared.
+// Call it between ticks: it marks the topology's graph shared, and so
+// costs the next delta a header copy.
 func (e *Engine) SnapshotGraph() *graph.G {
 	return e.snap.Graph(e.Topo.Graph(), e.memberGen, e.order.Has)
+}
+
+// LiveGraph is SnapshotGraph for a reader that is done with the graph
+// before the next tick (the tracker's Observe): see SnapshotBuilder.Live.
+func (e *Engine) LiveGraph() *graph.G {
+	return e.snap.Live(e.Topo.Graph(), e.memberGen, e.order.Has)
 }
 
 // RunUntilConverged steps whole rounds until the legitimacy predicate

@@ -15,7 +15,9 @@ import (
 type Topology interface {
 	// Advance moves the topology forward by one tick.
 	Advance(rng *rand.Rand)
-	// Graph returns the current symmetric communication graph.
+	// Graph returns the current symmetric communication graph, valid until
+	// the next Advance (SpatialTopology retires what it replaces, see
+	// graph.ApplyDelta); SnapshotGraph, Restrict or Clone it to keep one.
 	Graph() *graph.G
 	// AppendReceivers appends the nodes that can hear a broadcast from v
 	// to buf and returns the extended slice (the engine's build phase
@@ -104,9 +106,11 @@ func NewSpatialTopology(w *space.World, mob mobility.Model, dt float64, nodes []
 
 // Advance implements Topology. World.SymmetricGraph is cached on the
 // world generation, so a step that moved no node costs O(1) and keeps
-// the previous graph (and every cache keyed on it) intact.
+// the previous graph (and every cache keyed on it) intact; a graph that
+// is replaced was retired first, so a delta reuses its row header.
 func (t *SpatialTopology) Advance(rng *rand.Rand) {
 	t.Mob.Step(t.World, t.DT, rng)
+	t.cached.Retire()
 	t.cached = t.World.SymmetricGraph()
 }
 

@@ -47,20 +47,32 @@ func checkRow(who string, idx map[ident.NodeID]int32, r NodeAdj) {
 // through a full rebuild.
 //
 // Sharing semantics: the result shares prev's roster (as FromRows does)
-// and every unpatched row. It is unpacked whatever prev is: one fresh
-// header whose untouched rows alias prev's storage, a packed prev's arena
+// and every unpatched row. It is unpacked whatever prev is: one header
+// whose untouched rows alias prev's storage, a packed prev's arena
 // included, so a row nobody patched keeps its backing pointer from graph
 // to graph (the identity the receiver caches key on). Both graphs are
 // marked copy-on-write — the first in-place mutation of either privatizes
 // its adjacency storage first — so the sharing is invisible to callers,
 // and the generation contract is preserved because ApplyDelta returns a
 // fresh graph (new pointer, generation zero) rather than mutating prev.
+//
+// The header is a copy of prev's and prev stays intact — unless prev was
+// retired (Retire), is unpacked and has no identity-Restrict sibling
+// reading through its header: then the child takes the header and patches
+// it in place, one header per delta lineage instead of one per step, and
+// prev is left without rows (the preconditions are checked first). Row
+// storage is never rewritten or recycled: (&row[0], len) proves content.
 func ApplyDelta(prev *G, updates []NodeAdj) *G {
+	prev.mustHaveRows("ApplyDelta")
 	// The updated-node set, ascending, for the mirror-patch membership
 	// tests (an edge between two updated nodes is fully described by their
 	// own rows and must not be double-patched or double-counted).
 	upd := make([]ident.NodeID, len(updates))
 	for i, u := range updates {
+		if _, ok := prev.idx[u.Node]; !ok {
+			panic(fmt.Sprintf("graph: ApplyDelta: unknown node %v", u.Node))
+		}
+		checkRow("ApplyDelta", prev.idx, u)
 		upd[i] = u.Node
 	}
 	slices.Sort(upd)
@@ -74,12 +86,13 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 		return ok
 	}
 
-	g := &G{
-		idx:   prev.idx,
-		nodes: prev.nodes,
-		adj:   prev.header(),
-		edges: prev.edges,
+	adj := prev.adj
+	if prev.retired && prev.off == nil && !prev.hdrShared {
+		prev.adj = nil // handed on: prev is without rows from here
+	} else {
+		adj = prev.header()
 	}
+	g := &G{idx: prev.idx, nodes: prev.nodes, adj: adj, edges: prev.edges}
 	prev.sharedIdx = true
 	g.sharedIdx = true
 	// Adjacency storage is shared slice-by-slice from here on; flag both
@@ -110,14 +123,11 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	for i := range updates {
 		u := updates[i].Node
 		na := updates[i].Adj
-		iu, ok := prev.idx[u]
-		if !ok {
-			panic(fmt.Sprintf("graph: ApplyDelta: unknown node %v", u))
-		}
-		checkRow("ApplyDelta", prev.idx, updates[i])
+		iu := prev.idx[u]
 		// Diff the old and new rows; mirror the changes into rows that are
-		// not themselves updated.
-		old := prev.row(iu)
+		// not themselves updated. g's header may be prev's own: every slot is
+		// read before it is written, updated and mirror slots being disjoint.
+		old := g.adj[iu]
 		oi, ni := 0, 0
 		for oi < len(old) || ni < len(na) {
 			switch {
@@ -169,7 +179,7 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 			hi++
 		}
 		slot := patches[lo].slot
-		old := prev.row(slot)
+		old := g.adj[slot]
 		row := make([]ident.NodeID, 0, len(old)+hi-lo)
 		pi := lo
 		for oi := 0; oi < len(old) || pi < hi; {
@@ -197,6 +207,19 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 		lo = hi
 	}
 	return g
+}
+
+// Retire declares that g's owner will not read g once an ApplyDelta child
+// has been derived from it, which lets that child take g's row header. A
+// no-op on a packed or empty graph, which has no header to hand on.
+func (g *G) Retire() { g.retired = g.retired || len(g.adj) > 0 }
+
+// mustHaveRows panics if g's row header went to its ApplyDelta child: an
+// identity Restrict would otherwise return a silently empty sibling.
+func (g *G) mustHaveRows(who string) {
+	if g.retired && g.adj == nil {
+		panic("graph: " + who + " on a retired graph whose row header was handed to its ApplyDelta child")
+	}
 }
 
 // header returns a fresh row header over g's adjacency storage: one

@@ -166,6 +166,40 @@ func TestApplyDeltaLeavesPrevIntact(t *testing.T) {
 	}
 }
 
+// TestRetiredPrevWithSiblingIsCopied: an identity-Restrict sibling reads
+// through prev's row header, so a retired prev's child copies the header
+// all the same, and the sibling keeps reading its own tick however far the
+// lineage (handing headers on from the next step) moves on.
+func TestRetiredPrevWithSiblingIsCopied(t *testing.T) {
+	w := newDeltaWorld(12)
+	for i := 1; i < 12; i++ {
+		w.set(ident.NodeID(i), ident.NodeID(i+1), true)
+	}
+	prev := ApplyDelta(w.build(), nil)
+	sib := prev.Restrict(func(ident.NodeID) bool { return true })
+	tickT := prev.Clone()
+	hdr := &prev.adj[0]
+	for step := 0; step < 4; step++ {
+		u := ident.NodeID(2 + 3*step)
+		w.set(u, u+1, false)
+		w.set(u, 1, true)
+		prev.Retire()
+		g := ApplyDelta(prev, w.updatesFor([]ident.NodeID{u}))
+		if !g.Equal(w.build()) {
+			t.Fatalf("step %d: child differs from a scratch build", step)
+		}
+		if step == 0 && (prev.adj == nil || &g.adj[0] == hdr || !prev.Equal(tickT)) {
+			t.Fatal("a prev with a sibling must be copied and stay intact")
+		} else if step > 0 && prev.adj != nil {
+			t.Fatalf("step %d: an unshared retired prev must be taken", step)
+		}
+		if !sib.Equal(tickT) || &sib.adj[0] != hdr {
+			t.Fatalf("step %d: the sibling no longer reads tick t", step)
+		}
+		prev = g
+	}
+}
+
 func TestApplyDeltaEmptyUpdates(t *testing.T) {
 	w := newDeltaWorld(5)
 	w.set(1, 2, true)
@@ -182,7 +216,14 @@ func TestApplyDeltaEmptyUpdates(t *testing.T) {
 func TestApplyDeltaPanicsOnViolations(t *testing.T) {
 	w := newDeltaWorld(4)
 	w.set(1, 2, true)
-	prev := w.build()
+	// Unpacked and retired: a rejected delta must not have taken the header.
+	prev := ApplyDelta(w.build(), nil)
+	prev.Retire()
+	defer func() {
+		if !prev.Equal(w.build()) {
+			t.Fatal("a rejected delta left prev without its rows")
+		}
+	}()
 	expectPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -211,12 +252,20 @@ func TestApplyDeltaPanicsOnViolations(t *testing.T) {
 // FuzzApplyDelta drives random base graphs and random consistent dirty-set
 // updates and requires the patched CSR to equal a from-scratch FromEdges
 // build of the mutated edge table — rows, edge counts, and the
-// untouchability of prev included.
+// untouchability of prev included. Two bits of churn choose how prev is
+// held: 0x80 unpacks and retires it, so the child may take its row header
+// (prev must then be left without rows, not with the child's), and 0x40
+// takes an identity-Restrict sibling first, which must block exactly that
+// and go on reading prev's tick through the chained step.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(3))
 	f.Add(int64(42), uint8(20), uint8(1))
 	f.Add(int64(-9), uint8(3), uint8(7))
+	f.Add(int64(5), uint8(12), uint8(0x82))
+	f.Add(int64(6), uint8(12), uint8(0xc4))
+	f.Add(int64(7), uint8(9), uint8(0x41))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, churn uint8) {
+		retire, sibling := churn&0x80 != 0, churn&0x40 != 0
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + int(nRaw%24)
 		w := newDeltaWorld(n)
@@ -228,7 +277,17 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 		}
 		prev := w.build()
+		if retire {
+			prev = ApplyDelta(prev, nil) // unpacked: a header to hand on
+		}
 		snapshot := prev.Clone()
+		var sib *G
+		if sibling {
+			sib = prev.Restrict(func(ident.NodeID) bool { return true })
+		}
+		if retire {
+			prev.Retire()
+		}
 
 		dirtySet := map[ident.NodeID]bool{}
 		for i := 0; i <= int(churn%5); i++ {
@@ -253,7 +312,9 @@ func FuzzApplyDelta(f *testing.F) {
 		if !got.Equal(want) {
 			t.Fatalf("patched %v vs scratch %v (dirty %v)", got, want, dirty)
 		}
-		if !prev.Equal(snapshot) {
+		if taken := retire && !sibling; taken != (prev.adj == nil && prev.off == nil) {
+			t.Fatalf("retire %v, sibling %v: prev.adj = %v", retire, sibling, prev.adj)
+		} else if !taken && !prev.Equal(snapshot) {
 			t.Fatal("ApplyDelta mutated prev")
 		}
 		// Chained delta over the patched result must also hold up.
@@ -265,10 +326,19 @@ func FuzzApplyDelta(f *testing.F) {
 					w.set(u, v, rng.Intn(2) == 0)
 				}
 			}
+			if retire {
+				got.Retire()
+			}
 			got2 := ApplyDelta(got, w.updatesFor(dirty[:1]))
 			if want2 := w.build(); !got2.Equal(want2) {
 				t.Fatalf("chained patch %v vs scratch %v", got2, want2)
 			}
+			if retire != (got.adj == nil) {
+				t.Fatalf("retire %v: chained prev.adj = %v", retire, got.adj)
+			}
+		}
+		if sibling && !sib.Equal(snapshot) {
+			t.Fatal("a later delta wrote through the sibling's header")
 		}
 	})
 }

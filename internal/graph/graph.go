@@ -61,6 +61,11 @@ type G struct {
 	// mutation first privatizes them (unshareAdj in delta.go).
 	cowAdj bool
 
+	// retired is Retire's promise; hdrShared marks the header adj itself as
+	// read by an identity-Restrict sibling (both sides, never cleared). An
+	// ApplyDelta child takes the adj of a retired, unshared parent.
+	retired, hdrShared bool
+
 	edges int
 	gen   uint64
 }
@@ -235,6 +240,7 @@ func (g *G) unshareIdx() {
 
 // Clone returns a deep copy of the graph, packed.
 func (g *G) Clone() *G {
+	g.mustHaveRows("Clone")
 	out := &G{
 		idx:   maps.Clone(g.idx),
 		nodes: slices.Clone(g.nodes),
@@ -552,6 +558,8 @@ func (g *G) Diameter() int {
 
 // Equal reports whether two graphs have identical node and edge sets.
 func (g *G) Equal(o *G) bool {
+	g.mustHaveRows("Equal")
+	o.mustHaveRows("Equal")
 	if len(g.nodes) != len(o.nodes) || g.edges != o.edges {
 		return false
 	}
@@ -574,19 +582,21 @@ func (g *G) String() string {
 // copy-on-write sibling at the cost of one G: it shares g's node index,
 // roster and adjacency storage in whichever form g has it, and either
 // graph privatizes what it is about to write (unshareIdx, unshareAdj)
-// before any later mutation. Like ApplyDelta(prev, …) this sets two flags
-// on its receiver, so Restrict must be called from a sequential phase,
-// never beside concurrent readers of g. Otherwise the result is a deep
-// copy in one pass, packed.
+// before any later mutation. Like ApplyDelta(prev, …) this sets flags on
+// its receiver (one makes the next ApplyDelta copy g's header even if g is
+// retired), so Restrict must be called from a sequential phase, never
+// beside concurrent readers of g. Otherwise the result is a deep copy in
+// one pass, packed.
 func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
+	g.mustHaveRows("Restrict")
 	cut := 0 // first rejected slot
 	for cut < len(g.nodes) && keep(g.nodes[cut]) {
 		cut++
 	}
 	if cut == len(g.nodes) {
-		g.sharedIdx, g.cowAdj = true, true
+		g.sharedIdx, g.cowAdj, g.hdrShared = true, true, true
 		out := &G{idx: g.idx, nodes: g.nodes, off: g.off, arena: g.arena, adj: g.adj,
-			sharedIdx: true, cowAdj: true, edges: g.edges}
+			sharedIdx: true, cowAdj: true, hdrShared: true, edges: g.edges}
 		if g.sortedOK {
 			out.sorted, out.sortedOK = g.sorted, true
 		}
@@ -614,6 +624,12 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 	}
 	out.edges = len(out.arena) / 2
 	return out
+}
+
+// All reports whether keep accepts every node of g, i.e. whether
+// Restrict(keep) would be the identity.
+func (g *G) All(keep func(ident.NodeID) bool) bool {
+	return !slices.ContainsFunc(g.nodes, func(v ident.NodeID) bool { return !keep(v) })
 }
 
 // NodeSet returns the nodes of g as a set, the shape the induced-subgraph

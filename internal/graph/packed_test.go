@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ident"
@@ -174,39 +175,101 @@ func TestPackedCopyOnWrite(t *testing.T) {
 
 // TestRowIdentityAcrossDeltaChain pins what the receiver caches key on: a
 // row no delta step patched keeps its backing array from the packed base
-// through every child, and a patched one does not.
+// through every child, and a patched one moves exactly once — whether each
+// child copies its parent's row header or, the parent retired, takes it.
+// A parent whose header was taken has no rows left: reads panic, and the
+// calls that would otherwise succeed on nothing say why.
 func TestRowIdentityAcrossDeltaChain(t *testing.T) {
-	w := newDeltaWorld(10)
-	for i := 1; i < 10; i++ {
-		w.set(ident.NodeID(i), ident.NodeID(i+1), true)
-	}
-	base := w.build()
-	w.set(1, 2, false) // patches rows 1 (update) and 2 (mirror)
-	c1 := ApplyDelta(base, w.updatesFor([]ident.NodeID{1}))
-	w.set(9, 10, false) // rows 9 and 10
-	c2 := ApplyDelta(c1, w.updatesFor([]ident.NodeID{10}))
-	rowPtr := func(g *G, v ident.NodeID) *ident.NodeID {
-		row := g.NeighborsAt(g.IndexOf(v))
-		if len(row) == 0 {
-			return nil
+	for _, retire := range []bool{false, true} {
+		w := newDeltaWorld(10)
+		for i := 1; i < 10; i++ {
+			w.set(ident.NodeID(i), ident.NodeID(i+1), true)
 		}
-		return &row[0]
-	}
-	for v := ident.NodeID(3); v <= 8; v++ {
-		if p := rowPtr(base, v); p == nil || p != rowPtr(c1, v) || p != rowPtr(c2, v) {
-			t.Fatalf("untouched row %v moved along the chain", v)
+		// rowPtrs records &row[0] of every node (nil for an empty row) while
+		// g still has its rows.
+		rowPtrs := func(g *G) map[ident.NodeID]*ident.NodeID {
+			out := map[ident.NodeID]*ident.NodeID{}
+			for _, v := range w.nodes {
+				if row := g.NeighborsAt(g.IndexOf(v)); len(row) > 0 {
+					out[v] = &row[0]
+				}
+			}
+			return out
 		}
-	}
-	if rowPtr(base, 2) == rowPtr(c1, 2) || rowPtr(c1, 2) != rowPtr(c2, 2) {
-		t.Fatal("row 2: patched by the first step only")
-	}
-	if rowPtr(base, 9) != rowPtr(c1, 9) || rowPtr(c1, 9) == rowPtr(c2, 9) {
-		t.Fatal("row 9: patched by the second step only")
-	}
-	// The rows of the packed base read the same through every accessor.
-	for _, v := range w.nodes {
-		if p := rowPtr(base, v); p != nil && p != &base.NeighborsView(v)[0] {
-			t.Fatalf("NeighborsAt and NeighborsView of %v disagree", v)
+		base := w.build()
+		pb := rowPtrs(base)
+		if retire {
+			base.Retire() // packed: nothing to hand on
+		}
+		w.set(1, 2, false) // patches rows 1 (update) and 2 (mirror)
+		c1 := ApplyDelta(base, w.updatesFor([]ident.NodeID{1}))
+		p1, hdr := rowPtrs(c1), &c1.adj[0]
+		if retire {
+			c1.Retire()
+		}
+		w.set(9, 10, false) // rows 9 and 10
+		c2 := ApplyDelta(c1, w.updatesFor([]ident.NodeID{10}))
+		p2 := rowPtrs(c2)
+		if taken := &c2.adj[0] == hdr; taken != retire || taken != (c1.adj == nil) {
+			t.Fatalf("retire %v: header taken %v, parent's header %v", retire, taken, c1.adj)
+		}
+		for v := ident.NodeID(3); v <= 8; v++ {
+			if p := pb[v]; p == nil || p != p1[v] || p != p2[v] {
+				t.Fatalf("retire %v: untouched row %v moved along the chain", retire, v)
+			}
+		}
+		if pb[2] == p1[2] || p1[2] != p2[2] {
+			t.Fatal("row 2: patched by the first step only")
+		}
+		if pb[9] != p1[9] || p1[9] == p2[9] {
+			t.Fatal("row 9: patched by the second step only")
+		}
+		// The rows of the packed base read the same through every accessor.
+		for _, v := range w.nodes {
+			if p := pb[v]; p != nil && p != &base.NeighborsView(v)[0] {
+				t.Fatalf("NeighborsAt and NeighborsView of %v disagree", v)
+			}
+		}
+		if !c2.Equal(w.build()) {
+			t.Fatalf("retire %v: end of chain differs from a scratch build", retire)
+		}
+		if !retire {
+			continue
+		}
+		all := func(ident.NodeID) bool { return true }
+		for name, read := range map[string]func(){
+			"NeighborsAt":     func() { c1.NeighborsAt(2) },
+			"NeighborsView":   func() { c1.NeighborsView(3) },
+			"Neighbors":       func() { c1.Neighbors(3) },
+			"AppendNeighbors": func() { c1.AppendNeighbors(3, nil) },
+			"ForEachNeighbor": func() { c1.ForEachNeighbor(3, func(ident.NodeID) {}) },
+			"Degree":          func() { c1.Degree(3) },
+			"HasEdge":         func() { c1.HasEdge(3, 4) },
+			"BFSFrom":         func() { c1.BFSFrom(3, nil) },
+			"AddEdge":         func() { c1.AddEdge(3, 7) },
+			"!Restrict":       func() { c1.Restrict(all) },
+			"!Clone":          func() { c1.Clone() },
+			"!Equal":          func() { c2.Equal(c1) },
+			"!ApplyDelta":     func() { ApplyDelta(c1, nil) },
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%s on a parent without rows did not panic", name)
+					}
+					if msg, _ := r.(string); name[0] == '!' && !strings.Contains(msg, "handed to its ApplyDelta child") {
+						t.Fatalf("%s: panic %v does not say where the rows went", name, r)
+					}
+				}()
+				read()
+			}()
+		}
+		// The child that took the header still privatizes before writing:
+		// rows it shares with older graphs are not edited in place.
+		c2.RemoveEdge(4, 5)
+		if !base.HasEdge(4, 5) || c2.HasEdge(4, 5) {
+			t.Fatal("an in-place edit of the child leaked into the packed base")
 		}
 	}
 }

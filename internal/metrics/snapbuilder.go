@@ -48,3 +48,14 @@ func (b *SnapshotBuilder) Graph(src *graph.G, liveGen uint64, live func(ident.No
 	b.cached = src.Restrict(live)
 	return b.cached
 }
+
+// Live is Graph for a reader that is done with the result before src's
+// owner next advances or mutates it: src itself, borrowed, when every node
+// of it is live — no sibling to pin src's row header or to make the next
+// graph.ApplyDelta copy it — and Graph's restricted copy otherwise.
+func (b *SnapshotBuilder) Live(src *graph.G, liveGen uint64, live func(ident.NodeID) bool) *graph.G {
+	if src.All(live) {
+		return src
+	}
+	return b.Graph(src, liveGen, live)
+}

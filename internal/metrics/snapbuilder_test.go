@@ -39,3 +39,27 @@ func TestSnapshotGraphAllLiveIsZeroCopy(t *testing.T) {
 		t.Errorf("all-live snapshot graph: %d B per call, want < 256 (n=%d)", perCall, n)
 	}
 }
+
+// TestLiveBorrowsWhenEveryNodeIsLive: Live is src itself — no sibling, so a
+// retired src still hands its row header on — exactly when Graph would be
+// the identity restriction, and Graph's copy otherwise.
+func TestLiveBorrowsWhenEveryNodeIsLive(t *testing.T) {
+	src := graph.ApplyDelta(graph.Line(6), nil)
+	var b SnapshotBuilder
+	if got := b.Live(src, 1, func(ident.NodeID) bool { return true }); got != src {
+		t.Fatal("every node live: Live must serve src itself")
+	}
+	notSix := func(v ident.NodeID) bool { return v != 6 }
+	part := b.Live(src, 2, notSix)
+	if part == src || part.HasNode(6) || part != b.Graph(src, 2, notSix) {
+		t.Fatalf("node 6 not live: Live must serve Graph's restricted copy, got %v", part)
+	}
+	src.Retire()
+	child := graph.ApplyDelta(src, nil)
+	defer func() {
+		if recover() == nil || !child.Equal(graph.Line(6)) {
+			t.Fatal("a borrowed, retired src should have handed its header to its child")
+		}
+	}()
+	src.Clone()
+}

@@ -48,8 +48,9 @@ type Source interface {
 	ViewerAtSlot(s int32) Viewer
 	// DrainDirty hands over and resets the accumulated dirty report.
 	DrainDirty(fn func(computed [engine.NumShards][]int32, added []ident.NodeID, removed []engine.RemovedNode))
-	// SnapshotGraph is the topology graph restricted to live members.
-	SnapshotGraph() *graph.G
+	// LiveGraph is the topology graph restricted to live members, read only
+	// inside Observe: it may be the topology's own, retired by the next tick.
+	LiveGraph() *graph.G
 	// Tick is the engine tick at observation time.
 	Tick() int
 	// TrafficTotals returns the cumulative broadcast and reception
@@ -64,13 +65,16 @@ type engineSource struct {
 	e *engine.Engine
 }
 
+// EngineSource is NewGroupTracker's Source over e, for callers that wrap it.
+func EngineSource(e *engine.Engine) Source { return engineSource{e: e} }
+
 func (s engineSource) Workers() int                     { return s.e.P.Workers }
 func (s engineSource) Dmax() int                        { return s.e.P.Cfg.Dmax }
 func (s engineSource) TrackDirty()                      { s.e.TrackDirty() }
 func (s engineSource) SlotCap() int                     { return s.e.SlotCap() }
 func (s engineSource) Order() []ident.NodeID            { return s.e.Order() }
 func (s engineSource) SlotOf(v ident.NodeID) int32      { return s.e.SlotOf(v) }
-func (s engineSource) SnapshotGraph() *graph.G          { return s.e.SnapshotGraph() }
+func (s engineSource) LiveGraph() *graph.G              { return s.e.LiveGraph() }
 func (s engineSource) Tick() int                        { return s.e.Tick() }
 func (s engineSource) Introspect() *introspect.Registry { return s.e.Introspect() }
 

@@ -166,7 +166,7 @@ type GroupTracker struct {
 	memberSum    int // Σ|members| over records (= live node count at rest)
 	stretchedCnt int // records with induced diameter > dmax (ΠS ⇔ 0)
 
-	// Graph cache key and cached topology-derived stats.
+	// Graph cache key (pointer for identity only) and topology-derived stats.
 	prevG   *graph.G
 	prevGen uint64
 	edges   int
@@ -236,7 +236,7 @@ type regroupRes struct {
 // Observe performs a full synchronization, so a tracker may be attached
 // to an engine that has already stepped.
 func NewGroupTracker(e *engine.Engine) *GroupTracker {
-	return NewGroupTrackerSource(engineSource{e: e})
+	return NewGroupTrackerSource(EngineSource(e))
 }
 
 // NewGroupTrackerSource attaches a tracker to any Source — the seam the
@@ -319,7 +319,7 @@ func (t *GroupTracker) Observe() RoundStats {
 	}
 	memberChurn := len(t.added) > 0 || len(t.removed) > 0
 
-	g := t.e.SnapshotGraph()
+	g := t.e.LiveGraph()
 	topoChanged := first || g != t.prevG || g.Generation() != t.prevGen
 	changedPartition := false
 	piTBroken := false

@@ -275,10 +275,12 @@ func (w *World) SymmetricGraph() *graph.G {
 	if w.deltaViable(len(nodes)) {
 		// An edge can appear or disappear only if an endpoint moved, so the
 		// movers' rows (deltaViable sorted and deduplicated the set)
-		// describe every change.
-		prev := w.symGraph
-		g = graph.ApplyDelta(prev, w.scanRows(w.movedDirty))
-		w.recordRowDelta(prev, g)
+		// describe every change. prev's mover rows are read first: a retired
+		// prev (see graph.ApplyDelta) has none afterwards.
+		prev, upd := w.symGraph, w.scanRows(w.movedDirty)
+		w.recordRowDelta(prev, upd)
+		g = graph.ApplyDelta(prev, upd)
+		w.rowDirtyFrom, w.rowDirtyTo = prev, g
 	} else {
 		// prev only lends its node index, when the roster is the same.
 		g = graph.FromRows(w.symGraph, nodes, w.scanRows(nodes))
@@ -311,9 +313,9 @@ func (w *World) Receivers(u ident.NodeID) []ident.NodeID {
 // CSR storage and must be treated as read-only; because delta rebuilds
 // share every untouched row between generations, an identical view
 // (same backing, same length) across ticks means an identical receiver
-// set — rows are never mutated in place once shared (graph.ApplyDelta
-// privatizes before writing). A (nil, true) return means u is absent or
-// isolated.
+// set — row storage is never rewritten or recycled (graph.ApplyDelta
+// gives a changed row fresh storage, even when it reuses the row header).
+// A (nil, true) return means u is absent or isolated.
 func (w *World) ReceiverRow(u ident.NodeID) ([]ident.NodeID, bool) {
 	if len(w.TxRange) != 0 {
 		return nil, false
@@ -354,16 +356,16 @@ func (w *World) RowsChanged(since *graph.G) ([]ident.NodeID, bool) {
 	return w.rowDirty, true
 }
 
-// recordRowDelta derives the RowsChanged set of a delta rebuild from the
-// update rows the build just scanned (still in rowBuf): an edge can only
+// recordRowDelta derives the RowsChanged set of a delta rebuild from prev
+// and the update rows about to be applied to it: an edge can only
 // have appeared or disappeared between a mover and a member of its old or
 // new row, so movers plus both rows cover every changed row. The set
 // overapproximates — a neighbor that kept its edge to a mover is listed
 // though its row is unchanged — which only costs the driver a cheap
 // revalidation, never a stale cache.
-func (w *World) recordRowDelta(prev, g *graph.G) {
+func (w *World) recordRowDelta(prev *graph.G, updates []graph.NodeAdj) {
 	d := w.rowDirty[:0]
-	for _, upd := range w.rowBuf {
+	for _, upd := range updates {
 		d = append(d, upd.Node)
 		d = append(d, upd.Adj...)
 		if i := prev.IndexOf(upd.Node); i >= 0 {
@@ -372,7 +374,6 @@ func (w *World) recordRowDelta(prev, g *graph.G) {
 	}
 	sortIDs(d)
 	w.rowDirty = compactIDs(d)
-	w.rowDirtyFrom, w.rowDirtyTo = prev, g
 }
 
 func (w *World) AppendReceivers(u ident.NodeID, buf []ident.NodeID) []ident.NodeID {

@@ -600,3 +600,32 @@ func TestRangeBoundaryMatchesBruteForce(t *testing.T) {
 		t.Fatalf("%d of %d boundary pairs linked: the cases straddle nothing", want.NumEdges(), id/2)
 	}
 }
+
+// TestDirectlySteppedWorldKeepsEveryGraph: a world nobody retires graphs
+// for (examples/urban, experiments.highwayTrace) hands out graphs that
+// stay what they were — ten successive delta results each still equal
+// the brute-force graph recorded when it was returned.
+func TestDirectlySteppedWorldKeepsEveryGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	w := NewWorld(2.0)
+	const n = 120
+	for i := 1; i <= n; i++ {
+		w.Place(ident.NodeID(i), Point{X: rng.Float64() * 25, Y: rng.Float64() * 25})
+	}
+	w.SymmetricGraph()
+	var got, want []*graph.G
+	for tick := 0; tick < 10; tick++ {
+		for j := 0; j < 3; j++ {
+			w.Place(ident.NodeID(1+rng.Intn(n)), Point{X: rng.Float64() * 25, Y: rng.Float64() * 25})
+		}
+		if !w.deltaViable(n) {
+			t.Fatalf("tick %d: not on the delta path", tick)
+		}
+		got, want = append(got, w.SymmetricGraph()), append(want, bruteSymmetricGraph(w))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("graph %d changed after it was returned", i)
+		}
+	}
+}
