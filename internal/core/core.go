@@ -793,7 +793,7 @@ func (n *Node) RecsNeeded() int {
 func (n *Node) BuildMessageIn(recs []PrioRec) Message {
 	need := n.RecsNeeded()
 	if cap(recs) < need {
-		recs = make([]PrioRec, 0, need)
+		recs = slices.Grow([]PrioRec(nil), need)
 	}
 	recs = recs[:0]
 	for i := 0; i < n.list.Len(); i++ {

@@ -192,9 +192,9 @@ func (p *pool[T]) retire(buf []T, tick int, poison bool) {
 	}
 }
 
-// take returns storage of capacity need, or up to two more, retired by ripe.
+// take returns storage of capacity need, or up to four more, retired by ripe.
 func (p *pool[T]) take(need, ripe int) []T {
-	for c := need; c <= need+2 && c < len(p.byCap); c++ {
+	for c := need; c <= need+4 && c < len(p.byCap); c++ {
 		if f := &p.byCap[c]; f.head < len(f.q) && f.q[f.head].tick <= ripe {
 			f.head++
 			return f.q[f.head-1].buf

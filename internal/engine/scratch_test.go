@@ -178,6 +178,38 @@ func offers[T any](p *pool[T], at *T) bool {
 	return false
 }
 
+// TestPoolTakeWindow pins which retired buffer a taker is handed: the
+// smallest ripe capacity in need..need+4, once, and nothing smaller,
+// roomier or retired later than ripe.
+func TestPoolTakeWindow(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		caps       []int // retired in this order, at ticks 1, 2, …
+		need, ripe int
+		want       int // capacity handed out, 0 for none
+	}{
+		{"exact fit preferred", []int{9, 5, 7}, 5, 9, 5},
+		{"need+4 taken", []int{9}, 5, 9, 9},
+		{"need+5 not", []int{10}, 5, 9, 0},
+		{"smaller never", []int{4}, 5, 9, 0},
+		{"unripe skipped for a roomier ripe one", []int{7, 5}, 5, 1, 7},
+		{"unripe only", []int{5}, 5, 0, 0},
+	} {
+		var p pool[int]
+		for i, n := range c.caps {
+			p.retire(make([]int, 0, n), i+1, false)
+		}
+		if got := cap(p.take(c.need, c.ripe)); got != c.want {
+			t.Errorf("%s: take(%d, ripe %d) of %v handed out capacity %d, want %d", c.name, c.need, c.ripe, c.caps, got, c.want)
+		}
+	}
+	var p pool[int]
+	p.retire(make([]int, 0, 5), 1, false)
+	if a, b := p.take(5, 1), p.take(5, 1); a == nil || b != nil {
+		t.Errorf("one retired buffer was handed out %v then %v, want once", a != nil, b != nil)
+	}
+}
+
 // TestRetirementFollowsListIdentity pins the rule where BuildPhase decides
 // it: a rebuild retires the replaced records always and the replaced list's
 // entries only when the rebuilt broadcast's list is other storage; and what

@@ -38,6 +38,8 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -94,7 +96,8 @@ type RoundStats struct {
 type nodeState struct {
 	id       ident.NodeID
 	viewVer  uint64         // core.Node.ViewVersion at last extraction
-	view     []ident.NodeID // the node's own view, ascending (replaced, never mutated)
+	view     []ident.NodeID // the node's own view, ascending
+	spare    []ident.NodeID // view's other buffer: the two swap on a change
 	viewHash uint64         // commutative hash of view
 	selfIn   bool           // v ∈ view_v
 	nbrs     []ident.NodeID // neighborhood in the restricted graph, ascending
@@ -115,18 +118,20 @@ type memberRef struct {
 	slot int32
 }
 
-// group is one Ω record. Its membership is immutable: any partition
-// change produces a new record, so records are shared by their members,
-// compared by pointer, and the ΠM pair cache can key verdicts on record
-// identity plus the members' neighborhood generation.
+// group is one Ω record. Its membership is immutable while it is live:
+// any partition change produces another record, so records are shared by
+// their members and compared by pointer. A record owns its members'
+// storage and is written again one Observe after detach destroyed it, so
+// the ΠM pair cache keys verdicts on (pointer, topoGen), and topoGen only
+// ever grows.
 type group struct {
 	rep     ident.NodeID   // minimum member — the unique representative
-	members []ident.NodeID // ascending; len ≥ 1
+	members []ident.NodeID // ascending; len ≥ 1; the record's own copy
 	refs    int            // nodes currently assigned to this record
 
 	stretched bool   // induced diameter > dmax in the last evaluated graph
 	evalRound int    // round of that evaluation (dedup stamp)
-	topoGen   uint64 // bumped when a member's neighborhood changes
+	topoGen   uint64 // bumped when a member's neighborhood changes, and on reuse
 }
 
 type pairKey struct{ a, b ident.NodeID } // a < b, group representatives
@@ -156,6 +161,8 @@ type GroupTracker struct {
 	affEpoch []int                         // engine slot → round last marked affected
 	watchers map[ident.NodeID][]memberRef  // u → {w : u ∈ view_w}, ascending by watcher
 	groups   map[ident.NodeID]*group       // representative → current record
+	parked   []*group                      // destroyed this Observe: still read (ΠC, reborn, pending)
+	free     []*group                      // destroyed before it: poisoned, newGroup's to write
 	byShard  [engine.NumShards][]memberRef // live nodes, ascending per shard
 
 	// Aggregates over the live partition, maintained on every record
@@ -214,7 +221,7 @@ type trackerShard struct {
 type changeRec struct {
 	slot    int32
 	v       ident.NodeID
-	oldView []ident.NodeID
+	oldView []ident.NodeID // the slot's spare: valid until its next extraction
 }
 
 // rebornRec remembers the previous Ω of a node that was removed and
@@ -303,6 +310,13 @@ func (t *GroupTracker) Observe() RoundStats {
 	for s := range t.shards {
 		t.shards[s].extract = t.shards[s].extract[:0]
 	}
+	// Last Observe's dead records become writable, poisoned so that a
+	// stale alias reads no plausible group.
+	for _, grp := range t.parked {
+		clear(grp.members)
+		grp.rep = ident.None
+	}
+	t.free, t.parked = append(t.free, t.parked...), t.parked[:0]
 	t.e.DrainDirty(func(computed [engine.NumShards][]int32, added []ident.NodeID, removed []engine.RemovedNode) {
 		if first {
 			return
@@ -364,7 +378,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		t.dropWatcher(st.view, r.ID)
 		st.id = ident.None
 		st.grp = nil
-		st.view = nil
+		st.view = st.view[:0]
 		t.shardRemove(r.ID)
 		changedPartition = true
 	}
@@ -384,16 +398,15 @@ func (t *GroupTracker) Observe() RoundStats {
 		// node's regroup.
 		st.id = a
 		st.viewVer = 0
-		st.view = nil
+		st.view = st.view[:0]
 		st.viewHash = 0
 		st.selfIn = false
 		st.nbrs = st.nbrs[:0]
 		st.nbrSlots = st.nbrSlots[:0]
 		st.good = true
 		st.born = t.round
-		grp := t.newGroup(a, []ident.NodeID{a})
-		grp.refs = 1
-		st.grp = grp
+		st.grp = t.newGroup(a, a)
+		st.grp.refs = 1
 		t.affEpoch[slot] = 0
 		ref := memberRef{id: a, slot: slot}
 		t.shardInsert(ref)
@@ -494,10 +507,9 @@ func (t *GroupTracker) Observe() RoundStats {
 			if idsEqual(st.view, sh.vbuf) {
 				continue
 			}
-			nv := make([]ident.NodeID, len(sh.vbuf))
-			copy(nv, sh.vbuf)
+			nv := append(st.spare[:0], sh.vbuf...)
 			sh.changed = append(sh.changed, changeRec{slot: slot, v: st.id, oldView: st.view})
-			st.view = nv
+			st.view, st.spare = nv, st.view
 			st.viewHash = hashIDs(nv)
 			st.selfIn = containsID(nv, st.id)
 		}
@@ -531,7 +543,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		}
 	}
 	t.affected = aff
-	sort.Slice(t.affected, func(i, j int) bool { return t.affected[i].id < t.affected[j].id })
+	slices.SortFunc(t.affected, func(a, b memberRef) int { return cmp.Compare(a.id, b.id) })
 	aff = t.affected[:0]
 	for i, ref := range t.affected {
 		if i == 0 || ref.id != t.affected[i-1].id {
@@ -545,10 +557,7 @@ func (t *GroupTracker) Observe() RoundStats {
 	// reject mismatches cheaply; equal hashes are confirmed by an exact
 	// slice comparison, so the verdict matches metrics.Snapshot.Omega
 	// bit for bit.
-	if cap(t.regroup) < len(t.affected) {
-		t.regroup = make([]regroupRes, len(t.affected))
-	}
-	t.regroup = t.regroup[:len(t.affected)]
+	t.regroup = slices.Grow(t.regroup[:0], len(t.affected))[:len(t.affected)]
 	t.runSlots(len(t.affected), func(i, w int) {
 		ref := t.affected[i]
 		st := &t.nodes[ref.slot]
@@ -601,7 +610,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		if res.good {
 			target = t.groups[res.rep]
 			if target == nil || !idsEqual(target.members, st.view) {
-				target = t.newGroup(res.rep, st.view)
+				target = t.newGroup(res.rep, st.view...)
 				if len(st.view) > 1 {
 					t.evalList = append(t.evalList, target)
 				}
@@ -609,7 +618,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		} else {
 			target = t.groups[v]
 			if target == nil || len(target.members) != 1 || target.members[0] != v {
-				target = t.newGroup(v, []ident.NodeID{v})
+				target = t.newGroup(v, v)
 			}
 		}
 		target.refs++
@@ -737,9 +746,7 @@ func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
 	if len(list) == 0 {
 		return
 	}
-	if cap(t.boolRes) < len(list) {
-		t.boolRes = make([]bool, len(list))
-	}
+	t.boolRes = slices.Grow(t.boolRes[:0], len(list))
 	res := t.boolRes[:len(list)]
 	t.runSlots(len(list), func(i, w int) {
 		res[i] = t.ws[w].stretched(g, list[i].members, t.dmax)
@@ -822,9 +829,7 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 		}
 	}
 
-	if cap(t.boolRes) < len(t.pending) {
-		t.boolRes = make([]bool, len(t.pending))
-	}
+	t.boolRes = slices.Grow(t.boolRes[:0], len(t.pending))
 	res := t.boolRes[:len(t.pending)]
 	t.runSlots(len(t.pending), func(i, w int) {
 		p := t.pending[i]
@@ -846,10 +851,19 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 	clear(t.pairSpare)
 }
 
-// newGroup creates a record, registers it as the representative's
-// canonical record and accounts it.
-func (t *GroupTracker) newGroup(rep ident.NodeID, members []ident.NodeID) *group {
-	grp := &group{rep: rep, members: members}
+// newGroup creates a record holding a copy of members — in a free record
+// when there is one — registers it as the representative's canonical
+// record and accounts it.
+func (t *GroupTracker) newGroup(rep ident.NodeID, members ...ident.NodeID) *group {
+	var grp *group
+	if n := len(t.free); n == 0 {
+		grp = &group{}
+	} else {
+		grp, t.free = t.free[n-1], t.free[:n-1]
+		grp.refs, grp.evalRound, grp.stretched = 0, 0, false
+		grp.topoGen++ // never reset: a pairCache verdict for this pointer must not match
+	}
+	grp.rep, grp.members = rep, append(grp.members[:0], members...)
 	t.groups[rep] = grp
 	t.groupCount++
 	t.memberSum += len(members)
@@ -860,8 +874,9 @@ func (t *GroupTracker) newGroup(rep ident.NodeID, members []ident.NodeID) *group
 }
 
 // detach drops one reference and destroys the record when it was the
-// last (the canonical map entry is removed only if it still points at
-// this record — a replacement may already have taken the slot).
+// last, parking it for the rest of this Observe (the canonical map entry
+// is removed only if it still points at this record — a replacement may
+// already have taken the slot).
 func (t *GroupTracker) detach(grp *group) {
 	grp.refs--
 	if grp.refs > 0 {
@@ -876,6 +891,7 @@ func (t *GroupTracker) detach(grp *group) {
 	if t.groups[grp.rep] == grp {
 		delete(t.groups, grp.rep)
 	}
+	t.parked = append(t.parked, grp)
 }
 
 func (t *GroupTracker) setStretched(grp *group, v bool) {
@@ -962,9 +978,9 @@ func (t *GroupTracker) shardRemove(v ident.NodeID) {
 func (t *GroupTracker) Groups() [][]ident.NodeID {
 	out := make([][]ident.NodeID, 0, t.groupCount)
 	for _, grp := range t.groups {
-		out = append(out, grp.members)
+		out = append(out, slices.Clone(grp.members))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	slices.SortFunc(out, func(a, b []ident.NodeID) int { return cmp.Compare(a[0], b[0]) })
 	return out
 }
 

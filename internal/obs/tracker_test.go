@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -102,8 +104,10 @@ func TestTrackerMatchesOracleStatic(t *testing.T) {
 // join/leave churn — every round the tracker must agree with the
 // brute-force snapshot oracle on the partition, every predicate and
 // every counter. Walls plus waypoint motion exercise splits, merges and
-// transient disagreement; churn exercises the membership paths
-// (including a remove-and-readd inside one observation window).
+// transient disagreement; churn exercises the membership paths, including
+// a remove-and-readd inside one observation window onto the same slot and
+// onto another one. Records destroyed on the way are poisoned one Observe
+// later, so a reader of a stale one diverges from the oracle here.
 func TestTrackerMatchesOracleChurn(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
@@ -139,6 +143,26 @@ func TestTrackerMatchesOracleChurn(t *testing.T) {
 				// next observation (the tracker's documented contract).
 				order := e.Order()
 				switch {
+				case (r == 31 || r == 49) && len(order) > 4:
+					// Remove and re-add the same node within one
+					// observation window (the reborn path): at 31 onto the
+					// slot it just freed, at 49 onto another one, a
+					// newcomer having taken that slot in between.
+					v := order[churn.Intn(len(order))]
+					p, _ := w.Pos(v)
+					slot := e.SlotOf(v)
+					e.RemoveNode(v)
+					w.Remove(v)
+					if r == 49 {
+						w.Place(nextID, space.Point{X: churn.Float64() * 24, Y: churn.Float64() * 24})
+						e.AddNode(nextID)
+						nextID++
+					}
+					w.Place(v, p.Add(1, 1))
+					e.AddNode(v)
+					if same := e.SlotOf(v) == slot; same != (r == 31) {
+						t.Fatalf("round %d: reborn node on its old slot: %v", r, same)
+					}
 				case r%9 == 4 && len(order) > 8:
 					v := order[churn.Intn(len(order))]
 					e.RemoveNode(v)
@@ -147,15 +171,6 @@ func TestTrackerMatchesOracleChurn(t *testing.T) {
 					v := nextID
 					nextID++
 					w.Place(v, space.Point{X: churn.Float64() * 24, Y: churn.Float64() * 24})
-					e.AddNode(v)
-				case r == 31 && len(order) > 4:
-					// Remove and re-add the same node within one
-					// observation window (the reborn path).
-					v := order[churn.Intn(len(order))]
-					p, _ := w.Pos(v)
-					e.RemoveNode(v)
-					w.Remove(v)
-					w.Place(v, p.Add(1, 1))
 					e.AddNode(v)
 				}
 				e.StepRound()
@@ -180,8 +195,9 @@ func obsFingerprint(st RoundStats, tr *GroupTracker) string {
 }
 
 // TestTrackerDeterministicAcrossWorkers pins the acceptance criterion:
-// the tracker's full output is bit-identical at Workers=1 and Workers=4
-// on a churning mobile scenario.
+// the tracker's full output, Groups() included, is bit-identical at
+// Workers=1 and Workers=4 on a churning mobile scenario in which group
+// records are written again.
 func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []string {
 		w := space.NewWorld(4)
@@ -198,6 +214,7 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 		}, topo)
 		tr := NewGroupTracker(e)
 		var out []string
+		reused := 0
 		for r := 1; r <= 40; r++ {
 			switch r {
 			case 12:
@@ -208,8 +225,15 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 				e.AddNode(77)
 			}
 			e.StepRound()
+			idle := len(tr.free) + len(tr.parked)
 			st := tr.Observe()
+			if len(tr.free) < idle {
+				reused++
+			}
 			out = append(out, obsFingerprint(st, tr))
+		}
+		if reused == 0 {
+			t.Fatalf("workers=%d: no round reused a group record — the comparison is vacuous", workers)
 		}
 		return out
 	}
@@ -247,5 +271,106 @@ func TestTrackerSparseObservation(t *testing.T) {
 		cur := e.Snapshot()
 		checkAgainstOracle(t, fmt.Sprintf("obs %d", o), st, tr, prev, cur, hasPrev, dmax)
 		prev, hasPrev = cur, true
+	}
+}
+
+// TestTrackerSteadyStateAllocations pins what a changed view costs the
+// allocator once the per-slot buffers have grown: the two view buffers of
+// a slot swap, a group record is written again, so what is left (growth
+// towards the largest view and neighborhood a slot has seen, watcher sets
+// of newly watched nodes, a dozen closures an Observe) stays under one
+// allocation per ten changed views. A view copy or a record per change is
+// more than one per changed view. The buffers are still growing at round
+// 30 (0.15 per changed view in this world), hence the longer warm-up.
+func TestTrackerSteadyStateAllocations(t *testing.T) {
+	w := space.NewWorld(4)
+	ids := make([]ident.NodeID, 500)
+	for i := range ids {
+		ids[i] = ident.NodeID(i + 1)
+	}
+	topo := engine.NewSpatialTopology(w,
+		&mobility.Waypoint{Side: 64, SpeedMin: 2, SpeedMax: 6},
+		0.2, ids, rand.New(rand.NewSource(3)))
+	e := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 9, Workers: 1}, topo)
+	tr := NewGroupTracker(e)
+	for r := 0; r < 90; r++ {
+		e.StepRound()
+		tr.Observe()
+	}
+	var before, after runtime.MemStats
+	var mallocs uint64
+	changed := 0
+	for r := 0; r < 30; r++ {
+		e.StepRound()
+		runtime.ReadMemStats(&before)
+		tr.Observe()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		for s := range tr.shards {
+			changed += len(tr.shards[s].changed)
+		}
+	}
+	t.Logf("%d allocations over 30 observations of %d changed views", mallocs, changed)
+	if changed < 30*len(ids)/4 {
+		t.Fatalf("only %d views changed — the world is not all-moving", changed)
+	}
+	if 10*mallocs >= uint64(changed) {
+		t.Errorf("%d allocations for %d changed views, want under one per ten", mallocs, changed)
+	}
+}
+
+// TestGroupRecordGenerationAcrossReuse dissolves a group beside a
+// neighbour and re-forms a smaller one under the same representative — on
+// the very record the first one lived in. The pair cache proves a ΠM
+// verdict by (record pointer, topoGen) under the representative pair, so
+// the record must come back with a generation it never held; ΠM, nee and
+// everything else must match the oracle throughout.
+func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
+	const dmax = 1 // groups are cliques: {1,2,3} and {4,5,6}, joined by 2–4
+	g := graph.New()
+	for _, e := range [][2]ident.NodeID{{1, 2}, {1, 3}, {2, 3}, {2, 4}, {4, 5}, {4, 6}, {5, 6}} {
+		g.AddEdge(e[0], e[1])
+	}
+	e := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: 1}, g)
+	tr := NewGroupTracker(e)
+
+	var rec *group
+	var maxGen uint64
+	var prev metrics.Snapshot
+	hasPrev := false
+	for r := 1; r <= 90; r++ {
+		switch r {
+		case 30:
+			if rec = tr.groups[1]; rec == nil || len(rec.members) != 3 || tr.groups[4] == nil || len(tr.groups[4].members) != 3 {
+				t.Fatalf("round %d: partition %v, want two triangles", r, tr.Groups())
+			}
+			g.RemoveEdge(1, 2)
+			g.RemoveEdge(1, 3)
+			g.RemoveEdge(2, 3)
+		case 60:
+			if rec.rep != ident.None || rec.members[0] != ident.None {
+				t.Fatalf("round %d: dissolved record reads %v %v, want it poisoned", r, rec.rep, rec.members)
+			}
+			g.AddEdge(1, 2)
+		}
+		if i := slices.Index(tr.free, rec); i >= 0 && r >= 60 {
+			// Any free record serves any newGroup: have this one served next.
+			last := len(tr.free) - 1
+			tr.free[i], tr.free[last] = tr.free[last], tr.free[i]
+		}
+		e.StepRound()
+		st := tr.Observe()
+		cur := e.Snapshot()
+		checkAgainstOracle(t, fmt.Sprintf("round %d", r), st, tr, prev, cur, hasPrev, dmax)
+		prev, hasPrev = cur, true
+		if rec != nil && r < 60 {
+			maxGen = max(maxGen, rec.topoGen)
+		}
+	}
+	if tr.groups[1] != rec || fmt.Sprint(rec.members) != "[n1 n2]" {
+		t.Fatalf("group {1,2} lives in %p %v, want the recycled record %p", tr.groups[1], tr.Groups(), rec)
+	}
+	if maxGen == 0 || rec.topoGen <= maxGen {
+		t.Fatalf("recycled record has topoGen %d, held up to %d before — a cached verdict could match it", rec.topoGen, maxGen)
 	}
 }
