@@ -33,8 +33,13 @@ var singletonOffs = []int32{0, 1}
 // Singleton returns the one-element list (id), i.e. a freshly reset owner
 // list, with the given mark on the entry. The paper writes (u) for a
 // single-marked kept sender and (u̿) for a double-marked incompatible one.
-func Singleton(e ident.Entry) List {
-	return List{ents: []ident.Entry{e}, offs: singletonOffs}
+func Singleton(e ident.Entry) List { return SingletonOver([]ident.Entry{e}) }
+
+// SingletonOver is Singleton over the caller's storage: the entry is
+// buf[0], and the list's capacity stops there, so a slab that buf was cut
+// from is never the list's to write beyond its own entry.
+func SingletonOver(buf []ident.Entry) List {
+	return List{ents: buf[:1:1], offs: singletonOffs}
 }
 
 // FromSets builds a list from nested position sets (the construction shape

@@ -318,24 +318,41 @@ func (n *Node) inView(u ident.NodeID) bool { return containsID(n.view, u) }
 
 // NewNode returns a freshly booted node: alone in its list and view, clock
 // zero.
-func NewNode(id ident.NodeID, cfg Config) *Node {
+func NewNode(id ident.NodeID, cfg Config) *Node { return &NewNodes([]ident.NodeID{id}, cfg)[0] }
+
+// NewNodes boots one node per id over shared slabs: the nodes themselves,
+// and one slab for each of their one-entry slices. Every cut is
+// cap-clamped, so the first growth moves that slice into storage of its
+// own and no node can write its neighbour's entry; nothing is ever
+// returned to a slab.
+func NewNodes(ids []ident.NodeID, cfg Config) []Node {
 	if cfg.Dmax < 1 {
 		panic(fmt.Sprintf("core: Dmax must be ≥ 1, got %d", cfg.Dmax))
 	}
-	n := &Node{
-		cfg:   cfg,
-		id:    id,
-		list:  antlist.Singleton(ident.Plain(id)),
-		view:  []ident.NodeID{id},
-		quar:  []quarEntry{{id: id}},
-		prios: []prec{{id: id, p: priority.New(id)}},
-		gprs:  []prec{{id: id, p: priority.New(id)}},
-		self:  priority.New(id),
+	nodes := make([]Node, len(ids))
+	ents := make([]ident.Entry, len(ids))
+	view := slices.Clone(ids)
+	quar := make([]quarEntry, len(ids))
+	precs := make([]prec, 2*len(ids)) // prios, gprs
+	for i, id := range ids {
+		p := priority.New(id)
+		ents[i], quar[i] = ident.Plain(id), quarEntry{id: id}
+		precs[2*i], precs[2*i+1] = prec{id: id, p: p}, prec{id: id, p: p}
+		nodes[i] = Node{
+			cfg:   cfg,
+			id:    id,
+			list:  antlist.SingletonOver(ents[i:]),
+			view:  view[i : i+1 : i+1],
+			quar:  quar[i : i+1 : i+1],
+			prios: precs[2*i : 2*i+1 : 2*i+1],
+			gprs:  precs[2*i+1 : 2*i+2 : 2*i+2],
+			self:  p,
+			group: p,
 
-		viewVer: 1,
+			viewVer: 1,
+		}
 	}
-	n.group = n.self
-	return n
+	return nodes
 }
 
 // ID returns the node's identity.
@@ -765,6 +782,10 @@ func (n *Node) ReceiveRef(m *Message) {
 	}
 	n.msgSet = append(n.msgSet, *m)
 }
+
+// SetInbox hands the node empty storage for its message buffer: a driver
+// that knows the node's degree reserves it.
+func (n *Node) SetInbox(buf []Message) { n.msgSet = buf[:0] }
 
 // PendingMessages returns how many distinct senders are buffered (used by
 // drivers and tests).

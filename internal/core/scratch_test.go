@@ -69,3 +69,62 @@ func TestSharedScratchServesSettledComputeWithoutAllocating(t *testing.T) {
 		t.Errorf("the settled pair moved: version %d → %d, quietness %d", ver, small.Version(), small.RoundQuietness())
 	}
 }
+
+// TestNewNodesCarvesAreClamped: a node booted on NewNodes' slabs equals one
+// booted alone, and its one-entry cuts — and an inbox cut from a driver's
+// arena — stop at their own entry. The middle node of a path first grows
+// its inbox, list and both priority tables past their cuts while its slab
+// neighbours still read their own boot state; then the whole path runs on
+// (views and quarantines grow with the group), equal round by round to
+// three nodes booted alone.
+func TestNewNodesCarvesAreClamped(t *testing.T) {
+	ids := []ident.NodeID{1, 2, 3}
+	cfg := Config{Dmax: 3}
+	slab, alone := NewNodes(ids, cfg), make([]*Node, len(ids))
+	inboxes := make([]Message, len(ids))
+	for i, id := range ids {
+		alone[i] = NewNode(id, cfg)
+		slab[i].SetInbox(inboxes[i : i+1 : i+1])
+		if got, want := slab[i].StateDigest(), alone[i].StateDigest(); got != want {
+			t.Fatalf("NewNodes(ids)[%d] boots as %s, NewNode(%d) as %s", i, &slab[i], id, alone[i])
+		}
+		n := &slab[i]
+		for name, c := range map[string]int{"list": cap(n.list.Entries()), "view": cap(n.view),
+			"quar": cap(n.quar), "prios": cap(n.prios), "gprs": cap(n.gprs), "inbox": cap(n.msgSet)} {
+			if c != 1 {
+				t.Errorf("node %d: cap(%s) = %d, want its own entry only", id, name, c)
+			}
+		}
+	}
+	boot := [2]uint64{slab[0].StateDigest(), slab[2].StateDigest()}
+	for r := 0; r < 6; r++ {
+		for _, nodes := range [][]*Node{{&slab[0], &slab[1], &slab[2]}, alone} {
+			m0, m1, m2 := nodes[0].BuildMessage(), nodes[1].BuildMessage(), nodes[2].BuildMessage()
+			nodes[1].Receive(m0)
+			nodes[1].Receive(m2)
+			if r > 0 { // round 0 grows the middle node only
+				nodes[0].Receive(m1)
+				nodes[2].Receive(m1)
+				nodes[0].Compute()
+				nodes[2].Compute()
+			}
+			nodes[1].Compute()
+		}
+		if r == 0 {
+			if got := [2]uint64{slab[0].StateDigest(), slab[2].StateDigest()}; got != boot {
+				t.Fatalf("node 2 outgrew its cuts over its neighbours': %s, %s", &slab[0], &slab[2])
+			}
+			if n := &slab[1]; len(n.list.Entries()) < 2 || len(n.prios) < 2 || len(n.gprs) < 2 {
+				t.Fatalf("node 2 grew nothing in round 0 (%s) — the check is vacuous", n)
+			}
+		}
+		for i := range ids {
+			if got, want := slab[i].StateDigest(), alone[i].StateDigest(); got != want {
+				t.Fatalf("round %d: slab node %s, lone node %s", r, &slab[i], alone[i])
+			}
+		}
+	}
+	if n := &slab[1]; len(n.view) < 2 || len(n.quar) < 2 {
+		t.Fatalf("the path never formed a group (%s) — the view and quarantine cuts were never outgrown", n)
+	}
+}

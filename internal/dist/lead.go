@@ -175,16 +175,16 @@ type leadSource struct {
 }
 
 func newLeadSource(sh *Shard, soak *obs.SoakConfig) *leadSource {
-	ls := &leadSource{sh: sh, workers: soak.Workers, dmax: soak.Dmax, roster: engine.NewRoster()}
-	for v := ident.NodeID(1); int(v) <= soak.N; v++ {
-		slot, _ := ls.roster.Add(v)
-		for int(slot) >= len(ls.views) {
-			ls.views = append(ls.views, mirrorView{})
-		}
-		// A fresh node's view is {self} at version 1 (core.NewNode); the
-		// mirror must serve it so the tracker's first full sync sees the
-		// same initial configuration as a single-process attach.
-		ls.views[slot] = mirrorView{id: v, ver: 1, view: []ident.NodeID{v}}
+	ls := &leadSource{sh: sh, workers: soak.Workers, dmax: soak.Dmax,
+		roster: engine.NewRoster(soak.N), views: make([]mirrorView, soak.N)}
+	// A fresh node's view is {self} at version 1 (core.NewNode); the
+	// mirror must serve it so the tracker's first full sync sees the
+	// same initial configuration as a single-process attach.
+	self := make([]ident.NodeID, soak.N)
+	for i := range self {
+		self[i] = ident.NodeID(i + 1)
+		slot, _ := ls.roster.Add(self[i])
+		ls.views[slot] = mirrorView{id: self[i], ver: 1, view: self[i : i+1 : i+1]}
 	}
 	return ls
 }

@@ -22,6 +22,7 @@ import (
 // Flight counters are per-shard sums (deliberately not conformance
 // surface: replicated work like ticks counts once per shard).
 func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
+	entry := time.Now()
 	sh, err := NewShard(cfg, index, tr)
 	if err != nil {
 		return nil, err
@@ -71,6 +72,9 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 			ls.apply(p, prs)
 		}
 		st := tracker.Observe()
+		if r == 1 {
+			res.Setup = time.Since(entry)
+		}
 		if soak.Sink != nil {
 			if err := soak.Sink.Write(st); err != nil {
 				return nil, fmt.Errorf("dist: sink: %w", err)

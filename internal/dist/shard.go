@@ -175,11 +175,6 @@ func NewShard(cfg Config, index int, tr Transport) (*Shard, error) {
 		}
 	}
 
-	// engine.New propagates Workers into a *SpatialTopology's world; the
-	// owned wrapper hides the concrete type, so propagate by hand.
-	if w.Workers == 0 {
-		w.Workers = soak.Workers
-	}
 	e := engine.New(engine.Params{
 		Cfg:     core.Config{Dmax: soak.Dmax},
 		Seed:    soak.Seed,

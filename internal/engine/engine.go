@@ -51,6 +51,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -474,11 +475,12 @@ type Engine struct {
 // topology node.
 func New(p Params, topo Topology) *Engine {
 	p.normalize()
+	nodes := topo.Nodes()
 	e := &Engine{
 		P:            p,
 		Topo:         topo,
 		rng:          rand.New(rand.NewSource(p.Seed)),
-		order:        NewRoster(),
+		order:        NewRoster(len(nodes)),
 		computeWheel: newPeriodicWheel(p.Tc),
 		recsHold:     p.Tc,
 		entsHold:     p.Tc,
@@ -501,12 +503,56 @@ func New(p Params, topo Topology) *Engine {
 	if st, ok := topo.(*SpatialTopology); ok && st.World.Workers == 0 {
 		st.World.Workers = p.Workers
 	}
-	nodes := topo.Nodes()
+	// The population is built, not joined n times: what a join would grow
+	// is reserved, and every node's first storage is cut from boot's slabs.
 	e.recs = make([]nodeRec, 0, len(nodes))
+	boot := &bootStore{nodes: core.NewNodes(nodes, p.Cfg), room: make([]int, len(nodes))}
+	var count, need [NumShards]int
+	g := topo.Graph()
+	for i, v := range nodes {
+		// The capacity append would have grown to: a cut of exactly the
+		// degree moves out at the first new neighbour, in the steady state.
+		if d := g.Degree(v); d > 0 {
+			boot.room[i] = 1 << bits.Len(uint(d-1))
+		}
+		count[shardOf(v)]++
+		need[shardOf(v)] += boot.room[i]
+	}
+	for s, n := range need {
+		boot.sigs[s] = make([]senderVer, 2*n)
+		boot.recv[s] = make([]ident.NodeID, n)
+		// Slot 0 is where every unjittered node's timers live.
+		e.computeWheel.slots[0][s] = make([]wheelEnt, 0, count[s])
+		if e.sendWheel != nil {
+			e.sendWheel.slots[0][s] = make([]wheelEnt, 0, count[s])
+		}
+	}
 	for _, v := range nodes {
-		e.addNode(v)
+		e.addNode(v, boot)
 	}
 	return e
+}
+
+// bootStore is what New builds its population in: the node slab, and per
+// shard (whose nodes one worker at a time works) an arena each for the two
+// inbox signatures and the receiver sets, cut by each node's degree in the
+// first graph. Cuts are cap-clamped: growing past one moves the slice into
+// storage of its own. Nothing is ever returned to a slab; a recycled slot
+// allocates. Only pointer-free elements are cut from arenas: an outgrown
+// cut of messages would keep alive whatever it last pointed at, so an
+// inbox is reserved at the same capacity but allocated on its own.
+type bootStore struct {
+	nodes []core.Node
+	room  []int // per slot: the capacity of the node's cuts
+	sigs  [NumShards][]senderVer
+	recv  [NumShards][]ident.NodeID
+}
+
+// carve cuts n elements off the front of *arena: empty, capacity n.
+func carve[T any](arena *[]T, n int) []T {
+	s := (*arena)[:0:n]
+	*arena = (*arena)[n:]
+	return s
 }
 
 // NewStatic is shorthand for a fixed-graph simulation.
@@ -514,7 +560,9 @@ func NewStatic(p Params, g *graph.G) *Engine {
 	return New(p, &StaticTopology{G: g})
 }
 
-func (e *Engine) addNode(v ident.NodeID) {
+// addNode joins v: the one place a record is initialised. boot is nil
+// mid-run; in New slots are handed out densely, so v's is its place in boot.
+func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
 	slot, _ := e.order.Add(v)
 	e.memberGen++
 	if int(slot) >= len(e.recs) {
@@ -523,7 +571,15 @@ func (e *Engine) addNode(v ident.NodeID) {
 	rec := &e.recs[slot]
 	// Recycle the record in place: identity-bearing fields reset, buffers
 	// (receiver cache, signatures) keep their capacity.
-	rec.n = core.NewNode(v, e.P.Cfg)
+	if boot == nil {
+		rec.n = core.NewNode(v, e.P.Cfg)
+	} else {
+		s, n := shardOf(v), boot.room[slot]
+		rec.n = &boot.nodes[slot]
+		rec.n.SetInbox(make([]core.Message, 0, n))
+		rec.pending, rec.consumed = carve(&boot.sigs[s], n), carve(&boot.sigs[s], n)
+		rec.recv = carve(&boot.recv[s], n)
+	}
 	rec.n.SetScratch(&e.scratch[shardOf(v)].core)
 	rec.id = v
 	rec.gen = e.memberGen
@@ -560,7 +616,7 @@ func (e *Engine) addNode(v ident.NodeID) {
 // the topology, e.g. placed in the world or added to the static graph).
 func (e *Engine) AddNode(v ident.NodeID) {
 	if !e.order.Has(v) {
-		e.addNode(v)
+		e.addNode(v, nil)
 	}
 }
 
@@ -580,6 +636,7 @@ func (e *Engine) RemoveNode(v ident.NodeID) {
 		e.sendWheel.remove(v, rec.phase)
 	}
 	e.computeWheel.remove(v, rec.phase)
+	*rec.n = core.Node{} // New's slab outlives the node: it must not pin its last state
 	rec.n = nil
 	rec.id = ident.None
 	rec.lie, rec.lieVer, rec.lieSize = nil, 0, 0

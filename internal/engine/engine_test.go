@@ -223,7 +223,7 @@ func TestWheelsMatchModuloScan(t *testing.T) {
 }
 
 func TestRosterOrder(t *testing.T) {
-	r := NewRoster()
+	r := NewRoster(0)
 	for _, v := range []ident.NodeID{5, 1, 9, 3, 7} {
 		r.Add(v)
 	}

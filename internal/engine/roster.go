@@ -31,9 +31,13 @@ type Roster struct {
 	free   []int32                // min-heap of freed slots (lowest recycles first)
 }
 
-// NewRoster returns an empty roster.
-func NewRoster() *Roster {
-	return &Roster{slots: make(map[ident.NodeID]int32)}
+// NewRoster returns an empty roster that n members join without growing it.
+func NewRoster(n int) *Roster {
+	return &Roster{
+		ids:    make([]ident.NodeID, 0, n),
+		slots:  make(map[ident.NodeID]int32, n),
+		bySlot: make([]ident.NodeID, 0, n),
+	}
 }
 
 // Add inserts v keeping the order and assigns it a slot (recycling the

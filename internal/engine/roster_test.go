@@ -13,7 +13,7 @@ import (
 // TestRosterSlotLifecycle pins the slot discipline: dense hand-out,
 // lowest-first recycling, stability for a member's lifetime.
 func TestRosterSlotLifecycle(t *testing.T) {
-	r := NewRoster()
+	r := NewRoster(0)
 	for i, v := range []ident.NodeID{10, 20, 30, 40} {
 		s, fresh := r.Add(v)
 		if !fresh || s != int32(i) {
@@ -102,7 +102,7 @@ func TestNodeIndexFollowsRoster(t *testing.T) {
 // table dense (live slots + free slots = SlotCap), and both lookup
 // directions consistent.
 func TestRosterChurnStorm(t *testing.T) {
-	r := NewRoster()
+	r := NewRoster(0)
 	rng := rand.New(rand.NewSource(42))
 	live := map[ident.NodeID]bool{}
 	check := func(op string) {
@@ -175,7 +175,7 @@ func TestRosterRecyclingDeterministic(t *testing.T) {
 		}
 	}
 	replay := func() []int32 {
-		r := NewRoster()
+		r := NewRoster(0)
 		var slots []int32
 		for _, o := range script {
 			if o.add {
@@ -202,7 +202,7 @@ func FuzzRosterVsMapOracle(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 130, 1, 2, 4})
 	f.Add([]byte{5, 5, 133, 5, 133, 5})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		r := NewRoster()
+		r := NewRoster(0)
 		oracle := map[ident.NodeID]int32{}
 		var free []int32 // ascending
 		next := int32(0)

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -96,9 +97,10 @@ func TestFootprint(t *testing.T) {
 	}
 	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	t.Logf("live heap per node: %d B", perNode)
-	// Measured 3.6 KB, of which ≈ 0.17 KB are the pool: the records this
+	// Measured 3.96 KB, of which ≈ 0.17 KB are the pool: the records this
 	// world retired in its last 2·Tc ticks and the queues that hold them
-	// (5.5 KB when every node kept a private fold arena and work buffers).
+	// (5.5 KB when every node kept a private fold arena and work buffers),
+	// and ≈ 0.02 KB what New's slabs cost net: cuts their owners outgrew.
 	if budget := int64(4096); perNode > budget {
 		t.Errorf("live heap per node = %d B, budget %d B", perNode, budget)
 	}
@@ -108,7 +110,8 @@ func TestFootprint(t *testing.T) {
 // TestRemoveNodeDropsBorrowedStorage pins that a departure leaves nothing
 // reachable through the free slot: the last broadcast (finalizer on its
 // record slice, once the receivers' inboxes have turned over) and the
-// topology row, which aliases the adjacency slab of a whole graph.
+// topology row, which aliases the adjacency slab of a whole graph — nor
+// through the node's place in New's slab, which outlives it.
 func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	e := parkedEngine(200, 10)
 	var v ident.NodeID
@@ -121,13 +124,16 @@ func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	if v == ident.None {
 		t.Fatal("no node with a cached row and broadcast — the check is vacuous")
 	}
-	slot := e.SlotOf(v)
+	slot, n := e.SlotOf(v), e.Node(v)
 	freed := make(chan struct{})
 	runtime.SetFinalizer(&e.recs[slot].cm.m.Recs[0], func(*core.PrioRec) { close(freed) })
 	e.RemoveNode(v)
 	e.Topo.(*SpatialTopology).World.Remove(v)
 	if rec := &e.recs[slot]; rec.rowRef != nil || rec.cm.m.Recs != nil || rec.cm.m.List.Len() != 0 {
 		t.Fatalf("free slot still holds rowRef=%v broadcast=%v", rec.rowRef, rec.cm.m)
+	}
+	if n.ID() != ident.None || n.List().Len() != 0 || n.PendingMessages() != 0 {
+		t.Fatalf("New's slab still holds the departed node's state: %s", n)
 	}
 	for r := 0; r < 4; r++ {
 		e.StepRound() // v's neighbors consume their buffered copies
@@ -371,5 +377,60 @@ func TestSteadyCommitsAllocateNothing(t *testing.T) {
 	}
 	if step > 3 {
 		t.Errorf("a tick allocates %.2f times in steady state, want the 3 phase closures", step)
+	}
+}
+
+// noNodes hides a topology's population from New: every node then joins
+// through AddNode, allocating on its own.
+type noNodes struct{ *StaticTopology }
+
+func (noNodes) Nodes() []ident.NodeID { return nil }
+
+// TestBootCutsAreClamped is core.TestNewNodesCarvesAreClamped's twin for
+// the cuts New hands out: receiver sets, both inbox signatures and the
+// inboxes are cut by the first graph's degrees, and when chords then
+// double every node's degree, each grows out of its shard's arena into
+// storage of its own. The engine stays equal, digest by digest and
+// counter by counter, to one whose nodes joined one AddNode at a time;
+// under -race a cut shared across shards is a report, not a divergence.
+func TestBootCutsAreClamped(t *testing.T) {
+	const n = 300
+	p := Params{Cfg: core.Config{Dmax: 3}, Seed: 3, Workers: 4}
+	gs := [2]*graph.G{graph.Ring(n), graph.Ring(n)}
+	bulk := NewStatic(p, gs[0])
+	joined := New(p, noNodes{&StaticTopology{G: gs[1]}})
+	for _, v := range gs[1].Nodes() {
+		joined.AddNode(v)
+	}
+	for i := range bulk.recs {
+		rec := &bulk.recs[i]
+		for name, c := range map[string]int{"recv": cap(rec.recv), "pending": cap(rec.pending), "consumed": cap(rec.consumed)} {
+			if c != 2 {
+				t.Fatalf("node %v: cap(%s) = %d on a ring, want 2", rec.id, name, c)
+			}
+		}
+	}
+	for r := 0; r < 12; r++ {
+		if r == 2 {
+			for _, g := range gs {
+				for v := 1; v <= n; v++ {
+					g.AddEdge(ident.NodeID(v), ident.NodeID((v+6)%n+1))
+				}
+			}
+		}
+		bulk.StepRound()
+		joined.StepRound()
+		for i := range bulk.recs {
+			a, b := &bulk.recs[i], &joined.recs[i]
+			if a.n.StateDigest() != b.n.StateDigest() || len(a.pending) != len(b.pending) || len(a.recv) != len(b.recv) {
+				t.Fatalf("round %d: bulk-built %s (recv %v), joined %s (recv %v)", r, a.n, a.recv, b.n, b.recv)
+			}
+		}
+		if a, b := bulk.reg.Snapshot().Counters, joined.reg.Snapshot().Counters; !reflect.DeepEqual(a, b) {
+			t.Fatalf("round %d: counters diverged:\nbulk   %v\njoined %v", r, a, b)
+		}
+	}
+	if rec := &bulk.recs[0]; cap(rec.recv) < 4 || cap(rec.consumed) < 4 {
+		t.Fatalf("node %v never outgrew its cuts: recv %v, consumed %v", rec.id, rec.recv, rec.consumed)
 	}
 }

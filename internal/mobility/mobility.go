@@ -71,14 +71,16 @@ type wpState struct {
 // Init implements Model.
 func (m *Waypoint) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 	m.state = make(map[ident.NodeID]*wpState, len(nodes))
-	for _, v := range nodes {
+	slab := make([]wpState, len(nodes)) // a later joiner's state is its own
+	for i, v := range nodes {
 		w.Place(v, space.Point{X: rng.Float64() * m.Side, Y: rng.Float64() * m.Side})
-		m.state[v] = m.newLeg(rng)
+		slab[i] = m.newLeg(rng)
+		m.state[v] = &slab[i]
 	}
 }
 
-func (m *Waypoint) newLeg(rng *rand.Rand) *wpState {
-	return &wpState{
+func (m *Waypoint) newLeg(rng *rand.Rand) wpState {
+	return wpState{
 		dest:  space.Point{X: rng.Float64() * m.Side, Y: rng.Float64() * m.Side},
 		speed: m.SpeedMin + rng.Float64()*(m.SpeedMax-m.SpeedMin),
 	}
@@ -100,7 +102,8 @@ func (m *Waypoint) Step(w *space.World, dt float64, rng *rand.Rand) {
 func (m *Waypoint) stepNode(w *space.World, v ident.NodeID, dt float64, rng *rand.Rand) {
 	st := m.state[v]
 	if st == nil {
-		st = m.newLeg(rng)
+		st = new(wpState)
+		*st = m.newLeg(rng)
 		m.state[v] = st
 	}
 	if st.pausing > 0 {
@@ -112,9 +115,8 @@ func (m *Waypoint) stepNode(w *space.World, v ident.NodeID, dt float64, rng *ran
 	travel := st.speed * dt
 	if travel >= d {
 		w.Place(v, st.dest)
-		ns := m.newLeg(rng)
-		ns.pausing = m.Pause
-		m.state[v] = ns
+		*st = m.newLeg(rng)
+		st.pausing = m.Pause
 		return
 	}
 	w.Place(v, p.Add((st.dest.X-p.X)/d*travel, (st.dest.Y-p.Y)/d*travel))

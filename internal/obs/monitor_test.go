@@ -242,7 +242,7 @@ func TestChaosSoakDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal("mixed profile injected nothing — the determinism check is vacuous")
 		}
 		rep := *res
-		rep.Elapsed, rep.TicksPerSec = 0, 0
+		rep.Elapsed, rep.TicksPerSec, rep.Setup = 0, 0, 0
 		rep.Flight.PhaseNs = nil // wall-clock phase timings differ too
 		b, _ := json.Marshal(struct {
 			Res SoakResult

@@ -157,6 +157,9 @@ type SoakResult struct {
 	Final       RoundStats
 	Elapsed     time.Duration
 	TicksPerSec float64
+	// Setup is the cold start: entry of the run to the end of the first
+	// round's Observe (world, first graph, engine, tracker, first round).
+	Setup time.Duration
 
 	// Flight is the final flight-recorder snapshot: the run's complete
 	// deterministic counter block (computes, skips by class, wake-cause
@@ -214,8 +217,8 @@ func (r *SoakResult) Finish(ticks int, start time.Time, reg *introspect.Registry
 // Report renders the human-readable final report.
 func (r *SoakResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "soak: %d rounds (%d ticks) in %s, %.0f ticks/s\n",
-		r.Rounds, r.Ticks, r.Elapsed.Round(time.Millisecond), r.TicksPerSec)
+	fmt.Fprintf(&b, "soak: %d rounds (%d ticks) in %s, %.0f ticks/s, set-up %.2f s\n",
+		r.Rounds, r.Ticks, r.Elapsed.Round(time.Millisecond), r.TicksPerSec, r.Setup.Seconds())
 	fmt.Fprintf(&b, "  population: %d nodes (+%d joined, -%d left), %d groups, %d singletons, mean size %.2f\n",
 		r.Final.Nodes, r.Joined, r.Left, r.Final.Groups, r.Final.Singletons, r.Final.MeanSize)
 	fmt.Fprintf(&b, "  legitimacy: ΠA %d/%d rounds, ΠA∧ΠS∧ΠM %d/%d rounds, mean ΠS group freshness %.1f%%\n",
@@ -259,6 +262,7 @@ func (r *SoakResult) Report() string {
 func BuildSoakWorld(cfg *SoakConfig) (*space.World, mobility.Model, []ident.NodeID) {
 	cfg.normalize()
 	w := space.NewWorld(cfg.Range)
+	w.Workers = cfg.Workers // before the first graph: its scan is as wide as every later one
 	if cfg.Urban {
 		block := math.Max(8, cfg.Side/6)
 		for x := block; x < cfg.Side; x += block {
@@ -288,6 +292,7 @@ func BuildSoakWorld(cfg *SoakConfig) (*space.World, mobility.Model, []ident.Node
 // failures or counter drift; protocol-level violations are reported, not
 // fatal (the unexcused counter is the caller's assertion surface).
 func RunSoak(cfg SoakConfig) (*SoakResult, error) {
+	entry := time.Now()
 	cfg.normalize()
 
 	w, mob, ids := BuildSoakWorld(&cfg)
@@ -380,6 +385,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 		e.StepRound()
 		st := tr.Observe()
+		if r == 1 {
+			res.Setup = time.Since(entry)
+		}
 		if cfg.WakeTrace != nil {
 			var werr error
 			e.DrainWakes(func(wakes []introspect.WakeRec) {

@@ -147,8 +147,8 @@ func TestSoakDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := *res
-		rep.Elapsed, rep.TicksPerSec = 0, 0 // wall-clock fields differ
-		rep.Flight.PhaseNs = nil            // …as does the timing section
+		rep.Elapsed, rep.TicksPerSec, rep.Setup = 0, 0, 0 // wall-clock fields differ
+		rep.Flight.PhaseNs = nil                          // …as does the timing section
 		b, _ := json.Marshal(rep)
 		return string(b)
 	}

@@ -257,21 +257,37 @@ func NewGroupTrackerSource(src Source) *GroupTracker {
 	if w < 1 {
 		w = 1
 	}
-	t := &GroupTracker{
-		e:         src,
-		dmax:      src.Dmax(),
-		workers:   w,
-		watchers:  make(map[ident.NodeID][]memberRef),
-		groups:    make(map[ident.NodeID]*group),
-		pairCache: make(map[pairKey]pairVerdict),
-		pairSpare: make(map[pairKey]pairVerdict),
-	}
+	t := &GroupTracker{e: src, dmax: src.Dmax(), workers: w}
 	t.ws = make([]*workerScratch, w)
 	for i := range t.ws {
 		t.ws[i] = newWorkerScratch()
 	}
 	src.TrackDirty()
 	return t
+}
+
+// firstSync builds what the first observation of n members would
+// otherwise grow one join at a time: the maps at their first size, n group
+// records with one-member storage on the free list (newGroup's only
+// source), and every slot's two view buffers, Dmax+1 members each. Every
+// cut is cap-clamped; a record or buffer that outgrows its own allocates.
+func (t *GroupTracker) firstSync(n int) {
+	t.watchers = make(map[ident.NodeID][]memberRef, n)
+	t.groups = make(map[ident.NodeID]*group, n)
+	t.pairCache = make(map[pairKey]pairVerdict, n)
+	t.pairSpare = make(map[pairKey]pairVerdict, n)
+	recs, members := make([]group, n), make([]ident.NodeID, n)
+	t.free = slices.Grow(t.free, n)
+	for i := range recs {
+		recs[i].members = members[i : i : i+1]
+		t.free = append(t.free, &recs[i])
+	}
+	k := t.dmax + 1
+	views := make([]ident.NodeID, 2*k*len(t.nodes))
+	for i := range t.nodes {
+		st, at := &t.nodes[i], 2*k*i
+		st.view, st.spare = views[at:at:at+k], views[at+k:at+k:at+2*k]
+	}
 }
 
 // state resolves a live node's cache by ID, or nil when v is not a
@@ -330,6 +346,7 @@ func (t *GroupTracker) Observe() RoundStats {
 	if first {
 		t.added = append(t.added, t.e.Order()...)
 		t.synced = true
+		t.firstSync(len(t.added))
 	}
 	memberChurn := len(t.added) > 0 || len(t.removed) > 0
 

@@ -115,7 +115,7 @@ func NewWithTopology(cfg Config, topo engine.Topology) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		topo:       topo,
-		roster:     engine.NewRoster(),
+		roster:     engine.NewRoster(0),
 		procs:      make(map[ident.NodeID]*proc),
 		broadcasts: make(chan core.Message, 256),
 		done:       make(chan struct{}),

@@ -83,10 +83,8 @@ func (w *World) rebuildIndex() {
 		w.cellSize = 1
 	}
 	w.cells = make(map[cellKey][]cellNode, len(w.pos))
-	w.cellOf = make(map[ident.NodeID]cellKey, len(w.pos))
 	for v, p := range w.pos {
 		k := w.cellAt(p)
-		w.cellOf[v] = k
 		w.cells[k] = append(w.cells[k], cellNode{id: v, pt: p})
 	}
 	w.wallCells = make(map[cellKey][]int, len(w.Walls))
@@ -188,7 +186,7 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 		for _, u := range w.shardNodes[s] {
 			pu := w.pos[u]
 			ru := w.rangeOf(u)
-			k := w.cellOf[u]
+			k := w.cellAt(pu)
 			start := len(nbrs)
 			for cx := k.cx - 1; cx <= k.cx+1; cx++ {
 				for cy := k.cy - 1; cy <= k.cy+1; cy++ {
@@ -245,7 +243,6 @@ func compactIDs(ids []ident.NodeID) []ident.NodeID {
 // takes the slice some emptied cell left behind.
 func (w *World) gridInsert(v ident.NodeID, p Point) {
 	k := w.cellAt(p)
-	w.cellOf[v] = k
 	lst, ok := w.cells[k]
 	if n := len(w.freeCells); !ok && n > 0 {
 		lst, w.freeCells = w.freeCells[n-1], w.freeCells[:n-1]

@@ -49,8 +49,9 @@ type World struct {
 	Walls []Segment
 	// Workers sets the fan-out width of the parallel SymmetricGraph
 	// build; 0 or 1 builds inline. The graph content is identical at any
-	// width (engine.New propagates its own Workers here for spatial
-	// topologies).
+	// width. Set it before the first SymmetricGraph call (BuildSoakWorld
+	// does): engine.New fills a zero in from its own Workers, but by then
+	// NewSpatialTopology has already built the first graph inline.
 	Workers int
 	// DisableDelta forces every SymmetricGraph rebuild down the full
 	// FromRows path even when the delta-incremental patch would apply.
@@ -74,12 +75,12 @@ type World struct {
 	// Spatial-hash index (grid.go). cells is nil until the first query
 	// builds it; dirty plus the txLen/walls fingerprints trigger
 	// structural rebuilds. Cell entries carry the node's position inline
-	// so the vicinity scans touch no per-candidate map.
+	// so the vicinity scans touch no per-candidate map; a node's cell is
+	// cellAt of its position, kept nowhere else.
 	cellSize  float64
 	maxRange  float64
 	cells     map[cellKey][]cellNode
 	freeCells [][]cellNode // emptied cells' slices, for gridInsert
-	cellOf    map[ident.NodeID]cellKey
 	wallCells map[cellKey][]int
 	dirty     bool
 	txLen     int
@@ -170,7 +171,7 @@ func (w *World) Place(v ident.NodeID, p Point) {
 		return // index not built yet; the first query inserts everyone
 	}
 	if existed {
-		k := w.cellOf[v]
+		k := w.cellAt(old)
 		if k == w.cellAt(p) {
 			// Same cell: refresh the inline position.
 			lst := w.cells[k]
@@ -189,7 +190,8 @@ func (w *World) Place(v ident.NodeID, p Point) {
 
 // Remove deletes v from the world (node became inactive / left).
 func (w *World) Remove(v ident.NodeID) {
-	if _, ok := w.pos[v]; !ok {
+	p, ok := w.pos[v]
+	if !ok {
 		return
 	}
 	delete(w.pos, v)
@@ -197,8 +199,7 @@ func (w *World) Remove(v ident.NodeID) {
 	w.idsDirty = true
 	w.deltaFull = true // membership shrank: the next rebuild is full
 	if w.cells != nil {
-		w.gridRemove(v, w.cellOf[v])
-		delete(w.cellOf, v)
+		w.gridRemove(v, w.cellAt(p))
 	}
 }
 
@@ -395,7 +396,7 @@ func (w *World) AppendReceivers(u ident.NodeID, buf []ident.NodeID) []ident.Node
 		return buf
 	}
 	r := w.rangeOf(u)
-	k := w.cellOf[u]
+	k := w.cellAt(pu)
 	start := len(buf)
 	for cx := k.cx - 1; cx <= k.cx+1; cx++ {
 		for cy := k.cy - 1; cy <= k.cy+1; cy++ {

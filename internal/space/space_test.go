@@ -267,13 +267,13 @@ func TestEmptiedCellSliceIsReused(t *testing.T) {
 	w.Place(2, Point{7.5, 0.5})
 	w.Place(3, Point{7.6, 0.5})
 	checkAgainstOracle(t, w, "built")
-	was := &w.cells[w.cellOf[1]][0]
+	was := &w.cells[w.cellAt(w.pos[1])][0]
 	w.Place(1, Point{3.5, 3.5})
-	if now := &w.cells[w.cellOf[1]][0]; now != was || len(w.cells) != 2 || len(w.freeCells) != 0 {
+	if now := &w.cells[w.cellAt(w.pos[1])][0]; now != was || len(w.cells) != 2 || len(w.freeCells) != 0 {
 		t.Fatalf("entered an empty cell: slice reused %v, %d cells, %d free", now == was, len(w.cells), len(w.freeCells))
 	}
 	w.Place(1, Point{7.4, 0.4})
-	if lst := w.cells[w.cellOf[1]]; len(lst) != 3 || len(w.freeCells) != 1 {
+	if lst := w.cells[w.cellAt(w.pos[1])]; len(lst) != 3 || len(w.freeCells) != 1 {
 		t.Fatalf("joined an occupied cell: %v, %d free", lst, len(w.freeCells))
 	}
 	checkAgainstOracle(t, w, "hopped")
@@ -294,6 +294,40 @@ func TestGridParallelBuildMatchesSequential(t *testing.T) {
 		seq := bruteSymmetricGraph(w)
 		if g := w.SymmetricGraph(); !g.Equal(seq) {
 			t.Fatalf("workers=%d: %v != brute %v", workers, g, seq)
+		}
+	}
+}
+
+// TestFirstGraphEqualAtAnyWidth: a world's width is known before its first
+// graph, and the first SymmetricGraph — index not built yet, nothing to
+// patch — is the same graph at Workers 1, 2 and 4: Equal, and serving
+// identical receiver rows, walls included.
+func TestFirstGraphEqualAtAnyWidth(t *testing.T) {
+	build := func(workers int) *World {
+		rng := rand.New(rand.NewSource(7))
+		w := NewWorld(2)
+		w.Workers = workers
+		w.Walls = []Segment{{Point{10, 0}, Point{10, 40}}, {Point{0, 20}, Point{40, 20}}}
+		for v := 1; v <= 400; v++ {
+			w.Place(ident.NodeID(v), Point{rng.Float64() * 40, rng.Float64() * 40})
+		}
+		return w
+	}
+	one := build(1)
+	g1 := one.SymmetricGraph()
+	if !g1.Equal(bruteSymmetricGraph(one)) {
+		t.Fatal("the inline first graph differs from the brute-force one")
+	}
+	for _, workers := range []int{2, 4} {
+		w := build(workers)
+		if g := w.SymmetricGraph(); !g.Equal(g1) {
+			t.Fatalf("workers=%d: first graph %v != inline %v", workers, g, g1)
+		}
+		for _, v := range w.Nodes() {
+			row, ok := w.ReceiverRow(v)
+			if want, _ := one.ReceiverRow(v); !ok || !slices.Equal(row, want) {
+				t.Fatalf("workers=%d: row of %v is %v (served %v), inline %v", workers, v, row, ok, want)
+			}
 		}
 	}
 }
