@@ -1,9 +1,11 @@
 package antlist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/ident"
 )
@@ -45,11 +47,19 @@ func (l List) EncodedSize() int {
 	return 2 + 2*l.Len() + 5*len(l.ents)
 }
 
-// DecodeList decodes a list from the front of buf, returning the list and
-// the remaining bytes. Each position is re-sorted and deduplicated
-// defensively (strongest mark wins, matching Set.Add) so a hostile frame
-// cannot violate Set invariants.
-func DecodeList(buf []byte) (List, []byte, error) {
+// DecodeList decodes a list from the front of buf into fresh storage,
+// returning the list and the remaining bytes: DecodeListInto's nil-storage
+// case.
+func DecodeList(buf []byte) (List, []byte, error) { return DecodeListInto(buf, List{}) }
+
+// DecodeListInto is the decoder. It writes over into's storage — into must
+// be the zero List or one an earlier DecodeListInto returned, which nothing
+// reads any more (never a published list: those share their offsets) — and
+// allocates only what that storage lacks. Each position is re-sorted and
+// deduplicated defensively (strongest mark wins, matching Set.Add) so a
+// hostile frame cannot violate Set invariants; on an error into's storage is
+// scribbled and the zero List returned.
+func DecodeListInto(buf []byte, into List) (List, []byte, error) {
 	if len(buf) < 2 {
 		return List{}, buf, errTruncated
 	}
@@ -58,25 +68,31 @@ func DecodeList(buf []byte) (List, []byte, error) {
 	if np > 1<<12 {
 		return List{}, buf, fmt.Errorf("antlist: implausible position count %d", np)
 	}
-	out := List{offs: make([]int32, 1, np+1)}
-	for p := 0; p < np; p++ {
-		if len(buf) < 2 {
-			return List{}, buf, errTruncated
+	// One pass over the position headers sizes the storage (and is where a
+	// truncated frame is refused), a second fills it.
+	total := 0
+	for p, rest := 0, buf; p < np; p++ {
+		if len(rest) < 2 {
+			return List{}, rest, errTruncated
 		}
+		ne := int(binary.LittleEndian.Uint16(rest))
+		if rest = rest[2:]; len(rest) < 5*ne {
+			return List{}, rest, errTruncated
+		}
+		rest, total = rest[5*ne:], total+ne
+	}
+	out := List{ents: slices.Grow(into.ents[:0], total), offs: append(slices.Grow(into.offs[:0], np+1), 0)}
+	for p := 0; p < np; p++ {
 		ne := int(binary.LittleEndian.Uint16(buf))
 		buf = buf[2:]
-		if len(buf) < 5*ne {
-			return List{}, buf, errTruncated
-		}
 		start := len(out.ents)
 		for e := 0; e < ne; e++ {
-			id := ident.NodeID(binary.LittleEndian.Uint32(buf))
 			mark := ident.Mark(buf[4])
 			if mark > ident.MarkDouble {
 				return List{}, buf, fmt.Errorf("antlist: bad mark %d", mark)
 			}
+			out.ents = insertEntry(out.ents, start, ident.Entry{ID: ident.NodeID(binary.LittleEndian.Uint32(buf)), Mark: mark})
 			buf = buf[5:]
-			out.ents = insertEntry(out.ents, start, ident.Entry{ID: id, Mark: mark})
 		}
 		out.offs = append(out.offs, int32(len(out.ents)))
 	}
@@ -85,15 +101,16 @@ func DecodeList(buf []byte) (List, []byte, error) {
 
 // insertEntry inserts e into the position subrange ents[start:], keeping
 // it ascending by ID; a duplicate ID keeps the strongest mark (the Set.Add
-// semantics the nested decoder applied entry by entry).
+// semantics the nested decoder applied entry by entry). A canonical frame
+// is ascending already, so every entry of it is the append below.
 func insertEntry(ents []ident.Entry, start int, e ident.Entry) []ident.Entry {
-	i := start
-	for ; i < len(ents); i++ {
-		if ents[i].ID >= e.ID {
-			break
-		}
+	if len(ents) == start || ents[len(ents)-1].ID < e.ID {
+		return append(ents, e)
 	}
-	if i < len(ents) && ents[i].ID == e.ID {
+	i, dup := slices.BinarySearchFunc(ents[start:], e.ID, func(x ident.Entry, id ident.NodeID) int {
+		return cmp.Compare(x.ID, id)
+	})
+	if i += start; dup {
 		ents[i].Mark = ents[i].Mark.Max(e.Mark)
 		return ents
 	}

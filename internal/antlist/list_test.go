@@ -1,6 +1,7 @@
 package antlist
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -486,6 +487,83 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// decodeNested is the nested-form decoder the flat one replaced, kept as its
+// oracle: every entry goes through Set.Add (sorted, strongest mark wins).
+func decodeNested(buf []byte) (List, bool) {
+	if len(buf) < 2 {
+		return List{}, false
+	}
+	np := int(binary.LittleEndian.Uint16(buf))
+	if buf = buf[2:]; np > 1<<12 {
+		return List{}, false
+	}
+	sets := make([]Set, np)
+	for p := range sets {
+		if len(buf) < 2 {
+			return List{}, false
+		}
+		ne := int(binary.LittleEndian.Uint16(buf))
+		if buf = buf[2:]; len(buf) < 5*ne {
+			return List{}, false
+		}
+		for ; ne > 0; ne, buf = ne-1, buf[5:] {
+			if buf[4] > byte(ident.MarkDouble) {
+				return List{}, false
+			}
+			sets[p] = sets[p].Add(ident.Entry{ID: ident.NodeID(binary.LittleEndian.Uint32(buf)), Mark: ident.Mark(buf[4])})
+		}
+	}
+	return FromSets(sets...), true
+}
+
+// TestDecodeListIntoMatchesNestedDecoder holds the one decoder to the
+// nested oracle on canonical frames and on mangled ones (entries shuffled
+// and repeated inside a position, bytes flipped, tails cut), into no storage
+// and into the dirty storage of the previous, unrelated, decode.
+func TestDecodeListIntoMatchesNestedDecoder(t *testing.T) {
+	rr := rand.New(rand.NewSource(5))
+	var storage List
+	for i := 0; i < 2000; i++ {
+		var buf []byte
+		np := rr.Intn(5)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(np))
+		for p := 0; p < np; p++ {
+			ne := rr.Intn(6)
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(ne))
+			for e := 0; e < ne; e++ {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(rr.Intn(6)))
+				buf = append(buf, byte(rr.Intn(3)))
+			}
+		}
+		switch rr.Intn(4) {
+		case 0:
+			if len(buf) > 0 {
+				buf[rr.Intn(len(buf))] ^= 1 << rr.Intn(8)
+			}
+		case 1:
+			buf = buf[:rr.Intn(len(buf)+1)]
+		}
+		want, ok := decodeNested(buf)
+		for _, into := range []List{{}, storage} {
+			got, _, err := DecodeListInto(buf, into)
+			if (err == nil) != ok {
+				t.Fatalf("frame %x: DecodeListInto says %v, the nested decoder accepts=%v", buf, err, ok)
+			}
+			if err == nil && !got.Equal(want) {
+				t.Fatalf("frame %x decoded to %v, want %v", buf, got, want)
+			}
+			if err == nil {
+				storage = got
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		storage, _, _ = DecodeListInto([]byte{2, 0, 1, 0, 7, 0, 0, 0, 1, 2, 0, 9, 0, 0, 0, 0, 8, 0, 0, 0, 2}, storage)
+	}); n != 0 {
+		t.Errorf("DecodeListInto into warm storage: %v allocations", n)
 	}
 }
 

@@ -856,7 +856,7 @@ func (n *Node) BuildMessageIn(recs []PrioRec) Message {
 			Prio: n.self, GroupPrio: n.group,
 		})
 	}
-	sortRecs(recs)
+	SortRecs(recs)
 	m := Message{
 		From:      n.id,
 		List:      n.list,

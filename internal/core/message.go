@@ -263,8 +263,10 @@ func (m Message) Rec(id ident.NodeID) (PrioRec, bool) {
 	return PrioRec{}, false
 }
 
-// sortRecs orders records by (ID, Pos) — the invariant Rec relies on.
-func sortRecs(recs []PrioRec) {
+// SortRecs orders records by (ID, Pos) — the invariant Rec relies on, which
+// whoever assembles a Message (BuildMessageIn, RecsFromMaps, the wire
+// decoder) establishes with it.
+func SortRecs(recs []PrioRec) {
 	slices.SortFunc(recs, func(a, b PrioRec) int {
 		switch {
 		case a.ID != b.ID:
@@ -375,7 +377,7 @@ func RecsFromMaps(list antlist.List, prios, gprios map[ident.NodeID]priority.P, 
 	for _, id := range sortedKeysQ(quars) {
 		addOnly(id)
 	}
-	sortRecs(recs)
+	SortRecs(recs)
 	// Records for a duplicated ID must agree on the smallest position the
 	// maps-era code observed via List.Position: they already do, because
 	// Rec returns the first (smallest-Pos) record.

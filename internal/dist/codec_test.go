@@ -19,40 +19,56 @@ func sampleSyncs() []*roundSync {
 	return []*roundSync{
 		{},
 		{msgs: 0x0102030405060708, delivs: 0x1112131415161718, computed: []ident.NodeID{3, 9, 27}},
-		{msgs: 5, delivs: 7, computed: []ident.NodeID{1}, views: []viewUpd{
+		{msgs: 5, delivs: 7, computed: []ident.NodeID{1}, ids: []ident.NodeID{4, 5, 6, 0xfffffffe}, views: []viewUpd{
 			{id: 1, ver: 2},
-			{id: 4, ver: 0x2122232425262728, view: []ident.NodeID{4, 5, 6}},
-			{id: 0xfffffffe, ver: 1, view: []ident.NodeID{0xfffffffe}},
+			{id: 4, ver: 0x2122232425262728, off: 0, n: 3},
+			{id: 0xfffffffe, ver: 1, off: 3, n: 1},
 		}},
 	}
 }
 
+// sameSync reports whether two reports say the same, wherever in their
+// arenas the views lie.
+func sameSync(a, b *roundSync) bool {
+	return a.msgs == b.msgs && a.delivs == b.delivs && slices.Equal(a.computed, b.computed) &&
+		slices.EqualFunc(a.views, b.views, func(x, y viewUpd) bool {
+			return x.id == y.id && x.ver == y.ver && slices.Equal(a.view(x), b.view(y))
+		})
+}
+
+// TestSyncRoundTrip decodes every sample into fresh storage and into the
+// storage the previous sample left behind, which must not show through.
 func TestSyncRoundTrip(t *testing.T) {
+	var reused roundSync
 	for i, want := range sampleSyncs() {
 		buf := appendSync(nil, want)
-		got, err := decodeSync(buf)
-		if err != nil {
-			t.Fatalf("sample %d: %v", i, err)
-		}
-		if got.msgs != want.msgs || got.delivs != want.delivs {
-			t.Errorf("sample %d: counters (%d, %d), want (%d, %d)", i, got.msgs, got.delivs, want.msgs, want.delivs)
-		}
-		if !slices.Equal(got.computed, want.computed) {
-			t.Errorf("sample %d: computed %v, want %v", i, got.computed, want.computed)
-		}
-		if !slices.EqualFunc(got.views, want.views, func(a, b viewUpd) bool {
-			return a.id == b.id && a.ver == b.ver && slices.Equal(a.view, b.view)
-		}) {
-			t.Errorf("sample %d: views %v, want %v", i, got.views, want.views)
+		var fresh roundSync
+		for _, got := range []*roundSync{&fresh, &reused} {
+			if err := decodeSync(buf, got); err != nil {
+				t.Fatalf("sample %d: %v", i, err)
+			}
+			if !sameSync(got, want) {
+				t.Errorf("sample %d: decoded %+v, want %+v", i, got, want)
+			}
 		}
 		// The layout is 2 magic + 2 counters + two length-prefixed sections.
 		size := 2 + 16 + 4 + 4*len(want.computed) + 4
 		for _, u := range want.views {
-			size += 16 + 4*len(u.view)
+			size += 16 + 4*u.n
 		}
 		if len(buf) != size {
 			t.Errorf("sample %d: %d bytes, want %d", i, len(buf), size)
 		}
+	}
+	// Steady state: a report the size of the last one decodes into the
+	// lead's retained roundSync without allocating.
+	buf := appendSync(nil, sampleSyncs()[2])
+	if n := testing.AllocsPerRun(50, func() {
+		if err := decodeSync(buf, &reused); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("decodeSync into warm storage: %v allocations", n)
 	}
 }
 
@@ -111,6 +127,10 @@ func TestHostileLengthsAllocateNothingBig(t *testing.T) {
 	sync := appendSync(nil, sampleSyncs()[2])
 	final := appendFinal(nil, samplePairs()[1], sampleRegistry())
 	afterPairs := 6 + 12*len(samplePairs()[1])
+	retained := &roundSync{} // warm: a hostile length must not grow it either
+	if err := retained.syncErr(sync); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		frame  []byte
@@ -120,6 +140,9 @@ func TestHostileLengthsAllocateNothingBig(t *testing.T) {
 		{"sync computed", sync, 18, syncErr},
 		{"sync nview", sync, 26, syncErr},
 		{"sync view length", sync, 30 + 12, syncErr},
+		{"sync computed, storage retained", sync, 18, retained.syncErr},
+		{"sync nview, storage retained", sync, 26, retained.syncErr},
+		{"sync view length, storage retained", sync, 30 + 12, retained.syncErr},
 		{"final n", final, 2, finalErr},
 		{"final nc", final, afterPairs, finalErr},
 		{"final np", final, afterPairs + 4 + 8*int(introspect.NumCounters), finalErr},
@@ -142,8 +165,9 @@ func TestHostileLengthsAllocateNothingBig(t *testing.T) {
 	}
 }
 
-func syncErr(b []byte) error  { _, err := decodeSync(b); return err }
-func finalErr(b []byte) error { _, _, _, err := decodeFinal(b); return err }
+func syncErr(b []byte) error                 { return new(roundSync).syncErr(b) }
+func (rs *roundSync) syncErr(b []byte) error { return decodeSync(b, rs) }
+func finalErr(b []byte) error                { _, _, _, err := decodeFinal(b); return err }
 
 // checkDecode is the property FuzzDecodeSyncFinal holds on any bytes:
 // each decoder returns an error or a value, never panics, and — both
@@ -151,7 +175,7 @@ func finalErr(b []byte) error { _, _, _, err := decodeFinal(b); return err }
 // refused — an accepted frame re-encodes to the very bytes that came in,
 // which bounds what a decode can have allocated by the input's length.
 func checkDecode(t testing.TB, data []byte) {
-	if rs, err := decodeSync(data); err == nil {
+	if rs := new(roundSync); decodeSync(data, rs) == nil {
 		if re := appendSync(nil, rs); !bytes.Equal(re, data) {
 			t.Fatalf("accepted sync re-encodes to %x, came in as %x", re, data)
 		}

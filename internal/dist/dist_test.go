@@ -1,15 +1,19 @@
 package dist
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/introspect"
 	"repro/internal/obs"
@@ -96,6 +100,14 @@ func TestLoopbackConformance(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		ref, got, refRecs, gotRecs := runBoth(t, soak, shards)
 		assertIdentical(t, shards, ref, got, refRecs, gotRecs)
+		// With every oracle armed — which also scribbles over each replaced
+		// ghost's storage the tick the pools may hand it out again — the
+		// run is still the clean single-process one.
+		armed, armedRecs, p := runArmed(soak, shards, false, true, -1)
+		if p != nil {
+			t.Fatalf("%d shards, SelfCheck armed: %v", shards, p)
+		}
+		assertIdentical(t, shards, ref, armed, refRecs, armedRecs)
 		// The split must actually exercise the boundary protocol, or the
 		// pin proves nothing.
 		if got.Flight.Counters["ext_deliveries"] == 0 {
@@ -104,6 +116,78 @@ func TestLoopbackConformance(t *testing.T) {
 		if got.Flight.Counters["ghost_updates"] == 0 {
 			t.Fatalf("%d shards: no ghost updates", shards)
 		}
+	}
+}
+
+// runArmed is RunLoopback over shards built through newShard's seam:
+// compute timers jittered or not, every owned node's SelfCheck oracle armed
+// or not (armed, a retired ghost's storage is poisoned like a retired
+// broadcast's), and the ticks retired storage sits out of the engines'
+// pools forced to hold (negative: Tc). It returns the lead's result and
+// stream, or what a shard panicked with.
+func runArmed(soak obs.SoakConfig, shards int, jitter, selfCheck bool, hold int) (res *obs.SoakResult, recs []obs.RoundStats, panicked any) {
+	sink := &captureSink{}
+	soak.Sink = sink
+	trs := NewLoopback(shards)
+	results := make([]*obs.SoakResult, shards)
+	fails := make([]any, shards)
+	var wg sync.WaitGroup
+	for i := range trs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if fails[i] = recover(); fails[i] != nil {
+					trs[i].Close() // a failed shard must not leave its peers in the barrier
+				}
+			}()
+			sh, err := newShard(Config{Soak: soak, Shards: shards}, i, trs[i], jitter)
+			if err != nil {
+				panic(err)
+			}
+			for _, v := range sh.Owned {
+				sh.E.Node(v).SelfCheck = selfCheck
+			}
+			if hold >= 0 {
+				sh.E.SetRecsHold(hold, hold)
+			}
+			if results[i], err = sh.run(time.Now()); err != nil && !errors.Is(err, ErrTransportClosed) {
+				panic(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range fails {
+		if p != nil {
+			return nil, nil, p
+		}
+	}
+	return results[0], sink.recs, nil
+}
+
+// TestGhostHeldTooShortIsCaught is the dist twin of conformance's
+// TestScratchCarriesNoState and TestRetiredRecsHeldTooShortIsCaught: on
+// jittered timers a receiver outlives the refresh of a ghost it was
+// delivered, so the storage a refresh retires must sit out Tc ticks. Armed
+// and poisoned at Tc, and at Tc−1, the run is the clean one; at 0 it panics
+// in an oracle or leaves the clean trace.
+func TestGhostHeldTooShortIsCaught(t *testing.T) {
+	const tc = 2 // the engine's default compute period, which NewShard keeps
+	soak := obs.SoakConfig{N: 80, Side: 18, Seed: 7, Dmax: 3, MaxRounds: 30, Fingerprint: true}
+	clean, cleanRecs, p := runArmed(soak, 2, true, false, -1)
+	if p != nil {
+		t.Fatal(p)
+	}
+	same := func(res *obs.SoakResult, recs []obs.RoundStats) bool {
+		return res.Fingerprint == clean.Fingerprint && reflect.DeepEqual(recs, cleanRecs)
+	}
+	for _, hold := range []int{-1, tc - 1} {
+		if res, recs, p := runArmed(soak, 2, true, true, hold); p != nil || !same(res, recs) {
+			t.Fatalf("hold %d diverged (panic: %v): Tc leaves no slack", hold, p)
+		}
+	}
+	if res, recs, p := runArmed(soak, 2, true, true, 0); p == nil && same(res, recs) {
+		t.Fatal("hold 0 went unnoticed: no receiver outlives a ghost's refresh here, or the poison is not armed")
 	}
 }
 
@@ -183,6 +267,91 @@ func TestCrossShardMoverHandoff(t *testing.T) {
 	if got := obs.FoldFingerprint(pairs); got != ref.Fingerprint {
 		t.Fatalf("merged fingerprint %016x vs single-process %016x", got, ref.Fingerprint)
 	}
+	// A receiver that left a ghost sender's row computes on the frame it was
+	// delivered, not on the ghost's refresh — and would not, were a retired
+	// ghost's storage handed out at once.
+	left, broken := ghostDeliveries(t, cfg, -1)
+	t.Logf("%d receivers left a ghost sender's row and outlived its refresh", left)
+	if left == 0 || broken != 0 {
+		t.Fatalf("%d receivers outlived a refresh of a ghost whose row they had left, %d delivered frames were written before their receiver computed", left, broken)
+	}
+	// The mutation needs several senders a pool (there is one per engine
+	// shard), so that one's retired frame is another's next: a larger world.
+	cfg.Soak.N, cfg.Soak.Side = 300, 31
+	if _, broken = ghostDeliveries(t, cfg, 0); broken == 0 {
+		t.Fatal("hold 0 left every delivered ghost frame intact: the check cannot see a reused frame")
+	}
+	t.Logf("hold 0: %d delivered frames written before their receiver computed", broken)
+}
+
+// ghostDeliveries ticks cfg's shards in lockstep, compute timers jittered,
+// and follows every frame a ghost delivered until its receiver computes:
+// the records and list entries the receiver aliases must still read as they
+// did at delivery. It returns how many of those receivers meanwhile left
+// the sender's row and saw its ghost refreshed, and how many deliveries
+// were written over too early. hold forces the pools' hold (negative: Tc).
+func ghostDeliveries(t *testing.T, cfg Config, hold int) (left, broken int) {
+	t.Helper()
+	type edge struct{ to, from ident.NodeID }
+	type delivery struct {
+		alias, snap core.Message // what the receiver reads, and a deep copy taken at delivery
+		ver         uint64
+		computes    uint64
+		left        bool
+	}
+	trs := NewLoopback(cfg.Shards)
+	shards := make([]*Shard, cfg.Shards)
+	tracked := make([]map[edge]*delivery, cfg.Shards)
+	for i := range shards {
+		sh, err := newShard(cfg, i, trs[i], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hold >= 0 {
+			sh.E.SetRecsHold(hold, hold)
+		}
+		shards[i], tracked[i] = sh, map[edge]*delivery{}
+	}
+	for tick := 0; tick < cfg.Soak.MaxRounds*shards[0].E.P.Tc; tick++ {
+		errs := make([]error, len(shards))
+		var wg sync.WaitGroup
+		for i, sh := range shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = sh.Tick()
+			}()
+		}
+		wg.Wait()
+		for i, sh := range shards {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			// This tick's ingest is the last that could have written what a
+			// receiver computing in this tick read.
+			for e, d := range tracked[i] {
+				if !slices.Equal(d.alias.Recs, d.snap.Recs) || !d.alias.List.Equal(d.snap.List) {
+					broken++
+					delete(tracked[i], e)
+				} else if sh.E.Node(e.to).Computes() != d.computes {
+					delete(tracked[i], e)
+				}
+			}
+			for _, x := range sh.ext {
+				tracked[i][edge{x.To, x.From}] = &delivery{
+					alias: *x.Msg, snap: core.Message{List: x.Msg.List.Clone(), Recs: slices.Clone(x.Msg.Recs)},
+					ver: x.Ver, computes: sh.E.Node(x.To).Computes(),
+				}
+			}
+			for e, d := range tracked[i] {
+				if g := sh.ghosts[e.from]; g.ver != d.ver && !d.left {
+					d.left = true // not delivered the refresh: out of the row by then
+					left++
+				}
+			}
+		}
+	}
+	return left, broken
 }
 
 // TestPartitionEdges covers the ownership function's corner cases.
@@ -356,48 +525,73 @@ func TestArbitrateClockExcludesExchangeWait(t *testing.T) {
 	}
 }
 
-// TestLoopbackTransport pins the barrier semantics of the in-memory
-// transport: payload integrity, self-slot handling, and close release.
-func TestLoopbackTransport(t *testing.T) {
-	const n = 3
-	trs := NewLoopback(n)
-	var results [n][][]byte
+// exerciseTransport pins what every Transport owes its callers: over
+// several exchanges each payload arrives whole at its addressee, in[self]
+// is nil, and a payload is readable until the receiving endpoint's next
+// Exchange — it is read just before that, after the senders may have gone
+// on to fill their next one, and not after (an implementation may reuse it
+// from then on, as the loopback does).
+func exerciseTransport(t *testing.T, trs []Transport) {
+	t.Helper()
+	n := len(trs)
 	errc := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			out := make([][]byte, n)
-			for p := 0; p < n; p++ {
-				if p != i {
-					out[p] = []byte(fmt.Sprintf("%d->%d", i, p))
+	for i := range trs {
+		go func() {
+			errc <- func() error {
+				var prev [][]byte
+				for seq := uint64(7); seq < 12; seq++ {
+					out := make([][]byte, n)
+					for p := range out {
+						if p != i {
+							// Lengths differ by round and peer, and one round
+							// ships nothing: reused storage must not show through.
+							out[p] = bytes.Repeat([]byte(fmt.Sprintf("%d->%d#%d ", i, p, seq)), int(seq+uint64(p))%4)
+						}
+					}
+					want := func(seq uint64, p int) string {
+						return strings.Repeat(fmt.Sprintf("%d->%d#%d ", p, i, seq), int(seq+uint64(i))%4)
+					}
+					for p, got := range prev {
+						if p != i && string(got) != want(seq-1, p) {
+							return fmt.Errorf("shard %d, before its exchange %d: payload from %d reads %q, want %q", i, seq, p, got, want(seq-1, p))
+						}
+					}
+					in, err := trs[i].Exchange(seq, out)
+					if err != nil {
+						return err
+					}
+					if in[i] != nil {
+						return fmt.Errorf("shard %d received from itself", i)
+					}
+					for p, got := range in {
+						if p != i && string(got) != want(seq, p) {
+							return fmt.Errorf("shard %d from %d at %d: %q want %q", i, p, seq, got, want(seq, p))
+						}
+					}
+					prev = in
 				}
-			}
-			in, err := trs[i].Exchange(7, out)
-			results[i] = in
-			errc <- err
-		}(i)
+				return nil
+			}()
+		}()
 	}
-	for i := 0; i < n; i++ {
+	for range trs {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if results[i][i] != nil {
-			t.Fatalf("shard %d received from itself", i)
-		}
-		for p := 0; p < n; p++ {
-			if p == i {
-				continue
-			}
-			if got, want := string(results[i][p]), fmt.Sprintf("%d->%d", p, i); got != want {
-				t.Fatalf("shard %d from %d: %q want %q", i, p, got, want)
-			}
-		}
-	}
+}
+
+// TestLoopbackTransport pins the barrier semantics of the in-memory
+// transport: payload integrity and lifetime, self-slot handling, and close
+// release.
+func TestLoopbackTransport(t *testing.T) {
+	const n = 3
+	trs := NewLoopback(n)
+	exerciseTransport(t, trs)
 	// Close releases a blocked Exchange.
 	done := make(chan error, 1)
 	go func() {
-		_, err := trs[0].Exchange(8, make([][]byte, n))
+		_, err := trs[0].Exchange(12, make([][]byte, n))
 		done <- err
 	}()
 	trs[1].Close()
@@ -451,6 +645,29 @@ func TestTCPTransport(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lead.Final, ref.Final) {
 		t.Fatalf("tcp final stats diverged:\n 1p: %+v\n 2p: %+v", ref.Final, lead.Final)
+	}
+	// The bare mesh under the contract the loopback is held to.
+	addrs = []string{freeAddr(t), freeAddr(t), freeAddr(t)}
+	trs := make([]Transport, len(addrs))
+	var wg sync.WaitGroup
+	for i := range trs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := DialTCP(i, addrs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			trs[i] = tr
+		}()
+	}
+	if wg.Wait(); t.Failed() {
+		t.FailNow()
+	}
+	exerciseTransport(t, trs)
+	for _, tr := range trs {
+		tr.Close()
 	}
 }
 

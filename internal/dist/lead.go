@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -18,18 +19,23 @@ import (
 // GroupTracker whose record stream is bit-identical to a single-process
 // run's. View updates are deltas (a view ships only when its version
 // moved past the last shipped one), so sync traffic follows protocol
-// activity, not the population.
+// activity, not the population. The changed views lie end to end in one
+// arena, ids, which like the other two slices is reused round after round.
 type roundSync struct {
 	msgs, delivs uint64
 	computed     []ident.NodeID
 	views        []viewUpd
+	ids          []ident.NodeID
 }
 
+// viewUpd is one changed view: ids[off:off+n] of its roundSync.
 type viewUpd struct {
-	id   ident.NodeID
-	ver  uint64
-	view []ident.NodeID
+	id     ident.NodeID
+	ver    uint64
+	off, n int
 }
+
+func (rs *roundSync) view(u viewUpd) []ident.NodeID { return rs.ids[u.off : u.off+u.n] }
 
 const syncMagic = 0x4753 // "GS"
 
@@ -37,81 +43,91 @@ func appendSync(dst []byte, rs *roundSync) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, syncMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, rs.msgs)
 	dst = binary.LittleEndian.AppendUint64(dst, rs.delivs)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs.computed)))
-	for _, v := range rs.computed {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
+	dst = appendIDs(dst, rs.computed)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs.views)))
 	for _, u := range rs.views {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(u.id))
 		dst = binary.LittleEndian.AppendUint64(dst, u.ver)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(u.view)))
-		for _, w := range u.view {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(w))
-		}
+		dst = appendIDs(dst, rs.view(u))
 	}
 	return dst
 }
 
-func decodeSync(buf []byte) (*roundSync, error) {
-	rs := &roundSync{}
-	if len(buf) < 2+16+4 {
-		return nil, fmt.Errorf("dist: sync truncated")
+func appendIDs(dst []byte, ids []ident.NodeID) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ids)))
+	for _, v := range ids {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	if binary.LittleEndian.Uint16(buf) != syncMagic {
-		return nil, fmt.Errorf("dist: bad sync magic")
-	}
-	rs.msgs = binary.LittleEndian.Uint64(buf[2:])
-	rs.delivs = binary.LittleEndian.Uint64(buf[10:])
-	buf = buf[18:]
-	ids, buf, err := readIDList(buf)
-	if err != nil {
-		return nil, err
-	}
-	rs.computed = ids
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("dist: sync truncated")
-	}
-	nview := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if uint64(nview) > uint64(len(buf)/16) {
-		return nil, fmt.Errorf("dist: sync truncated")
-	}
-	rs.views = make([]viewUpd, 0, nview)
-	for i := uint32(0); i < nview; i++ {
-		if len(buf) < 12 {
-			return nil, fmt.Errorf("dist: sync truncated")
-		}
-		u := viewUpd{
-			id:  ident.NodeID(binary.LittleEndian.Uint32(buf)),
-			ver: binary.LittleEndian.Uint64(buf[4:]),
-		}
-		u.view, buf, err = readIDList(buf[12:])
-		if err != nil {
-			return nil, err
-		}
-		rs.views = append(rs.views, u)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("dist: %d trailing sync bytes", len(buf))
-	}
-	return rs, nil
+	return dst
 }
 
-func readIDList(buf []byte) ([]ident.NodeID, []byte, error) {
-	if len(buf) < 4 {
-		return nil, nil, fmt.Errorf("dist: sync truncated")
+// reader walks a little-endian frame a peer sent. A read past the end, or
+// a count the remaining bytes cannot back, sets bad and yields zeros — so
+// nothing is ever sized by a length the frame does not hold — and the
+// caller checks once, at the end.
+type reader struct {
+	buf []byte
+	bad bool
+}
+
+var zeros [8]byte // what a bad read reads; never written
+
+func (r *reader) take(n int) []byte {
+	if r.bad = r.bad || n > len(r.buf); r.bad {
+		return zeros[:n]
 	}
-	n := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if uint64(n)*4 > uint64(len(buf)) {
-		return nil, nil, fmt.Errorf("dist: sync truncated")
+	b := r.buf[:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.take(2)) }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
+func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+
+// count reads an element count, refusing one that the rest of the frame,
+// at size bytes an element, cannot hold.
+func (r *reader) count(size int) int {
+	n := int(r.u32())
+	if r.bad = r.bad || n > len(r.buf)/size; r.bad {
+		return 0
 	}
-	ids := make([]ident.NodeID, n)
-	for i := range ids {
-		ids[i] = ident.NodeID(binary.LittleEndian.Uint32(buf[4*i:]))
+	return n
+}
+
+// ids appends a length-prefixed ID list to dst.
+func (r *reader) ids(dst []ident.NodeID) []ident.NodeID {
+	n := r.count(4)
+	dst = slices.Grow(dst, n)
+	for ; n > 0; n-- {
+		dst = append(dst, ident.NodeID(r.u32()))
 	}
-	return ids, buf[4*n:], nil
+	return dst
+}
+
+// end is the one check: every read was backed and no byte is left over.
+func (r *reader) end(frame string) error {
+	if r.bad || len(r.buf) != 0 {
+		return fmt.Errorf("dist: %s truncated or malformed", frame)
+	}
+	return nil
+}
+
+// decodeSync decodes a report over rs, whose slices it reuses.
+func decodeSync(buf []byte, rs *roundSync) error {
+	r := reader{buf: buf}
+	r.bad = r.u16() != syncMagic
+	rs.msgs, rs.delivs = r.u64(), r.u64()
+	rs.computed = r.ids(rs.computed[:0])
+	n := r.count(16)
+	rs.views, rs.ids = slices.Grow(rs.views[:0], n), rs.ids[:0]
+	for ; n > 0; n-- {
+		u := viewUpd{id: ident.NodeID(r.u32()), ver: r.u64(), off: len(rs.ids)}
+		rs.ids = r.ids(rs.ids)
+		u.n = len(rs.ids) - u.off
+		rs.views = append(rs.views, u)
+	}
+	return r.end("sync")
 }
 
 // collectSync gathers this shard's round report: the engine's dirty
@@ -122,8 +138,7 @@ func readIDList(buf []byte) ([]ident.NodeID, []byte, error) {
 func (sh *Shard) collectSync(rs *roundSync) {
 	rs.msgs = sh.reg.Get(introspect.CtrMessagesSent)
 	rs.delivs = sh.reg.Get(introspect.CtrDeliveries)
-	rs.computed = rs.computed[:0]
-	rs.views = rs.views[:0]
+	rs.computed, rs.views, rs.ids = rs.computed[:0], rs.views[:0], rs.ids[:0]
 	sh.E.DrainDirty(func(computed [engine.NumShards][]int32, added []ident.NodeID, removed []engine.RemovedNode) {
 		for s := range computed {
 			for _, slot := range computed[s] {
@@ -135,14 +150,17 @@ func (sh *Shard) collectSync(rs *roundSync) {
 				n := sh.E.NodeAtSlot(slot)
 				if ver := n.ViewVersion(); ver != sh.lastViewVer[slot] {
 					sh.lastViewVer[slot] = ver
-					rs.views = append(rs.views, viewUpd{id: v, ver: ver, view: n.AppendView(nil)})
+					off := len(rs.ids)
+					rs.ids = n.AppendView(rs.ids)
+					rs.views = append(rs.views, viewUpd{id: v, ver: ver, off: off, n: len(rs.ids) - off})
 				}
 			}
 		}
 	})
 }
 
-// mirrorView is the lead's replica of one node's extraction surface.
+// mirrorView is the lead's replica of one node's extraction surface. The
+// view is the mirror's own storage: a report is copied in, never aliased.
 type mirrorView struct {
 	id   ident.NodeID
 	ver  uint64
@@ -208,7 +226,7 @@ func (ls *leadSource) apply(shard int, rs *roundSync) {
 			continue
 		}
 		ls.views[slot].ver = u.ver
-		ls.views[slot].view = u.view
+		ls.views[slot].view = append(ls.views[slot].view[:0], rs.view(u)...)
 	}
 }
 

@@ -27,9 +27,14 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sh.run(entry)
+}
+
+// run is runShard on a built shard; entry is when its set-up began.
+func (sh *Shard) run(entry time.Time) (*obs.SoakResult, error) {
 	sh.E.TrackDirty()
 	soak := sh.Soak
-	lead := index == 0
+	lead := sh.Index == 0
 	var ls *leadSource
 	var tracker *obs.GroupTracker
 	if lead {
@@ -37,9 +42,8 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 		tracker = obs.NewGroupTrackerSource(ls)
 	}
 
-	var rs roundSync
-	var syncBuf []byte
-	out := make([][]byte, cfg.Shards)
+	var rs, peer roundSync
+	out := make([][]byte, sh.N) // only out[0], a non-lead shard's report, is ever set
 	res := &obs.SoakResult{}
 	start := time.Now()
 
@@ -48,12 +52,8 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 			return nil, err
 		}
 		sh.collectSync(&rs)
-		for p := range out {
-			out[p] = nil
-		}
 		if !lead {
-			syncBuf = appendSync(syncBuf[:0], &rs)
-			out[0] = syncBuf
+			out[0] = appendSync(out[0][:0], &rs)
 		}
 		in, err := sh.tr.Exchange(sh.seq, out)
 		sh.seq++
@@ -64,12 +64,11 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 			continue
 		}
 		ls.apply(0, &rs)
-		for p := 1; p < cfg.Shards; p++ {
-			prs, err := decodeSync(in[p])
-			if err != nil {
+		for p := 1; p < sh.N; p++ {
+			if err := decodeSync(in[p], &peer); err != nil {
 				return nil, fmt.Errorf("dist: sync from shard %d: %w", p, err)
 			}
-			ls.apply(p, prs)
+			ls.apply(p, &peer)
 		}
 		st := tracker.Observe()
 		if r == 1 {
@@ -90,13 +89,8 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 	// recorder; the lead folds the fingerprint in ID order and merges the
 	// registries in shard order.
 	pairs := obs.AppendEngineHashes(nil, sh.E)
-	for p := range out {
-		out[p] = nil
-	}
-	var finalBuf []byte
 	if !lead {
-		finalBuf = appendFinal(finalBuf, pairs, sh.reg)
-		out[0] = finalBuf
+		out[0] = appendFinal(out[0][:0], pairs, sh.reg)
 	}
 	in, err := sh.tr.Exchange(sh.seq, out)
 	sh.seq++
@@ -106,7 +100,7 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 	if !lead {
 		return nil, nil
 	}
-	for p := 1; p < cfg.Shards; p++ {
+	for p := 1; p < sh.N; p++ {
 		ppairs, counters, phases, err := decodeFinal(in[p])
 		if err != nil {
 			return nil, fmt.Errorf("dist: final from shard %d: %w", p, err)
@@ -148,48 +142,25 @@ func appendFinal(dst []byte, pairs []obs.NodeHashPair, reg *introspect.Registry)
 }
 
 func decodeFinal(buf []byte) (pairs []obs.NodeHashPair, counters []uint64, phases []int64, err error) {
-	fail := func() ([]obs.NodeHashPair, []uint64, []int64, error) {
-		return nil, nil, nil, fmt.Errorf("dist: final report truncated or malformed")
-	}
-	if len(buf) < 6 || binary.LittleEndian.Uint16(buf) != finalMagic {
-		return fail()
-	}
-	n := binary.LittleEndian.Uint32(buf[2:])
-	buf = buf[6:]
-	if uint64(n)*12 > uint64(len(buf)) {
-		return fail()
-	}
-	pairs = make([]obs.NodeHashPair, n)
+	r := reader{buf: buf}
+	r.bad = r.u16() != finalMagic
+	pairs = make([]obs.NodeHashPair, r.count(12))
 	for i := range pairs {
-		pairs[i].ID = ident.NodeID(binary.LittleEndian.Uint32(buf))
-		pairs[i].Hash = binary.LittleEndian.Uint64(buf[4:])
-		buf = buf[12:]
+		pairs[i] = obs.NodeHashPair{ID: ident.NodeID(r.u32()), Hash: r.u64()}
 	}
-	if len(buf) < 4 {
-		return fail()
-	}
-	nc := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if nc != uint32(introspect.NumCounters) || uint64(nc)*8 > uint64(len(buf)) {
-		return fail()
-	}
-	counters = make([]uint64, nc)
+	// Both blocks have the registry's own length, or the peer runs other code.
+	counters = make([]uint64, int(introspect.NumCounters))
+	r.bad = r.bad || r.count(8) != len(counters)
 	for i := range counters {
-		counters[i] = binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
+		counters[i] = r.u64()
 	}
-	if len(buf) < 4 {
-		return fail()
-	}
-	np := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if np != uint32(introspect.NumPhases) || uint64(np)*8 != uint64(len(buf)) {
-		return fail()
-	}
-	phases = make([]int64, np)
+	phases = make([]int64, int(introspect.NumPhases))
+	r.bad = r.bad || r.count(8) != len(phases)
 	for i := range phases {
-		phases[i] = int64(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
+		phases[i] = int64(r.u64())
+	}
+	if err := r.end("final report"); err != nil {
+		return nil, nil, nil, err
 	}
 	return pairs, counters, phases, nil
 }

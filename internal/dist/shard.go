@@ -2,7 +2,9 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -81,19 +83,12 @@ func (t *ownedTopology) Nodes() []ident.NodeID { return t.owned }
 type genVer struct{ gen, ver uint64 }
 
 // ghost is the cached replica of a foreign boundary sender's broadcast.
-// An elided entry replays it; a framed entry refreshes it.
+// An elided entry replays it; a framed entry refreshes it, through
+// engine.PublishForeign: msg's records and list entries are the engine
+// pools', like a local broadcast's.
 type ghost struct {
 	gen, ver uint64
 	msg      core.Message
-}
-
-// pendEntry is one boundary-crossing broadcast of the current tick,
-// pointing into the per-tick frame arena.
-type pendEntry struct {
-	sender   ident.NodeID
-	gen, ver uint64
-	off, n   int
-	mask     uint64 // peers owning ≥1 receiver (bit per shard)
 }
 
 // rowMask caches the peer mask derived from a receiver row, validated
@@ -116,25 +111,28 @@ type Shard struct {
 	Part  Partition
 	Owned []ident.NodeID
 
-	owners map[ident.NodeID]uint8
+	owners []uint8 // by node ID: populations are the dense 1..N (no churn)
 
 	tr  Transport
 	seq uint64
 	reg *introspect.Registry
 
-	// Sender side.
+	// Sender side: per peer p, this tick's entries and their encoding; the
+	// frames they carry lie in arena.
 	arena    []byte
-	pend     []pendEntry
-	batch    wire.BoundaryBatch
-	outBufs  [][]byte
+	batches  [][]wire.BoundaryEntry
 	out      [][]byte
 	lastSent []map[ident.NodeID]genVer
 	masks    []rowMask
 	rowBuf   []ident.NodeID
 
-	// Receiver side.
-	ghosts map[ident.NodeID]*ghost
+	// Receiver side. dec is the storage every frame is decoded in before
+	// its ghost publishes it.
+	ghosts []*ghost // by node ID, like owners
 	ext    []engine.ExternalDelivery
+	dec    core.Message
+
+	entries []wire.BoundaryEntry // of the batch being ingested
 
 	// Soak is the normalized scenario (NewShard's copy).
 	Soak obs.SoakConfig
@@ -146,6 +144,13 @@ type Shard struct {
 // NewShard replicates the scenario world and attaches shard index to
 // the transport. cfg must be Validate-clean and identical across peers.
 func NewShard(cfg Config, index int, tr Transport) (*Shard, error) {
+	return newShard(cfg, index, tr, false)
+}
+
+// newShard is NewShard with its test seam: jitter desynchronises the
+// compute timers (engine.Params.Jitter), without which every receiver of a
+// broadcast computes before its sender can replace it.
+func newShard(cfg Config, index int, tr Transport, jitter bool) (*Shard, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -165,7 +170,7 @@ func NewShard(cfg Config, index int, tr Transport) (*Shard, error) {
 		xs[i] = p.X
 	}
 	part := MakePartition(xs, cfg.Shards)
-	owners := make(map[ident.NodeID]uint8, len(ids))
+	owners := make([]uint8, slices.Max(ids)+1)
 	var owned []ident.NodeID
 	for i, v := range ids {
 		o := uint8(part.Owner(xs[i]))
@@ -179,6 +184,7 @@ func NewShard(cfg Config, index int, tr Transport) (*Shard, error) {
 		Cfg:     core.Config{Dmax: soak.Dmax},
 		Seed:    soak.Seed,
 		Workers: soak.Workers,
+		Jitter:  jitter,
 	}, &ownedTopology{SpatialTopology: topo, owned: owned})
 
 	sh := &Shard{
@@ -192,17 +198,15 @@ func NewShard(cfg Config, index int, tr Transport) (*Shard, error) {
 		owners:   owners,
 		tr:       tr,
 		reg:      e.Introspect(),
-		outBufs:  make([][]byte, cfg.Shards),
+		batches:  make([][]wire.BoundaryEntry, cfg.Shards),
 		out:      make([][]byte, cfg.Shards),
 		lastSent: make([]map[ident.NodeID]genVer, cfg.Shards),
 		masks:    make([]rowMask, e.SlotCap()),
-		ghosts:   make(map[ident.NodeID]*ghost),
+		ghosts:   make([]*ghost, len(owners)),
 		Soak:     soak,
 	}
 	for p := range sh.lastSent {
-		if p != index {
-			sh.lastSent[p] = make(map[ident.NodeID]genVer)
-		}
+		sh.lastSent[p] = make(map[ident.NodeID]genVer)
 	}
 	// Every fresh node starts at view version 1 ({self}); the lead mirror
 	// is seeded with the same, so nothing needs syncing until a view
@@ -295,10 +299,11 @@ func (sh *Shard) maskOf(row []ident.NodeID) uint64 {
 // broadcasts. A sender appears in a peer's batch exactly when the peer
 // owns one of its receivers; the frame is included only when the
 // sender's (gen, ver) moved since the last frame shipped to that peer —
-// otherwise the entry is elided and the peer replays its ghost.
+// otherwise the entry is elided and the peer replays its ghost — and is
+// encoded, once, only when some peer is to get it.
 func (sh *Shard) routeBoundary(txs []radio.Tx) {
 	sh.arena = sh.arena[:0]
-	sh.pend = sh.pend[:0]
+	var bytesOut, frames, elided uint64
 	for _, tx := range txs {
 		mask := sh.foreignMask(tx.Sender)
 		if mask == 0 {
@@ -308,48 +313,33 @@ func (sh *Shard) routeBoundary(txs []radio.Tx) {
 		if !ok {
 			continue
 		}
-		off := len(sh.arena)
-		sh.arena = wire.AppendEncode(sh.arena, *msg)
-		sh.pend = append(sh.pend, pendEntry{
-			sender: tx.Sender, gen: gen, ver: ver,
-			off: off, n: len(sh.arena) - off, mask: mask,
-		})
-	}
-	var bytesOut, frames, elided uint64
-	for p := 0; p < sh.N; p++ {
-		if p == sh.Index {
-			sh.out[p] = nil
-			continue
-		}
-		b := &sh.batch
-		b.Shard = sh.Index
-		b.Seq = sh.seq
-		b.Entries = b.Entries[:0]
-		for i := range sh.pend {
-			pe := &sh.pend[i]
-			if pe.mask&(1<<uint(p)) == 0 {
-				continue
-			}
-			ent := wire.BoundaryEntry{Sender: pe.sender, Gen: pe.gen, Ver: pe.ver}
-			sig := genVer{pe.gen, pe.ver}
-			if sh.lastSent[p][pe.sender] != sig {
-				ent.Frame = sh.arena[pe.off : pe.off+pe.n]
-				sh.lastSent[p][pe.sender] = sig
-				frames++
-			} else {
+		var frame []byte
+		for sig := (genVer{gen, ver}); mask != 0; mask &= mask - 1 {
+			p := bits.TrailingZeros64(mask)
+			ent := wire.BoundaryEntry{Sender: tx.Sender, Gen: gen, Ver: ver}
+			if sh.lastSent[p][tx.Sender] == sig {
 				elided++
+			} else {
+				if sh.lastSent[p][tx.Sender] = sig; frame == nil {
+					// A grown arena leaves earlier frames where they were.
+					at := len(sh.arena)
+					sh.arena = wire.AppendEncode(sh.arena, *msg)
+					frame = sh.arena[at:len(sh.arena):len(sh.arena)]
+				}
+				ent.Frame = frame
+				frames++
 			}
-			b.Entries = append(b.Entries, ent)
+			sh.batches[p] = append(sh.batches[p], ent)
 		}
-		if len(b.Entries) == 0 {
-			// An empty batch is an empty payload: peers skip decoding and
-			// interior-only ticks cost no header bytes.
-			sh.out[p] = nil
-			continue
+	}
+	for p, ents := range sh.batches {
+		// An empty batch is an empty payload: peers skip decoding and
+		// interior-only ticks cost no header bytes.
+		sh.out[p], sh.batches[p] = sh.out[p][:0], ents[:0]
+		if len(ents) > 0 {
+			sh.out[p] = wire.AppendBoundaryBatch(sh.out[p], wire.BoundaryBatch{Shard: sh.Index, Seq: sh.seq, Entries: ents})
 		}
-		sh.outBufs[p] = wire.AppendBoundaryBatch(sh.outBufs[p][:0], *b)
-		sh.out[p] = sh.outBufs[p]
-		bytesOut += uint64(len(sh.outBufs[p]))
+		bytesOut += uint64(len(sh.out[p]))
 	}
 	sh.reg.Add(introspect.CtrBoundaryBytesSent, bytesOut)
 	sh.reg.Add(introspect.CtrBoundaryFrames, frames)
@@ -365,15 +355,19 @@ func (sh *Shard) routeBoundary(txs []radio.Tx) {
 func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 	sh.ext = sh.ext[:0]
 	var bytesIn, ghostUpd uint64
+	// The oracle is armed on a whole population or not at all: the first
+	// owned node speaks for the receivers of every ghost.
+	poison := len(sh.Owned) > 0 && sh.E.Node(sh.Owned[0]).SelfCheck
 	for p := 0; p < sh.N; p++ {
 		if p == sh.Index || len(in[p]) == 0 {
 			continue
 		}
 		bytesIn += uint64(len(in[p]))
-		b, err := wire.DecodeBoundaryBatch(in[p])
+		b, err := wire.DecodeBoundaryBatch(in[p], sh.entries)
 		if err != nil {
 			return nil, fmt.Errorf("dist: shard %d: batch from %d: %w", sh.Index, p, err)
 		}
+		sh.entries = b.Entries
 		if b.Shard != p || b.Seq != sh.seq {
 			return nil, fmt.Errorf("dist: shard %d: batch header (%d, %d) from peer %d at seq %d",
 				sh.Index, b.Shard, b.Seq, p, sh.seq)
@@ -381,15 +375,17 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 		for _, ent := range b.Entries {
 			g := sh.ghosts[ent.Sender]
 			if ent.Frame != nil {
-				m, err := wire.Decode(ent.Frame)
+				m, err := wire.DecodeInto(ent.Frame, sh.dec)
 				if err != nil {
 					return nil, fmt.Errorf("dist: shard %d: frame for %d from %d: %w", sh.Index, ent.Sender, p, err)
 				}
+				sh.dec = m
 				if g == nil {
 					g = &ghost{}
 					sh.ghosts[ent.Sender] = g
 				}
-				g.gen, g.ver, g.msg = ent.Gen, ent.Ver, m
+				g.gen, g.ver = ent.Gen, ent.Ver
+				sh.E.PublishForeign(ent.Sender, &g.msg, m, poison)
 				ghostUpd++
 			} else if g == nil || g.gen != ent.Gen || g.ver != ent.Ver {
 				return nil, fmt.Errorf("dist: shard %d: elided entry for %d from %d without a matching ghost",

@@ -12,9 +12,11 @@ import (
 // peer's payload for that sequence has arrived — the round barrier the
 // deterministic merge relies on.
 //
-// Contract: out[self] is ignored and in[self] is nil; returned payloads
-// are freshly allocated and owned by the caller (they may be retained
-// across rounds — the ghost cache aliases decoded frames).
+// Contract: out[self] is ignored and in[self] is nil. out is the caller's
+// again when Exchange returns; in and its payloads are the transport's,
+// read-only, and valid until the caller's next Exchange on this endpoint,
+// from when an implementation may reuse them (the loopback does): whoever
+// keeps anything of a payload copies it.
 type Transport interface {
 	Exchange(seq uint64, out [][]byte) (in [][]byte, err error)
 	Close() error
@@ -40,9 +42,15 @@ type loopMsg struct {
 	payload []byte
 }
 
+// loopback is one endpoint. A peer reads the copy shipped to it until its
+// next Exchange, and the barrier lets this side run at most one Exchange
+// ahead: of two copies per edge, written alternately, neither is read.
 type loopback struct {
-	fab  *loopFabric
-	self int
+	fab   *loopFabric
+	self  int
+	calls int
+	bufs  [][2][]byte // [to]: this call's copy and the previous call's
+	in    [][]byte
 }
 
 // NewLoopback builds an n-way in-memory transport and returns one
@@ -61,7 +69,7 @@ func NewLoopback(n int) []Transport {
 	}
 	eps := make([]Transport, n)
 	for i := range eps {
-		eps[i] = &loopback{fab: fab, self: i}
+		eps[i] = &loopback{fab: fab, self: i, bufs: make([][2][]byte, n), in: make([][]byte, n)}
 	}
 	return eps
 }
@@ -71,18 +79,20 @@ func (l *loopback) Exchange(seq uint64, out [][]byte) ([][]byte, error) {
 	if len(out) != fab.n {
 		return nil, fmt.Errorf("dist: loopback: %d payloads for %d shards", len(out), fab.n)
 	}
+	l.calls++
 	for p := 0; p < fab.n; p++ {
 		if p == l.self {
 			continue
 		}
-		msg := loopMsg{seq: seq, payload: append([]byte(nil), out[p]...)}
+		buf := &l.bufs[p][l.calls&1]
+		*buf = append((*buf)[:0], out[p]...)
 		select {
-		case fab.chans[l.self][p] <- msg:
+		case fab.chans[l.self][p] <- loopMsg{seq: seq, payload: *buf}:
 		case <-fab.dead:
 			return nil, ErrTransportClosed
 		}
 	}
-	in := make([][]byte, fab.n)
+	in := l.in
 	for p := 0; p < fab.n; p++ {
 		if p == l.self {
 			continue

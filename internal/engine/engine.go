@@ -53,10 +53,12 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/antlist"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
@@ -226,6 +228,16 @@ func (p *pool[T]) sweep(ripe, stale int, poison func([]T)) {
 		} else if f.idle++; f.idle > ripe-stale {
 			f.q = nil
 		}
+	}
+}
+
+// retire gives a replaced broadcast's storage to the pools: its records,
+// and its list's entries iff the commit moved the list to cur (Publish
+// returns prev itself on equal content, and then they live on).
+func (sc *shardScratch) retire(old *core.Message, cur antlist.List, tick int, poison bool) {
+	sc.recs.retire(old.Recs, tick, poison)
+	if was, now := old.List.Entries(), cur.Entries(); cap(was) > 0 && (cap(now) == 0 || &was[:1][0] != &now[:1][0]) {
+		sc.ents.retire(was, tick, poison)
 	}
 }
 
@@ -998,13 +1010,8 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			}
 			if rec.cm.ver != rec.n.Version() {
 				builds++
-				sc.recs.retire(rec.cm.m.Recs, e.tick, rec.n.SelfCheck)
 				m := rec.n.BuildMessageIn(sc.recs.take(rec.n.RecsNeeded(), e.tick-e.recsHold))
-				// The replaced list is dead with the records iff the commit
-				// moved it: Publish returns prev itself on equal content.
-				if old, cur := rec.cm.m.List.Entries(), m.List.Entries(); cap(old) > 0 && (cap(cur) == 0 || &old[:1][0] != &cur[:1][0]) {
-					sc.ents.retire(old, e.tick, rec.n.SelfCheck)
-				}
+				sc.retire(&rec.cm.m, m.List, e.tick, rec.n.SelfCheck)
 				rec.cm = cachedMsg{m: m, size: m.EncodedSize(), ver: rec.n.Version()}
 			} else {
 				cacheHits++
@@ -1062,6 +1069,28 @@ func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, 
 		return nil, 0, 0, false
 	}
 	return &rec.cm.m, rec.gen, rec.cm.ver, true
+}
+
+// PublishForeign replaces *cur, the broadcast of a sender v that lives in
+// another process, by m, which a distributed wrapper decoded into scratch
+// storage of its own (nothing of m is kept). It is a local rebuild's twin:
+// the copy goes into records and list entries of v's shard's pools (offsets
+// interned, an unchanged list shared with cur's), what it replaces retires
+// to them, and so one rule holds for both — receivers alias a delivered
+// broadcast until their next compute, hence storage sits out Tc ticks
+// (SetRecsHold) and is poisoned, if poison is set, in the tick it may be
+// taken again. To be called between BuildPhase and FinishTick; *cur may
+// then be delivered through ExternalDelivery.Msg.
+func (e *Engine) PublishForeign(v ident.NodeID, cur *core.Message, m core.Message, poison bool) {
+	sc := &e.scratch[shardOf(v)]
+	recs := sc.recs.take(len(m.Recs), e.tick-e.recsHold)
+	if cap(recs) < len(m.Recs) {
+		recs = slices.Grow([]core.PrioRec(nil), len(m.Recs))
+	}
+	m.Recs = append(recs[:0], m.Recs...)
+	m.List = m.List.Publish(cur.List, &sc.core.Lists)
+	sc.retire(cur, m.List, e.tick, poison)
+	*cur = m
 }
 
 // FinishTick runs phases 3–5 of a tick: arbitrate the channel over the

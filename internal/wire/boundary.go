@@ -26,6 +26,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/ident"
 )
@@ -78,11 +79,12 @@ func appendBoundaryEntry(dst []byte, e BoundaryEntry) []byte {
 	return append(dst, e.Frame...)
 }
 
-// DecodeBoundaryBatch parses a boundary batch. Entry frames alias buf
-// (no copy); callers that retain a frame past buf's lifetime must copy
-// it. The embedded GRP frames are not decoded here — the consumer
-// decodes only the frames it needs (wire.Decode validates them).
-func DecodeBoundaryBatch(buf []byte) (BoundaryBatch, error) {
+// DecodeBoundaryBatch parses a boundary batch, its entries written over
+// entries' storage (nil: fresh; grown if short). Entry frames alias buf (no
+// copy); callers that retain a frame past buf's lifetime must copy it. The
+// embedded GRP frames are not decoded here — the consumer decodes only the
+// frames it needs (wire.DecodeInto validates them).
+func DecodeBoundaryBatch(buf []byte, entries []BoundaryEntry) (BoundaryBatch, error) {
 	var b BoundaryBatch
 	if len(buf) < 2+1+2+8+4 {
 		return b, ErrTruncated
@@ -99,7 +101,7 @@ func DecodeBoundaryBatch(buf []byte) (BoundaryBatch, error) {
 	if uint64(n) > uint64(len(buf)/21)+1 {
 		return b, ErrTruncated
 	}
-	b.Entries = make([]BoundaryEntry, 0, n)
+	b.Entries = slices.Grow(entries[:0], int(n))
 	for i := uint32(0); i < n; i++ {
 		if len(buf) < 21 {
 			return b, ErrTruncated

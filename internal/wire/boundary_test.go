@@ -22,7 +22,7 @@ func sampleBatch() BoundaryBatch {
 func TestBoundaryBatchRoundTrip(t *testing.T) {
 	b := sampleBatch()
 	buf := AppendBoundaryBatch(nil, b)
-	got, err := DecodeBoundaryBatch(buf)
+	got, err := DecodeBoundaryBatch(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBoundaryBatchRoundTrip(t *testing.T) {
 
 func TestBoundaryBatchEmpty(t *testing.T) {
 	buf := AppendBoundaryBatch(nil, BoundaryBatch{Shard: 1, Seq: 9})
-	got, err := DecodeBoundaryBatch(buf)
+	got, err := DecodeBoundaryBatch(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestBoundaryBatchEmpty(t *testing.T) {
 func TestBoundaryBatchRejectsTruncationEverywhere(t *testing.T) {
 	buf := AppendBoundaryBatch(nil, sampleBatch())
 	for i := 0; i < len(buf); i++ {
-		if _, err := DecodeBoundaryBatch(buf[:i]); err == nil {
+		if _, err := DecodeBoundaryBatch(buf[:i], nil); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", i, len(buf))
 		}
 	}
@@ -68,7 +68,7 @@ func TestBoundaryBatchRejectsTruncationEverywhere(t *testing.T) {
 
 func TestBoundaryBatchRejectsTrailingGarbage(t *testing.T) {
 	buf := AppendBoundaryBatch(nil, sampleBatch())
-	if _, err := DecodeBoundaryBatch(append(buf, 0)); err == nil {
+	if _, err := DecodeBoundaryBatch(append(buf, 0), nil); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestBoundaryBatchRejectsBadMagic(t *testing.T) {
 	for _, i := range []int{0, 1, 2} {
 		bad := append([]byte(nil), buf...)
 		bad[i] ^= 0xff
-		if _, err := DecodeBoundaryBatch(bad); err == nil {
+		if _, err := DecodeBoundaryBatch(bad, nil); err == nil {
 			t.Fatalf("corrupted header byte %d accepted", i)
 		}
 	}
@@ -104,7 +104,7 @@ func FuzzDecodeBoundaryFrame(f *testing.F) {
 			bit := int(flip) % (8 * len(data))
 			data[bit/8] ^= 1 << (bit % 8)
 		}
-		b, err := DecodeBoundaryBatch(data)
+		b, err := DecodeBoundaryBatch(data, nil)
 		if err != nil {
 			return
 		}
@@ -124,7 +124,7 @@ func FuzzDecodeBoundaryFrame(f *testing.F) {
 			}
 		}
 		re := AppendBoundaryBatch(nil, b)
-		if _, err := DecodeBoundaryBatch(re); err != nil {
+		if _, err := DecodeBoundaryBatch(re, nil); err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}
 	})
@@ -137,12 +137,12 @@ func FuzzDecodeBoundaryRaw(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendBoundaryBatch(nil, sampleBatch()))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBoundaryBatch(data)
+		b, err := DecodeBoundaryBatch(data, nil)
 		if err != nil {
 			return
 		}
 		re := AppendBoundaryBatch(nil, b)
-		if _, err := DecodeBoundaryBatch(re); err != nil {
+		if _, err := DecodeBoundaryBatch(re, nil); err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}
 	})

@@ -11,14 +11,19 @@ import (
 // and decoding again must be a fixpoint (the decoder defensively sorts
 // and deduplicates hostile input, so byte-level identity only holds for
 // canonical frames; see TestRoundTrip for that case). Every accepted
-// message must also encode exactly as the map-era oracle encodes it.
+// message must also encode exactly as the map-era oracle encodes it, and
+// the decoder must agree with the map-era decoder on every input, into
+// any storage (checkDecodeOracle).
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Encode(sampleMessage()))
 	buf := Encode(sampleMessage())
 	f.Add(buf[:len(buf)/2])
+	for _, nf := range nonCanonicalFrames() {
+		f.Add(nf.frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
+		m, err := checkDecodeOracle(t, data)
 		if err != nil {
 			return
 		}
@@ -53,7 +58,7 @@ func FuzzDecodeHostile(f *testing.F) {
 			bit := int(flip) % (8 * len(data))
 			data[bit/8] ^= 1 << (bit % 8)
 		}
-		m, err := Decode(data)
+		m, err := checkDecodeOracle(t, data)
 		if err != nil {
 			return
 		}

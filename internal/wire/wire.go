@@ -6,6 +6,11 @@
 // reports EncodedSize, which this package keeps honest: encoding then
 // decoding any message is the identity).
 //
+// Both directions stream over the message's ID-sorted records, with no map
+// on either side: the sections keep the map era's shape on the wire only.
+// There is one decoder, DecodeInto, which into warm storage allocates
+// nothing; Decode is its nil-storage case.
+//
 // Frame layout (little endian):
 //
 //	magic  u16 = 0x4752 ("GR")
@@ -19,9 +24,11 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/antlist"
 	"repro/internal/core"
@@ -81,52 +88,92 @@ func AppendEncode(dst []byte, m core.Message) []byte {
 	return dst
 }
 
-// Decode parses a frame back into a protocol message, rebuilding the
-// flat record slice (with each entry's list position) from the frame's
-// map-shaped sections.
-func Decode(buf []byte) (core.Message, error) {
-	var m core.Message
+// Decode parses a frame into a protocol message in fresh storage:
+// DecodeInto's nil-storage case.
+func Decode(buf []byte) (core.Message, error) { return DecodeInto(buf, core.Message{}) }
+
+// DecodeInto is the decoder. It writes over into's storage (its Recs, and
+// its List as antlist.DecodeListInto does), which must come from the zero
+// Message or an earlier DecodeInto and have no reader left, and allocates
+// only what that storage lacks. The records are one per list entry, sorted
+// by (ID, Pos), with the three ID-ordered sections merged onto them by a
+// cursor. A hostile frame is normalised, not refused, as assignment into
+// maps did it: an ID out of order is found by search, an ID repeated in a
+// section keeps its last value, and an ID no list entry carries gets a
+// record of its own (Pos -1).
+func DecodeInto(buf []byte, into core.Message) (core.Message, error) {
+	var none core.Message
 	if len(buf) < 2+1+4 {
-		return m, ErrTruncated
+		return none, ErrTruncated
 	}
 	if binary.LittleEndian.Uint16(buf) != magic || buf[2] != version {
-		return m, ErrBadMagic
+		return none, ErrBadMagic
 	}
-	m.From = ident.NodeID(binary.LittleEndian.Uint32(buf[3:]))
-	buf = buf[7:]
+	if len(buf) < 7+12 {
+		return none, ErrTruncated
+	}
+	m := core.Message{From: ident.NodeID(binary.LittleEndian.Uint32(buf[3:])), GroupPrio: prioAt(buf[7:])}
 	var err error
-	if m.GroupPrio, buf, err = readPrio(buf); err != nil {
-		return m, err
+	if m.List, buf, err = antlist.DecodeListInto(buf[19:], into.List); err != nil {
+		return none, fmt.Errorf("wire: list: %w", err)
 	}
-	if m.List, buf, err = antlist.DecodeList(buf); err != nil {
-		return m, fmt.Errorf("wire: list: %w", err)
+	recs := slices.Grow(into.Recs[:0], m.List.NodeCount())
+	for i := 0; i < m.List.Len(); i++ {
+		for _, e := range m.List.At(i) {
+			recs = append(recs, core.PrioRec{ID: e.ID, Mark: e.Mark, Pos: int16(i), Quar: -1})
+		}
 	}
-	var prios, gprios map[ident.NodeID]priority.P
-	if prios, buf, err = readPrioMap(buf); err != nil {
-		return m, err
+	// One pass merges the sections onto the sorted records. An ID it does
+	// not find is appended bare; those are then sorted in, once each, and a
+	// second pass finds them all.
+	core.SortRecs(recs)
+	for {
+		sorted, rest := len(recs), buf
+		for sec := 0; sec < 3; sec++ { // node priorities, group priorities, quarantines
+			size := [...]int{16, 16, 5}[sec]
+			if len(rest) < 2 {
+				return none, ErrTruncated
+			}
+			n := int(binary.LittleEndian.Uint16(rest))
+			if rest = rest[2:]; len(rest) < n*size {
+				return none, ErrTruncated
+			}
+			cur, last := 0, ident.None
+			for ; n > 0; n, rest = n-1, rest[size:] {
+				id := ident.NodeID(binary.LittleEndian.Uint32(rest))
+				if id < last {
+					cur, _ = slices.BinarySearchFunc(recs[:sorted], id, func(r core.PrioRec, id ident.NodeID) int {
+						return cmp.Compare(r.ID, id)
+					})
+				}
+				for cur < sorted && recs[cur].ID < id {
+					cur++
+				}
+				if last = id; cur == sorted || recs[cur].ID != id {
+					recs = append(recs, core.PrioRec{ID: id, Pos: -1, Quar: -1})
+				}
+				for i := cur; i < sorted && recs[i].ID == id; i++ {
+					switch r := &recs[i]; sec {
+					case 0:
+						r.HasPrio, r.Prio = true, prioAt(rest[4:])
+					case 1:
+						r.HasGroupPrio, r.GroupPrio = true, prioAt(rest[4:])
+					default:
+						r.Quar = int16(rest[4])
+					}
+				}
+			}
+		}
+		if len(rest) != 0 {
+			return none, fmt.Errorf("wire: %d trailing bytes", len(rest))
+		}
+		if len(recs) == sorted {
+			m.Recs = recs
+			return m, nil
+		}
+		core.SortRecs(recs)
+		recs = slices.CompactFunc(recs, func(a, b core.PrioRec) bool { return a.ID == b.ID && a.Pos == b.Pos })
 	}
-	if gprios, buf, err = readPrioMap(buf); err != nil {
-		return m, err
-	}
-	if len(buf) < 2 {
-		return m, ErrTruncated
-	}
-	nq := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if len(buf) < nq*5 {
-		return m, ErrTruncated
-	}
-	quars := make(map[ident.NodeID]int, nq)
-	for i := 0; i < nq; i++ {
-		id := ident.NodeID(binary.LittleEndian.Uint32(buf))
-		quars[id] = int(buf[4])
-		buf = buf[5:]
-	}
-	if len(buf) != 0 {
-		return m, fmt.Errorf("wire: %d trailing bytes", len(buf))
-	}
-	m.Recs = core.RecsFromMaps(m.List, prios, gprios, quars)
-	return m, nil
 }
 
 func appendPrio(dst []byte, p priority.P) []byte {
@@ -134,35 +181,10 @@ func appendPrio(dst []byte, p priority.P) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(p.ID))
 }
 
-func readPrio(buf []byte) (priority.P, []byte, error) {
-	if len(buf) < 12 {
-		return priority.P{}, buf, ErrTruncated
-	}
-	p := priority.P{
+// prioAt reads the priority record at the front of buf (12 bytes).
+func prioAt(buf []byte) priority.P {
+	return priority.P{
 		Clock: binary.LittleEndian.Uint64(buf),
 		ID:    ident.NodeID(binary.LittleEndian.Uint32(buf[8:])),
 	}
-	return p, buf[12:], nil
-}
-
-func readPrioMap(buf []byte) (map[ident.NodeID]priority.P, []byte, error) {
-	if len(buf) < 2 {
-		return nil, buf, ErrTruncated
-	}
-	n := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if len(buf) < n*16 {
-		return nil, buf, ErrTruncated
-	}
-	out := make(map[ident.NodeID]priority.P, n)
-	for i := 0; i < n; i++ {
-		id := ident.NodeID(binary.LittleEndian.Uint32(buf))
-		p, rest, err := readPrio(buf[4:])
-		if err != nil {
-			return nil, buf, err
-		}
-		out[id] = p
-		buf = rest
-	}
-	return out, buf, nil
 }
