@@ -3,13 +3,17 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/introspect"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // sampleSyncs covers the sync layout's shapes: the empty report, a view
@@ -221,4 +225,57 @@ func FuzzDecodeSyncFinal(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data) })
+}
+
+// TestIngestRejectsForeignSender feeds shard 1 well-formed batches from
+// peer 0 whose entry names a sender peer 0 cannot speak for: ingest must
+// refuse with an error naming shard, peer, sender and seq, and neither
+// index by the ID nor install a ghost for it.
+func TestIngestRejectsForeignSender(t *testing.T) {
+	soak := obs.SoakConfig{N: 60, Side: 20, Seed: 7, Dmax: 3, MaxRounds: 1, Static: true}
+	sh, err := NewShard(Config{Soak: soak, Shards: 3}, 1, NewLoopback(3)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownedBy := func(o int) ident.NodeID {
+		for v := 1; v < len(sh.owners); v++ {
+			if int(sh.owners[v]) == o {
+				return ident.NodeID(v)
+			}
+		}
+		t.Fatalf("shard %d owns no node", o)
+		return ident.None
+	}
+	frame := wire.AppendEncode(nil, core.Message{})
+	ingest := func(sender ident.NodeID) error {
+		in := make([][]byte, 3)
+		in[0] = wire.AppendBoundaryBatch(nil, wire.BoundaryBatch{Shard: 0, Seq: sh.seq,
+			Entries: []wire.BoundaryEntry{{Sender: sender, Gen: 1, Ver: 1, Frame: frame}}})
+		_, err := sh.ingest(in)
+		return err
+	}
+	for name, sender := range map[string]ident.NodeID{
+		"out of range":           ident.NodeID(len(sh.owners)),
+		"far out of range":       ident.NodeID(^uint32(0)),
+		"owned by the receiver":  ownedBy(1),
+		"owned by a third shard": ownedBy(2),
+		"the null ID":            ident.None,
+	} {
+		err := ingest(sender)
+		if err == nil {
+			t.Errorf("%s: sender %d from peer 0 accepted", name, sender)
+			continue
+		}
+		for _, want := range []string{"shard 1", "peer 0", fmt.Sprintf("node %d,", sender), fmt.Sprintf("seq %d", sh.seq)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", name, err, want)
+			}
+		}
+		if int(sender) < len(sh.ghosts) && sh.ghosts[sender] != nil {
+			t.Errorf("%s: a ghost was installed for node %d", name, sender)
+		}
+	}
+	if err := ingest(ownedBy(0)); err != nil {
+		t.Errorf("an entry for the peer's own node: %v", err)
+	}
 }

@@ -738,3 +738,73 @@ func TestNodeIDU32Bound(t *testing.T) {
 		t.Fatalf("round-trip lost bits: %d vs %d", back, v)
 	}
 }
+
+// failAtSink accepts records up to round failAt−1, refuses that round's,
+// and remembers when the first record arrived.
+type failAtSink struct {
+	failAt  int
+	written int
+	first   time.Time
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (s *failAtSink) Write(r obs.RoundStats) error {
+	if s.written == 0 {
+		s.first = time.Now()
+	}
+	if r.Round == s.failAt {
+		return errSinkFull
+	}
+	s.written++
+	return nil
+}
+func (s *failAtSink) Close() error { return nil }
+
+// TestDriversShareTheRoundTail holds both product drivers to the one
+// round tail: a sink that fails at round k aborts each of them with the
+// same error after k−1 records, and the set-up clock stops between the
+// driver's entry and the first record's write — after the first Observe,
+// before the sink sees its result.
+func TestDriversShareTheRoundTail(t *testing.T) {
+	drivers := []struct {
+		name string
+		run  func(obs.SoakConfig) (*obs.SoakResult, error)
+	}{
+		{"RunSoak", obs.RunSoak},
+		{"RunLoopback/2", func(c obs.SoakConfig) (*obs.SoakResult, error) { return RunLoopback(Config{Soak: c, Shards: 2}) }},
+		{"RunLoopback/3", func(c obs.SoakConfig) (*obs.SoakResult, error) { return RunLoopback(Config{Soak: c, Shards: 3}) }},
+	}
+	const failAt = 4
+	var errs []string
+	for _, d := range drivers {
+		sink := &failAtSink{failAt: failAt}
+		cfg := commuterSoak(8)
+		cfg.Sink = sink
+		res, err := d.run(cfg)
+		if !errors.Is(err, errSinkFull) || res != nil {
+			t.Fatalf("%s: (%v, %v), want no result and the sink's error", d.name, res, err)
+		}
+		if sink.written != failAt-1 {
+			t.Errorf("%s: %d records written before the abort, want %d", d.name, sink.written, failAt-1)
+		}
+		errs = append(errs, err.Error())
+
+		sink = &failAtSink{}
+		cfg.Sink = sink
+		entry := time.Now()
+		res, err = d.run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if res.Setup <= 0 || entry.Add(res.Setup).After(sink.first) {
+			t.Errorf("%s: set-up %v, first record written %v after entry: the clock must stop before the first Sink.Write",
+				d.name, res.Setup, sink.first.Sub(entry))
+		}
+	}
+	for i, e := range errs {
+		if e != errs[0] {
+			t.Errorf("%s aborts with %q, %s with %q", drivers[i].name, e, drivers[0].name, errs[0])
+		}
+	}
+}

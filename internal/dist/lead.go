@@ -11,6 +11,7 @@ import (
 	"repro/internal/introspect"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // roundSync is one shard's per-round report to the lead: cumulative
@@ -139,7 +140,7 @@ func (sh *Shard) collectSync(rs *roundSync) {
 	rs.msgs = sh.reg.Get(introspect.CtrMessagesSent)
 	rs.delivs = sh.reg.Get(introspect.CtrDeliveries)
 	rs.computed, rs.views, rs.ids = rs.computed[:0], rs.views[:0], rs.ids[:0]
-	sh.E.DrainDirty(func(computed [engine.NumShards][]int32, added []ident.NodeID, removed []engine.RemovedNode) {
+	sh.E.DrainDirty(func(computed [shard.N][]int32, added []ident.NodeID, removed []engine.RemovedNode) {
 		for s := range computed {
 			for _, slot := range computed[s] {
 				v := sh.E.IDAtSlot(slot)
@@ -178,27 +179,26 @@ func (m *mirrorView) AppendView(dst []ident.NodeID) []ident.NodeID {
 // would — which is what keeps every slot- and shard-bucketed decision
 // inside the tracker identical between one process and many.
 type leadSource struct {
-	sh      *Shard
-	workers int
-	dmax    int
+	sh *Shard
 
 	roster *engine.Roster
 	views  []mirrorView
 
-	computed [engine.NumShards][]int32
-	msgs     [64]uint64 // cumulative per contributing shard
-	delivs   [64]uint64
+	computed [shard.N][]int32
+	msgs     []uint64 // cumulative, per contributing shard
+	delivs   []uint64
 
 	snap metrics.SnapshotBuilder
 }
 
-func newLeadSource(sh *Shard, soak *obs.SoakConfig) *leadSource {
-	ls := &leadSource{sh: sh, workers: soak.Workers, dmax: soak.Dmax,
-		roster: engine.NewRoster(soak.N), views: make([]mirrorView, soak.N)}
+func newLeadSource(sh *Shard) *leadSource {
+	n := sh.Soak.N
+	ls := &leadSource{sh: sh, roster: engine.NewRoster(n), views: make([]mirrorView, n),
+		msgs: make([]uint64, sh.N), delivs: make([]uint64, sh.N)}
 	// A fresh node's view is {self} at version 1 (core.NewNode); the
 	// mirror must serve it so the tracker's first full sync sees the
 	// same initial configuration as a single-process attach.
-	self := make([]ident.NodeID, soak.N)
+	self := make([]ident.NodeID, n)
 	for i := range self {
 		self[i] = ident.NodeID(i + 1)
 		slot, _ := ls.roster.Add(self[i])
@@ -209,16 +209,15 @@ func newLeadSource(sh *Shard, soak *obs.SoakConfig) *leadSource {
 
 // apply folds one shard's round report in. Callers fold shard 0 (the
 // lead's own) first, then peers in ascending index order.
-func (ls *leadSource) apply(shard int, rs *roundSync) {
-	ls.msgs[shard] = rs.msgs
-	ls.delivs[shard] = rs.delivs
+func (ls *leadSource) apply(p int, rs *roundSync) {
+	ls.msgs[p] = rs.msgs
+	ls.delivs[p] = rs.delivs
 	for _, v := range rs.computed {
 		slot := ls.roster.SlotOf(v)
 		if slot < 0 {
 			continue
 		}
-		s := engine.ShardOf(v)
-		ls.computed[s] = append(ls.computed[s], slot)
+		ls.computed[shard.Of(v)] = append(ls.computed[shard.Of(v)], slot)
 	}
 	for _, u := range rs.views {
 		slot := ls.roster.SlotOf(u.id)
@@ -230,8 +229,8 @@ func (ls *leadSource) apply(shard int, rs *roundSync) {
 	}
 }
 
-func (ls *leadSource) Workers() int                { return ls.workers }
-func (ls *leadSource) Dmax() int                   { return ls.dmax }
+func (ls *leadSource) Workers() int                { return ls.sh.Soak.Workers }
+func (ls *leadSource) Dmax() int                   { return ls.sh.Soak.Dmax }
 func (ls *leadSource) TrackDirty()                 {} // shards track their own engines
 func (ls *leadSource) SlotCap() int                { return ls.roster.SlotCap() }
 func (ls *leadSource) Order() []ident.NodeID       { return ls.roster.IDs() }
@@ -245,7 +244,7 @@ func (ls *leadSource) ViewerAtSlot(s int32) obs.Viewer {
 	return &ls.views[s]
 }
 
-func (ls *leadSource) DrainDirty(fn func([engine.NumShards][]int32, []ident.NodeID, []engine.RemovedNode)) {
+func (ls *leadSource) DrainDirty(fn func([shard.N][]int32, []ident.NodeID, []engine.RemovedNode)) {
 	fn(ls.computed, nil, nil)
 	for s := range ls.computed {
 		ls.computed[s] = ls.computed[s][:0]
@@ -265,9 +264,9 @@ func (ls *leadSource) LiveGraph() *graph.G {
 
 func (ls *leadSource) TrafficTotals() (msgs, delivs int) {
 	var m, d uint64
-	for s := 0; s < ls.sh.N; s++ {
-		m += ls.msgs[s]
-		d += ls.delivs[s]
+	for p := range ls.msgs {
+		m += ls.msgs[p]
+		d += ls.delivs[p]
 	}
 	return int(m), int(d)
 }

@@ -30,26 +30,26 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 	return sh.run(entry)
 }
 
-// run is runShard on a built shard; entry is when its set-up began.
+// run is runShard on a built shard; entry is when its set-up began. The
+// round loop and the result's close are obs.Driver.Run's; a shard supplies
+// its round step and its final exchange.
 func (sh *Shard) run(entry time.Time) (*obs.SoakResult, error) {
 	sh.E.TrackDirty()
-	soak := sh.Soak
 	lead := sh.Index == 0
+	d := &obs.Driver{Engine: sh.E}
 	var ls *leadSource
-	var tracker *obs.GroupTracker
 	if lead {
-		ls = newLeadSource(sh, &soak)
-		tracker = obs.NewGroupTrackerSource(ls)
+		ls = newLeadSource(sh)
+		d.Tracker = obs.NewGroupTrackerSource(ls)
 	}
-
 	var rs, peer roundSync
 	out := make([][]byte, sh.N) // only out[0], a non-lead shard's report, is ever set
-	res := &obs.SoakResult{}
-	start := time.Now()
 
-	for r := 1; r <= soak.MaxRounds; r++ {
+	// One round: Tc boundary-exchange ticks, then the sync exchange the
+	// lead folds, own report first, into the state its tracker observes.
+	d.Step = func(int, *obs.SoakResult) error {
 		if err := sh.StepRound(); err != nil {
-			return nil, err
+			return err
 		}
 		sh.collectSync(&rs)
 		if !lead {
@@ -57,68 +57,51 @@ func (sh *Shard) run(entry time.Time) (*obs.SoakResult, error) {
 		}
 		in, err := sh.tr.Exchange(sh.seq, out)
 		sh.seq++
-		if err != nil {
-			return nil, err
-		}
-		if !lead {
-			continue
+		if err != nil || !lead {
+			return err
 		}
 		ls.apply(0, &rs)
 		for p := 1; p < sh.N; p++ {
 			if err := decodeSync(in[p], &peer); err != nil {
-				return nil, fmt.Errorf("dist: sync from shard %d: %w", p, err)
+				return fmt.Errorf("dist: sync from shard %d: %w", p, err)
 			}
 			ls.apply(p, &peer)
 		}
-		st := tracker.Observe()
-		if r == 1 {
-			res.Setup = time.Since(entry)
-		}
-		if soak.Sink != nil {
-			if err := soak.Sink.Write(st); err != nil {
-				return nil, fmt.Errorf("dist: sink: %w", err)
-			}
-		}
-		res.Fold(st)
-		if soak.Progress != nil && r%soak.ProgressEvery == 0 {
-			soak.Progress(r, st)
-		}
+		return nil
 	}
-
 	// Final exchange: every shard ships its node hashes and flight
 	// recorder; the lead folds the fingerprint in ID order and merges the
 	// registries in shard order.
-	pairs := obs.AppendEngineHashes(nil, sh.E)
-	if !lead {
-		out[0] = appendFinal(out[0][:0], pairs, sh.reg)
-	}
-	in, err := sh.tr.Exchange(sh.seq, out)
-	sh.seq++
-	if err != nil {
-		return nil, err
-	}
-	if !lead {
-		return nil, nil
-	}
-	for p := 1; p < sh.N; p++ {
-		ppairs, counters, phases, err := decodeFinal(in[p])
-		if err != nil {
-			return nil, fmt.Errorf("dist: final from shard %d: %w", p, err)
+	d.Close = func(res *obs.SoakResult) error {
+		pairs := obs.AppendEngineHashes(nil, sh.E)
+		if !lead {
+			out[0] = appendFinal(out[0][:0], pairs, sh.reg)
 		}
-		pairs = append(pairs, ppairs...)
-		for id, v := range counters {
-			sh.reg.Add(introspect.CounterID(id), v)
+		in, err := sh.tr.Exchange(sh.seq, out)
+		sh.seq++
+		if err != nil || !lead {
+			return err
 		}
-		for ph, ns := range phases {
-			sh.reg.AddPhaseNs(introspect.Phase(ph), ns)
+		for p := 1; p < sh.N; p++ {
+			ppairs, counters, phases, err := decodeFinal(in[p])
+			if err != nil {
+				return fmt.Errorf("dist: final from shard %d: %w", p, err)
+			}
+			pairs = append(pairs, ppairs...)
+			for id, v := range counters {
+				sh.reg.Add(introspect.CounterID(id), v)
+			}
+			for ph, ns := range phases {
+				sh.reg.AddPhaseNs(introspect.Phase(ph), ns)
+			}
 		}
+		if len(pairs) != sh.Soak.N {
+			return fmt.Errorf("dist: fingerprint covers %d of %d nodes", len(pairs), sh.Soak.N)
+		}
+		res.Fingerprint = obs.FoldFingerprint(pairs)
+		return nil
 	}
-	if len(pairs) != soak.N {
-		return nil, fmt.Errorf("dist: fingerprint covers %d of %d nodes", len(pairs), soak.N)
-	}
-	res.Fingerprint = obs.FoldFingerprint(pairs)
-	res.Finish(sh.E.Tick(), start, sh.reg)
-	return res, nil
+	return d.Run(&sh.Soak, entry)
 }
 
 const finalMagic = 0x4746 // "GF"

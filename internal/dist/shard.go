@@ -78,6 +78,9 @@ type ownedTopology struct {
 
 func (t *ownedTopology) Nodes() []ident.NodeID { return t.owned }
 
+// noOwner is the owner of an ID that is no node's; shard indices stay below 64.
+const noOwner = 0xff
+
 // genVer is a per-peer elision key: the (incarnation, state version)
 // signature of the last frame shipped for a sender.
 type genVer struct{ gen, ver uint64 }
@@ -111,7 +114,7 @@ type Shard struct {
 	Part  Partition
 	Owned []ident.NodeID
 
-	owners []uint8 // by node ID: populations are the dense 1..N (no churn)
+	owners []uint8 // by node ID (noOwner: not a node): populations are the dense 1..N (no churn)
 
 	tr  Transport
 	seq uint64
@@ -170,7 +173,7 @@ func newShard(cfg Config, index int, tr Transport, jitter bool) (*Shard, error) 
 		xs[i] = p.X
 	}
 	part := MakePartition(xs, cfg.Shards)
-	owners := make([]uint8, slices.Max(ids)+1)
+	owners := slices.Repeat([]uint8{noOwner}, int(slices.Max(ids))+1)
 	var owned []ident.NodeID
 	for i, v := range ids {
 		o := uint8(part.Owner(xs[i]))
@@ -373,6 +376,12 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 				sh.Index, b.Shard, b.Seq, p, sh.seq)
 		}
 		for _, ent := range b.Entries {
+			// A sender the peer does not own is a malformed or desynchronised
+			// batch, not an index.
+			if int(ent.Sender) >= len(sh.owners) || int(sh.owners[ent.Sender]) != p {
+				return nil, fmt.Errorf("dist: shard %d: peer %d sent an entry for node %d, which it does not own, at seq %d",
+					sh.Index, p, ent.Sender, sh.seq)
+			}
 			g := sh.ghosts[ent.Sender]
 			if ent.Frame != nil {
 				m, err := wire.DecodeInto(ent.Frame, sh.dec)

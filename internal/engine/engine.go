@@ -55,7 +55,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/antlist"
@@ -65,20 +64,8 @@ import (
 	"repro/internal/introspect"
 	"repro/internal/metrics"
 	"repro/internal/radio"
+	"repro/internal/shard"
 )
-
-// NumShards is the fixed shard count node work is partitioned into. It is
-// deliberately independent of Params.Workers and of GOMAXPROCS: per-shard
-// state (RNG streams, canonical order) is what makes the parallel trace
-// reproducible, so it must not change when the worker count does.
-const NumShards = 64
-
-// shardOf maps a node to its shard.
-func shardOf(v ident.NodeID) int { return int(uint32(v) % NumShards) }
-
-// ShardOf maps a node to its engine shard — exported for observers
-// (internal/obs) that mirror the engine's deterministic fan-out.
-func ShardOf(v ident.NodeID) int { return shardOf(v) }
 
 // shardSeed derives shard s's private RNG seed from the run seed
 // (splitmix64 finalizer, so neighboring shards get uncorrelated streams).
@@ -413,7 +400,7 @@ type Engine struct {
 	Topo Topology
 
 	rng       *rand.Rand // global stream: topology + channel + jitter phases
-	shardRNGs [NumShards]*rand.Rand
+	shardRNGs [shard.N]*rand.Rand
 	tick      int
 
 	// recs is the slot-indexed per-node bookkeeping (see nodeRec), indexed
@@ -427,7 +414,7 @@ type Engine struct {
 	sendOneshot  *oneshotWheel  // randomized sends (nil otherwise)
 	computeWheel *periodicWheel
 
-	scratch  [NumShards]shardScratch
+	scratch  [shard.N]shardScratch
 	recsHold int  // ticks replaced records sit out of their shard's pool: Tc
 	entsHold int  // the same for a replaced list's entries
 	eager    bool // SetSkipMode: a licensed replay computes anyway
@@ -454,7 +441,7 @@ type Engine struct {
 	// changes are recorded on the coordinator. DrainDirty hands the
 	// accumulated report to the observer and resets it.
 	dirtyOn       bool
-	dirtyComputed [NumShards][]int32
+	dirtyComputed [shard.N][]int32
 	dirtyAdded    []ident.NodeID
 	dirtyRemoved  []RemovedNode
 
@@ -497,7 +484,7 @@ func New(p Params, topo Topology) *Engine {
 		recsHold:     p.Tc,
 		entsHold:     p.Tc,
 		recvEpoch:    1, // fresh records (epoch 0) start invalid
-		reg:          introspect.NewRegistry(NumShards),
+		reg:          introspect.NewRegistry(shard.N),
 	}
 	for s := range e.shardRNGs {
 		e.shardRNGs[s] = rand.New(rand.NewSource(shardSeed(p.Seed, s)))
@@ -519,7 +506,7 @@ func New(p Params, topo Topology) *Engine {
 	// is reserved, and every node's first storage is cut from boot's slabs.
 	e.recs = make([]nodeRec, 0, len(nodes))
 	boot := &bootStore{nodes: core.NewNodes(nodes, p.Cfg), room: make([]int, len(nodes))}
-	var count, need [NumShards]int
+	var count, need [shard.N]int
 	g := topo.Graph()
 	for i, v := range nodes {
 		// The capacity append would have grown to: a cut of exactly the
@@ -527,8 +514,8 @@ func New(p Params, topo Topology) *Engine {
 		if d := g.Degree(v); d > 0 {
 			boot.room[i] = 1 << bits.Len(uint(d-1))
 		}
-		count[shardOf(v)]++
-		need[shardOf(v)] += boot.room[i]
+		count[shard.Of(v)]++
+		need[shard.Of(v)] += boot.room[i]
 	}
 	for s, n := range need {
 		boot.sigs[s] = make([]senderVer, 2*n)
@@ -556,8 +543,8 @@ func New(p Params, topo Topology) *Engine {
 type bootStore struct {
 	nodes []core.Node
 	room  []int // per slot: the capacity of the node's cuts
-	sigs  [NumShards][]senderVer
-	recv  [NumShards][]ident.NodeID
+	sigs  [shard.N][]senderVer
+	recv  [shard.N][]ident.NodeID
 }
 
 // carve cuts n elements off the front of *arena: empty, capacity n.
@@ -586,13 +573,13 @@ func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
 	if boot == nil {
 		rec.n = core.NewNode(v, e.P.Cfg)
 	} else {
-		s, n := shardOf(v), boot.room[slot]
+		s, n := shard.Of(v), boot.room[slot]
 		rec.n = &boot.nodes[slot]
 		rec.n.SetInbox(make([]core.Message, 0, n))
 		rec.pending, rec.consumed = carve(&boot.sigs[s], n), carve(&boot.sigs[s], n)
 		rec.recv = carve(&boot.recv[s], n)
 	}
-	rec.n.SetScratch(&e.scratch[shardOf(v)].core)
+	rec.n.SetScratch(&e.scratch[shard.Of(v)].core)
 	rec.id = v
 	rec.gen = e.memberGen
 	rec.phase = 0
@@ -614,7 +601,7 @@ func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
 	}
 	ent := wheelEnt{id: v, slot: slot}
 	if e.P.RandomizedSends {
-		e.sendOneshot.schedule(ent, e.tick+e.shardRNGs[shardOf(v)].Intn(e.P.Ts))
+		e.sendOneshot.schedule(ent, e.tick+e.shardRNGs[shard.Of(v)].Intn(e.P.Ts))
 	} else {
 		e.sendWheel.add(ent, rec.phase)
 	}
@@ -717,7 +704,7 @@ func (e *Engine) TrackDirty() { e.dirtyOn = true }
 // they leave the view untouched by construction), added the joining IDs
 // and removed the departures with the slot each held, both in call order.
 // The slices are only valid during fn.
-func (e *Engine) DrainDirty(fn func(computed [NumShards][]int32, added []ident.NodeID, removed []RemovedNode)) {
+func (e *Engine) DrainDirty(fn func(computed [shard.N][]int32, added []ident.NodeID, removed []RemovedNode)) {
 	fn(e.dirtyComputed, e.dirtyAdded, e.dirtyRemoved)
 	for s := range e.dirtyComputed {
 		e.dirtyComputed[s] = e.dirtyComputed[s][:0]
@@ -795,38 +782,6 @@ func (e *Engine) Node(v ident.NodeID) *core.Node {
 // SlotCap returns the roster's slot table size: every live slot is below
 // it, so slot-indexed observer arrays size themselves to it.
 func (e *Engine) SlotCap() int { return e.order.SlotCap() }
-
-// workers resolves the effective fan-out width.
-func (e *Engine) workers() int {
-	if e.P.Workers > NumShards {
-		return NumShards
-	}
-	return e.P.Workers
-}
-
-// runShards applies fn to every shard: inline when Workers ≤ 1, else on a
-// pool of Workers goroutines with a static shard-to-worker assignment.
-// fn must only touch shard-local state (plus read-only shared state).
-func (e *Engine) runShards(fn func(s int)) {
-	w := e.workers()
-	if w <= 1 {
-		for s := 0; s < NumShards; s++ {
-			fn(s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func(i int) {
-			defer wg.Done()
-			for s := i; s < NumShards; s += w {
-				fn(s)
-			}
-		}(i)
-	}
-	wg.Wait()
-}
 
 // pendingUpsert records one delivery in a record's inbox signature: one
 // entry per sender, ascending by sender ID, last write wins — mirroring
@@ -958,7 +913,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	} else {
 		due = e.sendWheel.due(e.tick)
 	}
-	e.runShards(func(s int) {
+	shard.Run(e.P.Workers, func(s, _ int) {
 		sc := &e.scratch[s]
 		sc.txs = sc.txs[:0]
 		sc.bytes = 0
@@ -1082,7 +1037,7 @@ func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, 
 // taken again. To be called between BuildPhase and FinishTick; *cur may
 // then be delivered through ExternalDelivery.Msg.
 func (e *Engine) PublishForeign(v ident.NodeID, cur *core.Message, m core.Message, poison bool) {
-	sc := &e.scratch[shardOf(v)]
+	sc := &e.scratch[shard.Of(v)]
 	recs := sc.recs.take(len(m.Recs), e.tick-e.recsHold)
 	if cap(recs) < len(m.Recs) {
 		recs = slices.Grow([]core.PrioRec(nil), len(m.Recs))
@@ -1118,14 +1073,9 @@ func (e *Engine) arbitrate() {
 		return
 	}
 	start := time.Now()
-	// Through the recycled delivery buffer when the channel supports it.
-	if bc, ok := e.P.Channel.(radio.BufferedChannel); ok {
-		e.delivBuf = bc.AppendDeliverSlot(e.txsBuf, e.rng, e.delivBuf)
-	} else {
-		e.delivBuf = append(e.delivBuf, e.P.Channel.DeliverSlot(e.txsBuf, e.rng)...)
-	}
+	e.delivBuf = e.P.Channel.AppendDeliverSlot(e.txsBuf, e.rng, e.delivBuf)
 	// Route the channel's suppressed-delivery count into the registry as a
-	// per-tick delta (drops only move inside DeliverSlot, so the running
+	// per-tick delta (drops only move inside AppendDeliverSlot, so the running
 	// total equals the channel's own cumulative counter).
 	if dc, ok := e.P.Channel.(radio.DropCounter); ok {
 		if d := dc.DroppedDeliveries(); d != e.lastDrops {
@@ -1169,7 +1119,7 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 		if from.lie != nil {
 			msg, ver = from.lie, from.lieVer
 		}
-		sc := &e.scratch[shardOf(d.To)]
+		sc := &e.scratch[shard.Of(d.To)]
 		sc.deliv = append(sc.deliv, resolvedDelivery{
 			to:   &e.recs[toSlot],
 			msg:  msg,
@@ -1187,7 +1137,7 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 			continue
 		}
 		delivs++
-		sc := &e.scratch[shardOf(x.To)]
+		sc := &e.scratch[shard.Of(x.To)]
 		sc.deliv = append(sc.deliv, resolvedDelivery{
 			to:   &e.recs[toSlot],
 			msg:  x.Msg,
@@ -1195,7 +1145,7 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 		})
 	}
 	e.reg.Add(introspect.CtrDeliveries, delivs)
-	e.runShards(func(s int) {
+	shard.Run(e.P.Workers, func(s, _ int) {
 		var elided uint64
 		for _, d := range e.scratch[s].deliv {
 			if d.from.ver == ^uint64(0) {
@@ -1231,7 +1181,7 @@ func (e *Engine) compute() {
 	start := time.Now()
 	cdue := e.computeWheel.due(e.tick)
 	memoOn := !e.eager && !e.noMemo
-	e.runShards(func(s int) {
+	shard.Run(e.P.Workers, func(s, _ int) {
 		sc := &e.scratch[s]
 		sc.wakes = sc.wakes[:0]
 		var ran, skipFix, skipLonely, skipHeld, skipMemo uint64

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/radio"
+	"repro/internal/shard"
 	"repro/internal/space"
 )
 
@@ -95,7 +96,7 @@ func TestDeterministicAcrossWorkersAndProcs(t *testing.T) {
 	want := scenario(1) // the sequential path
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{1, 2, 4, NumShards + 5} {
+		for _, workers := range []int{1, 2, 4, shard.N + 5} {
 			got := scenario(workers)
 			for r := range want {
 				if got[r] != want[r] {

@@ -321,7 +321,7 @@ func TestSteadyRebuildsAllocateNothing(t *testing.T) {
 	if got := e.Introspect().Get(introspect.CtrMsgBuilds) - before; got < 300*10 {
 		t.Fatalf("%d rebuilds in 10 periods of 300 lonely nodes — the check is vacuous", got)
 	}
-	if step > 3 { // the closures the three fanned-out phases hand to runShards
+	if step > 3 { // the closures the three fanned-out phases hand to shard.Run
 		t.Errorf("a tick allocates %.2f times in steady state, want the 3 phase closures", step)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/ident"
+	"repro/internal/shard"
 )
 
 // The timer wheels replace the seed simulator's per-tick scan of every
@@ -22,7 +23,7 @@ type wheelEnt struct {
 }
 
 // shardBuckets holds one wheel slot's due nodes, split by shard.
-type shardBuckets [NumShards][]wheelEnt
+type shardBuckets [shard.N][]wheelEnt
 
 // periodicWheel schedules fixed-period, fixed-phase timers (the Ts send
 // timer and the Tc compute timer): a node with phase p and period T is
@@ -45,7 +46,7 @@ func (w *periodicWheel) slotOf(phase int) int {
 
 // add registers v with the given timer phase.
 func (w *periodicWheel) add(v wheelEnt, phase int) {
-	b := &w.slots[w.slotOf(phase)][shardOf(v.id)]
+	b := &w.slots[w.slotOf(phase)][shard.Of(v.id)]
 	i := sort.Search(len(*b), func(i int) bool { return (*b)[i].id >= v.id })
 	*b = append(*b, wheelEnt{})
 	copy((*b)[i+1:], (*b)[i:])
@@ -54,7 +55,7 @@ func (w *periodicWheel) add(v wheelEnt, phase int) {
 
 // remove deregisters v (phase must match the phase it was added with).
 func (w *periodicWheel) remove(v ident.NodeID, phase int) {
-	b := &w.slots[w.slotOf(phase)][shardOf(v)]
+	b := &w.slots[w.slotOf(phase)][shard.Of(v)]
 	i := sort.Search(len(*b), func(i int) bool { return (*b)[i].id >= v })
 	if i < len(*b) && (*b)[i].id == v {
 		*b = append((*b)[:i], (*b)[i+1:]...)
@@ -85,7 +86,7 @@ func newOneshotWheel(horizon int) *oneshotWheel {
 // schedule arms v to fire at tick `at`. Only v's shard's bucket is
 // touched, so concurrent schedule calls for different shards are safe.
 func (w *oneshotWheel) schedule(v wheelEnt, at int) {
-	b := &w.slots[at%len(w.slots)][shardOf(v.id)]
+	b := &w.slots[at%len(w.slots)][shard.Of(v.id)]
 	*b = append(*b, v)
 }
 
@@ -107,7 +108,7 @@ func (w *oneshotWheel) reset(t int) {
 
 // removeEverywhere drops every pending entry for v (node removal).
 func (w *oneshotWheel) removeEverywhere(v ident.NodeID) {
-	sh := shardOf(v)
+	sh := shard.Of(v)
 	for si := range w.slots {
 		b := w.slots[si][sh]
 		out := b[:0]

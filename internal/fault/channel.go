@@ -27,10 +27,7 @@ func innerDeliver(inner radio.Channel, txs []radio.Tx, rng *rand.Rand, buf []rad
 	if inner == nil {
 		inner = radio.Perfect{}
 	}
-	if bc, ok := inner.(radio.BufferedChannel); ok {
-		return bc.AppendDeliverSlot(txs, rng, buf)
-	}
-	return append(buf, inner.DeliverSlot(txs, rng)...)
+	return inner.AppendDeliverSlot(txs, rng, buf)
 }
 
 // innerDrops reads the inner channel's drop counter when it has one.
@@ -50,7 +47,7 @@ func innerDrops(inner radio.Channel) uint64 {
 // gate flips on the coordinator's round counter, identically at any
 // worker count.
 type gated struct {
-	adverse radio.BufferedChannel
+	adverse radio.Channel
 	plain   radio.Channel // the original inner (Perfect when nil)
 	until   *int          // &Profile.Until (0 = never stand down)
 	clock   *int          // current round, advanced by Injector.Apply
@@ -58,12 +55,7 @@ type gated struct {
 
 func (g *gated) active() bool { return *g.until == 0 || *g.clock <= *g.until }
 
-// DeliverSlot implements radio.Channel.
-func (g *gated) DeliverSlot(txs []radio.Tx, rng *rand.Rand) []radio.Delivery {
-	return g.AppendDeliverSlot(txs, rng, nil)
-}
-
-// AppendDeliverSlot implements radio.BufferedChannel.
+// AppendDeliverSlot implements radio.Channel.
 func (g *gated) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radio.Delivery) []radio.Delivery {
 	if g.active() {
 		return g.adverse.AppendDeliverSlot(txs, rng, buf)
@@ -89,12 +81,7 @@ type BurstLoss struct {
 	drops uint64
 }
 
-// DeliverSlot implements radio.Channel.
-func (b *BurstLoss) DeliverSlot(txs []radio.Tx, rng *rand.Rand) []radio.Delivery {
-	return b.AppendDeliverSlot(txs, rng, nil)
-}
-
-// AppendDeliverSlot implements radio.BufferedChannel. One transition draw
+// AppendDeliverSlot implements radio.Channel. One transition draw
 // per slot, then one drop draw per inner delivery, in order.
 func (b *BurstLoss) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radio.Delivery) []radio.Delivery {
 	x := rng.Float64()
@@ -152,12 +139,7 @@ func (a *AsymLoss) linkP(from, to ident.NodeID) float64 {
 	return a.MaxP * float64(h>>11) / (1 << 53)
 }
 
-// DeliverSlot implements radio.Channel.
-func (a *AsymLoss) DeliverSlot(txs []radio.Tx, rng *rand.Rand) []radio.Delivery {
-	return a.AppendDeliverSlot(txs, rng, nil)
-}
-
-// AppendDeliverSlot implements radio.BufferedChannel.
+// AppendDeliverSlot implements radio.Channel.
 func (a *AsymLoss) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radio.Delivery) []radio.Delivery {
 	start := len(buf)
 	buf = innerDeliver(a.Inner, txs, rng, buf)
@@ -187,12 +169,7 @@ type Dup struct {
 	dups uint64
 }
 
-// DeliverSlot implements radio.Channel.
-func (d *Dup) DeliverSlot(txs []radio.Tx, rng *rand.Rand) []radio.Delivery {
-	return d.AppendDeliverSlot(txs, rng, nil)
-}
-
-// AppendDeliverSlot implements radio.BufferedChannel.
+// AppendDeliverSlot implements radio.Channel.
 func (d *Dup) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radio.Delivery) []radio.Delivery {
 	start := len(buf)
 	buf = innerDeliver(d.Inner, txs, rng, buf)

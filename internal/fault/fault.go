@@ -194,7 +194,7 @@ func (p *Profile) NewChannel(inner radio.Channel) radio.Channel {
 	if p.clock == nil {
 		p.clock = new(int)
 	}
-	return &gated{adverse: ch.(radio.BufferedChannel), plain: inner, until: &p.Until, clock: p.clock}
+	return &gated{adverse: ch, plain: inner, until: &p.Until, clock: p.clock}
 }
 
 // Preset returns a named profile with rates scaled by intensity (1 = the

@@ -99,9 +99,6 @@ func TestProfileChannelStack(t *testing.T) {
 	if _, ok := ch.(radio.DropCounter); !ok {
 		t.Fatal("mixed profile channel does not count drops")
 	}
-	if _, ok := ch.(radio.BufferedChannel); !ok {
-		t.Fatal("mixed profile channel is not buffered")
-	}
 	// No channel adversity: inner comes back unchanged.
 	plain := &Profile{Name: "none"}
 	if got := plain.NewChannel(radio.Perfect{}); got != (radio.Perfect{}) {

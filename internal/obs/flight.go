@@ -58,8 +58,8 @@ func NewWakeRecord(round int, w introspect.WakeRec) WakeRecord {
 }
 
 // FlightWriter is the optional sink capability for flight-recorder
-// snapshot records. JSONLSink (and the Every/MultiSink wrappers)
-// implement it; fixed-schema sinks (CSV) do not and are skipped.
+// snapshot records. JSONLSink (and the Every wrapper) implement
+// it; fixed-schema sinks (CSV) do not and are skipped.
 type FlightWriter interface {
 	WriteFlight(FlightRecord) error
 }

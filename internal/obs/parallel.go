@@ -1,70 +1,9 @@
 package obs
 
 import (
-	"sync"
-
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ident"
 )
-
-// The tracker mirrors the engine's deterministic fan-out discipline: node
-// work is partitioned into the engine's fixed NumShards shards, every
-// parallel phase writes only shard-local (or slot-local) state, and the
-// coordinator merges results in shard-major canonical order. The observed
-// statistics are therefore bit-identical at any worker count.
-
-// runShards applies fn to every engine shard: inline when workers ≤ 1,
-// else on a pool of workers goroutines with a static shard-to-worker
-// assignment. fn(s, w) must only write state owned by shard s or by
-// worker w.
-func (t *GroupTracker) runShards(fn func(s, w int)) {
-	w := t.workers
-	if w <= 1 {
-		for s := 0; s < engine.NumShards; s++ {
-			fn(s, 0)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func(i int) {
-			defer wg.Done()
-			for s := i; s < engine.NumShards; s += w {
-				fn(s, i)
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-// runSlots is a deterministic parallel-for over n independent slots: fn
-// must be a pure evaluation writing only results[i] and worker-w scratch,
-// so the outcome is independent of which worker processes which slot.
-func (t *GroupTracker) runSlots(n int, fn func(i, w int)) {
-	w := t.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, 0)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(k int) {
-			defer wg.Done()
-			for i := k; i < n; i += w {
-				fn(i, k)
-			}
-		}(k)
-	}
-	wg.Wait()
-}
 
 // workerScratch is one worker's reusable evaluation buffers: array-based
 // BFS state for the small groups the Dmax bound produces, with a

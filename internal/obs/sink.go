@@ -204,45 +204,6 @@ func (s *CSVSink) Close() error {
 	return err
 }
 
-// MultiSink fans every record out to several sinks.
-type MultiSink []Sink
-
-// Write implements Sink.
-func (m MultiSink) Write(r RoundStats) error {
-	for _, s := range m {
-		if err := s.Write(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFlight implements FlightWriter, forwarding to every member sink
-// that can carry flight records (CSV sinks, whose schema is fixed, are
-// silently passed over).
-func (m MultiSink) WriteFlight(fr FlightRecord) error {
-	for _, s := range m {
-		if fw, ok := s.(FlightWriter); ok {
-			if err := fw.WriteFlight(fr); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Close implements Sink, closing every sink and returning the first
-// error.
-func (m MultiSink) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // OpenSink creates a sink for path, choosing the format by extension:
 // ".csv" selects CSV, everything else JSONL.
 func OpenSink(path string, flushEvery int) (Sink, error) {

@@ -112,24 +112,6 @@ func TestDecimatedSinkCloseSurfacesFlushError(t *testing.T) {
 	}
 }
 
-func TestMultiSinkCloseClosesAllAndReturnsFirstError(t *testing.T) {
-	good := &chokeWriter{budget: 1 << 20}
-	bad := &chokeWriter{budget: 0}
-	late := &chokeWriter{budget: 1 << 20}
-	m := MultiSink{NewJSONLSink(good, 1000), NewJSONLSink(bad, 1000), NewJSONLSink(late, 1000)}
-	if err := m.Write(RoundStats{Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); !errors.Is(err, errDiskFull) {
-		t.Fatalf("MultiSink Close = %v, want the failing member's flush error", err)
-	}
-	for i, w := range []*chokeWriter{good, bad, late} {
-		if w.closed != 1 {
-			t.Errorf("member %d closed %d times — an early member error must not strand later members", i, w.closed)
-		}
-	}
-}
-
 func TestRunSoakSurfacesSinkError(t *testing.T) {
 	// A sink that chokes mid-run must abort the soak with the sink error,
 	// not let it keep simulating over a dead stream.

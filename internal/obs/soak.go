@@ -174,9 +174,8 @@ type SoakResult struct {
 	safetySum, groupSum float64 // running sums behind the two means
 }
 
-// Fold accumulates one observed round: the per-round half of the result
-// that the single-process and the distributed round loops share.
-func (r *SoakResult) Fold(st RoundStats) {
+// fold accumulates one observed round.
+func (r *SoakResult) fold(st RoundStats) {
 	r.Rounds++
 	if st.Converged {
 		r.ConvergedRounds++
@@ -197,21 +196,6 @@ func (r *SoakResult) Fold(st RoundStats) {
 	r.safetySum += st.SafetyRate
 	r.groupSum += float64(st.Groups)
 	r.Final = st
-}
-
-// Finish closes the result at run end: the tick count, the wall clock
-// since start, the per-round means and the final flight snapshot.
-func (r *SoakResult) Finish(ticks int, start time.Time, reg *introspect.Registry) {
-	r.Ticks = ticks
-	r.Elapsed = time.Since(start)
-	if s := r.Elapsed.Seconds(); s > 0 {
-		r.TicksPerSec = float64(ticks) / s
-	}
-	if r.Rounds > 0 {
-		r.MeanSafetyRate = r.safetySum / float64(r.Rounds)
-		r.MeanGroups = r.groupSum / float64(r.Rounds)
-	}
-	r.Flight = reg.Snapshot()
 }
 
 // Report renders the human-readable final report.
@@ -293,8 +277,6 @@ func BuildSoakWorld(cfg *SoakConfig) (*space.World, mobility.Model, []ident.Node
 // fatal (the unexcused counter is the caller's assertion surface).
 func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	entry := time.Now()
-	cfg.normalize()
-
 	w, mob, ids := BuildSoakWorld(&cfg)
 	ch := cfg.Channel
 	if ch == nil && cfg.Fault != nil {
@@ -307,7 +289,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
 	}, topo)
-	tr := NewGroupTracker(e)
+	d := &Driver{Engine: e, Tracker: NewGroupTracker(e)}
 	churn := rand.New(rand.NewSource(cfg.Seed ^ 0x50a4))
 	nextID := ident.NodeID(cfg.N + 1)
 
@@ -324,18 +306,15 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.WakeTrace != nil {
 		e.TraceWakes(true)
 	}
-	flightSink, _ := cfg.Sink.(FlightWriter)
 
 	// Chaos: the injector applies the fault schedule at each round
 	// boundary (phase-aligned, coordinator-side — see internal/fault);
 	// the monitor folds the tracker's record stream into stabilization
 	// episodes. The flap hooks remember a victim's position so its
 	// correlated rejoin returns it to the same spot.
-	var inj *fault.Injector
-	var mon *Monitor
 	if cfg.Fault != nil {
 		positions := make(map[ident.NodeID]space.Point)
-		inj = fault.NewInjector(cfg.Fault, e, fault.Hooks{
+		d.inj = fault.NewInjector(cfg.Fault, e, fault.Hooks{
 			Leave: func(v ident.NodeID) {
 				if p, ok := w.Pos(v); ok {
 					positions[v] = p
@@ -346,18 +325,11 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 				w.Place(v, positions[v])
 			},
 		})
-		mon = NewMonitor(cfg.ConfirmWindow)
-		mon.Aftershocks = true
+		d.mon = NewMonitor(cfg.ConfirmWindow)
+		d.mon.Aftershocks = true
 	}
 
-	res := &SoakResult{}
-	start := time.Now()
-	deadline := time.Time{}
-	if cfg.Duration > 0 {
-		deadline = start.Add(cfg.Duration)
-	}
-
-	for r := 1; r <= cfg.MaxRounds; r++ {
+	d.Step = func(r int, res *SoakResult) error {
 		// Churn before the round: the topology advances over the change
 		// before the next observation (the tracker's contract).
 		if cfg.LeaveRate > 0 && churn.Float64() < cfg.LeaveRate {
@@ -376,14 +348,65 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			e.AddNode(v)
 			res.Joined++
 		}
-
-		if inj != nil {
-			for range inj.Apply(r) {
-				mon.RecordFault(r)
+		if d.inj != nil {
+			for range d.inj.Apply(r) {
+				d.mon.RecordFault(r)
 			}
 		}
-
 		e.StepRound()
+		return nil
+	}
+	d.Close = func(res *SoakResult) error {
+		if cfg.Fingerprint {
+			res.Fingerprint = EngineFingerprint(e)
+		}
+		return nil
+	}
+	return d.Run(&cfg, entry)
+}
+
+// Driver is what differs between the drivers of a soak run — RunSoak in
+// one process, a shard of internal/dist in many: how a round is stepped
+// and how the run ends. Run is everything they share.
+type Driver struct {
+	// Engine is this process's engine: the tick count, the flight recorder
+	// and the wake ring are read from it.
+	Engine *engine.Engine
+	// Tracker observes every stepped round. Nil on a non-lead shard, which
+	// steps, closes and has no result.
+	Tracker *GroupTracker
+	// Step advances the run by round r, up to the state Tracker observes.
+	Step func(r int, res *SoakResult) error
+	// Close runs once after the last round, before the result is closed:
+	// the fingerprint, and on a shard the final exchange.
+	Close func(res *SoakResult) error
+
+	inj *fault.Injector // RunSoak's chaos pair, nil together
+	mon *Monitor
+}
+
+// Run is the soak round loop and the run's close. cfg must be normalized
+// (BuildSoakWorld does it); entry is when the driver's set-up began.
+func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
+	e, tr, inj, mon := d.Engine, d.Tracker, d.inj, d.mon
+	var flightSink FlightWriter
+	if cfg.FlightEvery > 0 {
+		flightSink, _ = cfg.Sink.(FlightWriter)
+	}
+	res := &SoakResult{}
+	start := time.Now()
+	deadline := time.Time{}
+	if cfg.Duration > 0 {
+		deadline = start.Add(cfg.Duration)
+	}
+
+	for r := 1; r <= cfg.MaxRounds; r++ {
+		if err := d.Step(r, res); err != nil {
+			return nil, err
+		}
+		if tr == nil {
+			continue
+		}
 		st := tr.Observe()
 		if r == 1 {
 			res.Setup = time.Since(entry)
@@ -403,10 +426,10 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		}
 		if cfg.Sink != nil {
 			if err := cfg.Sink.Write(st); err != nil {
-				return nil, fmt.Errorf("soak: sink: %w", err)
+				return nil, fmt.Errorf("soak: sink: round %d: %w", r, err)
 			}
 		}
-		if flightSink != nil && cfg.FlightEvery > 0 && r%cfg.FlightEvery == 0 {
+		if flightSink != nil && r%cfg.FlightEvery == 0 {
 			if err := flightSink.WriteFlight(NewFlightRecord(r, e)); err != nil {
 				return nil, fmt.Errorf("soak: flight sink: %w", err)
 			}
@@ -418,9 +441,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 				}
 			}
 		}
-
-		res.Fold(st)
-
+		res.fold(st)
+		// Last in the round: callers time rounds from it.
 		if cfg.Progress != nil && r%cfg.ProgressEvery == 0 {
 			cfg.Progress(r, st)
 		}
@@ -429,8 +451,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		}
 	}
 
-	if cfg.Fingerprint {
-		res.Fingerprint = EngineFingerprint(e)
+	if err := d.Close(res); err != nil || tr == nil {
+		return nil, err
 	}
 	if inj != nil {
 		res.FaultsInjected = inj.FaultsInjected
@@ -444,13 +466,22 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		res.EpisodeUnexcused = mon.TotalUnexcused
 		res.UnexcusedOutside = mon.UnexcusedOutside
 	}
-	if flightSink != nil && cfg.FlightEvery > 0 {
+	if flightSink != nil {
 		if err := flightSink.WriteFlight(NewFlightRecord(res.Rounds, e)); err != nil {
 			return nil, fmt.Errorf("soak: flight sink: %w", err)
 		}
 	}
+	res.Ticks = e.Tick()
+	res.Elapsed = time.Since(start)
+	if s := res.Elapsed.Seconds(); s > 0 {
+		res.TicksPerSec = float64(res.Ticks) / s
+	}
+	if res.Rounds > 0 {
+		res.MeanSafetyRate = res.safetySum / float64(res.Rounds)
+		res.MeanGroups = res.groupSum / float64(res.Rounds)
+	}
 	reg := e.Introspect()
-	res.Finish(e.Tick(), start, reg)
+	res.Flight = reg.Snapshot()
 
 	// Chaos cross-check: the registry counts injections at the emission
 	// site inside the injector; its totals must match the injector's own

@@ -6,6 +6,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
+	"repro/internal/shard"
 )
 
 // Viewer is the per-node surface the tracker's extraction phase reads: a
@@ -28,7 +29,7 @@ type Viewer interface {
 //
 // The slot/shard contract mirrors the engine's: SlotOf assigns every
 // member a stable dense slot below SlotCap, DrainDirty buckets computed
-// slots by engine.ShardOf of the occupant, and Order lists members
+// slots by shard.Of of the occupant, and Order lists members
 // ascending. A Source must report every executed compute that can have
 // changed a view — exactly the engine's dirty-report guarantee.
 type Source interface {
@@ -47,7 +48,7 @@ type Source interface {
 	// ViewerAtSlot serves the occupant's view surface (nil when free).
 	ViewerAtSlot(s int32) Viewer
 	// DrainDirty hands over and resets the accumulated dirty report.
-	DrainDirty(fn func(computed [engine.NumShards][]int32, added []ident.NodeID, removed []engine.RemovedNode))
+	DrainDirty(fn func(computed [shard.N][]int32, added []ident.NodeID, removed []engine.RemovedNode))
 	// LiveGraph is the topology graph restricted to live members, read only
 	// inside Observe: it may be the topology's own, retired by the next tick.
 	LiveGraph() *graph.G
@@ -92,7 +93,7 @@ func (s engineSource) ViewerAtSlot(slot int32) Viewer {
 	return nil
 }
 
-func (s engineSource) DrainDirty(fn func([engine.NumShards][]int32, []ident.NodeID, []engine.RemovedNode)) {
+func (s engineSource) DrainDirty(fn func([shard.N][]int32, []ident.NodeID, []engine.RemovedNode)) {
 	s.e.DrainDirty(fn)
 }
 

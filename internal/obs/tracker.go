@@ -22,10 +22,10 @@
 // ID may legitimately not be a member: view contents (a view can retain a
 // departed node) and the watcher/group indexes keyed by them.
 //
-// Parallel phases follow the engine's discipline (see parallel.go): work
-// is sharded by NodeID into engine.NumShards fixed shards or into
-// slot-indexed worklists, every parallel callback writes only shard- or
-// slot-local state, and every merge happens in canonical order, so the
+// Parallel phases follow the engine's discipline (internal/shard): work
+// is sharded by NodeID into the shard.N fixed shards or into slot-indexed
+// worklists, every parallel callback writes only shard-, slot- or
+// worker-local state, and every merge happens in canonical order, so the
 // observed statistics are bit-identical at any worker count.
 //
 // The tracker assumes every live protocol node is present in the
@@ -46,6 +46,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
+	"repro/internal/shard"
 )
 
 // RoundStats is one observation: the partition statistics and predicate
@@ -157,13 +158,13 @@ type GroupTracker struct {
 	round  int
 	synced bool
 
-	nodes    []nodeState                   // engine slot → cache (id validates)
-	affEpoch []int                         // engine slot → round last marked affected
-	watchers map[ident.NodeID][]memberRef  // u → {w : u ∈ view_w}, ascending by watcher
-	groups   map[ident.NodeID]*group       // representative → current record
-	parked   []*group                      // destroyed this Observe: still read (ΠC, reborn, pending)
-	free     []*group                      // destroyed before it: poisoned, newGroup's to write
-	byShard  [engine.NumShards][]memberRef // live nodes, ascending per shard
+	nodes    []nodeState                  // engine slot → cache (id validates)
+	affEpoch []int                        // engine slot → round last marked affected
+	watchers map[ident.NodeID][]memberRef // u → {w : u ∈ view_w}, ascending by watcher
+	groups   map[ident.NodeID]*group      // representative → current record
+	parked   []*group                     // destroyed this Observe: still read (ΠC, reborn, pending)
+	free     []*group                     // destroyed before it: poisoned, newGroup's to write
+	byShard  [shard.N][]memberRef         // live nodes, ascending per shard
 
 	// Aggregates over the live partition, maintained on every record
 	// create/destroy and verdict flip — never recomputed by scanning.
@@ -194,7 +195,7 @@ type GroupTracker struct {
 	TotalMembership  int // total Ω changes across nodes
 
 	// Scratch (coordinator-owned).
-	shards   [engine.NumShards]trackerShard
+	shards   [shard.N]trackerShard
 	ws       []*workerScratch
 	affected []memberRef
 	added    []ident.NodeID
@@ -250,15 +251,8 @@ func NewGroupTracker(e *engine.Engine) *GroupTracker {
 // distributed lead (internal/dist) observes its merged shard reports
 // through. Semantics are identical to NewGroupTracker.
 func NewGroupTrackerSource(src Source) *GroupTracker {
-	w := src.Workers()
-	if w > engine.NumShards {
-		w = engine.NumShards
-	}
-	if w < 1 {
-		w = 1
-	}
-	t := &GroupTracker{e: src, dmax: src.Dmax(), workers: w}
-	t.ws = make([]*workerScratch, w)
+	t := &GroupTracker{e: src, dmax: src.Dmax(), workers: src.Workers()}
+	t.ws = make([]*workerScratch, shard.Width(t.workers))
 	for i := range t.ws {
 		t.ws[i] = newWorkerScratch()
 	}
@@ -333,7 +327,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		grp.rep = ident.None
 	}
 	t.free, t.parked = append(t.free, t.parked...), t.parked[:0]
-	t.e.DrainDirty(func(computed [engine.NumShards][]int32, added []ident.NodeID, removed []engine.RemovedNode) {
+	t.e.DrainDirty(func(computed [shard.N][]int32, added []ident.NodeID, removed []engine.RemovedNode) {
 		if first {
 			return
 		}
@@ -427,7 +421,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		t.affEpoch[slot] = 0
 		ref := memberRef{id: a, slot: slot}
 		t.shardInsert(ref)
-		t.shards[engine.ShardOf(a)].extract = append(t.shards[engine.ShardOf(a)].extract, slot)
+		t.shards[shard.Of(a)].extract = append(t.shards[shard.Of(a)].extract, slot)
 		t.markAffected(ref)
 		changedPartition = true
 	}
@@ -437,7 +431,7 @@ func (t *GroupTracker) Observe() RoundStats {
 	// changed, re-counts the edges and refreshes the cached neighbor
 	// slots the boundary scan indexes by.
 	if topoChanged {
-		t.runShards(func(s, w int) {
+		shard.Run(t.workers, func(s, w int) {
 			sh := &t.shards[s]
 			sh.topoDirty = sh.topoDirty[:0]
 			sh.degSum = 0
@@ -503,12 +497,12 @@ func (t *GroupTracker) Observe() RoundStats {
 	// shards) after its node computed is skipped: the shard guard keeps
 	// a recycled slot's extraction inside the new occupant's own shard,
 	// so no slot is ever touched by two workers.
-	t.runShards(func(s, w int) {
+	shard.Run(t.workers, func(s, w int) {
 		sh := &t.shards[s]
 		sh.changed = sh.changed[:0]
 		for _, slot := range sh.extract {
 			st := &t.nodes[slot]
-			if st.id == ident.None || engine.ShardOf(st.id) != s {
+			if st.id == ident.None || shard.Of(st.id) != s {
 				continue // removed after computing, or recycled cross-shard
 			}
 			n := t.e.ViewerAtSlot(slot)
@@ -575,7 +569,7 @@ func (t *GroupTracker) Observe() RoundStats {
 	// slice comparison, so the verdict matches metrics.Snapshot.Omega
 	// bit for bit.
 	t.regroup = slices.Grow(t.regroup[:0], len(t.affected))[:len(t.affected)]
-	t.runSlots(len(t.affected), func(i, w int) {
+	shard.Slots(t.workers, len(t.affected), func(i, w int) {
 		ref := t.affected[i]
 		st := &t.nodes[ref.slot]
 		good := st.selfIn
@@ -765,7 +759,7 @@ func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
 	}
 	t.boolRes = slices.Grow(t.boolRes[:0], len(list))
 	res := t.boolRes[:len(list)]
-	t.runSlots(len(list), func(i, w int) {
+	shard.Slots(t.workers, len(list), func(i, w int) {
 		res[i] = t.ws[w].stretched(g, list[i].members, t.dmax)
 	})
 	for i, grp := range list {
@@ -785,7 +779,7 @@ func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
 // current by the phase-2 sweep, which runs whenever membership or
 // topology changed) index the slot array directly.
 func (t *GroupTracker) scanPairs(g *graph.G) {
-	t.runShards(func(s, w int) {
+	shard.Run(t.workers, func(s, w int) {
 		sh := &t.shards[s]
 		sh.nee = 0
 		sh.pairs = sh.pairs[:0]
@@ -848,7 +842,7 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 
 	t.boolRes = slices.Grow(t.boolRes[:0], len(t.pending))
 	res := t.boolRes[:len(t.pending)]
-	t.runSlots(len(t.pending), func(i, w int) {
+	shard.Slots(t.workers, len(t.pending), func(i, w int) {
 		p := t.pending[i]
 		res[i] = t.ws[w].mergeable(g, p.ga.members, p.gb.members, t.dmax)
 	})
@@ -971,7 +965,7 @@ func (t *GroupTracker) dropWatcher(view []ident.NodeID, w ident.NodeID) {
 }
 
 func (t *GroupTracker) shardInsert(ref memberRef) {
-	s := engine.ShardOf(ref.id)
+	s := shard.Of(ref.id)
 	ids := t.byShard[s]
 	i := sort.Search(len(ids), func(i int) bool { return ids[i].id >= ref.id })
 	ids = append(ids, memberRef{})
@@ -981,7 +975,7 @@ func (t *GroupTracker) shardInsert(ref memberRef) {
 }
 
 func (t *GroupTracker) shardRemove(v ident.NodeID) {
-	s := engine.ShardOf(v)
+	s := shard.Of(v)
 	ids := t.byShard[s]
 	i := sort.Search(len(ids), func(i int) bool { return ids[i].id >= v })
 	if i < len(ids) && ids[i].id == v {

@@ -28,17 +28,9 @@ type Delivery struct {
 
 // Channel decides which receptions succeed among a slot's broadcasts.
 type Channel interface {
-	// DeliverSlot returns the successful deliveries of a slot. txs lists
-	// all simultaneous broadcasts; implementations must not mutate it.
-	DeliverSlot(txs []Tx, rng *rand.Rand) []Delivery
-}
-
-// BufferedChannel is the allocation-free variant: AppendDeliverSlot
-// appends the slot's deliveries to buf, letting a driver recycle one
-// delivery buffer across ticks. All channels in this package implement
-// it; the engine uses it when available.
-type BufferedChannel interface {
-	Channel
+	// AppendDeliverSlot appends the successful deliveries of a slot to buf,
+	// so a driver recycles one delivery buffer across ticks. txs lists all
+	// simultaneous broadcasts; implementations must not mutate it.
 	AppendDeliverSlot(txs []Tx, rng *rand.Rand, buf []Delivery) []Delivery
 }
 
@@ -55,12 +47,7 @@ type DropCounter interface {
 // collisions. The fair-channel hypothesis holds trivially.
 type Perfect struct{}
 
-// DeliverSlot implements Channel.
-func (p Perfect) DeliverSlot(txs []Tx, rng *rand.Rand) []Delivery {
-	return p.AppendDeliverSlot(txs, rng, nil)
-}
-
-// AppendDeliverSlot implements BufferedChannel.
+// AppendDeliverSlot implements Channel.
 func (Perfect) AppendDeliverSlot(txs []Tx, _ *rand.Rand, buf []Delivery) []Delivery {
 	for _, tx := range txs {
 		for _, r := range tx.Receivers {
@@ -104,25 +91,15 @@ func (l Lossy) DroppedDeliveries() uint64 {
 	return n
 }
 
-// DeliverSlot implements Channel.
-func (l Lossy) DeliverSlot(txs []Tx, rng *rand.Rand) []Delivery {
-	return l.AppendDeliverSlot(txs, rng, nil)
-}
-
-// AppendDeliverSlot implements BufferedChannel. The inner channel's
-// deliveries land in buf's tail and are filtered in place, so an inner
-// BufferedChannel keeps the whole path allocation-free.
+// AppendDeliverSlot implements Channel. The inner channel's deliveries
+// land in buf's tail and are filtered in place.
 func (l Lossy) AppendDeliverSlot(txs []Tx, rng *rand.Rand, buf []Delivery) []Delivery {
 	inner := l.Inner
 	if inner == nil {
 		inner = Perfect{}
 	}
 	start := len(buf)
-	if bc, ok := inner.(BufferedChannel); ok {
-		buf = bc.AppendDeliverSlot(txs, rng, buf)
-	} else {
-		buf = append(buf, inner.DeliverSlot(txs, rng)...)
-	}
+	buf = inner.AppendDeliverSlot(txs, rng, buf)
 	kept := buf[:start]
 	for _, d := range buf[start:] {
 		if rng.Float64() >= l.P {
@@ -140,12 +117,7 @@ func (l Lossy) AppendDeliverSlot(txs []Tx, rng *rand.Rand, buf []Delivery) []Del
 // destroyed by the collision).
 type Collision struct{}
 
-// DeliverSlot implements Channel.
-func (c Collision) DeliverSlot(txs []Tx, rng *rand.Rand) []Delivery {
-	return c.AppendDeliverSlot(txs, rng, nil)
-}
-
-// AppendDeliverSlot implements BufferedChannel (the interference maps are
+// AppendDeliverSlot implements Channel (the interference maps are
 // still per-call: the channel itself is a stateless value).
 func (Collision) AppendDeliverSlot(txs []Tx, _ *rand.Rand, buf []Delivery) []Delivery {
 	sending := make(map[ident.NodeID]bool, len(txs))

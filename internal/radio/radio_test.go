@@ -14,7 +14,7 @@ func TestPerfectDeliversAll(t *testing.T) {
 		{Sender: n(1), Receivers: []ident.NodeID{2, 3}},
 		{Sender: n(2), Receivers: []ident.NodeID{1}},
 	}
-	got := Perfect{}.DeliverSlot(txs, nil)
+	got := Perfect{}.AppendDeliverSlot(txs, nil, nil)
 	if len(got) != 3 {
 		t.Fatalf("deliveries = %v", got)
 	}
@@ -23,10 +23,10 @@ func TestPerfectDeliversAll(t *testing.T) {
 func TestLossyExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	txs := []Tx{{Sender: n(1), Receivers: []ident.NodeID{2, 3, 4}}}
-	if got := (Lossy{P: 0}).DeliverSlot(txs, rng); len(got) != 3 {
+	if got := (Lossy{P: 0}).AppendDeliverSlot(txs, rng, nil); len(got) != 3 {
 		t.Fatalf("P=0 lost messages: %v", got)
 	}
-	if got := (Lossy{P: 1}).DeliverSlot(txs, rng); len(got) != 0 {
+	if got := (Lossy{P: 1}).AppendDeliverSlot(txs, rng, nil); len(got) != 0 {
 		t.Fatalf("P=1 delivered: %v", got)
 	}
 }
@@ -38,7 +38,7 @@ func TestLossyRate(t *testing.T) {
 	delivered := 0
 	const trials = 10000
 	for i := 0; i < trials; i++ {
-		delivered += len(ch.DeliverSlot(txs, rng))
+		delivered += len(ch.AppendDeliverSlot(txs, rng, nil))
 	}
 	rate := float64(delivered) / trials
 	if rate < 0.65 || rate > 0.75 {
@@ -52,7 +52,7 @@ func TestCollisionTwoSendersJam(t *testing.T) {
 		{Sender: n(1), Receivers: []ident.NodeID{3, 4}},
 		{Sender: n(2), Receivers: []ident.NodeID{3}},
 	}
-	got := Collision{}.DeliverSlot(txs, nil)
+	got := Collision{}.AppendDeliverSlot(txs, nil, nil)
 	if len(got) != 1 || got[0] != (Delivery{From: 1, To: 4}) {
 		t.Fatalf("deliveries = %v", got)
 	}
@@ -63,14 +63,14 @@ func TestCollisionSenderCannotReceive(t *testing.T) {
 		{Sender: n(1), Receivers: []ident.NodeID{2}},
 		{Sender: n(2), Receivers: []ident.NodeID{1}},
 	}
-	if got := (Collision{}).DeliverSlot(txs, nil); len(got) != 0 {
+	if got := (Collision{}).AppendDeliverSlot(txs, nil, nil); len(got) != 0 {
 		t.Fatalf("senders received while sending: %v", got)
 	}
 }
 
 func TestCollisionSingleSenderDelivers(t *testing.T) {
 	txs := []Tx{{Sender: n(1), Receivers: []ident.NodeID{2, 3}}}
-	if got := (Collision{}).DeliverSlot(txs, nil); len(got) != 2 {
+	if got := (Collision{}).AppendDeliverSlot(txs, nil, nil); len(got) != 2 {
 		t.Fatalf("deliveries = %v", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestLossyOverCollision(t *testing.T) {
 		{Sender: n(2), Receivers: []ident.NodeID{3}},
 	}
 	ch := Lossy{P: 0, Inner: Collision{}}
-	if got := ch.DeliverSlot(txs, rng); len(got) != 0 {
+	if got := ch.AppendDeliverSlot(txs, rng, nil); len(got) != 0 {
 		t.Fatalf("collision must survive composition: %v", got)
 	}
 }
@@ -90,9 +90,9 @@ func TestLossyOverCollision(t *testing.T) {
 func TestChannelsDoNotMutateInput(t *testing.T) {
 	txs := []Tx{{Sender: n(1), Receivers: []ident.NodeID{2, 3}}}
 	rng := rand.New(rand.NewSource(4))
-	_ = Perfect{}.DeliverSlot(txs, rng)
-	_ = (Lossy{P: 0.5}).DeliverSlot(txs, rng)
-	_ = (Collision{}).DeliverSlot(txs, rng)
+	_ = Perfect{}.AppendDeliverSlot(txs, rng, nil)
+	_ = (Lossy{P: 0.5}).AppendDeliverSlot(txs, rng, nil)
+	_ = (Collision{}).AppendDeliverSlot(txs, rng, nil)
 	if len(txs[0].Receivers) != 2 || txs[0].Receivers[0] != 2 {
 		t.Fatal("input mutated")
 	}

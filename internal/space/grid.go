@@ -16,20 +16,11 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/shard"
 )
-
-// numShards mirrors engine.NumShards: the parallel SymmetricGraph build
-// fans node work out into the same fixed NodeID shards the engine uses,
-// so the edge set — and with it every downstream trace — is independent
-// of the worker count by construction.
-const numShards = 64
-
-// shardOf maps a node to its build shard (same formula as the engine's).
-func shardOf(v ident.NodeID) int { return int(uint32(v) % numShards) }
 
 // cellKey addresses one grid cell.
 type cellKey struct{ cx, cy int }
@@ -165,7 +156,7 @@ func (w *World) deltaViable(n int) bool {
 // node in ids: the nodes within both endpoints' TX ranges that no wall
 // separates it from. It is the one vicinity scan behind both rebuilds —
 // the movers' replacement rows for graph.ApplyDelta, every node's row for
-// graph.FromRows. The scan fans out over the 64 NodeID shards; workers
+// graph.FromRows. The scan fans out over the NodeID shards (shard.Run); workers
 // only read shared state (pos, cells, ranges, walls) and write their own
 // shard's scratch, and the shards are merged in shard order, so the rows
 // are identical at any worker count. The link predicate is evaluated from
@@ -177,10 +168,10 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 		w.shardNodes[s] = w.shardNodes[s][:0]
 	}
 	for _, v := range ids {
-		s := shardOf(v)
+		s := shard.Of(v)
 		w.shardNodes[s] = append(w.shardNodes[s], v)
 	}
-	w.runShards(func(s int) {
+	shard.Run(w.Workers, func(s, _ int) {
 		adjs := w.shardAdjs[s][:0]
 		nbrs := w.shardNbrs[s][:0]
 		for _, u := range w.shardNodes[s] {
@@ -298,31 +289,4 @@ func (w *World) wallBlocked(pu, pv Point) bool {
 		}
 	}
 	return false
-}
-
-// runShards applies fn to every shard: inline when Workers ≤ 1, else on
-// a pool of Workers goroutines with a static shard-to-worker assignment
-// (the engine's fan-out shape). fn must only write shard-local state.
-func (w *World) runShards(fn func(s int)) {
-	n := w.Workers
-	if n > numShards {
-		n = numShards
-	}
-	if n <= 1 {
-		for s := 0; s < numShards; s++ {
-			fn(s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			for s := i; s < numShards; s += n {
-				fn(s)
-			}
-		}(i)
-	}
-	wg.Wait()
 }

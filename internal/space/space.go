@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/shard"
 )
 
 // Point is a position in the plane.
@@ -92,9 +93,9 @@ type World struct {
 	// their rows and the rows' storage; rowBuf is the shard-order merge
 	// handed to graph.FromRows or graph.ApplyDelta) and the
 	// generation-keyed graph cache.
-	shardNodes [numShards][]ident.NodeID
-	shardAdjs  [numShards][]graph.NodeAdj
-	shardNbrs  [numShards][]ident.NodeID
+	shardNodes [shard.N][]ident.NodeID
+	shardAdjs  [shard.N][]graph.NodeAdj
+	shardNbrs  [shard.N][]ident.NodeID
 	rowBuf     []graph.NodeAdj
 	symGraph   *graph.G
 	symGen     uint64
