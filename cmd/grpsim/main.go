@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -64,32 +65,19 @@ func main() {
 		defer srv.Close()
 	}
 
-	// The round loop reads everything — the partition, the predicates and
-	// the optional stat stream — from the incremental tracker; the
-	// brute-force snapshot path stays available as the test oracle but is
-	// no longer paid per round here.
+	// The round loop is obs.Driver.Run: the partition, the predicates and
+	// the optional stat stream all come from the incremental tracker, and
+	// the stream is checked against the tracker's cumulative counters.
 	tr := obs.NewGroupTracker(s)
-	var sink obs.Sink
+	cfg := obs.SoakConfig{MaxRounds: *rounds, ProgressEvery: 1}
 	if *stats != "" {
-		var err error
-		sink, err = obs.OpenSink(*stats, 0)
-		if err != nil {
+		if cfg.Sink, err = obs.OpenSink(*stats, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "grpsim:", err)
 			os.Exit(2)
 		}
 	}
-
 	last := ""
-	var st obs.RoundStats
-	for r := 1; r <= *rounds; r++ {
-		s.StepRound()
-		st = tr.Observe()
-		if sink != nil {
-			if err := sink.Write(st); err != nil {
-				fmt.Fprintln(os.Stderr, "grpsim:", err)
-				os.Exit(1)
-			}
-		}
+	cfg.Progress = func(r int, st obs.RoundStats) {
 		cur := fmt.Sprintf("%v", tr.Groups())
 		if *watch || cur != last {
 			conv := ""
@@ -100,12 +88,21 @@ func main() {
 			last = cur
 		}
 	}
-	if sink != nil {
-		if err := sink.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "grpsim:", err)
-			os.Exit(1)
-		}
+	d := &obs.Driver{
+		Engine:  s,
+		Tracker: tr,
+		Step:    func(int, *obs.SoakResult) error { s.StepRound(); return nil },
+		Close:   func(*obs.SoakResult) error { return nil },
 	}
+	res, err := d.Run(&cfg, time.Now())
+	if err == nil && cfg.Sink != nil {
+		err = cfg.Sink.Close()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "grpsim:", err)
+		os.Exit(1)
+	}
+	st := res.Final
 	fmt.Printf("\nfinal: groups=%d singletons=%d mean_size=%.2f converged=%v\n",
 		st.Groups, st.Singletons, st.MeanSize, st.Converged)
 	reg := s.Introspect()

@@ -89,7 +89,7 @@ func main() {
 	flightEvery := flag.Int("flight-every", 0, "stream a flight-recorder snapshot record into -stats every k rounds, plus one at run end (0: off; JSONL sinks only)")
 	traceWakes := flag.String("trace-wakes", "", "stream per-node wake-attribution JSONL records to this file (which skip-check gate woke each computed node, and whose traffic)")
 	shards := flag.Int("shards", 1, "split the run over this many shard owners (internal/dist); >1 requires -join 0 -leave 0 and no -chaos, -flight-every, -trace-wakes or -introspect, and the merged run is bit-identical to -shards 1")
-	transport := flag.String("transport", "loopback", "shard transport: loopback (all shards in this process) or tcp (one process per shard; see -peers)")
+	transport := flag.String("transport", "loopback", "shard transport: loopback (all shards in this process) or tcp (one process per shard; see -peers); a shard whose peer dies, or stays silent for 30 s, exits non-zero with an error naming that peer and the exchange")
 	shardIndex := flag.Int("shard-index", 0, "this process's shard under -transport tcp")
 	peers := flag.String("peers", "", "comma-separated listen addresses of all shards, index-aligned, under -transport tcp (this process listens on its own entry)")
 	fingerprint := flag.Bool("fingerprint", false, "print the end-of-run state fingerprint (fold of every node's state hash) — the cross-process bit-identity witness")

@@ -756,10 +756,6 @@ func (n *Node) PoisonBoundary(u ident.NodeID, holdComputes uint64) {
 	n.quiet = QuietNone
 }
 
-// BoundaryHolds returns the number of live boundary-memory entries —
-// observability for the fault experiments that poison them.
-func (n *Node) BoundaryHolds() int { return len(n.rejected) }
-
 // Receive stores a neighbor's message. Only the last message per sender is
 // kept (one-message channel); self-messages are ignored. The buffer is a
 // small slice scanned linearly — sender counts are node degrees, where

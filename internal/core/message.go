@@ -49,22 +49,12 @@ type PrioRec struct {
 	GroupPrio priority.P
 }
 
-// Digest returns a 64-bit content hash of everything the wire codec
-// would carry for this message: sender, group priority, the full list
-// (entries with marks, position structure included), and every record
-// field — the Has* flags too, since an absent priority changes receiver
-// behavior just like a different one. Two messages with equal digests
-// are indistinguishable to any receiver, whether they were built by
-// BuildMessage or forged by a fault injector, so any field added to
-// the codec must be folded in here as well.
-func (m Message) Digest() uint64 {
-	return m.MaskedDigest(ident.None, nil, false)
-}
-
-// MaskedDigest is Digest restricted to the fields a receiver's ComputeIn
-// can actually read when inRead reports which node IDs the receiver
-// resolves priority records for (nil means all — the full Digest, which
-// ignores dropList).
+// MaskedDigest returns a 64-bit content hash of the fields of this message
+// a receiver's ComputeIn can actually read, when inRead reports which node
+// IDs the receiver resolves priority records for. Two messages with equal
+// digests are indistinguishable to that receiver, whether they were built
+// by BuildMessage or forged by a fault injector, so a field ComputeIn
+// comes to read must be folded in here as well.
 //
 // The engine's fixpoint memo (DESIGN.md §2.3) keys inbox content on this
 // projection rather than the raw bytes, because a broadcast routinely
@@ -82,7 +72,7 @@ func (m Message) Digest() uint64 {
 //     messages in sorted order — hashing the value itself would let a
 //     held lonely neighbor's ticking clock (group priority = own
 //     priority when alone) churn the digest every round without ever
-//     changing the sort. (The full Digest, inRead == nil, hashes it.)
+//     changing the sort.
 //   - the list feeds cleanReceived/goodList/safePrefix and the fold
 //     itself, but only ever *through* cleanReceived's deletion pass —
 //     nothing reads the raw bytes — so the mask hashes its cleaned
@@ -146,7 +136,7 @@ func (m Message) MaskedDigest(self ident.NodeID, inRead func(ident.NodeID) bool,
 	h := digSeed
 	mix := func(v uint64) { h = digMix(h, v) }
 	markOf := func(id ident.NodeID, mk ident.Mark) uint64 {
-		if inRead == nil || id == self {
+		if id == self {
 			return uint64(mk)
 		}
 		if mk.Marked() {
@@ -155,21 +145,7 @@ func (m Message) MaskedDigest(self ident.NodeID, inRead func(ident.NodeID) bool,
 		return 0
 	}
 	mix(uint64(m.From))
-	if inRead == nil {
-		mix(m.GroupPrio.Clock)
-		mix(uint64(m.GroupPrio.ID))
-	}
-	if inRead == nil {
-		mix(uint64(m.List.Len()))
-		for i := 0; i < m.List.Len(); i++ {
-			set := m.List.At(i)
-			mix(uint64(len(set)))
-			for _, e := range set {
-				mix(uint64(e.ID))
-				mix(uint64(e.Mark))
-			}
-		}
-	} else if !dropList {
+	if !dropList {
 		// Hash the list as cleanReceived's deletion pass would leave it:
 		// marked entries dropped except a single-marked receiver, per-set
 		// structure kept (an emptied set is the hole goodList rejects).
@@ -196,20 +172,13 @@ func (m Message) MaskedDigest(self ident.NodeID, inRead func(ident.NodeID) bool,
 			}
 		}
 	}
-	if inRead == nil {
-		mix(uint64(len(m.Recs)))
-	}
 	for _, r := range m.Recs {
-		if inRead != nil && !inRead(r.ID) {
+		if !inRead(r.ID) {
 			continue
 		}
 		mix(uint64(r.ID))
 		mix(markOf(r.ID, r.Mark))
-		if inRead == nil {
-			mix(uint64(uint16(r.Pos))<<16 | uint64(uint16(r.Quar)))
-		} else {
-			mix(uint64(uint16(r.Pos)))
-		}
+		mix(uint64(uint16(r.Pos)))
 		f := uint64(0)
 		if r.HasPrio {
 			f |= 1
@@ -227,7 +196,7 @@ func (m Message) MaskedDigest(self ident.NodeID, inRead func(ident.NodeID) bool,
 }
 
 // digSeed/digMix are the mixing core shared by the content digests
-// (Message.Digest, Node.StateDigest, Node.InboxReadDigest): one 64-bit
+// (Message.MaskedDigest, Node.StateDigest, Node.InboxReadDigest): one 64-bit
 // word folded in per call with two multiply–xorshift rounds (the
 // splitmix64 finalizer's structure). The digests sit on the engine's
 // per-round skip path, so the fold must be cheap and inlinable — the

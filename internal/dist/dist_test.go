@@ -1,11 +1,9 @@
 package dist
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"reflect"
 	"slices"
 	"strings"
@@ -472,6 +470,46 @@ func TestValidateNamesUndistributedExtras(t *testing.T) {
 	}
 }
 
+// TestRunRefusesMismatchedConfigs pins the handshake: two shards started
+// from scenarios that differ in a replica-defining field refuse each other
+// before round 1, each with an error naming both, where they used to die
+// late on an unrelated batch or barrier error or diverge.
+func TestRunRefusesMismatchedConfigs(t *testing.T) {
+	for _, c := range []struct {
+		field  string
+		change func(*obs.SoakConfig)
+	}{
+		{"Seed", func(s *obs.SoakConfig) { s.Seed++ }},
+		{"MaxRounds", func(s *obs.SoakConfig) { s.MaxRounds++ }},
+	} {
+		sink := &captureSink{}
+		cfgs := [2]Config{{Soak: commuterSoak(6), Shards: 2}, {Soak: commuterSoak(6), Shards: 2}}
+		cfgs[0].Soak.Sink = sink
+		c.change(&cfgs[1].Soak)
+		trs := NewLoopback(2)
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer trs[i].Close()
+				_, errs[i] = runShard(cfgs[i], i, trs[i])
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err == nil || errors.Is(err, ErrTransportClosed) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("shard %d of 2", i)) || !strings.Contains(err.Error(), fmt.Sprintf("shard %d of 2", 1-i)) {
+				t.Errorf("%s differs: shard %d returned %v, want a refusal naming both shards", c.field, i, err)
+			}
+		}
+		if len(sink.recs) != 0 {
+			t.Errorf("%s differs: %d rounds ran before the refusal", c.field, len(sink.recs))
+		}
+	}
+}
+
 // slowTransport stalls every Exchange, standing in for a slow peer.
 type slowTransport struct {
 	Transport
@@ -523,164 +561,6 @@ func TestArbitrateClockExcludesExchangeWait(t *testing.T) {
 			t.Errorf("shard %d: arbitrate clock %v over %d ticks includes the %v Exchange waits", i, got, ticks, delay)
 		}
 	}
-}
-
-// exerciseTransport pins what every Transport owes its callers: over
-// several exchanges each payload arrives whole at its addressee, in[self]
-// is nil, and a payload is readable until the receiving endpoint's next
-// Exchange — it is read just before that, after the senders may have gone
-// on to fill their next one, and not after (an implementation may reuse it
-// from then on, as the loopback does).
-func exerciseTransport(t *testing.T, trs []Transport) {
-	t.Helper()
-	n := len(trs)
-	errc := make(chan error, n)
-	for i := range trs {
-		go func() {
-			errc <- func() error {
-				var prev [][]byte
-				for seq := uint64(7); seq < 12; seq++ {
-					out := make([][]byte, n)
-					for p := range out {
-						if p != i {
-							// Lengths differ by round and peer, and one round
-							// ships nothing: reused storage must not show through.
-							out[p] = bytes.Repeat([]byte(fmt.Sprintf("%d->%d#%d ", i, p, seq)), int(seq+uint64(p))%4)
-						}
-					}
-					want := func(seq uint64, p int) string {
-						return strings.Repeat(fmt.Sprintf("%d->%d#%d ", p, i, seq), int(seq+uint64(i))%4)
-					}
-					for p, got := range prev {
-						if p != i && string(got) != want(seq-1, p) {
-							return fmt.Errorf("shard %d, before its exchange %d: payload from %d reads %q, want %q", i, seq, p, got, want(seq-1, p))
-						}
-					}
-					in, err := trs[i].Exchange(seq, out)
-					if err != nil {
-						return err
-					}
-					if in[i] != nil {
-						return fmt.Errorf("shard %d received from itself", i)
-					}
-					for p, got := range in {
-						if p != i && string(got) != want(seq, p) {
-							return fmt.Errorf("shard %d from %d at %d: %q want %q", i, p, seq, got, want(seq, p))
-						}
-					}
-					prev = in
-				}
-				return nil
-			}()
-		}()
-	}
-	for range trs {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestLoopbackTransport pins the barrier semantics of the in-memory
-// transport: payload integrity and lifetime, self-slot handling, and close
-// release.
-func TestLoopbackTransport(t *testing.T) {
-	const n = 3
-	trs := NewLoopback(n)
-	exerciseTransport(t, trs)
-	// Close releases a blocked Exchange.
-	done := make(chan error, 1)
-	go func() {
-		_, err := trs[0].Exchange(12, make([][]byte, n))
-		done <- err
-	}()
-	trs[1].Close()
-	if err := <-done; err == nil {
-		t.Fatal("Exchange survived Close")
-	}
-}
-
-// TestTCPTransport runs the same conformance scenario over localhost
-// TCP, one goroutine per "process", and checks a 2-shard run matches
-// the single-process fingerprint — the in-CI stand-in for the
-// two-OS-process smoke (which scripts/dist_smoke.sh runs end to end).
-func TestTCPTransport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP mesh in -short")
-	}
-	soak := obs.SoakConfig{N: 60, Side: 14, Seed: 3, Dmax: 3, MaxRounds: 12, Fingerprint: true}
-	refCfg := soak
-	ref, err := obs.RunSoak(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := []string{freeAddr(t), freeAddr(t)}
-	cfg := Config{Soak: soak, Shards: 2}
-	type res struct {
-		r   *obs.SoakResult
-		err error
-	}
-	ch := make(chan res, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			r, err := RunTCP(cfg, i, addrs)
-			ch <- res{r, err}
-		}(i)
-	}
-	var lead *obs.SoakResult
-	for i := 0; i < 2; i++ {
-		r := <-ch
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.r != nil {
-			lead = r.r
-		}
-	}
-	if lead == nil {
-		t.Fatal("no lead result")
-	}
-	if lead.Fingerprint != ref.Fingerprint {
-		t.Fatalf("tcp fingerprint %016x vs %016x", lead.Fingerprint, ref.Fingerprint)
-	}
-	if !reflect.DeepEqual(lead.Final, ref.Final) {
-		t.Fatalf("tcp final stats diverged:\n 1p: %+v\n 2p: %+v", ref.Final, lead.Final)
-	}
-	// The bare mesh under the contract the loopback is held to.
-	addrs = []string{freeAddr(t), freeAddr(t), freeAddr(t)}
-	trs := make([]Transport, len(addrs))
-	var wg sync.WaitGroup
-	for i := range trs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tr, err := DialTCP(i, addrs)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			trs[i] = tr
-		}()
-	}
-	if wg.Wait(); t.Failed() {
-		t.FailNow()
-	}
-	exerciseTransport(t, trs)
-	for _, tr := range trs {
-		tr.Close()
-	}
-}
-
-// freeAddr reserves a localhost port by binding and releasing it.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
 }
 
 // TestBoundaryTrafficIsDelta pins the elision: on a mostly-parked world

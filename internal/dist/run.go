@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"time"
 
@@ -12,13 +13,13 @@ import (
 	"repro/internal/obs"
 )
 
-// runShard drives one shard through the whole run: Tc boundary-exchange
-// ticks per round, one sync exchange per round (shards report to the
-// lead, which observes the merged state through the tracker), and one
-// final exchange carrying the per-node state hashes and the flight
-// recorder. Only the lead (shard 0) returns a result; it is field-for-
-// field comparable with obs.RunSoak's on the same scenario — the stats
-// stream, final report and fingerprint are bit-identical, while the
+// runShard drives one shard through the whole run: the handshake, Tc
+// boundary-exchange ticks per round, one sync exchange per round (shards
+// report to the lead, which observes the merged state through the
+// tracker), and one final exchange carrying the per-node state hashes and
+// the flight recorder. Only the lead (shard 0) returns a result; it is
+// field-for-field comparable with obs.RunSoak's on the same scenario — the
+// stats stream, final report and fingerprint are bit-identical, while the
 // Flight counters are per-shard sums (deliberately not conformance
 // surface: replicated work like ticks counts once per shard).
 func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
@@ -34,6 +35,9 @@ func runShard(cfg Config, index int, tr Transport) (*obs.SoakResult, error) {
 // round loop and the result's close are obs.Driver.Run's; a shard supplies
 // its round step and its final exchange.
 func (sh *Shard) run(entry time.Time) (*obs.SoakResult, error) {
+	if err := sh.handshake(); err != nil {
+		return nil, err
+	}
 	sh.E.TrackDirty()
 	lead := sh.Index == 0
 	d := &obs.Driver{Engine: sh.E}
@@ -102,6 +106,41 @@ func (sh *Shard) run(entry time.Time) (*obs.SoakResult, error) {
 		return nil
 	}
 	return d.Run(&sh.Soak, entry)
+}
+
+// handshake is a run's first exchange: every shard tells every peer which
+// shard of how many it is and a digest of the fields that define the world
+// replica, and refuses to run beside a shard started from another scenario
+// — which would otherwise die late, on a batch or barrier error that names
+// nothing, or diverge. Workers, sinks and callbacks may differ per process
+// and are left out.
+func (sh *Shard) handshake() error {
+	s, h := &sh.Soak, fnv.New64a()
+	fmt.Fprintln(h, s.N, s.Dmax, s.Range, s.Side, s.Urban, s.DT, s.Seed, s.ActiveFraction, s.Static, s.MaxRounds, sh.N)
+	hello := binary.LittleEndian.AppendUint32(nil, uint32(sh.Index))
+	hello = binary.LittleEndian.AppendUint32(hello, uint32(sh.N))
+	hello = binary.LittleEndian.AppendUint64(hello, h.Sum64())
+	out := make([][]byte, sh.N)
+	for p := range out {
+		out[p] = hello
+	}
+	in, err := sh.tr.Exchange(sh.seq, out)
+	sh.seq++
+	if err != nil {
+		return err
+	}
+	for p, b := range in {
+		if p == sh.Index {
+			continue
+		}
+		r := reader{buf: b}
+		index, n, scenario := int(r.u32()), int(r.u32()), r.u64()
+		if r.end("handshake") != nil || index != p || n != sh.N || scenario != h.Sum64() {
+			return fmt.Errorf("dist: shard %d of %d (scenario %016x) refuses its peer %d, which is shard %d of %d (scenario %016x): the shards of a run are started from one scenario",
+				sh.Index, sh.N, h.Sum64(), p, index, n, scenario)
+		}
+	}
+	return nil
 }
 
 const finalMagic = 0x4746 // "GF"

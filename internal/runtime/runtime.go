@@ -61,11 +61,10 @@ func (c *Config) normalize() error {
 type Cluster struct {
 	cfg Config
 
-	mu      sync.RWMutex
-	topo    engine.Topology
-	ownTopo bool // topology built by the cluster (New/SetGraph), safe to mutate
-	roster  *engine.Roster
-	procs   map[ident.NodeID]*proc
+	mu     sync.RWMutex
+	topo   *engine.StaticTopology // over the cluster's own clone of the graph
+	roster *engine.Roster
+	procs  map[ident.NodeID]*proc
 
 	broadcasts chan core.Message
 	done       chan struct{}
@@ -96,25 +95,12 @@ type state struct {
 // New creates a cluster over the given graph (which may be mutated later
 // via SetGraph) and starts one goroutine per node plus the router.
 func New(cfg Config, g *graph.G) (*Cluster, error) {
-	c, err := NewWithTopology(cfg, &engine.StaticTopology{G: g.Clone()})
-	if err == nil {
-		c.ownTopo = true
-	}
-	return c, err
-}
-
-// NewWithTopology creates a cluster routing over an arbitrary vicinity
-// relation — the same Topology abstraction the deterministic engine
-// drives. The topology stays caller-owned: as with the deterministic
-// engine's RemoveNode, Remove stops a node's goroutine but the caller is
-// responsible for taking the node out of its own topology.
-func NewWithTopology(cfg Config, topo engine.Topology) (*Cluster, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		cfg:        cfg,
-		topo:       topo,
+		topo:       &engine.StaticTopology{G: g.Clone()},
 		roster:     engine.NewRoster(0),
 		procs:      make(map[ident.NodeID]*proc),
 		broadcasts: make(chan core.Message, 256),
@@ -123,7 +109,7 @@ func NewWithTopology(cfg Config, topo engine.Topology) (*Cluster, error) {
 	}
 	c.wg.Add(1)
 	go c.route()
-	for _, v := range topo.Nodes() {
+	for _, v := range c.topo.Nodes() {
 		c.startNode(v)
 	}
 	return c, nil
@@ -216,7 +202,6 @@ func (c *Cluster) route() {
 func (c *Cluster) SetGraph(g *graph.G) {
 	c.mu.Lock()
 	c.topo = &engine.StaticTopology{G: g.Clone()}
-	c.ownTopo = true
 	missing := []ident.NodeID{}
 	for _, v := range g.Nodes() {
 		if _, ok := c.procs[v]; !ok {
@@ -236,20 +221,15 @@ func (c *Cluster) Graph() *graph.G {
 	return c.topo.Graph().Clone()
 }
 
-// Remove stops node v's goroutine (the node leaves the network). When
-// the cluster owns its topology (New, SetGraph) the node is also removed
-// from it; a caller-provided topology (NewWithTopology) stays untouched —
-// the caller removes the node from its own vicinity relation, exactly as
-// with the deterministic engine.
+// Remove stops node v's goroutine and takes the node out of the topology
+// (the node leaves the network).
 func (c *Cluster) Remove(v ident.NodeID) {
 	c.mu.Lock()
 	p, ok := c.procs[v]
 	if ok {
 		delete(c.procs, v)
 		c.roster.Remove(v)
-		if st, isStatic := c.topo.(*engine.StaticTopology); isStatic && c.ownTopo {
-			st.G.RemoveNode(v)
-		}
+		c.topo.G.RemoveNode(v)
 	}
 	c.mu.Unlock()
 	if ok {
@@ -347,12 +327,9 @@ func (c *Cluster) AwaitStableViews(timeout time.Duration, stable int) bool {
 // introspect.Serve, like the deterministic engine's.
 func (c *Cluster) Introspect() *introspect.Registry { return c.reg }
 
-// DroppedMessages returns the cumulative count of messages the router
+// DroppedDeliveries returns the cumulative count of messages the router
 // dropped on full inboxes. It implements radio.DropCounter, so obs-side
 // consumers can treat the live cluster's loss like any counting channel.
-func (c *Cluster) DroppedMessages() uint64 { return c.reg.Get(introspect.CtrRadioDrops) }
-
-// DroppedDeliveries implements radio.DropCounter.
 func (c *Cluster) DroppedDeliveries() uint64 { return c.reg.Get(introspect.CtrRadioDrops) }
 
 // Close stops every goroutine and waits for them.

@@ -137,7 +137,7 @@ func TestDroppedMessagesCounted(t *testing.T) {
 	defer c.Close()
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if c.DroppedMessages() > 0 {
+		if c.DroppedDeliveries() > 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

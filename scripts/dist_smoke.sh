@@ -15,13 +15,19 @@
 # the ghost-boundary protocol, the shard-order merge, or the lead's
 # tracker mirror.
 #
+# Then the failure side: the same two OS processes on a run too long to
+# finish, shard 1 killed with -9 mid-run — shard 0 must exit non-zero
+# within 5 s with an error naming shard 1. (A peer that stalls without
+# dying is internal/dist's stalled-peer test under a short bound: here it
+# would wait out the 30 s production constant.)
+#
 # Usage: scripts/dist_smoke.sh [rounds]   (default 30)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 rounds="${1:-30}"
 work=".dist-smoke.$$"
-trap 'rm -rf "$work"; kill %% 2>/dev/null || true' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 mkdir -p "$work"
 
 go build -o "$work/grpsoak" ./cmd/grpsoak
@@ -70,3 +76,42 @@ for run in loop tcp; do
 done
 
 echo "OK: $base_fp identical across 1-proc, loopback, and TCP (${rounds} rounds)"
+
+echo "== kill shard 1 mid-run: shard 0 must fail within 5 s and name it =="
+peers="127.0.0.1:$((port0 + 2)),127.0.0.1:$((port0 + 3))"
+endless=("${common[@]}" -rounds 100000000 -shards 2 -transport tcp -peers "$peers")
+"$work/grpsoak" "${endless[@]}" -shard-index 1 &
+victim=$!
+"$work/grpsoak" "${endless[@]}" -shard-index 0 -progress 20 \
+  >"$work/kill.out" 2>"$work/kill.err" &
+lead=$!
+for _ in $(seq 300); do # mid-run: the lead has observed merged rounds
+  grep -q '^round' "$work/kill.out" && break
+  sleep 0.1
+done
+if ! grep -q '^round' "$work/kill.out"; then
+  echo "FAIL: the two-process run never got going:" >&2
+  cat "$work/kill.err" >&2
+  exit 1
+fi
+kill -9 "$victim"
+wait "$victim" 2>/dev/null || true
+for _ in $(seq 50); do
+  kill -0 "$lead" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$lead" 2>/dev/null; then
+  kill -9 "$lead"
+  echo "FAIL: shard 0 still running 5 s after shard 1 was killed" >&2
+  exit 1
+fi
+if wait "$lead"; then
+  echo "FAIL: shard 0 exited 0 although shard 1 was killed mid-run" >&2
+  exit 1
+fi
+if ! grep -q 'shard 1' "$work/kill.err"; then
+  echo "FAIL: shard 0's error does not name shard 1:" >&2
+  cat "$work/kill.err" >&2
+  exit 1
+fi
+echo "OK: shard 0 failed loudly: $(tail -n 1 "$work/kill.err")"
