@@ -36,26 +36,17 @@ func (l List) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// MarshalBinary encodes the list in the wire format.
-func (l List) MarshalBinary() ([]byte, error) {
-	return l.AppendBinary(nil), nil
-}
-
 // EncodedSize returns the wire size in bytes without encoding — O(1) on
 // the flat form.
 func (l List) EncodedSize() int {
 	return 2 + 2*l.Len() + 5*len(l.ents)
 }
 
-// DecodeList decodes a list from the front of buf into fresh storage,
-// returning the list and the remaining bytes: DecodeListInto's nil-storage
-// case.
-func DecodeList(buf []byte) (List, []byte, error) { return DecodeListInto(buf, List{}) }
-
-// DecodeListInto is the decoder. It writes over into's storage — into must
-// be the zero List or one an earlier DecodeListInto returned, which nothing
-// reads any more (never a published list: those share their offsets) — and
-// allocates only what that storage lacks. Each position is re-sorted and
+// DecodeListInto decodes a list from the front of buf, returning the list
+// and the remaining bytes. It writes over into's storage — into must be the
+// zero List (fresh storage) or one an earlier DecodeListInto returned, which
+// nothing reads any more (never a published list: those share their
+// offsets) — and allocates only what that storage lacks. Each position is re-sorted and
 // deduplicated defensively (strongest mark wins, matching Set.Add) so a
 // hostile frame cannot violate Set invariants; on an error into's storage is
 // scribbled and the zero List returned.

@@ -253,17 +253,6 @@ func (l List) FilterEntries(keep func(ident.Entry) bool) List {
 	return out
 }
 
-// DeleteMarkedExcept returns the list with every marked entry removed,
-// except marked entries naming keep (the receiver applies this on
-// reception: marks are only meaningful between direct neighbors, but a mark
-// on the receiver itself is the handshake signal). Positions left empty are
-// resolved by Normalize.
-func (l List) DeleteMarkedExcept(keep ident.NodeID) List {
-	return l.FilterEntries(func(e ident.Entry) bool {
-		return !e.Mark.Marked() || e.ID == keep
-	}).Normalize()
-}
-
 // Truncate returns the list cut to at most n positions (keeping a0..a(n-1)),
 // then normalized. Used by compute() line 28 to drop too-far ancestors.
 // The cut is a reslice of the arena, not a copy.
@@ -395,22 +384,11 @@ func (l List) Merge(o List) List {
 	return b.View().Clone()
 }
 
-// Shift is the r endomorphism: prepend an empty set, pushing every ancestor
-// one hop farther. The arena is shared; only the offsets are rebuilt.
-func (l List) Shift() List {
-	offs := make([]int32, 0, len(l.offs)+1)
-	offs = append(offs, 0, 0)
-	if l.Len() > 0 {
-		offs = append(offs, l.offs[1:]...)
-	}
-	return List{ents: l.ents, offs: offs}
-}
-
 // Ant is the r-operator ant(l, o) = l ⊕ r(o): fold a neighbor's list into
-// the local one, at one hop more. Equivalent to l.Merge(o.Shift()), but
-// merging with the shift as an index offset instead of materializing the
-// shifted copy. Cold-path convenience; the per-compute fold runs on a
-// recycled Builder (see Builder.Ant).
+// the local one, at one hop more — r, which prepends an empty set and so
+// pushes every ancestor one hop farther, applied as an index offset of the
+// merge instead of a materialized shifted copy. Cold-path convenience; the
+// per-compute fold runs on a recycled Builder (see Builder.Ant).
 func (l List) Ant(o List) List {
 	var b Builder
 	b.Load(l)

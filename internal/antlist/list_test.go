@@ -36,15 +36,6 @@ func TestPaperMergeExample(t *testing.T) {
 	}
 }
 
-func TestPaperShiftExample(t *testing.T) {
-	// r({d},{b},{a,c}) = (∅,{d},{b},{a,c})
-	l := mk([]uint32{4}, []uint32{2}, []uint32{1, 3})
-	got := l.Shift()
-	if got.Len() != 4 || len(got.At(0)) != 0 || !got.At(1).Has(4) {
-		t.Fatalf("Shift = %v", got)
-	}
-}
-
 func TestAntBasic(t *testing.T) {
 	// v=1 folds neighbor u=2's list ({2},{3}): gets ({1},{2},{3}).
 	v := Singleton(ident.Plain(1))
@@ -106,21 +97,6 @@ func TestNormalizeDedupEmptiesLayerInPlace(t *testing.T) {
 	got := l.Normalize()
 	if got.Len() != 3 || len(got.At(1)) != 0 || !got.At(2).Has(3) {
 		t.Fatalf("Normalize = %v", got)
-	}
-}
-
-func TestDeleteMarkedExcept(t *testing.T) {
-	l := FromSets(
-		NewSet(ident.Plain(9)),
-		NewSet(ident.Single(1), ident.Plain(2), ident.Double(3)),
-	)
-	got := l.DeleteMarkedExcept(1)
-	if !got.At(1).Has(1) || !got.At(1).Has(2) || got.At(1).Has(3) {
-		t.Fatalf("DeleteMarkedExcept = %v", got)
-	}
-	got2 := l.DeleteMarkedExcept(7)
-	if got2.At(1).Has(1) || got2.At(1).Has(3) || !got2.At(1).Has(2) {
-		t.Fatalf("DeleteMarkedExcept(7) = %v", got2)
 	}
 }
 
@@ -446,16 +422,13 @@ func TestCodecRoundTrip(t *testing.T) {
 		NewSet(ident.Single(2), ident.Plain(3)),
 		NewSet(ident.Double(4)),
 	)
-	buf, err := l.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := l.AppendBinary(nil)
 	if len(buf) != l.EncodedSize() {
 		t.Fatalf("EncodedSize = %d, len = %d", l.EncodedSize(), len(buf))
 	}
-	got, rest, err := DecodeList(buf)
+	got, rest, err := DecodeListInto(buf, List{})
 	if err != nil || len(rest) != 0 {
-		t.Fatalf("DecodeList err=%v rest=%d", err, len(rest))
+		t.Fatalf("DecodeListInto err=%v rest=%d", err, len(rest))
 	}
 	if !got.Equal(l) {
 		t.Fatalf("round trip = %v, want %v", got, l)
@@ -464,15 +437,15 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecRejectsTruncatedAndBadMark(t *testing.T) {
 	l := mk([]uint32{1}, []uint32{2})
-	buf, _ := l.MarshalBinary()
+	buf := l.AppendBinary(nil)
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeList(buf[:cut]); err == nil {
+		if _, _, err := DecodeListInto(buf[:cut], List{}); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	bad := append([]byte(nil), buf...)
 	bad[len(bad)-1] = 7 // mark byte of last entry
-	if _, _, err := DecodeList(bad); err == nil {
+	if _, _, err := DecodeListInto(bad, List{}); err == nil {
 		t.Fatal("bad mark accepted")
 	}
 }
@@ -481,8 +454,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		l := randomList(rr)
-		buf, _ := l.MarshalBinary()
-		got, rest, err := DecodeList(buf)
+		got, rest, err := DecodeListInto(l.AppendBinary(nil), List{})
 		return err == nil && len(rest) == 0 && got.Equal(l)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -571,7 +543,7 @@ func TestEqualZeroPositionForms(t *testing.T) {
 	// A decoded zero-position frame carries offs=[0]; the zero List has no
 	// offs at all. The two must compare equal in both directions (the
 	// receiver-side iteration must not index the other's missing slot).
-	decoded, rest, err := DecodeList([]byte{0, 0})
+	decoded, rest, err := DecodeListInto([]byte{0, 0}, List{})
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v rest=%d", err, len(rest))
 	}

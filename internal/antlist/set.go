@@ -108,21 +108,6 @@ func (s Set) Union(o Set) Set {
 	return out
 }
 
-// SubsetIDs reports whether every ID in s appears in o (marks ignored).
-func (s Set) SubsetIDs(o Set) bool {
-	i, j := 0, 0
-	for i < len(s) {
-		for j < len(o) && o[j].ID < s[i].ID {
-			j++
-		}
-		if j >= len(o) || o[j].ID != s[i].ID {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
 // Clone returns an independent copy of the set.
 func (s Set) Clone() Set {
 	if s == nil {

@@ -78,20 +78,6 @@ func TestSetUnionEmpty(t *testing.T) {
 	}
 }
 
-func TestSetSubsetIDs(t *testing.T) {
-	a := NewSet(ident.Plain(1), ident.Plain(3))
-	b := NewSet(ident.Single(1), ident.Plain(2), ident.Double(3))
-	if !a.SubsetIDs(b) {
-		t.Fatal("a should be subset of b (marks ignored)")
-	}
-	if b.SubsetIDs(a) {
-		t.Fatal("b is not a subset of a")
-	}
-	if !Set(nil).SubsetIDs(a) {
-		t.Fatal("empty set is subset of anything")
-	}
-}
-
 func TestSetFilter(t *testing.T) {
 	s := NewSet(ident.Plain(1), ident.Single(2), ident.Double(3))
 	got := s.Filter(func(e ident.Entry) bool { return !e.Mark.Marked() })

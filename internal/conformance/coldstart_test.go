@@ -22,7 +22,7 @@ type emptyTopology struct{ *engine.SpatialTopology }
 func (emptyTopology) Nodes() []ident.NodeID { return nil }
 
 // soakTrace runs cfg's soak loop (obs.RunSoak's: churn, faults, round,
-// observation) for rounds rounds with every SelfCheck oracle armed, over an
+// observation) for rounds rounds with the SelfCheck oracle armed, over an
 // engine engine.New built in bulk or one built empty and joined node by
 // node. It returns the stats stream, the fingerprint, the registry's
 // deterministic section and how many joiners took a recycled slot.
@@ -44,6 +44,7 @@ func soakTrace(t *testing.T, cfg obs.SoakConfig, rounds int, joined bool) (strea
 	} else {
 		e = engine.New(p, spatial)
 	}
+	e.SetSelfCheck(true)
 	if cfg.Fault != nil {
 		positions := map[ident.NodeID]space.Point{}
 		inj = fault.NewInjector(cfg.Fault, e, fault.Hooks{
@@ -76,7 +77,6 @@ func soakTrace(t *testing.T, cfg obs.SoakConfig, rounds int, joined bool) (strea
 		if inj != nil {
 			inj.Apply(r)
 		}
-		armSelfCheck(e)
 		e.StepRound()
 		if err := enc.Encode(tr.Observe()); err != nil {
 			t.Fatal(err)

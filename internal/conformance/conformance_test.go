@@ -1,10 +1,10 @@
 // Package conformance is the differential test suite pinning the hot-path
 // rewrites (the CSR graph and the allocation-light compute phase) to the
 // retained reference implementations. It drives whole engines over
-// churning walled mobile worlds with every node's SelfCheck oracle armed
-// — each Compute cross-validates the flat-record priority learning and
-// each BuildMessage the record assembly against the verbatim map-based
-// originals (core/reference.go) — while the topology every round is
+// churning walled mobile worlds with the SelfCheck oracle armed on every
+// shard's scratch — each Compute cross-validates the flat-record priority
+// learning and each BuildMessage the record assembly against the verbatim
+// map-based originals (core/reference.go) — while the topology every round is
 // compared against a brute-force rebuild on the map-of-maps reference
 // graph (graph.Ref). Round-by-round records (messages, views,
 // Ω-partitions via obs, metric records via the brute-force snapshot
@@ -53,26 +53,16 @@ func newScenario(workers int, selfCheck bool) *scenario {
 	m := &mobility.Waypoint{Side: 24, SpeedMin: 0.5, SpeedMax: 2, Pause: 1}
 	topo := engine.NewSpatialTopology(w, m, 0.2, ids, rand.New(rand.NewSource(11)))
 	e := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 11, Workers: workers}, topo)
-	s := &scenario{w: w, e: e, churn: rand.New(rand.NewSource(13)), next: 500}
-	if selfCheck {
-		armSelfCheck(e)
-	}
-	return s
+	e.SetSelfCheck(selfCheck)
+	return &scenario{w: w, e: e, churn: rand.New(rand.NewSource(13)), next: 500}
 }
 
 // newTracker attaches the tracker every scenario run observes through;
 // TestBorrowedGraphMatchesHeldSnapshot swaps it.
 var newTracker = obs.NewGroupTracker
 
-// armSelfCheck turns the reference oracle on at every current member.
-func armSelfCheck(e *engine.Engine) {
-	for _, v := range e.Order() {
-		e.Node(v).SelfCheck = true
-	}
-}
-
 // step applies one round of churn and advances one full round.
-func (s *scenario) step(r int, selfCheck bool) {
+func (s *scenario) step(r int) {
 	if r%6 == 2 {
 		order := s.e.Order()
 		v := order[s.churn.Intn(len(order))]
@@ -84,9 +74,6 @@ func (s *scenario) step(r int, selfCheck bool) {
 		s.next++
 		s.w.Place(v, space.Point{X: s.churn.Float64() * 24, Y: s.churn.Float64() * 24})
 		s.e.AddNode(v)
-		if selfCheck {
-			s.e.Node(v).SelfCheck = true
-		}
 	}
 	s.e.StepRound()
 }
@@ -168,14 +155,14 @@ func run(t *testing.T, workers, rounds int, selfCheck bool) []roundRec {
 	tr := newTracker(s.e)
 	recs := make([]roundRec, 0, rounds)
 	for r := 0; r < rounds; r++ {
-		s.step(r, selfCheck)
+		s.step(r)
 		recs = append(recs, record(s.e, tr.Observe()))
 	}
 	return recs
 }
 
-// TestNewPathMatchesReferenceOracle runs the churning scenario with every
-// node's SelfCheck armed: any divergence between the allocation-light
+// TestNewPathMatchesReferenceOracle runs the churning scenario with the
+// engine's SelfCheck armed: any divergence between the allocation-light
 // compute/broadcast paths and the retained map-based reference
 // implementations panics inside the run. The records double as the
 // sequential baseline for the parallel test below.
@@ -218,7 +205,7 @@ func TestSelfCheckIsPureObserver(t *testing.T) {
 func TestGraphMatchesBruteForceReference(t *testing.T) {
 	s := newScenario(1, false)
 	for r := 0; r < 40; r++ {
-		s.step(r, false)
+		s.step(r)
 		g := s.e.SnapshotGraph()
 		ref := graph.NewRef()
 		ids := s.w.Nodes()
@@ -273,9 +260,7 @@ func commuterScenario(workers int, selfCheck bool) *engine.Engine {
 	m := &mobility.Commuter{Side: 33, SpeedMin: 0.5, SpeedMax: 2, Pause: 1, ActiveFraction: 0.08}
 	topo := engine.NewSpatialTopology(w, m, 0.2, ids, rand.New(rand.NewSource(19)))
 	e := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 19, Workers: workers}, topo)
-	if selfCheck {
-		armSelfCheck(e)
-	}
+	e.SetSelfCheck(selfCheck)
 	return e
 }
 
@@ -335,7 +320,7 @@ func TestDeltaGraphMatchesBruteForceReference(t *testing.T) {
 // chaosRun drives the walled churning scenario with the deterministic
 // fault injector armed on top — crash-recovery with corrupted reloads,
 // Byzantine liars, a burst-lossy channel, flapping neighborhoods — and
-// every node's SelfCheck oracle on or off. It pins the acceptance
+// the engine's SelfCheck oracle on or off. It pins the acceptance
 // criterion that phase-aligned injection preserves the seq-vs-parallel
 // equality. Besides the per-round records it returns the flight recorder's
 // final counter block (wake histogram included). A jitteredHold jitters
@@ -365,9 +350,7 @@ func chaosRun(t *testing.T, workers, rounds int, selfCheck bool, jitteredHold ..
 		Workers: workers,
 		Jitter:  len(jitteredHold) > 0,
 	}, topo)
-	if selfCheck {
-		armSelfCheck(e)
-	}
+	e.SetSelfCheck(selfCheck)
 	holds := [2]int{e.P.Tc, e.P.Tc}
 	for i, h := range jitteredHold {
 		if h >= 0 {
@@ -391,9 +374,6 @@ func chaosRun(t *testing.T, workers, rounds int, selfCheck bool, jitteredHold ..
 	recs := make([]roundRec, 0, rounds)
 	for r := 1; r <= rounds; r++ {
 		inj.Apply(r)
-		if selfCheck {
-			armSelfCheck(e) // rejoined nodes come back with fresh cores
-		}
 		e.StepRound()
 		recs = append(recs, record(e, tr.Observe()))
 	}
@@ -506,7 +486,7 @@ func TestDeltaGraphSeqAndParallelBitIdentical(t *testing.T) {
 func TestFingerprintIsFoldOfFmtLines(t *testing.T) {
 	s := newScenario(1, false)
 	for r := 0; r < 12; r++ {
-		s.step(r, false)
+		s.step(r)
 	}
 	fold := fnv.New64a()
 	for _, v := range s.e.Order() { // ascending

@@ -18,7 +18,7 @@ import (
 func registryCounters(workers, rounds int) map[string]uint64 {
 	s := newScenario(workers, false)
 	for r := 0; r < rounds; r++ {
-		s.step(r, false)
+		s.step(r)
 	}
 	return s.e.Introspect().Snapshot().Counters
 }

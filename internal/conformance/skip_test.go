@@ -37,7 +37,7 @@ func runMode(t *testing.T, workers, rounds int, m computeMode) (recs []roundRec,
 	s.e.SetSkipMode(m.eager, m.disableMemo)
 	tr := obs.NewGroupTracker(s.e)
 	for r := 0; r < rounds; r++ {
-		s.step(r, false)
+		s.step(r)
 		recs = append(recs, record(s.e, tr.Observe()))
 	}
 	ran, skipped, memo = computeCounters(s.e)

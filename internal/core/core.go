@@ -27,7 +27,7 @@
 // view, quarantine, priority caches); whoever runs the compute holds the
 // scratch; nothing reachable from an emitted Message is written while a
 // receiver holds it (see BuildMessage). The pre-rewrite map-based paths are
-// retained in reference.go as a differential oracle (see SelfCheck).
+// retained in reference.go as a differential oracle (see Scratch.SelfCheck).
 package core
 
 import (
@@ -178,24 +178,11 @@ func containsID(ids []ident.NodeID, id ident.NodeID) bool {
 }
 
 // Node is the GRP state of one network node — state only: the working
-// memory a compute needs lives in a Scratch the node merely points to.
+// memory a compute needs, and the switch that runs it under the reference
+// oracle, live in a Scratch the node merely points to.
 type Node struct {
 	cfg Config
 	id  ident.NodeID
-
-	// Tracer, when non-nil, receives a line per protocol decision
-	// (list checks, rejections, contests). Intended for debugging and
-	// the simulator's verbose mode; nil costs nothing (call sites are
-	// guarded, so the variadic arguments are never even boxed).
-	Tracer func(format string, args ...interface{})
-
-	// SelfCheck, when true, cross-validates every Compute and
-	// BuildMessage against the retained pre-rewrite reference
-	// implementations (reference.go) and panics on any divergence, and
-	// scribbles over the scratch after every use so that a read of
-	// another compute's leftovers diverges too. The conformance suite runs
-	// whole engines with it on; production paths pay a single branch.
-	SelfCheck bool
 
 	list antlist.List
 	// view and quar are group-sized and consulted constantly, so they are
@@ -240,11 +227,18 @@ type Node struct {
 // round's checked senders and heard quarantines, the buffers the new view,
 // quarantine and priority tables are built in before being compared with
 // the node's own, and InboxReadDigest's tracked-ID set. Nothing in a
-// Scratch is read before it is written within one call, so it carries no
-// state between computes and nodes that never compute at the same time may
-// share one: records hold state, the worker holds scratch. The zero value
-// is ready to use.
+// Scratch but its SelfCheck switch is read before it is written within one
+// call, so it carries no state between computes and nodes that never
+// compute at the same time may share one: records hold state, the worker
+// holds scratch. The zero value is ready to use.
 type Scratch struct {
+	// SelfCheck, when true, cross-validates every Compute and BuildMessage
+	// of a node working here against the retained pre-rewrite reference
+	// implementations (reference.go), panicking on any divergence, and
+	// scribbles over the scratch after every use so that a read of another
+	// compute's leftovers diverges too. The conformance suite arms whole
+	// engines (Engine.SetSelfCheck); production paths pay a single branch.
+	SelfCheck bool
 	// Lists is where a changed list is committed (ComputeIn, LoadState): a
 	// driver that knows when a replaced list is dead sets Lists.Take.
 	Lists   antlist.Store
@@ -623,7 +617,7 @@ func (n *Node) InboxReadDigest() uint64 {
 	for _, in := range n.sortedInbox(s) {
 		h = digMix(h, in.msg.MaskedDigest(n.id, inRead, n.rejectedUntil(in.msg.From) != 0))
 	}
-	if n.SelfCheck {
+	if s.SelfCheck {
 		s.scribble()
 	}
 	return h
@@ -859,7 +853,7 @@ func (n *Node) BuildMessageIn(recs []PrioRec) Message {
 		Recs:      recs,
 		GroupPrio: n.group,
 	}
-	if n.SelfCheck {
+	if n.scr != nil && n.scr.SelfCheck {
 		n.checkRefMessage(m)
 	}
 	return m
@@ -981,25 +975,16 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 			// Boundary memory: the sender was recently rejected as
 			// incompatible; hold the boundary while views consolidate.
 			lu = b.Singleton(ident.Double(u))
-			if n.Tracer != nil {
-				n.trace("hold %v until c%d", u, n.rejectedUntil(u))
-			}
 		case !n.goodList(u, lu):
 			// Line 4: the list is ignored but the sender is kept
 			// (single mark: asymmetric / unconfirmed link). Not evidence
 			// of incompatibility: the streak is left alone.
 			lu = b.Singleton(ident.Single(u))
-			if n.Tracer != nil {
-				n.trace("notgood %v: %v", u, msg.List)
-			}
 		case !n.inView(u):
 			qsafe, ok := n.safePrefix(u, b.View(), lu)
 			if !ok || qsafe < foreignDepth(n, lu) {
 				// Line 7: u is denoted as an incompatible neighbor
 				// (after the debounce; see escalate).
-				if n.Tracer != nil {
-					n.trace("incompat %v: cleaned=%v partial=%v list=%v", u, lu, b.View(), n.list)
-				}
 				lu = n.escalate(b, u)
 			} else {
 				n.setStreak(u, 0)
@@ -1027,15 +1012,9 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 					if pos, _ := incs[i].list.Position(w.ID); pos == dmax {
 						// Line 19: the neighbor that provided w is
 						// ignored (after the debounce; see escalate).
-						u := incs[i].msg.From
-						incs[i].list = n.escalate(b, u)
-						if n.Tracer != nil {
-							n.trace("contest lost to %v: drop provider %v (streak %d)", w.ID, u, n.streakOf(u))
-						}
+						incs[i].list = n.escalate(b, incs[i].msg.From)
 					}
 				}
-			} else if n.Tracer != nil {
-				n.trace("contest won against %v: truncate", w.ID)
 			}
 		}
 		newList = n.fold(b, incs)
@@ -1045,11 +1024,11 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 
 	// Learn priorities for the nodes we now track.
 	var refPrios, refGprs map[ident.NodeID]priority.P
-	if n.SelfCheck {
+	if s.SelfCheck {
 		refPrios, refGprs = precMap(n.prios), precMap(n.gprs)
 	}
 	priosSame, gprsSame := n.learnPriorities(s, newList, incs)
-	if n.SelfCheck {
+	if s.SelfCheck {
 		n.checkRefLearnPriorities(newList, incs, refPrios, refGprs)
 	}
 
@@ -1254,7 +1233,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 			n.quiet = QuietLonely
 		}
 	}
-	if n.SelfCheck {
+	if s.SelfCheck {
 		s.scribble()
 	}
 }
@@ -1336,15 +1315,6 @@ func foreignDepth(n *Node, lu antlist.List) int {
 		}
 	}
 	return q
-}
-
-// trace emits a debugging line when a Tracer is installed. Hot-path call
-// sites guard on Tracer != nil themselves so the variadic arguments are
-// not boxed on the (overwhelmingly common) disabled path.
-func (n *Node) trace(format string, args ...interface{}) {
-	if n.Tracer != nil {
-		n.Tracer(format, args...)
-	}
 }
 
 // reject records a double-mark decision against sender u in the boundary

@@ -44,10 +44,10 @@ func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 			return // malformed frame: rejected before the protocol sees it
 		}
 		n := core.NewNode(1, core.Config{Dmax: 3})
-		n.SelfCheck = true // cross-validate against the reference oracle
-		// n commits its lists into dirty storage, as an engine's pool hands
-		// it out; a twin that allocates them must reach the same state.
-		var scr core.Scratch
+		// n cross-validates against the reference oracle, and commits its
+		// lists into dirty storage, as an engine's pool hands it out; a twin
+		// that allocates them must reach the same state.
+		scr := core.Scratch{SelfCheck: true}
 		var offered []ident.Entry
 		scr.Lists.Take = func(need int) []ident.Entry {
 			offered = make([]ident.Entry, max(0, need+int(spare%4)-1))

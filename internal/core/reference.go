@@ -3,7 +3,7 @@ package core
 // The build-internal reference implementations: the map-based
 // BuildMessage and learnPriorities paths this package used before the
 // allocation-light rewrite, retained verbatim as a differential oracle.
-// When Node.SelfCheck is set, every BuildMessage and every Compute
+// When a node's Scratch.SelfCheck is set, every BuildMessage and Compute
 // cross-validates the new flat-record path against these and panics on
 // the first divergence — the conformance suite (internal/conformance)
 // runs whole churning engines in this mode. Nothing here is reachable

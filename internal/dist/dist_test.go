@@ -118,8 +118,8 @@ func TestLoopbackConformance(t *testing.T) {
 }
 
 // runArmed is RunLoopback over shards built through newShard's seam:
-// compute timers jittered or not, every owned node's SelfCheck oracle armed
-// or not (armed, a retired ghost's storage is poisoned like a retired
+// compute timers jittered or not, each shard's engine under the SelfCheck
+// oracle or not (armed, a retired ghost's storage is poisoned like a retired
 // broadcast's), and the ticks retired storage sits out of the engines'
 // pools forced to hold (negative: Tc). It returns the lead's result and
 // stream, or what a shard panicked with.
@@ -143,9 +143,7 @@ func runArmed(soak obs.SoakConfig, shards int, jitter, selfCheck bool, hold int)
 			if err != nil {
 				panic(err)
 			}
-			for _, v := range sh.Owned {
-				sh.E.Node(v).SelfCheck = selfCheck
-			}
+			sh.E.SetSelfCheck(selfCheck)
 			if hold >= 0 {
 				sh.E.SetRecsHold(hold, hold)
 			}

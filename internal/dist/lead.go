@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -187,8 +186,6 @@ type leadSource struct {
 	computed [shard.N][]int32
 	msgs     []uint64 // cumulative, per contributing shard
 	delivs   []uint64
-
-	snap metrics.SnapshotBuilder
 }
 
 func newLeadSource(sh *Shard) *leadSource {
@@ -251,16 +248,11 @@ func (ls *leadSource) DrainDirty(fn func([shard.N][]int32, []ident.NodeID, []eng
 	}
 }
 
-// LiveGraph restricts the lead's replicated full-world graph to the
-// (fixed) global membership — the same restriction the single-process
-// engine serves, and like it the identity: the replicated graph itself,
-// borrowed for the Observe. The liveGen is constant because membership
-// never changes in a distributed run.
-func (ls *leadSource) LiveGraph() *graph.G {
-	return ls.snap.Live(ls.sh.Topo.Graph(), 1, func(v ident.NodeID) bool {
-		return ls.roster.SlotOf(v) >= 0
-	})
-}
+// LiveGraph is the lead's replicated full-world graph itself, borrowed for
+// the Observe: membership in a distributed run is fixed and equal to the
+// world's node set, so the restriction the single-process engine serves is
+// the identity here.
+func (ls *leadSource) LiveGraph() *graph.G { return ls.sh.Topo.Graph() }
 
 func (ls *leadSource) TrafficTotals() (msgs, delivs int) {
 	var m, d uint64

@@ -358,9 +358,6 @@ func (sh *Shard) routeBoundary(txs []radio.Tx) {
 func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 	sh.ext = sh.ext[:0]
 	var bytesIn, ghostUpd uint64
-	// The oracle is armed on a whole population or not at all: the first
-	// owned node speaks for the receivers of every ghost.
-	poison := len(sh.Owned) > 0 && sh.E.Node(sh.Owned[0]).SelfCheck
 	for p := 0; p < sh.N; p++ {
 		if p == sh.Index || len(in[p]) == 0 {
 			continue
@@ -394,7 +391,7 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 					sh.ghosts[ent.Sender] = g
 				}
 				g.gen, g.ver = ent.Gen, ent.Ver
-				sh.E.PublishForeign(ent.Sender, &g.msg, m, poison)
+				sh.E.PublishForeign(ent.Sender, &g.msg, m)
 				ghostUpd++
 			} else if g == nil || g.gen != ent.Gen || g.ver != ent.Ver {
 				return nil, fmt.Errorf("dist: shard %d: elided entry for %d from %d without a matching ghost",

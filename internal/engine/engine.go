@@ -170,15 +170,14 @@ type fifo[T any] struct {
 }
 
 type retired[T any] struct {
-	buf    []T
-	tick   int
-	poison bool // retired by a node under SelfCheck
+	buf  []T
+	tick int
 }
 
-func (p *pool[T]) retire(buf []T, tick int, poison bool) {
+func (p *pool[T]) retire(buf []T, tick int) {
 	if c := cap(buf); c > 0 {
 		p.byCap = append(p.byCap, make([]fifo[T], max(0, c+1-len(p.byCap)))...)
-		p.byCap[c].q = append(p.byCap[c].q, retired[T]{buf, tick, poison})
+		p.byCap[c].q = append(p.byCap[c].q, retired[T]{buf, tick})
 	}
 }
 
@@ -193,9 +192,9 @@ func (p *pool[T]) take(need, ripe int) []T {
 	return nil
 }
 
-// sweep ends a tick's build: what was retired at ripe is poisoned if its
-// node asked; what was retired by stale is dropped, and so is the array of
-// a queue empty for longer than that took.
+// sweep ends a tick's build: what was retired at ripe is poisoned if poison
+// is set (the shard runs under the oracle); what was retired by stale is
+// dropped, and so is the array of a queue empty for longer than that took.
 func (p *pool[T]) sweep(ripe, stale int, poison func([]T)) {
 	for c := range p.byCap {
 		f, n := &p.byCap[c], 0
@@ -203,7 +202,7 @@ func (p *pool[T]) sweep(ripe, stale int, poison func([]T)) {
 			if r.tick <= stale {
 				continue
 			}
-			if r.tick == ripe && r.poison {
+			if r.tick == ripe && poison != nil {
 				poison(r.buf)
 			}
 			f.q[n] = r
@@ -221,15 +220,37 @@ func (p *pool[T]) sweep(ripe, stale int, poison func([]T)) {
 // retire gives a replaced broadcast's storage to the pools: its records,
 // and its list's entries iff the commit moved the list to cur (Publish
 // returns prev itself on equal content, and then they live on).
-func (sc *shardScratch) retire(old *core.Message, cur antlist.List, tick int, poison bool) {
-	sc.recs.retire(old.Recs, tick, poison)
+func (sc *shardScratch) retire(old *core.Message, cur antlist.List, tick int) {
+	sc.recs.retire(old.Recs, tick)
 	if was, now := old.List.Entries(), cur.Entries(); cap(was) > 0 && (cap(now) == 0 || &was[:1][0] != &now[:1][0]) {
-		sc.ents.retire(was, tick, poison)
+		sc.ents.retire(was, tick)
 	}
+}
+
+// sweep ends the shard's build tick on both pools; under the shard's
+// SelfCheck what becomes takeable is poisoned.
+func (sc *shardScratch) sweep(e *Engine) {
+	var poisonRecs func([]core.PrioRec)
+	var poisonEnts func([]ident.Entry)
+	if sc.core.SelfCheck {
+		poisonRecs, poisonEnts = core.PoisonRecs, core.PoisonEntries
+	}
+	sc.recs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-e.P.Tc, poisonRecs)
+	sc.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-e.P.Tc, poisonEnts)
 }
 
 // SetRecsHold is a test seam: conformance shows either hold below Tc is caught.
 func (e *Engine) SetRecsHold(recs, ents int) { e.recsHold, e.entsHold = recs, ents }
+
+// SetSelfCheck is a test seam, to be called before the first tick: it arms
+// (or disarms) the reference oracle on every shard's scratch, so every node
+// that computes or builds here — joiners and rejoiners included — runs
+// under it, and the shard's pools poison what they hand out again.
+func (e *Engine) SetSelfCheck(on bool) {
+	for s := range e.scratch {
+		e.scratch[s].core.SelfCheck = on
+	}
+}
 
 // SetSkipMode is a test seam, to be called before the first tick: eager
 // runs every due node's full Compute even where the skip is licensed, and
@@ -431,7 +452,7 @@ type Engine struct {
 	recvMem   uint64
 	recvEpoch uint64
 
-	snap metrics.SnapshotBuilder
+	snap snapshotBuilder
 
 	// Dirty-node reporting for incremental observers (obs.GroupTracker):
 	// while enabled, the compute phase appends the slot of every node
@@ -966,7 +987,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			if rec.cm.ver != rec.n.Version() {
 				builds++
 				m := rec.n.BuildMessageIn(sc.recs.take(rec.n.RecsNeeded(), e.tick-e.recsHold))
-				sc.retire(&rec.cm.m, m.List, e.tick, rec.n.SelfCheck)
+				sc.retire(&rec.cm.m, m.List, e.tick)
 				rec.cm = cachedMsg{m: m, size: m.EncodedSize(), ver: rec.n.Version()}
 			} else {
 				cacheHits++
@@ -974,8 +995,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
 			sc.bytes += rec.cm.size
 		}
-		sc.recs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-e.P.Tc, core.PoisonRecs)
-		sc.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-e.P.Tc, core.PoisonEntries)
+		sc.sweep(e)
 		lane := e.reg.Shard(s)
 		lane.Add(introspect.CtrMsgBuilds, builds)
 		lane.Add(introspect.CtrMsgCacheHits, cacheHits)
@@ -1033,10 +1053,10 @@ func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, 
 // interned, an unchanged list shared with cur's), what it replaces retires
 // to them, and so one rule holds for both — receivers alias a delivered
 // broadcast until their next compute, hence storage sits out Tc ticks
-// (SetRecsHold) and is poisoned, if poison is set, in the tick it may be
+// (SetRecsHold) and is poisoned, under SetSelfCheck, in the tick it may be
 // taken again. To be called between BuildPhase and FinishTick; *cur may
 // then be delivered through ExternalDelivery.Msg.
-func (e *Engine) PublishForeign(v ident.NodeID, cur *core.Message, m core.Message, poison bool) {
+func (e *Engine) PublishForeign(v ident.NodeID, cur *core.Message, m core.Message) {
 	sc := &e.scratch[shard.Of(v)]
 	recs := sc.recs.take(len(m.Recs), e.tick-e.recsHold)
 	if cap(recs) < len(m.Recs) {
@@ -1044,7 +1064,7 @@ func (e *Engine) PublishForeign(v ident.NodeID, cur *core.Message, m core.Messag
 	}
 	m.Recs = append(recs[:0], m.Recs...)
 	m.List = m.List.Publish(cur.List, &sc.core.Lists)
-	sc.retire(cur, m.List, e.tick, poison)
+	sc.retire(cur, m.List, e.tick)
 	*cur = m
 }
 
@@ -1430,7 +1450,7 @@ func (e *Engine) StepRound() { e.StepTicks(e.P.Tc) }
 // Snapshot captures the current configuration for the metrics predicates.
 // Only live protocol nodes contribute views. The view maps are fresh on
 // every call (snapshots are routinely held across rounds); the restricted
-// topology graph comes from metrics.SnapshotBuilder — the cached pointer
+// topology graph comes from snapshotBuilder — the cached pointer
 // while neither topology nor membership changed, otherwise a copy-on-write
 // sibling of the topology's graph (every node live) or a copy of the
 // induced subgraph.
@@ -1454,7 +1474,7 @@ func (e *Engine) SnapshotGraph() *graph.G {
 }
 
 // LiveGraph is SnapshotGraph for a reader that is done with the graph
-// before the next tick (the tracker's Observe): see SnapshotBuilder.Live.
+// before the next tick (the tracker's Observe): see snapshotBuilder.Live.
 func (e *Engine) LiveGraph() *graph.G {
 	return e.snap.Live(e.Topo.Graph(), e.memberGen, e.order.Has)
 }

@@ -89,10 +89,6 @@ func (r *Roster) SlotOf(v ident.NodeID) int32 {
 	return NoSlot
 }
 
-// IDAt returns the member occupying slot s, or ident.None when the slot
-// is free. s must be < SlotCap.
-func (r *Roster) IDAt(s int32) ident.NodeID { return r.bySlot[s] }
-
 // SlotCap returns the slot table size: every live slot is < SlotCap, so
 // it is the length consumers size their slot-indexed arrays to.
 func (r *Roster) SlotCap() int { return len(r.bySlot) }

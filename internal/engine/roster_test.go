@@ -51,7 +51,7 @@ func TestRosterSlotLifecycle(t *testing.T) {
 		t.Fatalf("re-Add(10) = (%d, %v), want recycled slot 0", s, fresh)
 	}
 	for _, v := range r.IDs() {
-		if r.IDAt(r.SlotOf(v)) != v {
+		if r.bySlot[r.SlotOf(v)] != v {
 			t.Fatalf("slot table inconsistent for %d", v)
 		}
 	}
@@ -118,13 +118,13 @@ func TestRosterChurnStorm(t *testing.T) {
 				t.Fatalf("%s: %d in ids but not live", op, v)
 			}
 			s := r.SlotOf(v)
-			if s < 0 || int(s) >= r.SlotCap() || r.IDAt(s) != v {
+			if s < 0 || int(s) >= r.SlotCap() || r.bySlot[s] != v {
 				t.Fatalf("%s: slot round-trip broken for %d (slot %d)", op, v, s)
 			}
 		}
 		freeCnt := 0
 		for s := int32(0); int(s) < r.SlotCap(); s++ {
-			if r.IDAt(s) == ident.None {
+			if r.bySlot[s] == ident.None {
 				freeCnt++
 			}
 		}
@@ -259,7 +259,7 @@ func FuzzRosterVsMapOracle(f *testing.F) {
 			if i > 0 && ids[i-1] >= v {
 				t.Fatal("ids not strictly ascending")
 			}
-			if r.SlotOf(v) != oracle[v] || r.IDAt(oracle[v]) != v {
+			if r.SlotOf(v) != oracle[v] || r.bySlot[oracle[v]] != v {
 				t.Fatalf("lookup mismatch for %d", v)
 			}
 		}

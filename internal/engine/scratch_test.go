@@ -15,6 +15,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/introspect"
 	"repro/internal/mobility"
+	"repro/internal/shard"
 	"repro/internal/space"
 )
 
@@ -203,14 +204,14 @@ func TestPoolTakeWindow(t *testing.T) {
 	} {
 		var p pool[int]
 		for i, n := range c.caps {
-			p.retire(make([]int, 0, n), i+1, false)
+			p.retire(make([]int, 0, n), i+1)
 		}
 		if got := cap(p.take(c.need, c.ripe)); got != c.want {
 			t.Errorf("%s: take(%d, ripe %d) of %v handed out capacity %d, want %d", c.name, c.need, c.ripe, c.caps, got, c.want)
 		}
 	}
 	var p pool[int]
-	p.retire(make([]int, 0, 5), 1, false)
+	p.retire(make([]int, 0, 5), 1)
 	if a, b := p.take(5, 1), p.take(5, 1); a == nil || b != nil {
 		t.Errorf("one retired buffer was handed out %v then %v, want once", a != nil, b != nil)
 	}
@@ -270,6 +271,102 @@ func TestRetirementFollowsListIdentity(t *testing.T) {
 	}
 	if !moved || e.Node(3).List().Len() < 2 {
 		t.Fatalf("no moved list was retired (%v) or 3 never folded the ghost in (%v) — the check is vacuous", moved, e.Node(3))
+	}
+}
+
+// poisoned reports whether buf starts with what poison writes.
+func poisoned[T comparable](buf []T, poison func([]T)) bool {
+	want := make([]T, 1)
+	poison(want)
+	return buf[:1][0] == want[0]
+}
+
+// TestSetSelfCheckPoisonsRetiredBroadcasts pins the one oracle switch: with
+// SetSelfCheck(true) called before the run, every shard poisons a replaced
+// broadcast's records, and its list's entries when the commit moved them,
+// in the tick its pool may hand them out again (Tc after the replacement)
+// and not a tick sooner — a node added mid-run included, which nobody arms
+// by hand. With SetSelfCheck(false) nothing is poisoned.
+func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
+	type retiredBuf struct {
+		owner ident.NodeID
+		tick  int
+		recs  []core.PrioRec
+		ents  []ident.Entry // nil when the commit kept the list's storage
+	}
+	for _, armed := range []bool{true, false} {
+		const n, joiner = 40, ident.NodeID(41)
+		on, off := graph.New(), graph.New()
+		for v := ident.NodeID(1); v <= n; v++ {
+			on.AddNode(v)
+			off.AddNode(v)
+			if v%2 == 0 {
+				on.AddEdge(v-1, v)
+			}
+		}
+		p := Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}
+		p.normalize()
+		e := New(p, &blinkTopo{on: on, off: off, period: 2 * p.Tc})
+		e.SetSelfCheck(armed)
+		last := map[ident.NodeID]cachedMsg{}
+		var pending []retiredBuf
+		var checked, joiners [2]int // records, entries
+		for e.tick < 40*p.Tc {
+			if e.tick == 10*p.Tc { // it blinks with node 1: its list moves too
+				on.AddNode(joiner)
+				off.AddNode(joiner)
+				on.AddEdge(1, joiner)
+				e.AddNode(joiner)
+			}
+			e.AdvancePhase()
+			e.BuildPhase()
+			for _, v := range e.Order() {
+				cm := e.recs[e.SlotOf(v)].cm
+				if prev, ok := last[v]; ok && prev.ver != cm.ver && prev.ver != ^uint64(0) {
+					r := retiredBuf{owner: v, tick: e.tick, recs: prev.m.Recs}
+					if was, now := prev.m.List.Entries(), cm.m.List.Entries(); cap(was) > 0 && (cap(now) == 0 || &was[:1][0] != &now[:1][0]) {
+						r.ents = was
+					}
+					pending = append(pending, r)
+				}
+				last[v] = cm
+			}
+			kept := pending[:0]
+			for _, r := range pending {
+				sc := &e.scratch[shard.Of(r.owner)]
+				switch e.tick - r.tick {
+				case p.Tc - 1: // receivers may still read it
+					if poisoned(r.recs, core.PoisonRecs) || r.ents != nil && poisoned(r.ents, core.PoisonEntries) {
+						t.Fatalf("armed=%v tick %d: %v's broadcast replaced at %d poisoned before it is takeable", armed, e.tick, r.owner, r.tick)
+					}
+				case p.Tc: // takeable since this tick's sweep, if nobody took it
+					if offers(&sc.recs, &r.recs[:1][0]) {
+						if poisoned(r.recs, core.PoisonRecs) != armed {
+							t.Fatalf("armed=%v tick %d: %v's retired records poisoned=%v", armed, e.tick, r.owner, !armed)
+						}
+						if checked[0]++; r.owner == joiner {
+							joiners[0]++
+						}
+					}
+					if r.ents != nil && offers(&sc.ents, &r.ents[:1][0]) {
+						if poisoned(r.ents, core.PoisonEntries) != armed {
+							t.Fatalf("armed=%v tick %d: %v's retired entries poisoned=%v", armed, e.tick, r.owner, !armed)
+						}
+						if checked[1]++; r.owner == joiner {
+							joiners[1]++
+						}
+					}
+				}
+				if e.tick-r.tick < p.Tc {
+					kept = append(kept, r)
+				}
+			}
+			pending = kept
+			e.FinishTick(nil)
+		}
+		if checked[0] == 0 || checked[1] == 0 || joiners[0] == 0 || joiners[1] == 0 {
+			t.Fatalf("armed=%v: checked %v retired buffers, %v of the joiner's — the check is vacuous", armed, checked, joiners)
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
-package metrics
+package engine
 
 import (
 	"repro/internal/graph"
 	"repro/internal/ident"
 )
 
-// SnapshotBuilder maintains the topology half of a Snapshot: the source
+// snapshotBuilder maintains the topology half of a Snapshot: the source
 // graph restricted to the live nodes (graph.G.Restrict).
 //
 //   - Every node of src live — the soak path, where world and engine
@@ -27,7 +27,7 @@ import (
 // privatizes src's storage first instead of writing through the sibling.
 // Graph sets src's sharing flags (see Restrict), so it belongs between
 // rounds, never beside a phase that reads src concurrently.
-type SnapshotBuilder struct {
+type snapshotBuilder struct {
 	src     *graph.G
 	srcGen  uint64
 	liveGen uint64
@@ -38,7 +38,7 @@ type SnapshotBuilder struct {
 // from the cache when neither src nor the membership (keyed by liveGen, a
 // counter the caller bumps on every add/remove) changed since the last
 // call.
-func (b *SnapshotBuilder) Graph(src *graph.G, liveGen uint64, live func(ident.NodeID) bool) *graph.G {
+func (b *snapshotBuilder) Graph(src *graph.G, liveGen uint64, live func(ident.NodeID) bool) *graph.G {
 	if b.cached != nil && b.src == src && b.srcGen == src.Generation() && b.liveGen == liveGen {
 		return b.cached
 	}
@@ -53,7 +53,7 @@ func (b *SnapshotBuilder) Graph(src *graph.G, liveGen uint64, live func(ident.No
 // owner next advances or mutates it: src itself, borrowed, when every node
 // of it is live — no sibling to pin src's row header or to make the next
 // graph.ApplyDelta copy it — and Graph's restricted copy otherwise.
-func (b *SnapshotBuilder) Live(src *graph.G, liveGen uint64, live func(ident.NodeID) bool) *graph.G {
+func (b *snapshotBuilder) Live(src *graph.G, liveGen uint64, live func(ident.NodeID) bool) *graph.G {
 	if src.All(live) {
 		return src
 	}

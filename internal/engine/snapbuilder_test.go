@@ -1,4 +1,4 @@
-package metrics
+package engine
 
 import (
 	"runtime"
@@ -16,7 +16,7 @@ func TestSnapshotGraphAllLiveIsZeroCopy(t *testing.T) {
 	const n = 2000
 	srcs := [2]*graph.G{graph.Grid(n/50, 50), graph.Grid(n/50, 50)}
 	live := func(ident.NodeID) bool { return true }
-	var b SnapshotBuilder
+	var b snapshotBuilder
 	call := 0
 	step := func() {
 		src := srcs[call%2]
@@ -45,7 +45,7 @@ func TestSnapshotGraphAllLiveIsZeroCopy(t *testing.T) {
 // the identity restriction, and Graph's copy otherwise.
 func TestLiveBorrowsWhenEveryNodeIsLive(t *testing.T) {
 	src := graph.ApplyDelta(graph.Line(6), nil)
-	var b SnapshotBuilder
+	var b snapshotBuilder
 	if got := b.Live(src, 1, func(ident.NodeID) bool { return true }); got != src {
 		t.Fatal("every node live: Live must serve src itself")
 	}

@@ -34,17 +34,8 @@ func (w *deltaWorld) key(u, v ident.NodeID) [2]ident.NodeID {
 
 func (w *deltaWorld) set(u, v ident.NodeID, on bool) { w.edge[w.key(u, v)] = on }
 
-func (w *deltaWorld) edges() []Edge {
-	var out []Edge
-	for k, on := range w.edge {
-		if on {
-			out = append(out, Edge{U: k[0], V: k[1]})
-		}
-	}
-	return out
-}
-
-func (w *deltaWorld) build() *G { return FromEdges(w.nodes, w.edges()) }
+// build is the packed graph of the table, through FromRows.
+func (w *deltaWorld) build() *G { return FromRows(nil, w.nodes, w.updatesFor(w.nodes)) }
 
 // adjOf derives u's full ascending adjacency from the table.
 func (w *deltaWorld) adjOf(u ident.NodeID) []ident.NodeID {
@@ -250,7 +241,7 @@ func TestApplyDeltaPanicsOnViolations(t *testing.T) {
 }
 
 // FuzzApplyDelta drives random base graphs and random consistent dirty-set
-// updates and requires the patched CSR to equal a from-scratch FromEdges
+// updates and requires the patched CSR to equal a from-scratch FromRows
 // build of the mutated edge table — rows, edge counts, and the
 // untouchability of prev included. Two bits of churn choose how prev is
 // held: 0x80 unpacks and retires it, so the child may take its row header

@@ -70,11 +70,7 @@ func TestSelfLoopRejectedEverywhere(t *testing.T) {
 	if g.HasNode(3) || g.NumEdges() != 0 {
 		t.Fatalf("self-loop created state: %s", g)
 	}
-	// Bulk construction drops self-loops too.
-	fe := FromEdges([]ident.NodeID{1, 2}, []Edge{{U: 1, V: 1}, {U: 1, V: 2}, {U: 2, V: 2}})
-	if fe.NumEdges() != 1 || fe.HasEdge(1, 1) || fe.HasEdge(2, 2) {
-		t.Fatalf("FromEdges kept self-loops: %s", fe)
-	}
+	// Bulk construction refuses one outright (TestFromRowsPanicsOnViolations).
 }
 
 func TestQueriesOnUnknownNode(t *testing.T) {
@@ -162,11 +158,14 @@ func TestRemoveNodeRelabelsSlots(t *testing.T) {
 	}
 }
 
-// TestFromEdgesArenaGrowth pins the arena-aliasing contract: growing an
+// TestFromRowsArenaGrowth pins the arena-aliasing contract: growing an
 // adjacency of a bulk-built graph via AddEdge must not clobber the next
 // node's segment.
-func TestFromEdgesArenaGrowth(t *testing.T) {
-	g := FromEdges([]ident.NodeID{1, 2, 3, 4}, []Edge{{U: 1, V: 2}, {U: 3, V: 4}})
+func TestFromRowsArenaGrowth(t *testing.T) {
+	w := newDeltaWorld(4)
+	w.set(1, 2, true)
+	w.set(3, 4, true)
+	g := w.build()
 	g.AddEdge(1, 3) // grows node 1's and node 3's segments
 	g.AddEdge(1, 4)
 	want := map[ident.NodeID][]ident.NodeID{

@@ -111,30 +111,45 @@ func (g *Ref) clone() *Ref {
 	return out
 }
 
-// FuzzCSRFromEdges decodes an arbitrary edge list (self-loops and
-// duplicates included) from the fuzz input, bulk-builds the CSR graph,
-// and asserts it matches the reference built edge by edge — construction
+// FuzzCSRFromRows decodes an arbitrary edge list (self-loops and
+// duplicates included) from the fuzz input into the reference, bulk-builds
+// the CSR graph from the reference's rows — the roster in first-seen order,
+// the rows in reverse — and asserts it matches the reference: construction
 // and neighbor iteration both.
-func FuzzCSRFromEdges(f *testing.F) {
+func FuzzCSRFromRows(f *testing.F) {
 	f.Add([]byte{0x12, 0x23, 0x31, 0x11, 0x23, 0x23})
 	f.Add([]byte{0xab, 0xbc, 0xcd, 0xde, 0xea})
 	f.Add([]byte{0x11, 0x22, 0x33})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var nodes []ident.NodeID
-		var edges []Edge
 		ref := NewRef()
+		add := func(v ident.NodeID) {
+			if !ref.HasNode(v) {
+				nodes = append(nodes, v)
+				ref.AddNode(v)
+			}
+		}
 		for i, x := range data {
 			u := ident.NodeID(x>>4) + 1
 			v := ident.NodeID(x&0xf) + 1
 			if i%3 == 0 {
-				nodes = append(nodes, u)
-				ref.AddNode(u)
+				add(u)
 			}
-			edges = append(edges, Edge{U: u, V: v})
-			ref.AddEdge(u, v)
+			if u != v {
+				add(u)
+				add(v)
+				ref.AddEdge(u, v)
+			}
 		}
-		g := FromEdges(nodes, edges)
+		rows := make([]NodeAdj, 0, len(nodes))
+		for i := len(nodes) - 1; i >= 0; i-- {
+			rows = append(rows, NodeAdj{Node: nodes[i], Adj: ref.Neighbors(nodes[i])})
+		}
+		g := FromRows(nil, nodes, rows)
 		checkSame(t, g, ref)
+		if !slices.Equal(g.nodes, nodes) {
+			t.Fatalf("slots follow %v, not the roster %v", g.nodes, nodes)
+		}
 		// The shared-index rebuild from g's own rows must agree too.
 		roster := g.Nodes()
 		g2 := FromRows(g, slices.Clone(g.nodes), rowsOf(g))

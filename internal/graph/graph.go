@@ -5,8 +5,8 @@
 //
 // Storage is CSR: a node-index map plus one ascending neighbor row per
 // node, in one of two forms read through row(i). A bulk-built graph
-// (FromRows — the spatial index's per-tick rebuild — FromEdges, Clone, a
-// partial Restrict) is packed: n+1 offsets over one arena, no per-row
+// (FromRows — the spatial index's per-tick rebuild — Clone, a partial
+// Restrict) is packed: n+1 offsets over one arena, no per-row
 // header. The first in-place mutation (AddEdge/RemoveEdge, the
 // experiments' link cuts) unpacks it into one slice header per row, still
 // aliasing the arena, and edits those in place, a row that must grow
@@ -27,9 +27,6 @@ import (
 // Infinity is the distance reported between unreachable node pairs
 // (d(u,v) = +∞ in the paper).
 const Infinity = int(^uint(0) >> 1)
-
-// Edge is one undirected edge for bulk construction (FromEdges).
-type Edge struct{ U, V ident.NodeID }
 
 // G is an undirected graph over NodeIDs. The zero value is an empty graph.
 // Directed (asymmetric) links are modeled at the radio layer; the
@@ -73,66 +70,6 @@ type G struct {
 // New returns an empty graph.
 func New() *G {
 	return &G{idx: make(map[ident.NodeID]int32)}
-}
-
-// FromEdges bulk-builds a packed graph over the given nodes and
-// undirected edges: degrees are counted into the offsets, one arena is
-// allocated, and each node's segment is filled, sorted and compacted.
-// Endpoints absent from nodes are added; self-loops and duplicate edges
-// are ignored. The result is identical for any permutation of edges.
-func FromEdges(nodes []ident.NodeID, edges []Edge) *G {
-	g := &G{idx: make(map[ident.NodeID]int32, len(nodes)), nodes: make([]ident.NodeID, 0, len(nodes))}
-	for _, v := range nodes {
-		g.addSlot(v)
-	}
-	for _, e := range edges {
-		if e.U != e.V {
-			g.addSlot(e.U)
-			g.addSlot(e.V)
-		}
-	}
-	n := len(g.nodes)
-	off := make([]uint32, n+1)
-	for _, e := range edges {
-		if e.U != e.V {
-			off[g.idx[e.U]+1]++
-			off[g.idx[e.V]+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	// off[i] is the fill cursor of row i: once every edge is placed it has
-	// reached the row's end, which is where row i+1 began.
-	arena := make([]ident.NodeID, off[n])
-	for _, e := range edges {
-		if e.U != e.V {
-			iu, iv := g.idx[e.U], g.idx[e.V]
-			arena[off[iu]] = e.V
-			off[iu]++
-			arena[off[iv]] = e.U
-			off[iv]++
-		}
-	}
-	// Sort each segment and close the gaps duplicate edges leave: rows move
-	// down to the write position w, and off[i] becomes row i's new start.
-	lo, w := uint32(0), uint32(0)
-	for i := 0; i < n; i++ {
-		hi := off[i]
-		off[i] = w
-		seg := arena[lo:hi]
-		slices.Sort(seg)
-		for k, v := range seg {
-			if k == 0 || v != arena[w-1] {
-				arena[w] = v
-				w++
-			}
-		}
-		lo = hi
-	}
-	off[n] = w
-	g.off, g.arena, g.edges = off, arena[:w], int(w)/2
-	return g
 }
 
 // FromRows bulk-builds a packed graph from one finished row per node: the

@@ -72,20 +72,6 @@ func TestFromRowsMatchesReference(t *testing.T) {
 				t.Fatalf("round %d: row of %v aliases the caller's slice", round, r.Node)
 			}
 		}
-		// The same graph from its edge list, duplicates, self-loops and
-		// endpoints absent from the roster included.
-		var edges []Edge
-		for _, r := range rows {
-			for _, v := range r.Adj {
-				edges = append(edges, Edge{U: r.Node, V: v}, Edge{U: v, V: v})
-			}
-		}
-		cut := len(nodes) / 2
-		fe := FromEdges(nodes[cut:], edges)
-		for _, v := range nodes[:cut] {
-			fe.AddNode(v) // the isolated ones are still missing
-		}
-		checkSame(t, fe, ref)
 		prev = g
 	}
 	if g := FromRows(nil, nil, nil); g.NumNodes() != 0 || !g.Equal(New()) {
@@ -144,7 +130,7 @@ func TestPackedCopyOnWrite(t *testing.T) {
 		}
 		base := w.build()
 		if base.off == nil {
-			t.Fatal("FromEdges result is not packed")
+			t.Fatal("FromRows result is not packed")
 		}
 		sib := base.Restrict(all)
 		w.set(5, 6, false)

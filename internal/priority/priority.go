@@ -63,13 +63,3 @@ func (p P) AppendString(b []byte) []byte {
 	b = strconv.AppendUint(append(b, "pr("...), p.Clock, 10)
 	return append(p.ID.AppendString(append(b, '@')), ')')
 }
-
-// MinOf returns the smallest priority among ps, or Infinite when empty.
-// This is the paper's group priority when applied to a view's members.
-func MinOf(ps ...P) P {
-	out := Infinite
-	for _, p := range ps {
-		out = out.Min(p)
-	}
-	return out
-}

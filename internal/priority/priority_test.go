@@ -30,16 +30,13 @@ func TestTickLowersPriorityRank(t *testing.T) {
 	}
 }
 
-func TestMinAndMinOf(t *testing.T) {
+func TestMin(t *testing.T) {
 	a, b := P{Clock: 3, ID: 1}, P{Clock: 1, ID: 7}
 	if a.Min(b) != b || b.Min(a) != b {
 		t.Fatal("Min wrong")
 	}
-	if got := MinOf(); got != Infinite {
-		t.Fatalf("MinOf() = %v", got)
-	}
-	if got := MinOf(a, b, Infinite); got != b {
-		t.Fatalf("MinOf = %v", got)
+	if a.Min(Infinite) != a || Infinite.Min(a) != a {
+		t.Fatal("Infinite must be Min's identity")
 	}
 }
 

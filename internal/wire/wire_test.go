@@ -92,7 +92,7 @@ func decodeViaMaps(buf []byte) (core.Message, error) {
 	}
 	m.GroupPrio, buf = prioAt(buf), buf[12:]
 	var err error
-	if m.List, buf, err = antlist.DecodeList(buf); err != nil {
+	if m.List, buf, err = antlist.DecodeListInto(buf, antlist.List{}); err != nil {
 		return m, err
 	}
 	var pm [2]map[ident.NodeID]priority.P
