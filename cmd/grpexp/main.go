@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/introspect"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -35,35 +34,36 @@ func main() {
 		defer srv.Close()
 	}
 
+	type tables = []*experiments.Table
 	type exp struct {
 		id  string
-		run func() []*trace.Table
+		run func() tables
 	}
 	suite := []exp{
-		{"E1", func() []*trace.Table { return []*trace.Table{experiments.E1Stabilization(*seeds)} }},
-		{"E2", func() []*trace.Table { return []*trace.Table{experiments.E2Agreement(*seeds)} }},
-		{"E4", func() []*trace.Table { return []*trace.Table{experiments.E4MergeGadgets(*seeds)} }},
-		{"E5", func() []*trace.Table { return []*trace.Table{experiments.E5Compatibility()} }},
-		{"E6", func() []*trace.Table { return []*trace.Table{experiments.E6Continuity(*seeds)} }},
-		{"E7", func() []*trace.Table {
+		{"E1", func() tables { return tables{experiments.E1Stabilization(*seeds)} }},
+		{"E2", func() tables { return tables{experiments.E2Agreement(*seeds)} }},
+		{"E4", func() tables { return tables{experiments.E4MergeGadgets(*seeds)} }},
+		{"E5", func() tables { return tables{experiments.E5Compatibility()} }},
+		{"E6", func() tables { return tables{experiments.E6Continuity(*seeds)} }},
+		{"E7", func() tables {
 			a, b := experiments.E7Scaling(*seeds)
-			return []*trace.Table{a, b}
+			return tables{a, b}
 		}},
-		{"E7c", func() []*trace.Table {
-			return []*trace.Table{experiments.E7cSpatialScale(*seeds), experiments.E7cDeltaScale(*seeds)}
+		{"E7c", func() tables {
+			return tables{experiments.E7cSpatialScale(*seeds), experiments.E7cDeltaScale(*seeds)}
 		}},
-		{"E8", func() []*trace.Table {
-			return []*trace.Table{experiments.E8Lifetime(*seeds), experiments.E8bHeadLoss(*seeds)}
+		{"E8", func() tables {
+			return tables{experiments.E8Lifetime(*seeds), experiments.E8bHeadLoss(*seeds)}
 		}},
-		{"E9", func() []*trace.Table { return []*trace.Table{experiments.E9Loss(*seeds)} }},
-		{"E10", func() []*trace.Table { return []*trace.Table{experiments.E10Ablation(*seeds)} }},
-		{"E11", func() []*trace.Table { return []*trace.Table{experiments.E11Overhead()} }},
-		{"E12", func() []*trace.Table { return []*trace.Table{experiments.E12Quarantine(*seeds)} }},
-		{"E13", func() []*trace.Table { return []*trace.Table{experiments.E13Density(*seeds)} }},
-		{"E13b", func() []*trace.Table { return []*trace.Table{experiments.E13bDense(*seeds)} }},
-		{"E14", func() []*trace.Table { return []*trace.Table{experiments.E14Stabilizers(*seeds)} }},
-		{"E15", func() []*trace.Table { return []*trace.Table{experiments.E15Collision(*seeds)} }},
-		{"E16", func() []*trace.Table { return []*trace.Table{experiments.E16Chaos(*seeds)} }},
+		{"E9", func() tables { return tables{experiments.E9Loss(*seeds)} }},
+		{"E10", func() tables { return tables{experiments.E10Ablation(*seeds)} }},
+		{"E11", func() tables { return tables{experiments.E11Overhead()} }},
+		{"E12", func() tables { return tables{experiments.E12Quarantine(*seeds)} }},
+		{"E13", func() tables { return tables{experiments.E13Density(*seeds)} }},
+		{"E13b", func() tables { return tables{experiments.E13bDense(*seeds)} }},
+		{"E14", func() tables { return tables{experiments.E14Stabilizers(*seeds)} }},
+		{"E15", func() tables { return tables{experiments.E15Collision(*seeds)} }},
+		{"E16", func() tables { return tables{experiments.E16Chaos(*seeds)} }},
 	}
 
 	ran := 0

@@ -10,9 +10,9 @@ import (
 // inspect the resulting partition.
 func ExampleNewStaticSim() {
 	s := grp.NewStaticSim(grp.SimParams{Cfg: grp.Config{Dmax: 3}, Seed: 1}, grp.Line(8))
-	_, ok := s.RunUntilConverged(200, 3)
+	_, ok := grp.RunUntilConverged(s, 3, 200, 3)
 	fmt.Println("converged:", ok)
-	for _, group := range s.Snapshot().Groups() {
+	for _, group := range grp.SnapshotOf(s).Groups() {
 		fmt.Println(group)
 	}
 	// Output:
@@ -44,8 +44,8 @@ func ExampleNewNode() {
 // hand-built configuration.
 func ExampleSnapshot_Converged() {
 	s := grp.NewStaticSim(grp.SimParams{Cfg: grp.Config{Dmax: 4}, Seed: 1}, grp.Line(5))
-	s.RunUntilConverged(200, 3)
-	snap := s.Snapshot()
+	grp.RunUntilConverged(s, 4, 200, 3)
+	snap := grp.SnapshotOf(s)
 	fmt.Println("agreement:", snap.Agreement())
 	fmt.Println("safety:", snap.Safety(4))
 	fmt.Println("maximality:", snap.Maximality(4))

@@ -27,7 +27,7 @@ func main() {
 	last := ""
 	for round := 1; round <= 90; round++ {
 		s.StepRound()
-		snap := s.Snapshot()
+		snap := grp.SnapshotOf(s)
 		tr.Observe(snap, dmax)
 		cur := fmt.Sprintf("%v", snap.Groups())
 		if cur != last {

@@ -64,7 +64,7 @@ func main() {
 	sensed[1] = 0.05
 
 	fmt.Println("== per-group fused perception ==")
-	snap := s.Snapshot()
+	snap := grp.SnapshotOf(s)
 	for _, group := range snap.Groups() {
 		leader := group[0]
 		view := s.Node(leader).View()
@@ -78,7 +78,7 @@ func main() {
 	tr.Observe(snap, dmax)
 	for i := 0; i < 40; i++ {
 		s.StepRound()
-		tr.Observe(s.Snapshot(), dmax)
+		tr.Observe(grp.SnapshotOf(s), dmax)
 	}
 	fmt.Printf("\nover 40 more rounds: %d topology stretches, %d membership losses (%d excused by a stretch)\n",
 		tr.TopologyBreaks, tr.ContinuityViolations, tr.ExcusedViolations)

@@ -19,9 +19,9 @@ func main() {
 	s := grp.NewStaticSim(grp.SimParams{Cfg: cfg, Seed: 42}, g)
 
 	fmt.Println("== converging from boot ==")
-	rounds, ok := s.RunUntilConverged(200, 3)
+	rounds, ok := grp.RunUntilConverged(s, cfg.Dmax, 200, 3)
 	fmt.Printf("converged=%v after %d rounds\n", ok, rounds)
-	for _, group := range s.Snapshot().Groups() {
+	for _, group := range grp.SnapshotOf(s).Groups() {
 		fmt.Println("  group:", group)
 	}
 
@@ -33,12 +33,12 @@ func main() {
 	// Break the road inside the first group: that group is stretched
 	// beyond Dmax (ΠT is false), so it — and only it — may shed members.
 	fmt.Println("\n== cutting the 2-3 link (inside a group) ==")
-	before := s.Snapshot()
+	before := grp.SnapshotOf(s)
 	g.RemoveEdge(2, 3)
 	for i := 0; i < 30; i++ {
 		s.StepRound()
 	}
-	after := s.Snapshot()
+	after := grp.SnapshotOf(s)
 	fmt.Printf("ΠT held: %v (false: the cut stretched a group, excusing the split)\n",
 		grp.Topological(before, after, cfg.Dmax))
 	for _, group := range after.Groups() {

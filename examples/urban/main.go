@@ -48,9 +48,9 @@ func main() {
 
 	// Run the group service over the static urban topology.
 	s := grp.NewStaticSim(grp.SimParams{Cfg: grp.Config{Dmax: dmax}, Seed: 1}, g)
-	rounds, ok := s.RunUntilConverged(400, 3)
+	rounds, ok := grp.RunUntilConverged(s, dmax, 400, 3)
 	fmt.Printf("\nconverged=%v after %d rounds\n", ok, rounds)
-	for _, group := range s.Snapshot().Groups() {
+	for _, group := range grp.SnapshotOf(s).Groups() {
 		fmt.Println("  group:", group)
 	}
 	fmt.Println("\nvehicles group along streets; the buildings keep diagonal")

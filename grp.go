@@ -1,8 +1,8 @@
 // Package grp is the public face of this reproduction of "Best-effort
 // Group Service in Dynamic Networks" (Ducourthial, Khalfallah, Petit,
 // SPAA 2010): the GRP self-stabilizing group membership protocol with the
-// best-effort continuity property, plus the simulation, live-runtime and
-// measurement substrates built for it.
+// best-effort continuity property, plus the simulation and measurement
+// substrates built for it.
 //
 // The important entry points:
 //
@@ -12,9 +12,10 @@
 //     used by every experiment, backed by the phase-parallel engine of
 //     internal/engine: set SimParams.Workers > 1 to fan node work out
 //     over a worker pool with a bit-identical trace.
-//   - NewLiveCluster — the goroutine-per-node live runtime: nodes exchange
-//     messages over channels through a router, as a deployment would.
-//   - Snapshot — the specification predicates ΠA, ΠS, ΠM, ΠT, ΠC.
+//   - SnapshotOf / RunUntilConverged — a simulation's configuration as a
+//     Snapshot, which carries the specification predicates ΠA, ΠS, ΠM
+//     (with Topological and Continuity for ΠT and ΠC), and the loop
+//     stepping rounds until ΠA ∧ ΠS ∧ ΠM holds.
 //
 // See DESIGN.md for the system inventory and the faithfulness notes, and
 // EXPERIMENTS.md for the reproduced results.
@@ -29,7 +30,6 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/priority"
 	"repro/internal/radio"
-	"repro/internal/runtime"
 	"repro/internal/space"
 )
 
@@ -92,23 +92,21 @@ func NewStaticSim(p SimParams, g *Graph) *Sim { return engine.NewStatic(p, g) }
 // animated topology.
 var NewSpatialTopology = engine.NewSpatialTopology
 
-// Live runtime.
-type (
-	// LiveConfig configures the goroutine-per-node runtime.
-	LiveConfig = runtime.Config
-	// LiveCluster is a running set of protocol goroutines.
-	LiveCluster = runtime.Cluster
-)
-
-// NewLiveCluster starts one goroutine per node of g plus the router.
-func NewLiveCluster(cfg LiveConfig, g *Graph) (*LiveCluster, error) { return runtime.New(cfg, g) }
-
 // Specification predicates.
 type (
 	// Snapshot is one configuration: topology plus every node's view.
 	Snapshot = metrics.Snapshot
 	// Tracker accumulates churn and continuity statistics over a run.
 	Tracker = metrics.Tracker
+)
+
+// Snapshots of a running simulation (a *Sim).
+var (
+	// SnapshotOf captures a simulation's current configuration.
+	SnapshotOf = metrics.SnapshotOf
+	// RunUntilConverged steps a simulation round by round until
+	// ΠA ∧ ΠS ∧ ΠM at the given Dmax holds for `stable` consecutive rounds.
+	RunUntilConverged = metrics.RunUntilConverged
 )
 
 // Best-effort predicates over consecutive snapshots.

@@ -1,18 +1,15 @@
 package grp
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestFacadeSimQuickstart exercises the documented public path: build a
 // simulation over a line, run to convergence, inspect groups.
 func TestFacadeSimQuickstart(t *testing.T) {
 	s := NewStaticSim(SimParams{Cfg: Config{Dmax: 3}, Seed: 1}, Line(4))
-	if _, ok := s.RunUntilConverged(100, 3); !ok {
-		t.Fatalf("no convergence: %v", s.Snapshot().Groups())
+	if _, ok := RunUntilConverged(s, 3, 100, 3); !ok {
+		t.Fatalf("no convergence: %v", SnapshotOf(s).Groups())
 	}
-	snap := s.Snapshot()
+	snap := SnapshotOf(s)
 	if snap.GroupCount() != 1 || !snap.Converged(3) {
 		t.Fatalf("groups = %v", snap.Groups())
 	}
@@ -35,35 +32,14 @@ func TestFacadeProtocolDirect(t *testing.T) {
 	}
 }
 
-// TestFacadeLiveCluster exercises the goroutine runtime via the façade.
-func TestFacadeLiveCluster(t *testing.T) {
-	c, err := NewLiveCluster(LiveConfig{
-		Protocol:     Config{Dmax: 2},
-		SendEvery:    2 * time.Millisecond,
-		ComputeEvery: 5 * time.Millisecond,
-	}, Line(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if vw := c.View(2); len(vw) == 3 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("live cluster did not form the group: %v", c.Views())
-}
-
 // TestFacadeSpatial runs a convoy scenario through the spatial topology.
 func TestFacadeSpatial(t *testing.T) {
 	w := NewWorld(4)
 	nodes := []NodeID{1, 2, 3}
 	topo := NewSpatialTopology(w, &Convoy{Spacing: 3, Speed: 2}, 0.1, nodes, nil)
 	s := NewSim(SimParams{Cfg: Config{Dmax: 2}, Seed: 5}, topo)
-	if _, ok := s.RunUntilConverged(100, 3); !ok {
-		t.Fatalf("convoy did not converge: %v", s.Snapshot().Groups())
+	if _, ok := RunUntilConverged(s, 2, 100, 3); !ok {
+		t.Fatalf("convoy did not converge: %v", SnapshotOf(s).Groups())
 	}
 }
 
@@ -72,12 +48,12 @@ func TestFacadeTracker(t *testing.T) {
 	g := Line(4)
 	s := NewStaticSim(SimParams{Cfg: Config{Dmax: 3}, Seed: 2}, g)
 	tr := NewTracker()
-	s.RunUntilConverged(100, 3)
-	tr.Observe(s.Snapshot(), 3)
+	RunUntilConverged(s, 3, 100, 3)
+	tr.Observe(SnapshotOf(s), 3)
 	g.RemoveEdge(2, 3)
 	for i := 0; i < 20; i++ {
 		s.StepRound()
-		tr.Observe(s.Snapshot(), 3)
+		tr.Observe(SnapshotOf(s), 3)
 	}
 	if tr.ContinuityViolations == 0 {
 		t.Fatal("cut must violate raw continuity")

@@ -16,8 +16,8 @@ import (
 //	per position: u16 number of entries, then per entry u32 id, u8 mark
 //
 // The codec exists so the overhead experiments (E11) measure realistic
-// message sizes rather than in-memory struct sizes, and so the goroutine
-// runtime can exchange byte frames like a real radio would. The frame
+// message sizes rather than in-memory struct sizes, and so a deployment
+// can exchange byte frames like a real radio would. The frame
 // layout is unchanged from the nested representation; the encoder walks
 // the flat arena once, and the decoder assembles the arena directly.
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/space"
 )
@@ -53,7 +54,7 @@ func TestBorrowedGraphMatchesHeldSnapshot(t *testing.T) {
 }
 
 // TestHeldSnapshotSurvivesDeltaTicks is the held-snapshot contract on a
-// mobile world: an Engine.Snapshot() taken at round r over a delta-path
+// mobile world: a metrics.SnapshotOf(e) taken at round r over a delta-path
 // SpatialTopology — which retires every graph it replaces, so the lineage
 // patches one row header in place — still equals a Clone taken at r two
 // rounds (2·Tc ticks) later, with and without a leave and a join at the
@@ -69,7 +70,7 @@ func TestHeldSnapshotSurvivesDeltaTicks(t *testing.T) {
 		for r := 0; r < 30; r++ {
 			e.StepRound()
 			tr.Observe()
-			window = append(window, held{e.Snapshot().G, e.Topo.Graph().Clone()})
+			window = append(window, held{metrics.SnapshotOf(e).G, e.Topo.Graph().Clone()})
 			if churn && r%3 == 1 {
 				v := e.Order()[r]
 				e.RemoveNode(v)

@@ -6,8 +6,8 @@
 // priorities, and delays view admission with the quarantine.
 //
 // The package is pure protocol logic: it has no clocks, no radio and no
-// goroutines. A driver (internal/engine for deterministic experiments,
-// internal/runtime for a live goroutine deployment) calls
+// goroutines. A driver (internal/engine, or a custom transport through
+// the grp facade) calls
 //
 //	Receive(msg)    upon message reception,
 //	Compute()       at every Tc timer expiration (also resets the message

@@ -1,8 +1,6 @@
-// Package engine is the shared execution substrate under both drivers of
-// the GRP reproduction: the deterministic phase-parallel scheduler every
-// experiment, benchmark and soak runs on, and the topology/membership
-// abstractions the live goroutine runtime (internal/runtime) routes
-// through.
+// Package engine is the execution substrate of the GRP reproduction: the
+// deterministic phase-parallel scheduler every experiment, benchmark and
+// soak runs on, with its topology and membership abstractions.
 //
 // One Step is five phases:
 //
@@ -62,7 +60,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
-	"repro/internal/metrics"
 	"repro/internal/radio"
 	"repro/internal/shard"
 )
@@ -1447,28 +1444,16 @@ func (e *Engine) StepTicks(k int) {
 // window τ1.
 func (e *Engine) StepRound() { e.StepTicks(e.P.Tc) }
 
-// Snapshot captures the current configuration for the metrics predicates.
-// Only live protocol nodes contribute views. The view maps are fresh on
-// every call (snapshots are routinely held across rounds); the restricted
-// topology graph comes from snapshotBuilder — the cached pointer
-// while neither topology nor membership changed, otherwise a copy-on-write
-// sibling of the topology's graph (every node live) or a copy of the
-// induced subgraph.
-func (e *Engine) Snapshot() metrics.Snapshot {
-	views := make(map[ident.NodeID]map[ident.NodeID]bool, e.order.Len())
-	for _, v := range e.order.IDs() {
-		views[v] = e.Node(v).ViewSet()
-	}
-	return metrics.Snapshot{G: e.SnapshotGraph(), Views: views}
-}
-
 // SnapshotGraph returns the topology graph restricted to the live
-// protocol nodes — the G half of Snapshot without materializing any view
-// map. Incremental observers key their per-node neighborhood caches on
-// its (pointer, generation) identity; like Snapshot's graph it is
-// replaced, never mutated, when the topology or the membership changes.
-// Call it between ticks: it marks the topology's graph shared, and so
-// costs the next delta a header copy.
+// protocol nodes — the G half of metrics.SnapshotOf without materializing
+// any view map. It comes from snapshotBuilder: the cached pointer while
+// neither topology nor membership changed, otherwise a copy-on-write
+// sibling of the topology's graph (every node live) or a copy of the
+// induced subgraph. Incremental observers key their per-node neighborhood
+// caches on its (pointer, generation) identity; it is replaced, never
+// mutated, when the topology or the membership changes. Call it between
+// ticks: it marks the topology's graph shared, and so costs the next
+// delta a header copy.
 func (e *Engine) SnapshotGraph() *graph.G {
 	return e.snap.Graph(e.Topo.Graph(), e.memberGen, e.order.Has)
 }
@@ -1477,31 +1462,4 @@ func (e *Engine) SnapshotGraph() *graph.G {
 // before the next tick (the tracker's Observe): see snapshotBuilder.Live.
 func (e *Engine) LiveGraph() *graph.G {
 	return e.snap.Live(e.Topo.Graph(), e.memberGen, e.order.Has)
-}
-
-// RunUntilConverged steps whole rounds until the legitimacy predicate
-// ΠA ∧ ΠS ∧ ΠM holds for `stable` consecutive rounds or maxRounds passes.
-// It returns the number of rounds to first convergence and whether
-// convergence was reached.
-func (e *Engine) RunUntilConverged(maxRounds, stable int) (rounds int, ok bool) {
-	if stable < 1 {
-		stable = 1
-	}
-	streak := 0
-	first := 0
-	for r := 1; r <= maxRounds; r++ {
-		e.StepRound()
-		if e.Snapshot().Converged(e.P.Cfg.Dmax) {
-			if streak == 0 {
-				first = r
-			}
-			streak++
-			if streak >= stable {
-				return first, true
-			}
-		} else {
-			streak = 0
-		}
-	}
-	return maxRounds, false
 }

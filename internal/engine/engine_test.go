@@ -81,7 +81,7 @@ func scenario(workers int) []string {
 			w.Place(20, space.Point{X: 7, Y: 7})
 			e.AddNode(20)
 		}
-		out = append(out, fingerprint(e.Snapshot()))
+		out = append(out, fingerprint(metrics.SnapshotOf(e)))
 	}
 	return out
 }
@@ -117,7 +117,7 @@ func TestParallelMatchesSequentialStatic(t *testing.T) {
 		var out []string
 		for r := 0; r < 40; r++ {
 			e.StepRound()
-			out = append(out, fingerprint(e.Snapshot()))
+			out = append(out, fingerprint(metrics.SnapshotOf(e)))
 		}
 		return out
 	}
@@ -134,10 +134,10 @@ func TestParallelMatchesSequentialStatic(t *testing.T) {
 // phase split).
 func TestEngineConvergesParallel(t *testing.T) {
 	e := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Workers: 4}, graph.Line(10))
-	if _, ok := e.RunUntilConverged(400, 3); !ok {
-		t.Fatalf("no convergence: %v", e.Snapshot().Groups())
+	if _, ok := metrics.RunUntilConverged(e, 3, 400, 3); !ok {
+		t.Fatalf("no convergence: %v", metrics.SnapshotOf(e).Groups())
 	}
-	if !e.Snapshot().Converged(3) {
+	if !metrics.SnapshotOf(e).Converged(3) {
 		t.Fatal("snapshot not legitimate")
 	}
 }
@@ -154,19 +154,19 @@ func TestSnapshotCacheTracksMutation(t *testing.T) {
 	for _, g := range []*graph.G{graph.Line(6), graph.Line(6).Clone()} {
 		e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, g)
 		e.StepRound()
-		before := e.Snapshot()
+		before := metrics.SnapshotOf(e)
 		if !before.G.HasEdge(3, 4) {
 			t.Fatal("edge missing before cut")
 		}
 		if a, b := g.NeighborsView(3), before.G.NeighborsView(3); &a[0] != &b[0] {
 			t.Fatal("all-live snapshot should share the topology's rows")
 		}
-		mid := e.Snapshot()
+		mid := metrics.SnapshotOf(e)
 		if mid.G != before.G {
 			t.Fatal("unchanged topology should reuse the cached graph")
 		}
 		g.RemoveEdge(3, 4)
-		after := e.Snapshot()
+		after := metrics.SnapshotOf(e)
 		if after.G.HasEdge(3, 4) {
 			t.Fatal("cut not reflected in fresh snapshot")
 		}
@@ -176,7 +176,7 @@ func TestSnapshotCacheTracksMutation(t *testing.T) {
 			t.Fatal("held snapshot was mutated by a later topology edit")
 		}
 		e.RemoveNode(6)
-		if e.Snapshot().G.HasNode(6) {
+		if metrics.SnapshotOf(e).G.HasNode(6) {
 			t.Fatal("removed node still in snapshot graph")
 		}
 	}
@@ -304,7 +304,7 @@ func TestSpatialDeterminismWallsAsymmetry(t *testing.T) {
 		var out []string
 		for r := 0; r < 12; r++ {
 			e.StepRound()
-			out = append(out, fingerprint(e.Snapshot()))
+			out = append(out, fingerprint(metrics.SnapshotOf(e)))
 		}
 		return out
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 )
 
 // TestNeePotentialNonIncreasingAfterAgreement validates the maximality
@@ -13,13 +14,13 @@ import (
 func TestNeePotentialNonIncreasingAfterAgreement(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		s := NewStatic(Params{Cfg: core.Config{Dmax: 2}, Seed: seed}, graph.Clusters(3, 3, 0, false))
-		if _, ok := s.RunUntilConverged(600, 3); !ok {
+		if _, ok := metrics.RunUntilConverged(s, 2, 600, 3); !ok {
 			t.Fatalf("seed %d: precondition convergence failed", seed)
 		}
-		prev := s.Snapshot().ExternalEdges()
+		prev := metrics.SnapshotOf(s).ExternalEdges()
 		for r := 0; r < 40; r++ {
 			s.StepRound()
-			cur := s.Snapshot().ExternalEdges()
+			cur := metrics.SnapshotOf(s).ExternalEdges()
 			if cur > prev {
 				t.Fatalf("seed %d round %d: nee increased %d -> %d", seed, r, prev, cur)
 			}
@@ -33,11 +34,11 @@ func TestNeePotentialNonIncreasingAfterAgreement(t *testing.T) {
 // external edges).
 func TestNeeDecreasesAcrossMerges(t *testing.T) {
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, graph.Line(8))
-	start := s.Snapshot().ExternalEdges()
-	if _, ok := s.RunUntilConverged(400, 3); !ok {
+	start := metrics.SnapshotOf(s).ExternalEdges()
+	if _, ok := metrics.RunUntilConverged(s, 3, 400, 3); !ok {
 		t.Fatal("no convergence")
 	}
-	end := s.Snapshot().ExternalEdges()
+	end := metrics.SnapshotOf(s).ExternalEdges()
 	if end >= start {
 		t.Fatalf("nee did not decrease: %d -> %d", start, end)
 	}

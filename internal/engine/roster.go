@@ -22,21 +22,19 @@ const NoSlot = int32(-1)
 // slot assignment — is a deterministic function of the Add/Remove call
 // sequence, independent of the worker count.
 //
-// It is not goroutine-safe; the engine mutates it only between phases and
-// the live runtime guards it with the cluster lock.
+// It is not goroutine-safe; the engine mutates it only between phases.
 type Roster struct {
-	ids    []ident.NodeID         // ascending membership (canonical order)
-	slots  map[ident.NodeID]int32 // membership + ID→slot, one invariant
-	bySlot []ident.NodeID         // slot → ID; ident.None marks a free slot
-	free   []int32                // min-heap of freed slots (lowest recycles first)
+	ids     []ident.NodeID         // ascending membership (canonical order)
+	slots   map[ident.NodeID]int32 // membership + ID→slot, one invariant
+	slotCap int32                  // slots handed out so far: live + free
+	free    []int32                // min-heap of freed slots (lowest recycles first)
 }
 
 // NewRoster returns an empty roster that n members join without growing it.
 func NewRoster(n int) *Roster {
 	return &Roster{
-		ids:    make([]ident.NodeID, 0, n),
-		slots:  make(map[ident.NodeID]int32, n),
-		bySlot: make([]ident.NodeID, 0, n),
+		ids:   make([]ident.NodeID, 0, n),
+		slots: make(map[ident.NodeID]int32, n),
 	}
 }
 
@@ -51,10 +49,9 @@ func (r *Roster) Add(v ident.NodeID) (int32, bool) {
 	if len(r.free) > 0 {
 		s = heapPop(&r.free)
 	} else {
-		s = int32(len(r.bySlot))
-		r.bySlot = append(r.bySlot, ident.None)
+		s = r.slotCap
+		r.slotCap++
 	}
-	r.bySlot[s] = v
 	r.slots[v] = s
 	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= v })
 	r.ids = append(r.ids, 0)
@@ -71,7 +68,6 @@ func (r *Roster) Remove(v ident.NodeID) (int32, bool) {
 		return NoSlot, false
 	}
 	delete(r.slots, v)
-	r.bySlot[s] = ident.None
 	heapPush(&r.free, s)
 	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= v })
 	r.ids = append(r.ids[:i], r.ids[i+1:]...)
@@ -91,7 +87,7 @@ func (r *Roster) SlotOf(v ident.NodeID) int32 {
 
 // SlotCap returns the slot table size: every live slot is < SlotCap, so
 // it is the length consumers size their slot-indexed arrays to.
-func (r *Roster) SlotCap() int { return len(r.bySlot) }
+func (r *Roster) SlotCap() int { return int(r.slotCap) }
 
 // Len returns the member count.
 func (r *Roster) Len() int { return len(r.ids) }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,13 +51,38 @@ func TestRosterSlotLifecycle(t *testing.T) {
 	if s, fresh := r.Add(10); !fresh || s != 0 {
 		t.Fatalf("re-Add(10) = (%d, %v), want recycled slot 0", s, fresh)
 	}
-	for _, v := range r.IDs() {
-		if r.bySlot[r.SlotOf(v)] != v {
-			t.Fatalf("slot table inconsistent for %d", v)
-		}
-	}
-	if r.SlotOf(999) != NoSlot {
+	checkSlots(t, r, "lifecycle")
+	if r.SlotOf(999) != NoSlot || r.Has(999) {
 		t.Fatal("SlotOf on a non-member must be NoSlot")
+	}
+}
+
+// checkSlots verifies the slot table through the lookups and the free
+// list: every member holds an in-range slot, no slot is held twice or both
+// held and free, and held plus free slots fill the table exactly.
+func checkSlots(t *testing.T, r *Roster, op string) {
+	t.Helper()
+	owner := make(map[int32]ident.NodeID, r.SlotCap())
+	claim := func(s int32, v ident.NodeID) {
+		if s < 0 || int(s) >= r.SlotCap() {
+			t.Fatalf("%s: slot %d of %d outside [0, %d)", op, s, v, r.SlotCap())
+		}
+		if u, dup := owner[s]; dup {
+			t.Fatalf("%s: slot %d claimed by both %d and %d", op, s, u, v)
+		}
+		owner[s] = v
+	}
+	for _, v := range r.IDs() {
+		if !r.Has(v) {
+			t.Fatalf("%s: %d listed but not a member", op, v)
+		}
+		claim(r.SlotOf(v), v)
+	}
+	for _, s := range r.free {
+		claim(s, ident.None)
+	}
+	if len(owner) != r.SlotCap() {
+		t.Fatalf("%s: %d held + %d free != cap %d", op, r.Len(), len(r.free), r.SlotCap())
 	}
 }
 
@@ -99,8 +125,8 @@ func TestNodeIndexFollowsRoster(t *testing.T) {
 
 // TestRosterChurnStorm drives a large add/remove/re-add storm and checks
 // the structural invariants after every operation: ids ascending, slot
-// table dense (live slots + free slots = SlotCap), and both lookup
-// directions consistent.
+// table dense (live slots + free slots = SlotCap), every member's slot
+// unique, and a fresh member handed the lowest freed slot.
 func TestRosterChurnStorm(t *testing.T) {
 	r := NewRoster(0)
 	rng := rand.New(rand.NewSource(42))
@@ -117,20 +143,8 @@ func TestRosterChurnStorm(t *testing.T) {
 			if !live[v] {
 				t.Fatalf("%s: %d in ids but not live", op, v)
 			}
-			s := r.SlotOf(v)
-			if s < 0 || int(s) >= r.SlotCap() || r.bySlot[s] != v {
-				t.Fatalf("%s: slot round-trip broken for %d (slot %d)", op, v, s)
-			}
 		}
-		freeCnt := 0
-		for s := int32(0); int(s) < r.SlotCap(); s++ {
-			if r.bySlot[s] == ident.None {
-				freeCnt++
-			}
-		}
-		if freeCnt+len(live) != r.SlotCap() {
-			t.Fatalf("%s: %d free + %d live != cap %d", op, freeCnt, len(live), r.SlotCap())
-		}
+		checkSlots(t, r, op)
 	}
 	for i := 0; i < 3000; i++ {
 		v := ident.NodeID(rng.Intn(300) + 1)
@@ -141,9 +155,16 @@ func TestRosterChurnStorm(t *testing.T) {
 			delete(live, v)
 			check("remove")
 		} else {
-			_, fresh := r.Add(v)
+			want := int32(r.SlotCap())
+			if len(r.free) > 0 {
+				want = slices.Min(r.free)
+			}
+			s, fresh := r.Add(v)
 			if fresh == live[v] {
 				t.Fatalf("Add(%d) fresh=%v but live=%v", v, fresh, live[v])
+			}
+			if fresh && s != want {
+				t.Fatalf("Add(%d) got slot %d, want the lowest free %d", v, s, want)
 			}
 			live[v] = true
 			check("add")
@@ -259,9 +280,10 @@ func FuzzRosterVsMapOracle(f *testing.F) {
 			if i > 0 && ids[i-1] >= v {
 				t.Fatal("ids not strictly ascending")
 			}
-			if r.SlotOf(v) != oracle[v] || r.bySlot[oracle[v]] != v {
+			if r.SlotOf(v) != oracle[v] || !r.Has(v) {
 				t.Fatalf("lookup mismatch for %d", v)
 			}
 		}
+		checkSlots(t, r, "final")
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
+	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/radio"
 	"repro/internal/space"
@@ -14,14 +15,14 @@ import (
 
 func TestStaticLineConverges(t *testing.T) {
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, graph.Line(5))
-	rounds, ok := s.RunUntilConverged(100, 3)
+	rounds, ok := metrics.RunUntilConverged(s, 4, 100, 3)
 	if !ok {
-		t.Fatalf("no convergence; snapshot=%v", s.Snapshot().Groups())
+		t.Fatalf("no convergence; snapshot=%v", metrics.SnapshotOf(s).Groups())
 	}
 	if rounds < 1 {
 		t.Fatal("convergence cannot be instant")
 	}
-	snap := s.Snapshot()
+	snap := metrics.SnapshotOf(s)
 	if snap.GroupCount() != 1 {
 		t.Fatalf("groups = %v", snap.Groups())
 	}
@@ -34,12 +35,12 @@ func TestStaticGridKeepsSafety(t *testing.T) {
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 2}, graph.Grid(3, 4))
 	for i := 0; i < 100; i++ {
 		s.StepRound()
-		if !s.Snapshot().Safety(3) {
-			t.Fatalf("safety violated at round %d: %v", i, s.Snapshot().Groups())
+		if !metrics.SnapshotOf(s).Safety(3) {
+			t.Fatalf("safety violated at round %d: %v", i, metrics.SnapshotOf(s).Groups())
 		}
 	}
-	if s.Snapshot().MeanGroupSize() < 1.5 {
-		t.Fatalf("no groups formed: %v", s.Snapshot().Groups())
+	if metrics.SnapshotOf(s).MeanGroupSize() < 1.5 {
+		t.Fatalf("no groups formed: %v", metrics.SnapshotOf(s).Groups())
 	}
 }
 
@@ -48,7 +49,7 @@ func TestDeterminism(t *testing.T) {
 		s := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 7, Jitter: true}, graph.Ring(8))
 		s.StepTicks(50)
 		var sizes []int
-		for _, g := range s.Snapshot().Groups() {
+		for _, g := range metrics.SnapshotOf(s).Groups() {
 			sizes = append(sizes, len(g))
 		}
 		return sizes
@@ -66,8 +67,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestJitteredTimersStillConverge(t *testing.T) {
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 3, Jitter: true, Ts: 1, Tc: 3}, graph.Line(6))
-	if _, ok := s.RunUntilConverged(200, 3); !ok {
-		t.Fatalf("no convergence with jitter; groups=%v", s.Snapshot().Groups())
+	if _, ok := metrics.RunUntilConverged(s, 4, 200, 3); !ok {
+		t.Fatalf("no convergence with jitter; groups=%v", metrics.SnapshotOf(s).Groups())
 	}
 }
 
@@ -83,15 +84,15 @@ func TestTsTcValidation(t *testing.T) {
 func TestLinkCutSplitsGroup(t *testing.T) {
 	g := graph.Line(4)
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 4}, g)
-	if _, ok := s.RunUntilConverged(100, 3); !ok {
+	if _, ok := metrics.RunUntilConverged(s, 3, 100, 3); !ok {
 		t.Fatal("precondition: converge first")
 	}
-	prev := s.Snapshot()
+	prev := metrics.SnapshotOf(s)
 	g.RemoveEdge(2, 3)
 	for i := 0; i < 30; i++ {
 		s.StepRound()
 	}
-	snap := s.Snapshot()
+	snap := metrics.SnapshotOf(s)
 	if snap.GroupCount() != 2 {
 		t.Fatalf("after cut: %v", snap.Groups())
 	}
@@ -104,7 +105,7 @@ func TestLinkCutSplitsGroup(t *testing.T) {
 func TestNodeDepartureShrinksViews(t *testing.T) {
 	g := graph.Line(3)
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 2}, Seed: 5}, g)
-	if _, ok := s.RunUntilConverged(100, 3); !ok {
+	if _, ok := metrics.RunUntilConverged(s, 2, 100, 3); !ok {
 		t.Fatal("precondition")
 	}
 	s.RemoveNode(3)
@@ -112,7 +113,7 @@ func TestNodeDepartureShrinksViews(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.StepRound()
 	}
-	snap := s.Snapshot()
+	snap := metrics.SnapshotOf(s)
 	if len(snap.Views) != 2 {
 		t.Fatalf("views = %v", snap.Views)
 	}
@@ -124,16 +125,16 @@ func TestNodeDepartureShrinksViews(t *testing.T) {
 func TestNodeJoinMerges(t *testing.T) {
 	g := graph.Line(2)
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 2}, Seed: 6}, g)
-	if _, ok := s.RunUntilConverged(50, 3); !ok {
+	if _, ok := metrics.RunUntilConverged(s, 2, 50, 3); !ok {
 		t.Fatal("precondition")
 	}
 	g.AddEdge(2, 3)
 	s.AddNode(3)
-	if _, ok := s.RunUntilConverged(100, 3); !ok {
-		t.Fatalf("no reconvergence: %v", s.Snapshot().Groups())
+	if _, ok := metrics.RunUntilConverged(s, 2, 100, 3); !ok {
+		t.Fatalf("no reconvergence: %v", metrics.SnapshotOf(s).Groups())
 	}
-	if s.Snapshot().GroupCount() != 1 {
-		t.Fatalf("groups = %v", s.Snapshot().Groups())
+	if metrics.SnapshotOf(s).GroupCount() != 1 {
+		t.Fatalf("groups = %v", metrics.SnapshotOf(s).Groups())
 	}
 }
 
@@ -143,11 +144,11 @@ func TestSpatialTopologyConvoy(t *testing.T) {
 	rngSeed := Params{Cfg: core.Config{Dmax: 3}, Seed: 8}
 	topo := NewSpatialTopology(w, &mobility.Convoy{Spacing: 3, Speed: 5}, 0.1, nodes, nil)
 	s := New(rngSeed, topo)
-	if _, ok := s.RunUntilConverged(100, 3); !ok {
-		t.Fatalf("convoy should converge: %v", s.Snapshot().Groups())
+	if _, ok := metrics.RunUntilConverged(s, 3, 100, 3); !ok {
+		t.Fatalf("convoy should converge: %v", metrics.SnapshotOf(s).Groups())
 	}
-	if s.Snapshot().GroupCount() != 1 {
-		t.Fatalf("groups = %v", s.Snapshot().Groups())
+	if metrics.SnapshotOf(s).GroupCount() != 1 {
+		t.Fatalf("groups = %v", metrics.SnapshotOf(s).Groups())
 	}
 }
 
@@ -156,8 +157,8 @@ func TestLossyChannelStillConvergesSlowly(t *testing.T) {
 		Cfg: core.Config{Dmax: 3}, Seed: 9,
 		Channel: radio.Lossy{P: 0.2}, Ts: 1, Tc: 4,
 	}, graph.Line(4))
-	if _, ok := s.RunUntilConverged(400, 3); !ok {
-		t.Fatalf("no convergence under 20%% loss: %v", s.Snapshot().Groups())
+	if _, ok := metrics.RunUntilConverged(s, 3, 400, 3); !ok {
+		t.Fatalf("no convergence under 20%% loss: %v", metrics.SnapshotOf(s).Groups())
 	}
 }
 
@@ -179,7 +180,7 @@ func TestSnapshotExcludesDeadNodes(t *testing.T) {
 	s := NewStatic(Params{Cfg: core.Config{Dmax: 2}, Seed: 11}, g)
 	s.StepTicks(4)
 	s.RemoveNode(2) // removed from sim but still in the graph
-	snap := s.Snapshot()
+	snap := metrics.SnapshotOf(s)
 	if _, ok := snap.Views[2]; ok {
 		t.Fatal("dead node has a view")
 	}

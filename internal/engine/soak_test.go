@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 )
 
 // TestSoakConvergence sweeps the topology regime this reproduction
@@ -35,8 +36,8 @@ func TestSoakConvergence(t *testing.T) {
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			s := NewStatic(Params{Cfg: core.Config{Dmax: c.dmax}, Seed: seed, Jitter: seed%2 == 0}, c.g())
-			if _, ok := s.RunUntilConverged(budget, 3); !ok {
-				t.Errorf("%s seed=%d: no convergence: %v", c.name, seed, s.Snapshot().Groups())
+			if _, ok := metrics.RunUntilConverged(s, c.dmax, budget, 3); !ok {
+				t.Errorf("%s seed=%d: no convergence: %v", c.name, seed, metrics.SnapshotOf(s).Groups())
 			}
 		}
 	}
@@ -51,9 +52,9 @@ func TestSoakSparseRGG(t *testing.T) {
 				continue // no connected sparse instance for this seed
 			}
 			s := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: seed}, g)
-			if _, ok := s.RunUntilConverged(1500, 3); !ok {
+			if _, ok := metrics.RunUntilConverged(s, 3, 1500, 3); !ok {
 				t.Errorf("sparse rgg n=%d seed=%d (deg %.1f): no convergence: %v",
-					n, seed, 2*float64(g.NumEdges())/float64(g.NumNodes()), s.Snapshot().Groups())
+					n, seed, 2*float64(g.NumEdges())/float64(g.NumNodes()), metrics.SnapshotOf(s).Groups())
 			}
 		}
 	}
@@ -91,10 +92,10 @@ func TestSoakMetastableRegime(t *testing.T) {
 			}
 			s := NewStatic(Params{Cfg: core.Config{Dmax: c.dmax}, Seed: seed}, g)
 			total++
-			if _, ok := s.RunUntilConverged(600, 3); ok {
+			if _, ok := metrics.RunUntilConverged(s, c.dmax, 600, 3); ok {
 				conv++
 			}
-			snap := s.Snapshot()
+			snap := metrics.SnapshotOf(s)
 			if !snap.Safety(c.dmax) {
 				t.Errorf("%s seed=%d: safety violated: %v", c.name, seed, snap.Groups())
 			}

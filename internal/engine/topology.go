@@ -10,8 +10,8 @@ import (
 )
 
 // Topology abstracts where messages can travel at the current instant.
-// Both drivers share it: the deterministic engine advances it once per
-// tick, the live runtime routes broadcasts through AppendReceivers.
+// The engine advances it once per tick and routes broadcasts through
+// AppendReceivers.
 type Topology interface {
 	// Advance moves the topology forward by one tick.
 	Advance(rng *rand.Rand)

@@ -1,12 +1,12 @@
-// Package baseline implements the comparison algorithms for the
-// experiments: the Max-Min d-cluster formation heuristic of Amis, Prakash,
-// Vuong and Huynh (INFOCOM 2000) — the clusterhead-based family the paper
-// positions GRP against — and a centralized greedy diameter-bounded
-// partitioner used as a partition-quality reference. Both are *oracle*
-// algorithms: they see the whole graph and recompute from scratch, which
-// is exactly the behavior whose membership churn GRP's continuity is
-// designed to avoid (experiment E8).
-package baseline
+package experiments
+
+// The comparison algorithms of experiments E8 and E8b: the Max-Min
+// d-cluster formation heuristic of Amis, Prakash, Vuong and Huynh
+// (INFOCOM 2000) — the clusterhead-based family the paper positions GRP
+// against — and a centralized greedy diameter-bounded partitioner used as
+// a partition-quality reference. Both are *oracle* algorithms: they see
+// the whole graph and recompute from scratch, which is exactly the
+// behavior whose membership churn GRP's continuity is designed to avoid.
 
 import (
 	"sort"
@@ -15,17 +15,18 @@ import (
 	"repro/internal/ident"
 )
 
-// MaxMin computes the Max-Min d-cluster heuristic on g: clusterheads are
+// maxMin computes the Max-Min d-cluster heuristic on g: clusterheads are
 // elected by d rounds of flood-max followed by d rounds of flood-min on
 // node IDs, and every node joins the cluster of its elected head. Cluster
 // radius is at most d, so cluster diameter is at most 2d. Setting
 // d = ⌊Dmax/2⌋ makes it satisfy the paper's safety property.
 //
-// The returned map assigns every node its cluster head; Clusters groups
-// them. The simulation here is synchronous and centralized (the original
-// is a distributed 2d-round protocol whose outcome this reproduces
-// exactly), because the experiments only need its *output* per epoch.
-func MaxMin(g *graph.G, d int) map[ident.NodeID]ident.NodeID {
+// The returned map assigns every node its cluster head; headClusters
+// groups them. The simulation here is synchronous and centralized (the
+// original is a distributed 2d-round protocol whose outcome this
+// reproduces exactly), because the experiments only need its *output* per
+// epoch.
+func maxMin(g *graph.G, d int) map[ident.NodeID]ident.NodeID {
 	if d < 1 {
 		d = 1
 	}
@@ -36,8 +37,8 @@ func MaxMin(g *graph.G, d int) map[ident.NodeID]ident.NodeID {
 		winner[v] = v
 	}
 	floodRounds := func(cmpMax bool, init map[ident.NodeID]ident.NodeID) []map[ident.NodeID]ident.NodeID {
-		hist := []map[ident.NodeID]ident.NodeID{clone(init)}
-		cur := clone(init)
+		hist := []map[ident.NodeID]ident.NodeID{cloneHeads(init)}
+		cur := cloneHeads(init)
 		for r := 0; r < d; r++ {
 			next := make(map[ident.NodeID]ident.NodeID, len(nodes))
 			for _, v := range nodes {
@@ -136,8 +137,9 @@ func reachableViaCluster(g *graph.G, v ident.NodeID, head map[ident.NodeID]ident
 	return ok && dt <= d
 }
 
-// Clusters converts a head assignment into the member sets, keyed by head.
-func Clusters(head map[ident.NodeID]ident.NodeID) map[ident.NodeID][]ident.NodeID {
+// headClusters converts a head assignment into the member sets, keyed by
+// head.
+func headClusters(head map[ident.NodeID]ident.NodeID) map[ident.NodeID][]ident.NodeID {
 	out := make(map[ident.NodeID][]ident.NodeID)
 	for v, h := range head {
 		out[h] = append(out[h], v)
@@ -148,10 +150,10 @@ func Clusters(head map[ident.NodeID]ident.NodeID) map[ident.NodeID][]ident.NodeI
 	return out
 }
 
-// Views converts a head assignment into per-node views (every member sees
-// the full member list), the shape the metrics package consumes.
-func Views(head map[ident.NodeID]ident.NodeID) map[ident.NodeID]map[ident.NodeID]bool {
-	clusters := Clusters(head)
+// headViews converts a head assignment into per-node views (every member
+// sees the full member list), the shape the metrics package consumes.
+func headViews(head map[ident.NodeID]ident.NodeID) map[ident.NodeID]map[ident.NodeID]bool {
+	clusters := headClusters(head)
 	out := make(map[ident.NodeID]map[ident.NodeID]bool, len(head))
 	for _, members := range clusters {
 		set := make(map[ident.NodeID]bool, len(members))
@@ -165,10 +167,50 @@ func Views(head map[ident.NodeID]ident.NodeID) map[ident.NodeID]map[ident.NodeID
 	return out
 }
 
-func clone(m map[ident.NodeID]ident.NodeID) map[ident.NodeID]ident.NodeID {
+func cloneHeads(m map[ident.NodeID]ident.NodeID) map[ident.NodeID]ident.NodeID {
 	out := make(map[ident.NodeID]ident.NodeID, len(m))
 	for k, v := range m {
 		out[k] = v
 	}
 	return out
+}
+
+// greedyPartition is the centralized quality reference: it grows groups
+// greedily — repeatedly take the smallest unassigned node, BFS outward,
+// and absorb nodes while the group's induced diameter stays within dmax.
+// It is neither optimal nor distributed, but it gives a stable
+// "reasonable partition" yardstick for group counts and sizes.
+func greedyPartition(g *graph.G, dmax int) map[ident.NodeID]map[ident.NodeID]bool {
+	assigned := make(map[ident.NodeID]bool)
+	views := make(map[ident.NodeID]map[ident.NodeID]bool)
+	for _, seed := range g.Nodes() {
+		if assigned[seed] {
+			continue
+		}
+		group := map[ident.NodeID]bool{seed: true}
+		assigned[seed] = true
+		frontier := []ident.NodeID{seed}
+		for len(frontier) > 0 {
+			v := frontier[0]
+			frontier = frontier[1:]
+			nbrs := g.Neighbors(v)
+			sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+			for _, u := range nbrs {
+				if assigned[u] {
+					continue
+				}
+				group[u] = true
+				if g.InducedDiameter(group) > dmax {
+					delete(group, u)
+					continue
+				}
+				assigned[u] = true
+				frontier = append(frontier, u)
+			}
+		}
+		for v := range group {
+			views[v] = group
+		}
+	}
+	return views
 }

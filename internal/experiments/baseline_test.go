@@ -1,4 +1,4 @@
-package baseline
+package experiments
 
 import (
 	"math/rand"
@@ -12,13 +12,13 @@ import (
 func TestMaxMinLineRadiusBound(t *testing.T) {
 	g := graph.Line(10)
 	d := 2
-	head := MaxMin(g, d)
+	head := maxMin(g, d)
 	for v, h := range head {
 		if head[h] != h {
 			t.Fatalf("head of %v is %v which is not a head itself", v, h)
 		}
 	}
-	for h, members := range Clusters(head) {
+	for h, members := range headClusters(head) {
 		set := make(map[ident.NodeID]bool)
 		for _, m := range members {
 			set[m] = true
@@ -40,8 +40,8 @@ func TestMaxMinDiameterSafety(t *testing.T) {
 			t.Skip("no connected instance")
 		}
 		dmax := 4
-		head := MaxMin(g, dmax/2)
-		snap := metrics.Snapshot{G: g, Views: Views(head)}
+		head := maxMin(g, dmax/2)
+		snap := metrics.Snapshot{G: g, Views: headViews(head)}
 		if !snap.Safety(dmax) {
 			t.Fatalf("seed %d: MaxMin clusters violate ΠS: %v", seed, snap.Groups())
 		}
@@ -54,12 +54,12 @@ func TestMaxMinDiameterSafety(t *testing.T) {
 func TestMaxMinSingletonAndPair(t *testing.T) {
 	g := graph.New()
 	g.AddNode(1)
-	head := MaxMin(g, 2)
+	head := maxMin(g, 2)
 	if head[1] != 1 {
 		t.Fatalf("lone node must head itself: %v", head)
 	}
 	g2 := graph.Line(2)
-	c := Clusters(MaxMin(g2, 1))
+	c := headClusters(maxMin(g2, 1))
 	if len(c) != 1 {
 		t.Fatalf("pair should form one cluster: %v", c)
 	}
@@ -67,8 +67,8 @@ func TestMaxMinSingletonAndPair(t *testing.T) {
 
 func TestMaxMinDeterministic(t *testing.T) {
 	g := graph.Grid(4, 5)
-	a := MaxMin(g, 2)
-	b := MaxMin(g, 2)
+	a := maxMin(g, 2)
+	b := maxMin(g, 2)
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatal("MaxMin must be deterministic")
@@ -81,9 +81,9 @@ func TestMaxMinRecomputationChurn(t *testing.T) {
 	// can reassign many nodes. Here we only check the mechanism runs and
 	// produces a valid clustering after the change.
 	g := graph.Grid(3, 5)
-	before := MaxMin(g, 2)
+	before := maxMin(g, 2)
 	g.RemoveEdge(7, 8)
-	after := MaxMin(g, 2)
+	after := maxMin(g, 2)
 	if len(before) != len(after) {
 		t.Fatal("node count changed")
 	}
@@ -95,7 +95,7 @@ func TestGreedyPartitionCoversAndRespectsDiameter(t *testing.T) {
 		if g == nil {
 			t.Skip("no connected instance")
 		}
-		views := GreedyPartition(g, 3)
+		views := greedyPartition(g, 3)
 		snap := metrics.Snapshot{G: g, Views: views}
 		if !snap.Agreement() || !snap.Safety(3) {
 			t.Fatalf("seed %d: greedy partition invalid: %v", seed, snap.Groups())
@@ -107,16 +107,16 @@ func TestGreedyPartitionCoversAndRespectsDiameter(t *testing.T) {
 }
 
 func TestGreedyPartitionLine(t *testing.T) {
-	views := GreedyPartition(graph.Line(9), 2)
-	groups := PartitionGroups(views)
+	g := graph.Line(9)
+	groups := metrics.Snapshot{G: g, Views: greedyPartition(g, 2)}.Groups()
 	if len(groups) != 3 {
 		t.Fatalf("9-line at Dmax=2 should give 3 triples: %v", groups)
 	}
 }
 
 func TestViewsShape(t *testing.T) {
-	head := MaxMin(graph.Line(4), 1)
-	views := Views(head)
+	head := maxMin(graph.Line(4), 1)
+	views := headViews(head)
 	for v, vw := range views {
 		if !vw[v] {
 			t.Fatalf("node %v missing from its own view", v)

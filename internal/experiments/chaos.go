@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // E16Chaos regenerates the fault-tolerance study the paper argues but
@@ -20,8 +19,8 @@ import (
 // channel the paper's claim assumes: a bounded max and zero open
 // episodes at every intensity is the self-stabilization property, made
 // quantitative.
-func E16Chaos(seeds int) *trace.Table {
-	tb := trace.NewTable("E16 — stabilization time vs fault intensity (mixed chaos, static n=150)",
+func E16Chaos(seeds int) *Table {
+	tb := newTable("E16 — stabilization time vs fault intensity (mixed chaos, static n=150)",
 		"intensity", "faults", "episodes", "open", "mean_stab", "max_stab", "p_unexcused")
 	const rounds = 1500
 	for _, intensity := range []float64{0.5, 1, 2, 4} {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/radio"
 	"repro/internal/space"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -20,8 +19,8 @@ import (
 // family of two-group gadgets. False accepts break safety and must be
 // zero; false rejects measure the test's conservatism (they delay merges
 // but never break a predicate).
-func E5Compatibility() *trace.Table {
-	tb := trace.NewTable("E5 — compatibleList vs ground truth (Prop. 13)",
+func E5Compatibility() *Table {
+	tb := newTable("E5 — compatibleList vs ground truth (Prop. 13)",
 		"Dmax", "cases", "exact", "false_accept", "false_reject")
 	for _, dmax := range []int{2, 3, 4, 5} {
 		cases, exact, fa, fr := 0, 0, 0, 0
@@ -103,8 +102,8 @@ func compatGadget(p, q, i, dmax int) (*graph.G, ident.NodeID, ident.NodeID, bool
 // the formation negotiation itself is reported separately in the
 // bootstrap column). The drift-then-cut and straggler scenarios break ΠT
 // mid-run: every resulting violation must be excused.
-func E6Continuity(seeds int) *trace.Table {
-	tb := trace.NewTable("E6 — best effort ΠT ⇒ ΠC (Prop. 14)",
+func E6Continuity(seeds int) *Table {
+	tb := newTable("E6 — best effort ΠT ⇒ ΠC (Prop. 14)",
 		"scenario", "bootstrap_viol", "ΠT_breaks", "ΠC_violations", "excused", "unexcused")
 	const warmup = 40
 	type scenario struct {
@@ -161,13 +160,13 @@ func E6Continuity(seeds int) *trace.Table {
 // topology mutation and feeding the tracker.
 func observeRounds(s *engine.Engine, mutate func(round int), rounds, dmax int) *metrics.Tracker {
 	tr := metrics.NewTracker()
-	tr.Observe(s.Snapshot(), dmax)
+	tr.Observe(metrics.SnapshotOf(s), dmax)
 	for r := 0; r < rounds; r++ {
 		if mutate != nil {
 			mutate(r)
 		}
 		s.StepRound()
-		tr.Observe(s.Snapshot(), dmax)
+		tr.Observe(metrics.SnapshotOf(s), dmax)
 	}
 	return tr
 }
@@ -175,8 +174,8 @@ func observeRounds(s *engine.Engine, mutate func(round int), rounds, dmax int) *
 // E9Loss regenerates the robustness table: raw and unexcused continuity
 // violations and convergence under i.i.d. message loss, for two Tc/Ts
 // ratios (the fair-channel margin).
-func E9Loss(seeds int) *trace.Table {
-	tb := trace.NewTable("E9 — message loss sensitivity (line n=8, Dmax=3)",
+func E9Loss(seeds int) *Table {
+	tb := newTable("E9 — message loss sensitivity (line n=8, Dmax=3)",
 		"loss", "Tc/Ts", "converged", "ΠC_violations/run", "unexcused/run")
 	for _, loss := range []float64{0, 0.1, 0.2, 0.4} {
 		for _, ratio := range []int{2, 4} {
@@ -188,7 +187,7 @@ func E9Loss(seeds int) *trace.Table {
 					Ts: 1, Tc: ratio,
 					Channel: radio.Lossy{P: loss},
 				}, graph.Line(8))
-				if _, ok := s.RunUntilConverged(400, 3); ok {
+				if _, ok := metrics.RunUntilConverged(s, 3, 400, 3); ok {
 					conv++
 				}
 				tr := observeRounds(s, nil, 60, 3)

@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction's experiment suite
-// E1–E13 (see DESIGN.md §4): each function regenerates one table of
-// EXPERIMENTS.md from scratch, deterministically from its seeds. The
-// tables are shared by cmd/grpexp (console / markdown output) and by the
-// benchmark harness in the repository root.
+// E1–E16 (see DESIGN.md §4): each function regenerates one table of
+// EXPERIMENTS.md from scratch, deterministically from its seeds, and
+// cmd/grpexp prints them as text, markdown or TSV. What only the
+// experiments use lives here too: the Table and its writers (table.go)
+// and the re-clustering baselines E8 compares GRP against (baseline.go).
 package experiments
 
 import (
@@ -13,7 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/introspect"
-	"repro/internal/trace"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -41,8 +42,8 @@ func sparseCases() []topoCase {
 // E1Stabilization regenerates the Prop. 1+2 table: from corrupted initial
 // configurations, how many rounds until all garbage (ghost identities,
 // oversized lists) is gone and the legitimacy predicate holds again.
-func E1Stabilization(seeds int) *trace.Table {
-	tb := trace.NewTable("E1 — self-stabilization from corrupted state (Props. 1, 2)",
+func E1Stabilization(seeds int) *Table {
+	tb := newTable("E1 — self-stabilization from corrupted state (Props. 1, 2)",
 		"corruption", "topology", "heal_rounds", "reconverge_rounds", "recovered")
 	kinds := []struct {
 		name string
@@ -62,7 +63,7 @@ func E1Stabilization(seeds int) *trace.Table {
 			healSum, convSum, rec := 0, 0, 0
 			for seed := int64(1); seed <= int64(seeds); seed++ {
 				s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed}, tc.g())
-				s.RunUntilConverged(400, 3) // reach legitimacy first
+				metrics.RunUntilConverged(s, tc.dmax, 400, 3) // reach legitimacy first
 				workload.Corrupt(s, k.kind, 0.5, rand.New(rand.NewSource(seed*97)))
 				heal := 0
 				for r := 1; r <= 200; r++ {
@@ -73,7 +74,7 @@ func E1Stabilization(seeds int) *trace.Table {
 					}
 				}
 				healSum += heal
-				if rounds, ok := s.RunUntilConverged(400, 3); ok {
+				if rounds, ok := metrics.RunUntilConverged(s, tc.dmax, 400, 3); ok {
 					convSum += heal + rounds
 					rec++
 				}
@@ -87,8 +88,8 @@ func E1Stabilization(seeds int) *trace.Table {
 
 // E2Agreement regenerates the Prop. 7/8/12 table: convergence to
 // ΠA ∧ ΠS ∧ ΠM from clean boots across the sparse regime.
-func E2Agreement(seeds int) *trace.Table {
-	tb := trace.NewTable("E2/E3/E4 — convergence to ΠA∧ΠS∧ΠM (Props. 7, 8, 12)",
+func E2Agreement(seeds int) *Table {
+	tb := newTable("E2/E3/E4 — convergence to ΠA∧ΠS∧ΠM (Props. 7, 8, 12)",
 		"topology", "n", "Dmax", "converged", "mean_rounds", "groups", "ΠS_holds")
 	for _, tc := range sparseCases() {
 		conv, roundsSum, groups := 0, 0, 0
@@ -98,8 +99,8 @@ func E2Agreement(seeds int) *trace.Table {
 			g := tc.g()
 			n = g.NumNodes()
 			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed, Jitter: seed%2 == 0}, g)
-			r, ok := s.RunUntilConverged(800, 3)
-			snap := s.Snapshot()
+			r, ok := metrics.RunUntilConverged(s, tc.dmax, 800, 3)
+			snap := metrics.SnapshotOf(s)
 			if ok {
 				conv++
 				roundsSum += r
@@ -115,8 +116,8 @@ func E2Agreement(seeds int) *trace.Table {
 
 // E4MergeGadgets regenerates the merge-chain and merge-ring table (the
 // "loop of groups willing to merge" case that group priorities resolve).
-func E4MergeGadgets(seeds int) *trace.Table {
-	tb := trace.NewTable("E4 — merge chains and rings (maximality, group priorities)",
+func E4MergeGadgets(seeds int) *Table {
+	tb := newTable("E4 — merge chains and rings (maximality, group priorities)",
 		"gadget", "converged", "mean_rounds", "mean_groups")
 	gadgets := []topoCase{
 		{"chain-3x4", func() *graph.G { return workload.MergeChain(3, 4) }, 2},
@@ -128,12 +129,12 @@ func E4MergeGadgets(seeds int) *trace.Table {
 		conv, roundsSum, groups := 0, 0, 0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed}, tc.g())
-			r, ok := s.RunUntilConverged(800, 3)
+			r, ok := metrics.RunUntilConverged(s, tc.dmax, 800, 3)
 			if ok {
 				conv++
 				roundsSum += r
 			}
-			groups += s.Snapshot().GroupCount()
+			groups += metrics.SnapshotOf(s).GroupCount()
 		}
 		tb.AddRow(tc.name, fmt.Sprintf("%d/%d", conv, seeds),
 			float64(roundsSum)/float64(max(conv, 1)), float64(groups)/float64(seeds))
@@ -144,27 +145,27 @@ func E4MergeGadgets(seeds int) *trace.Table {
 // E7Scaling regenerates the convergence-time scaling series: rounds to
 // legitimacy versus network size on lines (diameter-dominated) and versus
 // Dmax on a fixed line.
-func E7Scaling(seeds int) (*trace.Table, *trace.Table) {
-	bySize := trace.NewTable("E7a — convergence rounds vs network size (line, Dmax=4)",
+func E7Scaling(seeds int) (*Table, *Table) {
+	bySize := newTable("E7a — convergence rounds vs network size (line, Dmax=4)",
 		"n", "mean_rounds", "converged")
 	for _, n := range []int{10, 20, 30, 40, 60} {
 		conv, sum := 0, 0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: seed}, graph.Line(n))
-			if r, ok := s.RunUntilConverged(1200, 3); ok {
+			if r, ok := metrics.RunUntilConverged(s, 4, 1200, 3); ok {
 				conv++
 				sum += r
 			}
 		}
 		bySize.AddRow(n, float64(sum)/float64(max(conv, 1)), fmt.Sprintf("%d/%d", conv, seeds))
 	}
-	byDmax := trace.NewTable("E7b — convergence rounds vs Dmax (line n=24)",
+	byDmax := newTable("E7b — convergence rounds vs Dmax (line n=24)",
 		"Dmax", "mean_rounds", "converged")
 	for _, dmax := range []int{2, 3, 4, 6, 8} {
 		conv, sum := 0, 0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, graph.Line(24))
-			if r, ok := s.RunUntilConverged(1200, 3); ok {
+			if r, ok := metrics.RunUntilConverged(s, dmax, 1200, 3); ok {
 				conv++
 				sum += r
 			}
@@ -177,8 +178,8 @@ func E7Scaling(seeds int) (*trace.Table, *trace.Table) {
 // E11Overhead regenerates the control-overhead table: bytes and messages
 // per node per round, versus group size and Dmax (message size grows with
 // the list content, i.e. with the group the node ends up in).
-func E11Overhead() *trace.Table {
-	tb := trace.NewTable("E11 — control overhead at steady state",
+func E11Overhead() *Table {
+	tb := newTable("E11 — control overhead at steady state",
 		"topology", "n", "Dmax", "msgs/node/round", "bytes/node/round", "bytes/msg")
 	cases := []topoCase{
 		{"line-10", func() *graph.G { return graph.Line(10) }, 3},
@@ -191,7 +192,7 @@ func E11Overhead() *trace.Table {
 		g := tc.g()
 		n := g.NumNodes()
 		s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: 1}, g)
-		s.RunUntilConverged(600, 3)
+		metrics.RunUntilConverged(s, tc.dmax, 600, 3)
 		// Measure a steady window.
 		reg := s.Introspect()
 		m0, b0, t0 := reg.Get(introspect.CtrMessagesSent), reg.Get(introspect.CtrBytesSent), s.Tick()
@@ -212,8 +213,8 @@ func E11Overhead() *trace.Table {
 // the metastability finding: the fraction of runs reaching full
 // legitimacy as the mean degree of a random geometric graph grows, with
 // safety asserted throughout.
-func E13Density(seeds int) *trace.Table {
-	tb := trace.NewTable("E13 — convergence rate vs density (RGG n=20, Dmax=3)",
+func E13Density(seeds int) *Table {
+	tb := newTable("E13 — convergence rate vs density (RGG n=20, Dmax=3)",
 		"radio_range", "mean_degree", "converged", "ΠS_holds", "mean_groups")
 	for _, r := range []float64{2.2, 2.8, 3.4, 4.0, 5.0} {
 		conv, total, groups := 0, 0, 0
@@ -227,10 +228,10 @@ func E13Density(seeds int) *trace.Table {
 			total++
 			degSum += 2 * float64(g.NumEdges()) / float64(g.NumNodes())
 			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: seed}, g)
-			if _, ok := s.RunUntilConverged(600, 3); ok {
+			if _, ok := metrics.RunUntilConverged(s, 3, 600, 3); ok {
 				conv++
 			}
-			snap := s.Snapshot()
+			snap := metrics.SnapshotOf(s)
 			groups += snap.GroupCount()
 			safe = safe && snap.Safety(3)
 		}
@@ -246,9 +247,9 @@ func E13Density(seeds int) *trace.Table {
 // All regenerates every experiment table with the given seed count. E7c
 // runs a reduced size series here (the full tens-of-thousands series is
 // for cmd/grpexp and the benchmarks).
-func All(seeds int) []*trace.Table {
+func All(seeds int) []*Table {
 	e7a, e7b := E7Scaling(seeds)
-	return []*trace.Table{
+	return []*Table{
 		E1Stabilization(seeds),
 		E2Agreement(seeds),
 		E4MergeGadgets(seeds),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/space"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -23,8 +21,8 @@ import (
 // scratch (the behavior of clusterhead algorithms under mobility). The
 // paper's claim: GRP keeps memberships stable wherever the topology
 // allows; recomputing partitioners reshuffle them.
-func E8Lifetime(seeds int) *trace.Table {
-	tb := trace.NewTable("E8 — group service under highway mobility (n=12, Dmax=4, opposing traffic)",
+func E8Lifetime(seeds int) *Table {
+	tb := newTable("E8 — group service under highway mobility (n=12, Dmax=4, opposing traffic)",
 		"speed_spread", "algo", "mean_lifetime", "membership_changes", "ΠS_ok_pct")
 	const (
 		n     = 12
@@ -68,14 +66,14 @@ func E8Lifetime(seeds int) *trace.Table {
 			mmTr, meTr, grTr := metrics.NewTracker(), metrics.NewTracker(), metrics.NewTracker()
 			var epochViews map[ident.NodeID]map[ident.NodeID]bool
 			for i, g := range snaps {
-				mm := metrics.Snapshot{G: g, Views: baseline.Views(baseline.MaxMin(g, dmax/2))}
+				mm := metrics.Snapshot{G: g, Views: headViews(maxMin(g, dmax/2))}
 				if i%10 == 0 || epochViews == nil {
-					epochViews = pruneViews(baseline.Views(baseline.MaxMin(g, dmax/2)), g)
+					epochViews = pruneViews(headViews(maxMin(g, dmax/2)), g)
 				} else {
 					epochViews = pruneViews(epochViews, g)
 				}
 				me := metrics.Snapshot{G: g, Views: epochViews}
-				gr := metrics.Snapshot{G: g, Views: baseline.GreedyPartition(g, dmax)}
+				gr := metrics.Snapshot{G: g, Views: greedyPartition(g, dmax)}
 				mmTr.Observe(mm, dmax)
 				meTr.Observe(me, dmax)
 				grTr.Observe(gr, dmax)
@@ -144,7 +142,7 @@ func replayGRP(n, dmax int, spread float64, steps int, seed int64) []metrics.Sna
 	out := make([]metrics.Snapshot, 0, steps)
 	for i := 0; i < steps; i++ {
 		s.StepRound()
-		out = append(out, s.Snapshot())
+		out = append(out, metrics.SnapshotOf(s))
 	}
 	return out
 }
@@ -153,8 +151,8 @@ func replayGRP(n, dmax int, spread float64, steps int, seed int64) []metrics.Sna
 // ∃i witness test versus the naive i=0 sum on shortcut-rich topologies
 // (cliques and bridged clusters), measured by convergence and final
 // partition coarseness.
-func E10Ablation(seeds int) *trace.Table {
-	tb := trace.NewTable("E10 — compatibility shortcut ablation",
+func E10Ablation(seeds int) *Table {
+	tb := newTable("E10 — compatibility shortcut ablation",
 		"topology", "variant", "converged", "mean_groups", "mean_group_size")
 	cases := []topoCase{
 		{"clique-6-d2", func() *graph.G { return graph.Complete(6) }, 2},
@@ -173,10 +171,10 @@ func E10Ablation(seeds int) *trace.Table {
 					Cfg:  core.Config{Dmax: tc.dmax, Compat: variant.mode},
 					Seed: seed,
 				}, tc.g())
-				if _, ok := s.RunUntilConverged(600, 3); ok {
+				if _, ok := metrics.RunUntilConverged(s, tc.dmax, 600, 3); ok {
 					conv++
 				}
-				snap := s.Snapshot()
+				snap := metrics.SnapshotOf(s)
 				groups += snap.GroupCount()
 				size += snap.MeanGroupSize()
 			}
@@ -191,8 +189,8 @@ func E10Ablation(seeds int) *trace.Table {
 // gadget: with the quarantine, concurrent admissions are resolved before
 // views change (no unexcused continuity violations and clean
 // reconvergence); without it, views flap.
-func E12Quarantine(seeds int) *trace.Table {
-	tb := trace.NewTable("E12 — quarantine ablation (double join, core n=4, Dmax=4)",
+func E12Quarantine(seeds int) *Table {
+	tb := newTable("E12 — quarantine ablation (double join, core n=4, Dmax=4)",
 		"variant", "converged", "view_changes/run", "unexcused/run")
 	for _, variant := range []struct {
 		name    string
@@ -209,7 +207,7 @@ func E12Quarantine(seeds int) *trace.Table {
 			tr := observeRounds(s, nil, 80, 4)
 			changes += tr.MembershipChanges
 			unexc += tr.UnexcusedViolations
-			if s.Snapshot().Converged(4) {
+			if metrics.SnapshotOf(s).Converged(4) {
 				conv++
 			}
 		}
@@ -229,8 +227,8 @@ func ratio(a, b int) string { return fmt.Sprintf("%d/%d", a, b) }
 // cluster boundaries. A line of n nodes loses a strategically chosen node
 // (the current Max-Min clusterhead with the most members) every `period`
 // rounds; a fresh node takes its place in the topology.
-func E8bHeadLoss(seeds int) *trace.Table {
-	tb := trace.NewTable("E8b — membership churn under clusterhead departure (line n=12, Dmax=2)",
+func E8bHeadLoss(seeds int) *Table {
+	tb := newTable("E8b — membership churn under clusterhead departure (line n=12, Dmax=2)",
 		"algo", "departures", "membership_changes", "changes/departure")
 	const (
 		n      = 12
@@ -243,12 +241,12 @@ func E8bHeadLoss(seeds int) *trace.Table {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		g := graph.Line(n)
 		s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, g)
-		s.RunUntilConverged(400, 3)
+		metrics.RunUntilConverged(s, dmax, 400, 3)
 
 		grpTr := metrics.NewTracker()
 		mmTr := metrics.NewTracker()
-		grpTr.Observe(s.Snapshot(), dmax)
-		mmTr.Observe(metrics.Snapshot{G: g.Clone(), Views: baseline.Views(baseline.MaxMin(g, dmax/2))}, dmax)
+		grpTr.Observe(metrics.SnapshotOf(s), dmax)
+		mmTr.Observe(metrics.Snapshot{G: g.Clone(), Views: headViews(maxMin(g, dmax/2))}, dmax)
 
 		next := ident.NodeID(n + 1)
 		for e := 0; e < events; e++ {
@@ -266,8 +264,8 @@ func E8bHeadLoss(seeds int) *trace.Table {
 			next++
 			for r := 0; r < period; r++ {
 				s.StepRound()
-				grpTr.Observe(s.Snapshot(), dmax)
-				mmTr.Observe(metrics.Snapshot{G: g.Clone(), Views: baseline.Views(baseline.MaxMin(g, dmax/2))}, dmax)
+				grpTr.Observe(metrics.SnapshotOf(s), dmax)
+				mmTr.Observe(metrics.Snapshot{G: g.Clone(), Views: headViews(maxMin(g, dmax/2))}, dmax)
 			}
 		}
 		sums["GRP"].changes += grpTr.MembershipChanges
@@ -284,7 +282,7 @@ func E8bHeadLoss(seeds int) *trace.Table {
 
 // biggestHead returns the Max-Min clusterhead with the most members.
 func biggestHead(g *graph.G, d int) ident.NodeID {
-	clusters := baseline.Clusters(baseline.MaxMin(g, d))
+	clusters := headClusters(maxMin(g, d))
 	best, size := ident.NodeID(0), -1
 	for h, members := range clusters {
 		if len(members) > size || (len(members) == size && h < best) {

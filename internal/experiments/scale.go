@@ -10,7 +10,6 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/obs"
 	"repro/internal/space"
-	"repro/internal/trace"
 )
 
 // E7cSizes is the default size series of the spatial scale sweep — the
@@ -30,11 +29,11 @@ func rwpSide(n int) float64 { return 2.7 * math.Sqrt(float64(n)) }
 // columns are deterministic per seed; ticks/s is the measured engine
 // throughput (mobility + sharded graph build + protocol) on the host and
 // is reported for the perf trajectory, not for reproducibility.
-func E7cSpatialScale(seeds int, sizes ...int) *trace.Table {
+func E7cSpatialScale(seeds int, sizes ...int) *Table {
 	if len(sizes) == 0 {
 		sizes = E7cSizes
 	}
-	tb := trace.NewTable("E7c — spatial scale sweep (mobile RWP, range 2.5, Dmax=3, 12 rounds)",
+	tb := newTable("E7c — spatial scale sweep (mobile RWP, range 2.5, Dmax=3, 12 rounds)",
 		"n", "mean_degree", "groups", "grouped_pct", "ΠS_group_pct", "ticks/s")
 	const (
 		rounds     = 12
@@ -88,8 +87,8 @@ func E7cSpatialScale(seeds int, sizes ...int) *trace.Table {
 // topology generator is all-pairs; here the engine derives the topology
 // through the spatial index, and the stationary world keeps the graph —
 // and the engine's receiver cache — frozen after the first tick.
-func E13bDense(seeds int) *trace.Table {
-	tb := trace.NewTable("E13b — dense-regime metastability at scale (spatial RGG n=200, Dmax=3)",
+func E13bDense(seeds int) *Table {
+	tb := newTable("E13b — dense-regime metastability at scale (spatial RGG n=200, Dmax=3)",
 		"radio_range", "mean_degree", "converged", "ΠS_holds", "mean_groups")
 	const (
 		n    = 200
@@ -149,11 +148,11 @@ var E7cDeltaSizes = []int{20000, 50000}
 // columns come from the delta run (the graphs are identical, so the full
 // run would produce the same trace). ticks/s is host throughput for the
 // perf trajectory, not for reproducibility.
-func E7cDeltaScale(seeds int, sizes ...int) *trace.Table {
+func E7cDeltaScale(seeds int, sizes ...int) *Table {
 	if len(sizes) == 0 {
 		sizes = E7cDeltaSizes
 	}
-	tb := trace.NewTable("E7cΔ — delta-incremental graph sweep (commuter RWP, 5% active, range 2.5, Dmax=3, 10 rounds)",
+	tb := newTable("E7cΔ — delta-incremental graph sweep (commuter RWP, 5% active, range 2.5, Dmax=3, 10 rounds)",
 		"n", "mean_degree", "groups", "grouped_pct", "ticks/s_delta", "ticks/s_full")
 	const rounds = 10
 	for _, n := range sizes {

@@ -6,16 +6,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/radio"
-	"repro/internal/trace"
 )
 
 // E14Stabilizers regenerates the stabilizer ablation (DESIGN.md §3, item
 // 8): the reproduction adds boundary-hold memory and debounced cuts to
 // the paper's mechanisms; this table shows convergence with each of them
 // disabled, across the sparse regime.
-func E14Stabilizers(seeds int) *trace.Table {
-	tb := trace.NewTable("E14 — convergence stabilizer ablation (sparse regime)",
+func E14Stabilizers(seeds int) *Table {
+	tb := newTable("E14 — convergence stabilizer ablation (sparse regime)",
 		"variant", "converged", "mean_rounds")
 	variants := []struct {
 		name string
@@ -34,7 +34,7 @@ func E14Stabilizers(seeds int) *trace.Table {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
 				s := engine.NewStatic(engine.Params{Cfg: v.cfg(tc.dmax), Seed: seed}, tc.g())
 				total++
-				if r, ok := s.RunUntilConverged(800, 3); ok {
+				if r, ok := metrics.RunUntilConverged(s, tc.dmax, 800, 3); ok {
 					conv++
 					roundsSum += r
 				}
@@ -52,8 +52,8 @@ func E14Stabilizers(seeds int) *trace.Table {
 // broadcast collides and the protocol starves; CSMA-style randomized
 // backoff (re-drawn per transmission) with a generous compute period
 // restores the fair-channel hypothesis τ1/τ2.
-func E15Collision(seeds int) *trace.Table {
-	tb := trace.NewTable("E15 — collision channel vs timer dispersion (line n=6, Dmax=3)",
+func E15Collision(seeds int) *Table {
+	tb := newTable("E15 — collision channel vs timer dispersion (line n=6, Dmax=3)",
 		"Ts", "Tc", "backoff", "converged", "mean_rounds")
 	cases := []struct {
 		ts, tc     int
@@ -72,7 +72,7 @@ func E15Collision(seeds int) *trace.Table {
 				Ts: c.ts, Tc: c.tc, Jitter: true, RandomizedSends: c.randomized,
 				Channel: radio.Collision{},
 			}, graph.Line(6))
-			if r, ok := s.RunUntilConverged(600, 3); ok {
+			if r, ok := metrics.RunUntilConverged(s, 3, 600, 3); ok {
 				conv++
 				roundsSum += r
 			}

@@ -1,8 +1,4 @@
-// Package trace provides the structured event log and table writers used
-// by the experiment harness: experiments append typed rows; the writers
-// emit aligned text tables (for the console and EXPERIMENTS.md) and TSV
-// (for external plotting).
-package trace
+package experiments
 
 import (
 	"fmt"
@@ -10,15 +6,17 @@ import (
 	"strings"
 )
 
-// Table is a simple column-oriented result table.
+// Table is a column-oriented result table: experiments append typed rows;
+// the writers emit aligned text (for the console), markdown (for
+// EXPERIMENTS.md) and TSV (for external plotting).
 type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
 }
 
-// NewTable returns an empty table with the given title and column names.
-func NewTable(title string, columns ...string) *Table {
+// newTable returns an empty table with the given title and column names.
+func newTable(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
 }
 

@@ -1,12 +1,12 @@
-package trace
+package experiments
 
 import (
 	"strings"
 	"testing"
 )
 
-func sample() *Table {
-	tb := NewTable("demo", "n", "Dmax", "rounds")
+func sampleTable() *Table {
+	tb := newTable("demo", "n", "Dmax", "rounds")
 	tb.AddRow(10, 3, 42)
 	tb.AddRow(100, 3, 123.4567)
 	return tb
@@ -14,7 +14,7 @@ func sample() *Table {
 
 func TestWriteText(t *testing.T) {
 	var b strings.Builder
-	if err := sample().WriteText(&b); err != nil {
+	if err := sampleTable().WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -31,7 +31,7 @@ func TestWriteText(t *testing.T) {
 
 func TestWriteMarkdown(t *testing.T) {
 	var b strings.Builder
-	if err := sample().WriteMarkdown(&b); err != nil {
+	if err := sampleTable().WriteMarkdown(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -42,7 +42,7 @@ func TestWriteMarkdown(t *testing.T) {
 
 func TestWriteTSV(t *testing.T) {
 	var b strings.Builder
-	if err := sample().WriteTSV(&b); err != nil {
+	if err := sampleTable().WriteTSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -52,7 +52,7 @@ func TestWriteTSV(t *testing.T) {
 }
 
 func TestFloatFormatting(t *testing.T) {
-	tb := NewTable("", "x")
+	tb := newTable("", "x")
 	tb.AddRow(0.123456)
 	if tb.Rows[0][0] != "0.123" {
 		t.Fatalf("float format = %q", tb.Rows[0][0])

@@ -8,6 +8,7 @@ package metrics
 import (
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
 )
@@ -16,6 +17,59 @@ import (
 type Snapshot struct {
 	G     *graph.G
 	Views map[ident.NodeID]map[ident.NodeID]bool
+}
+
+// System is a running GRP system as the predicates see it: a round to
+// step, the live protocol nodes and the topology restricted to them.
+// *engine.Engine satisfies it; the interface lets the engine leave this
+// package unimported, so the product binaries do not link the predicates
+// and the engine's own tests can still call them.
+type System interface {
+	StepRound()
+	SnapshotGraph() *graph.G
+	Order() []ident.NodeID
+	Node(ident.NodeID) *core.Node
+}
+
+// SnapshotOf captures s's current configuration. Only live protocol
+// nodes contribute views. The view maps are fresh on every call
+// (snapshots are routinely held across rounds); the graph is
+// s.SnapshotGraph(), which is replaced, never mutated, when the topology
+// or the membership changes.
+func SnapshotOf(s System) Snapshot {
+	ids := s.Order()
+	views := make(map[ident.NodeID]map[ident.NodeID]bool, len(ids))
+	for _, v := range ids {
+		views[v] = s.Node(v).ViewSet()
+	}
+	return Snapshot{G: s.SnapshotGraph(), Views: views}
+}
+
+// RunUntilConverged steps whole rounds of s until the legitimacy
+// predicate ΠA ∧ ΠS ∧ ΠM at dmax holds for `stable` consecutive rounds or
+// maxRounds passes. It returns the number of rounds to first convergence
+// and whether convergence was reached.
+func RunUntilConverged(s System, dmax, maxRounds, stable int) (rounds int, ok bool) {
+	if stable < 1 {
+		stable = 1
+	}
+	streak := 0
+	first := 0
+	for r := 1; r <= maxRounds; r++ {
+		s.StepRound()
+		if SnapshotOf(s).Converged(dmax) {
+			if streak == 0 {
+				first = r
+			}
+			streak++
+			if streak >= stable {
+				return first, true
+			}
+		} else {
+			streak = 0
+		}
+	}
+	return maxRounds, false
 }
 
 // Omega returns Ω_v: view_v when v belongs to it and every member agrees

@@ -5,7 +5,7 @@
 // ΠS, ΠM and the transition predicates ΠT, ΠC) by re-examining only the
 // nodes whose view or neighborhood actually changed.
 //
-// The brute-force path — engine.Snapshot plus the metrics predicates —
+// The brute-force path — metrics.SnapshotOf plus the metrics predicates —
 // survives unchanged as the test oracle: obs must produce identical
 // results, and the property tests in this package enforce that on random
 // churning worlds. What obs changes is the cost model: a round where k of

@@ -93,7 +93,7 @@ func TestTrackerMatchesOracleStatic(t *testing.T) {
 			g.RemoveNode(3)
 		}
 		st := tr.Observe()
-		cur := e.Snapshot()
+		cur := metrics.SnapshotOf(e)
 		checkAgainstOracle(t, fmt.Sprintf("round %d", r), st, tr, prev, cur, hasPrev, dmax)
 		prev, hasPrev = cur, true
 	}
@@ -175,7 +175,7 @@ func TestTrackerMatchesOracleChurn(t *testing.T) {
 				}
 				e.StepRound()
 				st := tr.Observe()
-				cur := e.Snapshot()
+				cur := metrics.SnapshotOf(e)
 				checkAgainstOracle(t, fmt.Sprintf("seed %d round %d", seed, r), st, tr, prev, cur, hasPrev, dmax)
 				prev, hasPrev = cur, true
 			}
@@ -268,7 +268,7 @@ func TestTrackerSparseObservation(t *testing.T) {
 			g.RemoveEdge(1, 2)
 		}
 		st := tr.Observe()
-		cur := e.Snapshot()
+		cur := metrics.SnapshotOf(e)
 		checkAgainstOracle(t, fmt.Sprintf("obs %d", o), st, tr, prev, cur, hasPrev, dmax)
 		prev, hasPrev = cur, true
 	}
@@ -360,7 +360,7 @@ func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 		}
 		e.StepRound()
 		st := tr.Observe()
-		cur := e.Snapshot()
+		cur := metrics.SnapshotOf(e)
 		checkAgainstOracle(t, fmt.Sprintf("round %d", r), st, tr, prev, cur, hasPrev, dmax)
 		prev, hasPrev = cur, true
 		if rec != nil && r < 60 {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 )
 
 func TestCorruptGhostsInjectsAndHeals(t *testing.T) {
@@ -43,8 +44,8 @@ func TestCorruptViewsAndPrioritiesRecover(t *testing.T) {
 	for _, kind := range []CorruptionKind{CorruptViews, CorruptPriorities} {
 		s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, graph.Line(5))
 		Corrupt(s, kind, 0.6, rand.New(rand.NewSource(4)))
-		if _, ok := s.RunUntilConverged(200, 3); !ok {
-			t.Fatalf("kind %d: no reconvergence: %v", kind, s.Snapshot().Groups())
+		if _, ok := metrics.RunUntilConverged(s, 4, 200, 3); !ok {
+			t.Fatalf("kind %d: no reconvergence: %v", kind, metrics.SnapshotOf(s).Groups())
 		}
 	}
 }
@@ -104,10 +105,10 @@ func TestDoubleJoinQuarantineProtectsAgreement(t *testing.T) {
 	// stay consistent; the run must reconverge to a legal partition.
 	g, _, _ := DoubleJoin(4, 4)
 	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: 7}, g)
-	if _, ok := s.RunUntilConverged(300, 3); !ok {
-		t.Fatalf("double join did not converge: %v", s.Snapshot().Groups())
+	if _, ok := metrics.RunUntilConverged(s, 4, 300, 3); !ok {
+		t.Fatalf("double join did not converge: %v", metrics.SnapshotOf(s).Groups())
 	}
-	snap := s.Snapshot()
+	snap := metrics.SnapshotOf(s)
 	if !snap.Safety(4) {
 		t.Fatalf("safety violated: %v", snap.Groups())
 	}
