@@ -94,11 +94,11 @@ type ghost struct {
 	msg      core.Message
 }
 
-// rowMask caches the peer mask derived from a receiver row, validated
-// by row identity (same discipline as the engine's receiver cache:
-// unchanged head pointer + length ⟹ unchanged content).
+// rowMask caches the peer mask derived from a receiver row, valid while
+// the world serves a Same row (the engine's receiver cache uses the same
+// proof: the same window within one row era ⟹ unchanged content).
 type rowMask struct {
-	row  []ident.NodeID
+	row  space.Row
 	mask uint64
 }
 
@@ -255,37 +255,29 @@ func (sh *Shard) StepRound() error {
 // receiverRow answers a sender's full receiver set from the replicated
 // world, through the engine's exact decision procedure (the symmetric
 // row when servable, the vicinity scan otherwise) so the boundary
-// fan-out matches the single-process deliver phase bit for bit. stable
-// reports whether the row may be identity-cached (scan results live in
-// a reused buffer and may not).
-func (sh *Shard) receiverRow(v ident.NodeID) (row []ident.NodeID, stable bool) {
+// fan-out matches the single-process deliver phase bit for bit. served
+// reports whether ids is row's, which may be cached while the world
+// serves a Same row (scan results live in a reused buffer and may not).
+func (sh *Shard) receiverRow(v ident.NodeID) (ids []ident.NodeID, row space.Row, served bool) {
 	if row, ok := sh.Topo.ReceiverRow(v); ok {
-		return row, true
+		return row.IDs(), row, true
 	}
 	sh.rowBuf = sh.Topo.AppendReceivers(v, sh.rowBuf[:0])
-	return sh.rowBuf, false
-}
-
-func rowsAlias(a, b []ident.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
+	return sh.rowBuf, space.Row{}, false
 }
 
 // foreignMask returns the peers owning at least one receiver of v's
-// broadcast, identity-cached per sender slot against the row.
+// broadcast, cached per sender slot against the row.
 func (sh *Shard) foreignMask(v ident.NodeID) uint64 {
-	row, stable := sh.receiverRow(v)
-	if slot := sh.E.SlotOf(v); stable && slot >= 0 && int(slot) < len(sh.masks) {
+	ids, row, served := sh.receiverRow(v)
+	if slot := sh.E.SlotOf(v); served && slot >= 0 && int(slot) < len(sh.masks) {
 		rm := &sh.masks[slot]
-		if rowsAlias(rm.row, row) {
-			return rm.mask
+		if !rm.row.Same(row) {
+			rm.row, rm.mask = row, sh.maskOf(ids)
 		}
-		rm.row, rm.mask = row, sh.maskOf(row)
 		return rm.mask
 	}
-	return sh.maskOf(row)
+	return sh.maskOf(ids)
 }
 
 func (sh *Shard) maskOf(row []ident.NodeID) uint64 {
@@ -397,8 +389,8 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 				return nil, fmt.Errorf("dist: shard %d: elided entry for %d from %d without a matching ghost",
 					sh.Index, ent.Sender, p)
 			}
-			row, _ := sh.receiverRow(ent.Sender)
-			for _, u := range row {
+			ids, _, _ := sh.receiverRow(ent.Sender)
+			for _, u := range ids {
 				if int(sh.owners[u]) == sh.Index {
 					sh.ext = append(sh.ext, engine.ExternalDelivery{
 						To: u, From: ent.Sender, Gen: ent.Gen, Ver: ent.Ver, Msg: &g.msg,

@@ -62,6 +62,7 @@ import (
 	"repro/internal/introspect"
 	"repro/internal/radio"
 	"repro/internal/shard"
+	"repro/internal/space"
 )
 
 // shardSeed derives shard s's private RNG seed from the run seed
@@ -286,13 +287,13 @@ type nodeRec struct {
 	recv      []ident.NodeID
 	recvEpoch uint64
 
-	// rowRef/rowMem validate recv against a RowTopology row: when the
-	// topology serves the same row view (same backing array and length)
+	// row/rowMem validate recv against a RowTopology row: when the
+	// topology serves a row Same as row (same window in the same row era)
 	// under an unchanged membership generation, recv is reused without
 	// touching the topology's spatial index at all — the per-sender fast
 	// path in a mostly-parked world, where delta graph rebuilds share
-	// every untouched row. rowRef aliases read-only topology storage.
-	rowRef []ident.NodeID
+	// every untouched row. row aliases read-only topology storage.
+	row    space.Row
 	rowMem uint64
 
 	// Activity-skip state. pending is the inbox signature accumulated
@@ -305,10 +306,16 @@ type nodeRec struct {
 	// variant); holdExp is the boundary-memory horizon a QuietHeld replay
 	// is licensed under — the skip stops one round short of the earliest
 	// expiry, so the expiring round always runs in full.
+	//
+	// seeded marks that the node has computed at least once since this
+	// slot incarnation — a compute on an unseeded record is attributed to
+	// introspect.WakeFresh, every later one to the gate that broke the
+	// skip check.
 	pending  []senderVer
 	consumed []senderVer
 	armed    bool
 	quiet    core.Quietness
+	seeded   bool
 	holdExp  uint64
 	fixVer   uint64
 
@@ -335,12 +342,6 @@ type nodeRec struct {
 	memoN       int
 	stateDig    uint64
 	stateDigVer uint64
-
-	// seeded marks that the node has computed at least once since this
-	// slot incarnation — a compute on an unseeded record is attributed to
-	// introspect.WakeFresh, every later one to the gate that broke the
-	// skip check.
-	seeded bool
 
 	// Byzantine override (internal/fault). While lie is non-nil the node
 	// broadcasts lie instead of its genuine message: the build phase
@@ -604,7 +605,7 @@ func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
 	rec.cm = cachedMsg{ver: ^uint64(0)} // no broadcast built yet
 	rec.recv = rec.recv[:0]
 	rec.recvEpoch = 0
-	rec.rowRef = nil
+	rec.row = space.Row{}
 	rec.rowMem = 0
 	rec.pending = rec.pending[:0]
 	rec.consumed = rec.consumed[:0]
@@ -659,7 +660,7 @@ func (e *Engine) RemoveNode(v ident.NodeID) {
 	rec.lie, rec.lieVer, rec.lieSize = nil, 0, 0
 	// A free slot may never be recycled: it must not pin the last broadcast
 	// or the row, a slice of a whole graph generation's adjacency slab.
-	rec.cm, rec.rowRef = cachedMsg{}, nil
+	rec.cm, rec.row = cachedMsg{}, space.Row{}
 	if e.dirtyOn {
 		e.dirtyRemoved = append(e.dirtyRemoved, RemovedNode{ID: v, Slot: slot})
 	}
@@ -951,25 +952,25 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			} else {
 				// The receiver cache is stale on the coarse key (graph or
 				// membership changed somewhere). Before re-deriving, try the
-				// fine-grained row check: a RowTopology serving the very
-				// same row under the same membership generation proves this
-				// sender's receiver set is untouched. Refilling the record's
-				// recycled slice is safe: transmissions referencing the old
-				// backing were consumed within their own tick.
+				// fine-grained row check: a RowTopology serving a Same row
+				// under the same membership generation proves this sender's
+				// receiver set is untouched. Refilling the record's recycled
+				// slice is safe: transmissions referencing the old backing
+				// were consumed within their own tick.
 				if row, ok := rowFor(rower, ent.id); ok {
-					if rec.rowMem == e.memberGen && sameRow(rec.rowRef, row) {
+					if rec.rowMem == e.memberGen && rec.row.Same(row) {
 						rowHits++
 					} else {
 						rowRefills++
-						rec.recv = e.appendLive(rec.recv[:0], row)
-						rec.rowRef = row
+						rec.recv = e.appendLive(rec.recv[:0], row.IDs())
+						rec.row = row
 						rec.rowMem = e.memberGen
 					}
 				} else {
 					rebuilds++
 					buf := e.Topo.AppendReceivers(ent.id, rec.recv[:0])
 					rec.recv = e.appendLive(buf[:0], buf)
-					rec.rowRef = nil
+					rec.row = space.Row{}
 				}
 				rec.recvEpoch = e.recvEpoch
 			}
@@ -1415,21 +1416,11 @@ func (rec *nodeRec) memoReplay() (inbox uint64, probed, replayed bool) {
 
 // rowFor fetches the receiver row view from a RowTopology, tolerating a
 // topology that serves no rows (nil rower or a false return).
-func rowFor(rower RowTopology, v ident.NodeID) ([]ident.NodeID, bool) {
+func rowFor(rower RowTopology, v ident.NodeID) (space.Row, bool) {
 	if rower == nil {
-		return nil, false
+		return space.Row{}, false
 	}
 	return rower.ReceiverRow(v)
-}
-
-// sameRow reports whether two row views are the same storage: identical
-// length and, when non-empty, identical backing. Rows are immutable once
-// shared, so identity implies identical content.
-func sameRow(a, b []ident.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
 }
 
 // StepTicks advances k ticks.

@@ -117,7 +117,7 @@ func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	e := parkedEngine(200, 10)
 	var v ident.NodeID
 	for _, u := range e.Order() {
-		if rec := &e.recs[e.SlotOf(u)]; len(rec.rowRef) > 0 && len(rec.cm.m.Recs) > 0 {
+		if rec := &e.recs[e.SlotOf(u)]; len(rec.row.IDs()) > 0 && len(rec.cm.m.Recs) > 0 {
 			v = u
 			break
 		}
@@ -130,8 +130,8 @@ func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	runtime.SetFinalizer(&e.recs[slot].cm.m.Recs[0], func(*core.PrioRec) { close(freed) })
 	e.RemoveNode(v)
 	e.Topo.(*SpatialTopology).World.Remove(v)
-	if rec := &e.recs[slot]; rec.rowRef != nil || rec.cm.m.Recs != nil || rec.cm.m.List.Len() != 0 {
-		t.Fatalf("free slot still holds rowRef=%v broadcast=%v", rec.rowRef, rec.cm.m)
+	if rec := &e.recs[slot]; rec.row.IDs() != nil || rec.cm.m.Recs != nil || rec.cm.m.List.Len() != 0 {
+		t.Fatalf("free slot still holds row=%v broadcast=%v", rec.row.IDs(), rec.cm.m)
 	}
 	if n.ID() != ident.None || n.List().Len() != 0 || n.PendingMessages() != 0 {
 		t.Fatalf("New's slab still holds the departed node's state: %s", n)

@@ -16,8 +16,9 @@ type Topology interface {
 	// Advance moves the topology forward by one tick.
 	Advance(rng *rand.Rand)
 	// Graph returns the current symmetric communication graph, valid until
-	// the next Advance (SpatialTopology retires what it replaces, see
-	// graph.ApplyDelta); SnapshotGraph, Restrict or Clone it to keep one.
+	// the next Advance (SpatialTopology retires what it replaces, and the
+	// next rebuild takes its row header or its arena, see graph.Retire);
+	// SnapshotGraph, Restrict or Clone it to keep one.
 	Graph() *graph.G
 	// AppendReceivers appends the nodes that can hear a broadcast from v
 	// to buf and returns the extended slice (the engine's build phase
@@ -36,29 +37,27 @@ type Topology interface {
 }
 
 // RowTopology is an optional refinement of Topology: a topology whose
-// receiver sets can be served as stable read-only slices ("rows") lets
-// the engine skip the per-sender receiver re-derivation entirely when
-// the row is identical — same backing array, same length — to the one
-// the sender's cached receiver set was filtered from. Delta-incremental
-// graph rebuilds share untouched rows between generations, so in a
-// mostly-parked world almost every sender hits this cache even though
+// receiver sets can be served as read-only rows lets the engine skip the
+// per-sender receiver re-derivation entirely when the row is Same — the
+// same window served in the same row era (space.Row) — as the one the
+// sender's cached receiver set was filtered from. Delta-incremental graph
+// rebuilds share untouched rows between generations within one era, so in
+// a mostly-parked world almost every sender hits this cache even though
 // the graph pointer changes every tick.
 type RowTopology interface {
-	// ReceiverRow returns the receiver set of v as a read-only view and
-	// true, or (nil, false) when the topology cannot serve rows in its
+	// ReceiverRow returns the receiver set of v as a read-only row and
+	// true, or (zero Row, false) when the topology cannot serve rows in its
 	// current configuration (the caller must then fall back to
-	// AppendReceivers). A (nil, true) return means v currently has no
-	// receivers. The view must stay valid and immutable for as long as
-	// the topology shares it, and must only be returned when row
-	// identity implies receiver-set identity.
-	ReceiverRow(v ident.NodeID) ([]ident.NodeID, bool)
+	// AppendReceivers). An empty row with true means v currently has no
+	// receivers. The row is valid until the next Advance.
+	ReceiverRow(v ident.NodeID) (space.Row, bool)
 	// RowsChanged returns (a superset of) the nodes whose receiver row
 	// may differ between the graph since and the current Graph(), plus
 	// true — or (nil, false) when no such delta record exists (full
 	// rebuild, roster change, rows unservable). With a true return the
 	// engine invalidates only the listed senders' receiver caches
 	// instead of every record; correctness therefore requires that any
-	// node absent from the slice has an identical row in both graphs.
+	// node absent from the slice has a Same row in both graphs.
 	RowsChanged(since *graph.G) ([]ident.NodeID, bool)
 }
 
@@ -107,7 +106,8 @@ func NewSpatialTopology(w *space.World, mob mobility.Model, dt float64, nodes []
 // Advance implements Topology. World.SymmetricGraph is cached on the
 // world generation, so a step that moved no node costs O(1) and keeps
 // the previous graph (and every cache keyed on it) intact; a graph that
-// is replaced was retired first, so a delta reuses its row header.
+// is replaced was retired first, so a delta reuses its row header and a
+// full rebuild its offsets and arena.
 func (t *SpatialTopology) Advance(rng *rand.Rand) {
 	t.Mob.Step(t.World, t.DT, rng)
 	t.cached.Retire()
@@ -125,7 +125,7 @@ func (t *SpatialTopology) AppendReceivers(v ident.NodeID, buf []ident.NodeID) []
 }
 
 // ReceiverRow implements RowTopology via the world's symmetric-graph row.
-func (t *SpatialTopology) ReceiverRow(v ident.NodeID) ([]ident.NodeID, bool) {
+func (t *SpatialTopology) ReceiverRow(v ident.NodeID) (space.Row, bool) {
 	return t.World.ReceiverRow(v)
 }
 

@@ -60,8 +60,11 @@ func checkRow(who string, idx map[ident.NodeID]int32, r NodeAdj) {
 // retired (Retire), is unpacked and has no identity-Restrict sibling
 // reading through its header: then the child takes the header and patches
 // it in place, one header per delta lineage instead of one per step, and
-// prev is left without rows (the preconditions are checked first). Row
-// storage is never rewritten or recycled: (&row[0], len) proves content.
+// prev is left without rows (the preconditions are checked first). A delta
+// never rewrites or recycles row storage, so along one lineage (&row[0],
+// len) proves content; only FromRows rewrites storage, taken from a
+// retired packed graph, which is why space.World scopes that proof to the
+// row era between two full rebuilds (space.Row).
 func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	prev.mustHaveRows("ApplyDelta")
 	// The updated-node set, ascending, for the mirror-patch membership
@@ -209,16 +212,17 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	return g
 }
 
-// Retire declares that g's owner will not read g once an ApplyDelta child
-// has been derived from it, which lets that child take g's row header. A
-// no-op on a packed or empty graph, which has no header to hand on.
-func (g *G) Retire() { g.retired = g.retired || len(g.adj) > 0 }
+// Retire declares that g's owner will not read g once a child has been
+// derived from it, which lets that child take g's storage: an ApplyDelta
+// child the row header of an unpacked g, a FromRows successor the offsets
+// and arena of a packed one. A no-op on an empty graph, which has neither.
+func (g *G) Retire() { g.retired = g.retired || len(g.adj) > 0 || g.off != nil }
 
-// mustHaveRows panics if g's row header went to its ApplyDelta child: an
-// identity Restrict would otherwise return a silently empty sibling.
+// mustHaveRows panics if g's rows went to a child: an identity Restrict
+// would otherwise return a silently empty sibling.
 func (g *G) mustHaveRows(who string) {
-	if g.retired && g.adj == nil {
-		panic("graph: " + who + " on a retired graph whose row header was handed to its ApplyDelta child")
+	if g.retired && g.adj == nil && g.off == nil {
+		panic("graph: " + who + " on a retired graph whose rows were handed to its ApplyDelta child or FromRows successor")
 	}
 }
 

@@ -168,6 +168,41 @@ func FuzzCSRFromRows(f *testing.F) {
 			t.Fatal("mutation leaked across the shared roster")
 		}
 		checkSame(t, g, ref)
+		// A lineage of recycled rebuilds from g: each step retires its
+		// predecessor and rewrites that one's storage, over another edge set
+		// and, every other step, another roster order. Step 2 adds a clique,
+		// which grows the storage past its capacity; step 4 has no edge.
+		for step, cur := 1, g; step <= 4; step++ {
+			roster := slices.Clone(nodes)
+			if step%2 == 0 {
+				slices.Reverse(roster)
+			}
+			ref := NewRef()
+			for _, v := range roster {
+				ref.AddNode(v)
+			}
+			for i, x := range data {
+				if step < 4 && (i+step)%3 != 0 {
+					ref.AddEdge(roster[int(x>>4)%len(roster)], roster[(int(x&0xf)+step)%len(roster)])
+				}
+			}
+			for i := 0; step == 2 && i < min(8, len(roster)); i++ {
+				for j := 0; j < i; j++ {
+					ref.AddEdge(roster[i], roster[j])
+				}
+			}
+			rows := make([]NodeAdj, 0, len(roster))
+			for _, v := range roster {
+				rows = append(rows, NodeAdj{Node: v, Adj: ref.Neighbors(v)})
+			}
+			cur.Retire()
+			next := FromRows(cur, roster, rows)
+			if cur.off != nil || cur.arena != nil {
+				t.Fatalf("step %d: a retired, unshared predecessor kept its storage", step)
+			}
+			checkSame(t, next, ref)
+			cur = next
+		}
 	})
 }
 

@@ -36,9 +36,10 @@ type G struct {
 	nodes []ident.NodeID         // slot → node (insertion order)
 
 	// Slot → neighbors, ascending; read through row(i). Packed (off != nil,
-	// adj == nil): row i is arena[off[i]:off[i+1]], and nothing is ever
-	// written. Unpacked (off == nil): row i is adj[i]; unshareAdj is the only
-	// way from the first form to the second.
+	// adj == nil): row i is arena[off[i]:off[i+1]], written only by the
+	// FromRows that builds it, which may have taken the storage over from a
+	// retired graph. Unpacked (off == nil): row i is adj[i]; unshareAdj is
+	// the only way from the first form to the second.
 	off   []uint32
 	arena []ident.NodeID
 	adj   [][]ident.NodeID
@@ -60,7 +61,8 @@ type G struct {
 
 	// retired is Retire's promise; hdrShared marks the header adj itself as
 	// read by an identity-Restrict sibling (both sides, never cleared). An
-	// ApplyDelta child takes the adj of a retired, unshared parent.
+	// ApplyDelta child takes the adj of a retired, unshared parent, a
+	// FromRows successor the off and arena.
 	retired, hdrShared bool
 
 	edges int
@@ -82,8 +84,20 @@ func New() *G {
 // sequence (a mobile world's rebuild with unchanged membership), the
 // result shares its node index copy-on-write instead of rebuilding the
 // map: either graph takes a private copy before a later node mutation.
+//
+// When prev was retired (Retire), is packed and shares its storage with
+// nobody — no identity-Restrict sibling, no ApplyDelta child (cowAdj
+// covers both) — the result takes prev's offsets and arena, grown the way
+// append grows, and rewrites them; prev is left without rows. rows must
+// then not alias prev's storage: a retired graph is not read again.
 func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	g := &G{}
+	var off []uint32
+	var arena []ident.NodeID
+	if prev != nil && prev.retired && prev.off != nil && !prev.cowAdj {
+		off, arena = prev.off[:0], prev.arena[:0]
+		prev.off, prev.arena = nil, nil // handed on: prev is without rows from here
+	}
 	if prev != nil && slices.Equal(prev.nodes, nodes) {
 		prev.sharedIdx, g.sharedIdx = true, true
 		g.idx, g.nodes = prev.idx, prev.nodes
@@ -99,7 +113,8 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	}
 	// off[i+1] holds len(row i)+1 until the prefix sum, so that zero means
 	// "no row yet": n rows, none unknown, none repeated — none missing.
-	off := make([]uint32, n+1)
+	off = slices.Grow(off, n+1)[:n+1]
+	clear(off)
 	for _, r := range rows {
 		i, ok := g.idx[r.Node]
 		if !ok {
@@ -113,7 +128,7 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	for i := 0; i < n; i++ {
 		off[i+1] = off[i] + off[i+1] - 1
 	}
-	arena := make([]ident.NodeID, off[n])
+	arena = slices.Grow(arena, int(off[n]))[:off[n]]
 	for _, r := range rows {
 		checkRow("FromRows", g.idx, r)
 		copy(arena[off[g.idx[r.Node]]:], r.Adj)

@@ -111,6 +111,87 @@ func TestFromRowsPanicsOnViolations(t *testing.T) {
 	}
 }
 
+// TestFromRowsHandOff: a full rebuild takes its predecessor's offsets and
+// arena exactly when the predecessor is retired, packed and shares its
+// storage with nobody. Otherwise the result is fresh and the predecessor,
+// with whoever shares its storage, reads as before. A graph whose storage
+// went on has no rows: reads panic, and the calls that would otherwise
+// succeed on nothing say where the rows went.
+func TestFromRowsHandOff(t *testing.T) {
+	all := func(ident.NodeID) bool { return true }
+	for _, tc := range []struct {
+		name  string
+		prev  func(*deltaWorld) (prev, sharer *G)
+		taken bool
+	}{
+		{"retired", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, nil }, true},
+		{"not retired", func(w *deltaWorld) (*G, *G) { return w.build(), nil }, false},
+		{"Restrict sibling", func(w *deltaWorld) (*G, *G) { g := w.build(); s := g.Restrict(all); g.Retire(); return g, s }, false},
+		{"delta child", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, ApplyDelta(g, nil) }, false},
+		{"unpacked", func(w *deltaWorld) (*G, *G) { g := ApplyDelta(w.build(), nil); g.Retire(); return g, nil }, false},
+		{"nil", func(*deltaWorld) (*G, *G) { return nil, nil }, false},
+	} {
+		w := newDeltaWorld(10)
+		for i := 1; i < 10; i++ {
+			w.set(ident.NodeID(i), ident.NodeID(i+1), true)
+		}
+		tickT := w.build()
+		prev, sharer := tc.prev(w)
+		var off *uint32
+		var arena *ident.NodeID
+		if prev != nil && prev.off != nil {
+			off, arena = &prev.off[0], &prev.arena[0]
+		}
+		w.set(2, 3, false) // the same edge count: the storage fits as it is
+		w.set(2, 9, true)
+		g := FromRows(prev, w.nodes, w.updatesFor(w.nodes))
+		if !g.Equal(w.build()) || g.off == nil {
+			t.Fatalf("%s: rebuild %v differs from a scratch build", tc.name, g)
+		}
+		if taken := &g.off[0] == off && &g.arena[0] == arena; taken != tc.taken {
+			t.Fatalf("%s: storage taken %v, want %v", tc.name, taken, tc.taken)
+		}
+		if sharer != nil && !sharer.Equal(tickT) {
+			t.Fatalf("%s: the graph sharing prev's storage no longer reads its tick", tc.name)
+		}
+		if prev == nil {
+			continue
+		}
+		if !tc.taken {
+			if !prev.Equal(tickT) {
+				t.Fatalf("%s: prev changed", tc.name)
+			}
+			continue
+		}
+		if prev.off != nil || prev.arena != nil {
+			t.Fatalf("%s: prev kept its storage", tc.name)
+		}
+		for name, read := range map[string]func(){
+			"NeighborsAt":   func() { prev.NeighborsAt(0) },
+			"NeighborsView": func() { prev.NeighborsView(3) },
+			"HasEdge":       func() { prev.HasEdge(3, 4) },
+			"AddEdge":       func() { prev.AddEdge(3, 7) },
+			"!Restrict":     func() { prev.Restrict(all) },
+			"!Clone":        func() { prev.Clone() },
+			"!Equal":        func() { g.Equal(prev) },
+			"!ApplyDelta":   func() { ApplyDelta(prev, nil) },
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("%s on a graph whose storage went on did not panic", name)
+					}
+					if msg, _ := r.(string); name[0] == '!' && !strings.Contains(msg, "FromRows successor") {
+						t.Fatalf("%s: panic %v does not say where the rows went", name, r)
+					}
+				}()
+				read()
+			}()
+		}
+	}
+}
+
 // TestPackedCopyOnWrite mutates a packed graph, its identity-Restrict
 // sibling and its ApplyDelta child in every order, and after every
 // mutation requires the other two — and a second-generation child — to be
@@ -185,7 +266,7 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 		base := w.build()
 		pb := rowPtrs(base)
 		if retire {
-			base.Retire() // packed: nothing to hand on
+			base.Retire() // packed: no header for a delta child to take
 		}
 		w.set(1, 2, false) // patches rows 1 (update) and 2 (mirror)
 		c1 := ApplyDelta(base, w.updatesFor([]ident.NodeID{1}))

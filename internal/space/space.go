@@ -116,6 +116,35 @@ type World struct {
 	rowDirty     []ident.NodeID
 	rowDirtyFrom *graph.G
 	rowDirtyTo   *graph.G
+
+	// era counts full rebuilds: the row era a served Row is stamped with.
+	era uint64
+}
+
+// Row is a receiver row as ReceiverRow serves it: a read-only view of the
+// cached symmetric graph's storage, stamped with the row era it was served
+// in. A full rebuild starts a new era, and may rewrite the storage of the
+// graph it replaces (graph.FromRows takes a retired graph's arena); a
+// delta rebuild stays in the era and gives every row it changes fresh
+// storage. So the same window served in one era is the same receiver set,
+// and Same is the only comparison a cache may act on.
+type Row struct {
+	ids []ident.NodeID
+	era uint64
+}
+
+// IDs returns the receivers, ascending: read-only, valid while the graph
+// that served them is current.
+func (r Row) IDs() []ident.NodeID { return r.ids }
+
+// Same reports whether r and o are provably the same receiver set: both
+// empty, or the same storage window (backing and length) served within
+// one row era. The zero Row is empty.
+func (r Row) Same(o Row) bool {
+	if len(r.ids) != len(o.ids) {
+		return false
+	}
+	return len(r.ids) == 0 || (r.era == o.era && &r.ids[0] == &o.ids[0])
 }
 
 // NewWorld returns an empty world with the given default range.
@@ -284,9 +313,11 @@ func (w *World) SymmetricGraph() *graph.G {
 		g = graph.ApplyDelta(prev, upd)
 		w.rowDirtyFrom, w.rowDirtyTo = prev, g
 	} else {
-		// prev only lends its node index, when the roster is the same.
+		// prev lends its node index when the roster is the same, and its
+		// storage when it was retired: a new row era either way.
 		g = graph.FromRows(w.symGraph, nodes, w.scanRows(nodes))
 		w.rowDirtyFrom, w.rowDirtyTo = nil, nil
+		w.era++
 	}
 	w.symGraph, w.symGen = g, w.gen
 	w.movedDirty = w.movedDirty[:0]
@@ -303,45 +334,39 @@ func (w *World) Receivers(u ident.NodeID) []ident.NodeID {
 	return w.AppendReceivers(u, nil)
 }
 
-// AppendReceivers appends the receivers of u in ascending order to buf
-// and returns the extended slice — the allocation-free variant the
-// engine's build phase recycles its receiver buffers through. Safe for
-// concurrent use once the index is built (the engine calls it from
-// several workers; each passes its own buffer).
 // ReceiverRow returns u's receiver set as a zero-copy view of its row in
-// the cached symmetric graph, plus true — or (nil, false) when rows
-// cannot be served (per-node range overrides make reachability
+// the cached symmetric graph, plus true — or a zero Row and false when
+// rows cannot be served (per-node range overrides make reachability
 // asymmetric, or the graph cache is stale). The view aliases the graph's
-// CSR storage and must be treated as read-only; because delta rebuilds
-// share every untouched row between generations, an identical view
-// (same backing, same length) across ticks means an identical receiver
-// set — row storage is never rewritten or recycled (graph.ApplyDelta
-// gives a changed row fresh storage, even when it reuses the row header).
-// A (nil, true) return means u is absent or isolated.
-func (w *World) ReceiverRow(u ident.NodeID) ([]ident.NodeID, bool) {
+// CSR storage and must be treated as read-only. Delta rebuilds share every
+// untouched row between generations, so a row Same as one served earlier
+// is the same receiver set; a full rebuild may rewrite the storage of the
+// graph it replaces, and no row served before it is Same as one served
+// after. An empty Row with true means u is absent or isolated.
+func (w *World) ReceiverRow(u ident.NodeID) (Row, bool) {
 	if len(w.TxRange) != 0 {
-		return nil, false
+		return Row{}, false
 	}
 	w.validate()
 	if w.symGraph == nil || w.symGen != w.gen {
-		return nil, false
+		return Row{}, false
 	}
 	// The current graph carries every world node (isolated included), so
 	// the index probe doubles as the membership check.
 	i := w.symGraph.IndexOf(u)
 	if i < 0 {
-		return nil, true
+		return Row{}, true
 	}
-	return w.symGraph.NeighborsAt(i), true
+	return Row{ids: w.symGraph.NeighborsAt(i), era: w.era}, true
 }
 
 // RowsChanged returns (a superset of) the nodes whose ReceiverRow may
 // differ between the graph since and the currently cached graph, plus
 // true — or (nil, false) when the current graph is not one delta step
 // from since (full rebuild, membership churn, stale cache, or per-node
-// range overrides). With a true return, every node absent from the
-// slice is guaranteed an identical receiver row in both graphs, so a
-// driver can invalidate its receiver caches per-node instead of
+// range overrides). With a true return both graphs are of one row era and
+// every node absent from the slice is guaranteed a Same receiver row in
+// both, so a driver can invalidate its receiver caches per-node instead of
 // wholesale. The slice aliases internal storage: read-only, valid until
 // the next rebuild.
 func (w *World) RowsChanged(since *graph.G) ([]ident.NodeID, bool) {
@@ -378,6 +403,11 @@ func (w *World) recordRowDelta(prev *graph.G, updates []graph.NodeAdj) {
 	w.rowDirty = compactIDs(d)
 }
 
+// AppendReceivers appends the receivers of u in ascending order to buf
+// and returns the extended slice — the allocation-free variant the
+// engine's build phase recycles its receiver buffers through. Safe for
+// concurrent use once the index is built (the engine calls it from
+// several workers; each passes its own buffer).
 func (w *World) AppendReceivers(u ident.NodeID, buf []ident.NodeID) []ident.NodeID {
 	w.validate()
 	// With no per-node range overrides, reachability is symmetric (same

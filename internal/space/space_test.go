@@ -325,7 +325,7 @@ func TestFirstGraphEqualAtAnyWidth(t *testing.T) {
 		}
 		for _, v := range w.Nodes() {
 			row, ok := w.ReceiverRow(v)
-			if want, _ := one.ReceiverRow(v); !ok || !slices.Equal(row, want) {
+			if want, _ := one.ReceiverRow(v); !ok || !slices.Equal(row.IDs(), want.IDs()) {
 				t.Fatalf("workers=%d: row of %v is %v (served %v), inline %v", workers, v, row, ok, want)
 			}
 		}
@@ -632,6 +632,51 @@ func TestRangeBoundaryMatchesBruteForce(t *testing.T) {
 	}
 	if want.NumEdges() == 0 || want.NumEdges() == int(id)/2 {
 		t.Fatalf("%d of %d boundary pairs linked: the cases straddle nothing", want.NumEdges(), id/2)
+	}
+}
+
+// TestRowSameWithinOneEra pins the proof the receiver caches act on. A
+// delta rebuild stays in the row era: an untouched row is Same across it,
+// a patched one is not. A full rebuild starts a new era: when it takes
+// over the retired graph's storage, an unchanged topology puts every row
+// in the very window it had, and still no non-empty row is Same as one
+// served before. Any two empty rows are Same.
+func TestRowSameWithinOneEra(t *testing.T) {
+	w := NewWorld(2)
+	for v := 1; v <= 40; v++ {
+		w.Place(ident.NodeID(v), Point{X: float64(v)})
+	}
+	row := func(v ident.NodeID) Row {
+		r, ok := w.ReceiverRow(v)
+		if !ok {
+			t.Fatalf("row of %v not served", v)
+		}
+		return r
+	}
+	step := func(move func()) {
+		w.SymmetricGraph().Retire() // the current graph, as SpatialTopology.Advance does
+		move()
+		w.SymmetricGraph()
+	}
+	w.SymmetricGraph()
+	r1, r38 := row(1), row(38)
+	step(func() { w.Place(40, Point{X: 100}) }) // one mover: a delta
+	if !row(1).Same(r1) || row(38).Same(r38) || !row(40).Same(Row{}) {
+		t.Fatal("delta: untouched row 1 must stay Same, patched row 38 must not, isolated 40 is empty")
+	}
+	shift := func() {
+		step(func() {
+			for _, v := range w.Nodes() {
+				p, _ := w.Pos(v)
+				w.Place(v, p.Add(0, 0.001)) // every node moves, no link changes: full
+			}
+		})
+	}
+	shift()
+	r1 = row(1)
+	shift()
+	if now := row(1); &now.IDs()[0] != &r1.IDs()[0] || !slices.Equal(now.IDs(), r1.IDs()) || now.Same(r1) {
+		t.Fatal("full rebuild over taken storage: row 1 must recur in its window and not be Same")
 	}
 }
 
