@@ -195,7 +195,7 @@ type Node struct {
 	gprs     []prec         // group-priority cache, ascending by id
 	self     priority.P
 	group    priority.P
-	msgSet   []Message     // one buffered message per sender (last wins)
+	msgSet   []*Message    // one buffered message per sender (last wins), aliased
 	rejected []rejEntry    // boundary memory
 	streak   []streakEntry // consecutive incompatibility observations
 	synced   bool          // one-time clock sync at first contact done
@@ -750,32 +750,33 @@ func (n *Node) PoisonBoundary(u ident.NodeID, holdComputes uint64) {
 	n.quiet = QuietNone
 }
 
-// Receive stores a neighbor's message. Only the last message per sender is
-// kept (one-message channel); self-messages are ignored. The buffer is a
-// small slice scanned linearly — sender counts are node degrees, where
-// the scan beats the map the seed used.
+// Receive stores a copy of a neighbor's message (List and Recs aliased, as
+// by ReceiveRef). Only the last message per sender is kept (one-message
+// channel); self-messages are ignored. The buffer is a small slice scanned
+// linearly — sender counts are node degrees, where the scan beats the map
+// the seed used.
 func (n *Node) Receive(m Message) { n.ReceiveRef(&m) }
 
-// ReceiveRef is Receive without the by-value argument copy: the message
-// is only copied into the buffer on store. Hot delivery paths (the
-// engine delivers a few hundred thousand receptions per tick, each from
-// a long-lived cached broadcast) call this directly.
+// ReceiveRef is Receive without the copy: the buffer keeps m itself, which
+// the caller must not write until the node's next Compute or Skip*Round.
+// Hot delivery paths (the engine delivers a few hundred thousand receptions
+// per tick, each from a long-lived cached broadcast) call this directly.
 func (n *Node) ReceiveRef(m *Message) {
 	if m.From == n.id || m.From == ident.None {
 		return
 	}
-	for i := range n.msgSet {
-		if n.msgSet[i].From == m.From {
-			n.msgSet[i] = *m
+	for i, b := range n.msgSet {
+		if b.From == m.From {
+			n.msgSet[i] = m
 			return
 		}
 	}
-	n.msgSet = append(n.msgSet, *m)
+	n.msgSet = append(n.msgSet, m)
 }
 
-// SetInbox hands the node empty storage for its message buffer: a driver
-// that knows the node's degree reserves it.
-func (n *Node) SetInbox(buf []Message) { n.msgSet = buf[:0] }
+// SetInbox hands the node empty storage for its message buffer, one
+// pointer a sender: a driver that knows the node's degree reserves it.
+func (n *Node) SetInbox(buf []*Message) { n.msgSet = buf[:0] }
 
 // PendingMessages returns how many distinct senders are buffered (used by
 // drivers and tests).
@@ -786,8 +787,9 @@ func (n *Node) PendingMessages() int { return len(n.msgSet) }
 // result is a pure function of the node's state (see Version), so drivers
 // may cache and share it between computes. The list is shared, not cloned:
 // a commit that changes it publishes into other storage (Scratch.Lists). A
-// receiver aliases List and Recs until its next Compute or Skip*Round
-// resets its message set, and no longer.
+// receiver aliases List and Recs — and, through ReceiveRef, the message
+// header too — until its next Compute or Skip*Round resets its message
+// set, and no longer.
 func (n *Node) BuildMessage() Message { return n.BuildMessageIn(nil) }
 
 // RecsNeeded is the broadcast's record count: one per list entry, plus the
@@ -860,7 +862,7 @@ func (n *Node) BuildMessageIn(recs []PrioRec) Message {
 }
 
 // incoming is one checked entry of the message set during a computation:
-// the buffered message (in place, in n.msgSet) and the list it is folded as.
+// the buffered message (as n.msgSet points to it) and the list it is folded as.
 type incoming struct {
 	list antlist.List
 	msg  *Message
@@ -898,8 +900,8 @@ func (n *Node) prefCmp(x, y *Message) int {
 // walk Compute and InboxReadDigest share — built in s.incs.
 func (n *Node) sortedInbox(s *Scratch) []incoming {
 	incs := s.incs[:0]
-	for i := range n.msgSet {
-		incs = append(incs, incoming{msg: &n.msgSet[i]})
+	for _, m := range n.msgSet {
+		incs = append(incs, incoming{msg: m})
 	}
 	slices.SortFunc(incs, func(x, y incoming) int { return n.prefCmp(x.msg, y.msg) })
 	s.incs = incs

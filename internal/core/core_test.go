@@ -116,6 +116,26 @@ func TestReceiveIgnoresSelfAndKeepsLast(t *testing.T) {
 	}
 }
 
+// TestReceiveCopiesReceiveRefAliases pins the two stores: Receive buffers a
+// copy, so writing the caller's value afterwards reaches nothing; ReceiveRef
+// buffers the message itself, in place of the sender's previous one.
+func TestReceiveCopiesReceiveRefAliases(t *testing.T) {
+	n := NewNode(1, Config{Dmax: 3})
+	m := Message{From: 2, List: antlist.Singleton(ident.Plain(2)), GroupPrio: priority.New(2)}
+	n.Receive(m)
+	m.From, m.GroupPrio = 3, priority.New(3)
+	if len(n.msgSet) != 1 || n.msgSet[0].From != 2 || n.msgSet[0].GroupPrio != priority.New(2) {
+		t.Fatalf("a write to the received value reached the inbox: %+v", *n.msgSet[0])
+	}
+	first, last := &Message{From: 3}, &Message{From: 3, GroupPrio: priority.New(3)}
+	n.ReceiveRef(first)
+	n.ReceiveRef(&Message{From: 4})
+	n.ReceiveRef(last)
+	if len(n.msgSet) != 3 || n.msgSet[1] != last || n.msgSet[0].From != 2 {
+		t.Fatalf("ReceiveRef of 3 twice buffered %v, want the last pointer in the first one's place", n.msgSet)
+	}
+}
+
 func TestTripleHandshakeTwoNodes(t *testing.T) {
 	r := newRing(graph.Line(2), Config{Dmax: 3})
 	// Round 1: each sees the other's bare singleton → single mark.

@@ -110,7 +110,7 @@ func FuzzReceiveComputeBuildRoundTrip(f *testing.F) {
 		// Built into a dirty buffer it is the same broadcast, in that
 		// buffer exactly when the buffer is large enough.
 		dirty := make([]core.PrioRec, max(0, n.RecsNeeded()+int(spare%4)-1))
-		core.PoisonRecs(dirty)
+		core.PoisonMessage(&core.Message{Recs: dirty})
 		in := n.BuildMessageIn(dirty[:len(dirty)/2])
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("built into %d dirty records: %+v, fresh: %+v", len(dirty), in, out)

@@ -19,9 +19,10 @@ import (
 // slice per broadcast, scanned on the receive path, with the entry's list
 // position inline so receivers never re-scan the list for it. A message and
 // what it references are never written while a receiver may read them —
-// BuildMessage shares the sender's own list rather than cloning it, and
-// drivers cache and share messages between computes (see Node.Version) —
-// but only that long: see BuildMessage for when they may be written again.
+// BuildMessage shares the sender's own list rather than cloning it, drivers
+// cache and share messages between computes (see Node.Version), and a
+// receiver's buffer holds the delivered *Message itself (ReceiveRef) — but
+// only that long: see BuildMessage for when they may be written again.
 type Message struct {
 	From      ident.NodeID
 	List      antlist.List

@@ -220,8 +220,9 @@ func (s *Scratch) scribble() {
 	s.readSet = slices.Repeat([]ident.NodeID{junk}, cap(s.readSet))
 }
 
-// PoisonEntries and PoisonRecs are scribble for a replaced broadcast's list
-// entries and records: a receiver still reading them diverges.
+// PoisonEntries and PoisonMessage are scribble for a replaced broadcast's
+// list entries and for the broadcast itself, header and records: a receiver
+// still reading them diverges.
 func PoisonEntries(ents []ident.Entry) {
 	ents = ents[:cap(ents)]
 	for i := range ents {
@@ -229,7 +230,8 @@ func PoisonEntries(ents []ident.Entry) {
 	}
 }
 
-func PoisonRecs(recs []PrioRec) {
+func PoisonMessage(m *Message) {
 	bad := PrioRec{ID: ^ident.NodeID(0), HasPrio: true, Pos: -7, Quar: 99, Prio: priority.P{Clock: 1 << 40}}
-	copy(recs[:cap(recs)], slices.Repeat([]PrioRec{bad}, cap(recs)))
+	copy(m.Recs[:cap(m.Recs)], slices.Repeat([]PrioRec{bad}, cap(m.Recs)))
+	m.From, m.List, m.GroupPrio = bad.ID, antlist.List{}, bad.Prio
 }

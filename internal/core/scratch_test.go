@@ -82,7 +82,7 @@ func TestNewNodesCarvesAreClamped(t *testing.T) {
 	ids := []ident.NodeID{1, 2, 3}
 	cfg := Config{Dmax: 3}
 	slab, alone := NewNodes(ids, cfg), make([]*Node, len(ids))
-	inboxes := make([]Message, len(ids))
+	inboxes := make([]*Message, len(ids))
 	for i, id := range ids {
 		alone[i] = NewNode(id, cfg)
 		slab[i].SetInbox(inboxes[i : i+1 : i+1])

@@ -282,18 +282,19 @@ func TestCrossShardMoverHandoff(t *testing.T) {
 
 // ghostDeliveries ticks cfg's shards in lockstep, compute timers jittered,
 // and follows every frame a ghost delivered until its receiver computes:
-// the records and list entries the receiver aliases must still read as they
-// did at delivery. It returns how many of those receivers meanwhile left
+// the message the receiver buffers — header, records and list entries —
+// must still read as it did at delivery. It returns how many of those receivers meanwhile left
 // the sender's row and saw its ghost refreshed, and how many deliveries
 // were written over too early. hold forces the pools' hold (negative: Tc).
 func ghostDeliveries(t *testing.T, cfg Config, hold int) (left, broken int) {
 	t.Helper()
 	type edge struct{ to, from ident.NodeID }
 	type delivery struct {
-		alias, snap core.Message // what the receiver reads, and a deep copy taken at delivery
-		ver         uint64
-		computes    uint64
-		left        bool
+		alias    *core.Message // what the receiver buffers
+		snap     core.Message  // a deep copy of it taken at delivery
+		ver      uint64
+		computes uint64
+		left     bool
 	}
 	trs := NewLoopback(cfg.Shards)
 	shards := make([]*Shard, cfg.Shards)
@@ -326,7 +327,8 @@ func ghostDeliveries(t *testing.T, cfg Config, hold int) (left, broken int) {
 			// This tick's ingest is the last that could have written what a
 			// receiver computing in this tick read.
 			for e, d := range tracked[i] {
-				if !slices.Equal(d.alias.Recs, d.snap.Recs) || !d.alias.List.Equal(d.snap.List) {
+				if d.alias.From != d.snap.From || d.alias.GroupPrio != d.snap.GroupPrio ||
+					!slices.Equal(d.alias.Recs, d.snap.Recs) || !d.alias.List.Equal(d.snap.List) {
 					broken++
 					delete(tracked[i], e)
 				} else if sh.E.Node(e.to).Computes() != d.computes {
@@ -335,7 +337,7 @@ func ghostDeliveries(t *testing.T, cfg Config, hold int) (left, broken int) {
 			}
 			for _, x := range sh.ext {
 				tracked[i][edge{x.To, x.From}] = &delivery{
-					alias: *x.Msg, snap: core.Message{List: x.Msg.List.Clone(), Recs: slices.Clone(x.Msg.Recs)},
+					alias: x.Msg, snap: core.Message{From: x.Msg.From, GroupPrio: x.Msg.GroupPrio, List: x.Msg.List.Clone(), Recs: slices.Clone(x.Msg.Recs)},
 					ver: x.Ver, computes: sh.E.Node(x.To).Computes(),
 				}
 			}

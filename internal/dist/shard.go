@@ -87,11 +87,11 @@ type genVer struct{ gen, ver uint64 }
 
 // ghost is the cached replica of a foreign boundary sender's broadcast.
 // An elided entry replays it; a framed entry refreshes it, through
-// engine.PublishForeign: msg's records and list entries are the engine
-// pools', like a local broadcast's.
+// engine.PublishForeign: msg is a message of the engine's pools, like a
+// local broadcast, and every receiver it is delivered to points at it.
 type ghost struct {
 	gen, ver uint64
-	msg      core.Message
+	msg      *core.Message
 }
 
 // rowMask caches the peer mask derived from a receiver row, valid while
@@ -383,7 +383,7 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 					sh.ghosts[ent.Sender] = g
 				}
 				g.gen, g.ver = ent.Gen, ent.Ver
-				sh.E.PublishForeign(ent.Sender, &g.msg, m)
+				g.msg = sh.E.PublishForeign(ent.Sender, g.msg, m)
 				ghostUpd++
 			} else if g == nil || g.gen != ent.Gen || g.ver != ent.Ver {
 				return nil, fmt.Errorf("dist: shard %d: elided entry for %d from %d without a matching ghost",
@@ -393,7 +393,7 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 			for _, u := range ids {
 				if int(sh.owners[u]) == sh.Index {
 					sh.ext = append(sh.ext, engine.ExternalDelivery{
-						To: u, From: ent.Sender, Gen: ent.Gen, Ver: ent.Ver, Msg: &g.msg,
+						To: u, From: ent.Sender, Gen: ent.Gen, Ver: ent.Ver, Msg: g.msg,
 					})
 				}
 			}

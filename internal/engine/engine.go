@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"sort"
 	"time"
 
@@ -151,14 +150,16 @@ type shardScratch struct {
 	deliv []resolvedDelivery
 	wakes []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
 	core  core.Scratch
-	recs  pool[core.PrioRec]
-	ents  pool[ident.Entry]
+	msgs  pool[*core.Message]
+	ents  pool[[]ident.Entry]
+	boot  []core.Message // New's first-round headers, handed out on pool misses until spent
 }
 
-// pool is one shard's storage of replaced broadcasts — their records, or
-// their lists' entries — oldest first per capacity (DESIGN.md §2.3,
-// pools): retired at tick t, written again from t+Tc on by any node of
-// the shard, left to the GC if unclaimed by t+2·Tc.
+// pool is one shard's storage of replaced broadcasts — the broadcasts
+// themselves, header and records, or their lists' entries — oldest first
+// per capacity (of the records, of the entries; DESIGN.md §2.3, pools):
+// retired at tick t, written again from t+Tc on by any node of the shard,
+// left to the GC if unclaimed by t+2·Tc.
 type pool[T any] struct{ byCap []fifo[T] }
 
 type fifo[T any] struct {
@@ -168,40 +169,46 @@ type fifo[T any] struct {
 }
 
 type retired[T any] struct {
-	buf  []T
+	v    T
 	tick int
 }
 
-func (p *pool[T]) retire(buf []T, tick int) {
-	if c := cap(buf); c > 0 {
+// retire pools v, of capacity c; nothing is pooled at capacity 0.
+func (p *pool[T]) retire(v T, c, tick int) {
+	if c > 0 {
 		p.byCap = append(p.byCap, make([]fifo[T], max(0, c+1-len(p.byCap)))...)
-		p.byCap[c].q = append(p.byCap[c].q, retired[T]{buf, tick})
+		p.byCap[c].q = append(p.byCap[c].q, retired[T]{v, tick})
 	}
 }
 
-// take returns storage of capacity need, or up to four more, retired by ripe.
-func (p *pool[T]) take(need, ripe int) []T {
+// take returns what was retired by ripe at capacity need, or up to four
+// more, and the zero T when nothing was.
+func (p *pool[T]) take(need, ripe int) (v T) {
 	for c := need; c <= need+4 && c < len(p.byCap); c++ {
 		if f := &p.byCap[c]; f.head < len(f.q) && f.q[f.head].tick <= ripe {
 			f.head++
-			return f.q[f.head-1].buf
+			return f.q[f.head-1].v
 		}
 	}
-	return nil
+	return v
 }
 
 // sweep ends a tick's build: what was retired at ripe is poisoned if poison
 // is set (the shard runs under the oracle); what was retired by stale is
-// dropped, and so is the array of a queue empty for longer than that took.
-func (p *pool[T]) sweep(ripe, stale int, poison func([]T)) {
+// dropped, through drop if set, and so is the array of a queue empty for
+// longer than that took.
+func (p *pool[T]) sweep(ripe, stale int, poison, drop func(T)) {
 	for c := range p.byCap {
 		f, n := &p.byCap[c], 0
 		for _, r := range f.q[f.head:] {
 			if r.tick <= stale {
+				if drop != nil {
+					drop(r.v)
+				}
 				continue
 			}
 			if r.tick == ripe && poison != nil {
-				poison(r.buf)
+				poison(r.v)
 			}
 			f.q[n] = r
 			n++
@@ -215,26 +222,41 @@ func (p *pool[T]) sweep(ripe, stale int, poison func([]T)) {
 	}
 }
 
-// retire gives a replaced broadcast's storage to the pools: its records,
-// and its list's entries iff the commit moved the list to cur (Publish
-// returns prev itself on equal content, and then they live on).
+// retire gives a replaced broadcast to the pools: the message, and its
+// list's entries iff the commit moved the list to cur (Publish returns prev
+// itself on equal content, and then they live on).
 func (sc *shardScratch) retire(old *core.Message, cur antlist.List, tick int) {
-	sc.recs.retire(old.Recs, tick)
+	sc.msgs.retire(old, cap(old.Recs), tick)
 	if was, now := old.List.Entries(), cur.Entries(); cap(was) > 0 && (cap(now) == 0 || &was[:1][0] != &now[:1][0]) {
-		sc.ents.retire(was, tick)
+		sc.ents.retire(was, cap(was), tick)
 	}
 }
 
+// take returns a pooled message with room for need records, else one of
+// New's first-round headers while they last, else a new one.
+func (sc *shardScratch) take(need, ripe int) *core.Message {
+	if m := sc.msgs.take(need, ripe); m != nil {
+		return m
+	}
+	if len(sc.boot) > 0 {
+		m := &sc.boot[0]
+		sc.boot = sc.boot[1:]
+		return m
+	}
+	return new(core.Message)
+}
+
 // sweep ends the shard's build tick on both pools; under the shard's
-// SelfCheck what becomes takeable is poisoned.
+// SelfCheck what becomes takeable is poisoned. A dropped message is
+// cleared: it may sit in New's slab, which must not pin its records.
 func (sc *shardScratch) sweep(e *Engine) {
-	var poisonRecs func([]core.PrioRec)
+	var poisonMsg func(*core.Message)
 	var poisonEnts func([]ident.Entry)
 	if sc.core.SelfCheck {
-		poisonRecs, poisonEnts = core.PoisonRecs, core.PoisonEntries
+		poisonMsg, poisonEnts = core.PoisonMessage, core.PoisonEntries
 	}
-	sc.recs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-e.P.Tc, poisonRecs)
-	sc.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-e.P.Tc, poisonEnts)
+	sc.msgs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-e.P.Tc, poisonMsg, func(m *core.Message) { *m = core.Message{} })
+	sc.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-e.P.Tc, poisonEnts, nil)
 }
 
 // SetRecsHold is a test seam: conformance shows either hold below Tc is caught.
@@ -259,12 +281,18 @@ func (e *Engine) SetSkipMode(eager, noMemo bool) { e.eager, e.noMemo = eager, no
 // cachedMsg is one node's last built broadcast, valid while the node's
 // state version is unchanged (a node's message is a pure function of its
 // state, which only Compute and LoadState move — see core.Node.Version).
-// At Tc = k·Ts this skips k−1 of every k message assemblies.
+// At Tc = k·Ts this skips k−1 of every k message assemblies. m is the
+// pooled message every receiver's inbox points at, retired by the rebuild
+// that replaces it.
 type cachedMsg struct {
-	m    core.Message
+	m    *core.Message
 	size int // EncodedSize, computed once per rebuild
 	ver  uint64
 }
+
+// unbuilt caches no broadcast: one shared zero Message, which ReceiveRef
+// drops, no pool takes (it has no records) and nobody writes.
+var unbuilt = cachedMsg{m: new(core.Message), ver: ^uint64(0)}
 
 // nodeRec consolidates the engine's per-node bookkeeping — the protocol
 // node, its timer phase, the cached broadcast, the cached receiver set
@@ -434,7 +462,7 @@ type Engine struct {
 	computeWheel *periodicWheel
 
 	scratch  [shard.N]shardScratch
-	recsHold int  // ticks replaced records sit out of their shard's pool: Tc
+	recsHold int  // ticks a replaced broadcast sits out of its shard's pool: Tc
 	entsHold int  // the same for a replaced list's entries
 	eager    bool // SetSkipMode: a licensed replay computes anyway
 	noMemo   bool // SetSkipMode: no fixpoint-memo second chance
@@ -539,6 +567,7 @@ func New(p Params, topo Topology) *Engine {
 	for s, n := range need {
 		boot.sigs[s] = make([]senderVer, 2*n)
 		boot.recv[s] = make([]ident.NodeID, n)
+		e.scratch[s].boot = make([]core.Message, 2*count[s]) // a node builds twice in its first round
 		// Slot 0 is where every unjittered node's timers live.
 		e.computeWheel.slots[0][s] = make([]wheelEnt, 0, count[s])
 		if e.sendWheel != nil {
@@ -557,8 +586,9 @@ func New(p Params, topo Topology) *Engine {
 // first graph. Cuts are cap-clamped: growing past one moves the slice into
 // storage of its own. Nothing is ever returned to a slab; a recycled slot
 // allocates. Only pointer-free elements are cut from arenas: an outgrown
-// cut of messages would keep alive whatever it last pointed at, so an
-// inbox is reserved at the same capacity but allocated on its own.
+// cut of message pointers would keep alive whatever it last pointed at, so
+// an inbox is reserved at the same capacity but allocated on its own (the
+// first-round headers, shardScratch.boot, are safe: their pool clears them).
 type bootStore struct {
 	nodes []core.Node
 	room  []int // per slot: the capacity of the node's cuts
@@ -594,7 +624,7 @@ func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
 	} else {
 		s, n := shard.Of(v), boot.room[slot]
 		rec.n = &boot.nodes[slot]
-		rec.n.SetInbox(make([]core.Message, 0, n))
+		rec.n.SetInbox(make([]*core.Message, 0, n))
 		rec.pending, rec.consumed = carve(&boot.sigs[s], n), carve(&boot.sigs[s], n)
 		rec.recv = carve(&boot.recv[s], n)
 	}
@@ -602,7 +632,7 @@ func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
 	rec.id = v
 	rec.gen = e.memberGen
 	rec.phase = 0
-	rec.cm = cachedMsg{ver: ^uint64(0)} // no broadcast built yet
+	rec.cm = unbuilt
 	rec.recv = rec.recv[:0]
 	rec.recvEpoch = 0
 	rec.row = space.Row{}
@@ -658,9 +688,10 @@ func (e *Engine) RemoveNode(v ident.NodeID) {
 	rec.n = nil
 	rec.id = ident.None
 	rec.lie, rec.lieVer, rec.lieSize = nil, 0, 0
-	// A free slot may never be recycled: it must not pin the last broadcast
-	// or the row, a slice of a whole graph generation's adjacency slab.
-	rec.cm, rec.row = cachedMsg{}, space.Row{}
+	// The last broadcast retires like a replaced one; a free slot may never be
+	// recycled, and must not pin it or the row (a graph's adjacency slab).
+	e.scratch[shard.Of(v)].retire(rec.cm.m, antlist.List{}, e.tick)
+	rec.cm, rec.row = unbuilt, space.Row{}
 	if e.dirtyOn {
 		e.dirtyRemoved = append(e.dirtyRemoved, RemovedNode{ID: v, Slot: slot})
 	}
@@ -831,9 +862,9 @@ func pendingUpsert(p []senderVer, sv senderVer) ([]senderVer, bool) {
 // local member. Gen and Ver identify the sender's incarnation and the
 // state version the broadcast was built at — the same pair a local
 // delivery carries in its inbox signature — so the activity skip and the
-// repeat-elision work identically across the process boundary. ReceiveRef
-// copies Msg's header only: List and Recs stay aliased until the receiver's
-// next compute, up to Tc ticks later (dist's ghosts: one decode per frame).
+// repeat-elision work identically across the process boundary. The
+// receiver buffers Msg itself until its next compute, up to Tc ticks later
+// (dist's ghosts: one decode per frame, see PublishForeign).
 type ExternalDelivery struct {
 	To   ident.NodeID
 	From ident.NodeID
@@ -984,8 +1015,9 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			}
 			if rec.cm.ver != rec.n.Version() {
 				builds++
-				m := rec.n.BuildMessageIn(sc.recs.take(rec.n.RecsNeeded(), e.tick-e.recsHold))
-				sc.retire(&rec.cm.m, m.List, e.tick)
+				m := sc.take(rec.n.RecsNeeded(), e.tick-e.recsHold)
+				*m = rec.n.BuildMessageIn(m.Recs)
+				sc.retire(rec.cm.m, m.List, e.tick)
 				rec.cm = cachedMsg{m: m, size: m.EncodedSize(), ver: rec.n.Version()}
 			} else {
 				cacheHits++
@@ -1025,10 +1057,10 @@ func (e *Engine) BuildPhase() []radio.Tx {
 // armed Byzantine lie — together with the (incarnation, version) pair
 // its deliveries are signed with. ok is false when v is not a member or
 // its send timer has not fired yet this run (no broadcast built). The
-// message aliases engine-owned storage (records and list entries return to
-// the shard's pools): it is valid until v's next rebuild and for Tc ticks
-// after, and must not be mutated. Distributed wrappers call this after
-// BuildPhase to encode boundary copies of due broadcasts.
+// message is the one every receiver is handed, and returns to the shard's
+// pool: it is valid until v's next rebuild and for Tc ticks after, and must
+// not be mutated. Distributed wrappers call this after BuildPhase to encode
+// boundary copies of due broadcasts.
 func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, ok bool) {
 	slot := e.order.SlotOf(v)
 	if slot < 0 {
@@ -1041,29 +1073,31 @@ func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, 
 	if rec.cm.ver == ^uint64(0) {
 		return nil, 0, 0, false
 	}
-	return &rec.cm.m, rec.gen, rec.cm.ver, true
+	return rec.cm.m, rec.gen, rec.cm.ver, true
 }
 
-// PublishForeign replaces *cur, the broadcast of a sender v that lives in
-// another process, by m, which a distributed wrapper decoded into scratch
-// storage of its own (nothing of m is kept). It is a local rebuild's twin:
-// the copy goes into records and list entries of v's shard's pools (offsets
-// interned, an unchanged list shared with cur's), what it replaces retires
-// to them, and so one rule holds for both — receivers alias a delivered
-// broadcast until their next compute, hence storage sits out Tc ticks
+// PublishForeign replaces cur (nil at the first frame), the broadcast of a
+// sender v that lives in another process, by a copy of m, which a
+// distributed wrapper decoded into scratch storage of its own (nothing of m
+// is kept), and returns the copy. It is a local rebuild's twin: the copy is
+// a message taken from v's shard's pool, its list published into entries
+// of that shard's (offsets interned, an unchanged list shared with cur's),
+// cur retires to them, and so one rule holds for both — receivers buffer a
+// delivered broadcast until their next compute, hence it sits out Tc ticks
 // (SetRecsHold) and is poisoned, under SetSelfCheck, in the tick it may be
-// taken again. To be called between BuildPhase and FinishTick; *cur may
+// taken again. To be called between BuildPhase and FinishTick; the copy may
 // then be delivered through ExternalDelivery.Msg.
-func (e *Engine) PublishForeign(v ident.NodeID, cur *core.Message, m core.Message) {
-	sc := &e.scratch[shard.Of(v)]
-	recs := sc.recs.take(len(m.Recs), e.tick-e.recsHold)
-	if cap(recs) < len(m.Recs) {
-		recs = slices.Grow([]core.PrioRec(nil), len(m.Recs))
+func (e *Engine) PublishForeign(v ident.NodeID, cur *core.Message, m core.Message) *core.Message {
+	if cur == nil {
+		cur = unbuilt.m
 	}
-	m.Recs = append(recs[:0], m.Recs...)
+	sc := &e.scratch[shard.Of(v)]
+	out := sc.take(len(m.Recs), e.tick-e.recsHold)
+	m.Recs = append(out.Recs[:0], m.Recs...)
 	m.List = m.List.Publish(cur.List, &sc.core.Lists)
 	sc.retire(cur, m.List, e.tick)
-	*cur = m
+	*out = m
+	return out
 }
 
 // FinishTick runs phases 3–5 of a tick: arbitrate the channel over the
@@ -1133,7 +1167,7 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 			continue
 		}
 		from := &e.recs[fromSlot]
-		msg, ver := &from.cm.m, from.cm.ver
+		msg, ver := from.cm.m, from.cm.ver
 		if from.lie != nil {
 			msg, ver = from.lie, from.lieVer
 		}
@@ -1167,9 +1201,9 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 		var elided uint64
 		for _, d := range e.scratch[s].deliv {
 			if d.from.ver == ^uint64(0) {
-				// An unbuilt broadcast (fabricated delivery) is a zero
-				// Message that Receive drops; it never enters the inbox, so
-				// it must not enter the signature either.
+				// An unbuilt broadcast (fabricated delivery) is the shared
+				// zero Message that ReceiveRef drops; it never enters the
+				// inbox, so it must not enter the signature either.
 				d.to.n.ReceiveRef(d.msg)
 				continue
 			}

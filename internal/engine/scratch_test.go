@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -82,8 +83,8 @@ func parkedEngine(n, rounds int) *Engine {
 // of either number must name the state it buys — anything a compute needs
 // only while it runs belongs in shardScratch, paid 64 times.
 func TestFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(nodeRec{}); got != 592 {
-		t.Errorf("sizeof(nodeRec) = %d, want 592 (of which the memo 256)", got)
+	if got := unsafe.Sizeof(nodeRec{}); got != 504 {
+		t.Errorf("sizeof(nodeRec) = %d, want 504 (of which the memo 256)", got)
 	}
 	const n = 2000
 	var before, after runtime.MemStats
@@ -98,21 +99,24 @@ func TestFootprint(t *testing.T) {
 	}
 	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	t.Logf("live heap per node: %d B", perNode)
-	// Measured 3.96 KB, of which ≈ 0.17 KB are the pool: the records this
-	// world retired in its last 2·Tc ticks and the queues that hold them
-	// (5.5 KB when every node kept a private fold arena and work buffers),
-	// and ≈ 0.02 KB what New's slabs cost net: cuts their owners outgrew.
-	if budget := int64(4096); perNode > budget {
+	// Measured 3 735 B: 3 897 B when every inbox entry and every cached
+	// broadcast held a copy of the 96-byte header, 5.5 KB when every node
+	// kept a private fold arena and work buffers. Of it ≈ 0.16 KB are New's
+	// first-round headers that no broadcast uses any more (3 572 B without
+	// that slab), and ≈ 0.02 KB the cuts their owners outgrew.
+	if budget := int64(3850); perNode > budget {
 		t.Errorf("live heap per node = %d B, budget %d B", perNode, budget)
 	}
 	runtime.KeepAlive(e)
 }
 
 // TestRemoveNodeDropsBorrowedStorage pins that a departure leaves nothing
-// reachable through the free slot: the last broadcast (finalizer on its
-// record slice, once the receivers' inboxes have turned over) and the
-// topology row, which aliases the adjacency slab of a whole graph — nor
-// through the node's place in New's slab, which outlives it.
+// reachable through the free slot: the last broadcast retires to its
+// shard's pool like a replaced one, and the pool clears it when it drops it
+// unclaimed, so its records are collected (finalizer on the record slice)
+// although the message itself, which New's slab may hold, is still
+// referenced; nor the topology row, which aliases the adjacency slab of a
+// whole graph; nor the node's place in New's slab, which outlives it.
 func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	e := parkedEngine(200, 10)
 	var v ident.NodeID
@@ -125,34 +129,41 @@ func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	if v == ident.None {
 		t.Fatal("no node with a cached row and broadcast — the check is vacuous")
 	}
-	slot, n := e.SlotOf(v), e.Node(v)
+	slot, n, last := e.SlotOf(v), e.Node(v), e.recs[e.SlotOf(v)].cm.m
 	freed := make(chan struct{})
-	runtime.SetFinalizer(&e.recs[slot].cm.m.Recs[0], func(*core.PrioRec) { close(freed) })
+	runtime.SetFinalizer(&last.Recs[0], func(*core.PrioRec) { close(freed) })
 	e.RemoveNode(v)
 	e.Topo.(*SpatialTopology).World.Remove(v)
-	if rec := &e.recs[slot]; rec.row.IDs() != nil || rec.cm.m.Recs != nil || rec.cm.m.List.Len() != 0 {
-		t.Fatalf("free slot still holds row=%v broadcast=%v", rec.row.IDs(), rec.cm.m)
+	if rec := &e.recs[slot]; rec.row.IDs() != nil || rec.cm != unbuilt {
+		t.Fatalf("free slot still holds row=%v broadcast=%v", rec.row.IDs(), *rec.cm.m)
+	}
+	if !offersMsg(&e.scratch[shard.Of(v)].msgs, last) {
+		t.Fatal("the departed node's broadcast did not retire to its pool")
 	}
 	if n.ID() != ident.None || n.List().Len() != 0 || n.PendingMessages() != 0 {
 		t.Fatalf("New's slab still holds the departed node's state: %s", n)
 	}
 	for r := 0; r < 4; r++ {
-		e.StepRound() // v's neighbors consume their buffered copies
+		e.StepRound() // v's neighbors consume it, and its pool drops it
+	}
+	if last.From != ident.None || last.Recs != nil {
+		t.Fatalf("the departed broadcast, dropped by its pool, still reads %v", *last)
 	}
 	deadline := time.After(5 * time.Second)
 	for {
 		runtime.GC()
 		select {
 		case <-freed:
+			runtime.KeepAlive(last)
 			return
 		case <-deadline:
-			t.Fatal("departed node's broadcast still reachable after RemoveNode")
+			t.Fatal("departed node's records still reachable after RemoveNode")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }
 
-// held counts the retired buffers a pool still offers and its queue arrays.
+// held counts what a pool still offers and its queue arrays.
 func held[T any](p *pool[T]) (bufs, arrays int) {
 	for _, f := range p.byCap {
 		bufs += len(f.q) - f.head
@@ -163,21 +174,21 @@ func held[T any](p *pool[T]) (bufs, arrays int) {
 	return bufs, arrays
 }
 
-// pooled sums held over every shard: record buffers, entry buffers, arrays.
-func pooled(e *Engine) (recs, ents, arrays int) {
+// pooled sums held over every shard: messages, entry buffers, arrays.
+func pooled(e *Engine) (msgs, ents, arrays int) {
 	for s := range e.scratch {
-		r, ra := held(&e.scratch[s].recs)
+		m, ma := held(&e.scratch[s].msgs)
 		n, na := held(&e.scratch[s].ents)
-		recs, ents, arrays = recs+r, ents+n, arrays+ra+na
+		msgs, ents, arrays = msgs+m, ents+n, arrays+ma+na
 	}
-	return recs, ents, arrays
+	return msgs, ents, arrays
 }
 
-// offers reports whether p still offers the buffer that starts at at.
-func offers[T any](p *pool[T], at *T) bool {
+// offers reports whether p still offers something is holds for.
+func offers[T any](p *pool[T], is func(T) bool) bool {
 	for _, f := range p.byCap {
 		for _, r := range f.q[f.head:] {
-			if &r.buf[:1][0] == at {
+			if is(r.v) {
 				return true
 			}
 		}
@@ -185,9 +196,20 @@ func offers[T any](p *pool[T], at *T) bool {
 	return false
 }
 
-// TestPoolTakeWindow pins which retired buffer a taker is handed: the
+// offersMsg reports whether p offers m, or a message on m's records.
+func offersMsg(p *pool[*core.Message], m *core.Message) bool {
+	return offers(p, func(v *core.Message) bool { return v == m || &v.Recs[:1][0] == &m.Recs[:1][0] })
+}
+
+// offersEnts reports whether p offers the entries that start at at.
+func offersEnts(p *pool[[]ident.Entry], at *ident.Entry) bool {
+	return offers(p, func(v []ident.Entry) bool { return &v[:1][0] == at })
+}
+
+// TestPoolTakeWindow pins which retired storage a taker is handed: the
 // smallest ripe capacity in need..need+4, once, and nothing smaller,
-// roomier or retired later than ripe.
+// roomier or retired later than ripe — for entry buffers and for messages,
+// by the capacity of their records, alike.
 func TestPoolTakeWindow(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -202,26 +224,40 @@ func TestPoolTakeWindow(t *testing.T) {
 		{"unripe skipped for a roomier ripe one", []int{7, 5}, 5, 1, 7},
 		{"unripe only", []int{5}, 5, 0, 0},
 	} {
-		var p pool[int]
+		var ents pool[[]ident.Entry]
+		var msgs pool[*core.Message]
 		for i, n := range c.caps {
-			p.retire(make([]int, 0, n), i+1)
+			ents.retire(make([]ident.Entry, 0, n), n, i+1)
+			msgs.retire(&core.Message{Recs: make([]core.PrioRec, 0, n)}, n, i+1)
 		}
-		if got := cap(p.take(c.need, c.ripe)); got != c.want {
+		if got := cap(ents.take(c.need, c.ripe)); got != c.want {
 			t.Errorf("%s: take(%d, ripe %d) of %v handed out capacity %d, want %d", c.name, c.need, c.ripe, c.caps, got, c.want)
 		}
+		got := 0
+		if m := msgs.take(c.need, c.ripe); m != nil {
+			got = cap(m.Recs)
+		}
+		if got != c.want {
+			t.Errorf("%s: a message pool handed out records of capacity %d, want %d", c.name, got, c.want)
+		}
 	}
-	var p pool[int]
-	p.retire(make([]int, 0, 5), 1)
+	var p pool[*core.Message]
+	p.retire(&core.Message{Recs: make([]core.PrioRec, 0, 5)}, 5, 1)
 	if a, b := p.take(5, 1), p.take(5, 1); a == nil || b != nil {
-		t.Errorf("one retired buffer was handed out %v then %v, want once", a != nil, b != nil)
+		t.Errorf("one retired message was handed out %v then %v, want once", a != nil, b != nil)
+	}
+	var z pool[*core.Message]
+	if z.retire(new(core.Message), 0, 1); z.byCap != nil {
+		t.Error("a message without records was pooled")
 	}
 }
 
 // TestRetirementFollowsListIdentity pins the rule where BuildPhase decides
 // it: a rebuild retires the replaced records always and the replaced list's
-// entries only when the rebuilt broadcast's list is other storage; and what
-// never was a cached broadcast of a member — a lie, a ghost frame of another
-// process, the last broadcast and list of a removed node — enters no pool.
+// entries only when the rebuilt broadcast's list is other storage; a removed
+// node's last broadcast and list retire as if replaced; and what never was
+// a cached broadcast of a member — a lie, a ghost frame of another process —
+// enters no pool.
 func TestRetirementFollowsListIdentity(t *testing.T) {
 	g := graph.New()
 	for v := ident.NodeID(1); v <= 3; v++ {
@@ -232,8 +268,8 @@ func TestRetirementFollowsListIdentity(t *testing.T) {
 	e.StepTicks(12 * e.P.Tc)
 	// 1 and 2 have settled; 3 is alone, and its ticking clock moves its
 	// broadcast every period but never its list.
-	if recs, ents, _ := pooled(e); recs == 0 || ents != 0 {
-		t.Fatalf("priority-only rebuilds left %d record and %d entry buffers pooled, want some and none", recs, ents)
+	if msgs, ents, _ := pooled(e); msgs == 0 || ents != 0 {
+		t.Fatalf("priority-only rebuilds left %d messages and %d entry buffers pooled, want some and none", msgs, ents)
 	}
 
 	forge := func(from ident.NodeID, far ...ident.NodeID) *core.Message {
@@ -250,22 +286,24 @@ func TestRetirementFollowsListIdentity(t *testing.T) {
 	moved := false
 	for i := 0; i < 8*e.P.Tc; i++ {
 		if i == 4*e.P.Tc { // 2 has folded the lie in by now
-			last, live := e.recs[e.SlotOf(2)].cm.m, e.Node(2).BuildMessage()
-			outside = append(outside, &last, &live)
+			last := e.recs[e.SlotOf(2)].cm.m
 			e.RemoveNode(2)
 			g.RemoveNode(2)
+			if sc := &e.scratch[shard.Of(2)]; !offersMsg(&sc.msgs, last) || !offersEnts(&sc.ents, &last.List.Entries()[0]) {
+				t.Fatalf("removed node 2's last broadcast %v did not retire with its list", *last)
+			}
 		}
 		e.AdvancePhase()
 		e.BuildPhase()
 		e.FinishTick([]ExternalDelivery{{To: 3, From: 9, Gen: 1, Ver: 1, Msg: ghost}})
 		for s := range e.scratch {
 			for _, m := range outside {
-				if offers(&e.scratch[s].ents, &m.List.Entries()[0]) || offers(&e.scratch[s].recs, &m.Recs[0]) {
+				if offersEnts(&e.scratch[s].ents, &m.List.Entries()[0]) || offersMsg(&e.scratch[s].msgs, m) {
 					t.Fatalf("tick %d: shard %d pools storage of %v, which no member's rebuild replaced", e.Tick(), s, m)
 				}
 			}
 		}
-		if _, ents, _ := pooled(e); ents > 0 {
+		if _, ents, _ := pooled(e); ents > 0 && i < 4*e.P.Tc { // before 2 leaves, whose list retires then
 			moved = true
 		}
 	}
@@ -274,24 +312,32 @@ func TestRetirementFollowsListIdentity(t *testing.T) {
 	}
 }
 
-// poisoned reports whether buf starts with what poison writes.
-func poisoned[T comparable](buf []T, poison func([]T)) bool {
-	want := make([]T, 1)
-	poison(want)
-	return buf[:1][0] == want[0]
+// poisonedEnts reports whether ents start with what PoisonEntries writes.
+func poisonedEnts(ents []ident.Entry) bool {
+	want := make([]ident.Entry, 1)
+	core.PoisonEntries(want)
+	return ents[:1][0] == want[0]
+}
+
+// poisonedMsg reports whether m's header and first record read as
+// PoisonMessage leaves them.
+func poisonedMsg(m *core.Message) bool {
+	want := core.Message{Recs: make([]core.PrioRec, 1)}
+	core.PoisonMessage(&want)
+	return m.From == want.From && m.GroupPrio == want.GroupPrio && m.List.Len() == 0 && m.Recs[:1][0] == want.Recs[0]
 }
 
 // TestSetSelfCheckPoisonsRetiredBroadcasts pins the one oracle switch: with
 // SetSelfCheck(true) called before the run, every shard poisons a replaced
-// broadcast's records, and its list's entries when the commit moved them,
-// in the tick its pool may hand them out again (Tc after the replacement)
-// and not a tick sooner — a node added mid-run included, which nobody arms
-// by hand. With SetSelfCheck(false) nothing is poisoned.
+// broadcast, header and records, and its list's entries when the commit
+// moved them, in the tick its pool may hand them out again (Tc after the
+// replacement) and not a tick sooner — a node added mid-run included, which
+// nobody arms by hand. With SetSelfCheck(false) nothing is poisoned.
 func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
-	type retiredBuf struct {
+	type retiredMsg struct {
 		owner ident.NodeID
 		tick  int
-		recs  []core.PrioRec
+		msg   *core.Message
 		ents  []ident.Entry // nil when the commit kept the list's storage
 	}
 	for _, armed := range []bool{true, false} {
@@ -309,8 +355,8 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 		e := New(p, &blinkTopo{on: on, off: off, period: 2 * p.Tc})
 		e.SetSelfCheck(armed)
 		last := map[ident.NodeID]cachedMsg{}
-		var pending []retiredBuf
-		var checked, joiners [2]int // records, entries
+		var pending []retiredMsg
+		var checked, joiners [2]int // messages, entries
 		for e.tick < 40*p.Tc {
 			if e.tick == 10*p.Tc { // it blinks with node 1: its list moves too
 				on.AddNode(joiner)
@@ -323,7 +369,7 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 			for _, v := range e.Order() {
 				cm := e.recs[e.SlotOf(v)].cm
 				if prev, ok := last[v]; ok && prev.ver != cm.ver && prev.ver != ^uint64(0) {
-					r := retiredBuf{owner: v, tick: e.tick, recs: prev.m.Recs}
+					r := retiredMsg{owner: v, tick: e.tick, msg: prev.m}
 					if was, now := prev.m.List.Entries(), cm.m.List.Entries(); cap(was) > 0 && (cap(now) == 0 || &was[:1][0] != &now[:1][0]) {
 						r.ents = was
 					}
@@ -336,20 +382,20 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 				sc := &e.scratch[shard.Of(r.owner)]
 				switch e.tick - r.tick {
 				case p.Tc - 1: // receivers may still read it
-					if poisoned(r.recs, core.PoisonRecs) || r.ents != nil && poisoned(r.ents, core.PoisonEntries) {
+					if r.msg.From != r.owner || poisonedMsg(r.msg) || r.ents != nil && poisonedEnts(r.ents) {
 						t.Fatalf("armed=%v tick %d: %v's broadcast replaced at %d poisoned before it is takeable", armed, e.tick, r.owner, r.tick)
 					}
 				case p.Tc: // takeable since this tick's sweep, if nobody took it
-					if offers(&sc.recs, &r.recs[:1][0]) {
-						if poisoned(r.recs, core.PoisonRecs) != armed {
-							t.Fatalf("armed=%v tick %d: %v's retired records poisoned=%v", armed, e.tick, r.owner, !armed)
+					if offersMsg(&sc.msgs, r.msg) {
+						if poisonedMsg(r.msg) != armed {
+							t.Fatalf("armed=%v tick %d: %v's retired broadcast poisoned=%v", armed, e.tick, r.owner, !armed)
 						}
 						if checked[0]++; r.owner == joiner {
 							joiners[0]++
 						}
 					}
-					if r.ents != nil && offers(&sc.ents, &r.ents[:1][0]) {
-						if poisoned(r.ents, core.PoisonEntries) != armed {
+					if r.ents != nil && offersEnts(&sc.ents, &r.ents[:1][0]) {
+						if poisonedEnts(r.ents) != armed {
 							t.Fatalf("armed=%v tick %d: %v's retired entries poisoned=%v", armed, e.tick, r.owner, !armed)
 						}
 						if checked[1]++; r.owner == joiner {
@@ -365,15 +411,120 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 			e.FinishTick(nil)
 		}
 		if checked[0] == 0 || checked[1] == 0 || joiners[0] == 0 || joiners[1] == 0 {
-			t.Fatalf("armed=%v: checked %v retired buffers, %v of the joiner's — the check is vacuous", armed, checked, joiners)
+			t.Fatalf("armed=%v: checked %v retired broadcasts and entry buffers, %v of the joiner's — the check is vacuous", armed, checked, joiners)
 		}
+	}
+}
+
+// inbox reads n's message buffer, which core keeps to itself: no driver
+// needs to see it, and this test needs only that.
+func inbox(n *core.Node) []*core.Message {
+	f := reflect.ValueOf(n).Elem().FieldByName("msgSet")
+	return *(*[]*core.Message)(unsafe.Pointer(f.UnsafeAddr()))
+}
+
+// TestInboxAliasesBroadcast pins what the Tc hold proves, on jittered
+// timers, where receivers outlive their senders' rebuilds: a receiver
+// buffers the very message BroadcastOf served its sender at delivery, and
+// that message — From, GroupPrio, records, list — reads as delivered until
+// the receiver's next compute, also when the sender rebuilt in between.
+// Armed, with the hold of replaced broadcasts forced to 0 (the entries
+// keep Tc), a buffered header is rewritten under its receiver, whether or
+// not an oracle then panics: the check sees a header recycled early without
+// the poison's help.
+func TestInboxAliasesBroadcast(t *testing.T) {
+	run := func(hold int) (delivered, outlived, broken, headers int, panicked any) {
+		defer func() { panicked = recover() }()
+		const n = 300
+		ids := make([]ident.NodeID, n)
+		for i := range ids {
+			ids[i] = ident.NodeID(i + 1)
+		}
+		side := 2.7 * math.Sqrt(n)
+		m := &mobility.Waypoint{Side: side, SpeedMin: 0.5, SpeedMax: 2, Pause: 1}
+		topo := NewSpatialTopology(space.NewWorld(2.5), m, 0.2, ids, rand.New(rand.NewSource(7)))
+		e := New(Params{Cfg: core.Config{Dmax: 3}, Tc: 4, Seed: 7, Jitter: true}, topo) // inline, so an oracle's panic is recovered here
+		e.SetSelfCheck(true)
+		if hold >= 0 {
+			e.SetRecsHold(hold, e.P.Tc)
+		}
+		type edge struct{ to, from ident.NodeID }
+		type held struct {
+			msg      *core.Message
+			snap     core.Message // a deep copy taken at delivery
+			computes uint64       // the receiver's, at delivery
+			outlived bool
+		}
+		tracked := map[edge]*held{}
+		var sent []edge
+		for e.Tick() < 30*e.P.Tc {
+			e.AdvancePhase()
+			txs := e.BuildPhase()
+			// This build is the last write before this tick's computes: what a
+			// receiver has not consumed yet must read as it was delivered.
+			for d, h := range tracked {
+				if e.Node(d.to).Computes() != h.computes {
+					delete(tracked, d)
+					continue
+				}
+				header := h.msg.From != h.snap.From || h.msg.GroupPrio != h.snap.GroupPrio
+				if header || !slices.Equal(h.msg.Recs, h.snap.Recs) || !h.msg.List.Equal(h.snap.List) {
+					if broken++; header {
+						headers++
+					}
+					delete(tracked, d)
+					continue
+				}
+				if cur, _, _, _ := e.BroadcastOf(d.from); cur != h.msg && !h.outlived {
+					h.outlived = true
+					outlived++
+				}
+			}
+			sent = sent[:0]
+			for _, tx := range txs {
+				msg, _, _, _ := e.BroadcastOf(tx.Sender)
+				snap := core.Message{From: msg.From, GroupPrio: msg.GroupPrio, List: msg.List.Clone(), Recs: slices.Clone(msg.Recs)}
+				for _, u := range tx.Receivers {
+					d := edge{u, tx.Sender}
+					tracked[d] = &held{msg: msg, snap: snap, computes: e.Node(u).Computes()}
+					sent = append(sent, d)
+				}
+			}
+			e.FinishTick(nil)
+			for _, d := range sent {
+				h := tracked[d]
+				if e.Node(d.to).Computes() != h.computes {
+					delete(tracked, d) // consumed in the tick it was delivered
+					continue
+				}
+				buf := inbox(e.Node(d.to))
+				if i := slices.IndexFunc(buf, func(b *core.Message) bool { return b.From == d.from }); i < 0 || buf[i] != h.msg {
+					t.Fatalf("tick %d: %v does not buffer the message BroadcastOf served for %v", e.Tick(), d.to, d.from)
+				}
+				delivered++
+			}
+		}
+		return delivered, outlived, broken, headers, nil
+	}
+	delivered, outlived, broken, _, p := run(-1)
+	t.Logf("hold Tc: %d buffered deliveries followed, %d outlived their sender's broadcast", delivered, outlived)
+	if p != nil || broken != 0 {
+		t.Fatalf("hold Tc: %d buffered messages rewritten before their receiver computed (panic: %v)", broken, p)
+	}
+	if outlived == 0 {
+		t.Fatal("no receiver outlived its sender's rebuild — the check is vacuous")
+	}
+	_, _, broken, headers, p := run(0)
+	t.Logf("hold 0: %d buffered messages rewritten, %d of them in the header (panic: %v)", broken, headers, p)
+	if headers == 0 {
+		t.Fatal("hold 0 went unnoticed: no buffered header was rewritten under its receiver")
 	}
 }
 
 // TestRecsPoolDrains pins both pools' bound: each holds what was retired in
 // the last 2·Tc ticks and nothing else — after the whole-world rebuild
 // storm of a converging start, 4·Tc ticks without a rebuild leave no
-// buffer and no queue array behind.
+// message, no buffer and no queue array behind.
 func TestRecsPoolDrains(t *testing.T) {
 	g := graph.New()
 	for v := ident.NodeID(1); v <= 400; v++ { // 80 lines of 5: each merges into one group
@@ -383,8 +534,8 @@ func TestRecsPoolDrains(t *testing.T) {
 	}
 	e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 2, Workers: 2}, g)
 	e.StepTicks(3 * e.P.Tc)
-	if recs, ents, _ := pooled(e); recs == 0 || ents == 0 {
-		t.Fatalf("a converging world holds %d retired records and %d retired lists — the check is vacuous", recs, ents)
+	if msgs, ents, _ := pooled(e); msgs == 0 || ents == 0 {
+		t.Fatalf("a converging world holds %d retired messages and %d retired lists — the check is vacuous", msgs, ents)
 	}
 	builds := func() uint64 { return e.Introspect().Get(introspect.CtrMsgBuilds) }
 	for quiet, last := 0, builds(); quiet < 4*e.P.Tc; {
@@ -397,15 +548,16 @@ func TestRecsPoolDrains(t *testing.T) {
 			t.Fatal("the world never settled")
 		}
 	}
-	if recs, ents, arrays := pooled(e); recs != 0 || ents != 0 || arrays != 0 {
-		t.Fatalf("after 4·Tc quiet ticks the pools hold %d record and %d entry buffers in %d queue arrays", recs, ents, arrays)
+	if msgs, ents, arrays := pooled(e); msgs != 0 || ents != 0 || arrays != 0 {
+		t.Fatalf("after 4·Tc quiet ticks the pools hold %d messages and %d entry buffers in %d queue arrays", msgs, ents, arrays)
 	}
 }
 
 // TestSteadyRebuildsAllocateNothing drives isolated nodes, whose ticking
 // lonely clocks move every broadcast once a compute period: after warm-up
-// each rebuild is assembled into the records the same shard retired a
-// period earlier, and no allocation scales with the rebuilds.
+// each rebuild is assembled into a message, header and records, the same
+// shard retired a period earlier, and no allocation scales with the
+// rebuilds.
 func TestSteadyRebuildsAllocateNothing(t *testing.T) {
 	g := graph.New()
 	for v := ident.NodeID(1); v <= 300; v++ {
