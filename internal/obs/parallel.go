@@ -15,6 +15,7 @@ type workerScratch struct {
 	dist  []int          // distance per member index, -1 = unreached
 	queue []int          // member-index frontier
 	ubuf  []ident.NodeID // union-of-two-groups member buffer
+	pairs []pairEntry    // one owner's gathered boundary reports (scanPairs)
 
 	memberEpoch []uint32 // graph index → epoch last marked a member
 	distEpoch   []uint32 // graph index → epoch last reached

@@ -122,29 +122,38 @@ type memberRef struct {
 // group is one Ω record. Its membership is immutable while it is live:
 // any partition change produces another record, so records are shared by
 // their members and compared by pointer. A record owns its members'
-// storage and is written again one Observe after detach destroyed it, so
-// the ΠM pair cache keys verdicts on (pointer, topoGen), and topoGen only
-// ever grows.
+// storage and is written again one Observe after detach destroyed it.
 type group struct {
 	rep     ident.NodeID   // minimum member — the unique representative
 	members []ident.NodeID // ascending; len ≥ 1; the record's own copy
 	refs    int            // nodes currently assigned to this record
 
-	stretched bool   // induced diameter > dmax in the last evaluated graph
-	evalRound int    // round of that evaluation (dedup stamp)
-	topoGen   uint64 // bumped when a member's neighborhood changes, and on reuse
+	stretched bool // induced diameter > dmax in the last evaluated graph
+	evalRound int  // round of that evaluation (dedup stamp)
+	// topoGen is a stamp unique tracker-wide (restamp), taken on creation,
+	// fresh or reused, and when a member's neighborhood changes or it
+	// departs, so a ΠM verdict is proved by its two records' stamps alone.
+	topoGen uint64
 }
 
 type pairKey struct{ a, b ident.NodeID } // a < b, group representatives
+
+// owner is the shard that settles the pair: the lower representative's.
+func (k pairKey) owner() int { return shard.Of(k.a) }
+
+// order ranks keys by representatives, lower first.
+func (k pairKey) order() uint64 { return uint64(k.a)<<32 | uint64(k.b) }
 
 type pairEntry struct {
 	k      pairKey
 	ga, gb *group // the records on each side of the boundary edge
 }
 
+// pairVerdict is a pair's ΠM verdict, valid while both records hold the
+// stamps it was settled under; pointer-free, so the GC never scans it.
 type pairVerdict struct {
-	ga, gb    *group // records the verdict was computed for
-	ta, tb    uint64 // their topoGen at evaluation time
+	k         pairKey
+	ta, tb    uint64 // topoGen of the records on each side at evaluation
 	mergeable bool
 }
 
@@ -162,7 +171,7 @@ type GroupTracker struct {
 	affEpoch []int                        // engine slot → round last marked affected
 	watchers map[ident.NodeID][]memberRef // u → {w : u ∈ view_w}, ascending by watcher
 	groups   map[ident.NodeID]*group      // representative → current record
-	parked   []*group                     // destroyed this Observe: still read (ΠC, reborn, pending)
+	parked   []*group                     // destroyed this Observe: still read (ΠC, reborn, ΠS)
 	free     []*group                     // destroyed before it: poisoned, newGroup's to write
 	byShard  [shard.N][]memberRef         // live nodes, ascending per shard
 
@@ -179,10 +188,12 @@ type GroupTracker struct {
 	prevGen uint64
 	edges   int
 
-	// ΠM / nee state: adjacent-group pairs and the verdict cache
-	// (value maps: no allocation per refreshed verdict).
-	pairCache map[pairKey]pairVerdict
-	pairSpare map[pairKey]pairVerdict
+	// ΠM / nee state: the arenas scanPairs cuts its reports and each
+	// owner's verdicts from (last scan's in verdArena).
+	scanArena []pairEntry
+	verdArena []pairVerdict
+	verdSpare []pairVerdict
+	stamp     uint64 // last topoGen handed out
 	nee       int
 	mergeCnt  int
 
@@ -202,8 +213,6 @@ type GroupTracker struct {
 	removed  []engine.RemovedNode
 	reborn   []rebornRec
 	evalList []*group
-	pending  []pairEntry
-	pairList []pairKey
 	boolRes  []bool
 	regroup  []regroupRes
 }
@@ -213,10 +222,14 @@ type trackerShard struct {
 	topoDirty []int32 // slots whose neighborhood changed
 	changed   []changeRec
 	degSum    int
-	nee       int
-	pairs     []pairEntry
+	upper     int     // edges to a higher neighbor: the bound of pairs
 	extract   []int32 // extraction-candidate slots (computed ∪ added)
 	vbuf      []ident.NodeID
+	pairs     []pairEntry      // boundary edges scanned here, by owner
+	runs      [shard.N + 1]int // pairs[runs[o]:runs[o+1]] are owner o's
+	verdicts  []pairVerdict    // as an owner: its pairs' verdicts, by key
+	cut       []pairVerdict    // where this scan writes the next ones
+	merges    int              // mergeable pairs among verdicts
 }
 
 type changeRec struct {
@@ -261,15 +274,13 @@ func NewGroupTrackerSource(src Source) *GroupTracker {
 }
 
 // firstSync builds what the first observation of n members would
-// otherwise grow one join at a time: the maps at their first size, n group
-// records with one-member storage on the free list (newGroup's only
+// otherwise grow one join at a time: the two maps at their first size, n
+// group records with one-member storage on the free list (newGroup's only
 // source), and every slot's two view buffers, Dmax+1 members each. Every
 // cut is cap-clamped; a record or buffer that outgrows its own allocates.
 func (t *GroupTracker) firstSync(n int) {
 	t.watchers = make(map[ident.NodeID][]memberRef, n)
 	t.groups = make(map[ident.NodeID]*group, n)
-	t.pairCache = make(map[pairKey]pairVerdict, n)
-	t.pairSpare = make(map[pairKey]pairVerdict, n)
 	recs, members := make([]group, n), make([]ident.NodeID, n)
 	t.free = slices.Grow(t.free, n)
 	for i := range recs {
@@ -373,7 +384,7 @@ func (t *GroupTracker) Observe() RoundStats {
 			// topology. (The record itself dissolves this round — every
 			// surviving member re-groups away from it below.)
 			piTBroken = true
-			st.grp.topoGen++
+			t.restamp(st.grp)
 		}
 		// The watcher refs are valid here: a watcher removed earlier in
 		// this loop already dropped itself from every set, and one not yet
@@ -428,13 +439,13 @@ func (t *GroupTracker) Observe() RoundStats {
 
 	// Phase 2 (parallel): neighborhood sweep, only when the restricted
 	// graph identity moved — detects exactly the nodes whose adjacency
-	// changed, re-counts the edges and refreshes the cached neighbor
-	// slots the boundary scan indexes by.
+	// changed, re-counts the edges (and, per shard, those the boundary
+	// scan walks) and refreshes the cached neighbor slots it indexes by.
 	if topoChanged {
 		shard.Run(t.workers, func(s, w int) {
 			sh := &t.shards[s]
 			sh.topoDirty = sh.topoDirty[:0]
-			sh.degSum = 0
+			sh.degSum, sh.upper = 0, 0
 			for _, m := range t.byShard[s] {
 				st := &t.nodes[m.slot]
 				// The CSR graph serves the neighborhood as a sorted flat
@@ -442,7 +453,9 @@ func (t *GroupTracker) Observe() RoundStats {
 				// plain slice compare against the (equally sorted) cache —
 				// no hash, no per-node re-extraction.
 				nb := g.NeighborsView(m.id)
+				below, _ := slices.BinarySearch(nb, m.id)
 				sh.degSum += len(nb)
+				sh.upper += len(nb) - below
 				if !idsEqual(st.nbrs, nb) {
 					st.nbrs = append(st.nbrs[:0], nb...)
 					st.nbrSlots = st.nbrSlots[:0]
@@ -479,7 +492,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		for s := range t.shards {
 			for _, slot := range t.shards[s].topoDirty {
 				grp := t.nodes[slot].grp
-				grp.topoGen++
+				t.restamp(grp)
 				if grp.evalRound != t.round && len(grp.members) > 1 {
 					grp.evalRound = t.round
 					t.evalList = append(t.evalList, grp)
@@ -767,22 +780,34 @@ func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
 	}
 }
 
-// scanPairs rebuilds the external-edge count and the adjacent-group pair
-// list, then refreshes the ΠM verdict cache: a pair is re-evaluated only
-// when one of its records was replaced or had a member's neighborhood
-// change; everything else reuses the cached verdict. Pairs that are no
-// longer adjacent are dropped from the cache (the maps are
-// double-buffered, so the working set never grows past one round's
-// boundary pairs).
-//
-// The boundary walk is map-free: each node's cached neighbor slots (kept
-// current by the phase-2 sweep, which runs whenever membership or
-// topology changed) index the slot array directly.
+// scanPairs recounts the external edges and settles ΠM over the
+// adjacent-group pairs, each owned by the shard of its lower
+// representative. Pass 1, per scanning shard, walks the boundary edges
+// (each once, from its lower end) and counting-sorts its reports by owner.
+// Pass 2, per owner, gathers its runs in shard order, sorts them stably by
+// key, keeps each pair's first report and merge-joins them against its
+// verdicts of the last scan: one is reused while both records hold the
+// stamps it was settled under; else two unstretched groups of at most
+// Dmax+1 members in all are mergeable (a connected graph on m nodes has
+// diameter ≤ m−1); else the BFS runs inline. Counts fold in shard order.
+// No map backs the pair state: reports and verdicts are cut from arenas
+// bounded by the upper-neighbor edge counts.
 func (t *GroupTracker) scanPairs(g *graph.G) {
-	shard.Run(t.workers, func(s, w int) {
+	upper := 0
+	for s := range t.shards {
+		upper += t.shards[s].upper
+	}
+	t.scanArena = reserve(t.scanArena, upper)
+	at := 0
+	for s := range t.shards {
 		sh := &t.shards[s]
-		sh.nee = 0
-		sh.pairs = sh.pairs[:0]
+		sh.pairs = t.scanArena[at : at : at+sh.upper]
+		at += sh.upper
+	}
+	shard.Run(t.workers, func(s, w int) {
+		sh, ws := &t.shards[s], t.ws[w]
+		found := reserve(ws.pairs, sh.upper)
+		sh.runs = [shard.N + 1]int{}
 		for _, m := range t.byShard[s] {
 			st := &t.nodes[m.slot]
 			for i, u := range st.nbrs {
@@ -793,78 +818,102 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 				if su.grp == st.grp {
 					continue
 				}
-				sh.nee++
 				e := pairEntry{k: pairKey{a: st.grp.rep, b: su.grp.rep}, ga: st.grp, gb: su.grp}
 				if e.k.b < e.k.a {
 					e.k.a, e.k.b = e.k.b, e.k.a
 					e.ga, e.gb = e.gb, e.ga
 				}
-				sh.pairs = append(sh.pairs, e)
+				found = append(found, e)
+				sh.runs[e.k.owner()+1]++
 			}
 		}
+		for o := range shard.N {
+			sh.runs[o+1] += sh.runs[o]
+		}
+		next := sh.runs
+		sh.pairs = sh.pairs[:len(found)]
+		for _, e := range found {
+			sh.pairs[next[e.k.owner()]] = e
+			next[e.k.owner()]++
+		}
+		ws.pairs = found
 	})
 
-	// Merge in shard-major order; the next-cache map doubles as the
-	// cross-shard dedup (a pair's two sides resolve to the same records
-	// regardless of which boundary edge reported it first).
-	next := t.pairSpare // empty: cleared at the end of the last scan
-	t.nee = 0
-	t.pairList = t.pairList[:0]
-	t.pending = t.pending[:0]
-	for s := range t.shards {
-		t.nee += t.shards[s].nee
-		for _, e := range t.shards[s].pairs {
-			if _, dup := next[e.k]; dup {
-				continue
+	if c := cap(t.scanArena); cap(t.verdSpare) < c {
+		t.verdSpare = make([]pairVerdict, 0, c)
+	}
+	at = 0
+	for o := range t.shards {
+		n := 0
+		for s := range t.shards {
+			n += t.shards[s].runs[o+1] - t.shards[s].runs[o]
+		}
+		t.shards[o].cut = t.verdSpare[at : at : at+n]
+		at += n
+	}
+	shard.Run(t.workers, func(o, w int) {
+		ws, sh := t.ws[w], &t.shards[o]
+		in := reserve(ws.pairs, cap(sh.cut))
+		for s := range t.shards {
+			r := &t.shards[s]
+			in = append(in, r.pairs[r.runs[o]:r.runs[o+1]]...)
+		}
+		slices.SortStableFunc(in, func(x, y pairEntry) int { return cmp.Compare(x.k.order(), y.k.order()) })
+		old, next := sh.verdicts, sh.cut
+		sh.merges = 0
+		for i, e := range in {
+			if i > 0 && e.k == in[i-1].k {
+				continue // reported by another boundary edge: the same records
 			}
-			t.pairList = append(t.pairList, e.k)
-			if v, ok := t.pairCache[e.k]; ok && v.ga == e.ga && v.gb == e.gb && v.ta == e.ga.topoGen && v.tb == e.gb.topoGen {
-				next[e.k] = v
-				continue
+			for len(old) > 0 && old[0].k.order() < e.k.order() {
+				old = old[1:]
 			}
-			v := pairVerdict{ga: e.ga, gb: e.gb, ta: e.ga.topoGen, tb: e.gb.topoGen}
-			if !e.ga.stretched && !e.gb.stretched &&
-				len(e.ga.members)+len(e.gb.members) <= t.dmax+1 {
-				// A connected graph on m ≤ Dmax+1 nodes has diameter at
-				// most m−1 ≤ Dmax: both sides are connected (unstretched)
-				// and the boundary edge joins them, so the union is
-				// mergeable without a BFS. In a fragmented configuration
-				// (many adjacent singletons) this resolves almost every
-				// refreshed pair.
+			v := pairVerdict{k: e.k, ta: e.ga.topoGen, tb: e.gb.topoGen}
+			switch {
+			case len(old) > 0 && old[0].k == v.k && old[0].ta == v.ta && old[0].tb == v.tb:
+				v.mergeable = old[0].mergeable
+			case !e.ga.stretched && !e.gb.stretched && len(e.ga.members)+len(e.gb.members) <= t.dmax+1:
 				v.mergeable = true
-				next[e.k] = v
-				continue
+			default:
+				v.mergeable = ws.mergeable(g, e.ga.members, e.gb.members, t.dmax)
 			}
-			next[e.k] = v
-			t.pending = append(t.pending, e)
+			if v.mergeable {
+				sh.merges++
+			}
+			next = append(next, v)
 		}
-	}
-
-	t.boolRes = slices.Grow(t.boolRes[:0], len(t.pending))
-	res := t.boolRes[:len(t.pending)]
-	shard.Slots(t.workers, len(t.pending), func(i, w int) {
-		p := t.pending[i]
-		res[i] = t.ws[w].mergeable(g, p.ga.members, p.gb.members, t.dmax)
+		sh.verdicts, sh.cut = next, nil
+		ws.pairs = in
 	})
-	for i, p := range t.pending {
-		v := next[p.k]
-		v.mergeable = res[i]
-		next[p.k] = v
+	t.verdArena, t.verdSpare = t.verdSpare, t.verdArena
+	t.nee, t.mergeCnt = 0, 0
+	for s := range t.shards {
+		t.nee += len(t.shards[s].pairs)
+		t.mergeCnt += t.shards[s].merges
 	}
+}
 
-	t.mergeCnt = 0
-	for _, k := range t.pairList {
-		if next[k].mergeable {
-			t.mergeCnt++
-		}
+// reserve returns buf emptied, with room for n: if too small, replaced by
+// one a quarter larger than n the first time, twice its size later (a
+// bound that outgrew its first sizing is drifting, as a waypoint world
+// densifies for its first hundred rounds).
+func reserve[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:0]
 	}
-	t.pairCache, t.pairSpare = next, t.pairCache
-	clear(t.pairSpare)
+	return make([]T, 0, max(n+n/4, 2*cap(buf)))
+}
+
+// restamp gives grp a stamp no record has held — stamps are handed out in
+// sequential phases only — so no cached ΠM verdict names it.
+func (t *GroupTracker) restamp(grp *group) {
+	t.stamp++
+	grp.topoGen = t.stamp
 }
 
 // newGroup creates a record holding a copy of members — in a free record
-// when there is one — registers it as the representative's canonical
-// record and accounts it.
+// when there is one — stamps it, registers it as the representative's
+// canonical record and accounts it.
 func (t *GroupTracker) newGroup(rep ident.NodeID, members ...ident.NodeID) *group {
 	var grp *group
 	if n := len(t.free); n == 0 {
@@ -872,8 +921,8 @@ func (t *GroupTracker) newGroup(rep ident.NodeID, members ...ident.NodeID) *grou
 	} else {
 		grp, t.free = t.free[n-1], t.free[:n-1]
 		grp.refs, grp.evalRound, grp.stretched = 0, 0, false
-		grp.topoGen++ // never reset: a pairCache verdict for this pointer must not match
 	}
+	t.restamp(grp)
 	grp.rep, grp.members = rep, append(grp.members[:0], members...)
 	t.groups[rep] = grp
 	t.groupCount++

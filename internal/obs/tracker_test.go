@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -196,8 +197,11 @@ func obsFingerprint(st RoundStats, tr *GroupTracker) string {
 
 // TestTrackerDeterministicAcrossWorkers pins the acceptance criterion:
 // the tracker's full output, Groups() included, is bit-identical at
-// Workers=1 and Workers=4 on a churning mobile scenario in which group
-// records are written again.
+// Workers=1, 2 and 4 on a churning mobile scenario in which group records
+// are written again. ΠM is settled per owner shard, so the comparison
+// counts only if every run took each of its paths: a pair reported from
+// two scanning shards and deduped across them, a verdict reused from the
+// last scan, and one settled by BFS.
 func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []string {
 		w := space.NewWorld(4)
@@ -214,7 +218,7 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 		}, topo)
 		tr := NewGroupTracker(e)
 		var out []string
-		reused := 0
+		reused, deduped, hits, bfs := 0, 0, 0, 0
 		for r := 1; r <= 40; r++ {
 			switch r {
 			case 12:
@@ -226,14 +230,20 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 			}
 			e.StepRound()
 			idle := len(tr.free) + len(tr.parked)
+			prev, arena := allVerdicts(tr), tr.verdArena
 			st := tr.Observe()
 			if len(tr.free) < idle {
 				reused++
 			}
+			if cap(arena) > 0 && unsafe.SliceData(tr.verdSpare) == unsafe.SliceData(arena) { // scanned
+				d, h, b := pairPaths(tr, prev)
+				deduped, hits, bfs = deduped+d, hits+h, bfs+b
+			}
 			out = append(out, obsFingerprint(st, tr))
 		}
-		if reused == 0 {
-			t.Fatalf("workers=%d: no round reused a group record — the comparison is vacuous", workers)
+		if reused == 0 || deduped == 0 || hits == 0 || bfs == 0 {
+			t.Fatalf("workers=%d: %d rounds reused a record; scans deduped %d cross-shard pairs, reused %d verdicts, ran %d BFS — the comparison is vacuous unless all are positive",
+				workers, reused, deduped, hits, bfs)
 		}
 		return out
 	}
@@ -321,10 +331,11 @@ func TestTrackerSteadyStateAllocations(t *testing.T) {
 
 // TestGroupRecordGenerationAcrossReuse dissolves a group beside a
 // neighbour and re-forms a smaller one under the same representative — on
-// the very record the first one lived in. The pair cache proves a ΠM
-// verdict by (record pointer, topoGen) under the representative pair, so
-// the record must come back with a generation it never held; ΠM, nee and
-// everything else must match the oracle throughout.
+// the very record the first one lived in. A ΠM verdict is proved by the
+// stamps its two records held when it was settled, so the stamp rule must
+// hold throughout: no two live records share a stamp, and the recycled
+// record comes back with a stamp above every one any record held before.
+// ΠM, nee and everything else must match the oracle throughout.
 func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 	const dmax = 1 // groups are cliques: {1,2,3} and {4,5,6}, joined by 2–4
 	g := graph.New()
@@ -335,7 +346,7 @@ func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 	tr := NewGroupTracker(e)
 
 	var rec *group
-	var maxGen uint64
+	var maxStamp uint64
 	var prev metrics.Snapshot
 	hasPrev := false
 	for r := 1; r <= 90; r++ {
@@ -363,14 +374,21 @@ func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 		cur := metrics.SnapshotOf(e)
 		checkAgainstOracle(t, fmt.Sprintf("round %d", r), st, tr, prev, cur, hasPrev, dmax)
 		prev, hasPrev = cur, true
-		if rec != nil && r < 60 {
-			maxGen = max(maxGen, rec.topoGen)
+		held := map[uint64]ident.NodeID{}
+		for rep, grp := range tr.groups {
+			if other, dup := held[grp.topoGen]; dup {
+				t.Fatalf("round %d: the records of %v and %v share stamp %d", r, other, rep, grp.topoGen)
+			}
+			held[grp.topoGen] = rep
+			if r < 60 {
+				maxStamp = max(maxStamp, grp.topoGen)
+			}
 		}
 	}
 	if tr.groups[1] != rec || fmt.Sprint(rec.members) != "[n1 n2]" {
 		t.Fatalf("group {1,2} lives in %p %v, want the recycled record %p", tr.groups[1], tr.Groups(), rec)
 	}
-	if maxGen == 0 || rec.topoGen <= maxGen {
-		t.Fatalf("recycled record has topoGen %d, held up to %d before — a cached verdict could match it", rec.topoGen, maxGen)
+	if maxStamp == 0 || rec.topoGen <= maxStamp {
+		t.Fatalf("recycled record has stamp %d, records held up to %d before — a cached verdict could match it", rec.topoGen, maxStamp)
 	}
 }
