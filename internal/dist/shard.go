@@ -125,7 +125,7 @@ type Shard struct {
 	arena    []byte
 	batches  [][]wire.BoundaryEntry
 	out      [][]byte
-	lastSent []map[ident.NodeID]genVer
+	lastSent []ident.Table[genVer] // per peer: the sender's last shipped frame
 	masks    []rowMask
 	rowBuf   []ident.NodeID
 
@@ -203,13 +203,10 @@ func newShard(cfg Config, index int, tr Transport, jitter bool) (*Shard, error) 
 		reg:      e.Introspect(),
 		batches:  make([][]wire.BoundaryEntry, cfg.Shards),
 		out:      make([][]byte, cfg.Shards),
-		lastSent: make([]map[ident.NodeID]genVer, cfg.Shards),
+		lastSent: make([]ident.Table[genVer], cfg.Shards),
 		masks:    make([]rowMask, e.SlotCap()),
 		ghosts:   make([]*ghost, len(owners)),
 		Soak:     soak,
-	}
-	for p := range sh.lastSent {
-		sh.lastSent[p] = make(map[ident.NodeID]genVer)
 	}
 	// Every fresh node starts at view version 1 ({self}); the lead mirror
 	// is seeded with the same, so nothing needs syncing until a view
@@ -312,10 +309,10 @@ func (sh *Shard) routeBoundary(txs []radio.Tx) {
 		for sig := (genVer{gen, ver}); mask != 0; mask &= mask - 1 {
 			p := bits.TrailingZeros64(mask)
 			ent := wire.BoundaryEntry{Sender: tx.Sender, Gen: gen, Ver: ver}
-			if sh.lastSent[p][tx.Sender] == sig {
+			if last, _ := sh.lastSent[p].Get(tx.Sender); last == sig {
 				elided++
 			} else {
-				if sh.lastSent[p][tx.Sender] = sig; frame == nil {
+				if sh.lastSent[p].Set(tx.Sender, sig); frame == nil {
 					// A grown arena leaves earlier frames where they were.
 					at := len(sh.arena)
 					sh.arena = wire.AppendEncode(sh.arena, *msg)

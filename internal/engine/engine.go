@@ -886,10 +886,15 @@ func (e *Engine) Step() {
 
 // AdvancePhase runs phase 1 of a tick: the topology moves on the global
 // RNG stream. Distributed callers use the split form (AdvancePhase,
-// BuildPhase, FinishTick); everyone else calls Step.
+// BuildPhase, FinishTick); everyone else calls Step. A spatial topology's
+// two halves, the mobility step and the graph rebuild, are timed apart too.
 func (e *Engine) AdvancePhase() {
 	start := time.Now()
 	e.Topo.Advance(e.rng)
+	if s, ok := e.Topo.(interface{ spatial() *SpatialTopology }); ok {
+		e.reg.AddPhaseNs(introspect.PhaseAdvanceMobility, s.spatial().stepped.Sub(start).Nanoseconds())
+		e.endPhase(introspect.PhaseAdvanceGraph, s.spatial().stepped)
+	}
 	e.endPhase(introspect.PhaseAdvance, start)
 }
 

@@ -13,8 +13,8 @@ const NoSlot = int32(-1)
 // maintained ascending node order fused with a stable dense slot
 // allocator. Every member owns a small-int slot for its lifetime, so the
 // per-tick hot paths (records, wheels, dirty reports, observer caches)
-// index flat arrays instead of probing per-node maps; the only remaining
-// ID→slot map probe sits at the membership boundary (SlotOf).
+// index flat arrays; the ID→slot lookup at the membership boundary
+// (SlotOf) is two loads into a paged ident.Table, not a hash probe.
 //
 // Slot discipline: slots are handed out densely (0, 1, 2, …) and freed
 // slots are recycled lowest-first. Membership only ever changes on the
@@ -24,25 +24,22 @@ const NoSlot = int32(-1)
 //
 // It is not goroutine-safe; the engine mutates it only between phases.
 type Roster struct {
-	ids     []ident.NodeID         // ascending membership (canonical order)
-	slots   map[ident.NodeID]int32 // membership + ID→slot, one invariant
-	slotCap int32                  // slots handed out so far: live + free
-	free    []int32                // min-heap of freed slots (lowest recycles first)
+	ids     []ident.NodeID     // ascending membership (canonical order)
+	slots   ident.Table[int32] // membership + ID→slot, one invariant
+	slotCap int32              // slots handed out so far: live + free
+	free    []int32            // min-heap of freed slots (lowest recycles first)
 }
 
 // NewRoster returns an empty roster that n members join without growing it.
 func NewRoster(n int) *Roster {
-	return &Roster{
-		ids:   make([]ident.NodeID, 0, n),
-		slots: make(map[ident.NodeID]int32, n),
-	}
+	return &Roster{ids: make([]ident.NodeID, 0, n)}
 }
 
 // Add inserts v keeping the order and assigns it a slot (recycling the
 // lowest freed one, else growing the table). It returns the slot and
 // whether v was new; adding an existing member returns its current slot.
 func (r *Roster) Add(v ident.NodeID) (int32, bool) {
-	if s, ok := r.slots[v]; ok {
+	if s, ok := r.slots.Get(v); ok {
 		return s, false
 	}
 	var s int32
@@ -52,7 +49,7 @@ func (r *Roster) Add(v ident.NodeID) (int32, bool) {
 		s = r.slotCap
 		r.slotCap++
 	}
-	r.slots[v] = s
+	r.slots.Set(v, s)
 	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= v })
 	r.ids = append(r.ids, 0)
 	copy(r.ids[i+1:], r.ids[i:])
@@ -63,11 +60,11 @@ func (r *Roster) Add(v ident.NodeID) (int32, bool) {
 // Remove deletes v and frees its slot for recycling. It returns the freed
 // slot and whether v was present.
 func (r *Roster) Remove(v ident.NodeID) (int32, bool) {
-	s, ok := r.slots[v]
+	s, ok := r.slots.Get(v)
 	if !ok {
 		return NoSlot, false
 	}
-	delete(r.slots, v)
+	r.slots.Delete(v)
 	heapPush(&r.free, s)
 	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= v })
 	r.ids = append(r.ids[:i], r.ids[i+1:]...)
@@ -75,12 +72,12 @@ func (r *Roster) Remove(v ident.NodeID) (int32, bool) {
 }
 
 // Has reports membership.
-func (r *Roster) Has(v ident.NodeID) bool { _, ok := r.slots[v]; return ok }
+func (r *Roster) Has(v ident.NodeID) bool { return r.slots.Has(v) }
 
 // SlotOf returns v's slot, or NoSlot when v is not a member.
 func (r *Roster) SlotOf(v ident.NodeID) int32 {
-	if s, ok := r.slots[v]; ok {
-		return s
+	if s := r.slots.Ref(v); s != nil {
+		return *s
 	}
 	return NoSlot
 }

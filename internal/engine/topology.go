@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/ident"
@@ -91,7 +92,8 @@ type SpatialTopology struct {
 	// DT is the simulated time per tick fed to the mobility model.
 	DT float64
 
-	cached *graph.G
+	cached  *graph.G
+	stepped time.Time // when the last Advance's mobility step ended
 }
 
 // NewSpatialTopology initializes the world with the mobility model's
@@ -110,9 +112,13 @@ func NewSpatialTopology(w *space.World, mob mobility.Model, dt float64, nodes []
 // full rebuild its offsets and arena.
 func (t *SpatialTopology) Advance(rng *rand.Rand) {
 	t.Mob.Step(t.World, t.DT, rng)
+	t.stepped = time.Now()
 	t.cached.Retire()
 	t.cached = t.World.SymmetricGraph()
 }
+
+// spatial lets Engine.AdvancePhase reach an embedded SpatialTopology.
+func (t *SpatialTopology) spatial() *SpatialTopology { return t }
 
 // Graph implements Topology.
 func (t *SpatialTopology) Graph() *graph.G { return t.cached }

@@ -21,8 +21,8 @@ import (
 // radius is at most d, so cluster diameter is at most 2d. Setting
 // d = ⌊Dmax/2⌋ makes it satisfy the paper's safety property.
 //
-// The returned map assigns every node its cluster head; headClusters
-// groups them. The simulation here is synchronous and centralized (the
+// The returned map assigns every node its cluster head (a map, like the
+// metrics oracle's: an experiment baseline); headClusters groups them. The simulation here is synchronous and centralized (the
 // original is a distributed 2d-round protocol whose outcome this
 // reproduces exactly), because the experiments only need its *output* per
 // epoch.

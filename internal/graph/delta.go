@@ -17,7 +17,7 @@ type NodeAdj struct {
 
 // checkRow panics unless r.Adj is strictly ascending, self-free and names
 // only nodes of idx — the row contract of ApplyDelta and FromRows.
-func checkRow(who string, idx map[ident.NodeID]int32, r NodeAdj) {
+func checkRow(who string, idx *ident.Table[int32], r NodeAdj) {
 	for k, v := range r.Adj {
 		if v == r.Node {
 			panic(fmt.Sprintf("graph: %s: self-loop on %v", who, r.Node))
@@ -25,7 +25,7 @@ func checkRow(who string, idx map[ident.NodeID]int32, r NodeAdj) {
 		if k > 0 && r.Adj[k-1] >= v {
 			panic(fmt.Sprintf("graph: %s: adjacency of %v not strictly ascending", who, r.Node))
 		}
-		if _, ok := idx[v]; !ok {
+		if !idx.Has(v) {
 			panic(fmt.Sprintf("graph: %s: adjacency of %v names unknown node %v", who, r.Node, v))
 		}
 	}
@@ -72,7 +72,7 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	// own rows and must not be double-patched or double-counted).
 	upd := make([]ident.NodeID, len(updates))
 	for i, u := range updates {
-		if _, ok := prev.idx[u.Node]; !ok {
+		if !prev.idx.Has(u.Node) {
 			panic(fmt.Sprintf("graph: ApplyDelta: unknown node %v", u.Node))
 		}
 		checkRow("ApplyDelta", prev.idx, u)
@@ -101,11 +101,6 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	// Adjacency storage is shared slice-by-slice from here on; flag both
 	// sides so any later in-place mutation privatizes first.
 	g.cowAdj, prev.cowAdj = true, true
-	if prev.sortedOK {
-		// The ascending roster is identical (same node set); share it too.
-		// unshareIdx detaches it before any membership mutation.
-		g.sorted, g.sortedOK = prev.sorted, true
-	}
 
 	// One arena holds every updated row (the patched mirror rows are
 	// allocated per row below — there are few of them and their sizes are
@@ -126,7 +121,7 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	for i := range updates {
 		u := updates[i].Node
 		na := updates[i].Adj
-		iu := prev.idx[u]
+		iu := prev.IndexOf(u)
 		// Diff the old and new rows; mirror the changes into rows that are
 		// not themselves updated. g's header may be prev's own: every slot is
 		// read before it is written, updated and mirror slots being disjoint.
@@ -138,7 +133,7 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 				v := old[oi]
 				oi++
 				if !isUpd(v) {
-					patches = append(patches, patch{slot: prev.idx[v], nb: u, add: false})
+					patches = append(patches, patch{slot: prev.IndexOf(v), nb: u, add: false})
 					g.edges--
 				} else if u < v {
 					g.edges--
@@ -147,7 +142,7 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 				v := na[ni]
 				ni++
 				if !isUpd(v) {
-					patches = append(patches, patch{slot: prev.idx[v], nb: u, add: true})
+					patches = append(patches, patch{slot: prev.IndexOf(v), nb: u, add: true})
 					g.edges++
 				} else if u < v {
 					g.edges++

@@ -39,6 +39,53 @@ func TestEmptyGraphQueries(t *testing.T) {
 	}
 }
 
+// TestZeroValueGraph pins "the zero value is an empty graph" through
+// every reader — with a real and a fabricated ID, since the node index of
+// a zero G is a nil ident.Table — and then through the mutators that
+// build on it, directly and on a clone and an identity restriction.
+func TestZeroValueGraph(t *testing.T) {
+	var g, o G
+	all := func(ident.NodeID) bool { return true }
+	for _, v := range []ident.NodeID{1, 1 << 30} {
+		calls := 0
+		g.ForEachNeighbor(v, func(ident.NodeID) { calls++ })
+		if g.HasNode(v) || g.HasEdge(v, 2) || g.Degree(v) != 0 || g.IndexOf(v) != -1 || calls != 0 ||
+			g.Neighbors(v) != nil || g.NeighborsView(v) != nil || len(g.AppendNeighbors(v, nil)) != 0 ||
+			len(g.BFSFrom(v, nil)) != 0 || g.Dist(v, 2) != Infinity || g.DistWithin(v, 2, nil) != Infinity {
+			t.Fatalf("zero graph answers for %v as if it held it", v)
+		}
+	}
+	if g.NumNodes() != 0 || g.NumEdges() != 0 || len(g.Nodes()) != 0 || len(g.AppendNodes(nil)) != 0 ||
+		len(g.NodeSet()) != 0 || !g.All(all) || g.Generation() != 0 || g.String() != "graph(n=0, m=0)" {
+		t.Fatalf("zero graph not empty: %s", &g)
+	}
+	if !g.Connected() || g.Diameter() != 0 || g.InducedDiameter(nil) != 0 || !g.InducedConnected(nil) {
+		t.Fatal("zero graph must be connected with diameter 0")
+	}
+	if !g.Equal(&o) || !g.Equal(New()) || !New().Equal(&g) {
+		t.Fatal("zero graphs must equal each other and New()")
+	}
+	clone, sib, none := g.Clone(), g.Restrict(all), g.Restrict(func(ident.NodeID) bool { return false })
+	for _, h := range []*G{clone, sib, none} {
+		if h.NumNodes() != 0 || !h.Equal(New()) {
+			t.Fatalf("derived from a zero graph: %s", h)
+		}
+	}
+	g.RemoveNode(1)
+	g.RemoveEdge(1, 2)
+	for _, h := range []*G{&g, clone, sib, &o} {
+		h.AddEdge(1, 2)
+		h.AddNode(1 << 30)
+		if h.NumNodes() != 3 || h.NumEdges() != 1 || !h.HasEdge(2, 1) || h.Degree(1<<30) != 0 ||
+			!slices.Equal(h.Nodes(), []ident.NodeID{1, 2, 1 << 30}) {
+			t.Fatalf("built on a zero graph: %s, nodes %v", h, h.Nodes())
+		}
+	}
+	if none.NumNodes() != 0 {
+		t.Fatal("a sibling's writes reached an independent restriction")
+	}
+}
+
 func TestSingleNode(t *testing.T) {
 	g := New()
 	g.AddNode(7)

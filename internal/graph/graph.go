@@ -3,7 +3,8 @@
 // the Dynamic Group Service specification (ΠA, ΠS, ΠM, ΠT) is defined
 // against — plus generators for the topologies used by the experiments.
 //
-// Storage is CSR: a node-index map plus one ascending neighbor row per
+// Storage is CSR: a node index (a paged ident.Table, so a lookup is two
+// loads) plus one ascending neighbor row per
 // node, in one of two forms read through row(i). A bulk-built graph
 // (FromRows — the spatial index's per-tick rebuild — Clone, a partial
 // Restrict) is packed: n+1 offsets over one arena, no per-row
@@ -18,7 +19,6 @@ package graph
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/ident"
@@ -32,8 +32,8 @@ const Infinity = int(^uint(0) >> 1)
 // Directed (asymmetric) links are modeled at the radio layer; the
 // specification predicates all use the symmetric graph.
 type G struct {
-	idx   map[ident.NodeID]int32 // node → slot
-	nodes []ident.NodeID         // slot → node (insertion order)
+	idx   *ident.Table[int32] // node → slot; nil in the zero value
+	nodes []ident.NodeID      // slot → node (insertion order)
 
 	// Slot → neighbors, ascending; read through row(i). Packed (off != nil,
 	// adj == nil): row i is arena[off[i]:off[i+1]], written only by the
@@ -43,11 +43,6 @@ type G struct {
 	off   []uint32
 	arena []ident.NodeID
 	adj   [][]ident.NodeID
-
-	// sorted caches the ascending roster; rebuilt lazily after node
-	// membership changes (edge mutations never invalidate it).
-	sorted   []ident.NodeID
-	sortedOK bool
 
 	// sharedIdx marks idx/nodes as shared with another graph built over
 	// the same roster (FromRows, ApplyDelta, identity Restrict); any node
@@ -70,9 +65,7 @@ type G struct {
 }
 
 // New returns an empty graph.
-func New() *G {
-	return &G{idx: make(map[ident.NodeID]int32)}
-}
+func New() *G { return &G{} }
 
 // FromRows bulk-builds a packed graph from one finished row per node: the
 // full-rebuild sibling of ApplyDelta, fed by the same vicinity scan. rows
@@ -82,8 +75,10 @@ func New() *G {
 // link predicate's to guarantee, and is not re-checked. The rows are
 // copied, not adopted. When prev was built over exactly this node
 // sequence (a mobile world's rebuild with unchanged membership), the
-// result shares its node index copy-on-write instead of rebuilding the
-// map: either graph takes a private copy before a later node mutation.
+// result shares its node index copy-on-write instead of rebuilding it:
+// either graph takes a private copy before a later node mutation. Over
+// another node sequence the index starts as a copy of prev's, whose pages
+// already have about the right sizes.
 //
 // When prev was retired (Retire), is packed and shares its storage with
 // nobody — no identity-Restrict sibling, no ApplyDelta child (cowAdj
@@ -102,9 +97,15 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 		prev.sharedIdx, g.sharedIdx = true, true
 		g.idx, g.nodes = prev.idx, prev.nodes
 	} else {
-		g.idx, g.nodes = make(map[ident.NodeID]int32, len(nodes)), make([]ident.NodeID, 0, len(nodes))
+		g.idx, g.nodes = new(ident.Table[int32]), make([]ident.NodeID, 0, len(nodes))
+		if prev != nil && prev.idx != nil {
+			g.idx = prev.idx.Clone()
+		}
 		for _, v := range nodes {
 			g.addSlot(v)
+		}
+		if prev != nil {
+			g.dropStale(prev.nodes)
 		}
 	}
 	n := len(g.nodes)
@@ -116,7 +117,7 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	off = slices.Grow(off, n+1)[:n+1]
 	clear(off)
 	for _, r := range rows {
-		i, ok := g.idx[r.Node]
+		i, ok := g.idx.Get(r.Node)
 		if !ok {
 			panic(fmt.Sprintf("graph: FromRows: unknown node %v", r.Node))
 		}
@@ -131,18 +132,29 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	arena = slices.Grow(arena, int(off[n]))[:off[n]]
 	for _, r := range rows {
 		checkRow("FromRows", g.idx, r)
-		copy(arena[off[g.idx[r.Node]]:], r.Adj)
+		copy(arena[off[g.IndexOf(r.Node)]:], r.Adj)
 	}
 	g.off, g.arena, g.edges = off, arena, len(arena)/2
 	return g
 }
 
 // addSlot gives v a slot in the roster of a graph under bulk construction
-// (no adjacency storage yet), if it has none.
+// (no adjacency storage yet), if it has none. The index may be a copy of
+// another graph's: an entry that names no slot holding v does not count.
 func (g *G) addSlot(v ident.NodeID) {
-	if _, ok := g.idx[v]; !ok {
-		g.idx[v] = int32(len(g.nodes))
+	if i, ok := g.idx.Get(v); !ok || int(i) >= len(g.nodes) || g.nodes[i] != v {
+		g.idx.Set(v, int32(len(g.nodes)))
 		g.nodes = append(g.nodes, v)
+	}
+}
+
+// dropStale removes from a copied index the entries of those of nodes
+// that addSlot gave no slot.
+func (g *G) dropStale(nodes []ident.NodeID) {
+	for _, v := range nodes {
+		if i, _ := g.idx.Get(v); int(i) >= len(g.nodes) || g.nodes[i] != v {
+			g.idx.Delete(v)
+		}
 	}
 }
 
@@ -160,33 +172,29 @@ func (g *G) row(i int32) []ident.NodeID {
 // ensure returns v's slot, creating it if needed (no generation bump —
 // callers bump once per mutating API call).
 func (g *G) ensure(v ident.NodeID) int32 {
-	if i, ok := g.idx[v]; ok {
+	if i, ok := g.idx.Get(v); ok {
 		return i
 	}
 	g.unshareIdx()
 	g.unshareAdj()
 	if g.idx == nil {
-		g.idx = make(map[ident.NodeID]int32)
+		g.idx = new(ident.Table[int32])
 	}
 	i := int32(len(g.nodes))
-	g.idx[v] = i
+	g.idx.Set(v, i)
 	g.nodes = append(g.nodes, v)
 	g.adj = append(g.adj, nil)
-	g.sortedOK = false
 	return i
 }
 
 // unshareIdx takes a private copy of a roster shared via FromRows,
-// ApplyDelta or Restrict before the first node mutation. The sorted-roster
-// cache may be shared too (the latter two); it is detached rather than
-// copied so the next roster() rebuild cannot scribble over the sibling's.
+// ApplyDelta or Restrict before the first node mutation.
 func (g *G) unshareIdx() {
 	if !g.sharedIdx {
 		return
 	}
-	g.idx = maps.Clone(g.idx)
+	g.idx = g.idx.Clone()
 	g.nodes = slices.Clone(g.nodes)
-	g.sorted, g.sortedOK = nil, false
 	g.sharedIdx = false
 }
 
@@ -194,7 +202,7 @@ func (g *G) unshareIdx() {
 func (g *G) Clone() *G {
 	g.mustHaveRows("Clone")
 	out := &G{
-		idx:   maps.Clone(g.idx),
+		idx:   g.idx.Clone(),
 		nodes: slices.Clone(g.nodes),
 		off:   make([]uint32, len(g.nodes)+1),
 		arena: make([]ident.NodeID, 0, 2*g.edges),
@@ -224,14 +232,14 @@ func (g *G) AddNode(v ident.NodeID) {
 // RemoveNode deletes v and all its incident edges.
 func (g *G) RemoveNode(v ident.NodeID) {
 	g.gen++
-	i, ok := g.idx[v]
+	i, ok := g.idx.Get(v)
 	if !ok {
 		return
 	}
 	g.unshareIdx()
 	g.unshareAdj()
 	for _, u := range g.adj[i] {
-		g.dropHalf(g.idx[u], v)
+		g.dropHalf(g.IndexOf(u), v)
 		g.edges--
 	}
 	last := int32(len(g.nodes) - 1)
@@ -239,13 +247,12 @@ func (g *G) RemoveNode(v ident.NodeID) {
 		moved := g.nodes[last]
 		g.nodes[i] = moved
 		g.adj[i] = g.adj[last]
-		g.idx[moved] = i
+		g.idx.Set(moved, i)
 	}
 	g.nodes = g.nodes[:last]
 	g.adj[last] = nil
 	g.adj = g.adj[:last]
-	delete(g.idx, v)
-	g.sortedOK = false
+	g.idx.Delete(v)
 }
 
 // dropHalf removes v from slot i's adjacency (which must contain it).
@@ -287,11 +294,11 @@ func insertSorted(s *[]ident.NodeID, v ident.NodeID) bool {
 // RemoveEdge deletes the undirected edge (u,v) if present.
 func (g *G) RemoveEdge(u, v ident.NodeID) {
 	g.gen++
-	iu, ok := g.idx[u]
+	iu, ok := g.idx.Get(u)
 	if !ok {
 		return
 	}
-	iv, ok := g.idx[v]
+	iv, ok := g.idx.Get(v)
 	if !ok {
 		return
 	}
@@ -305,11 +312,11 @@ func (g *G) RemoveEdge(u, v ident.NodeID) {
 }
 
 // HasNode reports whether v is in the graph.
-func (g *G) HasNode(v ident.NodeID) bool { _, ok := g.idx[v]; return ok }
+func (g *G) HasNode(v ident.NodeID) bool { return g.idx.Has(v) }
 
 // HasEdge reports whether the undirected edge (u,v) is present.
 func (g *G) HasEdge(u, v ident.NodeID) bool {
-	i, ok := g.idx[u]
+	i, ok := g.idx.Get(u)
 	if !ok {
 		return false
 	}
@@ -317,26 +324,19 @@ func (g *G) HasEdge(u, v ident.NodeID) bool {
 	return found
 }
 
-// roster returns the cached ascending node slice (read-only).
-func (g *G) roster() []ident.NodeID {
-	if !g.sortedOK {
-		g.sorted = append(g.sorted[:0], g.nodes...)
-		slices.Sort(g.sorted)
-		g.sortedOK = true
-	}
-	return g.sorted
-}
-
 // Nodes returns all nodes in ascending order (a fresh copy).
 func (g *G) Nodes() []ident.NodeID {
-	return slices.Clone(g.roster())
+	return g.AppendNodes(make([]ident.NodeID, 0, len(g.nodes)))
 }
 
-// AppendNodes appends all nodes in ascending order to buf and returns the
-// extended slice — the allocation-free variant of Nodes for callers that
-// iterate every round and can recycle a buffer (obs, metrics).
+// AppendNodes appends all nodes in ascending order (the node index's own
+// order) to buf and returns the extended slice — the allocation-free
+// variant of Nodes for callers that can recycle a buffer (metrics).
 func (g *G) AppendNodes(buf []ident.NodeID) []ident.NodeID {
-	return append(buf, g.roster()...)
+	for v := range g.idx.All() {
+		buf = append(buf, v)
+	}
+	return buf
 }
 
 // NumNodes returns the node count.
@@ -351,11 +351,10 @@ func (g *G) NumEdges() int { return g.edges }
 // callers may use them for graph-lifetime scratch arrays but must not
 // carry them across a Generation change or to another graph.
 func (g *G) IndexOf(v ident.NodeID) int32 {
-	i, ok := g.idx[v]
-	if !ok {
-		return -1
+	if i := g.idx.Ref(v); i != nil {
+		return *i
 	}
-	return i
+	return -1
 }
 
 // NeighborsAt is NeighborsView by internal index (see IndexOf): the
@@ -365,7 +364,7 @@ func (g *G) NeighborsAt(i int32) []ident.NodeID { return g.row(i) }
 
 // Neighbors returns v's neighbors in ascending order (a fresh copy).
 func (g *G) Neighbors(v ident.NodeID) []ident.NodeID {
-	i, ok := g.idx[v]
+	i, ok := g.idx.Get(v)
 	if !ok {
 		return nil
 	}
@@ -377,7 +376,7 @@ func (g *G) Neighbors(v ident.NodeID) []ident.NodeID {
 // mutation of the graph. This is the flat-compare path incremental
 // observers diff neighborhoods with.
 func (g *G) NeighborsView(v ident.NodeID) []ident.NodeID {
-	i, ok := g.idx[v]
+	i, ok := g.idx.Get(v)
 	if !ok {
 		return nil
 	}
@@ -388,7 +387,7 @@ func (g *G) NeighborsView(v ident.NodeID) []ident.NodeID {
 // returns the extended slice — the allocation-free variant of Neighbors
 // for per-round hot paths.
 func (g *G) AppendNeighbors(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
-	i, ok := g.idx[v]
+	i, ok := g.idx.Get(v)
 	if !ok {
 		return buf
 	}
@@ -399,7 +398,7 @@ func (g *G) AppendNeighbors(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
 // the zero-allocation iteration for hot paths (BFS frontiers, boundary
 // scans).
 func (g *G) ForEachNeighbor(v ident.NodeID, fn func(u ident.NodeID)) {
-	i, ok := g.idx[v]
+	i, ok := g.idx.Get(v)
 	if !ok {
 		return
 	}
@@ -410,7 +409,7 @@ func (g *G) ForEachNeighbor(v ident.NodeID, fn func(u ident.NodeID)) {
 
 // Degree returns the number of neighbors of v.
 func (g *G) Degree(v ident.NodeID) int {
-	i, ok := g.idx[v]
+	i, ok := g.idx.Get(v)
 	if !ok {
 		return 0
 	}
@@ -430,7 +429,7 @@ func (g *G) BFSFrom(src ident.NodeID, within map[ident.NodeID]bool) map[ident.No
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.row(g.idx[v]) {
+		for _, u := range g.row(g.IndexOf(v)) {
 			if within != nil && !within[u] {
 				continue
 			}
@@ -515,9 +514,9 @@ func (g *G) Equal(o *G) bool {
 	if len(g.nodes) != len(o.nodes) || g.edges != o.edges {
 		return false
 	}
-	for v, i := range g.idx {
-		j, ok := o.idx[v]
-		if !ok || !slices.Equal(g.row(i), o.row(j)) {
+	for i, v := range g.nodes {
+		j, ok := o.idx.Get(v)
+		if !ok || !slices.Equal(g.row(int32(i)), o.row(j)) {
 			return false
 		}
 	}
@@ -547,14 +546,10 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 	}
 	if cut == len(g.nodes) {
 		g.sharedIdx, g.cowAdj, g.hdrShared = true, true, true
-		out := &G{idx: g.idx, nodes: g.nodes, off: g.off, arena: g.arena, adj: g.adj,
+		return &G{idx: g.idx, nodes: g.nodes, off: g.off, arena: g.arena, adj: g.adj,
 			sharedIdx: true, cowAdj: true, hdrShared: true, edges: g.edges}
-		if g.sortedOK {
-			out.sorted, out.sortedOK = g.sorted, true
-		}
-		return out
 	}
-	out := &G{idx: make(map[ident.NodeID]int32, len(g.nodes)-1)}
+	out := &G{idx: g.idx.Clone()}
 	slots := make([]int32, 0, len(g.nodes)-1) // out slot → g slot
 	total := 0
 	for i, v := range g.nodes {
@@ -564,11 +559,12 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 			total += len(g.row(int32(i)))
 		}
 	}
+	out.dropStale(g.nodes)
 	out.off = make([]uint32, len(slots)+1)
 	out.arena = make([]ident.NodeID, 0, total)
 	for oi, i := range slots {
 		for _, u := range g.row(i) {
-			if _, kept := out.idx[u]; kept {
+			if out.idx.Has(u) {
 				out.arena = append(out.arena, u)
 			}
 		}

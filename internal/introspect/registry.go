@@ -227,16 +227,23 @@ const (
 	PhaseDeliver
 	PhaseCompute
 
+	// PhaseAdvance's two parts on a spatial topology (mobility step, graph
+	// rebuild): inside it, not added to the five phases that sum to a tick.
+	PhaseAdvanceMobility
+	PhaseAdvanceGraph
+
 	// NumPhases sizes the timing accumulators.
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
-	PhaseAdvance:   "advance",
-	PhaseBuild:     "build",
-	PhaseArbitrate: "arbitrate",
-	PhaseDeliver:   "deliver",
-	PhaseCompute:   "compute",
+	PhaseAdvance:         "advance",
+	PhaseBuild:           "build",
+	PhaseArbitrate:       "arbitrate",
+	PhaseDeliver:         "deliver",
+	PhaseCompute:         "compute",
+	PhaseAdvanceMobility: "advance_mobility",
+	PhaseAdvanceGraph:    "advance_graph",
 }
 
 // String returns the phase's name.

@@ -13,7 +13,7 @@ import (
 	"repro/internal/ident"
 )
 
-// Snapshot is one configuration: the topology and every node's view.
+// Snapshot is one configuration: topology and views, in maps (the oracle shares no index with the engine).
 type Snapshot struct {
 	G     *graph.G
 	Views map[ident.NodeID]map[ident.NodeID]bool

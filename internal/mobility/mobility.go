@@ -14,6 +14,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ident"
 	"repro/internal/space"
@@ -59,7 +60,7 @@ func (s *Static) Step(w *space.World, dt float64, rng *rand.Rand) {
 type Waypoint struct {
 	Side, SpeedMin, SpeedMax, Pause float64
 
-	state map[ident.NodeID]*wpState
+	state ident.Table[wpState]
 }
 
 type wpState struct {
@@ -70,12 +71,10 @@ type wpState struct {
 
 // Init implements Model.
 func (m *Waypoint) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
-	m.state = make(map[ident.NodeID]*wpState, len(nodes))
-	slab := make([]wpState, len(nodes)) // a later joiner's state is its own
-	for i, v := range nodes {
+	m.state = ident.Table[wpState]{}
+	for _, v := range nodes {
 		w.Place(v, space.Point{X: rng.Float64() * m.Side, Y: rng.Float64() * m.Side})
-		slab[i] = m.newLeg(rng)
-		m.state[v] = &slab[i]
+		m.state.Set(v, m.newLeg(rng))
 	}
 }
 
@@ -100,11 +99,10 @@ func (m *Waypoint) Step(w *space.World, dt float64, rng *rand.Rand) {
 // leg on arrival) — the per-node body shared by Waypoint and the models
 // that move only a subset (Commuter).
 func (m *Waypoint) stepNode(w *space.World, v ident.NodeID, dt float64, rng *rand.Rand) {
-	st := m.state[v]
+	st := m.state.Ref(v)
 	if st == nil {
-		st = new(wpState)
-		*st = m.newLeg(rng)
-		m.state[v] = st
+		m.state.Set(v, m.newLeg(rng))
+		st = m.state.Ref(v)
 	}
 	if st.pausing > 0 {
 		st.pausing -= dt
@@ -128,15 +126,15 @@ func (m *Waypoint) stepNode(w *space.World, v ident.NodeID, dt float64, rng *ran
 type Walk struct {
 	Side, Speed, Turn float64
 
-	heading map[ident.NodeID]float64
+	heading ident.Table[float64]
 }
 
 // Init implements Model.
 func (m *Walk) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
-	m.heading = make(map[ident.NodeID]float64, len(nodes))
+	m.heading = ident.Table[float64]{}
 	for _, v := range nodes {
 		w.Place(v, space.Point{X: rng.Float64() * m.Side, Y: rng.Float64() * m.Side})
-		m.heading[v] = rng.Float64() * 2 * math.Pi
+		m.heading.Set(v, rng.Float64()*2*math.Pi)
 	}
 }
 
@@ -146,7 +144,7 @@ func (m *Walk) Step(w *space.World, dt float64, rng *rand.Rand) {
 		return
 	}
 	for _, v := range w.Nodes() {
-		h, ok := m.heading[v]
+		h, ok := m.heading.Get(v)
 		if !ok || rng.Float64() < m.Turn {
 			h = rng.Float64() * 2 * math.Pi
 		}
@@ -160,7 +158,7 @@ func (m *Walk) Step(w *space.World, dt float64, rng *rand.Rand) {
 			h = -h
 			np.Y = math.Min(math.Max(np.Y, 0), m.Side)
 		}
-		m.heading[v] = h
+		m.heading.Set(v, h)
 		w.Place(v, np)
 	}
 }
@@ -176,7 +174,7 @@ type Highway struct {
 	LaneGap            float64
 	SpeedMin, SpeedMax float64
 
-	speed map[ident.NodeID]float64
+	speed ident.Table[float64]
 }
 
 // Init implements Model.
@@ -184,12 +182,12 @@ func (m *Highway) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 	if m.Lanes <= 0 {
 		m.Lanes = 1
 	}
-	m.speed = make(map[ident.NodeID]float64, len(nodes))
+	m.speed = ident.Table[float64]{}
 	for i, v := range nodes {
 		lane := i % m.Lanes
 		base := m.SpeedMin + (m.SpeedMax-m.SpeedMin)*float64(lane)/float64(m.Lanes)
 		span := (m.SpeedMax - m.SpeedMin) / float64(m.Lanes)
-		m.speed[v] = base + rng.Float64()*span
+		m.speed.Set(v, base+rng.Float64()*span)
 		w.Place(v, space.Point{X: rng.Float64() * m.Length, Y: float64(lane) * m.LaneGap})
 	}
 }
@@ -201,7 +199,8 @@ func (m *Highway) Step(w *space.World, dt float64, rng *rand.Rand) {
 	}
 	for _, v := range w.Nodes() {
 		p, _ := w.Pos(v)
-		x := math.Mod(p.X+m.speed[v]*dt, m.Length)
+		speed, _ := m.speed.Get(v)
+		x := math.Mod(p.X+speed*dt, m.Length)
 		if x < 0 {
 			x += m.Length
 		}
@@ -266,7 +265,7 @@ type Groups struct {
 
 	centers  *Waypoint
 	centerID []ident.NodeID
-	group    map[ident.NodeID]int
+	group    ident.Table[int]
 	cw       *space.World
 }
 
@@ -282,10 +281,10 @@ func (m *Groups) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 		m.centerID[i] = ident.NodeID(i + 1)
 	}
 	m.centers.Init(m.cw, m.centerID, rng)
-	m.group = make(map[ident.NodeID]int, len(nodes))
+	m.group = ident.Table[int]{}
 	for i, v := range nodes {
-		m.group[v] = i % m.NumGroups
-		c, _ := m.cw.Pos(m.centerID[m.group[v]])
+		m.group.Set(v, i%m.NumGroups)
+		c, _ := m.cw.Pos(m.centerID[i%m.NumGroups])
 		w.Place(v, jitterAround(c, m.Radius, rng))
 	}
 }
@@ -297,7 +296,8 @@ func (m *Groups) Step(w *space.World, dt float64, rng *rand.Rand) {
 	}
 	m.centers.Step(m.cw, dt, rng)
 	for _, v := range w.Nodes() {
-		c, _ := m.cw.Pos(m.centerID[m.group[v]])
+		g, _ := m.group.Get(v)
+		c, _ := m.cw.Pos(m.centerID[g])
 		w.Place(v, jitterAround(c, m.Radius, rng))
 	}
 }
@@ -330,9 +330,13 @@ type RingRoad struct {
 	// the classic VANET source of fleeting radio contacts.
 	Opposing bool
 
-	angSpeed map[ident.NodeID]float64 // angular speed (rad per time unit)
-	angle    map[ident.NodeID]float64
-	lane     map[ident.NodeID]int
+	state ident.Table[ringState]
+}
+
+type ringState struct {
+	angSpeed float64 // angular speed (rad per time unit)
+	angle    float64
+	lane     int
 }
 
 // Init implements Model.
@@ -341,9 +345,7 @@ func (m *RingRoad) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 		m.Lanes = 1
 	}
 	radius := m.Length / (2 * math.Pi)
-	m.angSpeed = make(map[ident.NodeID]float64, len(nodes))
-	m.angle = make(map[ident.NodeID]float64, len(nodes))
-	m.lane = make(map[ident.NodeID]int, len(nodes))
+	m.state = ident.Table[ringState]{}
 	for i, v := range nodes {
 		lane := i % m.Lanes
 		base := m.SpeedMin + (m.SpeedMax-m.SpeedMin)*float64(lane)/float64(m.Lanes)
@@ -351,13 +353,13 @@ func (m *RingRoad) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 		speed := base + rng.Float64()*span
 		// Angular speed uses the vehicle's own lane radius, so the
 		// linear speed equals the drawn speed regardless of lane.
-		m.angSpeed[v] = speed / (radius + float64(lane)*m.LaneGap)
+		st := ringState{angSpeed: speed / (radius + float64(lane)*m.LaneGap), lane: lane}
 		if m.Opposing && lane%2 == 1 {
-			m.angSpeed[v] = -m.angSpeed[v]
+			st.angSpeed = -st.angSpeed
 		}
-		m.angle[v] = rng.Float64() * 2 * math.Pi
-		m.lane[v] = lane
-		m.place(w, v, radius)
+		st.angle = rng.Float64() * 2 * math.Pi
+		m.state.Set(v, st)
+		m.place(w, v, st, radius)
 	}
 }
 
@@ -368,14 +370,16 @@ func (m *RingRoad) Step(w *space.World, dt float64, rng *rand.Rand) {
 	}
 	radius := m.Length / (2 * math.Pi)
 	for _, v := range w.Nodes() {
-		m.angle[v] = math.Mod(m.angle[v]+m.angSpeed[v]*dt, 2*math.Pi)
-		m.place(w, v, radius)
+		st, _ := m.state.Get(v)
+		st.angle = math.Mod(st.angle+st.angSpeed*dt, 2*math.Pi)
+		m.state.Set(v, st)
+		m.place(w, v, st, radius)
 	}
 }
 
-func (m *RingRoad) place(w *space.World, v ident.NodeID, radius float64) {
-	r := radius + float64(m.lane[v])*m.LaneGap
-	w.Place(v, space.Point{X: r * math.Cos(m.angle[v]), Y: r * math.Sin(m.angle[v])})
+func (m *RingRoad) place(w *space.World, v ident.NodeID, st ringState, radius float64) {
+	r := radius + float64(st.lane)*m.LaneGap
+	w.Place(v, space.Point{X: r * math.Cos(st.angle), Y: r * math.Sin(st.angle)})
 }
 
 // Commuter models a mostly-parked population: a fixed ActiveFraction of
@@ -393,7 +397,7 @@ type Commuter struct {
 	ActiveFraction float64
 
 	wp     Waypoint
-	active map[ident.NodeID]bool
+	movers []ident.NodeID // the commuting subset, ascending
 }
 
 // Init implements Model: places everyone uniformly and draws the
@@ -410,10 +414,11 @@ func (m *Commuter) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 	}
 	k := int(f * float64(len(nodes)))
 	perm := rng.Perm(len(nodes))
-	m.active = make(map[ident.NodeID]bool, k)
-	for _, i := range perm[:k] {
-		m.active[nodes[i]] = true
+	m.movers = make([]ident.NodeID, k)
+	for j, i := range perm[:k] {
+		m.movers[j] = nodes[i]
 	}
+	slices.Sort(m.movers)
 	// Waypoint.Init places every node and assigns legs; parked nodes
 	// simply never execute theirs.
 	m.wp.Init(w, nodes, rng)
@@ -422,13 +427,14 @@ func (m *Commuter) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 // Step implements Model: advances only the commuting subset through the
 // shared waypoint leg logic, drawing exactly one leg's worth of
 // randomness per arriving commuter (parked nodes consume no RNG, so
-// traces are independent of the parked count).
+// traces are independent of the parked count). A commuter that has left
+// the world is skipped until it is back.
 func (m *Commuter) Step(w *space.World, dt float64, rng *rand.Rand) {
-	if dt == 0 || len(m.active) == 0 {
+	if dt == 0 {
 		return
 	}
-	for _, v := range w.Nodes() {
-		if m.active[v] {
+	for _, v := range m.movers {
+		if _, ok := w.Pos(v); ok {
 			m.wp.stepNode(w, v, dt, rng)
 		}
 	}

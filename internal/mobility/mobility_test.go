@@ -166,7 +166,9 @@ func TestGroupsKeepMembersNearCenters(t *testing.T) {
 	// Members of the same group must be within 2*Radius of each other.
 	for i, u := range w.Nodes() {
 		for _, v := range w.Nodes()[i+1:] {
-			if m.group[u] != m.group[v] {
+			gu, _ := m.group.Get(u)
+			gv, _ := m.group.Get(v)
+			if gu != gv {
 				continue
 			}
 			pu, _ := w.Pos(u)

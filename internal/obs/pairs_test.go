@@ -145,7 +145,7 @@ func TestFreshRecordUnderCachedPair(t *testing.T) {
 	src.setView(4, 4, 5)
 	src.setView(5, 4, 5)
 	observe("{1,2} beside {4,5}", true)
-	b := tr.groups[4]
+	b := groupOf(tr, 4)
 	verdict := func() pairVerdict {
 		for _, v := range tr.shards[pairKey{a: 1, b: 4}.owner()].verdicts {
 			if v.k == (pairKey{a: 1, b: 4}) {
@@ -160,7 +160,7 @@ func TestFreshRecordUnderCachedPair(t *testing.T) {
 	src.remove(2)
 	src.setView(1, 1)
 	observe("{1} beside {4,5}", false)
-	if tr.groups[4] != b || b.topoGen != before.tb {
+	if groupOf(tr, 4) != b || b.topoGen != before.tb {
 		t.Fatalf("the record of {4,5} changed or was restamped: the case no longer isolates the fresh record")
 	}
 	if after := verdict(); after.ta == before.ta {
@@ -199,7 +199,7 @@ func pairPaths(tr *GroupTracker, prev []pairVerdict) (deduped, reused, bfs int) 
 				reused++
 				continue
 			}
-			ga, gb := tr.groups[v.k.a], tr.groups[v.k.b]
+			ga, gb := groupOf(tr, v.k.a), groupOf(tr, v.k.b)
 			if ga.stretched || gb.stretched || len(ga.members)+len(gb.members) > tr.dmax+1 {
 				bfs++
 			}
@@ -220,8 +220,9 @@ func allVerdicts(tr *GroupTracker) []pairVerdict {
 // TestTrackerFootprint pins what settling ΠM without a map leaves in the
 // heap, on a parked world (2 % movers) of 2 000 nodes over 50 rounds: the
 // pair state's arenas hold at most one boundary report and two verdicts
-// per graph edge at the run's peak, headroom included, and the only maps
-// the tracker keeps are the watcher and group indexes. Two value maps of
+// per graph edge at the run's peak, headroom included, and the only map
+// the tracker keeps is the watcher index (the group index is an
+// ident.Table). Two value maps of
 // verdicts, with the per-shard report lists grown by doubling, held 7.3 MB
 // at parked-commuter's n = 20 000.
 func TestTrackerFootprint(t *testing.T) {
@@ -261,7 +262,7 @@ func TestTrackerFootprint(t *testing.T) {
 			}
 		}
 	}
-	if got := fmt.Sprint(maps); got != "[GroupTracker.watchers GroupTracker.groups]" {
-		t.Errorf("the tracker keeps the maps %s, want only the watcher and group indexes", got)
+	if got := fmt.Sprint(maps); got != "[GroupTracker.watchers]" {
+		t.Errorf("the tracker keeps the maps %s, want only the watcher index", got)
 	}
 }

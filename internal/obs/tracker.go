@@ -169,8 +169,8 @@ type GroupTracker struct {
 
 	nodes    []nodeState                  // engine slot → cache (id validates)
 	affEpoch []int                        // engine slot → round last marked affected
-	watchers map[ident.NodeID][]memberRef // u → {w : u ∈ view_w}, ascending by watcher
-	groups   map[ident.NodeID]*group      // representative → current record
+	watchers map[ident.NodeID][]memberRef // u → {w : u ∈ view_w}, ascending by watcher (a map: views may name fabricated IDs)
+	groups   ident.Table[*group]          // representative → current record
 	parked   []*group                     // destroyed this Observe: still read (ΠC, reborn, ΠS)
 	free     []*group                     // destroyed before it: poisoned, newGroup's to write
 	byShard  [shard.N][]memberRef         // live nodes, ascending per shard
@@ -274,13 +274,13 @@ func NewGroupTrackerSource(src Source) *GroupTracker {
 }
 
 // firstSync builds what the first observation of n members would
-// otherwise grow one join at a time: the two maps at their first size, n
+// otherwise grow one join at a time: the watcher map at its first size, n
 // group records with one-member storage on the free list (newGroup's only
 // source), and every slot's two view buffers, Dmax+1 members each. Every
 // cut is cap-clamped; a record or buffer that outgrows its own allocates.
 func (t *GroupTracker) firstSync(n int) {
 	t.watchers = make(map[ident.NodeID][]memberRef, n)
-	t.groups = make(map[ident.NodeID]*group, n)
+	t.groups = ident.Table[*group]{}
 	recs, members := make([]group, n), make([]ident.NodeID, n)
 	t.free = slices.Grow(t.free, n)
 	for i := range recs {
@@ -632,7 +632,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		}
 		var target *group
 		if res.good {
-			target = t.groups[res.rep]
+			target, _ = t.groups.Get(res.rep)
 			if target == nil || !idsEqual(target.members, st.view) {
 				target = t.newGroup(res.rep, st.view...)
 				if len(st.view) > 1 {
@@ -640,7 +640,7 @@ func (t *GroupTracker) Observe() RoundStats {
 				}
 			}
 		} else {
-			target = t.groups[v]
+			target, _ = t.groups.Get(v)
 			if target == nil || len(target.members) != 1 || target.members[0] != v {
 				target = t.newGroup(v, v)
 			}
@@ -924,7 +924,7 @@ func (t *GroupTracker) newGroup(rep ident.NodeID, members ...ident.NodeID) *grou
 	}
 	t.restamp(grp)
 	grp.rep, grp.members = rep, append(grp.members[:0], members...)
-	t.groups[rep] = grp
+	t.groups.Set(rep, grp)
 	t.groupCount++
 	t.memberSum += len(members)
 	if len(members) == 1 {
@@ -948,8 +948,8 @@ func (t *GroupTracker) detach(grp *group) {
 		t.singletonCnt--
 	}
 	t.setStretched(grp, false)
-	if t.groups[grp.rep] == grp {
-		delete(t.groups, grp.rep)
+	if cur, _ := t.groups.Get(grp.rep); cur == grp {
+		t.groups.Delete(grp.rep)
 	}
 	t.parked = append(t.parked, grp)
 }
@@ -1037,7 +1037,7 @@ func (t *GroupTracker) shardRemove(v ident.NodeID) {
 // metrics.Snapshot.Groups, for tests and debug output.
 func (t *GroupTracker) Groups() [][]ident.NodeID {
 	out := make([][]ident.NodeID, 0, t.groupCount)
-	for _, grp := range t.groups {
+	for _, grp := range t.groups.All() {
 		out = append(out, slices.Clone(grp.members))
 	}
 	slices.SortFunc(out, func(a, b []ident.NodeID) int { return cmp.Compare(a[0], b[0]) })

@@ -352,7 +352,7 @@ func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 	for r := 1; r <= 90; r++ {
 		switch r {
 		case 30:
-			if rec = tr.groups[1]; rec == nil || len(rec.members) != 3 || tr.groups[4] == nil || len(tr.groups[4].members) != 3 {
+			if rec = groupOf(tr, 1); rec == nil || len(rec.members) != 3 || groupOf(tr, 4) == nil || len(groupOf(tr, 4).members) != 3 {
 				t.Fatalf("round %d: partition %v, want two triangles", r, tr.Groups())
 			}
 			g.RemoveEdge(1, 2)
@@ -375,7 +375,7 @@ func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 		checkAgainstOracle(t, fmt.Sprintf("round %d", r), st, tr, prev, cur, hasPrev, dmax)
 		prev, hasPrev = cur, true
 		held := map[uint64]ident.NodeID{}
-		for rep, grp := range tr.groups {
+		for rep, grp := range tr.groups.All() {
 			if other, dup := held[grp.topoGen]; dup {
 				t.Fatalf("round %d: the records of %v and %v share stamp %d", r, other, rep, grp.topoGen)
 			}
@@ -385,10 +385,17 @@ func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 			}
 		}
 	}
-	if tr.groups[1] != rec || fmt.Sprint(rec.members) != "[n1 n2]" {
-		t.Fatalf("group {1,2} lives in %p %v, want the recycled record %p", tr.groups[1], tr.Groups(), rec)
+	if groupOf(tr, 1) != rec || fmt.Sprint(rec.members) != "[n1 n2]" {
+		t.Fatalf("group {1,2} lives in %p %v, want the recycled record %p", groupOf(tr, 1), tr.Groups(), rec)
 	}
 	if maxStamp == 0 || rec.topoGen <= maxStamp {
 		t.Fatalf("recycled record has stamp %d, records held up to %d before — a cached verdict could match it", rec.topoGen, maxStamp)
 	}
+}
+
+// groupOf returns the record the tracker holds for representative rep, or
+// nil.
+func groupOf(tr *GroupTracker, rep ident.NodeID) *group {
+	grp, _ := tr.groups.Get(rep)
+	return grp
 }

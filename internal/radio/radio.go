@@ -117,8 +117,8 @@ func (l Lossy) AppendDeliverSlot(txs []Tx, rng *rand.Rand, buf []Delivery) []Del
 // destroyed by the collision).
 type Collision struct{}
 
-// AppendDeliverSlot implements Channel (the interference maps are
-// still per-call: the channel itself is a stateless value).
+// AppendDeliverSlot implements Channel. Its interference maps are per call,
+// sized by the slate, not by the ID range a table would span.
 func (Collision) AppendDeliverSlot(txs []Tx, _ *rand.Rand, buf []Delivery) []Delivery {
 	sending := make(map[ident.NodeID]bool, len(txs))
 	heard := make(map[ident.NodeID]int)

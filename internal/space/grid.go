@@ -1,7 +1,7 @@
-// Spatial-hash vicinity index: a uniform grid over the plane keyed by
-// cell coordinates, maintained incrementally by Place/Remove, plus a
-// segment-to-cell index for the obstacle walls and the deterministic
-// shard-parallel SymmetricGraph build on top of both.
+// Bucket-grid vicinity index: a uniform grid of cells over the plane,
+// folded onto a fixed power-of-two bucket array, maintained incrementally
+// by Place/Remove, plus the walls registered in the same buckets and the
+// deterministic shard-parallel SymmetricGraph build on top of both.
 //
 // The cell size is the maximum TX range over the world (the default
 // Range and every TxRange override), so any link — symmetric or not —
@@ -10,10 +10,15 @@
 // link is registered in one of the (at most 2×2) cells the link's
 // bounding box overlaps. CanReach candidate sets and wall tests are
 // therefore O(local density) instead of O(n) and O(walls).
+//
+// Cells farther apart than the bucket array share a bucket, which changes
+// no row (DESIGN.md §2.2): the 3×3 block names nine distinct buckets, and
+// an aliased node or wall fails the distance or crossing test.
 package space
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 
@@ -26,29 +31,38 @@ import (
 type cellKey struct{ cx, cy int }
 
 // cellNode is one grid occupant with its position inlined: the vicinity
-// scans read candidate positions from the cell list itself instead of
-// probing the position map per candidate.
+// scans read candidate positions from the bucket itself instead of
+// looking them up per candidate.
 type cellNode struct {
 	id ident.NodeID
 	pt Point
 }
 
 // cellAt returns the cell containing p (floor division, so negative
-// coordinates hash consistently).
+// coordinates fold consistently).
 func (w *World) cellAt(p Point) cellKey {
 	return cellKey{int(math.Floor(p.X / w.cellSize)), int(math.Floor(p.Y / w.cellSize))}
 }
 
+// bucket returns the bucket index of cell (cx, cy).
+func (w *World) bucket(cx, cy int) int { return (cy&w.my)<<w.xBits | cx&w.mx }
+
+// bucketAt returns the bucket index of the cell containing p.
+func (w *World) bucketAt(p Point) int {
+	k := w.cellAt(p)
+	return w.bucket(k.cx, k.cy)
+}
+
 // validate makes the derived structures (grid, wall index, cell size)
 // consistent with the public configuration fields. The clean-path check
-// is read-only and O(1): a rebuild is triggered by the first use, an
-// explicit Invalidate, a reassignment of the TxRange map (identity +
-// size fingerprint) or of the Walls slice (length + backing pointer).
-// Mutating an existing TxRange entry or a wall in place is invisible to
-// these heuristics — callers doing that must call Invalidate (or use
-// SetTxRange/SetWalls, which do).
+// is read-only and O(1): a rebuild is triggered by the first use (or the
+// first after the population doubled), an explicit Invalidate, a
+// reassignment of the TxRange map (identity + size fingerprint) or of the
+// Walls slice (length + backing pointer). Mutating an existing TxRange
+// entry or a wall in place is invisible to these heuristics — callers
+// doing that must call Invalidate (or use SetTxRange/SetWalls, which do).
 func (w *World) validate() {
-	if w.cells != nil && !w.dirty && len(w.TxRange) == w.txLen &&
+	if w.cells != nil && !w.dirty && w.pos.Len() <= 2*max(w.laidOut, 8) && len(w.TxRange) == w.txLen &&
 		reflect.ValueOf(w.TxRange).Pointer() == w.txPtr &&
 		len(w.Walls) == w.wallsLen && (len(w.Walls) == 0 || &w.Walls[0] == w.wallsPtr) {
 		return
@@ -56,9 +70,9 @@ func (w *World) validate() {
 	w.rebuildIndex()
 }
 
-// rebuildIndex rederives the cell size from the current ranges and
-// re-inserts every node and wall. O(n + walls·cells_per_wall); runs only
-// on structural changes, never on mere motion.
+// rebuildIndex rederives the cell size from the current ranges, lays out
+// the buckets and re-inserts every node and wall. O(n + walls·cells per
+// wall); runs only on structural changes, never on mere motion.
 func (w *World) rebuildIndex() {
 	maxR := w.Range
 	for _, r := range w.TxRange {
@@ -73,19 +87,22 @@ func (w *World) rebuildIndex() {
 		// keeps the grid well defined.
 		w.cellSize = 1
 	}
-	w.cells = make(map[cellKey][]cellNode, len(w.pos))
-	for v, p := range w.pos {
-		k := w.cellAt(p)
-		w.cells[k] = append(w.cells[k], cellNode{id: v, pt: p})
+	w.layout()
+	for v, p := range w.pos.All() {
+		w.gridInsert(v, p)
 	}
-	w.wallCells = make(map[cellKey][]int, len(w.Walls))
+	w.wallCells = nil
+	if len(w.Walls) > 0 {
+		w.wallCells = make([][]int, len(w.cells))
+	}
 	for i, s := range w.Walls {
 		lo := w.cellAt(Point{math.Min(s.A.X, s.B.X), math.Min(s.A.Y, s.B.Y)})
 		hi := w.cellAt(Point{math.Max(s.A.X, s.B.X), math.Max(s.A.Y, s.B.Y)})
-		for cx := lo.cx; cx <= hi.cx; cx++ {
-			for cy := lo.cy; cy <= hi.cy; cy++ {
-				k := cellKey{cx, cy}
-				w.wallCells[k] = append(w.wallCells[k], i)
+		// A wall longer than the array registers in each bucket once.
+		for cx := lo.cx; cx <= min(hi.cx, lo.cx+w.mx); cx++ {
+			for cy := lo.cy; cy <= min(hi.cy, lo.cy+w.my); cy++ {
+				b := w.bucket(cx, cy)
+				w.wallCells[b] = append(w.wallCells[b], i)
 			}
 		}
 	}
@@ -99,6 +116,31 @@ func (w *World) rebuildIndex() {
 	w.dirty = false
 	w.deltaFull = true // ranges or walls changed: every link is suspect
 	w.gen++
+}
+
+// layout sizes an empty bucket array for the current population: per
+// axis a power of two, at least 4, grown towards the span of the occupied
+// cells while the array stays within about two buckets a node. A wider
+// world folds onto the array, so the grid is O(n) whatever the coordinates.
+func (w *World) layout() {
+	lo, hi := cellKey{math.MaxInt, math.MaxInt}, cellKey{math.MinInt, math.MinInt}
+	for _, p := range w.pos.All() {
+		k := w.cellAt(p)
+		lo, hi = cellKey{min(lo.cx, k.cx), min(lo.cy, k.cy)}, cellKey{max(hi.cx, k.cx), max(hi.cy, k.cy)}
+	}
+	nx, ny := 4, 4
+	for nx*ny <= w.pos.Len() {
+		if growX, growY := nx <= hi.cx-lo.cx, ny <= hi.cy-lo.cy; growX && (!growY || nx <= ny) {
+			nx *= 2
+		} else if growY {
+			ny *= 2
+		} else {
+			break
+		}
+	}
+	w.xBits, w.mx, w.my = uint(bits.TrailingZeros(uint(nx))), nx-1, ny-1
+	w.cells = make([][]cellNode, nx*ny)
+	w.laidOut = w.pos.Len()
 }
 
 // deltaFraction bounds how large the moved set may grow, relative to the
@@ -121,10 +163,10 @@ func (w *World) markMoved(v ident.NodeID) {
 	if w.deltaFull {
 		return
 	}
-	if limit := len(w.pos) / deltaFraction; len(w.movedDirty) >= limit &&
+	if limit := w.pos.Len() / deltaFraction; len(w.movedDirty) >= limit &&
 		len(w.movedDirty) >= 2*w.movedUnique {
-		sortIDs(w.movedDirty)
-		w.movedDirty = compactIDs(w.movedDirty)
+		slices.Sort(w.movedDirty)
+		w.movedDirty = slices.Compact(w.movedDirty)
 		w.movedUnique = len(w.movedDirty)
 		if w.movedUnique >= limit {
 			w.deltaFull = true
@@ -146,8 +188,8 @@ func (w *World) deltaViable(n int) bool {
 	if w.DisableDelta || w.deltaFull || w.symGraph == nil || len(w.movedDirty) == 0 {
 		return false
 	}
-	sortIDs(w.movedDirty)
-	w.movedDirty = compactIDs(w.movedDirty)
+	slices.Sort(w.movedDirty)
+	w.movedDirty = slices.Compact(w.movedDirty)
 	w.movedUnique = len(w.movedDirty)
 	return len(w.movedDirty) <= n/deltaFraction
 }
@@ -157,7 +199,7 @@ func (w *World) deltaViable(n int) bool {
 // separates it from. It is the one vicinity scan behind both rebuilds —
 // the movers' replacement rows for graph.ApplyDelta, every node's row for
 // graph.FromRows. The scan fans out over the NodeID shards (shard.Run); workers
-// only read shared state (pos, cells, ranges, walls) and write their own
+// only read shared state (pos, buckets, ranges, walls) and write their own
 // shard's scratch, and the shards are merged in shard order, so the rows
 // are identical at any worker count. The link predicate is evaluated from
 // the lower ID's end whichever node is being scanned, so the two rows of
@@ -175,13 +217,13 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 		adjs := w.shardAdjs[s][:0]
 		nbrs := w.shardNbrs[s][:0]
 		for _, u := range w.shardNodes[s] {
-			pu := w.pos[u]
+			pu, _ := w.pos.Get(u)
 			ru := w.rangeOf(u)
 			k := w.cellAt(pu)
 			start := len(nbrs)
 			for cx := k.cx - 1; cx <= k.cx+1; cx++ {
 				for cy := k.cy - 1; cy <= k.cy+1; cy++ {
-					for _, c := range w.cells[cellKey{cx, cy}] {
+					for _, c := range w.cells[w.bucket(cx, cy)] {
 						if c.id == u {
 							continue
 						}
@@ -207,7 +249,7 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 					}
 				}
 			}
-			sortIDs(nbrs[start:])
+			slices.Sort(nbrs[start:])
 			adjs = append(adjs, graph.NodeAdj{Node: u, Adj: nbrs[start:len(nbrs):len(nbrs)]})
 		}
 		w.shardAdjs[s], w.shardNbrs[s] = adjs, nbrs
@@ -220,31 +262,21 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 	return rows
 }
 
-// sortIDs sorts a NodeID slice ascending.
-func sortIDs(ids []ident.NodeID) {
-	slices.Sort(ids)
-}
-
-// compactIDs dedups an ascending NodeID slice in place.
-func compactIDs(ids []ident.NodeID) []ident.NodeID {
-	return slices.Compact(ids)
-}
-
-// gridInsert adds v (already in pos) to its cell; a cell entered anew
-// takes the slice some emptied cell left behind.
+// gridInsert adds v (already in pos) to its bucket; a bucket entered anew
+// takes the slice some emptied bucket left behind.
 func (w *World) gridInsert(v ident.NodeID, p Point) {
-	k := w.cellAt(p)
-	lst, ok := w.cells[k]
-	if n := len(w.freeCells); !ok && n > 0 {
+	b := w.bucketAt(p)
+	lst := w.cells[b]
+	if n := len(w.freeCells); lst == nil && n > 0 {
 		lst, w.freeCells = w.freeCells[n-1], w.freeCells[:n-1]
 	}
-	w.cells[k] = append(lst, cellNode{id: v, pt: p})
+	w.cells[b] = append(lst, cellNode{id: v, pt: p})
 }
 
-// gridRemove deletes v from cell k (swap-delete; cell lists are
-// unordered, every consumer either sorts its output or builds a set).
-func (w *World) gridRemove(v ident.NodeID, k cellKey) {
-	lst := w.cells[k]
+// gridRemove deletes v from bucket b (swap-delete; buckets are unordered,
+// every consumer either sorts its output or builds a set).
+func (w *World) gridRemove(v ident.NodeID, b int) {
+	lst := w.cells[b]
 	for i := range lst {
 		if lst[i].id == v {
 			lst[i] = lst[len(lst)-1]
@@ -252,19 +284,17 @@ func (w *World) gridRemove(v ident.NodeID, k cellKey) {
 			break
 		}
 	}
+	w.cells[b] = lst
 	if len(lst) == 0 {
-		delete(w.cells, k)
-		w.freeCells = append(w.freeCells, lst)
-	} else {
-		w.cells[k] = lst
+		w.cells[b], w.freeCells = nil, append(w.freeCells, lst)
 	}
 }
 
 // wallBlocked reports whether a wall crosses the link pu–pv. It only
-// tests walls registered in the cells the link's bounding box overlaps;
-// the caller guarantees the link is no longer than the cell size (every
-// in-range link is, by the cell-size invariant), so that box spans at
-// most 2×2 cells. A wall spanning two of those cells is tested twice —
+// tests walls registered in the buckets of the cells the link's bounding
+// box overlaps; the caller guarantees the link is no longer than the cell
+// size (every in-range link is, by the cell-size invariant), so that box
+// spans at most 2×2 cells. A wall spanning two of those cells is tested twice —
 // harmless for a pure predicate, and cheaper than deduplication, which
 // would need mutable scratch and break the lock-free parallel build.
 func (w *World) wallBlocked(pu, pv Point) bool {
@@ -280,7 +310,7 @@ func (w *World) wallBlocked(pu, pv Point) bool {
 	}
 	for cx := k1.cx; cx <= k2.cx; cx++ {
 		for cy := k1.cy; cy <= k2.cy; cy++ {
-			for _, i := range w.wallCells[cellKey{cx, cy}] {
+			for _, i := range w.wallCells[w.bucket(cx, cy)] {
 				s := &w.Walls[i]
 				if segmentsCross(pu, pv, s.A, s.B) {
 					return true

@@ -3,7 +3,7 @@
 // is in the vicinity of v, which depends on positions, per-node radio
 // ranges (asymmetric links) and obstacles.
 //
-// The vicinity queries are served by an incremental spatial-hash index
+// The vicinity queries are served by an incremental bucket-grid index
 // (see grid.go): candidate receivers come from a 3×3 cell neighborhood
 // instead of the full population, walls are tested from a segment-to-cell
 // index, and SymmetricGraph is a deterministic shard-parallel build that
@@ -43,8 +43,8 @@ type Segment struct{ A, B Point }
 type World struct {
 	// Range is the default transmission range.
 	Range float64
-	// TxRange optionally overrides the transmission range per node,
-	// producing asymmetric links (u→v exists iff dist ≤ TX range of u).
+	// TxRange optionally overrides the TX range per node (u→v exists iff
+	// dist ≤ TX range of u: asymmetric links); public, so it stays a map.
 	TxRange map[ident.NodeID]float64
 	// Walls block links whose straight line crosses them.
 	Walls []Segment
@@ -60,7 +60,7 @@ type World struct {
 	// way.
 	DisableDelta bool
 
-	pos map[ident.NodeID]Point
+	pos ident.Table[Point]
 
 	// ids is the cached ascending roster, rebuilt lazily after
 	// membership churn (idsDirty) — motion alone never invalidates it.
@@ -73,16 +73,18 @@ type World struct {
 	// lets stationary ticks reuse every downstream cache.
 	gen uint64
 
-	// Spatial-hash index (grid.go). cells is nil until the first query
-	// builds it; dirty plus the txLen/walls fingerprints trigger
-	// structural rebuilds. Cell entries carry the node's position inline
-	// so the vicinity scans touch no per-candidate map; a node's cell is
-	// cellAt of its position, kept nowhere else.
+	// Bucket grid (grid.go). cells is nil until the first query lays it
+	// out; dirty plus the txLen/walls fingerprints trigger structural
+	// rebuilds. Entries carry the node's position inline; a node's bucket
+	// is bucketAt of its position, kept nowhere else.
 	cellSize  float64
 	maxRange  float64
-	cells     map[cellKey][]cellNode
-	freeCells [][]cellNode // emptied cells' slices, for gridInsert
-	wallCells map[cellKey][]int
+	cells     [][]cellNode // bucket → occupants
+	freeCells [][]cellNode // emptied buckets' slices, for gridInsert
+	wallCells [][]int      // bucket → walls registered there; nil without walls
+	xBits     uint
+	mx, my    int // bucket array extent per axis, minus one
+	laidOut   int // population at the last layout
 	dirty     bool
 	txLen     int
 	txPtr     uintptr
@@ -149,7 +151,7 @@ func (r Row) Same(o Row) bool {
 
 // NewWorld returns an empty world with the given default range.
 func NewWorld(txRange float64) *World {
-	return &World{Range: txRange, pos: make(map[ident.NodeID]Point)}
+	return &World{Range: txRange}
 }
 
 // Generation returns a counter that increases whenever the world's
@@ -185,11 +187,11 @@ func (w *World) SetWalls(walls []Segment) {
 // current position is a no-op: the generation does not move, so cached
 // topology stays valid across stationary ticks.
 func (w *World) Place(v ident.NodeID, p Point) {
-	old, existed := w.pos[v]
+	old, existed := w.pos.Get(v)
 	if existed && old == p {
 		return
 	}
-	w.pos[v] = p
+	w.pos.Set(v, p)
 	w.gen++
 	if existed {
 		w.markMoved(v)
@@ -201,10 +203,10 @@ func (w *World) Place(v ident.NodeID, p Point) {
 		return // index not built yet; the first query inserts everyone
 	}
 	if existed {
-		k := w.cellAt(old)
-		if k == w.cellAt(p) {
-			// Same cell: refresh the inline position.
-			lst := w.cells[k]
+		b := w.bucketAt(old)
+		if b == w.bucketAt(p) {
+			// Same bucket: refresh the inline position.
+			lst := w.cells[b]
 			for i := range lst {
 				if lst[i].id == v {
 					lst[i].pt = p
@@ -213,28 +215,28 @@ func (w *World) Place(v ident.NodeID, p Point) {
 			}
 			return
 		}
-		w.gridRemove(v, k)
+		w.gridRemove(v, b)
 	}
 	w.gridInsert(v, p)
 }
 
 // Remove deletes v from the world (node became inactive / left).
 func (w *World) Remove(v ident.NodeID) {
-	p, ok := w.pos[v]
+	p, ok := w.pos.Get(v)
 	if !ok {
 		return
 	}
-	delete(w.pos, v)
+	w.pos.Delete(v)
 	w.gen++
 	w.idsDirty = true
 	w.deltaFull = true // membership shrank: the next rebuild is full
 	if w.cells != nil {
-		w.gridRemove(v, w.cellAt(p))
+		w.gridRemove(v, w.bucketAt(p))
 	}
 }
 
 // Pos returns v's position and whether v is present.
-func (w *World) Pos(v ident.NodeID) (Point, bool) { p, ok := w.pos[v]; return p, ok }
+func (w *World) Pos(v ident.NodeID) (Point, bool) { return w.pos.Get(v) }
 
 // Nodes returns all present nodes in ascending order. The slice is the
 // world's cached roster: callers must not mutate it, and must copy it if
@@ -242,11 +244,10 @@ func (w *World) Pos(v ident.NodeID) (Point, bool) { p, ok := w.pos[v]; return p,
 // never invalidates it).
 func (w *World) Nodes() []ident.NodeID {
 	if w.idsDirty {
-		ids := make([]ident.NodeID, 0, len(w.pos))
-		for v := range w.pos {
+		ids := make([]ident.NodeID, 0, w.pos.Len())
+		for v := range w.pos.All() { // ascending
 			ids = append(ids, v)
 		}
-		slices.Sort(ids)
 		w.ids = ids
 		w.idsDirty = false
 	}
@@ -269,11 +270,11 @@ func (w *World) CanReach(u, v ident.NodeID) bool {
 	if u == v {
 		return false
 	}
-	pu, ok := w.pos[u]
+	pu, ok := w.pos.Get(u)
 	if !ok {
 		return false
 	}
-	pv, ok := w.pos[v]
+	pv, ok := w.pos.Get(v)
 	if !ok {
 		return false
 	}
@@ -399,8 +400,8 @@ func (w *World) recordRowDelta(prev *graph.G, updates []graph.NodeAdj) {
 			d = append(d, prev.NeighborsAt(i)...)
 		}
 	}
-	sortIDs(d)
-	w.rowDirty = compactIDs(d)
+	slices.Sort(d)
+	w.rowDirty = slices.Compact(d)
 }
 
 // AppendReceivers appends the receivers of u in ascending order to buf
@@ -417,12 +418,9 @@ func (w *World) AppendReceivers(u ident.NodeID, buf []ident.NodeID) []ident.Node
 	// build phase queries receivers — the 3×3 vicinity scan and its sort
 	// collapse into one CSR row copy.
 	if len(w.TxRange) == 0 && w.symGraph != nil && w.symGen == w.gen {
-		if _, ok := w.pos[u]; !ok {
-			return buf
-		}
-		return w.symGraph.AppendNeighbors(u, buf)
+		return w.symGraph.AppendNeighbors(u, buf) // the graph holds every world node
 	}
-	pu, ok := w.pos[u]
+	pu, ok := w.pos.Get(u)
 	if !ok {
 		return buf
 	}
@@ -431,7 +429,7 @@ func (w *World) AppendReceivers(u ident.NodeID, buf []ident.NodeID) []ident.Node
 	start := len(buf)
 	for cx := k.cx - 1; cx <= k.cx+1; cx++ {
 		for cy := k.cy - 1; cy <= k.cy+1; cy++ {
-			for _, c := range w.cells[cellKey{cx, cy}] {
+			for _, c := range w.cells[w.bucket(cx, cy)] {
 				if c.id == u {
 					continue
 				}

@@ -121,11 +121,11 @@ func bruteCanReach(w *World, u, v ident.NodeID) bool {
 	if u == v {
 		return false
 	}
-	pu, ok := w.pos[u]
+	pu, ok := w.pos.Get(u)
 	if !ok {
 		return false
 	}
-	pv, ok := w.pos[v]
+	pv, ok := w.pos.Get(v)
 	if !ok {
 		return false
 	}
@@ -259,22 +259,31 @@ func TestGridMatchesBruteForce(t *testing.T) {
 }
 
 // TestEmptiedCellSliceIsReused pins gridInsert's free list: a node leaving
-// a cell empty and entering an empty one takes the emptied slice along, a
-// cell already occupied keeps its own, and the vicinity queries stay right.
+// a bucket empty and entering an empty one takes the emptied slice along, a
+// bucket already occupied keeps its own, and the vicinity queries stay right.
 func TestEmptiedCellSliceIsReused(t *testing.T) {
 	w := NewWorld(1)
 	w.Place(1, Point{0.5, 0.5})
 	w.Place(2, Point{7.5, 0.5})
 	w.Place(3, Point{7.6, 0.5})
 	checkAgainstOracle(t, w, "built")
-	was := &w.cells[w.cellAt(w.pos[1])][0]
+	occupied := func() (n int) {
+		for _, lst := range w.cells {
+			if len(lst) > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	at := func(v ident.NodeID) []cellNode { p, _ := w.Pos(v); return w.cells[w.bucketAt(p)] }
+	was := &at(1)[0]
 	w.Place(1, Point{3.5, 3.5})
-	if now := &w.cells[w.cellAt(w.pos[1])][0]; now != was || len(w.cells) != 2 || len(w.freeCells) != 0 {
-		t.Fatalf("entered an empty cell: slice reused %v, %d cells, %d free", now == was, len(w.cells), len(w.freeCells))
+	if now := &at(1)[0]; now != was || occupied() != 2 || len(w.freeCells) != 0 {
+		t.Fatalf("entered an empty bucket: slice reused %v, %d buckets, %d free", now == was, occupied(), len(w.freeCells))
 	}
 	w.Place(1, Point{7.4, 0.4})
-	if lst := w.cells[w.cellAt(w.pos[1])]; len(lst) != 3 || len(w.freeCells) != 1 {
-		t.Fatalf("joined an occupied cell: %v, %d free", lst, len(w.freeCells))
+	if lst := at(1); len(lst) != 3 || len(w.freeCells) != 1 {
+		t.Fatalf("joined an occupied bucket: %v, %d free", lst, len(w.freeCells))
 	}
 	checkAgainstOracle(t, w, "hopped")
 }
@@ -706,5 +715,73 @@ func TestDirectlySteppedWorldKeepsEveryGraph(t *testing.T) {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("graph %d changed after it was returned", i)
 		}
+	}
+}
+
+// TestBucketAliasingMatchesBruteForce holds the folded grid to the
+// all-pairs oracle on worlds whose occupied box is far wider than the
+// bucket array, so distant cells share buckets: two clusters 10⁶ apart
+// (one at negative coordinates) laid exactly onto each other's buckets,
+// with walls in both and TX range overrides above and below the default,
+// then a convoy drifting 1 500 cells without a re-layout. A bucket array
+// with an axis under three buckets would let the 3×3 scan visit one bucket
+// twice and put a neighbour in a row twice.
+func TestBucketAliasingMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const r, far = 2.0, 1e6
+	w := NewWorld(r)
+	// One override doubles the cell size to 4: far is 250 000 cells, a
+	// multiple of any array extent up to 16, so the clusters alias exactly.
+	w.TxRange = map[ident.NodeID]float64{1: 2 * r}
+	origins := []Point{{0, 0}, {far, far}, {-far, 0}}
+	id := ident.NodeID(0)
+	for _, o := range origins {
+		for i := 0; i < 25; i++ {
+			id++
+			w.Place(id, o.Add(rng.Float64()*8-4, rng.Float64()*8-4))
+			if id > 1 && rng.Intn(5) == 0 {
+				w.TxRange[id] = rng.Float64() * 2 * r
+			}
+		}
+		a := o.Add(rng.Float64()*4-2, rng.Float64()*4-2)
+		w.Walls = append(w.Walls, Segment{a, a.Add(rng.Float64()*3, rng.Float64()*3)})
+	}
+	checkAgainstOracle(t, w, "clusters")
+	nx, ny := w.mx+1, w.my+1
+	if nx < 4 || ny < 4 || nx > 16 || ny > 16 {
+		t.Fatalf("bucket array %d×%d for %d nodes", nx, ny, id)
+	}
+	shared := 0
+	for _, lst := range w.cells {
+		cx := map[int]bool{}
+		for _, c := range lst {
+			cx[w.cellAt(c.pt).cx] = true
+		}
+		if len(cx) > 1 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no bucket holds cells of two clusters: nothing aliases")
+	}
+
+	// A platoon drifting far past the array's extent, never re-laid out.
+	w = NewWorld(r)
+	for v := ident.NodeID(1); v <= 30; v++ {
+		w.Place(v, Point{X: -3 * float64(v) * r / 4, Y: -float64(v%3) * r / 2})
+	}
+	w.SymmetricGraph()
+	laid := w.cells
+	for step := 1; step <= 2000; step++ {
+		for v := ident.NodeID(1); v <= 30; v++ {
+			p, _ := w.Pos(v)
+			w.Place(v, p.Add(0.75*r, 0.01*float64(v%5)))
+		}
+		if step%250 == 0 {
+			checkAgainstOracle(t, w, "convoy")
+		}
+	}
+	if p, _ := w.Pos(1); p.X/r < 1000 || &w.cells[0] != &laid[0] {
+		t.Fatalf("convoy drifted to cell %.0f, re-laid out %v", p.X/r, &w.cells[0] != &laid[0])
 	}
 }
