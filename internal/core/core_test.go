@@ -168,7 +168,7 @@ func TestLineOfThreeDmax1RespectsSafety(t *testing.T) {
 		if len(vw) > 2 {
 			t.Fatalf("node %v view too large: %v", v, n.View())
 		}
-		if r.g.InducedDiameter(vw) > 1 {
+		if graph.RefOf(r.g).InducedDiameter(vw) > 1 {
 			t.Fatalf("node %v view diameter > 1: %v", v, n.View())
 		}
 	}
@@ -193,7 +193,7 @@ func TestTwoPairsStaySplitAtDmax2(t *testing.T) {
 	r.rounds(40)
 	for v, n := range r.nodes {
 		vw := n.ViewSet()
-		if d := r.g.InducedDiameter(vw); d > 2 {
+		if d := graph.RefOf(r.g).InducedDiameter(vw); d > 2 {
 			t.Fatalf("node %v group diameter %d: %v", v, d, n.View())
 		}
 	}

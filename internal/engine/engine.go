@@ -558,7 +558,7 @@ func New(p Params, topo Topology) *Engine {
 	for i, v := range nodes {
 		// The capacity append would have grown to: a cut of exactly the
 		// degree moves out at the first new neighbour, in the steady state.
-		if d := g.Degree(v); d > 0 {
+		if d := len(g.NeighborsView(v)); d > 0 {
 			boot.room[i] = 1 << bits.Len(uint(d-1))
 		}
 		count[shard.Of(v)]++

@@ -590,7 +590,7 @@ func (b *blinkTopo) Graph() *graph.G {
 	return b.off
 }
 func (b *blinkTopo) AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
-	return b.Graph().AppendNeighbors(v, buf)
+	return append(buf, b.Graph().NeighborsView(v)...)
 }
 func (b *blinkTopo) Nodes() []ident.NodeID { return b.on.Nodes() }
 

@@ -74,7 +74,7 @@ func (t *StaticTopology) Graph() *graph.G { return t.G }
 
 // AppendReceivers implements Topology: the graph's neighbors.
 func (t *StaticTopology) AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
-	return t.G.AppendNeighbors(v, buf)
+	return append(buf, t.G.NeighborsView(v)...)
 }
 
 // Nodes implements Topology.

@@ -43,7 +43,7 @@ func maxMin(g *graph.G, d int) map[ident.NodeID]ident.NodeID {
 			next := make(map[ident.NodeID]ident.NodeID, len(nodes))
 			for _, v := range nodes {
 				best := cur[v]
-				for _, u := range g.Neighbors(v) {
+				for _, u := range g.NeighborsView(v) {
 					if cmpMax == (cur[u] > best) {
 						best = cur[u]
 					}
@@ -95,11 +95,12 @@ func maxMin(g *graph.G, d int) map[ident.NodeID]ident.NodeID {
 	// unreachable re-home to the nearest head (or themselves). This
 	// realizes the paper's "joining" phase conservatively so the output
 	// always satisfies the radius bound.
+	ref := graph.RefOf(g)
 	for _, v := range nodes {
-		if !reachableViaCluster(g, v, head, d) {
+		if !reachableViaCluster(ref, v, head, d) {
 			// Re-home: nearest node that is its own head within d hops,
 			// else become a head.
-			dist := g.BFSFrom(v, nil)
+			dist := ref.BFSFrom(v, nil)
 			bestHead := v
 			bestDist := d + 1
 			for u, du := range dist {
@@ -120,7 +121,7 @@ func maxMin(g *graph.G, d int) map[ident.NodeID]ident.NodeID {
 
 // reachableViaCluster reports whether head[v] is within d hops of v using
 // only nodes assigned to the same head as relays.
-func reachableViaCluster(g *graph.G, v ident.NodeID, head map[ident.NodeID]ident.NodeID, d int) bool {
+func reachableViaCluster(ref *graph.Ref, v ident.NodeID, head map[ident.NodeID]ident.NodeID, d int) bool {
 	target := head[v]
 	if target == v {
 		return true
@@ -132,7 +133,7 @@ func reachableViaCluster(g *graph.G, v ident.NodeID, head map[ident.NodeID]ident
 		}
 	}
 	within[v] = true
-	dist := g.BFSFrom(v, within)
+	dist := ref.BFSFrom(v, within)
 	dt, ok := dist[target]
 	return ok && dt <= d
 }
@@ -181,6 +182,7 @@ func cloneHeads(m map[ident.NodeID]ident.NodeID) map[ident.NodeID]ident.NodeID {
 // It is neither optimal nor distributed, but it gives a stable
 // "reasonable partition" yardstick for group counts and sizes.
 func greedyPartition(g *graph.G, dmax int) map[ident.NodeID]map[ident.NodeID]bool {
+	ref := graph.RefOf(g)
 	assigned := make(map[ident.NodeID]bool)
 	views := make(map[ident.NodeID]map[ident.NodeID]bool)
 	for _, seed := range g.Nodes() {
@@ -193,14 +195,12 @@ func greedyPartition(g *graph.G, dmax int) map[ident.NodeID]map[ident.NodeID]boo
 		for len(frontier) > 0 {
 			v := frontier[0]
 			frontier = frontier[1:]
-			nbrs := g.Neighbors(v)
-			sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-			for _, u := range nbrs {
+			for _, u := range g.NeighborsView(v) {
 				if assigned[u] {
 					continue
 				}
 				group[u] = true
-				if g.InducedDiameter(group) > dmax {
+				if ref.InducedDiameter(group) > dmax {
 					delete(group, u)
 					continue
 				}

@@ -23,7 +23,7 @@ func TestMaxMinLineRadiusBound(t *testing.T) {
 		for _, m := range members {
 			set[m] = true
 		}
-		dist := g.BFSFrom(h, set)
+		dist := graph.RefOf(g).BFSFrom(h, set)
 		for _, m := range members {
 			if dm, ok := dist[m]; !ok || dm > d {
 				t.Fatalf("member %v beyond radius %d of head %v (cluster %v)", m, d, h, members)

@@ -32,8 +32,11 @@ func E5Compatibility() *Table {
 				for i := 0; i <= p; i++ {
 					g, vID, uID, decision := compatGadget(p, q, i, dmax)
 					cases++
-					merged := g.NodeSet()
-					truth := g.InducedDiameter(merged) <= dmax
+					merged := make(map[ident.NodeID]bool, g.NumNodes())
+					for _, v := range g.Nodes() {
+						merged[v] = true
+					}
+					truth := graph.RefOf(g).InducedDiameter(merged) <= dmax
 					switch {
 					case decision == truth:
 						exact++

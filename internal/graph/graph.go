@@ -1,7 +1,9 @@
-// Package graph provides the static-graph substrate: adjacency storage,
-// BFS distances, induced-subgraph diameters and connectivity — everything
-// the Dynamic Group Service specification (ΠA, ΠS, ΠM, ΠT) is defined
-// against — plus generators for the topologies used by the experiments.
+// Package graph provides the engine's topology: a CSR adjacency store (G)
+// that the vicinity index rebuilds or patches every tick and the engine,
+// tracker and shard boundary read by node ID (NeighborsView) or by slot
+// (NeighborsAt); the specification's graph (Ref), where the induced
+// distances d_X(u,v) behind ΠS, ΠM and ΠT are computed; and generators
+// for the topologies used by the experiments.
 //
 // Storage is CSR: a node index (a paged ident.Table, so a lookup is two
 // loads) plus one ascending neighbor row per
@@ -23,10 +25,6 @@ import (
 
 	"repro/internal/ident"
 )
-
-// Infinity is the distance reported between unreachable node pairs
-// (d(u,v) = +∞ in the paper).
-const Infinity = int(^uint(0) >> 1)
 
 // G is an undirected graph over NodeIDs. The zero value is an empty graph.
 // Directed (asymmetric) links are modeled at the radio layer; the
@@ -383,128 +381,25 @@ func (g *G) NeighborsView(v ident.NodeID) []ident.NodeID {
 	return g.row(i)
 }
 
-// AppendNeighbors appends v's neighbors in ascending order to buf and
-// returns the extended slice — the allocation-free variant of Neighbors
-// for per-round hot paths.
-func (g *G) AppendNeighbors(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
-	i, ok := g.idx.Get(v)
-	if !ok {
-		return buf
-	}
-	return append(buf, g.row(i)...)
-}
-
-// ForEachNeighbor calls fn for every neighbor of v, in ascending order —
-// the zero-allocation iteration for hot paths (BFS frontiers, boundary
-// scans).
-func (g *G) ForEachNeighbor(v ident.NodeID, fn func(u ident.NodeID)) {
-	i, ok := g.idx.Get(v)
-	if !ok {
-		return
-	}
-	for _, u := range g.row(i) {
-		fn(u)
-	}
-}
-
-// Degree returns the number of neighbors of v.
-func (g *G) Degree(v ident.NodeID) int {
-	i, ok := g.idx.Get(v)
-	if !ok {
-		return 0
-	}
-	return len(g.row(i))
-}
-
-// BFSFrom returns the distance from src to every reachable node, optionally
-// restricted to the induced subgraph on `within` (nil means the whole
-// graph). This realizes the paper's d_X(u,v) notion.
-func (g *G) BFSFrom(src ident.NodeID, within map[ident.NodeID]bool) map[ident.NodeID]int {
-	dist := make(map[ident.NodeID]int)
-	if !g.HasNode(src) || (within != nil && !within[src]) {
-		return dist
-	}
-	dist[src] = 0
-	queue := []ident.NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.row(g.IndexOf(v)) {
-			if within != nil && !within[u] {
-				continue
-			}
-			if _, seen := dist[u]; !seen {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
-}
-
-// Dist returns d(u,v) in the whole graph, or Infinity if unreachable.
-func (g *G) Dist(u, v ident.NodeID) int {
-	d := g.BFSFrom(u, nil)
-	if dv, ok := d[v]; ok {
-		return dv
-	}
-	return Infinity
-}
-
-// DistWithin returns d_X(u,v): the distance using only nodes of X as
-// relays (u and v must be in X), or Infinity.
-func (g *G) DistWithin(u, v ident.NodeID, x map[ident.NodeID]bool) int {
-	d := g.BFSFrom(u, x)
-	if dv, ok := d[v]; ok {
-		return dv
-	}
-	return Infinity
-}
-
-// InducedDiameter returns the diameter of the subgraph induced by X
-// (Infinity if the induced subgraph is disconnected; 0 for singletons or
-// the empty set).
-func (g *G) InducedDiameter(x map[ident.NodeID]bool) int {
-	diam := 0
-	for v := range x {
-		d := g.BFSFrom(v, x)
-		if len(d) != len(x) {
-			return Infinity
-		}
-		for _, dv := range d {
-			if dv > diam {
-				diam = dv
-			}
-		}
-	}
-	return diam
-}
-
-// InducedConnected reports whether the subgraph induced by X is connected
-// (true for the empty set and singletons).
-func (g *G) InducedConnected(x map[ident.NodeID]bool) bool {
-	for v := range x {
-		return len(g.BFSFrom(v, x)) == len(x)
-	}
-	return true
-}
-
-// Connected reports whether the whole graph is connected.
+// Connected reports whether the whole graph is connected: one BFS over
+// slots from slot 0.
 func (g *G) Connected() bool {
-	if len(g.nodes) <= 1 {
+	n := len(g.nodes)
+	if n <= 1 {
 		return true
 	}
-	return len(g.BFSFrom(g.nodes[0], nil)) == len(g.nodes)
-}
-
-// Diameter returns the diameter of the whole graph (Infinity when
-// disconnected).
-func (g *G) Diameter() int {
-	set := make(map[ident.NodeID]bool, len(g.nodes))
-	for _, v := range g.nodes {
-		set[v] = true
+	seen := make([]bool, n)
+	seen[0] = true
+	queue := append(make([]int32, 0, n), 0)
+	for qi := 0; qi < len(queue); qi++ {
+		for _, u := range g.row(queue[qi]) {
+			if j := g.IndexOf(u); !seen[j] {
+				seen[j] = true
+				queue = append(queue, j)
+			}
+		}
 	}
-	return g.InducedDiameter(set)
+	return len(queue) == n
 }
 
 // Equal reports whether two graphs have identical node and edge sets.
@@ -578,14 +473,4 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 // Restrict(keep) would be the identity.
 func (g *G) All(keep func(ident.NodeID) bool) bool {
 	return !slices.ContainsFunc(g.nodes, func(v ident.NodeID) bool { return !keep(v) })
-}
-
-// NodeSet returns the nodes of g as a set, the shape the induced-subgraph
-// helpers take.
-func (g *G) NodeSet() map[ident.NodeID]bool {
-	out := make(map[ident.NodeID]bool, len(g.nodes))
-	for _, v := range g.nodes {
-		out[v] = true
-	}
-	return out
 }

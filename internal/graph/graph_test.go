@@ -17,6 +17,32 @@ func set(idsIn ...uint32) map[ident.NodeID]bool {
 	return out
 }
 
+// nodeSet returns g's nodes as a set, the shape Ref's induced queries take.
+func nodeSet(g *G) map[ident.NodeID]bool {
+	out := make(map[ident.NodeID]bool, g.NumNodes())
+	for _, v := range g.Nodes() {
+		out[v] = true
+	}
+	return out
+}
+
+// dist returns d_X(u,v) on the reference graph (X = nil: the whole
+// graph), or Infinity.
+func dist(r *Ref, u, v ident.NodeID, x map[ident.NodeID]bool) int {
+	if d, ok := r.BFSFrom(u, x)[v]; ok {
+		return d
+	}
+	return Infinity
+}
+
+// in is the membership test of x, the shape Restrict takes.
+func in(x map[ident.NodeID]bool) func(ident.NodeID) bool {
+	return func(v ident.NodeID) bool { return x[v] }
+}
+
+// diameter returns g's diameter, computed on the reference graph.
+func diameter(g *G) int { return RefOf(g).InducedDiameter(nodeSet(g)) }
+
 func TestAddRemoveEdgeNode(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 2)
@@ -47,14 +73,15 @@ func TestSelfLoopIgnored(t *testing.T) {
 
 func TestLineDistances(t *testing.T) {
 	g := Line(5)
-	if d := g.Dist(1, 5); d != 4 {
+	r := RefOf(g)
+	if d := dist(r, 1, 5, nil); d != 4 {
 		t.Fatalf("Dist(1,5) = %d", d)
 	}
-	if d := g.Dist(2, 2); d != 0 {
+	if d := dist(r, 2, 2, nil); d != 0 {
 		t.Fatalf("Dist(2,2) = %d", d)
 	}
 	g.RemoveEdge(3, 4)
-	if d := g.Dist(1, 5); d != Infinity {
+	if d := dist(RefOf(g), 1, 5, nil); d != Infinity {
 		t.Fatalf("Dist across cut = %d", d)
 	}
 }
@@ -67,50 +94,52 @@ func TestDistWithinRestrictsRelays(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddEdge(1, 4)
 	g.AddEdge(4, 3)
-	if d := g.DistWithin(1, 3, set(1, 2, 3)); d != 2 {
-		t.Fatalf("DistWithin = %d", d)
+	r := RefOf(g)
+	if d := dist(r, 1, 3, set(1, 2, 3)); d != 2 {
+		t.Fatalf("d_{1,2,3}(1,3) = %d", d)
 	}
-	if d := g.DistWithin(1, 3, set(1, 3)); d != Infinity {
-		t.Fatalf("DistWithin no relay = %d", d)
+	if d := dist(r, 1, 3, set(1, 3)); d != Infinity {
+		t.Fatalf("d_{1,3}(1,3) = %d, want Infinity", d)
 	}
 }
 
 func TestInducedDiameterAndConnectivity(t *testing.T) {
 	g := Line(6)
-	if d := g.InducedDiameter(g.NodeSet()); d != 5 {
+	r := RefOf(g)
+	if d := r.InducedDiameter(nodeSet(g)); d != 5 {
 		t.Fatalf("diameter = %d", d)
 	}
-	if d := g.InducedDiameter(set(1, 2, 3)); d != 2 {
+	if d := r.InducedDiameter(set(1, 2, 3)); d != 2 {
 		t.Fatalf("induced diameter = %d", d)
 	}
-	if d := g.InducedDiameter(set(1, 3)); d != Infinity {
+	if d := r.InducedDiameter(set(1, 3)); d != Infinity {
 		t.Fatal("disconnected induced subgraph must be Infinity")
 	}
-	if d := g.InducedDiameter(set(4)); d != 0 {
+	if d := r.InducedDiameter(set(4)); d != 0 {
 		t.Fatalf("singleton diameter = %d", d)
 	}
-	if d := g.InducedDiameter(nil); d != 0 {
+	if d := r.InducedDiameter(nil); d != 0 {
 		t.Fatalf("empty diameter = %d", d)
 	}
-	if !g.InducedConnected(set(2, 3, 4)) || g.InducedConnected(set(1, 6)) {
-		t.Fatal("InducedConnected wrong")
+	if !g.Restrict(in(set(2, 3, 4))).Connected() || g.Restrict(in(set(1, 6))).Connected() {
+		t.Fatal("Connected wrong on an induced subgraph")
 	}
 }
 
 func TestGenerators(t *testing.T) {
-	if g := Ring(6); g.NumEdges() != 6 || g.Diameter() != 3 {
-		t.Fatalf("ring: %v diam=%d", g, g.Diameter())
+	if g := Ring(6); g.NumEdges() != 6 || diameter(g) != 3 {
+		t.Fatalf("ring: %v diam=%d", g, diameter(g))
 	}
-	if g := Grid(3, 4); g.NumNodes() != 12 || g.Diameter() != 5 {
-		t.Fatalf("grid: %v diam=%d", g, g.Diameter())
+	if g := Grid(3, 4); g.NumNodes() != 12 || diameter(g) != 5 {
+		t.Fatalf("grid: %v diam=%d", g, diameter(g))
 	}
-	if g := Star(5); g.Diameter() != 2 || g.Degree(1) != 4 {
+	if g := Star(5); diameter(g) != 2 || len(g.NeighborsView(1)) != 4 {
 		t.Fatalf("star wrong")
 	}
-	if g := Complete(5); g.NumEdges() != 10 || g.Diameter() != 1 {
+	if g := Complete(5); g.NumEdges() != 10 || diameter(g) != 1 {
 		t.Fatalf("complete wrong")
 	}
-	if g := Line(1); !g.Connected() || g.Diameter() != 0 {
+	if g := Line(1); !g.Connected() || diameter(g) != 0 {
 		t.Fatalf("singleton line wrong")
 	}
 }
@@ -125,7 +154,7 @@ func TestClustersGadget(t *testing.T) {
 	if g.NumNodes() != 9 {
 		t.Fatalf("n = %d", g.NumNodes())
 	}
-	if d := g.InducedDiameter(set(1, 2, 3)); d != 1 {
+	if d := RefOf(g).InducedDiameter(set(1, 2, 3)); d != 1 {
 		t.Fatalf("clique diameter = %d", d)
 	}
 	// Ring variant adds the closing bridge.
@@ -138,7 +167,7 @@ func TestClustersGadget(t *testing.T) {
 	if gb.NumNodes() != 6 { // 2*2 + 2 relays
 		t.Fatalf("bridged n = %d", gb.NumNodes())
 	}
-	if d := gb.Dist(2, 3); d != 3 {
+	if d := dist(RefOf(gb), 2, 3, nil); d != 3 {
 		t.Fatalf("bridge length wrong: %d", d)
 	}
 }
@@ -181,12 +210,13 @@ func TestQuickBFSTriangleInequality(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := RandomGeometric(15, 10, 4, rng)
+		r := RefOf(g)
 		nodes := g.Nodes()
 		for a := 0; a < 5; a++ {
 			u := nodes[rng.Intn(len(nodes))]
 			v := nodes[rng.Intn(len(nodes))]
 			w := nodes[rng.Intn(len(nodes))]
-			duv, dvw, duw := g.Dist(u, v), g.Dist(v, w), g.Dist(u, w)
+			duv, dvw, duw := dist(r, u, v, nil), dist(r, v, w, nil), dist(r, u, w, nil)
 			if duv == Infinity || dvw == Infinity {
 				continue
 			}
@@ -207,7 +237,8 @@ func TestQuickInducedDiameterMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := RandomGeometric(12, 10, 5, rng)
-		all := g.NodeSet()
+		r := RefOf(g)
+		all := nodeSet(g)
 		sub := make(map[ident.NodeID]bool)
 		for v := range all {
 			if rng.Intn(3) > 0 {
@@ -216,7 +247,7 @@ func TestQuickInducedDiameterMonotone(t *testing.T) {
 		}
 		for u := range sub {
 			for v := range sub {
-				if g.DistWithin(u, v, sub) < g.DistWithin(u, v, all) {
+				if dist(r, u, v, sub) < dist(r, u, v, all) {
 					return false
 				}
 			}
@@ -246,20 +277,15 @@ func TestAppendVariantsMatchAllocating(t *testing.T) {
 			t.Fatalf("AppendNodes[%d] = %v, want %v", i, got[i+1], v)
 		}
 	}
+	// Neighbors is NeighborsView's owned copy: equal content, own storage.
 	for _, v := range want {
-		nb := g.AppendNeighbors(v, got[:0])
-		wantNb := g.Neighbors(v)
-		if len(nb) != len(wantNb) {
-			t.Fatalf("AppendNeighbors(%v) len = %d, want %d", v, len(nb), len(wantNb))
+		view, own := g.NeighborsView(v), g.Neighbors(v)
+		if !slices.Equal(view, own) {
+			t.Fatalf("Neighbors(%v) = %v, view %v", v, own, view)
 		}
-		for i := range nb {
-			if nb[i] != wantNb[i] {
-				t.Fatalf("AppendNeighbors(%v) = %v, want %v", v, nb, wantNb)
-			}
+		if len(own) > 0 && &own[0] == &view[0] {
+			t.Fatalf("Neighbors(%v) aliases the graph's row", v)
 		}
-	}
-	if nb := g.AppendNeighbors(12345, nil); len(nb) != 0 {
-		t.Fatalf("AppendNeighbors of absent node = %v", nb)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestFromRowsMatchesReference(t *testing.T) {
 func TestFromRowsPanicsOnViolations(t *testing.T) {
 	nodes := []ident.NodeID{1, 2, 3}
 	ok := []NodeAdj{{Node: 1, Adj: []ident.NodeID{2}}, {Node: 2, Adj: []ident.NodeID{1}}, {Node: 3}}
-	if g := FromRows(nil, nodes, ok); g.NumEdges() != 1 || !g.HasEdge(2, 1) || g.Degree(3) != 0 {
+	if g := FromRows(nil, nodes, ok); g.NumEdges() != 1 || !g.HasEdge(2, 1) || len(g.NeighborsView(3)) != 0 {
 		t.Fatalf("well-formed rows built %v", g)
 	}
 	with := func(i int, r NodeAdj) []NodeAdj {
@@ -305,19 +305,17 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 		}
 		all := func(ident.NodeID) bool { return true }
 		for name, read := range map[string]func(){
-			"NeighborsAt":     func() { c1.NeighborsAt(2) },
-			"NeighborsView":   func() { c1.NeighborsView(3) },
-			"Neighbors":       func() { c1.Neighbors(3) },
-			"AppendNeighbors": func() { c1.AppendNeighbors(3, nil) },
-			"ForEachNeighbor": func() { c1.ForEachNeighbor(3, func(ident.NodeID) {}) },
-			"Degree":          func() { c1.Degree(3) },
-			"HasEdge":         func() { c1.HasEdge(3, 4) },
-			"BFSFrom":         func() { c1.BFSFrom(3, nil) },
-			"AddEdge":         func() { c1.AddEdge(3, 7) },
-			"!Restrict":       func() { c1.Restrict(all) },
-			"!Clone":          func() { c1.Clone() },
-			"!Equal":          func() { c2.Equal(c1) },
-			"!ApplyDelta":     func() { ApplyDelta(c1, nil) },
+			"NeighborsAt":   func() { c1.NeighborsAt(2) },
+			"NeighborsView": func() { c1.NeighborsView(3) },
+			"Neighbors":     func() { c1.Neighbors(3) },
+			"HasEdge":       func() { c1.HasEdge(3, 4) },
+			"Connected":     func() { c1.Connected() },
+			"AddEdge":       func() { c1.AddEdge(3, 7) },
+			"!Restrict":     func() { c1.Restrict(all) },
+			"!Clone":        func() { c1.Clone() },
+			"!Equal":        func() { c2.Equal(c1) },
+			"!RefOf":        func() { RefOf(c1) },
+			"!ApplyDelta":   func() { ApplyDelta(c1, nil) },
 		} {
 			func() {
 				defer func() {
@@ -353,13 +351,7 @@ func TestReadersAgreeAcrossForms(t *testing.T) {
 	if unpacked.off != nil || packed.off == nil {
 		t.Fatal("expected one graph of each form")
 	}
-	ref := NewRef()
-	for _, v := range unpacked.Nodes() {
-		ref.AddNode(v)
-		for _, u := range unpacked.Neighbors(v) {
-			ref.AddEdge(v, u)
-		}
-	}
+	ref := RefOf(unpacked)
 	if ref.NumNodes() != packed.NumNodes() || !packed.Equal(unpacked) || !unpacked.Equal(packed) {
 		t.Fatalf("packed %v, unpacked %v, reference n=%d", packed, unpacked, ref.NumNodes())
 	}
@@ -373,25 +365,23 @@ func TestReadersAgreeAcrossForms(t *testing.T) {
 			t.Fatalf("%v: unknown-node queries", g)
 		}
 		for _, v := range g.Nodes() {
-			var seen []ident.NodeID
-			g.ForEachNeighbor(v, func(u ident.NodeID) {
-				seen = append(seen, u)
+			for _, u := range g.NeighborsView(v) {
 				if !ref.HasEdge(v, u) {
 					t.Fatalf("phantom edge %v-%v", v, u)
 				}
-			})
-			if !slices.Equal(seen, g.NeighborsAt(g.IndexOf(v))) {
-				t.Fatalf("ForEachNeighbor(%v) = %v", v, seen)
+			}
+			if !slices.Equal(g.NeighborsView(v), g.NeighborsAt(g.IndexOf(v))) {
+				t.Fatalf("NeighborsView(%v) and NeighborsAt disagree", v)
 			}
 		}
-		if !g.InducedConnected(comp) || g.InducedConnected(map[ident.NodeID]bool{1: true, 77: true}) || !g.InducedConnected(nil) {
-			t.Fatal("InducedConnected disagrees with the BFS component")
+		if !g.Restrict(in(comp)).Connected() || g.Restrict(in(set(1, 77))).Connected() {
+			t.Fatal("Connected disagrees with the BFS component")
 		}
-		if got, want := g.InducedDiameter(comp), ref.InducedDiameter(comp); got != want {
+		if got, want := RefOf(g).InducedDiameter(comp), ref.InducedDiameter(comp); got != want {
 			t.Fatalf("InducedDiameter = %d, reference %d", got, want)
 		}
-		if g.InducedDiameter(g.NodeSet()) != Infinity || ref.InducedDiameter(g.NodeSet()) != Infinity {
-			t.Fatal("a graph with an isolated node has infinite diameter")
+		if g.Connected() || diameter(g) != Infinity {
+			t.Fatal("a graph with an isolated node is disconnected, of infinite diameter")
 		}
 	}
 }

@@ -6,12 +6,17 @@ import (
 	"repro/internal/ident"
 )
 
-// Ref is the build-internal reference implementation of the graph: the
-// map-of-maps representation this package used before the CSR rewrite,
-// retained verbatim as the differential oracle. The conformance and fuzz
-// suites replay identical mutation sequences against a G and a Ref and
-// assert every observable (nodes, neighbors, edges, BFS, induced
-// diameters) agrees; it is not meant for production use.
+// Infinity is the distance reported between unreachable node pairs
+// (d(u,v) = +∞ in the paper).
+const Infinity = int(^uint(0) >> 1)
+
+// Ref is the specification's graph: a map of neighbor sets, the shape the
+// predicates ΠS, ΠM and ΠT are written against, and the one place their
+// induced distances (BFSFrom, InducedDiameter) are computed. The metrics
+// predicates and the experiments read it through RefOf; the fuzz and
+// conformance suites replay identical mutation sequences against a G and
+// a Ref and compare them (SameAs). No product binary reaches it: the
+// engine's topology is G.
 type Ref struct {
 	adj map[ident.NodeID]map[ident.NodeID]bool
 }
@@ -19,6 +24,21 @@ type Ref struct {
 // NewRef returns an empty reference graph.
 func NewRef() *Ref {
 	return &Ref{adj: make(map[ident.NodeID]map[ident.NodeID]bool)}
+}
+
+// RefOf returns the reference graph with g's nodes and edges. An edge
+// that only one endpoint's row names comes out symmetric, so that SameAs
+// against g reports it.
+func RefOf(g *G) *Ref {
+	g.mustHaveRows("RefOf")
+	r := NewRef()
+	for i, v := range g.nodes {
+		r.AddNode(v)
+		for _, u := range g.row(int32(i)) {
+			r.AddEdge(v, u)
+		}
+	}
+	return r
 }
 
 // AddNode ensures v exists.

@@ -145,6 +145,7 @@ func (s Snapshot) Agreement() bool {
 // Safety evaluates ΠS: every group Ω_v is connected and has diameter at
 // most dmax in its induced subgraph.
 func (s Snapshot) Safety(dmax int) bool {
+	ref := graph.RefOf(s.G)
 	checked := make(map[ident.NodeID]bool)
 	for _, v := range s.G.AppendNodes(make([]ident.NodeID, 0, s.G.NumNodes())) {
 		om := s.Omega(v)
@@ -153,7 +154,7 @@ func (s Snapshot) Safety(dmax int) bool {
 			continue
 		}
 		checked[rep] = true
-		if s.G.InducedDiameter(om) > dmax {
+		if ref.InducedDiameter(om) > dmax {
 			return false
 		}
 	}
@@ -170,13 +171,14 @@ func (s Snapshot) SafetyRate(dmax int) float64 {
 	if len(groups) == 0 {
 		return 1
 	}
+	ref := graph.RefOf(s.G)
 	ok := 0
 	for _, g := range groups {
 		set := make(map[ident.NodeID]bool, len(g))
 		for _, v := range g {
 			set[v] = true
 		}
-		if s.G.InducedDiameter(set) <= dmax {
+		if ref.InducedDiameter(set) <= dmax {
 			ok++
 		}
 	}
@@ -188,6 +190,7 @@ func (s Snapshot) SafetyRate(dmax int) float64 {
 // with no connecting path are trivially unmergeable).
 func (s Snapshot) Maximality(dmax int) bool {
 	groups := s.Groups()
+	ref := graph.RefOf(s.G)
 	for i := 0; i < len(groups); i++ {
 		for j := i + 1; j < len(groups); j++ {
 			union := make(map[ident.NodeID]bool, len(groups[i])+len(groups[j]))
@@ -197,7 +200,7 @@ func (s Snapshot) Maximality(dmax int) bool {
 			for _, v := range groups[j] {
 				union[v] = true
 			}
-			if s.G.InducedDiameter(union) <= dmax {
+			if ref.InducedDiameter(union) <= dmax {
 				return false
 			}
 		}
@@ -216,6 +219,7 @@ func (s Snapshot) Converged(dmax int) bool {
 // topology, using only previous-group members as relays. Nodes that left
 // the network make the distance infinite, falsifying ΠT.
 func Topological(prev, next Snapshot, dmax int) bool {
+	ref := graph.RefOf(next.G)
 	checked := make(map[ident.NodeID]bool)
 	for _, v := range prev.G.Nodes() {
 		om := prev.Omega(v)
@@ -228,7 +232,7 @@ func Topological(prev, next Snapshot, dmax int) bool {
 			continue // singletons are never stretched
 		}
 		for x := range om {
-			d := next.G.BFSFrom(x, om)
+			d := ref.BFSFrom(x, om)
 			for y := range om {
 				if dy, ok := d[y]; !ok || dy > dmax {
 					return false
@@ -344,11 +348,9 @@ func key(ids []ident.NodeID) string {
 // merges left).
 func (s Snapshot) ExternalEdges() int {
 	n := 0
-	var nbuf []ident.NodeID
 	for _, v := range s.G.Nodes() {
 		om := s.Omega(v)
-		nbuf = s.G.AppendNeighbors(v, nbuf[:0])
-		for _, u := range nbuf {
+		for _, u := range s.G.NeighborsView(v) {
 			if u > v && !om[u] {
 				n++
 			}

@@ -1,5 +1,5 @@
 // Package mobility provides the node movement models driving the dynamic
-// topologies: static placement, random waypoint, random walk, a VANET-style
+// topologies: static placement, random waypoint, a VANET-style
 // highway convoy, and reference-point group mobility. All models are
 // deterministic for a given rng and advance in discrete time steps.
 //
@@ -118,49 +118,6 @@ func (m *Waypoint) stepNode(w *space.World, v ident.NodeID, dt float64, rng *ran
 		return
 	}
 	w.Place(v, p.Add((st.dest.X-p.X)/d*travel, (st.dest.Y-p.Y)/d*travel))
-}
-
-// Walk is a bounded random walk: each node keeps a heading, moves at Speed,
-// and re-draws the heading with probability Turn per step; it reflects off
-// the square's borders.
-type Walk struct {
-	Side, Speed, Turn float64
-
-	heading ident.Table[float64]
-}
-
-// Init implements Model.
-func (m *Walk) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
-	m.heading = ident.Table[float64]{}
-	for _, v := range nodes {
-		w.Place(v, space.Point{X: rng.Float64() * m.Side, Y: rng.Float64() * m.Side})
-		m.heading.Set(v, rng.Float64()*2*math.Pi)
-	}
-}
-
-// Step implements Model.
-func (m *Walk) Step(w *space.World, dt float64, rng *rand.Rand) {
-	if dt == 0 {
-		return
-	}
-	for _, v := range w.Nodes() {
-		h, ok := m.heading.Get(v)
-		if !ok || rng.Float64() < m.Turn {
-			h = rng.Float64() * 2 * math.Pi
-		}
-		p, _ := w.Pos(v)
-		np := p.Add(math.Cos(h)*m.Speed*dt, math.Sin(h)*m.Speed*dt)
-		if np.X < 0 || np.X > m.Side {
-			h = math.Pi - h
-			np.X = math.Min(math.Max(np.X, 0), m.Side)
-		}
-		if np.Y < 0 || np.Y > m.Side {
-			h = -h
-			np.Y = math.Min(math.Max(np.Y, 0), m.Side)
-		}
-		m.heading.Set(v, h)
-		w.Place(v, np)
-	}
 }
 
 // Highway is a VANET-style multi-lane road of length Length. Vehicles keep

@@ -85,27 +85,6 @@ func TestWaypointPause(t *testing.T) {
 	}
 }
 
-func TestWalkStaysInBoundsAndMoves(t *testing.T) {
-	w := space.NewWorld(5)
-	m := &Walk{Side: 10, Speed: 2, Turn: 0.2}
-	rng := rand.New(rand.NewSource(7))
-	m.Init(w, nodes(5), rng)
-	before := snapshot(w)
-	for i := 0; i < 100; i++ {
-		m.Step(w, 1, rng)
-		checkBounds(t, w, 10)
-	}
-	moved := false
-	for v, p := range before {
-		if got, _ := w.Pos(v); got != p {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("walk should move nodes")
-	}
-}
-
 func TestHighwayWrapsAndKeepsLanes(t *testing.T) {
 	w := space.NewWorld(5)
 	m := &Highway{Length: 100, Lanes: 3, LaneGap: 5, SpeedMin: 10, SpeedMax: 30}

@@ -58,29 +58,25 @@ func (w *workerScratch) stretched(g *graph.G, members []ident.NodeID, dmax int) 
 		dist[src] = 0
 		w.queue = append(w.queue[:0], src)
 		reached := 1
-		over := false
 		for qi := 0; qi < len(w.queue); qi++ {
 			i := w.queue[qi]
 			dv := dist[i]
-			g.ForEachNeighbor(members[i], func(u ident.NodeID) {
+		nbrs:
+			for _, u := range g.NeighborsView(members[i]) {
 				// Linear membership scan: the slice is tiny.
 				for j := 0; j < k; j++ {
 					if members[j] == u {
 						if dist[j] < 0 {
 							if dv+1 > dmax {
-								over = true
-								return
+								return true
 							}
 							dist[j] = dv + 1
 							w.queue = append(w.queue, j)
 							reached++
 						}
-						return
+						continue nbrs
 					}
 				}
-			})
-			if over {
-				return true
 			}
 		}
 		if reached != k {

@@ -418,7 +418,7 @@ func (w *World) AppendReceivers(u ident.NodeID, buf []ident.NodeID) []ident.Node
 	// build phase queries receivers — the 3×3 vicinity scan and its sort
 	// collapse into one CSR row copy.
 	if len(w.TxRange) == 0 && w.symGraph != nil && w.symGen == w.gen {
-		return w.symGraph.AppendNeighbors(u, buf) // the graph holds every world node
+		return append(buf, w.symGraph.NeighborsView(u)...) // the graph holds every world node
 	}
 	pu, ok := w.pos.Get(u)
 	if !ok {
