@@ -15,8 +15,8 @@ func main() {
 	cfg := grp.Config{Dmax: 3}
 
 	// Eight nodes in a row, e.g. vehicles on a road.
-	g := grp.Line(8)
-	s := grp.NewStaticSim(grp.SimParams{Cfg: cfg, Seed: 42}, g)
+	road := &grp.StaticTopology{G: grp.Line(8)}
+	s := grp.NewSim(grp.SimParams{Cfg: cfg, Seed: 42}, road)
 
 	fmt.Println("== converging from boot ==")
 	rounds, ok := grp.RunUntilConverged(s, cfg.Dmax, 200, 3)
@@ -34,7 +34,7 @@ func main() {
 	// beyond Dmax (ΠT is false), so it — and only it — may shed members.
 	fmt.Println("\n== cutting the 2-3 link (inside a group) ==")
 	before := grp.SnapshotOf(s)
-	g.RemoveEdge(2, 3)
+	road.Edit(func(g *grp.GraphEdit) { g.RemoveEdge(2, 3) })
 	for i := 0; i < 30; i++ {
 		s.StepRound()
 	}

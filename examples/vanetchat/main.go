@@ -38,8 +38,8 @@ func settle(s *grp.Sim) {
 
 func main() {
 	// Five vehicles in radio range of their neighbors: a platoon.
-	road := grp.Line(5)
-	s := grp.NewStaticSim(grp.SimParams{Cfg: grp.Config{Dmax: dmax}, Seed: 1}, road)
+	road := &grp.StaticTopology{G: grp.Line(5)}
+	s := grp.NewSim(grp.SimParams{Cfg: grp.Config{Dmax: dmax}, Seed: 1}, road)
 
 	fmt.Println("== waiting for the platoon's chat rooms to form ==")
 	settle(s)
@@ -52,7 +52,7 @@ func main() {
 	// topology change), the remaining members keep chatting.
 	fmt.Println("\n== vehicle 5 takes the exit ==")
 	s.RemoveNode(5)
-	road.RemoveNode(5)
+	road.Edit(func(g *grp.GraphEdit) { g.RemoveNode(5) })
 	settle(s)
 	chatRoom{s, 4}.say("looks like n5 left")
 }

@@ -52,12 +52,13 @@ func NewNode(id NodeID, cfg Config) *Node { return core.NewNode(id, cfg) }
 
 // Graph substrate.
 type (
-	// Graph is an undirected communication topology.
+	// Graph is an undirected communication topology, never edited in
+	// place.
 	Graph = graph.G
+	// GraphEdit is the editable copy of a Graph that StaticTopology.Edit
+	// hands to its callback.
+	GraphEdit = graph.Ref
 )
-
-// NewGraph returns an empty topology.
-func NewGraph() *Graph { return graph.New() }
 
 // Topology generators re-exported for examples and quick starts.
 var (
@@ -78,7 +79,7 @@ type (
 	SimParams = engine.Params
 	// SpatialTopology animates nodes in the plane with a mobility model.
 	SpatialTopology = engine.SpatialTopology
-	// StaticTopology wraps a fixed graph.
+	// StaticTopology wraps a graph that changes only through its Edit.
 	StaticTopology = engine.StaticTopology
 )
 

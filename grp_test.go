@@ -45,12 +45,12 @@ func TestFacadeSpatial(t *testing.T) {
 
 // TestFacadeTracker exercises the churn tracker on a link cut.
 func TestFacadeTracker(t *testing.T) {
-	g := Line(4)
-	s := NewStaticSim(SimParams{Cfg: Config{Dmax: 3}, Seed: 2}, g)
+	topo := &StaticTopology{G: Line(4)}
+	s := NewSim(SimParams{Cfg: Config{Dmax: 3}, Seed: 2}, topo)
 	tr := NewTracker()
 	RunUntilConverged(s, 3, 100, 3)
 	tr.Observe(SnapshotOf(s), 3)
-	g.RemoveEdge(2, 3)
+	topo.Edit(func(g *GraphEdit) { g.RemoveEdge(2, 3) })
 	for i := 0; i < 20; i++ {
 		s.StepRound()
 		tr.Observe(SnapshotOf(s), 3)

@@ -62,18 +62,32 @@ func (b *Builder) Singleton(e ident.Entry) List {
 }
 
 // Filter returns l with only the entries keep accepts, every position kept
-// in place (possibly emptied), like List.FilterEntries — but a rejecting
+// in place (possibly emptied); the result is not normalized. A rejecting
 // pass writes into the builder's round arena instead of allocating: the
 // result is valid until the builder's next BeginRound, which is exactly
 // the lifetime of a cleaned received list inside one compute. When nothing
-// is rejected l itself is returned.
+// is rejected l itself is returned, so the steady state of every
+// per-compute cleaning pass is allocation-free.
 func (b *Builder) Filter(l List, keep func(ident.Entry) bool) List {
-	if !l.rejectsAny(keep) {
+	k := 0
+	for k < len(l.ents) && keep(l.ents[k]) {
+		k++
+	}
+	if k == len(l.ents) {
 		return l
 	}
+	// Each position's end is recorded as an absolute index into filtEnts,
+	// then rebased below.
 	se, so := len(b.filtEnts), len(b.filtOffs)
 	b.filtOffs = append(b.filtOffs, int32(se))
-	b.filtEnts, b.filtOffs = appendFiltered(b.filtEnts, b.filtOffs, l, keep)
+	for i := 0; i < l.Len(); i++ {
+		for _, e := range l.ents[l.offs[i]:l.offs[i+1]] {
+			if keep(e) {
+				b.filtEnts = append(b.filtEnts, e)
+			}
+		}
+		b.filtOffs = append(b.filtOffs, int32(len(b.filtEnts)))
+	}
 	out := List{ents: b.filtEnts[se:len(b.filtEnts):len(b.filtEnts)], offs: b.filtOffs[so:]}
 	for i := range out.offs {
 		out.offs[i] -= int32(se)

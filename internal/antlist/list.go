@@ -210,49 +210,6 @@ func (l List) HasEmptySet() bool {
 	return false
 }
 
-// rejectsAny reports whether keep rejects any entry of l — the shared
-// fast-path test of the filtering variants.
-func (l List) rejectsAny(keep func(ident.Entry) bool) bool {
-	for _, e := range l.ents {
-		if !keep(e) {
-			return true
-		}
-	}
-	return false
-}
-
-// appendFiltered appends l's kept entries to ents, positions in place
-// (possibly emptied), recording each position's end as an absolute index
-// into ents — the one filtering loop behind FilterEntries and
-// Builder.Filter.
-func appendFiltered(ents []ident.Entry, offs []int32, l List, keep func(ident.Entry) bool) ([]ident.Entry, []int32) {
-	for i := 0; i < l.Len(); i++ {
-		for _, e := range l.ents[l.offs[i]:l.offs[i+1]] {
-			if keep(e) {
-				ents = append(ents, e)
-			}
-		}
-		offs = append(offs, int32(len(ents)))
-	}
-	return ents, offs
-}
-
-// FilterEntries returns the list with only the entries keep accepts, every
-// position kept in place (possibly emptied). When nothing is rejected the
-// receiver itself is returned — the steady state of every per-compute
-// cleaning pass is allocation-free. The result is not normalized.
-func (l List) FilterEntries(keep func(ident.Entry) bool) List {
-	if !l.rejectsAny(keep) {
-		return l
-	}
-	out := List{
-		ents: make([]ident.Entry, 0, len(l.ents)-1),
-		offs: make([]int32, 1, len(l.offs)),
-	}
-	out.ents, out.offs = appendFiltered(out.ents, out.offs, l, keep)
-	return out
-}
-
 // Truncate returns the list cut to at most n positions (keeping a0..a(n-1)),
 // then normalized. Used by compute() line 28 to drop too-far ancestors.
 // The cut is a reslice of the arena, not a copy.

@@ -14,7 +14,7 @@ import (
 )
 
 // heldSource serves the tracker what it read before it borrowed the
-// topology's live graph: a copy-on-write sibling a round, which makes the
+// topology's live graph: an identity-Restrict sibling a round, which makes the
 // next delta copy its row header.
 type heldSource struct {
 	obs.Source
@@ -56,21 +56,24 @@ func TestBorrowedGraphMatchesHeldSnapshot(t *testing.T) {
 // TestHeldSnapshotSurvivesDeltaTicks is the held-snapshot contract on a
 // mobile world: a metrics.SnapshotOf(e) taken at round r over a delta-path
 // SpatialTopology — which retires every graph it replaces, so the lineage
-// patches one row header in place — still equals a Clone taken at r two
-// rounds (2·Tc ticks) later, with and without a leave and a join at the
+// patches one row header in place — still equals a reference copy
+// (graph.RefOf) taken at r two rounds (2·Tc ticks) later, with and without a leave and a join at the
 // round boundary right after it was taken.
 func TestHeldSnapshotSurvivesDeltaTicks(t *testing.T) {
 	for _, churn := range []bool{false, true} {
 		e := commuterScenario(4, false)
 		w := e.Topo.(*engine.SpatialTopology).World
 		tr := obs.NewGroupTracker(e)
-		type held struct{ snap, clone *graph.G }
+		type held struct {
+			snap *graph.G
+			ref  *graph.Ref
+		}
 		var window []held
 		next := ident.NodeID(500)
 		for r := 0; r < 30; r++ {
 			e.StepRound()
 			tr.Observe()
-			window = append(window, held{metrics.SnapshotOf(e).G, e.Topo.Graph().Clone()})
+			window = append(window, held{metrics.SnapshotOf(e).G, graph.RefOf(e.Topo.Graph())})
 			if churn && r%3 == 1 {
 				v := e.Order()[r]
 				e.RemoveNode(v)
@@ -80,7 +83,7 @@ func TestHeldSnapshotSurvivesDeltaTicks(t *testing.T) {
 				next++
 			}
 			if len(window) > 2 {
-				if h := window[0]; !h.snap.Equal(h.clone) {
+				if h := window[0]; !h.ref.SameAs(h.snap) {
 					t.Fatalf("churn %v: the snapshot of round %d changed within two rounds", churn, r-1)
 				}
 				window = window[1:]

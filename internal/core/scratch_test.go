@@ -26,8 +26,9 @@ func TestNodeFootprint(t *testing.T) {
 // used the scratch in between: the capacity belongs to the scratch, and a
 // compute leaves nothing in it that the next one needs.
 func TestSharedScratchServesSettledComputeWithoutAllocating(t *testing.T) {
-	g := graph.Complete(6)
-	g.AddEdge(7, 8)
+	r := graph.RefOf(graph.Complete(6))
+	r.AddEdge(7, 8)
+	g := graph.FromRef(r)
 	ids := g.Nodes()
 	var shared Scratch
 	nodes := make(map[ident.NodeID]*Node, len(ids))

@@ -470,11 +470,11 @@ type Engine struct {
 	delivBuf []radio.Delivery
 
 	// Receiver-cache key: the per-record receiver sets are valid while
-	// the topology graph (pointer + mutation generation) and the engine
-	// membership stay put; any change bumps recvEpoch, invalidating every
-	// record at once.
+	// the topology graph and the engine membership stay put; any change
+	// bumps recvEpoch, invalidating every record at once. A graph is never
+	// edited in place, so its pointer is its identity: holding recvG keeps
+	// that graph alive, and the GC cannot hand its address to a new one.
 	recvG     *graph.G
-	recvGen   uint64
 	recvMem   uint64
 	recvEpoch uint64
 
@@ -788,10 +788,6 @@ func (e *Engine) DrainWakes(fn func(wakes []introspect.WakeRec)) {
 // Tick returns the current tick count.
 func (e *Engine) Tick() int { return e.tick }
 
-// Rand exposes the simulation's global RNG for workload builders that
-// must stay in lockstep with the run's determinism.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
 // Order returns the current node population in ascending order (the
 // roster's backing slice: read-only, valid until the next membership
 // change).
@@ -935,7 +931,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	// against the epoch bumped below on any (topology, membership) change.
 	rower, _ := e.Topo.(RowTopology)
 	g := e.Topo.Graph()
-	if g != e.recvG || g.Generation() != e.recvGen || e.memberGen != e.recvMem {
+	if g != e.recvG || e.memberGen != e.recvMem {
 		// Before invalidating every receiver cache, ask the topology which
 		// rows the change could actually have touched: when the graph
 		// advanced by exactly one delta step over an unchanged roster, only
@@ -960,7 +956,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 			e.recvEpoch++
 			e.reg.Inc(introspect.CtrGraphFullRounds)
 		}
-		e.recvG, e.recvGen, e.recvMem = g, g.Generation(), e.memberGen
+		e.recvG, e.recvMem = g, e.memberGen
 	}
 	var due *shardBuckets
 	if e.P.RandomizedSends {
@@ -1477,11 +1473,11 @@ func (e *Engine) StepRound() { e.StepTicks(e.P.Tc) }
 // SnapshotGraph returns the topology graph restricted to the live
 // protocol nodes — the G half of metrics.SnapshotOf without materializing
 // any view map. It comes from snapshotBuilder: the cached pointer while
-// neither topology nor membership changed, otherwise a copy-on-write
-// sibling of the topology's graph (every node live) or a copy of the
-// induced subgraph. Incremental observers key their per-node neighborhood
-// caches on its (pointer, generation) identity; it is replaced, never
-// mutated, when the topology or the membership changes. Call it between
+// neither topology nor membership changed, otherwise a sibling sharing
+// the topology's graph storage (every node live) or a copy of the induced
+// subgraph. Incremental observers key their per-node neighborhood caches
+// on its pointer; it is replaced, never edited, when the topology or the
+// membership changes. Call it between
 // ticks: it marks the topology's graph shared, and so costs the next
 // delta a header copy.
 func (e *Engine) SnapshotGraph() *graph.G {

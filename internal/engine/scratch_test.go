@@ -25,9 +25,9 @@ import (
 // bare core nodes that each compute in a private one — and requires equal
 // state digests node by node after every round.
 func TestSharedScratchMatchesPrivate(t *testing.T) {
-	g := graph.Clusters(6, 5, 2, true)
-	e := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Ts: 1, Tc: 1, Seed: 3, Workers: 4}, g)
-	ids := g.Nodes()
+	topo := &StaticTopology{G: graph.Clusters(6, 5, 2, true)}
+	e := New(Params{Cfg: core.Config{Dmax: 3}, Ts: 1, Tc: 1, Seed: 3, Workers: 4}, topo)
+	ids := topo.G.Nodes()
 	bare := make(map[ident.NodeID]*core.Node, len(ids))
 	for _, v := range ids {
 		bare[v] = core.NewNode(v, core.Config{Dmax: 3})
@@ -36,14 +36,15 @@ func TestSharedScratchMatchesPrivate(t *testing.T) {
 	for r := 1; r <= 60; r++ {
 		if r == 30 { // a link cut mid-run: groups split and re-form
 			u := ids[0]
-			g.RemoveEdge(u, g.Neighbors(u)[0])
+			w := topo.G.NeighborsView(u)[0]
+			topo.Edit(func(ref *graph.Ref) { ref.RemoveEdge(u, w) })
 		}
 		e.Step()
 		for i, v := range ids {
 			msgs[i] = bare[v].BuildMessage()
 		}
 		for i, v := range ids {
-			for _, u := range g.NeighborsView(v) {
+			for _, u := range topo.G.NeighborsView(v) {
 				bare[u].ReceiveRef(&msgs[i])
 			}
 		}
@@ -259,12 +260,13 @@ func TestPoolTakeWindow(t *testing.T) {
 // a cached broadcast of a member — a lie, a ghost frame of another process —
 // enters no pool.
 func TestRetirementFollowsListIdentity(t *testing.T) {
-	g := graph.New()
+	r := graph.NewRef()
 	for v := ident.NodeID(1); v <= 3; v++ {
-		g.AddNode(v)
+		r.AddNode(v)
 	}
-	g.AddEdge(1, 2)
-	e := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, g)
+	r.AddEdge(1, 2)
+	topo := &StaticTopology{G: graph.FromRef(r)}
+	e := New(Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, topo)
 	e.StepTicks(12 * e.P.Tc)
 	// 1 and 2 have settled; 3 is alone, and its ticking clock moves its
 	// broadcast every period but never its list.
@@ -288,7 +290,7 @@ func TestRetirementFollowsListIdentity(t *testing.T) {
 		if i == 4*e.P.Tc { // 2 has folded the lie in by now
 			last := e.recs[e.SlotOf(2)].cm.m
 			e.RemoveNode(2)
-			g.RemoveNode(2)
+			topo.Edit(func(r *graph.Ref) { r.RemoveNode(2) })
 			if sc := &e.scratch[shard.Of(2)]; !offersMsg(&sc.msgs, last) || !offersEnts(&sc.ents, &last.List.Entries()[0]) {
 				t.Fatalf("removed node 2's last broadcast %v did not retire with its list", *last)
 			}
@@ -342,26 +344,20 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 	}
 	for _, armed := range []bool{true, false} {
 		const n, joiner = 40, ident.NodeID(41)
-		on, off := graph.New(), graph.New()
-		for v := ident.NodeID(1); v <= n; v++ {
-			on.AddNode(v)
-			off.AddNode(v)
-			if v%2 == 0 {
-				on.AddEdge(v-1, v)
-			}
-		}
+		on, off := pairRefs(n)
 		p := Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}
 		p.normalize()
-		e := New(p, &blinkTopo{on: on, off: off, period: 2 * p.Tc})
+		blink := &blinkTopo{on: graph.FromRef(on), off: graph.FromRef(off), period: 2 * p.Tc}
+		e := New(p, blink)
 		e.SetSelfCheck(armed)
 		last := map[ident.NodeID]cachedMsg{}
 		var pending []retiredMsg
 		var checked, joiners [2]int // messages, entries
 		for e.tick < 40*p.Tc {
 			if e.tick == 10*p.Tc { // it blinks with node 1: its list moves too
-				on.AddNode(joiner)
 				off.AddNode(joiner)
 				on.AddEdge(1, joiner)
+				blink.on, blink.off = graph.FromRef(on), graph.FromRef(off)
 				e.AddNode(joiner)
 			}
 			e.AdvancePhase()
@@ -526,13 +522,13 @@ func TestInboxAliasesBroadcast(t *testing.T) {
 // storm of a converging start, 4·Tc ticks without a rebuild leave no
 // message, no buffer and no queue array behind.
 func TestRecsPoolDrains(t *testing.T) {
-	g := graph.New()
+	r := graph.NewRef()
 	for v := ident.NodeID(1); v <= 400; v++ { // 80 lines of 5: each merges into one group
-		if g.AddNode(v); v%5 != 1 {
-			g.AddEdge(v-1, v)
+		if r.AddNode(v); v%5 != 1 {
+			r.AddEdge(v-1, v)
 		}
 	}
-	e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 2, Workers: 2}, g)
+	e := NewStatic(Params{Cfg: core.Config{Dmax: 4}, Seed: 2, Workers: 2}, graph.FromRef(r))
 	e.StepTicks(3 * e.P.Tc)
 	if msgs, ents, _ := pooled(e); msgs == 0 || ents == 0 {
 		t.Fatalf("a converging world holds %d retired messages and %d retired lists — the check is vacuous", msgs, ents)
@@ -559,11 +555,8 @@ func TestRecsPoolDrains(t *testing.T) {
 // shard retired a period earlier, and no allocation scales with the
 // rebuilds.
 func TestSteadyRebuildsAllocateNothing(t *testing.T) {
-	g := graph.New()
-	for v := ident.NodeID(1); v <= 300; v++ {
-		g.AddNode(v)
-	}
-	e := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}, g)
+	_, off := pairRefs(300)
+	e := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}, graph.FromRef(off))
 	e.StepTicks(3 * e.P.Tc)
 	before := e.Introspect().Get(introspect.CtrMsgBuilds)
 	step := testing.AllocsPerRun(10*e.P.Tc, e.Step)
@@ -594,14 +587,10 @@ func (b *blinkTopo) AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.
 }
 func (b *blinkTopo) Nodes() []ident.NodeID { return b.on.Nodes() }
 
-// TestSteadyCommitsAllocateNothing drives pairs that hear each other in one
-// tick of every two compute periods, on jittered timers: every compute
-// flips its node's list between (v) and (v, {u'}), and after warm-up each
-// commit is published into entries its shard retired a period earlier, over
-// offsets interned once — no allocation scales with the commits.
-func TestSteadyCommitsAllocateNothing(t *testing.T) {
-	const n = 300
-	on, off := graph.New(), graph.New()
+// pairRefs returns nodes 1..n linked in pairs (on) and the same nodes
+// isolated (off), the two graphs a blinkTopo alternates.
+func pairRefs(n ident.NodeID) (on, off *graph.Ref) {
+	on, off = graph.NewRef(), graph.NewRef()
 	for v := ident.NodeID(1); v <= n; v++ {
 		on.AddNode(v)
 		off.AddNode(v)
@@ -609,9 +598,20 @@ func TestSteadyCommitsAllocateNothing(t *testing.T) {
 			on.AddEdge(v-1, v)
 		}
 	}
+	return on, off
+}
+
+// TestSteadyCommitsAllocateNothing drives pairs that hear each other in one
+// tick of every two compute periods, on jittered timers: every compute
+// flips its node's list between (v) and (v, {u'}), and after warm-up each
+// commit is published into entries its shard retired a period earlier, over
+// offsets interned once — no allocation scales with the commits.
+func TestSteadyCommitsAllocateNothing(t *testing.T) {
+	const n = 300
+	on, off := pairRefs(n)
 	p := Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}
 	p.normalize()
-	e := New(p, &blinkTopo{on: on, off: off, period: 2 * p.Tc})
+	e := New(p, &blinkTopo{on: graph.FromRef(on), off: graph.FromRef(off), period: 2 * p.Tc})
 	e.StepTicks(8 * p.Tc)
 	list := e.Node(1).List()
 	before := e.Introspect().Get(introspect.CtrMsgBuilds)
@@ -645,10 +645,10 @@ func (noNodes) Nodes() []ident.NodeID { return nil }
 func TestBootCutsAreClamped(t *testing.T) {
 	const n = 300
 	p := Params{Cfg: core.Config{Dmax: 3}, Seed: 3, Workers: 4}
-	gs := [2]*graph.G{graph.Ring(n), graph.Ring(n)}
-	bulk := NewStatic(p, gs[0])
-	joined := New(p, noNodes{&StaticTopology{G: gs[1]}})
-	for _, v := range gs[1].Nodes() {
+	topos := [2]*StaticTopology{{G: graph.Ring(n)}, {G: graph.Ring(n)}}
+	bulk := New(p, topos[0])
+	joined := New(p, noNodes{topos[1]})
+	for _, v := range topos[1].G.Nodes() {
 		joined.AddNode(v)
 	}
 	for i := range bulk.recs {
@@ -661,10 +661,12 @@ func TestBootCutsAreClamped(t *testing.T) {
 	}
 	for r := 0; r < 12; r++ {
 		if r == 2 {
-			for _, g := range gs {
-				for v := 1; v <= n; v++ {
-					g.AddEdge(ident.NodeID(v), ident.NodeID((v+6)%n+1))
-				}
+			for _, topo := range topos {
+				topo.Edit(func(r *graph.Ref) {
+					for v := 1; v <= n; v++ {
+						r.AddEdge(ident.NodeID(v), ident.NodeID((v+6)%n+1))
+					}
+				})
 			}
 		}
 		bulk.StepRound()

@@ -82,13 +82,13 @@ func TestTsTcValidation(t *testing.T) {
 }
 
 func TestLinkCutSplitsGroup(t *testing.T) {
-	g := graph.Line(4)
-	s := NewStatic(Params{Cfg: core.Config{Dmax: 3}, Seed: 4}, g)
+	topo := &StaticTopology{G: graph.Line(4)}
+	s := New(Params{Cfg: core.Config{Dmax: 3}, Seed: 4}, topo)
 	if _, ok := metrics.RunUntilConverged(s, 3, 100, 3); !ok {
 		t.Fatal("precondition: converge first")
 	}
 	prev := metrics.SnapshotOf(s)
-	g.RemoveEdge(2, 3)
+	topo.Edit(func(r *graph.Ref) { r.RemoveEdge(2, 3) })
 	for i := 0; i < 30; i++ {
 		s.StepRound()
 	}
@@ -103,13 +103,13 @@ func TestLinkCutSplitsGroup(t *testing.T) {
 }
 
 func TestNodeDepartureShrinksViews(t *testing.T) {
-	g := graph.Line(3)
-	s := NewStatic(Params{Cfg: core.Config{Dmax: 2}, Seed: 5}, g)
+	topo := &StaticTopology{G: graph.Line(3)}
+	s := New(Params{Cfg: core.Config{Dmax: 2}, Seed: 5}, topo)
 	if _, ok := metrics.RunUntilConverged(s, 2, 100, 3); !ok {
 		t.Fatal("precondition")
 	}
 	s.RemoveNode(3)
-	g.RemoveNode(3)
+	topo.Edit(func(r *graph.Ref) { r.RemoveNode(3) })
 	for i := 0; i < 20; i++ {
 		s.StepRound()
 	}
@@ -123,12 +123,12 @@ func TestNodeDepartureShrinksViews(t *testing.T) {
 }
 
 func TestNodeJoinMerges(t *testing.T) {
-	g := graph.Line(2)
-	s := NewStatic(Params{Cfg: core.Config{Dmax: 2}, Seed: 6}, g)
+	topo := &StaticTopology{G: graph.Line(2)}
+	s := New(Params{Cfg: core.Config{Dmax: 2}, Seed: 6}, topo)
 	if _, ok := metrics.RunUntilConverged(s, 2, 50, 3); !ok {
 		t.Fatal("precondition")
 	}
-	g.AddEdge(2, 3)
+	topo.Edit(func(r *graph.Ref) { r.AddEdge(2, 3) })
 	s.AddNode(3)
 	if _, ok := metrics.RunUntilConverged(s, 2, 100, 3); !ok {
 		t.Fatalf("no reconvergence: %v", metrics.SnapshotOf(s).Groups())

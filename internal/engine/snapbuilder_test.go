@@ -61,5 +61,5 @@ func TestLiveBorrowsWhenEveryNodeIsLive(t *testing.T) {
 			t.Fatal("a borrowed, retired src should have handed its header to its child")
 		}
 	}()
-	src.Clone()
+	graph.RefOf(src)
 }

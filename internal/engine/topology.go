@@ -16,22 +16,23 @@ import (
 type Topology interface {
 	// Advance moves the topology forward by one tick.
 	Advance(rng *rand.Rand)
-	// Graph returns the current symmetric communication graph, valid until
-	// the next Advance (SpatialTopology retires what it replaces, and the
-	// next rebuild takes its row header or its arena, see graph.Retire);
-	// SnapshotGraph, Restrict or Clone it to keep one.
+	// Graph returns the current symmetric communication graph. A graph is
+	// never edited in place: a topology change is a new graph, so the
+	// pointer is the graph's identity. It is valid until the next Advance
+	// (SpatialTopology retires what it replaces, and the next rebuild takes
+	// its row header or its arena, see graph.Retire); SnapshotGraph or
+	// Restrict it to keep one.
 	Graph() *graph.G
 	// AppendReceivers appends the nodes that can hear a broadcast from v
 	// to buf and returns the extended slice (the engine's build phase
 	// recycles its per-node receiver buffers through it). It must be safe
 	// for concurrent read-only use (the build phase calls it from several
 	// workers at once), and it must be coherent with Graph(): the receiver
-	// sets may only change together with the identity or mutation
-	// generation of the graph Graph() returns. The engine caches receiver
-	// sets on that key (receivers that drifted under an unchanged graph
-	// could not be replayed deterministically anyway); topologies whose
-	// vicinity changes every tick must, like SpatialTopology, produce a
-	// fresh or generation-bumped graph in Advance.
+	// sets may only change together with the graph Graph() returns. The
+	// engine caches receiver sets on that pointer (receivers that drifted
+	// under an unchanged graph could not be replayed deterministically
+	// anyway); topologies whose vicinity changes every tick must, like
+	// SpatialTopology, produce a fresh graph in Advance.
 	AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.NodeID
 	// Nodes returns the current node population in ascending order.
 	Nodes() []ident.NodeID
@@ -62,9 +63,21 @@ type RowTopology interface {
 	RowsChanged(since *graph.G) ([]ident.NodeID, bool)
 }
 
-// StaticTopology is a fixed graph (possibly mutated between ticks by the
-// experiment itself, e.g. to inject a link cut).
+// StaticTopology is a graph that changes only when the experiment edits
+// it between ticks (Edit), e.g. to inject a link cut or a departure. It
+// serves no rows (RowTopology): an edit is rare and replaces the whole
+// graph, so the engine re-derives every receiver set after one.
 type StaticTopology struct{ G *graph.G }
+
+// Edit installs the graph f makes of a copy of G (graph.RefOf, then
+// graph.FromRef): G itself is never written, so an edit is a new graph —
+// a new pointer to every cache keyed on it — and a snapshot that holds the
+// old one keeps reading it. Call it between ticks.
+func (t *StaticTopology) Edit(f func(*graph.Ref)) {
+	r := graph.RefOf(t.G)
+	f(r)
+	t.G = graph.FromRef(r)
+}
 
 // Advance implements Topology (no motion).
 func (t *StaticTopology) Advance(*rand.Rand) {}
@@ -85,7 +98,7 @@ func (t *StaticTopology) Nodes() []ident.NodeID { return t.G.Nodes() }
 // when the mobility step moved nothing (stationary models, paused nodes,
 // zero DT): the world's generation counter then doesn't advance, the
 // cached graph is reused pointer-identical, and the engine's receiver
-// cache (keyed on graph pointer + generation) stays hot.
+// cache (keyed on the graph pointer) stays hot.
 type SpatialTopology struct {
 	World *space.World
 	Mob   mobility.Model

@@ -52,9 +52,9 @@ func TestMaxMinDiameterSafety(t *testing.T) {
 }
 
 func TestMaxMinSingletonAndPair(t *testing.T) {
-	g := graph.New()
-	g.AddNode(1)
-	head := maxMin(g, 2)
+	r := graph.NewRef()
+	r.AddNode(1)
+	head := maxMin(graph.FromRef(r), 2)
 	if head[1] != 1 {
 		t.Fatalf("lone node must head itself: %v", head)
 	}
@@ -82,8 +82,9 @@ func TestMaxMinRecomputationChurn(t *testing.T) {
 	// produces a valid clustering after the change.
 	g := graph.Grid(3, 5)
 	before := maxMin(g, 2)
-	g.RemoveEdge(7, 8)
-	after := maxMin(g, 2)
+	r := graph.RefOf(g)
+	r.RemoveEdge(7, 8)
+	after := maxMin(graph.FromRef(r), 2)
 	if len(before) != len(after) {
 		t.Fatal("node count changed")
 	}

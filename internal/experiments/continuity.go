@@ -58,26 +58,27 @@ func E5Compatibility() *Table {
 // compatGadget builds the two-path gadget and evaluates the receiver's
 // compatibility decision exactly as Compute would at first contact.
 func compatGadget(p, q, i, dmax int) (*graph.G, ident.NodeID, ident.NodeID, bool) {
-	g := graph.New()
+	r := graph.NewRef()
 	// A: nodes 1..p+1, where node 1 is the border v; node k+1 is at
 	// depth k from v.
 	v := ident.NodeID(1)
-	g.AddNode(v)
+	r.AddNode(v)
 	for k := 1; k <= p; k++ {
-		g.AddEdge(ident.NodeID(k), ident.NodeID(k+1))
+		r.AddEdge(ident.NodeID(k), ident.NodeID(k+1))
 	}
 	// B: nodes 101..101+q, node 101 is the sender u.
 	u := ident.NodeID(101)
-	g.AddNode(u)
+	r.AddNode(u)
 	for l := 1; l <= q; l++ {
-		g.AddEdge(ident.NodeID(100+l), ident.NodeID(101+l))
+		r.AddEdge(ident.NodeID(100+l), ident.NodeID(101+l))
 	}
-	g.AddEdge(v, u)
+	r.AddEdge(v, u)
 	// Shortcut: u neighbors every node of A's depth-i layer (one node on
 	// a path).
 	if i > 0 {
-		g.AddEdge(ident.NodeID(i+1), u)
+		r.AddEdge(ident.NodeID(i+1), u)
 	}
+	g := graph.FromRef(r)
 	// Build the receiver node's protocol state: list and view = A.
 	node := core.NewNode(v, core.Config{Dmax: dmax})
 	al, view := pathListAndView(v, p, 1)
@@ -124,10 +125,10 @@ func E6Continuity(seeds int) *Table {
 			return steady(s, nil, 60)
 		}},
 		{"drift-then-cut", func(seed int64) (*metrics.Tracker, *metrics.Tracker) {
-			d := &workload.GentleDrift{N: 6, Dmax: 4, PreserveRounds: 30}
-			g := d.Graph()
-			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: seed}, g)
-			return steady(s, func(round int) { d.Apply(g, round) }, 80)
+			d := &workload.GentleDrift{N: 6, PreserveRounds: 30}
+			topo := &engine.StaticTopology{G: d.Graph()}
+			s := engine.New(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: seed}, topo)
+			return steady(s, func(round int) { d.Apply(topo, round) }, 80)
 		}},
 		{"rigid-convoy", func(seed int64) (*metrics.Tracker, *metrics.Tracker) {
 			w := space.NewWorld(4)

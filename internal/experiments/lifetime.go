@@ -239,33 +239,35 @@ func E8bHeadLoss(seeds int) *Table {
 	type acc struct{ changes, departures int }
 	sums := map[string]*acc{"GRP": {}, "MaxMin": {}}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		g := graph.Line(n)
-		s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, g)
+		topo := &engine.StaticTopology{G: graph.Line(n)}
+		s := engine.New(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, topo)
 		metrics.RunUntilConverged(s, dmax, 400, 3)
 
 		grpTr := metrics.NewTracker()
 		mmTr := metrics.NewTracker()
 		grpTr.Observe(metrics.SnapshotOf(s), dmax)
-		mmTr.Observe(metrics.Snapshot{G: g.Clone(), Views: headViews(maxMin(g, dmax/2))}, dmax)
+		mmTr.Observe(metrics.Snapshot{G: topo.G, Views: headViews(maxMin(topo.G, dmax/2))}, dmax)
 
 		next := ident.NodeID(n + 1)
 		for e := 0; e < events; e++ {
 			// Depart: the Max-Min head with the largest cluster (the
 			// most disruptive loss for head-based schemes).
-			head := biggestHead(g, dmax/2)
-			nbrs := g.Neighbors(head)
+			head := biggestHead(topo.G, dmax/2)
+			nbrs := topo.G.Neighbors(head)
 			s.RemoveNode(head)
-			g.RemoveNode(head)
 			// A fresh vehicle takes the same road position.
-			for _, u := range nbrs {
-				g.AddEdge(next, u)
-			}
+			topo.Edit(func(r *graph.Ref) {
+				r.RemoveNode(head)
+				for _, u := range nbrs {
+					r.AddEdge(next, u)
+				}
+			})
 			s.AddNode(next)
 			next++
 			for r := 0; r < period; r++ {
 				s.StepRound()
 				grpTr.Observe(metrics.SnapshotOf(s), dmax)
-				mmTr.Observe(metrics.Snapshot{G: g.Clone(), Views: headViews(maxMin(g, dmax/2))}, dmax)
+				mmTr.Observe(metrics.Snapshot{G: topo.G, Views: headViews(maxMin(topo.G, dmax/2))}, dmax)
 			}
 		}
 		sums["GRP"].changes += grpTr.MembershipChanges

@@ -46,15 +46,13 @@ func checkRow(who string, idx *ident.Table[int32], r NodeAdj) {
 // The node set is unchanged by construction — membership churn must go
 // through a full rebuild.
 //
-// Sharing semantics: the result shares prev's roster (as FromRows does)
-// and every unpatched row. It is unpacked whatever prev is: one header
-// whose untouched rows alias prev's storage, a packed prev's arena
-// included, so a row nobody patched keeps its backing pointer from graph
-// to graph (the identity the receiver caches key on). Both graphs are
-// marked copy-on-write — the first in-place mutation of either privatizes
-// its adjacency storage first — so the sharing is invisible to callers,
-// and the generation contract is preserved because ApplyDelta returns a
-// fresh graph (new pointer, generation zero) rather than mutating prev.
+// Sharing semantics: the result is a new graph (a new pointer) that
+// shares prev's roster (as FromRows does) and every unpatched row. It is
+// unpacked whatever prev is: one header whose untouched rows alias prev's
+// storage, a packed prev's arena included, so a row nobody patched keeps
+// its backing pointer from graph to graph (the identity the receiver
+// caches key on). Neither graph is edited afterwards, so the sharing is
+// invisible to callers.
 //
 // The header is a copy of prev's and prev stays intact — unless prev was
 // retired (Retire), is unpacked and has no identity-Restrict sibling
@@ -96,11 +94,9 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 		adj = prev.header()
 	}
 	g := &G{idx: prev.idx, nodes: prev.nodes, adj: adj, edges: prev.edges}
-	prev.sharedIdx = true
-	g.sharedIdx = true
-	// Adjacency storage is shared slice-by-slice from here on; flag both
-	// sides so any later in-place mutation privatizes first.
-	g.cowAdj, prev.cowAdj = true, true
+	// g's rows alias prev's storage from here on: a packed prev's arena
+	// must not go to a FromRows successor.
+	prev.cowAdj = true
 
 	// One arena holds every updated row (the patched mirror rows are
 	// allocated per row below — there are few of them and their sizes are
@@ -229,26 +225,4 @@ func (g *G) header() [][]ident.NodeID {
 		adj[i] = g.row(int32(i))
 	}
 	return adj
-}
-
-// unshareAdj makes the adjacency storage writable before the first
-// in-place mutation: unpacked, under a header of the graph's own — an old
-// one may be a sibling's and is left as it was — and, when rows are shared
-// with another graph (ApplyDelta, identity Restrict), copied into one
-// fresh arena. Caps stay pinned either way, so later growth of a row
-// reallocates it privately.
-func (g *G) unshareAdj() {
-	if g.off == nil && !g.cowAdj {
-		return
-	}
-	adj := g.header()
-	if g.cowAdj {
-		arena := make([]ident.NodeID, 0, 2*g.edges)
-		for i, s := range adj {
-			start := len(arena)
-			arena = append(arena, s...)
-			adj[i] = arena[start:len(arena):len(arena)]
-		}
-	}
-	g.adj, g.off, g.arena, g.cowAdj = adj, nil, nil, false
 }

@@ -8,67 +8,52 @@ import (
 	"repro/internal/ident"
 )
 
-// FuzzCSROps replays an arbitrary mutation/query sequence decoded from
-// the fuzz input against both the CSR graph and the retained map-of-maps
-// reference, asserting every observable agrees after every operation.
-// Each input byte pair is one op: the first byte mod 6 selects the
-// operation, the second byte (mod 16) the operand node(s) — a small ID
-// space keeps collisions (re-adds, double-removes, duplicate edges)
-// frequent. Op 5 takes an identity Restrict (a copy-on-write sibling
-// sharing index, roster, row header and rows) beside a clone of the
-// reference at that moment; from then on bit 0x40 of the first byte
-// swaps which of the two graphs the ops go to, and both are checked
-// against their own references after every op — so a write that leaks
-// across the sharing, in either direction, diverges one of them. Bit 0x80
-// first replaces the graph the op goes to by its packed Clone, so ops —
-// sharing included — also start from offsets + arena; no earlier seed
-// sets it.
+// FuzzCSROps replays an arbitrary edit/query sequence decoded from the
+// fuzz input on a Ref and packs it after every op (FromRef), asserting
+// that every observable of the packed graph, of its identity-Restrict
+// sibling and of an ApplyDelta child agrees with the Ref. Each input byte
+// pair is one op: the first byte mod 5 selects the operation, the second
+// the operand nodes (high and low nibble, plus one) — a small ID space
+// keeps collisions (re-adds, double-removes, duplicate edges) frequent.
+// When the op kept the roster, the child patches the graph packed before
+// the op with the rows of the two operands (all an edge edit changes);
+// otherwise it is an empty delta of the new graph. The graph packed
+// before the op must still agree with a copy of the Ref taken then: no
+// later pack, restriction or delta writes to it.
 func FuzzCSROps(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x02, 0x23, 0x02, 0x31, 0x03, 0x23})
 	f.Add([]byte{0x02, 0x12, 0x02, 0x13, 0x02, 0x14, 0x01, 0x01, 0x02, 0x12})
 	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 0x01, 0x01, 0x03, 0x11, 0x02, 0x11})
 	f.Add([]byte{0x02, 0xab, 0x02, 0xba, 0x02, 0xcd, 0x01, 0x0b, 0x02, 0xdc})
-	// Share, then: AddNode on the source, AddNode on the sibling (0x42 =
-	// swap + op 0), RemoveNode on each, edge edits on each.
-	f.Add([]byte{0x02, 0x12, 0x02, 0x23, 0x05, 0x00, 0x00, 0x70, 0x42, 0x80, 0x01, 0x10, 0x43, 0x20, 0x02, 0x13, 0x45, 0x12})
-	// Share, re-share from the sibling, shrink and regrow both sides.
-	f.Add([]byte{0x02, 0x12, 0x02, 0x34, 0x05, 0x00, 0x47, 0x00, 0x01, 0x30, 0x00, 0x90, 0x43, 0x10, 0x42, 0xa0, 0x03, 0x12})
-	// Pack, share, then edit the packed source and its sibling in turn; a
-	// partial restriction of what is left.
-	f.Add([]byte{0x02, 0x12, 0x02, 0x23, 0x02, 0x34, 0x83, 0x00, 0x02, 0x13, 0x45, 0x23, 0x42, 0x90, 0x01, 0x20, 0x82, 0x00})
-	// Every mutator as the first write to a packed graph.
-	f.Add([]byte{0x02, 0x12, 0x02, 0x13, 0x81, 0x12, 0x84, 0x50, 0x85, 0x10, 0x80, 0x45, 0x82, 0x00})
+	// A path, restricted to its even nodes before and after a cut.
+	f.Add([]byte{0x02, 0x12, 0x02, 0x23, 0x02, 0x34, 0x04, 0x00, 0x03, 0x23, 0x04, 0x00})
+	// Edge edits over a fixed roster: every step is a patching delta.
+	f.Add([]byte{0x00, 0x50, 0x02, 0x12, 0x02, 0x34, 0x02, 0x15, 0x03, 0x12, 0x02, 0x25, 0x03, 0x34, 0x03, 0x15})
+	// Edits naming absent nodes.
+	f.Add([]byte{0x03, 0x9a, 0x01, 0x90, 0x02, 0x12, 0x03, 0x19, 0x01, 0x20})
+	// A clique on four nodes, then a removal of each kind.
+	f.Add([]byte{0x02, 0x12, 0x02, 0x13, 0x02, 0x23, 0x02, 0x14, 0x02, 0x24, 0x02, 0x34, 0x01, 0x20, 0x03, 0x13, 0x04, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, sib := New(), (*G)(nil)
-		ref, sibRef := NewRef(), (*Ref)(nil)
+		all := func(ident.NodeID) bool { return true }
+		ref := NewRef()
+		prev, prevRef := FromRef(ref), NewRef()
 		for i := 0; i+1 < len(data); i += 2 {
-			op := data[i] % 6
 			a := ident.NodeID(data[i+1]>>4) + 1
 			b := ident.NodeID(data[i+1]&0xf) + 1
-			if sib != nil && data[i]&0x40 != 0 {
-				g, sib, ref, sibRef = sib, g, sibRef, ref
-			}
-			if data[i]&0x80 != 0 {
-				g = g.Clone()
-			}
-			switch op {
+			switch data[i] % 5 {
 			case 0:
-				g.AddNode(a)
 				ref.AddNode(a)
 			case 1:
-				g.RemoveNode(a)
 				ref.RemoveNode(a)
 			case 2:
-				g.AddEdge(a, b)
 				ref.AddEdge(a, b)
 			case 3:
-				g.RemoveEdge(a, b)
 				ref.RemoveEdge(a, b)
 			case 4:
 				// Restrict to even IDs and compare against the reference
 				// restricted the slow way.
 				keep := func(v ident.NodeID) bool { return v%2 == 0 }
-				r := g.Restrict(keep)
+				r := prev.Restrict(keep)
 				for _, v := range ref.Nodes() {
 					if !keep(v) {
 						if r.HasNode(v) {
@@ -86,18 +71,23 @@ func FuzzCSROps(f *testing.F) {
 						t.Fatalf("restrict neighbors of %v: %v vs %v", v, r.Neighbors(v), want)
 					}
 				}
-			case 5:
-				gen := g.Generation()
-				sib = g.Restrict(func(ident.NodeID) bool { return true })
-				sibRef = ref.clone()
-				if g.Generation() != gen || sib.Generation() != 0 {
-					t.Fatalf("identity restrict: generations %d→%d, sibling %d", gen, g.Generation(), sib.Generation())
-				}
 			}
+			g := FromRef(ref)
 			checkSame(t, g, ref)
-			if sib != nil {
-				checkSame(t, sib, sibRef)
+			checkSame(t, g.Restrict(all), ref)
+			child := ApplyDelta(g, nil)
+			if slices.Equal(prev.Nodes(), g.Nodes()) {
+				var upd []NodeAdj
+				for _, v := range []ident.NodeID{a, b} {
+					if ref.HasNode(v) && (len(upd) == 0 || upd[0].Node != v) {
+						upd = append(upd, NodeAdj{Node: v, Adj: ref.Neighbors(v)})
+					}
+				}
+				child = ApplyDelta(prev, upd)
 			}
+			checkSame(t, child, ref)
+			checkSame(t, prev, prevRef)
+			prev, prevRef = g, ref.clone()
 		}
 	})
 }
@@ -153,25 +143,13 @@ func FuzzCSRFromRows(f *testing.F) {
 		// The shared-index rebuild from g's own rows must agree too.
 		roster := g.Nodes()
 		g2 := FromRows(g, slices.Clone(g.nodes), rowsOf(g))
-		if !g2.sharedIdx || !g.sharedIdx {
+		if g2.idx != g.idx {
 			t.Fatal("rebuild over an equal roster did not share the index")
 		}
 		checkSame(t, g2, ref)
 		if !slices.Equal(roster, g2.Nodes()) {
 			t.Fatal("shared-index rebuild changed the roster")
 		}
-		// Mutating the shared-roster graph must not corrupt the original.
-		before := g.NumNodes()
-		g2.AddNode(200)
-		g2.RemoveNode(1)
-		if g.NumNodes() != before || g.HasNode(200) {
-			t.Fatal("mutation leaked across the shared roster")
-		}
-		checkSame(t, g, ref)
-		ref2 := ref.clone()
-		ref2.AddNode(200)
-		ref2.RemoveNode(1)
-		checkSame(t, g2, ref2) // unpacked by the mutations
 		// A lineage of recycled rebuilds from g: each step retires its
 		// predecessor and rewrites that one's storage, over another edge set
 		// and, every other step, another roster order. Step 2 adds a clique,

@@ -18,29 +18,29 @@ func ids(n int) []ident.NodeID {
 
 // Line returns the path graph 1-2-...-n.
 func Line(n int) *G {
-	g := New()
+	r := NewRef()
 	v := ids(n)
 	for _, x := range v {
-		g.AddNode(x)
+		r.AddNode(x)
 	}
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(v[i], v[i+1])
+		r.AddEdge(v[i], v[i+1])
 	}
-	return g
+	return FromRef(r)
 }
 
 // Ring returns the cycle graph on n nodes.
 func Ring(n int) *G {
-	g := Line(n)
+	r := RefOf(Line(n))
 	if n > 2 {
-		g.AddEdge(ident.NodeID(1), ident.NodeID(n))
+		r.AddEdge(ident.NodeID(1), ident.NodeID(n))
 	}
-	return g
+	return FromRef(r)
 }
 
 // Grid returns the rows×cols king-free (4-neighbor) grid.
 func Grid(rows, cols int) *G {
-	g := New()
+	g := NewRef()
 	at := func(r, c int) ident.NodeID { return ident.NodeID(r*cols + c + 1) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -53,12 +53,12 @@ func Grid(rows, cols int) *G {
 			}
 		}
 	}
-	return g
+	return FromRef(g)
 }
 
 // Star returns the star with center 1 and n-1 leaves.
 func Star(n int) *G {
-	g := New()
+	g := NewRef()
 	v := ids(n)
 	for _, x := range v {
 		g.AddNode(x)
@@ -66,12 +66,12 @@ func Star(n int) *G {
 	for i := 1; i < n; i++ {
 		g.AddEdge(v[0], v[i])
 	}
-	return g
+	return FromRef(g)
 }
 
 // Complete returns K_n.
 func Complete(n int) *G {
-	g := New()
+	g := NewRef()
 	v := ids(n)
 	for i := range v {
 		g.AddNode(v[i])
@@ -79,7 +79,7 @@ func Complete(n int) *G {
 			g.AddEdge(v[i], v[j])
 		}
 	}
-	return g
+	return FromRef(g)
 }
 
 // RandomGeometric places n nodes uniformly in the side×side square and
@@ -90,7 +90,7 @@ func RandomGeometric(n int, side, r float64, rng *rand.Rand) *G {
 	for i := range pts {
 		pts[i] = pt{rng.Float64() * side, rng.Float64() * side}
 	}
-	g := New()
+	g := NewRef()
 	v := ids(n)
 	for i := range v {
 		g.AddNode(v[i])
@@ -101,7 +101,7 @@ func RandomGeometric(n int, side, r float64, rng *rand.Rand) *G {
 			}
 		}
 	}
-	return g
+	return FromRef(g)
 }
 
 // ConnectedRandomGeometric retries RandomGeometric until connected (or
@@ -123,7 +123,7 @@ func ConnectedRandomGeometric(n int, side, r float64, rng *rand.Rand, maxTries i
 // is true the last clique also connects back to the first — the paper's
 // "loop of groups willing to merge" gadget.
 func Clusters(k, sz, bridgeLen int, ring bool) *G {
-	g := New()
+	g := NewRef()
 	next := ident.NodeID(1)
 	alloc := func() ident.NodeID { v := next; next++; g.AddNode(v); return v }
 	firsts := make([]ident.NodeID, k)
@@ -153,5 +153,5 @@ func Clusters(k, sz, bridgeLen int, ring bool) *G {
 	if ring && k > 2 {
 		bridge(lasts[k-1], firsts[0])
 	}
-	return g
+	return FromRef(g)
 }

@@ -2,18 +2,18 @@
 // that the vicinity index rebuilds or patches every tick and the engine,
 // tracker and shard boundary read by node ID (NeighborsView) or by slot
 // (NeighborsAt); the specification's graph (Ref), where the induced
-// distances d_X(u,v) behind ΠS, ΠM and ΠT are computed; and generators
-// for the topologies used by the experiments.
+// distances d_X(u,v) behind ΠS, ΠM and ΠT are computed and the one graph
+// that is edited; and generators for the topologies used by the
+// experiments.
 //
-// Storage is CSR: a node index (a paged ident.Table, so a lookup is two
-// loads) plus one ascending neighbor row per
-// node, in one of two forms read through row(i). A bulk-built graph
-// (FromRows — the spatial index's per-tick rebuild — Clone, a partial
-// Restrict) is packed: n+1 offsets over one arena, no per-row
-// header. The first in-place mutation (AddEdge/RemoveEdge, the
-// experiments' link cuts) unpacks it into one slice header per row, still
-// aliasing the arena, and edits those in place, a row that must grow
-// taking a private copy; an ApplyDelta child is unpacked from birth, its
+// A G is a value: FromRows, ApplyDelta, Restrict and FromRef build one,
+// and nothing edits it afterwards, so a topology change is a new graph
+// and graph identity is the pointer. Storage is CSR: a node index (a
+// paged ident.Table, so a lookup is two loads) plus one ascending neighbor
+// row per node, in one of two forms read through row(i). A bulk-built
+// graph (FromRows — the spatial index's per-tick rebuild — FromRef, a
+// partial Restrict) is packed: n+1 offsets over one arena, no per-row
+// header. An ApplyDelta child is unpacked: one slice header per row, its
 // untouched rows aliasing its parent's storage. Either way neighbor
 // iteration is a slice scan in ascending order, and observers diff
 // neighborhoods with a flat slice compare (NeighborsView).
@@ -36,20 +36,17 @@ type G struct {
 	// Slot → neighbors, ascending; read through row(i). Packed (off != nil,
 	// adj == nil): row i is arena[off[i]:off[i+1]], written only by the
 	// FromRows that builds it, which may have taken the storage over from a
-	// retired graph. Unpacked (off == nil): row i is adj[i]; unshareAdj is
-	// the only way from the first form to the second.
+	// retired graph. Unpacked (off == nil, an ApplyDelta child): row i is
+	// adj[i]. The node index and roster are shared between graphs built
+	// over the same roster (FromRows, ApplyDelta, identity Restrict): no
+	// graph writes them after it is built.
 	off   []uint32
 	arena []ident.NodeID
 	adj   [][]ident.NodeID
 
-	// sharedIdx marks idx/nodes as shared with another graph built over
-	// the same roster (FromRows, ApplyDelta, identity Restrict); any node
-	// mutation first takes a private copy.
-	sharedIdx bool
-
-	// cowAdj marks the adjacency rows (ApplyDelta) or the whole adjacency
-	// storage (identity Restrict) as shared with another graph; any
-	// mutation first privatizes them (unshareAdj in delta.go).
+	// cowAdj marks the adjacency storage as read by another graph — an
+	// ApplyDelta child aliases its packed parent's arena, an identity
+	// Restrict sibling all of it — so that no FromRows successor takes it.
 	cowAdj bool
 
 	// retired is Retire's promise; hdrShared marks the header adj itself as
@@ -59,11 +56,7 @@ type G struct {
 	retired, hdrShared bool
 
 	edges int
-	gen   uint64
 }
-
-// New returns an empty graph.
-func New() *G { return &G{} }
 
 // FromRows bulk-builds a packed graph from one finished row per node: the
 // full-rebuild sibling of ApplyDelta, fed by the same vicinity scan. rows
@@ -73,10 +66,9 @@ func New() *G { return &G{} }
 // link predicate's to guarantee, and is not re-checked. The rows are
 // copied, not adopted. When prev was built over exactly this node
 // sequence (a mobile world's rebuild with unchanged membership), the
-// result shares its node index copy-on-write instead of rebuilding it:
-// either graph takes a private copy before a later node mutation. Over
-// another node sequence the index starts as a copy of prev's, whose pages
-// already have about the right sizes.
+// result shares its node index and roster instead of rebuilding them.
+// Over another node sequence the index starts as a copy of prev's, whose
+// pages already have about the right sizes.
 //
 // When prev was retired (Retire), is packed and shares its storage with
 // nobody — no identity-Restrict sibling, no ApplyDelta child (cowAdj
@@ -92,7 +84,6 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 		prev.off, prev.arena = nil, nil // handed on: prev is without rows from here
 	}
 	if prev != nil && slices.Equal(prev.nodes, nodes) {
-		prev.sharedIdx, g.sharedIdx = true, true
 		g.idx, g.nodes = prev.idx, prev.nodes
 	} else {
 		g.idx, g.nodes = new(ident.Table[int32]), make([]ident.NodeID, 0, len(nodes))
@@ -167,148 +158,6 @@ func (g *G) row(i int32) []ident.NodeID {
 	return g.adj[i]
 }
 
-// ensure returns v's slot, creating it if needed (no generation bump —
-// callers bump once per mutating API call).
-func (g *G) ensure(v ident.NodeID) int32 {
-	if i, ok := g.idx.Get(v); ok {
-		return i
-	}
-	g.unshareIdx()
-	g.unshareAdj()
-	if g.idx == nil {
-		g.idx = new(ident.Table[int32])
-	}
-	i := int32(len(g.nodes))
-	g.idx.Set(v, i)
-	g.nodes = append(g.nodes, v)
-	g.adj = append(g.adj, nil)
-	return i
-}
-
-// unshareIdx takes a private copy of a roster shared via FromRows,
-// ApplyDelta or Restrict before the first node mutation.
-func (g *G) unshareIdx() {
-	if !g.sharedIdx {
-		return
-	}
-	g.idx = g.idx.Clone()
-	g.nodes = slices.Clone(g.nodes)
-	g.sharedIdx = false
-}
-
-// Clone returns a deep copy of the graph, packed.
-func (g *G) Clone() *G {
-	g.mustHaveRows("Clone")
-	out := &G{
-		idx:   g.idx.Clone(),
-		nodes: slices.Clone(g.nodes),
-		off:   make([]uint32, len(g.nodes)+1),
-		arena: make([]ident.NodeID, 0, 2*g.edges),
-		edges: g.edges,
-	}
-	for i := range g.nodes {
-		out.arena = append(out.arena, g.row(int32(i))...)
-		out.off[i+1] = uint32(len(out.arena))
-	}
-	return out
-}
-
-// Generation returns a counter that increases on every mutation of the
-// graph. Consumers that cache derived structures (e.g. the snapshot
-// builder) key their caches on (pointer, generation) to detect in-place
-// mutations such as the experiments' link cuts. Every mutating call
-// (AddNode, RemoveNode, AddEdge, RemoveEdge) bumps it at least once,
-// whether or not it changed the edge set; read-only calls never do.
-func (g *G) Generation() uint64 { return g.gen }
-
-// AddNode ensures v exists (possibly isolated).
-func (g *G) AddNode(v ident.NodeID) {
-	g.gen++
-	g.ensure(v)
-}
-
-// RemoveNode deletes v and all its incident edges.
-func (g *G) RemoveNode(v ident.NodeID) {
-	g.gen++
-	i, ok := g.idx.Get(v)
-	if !ok {
-		return
-	}
-	g.unshareIdx()
-	g.unshareAdj()
-	for _, u := range g.adj[i] {
-		g.dropHalf(g.IndexOf(u), v)
-		g.edges--
-	}
-	last := int32(len(g.nodes) - 1)
-	if i != last {
-		moved := g.nodes[last]
-		g.nodes[i] = moved
-		g.adj[i] = g.adj[last]
-		g.idx.Set(moved, i)
-	}
-	g.nodes = g.nodes[:last]
-	g.adj[last] = nil
-	g.adj = g.adj[:last]
-	g.idx.Delete(v)
-}
-
-// dropHalf removes v from slot i's adjacency (which must contain it).
-func (g *G) dropHalf(i int32, v ident.NodeID) {
-	s := g.adj[i]
-	k, _ := slices.BinarySearch(s, v)
-	copy(s[k:], s[k+1:])
-	g.adj[i] = s[:len(s)-1]
-}
-
-// AddEdge inserts the undirected edge (u,v), creating the nodes if needed.
-// Self-loops are ignored.
-func (g *G) AddEdge(u, v ident.NodeID) {
-	if u == v {
-		return
-	}
-	g.gen++
-	g.unshareAdj()
-	iu := g.ensure(u)
-	iv := g.ensure(v)
-	if !insertSorted(&g.adj[iu], v) {
-		return
-	}
-	insertSorted(&g.adj[iv], u)
-	g.edges++
-}
-
-// insertSorted inserts v into the ascending slice at *s, reporting
-// whether it was absent.
-func insertSorted(s *[]ident.NodeID, v ident.NodeID) bool {
-	k, found := slices.BinarySearch(*s, v)
-	if found {
-		return false
-	}
-	*s = slices.Insert(*s, k, v)
-	return true
-}
-
-// RemoveEdge deletes the undirected edge (u,v) if present.
-func (g *G) RemoveEdge(u, v ident.NodeID) {
-	g.gen++
-	iu, ok := g.idx.Get(u)
-	if !ok {
-		return
-	}
-	iv, ok := g.idx.Get(v)
-	if !ok {
-		return
-	}
-	if _, found := slices.BinarySearch(g.row(iu), v); !found {
-		return
-	}
-	g.unshareAdj()
-	g.dropHalf(iu, v)
-	g.dropHalf(iv, u)
-	g.edges--
-}
-
 // HasNode reports whether v is in the graph.
 func (g *G) HasNode(v ident.NodeID) bool { return g.idx.Has(v) }
 
@@ -344,10 +193,9 @@ func (g *G) NumNodes() int { return len(g.nodes) }
 func (g *G) NumEdges() int { return g.edges }
 
 // IndexOf returns v's dense internal index, in [0, NumNodes), or -1 when
-// v is not in the graph. Indices are stable for the lifetime of one graph
-// value (node removal recycles them, and a rebuilt graph renumbers), so
-// callers may use them for graph-lifetime scratch arrays but must not
-// carry them across a Generation change or to another graph.
+// v is not in the graph. Indices are fixed for the lifetime of one graph
+// value (a rebuilt graph may renumber), so callers may use them for
+// graph-lifetime scratch arrays but must not carry them to another graph.
 func (g *G) IndexOf(v ident.NodeID) int32 {
 	if i := g.idx.Ref(v); i != nil {
 		return *i
@@ -370,9 +218,9 @@ func (g *G) Neighbors(v ident.NodeID) []ident.NodeID {
 }
 
 // NeighborsView returns v's neighbors in ascending order as a view of the
-// graph's internal storage: zero-copy, read-only, valid until the next
-// mutation of the graph. This is the flat-compare path incremental
-// observers diff neighborhoods with.
+// graph's internal storage: zero-copy, read-only, valid as long as the
+// graph keeps its rows (see Retire). This is the flat-compare path
+// incremental observers diff neighborhoods with.
 func (g *G) NeighborsView(v ident.NodeID) []ident.NodeID {
 	i, ok := g.idx.Get(v)
 	if !ok {
@@ -425,14 +273,13 @@ func (g *G) String() string {
 
 // Restrict returns the subgraph induced by the nodes keep accepts (keep is
 // called once per node). When it accepts every node the result is a
-// copy-on-write sibling at the cost of one G: it shares g's node index,
-// roster and adjacency storage in whichever form g has it, and either
-// graph privatizes what it is about to write (unshareIdx, unshareAdj)
-// before any later mutation. Like ApplyDelta(prev, …) this sets flags on
-// its receiver (one makes the next ApplyDelta copy g's header even if g is
-// retired), so Restrict must be called from a sequential phase, never
-// beside concurrent readers of g. Otherwise the result is a deep copy in
-// one pass, packed.
+// sibling at the cost of one G: it shares g's node index, roster and
+// adjacency storage in whichever form g has it, and keeps reading them
+// after g is retired, since the flags set here stop g's successor from
+// taking them (cowAdj, hdrShared). Like ApplyDelta(prev, …) this writes
+// flags on its receiver, so Restrict must be called from a sequential
+// phase, never beside concurrent readers of g. Otherwise the result is a
+// copy in one pass, packed.
 func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 	g.mustHaveRows("Restrict")
 	cut := 0 // first rejected slot
@@ -440,9 +287,9 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 		cut++
 	}
 	if cut == len(g.nodes) {
-		g.sharedIdx, g.cowAdj, g.hdrShared = true, true, true
+		g.cowAdj, g.hdrShared = true, true
 		return &G{idx: g.idx, nodes: g.nodes, off: g.off, arena: g.arena, adj: g.adj,
-			sharedIdx: true, cowAdj: true, hdrShared: true, edges: g.edges}
+			cowAdj: true, hdrShared: true, edges: g.edges}
 	}
 	out := &G{idx: g.idx.Clone()}
 	slots := make([]int32, 0, len(g.nodes)-1) // out slot → g slot

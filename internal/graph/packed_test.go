@@ -10,9 +10,8 @@ import (
 )
 
 // Tests of the packed storage form (offsets + arena): construction
-// against the map reference, copy-on-write between a packed graph, its
-// identity-Restrict sibling and its ApplyDelta child, and row identity
-// down a delta chain.
+// against the map reference, the hand-off of storage from a retired
+// graph, and row identity down a delta chain.
 
 // randomRows draws a random roster (sparse IDs, shuffled slot order, some
 // nodes isolated) with a symmetric random edge set, and returns it as
@@ -54,8 +53,8 @@ func TestFromRowsMatchesReference(t *testing.T) {
 			prev = FromRows(nil, nodes, rows)
 		}
 		g := FromRows(prev, nodes, rows)
-		if shared := round%3 == 2; g.sharedIdx != shared {
-			t.Fatalf("round %d: sharedIdx = %v, want %v", round, g.sharedIdx, shared)
+		if shared := round%3 == 2; (prev != nil && g.idx == prev.idx) != shared {
+			t.Fatalf("round %d: index shared %v, want %v", round, !shared, shared)
 		}
 		checkSame(t, g, ref)
 		if g.off == nil || g.adj != nil {
@@ -74,7 +73,7 @@ func TestFromRowsMatchesReference(t *testing.T) {
 		}
 		prev = g
 	}
-	if g := FromRows(nil, nil, nil); g.NumNodes() != 0 || !g.Equal(New()) {
+	if g := FromRows(nil, nil, nil); g.NumNodes() != 0 || !g.Equal(&G{}) {
 		t.Fatalf("empty roster built %v", g)
 	}
 }
@@ -170,9 +169,7 @@ func TestFromRowsHandOff(t *testing.T) {
 			"NeighborsAt":   func() { prev.NeighborsAt(0) },
 			"NeighborsView": func() { prev.NeighborsView(3) },
 			"HasEdge":       func() { prev.HasEdge(3, 4) },
-			"AddEdge":       func() { prev.AddEdge(3, 7) },
 			"!Restrict":     func() { prev.Restrict(all) },
-			"!Clone":        func() { prev.Clone() },
 			"!Equal":        func() { g.Equal(prev) },
 			"!ApplyDelta":   func() { ApplyDelta(prev, nil) },
 		} {
@@ -188,54 +185,6 @@ func TestFromRowsHandOff(t *testing.T) {
 				}()
 				read()
 			}()
-		}
-	}
-}
-
-// TestPackedCopyOnWrite mutates a packed graph, its identity-Restrict
-// sibling and its ApplyDelta child in every order, and after every
-// mutation requires the other two — and a second-generation child — to be
-// what they were.
-func TestPackedCopyOnWrite(t *testing.T) {
-	all := func(ident.NodeID) bool { return true }
-	mutate := func(g *G) {
-		g.RemoveEdge(1, 2) // a row all three share
-		g.AddEdge(2, 7)    // grows two rows
-		g.AddNode(50)
-		g.RemoveNode(4) // swap-deletes a slot
-	}
-	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-		w := newDeltaWorld(8)
-		for _, e := range [][2]ident.NodeID{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 6}, {7, 8}} {
-			w.set(e[0], e[1], true)
-		}
-		base := w.build()
-		if base.off == nil {
-			t.Fatal("FromRows result is not packed")
-		}
-		sib := base.Restrict(all)
-		w.set(5, 6, false)
-		w.set(5, 8, true)
-		child := ApplyDelta(base, w.updatesFor([]ident.NodeID{5}))
-		graphs := [3]*G{base, sib, child}
-		var want [3]*G
-		for i, g := range graphs {
-			want[i] = g.Clone()
-		}
-		for _, k := range order {
-			mutate(graphs[k])
-			want[k] = graphs[k].Clone()
-			for i, g := range graphs {
-				if !g.Equal(want[i]) || !slices.Equal(g.Nodes(), want[i].Nodes()) {
-					t.Fatalf("order %v: mutating graph %d changed graph %d: %v, want %v", order, k, i, g, want[i])
-				}
-			}
-		}
-		// Each graph, mutated and unpacked by now, is still a sound base.
-		for i, g := range graphs {
-			if !g.Restrict(all).Equal(want[i]) || !ApplyDelta(g, nil).Equal(want[i]) {
-				t.Fatalf("order %v: graph %d no longer shares soundly", order, i)
-			}
 		}
 	}
 }
@@ -310,9 +259,7 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 			"Neighbors":     func() { c1.Neighbors(3) },
 			"HasEdge":       func() { c1.HasEdge(3, 4) },
 			"Connected":     func() { c1.Connected() },
-			"AddEdge":       func() { c1.AddEdge(3, 7) },
 			"!Restrict":     func() { c1.Restrict(all) },
-			"!Clone":        func() { c1.Clone() },
 			"!Equal":        func() { c2.Equal(c1) },
 			"!RefOf":        func() { RefOf(c1) },
 			"!ApplyDelta":   func() { ApplyDelta(c1, nil) },
@@ -330,28 +277,22 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 				read()
 			}()
 		}
-		// The child that took the header still privatizes before writing:
-		// rows it shares with older graphs are not edited in place.
-		c2.RemoveEdge(4, 5)
-		if !base.HasEdge(4, 5) || c2.HasEdge(4, 5) {
-			t.Fatal("an in-place edit of the child leaked into the packed base")
-		}
 	}
 }
 
 // TestReadersAgreeAcrossForms reads one graph through every accessor in
-// both storage forms — the generator's rows under their own headers and
-// the packed copy of them — and against the map reference: row(i) is the
-// only place that knows the difference.
+// both storage forms — packed, and an ApplyDelta child's rows under their
+// own header — and against the map reference: row(i) is the only place
+// that knows the difference.
 func TestReadersAgreeAcrossForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	unpacked := RandomGeometric(40, 12, 3, rng)
-	unpacked.AddNode(77) // isolated
-	packed := unpacked.Clone()
+	ref := RefOf(RandomGeometric(40, 12, 3, rng))
+	ref.AddNode(77) // isolated
+	packed := FromRef(ref)
+	unpacked := ApplyDelta(packed, nil)
 	if unpacked.off != nil || packed.off == nil {
 		t.Fatal("expected one graph of each form")
 	}
-	ref := RefOf(unpacked)
 	if ref.NumNodes() != packed.NumNodes() || !packed.Equal(unpacked) || !unpacked.Equal(packed) {
 		t.Fatalf("packed %v, unpacked %v, reference n=%d", packed, unpacked, ref.NumNodes())
 	}

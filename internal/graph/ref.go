@@ -11,12 +11,13 @@ import (
 const Infinity = int(^uint(0) >> 1)
 
 // Ref is the specification's graph: a map of neighbor sets, the shape the
-// predicates ΠS, ΠM and ΠT are written against, and the one place their
-// induced distances (BFSFrom, InducedDiameter) are computed. The metrics
-// predicates and the experiments read it through RefOf; the fuzz and
-// conformance suites replay identical mutation sequences against a G and
-// a Ref and compare them (SameAs). No product binary reaches it: the
-// engine's topology is G.
+// predicates ΠS, ΠM and ΠT are written against. It is also the one graph
+// that is edited: the generators, the experiments' gadgets and
+// engine.StaticTopology.Edit build or change a Ref and pack it (FromRef).
+// Its induced distances (BFSFrom, InducedDiameter) serve only the metrics
+// predicates and the experiments, which read a G through RefOf; the fuzz
+// and conformance suites compare a G against a Ref (SameAs). The engine's
+// topology is G.
 type Ref struct {
 	adj map[ident.NodeID]map[ident.NodeID]bool
 }
@@ -39,6 +40,16 @@ func RefOf(g *G) *Ref {
 		}
 	}
 	return r
+}
+
+// FromRef packs r into a G, slots in ascending node order.
+func FromRef(r *Ref) *G {
+	nodes := r.Nodes()
+	rows := make([]NodeAdj, len(nodes))
+	for i, v := range nodes {
+		rows[i] = NodeAdj{Node: v, Adj: r.Neighbors(v)}
+	}
+	return FromRows(nil, nodes, rows)
 }
 
 // AddNode ensures v exists.

@@ -25,6 +25,13 @@ func snapLine(n int, parts ...[]uint32) Snapshot {
 	return Snapshot{G: graph.Line(n), Views: views(parts...)}
 }
 
+// edit replaces s's graph by f's edit of a copy of it.
+func edit(s *Snapshot, f func(*graph.Ref)) {
+	r := graph.RefOf(s.G)
+	f(r)
+	s.G = graph.FromRef(r)
+}
+
 func TestOmegaAgreedGroup(t *testing.T) {
 	s := snapLine(4, []uint32{1, 2}, []uint32{3, 4})
 	om := s.Omega(1)
@@ -99,7 +106,7 @@ func TestSafetyRate(t *testing.T) {
 	if got := s.SafetyRate(2); got != 0.5 {
 		t.Fatalf("rate = %v, want 0.5 (only the pair fits Dmax=2)", got)
 	}
-	if (Snapshot{G: graph.New()}).SafetyRate(2) != 1 {
+	if (Snapshot{G: &graph.G{}}).SafetyRate(2) != 1 {
 		t.Fatal("empty snapshot must have rate 1")
 	}
 	// The boolean conjunction and the rate must agree at the extremes.
@@ -142,20 +149,20 @@ func TestTopological(t *testing.T) {
 	}
 	// Cut the 2-3 edge: group {1,2,3} gets stretched to ∞.
 	next := snapLine(3, []uint32{1, 2, 3})
-	next.G.RemoveEdge(2, 3)
+	edit(&next, func(r *graph.Ref) { r.RemoveEdge(2, 3) })
 	if Topological(prev, next, 2) {
 		t.Fatal("cut edge must falsify ΠT")
 	}
 	// A node leaving falsifies ΠT too.
 	gone := snapLine(3, []uint32{1, 2, 3})
-	gone.G.RemoveNode(3)
+	edit(&gone, func(r *graph.Ref) { r.RemoveNode(3) })
 	if Topological(prev, gone, 2) {
 		t.Fatal("departed member must falsify ΠT")
 	}
 	// Singletons are never stretched.
 	sing := snapLine(3, []uint32{1}, []uint32{2}, []uint32{3})
 	cut := snapLine(3, []uint32{1}, []uint32{2}, []uint32{3})
-	cut.G.RemoveEdge(1, 2)
+	edit(&cut, func(r *graph.Ref) { r.RemoveEdge(1, 2) })
 	if !Topological(sing, cut, 2) {
 		t.Fatal("singleton groups cannot violate ΠT")
 	}
@@ -178,7 +185,7 @@ func TestContinuity(t *testing.T) {
 	// still claiming it collapses to a singleton Ω — a raw ΠC violation,
 	// excused because ΠT is false.
 	gone := snapLine(4, []uint32{1, 2}, []uint32{3, 4})
-	gone.G.RemoveNode(4)
+	edit(&gone, func(r *graph.Ref) { r.RemoveNode(4) })
 	delete(gone.Views, 4)
 	if Continuity(prev, gone) {
 		t.Fatal("losing a departed member still violates raw ΠC (excused by ΠT)")
@@ -216,7 +223,7 @@ func TestTrackerExcusedAndUnexcused(t *testing.T) {
 	tr2 := NewTracker()
 	tr2.Observe(a, 2)
 	c := snapLine(3, []uint32{1, 2}, []uint32{3})
-	c.G.RemoveEdge(2, 3)
+	edit(&c, func(r *graph.Ref) { r.RemoveEdge(2, 3) })
 	tr2.Observe(c, 2)
 	if tr2.ContinuityViolations != 1 || tr2.ExcusedViolations != 1 || tr2.UnexcusedViolations != 0 {
 		t.Fatalf("tracker2 = %+v", tr2)
@@ -271,14 +278,14 @@ func TestTopologicalRelaysRestrictedToGroup(t *testing.T) {
 	// relays, so the group is stretched to ∞.
 	prev := snapLine(3, []uint32{1, 2, 3})
 	next := snapLine(3, []uint32{1, 2, 3})
-	next.G.RemoveEdge(2, 3)
-	next.G.AddEdge(2, 4)
-	next.G.AddEdge(4, 3)
+	edit(&next, func(r *graph.Ref) { r.RemoveEdge(2, 3) })
+	edit(&next, func(r *graph.Ref) { r.AddEdge(2, 4) })
+	edit(&next, func(r *graph.Ref) { r.AddEdge(4, 3) })
 	if Topological(prev, next, 3) {
 		t.Fatal("detour through a non-member must not satisfy ΠT")
 	}
 	// With the direct edge restored the group fits again.
-	next.G.AddEdge(2, 3)
+	edit(&next, func(r *graph.Ref) { r.AddEdge(2, 3) })
 	if !Topological(prev, next, 2) {
 		t.Fatal("restored edge must satisfy ΠT")
 	}
@@ -288,12 +295,12 @@ func TestTopologicalDedupsByGroup(t *testing.T) {
 	// Two groups sharing the dmax budget: only {3,4} is stretched.
 	prev := snapLine(4, []uint32{1, 2}, []uint32{3, 4})
 	next := snapLine(4, []uint32{1, 2}, []uint32{3, 4})
-	next.G.RemoveEdge(3, 4)
+	edit(&next, func(r *graph.Ref) { r.RemoveEdge(3, 4) })
 	if Topological(prev, next, 1) {
 		t.Fatal("cut inside {3,4} must falsify ΠT")
 	}
 	next2 := snapLine(4, []uint32{1, 2}, []uint32{3, 4})
-	next2.G.RemoveEdge(2, 3) // only the inter-group bridge moved
+	edit(&next2, func(r *graph.Ref) { r.RemoveEdge(2, 3) }) // only the inter-group bridge moved
 	if !Topological(prev, next2, 1) {
 		t.Fatal("bridge cut between groups must not falsify ΠT")
 	}
@@ -317,7 +324,7 @@ func TestContinuityViolationsIdentifiesNodes(t *testing.T) {
 	// A departed node is not a violator itself, but survivors that lose
 	// it are.
 	gone := snapLine(3, []uint32{1, 2}, []uint32{3})
-	gone.G.RemoveNode(3)
+	edit(&gone, func(r *graph.Ref) { r.RemoveNode(3) })
 	delete(gone.Views, 3)
 	viol = ContinuityViolations(snapLine(3, []uint32{1, 2}, []uint32{3}), gone)
 	if len(viol) != 0 {

@@ -40,7 +40,10 @@ func NewTracker() *Tracker {
 }
 
 // Observe feeds the next snapshot, updating every statistic against the
-// previously observed one. dmax parameterizes ΠT.
+// previously observed one. dmax parameterizes ΠT. The tracker holds s.G
+// as it is until the next call (no one edits a graph in place), so s.G
+// must keep its rows that long: SnapshotOf's graph does, while a
+// SpatialTopology's own Graph() gives them to its successor on Advance.
 func (t *Tracker) Observe(s Snapshot, dmax int) {
 	cur := make(map[string]bool)
 	groups := s.Groups()
@@ -89,7 +92,6 @@ func (t *Tracker) Observe(s Snapshot, dmax int) {
 
 	cp := s
 	cp.Views = cloneViews(s.Views)
-	cp.G = s.G.Clone()
 	t.prev = &cp
 	t.hasPrev = true
 }

@@ -65,7 +65,9 @@ func (src *scriptSource) remove(v ident.NodeID) {
 	src.viewers[s] = nil
 	src.order = slices.DeleteFunc(src.order, func(u ident.NodeID) bool { return u == v })
 	src.removed = append(src.removed, engine.RemovedNode{ID: v, Slot: s})
-	src.g.RemoveNode(v)
+	r := graph.RefOf(src.g)
+	r.RemoveNode(v)
+	src.g = graph.FromRef(r)
 }
 
 // snapshot is the oracle's view of the current configuration.
@@ -122,11 +124,11 @@ func (src *scriptSource) DrainDirty(fn func([shard.N][]int32, []ident.NodeID, []
 // stale verdict and reports ΠM where the oracle denies it.
 func TestFreshRecordUnderCachedPair(t *testing.T) {
 	const dmax = 1
-	g := graph.New()
+	r := graph.NewRef()
 	for _, e := range [][2]ident.NodeID{{1, 2}, {1, 4}, {1, 5}, {4, 5}} {
-		g.AddEdge(e[0], e[1])
+		r.AddEdge(e[0], e[1])
 	}
-	src := newScriptSource(dmax, g)
+	src := newScriptSource(dmax, graph.FromRef(r))
 	tr := NewGroupTrackerSource(src)
 	observe := func(tag string, wantM bool) {
 		t.Helper()

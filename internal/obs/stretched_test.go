@@ -22,11 +22,11 @@ import (
 func TestStretchedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	graphs := []*graph.G{
-		graph.Clusters(4, 5, 1, false),
-		graph.RandomGeometric(60, 9, 1.8, rng).Clone(),
-		graph.Clusters(10, 8, 1, true),
-		graph.RandomGeometric(200, 16, 1.8, rng),
-		graph.RandomGeometric(400, 22, 1.8, rng).Clone(),
+		graph.ApplyDelta(graph.Clusters(4, 5, 1, false), nil),
+		graph.RandomGeometric(60, 9, 1.8, rng),
+		graph.ApplyDelta(graph.Clusters(10, 8, 1, true), nil),
+		graph.ApplyDelta(graph.RandomGeometric(200, 16, 1.8, rng), nil),
+		graph.RandomGeometric(400, 22, 1.8, rng),
 	}
 	w := newWorkerScratch()
 	large := 0

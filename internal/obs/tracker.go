@@ -183,10 +183,11 @@ type GroupTracker struct {
 	memberSum    int // Σ|members| over records (= live node count at rest)
 	stretchedCnt int // records with induced diameter > dmax (ΠS ⇔ 0)
 
-	// Graph cache key (pointer for identity only) and topology-derived stats.
-	prevG   *graph.G
-	prevGen uint64
-	edges   int
+	// Graph cache key and topology-derived stats. A graph is never edited
+	// in place, so the pointer is its identity: holding prevG keeps that
+	// graph alive, and the GC cannot hand its address to a new one.
+	prevG *graph.G
+	edges int
 
 	// ΠM / nee state: the arenas scanPairs cuts its reports and each
 	// owner's verdicts from (last scan's in verdArena).
@@ -356,7 +357,7 @@ func (t *GroupTracker) Observe() RoundStats {
 	memberChurn := len(t.added) > 0 || len(t.removed) > 0
 
 	g := t.e.LiveGraph()
-	topoChanged := first || g != t.prevG || g.Generation() != t.prevGen
+	topoChanged := first || g != t.prevG
 	changedPartition := false
 	piTBroken := false
 
@@ -479,7 +480,7 @@ func (t *GroupTracker) Observe() RoundStats {
 			t.edges += t.shards[s].degSum
 		}
 		t.edges /= 2
-		t.prevG, t.prevGen = g, g.Generation()
+		t.prevG = g
 	}
 
 	// Phase 3: ΠT refresh — re-evaluate the *previous* partition's

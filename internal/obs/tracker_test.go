@@ -78,8 +78,8 @@ func checkAgainstOracle(t *testing.T, tag string, st RoundStats, tr *GroupTracke
 // a node removal (the restricted-graph and membership invalidations).
 func TestTrackerMatchesOracleStatic(t *testing.T) {
 	const dmax = 3
-	g := graph.Line(14)
-	e := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: 1}, g)
+	topo := &engine.StaticTopology{G: graph.Line(14)}
+	e := engine.New(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: 1}, topo)
 	tr := NewGroupTracker(e)
 
 	var prev metrics.Snapshot
@@ -88,10 +88,10 @@ func TestTrackerMatchesOracleStatic(t *testing.T) {
 		e.StepRound()
 		switch r {
 		case 25:
-			g.RemoveEdge(7, 8) // partition the line
+			topo.Edit(func(r *graph.Ref) { r.RemoveEdge(7, 8) }) // partition the line
 		case 40:
-			e.RemoveNode(3) // leave without topology cleanup: 3 stays in g
-			g.RemoveNode(3)
+			e.RemoveNode(3)
+			topo.Edit(func(r *graph.Ref) { r.RemoveNode(3) })
 		}
 		st := tr.Observe()
 		cur := metrics.SnapshotOf(e)
@@ -264,8 +264,8 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 // bracketing snapshots to the oracle.
 func TestTrackerSparseObservation(t *testing.T) {
 	const dmax = 3
-	g := graph.Ring(12)
-	e := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: 2}, g)
+	topo := &engine.StaticTopology{G: graph.Ring(12)}
+	e := engine.New(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: 2}, topo)
 	tr := NewGroupTracker(e)
 
 	var prev metrics.Snapshot
@@ -275,7 +275,7 @@ func TestTrackerSparseObservation(t *testing.T) {
 		e.StepRound()
 		e.StepRound() // three rounds per observation
 		if o == 6 {
-			g.RemoveEdge(1, 2)
+			topo.Edit(func(r *graph.Ref) { r.RemoveEdge(1, 2) })
 		}
 		st := tr.Observe()
 		cur := metrics.SnapshotOf(e)
@@ -338,11 +338,12 @@ func TestTrackerSteadyStateAllocations(t *testing.T) {
 // ΠM, nee and everything else must match the oracle throughout.
 func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 	const dmax = 1 // groups are cliques: {1,2,3} and {4,5,6}, joined by 2–4
-	g := graph.New()
+	ref := graph.NewRef()
 	for _, e := range [][2]ident.NodeID{{1, 2}, {1, 3}, {2, 3}, {2, 4}, {4, 5}, {4, 6}, {5, 6}} {
-		g.AddEdge(e[0], e[1])
+		ref.AddEdge(e[0], e[1])
 	}
-	e := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: 1}, g)
+	topo := &engine.StaticTopology{G: graph.FromRef(ref)}
+	e := engine.New(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: 1}, topo)
 	tr := NewGroupTracker(e)
 
 	var rec *group
@@ -355,14 +356,16 @@ func TestGroupRecordGenerationAcrossReuse(t *testing.T) {
 			if rec = groupOf(tr, 1); rec == nil || len(rec.members) != 3 || groupOf(tr, 4) == nil || len(groupOf(tr, 4).members) != 3 {
 				t.Fatalf("round %d: partition %v, want two triangles", r, tr.Groups())
 			}
-			g.RemoveEdge(1, 2)
-			g.RemoveEdge(1, 3)
-			g.RemoveEdge(2, 3)
+			topo.Edit(func(r *graph.Ref) {
+				r.RemoveEdge(1, 2)
+				r.RemoveEdge(1, 3)
+				r.RemoveEdge(2, 3)
+			})
 		case 60:
 			if rec.rep != ident.None || rec.members[0] != ident.None {
 				t.Fatalf("round %d: dissolved record reads %v %v, want it poisoned", r, rec.rep, rec.members)
 			}
-			g.AddEdge(1, 2)
+			topo.Edit(func(r *graph.Ref) { r.AddEdge(1, 2) })
 		}
 		if i := slices.Index(tr.free, rec); i >= 0 && r >= 60 {
 			// Any free record serves any newGroup: have this one served next.

@@ -289,9 +289,8 @@ func (w *World) CanReach(u, v ident.NodeID) bool {
 // the topology G_c the specification predicates are evaluated on. Nodes
 // present in the world always appear, even isolated. The result is
 // cached on the world generation: when nothing moved since the last
-// call, the same graph (same pointer, same mutation generation) is
-// returned, so downstream receiver caches stay hot. Callers must treat
-// the returned graph as read-only.
+// call, the same graph (same pointer) is returned, so downstream receiver
+// caches stay hot. Like every graph.G, the result is never edited.
 // Rebuilds go down one of two paths with identical results, both fed by
 // scanRows: when only a small fraction of nodes moved since the last
 // build (and the membership and radio configuration stayed put), the

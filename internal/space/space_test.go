@@ -142,19 +142,19 @@ func bruteCanReach(w *World, u, v ident.NodeID) bool {
 
 // bruteSymmetricGraph is the old all-pairs O(n²) build.
 func bruteSymmetricGraph(w *World) *graph.G {
-	g := graph.New()
+	r := graph.NewRef()
 	nodes := w.Nodes()
 	for _, v := range nodes {
-		g.AddNode(v)
+		r.AddNode(v)
 	}
 	for i, u := range nodes {
 		for _, v := range nodes[i+1:] {
 			if bruteCanReach(w, u, v) && bruteCanReach(w, v, u) {
-				g.AddEdge(u, v)
+				r.AddEdge(u, v)
 			}
 		}
 	}
-	return g
+	return graph.FromRef(r)
 }
 
 // bruteReceivers is the old roster-scan receiver set.

@@ -99,11 +99,10 @@ func MaxListLen(s *engine.Engine) int {
 // GentleDrift is a mobility scenario wrapper for the continuity
 // experiments: a platoon on a line whose spacing grows so slowly that the
 // diameter bound is preserved for preserveRounds rounds (ΠT holds), and
-// is violated afterwards. It is realized as a static graph mutated by
+// is violated afterwards. It is realized as a static topology edited by
 // Apply at the right tick, which gives exact control over when ΠT breaks.
 type GentleDrift struct {
 	N              int
-	Dmax           int
 	PreserveRounds int
 
 	applied bool
@@ -112,15 +111,15 @@ type GentleDrift struct {
 // Graph returns the initial topology: a line of N nodes.
 func (d *GentleDrift) Graph() *graph.G { return graph.Line(d.N) }
 
-// Apply mutates the topology at the given round: before PreserveRounds
+// Apply edits the topology at the given round: before PreserveRounds
 // nothing changes (ΠT holds trivially); at PreserveRounds the tail edge is
 // cut (stretching the tail beyond any bound — ΠT false). Returns true if
 // a change happened this round.
-func (d *GentleDrift) Apply(g *graph.G, round int) bool {
+func (d *GentleDrift) Apply(topo *engine.StaticTopology, round int) bool {
 	if d.applied || round < d.PreserveRounds {
 		return false
 	}
-	g.RemoveEdge(ident.NodeID(d.N-1), ident.NodeID(d.N))
+	topo.Edit(func(r *graph.Ref) { r.RemoveEdge(ident.NodeID(d.N-1), ident.NodeID(d.N)) })
 	d.applied = true
 	return true
 }
@@ -145,10 +144,10 @@ func MergeRing(k, groupSize int) *graph.G {
 // admissible but admitting both violates the diameter bound. The two
 // joiners are the highest IDs.
 func DoubleJoin(coreN, dmax int) (*graph.G, ident.NodeID, ident.NodeID) {
-	g := graph.Line(coreN)
+	r := graph.RefOf(graph.Line(coreN))
 	left := ident.NodeID(coreN + 1)
 	right := ident.NodeID(coreN + 2)
-	g.AddEdge(left, 1)
-	g.AddEdge(ident.NodeID(coreN), right)
-	return g, left, right
+	r.AddEdge(left, 1)
+	r.AddEdge(ident.NodeID(coreN), right)
+	return graph.FromRef(r), left, right
 }

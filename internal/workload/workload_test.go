@@ -58,23 +58,25 @@ func TestCorruptFractionZero(t *testing.T) {
 }
 
 func TestGentleDrift(t *testing.T) {
-	d := &GentleDrift{N: 5, Dmax: 4, PreserveRounds: 10}
+	d := &GentleDrift{N: 5, PreserveRounds: 10}
 	g := d.Graph()
 	if g.NumNodes() != 5 {
 		t.Fatal("graph wrong")
 	}
+	topo := &engine.StaticTopology{G: g}
 	for r := 0; r < 10; r++ {
-		if d.Apply(g, r) {
+		if d.Apply(topo, r) || topo.G != g {
 			t.Fatalf("change before PreserveRounds at %d", r)
 		}
 	}
-	if !d.Apply(g, 10) {
+	if !d.Apply(topo, 10) {
 		t.Fatal("no change at PreserveRounds")
 	}
-	if g.HasEdge(4, 5) {
-		t.Fatal("tail edge not cut")
+	if topo.G.HasEdge(4, 5) || !topo.G.HasEdge(3, 4) || !g.HasEdge(4, 5) {
+		t.Fatal("tail edge not cut, or cut in place")
 	}
-	if d.Apply(g, 11) {
+	cut := topo.G
+	if d.Apply(topo, 11) || topo.G != cut {
 		t.Fatal("change applied twice")
 	}
 }
