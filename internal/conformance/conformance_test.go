@@ -501,3 +501,48 @@ func TestFingerprintIsFoldOfFmtLines(t *testing.T) {
 		t.Fatalf("EngineFingerprint %016x, fold of the fmt lines %016x", got, want)
 	}
 }
+
+// TestSpatialDeterminismWallsAsymLoss extends the determinism contract to
+// asymmetric links, which the radio layer models: a large mobile world
+// with obstacle walls over a fault.AsymLoss channel — every directed link
+// with its own fixed loss probability — must produce bit-identical
+// traces at 1, 2 and 4 workers (the sharded SymmetricGraph build runs
+// with the engine's own fan-out width via engine.New).
+func TestSpatialDeterminismWallsAsymLoss(t *testing.T) {
+	run := func(workers int) ([]roundRec, uint64) {
+		w := space.NewWorld(3)
+		w.Walls = []space.Segment{
+			{A: space.Point{X: 10, Y: 0}, B: space.Point{X: 10, Y: 30}},
+			{A: space.Point{X: 0, Y: 15}, B: space.Point{X: 30, Y: 15}},
+		}
+		ids := make([]ident.NodeID, 150)
+		for i := range ids {
+			ids[i] = ident.NodeID(i + 1)
+		}
+		topo := engine.NewSpatialTopology(w, &mobility.Waypoint{Side: 30, SpeedMin: 0.5, SpeedMax: 3, Pause: 0.5},
+			0.2, ids, rand.New(rand.NewSource(5)))
+		ch := &fault.AsymLoss{MaxP: 0.8, Seed: 5}
+		e := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 11, Workers: workers, Channel: ch}, topo)
+		var out []roundRec
+		for r := 0; r < 12; r++ {
+			e.StepRound()
+			out = append(out, record(e, obs.RoundStats{}))
+		}
+		return out, ch.DroppedDeliveries()
+	}
+	want, drops := run(1)
+	if drops == 0 {
+		t.Fatal("the asymmetric channel dropped nothing — the check is vacuous")
+	}
+	for _, workers := range []int{2, 4} {
+		got, d := run(workers)
+		if d != drops {
+			t.Fatalf("workers=%d: %d drops, want %d", workers, d, drops)
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("workers=%d: round %d diverges:\ngot  %+v\nwant %+v", workers, r+1, got[r], want[r])
+			}
+		}
+	}
+}

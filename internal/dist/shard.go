@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
 	"repro/internal/obs"
@@ -95,10 +96,10 @@ type ghost struct {
 }
 
 // rowMask caches the peer mask derived from a receiver row, valid while
-// the world serves a Same row (the engine's receiver cache uses the same
+// the graph serves a Same row (the engine's receiver cache uses the same
 // proof: the same window within one row era ⟹ unchanged content).
 type rowMask struct {
-	row  space.Row
+	row  graph.Row
 	mask uint64
 }
 
@@ -127,7 +128,6 @@ type Shard struct {
 	out      [][]byte
 	lastSent []ident.Table[genVer] // per peer: the sender's last shipped frame
 	masks    []rowMask
-	rowBuf   []ident.NodeID
 
 	// Receiver side. dec is the storage every frame is decoded in before
 	// its ghost publishes it.
@@ -249,32 +249,19 @@ func (sh *Shard) StepRound() error {
 	return nil
 }
 
-// receiverRow answers a sender's full receiver set from the replicated
-// world, through the engine's exact decision procedure (the symmetric
-// row when servable, the vicinity scan otherwise) so the boundary
-// fan-out matches the single-process deliver phase bit for bit. served
-// reports whether ids is row's, which may be cached while the world
-// serves a Same row (scan results live in a reused buffer and may not).
-func (sh *Shard) receiverRow(v ident.NodeID) (ids []ident.NodeID, row space.Row, served bool) {
-	if row, ok := sh.Topo.ReceiverRow(v); ok {
-		return row.IDs(), row, true
-	}
-	sh.rowBuf = sh.Topo.AppendReceivers(v, sh.rowBuf[:0])
-	return sh.rowBuf, space.Row{}, false
-}
-
 // foreignMask returns the peers owning at least one receiver of v's
-// broadcast, cached per sender slot against the row.
+// broadcast — v's row of the replicated graph, as in the single-process
+// deliver phase — cached per sender slot against the row.
 func (sh *Shard) foreignMask(v ident.NodeID) uint64 {
-	ids, row, served := sh.receiverRow(v)
-	if slot := sh.E.SlotOf(v); served && slot >= 0 && int(slot) < len(sh.masks) {
+	row := sh.Topo.Graph().Row(v)
+	if slot := sh.E.SlotOf(v); slot >= 0 && int(slot) < len(sh.masks) {
 		rm := &sh.masks[slot]
 		if !rm.row.Same(row) {
-			rm.row, rm.mask = row, sh.maskOf(ids)
+			rm.row, rm.mask = row, sh.maskOf(row.IDs())
 		}
 		return rm.mask
 	}
-	return sh.maskOf(ids)
+	return sh.maskOf(row.IDs())
 }
 
 func (sh *Shard) maskOf(row []ident.NodeID) uint64 {
@@ -386,8 +373,7 @@ func (sh *Shard) ingest(in [][]byte) ([]engine.ExternalDelivery, error) {
 				return nil, fmt.Errorf("dist: shard %d: elided entry for %d from %d without a matching ghost",
 					sh.Index, ent.Sender, p)
 			}
-			ids, _, _ := sh.receiverRow(ent.Sender)
-			for _, u := range ids {
+			for _, u := range sh.Topo.Graph().NeighborsView(ent.Sender) {
 				if int(sh.owners[u]) == sh.Index {
 					sh.ext = append(sh.ext, engine.ExternalDelivery{
 						To: u, From: ent.Sender, Gen: ent.Gen, Ver: ent.Ver, Msg: g.msg,

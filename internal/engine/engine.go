@@ -61,7 +61,6 @@ import (
 	"repro/internal/introspect"
 	"repro/internal/radio"
 	"repro/internal/shard"
-	"repro/internal/space"
 )
 
 // shardSeed derives shard s's private RNG seed from the run seed
@@ -315,13 +314,13 @@ type nodeRec struct {
 	recv      []ident.NodeID
 	recvEpoch uint64
 
-	// row/rowMem validate recv against a RowTopology row: when the
-	// topology serves a row Same as row (same window in the same row era)
+	// row/rowMem validate recv against the sender's graph row: when the
+	// current graph's row is Same as row (same window in the same row era)
 	// under an unchanged membership generation, recv is reused without
-	// touching the topology's spatial index at all — the per-sender fast
-	// path in a mostly-parked world, where delta graph rebuilds share
-	// every untouched row. row aliases read-only topology storage.
-	row    space.Row
+	// refiltering — the per-sender fast path in a mostly-parked world,
+	// where delta graph rebuilds share every untouched row. row aliases
+	// read-only graph storage.
+	row    graph.Row
 	rowMem uint64
 
 	// Activity-skip state. pending is the inbox signature accumulated
@@ -635,7 +634,7 @@ func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
 	rec.cm = unbuilt
 	rec.recv = rec.recv[:0]
 	rec.recvEpoch = 0
-	rec.row = space.Row{}
+	rec.row = graph.Row{}
 	rec.rowMem = 0
 	rec.pending = rec.pending[:0]
 	rec.consumed = rec.consumed[:0]
@@ -691,7 +690,7 @@ func (e *Engine) RemoveNode(v ident.NodeID) {
 	// The last broadcast retires like a replaced one; a free slot may never be
 	// recycled, and must not pin it or the row (a graph's adjacency slab).
 	e.scratch[shard.Of(v)].retire(rec.cm.m, antlist.List{}, e.tick)
-	rec.cm, rec.row = unbuilt, space.Row{}
+	rec.cm, rec.row = unbuilt, graph.Row{}
 	if e.dirtyOn {
 		e.dirtyRemoved = append(e.dirtyRemoved, RemovedNode{ID: v, Slot: slot})
 	}
@@ -929,7 +928,6 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	// and receiver sets come from each node's slot-indexed record:
 	// messages revalidate against the node's state version, receiver sets
 	// against the epoch bumped below on any (topology, membership) change.
-	rower, _ := e.Topo.(RowTopology)
 	g := e.Topo.Graph()
 	if g != e.recvG || e.memberGen != e.recvMem {
 		// Before invalidating every receiver cache, ask the topology which
@@ -939,7 +937,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 		// majority keeps its current epoch — the per-sender row check in
 		// the shard loop below never even runs for them.
 		dirty, ok := []ident.NodeID(nil), false
-		if rower != nil && e.recvG != nil && e.memberGen == e.recvMem {
+		if rower, _ := e.Topo.(RowTopology); rower != nil && e.recvG != nil && e.memberGen == e.recvMem {
 			dirty, ok = rower.RowsChanged(e.recvG)
 		}
 		if ok {
@@ -970,7 +968,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 		sc.bytes = 0
 		// Shard-local accumulators, flushed to the shard's registry lane
 		// once at the end: the hot loop pays plain integer adds only.
-		var builds, cacheHits, recvHits, rowHits, rowRefills, rebuilds uint64
+		var builds, cacheHits, recvHits, rowHits, rowRefills uint64
 		for _, ent := range due[s] {
 			rec := &e.recs[ent.slot]
 			if rec.id != ent.id {
@@ -983,26 +981,18 @@ func (e *Engine) BuildPhase() []radio.Tx {
 				recvHits++
 			} else {
 				// The receiver cache is stale on the coarse key (graph or
-				// membership changed somewhere). Before re-deriving, try the
-				// fine-grained row check: a RowTopology serving a Same row
-				// under the same membership generation proves this sender's
-				// receiver set is untouched. Refilling the record's recycled
-				// slice is safe: transmissions referencing the old backing
-				// were consumed within their own tick.
-				if row, ok := rowFor(rower, ent.id); ok {
-					if rec.rowMem == e.memberGen && rec.row.Same(row) {
-						rowHits++
-					} else {
-						rowRefills++
-						rec.recv = e.appendLive(rec.recv[:0], row.IDs())
-						rec.row = row
-						rec.rowMem = e.memberGen
-					}
+				// membership changed somewhere). A row Same as the cached
+				// one under the same membership generation proves this
+				// sender's receiver set is untouched. Refilling the record's
+				// recycled slice is safe: transmissions referencing the old
+				// backing were consumed within their own tick.
+				if row := g.Row(ent.id); rec.rowMem == e.memberGen && rec.row.Same(row) {
+					rowHits++
 				} else {
-					rebuilds++
-					buf := e.Topo.AppendReceivers(ent.id, rec.recv[:0])
-					rec.recv = e.appendLive(buf[:0], buf)
-					rec.row = space.Row{}
+					rowRefills++
+					rec.recv = e.appendLive(rec.recv[:0], row.IDs())
+					rec.row = row
+					rec.rowMem = e.memberGen
 				}
 				rec.recvEpoch = e.recvEpoch
 			}
@@ -1033,7 +1023,6 @@ func (e *Engine) BuildPhase() []radio.Tx {
 		lane.Add(introspect.CtrRecvCacheHits, recvHits)
 		lane.Add(introspect.CtrRecvRowHits, rowHits)
 		lane.Add(introspect.CtrRecvRowRefills, rowRefills)
-		lane.Add(introspect.CtrRecvRebuilds, rebuilds)
 	})
 	if e.P.RandomizedSends {
 		e.sendOneshot.reset(e.tick)
@@ -1447,15 +1436,6 @@ func (rec *nodeRec) memoReplay() (inbox uint64, probed, replayed bool) {
 	rec.fixVer = rec.n.Version()
 	rec.pending, rec.consumed = rec.consumed[:0], rec.pending
 	return inbox, true, true
-}
-
-// rowFor fetches the receiver row view from a RowTopology, tolerating a
-// topology that serves no rows (nil rower or a false return).
-func rowFor(rower RowTopology, v ident.NodeID) (space.Row, bool) {
-	if rower == nil {
-		return space.Row{}, false
-	}
-	return rower.ReceiverRow(v)
 }
 
 // StepTicks advances k ticks.

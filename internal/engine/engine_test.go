@@ -320,43 +320,3 @@ func TestSpatialAdvanceReusesGraphWhenStationary(t *testing.T) {
 		t.Fatal("zero-DT advance must keep the cached graph pointer")
 	}
 }
-
-// TestSpatialDeterminismWallsAsymmetry extends the determinism contract
-// to the full spatial index: a large mobile world with obstacle walls and
-// asymmetric TxRange overrides must produce bit-identical traces at any
-// worker count (the sharded SymmetricGraph build runs with the engine's
-// own fan-out width via engine.New).
-func TestSpatialDeterminismWallsAsymmetry(t *testing.T) {
-	run := func(workers int) []string {
-		w := space.NewWorld(3)
-		w.Walls = []space.Segment{
-			{A: space.Point{X: 10, Y: 0}, B: space.Point{X: 10, Y: 30}},
-			{A: space.Point{X: 0, Y: 15}, B: space.Point{X: 30, Y: 15}},
-		}
-		ids := make([]ident.NodeID, 150)
-		for i := range ids {
-			ids[i] = ident.NodeID(i + 1)
-			if i%5 == 0 {
-				w.SetTxRange(ids[i], 1.5+float64(i%7))
-			}
-		}
-		topo := NewSpatialTopology(w, &mobility.Waypoint{Side: 30, SpeedMin: 0.5, SpeedMax: 3, Pause: 0.5},
-			0.2, ids, rand.New(rand.NewSource(5)))
-		e := New(Params{Cfg: core.Config{Dmax: 3}, Seed: 11, Workers: workers}, topo)
-		var out []string
-		for r := 0; r < 12; r++ {
-			e.StepRound()
-			out = append(out, fingerprint(metrics.SnapshotOf(e)))
-		}
-		return out
-	}
-	want := run(1)
-	for _, workers := range []int{2, 4} {
-		got := run(workers)
-		for r := range want {
-			if got[r] != want[r] {
-				t.Fatalf("workers=%d: round %d diverges", workers, r+1)
-			}
-		}
-	}
-}

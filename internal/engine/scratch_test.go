@@ -582,9 +582,6 @@ func (b *blinkTopo) Graph() *graph.G {
 	}
 	return b.off
 }
-func (b *blinkTopo) AppendReceivers(v ident.NodeID, buf []ident.NodeID) []ident.NodeID {
-	return append(buf, b.Graph().NeighborsView(v)...)
-}
 func (b *blinkTopo) Nodes() []ident.NodeID { return b.on.Nodes() }
 
 // pairRefs returns nodes 1..n linked in pairs (on) and the same nodes

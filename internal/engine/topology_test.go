@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/mobility"
 	"repro/internal/space"
 )
@@ -116,5 +118,51 @@ func TestFullRebuildReceiversMatchBruteForce(t *testing.T) {
 			}
 		}
 		e.FinishTick(nil)
+	}
+}
+
+// TestStaticEditReceiversMatchGraph: a static topology's receiver sets
+// come from the same graph rows as a spatial one's. Across an Edit that
+// cuts one link and adds another, with membership unchanged, every due
+// sender's transmitted receivers must equal its row of the edited graph
+// filtered to members (node 12 has left the engine but stays in the
+// graph), so a cache kept on the membership generation alone, without
+// Row.Same, shows as stale receivers at the four endpoints.
+func TestStaticEditReceiversMatchGraph(t *testing.T) {
+	topo := &StaticTopology{G: graph.Grid(6, 6)}
+	e := New(Params{Cfg: core.Config{Dmax: 3}, Seed: 4, Ts: 2, Jitter: true, Workers: 2}, topo)
+	e.RemoveNode(12)
+	e.StepTicks(2 * e.P.Tc)
+	if topo.G.HasEdge(1, 36) || !topo.G.HasEdge(8, 9) {
+		t.Fatal("the grid does not have the links the edit assumes")
+	}
+	topo.Edit(func(r *graph.Ref) {
+		r.RemoveEdge(8, 9)
+		r.AddEdge(1, 36)
+	})
+	refills := e.Introspect().Get(introspect.CtrRecvRowRefills)
+	seen := map[ident.NodeID]bool{}
+	var want []ident.NodeID
+	for tick := 0; tick < 2*e.P.Ts; tick++ {
+		e.AdvancePhase()
+		for _, tx := range e.BuildPhase() {
+			seen[tx.Sender] = true
+			want = e.appendLive(want[:0], topo.G.NeighborsView(tx.Sender))
+			if !slices.Equal(tx.Receivers, want) {
+				t.Fatalf("tick %d: %v transmits to %v, its row of the edited graph holds %v", tick, tx.Sender, tx.Receivers, want)
+			}
+		}
+		e.FinishTick(nil)
+	}
+	for _, v := range []ident.NodeID{1, 8, 9, 36} {
+		if !seen[v] {
+			t.Fatalf("endpoint %v never sent after the edit", v)
+		}
+	}
+	if got := e.Introspect().Get(introspect.CtrRecvRowRefills) - refills; got < 4 {
+		t.Fatalf("%d receiver sets refilled after the edit, want at least the four endpoints'", got)
+	}
+	if got := e.Introspect().Counters()["recv_rebuilds"]; got != 0 {
+		t.Fatalf("recv_rebuilds = %d, want 0", got)
 	}
 }

@@ -61,8 +61,8 @@ func checkRow(who string, idx *ident.Table[int32], r NodeAdj) {
 // prev is left without rows (the preconditions are checked first). A delta
 // never rewrites or recycles row storage, so along one lineage (&row[0],
 // len) proves content; only FromRows rewrites storage, taken from a
-// retired packed graph, which is why space.World scopes that proof to the
-// row era between two full rebuilds (space.Row).
+// retired packed graph, and starts a new row era, which scopes that proof
+// to the era (Row).
 func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	prev.mustHaveRows("ApplyDelta")
 	// The updated-node set, ascending, for the mirror-patch membership
@@ -93,7 +93,7 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 	} else {
 		adj = prev.header()
 	}
-	g := &G{idx: prev.idx, nodes: prev.nodes, adj: adj, edges: prev.edges}
+	g := &G{idx: prev.idx, nodes: prev.nodes, adj: adj, era: prev.era, edges: prev.edges}
 	// g's rows alias prev's storage from here on: a packed prev's arena
 	// must not go to a FromRows successor.
 	prev.cowAdj = true

@@ -1,7 +1,8 @@
 // Package graph provides the engine's topology: a CSR adjacency store (G)
 // that the vicinity index rebuilds or patches every tick and the engine,
-// tracker and shard boundary read by node ID (NeighborsView) or by slot
-// (NeighborsAt); the specification's graph (Ref), where the induced
+// tracker and shard boundary read by node ID (NeighborsView, or Row where
+// a cache must prove a row unchanged) or by slot (NeighborsAt); the
+// specification's graph (Ref), where the induced
 // distances d_X(u,v) behind ΠS, ΠM and ΠT are computed and the one graph
 // that is edited; and generators for the topologies used by the
 // experiments.
@@ -55,7 +56,37 @@ type G struct {
 	// FromRows successor the off and arena.
 	retired, hdrShared bool
 
+	// era is the row era (see Row): FromRows starts one past prev's, since
+	// it may rewrite the storage it takes over; ApplyDelta and an identity
+	// Restrict keep their parent's, since they never rewrite a row.
+	era uint64
+
 	edges int
+}
+
+// Row is a receiver row as G.Row serves it: a read-only view of a graph's
+// storage, stamped with the graph's row era. FromRows starts a new era,
+// and may rewrite the storage of the graph it replaces (it takes a retired
+// graph's arena); ApplyDelta stays in the era and gives every row it
+// changes fresh storage. So the same window served in one era is the same
+// receiver set, and Same is the only comparison a cache may act on.
+type Row struct {
+	ids []ident.NodeID
+	era uint64
+}
+
+// IDs returns the receivers, ascending: read-only, valid while the graph
+// that served them keeps its rows.
+func (r Row) IDs() []ident.NodeID { return r.ids }
+
+// Same reports whether r and o are provably the same receiver set: both
+// empty, or the same storage window (backing and length) served within
+// one row era. The zero Row is empty.
+func (r Row) Same(o Row) bool {
+	if len(r.ids) != len(o.ids) {
+		return false
+	}
+	return len(r.ids) == 0 || (r.era == o.era && &r.ids[0] == &o.ids[0])
 }
 
 // FromRows bulk-builds a packed graph from one finished row per node: the
@@ -79,6 +110,9 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	g := &G{}
 	var off []uint32
 	var arena []ident.NodeID
+	if prev != nil {
+		g.era = prev.era + 1
+	}
 	if prev != nil && prev.retired && prev.off != nil && !prev.cowAdj {
 		off, arena = prev.off[:0], prev.arena[:0]
 		prev.off, prev.arena = nil, nil // handed on: prev is without rows from here
@@ -203,6 +237,16 @@ func (g *G) IndexOf(v ident.NodeID) int32 {
 	return -1
 }
 
+// Row returns v's neighbors as a Row stamped with g's era; the zero Row
+// when v is not in the graph.
+func (g *G) Row(v ident.NodeID) Row {
+	i, ok := g.idx.Get(v)
+	if !ok {
+		return Row{}
+	}
+	return Row{ids: g.row(i), era: g.era}
+}
+
 // NeighborsAt is NeighborsView by internal index (see IndexOf): the
 // map-free adjacency access for index-based scans. i must be a valid
 // index for this graph.
@@ -289,7 +333,7 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 	if cut == len(g.nodes) {
 		g.cowAdj, g.hdrShared = true, true
 		return &G{idx: g.idx, nodes: g.nodes, off: g.off, arena: g.arena, adj: g.adj,
-			cowAdj: true, hdrShared: true, edges: g.edges}
+			cowAdj: true, hdrShared: true, era: g.era, edges: g.edges}
 	}
 	out := &G{idx: g.idx.Clone()}
 	slots := make([]int32, 0, len(g.nodes)-1) // out slot → g slot

@@ -280,6 +280,46 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 	}
 }
 
+// TestRowSameWithinOneEra pins the proof the receiver caches act on. A
+// delta stays in its parent's row era: a row it left untouched is Same
+// across it, a patched one is not, and an identity Restrict sibling serves
+// Same rows. FromRows starts a new era: when it takes over a retired
+// graph's storage, an unchanged topology puts a row in the very window it
+// had, and still that row is not Same as the one served before. Any two
+// empty rows are Same.
+func TestRowSameWithinOneEra(t *testing.T) {
+	w := newDeltaWorld(10)
+	for i := 1; i < 9; i++ {
+		w.set(ident.NodeID(i), ident.NodeID(i+1), true) // node 10 stays isolated
+	}
+	base := FromRows(w.build(), w.nodes, w.updatesFor(w.nodes)) // an era past the first
+	r1, r3, r9 := base.Row(1), base.Row(3), base.Row(9)
+	base.Retire()
+	w.set(8, 9, false) // patches rows 8 (update) and 9 (mirror)
+	c := ApplyDelta(base, w.updatesFor([]ident.NodeID{8}))
+	if !c.Row(1).Same(r1) || !c.Row(3).Same(r3) || c.Row(9).Same(r9) {
+		t.Fatal("delta: untouched rows 1 and 3 must stay Same, patched row 9 must not")
+	}
+	if sib := c.Restrict(func(ident.NodeID) bool { return true }); !sib.Row(3).Same(r3) {
+		t.Fatal("an identity Restrict left the row era")
+	}
+	if !c.Row(10).Same(Row{}) || !c.Row(99).Same(c.Row(10)) || c.Row(99).IDs() != nil {
+		t.Fatal("empty rows, isolated or absent, must be Same")
+	}
+
+	g := w.build()
+	r1 = g.Row(1)
+	g.Retire()
+	next := FromRows(g, w.nodes, w.updatesFor(w.nodes)) // same rows, taken storage
+	now := next.Row(1)
+	if &now.IDs()[0] != &r1.IDs()[0] || !slices.Equal(now.IDs(), r1.IDs()) || now.Same(r1) {
+		t.Fatal("FromRows over taken storage: row 1 must recur in its window and not be Same")
+	}
+	if !next.Row(3).Same(next.Row(3)) {
+		t.Fatal("a row is not Same as itself")
+	}
+}
+
 // TestReadersAgreeAcrossForms reads one graph through every accessor in
 // both storage forms — packed, and an ApplyDelta child's rows under their
 // own header — and against the map reference: row(i) is the only place

@@ -41,7 +41,7 @@ const (
 	CtrRecvCacheHits  // receiver sets served on a current epoch (no check at all)
 	CtrRecvRowHits    // stale epoch revalidated by row identity (pointer compare)
 	CtrRecvRowRefills // stale epoch refilled from a changed topology row
-	CtrRecvRebuilds   // stale epoch re-derived via AppendReceivers (no row served)
+	CtrRecvRebuilds   // always 0: a receiver set has one derivation, its graph row; declared while the benchmark sums it
 
 	// Topology/receiver-cache invalidation (coordinator side).
 	CtrGraphDeltaRounds // graph changes absorbed as per-sender dirty-row demotions

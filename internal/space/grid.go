@@ -3,13 +3,12 @@
 // by Place/Remove, plus the walls registered in the same buckets and the
 // deterministic shard-parallel SymmetricGraph build on top of both.
 //
-// The cell size is the maximum TX range over the world (the default
-// Range and every TxRange override), so any link — symmetric or not —
-// fits inside one cell diagonal step: all candidate receivers of a node
-// lie in the 3×3 cell block around it, and every wall that can cross a
-// link is registered in one of the (at most 2×2) cells the link's
-// bounding box overlaps. CanReach candidate sets and wall tests are
-// therefore O(local density) instead of O(n) and O(walls).
+// The cell size is the world's Range, so any link fits inside one cell
+// diagonal step: all candidate neighbors of a node lie in the 3×3 cell
+// block around it, and every wall that can cross a link is registered in
+// one of the (at most 2×2) cells the link's bounding box overlaps. Row
+// candidate sets and wall tests are therefore O(local density) instead of
+// O(n) and O(walls).
 //
 // Cells farther apart than the bucket array share a bucket, which changes
 // no row (DESIGN.md §2.2): the 3×3 block names nine distinct buckets, and
@@ -19,7 +18,6 @@ package space
 import (
 	"math"
 	"math/bits"
-	"reflect"
 	"slices"
 
 	"repro/internal/graph"
@@ -56,32 +54,23 @@ func (w *World) bucketAt(p Point) int {
 // validate makes the derived structures (grid, wall index, cell size)
 // consistent with the public configuration fields. The clean-path check
 // is read-only and O(1): a rebuild is triggered by the first use (or the
-// first after the population doubled), an explicit Invalidate, a
-// reassignment of the TxRange map (identity + size fingerprint) or of the
-// Walls slice (length + backing pointer). Mutating an existing TxRange
-// entry or a wall in place is invisible to these heuristics — callers
-// doing that must call Invalidate (or use SetTxRange/SetWalls, which do).
+// first after the population doubled), an explicit Invalidate, or a
+// reassignment of the Walls slice (length + backing pointer). Changing
+// Range or a wall in place is invisible to these heuristics — callers
+// doing that must call Invalidate (or use SetWalls, which does).
 func (w *World) validate() {
-	if w.cells != nil && !w.dirty && w.pos.Len() <= 2*max(w.laidOut, 8) && len(w.TxRange) == w.txLen &&
-		reflect.ValueOf(w.TxRange).Pointer() == w.txPtr &&
+	if w.cells != nil && !w.dirty && w.pos.Len() <= 2*max(w.laidOut, 8) &&
 		len(w.Walls) == w.wallsLen && (len(w.Walls) == 0 || &w.Walls[0] == w.wallsPtr) {
 		return
 	}
 	w.rebuildIndex()
 }
 
-// rebuildIndex rederives the cell size from the current ranges, lays out
-// the buckets and re-inserts every node and wall. O(n + walls·cells per
+// rebuildIndex rederives the cell size from the range, lays out the
+// buckets and re-inserts every node and wall. O(n + walls·cells per
 // wall); runs only on structural changes, never on mere motion.
 func (w *World) rebuildIndex() {
-	maxR := w.Range
-	for _, r := range w.TxRange {
-		if r > maxR {
-			maxR = r
-		}
-	}
-	w.maxRange = maxR
-	w.cellSize = maxR
+	w.cellSize = w.Range
 	if !(w.cellSize > 0) {
 		// A world with no positive range has no links; any cell size
 		// keeps the grid well defined.
@@ -106,15 +95,13 @@ func (w *World) rebuildIndex() {
 			}
 		}
 	}
-	w.txLen = len(w.TxRange)
-	w.txPtr = reflect.ValueOf(w.TxRange).Pointer()
 	w.wallsLen = len(w.Walls)
 	w.wallsPtr = nil
 	if len(w.Walls) > 0 {
 		w.wallsPtr = &w.Walls[0]
 	}
 	w.dirty = false
-	w.deltaFull = true // ranges or walls changed: every link is suspect
+	w.deltaFull = true // range or walls changed: every link is suspect
 	w.gen++
 }
 
@@ -195,11 +182,10 @@ func (w *World) deltaViable(n int) bool {
 }
 
 // scanRows derives, from the grid, the complete ascending row of every
-// node in ids: the nodes within both endpoints' TX ranges that no wall
-// separates it from. It is the one vicinity scan behind both rebuilds —
+// node in ids: the nodes within range that no wall separates it from. It is the one vicinity scan behind both rebuilds —
 // the movers' replacement rows for graph.ApplyDelta, every node's row for
 // graph.FromRows. The scan fans out over the NodeID shards (shard.Run); workers
-// only read shared state (pos, buckets, ranges, walls) and write their own
+// only read shared state (pos, buckets, range, walls) and write their own
 // shard's scratch, and the shards are merged in shard order, so the rows
 // are identical at any worker count. The link predicate is evaluated from
 // the lower ID's end whichever node is being scanned, so the two rows of
@@ -213,12 +199,12 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 		s := shard.Of(v)
 		w.shardNodes[s] = append(w.shardNodes[s], v)
 	}
+	r := w.Range
 	shard.Run(w.Workers, func(s, _ int) {
 		adjs := w.shardAdjs[s][:0]
 		nbrs := w.shardNbrs[s][:0]
 		for _, u := range w.shardNodes[s] {
 			pu, _ := w.pos.Get(u)
-			ru := w.rangeOf(u)
 			k := w.cellAt(pu)
 			start := len(nbrs)
 			for cx := k.cx - 1; cx <= k.cx+1; cx++ {
@@ -226,10 +212,6 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 					for _, c := range w.cells[w.bucket(cx, cy)] {
 						if c.id == u {
 							continue
-						}
-						r := ru
-						if rv := w.rangeOf(c.id); rv < r {
-							r = rv
 						}
 						// Dist decides; two candidates in three of a 3×3 block
 						// are out of range by far more than any rounding of the

@@ -1,14 +1,16 @@
 // Package space models the Euclidean plane the nodes move in and the
 // vicinity relation of the paper's system model: a link u→v exists when u
-// is in the vicinity of v, which depends on positions, per-node radio
-// ranges (asymmetric links) and obstacles.
+// is in the vicinity of v, which depends on positions, one radio range
+// and obstacles — so every link is symmetric, and a broadcast reaches its
+// sender's row of SymmetricGraph. Asymmetric links are the radio layer's
+// to model (fault.AsymLoss).
 //
-// The vicinity queries are served by an incremental bucket-grid index
-// (see grid.go): candidate receivers come from a 3×3 cell neighborhood
-// instead of the full population, walls are tested from a segment-to-cell
-// index, and SymmetricGraph is a deterministic shard-parallel build that
-// is cached on the world's generation — recomputed only when something
-// actually moved or the configuration changed.
+// The graph is served by an incremental bucket-grid index (see grid.go):
+// candidate neighbors come from a 3×3 cell neighborhood instead of the
+// full population, walls are tested from a segment-to-cell index, and
+// SymmetricGraph is a deterministic shard-parallel build that is cached on
+// the world's generation — recomputed only when something actually moved
+// or the configuration changed.
 package space
 
 import (
@@ -35,17 +37,14 @@ type Segment struct{ A, B Point }
 // World holds node positions and the vicinity parameters.
 //
 // The configuration fields are public for construction-time convenience.
-// Reassigning TxRange or Walls wholesale is detected automatically; for
-// in-place mutation after the world has been queried, use SetTxRange /
-// SetWalls or call Invalidate so the spatial index rebuilds. Structural
+// Reassigning Walls wholesale is detected automatically; after changing
+// Range or a wall in place once the world has been queried, use SetWalls
+// or call Invalidate so the spatial index rebuilds. Structural
 // mutation must not race with queries: the engine only mutates the world
 // in its sequential phases.
 type World struct {
-	// Range is the default transmission range.
+	// Range is the transmission range of every node.
 	Range float64
-	// TxRange optionally overrides the TX range per node (u→v exists iff
-	// dist ≤ TX range of u: asymmetric links); public, so it stays a map.
-	TxRange map[ident.NodeID]float64
 	// Walls block links whose straight line crosses them.
 	Walls []Segment
 	// Workers sets the fan-out width of the parallel SymmetricGraph
@@ -74,11 +73,10 @@ type World struct {
 	gen uint64
 
 	// Bucket grid (grid.go). cells is nil until the first query lays it
-	// out; dirty plus the txLen/walls fingerprints trigger structural
+	// out; dirty plus the walls fingerprint trigger structural
 	// rebuilds. Entries carry the node's position inline; a node's bucket
 	// is bucketAt of its position, kept nowhere else.
 	cellSize  float64
-	maxRange  float64
 	cells     [][]cellNode // bucket → occupants
 	freeCells [][]cellNode // emptied buckets' slices, for gridInsert
 	wallCells [][]int      // bucket → walls registered there; nil without walls
@@ -86,8 +84,6 @@ type World struct {
 	mx, my    int // bucket array extent per axis, minus one
 	laidOut   int // population at the last layout
 	dirty     bool
-	txLen     int
-	txPtr     uintptr
 	wallsLen  int
 	wallsPtr  *Segment
 
@@ -118,38 +114,9 @@ type World struct {
 	rowDirty     []ident.NodeID
 	rowDirtyFrom *graph.G
 	rowDirtyTo   *graph.G
-
-	// era counts full rebuilds: the row era a served Row is stamped with.
-	era uint64
 }
 
-// Row is a receiver row as ReceiverRow serves it: a read-only view of the
-// cached symmetric graph's storage, stamped with the row era it was served
-// in. A full rebuild starts a new era, and may rewrite the storage of the
-// graph it replaces (graph.FromRows takes a retired graph's arena); a
-// delta rebuild stays in the era and gives every row it changes fresh
-// storage. So the same window served in one era is the same receiver set,
-// and Same is the only comparison a cache may act on.
-type Row struct {
-	ids []ident.NodeID
-	era uint64
-}
-
-// IDs returns the receivers, ascending: read-only, valid while the graph
-// that served them is current.
-func (r Row) IDs() []ident.NodeID { return r.ids }
-
-// Same reports whether r and o are provably the same receiver set: both
-// empty, or the same storage window (backing and length) served within
-// one row era. The zero Row is empty.
-func (r Row) Same(o Row) bool {
-	if len(r.ids) != len(o.ids) {
-		return false
-	}
-	return len(r.ids) == 0 || (r.era == o.era && &r.ids[0] == &o.ids[0])
-}
-
-// NewWorld returns an empty world with the given default range.
+// NewWorld returns an empty world with the given range.
 func NewWorld(txRange float64) *World {
 	return &World{Range: txRange}
 }
@@ -161,20 +128,11 @@ func NewWorld(txRange float64) *World {
 func (w *World) Generation() uint64 { return w.gen }
 
 // Invalidate forces the spatial index to rebuild on the next query. Call
-// it after mutating TxRange entries or wall endpoints in place; wholesale
-// reassignment of those fields is detected without it.
+// it after changing Range or wall endpoints in place; wholesale
+// reassignment of Walls is detected without it.
 func (w *World) Invalidate() {
 	w.dirty = true
 	w.gen++
-}
-
-// SetTxRange sets v's TX range override and keeps the index consistent.
-func (w *World) SetTxRange(v ident.NodeID, r float64) {
-	if w.TxRange == nil {
-		w.TxRange = make(map[ident.NodeID]float64)
-	}
-	w.TxRange[v] = r
-	w.Invalidate()
 }
 
 // SetWalls replaces the obstacle set and keeps the index consistent.
@@ -254,18 +212,11 @@ func (w *World) Nodes() []ident.NodeID {
 	return w.ids
 }
 
-// rangeOf returns the TX range of v.
-func (w *World) rangeOf(v ident.NodeID) float64 {
-	if r, ok := w.TxRange[v]; ok {
-		return r
-	}
-	return w.Range
-}
-
 // CanReach reports whether a transmission by u is receivable by v (u is
-// in the vicinity of v): both present, within u's TX range, and no wall
-// between them. Wall tests go through the segment-to-cell index, so the
-// cost is O(walls near the link), not O(all walls).
+// in the vicinity of v): both present, within range, and no wall between
+// them — the link predicate SymmetricGraph's rows hold, evaluated on its
+// own. Wall tests go through the segment-to-cell index, so the cost is
+// O(walls near the link), not O(all walls).
 func (w *World) CanReach(u, v ident.NodeID) bool {
 	if u == v {
 		return false
@@ -279,7 +230,7 @@ func (w *World) CanReach(u, v ident.NodeID) bool {
 		return false
 	}
 	w.validate()
-	if pu.Dist(pv) > w.rangeOf(u) {
+	if pu.Dist(pv) > w.Range {
 		return false
 	}
 	return !w.wallBlocked(pu, pv)
@@ -294,8 +245,9 @@ func (w *World) CanReach(u, v ident.NodeID) bool {
 // Rebuilds go down one of two paths with identical results, both fed by
 // scanRows: when only a small fraction of nodes moved since the last
 // build (and the membership and radio configuration stayed put), the
-// movers' rows patch the previous CSR through graph.ApplyDelta; otherwise
-// every node's row is packed by graph.FromRows.
+// movers' rows patch the previous CSR through graph.ApplyDelta, in the
+// previous graph's row era; otherwise every node's row is packed by
+// graph.FromRows, which starts a new one (graph.Row).
 func (w *World) SymmetricGraph() *graph.G {
 	w.validate()
 	if w.symGraph != nil && w.symGen == w.gen {
@@ -317,7 +269,6 @@ func (w *World) SymmetricGraph() *graph.G {
 		// storage when it was retired: a new row era either way.
 		g = graph.FromRows(w.symGraph, nodes, w.scanRows(nodes))
 		w.rowDirtyFrom, w.rowDirtyTo = nil, nil
-		w.era++
 	}
 	w.symGraph, w.symGen = g, w.gen
 	w.movedDirty = w.movedDirty[:0]
@@ -326,53 +277,15 @@ func (w *World) SymmetricGraph() *graph.G {
 	return g
 }
 
-// Receivers returns the nodes able to receive a transmission from u, in
-// ascending order. Candidates come from the 3×3 cell neighborhood of u
-// (sufficient because no TX range exceeds the cell size), so the cost is
-// O(local density · log), not O(n log n).
-func (w *World) Receivers(u ident.NodeID) []ident.NodeID {
-	return w.AppendReceivers(u, nil)
-}
-
-// ReceiverRow returns u's receiver set as a zero-copy view of its row in
-// the cached symmetric graph, plus true — or a zero Row and false when
-// rows cannot be served (per-node range overrides make reachability
-// asymmetric, or the graph cache is stale). The view aliases the graph's
-// CSR storage and must be treated as read-only. Delta rebuilds share every
-// untouched row between generations, so a row Same as one served earlier
-// is the same receiver set; a full rebuild may rewrite the storage of the
-// graph it replaces, and no row served before it is Same as one served
-// after. An empty Row with true means u is absent or isolated.
-func (w *World) ReceiverRow(u ident.NodeID) (Row, bool) {
-	if len(w.TxRange) != 0 {
-		return Row{}, false
-	}
-	w.validate()
-	if w.symGraph == nil || w.symGen != w.gen {
-		return Row{}, false
-	}
-	// The current graph carries every world node (isolated included), so
-	// the index probe doubles as the membership check.
-	i := w.symGraph.IndexOf(u)
-	if i < 0 {
-		return Row{}, true
-	}
-	return Row{ids: w.symGraph.NeighborsAt(i), era: w.era}, true
-}
-
-// RowsChanged returns (a superset of) the nodes whose ReceiverRow may
+// RowsChanged returns (a superset of) the nodes whose graph.Row may
 // differ between the graph since and the currently cached graph, plus
 // true — or (nil, false) when the current graph is not one delta step
-// from since (full rebuild, membership churn, stale cache, or per-node
-// range overrides). With a true return both graphs are of one row era and
-// every node absent from the slice is guaranteed a Same receiver row in
-// both, so a driver can invalidate its receiver caches per-node instead of
-// wholesale. The slice aliases internal storage: read-only, valid until
-// the next rebuild.
+// from since (full rebuild, membership churn, stale cache). With a true
+// return both graphs are of one row era and every node absent from the
+// slice is guaranteed a Same row in both, so a driver can invalidate its
+// receiver caches per-node instead of wholesale. The slice aliases
+// internal storage: read-only, valid until the next rebuild.
 func (w *World) RowsChanged(since *graph.G) ([]ident.NodeID, bool) {
-	if len(w.TxRange) != 0 {
-		return nil, false
-	}
 	w.validate()
 	if w.symGraph == nil || w.symGen != w.gen {
 		return nil, false
@@ -401,49 +314,6 @@ func (w *World) recordRowDelta(prev *graph.G, updates []graph.NodeAdj) {
 	}
 	slices.Sort(d)
 	w.rowDirty = slices.Compact(d)
-}
-
-// AppendReceivers appends the receivers of u in ascending order to buf
-// and returns the extended slice — the allocation-free variant the
-// engine's build phase recycles its receiver buffers through. Safe for
-// concurrent use once the index is built (the engine calls it from
-// several workers; each passes its own buffer).
-func (w *World) AppendReceivers(u ident.NodeID, buf []ident.NodeID) []ident.NodeID {
-	w.validate()
-	// With no per-node range overrides, reachability is symmetric (same
-	// range both ways, walls block both directions alike), so the receiver
-	// set of u is exactly its row in the cached symmetric graph. When that
-	// cache is current — the engine always rebuilds the graph before the
-	// build phase queries receivers — the 3×3 vicinity scan and its sort
-	// collapse into one CSR row copy.
-	if len(w.TxRange) == 0 && w.symGraph != nil && w.symGen == w.gen {
-		return append(buf, w.symGraph.NeighborsView(u)...) // the graph holds every world node
-	}
-	pu, ok := w.pos.Get(u)
-	if !ok {
-		return buf
-	}
-	r := w.rangeOf(u)
-	k := w.cellAt(pu)
-	start := len(buf)
-	for cx := k.cx - 1; cx <= k.cx+1; cx++ {
-		for cy := k.cy - 1; cy <= k.cy+1; cy++ {
-			for _, c := range w.cells[w.bucket(cx, cy)] {
-				if c.id == u {
-					continue
-				}
-				if pu.Dist(c.pt) > r {
-					continue
-				}
-				if w.wallBlocked(pu, c.pt) {
-					continue
-				}
-				buf = append(buf, c.id)
-			}
-		}
-	}
-	slices.Sort(buf[start:])
-	return buf
 }
 
 // segmentsCross reports proper intersection between segments pq and ab

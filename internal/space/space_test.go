@@ -29,26 +29,6 @@ func TestCanReachUnitDisk(t *testing.T) {
 	}
 }
 
-func TestAsymmetricRanges(t *testing.T) {
-	w := NewWorld(5)
-	w.TxRange = map[ident.NodeID]float64{2: 1}
-	w.Place(1, Point{0, 0})
-	w.Place(2, Point{3, 0})
-	if !w.CanReach(1, 2) {
-		t.Fatal("1→2 should reach (range 5)")
-	}
-	if w.CanReach(2, 1) {
-		t.Fatal("2→1 should not reach (range 1)")
-	}
-	g := w.SymmetricGraph()
-	if g.HasEdge(1, 2) {
-		t.Fatal("asymmetric link must not appear in the symmetric graph")
-	}
-	if g.NumNodes() != 2 {
-		t.Fatal("isolated nodes must still appear")
-	}
-}
-
 func TestWallBlocksLink(t *testing.T) {
 	w := NewWorld(10)
 	w.Place(1, Point{0, 0})
@@ -89,12 +69,12 @@ func TestReceiversAndRemove(t *testing.T) {
 	w.Place(1, Point{0, 0})
 	w.Place(2, Point{1, 0})
 	w.Place(3, Point{2, 0})
-	got := w.Receivers(1)
+	got := w.SymmetricGraph().NeighborsView(1)
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Receivers = %v", got)
+		t.Fatalf("row of 1 = %v", got)
 	}
 	w.Remove(3)
-	if got := w.Receivers(1); len(got) != 1 {
+	if got := w.SymmetricGraph().NeighborsView(1); len(got) != 1 {
 		t.Fatalf("after remove: %v", got)
 	}
 	if _, ok := w.Pos(3); ok {
@@ -115,8 +95,8 @@ func TestPointHelpers(t *testing.T) {
 // --- spatial-hash index vs brute-force oracle -------------------------
 
 // bruteCanReach replicates the pre-index vicinity relation: distance
-// against the sender's range and a linear scan over every wall. It is the
-// oracle the grid is property-tested against.
+// against the range and a linear scan over every wall. It is the oracle
+// the grid is property-tested against.
 func bruteCanReach(w *World, u, v ident.NodeID) bool {
 	if u == v {
 		return false
@@ -129,7 +109,7 @@ func bruteCanReach(w *World, u, v ident.NodeID) bool {
 	if !ok {
 		return false
 	}
-	if pu.Dist(pv) > w.rangeOf(u) {
+	if pu.Dist(pv) > w.Range {
 		return false
 	}
 	for _, wall := range w.Walls {
@@ -157,19 +137,8 @@ func bruteSymmetricGraph(w *World) *graph.G {
 	return graph.FromRef(r)
 }
 
-// bruteReceivers is the old roster-scan receiver set.
-func bruteReceivers(w *World, u ident.NodeID) []ident.NodeID {
-	var out []ident.NodeID
-	for _, v := range w.Nodes() {
-		if v != u && bruteCanReach(w, u, v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// checkAgainstOracle compares the grid-served SymmetricGraph, Receivers
-// and CanReach with the brute-force oracle on the world's current state.
+// checkAgainstOracle compares the grid-served SymmetricGraph and CanReach
+// with the brute-force oracle on the world's current state.
 func checkAgainstOracle(t *testing.T, w *World, label string) {
 	t.Helper()
 	got, want := w.SymmetricGraph(), bruteSymmetricGraph(w)
@@ -178,15 +147,6 @@ func checkAgainstOracle(t *testing.T, w *World, label string) {
 	}
 	nodes := append([]ident.NodeID(nil), w.Nodes()...)
 	for _, u := range nodes {
-		gr, br := w.Receivers(u), bruteReceivers(w, u)
-		if len(gr) != len(br) {
-			t.Fatalf("%s: Receivers(%d) = %v, want %v", label, u, gr, br)
-		}
-		for i := range gr {
-			if gr[i] != br[i] {
-				t.Fatalf("%s: Receivers(%d) = %v, want %v", label, u, gr, br)
-			}
-		}
 		for _, v := range nodes {
 			if w.CanReach(u, v) != bruteCanReach(w, u, v) {
 				t.Fatalf("%s: CanReach(%d,%d) disagrees with oracle", label, u, v)
@@ -197,8 +157,7 @@ func checkAgainstOracle(t *testing.T, w *World, label string) {
 
 // TestGridMatchesBruteForce property-tests the spatial index against the
 // brute-force oracle on random worlds: random positions (including
-// negative coordinates), random walls, asymmetric TxRange overrides both
-// above and below the default range, then incremental churn — moves,
+// negative coordinates) and random walls, then incremental churn — moves,
 // removals, joins, and structural reconfiguration.
 func TestGridMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -206,17 +165,6 @@ func TestGridMatchesBruteForce(t *testing.T) {
 		n := 5 + rng.Intn(70)
 		side := 4 + rng.Float64()*30
 		w := NewWorld(0.5 + rng.Float64()*5)
-
-		// Asymmetric ranges: some overrides shrink, some exceed the
-		// default (the cell size must follow the maximum).
-		if rng.Intn(2) == 0 {
-			w.TxRange = map[ident.NodeID]float64{}
-			for v := 1; v <= n; v++ {
-				if rng.Intn(4) == 0 {
-					w.TxRange[ident.NodeID(v)] = rng.Float64() * 2 * w.Range
-				}
-			}
-		}
 		for i := 0; i < rng.Intn(6); i++ {
 			a := Point{rng.Float64()*side - side/2, rng.Float64()*side - side/2}
 			w.Walls = append(w.Walls, Segment{a, a.Add(rng.Float64()*side/2, rng.Float64()*side/2)})
@@ -242,19 +190,14 @@ func TestGridMatchesBruteForce(t *testing.T) {
 		}
 		checkAgainstOracle(t, w, "churned")
 
-		// Structural change mid-life: new walls (reassignment), a range
-		// override through the invalidating setter, and a wholesale
-		// TxRange reassignment with the same override count (caught by
-		// the map-identity fingerprint, not the length).
+		// Structural change mid-life: new walls (reassignment, caught by
+		// the walls fingerprint), then a new range (in place, so
+		// Invalidate; the cell size follows it).
 		w.Walls = append(w.Walls[:0:0], Segment{Point{-side, 0}, Point{side, 0}})
-		w.SetTxRange(ident.NodeID(1+rng.Intn(n)), rng.Float64()*3*w.Range)
 		checkAgainstOracle(t, w, "reconfigured")
-		fresh := make(map[ident.NodeID]float64, len(w.TxRange))
-		for v := range w.TxRange {
-			fresh[v] = rng.Float64() * 4 * w.Range
-		}
-		w.TxRange = fresh
-		checkAgainstOracle(t, w, "txrange-swapped")
+		w.Range = 0.5 + rng.Float64()*5
+		w.Invalidate()
+		checkAgainstOracle(t, w, "range-changed")
 	}
 }
 
@@ -329,13 +272,13 @@ func TestFirstGraphEqualAtAnyWidth(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4} {
 		w := build(workers)
-		if g := w.SymmetricGraph(); !g.Equal(g1) {
+		g := w.SymmetricGraph()
+		if !g.Equal(g1) {
 			t.Fatalf("workers=%d: first graph %v != inline %v", workers, g, g1)
 		}
 		for _, v := range w.Nodes() {
-			row, ok := w.ReceiverRow(v)
-			if want, _ := one.ReceiverRow(v); !ok || !slices.Equal(row.IDs(), want.IDs()) {
-				t.Fatalf("workers=%d: row of %v is %v (served %v), inline %v", workers, v, row, ok, want)
+			if row, want := g.Row(v).IDs(), g1.Row(v).IDs(); !slices.Equal(row, want) {
+				t.Fatalf("workers=%d: row of %v is %v, inline %v", workers, v, row, want)
 			}
 		}
 	}
@@ -453,8 +396,9 @@ func TestDeltaRebuildMatchesBruteForce(t *testing.T) {
 			w.SetWalls([]Segment{{A: Point{X: 12, Y: 0}, B: Point{X: 12, Y: 25}}})
 			checkAgainstOracle(t, w, "after walls")
 		case 34:
-			w.SetTxRange(ident.NodeID(3), 4.0)
-			checkAgainstOracle(t, w, "after txrange")
+			w.Range = 2.5
+			w.Invalidate()
+			checkAgainstOracle(t, w, "after range")
 		}
 		// Stationary round: the cached graph pointer must survive.
 		g1 := w.SymmetricGraph()
@@ -548,8 +492,7 @@ func TestDeltaSurvivesRepeatedMovers(t *testing.T) {
 }
 
 // TestFullDeltaAndBruteForceAgree drives four worlds through one history
-// — walls, per-node TX ranges above and below the default, a few movers a
-// round, joins and leaves — with the rebuild forced full or left to the
+// — walls, a few movers a round, joins and leaves — with the rebuild forced full or left to the
 // delta path, at Workers 1 and 4: one row scan feeds both rebuilds, so
 // after every round the four graphs must hold the same rows, and those of
 // the all-pairs oracle.
@@ -564,7 +507,6 @@ func TestFullDeltaAndBruteForceAgree(t *testing.T) {
 		w := NewWorld(2.0)
 		w.Workers, w.DisableDelta = v.workers, v.full
 		w.Walls = []Segment{{A: Point{X: 10, Y: -1}, B: Point{X: 10, Y: 14}}, {A: Point{X: 3, Y: 17}, B: Point{X: 21, Y: 16.5}}}
-		w.TxRange = map[ident.NodeID]float64{4: 3.5, 9: 0.7, 33: 2.6, 90: 0}
 		worlds[i] = w
 	}
 	each := func(fn func(w *World)) {
@@ -644,51 +586,6 @@ func TestRangeBoundaryMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestRowSameWithinOneEra pins the proof the receiver caches act on. A
-// delta rebuild stays in the row era: an untouched row is Same across it,
-// a patched one is not. A full rebuild starts a new era: when it takes
-// over the retired graph's storage, an unchanged topology puts every row
-// in the very window it had, and still no non-empty row is Same as one
-// served before. Any two empty rows are Same.
-func TestRowSameWithinOneEra(t *testing.T) {
-	w := NewWorld(2)
-	for v := 1; v <= 40; v++ {
-		w.Place(ident.NodeID(v), Point{X: float64(v)})
-	}
-	row := func(v ident.NodeID) Row {
-		r, ok := w.ReceiverRow(v)
-		if !ok {
-			t.Fatalf("row of %v not served", v)
-		}
-		return r
-	}
-	step := func(move func()) {
-		w.SymmetricGraph().Retire() // the current graph, as SpatialTopology.Advance does
-		move()
-		w.SymmetricGraph()
-	}
-	w.SymmetricGraph()
-	r1, r38 := row(1), row(38)
-	step(func() { w.Place(40, Point{X: 100}) }) // one mover: a delta
-	if !row(1).Same(r1) || row(38).Same(r38) || !row(40).Same(Row{}) {
-		t.Fatal("delta: untouched row 1 must stay Same, patched row 38 must not, isolated 40 is empty")
-	}
-	shift := func() {
-		step(func() {
-			for _, v := range w.Nodes() {
-				p, _ := w.Pos(v)
-				w.Place(v, p.Add(0, 0.001)) // every node moves, no link changes: full
-			}
-		})
-	}
-	shift()
-	r1 = row(1)
-	shift()
-	if now := row(1); &now.IDs()[0] != &r1.IDs()[0] || !slices.Equal(now.IDs(), r1.IDs()) || now.Same(r1) {
-		t.Fatal("full rebuild over taken storage: row 1 must recur in its window and not be Same")
-	}
-}
-
 // TestDirectlySteppedWorldKeepsEveryGraph: a world nobody retires graphs
 // for (examples/urban, experiments.highwayTrace) hands out graphs that
 // stay what they were — ten successive delta results each still equal
@@ -722,26 +619,21 @@ func TestDirectlySteppedWorldKeepsEveryGraph(t *testing.T) {
 // all-pairs oracle on worlds whose occupied box is far wider than the
 // bucket array, so distant cells share buckets: two clusters 10⁶ apart
 // (one at negative coordinates) laid exactly onto each other's buckets,
-// with walls in both and TX range overrides above and below the default,
-// then a convoy drifting 1 500 cells without a re-layout. A bucket array
+// with walls in all three, then a convoy drifting 1 500 cells without a re-layout. A bucket array
 // with an axis under three buckets would let the 3×3 scan visit one bucket
 // twice and put a neighbour in a row twice.
 func TestBucketAliasingMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const r, far = 2.0, 1e6
-	w := NewWorld(r)
-	// One override doubles the cell size to 4: far is 250 000 cells, a
-	// multiple of any array extent up to 16, so the clusters alias exactly.
-	w.TxRange = map[ident.NodeID]float64{1: 2 * r}
+	// Cell size 4: far is 250 000 cells, a multiple of any array extent up
+	// to 16, so the clusters alias exactly.
+	w := NewWorld(4)
 	origins := []Point{{0, 0}, {far, far}, {-far, 0}}
 	id := ident.NodeID(0)
 	for _, o := range origins {
 		for i := 0; i < 25; i++ {
 			id++
 			w.Place(id, o.Add(rng.Float64()*8-4, rng.Float64()*8-4))
-			if id > 1 && rng.Intn(5) == 0 {
-				w.TxRange[id] = rng.Float64() * 2 * r
-			}
 		}
 		a := o.Add(rng.Float64()*4-2, rng.Float64()*4-2)
 		w.Walls = append(w.Walls, Segment{a, a.Add(rng.Float64()*3, rng.Float64()*3)})
