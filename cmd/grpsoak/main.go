@@ -41,7 +41,9 @@
 // -introspect serves net/http/pprof and the engine's flight-recorder
 // registry as JSON for the run's lifetime; -flight-every interleaves
 // periodic flight-recorder snapshot records ("type":"flight") into the
-// -stats JSONL stream; -trace-wakes streams one record per executed
+// -stats JSONL stream, and ends the report with the idle time of the
+// engine's three fanned-out phases (width · phase time − the summed time
+// of their shard items); -trace-wakes streams one record per executed
 // compute attributing the skip-check gate that woke the node. On a
 // chaos run the registry's injection counters are cross-checked against
 // the injector's own totals, and any drift exits non-zero.
@@ -230,6 +232,9 @@ func main() {
 		return
 	}
 	fmt.Print(res.Report())
+	if *flightEvery > 0 {
+		fmt.Print(res.IdleReport(*workers))
+	}
 	if *fingerprint {
 		fmt.Printf("fingerprint: %016x\n", res.Fingerprint)
 	}

@@ -23,18 +23,45 @@ func registryCounters(workers, rounds int) map[string]uint64 {
 	return s.e.Introspect().Snapshot().Counters
 }
 
+// acrossWidths are the worker counts a determinism pin compares against
+// the sequential run: width 2, the benchmark's, three times — which
+// participant claims which shard differs from run to run, and the
+// repeats are what exercise that — then 3 and 4.
+var acrossWidths = []int{2, 2, 2, 3, 4}
+
 // TestRegistryBitIdenticalAcrossWorkers pins the flight recorder's
 // deterministic section to the engine's worker-count invariance
 // guarantee: every counter — computes, per-class skips, the wake-cause
 // histogram, the message/receiver cache hits, deliveries and elisions —
-// must be bit-identical between the sequential and 4-worker executions
-// of the same churning scenario. (The wall-clock phase timings live in a
-// separate registry section precisely because they cannot satisfy this.)
+// must be bit-identical between the sequential and every parallel
+// execution of the same churning scenario. (The wall-clock phase timings
+// live in a separate registry section precisely because they cannot
+// satisfy this.)
 func TestRegistryBitIdenticalAcrossWorkers(t *testing.T) {
 	seq := registryCounters(1, 60)
-	par := registryCounters(4, 60)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("registry diverged across workers:\nseq: %v\npar: %v", seq, par)
+	for _, workers := range acrossWidths {
+		if par := registryCounters(workers, 60); !reflect.DeepEqual(seq, par) {
+			t.Fatalf("registry diverged at %d workers:\nseq: %v\npar: %v", workers, seq, par)
+		}
+	}
+}
+
+// TestBusyWithinWidthTimesPhase checks the wall-clock section's busy
+// accumulators: each fanned-out phase's shard items took some time, and
+// no more than the phase's wall time at every participant of its width.
+func TestBusyWithinWidthTimesPhase(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		s := newScenario(workers, false)
+		for r := 0; r < 20; r++ {
+			s.step(r)
+		}
+		reg := s.e.Introspect()
+		for _, p := range introspect.FanOutPhases {
+			busy, ph := reg.BusyNs(p), reg.PhaseNs(p)
+			if busy <= 0 || busy > int64(workers)*ph {
+				t.Errorf("workers %d, %s: busy %d ns, phase %d ns: want 0 < busy ≤ %d·phase", workers, p, busy, ph, workers)
+			}
+		}
 	}
 }
 

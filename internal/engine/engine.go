@@ -901,6 +901,13 @@ func (e *Engine) endPhase(p introspect.Phase, start time.Time) {
 	e.reg.AddPhaseNs(p, time.Since(start).Nanoseconds())
 }
 
+// endItem adds the wall-clock time since start, one shard item of a
+// fanned-out phase, into the phase's busy accumulator: what the phase's
+// participants were not idle for (introspect.Registry.BusyNs).
+func (e *Engine) endItem(p introspect.Phase, start time.Time) {
+	e.reg.AddBusyNs(p, time.Since(start).Nanoseconds())
+}
+
 // appendLive appends the current members among ids to dst. dst may alias
 // ids' own backing (an in-place filter): the write index never passes the
 // read index.
@@ -963,6 +970,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 		due = e.sendWheel.due(e.tick)
 	}
 	shard.Run(e.P.Workers, func(s, _ int) {
+		itemStart := time.Now()
 		sc := &e.scratch[s]
 		sc.txs = sc.txs[:0]
 		sc.bytes = 0
@@ -1023,6 +1031,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 		lane.Add(introspect.CtrRecvCacheHits, recvHits)
 		lane.Add(introspect.CtrRecvRowHits, rowHits)
 		lane.Add(introspect.CtrRecvRowRefills, rowRefills)
+		e.endItem(introspect.PhaseBuild, itemStart)
 	})
 	if e.P.RandomizedSends {
 		e.sendOneshot.reset(e.tick)
@@ -1188,6 +1197,7 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 	}
 	e.reg.Add(introspect.CtrDeliveries, delivs)
 	shard.Run(e.P.Workers, func(s, _ int) {
+		itemStart := time.Now()
 		var elided uint64
 		for _, d := range e.scratch[s].deliv {
 			if d.from.ver == ^uint64(0) {
@@ -1206,6 +1216,7 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 			}
 		}
 		e.reg.Shard(s).Add(introspect.CtrDeliveriesElided, elided)
+		e.endItem(introspect.PhaseDeliver, itemStart)
 	})
 	e.endPhase(introspect.PhaseDeliver, start)
 }
@@ -1224,6 +1235,7 @@ func (e *Engine) compute() {
 	cdue := e.computeWheel.due(e.tick)
 	memoOn := !e.eager && !e.noMemo
 	shard.Run(e.P.Workers, func(s, _ int) {
+		itemStart := time.Now()
 		sc := &e.scratch[s]
 		sc.wakes = sc.wakes[:0]
 		var ran, skipFix, skipLonely, skipHeld, skipMemo uint64
@@ -1317,6 +1329,7 @@ func (e *Engine) compute() {
 		for c, n := range wk {
 			lane.Add(introspect.WakeCause(c).Counter(), n)
 		}
+		e.endItem(introspect.PhaseCompute, itemStart)
 	})
 	if e.traceWakes {
 		for s := range e.scratch {

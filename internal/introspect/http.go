@@ -17,7 +17,7 @@ import (
 // Endpoints:
 //
 //	/debug/pprof/...   the standard pprof index, profiles and trace
-//	/debug/registry    Snapshot (counters + phase_ns) as JSON
+//	/debug/registry    Snapshot (counters + phase_ns + busy_ns) as JSON
 //	/                  a one-page index
 type Server struct {
 	ln  net.Listener
@@ -36,7 +36,7 @@ func NewMux(reg *Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/registry", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		snap := Snapshot{Counters: map[string]uint64{}, PhaseNs: map[string]int64{}}
+		snap := Snapshot{Counters: map[string]uint64{}, PhaseNs: map[string]int64{}, BusyNs: map[string]int64{}}
 		if reg != nil {
 			snap = reg.Snapshot()
 		}

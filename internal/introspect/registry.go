@@ -11,9 +11,12 @@
 //     worker count and any GOMAXPROCS: instrumentation is a correctness
 //     artifact the conformance suite pins, not a sampled dashboard.
 //   - The wall-clock section: per-phase nanosecond accumulators
-//     (PhaseNs). Timings are machine- and load-dependent by nature, so
-//     they live outside the counter block and never participate in any
-//     determinism comparison — a snapshot carries them separately.
+//     (PhaseNs), and beside them, for the phases that fan out over the
+//     shards, the summed wall time of the shard items (BusyNs): a phase
+//     run at width W kept its participants idle W·PhaseNs − BusyNs.
+//     Timings are machine- and load-dependent by nature, so they live
+//     outside the counter block and never participate in any determinism
+//     comparison — a snapshot carries them separately.
 //
 // All cells are updated with atomic operations, so a live HTTP observer
 // (Serve) can read a consistent-enough snapshot while the engine runs
@@ -236,6 +239,10 @@ const (
 	NumPhases
 )
 
+// FanOutPhases are the phases the engine fans out over the shards, the
+// ones whose shard items it times into BusyNs.
+var FanOutPhases = [...]Phase{PhaseBuild, PhaseDeliver, PhaseCompute}
+
 var phaseNames = [NumPhases]string{
 	PhaseAdvance:         "advance",
 	PhaseBuild:           "build",
@@ -277,6 +284,7 @@ type Registry struct {
 	shards  []Lane           // per-shard lanes, owned by the shard's worker
 	coord   Lane             // coordinator-side events
 	phaseNs [NumPhases]int64 // wall-clock section (atomic)
+	busyNs  [NumPhases]int64 // …and its fanned-out phases' item time
 }
 
 // NewRegistry builds a registry for an engine with the given shard count.
@@ -315,6 +323,18 @@ func (r *Registry) PhaseNs(p Phase) int64 {
 	return atomic.LoadInt64(&r.phaseNs[p])
 }
 
+// AddBusyNs accumulates the wall-clock nanoseconds one shard item of a
+// fanned-out phase took. Any participant may call it.
+func (r *Registry) AddBusyNs(p Phase, ns int64) {
+	atomic.AddInt64(&r.busyNs[p], ns)
+}
+
+// BusyNs returns one phase's summed shard-item wall time (0 for a phase
+// that does not fan out).
+func (r *Registry) BusyNs(p Phase) int64 {
+	return atomic.LoadInt64(&r.busyNs[p])
+}
+
 // Counters folds every counter into a name→total map (a fresh map per
 // call — snapshots are handed to sinks that retain them).
 func (r *Registry) Counters() map[string]uint64 {
@@ -331,6 +351,7 @@ func (r *Registry) Counters() map[string]uint64 {
 type Snapshot struct {
 	Counters map[string]uint64 `json:"counters"`
 	PhaseNs  map[string]int64  `json:"phase_ns"`
+	BusyNs   map[string]int64  `json:"busy_ns"` // the fanned-out phases only
 }
 
 // Snapshot captures the registry. Counters are exact under the engine's
@@ -338,8 +359,12 @@ type Snapshot struct {
 // phase boundary.
 func (r *Registry) Snapshot() Snapshot {
 	ph := make(map[string]int64, NumPhases)
+	busy := make(map[string]int64, len(FanOutPhases))
 	for p := Phase(0); p < NumPhases; p++ {
 		ph[phaseNames[p]] = r.PhaseNs(p)
 	}
-	return Snapshot{Counters: r.Counters(), PhaseNs: ph}
+	for _, p := range FanOutPhases {
+		busy[phaseNames[p]] = r.BusyNs(p)
+	}
+	return Snapshot{Counters: r.Counters(), PhaseNs: ph, BusyNs: busy}
 }

@@ -107,10 +107,14 @@ func TestConcurrentLaneWrites(t *testing.T) {
 func TestPhaseNsSeparation(t *testing.T) {
 	r := NewRegistry(4)
 	r.AddPhaseNs(PhaseCompute, 1234)
+	r.AddBusyNs(PhaseCompute, 2000)
 	r.Inc(CtrTicks)
 	snap := r.Snapshot()
 	if snap.PhaseNs["compute"] != 1234 {
 		t.Fatalf("phase_ns: %v", snap.PhaseNs)
+	}
+	if snap.BusyNs["compute"] != 2000 || len(snap.BusyNs) != len(FanOutPhases) {
+		t.Fatalf("busy_ns: %v", snap.BusyNs)
 	}
 	for name := range snap.Counters {
 		for p := Phase(0); p < NumPhases; p++ {

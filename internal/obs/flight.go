@@ -11,15 +11,16 @@ import (
 // them), flight records carry an explicit "type":"flight" discriminator
 // so consumers of a mixed stream can route on it. Counters is the
 // deterministic section (bit-identical at any worker count for the same
-// run); PhaseNs is the wall-clock section and is machine-dependent — the
-// two must never be conflated, which is why the snapshot keeps them in
-// separate objects.
+// run); PhaseNs and BusyNs are the wall-clock section and are
+// machine-dependent — the two sections must never be conflated, which is
+// why the snapshot keeps them in separate objects.
 type FlightRecord struct {
 	Type     string            `json:"type"` // always "flight"
 	Round    int               `json:"round"`
 	Tick     int               `json:"tick"`
 	Counters map[string]uint64 `json:"counters"`
 	PhaseNs  map[string]int64  `json:"phase_ns"`
+	BusyNs   map[string]int64  `json:"busy_ns"`
 }
 
 // NewFlightRecord snapshots an engine's flight recorder at round r.
@@ -31,6 +32,7 @@ func NewFlightRecord(r int, e *engine.Engine) FlightRecord {
 		Tick:     e.Tick(),
 		Counters: snap.Counters,
 		PhaseNs:  snap.PhaseNs,
+		BusyNs:   snap.BusyNs,
 	}
 }
 

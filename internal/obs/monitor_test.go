@@ -243,7 +243,7 @@ func TestChaosSoakDeterministicAcrossWorkers(t *testing.T) {
 		}
 		rep := *res
 		rep.Elapsed, rep.TicksPerSec, rep.Setup = 0, 0, 0
-		rep.Flight.PhaseNs = nil // wall-clock phase timings differ too
+		rep.Flight.PhaseNs, rep.Flight.BusyNs = nil, nil // wall-clock phase timings differ too
 		b, _ := json.Marshal(struct {
 			Res SoakResult
 			Eps []Episode

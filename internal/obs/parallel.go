@@ -5,7 +5,10 @@ import (
 	"repro/internal/ident"
 )
 
-// workerScratch is one worker's reusable evaluation buffers: array-based
+// workerScratch is one fan-out participant's reusable evaluation buffers
+// (the tracker keeps one per participant index; a participant runs one
+// item at a time and every answer is a pure function of the graph and
+// the members, so which participant ran an item never shows): array-based
 // BFS state for the small groups the Dmax bound produces, with a
 // graph-indexed fallback for pathological sizes. The fallback arrays are
 // indexed by the graph's dense node index (graph.G.IndexOf) and

@@ -14,6 +14,7 @@ import (
 	"repro/internal/introspect"
 	"repro/internal/mobility"
 	"repro/internal/radio"
+	"repro/internal/shard"
 	"repro/internal/space"
 )
 
@@ -234,6 +235,28 @@ func (r *SoakResult) Report() string {
 			fmt.Fprintf(&b, " (of %d computes)\n", run)
 		}
 	}
+	return b.String()
+}
+
+// IdleReport renders, for each phase the engine fans out over the shards,
+// the time its participants spent outside a shard item, per round:
+// Width(workers)·PhaseNs − BusyNs, the phase's serial part included.
+func (r *SoakResult) IdleReport(workers int) string {
+	if r.Rounds == 0 {
+		return ""
+	}
+	width := shard.Width(workers)
+	perRound := func(ns int64) float64 { return float64(ns) / 1e6 / float64(r.Rounds) }
+	var b strings.Builder
+	fmt.Fprintf(&b, "  idle at width %d, ms/round of width × phase:", width)
+	for k, p := range introspect.FanOutPhases {
+		ph, busy := r.Flight.PhaseNs[p.String()], r.Flight.BusyNs[p.String()]
+		if k > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %s %.3f of %.3f", p, perRound(int64(width)*ph-busy), perRound(int64(width)*ph))
+	}
+	b.WriteString("\n")
 	return b.String()
 }
 

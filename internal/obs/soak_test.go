@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/introspect"
 )
 
 // TestSinksRoundTrip pins the record formats: JSONL decodes back to the
@@ -136,7 +139,8 @@ func TestSoakSmoke(t *testing.T) {
 }
 
 // TestSoakDeterministicAcrossWorkers pins the whole harness — engine,
-// churn, tracker — to identical reports at different worker widths.
+// churn, tracker — to identical reports at different worker widths, width
+// 2 three times (the claiming order differs between runs).
 func TestSoakDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) string {
 		res, err := RunSoak(SoakConfig{
@@ -148,12 +152,39 @@ func TestSoakDeterministicAcrossWorkers(t *testing.T) {
 		}
 		rep := *res
 		rep.Elapsed, rep.TicksPerSec, rep.Setup = 0, 0, 0 // wall-clock fields differ
-		rep.Flight.PhaseNs = nil                          // …as does the timing section
+		rep.Flight.PhaseNs, rep.Flight.BusyNs = nil, nil  // …as does the timing section
 		b, _ := json.Marshal(rep)
 		return string(b)
 	}
-	if a, b := run(1), run(4); a != b {
-		t.Fatalf("soak diverges across workers:\n w1: %s\n w4: %s", a, b)
+	want := run(1)
+	for _, workers := range []int{2, 2, 2, 3, 4} {
+		if got := run(workers); got != want {
+			t.Fatalf("soak diverges across workers:\n w1: %s\n w%d: %s", want, workers, got)
+		}
+	}
+}
+
+// TestIdleReport checks the line grpsoak -flight-every ends its report
+// with: each fanned-out phase's idle time out of width × phase, which a
+// shard item never exceeds.
+func TestIdleReport(t *testing.T) {
+	res, err := RunSoak(SoakConfig{N: 60, Seed: 3, Workers: 2, MaxRounds: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := res.IdleReport(2)
+	for _, p := range introspect.FanOutPhases {
+		var idle, total float64
+		at := strings.Index(line, " "+p.String()+" ")
+		if at < 0 {
+			t.Fatalf("no %s figure in %q", p, line)
+		}
+		if _, err := fmt.Sscanf(line[at:], " "+p.String()+" %f of %f", &idle, &total); err != nil {
+			t.Fatalf("%s in %q: %v", p, line, err)
+		}
+		if idle < 0 || idle > total || total <= 0 {
+			t.Errorf("%s: idle %.3f of %.3f ms/round", p, idle, total)
+		}
 	}
 }
 

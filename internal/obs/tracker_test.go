@@ -197,8 +197,9 @@ func obsFingerprint(st RoundStats, tr *GroupTracker) string {
 
 // TestTrackerDeterministicAcrossWorkers pins the acceptance criterion:
 // the tracker's full output, Groups() included, is bit-identical at
-// Workers=1, 2 and 4 on a churning mobile scenario in which group records
-// are written again. ΠM is settled per owner shard, so the comparison
+// Workers=1, 2, 3 and 4 on a churning mobile scenario in which group
+// records are written again (width 2 three times: the claiming order
+// differs between runs). ΠM is settled per owner shard, so the comparison
 // counts only if every run took each of its paths: a pair reported from
 // two scanning shards and deduped across them, a verdict reused from the
 // last scan, and one settled by BFS.
@@ -248,7 +249,7 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 		return out
 	}
 	want := run(1)
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 2, 2, 3, 4} {
 		got := run(workers)
 		for r := range want {
 			if got[r] != want[r] {
