@@ -151,14 +151,21 @@ type shardScratch struct {
 	core  core.Scratch
 	msgs  pool[*core.Message]
 	ents  pool[[]ident.Entry]
-	boot  []core.Message // New's first-round headers, handed out on pool misses until spent
+	boot  []core.Message   // New's first-round headers, handed out on pool misses until spent
+	lane  *introspect.Lane // the shard's registry lane, which counts the pool misses
 }
+
+// poolLife is how many compute periods retired storage stays takeable
+// after it ripens: a shard's pool sees a build of any one size seldom, and
+// one period was too short a wait for most of them (DESIGN.md §2.3, The
+// pool).
+const poolLife = 4
 
 // pool is one shard's storage of replaced broadcasts — the broadcasts
 // themselves, header and records, or their lists' entries — oldest first
 // per capacity (of the records, of the entries; DESIGN.md §2.3, pools):
 // retired at tick t, written again from t+Tc on by any node of the shard,
-// left to the GC if unclaimed by t+2·Tc.
+// left to the GC if unclaimed by t+(1+poolLife)·Tc.
 type pool[T any] struct{ byCap []fifo[T] }
 
 type fifo[T any] struct {
@@ -231,12 +238,13 @@ func (sc *shardScratch) retire(old *core.Message, cur antlist.List, tick int) {
 	}
 }
 
-// take returns a pooled message with room for need records, else one of
-// New's first-round headers while they last, else a new one.
+// take returns a pooled message with room for need records, else — a
+// miss — one of New's first-round headers while they last, else a new one.
 func (sc *shardScratch) take(need, ripe int) *core.Message {
 	if m := sc.msgs.take(need, ripe); m != nil {
 		return m
 	}
+	sc.lane.Inc(introspect.CtrMsgPoolMisses)
 	if len(sc.boot) > 0 {
 		m := &sc.boot[0]
 		sc.boot = sc.boot[1:]
@@ -254,8 +262,9 @@ func (sc *shardScratch) sweep(e *Engine) {
 	if sc.core.SelfCheck {
 		poisonMsg, poisonEnts = core.PoisonMessage, core.PoisonEntries
 	}
-	sc.msgs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-e.P.Tc, poisonMsg, func(m *core.Message) { *m = core.Message{} })
-	sc.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-e.P.Tc, poisonEnts, nil)
+	life := poolLife * e.P.Tc
+	sc.msgs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-life, poisonMsg, func(m *core.Message) { *m = core.Message{} })
+	sc.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-life, poisonEnts, nil)
 }
 
 // SetRecsHold is a test seam: conformance shows either hold below Tc is caught.
@@ -535,7 +544,14 @@ func New(p Params, topo Topology) *Engine {
 	for s := range e.shardRNGs {
 		e.shardRNGs[s] = rand.New(rand.NewSource(shardSeed(p.Seed, s)))
 		sc := &e.scratch[s]
-		sc.core.Lists.Take = func(need int) []ident.Entry { return sc.ents.take(need, e.tick-e.entsHold) }
+		sc.lane = e.reg.Shard(s)
+		sc.core.Lists.Take = func(need int) []ident.Entry {
+			ents := sc.ents.take(need, e.tick-e.entsHold)
+			if ents == nil {
+				sc.lane.Inc(introspect.CtrEntsPoolMisses)
+			}
+			return ents
+		}
 	}
 	if p.RandomizedSends {
 		e.sendOneshot = newOneshotWheel(p.Ts)

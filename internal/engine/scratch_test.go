@@ -100,11 +100,12 @@ func TestFootprint(t *testing.T) {
 	}
 	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	t.Logf("live heap per node: %d B", perNode)
-	// Measured 3 735 B: 3 897 B when every inbox entry and every cached
-	// broadcast held a copy of the 96-byte header, 5.5 KB when every node
-	// kept a private fold arena and work buffers. Of it ≈ 0.16 KB are New's
-	// first-round headers that no broadcast uses any more (3 572 B without
-	// that slab), and ≈ 0.02 KB the cuts their owners outgrew.
+	// Measured 3 696 B on amd64: 3 568 B when the pools dropped storage one
+	// compute period after it ripened, not poolLife; 3 897 B when every
+	// inbox entry and every cached broadcast held a copy of the 96-byte
+	// header, 5.5 KB when every node kept a private fold arena and work
+	// buffers. Of it 0.19 KB is New's slab of first-round headers, two a
+	// node, alive while any header cut from it is.
 	if budget := int64(3850); perNode > budget {
 		t.Errorf("live heap per node = %d B, budget %d B", perNode, budget)
 	}
@@ -144,7 +145,7 @@ func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	if n.ID() != ident.None || n.List().Len() != 0 || n.PendingMessages() != 0 {
 		t.Fatalf("New's slab still holds the departed node's state: %s", n)
 	}
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 2+poolLife; r++ {
 		e.StepRound() // v's neighbors consume it, and its pool drops it
 	}
 	if last.From != ident.None || last.Recs != nil {
@@ -518,9 +519,10 @@ func TestInboxAliasesBroadcast(t *testing.T) {
 }
 
 // TestRecsPoolDrains pins both pools' bound: each holds what was retired in
-// the last 2·Tc ticks and nothing else — after the whole-world rebuild
-// storm of a converging start, 4·Tc ticks without a rebuild leave no
-// message, no buffer and no queue array behind.
+// the last (1+poolLife)·Tc ticks and nothing else — after the whole-world
+// rebuild storm of a converging start, that long without a rebuild leaves
+// no message and no buffer behind, and poolLife·Tc empty sweeps more no
+// queue array.
 func TestRecsPoolDrains(t *testing.T) {
 	r := graph.NewRef()
 	for v := ident.NodeID(1); v <= 400; v++ { // 80 lines of 5: each merges into one group
@@ -534,7 +536,8 @@ func TestRecsPoolDrains(t *testing.T) {
 		t.Fatalf("a converging world holds %d retired messages and %d retired lists — the check is vacuous", msgs, ents)
 	}
 	builds := func() uint64 { return e.Introspect().Get(introspect.CtrMsgBuilds) }
-	for quiet, last := 0, builds(); quiet < 4*e.P.Tc; {
+	drain := (1 + 2*poolLife) * e.P.Tc
+	for quiet, last := 0, builds(); quiet < drain; {
 		if e.Step(); builds() != last {
 			quiet, last = 0, builds()
 		} else {
@@ -545,7 +548,7 @@ func TestRecsPoolDrains(t *testing.T) {
 		}
 	}
 	if msgs, ents, arrays := pooled(e); msgs != 0 || ents != 0 || arrays != 0 {
-		t.Fatalf("after 4·Tc quiet ticks the pools hold %d messages and %d entry buffers in %d queue arrays", msgs, ents, arrays)
+		t.Fatalf("after %d quiet ticks the pools hold %d messages and %d entry buffers in %d queue arrays", drain, msgs, ents, arrays)
 	}
 }
 
@@ -599,30 +602,44 @@ func pairRefs(n ident.NodeID) (on, off *graph.Ref) {
 }
 
 // TestSteadyCommitsAllocateNothing drives pairs that hear each other in one
-// tick of every two compute periods, on jittered timers: every compute
-// flips its node's list between (v) and (v, {u'}), and after warm-up each
-// commit is published into entries its shard retired a period earlier, over
-// offsets interned once — no allocation scales with the commits.
+// tick of every blink period, on jittered timers: the compute after a blink
+// moves its node's list from (v) to (v, {u'}) and the next one moves it
+// back, and after warm-up each commit is published into entries its shard
+// retired up to a blink period earlier, over offsets interned once — no
+// allocation scales with the commits. At 2·Tc every compute commits; at
+// 4·Tc the entries wait three compute periods for their next taker, which
+// a pool that dropped them one period after they ripened would miss.
 func TestSteadyCommitsAllocateNothing(t *testing.T) {
 	const n = 300
-	on, off := pairRefs(n)
 	p := Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}
 	p.normalize()
-	e := New(p, &blinkTopo{on: graph.FromRef(on), off: graph.FromRef(off), period: 2 * p.Tc})
-	e.StepTicks(8 * p.Tc)
-	list := e.Node(1).List()
-	before := e.Introspect().Get(introspect.CtrMsgBuilds)
-	step := testing.AllocsPerRun(10*p.Tc, e.Step)
-	// A rebuild per compute is a commit per compute: nothing else moves here.
-	if got := e.Introspect().Get(introspect.CtrMsgBuilds) - before; got < n*10 {
-		t.Fatalf("%d rebuilds in 10 periods of %d blinking nodes — the check is vacuous", got, n)
-	}
-	e.StepTicks(p.Tc)
-	if now := e.Node(1).List(); now.Equal(list) || now.Len()+list.Len() != 3 {
-		t.Fatalf("node 1's list went %v → %v over an odd number of periods, want (1) ↔ (1,{2'})", list, now)
-	}
-	if step > 3 {
-		t.Errorf("a tick allocates %.2f times in steady state, want the 3 phase closures", step)
+	for _, periods := range []int{2, 4} {
+		on, off := pairRefs(n)
+		blink := periods * p.Tc
+		e := New(p, &blinkTopo{on: graph.FromRef(on), off: graph.FromRef(off), period: blink})
+		e.StepTicks(4 * blink)
+		reg := e.Introspect()
+		misses := func() uint64 { return reg.Get(introspect.CtrMsgPoolMisses) + reg.Get(introspect.CtrEntsPoolMisses) }
+		before, missed := reg.Get(introspect.CtrMsgBuilds), misses()
+		step := testing.AllocsPerRun(10*p.Tc, e.Step)
+		// A lonely clock rebuilds every broadcast once a compute period.
+		if got := reg.Get(introspect.CtrMsgBuilds) - before; got < n*10 {
+			t.Fatalf("blink %d·Tc: %d rebuilds in 10 periods of %d blinking nodes — the check is vacuous", periods, got, n)
+		}
+		if missed < n || misses() != missed {
+			t.Errorf("blink %d·Tc: the pools missed %d times warming up and %d times after, want ≥ %d and none", periods, missed, misses()-missed, n)
+		}
+		lens := map[int]bool{}
+		for i := 0; i < blink; i++ {
+			e.Step()
+			lens[e.Node(1).List().Len()] = true
+		}
+		if !lens[1] || !lens[2] || len(lens) != 2 {
+			t.Fatalf("blink %d·Tc: node 1's list took lengths %v over a blink period, want (1) and (1,{2'})", periods, lens)
+		}
+		if step > 3 {
+			t.Errorf("blink %d·Tc: a tick allocates %.2f times in steady state, want the 3 phase closures", periods, step)
+		}
 	}
 }
 

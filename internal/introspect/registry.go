@@ -46,6 +46,10 @@ const (
 	CtrRecvRowRefills // stale epoch refilled from a changed topology row
 	CtrRecvRebuilds   // always 0: a receiver set has one derivation, its graph row; declared while the benchmark sums it
 
+	// Broadcast pools (per shard): takes that found nothing ripe.
+	CtrMsgPoolMisses  // builds and ghost refreshes that got a new or first-round message
+	CtrEntsPoolMisses // list commits and ghost refreshes that allocated their entries
+
 	// Topology/receiver-cache invalidation (coordinator side).
 	CtrGraphDeltaRounds // graph changes absorbed as per-sender dirty-row demotions
 	CtrGraphFullRounds  // graph/membership changes that bumped the global epoch
@@ -112,6 +116,8 @@ var counterNames = [NumCounters]string{
 	CtrRecvRowHits:         "recv_row_hits",
 	CtrRecvRowRefills:      "recv_row_refills",
 	CtrRecvRebuilds:        "recv_rebuilds",
+	CtrMsgPoolMisses:       "msg_pool_misses",
+	CtrEntsPoolMisses:      "ents_pool_misses",
 	CtrGraphDeltaRounds:    "graph_delta_rounds",
 	CtrGraphFullRounds:     "graph_full_rounds",
 	CtrRecvRowDemotions:    "recv_row_demotions",

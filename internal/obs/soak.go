@@ -260,6 +260,19 @@ func (r *SoakResult) IdleReport(workers int) string {
 	return b.String()
 }
 
+// PoolReport renders the broadcast pools' misses, the takes that found
+// nothing ripe and so allocated or spent a first-round header, per message
+// build: a deterministic count of the storage the pools did not recycle.
+func (r *SoakResult) PoolReport() string {
+	c := r.Flight.Counters
+	msgs, ents, builds := c["msg_pool_misses"], c["ents_pool_misses"], c["msg_builds"]
+	if builds == 0 {
+		return ""
+	}
+	return fmt.Sprintf("  pools: %d message and %d entry misses over %d builds, %.4f a build\n",
+		msgs, ents, builds, float64(msgs+ents)/float64(builds))
+}
+
 // BuildSoakWorld constructs the soak scenario's world, mobility model
 // and initial population — the exact construction RunSoak performs, as
 // a shared seam: a distributed run (internal/dist) must replicate the

@@ -188,6 +188,24 @@ func TestIdleReport(t *testing.T) {
 	}
 }
 
+// TestPoolReport checks the pools' line of grpsoak -flight-every: the
+// first round's builds all miss, and a miss is a build's or a commit's.
+func TestPoolReport(t *testing.T) {
+	res, err := RunSoak(SoakConfig{N: 60, Seed: 3, MaxRounds: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msgs, ents, builds uint64
+	var per float64
+	line := res.PoolReport()
+	if _, err := fmt.Sscanf(line, "  pools: %d message and %d entry misses over %d builds, %f a build", &msgs, &ents, &builds, &per); err != nil {
+		t.Fatalf("%q: %v", line, err)
+	}
+	if msgs < 60 || msgs > builds || ents == 0 || builds != res.Flight.Counters["msg_builds"] {
+		t.Errorf("%q: want at least the 60 first builds missed, no more misses than builds, some commits", line)
+	}
+}
+
 // TestSoakDurationCap sanity-checks the wall-clock cap path.
 func TestSoakDurationCap(t *testing.T) {
 	res, err := RunSoak(SoakConfig{

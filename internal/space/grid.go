@@ -215,9 +215,10 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 						}
 						// Dist decides; two candidates in three of a 3×3 block
 						// are out of range by far more than any rounding of the
-						// squares and are dropped before it.
+						// squares and are dropped before it. The squares are
+						// rounded on their own, unfused (hypot says why).
 						dx, dy := pu.X-c.pt.X, pu.Y-c.pt.Y
-						if dx*dx+dy*dy > r*r*(1+1e-9) || pu.Dist(c.pt) > r {
+						if float64(dx*dx)+float64(dy*dy) > r*r*(1+1e-9) || pu.Dist(c.pt) > r {
 							continue
 						}
 						a, b := pu, c.pt

@@ -26,7 +26,32 @@ import (
 type Point struct{ X, Y float64 }
 
 // Dist returns the Euclidean distance to o.
-func (p Point) Dist(o Point) float64 { return math.Hypot(p.X-o.X, p.Y-o.Y) }
+func (p Point) Dist(o Point) float64 { return hypot(p.X-o.X, p.Y-o.Y) }
+
+// hypot is math.Hypot's portable body, special cases included, with a
+// conversion that keeps q*q rounded before the add. The Go spec lets a
+// compiler fuse x*y + z into one rounding; gc does on arm64, ppc64le, s390x
+// and riscv64, where math.Hypot runs that body fused, and never on amd64,
+// where math.Hypot's assembly runs the same sequence unfused. So a link
+// decided here is decided alike on every target, and bit-equal to
+// math.Hypot on amd64.
+func hypot(p, q float64) float64 {
+	p, q = math.Abs(p), math.Abs(q)
+	if !(p <= math.MaxFloat64 && q <= math.MaxFloat64) { // one compare pair on the finite path
+		if math.IsInf(p, 1) || math.IsInf(q, 1) {
+			return math.Inf(1)
+		}
+		return math.NaN()
+	}
+	if p < q {
+		p, q = q, p
+	}
+	if p == 0 {
+		return 0
+	}
+	q = q / p
+	return p * math.Sqrt(1+float64(q*q))
+}
 
 // Add returns p translated by (dx, dy).
 func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
@@ -331,8 +356,10 @@ func segmentsCross(p, q, a, b Point) bool {
 	return onSegment(a, b, p) || onSegment(a, b, q) || onSegment(p, q, a) || onSegment(p, q, b)
 }
 
+// orient is the sign-carrying cross product (b−a)×(c−a), each product
+// rounded on its own (hypot says why).
 func orient(a, b, c Point) float64 {
-	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
+	return float64((b.X-a.X)*(c.Y-a.Y)) - float64((b.Y-a.Y)*(c.X-a.X))
 }
 
 func onSegment(a, b, p Point) bool {

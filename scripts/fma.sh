@@ -22,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A ceiling=( # fused opcode lines per package, on each target
-	[repro/internal/space]=7
+	[repro/internal/space]=0
 	[repro/internal/mobility]=18
 )
 targets=(arm64 ppc64le s390x riscv64)
