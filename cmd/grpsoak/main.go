@@ -43,7 +43,8 @@
 // periodic flight-recorder snapshot records ("type":"flight") into the
 // -stats JSONL stream, and ends the report with the idle time of the
 // engine's three fanned-out phases (width · phase time − the summed time
-// of their shard items) and the broadcast pools' misses per build;
+// their participants spent working), the broadcast pools' misses per
+// build and the tracker's rows swept per observation;
 // -trace-wakes streams one record per executed
 // compute attributing the skip-check gate that woke the node. On a
 // chaos run the registry's injection counters are cross-checked against
@@ -236,6 +237,7 @@ func main() {
 	if *flightEvery > 0 {
 		fmt.Print(res.IdleReport(*workers))
 		fmt.Print(res.PoolReport())
+		fmt.Print(res.SweepReport())
 	}
 	if *fingerprint {
 		fmt.Printf("fingerprint: %016x\n", res.Fingerprint)

@@ -13,12 +13,15 @@ import (
 	"repro/internal/space"
 )
 
-// registryCounters runs the churning walled scenario and returns the
-// flight recorder's deterministic counter block.
+// registryCounters runs the churning walled scenario under a tracker and
+// returns the flight recorder's deterministic counter block, the
+// tracker's obs_* counters included.
 func registryCounters(workers, rounds int) map[string]uint64 {
 	s := newScenario(workers, false)
+	tr := newTracker(s.e)
 	for r := 0; r < rounds; r++ {
 		s.step(r)
+		tr.Observe()
 	}
 	return s.e.Introspect().Snapshot().Counters
 }
@@ -39,6 +42,9 @@ var acrossWidths = []int{2, 2, 2, 3, 4}
 // satisfy this.)
 func TestRegistryBitIdenticalAcrossWorkers(t *testing.T) {
 	seq := registryCounters(1, 60)
+	if seq["obs_rows_swept"] == 0 {
+		t.Fatal("the tracker swept no row — its counters are not exercised")
+	}
 	for _, workers := range acrossWidths {
 		if par := registryCounters(workers, 60); !reflect.DeepEqual(seq, par) {
 			t.Fatalf("registry diverged at %d workers:\nseq: %v\npar: %v", workers, seq, par)

@@ -94,3 +94,64 @@ func TestHeldSnapshotSurvivesDeltaTicks(t *testing.T) {
 		}
 	}
 }
+
+// allRowsSource drains the changed-row record and answers that every row
+// may have changed, which forces the tracker's phase 2 over every member.
+type allRowsSource struct{ obs.Source }
+
+func (s allRowsSource) DrainRows() ([]ident.NodeID, bool) {
+	s.Source.DrainRows()
+	return nil, true
+}
+
+// fedSource counts the drains its source answered from the record.
+type fedSource struct {
+	obs.Source
+	drains, fed *int
+}
+
+func (s fedSource) DrainRows() ([]ident.NodeID, bool) {
+	ids, all := s.Source.DrainRows()
+	*s.drains++
+	if !all {
+		*s.fed++
+	}
+	return ids, all
+}
+
+// TestRecordFedTrackerMatchesFullSweep is the differential guard of the
+// changed-row record: a tracker that re-reads only the rows the world
+// recorded as changed (graph.ApplyDelta's list on a delta rebuild, the
+// scan's compare on a full one) and a tracker that re-reads every row agree
+// on every round — Ω statistics, ΠT, ΠC, nee, edges, protocol state — on
+// the churning walled, commuter and chaos scenarios, at 1 and 4 workers.
+// Every drain of the record-fed runs must come from the record.
+func TestRecordFedTrackerMatchesFullSweep(t *testing.T) {
+	defer func() { newTracker = obs.NewGroupTracker }()
+	for _, workers := range []int{1, 4} {
+		runAll := func() [][]roundRec {
+			chaos, _ := chaosRun(t, workers, 80, false)
+			return [][]roundRec{run(t, workers, 60, false), commuterRun(workers, false), chaos}
+		}
+		var drains, fed int
+		newTracker = func(e *engine.Engine) *obs.GroupTracker {
+			return obs.NewGroupTrackerSource(fedSource{obs.EngineSource(e), &drains, &fed})
+		}
+		recorded := runAll()
+		if fed != drains {
+			t.Fatalf("%d workers: %d of %d drains answered all rows", workers, drains-fed, drains)
+		}
+		newTracker = func(e *engine.Engine) *obs.GroupTracker {
+			return obs.NewGroupTrackerSource(allRowsSource{obs.EngineSource(e)})
+		}
+		full := runAll()
+		for i, name := range []string{"churn", "commuter", "chaos"} {
+			for r := range full[i] {
+				if !reflect.DeepEqual(recorded[i][r], full[i][r]) {
+					t.Fatalf("%d workers, %s round %d: record-fed %+v, full sweep %+v",
+						workers, name, r+1, recorded[i][r].Stats, full[i][r].Stats)
+				}
+			}
+		}
+	}
+}

@@ -204,14 +204,14 @@ func newShard(cfg Config, index int, tr Transport, jitter bool) (*Shard, error) 
 		batches:  make([][]wire.BoundaryEntry, cfg.Shards),
 		out:      make([][]byte, cfg.Shards),
 		lastSent: make([]ident.Table[genVer], cfg.Shards),
-		masks:    make([]rowMask, e.SlotCap()),
+		masks:    make([]rowMask, e.Roster().SlotCap()),
 		ghosts:   make([]*ghost, len(owners)),
 		Soak:     soak,
 	}
 	// Every fresh node starts at view version 1 ({self}); the lead mirror
 	// is seeded with the same, so nothing needs syncing until a view
 	// actually moves.
-	sh.lastViewVer = make([]uint64, e.SlotCap())
+	sh.lastViewVer = make([]uint64, e.Roster().SlotCap())
 	for _, v := range owned {
 		sh.lastViewVer[e.SlotOf(v)] = 1
 	}

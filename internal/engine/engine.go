@@ -808,6 +808,11 @@ func (e *Engine) Tick() int { return e.tick }
 // change).
 func (e *Engine) Order() []ident.NodeID { return e.order.IDs() }
 
+// Roster returns the engine's membership roster, read-only: observers
+// that mirror the slot-indexed bookkeeping resolve slots through it
+// directly, the concrete type sparing an interface call per lookup.
+func (e *Engine) Roster() *Roster { return e.order }
+
 // SlotOf returns v's roster slot, or NoSlot when v is not a member —
 // the ID→slot boundary for observers that mirror the engine's
 // slot-indexed bookkeeping.
@@ -839,10 +844,6 @@ func (e *Engine) Node(v ident.NodeID) *core.Node {
 	}
 	return nil
 }
-
-// SlotCap returns the roster's slot table size: every live slot is below
-// it, so slot-indexed observer arrays size themselves to it.
-func (e *Engine) SlotCap() int { return e.order.SlotCap() }
 
 // pendingUpsert records one delivery in a record's inbox signature: one
 // entry per sender, ascending by sender ID, last write wins — mirroring
@@ -917,13 +918,6 @@ func (e *Engine) endPhase(p introspect.Phase, start time.Time) {
 	e.reg.AddPhaseNs(p, time.Since(start).Nanoseconds())
 }
 
-// endItem adds the wall-clock time since start, one shard item of a
-// fanned-out phase, into the phase's busy accumulator: what the phase's
-// participants were not idle for (introspect.Registry.BusyNs).
-func (e *Engine) endItem(p introspect.Phase, start time.Time) {
-	e.reg.AddBusyNs(p, time.Since(start).Nanoseconds())
-}
-
 // appendLive appends the current members among ids to dst. dst may alias
 // ids' own backing (an in-place filter): the write index never passes the
 // read index.
@@ -985,8 +979,7 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	} else {
 		due = e.sendWheel.due(e.tick)
 	}
-	shard.Run(e.P.Workers, func(s, _ int) {
-		itemStart := time.Now()
+	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseBuild), func(s, _ int) {
 		sc := &e.scratch[s]
 		sc.txs = sc.txs[:0]
 		sc.bytes = 0
@@ -1047,7 +1040,6 @@ func (e *Engine) BuildPhase() []radio.Tx {
 		lane.Add(introspect.CtrRecvCacheHits, recvHits)
 		lane.Add(introspect.CtrRecvRowHits, rowHits)
 		lane.Add(introspect.CtrRecvRowRefills, rowRefills)
-		e.endItem(introspect.PhaseBuild, itemStart)
 	})
 	if e.P.RandomizedSends {
 		e.sendOneshot.reset(e.tick)
@@ -1212,8 +1204,7 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 		})
 	}
 	e.reg.Add(introspect.CtrDeliveries, delivs)
-	shard.Run(e.P.Workers, func(s, _ int) {
-		itemStart := time.Now()
+	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseDeliver), func(s, _ int) {
 		var elided uint64
 		for _, d := range e.scratch[s].deliv {
 			if d.from.ver == ^uint64(0) {
@@ -1232,7 +1223,6 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 			}
 		}
 		e.reg.Shard(s).Add(introspect.CtrDeliveriesElided, elided)
-		e.endItem(introspect.PhaseDeliver, itemStart)
 	})
 	e.endPhase(introspect.PhaseDeliver, start)
 }
@@ -1250,8 +1240,7 @@ func (e *Engine) compute() {
 	start := time.Now()
 	cdue := e.computeWheel.due(e.tick)
 	memoOn := !e.eager && !e.noMemo
-	shard.Run(e.P.Workers, func(s, _ int) {
-		itemStart := time.Now()
+	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseCompute), func(s, _ int) {
 		sc := &e.scratch[s]
 		sc.wakes = sc.wakes[:0]
 		var ran, skipFix, skipLonely, skipHeld, skipMemo uint64
@@ -1345,7 +1334,6 @@ func (e *Engine) compute() {
 		for c, n := range wk {
 			lane.Add(introspect.WakeCause(c).Counter(), n)
 		}
-		e.endItem(introspect.PhaseCompute, itemStart)
 	})
 	if e.traceWakes {
 		for s := range e.scratch {

@@ -151,7 +151,7 @@ func TestSnapshotCacheTracksMutation(t *testing.T) {
 	// Over both storage forms of the topology: a generator's packed rows
 	// (what a bulk build — a mobile world's rebuild — hands the engine too)
 	// and a delta child's rows under their own header.
-	for _, g := range []*graph.G{graph.Line(6), graph.ApplyDelta(graph.Line(6), nil)} {
+	for _, g := range []*graph.G{graph.Line(6), graph.ApplyDelta(graph.Line(6), nil, nil)} {
 		topo := &StaticTopology{G: g}
 		e := New(Params{Cfg: core.Config{Dmax: 4}, Seed: 1}, topo)
 		e.StepRound()

@@ -44,7 +44,7 @@ func TestSnapshotGraphAllLiveIsZeroCopy(t *testing.T) {
 // retired src still hands its row header on — exactly when Graph would be
 // the identity restriction, and Graph's copy otherwise.
 func TestLiveBorrowsWhenEveryNodeIsLive(t *testing.T) {
-	src := graph.ApplyDelta(graph.Line(6), nil)
+	src := graph.ApplyDelta(graph.Line(6), nil, nil)
 	var b snapshotBuilder
 	if got := b.Live(src, 1, func(ident.NodeID) bool { return true }); got != src {
 		t.Fatal("every node live: Live must serve src itself")
@@ -55,7 +55,7 @@ func TestLiveBorrowsWhenEveryNodeIsLive(t *testing.T) {
 		t.Fatalf("node 6 not live: Live must serve Graph's restricted copy, got %v", part)
 	}
 	src.Retire()
-	child := graph.ApplyDelta(src, nil)
+	child := graph.ApplyDelta(src, nil, nil)
 	defer func() {
 		if recover() == nil || !child.Equal(graph.Line(6)) {
 			t.Fatal("a borrowed, retired src should have handed its header to its child")

@@ -119,5 +119,15 @@ func (t *SpatialTopology) RowsChanged(since *graph.G) ([]ident.NodeID, bool) {
 	return t.World.RowsChanged(since)
 }
 
+// TrackRows arms the world's changed-row record (space.World.TrackRows).
+func (t *SpatialTopology) TrackRows() { t.World.TrackRows() }
+
+// DrainRows drains the world's changed-row record up to Graph()
+// (space.World.DrainRows): the nodes whose row changed since the previous
+// drain, or all when the world cannot tell.
+func (t *SpatialTopology) DrainRows() (ids []ident.NodeID, all bool) {
+	return t.World.DrainRows(t.cached)
+}
+
 // Nodes implements Topology.
 func (t *SpatialTopology) Nodes() []ident.NodeID { return t.World.Nodes() }

@@ -46,6 +46,12 @@ func checkRow(who string, idx *ident.Table[int32], r NodeAdj) {
 // The node set is unchanged by construction — membership churn must go
 // through a full rebuild.
 //
+// When changed is non-nil, the nodes whose row content differs between
+// prev and the result are appended to *changed, the caller's storage,
+// each once: every updated node whose replacement row is not its old row,
+// then every mirror-patched neighbor. An update that restates a node's row
+// is rewritten but not reported.
+//
 // Sharing semantics: the result is a new graph (a new pointer) that
 // shares prev's roster (as FromRows does) and every unpatched row. It is
 // unpacked whatever prev is: one header whose untouched rows alias prev's
@@ -63,7 +69,7 @@ func checkRow(who string, idx *ident.Table[int32], r NodeAdj) {
 // len) proves content; only FromRows rewrites storage, taken from a
 // retired packed graph, and starts a new row era, which scopes that proof
 // to the era (Row).
-func ApplyDelta(prev *G, updates []NodeAdj) *G {
+func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 	prev.mustHaveRows("ApplyDelta")
 	// The updated-node set, ascending, for the mirror-patch membership
 	// tests (an edge between two updated nodes is fully described by their
@@ -122,12 +128,13 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 		// not themselves updated. g's header may be prev's own: every slot is
 		// read before it is written, updated and mirror slots being disjoint.
 		old := g.adj[iu]
-		oi, ni := 0, 0
+		oi, ni, same := 0, 0, true
 		for oi < len(old) || ni < len(na) {
 			switch {
 			case ni >= len(na) || (oi < len(old) && old[oi] < na[ni]):
 				v := old[oi]
 				oi++
+				same = false
 				if !isUpd(v) {
 					patches = append(patches, patch{slot: prev.IndexOf(v), nb: u, add: false})
 					g.edges--
@@ -137,6 +144,7 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 			case oi >= len(old) || na[ni] < old[oi]:
 				v := na[ni]
 				ni++
+				same = false
 				if !isUpd(v) {
 					patches = append(patches, patch{slot: prev.IndexOf(v), nb: u, add: true})
 					g.edges++
@@ -150,6 +158,9 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 		start := len(arena)
 		arena = append(arena, na...)
 		g.adj[iu] = arena[start:len(arena):len(arena)]
+		if changed != nil && !same {
+			*changed = append(*changed, u)
+		}
 	}
 
 	// Apply the mirror patches, one fresh row per touched neighbor. Each
@@ -198,6 +209,9 @@ func ApplyDelta(prev *G, updates []NodeAdj) *G {
 			}
 		}
 		g.adj[slot] = row
+		if changed != nil {
+			*changed = append(*changed, prev.nodes[slot])
+		}
 		lo = hi
 	}
 	return g

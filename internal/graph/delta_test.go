@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ident"
@@ -89,11 +90,13 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 		// The dirty set must cover every endpoint whose row changed: a
 		// flipped pair (u,v) with v clean is mirrored by ApplyDelta, but
 		// v's row derives from u's update, so only u needs to be dirty.
-		got := ApplyDelta(prev, w.updatesFor(dirty))
+		var changed []ident.NodeID
+		got := ApplyDelta(prev, w.updatesFor(dirty), &changed)
 		want := w.build()
 		if !got.Equal(want) {
 			t.Fatalf("round %d: patched %v vs scratch %v", round, got, want)
 		}
+		checkChanged(t, changed, prev, want, w.nodes)
 		if got.NumEdges() != want.NumEdges() {
 			t.Fatalf("round %d: edge count %d vs %d", round, got.NumEdges(), want.NumEdges())
 		}
@@ -112,6 +115,21 @@ func TestApplyDeltaMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// checkChanged requires ApplyDelta's changed list to name, each once,
+// exactly the nodes whose row differs between before and after.
+func checkChanged(t *testing.T, changed []ident.NodeID, before, after *G, nodes []ident.NodeID) {
+	t.Helper()
+	var moved []ident.NodeID
+	for _, v := range nodes {
+		if !slices.Equal(before.NeighborsView(v), after.NeighborsView(v)) {
+			moved = append(moved, v)
+		}
+	}
+	if got := slices.Sorted(slices.Values(changed)); !slices.Equal(got, moved) {
+		t.Fatalf("ApplyDelta reported the rows %v changed, the rows %v differ", got, moved)
+	}
+}
+
 func TestApplyDeltaLeavesPrevIntact(t *testing.T) {
 	// Over a packed base (straight from the bulk build) and an unpacked one
 	// (an empty delta of it).
@@ -122,7 +140,7 @@ func TestApplyDeltaLeavesPrevIntact(t *testing.T) {
 		w.set(3, 4, true)
 		prev := w.build()
 		if unpack {
-			prev = ApplyDelta(prev, nil)
+			prev = ApplyDelta(prev, nil, nil)
 		}
 		if packed := prev.off != nil; packed == unpack {
 			t.Fatalf("base packed = %v with unpack = %v", packed, unpack)
@@ -131,7 +149,7 @@ func TestApplyDeltaLeavesPrevIntact(t *testing.T) {
 
 		w.set(2, 3, false)
 		w.set(2, 5, true)
-		g := ApplyDelta(prev, w.updatesFor([]ident.NodeID{2}))
+		g := ApplyDelta(prev, w.updatesFor([]ident.NodeID{2}), nil)
 		if !prev.Equal(snapshot) {
 			t.Fatal("ApplyDelta mutated prev")
 		}
@@ -153,7 +171,7 @@ func TestRetiredPrevWithSiblingIsCopied(t *testing.T) {
 	for i := 1; i < 12; i++ {
 		w.set(ident.NodeID(i), ident.NodeID(i+1), true)
 	}
-	prev := ApplyDelta(w.build(), nil)
+	prev := ApplyDelta(w.build(), nil, nil)
 	sib := prev.Restrict(func(ident.NodeID) bool { return true })
 	tickT := w.build()
 	hdr := &prev.adj[0]
@@ -162,7 +180,7 @@ func TestRetiredPrevWithSiblingIsCopied(t *testing.T) {
 		w.set(u, u+1, false)
 		w.set(u, 1, true)
 		prev.Retire()
-		g := ApplyDelta(prev, w.updatesFor([]ident.NodeID{u}))
+		g := ApplyDelta(prev, w.updatesFor([]ident.NodeID{u}), nil)
 		if !g.Equal(w.build()) {
 			t.Fatalf("step %d: child differs from a scratch build", step)
 		}
@@ -182,7 +200,7 @@ func TestApplyDeltaEmptyUpdates(t *testing.T) {
 	w := newDeltaWorld(5)
 	w.set(1, 2, true)
 	prev := w.build()
-	g := ApplyDelta(prev, nil)
+	g := ApplyDelta(prev, nil, nil)
 	if !g.Equal(prev) {
 		t.Fatal("empty delta changed the graph")
 	}
@@ -195,7 +213,7 @@ func TestApplyDeltaPanicsOnViolations(t *testing.T) {
 	w := newDeltaWorld(4)
 	w.set(1, 2, true)
 	// Unpacked and retired: a rejected delta must not have taken the header.
-	prev := ApplyDelta(w.build(), nil)
+	prev := ApplyDelta(w.build(), nil, nil)
 	prev.Retire()
 	defer func() {
 		if !prev.Equal(w.build()) {
@@ -211,19 +229,19 @@ func TestApplyDeltaPanicsOnViolations(t *testing.T) {
 		f()
 	}
 	expectPanic("unknown node", func() {
-		ApplyDelta(prev, []NodeAdj{{Node: 99}})
+		ApplyDelta(prev, []NodeAdj{{Node: 99}}, nil)
 	})
 	expectPanic("unknown neighbor", func() {
-		ApplyDelta(prev, []NodeAdj{{Node: 1, Adj: []ident.NodeID{99}}})
+		ApplyDelta(prev, []NodeAdj{{Node: 1, Adj: []ident.NodeID{99}}}, nil)
 	})
 	expectPanic("self loop", func() {
-		ApplyDelta(prev, []NodeAdj{{Node: 1, Adj: []ident.NodeID{1}}})
+		ApplyDelta(prev, []NodeAdj{{Node: 1, Adj: []ident.NodeID{1}}}, nil)
 	})
 	expectPanic("unsorted", func() {
-		ApplyDelta(prev, []NodeAdj{{Node: 1, Adj: []ident.NodeID{3, 2}}})
+		ApplyDelta(prev, []NodeAdj{{Node: 1, Adj: []ident.NodeID{3, 2}}}, nil)
 	})
 	expectPanic("duplicate update", func() {
-		ApplyDelta(prev, []NodeAdj{{Node: 1}, {Node: 1}})
+		ApplyDelta(prev, []NodeAdj{{Node: 1}, {Node: 1}}, nil)
 	})
 }
 
@@ -256,7 +274,7 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		prev := w.build()
 		if retire {
-			prev = ApplyDelta(prev, nil) // unpacked: a header to hand on
+			prev = ApplyDelta(prev, nil, nil) // unpacked: a header to hand on
 		}
 		snapshot := w.build()
 		var sib *G
@@ -285,11 +303,13 @@ func FuzzApplyDelta(f *testing.F) {
 				dirty = append(dirty, v)
 			}
 		}
-		got := ApplyDelta(prev, w.updatesFor(dirty))
+		var changed []ident.NodeID
+		got := ApplyDelta(prev, w.updatesFor(dirty), &changed)
 		want := w.build()
 		if !got.Equal(want) {
 			t.Fatalf("patched %v vs scratch %v (dirty %v)", got, want, dirty)
 		}
+		checkChanged(t, changed, snapshot, want, w.nodes)
 		if taken := retire && !sibling; taken != (prev.adj == nil && prev.off == nil) {
 			t.Fatalf("retire %v, sibling %v: prev.adj = %v", retire, sibling, prev.adj)
 		} else if !taken && !prev.Equal(snapshot) {
@@ -307,7 +327,7 @@ func FuzzApplyDelta(f *testing.F) {
 			if retire {
 				got.Retire()
 			}
-			got2 := ApplyDelta(got, w.updatesFor(dirty[:1]))
+			got2 := ApplyDelta(got, w.updatesFor(dirty[:1]), nil)
 			if want2 := w.build(); !got2.Equal(want2) {
 				t.Fatalf("chained patch %v vs scratch %v", got2, want2)
 			}

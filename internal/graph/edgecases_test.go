@@ -63,7 +63,7 @@ func TestZeroValueGraph(t *testing.T) {
 		t.Fatal("zero graphs must equal each other and a packed empty graph")
 	}
 	sib, none := g.Restrict(all), g.Restrict(func(ident.NodeID) bool { return false })
-	for _, h := range []*G{sib, none, ApplyDelta(&g, nil)} {
+	for _, h := range []*G{sib, none, ApplyDelta(&g, nil, nil)} {
 		if h.NumNodes() != 0 || !h.Equal(empty) {
 			t.Fatalf("derived from a zero graph: %s", h)
 		}

@@ -75,7 +75,7 @@ func FuzzCSROps(f *testing.F) {
 			g := FromRef(ref)
 			checkSame(t, g, ref)
 			checkSame(t, g.Restrict(all), ref)
-			child := ApplyDelta(g, nil)
+			child := ApplyDelta(g, nil, nil)
 			if slices.Equal(prev.Nodes(), g.Nodes()) {
 				var upd []NodeAdj
 				for _, v := range []ident.NodeID{a, b} {
@@ -83,7 +83,7 @@ func FuzzCSROps(f *testing.F) {
 						upd = append(upd, NodeAdj{Node: v, Adj: ref.Neighbors(v)})
 					}
 				}
-				child = ApplyDelta(prev, upd)
+				child = ApplyDelta(prev, upd, nil)
 			}
 			checkSame(t, child, ref)
 			checkSame(t, prev, prevRef)

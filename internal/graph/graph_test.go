@@ -298,7 +298,7 @@ func TestRestrictIdentityShares(t *testing.T) {
 	// The same over both storage forms: the packed generator output and
 	// an ApplyDelta child's rows under their own header.
 	packed := Grid(4, 4)
-	for _, g := range []*G{packed, ApplyDelta(packed, nil)} {
+	for _, g := range []*G{packed, ApplyDelta(packed, nil, nil)} {
 		all := func(ident.NodeID) bool { return true }
 		s := g.Restrict(all)
 		if s == g {

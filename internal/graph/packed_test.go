@@ -126,8 +126,8 @@ func TestFromRowsHandOff(t *testing.T) {
 		{"retired", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, nil }, true},
 		{"not retired", func(w *deltaWorld) (*G, *G) { return w.build(), nil }, false},
 		{"Restrict sibling", func(w *deltaWorld) (*G, *G) { g := w.build(); s := g.Restrict(all); g.Retire(); return g, s }, false},
-		{"delta child", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, ApplyDelta(g, nil) }, false},
-		{"unpacked", func(w *deltaWorld) (*G, *G) { g := ApplyDelta(w.build(), nil); g.Retire(); return g, nil }, false},
+		{"delta child", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, ApplyDelta(g, nil, nil) }, false},
+		{"unpacked", func(w *deltaWorld) (*G, *G) { g := ApplyDelta(w.build(), nil, nil); g.Retire(); return g, nil }, false},
 		{"nil", func(*deltaWorld) (*G, *G) { return nil, nil }, false},
 	} {
 		w := newDeltaWorld(10)
@@ -171,7 +171,7 @@ func TestFromRowsHandOff(t *testing.T) {
 			"HasEdge":       func() { prev.HasEdge(3, 4) },
 			"!Restrict":     func() { prev.Restrict(all) },
 			"!Equal":        func() { g.Equal(prev) },
-			"!ApplyDelta":   func() { ApplyDelta(prev, nil) },
+			"!ApplyDelta":   func() { ApplyDelta(prev, nil, nil) },
 		} {
 			func() {
 				defer func() {
@@ -218,13 +218,13 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 			base.Retire() // packed: no header for a delta child to take
 		}
 		w.set(1, 2, false) // patches rows 1 (update) and 2 (mirror)
-		c1 := ApplyDelta(base, w.updatesFor([]ident.NodeID{1}))
+		c1 := ApplyDelta(base, w.updatesFor([]ident.NodeID{1}), nil)
 		p1, hdr := rowPtrs(c1), &c1.adj[0]
 		if retire {
 			c1.Retire()
 		}
 		w.set(9, 10, false) // rows 9 and 10
-		c2 := ApplyDelta(c1, w.updatesFor([]ident.NodeID{10}))
+		c2 := ApplyDelta(c1, w.updatesFor([]ident.NodeID{10}), nil)
 		p2 := rowPtrs(c2)
 		if taken := &c2.adj[0] == hdr; taken != retire || taken != (c1.adj == nil) {
 			t.Fatalf("retire %v: header taken %v, parent's header %v", retire, taken, c1.adj)
@@ -262,7 +262,7 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 			"!Restrict":     func() { c1.Restrict(all) },
 			"!Equal":        func() { c2.Equal(c1) },
 			"!RefOf":        func() { RefOf(c1) },
-			"!ApplyDelta":   func() { ApplyDelta(c1, nil) },
+			"!ApplyDelta":   func() { ApplyDelta(c1, nil, nil) },
 		} {
 			func() {
 				defer func() {
@@ -296,7 +296,7 @@ func TestRowSameWithinOneEra(t *testing.T) {
 	r1, r3, r9 := base.Row(1), base.Row(3), base.Row(9)
 	base.Retire()
 	w.set(8, 9, false) // patches rows 8 (update) and 9 (mirror)
-	c := ApplyDelta(base, w.updatesFor([]ident.NodeID{8}))
+	c := ApplyDelta(base, w.updatesFor([]ident.NodeID{8}), nil)
 	if !c.Row(1).Same(r1) || !c.Row(3).Same(r3) || c.Row(9).Same(r9) {
 		t.Fatal("delta: untouched rows 1 and 3 must stay Same, patched row 9 must not")
 	}
@@ -329,7 +329,7 @@ func TestReadersAgreeAcrossForms(t *testing.T) {
 	ref := RefOf(RandomGeometric(40, 12, 3, rng))
 	ref.AddNode(77) // isolated
 	packed := FromRef(ref)
-	unpacked := ApplyDelta(packed, nil)
+	unpacked := ApplyDelta(packed, nil, nil)
 	if unpacked.off != nil || packed.off == nil {
 		t.Fatal("expected one graph of each form")
 	}

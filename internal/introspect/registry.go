@@ -12,8 +12,9 @@
 //     artifact the conformance suite pins, not a sampled dashboard.
 //   - The wall-clock section: per-phase nanosecond accumulators
 //     (PhaseNs), and beside them, for the phases that fan out over the
-//     shards, the summed wall time of the shard items (BusyNs): a phase
-//     run at width W kept its participants idle W·PhaseNs − BusyNs.
+//     shards, the summed time its participants spent claiming and running
+//     shard items (BusyNs, one clock pair per participant and call): a
+//     phase run at width W kept its participants idle W·PhaseNs − BusyNs.
 //     Timings are machine- and load-dependent by nature, so they live
 //     outside the counter block and never participate in any determinism
 //     comparison — a snapshot carries them separately.
@@ -91,6 +92,7 @@ const (
 	CtrObsTopologyBreaks   // observations with ΠT false
 	CtrObsUnexcusedBreaks  // ΠC false while ΠT held
 	CtrObsViolatingNodes   // total nodes that lost a group member
+	CtrObsRowsSwept        // rows phase 2 examined (topology-dirty members)
 
 	// Distributed boundary exchange (internal/dist).
 	CtrBoundaryBytesSent    // encoded boundary-batch bytes shipped to peers
@@ -145,6 +147,7 @@ var counterNames = [NumCounters]string{
 	CtrObsTopologyBreaks:   "obs_topology_breaks",
 	CtrObsUnexcusedBreaks:  "obs_unexcused_breaks",
 	CtrObsViolatingNodes:   "obs_violating_nodes",
+	CtrObsRowsSwept:        "obs_rows_swept",
 
 	CtrBoundaryBytesSent:    "boundary_bytes_sent",
 	CtrBoundaryBytesRecv:    "boundary_bytes_recv",
@@ -246,7 +249,7 @@ const (
 )
 
 // FanOutPhases are the phases the engine fans out over the shards, the
-// ones whose shard items it times into BusyNs.
+// ones whose participants it times into BusyNs.
 var FanOutPhases = [...]Phase{PhaseBuild, PhaseDeliver, PhaseCompute}
 
 var phaseNames = [NumPhases]string{
@@ -287,10 +290,10 @@ func (l *Lane) Inc(id CounterID) { atomic.AddUint64(&l[id], 1) }
 // call NewRegistry. All methods are safe for the engine's phase
 // concurrency discipline plus any number of concurrent readers.
 type Registry struct {
-	shards  []Lane           // per-shard lanes, owned by the shard's worker
-	coord   Lane             // coordinator-side events
-	phaseNs [NumPhases]int64 // wall-clock section (atomic)
-	busyNs  [NumPhases]int64 // …and its fanned-out phases' item time
+	shards  []Lane                  // per-shard lanes, owned by the shard's worker
+	coord   Lane                    // coordinator-side events
+	phaseNs [NumPhases]int64        // wall-clock section (atomic)
+	busyNs  [NumPhases]atomic.Int64 // …and its fanned-out phases' participant time
 }
 
 // NewRegistry builds a registry for an engine with the given shard count.
@@ -329,17 +332,14 @@ func (r *Registry) PhaseNs(p Phase) int64 {
 	return atomic.LoadInt64(&r.phaseNs[p])
 }
 
-// AddBusyNs accumulates the wall-clock nanoseconds one shard item of a
-// fanned-out phase took. Any participant may call it.
-func (r *Registry) AddBusyNs(p Phase, ns int64) {
-	atomic.AddInt64(&r.busyNs[p], ns)
-}
+// Busy is the accumulator of one fanned-out phase's busy time: the wall
+// nanoseconds its participants spent claiming and running shard items
+// (shard.RunTimed adds to it). Any participant may add to it.
+func (r *Registry) Busy(p Phase) *atomic.Int64 { return &r.busyNs[p] }
 
-// BusyNs returns one phase's summed shard-item wall time (0 for a phase
+// BusyNs returns one phase's summed participant busy time (0 for a phase
 // that does not fan out).
-func (r *Registry) BusyNs(p Phase) int64 {
-	return atomic.LoadInt64(&r.busyNs[p])
-}
+func (r *Registry) BusyNs(p Phase) int64 { return r.busyNs[p].Load() }
 
 // Counters folds every counter into a name→total map (a fresh map per
 // call — snapshots are handed to sinks that retain them).

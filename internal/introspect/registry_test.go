@@ -107,7 +107,7 @@ func TestConcurrentLaneWrites(t *testing.T) {
 func TestPhaseNsSeparation(t *testing.T) {
 	r := NewRegistry(4)
 	r.AddPhaseNs(PhaseCompute, 1234)
-	r.AddBusyNs(PhaseCompute, 2000)
+	r.Busy(PhaseCompute).Add(2000)
 	r.Inc(CtrTicks)
 	snap := r.Snapshot()
 	if snap.PhaseNs["compute"] != 1234 {

@@ -9,6 +9,14 @@
 // generation — and with it every downstream topology cache — untouched.
 // Models therefore Step with dt == 0 as a pure no-op (no RNG draws
 // either, so a zero-DT tick cannot perturb the trace).
+//
+// A product that feeds a sum is wrapped in float64(…), and so is an
+// rng.Float64() whose own scaling would fuse with the next add: the Go
+// spec lets a compiler fuse x*y + z into one rounding, gc does on arm64,
+// ppc64le, s390x and riscv64 and never on amd64, and the conversion keeps
+// every product rounded on its own (space.hypot says why). So a position
+// is the same on every target; scripts/fma.sh holds the package at zero
+// fused opcodes.
 package mobility
 
 import (
@@ -50,7 +58,7 @@ func (s *Static) Step(w *space.World, dt float64, rng *rand.Rand) {
 	}
 	for _, v := range w.Nodes() {
 		p, _ := w.Pos(v)
-		w.Place(v, clamp(p.Add((rng.Float64()*2-1)*s.Jitter, (rng.Float64()*2-1)*s.Jitter), s.Side))
+		w.Place(v, clamp(p.Add(float64((float64(rng.Float64())*2-1)*s.Jitter), float64((float64(rng.Float64())*2-1)*s.Jitter)), s.Side))
 	}
 }
 
@@ -81,7 +89,7 @@ func (m *Waypoint) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 func (m *Waypoint) newLeg(rng *rand.Rand) wpState {
 	return wpState{
 		dest:  space.Point{X: rng.Float64() * m.Side, Y: rng.Float64() * m.Side},
-		speed: m.SpeedMin + rng.Float64()*(m.SpeedMax-m.SpeedMin),
+		speed: m.SpeedMin + float64(rng.Float64()*(m.SpeedMax-m.SpeedMin)),
 	}
 }
 
@@ -117,7 +125,7 @@ func (m *Waypoint) stepNode(w *space.World, v ident.NodeID, dt float64, rng *ran
 		st.pausing = m.Pause
 		return
 	}
-	w.Place(v, p.Add((st.dest.X-p.X)/d*travel, (st.dest.Y-p.Y)/d*travel))
+	w.Place(v, p.Add(float64((st.dest.X-p.X)/d*travel), float64((st.dest.Y-p.Y)/d*travel)))
 }
 
 // Highway is a VANET-style multi-lane road of length Length. Vehicles keep
@@ -144,7 +152,7 @@ func (m *Highway) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 		lane := i % m.Lanes
 		base := m.SpeedMin + (m.SpeedMax-m.SpeedMin)*float64(lane)/float64(m.Lanes)
 		span := (m.SpeedMax - m.SpeedMin) / float64(m.Lanes)
-		m.speed.Set(v, base+rng.Float64()*span)
+		m.speed.Set(v, base+float64(rng.Float64()*span))
 		w.Place(v, space.Point{X: rng.Float64() * m.Length, Y: float64(lane) * m.LaneGap})
 	}
 }
@@ -157,7 +165,7 @@ func (m *Highway) Step(w *space.World, dt float64, rng *rand.Rand) {
 	for _, v := range w.Nodes() {
 		p, _ := w.Pos(v)
 		speed, _ := m.speed.Get(v)
-		x := math.Mod(p.X+speed*dt, m.Length)
+		x := math.Mod(p.X+float64(speed*dt), m.Length)
 		if x < 0 {
 			x += m.Length
 		}
@@ -207,7 +215,7 @@ func (m *Convoy) Step(w *space.World, dt float64, rng *rand.Rand) {
 		if m.braked && v == m.tail {
 			sp -= m.StragglerSlowdown
 		}
-		w.Place(v, p.Add(sp*dt, 0))
+		w.Place(v, p.Add(float64(sp*dt), 0))
 	}
 }
 
@@ -260,9 +268,9 @@ func (m *Groups) Step(w *space.World, dt float64, rng *rand.Rand) {
 }
 
 func jitterAround(c space.Point, radius float64, rng *rand.Rand) space.Point {
-	ang := rng.Float64() * 2 * math.Pi
+	ang := float64(rng.Float64()) * 2 * math.Pi
 	r := rng.Float64() * radius
-	return c.Add(math.Cos(ang)*r, math.Sin(ang)*r)
+	return c.Add(float64(math.Cos(ang)*r), float64(math.Sin(ang)*r))
 }
 
 func clamp(p space.Point, side float64) space.Point {
@@ -307,14 +315,14 @@ func (m *RingRoad) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 		lane := i % m.Lanes
 		base := m.SpeedMin + (m.SpeedMax-m.SpeedMin)*float64(lane)/float64(m.Lanes)
 		span := (m.SpeedMax - m.SpeedMin) / float64(m.Lanes)
-		speed := base + rng.Float64()*span
+		speed := base + float64(rng.Float64()*span)
 		// Angular speed uses the vehicle's own lane radius, so the
 		// linear speed equals the drawn speed regardless of lane.
-		st := ringState{angSpeed: speed / (radius + float64(lane)*m.LaneGap), lane: lane}
+		st := ringState{angSpeed: speed / (radius + float64(float64(lane)*m.LaneGap)), lane: lane}
 		if m.Opposing && lane%2 == 1 {
 			st.angSpeed = -st.angSpeed
 		}
-		st.angle = rng.Float64() * 2 * math.Pi
+		st.angle = float64(rng.Float64()) * 2 * math.Pi
 		m.state.Set(v, st)
 		m.place(w, v, st, radius)
 	}
@@ -328,14 +336,14 @@ func (m *RingRoad) Step(w *space.World, dt float64, rng *rand.Rand) {
 	radius := m.Length / (2 * math.Pi)
 	for _, v := range w.Nodes() {
 		st, _ := m.state.Get(v)
-		st.angle = math.Mod(st.angle+st.angSpeed*dt, 2*math.Pi)
+		st.angle = math.Mod(st.angle+float64(st.angSpeed*dt), 2*math.Pi)
 		m.state.Set(v, st)
 		m.place(w, v, st, radius)
 	}
 }
 
 func (m *RingRoad) place(w *space.World, v ident.NodeID, st ringState, radius float64) {
-	r := radius + float64(st.lane)*m.LaneGap
+	r := radius + float64(float64(st.lane)*m.LaneGap)
 	w.Place(v, space.Point{X: r * math.Cos(st.angle), Y: r * math.Sin(st.angle)})
 }
 

@@ -22,11 +22,11 @@ import (
 type scriptSource struct {
 	dmax    int
 	g       *graph.G
-	order   []ident.NodeID // ascending
-	slots   map[ident.NodeID]int32
+	roster  *engine.Roster
 	viewers []*scriptViewer // by slot; nil when free
 	dirty   [shard.N][]int32
 	removed []engine.RemovedNode
+	rows    []ident.NodeID // the changed-row record: exact
 	reg     *introspect.Registry
 }
 
@@ -40,31 +40,29 @@ func (v *scriptViewer) AppendView(dst []ident.NodeID) []ident.NodeID { return ap
 
 // newScriptSource builds a world of g's nodes, every view {self}.
 func newScriptSource(dmax int, g *graph.G) *scriptSource {
-	src := &scriptSource{dmax: dmax, g: g, slots: map[ident.NodeID]int32{}, reg: introspect.NewRegistry(shard.N)}
+	src := &scriptSource{dmax: dmax, g: g, roster: engine.NewRoster(g.NumNodes()), reg: introspect.NewRegistry(shard.N)}
 	for _, v := range g.Nodes() {
-		src.slots[v] = int32(len(src.viewers))
+		src.roster.Add(v)
 		src.viewers = append(src.viewers, &scriptViewer{ver: 1, view: []ident.NodeID{v}})
-		src.order = append(src.order, v)
 	}
-	slices.Sort(src.order)
 	return src
 }
 
 // setView gives v the view members and reports v as computed.
 func (src *scriptSource) setView(v ident.NodeID, members ...ident.NodeID) {
-	s := src.slots[v]
+	s := src.roster.SlotOf(v)
 	src.viewers[s].ver++
 	src.viewers[s].view = slices.Sorted(slices.Values(members))
 	src.dirty[shard.Of(v)] = append(src.dirty[shard.Of(v)], s)
 }
 
-// remove takes v out of the world and the graph.
+// remove takes v out of the world and the graph: v's neighbors' rows
+// change.
 func (src *scriptSource) remove(v ident.NodeID) {
-	s := src.slots[v]
-	delete(src.slots, v)
+	s, _ := src.roster.Remove(v)
 	src.viewers[s] = nil
-	src.order = slices.DeleteFunc(src.order, func(u ident.NodeID) bool { return u == v })
 	src.removed = append(src.removed, engine.RemovedNode{ID: v, Slot: s})
+	src.rows = append(src.rows, src.g.NeighborsView(v)...)
 	r := graph.RefOf(src.g)
 	r.RemoveNode(v)
 	src.g = graph.FromRef(r)
@@ -73,9 +71,9 @@ func (src *scriptSource) remove(v ident.NodeID) {
 // snapshot is the oracle's view of the current configuration.
 func (src *scriptSource) snapshot() metrics.Snapshot {
 	views := map[ident.NodeID]map[ident.NodeID]bool{}
-	for _, v := range src.order {
+	for _, v := range src.roster.IDs() {
 		views[v] = map[ident.NodeID]bool{}
-		for _, u := range src.viewers[src.slots[v]].view {
+		for _, u := range src.viewers[src.roster.SlotOf(v)].view {
 			views[v][u] = true
 		}
 	}
@@ -85,18 +83,16 @@ func (src *scriptSource) snapshot() metrics.Snapshot {
 func (src *scriptSource) Workers() int                     { return 1 }
 func (src *scriptSource) Dmax() int                        { return src.dmax }
 func (src *scriptSource) TrackDirty()                      {}
-func (src *scriptSource) SlotCap() int                     { return len(src.viewers) }
-func (src *scriptSource) Order() []ident.NodeID            { return src.order }
+func (src *scriptSource) Roster() *engine.Roster           { return src.roster }
 func (src *scriptSource) LiveGraph() *graph.G              { return src.g }
 func (src *scriptSource) Tick() int                        { return 0 }
 func (src *scriptSource) TrafficTotals() (int, int)        { return 0, 0 }
 func (src *scriptSource) Introspect() *introspect.Registry { return src.reg }
 
-func (src *scriptSource) SlotOf(v ident.NodeID) int32 {
-	if s, ok := src.slots[v]; ok {
-		return s
-	}
-	return -1
+func (src *scriptSource) DrainRows() ([]ident.NodeID, bool) {
+	rows := src.rows
+	src.rows = nil
+	return rows, false
 }
 
 func (src *scriptSource) ViewerAtSlot(s int32) Viewer {
@@ -226,7 +222,9 @@ func allVerdicts(tr *GroupTracker) []pairVerdict {
 // the tracker keeps is the watcher index (the group index is an
 // ident.Table). Two value maps of
 // verdicts, with the per-shard report lists grown by doubling, held 7.3 MB
-// at parked-commuter's n = 20 000.
+// at parked-commuter's n = 20 000. A node's cache holds no neighborhood,
+// only its two view buffers: 104 B, where a copy of the neighbor IDs and
+// their slots took it to 152 B plus the copies' storage.
 func TestTrackerFootprint(t *testing.T) {
 	cfg := SoakConfig{N: 2000, ActiveFraction: 0.02, Seed: 1, Workers: 2}
 	w, mob, ids := BuildSoakWorld(&cfg)
@@ -251,6 +249,19 @@ func TestTrackerFootprint(t *testing.T) {
 		gathered, gathered*entrySize, float64(entries*entrySize+verdicts*verdictSize+gathered*entrySize)/float64(peak))
 	if verdictSize != 32 {
 		t.Errorf("a verdict is %d B, want 32", verdictSize)
+	}
+	if size := unsafe.Sizeof(nodeState{}); size != 104 {
+		t.Errorf("a node's cache is %d B, want 104", size)
+	}
+	var bufs []string
+	typ := reflect.TypeOf(nodeState{})
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() == reflect.Slice {
+			bufs = append(bufs, typ.Field(i).Name)
+		}
+	}
+	if got := fmt.Sprint(bufs); got != "[view spare]" {
+		t.Errorf("a node's cache holds the slices %s, want only its two view buffers", got)
 	}
 	if limit := peak + peak/4; entries > limit || verdicts > 2*limit {
 		t.Errorf("%d reports and %d verdicts held for a peak of %d edges, want at most %d and %d", entries, verdicts, peak, limit, 2*limit)

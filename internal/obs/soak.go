@@ -273,6 +273,17 @@ func (r *SoakResult) PoolReport() string {
 		msgs, ents, builds, float64(msgs+ents)/float64(builds))
 }
 
+// SweepReport renders the rows the tracker's phase 2 examined, per
+// observation: the changed rows of the topology (registry obs_rows_swept).
+func (r *SoakResult) SweepReport() string {
+	c := r.Flight.Counters
+	if c["obs_rounds"] == 0 {
+		return ""
+	}
+	return fmt.Sprintf("  tracker: %d rows swept over %d observations, %.1f an observation\n",
+		c["obs_rows_swept"], c["obs_rounds"], float64(c["obs_rows_swept"])/float64(c["obs_rounds"]))
+}
+
 // BuildSoakWorld constructs the soak scenario's world, mobility model
 // and initial population — the exact construction RunSoak performs, as
 // a shared seam: a distributed run (internal/dist) must replicate the

@@ -206,6 +206,26 @@ func TestPoolReport(t *testing.T) {
 	}
 }
 
+// TestSweepReport checks the tracker's line of grpsoak -flight-every on a
+// parked world (2 % movers): the first observation sweeps every row, each
+// later one only the rows that changed, under a tenth of the population.
+func TestSweepReport(t *testing.T) {
+	const n, rounds = 2000, 40
+	res, err := RunSoak(SoakConfig{N: n, ActiveFraction: 0.02, Seed: 1, MaxRounds: rounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var swept, obs uint64
+	var per float64
+	line := res.SweepReport()
+	if _, err := fmt.Sscanf(line, "  tracker: %d rows swept over %d observations, %f an observation", &swept, &obs, &per); err != nil {
+		t.Fatalf("%q: %v", line, err)
+	}
+	if obs != rounds || swept < n || swept-n >= (rounds-1)*n/10 {
+		t.Errorf("%q: want %d observations, the first sweeping all %d rows and the rest under a tenth each", line, rounds, n)
+	}
+}
+
 // TestSoakDurationCap sanity-checks the wall-clock cap path.
 func TestSoakDurationCap(t *testing.T) {
 	res, err := RunSoak(SoakConfig{

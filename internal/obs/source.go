@@ -27,28 +27,32 @@ type Viewer interface {
 // engines' reports in fixed shard order, which is what keeps the
 // tracker's record stream bit-identical between one process and many.
 //
-// The slot/shard contract mirrors the engine's: SlotOf assigns every
-// member a stable dense slot below SlotCap, DrainDirty buckets computed
-// slots by shard.Of of the occupant, and Order lists members
-// ascending. A Source must report every executed compute that can have
-// changed a view — exactly the engine's dirty-report guarantee.
+// The slot/shard contract mirrors the engine's: the Roster assigns every
+// member a stable dense slot below its SlotCap and lists members
+// ascending, and DrainDirty buckets computed slots by shard.Of of the
+// occupant. A Source must report every executed compute that can have
+// changed a view — exactly the engine's dirty-report guarantee — and
+// every row of LiveGraph that changed, or answer that it cannot tell.
 type Source interface {
 	// Workers is the tracker's fan-out width (a pure throughput knob).
 	Workers() int
 	// Dmax is the protocol's group diameter bound.
 	Dmax() int
-	// TrackDirty enables dirty reporting; called once at attach time.
+	// TrackDirty enables dirty and changed-row reporting; called once at
+	// attach time.
 	TrackDirty()
-	// SlotCap sizes slot-indexed observer arrays.
-	SlotCap() int
-	// Order lists the current members ascending (read-only view).
-	Order() []ident.NodeID
-	// SlotOf resolves a member's slot (< 0 when not a member).
-	SlotOf(v ident.NodeID) int32
+	// Roster is the membership: slots, slot capacity and the ascending
+	// member order (read-only).
+	Roster() *engine.Roster
 	// ViewerAtSlot serves the occupant's view surface (nil when free).
 	ViewerAtSlot(s int32) Viewer
 	// DrainDirty hands over and resets the accumulated dirty report.
 	DrainDirty(fn func(computed [shard.N][]int32, added []ident.NodeID, removed []engine.RemovedNode))
+	// DrainRows hands over and resets the changed-row record: ids names
+	// every member whose LiveGraph row may differ from the one the
+	// previous call's graph gave it (repeats allowed), valid until the
+	// next tick. A source that cannot tell answers all.
+	DrainRows() (ids []ident.NodeID, all bool)
 	// LiveGraph is the topology graph restricted to live members, read only
 	// inside Observe: it may be the topology's own, retired by the next tick.
 	LiveGraph() *graph.G
@@ -61,30 +65,58 @@ type Source interface {
 	Introspect() *introspect.Registry
 }
 
-// engineSource adapts *engine.Engine to Source.
+// engineSource adapts *engine.Engine to Source. partial remembers that
+// the last drain's live graph was a strict restriction of the topology's.
 type engineSource struct {
-	e *engine.Engine
+	e       *engine.Engine
+	partial bool
 }
 
 // EngineSource is NewGroupTracker's Source over e, for callers that wrap it.
-func EngineSource(e *engine.Engine) Source { return engineSource{e: e} }
+func EngineSource(e *engine.Engine) Source { return &engineSource{e: e} }
 
-func (s engineSource) Workers() int                     { return s.e.P.Workers }
-func (s engineSource) Dmax() int                        { return s.e.P.Cfg.Dmax }
-func (s engineSource) TrackDirty()                      { s.e.TrackDirty() }
-func (s engineSource) SlotCap() int                     { return s.e.SlotCap() }
-func (s engineSource) Order() []ident.NodeID            { return s.e.Order() }
-func (s engineSource) SlotOf(v ident.NodeID) int32      { return s.e.SlotOf(v) }
-func (s engineSource) LiveGraph() *graph.G              { return s.e.LiveGraph() }
-func (s engineSource) Tick() int                        { return s.e.Tick() }
-func (s engineSource) Introspect() *introspect.Registry { return s.e.Introspect() }
+// rowRecorder is a topology that records which graph rows changed
+// (engine.SpatialTopology).
+type rowRecorder interface {
+	TrackRows()
+	DrainRows() ([]ident.NodeID, bool)
+}
 
-func (s engineSource) TrafficTotals() (msgs, delivs int) {
+func (s *engineSource) Workers() int                     { return s.e.P.Workers }
+func (s *engineSource) Dmax() int                        { return s.e.P.Cfg.Dmax }
+func (s *engineSource) Roster() *engine.Roster           { return s.e.Roster() }
+func (s *engineSource) LiveGraph() *graph.G              { return s.e.LiveGraph() }
+func (s *engineSource) Tick() int                        { return s.e.Tick() }
+func (s *engineSource) Introspect() *introspect.Registry { return s.e.Introspect() }
+
+func (s *engineSource) TrackDirty() {
+	s.e.TrackDirty()
+	if r, ok := s.e.Topo.(rowRecorder); ok {
+		r.TrackRows()
+	}
+}
+
+// DrainRows serves the topology's record while the live graph is the
+// topology's own: a row of a strict restriction also changes when a
+// neighbor's membership does, which no topology records, so while the
+// restriction is strict, and on the drain after, every row counts.
+func (s *engineSource) DrainRows() ([]ident.NodeID, bool) {
+	was := s.partial
+	s.partial = s.e.Topo.Graph().NumNodes() != len(s.e.Order())
+	r, ok := s.e.Topo.(rowRecorder)
+	if !ok {
+		return nil, true
+	}
+	ids, all := r.DrainRows()
+	return ids, all || was || s.partial
+}
+
+func (s *engineSource) TrafficTotals() (msgs, delivs int) {
 	reg := s.e.Introspect()
 	return int(reg.Get(introspect.CtrMessagesSent)), int(reg.Get(introspect.CtrDeliveries))
 }
 
-func (s engineSource) ViewerAtSlot(slot int32) Viewer {
+func (s *engineSource) ViewerAtSlot(slot int32) Viewer {
 	// The nil *core.Node must become a nil interface, not a non-nil
 	// interface wrapping nil.
 	if n := s.e.NodeAtSlot(slot); n != nil {
@@ -93,7 +125,7 @@ func (s engineSource) ViewerAtSlot(slot int32) Viewer {
 	return nil
 }
 
-func (s engineSource) DrainDirty(fn func([shard.N][]int32, []ident.NodeID, []engine.RemovedNode)) {
+func (s *engineSource) DrainDirty(fn func([shard.N][]int32, []ident.NodeID, []engine.RemovedNode)) {
 	s.e.DrainDirty(fn)
 }
 

@@ -22,10 +22,10 @@ import (
 func TestStretchedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	graphs := []*graph.G{
-		graph.ApplyDelta(graph.Clusters(4, 5, 1, false), nil),
+		graph.ApplyDelta(graph.Clusters(4, 5, 1, false), nil, nil),
 		graph.RandomGeometric(60, 9, 1.8, rng),
-		graph.ApplyDelta(graph.Clusters(10, 8, 1, true), nil),
-		graph.ApplyDelta(graph.RandomGeometric(200, 16, 1.8, rng), nil),
+		graph.ApplyDelta(graph.Clusters(10, 8, 1, true), nil, nil),
+		graph.ApplyDelta(graph.RandomGeometric(200, 16, 1.8, rng), nil, nil),
 		graph.RandomGeometric(400, 22, 1.8, rng),
 	}
 	w := newWorkerScratch()

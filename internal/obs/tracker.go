@@ -10,12 +10,13 @@
 // results, and the property tests in this package enforce that on random
 // churning worlds. What obs changes is the cost model: a round where k of
 // n nodes changed view and j nodes changed neighborhood costs O(k+j)
-// group work plus one O(n·k̄) neighborhood sweep (only when the topology
-// moved), instead of the oracle's O(n·k̄²) full re-derivation with a map
-// and a canonical string per node.
+// group work — the j come from the source's changed-row record, not from
+// a sweep over every neighborhood — plus one walk of the boundary edges
+// when the topology or the partition moved, instead of the oracle's
+// O(n·k̄²) full re-derivation with a map and a canonical string per node.
 //
-// Per-node bookkeeping is slot-indexed, mirroring the engine's roster
-// slots (engine.Engine.SlotOf): the per-node cache, the affected-set
+// Per-node bookkeeping is slot-indexed, mirroring the roster slots the
+// Source serves (engine.Roster): the per-node cache, the affected-set
 // epoch stamps and the shard worklists index flat arrays by slot, and the
 // dirty report feeds slots straight through, so the steady-state round
 // touches no per-node map at all. ID-keyed lookups survive only where an
@@ -96,16 +97,16 @@ type RoundStats struct {
 // slot-derived access validates against it).
 type nodeState struct {
 	id       ident.NodeID
+	up       int32          // neighbors above v in the graph last observed
 	viewVer  uint64         // core.Node.ViewVersion at last extraction
 	view     []ident.NodeID // the node's own view, ascending
 	spare    []ident.NodeID // view's other buffer: the two swap on a change
 	viewHash uint64         // commutative hash of view
-	selfIn   bool           // v ∈ view_v
-	nbrs     []ident.NodeID // neighborhood in the restricted graph, ascending
-	nbrSlots []int32        // engine slot per nbrs entry (same index)
 	grp      *group         // current Ω record
-	good     bool           // local agreement check holds (Ω = view)
 	born     int            // round the state was created (suppresses ΠC on arrival)
+	topoRnd  int            // round v was last marked topology-dirty
+	selfIn   bool           // v ∈ view_v
+	good     bool           // local agreement check holds (Ω = view)
 }
 
 // memberRef pairs a live node's identity with its engine slot: the shape
@@ -161,6 +162,7 @@ type pairVerdict struct {
 // distributed Source, one logical run spread over several engines).
 type GroupTracker struct {
 	e       Source
+	ro      *engine.Roster // e's, resolved once: slots are looked up per boundary edge
 	dmax    int
 	workers int
 
@@ -183,11 +185,10 @@ type GroupTracker struct {
 	memberSum    int // Σ|members| over records (= live node count at rest)
 	stretchedCnt int // records with induced diameter > dmax (ΠS ⇔ 0)
 
-	// Graph cache key and topology-derived stats. A graph is never edited
-	// in place, so the pointer is its identity: holding prevG keeps that
-	// graph alive, and the GC cannot hand its address to a new one.
+	// Graph cache key. A graph is never edited in place, so the pointer is
+	// its identity: holding prevG keeps that graph alive, and the GC cannot
+	// hand its address to a new one.
 	prevG *graph.G
-	edges int
 
 	// ΠM / nee state: the arenas scanPairs cuts its reports and each
 	// owner's verdicts from (last scan's in verdArena).
@@ -222,8 +223,7 @@ type GroupTracker struct {
 type trackerShard struct {
 	topoDirty []int32 // slots whose neighborhood changed
 	changed   []changeRec
-	degSum    int
-	upper     int     // edges to a higher neighbor: the bound of pairs
+	upper     int     // Σ up over the shard's nodes: the bound of pairs
 	extract   []int32 // extraction-candidate slots (computed ∪ added)
 	vbuf      []ident.NodeID
 	pairs     []pairEntry      // boundary edges scanned here, by owner
@@ -265,7 +265,7 @@ func NewGroupTracker(e *engine.Engine) *GroupTracker {
 // distributed lead (internal/dist) observes its merged shard reports
 // through. Semantics are identical to NewGroupTracker.
 func NewGroupTrackerSource(src Source) *GroupTracker {
-	t := &GroupTracker{e: src, dmax: src.Dmax(), workers: src.Workers()}
+	t := &GroupTracker{e: src, ro: src.Roster(), dmax: src.Dmax(), workers: src.Workers()}
 	t.ws = make([]*workerScratch, shard.Width(t.workers))
 	for i := range t.ws {
 		t.ws[i] = newWorkerScratch()
@@ -300,7 +300,7 @@ func (t *GroupTracker) firstSync(n int) {
 // member. Used only where the ID may legitimately be dead (view
 // contents); slot-carrying paths index t.nodes directly.
 func (t *GroupTracker) state(v ident.NodeID) *nodeState {
-	s := t.e.SlotOf(v)
+	s := t.ro.SlotOf(v)
 	if s < 0 {
 		return nil
 	}
@@ -323,7 +323,7 @@ func (t *GroupTracker) Observe() RoundStats {
 	// Phase 0: size the slot-indexed arrays to the engine's slot table
 	// and drain the dirty report. On the first observation the report is
 	// discarded and every live node is treated as added.
-	if c := t.e.SlotCap(); len(t.nodes) < c {
+	if c := t.ro.SlotCap(); len(t.nodes) < c {
 		t.nodes = append(t.nodes, make([]nodeState, c-len(t.nodes))...)
 		t.affEpoch = append(t.affEpoch, make([]int, c-len(t.affEpoch))...)
 	}
@@ -350,11 +350,11 @@ func (t *GroupTracker) Observe() RoundStats {
 		t.removed = append(t.removed, removed...)
 	})
 	if first {
-		t.added = append(t.added, t.e.Order()...)
+		t.added = append(t.added, t.ro.IDs()...)
 		t.synced = true
 		t.firstSync(len(t.added))
 	}
-	memberChurn := len(t.added) > 0 || len(t.removed) > 0
+	rows, allRows := t.e.DrainRows()
 
 	g := t.e.LiveGraph()
 	topoChanged := first || g != t.prevG
@@ -376,7 +376,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		if st.id != r.ID {
 			continue // never tracked, or the slot was never synced
 		}
-		if t.e.SlotOf(r.ID) >= 0 {
+		if t.ro.SlotOf(r.ID) >= 0 {
 			t.added = append(t.added, r.ID)
 			t.reborn = append(t.reborn, rebornRec{v: r.ID, old: st.grp.members})
 		} else if len(st.grp.members) > 1 {
@@ -397,6 +397,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		if !st.good {
 			t.badNodes--
 		}
+		t.shards[shard.Of(r.ID)].upper -= int(st.up)
 		t.detach(st.grp)
 		t.dropWatcher(st.view, r.ID)
 		st.id = ident.None
@@ -406,7 +407,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		changedPartition = true
 	}
 	for _, a := range t.added {
-		slot := t.e.SlotOf(a)
+		slot := t.ro.SlotOf(a)
 		if slot < 0 {
 			continue // added and removed again within the window
 		}
@@ -424,8 +425,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		st.view = st.view[:0]
 		st.viewHash = 0
 		st.selfIn = false
-		st.nbrs = st.nbrs[:0]
-		st.nbrSlots = st.nbrSlots[:0]
+		st.up = 0
 		st.good = true
 		st.born = t.round
 		st.grp = t.newGroup(a, a)
@@ -438,48 +438,43 @@ func (t *GroupTracker) Observe() RoundStats {
 		changedPartition = true
 	}
 
-	// Phase 2 (parallel): neighborhood sweep, only when the restricted
-	// graph identity moved — detects exactly the nodes whose adjacency
-	// changed, re-counts the edges (and, per shard, those the boundary
-	// scan walks) and refreshes the cached neighbor slots it indexes by.
+	// Phase 2: the topology-dirty set — every node of the source's
+	// changed-row record and every added node, each once (all of them when
+	// the source cannot tell) — and, in parallel, each one's count of
+	// neighbors above it, whose per-shard sums bound the boundary scan.
 	if topoChanged {
-		shard.Run(t.workers, func(s, w int) {
-			sh := &t.shards[s]
-			sh.topoDirty = sh.topoDirty[:0]
-			sh.degSum, sh.upper = 0, 0
-			for _, m := range t.byShard[s] {
-				st := &t.nodes[m.slot]
-				// The CSR graph serves the neighborhood as a sorted flat
-				// view of its internal storage, so the change filter is a
-				// plain slice compare against the (equally sorted) cache —
-				// no hash, no per-node re-extraction.
-				nb := g.NeighborsView(m.id)
-				below, _ := slices.BinarySearch(nb, m.id)
-				sh.degSum += len(nb)
-				sh.upper += len(nb) - below
-				if !idsEqual(st.nbrs, nb) {
-					st.nbrs = append(st.nbrs[:0], nb...)
-					st.nbrSlots = st.nbrSlots[:0]
-					for _, u := range nb {
-						st.nbrSlots = append(st.nbrSlots, t.e.SlotOf(u))
-					}
-					sh.topoDirty = append(sh.topoDirty, m.slot)
-				} else if memberChurn {
-					// Identical ID-neighborhood, but an in-window
-					// remove/re-add can have moved a neighbor to another
-					// slot: refresh the slots whenever membership churned.
-					st.nbrSlots = st.nbrSlots[:0]
-					for _, u := range st.nbrs {
-						st.nbrSlots = append(st.nbrSlots, t.e.SlotOf(u))
-					}
+		for s := range t.shards {
+			t.shards[s].topoDirty = t.shards[s].topoDirty[:0]
+		}
+		switch {
+		case first: // every member is added
+		case allRows:
+			for s := range t.byShard {
+				for _, m := range t.byShard[s] {
+					t.markTopo(m.id)
 				}
 			}
-		})
-		t.edges = 0
-		for s := range t.shards {
-			t.edges += t.shards[s].degSum
+		default:
+			for _, v := range rows {
+				t.markTopo(v)
+			}
 		}
-		t.edges /= 2
+		for _, v := range t.added {
+			t.markTopo(v)
+		}
+		reg := t.e.Introspect()
+		shard.Run(t.workers, func(s, _ int) {
+			sh := &t.shards[s]
+			for _, slot := range sh.topoDirty {
+				st := &t.nodes[slot]
+				nb := g.NeighborsView(st.id)
+				below, _ := slices.BinarySearch(nb, st.id)
+				up := int32(len(nb) - below)
+				sh.upper += int(up - st.up)
+				st.up = up
+			}
+			reg.Shard(s).Add(introspect.CtrObsRowsSwept, uint64(len(sh.topoDirty)))
+		})
 		t.prevG = g
 	}
 
@@ -737,7 +732,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		Round:                t.round,
 		Tick:                 t.e.Tick(),
 		Nodes:                t.memberSum,
-		Edges:                t.edges,
+		Edges:                g.NumEdges(),
 		Groups:               t.groupCount,
 		Singletons:           t.singletonCnt,
 		Agreement:            t.badNodes == 0,
@@ -792,7 +787,7 @@ func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
 // Dmax+1 members in all are mergeable (a connected graph on m nodes has
 // diameter ≤ m−1); else the BFS runs inline. Counts fold in shard order.
 // No map backs the pair state: reports and verdicts are cut from arenas
-// bounded by the upper-neighbor edge counts.
+// bounded by the upper-neighbor counts phase 2 keeps.
 func (t *GroupTracker) scanPairs(g *graph.G) {
 	upper := 0
 	for s := range t.shards {
@@ -811,11 +806,11 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 		sh.runs = [shard.N + 1]int{}
 		for _, m := range t.byShard[s] {
 			st := &t.nodes[m.slot]
-			for i, u := range st.nbrs {
+			for _, u := range g.NeighborsView(m.id) {
 				if u <= m.id {
 					continue
 				}
-				su := &t.nodes[st.nbrSlots[i]]
+				su := &t.nodes[t.ro.SlotOf(u)]
 				if su.grp == st.grp {
 					continue
 				}
@@ -965,6 +960,18 @@ func (t *GroupTracker) setStretched(grp *group, v bool) {
 	} else {
 		t.stretchedCnt--
 	}
+}
+
+// markTopo queues v's slot in its shard's topology-dirty list, once a
+// round, if v is a tracked member.
+func (t *GroupTracker) markTopo(v ident.NodeID) {
+	slot := t.ro.SlotOf(v)
+	if slot < 0 || t.nodes[slot].id != v || t.nodes[slot].topoRnd == t.round {
+		return
+	}
+	t.nodes[slot].topoRnd = t.round
+	sh := &t.shards[shard.Of(v)]
+	sh.topoDirty = append(sh.topoDirty, slot)
 }
 
 // markAffected stamps ref's slot for this round and queues it. Refs can

@@ -288,11 +288,13 @@ func TestTrackerSparseObservation(t *testing.T) {
 // TestTrackerSteadyStateAllocations pins what a changed view costs the
 // allocator once the per-slot buffers have grown: the two view buffers of
 // a slot swap, a group record is written again, so what is left (growth
-// towards the largest view and neighborhood a slot has seen, watcher sets
+// towards the largest view a slot has seen, watcher sets
 // of newly watched nodes, a dozen closures an Observe) stays under one
 // allocation per ten changed views. A view copy or a record per change is
 // more than one per changed view. The buffers are still growing at round
 // 30 (0.15 per changed view in this world), hence the longer warm-up.
+// After it, 30 observations of some 7 500 changed views cost about 435
+// allocations (473 while the tracker kept a copy of every neighborhood).
 func TestTrackerSteadyStateAllocations(t *testing.T) {
 	w := space.NewWorld(4)
 	ids := make([]ident.NodeID, 500)

@@ -20,6 +20,7 @@ package shard
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/ident"
 )
@@ -39,7 +40,13 @@ func Width(workers int) int { return min(max(workers, 1), N) }
 
 // Run applies fn to every shard; fn(s, w) must only write state owned by
 // shard s or by participant w. See Slots for the assignment.
-func Run(workers int, fn func(s, w int)) { Slots(workers, N, fn) }
+func Run(workers int, fn func(s, w int)) { slots(workers, N, nil, fn) }
+
+// RunTimed is Run that also adds to busy, once per participant, the wall
+// time the participant spent claiming and running shards, so a call at
+// width W that took d left its participants idle for W·d minus what it
+// added. The clock is read twice per participant, not per shard.
+func RunTimed(workers int, busy *atomic.Int64, fn func(s, w int)) { slots(workers, N, busy, fn) }
 
 // Slots applies fn to n independent items and returns when every call has
 // returned: inline and in order at width ≤ 1, else claimed as the package
@@ -49,16 +56,21 @@ func Run(workers int, fn func(s, w int)) { Slots(workers, N, fn) }
 // only write state owned by item i or by participant w. Past the first
 // call at a width, a call spawns no goroutine and allocates nothing beyond
 // what the caller's closure costs.
-func Slots(workers, n int, fn func(i, w int)) {
+func Slots(workers, n int, fn func(i, w int)) { slots(workers, n, nil, fn) }
+
+// slots is Slots, and RunTimed when busy is not nil.
+func slots(workers, n int, busy *atomic.Int64, fn func(i, w int)) {
 	width := min(Width(workers), n)
 	if width <= 1 {
+		start := clock(busy)
 		for i := 0; i < n; i++ {
 			fn(i, 0)
 		}
+		stop(busy, start)
 		return
 	}
 	j := jobs.Get().(*job)
-	j.fn, j.n = fn, int64(n)
+	j.fn, j.n, j.busy = fn, int64(n), busy
 	j.next.Store(0)
 	j.part.Store(0)
 	helpers.ensure(width - 1)
@@ -68,8 +80,23 @@ func Slots(workers, n int, fn func(i, w int)) {
 	}
 	j.work(0)
 	j.joined.Wait()
-	j.fn = nil
+	j.fn, j.busy = nil, nil
 	jobs.Put(j)
+}
+
+// clock reads the clock when there is a busy accumulator to stop it into.
+func clock(busy *atomic.Int64) time.Time {
+	if busy == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// stop adds the time since start to busy, if any.
+func stop(busy *atomic.Int64, start time.Time) {
+	if busy != nil {
+		busy.Add(time.Since(start).Nanoseconds())
+	}
 }
 
 // job is one call's shared state: the items, the claim cursor, the
@@ -79,8 +106,9 @@ func Slots(workers, n int, fn func(i, w int)) {
 type job struct {
 	fn     func(i, w int)
 	n      int64
-	next   atomic.Int64 // the next unclaimed item
-	part   atomic.Int32 // participant indices handed to helpers
+	busy   *atomic.Int64 // RunTimed's accumulator, nil for an untimed call
+	next   atomic.Int64  // the next unclaimed item
+	part   atomic.Int32  // participant indices handed to helpers
 	joined sync.WaitGroup
 }
 
@@ -88,9 +116,11 @@ var jobs = sync.Pool{New: func() any { return new(job) }}
 
 // work claims and runs items as participant w until none is left.
 func (j *job) work(w int) {
+	start := clock(j.busy)
 	for i := j.next.Add(1) - 1; i < j.n; i = j.next.Add(1) - 1 {
 		j.fn(int(i), w)
 	}
+	stop(j.busy, start)
 }
 
 // pool is the process's helper set. A helper is idle from the moment it

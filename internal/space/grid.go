@@ -189,9 +189,11 @@ func (w *World) deltaViable(n int) bool {
 // shard's scratch, and the shards are merged in shard order, so the rows
 // are identical at any worker count. The link predicate is evaluated from
 // the lower ID's end whichever node is being scanned, so the two rows of
-// an edge agree to the last bit of the wall test. The result aliases the
-// world's scratch: valid until the next scan.
-func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
+// an edge agree to the last bit of the wall test. With diff, every node
+// whose row is not its row in the current graph, or that the graph lacks,
+// is appended to the changed-row record (TrackRows), in shard order. The
+// result aliases the world's scratch: valid until the next scan.
+func (w *World) scanRows(ids []ident.NodeID, diff bool) []graph.NodeAdj {
 	for s := range w.shardNodes {
 		w.shardNodes[s] = w.shardNodes[s][:0]
 	}
@@ -199,10 +201,11 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 		s := shard.Of(v)
 		w.shardNodes[s] = append(w.shardNodes[s], v)
 	}
-	r := w.Range
+	r, prev := w.Range, w.symGraph
 	shard.Run(w.Workers, func(s, _ int) {
 		adjs := w.shardAdjs[s][:0]
 		nbrs := w.shardNbrs[s][:0]
+		changed := w.shardRows[s][:0]
 		for _, u := range w.shardNodes[s] {
 			pu, _ := w.pos.Get(u)
 			k := w.cellAt(pu)
@@ -232,17 +235,34 @@ func (w *World) scanRows(ids []ident.NodeID) []graph.NodeAdj {
 					}
 				}
 			}
-			slices.Sort(nbrs[start:])
-			adjs = append(adjs, graph.NodeAdj{Node: u, Adj: nbrs[start:len(nbrs):len(nbrs)]})
+			row := nbrs[start:len(nbrs):len(nbrs)]
+			slices.Sort(row)
+			adjs = append(adjs, graph.NodeAdj{Node: u, Adj: row})
+			if diff && rowMoved(prev, u, row) {
+				changed = append(changed, u)
+			}
 		}
-		w.shardAdjs[s], w.shardNbrs[s] = adjs, nbrs
+		w.shardAdjs[s], w.shardNbrs[s], w.shardRows[s] = adjs, nbrs, changed
 	})
 	rows := w.rowBuf[:0]
 	for s := range w.shardAdjs {
 		rows = append(rows, w.shardAdjs[s]...)
+		if diff {
+			w.rows = append(w.rows, w.shardRows[s]...)
+		}
 	}
 	w.rowBuf = rows
 	return rows
+}
+
+// rowMoved reports whether row is not u's row in prev: u is new to prev,
+// or its neighbors differ. Every row is new to a nil prev.
+func rowMoved(prev *graph.G, u ident.NodeID, row []ident.NodeID) bool {
+	if prev == nil {
+		return true
+	}
+	i := prev.IndexOf(u)
+	return i < 0 || !slices.Equal(prev.NeighborsAt(i), row)
 }
 
 // gridInsert adds v (already in pos) to its bucket; a bucket entered anew

@@ -67,6 +67,13 @@ type Segment struct{ A, B Point }
 // or call Invalidate so the spatial index rebuilds. Structural
 // mutation must not race with queries: the engine only mutates the world
 // in its sequential phases.
+//
+// Two records say what a rebuild changed. RowsChanged serves, for one
+// delta step, a superset of the rows that may differ (the engine's
+// receiver caches need only "unchanged" to be proved). The changed-row
+// record, once armed (TrackRows), collects across rebuilds exactly the
+// nodes whose row content changed until a consumer drains it (DrainRows):
+// what an observer that re-derives state from changed rows needs.
 type World struct {
 	// Range is the transmission range of every node.
 	Range float64
@@ -139,6 +146,14 @@ type World struct {
 	rowDirty     []ident.NodeID
 	rowDirtyFrom *graph.G
 	rowDirtyTo   *graph.G
+
+	// Changed-row record (TrackRows, DrainRows): rows accumulates while
+	// rowsOn; rowsUnique is its length at the last compaction, shardRows
+	// scanRows' per-shard share of a full rebuild's.
+	rowsOn     bool
+	rows       []ident.NodeID
+	rowsUnique int
+	shardRows  [shard.N][]ident.NodeID
 }
 
 // NewWorld returns an empty world with the given range.
@@ -285,15 +300,26 @@ func (w *World) SymmetricGraph() *graph.G {
 		// movers' rows (deltaViable sorted and deduplicated the set)
 		// describe every change. prev's mover rows are read first: a retired
 		// prev (see graph.ApplyDelta) has none afterwards.
-		prev, upd := w.symGraph, w.scanRows(w.movedDirty)
+		prev, upd := w.symGraph, w.scanRows(w.movedDirty, false)
 		w.recordRowDelta(prev, upd)
-		g = graph.ApplyDelta(prev, upd)
+		var changed *[]ident.NodeID
+		if w.rowsOn {
+			changed = &w.rows
+		}
+		g = graph.ApplyDelta(prev, upd, changed)
 		w.rowDirtyFrom, w.rowDirtyTo = prev, g
 	} else {
 		// prev lends its node index when the roster is the same, and its
-		// storage when it was retired: a new row era either way.
-		g = graph.FromRows(w.symGraph, nodes, w.scanRows(nodes))
+		// storage when it was retired: a new row era either way. The scan
+		// diffs the rows against prev's before FromRows may rewrite them.
+		g = graph.FromRows(w.symGraph, nodes, w.scanRows(nodes, w.rowsOn))
 		w.rowDirtyFrom, w.rowDirtyTo = nil, nil
+	}
+	if len(w.rows) >= 2*max(len(nodes), w.rowsUnique) {
+		// Undrained: the repeats go, so the record stays O(n).
+		slices.Sort(w.rows)
+		w.rows = slices.Compact(w.rows)
+		w.rowsUnique = len(w.rows)
 	}
 	w.symGraph, w.symGen = g, w.gen
 	w.movedDirty = w.movedDirty[:0]
@@ -319,6 +345,29 @@ func (w *World) RowsChanged(since *graph.G) ([]ident.NodeID, bool) {
 		return nil, false
 	}
 	return w.rowDirty, true
+}
+
+// TrackRows arms the changed-row record that DrainRows hands over:
+// from here on every rebuild records the nodes whose row it changed. The
+// record is exact, unlike RowsChanged's superset: a delta rebuild records
+// the rows graph.ApplyDelta reports, a full one every row its scan finds
+// different from the previous graph's, a node new to the graph included.
+func (w *World) TrackRows() { w.rowsOn = true }
+
+// DrainRows hands over the changed-row record and empties it: every node
+// whose row differs between at and the graph current at the previous
+// drain is listed, with repeats, perhaps beside a few whose row changed
+// back. When the record is not armed, or at is not the world's current
+// graph (a rebuild ran past it), it answers all instead and keeps the
+// record. The slice aliases the record: read-only, valid until the next
+// rebuild.
+func (w *World) DrainRows(at *graph.G) (ids []ident.NodeID, all bool) {
+	if !w.rowsOn || at != w.symGraph {
+		return nil, true
+	}
+	ids = w.rows
+	w.rows, w.rowsUnique = w.rows[:0], 0
+	return ids, false
 }
 
 // recordRowDelta derives the RowsChanged set of a delta rebuild from prev

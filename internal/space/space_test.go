@@ -1,6 +1,7 @@
 package space
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -706,5 +707,82 @@ func TestBucketAliasingMatchesBruteForce(t *testing.T) {
 	}
 	if p, _ := w.Pos(1); p.X/r < 1000 || &w.cells[0] != &laid[0] {
 		t.Fatalf("convoy drifted to cell %.0f, re-laid out %v", p.X/r, &w.cells[0] != &laid[0])
+	}
+}
+
+// TestChangedRowRecordIsExact drives a walled world through motion, joins
+// and leaves on the delta and on the forced-full rebuild, at widths 1 and
+// 4, with the changed-row record armed, drained every rebuild or every
+// other: a drain names exactly the nodes whose row changed in some rebuild
+// since the previous drain, a node new to the graph included. A drain
+// against a graph the world has rebuilt past answers all and keeps the
+// record.
+func TestChangedRowRecordIsExact(t *testing.T) {
+	rowsOf := func(g *graph.G) map[ident.NodeID][]ident.NodeID {
+		rows := map[ident.NodeID][]ident.NodeID{}
+		for _, v := range g.Nodes() {
+			rows[v] = g.Neighbors(v)
+		}
+		return rows
+	}
+	for _, full := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			w := NewWorld(2.0)
+			w.Workers, w.DisableDelta = workers, full
+			w.Walls = []Segment{{A: Point{X: 10, Y: -1}, B: Point{X: 10, Y: 14}}}
+			rng := rand.New(rand.NewSource(31))
+			point := func() Point { return Point{X: rng.Float64() * 22, Y: rng.Float64() * 22} }
+			n := ident.NodeID(120)
+			for v := ident.NodeID(1); v <= n; v++ {
+				w.Place(v, point())
+			}
+			g := w.SymmetricGraph()
+			w.TrackRows()
+			before, want := rowsOf(g), map[ident.NodeID]bool{}
+			for round := 0; round < 40; round++ {
+				for j := 0; j < 1+rng.Intn(6); j++ {
+					v := 1 + ident.NodeID(rng.Intn(int(n)))
+					if _, ok := w.Pos(v); ok {
+						w.Place(v, point())
+					}
+				}
+				switch round % 7 {
+				case 3:
+					w.Remove(1 + ident.NodeID(rng.Intn(int(n))))
+				case 5:
+					n++
+					w.Place(n, point())
+				}
+				stale := g
+				g = w.SymmetricGraph()
+				after := rowsOf(g)
+				for v, row := range after {
+					if old, ok := before[v]; !ok || !slices.Equal(old, row) {
+						want[v] = true
+					}
+				}
+				before = after
+				if round%3 == 1 {
+					continue // this rebuild's rows wait for the next drain
+				}
+				if stale != g {
+					if _, all := w.DrainRows(stale); !all {
+						t.Fatalf("full %v, workers %d, round %d: a drain at a stale graph did not answer all", full, workers, round)
+					}
+				}
+				ids, all := w.DrainRows(g)
+				if all {
+					t.Fatalf("full %v, workers %d, round %d: the armed record answered all", full, workers, round)
+				}
+				got := map[ident.NodeID]bool{}
+				for _, v := range ids {
+					got[v] = true
+				}
+				if !maps.Equal(got, want) {
+					t.Fatalf("full %v, workers %d, round %d: record %v, changed rows %v", full, workers, round, slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+				}
+				clear(want)
+			}
+		}
 	}
 }
