@@ -43,7 +43,7 @@ func E16Chaos(seeds int) *Table {
 			faults += res.FaultsInjected
 			episodes += res.Episodes
 			open += res.EpisodesOpen
-			stabSum += int(res.MeanStabRounds*float64(res.Episodes) + 0.5)
+			stabSum += int(float64(res.MeanStabRounds*float64(res.Episodes)) + 0.5)
 			if res.MaxStabRounds > maxStab {
 				maxStab = res.MaxStabRounds
 			}

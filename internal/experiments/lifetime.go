@@ -110,7 +110,7 @@ func E8Lifetime(seeds int) *Table {
 func highwayModel(spread float64) *mobility.RingRoad {
 	return &mobility.RingRoad{
 		Length: 140, Lanes: 2, LaneGap: 2,
-		SpeedMin: 10, SpeedMax: 10 + spread*10,
+		SpeedMin: 10, SpeedMax: 10 + float64(spread*10),
 		Opposing: true,
 	}
 }

@@ -218,13 +218,13 @@ func allVerdicts(tr *GroupTracker) []pairVerdict {
 // TestTrackerFootprint pins what settling ΠM without a map leaves in the
 // heap, on a parked world (2 % movers) of 2 000 nodes over 50 rounds: the
 // pair state's arenas hold at most one boundary report and two verdicts
-// per graph edge at the run's peak, headroom included, and the only map
-// the tracker keeps is the watcher index (the group index is an
-// ident.Table). Two value maps of
+// per graph edge at the run's peak, headroom included, and the tracker
+// keeps no map (the group index is an ident.Table; the nodes a view
+// change affects are read from the view). Two value maps of
 // verdicts, with the per-shard report lists grown by doubling, held 7.3 MB
-// at parked-commuter's n = 20 000. A node's cache holds no neighborhood,
-// only its two view buffers: 104 B, where a copy of the neighbor IDs and
-// their slots took it to 152 B plus the copies' storage.
+// at parked-commuter's n = 20 000. A node's cache holds no neighborhood
+// and no view hash, only its two view buffers: 96 B, where a copy of the
+// neighbor IDs and their slots took it to 152 B plus the copies' storage.
 func TestTrackerFootprint(t *testing.T) {
 	cfg := SoakConfig{N: 2000, ActiveFraction: 0.02, Seed: 1, Workers: 2}
 	w, mob, ids := BuildSoakWorld(&cfg)
@@ -250,8 +250,8 @@ func TestTrackerFootprint(t *testing.T) {
 	if verdictSize != 32 {
 		t.Errorf("a verdict is %d B, want 32", verdictSize)
 	}
-	if size := unsafe.Sizeof(nodeState{}); size != 104 {
-		t.Errorf("a node's cache is %d B, want 104", size)
+	if size := unsafe.Sizeof(nodeState{}); size != 96 {
+		t.Errorf("a node's cache is %d B, want 96", size)
 	}
 	var bufs []string
 	typ := reflect.TypeOf(nodeState{})
@@ -275,7 +275,7 @@ func TestTrackerFootprint(t *testing.T) {
 			}
 		}
 	}
-	if got := fmt.Sprint(maps); got != "[GroupTracker.watchers]" {
-		t.Errorf("the tracker keeps the maps %s, want only the watcher index", got)
+	if len(maps) > 0 {
+		t.Errorf("the tracker keeps the maps %v, want none", maps)
 	}
 }

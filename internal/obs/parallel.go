@@ -160,26 +160,3 @@ func (w *workerScratch) mergeable(g *graph.G, a, b []ident.NodeID, dmax int) boo
 	w.ubuf = append(w.ubuf, b...)
 	return !w.stretched(g, w.ubuf, dmax)
 }
-
-// mix is the splitmix64 finalizer, the mixing step behind the tracker's
-// commutative set hashes.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// hashIDs hashes an ID set commutatively (sum of mixed members), so the
-// iteration order never matters. Callers compare lengths separately;
-// equal hashes are always confirmed by an exact slice comparison before
-// any decision, so a collision can cost a comparison, never correctness.
-func hashIDs(ids []ident.NodeID) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range ids {
-		h += mix(uint64(v) + 0x9e3779b97f4a7c15)
-	}
-	return h
-}

@@ -21,7 +21,8 @@
 // dirty report feeds slots straight through, so the steady-state round
 // touches no per-node map at all. ID-keyed lookups survive only where an
 // ID may legitimately not be a member: view contents (a view can retain a
-// departed node) and the watcher/group indexes keyed by them.
+// departed node or name a fabricated one), resolved through the roster's
+// slot table, and the group index keyed by representative.
 //
 // Parallel phases follow the engine's discipline (internal/shard): work
 // is sharded by NodeID into the shard.N fixed shards or into slot-indexed
@@ -96,25 +97,23 @@ type RoundStats struct {
 // (ident.None marks a free slot — slots recycle under churn, so every
 // slot-derived access validates against it).
 type nodeState struct {
-	id       ident.NodeID
-	up       int32          // neighbors above v in the graph last observed
-	viewVer  uint64         // core.Node.ViewVersion at last extraction
-	view     []ident.NodeID // the node's own view, ascending
-	spare    []ident.NodeID // view's other buffer: the two swap on a change
-	viewHash uint64         // commutative hash of view
-	grp      *group         // current Ω record
-	born     int            // round the state was created (suppresses ΠC on arrival)
-	topoRnd  int            // round v was last marked topology-dirty
-	selfIn   bool           // v ∈ view_v
-	good     bool           // local agreement check holds (Ω = view)
+	id      ident.NodeID
+	up      int32          // neighbors above v in the graph last observed
+	viewVer uint64         // core.Node.ViewVersion at last extraction
+	view    []ident.NodeID // the node's own view, ascending
+	spare   []ident.NodeID // view's other buffer: the two swap on a change
+	grp     *group         // current Ω record
+	born    int            // round the state was created (suppresses ΠC on arrival)
+	topoRnd int            // round v was last marked topology-dirty
+	good    bool           // local agreement check holds (Ω = view)
 }
 
 // memberRef pairs a live node's identity with its engine slot: the shape
-// the shard worklists, watcher sets and the affected set carry, so
-// downstream phases index the slot array directly while every
-// canonical-order decision still compares IDs. A ref is valid while
-// nodes[slot].id == id; holders that can outlive the referent (the
-// affected set, across in-window churn) re-validate before use.
+// the shard worklists and the affected set carry, so downstream phases
+// index the slot array directly while every canonical-order decision
+// still compares IDs. A ref is valid while nodes[slot].id == id; holders
+// that can outlive the referent (the affected set, across in-window
+// churn) re-validate before use.
 type memberRef struct {
 	id   ident.NodeID
 	slot int32
@@ -169,13 +168,12 @@ type GroupTracker struct {
 	round  int
 	synced bool
 
-	nodes    []nodeState                  // engine slot → cache (id validates)
-	affEpoch []int                        // engine slot → round last marked affected
-	watchers map[ident.NodeID][]memberRef // u → {w : u ∈ view_w}, ascending by watcher (a map: views may name fabricated IDs)
-	groups   ident.Table[*group]          // representative → current record
-	parked   []*group                     // destroyed this Observe: still read (ΠC, reborn, ΠS)
-	free     []*group                     // destroyed before it: poisoned, newGroup's to write
-	byShard  [shard.N][]memberRef         // live nodes, ascending per shard
+	nodes    []nodeState          // engine slot → cache (id validates)
+	affEpoch []int                // engine slot → round last marked affected
+	groups   ident.Table[*group]  // representative → current record
+	parked   []*group             // destroyed this Observe: still read (ΠC, reborn, ΠS)
+	free     []*group             // destroyed before it: poisoned, newGroup's to write
+	byShard  [shard.N][]memberRef // live nodes, ascending per shard
 
 	// Aggregates over the live partition, maintained on every record
 	// create/destroy and verdict flip — never recomputed by scanning.
@@ -236,7 +234,7 @@ type trackerShard struct {
 type changeRec struct {
 	slot    int32
 	v       ident.NodeID
-	oldView []ident.NodeID // the slot's spare: valid until its next extraction
+	oldView []ident.NodeID // the slot's spare: valid until its next extraction, read by phase 5
 }
 
 // rebornRec remembers the previous Ω of a node that was removed and
@@ -275,12 +273,11 @@ func NewGroupTrackerSource(src Source) *GroupTracker {
 }
 
 // firstSync builds what the first observation of n members would
-// otherwise grow one join at a time: the watcher map at its first size, n
-// group records with one-member storage on the free list (newGroup's only
-// source), and every slot's two view buffers, Dmax+1 members each. Every
-// cut is cap-clamped; a record or buffer that outgrows its own allocates.
+// otherwise grow one join at a time: n group records with one-member
+// storage on the free list (newGroup's only source), and every slot's two
+// view buffers, Dmax+1 members each. Every cut is cap-clamped; a record
+// or buffer that outgrows its own allocates.
 func (t *GroupTracker) firstSync(n int) {
-	t.watchers = make(map[ident.NodeID][]memberRef, n)
 	t.groups = ident.Table[*group]{}
 	recs, members := make([]group, n), make([]ident.NodeID, n)
 	t.free = slices.Grow(t.free, n)
@@ -387,19 +384,14 @@ func (t *GroupTracker) Observe() RoundStats {
 			piTBroken = true
 			t.restamp(st.grp)
 		}
-		// The watcher refs are valid here: a watcher removed earlier in
-		// this loop already dropped itself from every set, and one not yet
-		// processed still owns its cache slot. Stale refs marked now are
-		// re-validated when the affected set is finalized.
-		for _, w := range t.watchers[r.ID] {
-			t.markAffected(w)
-		}
+		// A node whose check held with r.ID in its view shared r.ID's
+		// last view, so it is a member of it.
+		t.markView(st.view)
 		if !st.good {
 			t.badNodes--
 		}
 		t.shards[shard.Of(r.ID)].upper -= int(st.up)
 		t.detach(st.grp)
-		t.dropWatcher(st.view, r.ID)
 		st.id = ident.None
 		st.grp = nil
 		st.view = st.view[:0]
@@ -423,8 +415,6 @@ func (t *GroupTracker) Observe() RoundStats {
 		st.id = a
 		st.viewVer = 0
 		st.view = st.view[:0]
-		st.viewHash = 0
-		st.selfIn = false
 		st.up = 0
 		st.good = true
 		st.born = t.round
@@ -530,25 +520,20 @@ func (t *GroupTracker) Observe() RoundStats {
 			nv := append(st.spare[:0], sh.vbuf...)
 			sh.changed = append(sh.changed, changeRec{slot: slot, v: st.id, oldView: st.view})
 			st.view, st.spare = nv, st.view
-			st.viewHash = hashIDs(nv)
-			st.selfIn = containsID(nv, st.id)
 		}
 	})
 
-	// Phase 5 (sequential): watcher index maintenance and the affected
-	// set — a changed view affects the node itself and every node whose
-	// view contains it.
+	// Phase 5 (sequential): the affected set. Node w passes the check
+	// only if w ∈ view_w and every member's view equals view_w, so when
+	// v's view moves from old to new, a w that passed before with v in its
+	// view is a member of old, and a w that passes after is a member of
+	// new; a w that fails both keeps its Ω. The affected nodes are v and
+	// the tracked members of both views.
 	for s := range t.shards {
 		for _, ch := range t.shards[s].changed {
-			st := &t.nodes[ch.slot]
-			me := memberRef{id: ch.v, slot: ch.slot}
-			diffSorted(ch.oldView, st.view,
-				func(gone ident.NodeID) { t.dropWatcherOne(gone, ch.v) },
-				func(fresh ident.NodeID) { t.addWatcher(fresh, me) })
-			t.markAffected(me)
-			for _, w := range t.watchers[ch.v] {
-				t.markAffected(w)
-			}
+			t.markAffected(memberRef{id: ch.v, slot: ch.slot})
+			t.markView(ch.oldView)
+			t.markView(t.nodes[ch.slot].view)
 		}
 	}
 	// Finalize the affected set: drop refs whose node is gone (or whose
@@ -573,19 +558,17 @@ func (t *GroupTracker) Observe() RoundStats {
 	t.affected = aff
 
 	// Phase 6 (parallel): regroup — the local agreement check for every
-	// affected node, a pure read of the freshly extracted views. Hashes
-	// reject mismatches cheaply; equal hashes are confirmed by an exact
-	// slice comparison, so the verdict matches metrics.Snapshot.Omega
-	// bit for bit.
+	// affected node, a pure read of the freshly extracted views compared
+	// exactly, so the verdict matches metrics.Snapshot.Omega bit for bit.
 	t.regroup = slices.Grow(t.regroup[:0], len(t.affected))[:len(t.affected)]
 	shard.Slots(t.workers, len(t.affected), func(i, w int) {
 		ref := t.affected[i]
 		st := &t.nodes[ref.slot]
-		good := st.selfIn
+		good := containsID(st.view, ref.id)
 		if good {
 			for _, u := range st.view {
 				su := t.state(u)
-				if su == nil || su.viewHash != st.viewHash || !idsEqual(su.view, st.view) {
+				if su == nil || !idsEqual(su.view, st.view) {
 					good = false
 					break
 				}
@@ -974,6 +957,16 @@ func (t *GroupTracker) markTopo(v ident.NodeID) {
 	sh.topoDirty = append(sh.topoDirty, slot)
 }
 
+// markView marks every tracked member of view as affected. A view can
+// name a departed or fabricated ID: that is a lookup miss, nothing more.
+func (t *GroupTracker) markView(view []ident.NodeID) {
+	for _, u := range view {
+		if slot := t.ro.SlotOf(u); slot >= 0 && t.nodes[slot].id == u {
+			t.markAffected(memberRef{id: u, slot: slot})
+		}
+	}
+}
+
 // markAffected stamps ref's slot for this round and queues it. Refs can
 // go stale across in-window churn; the finalization step re-validates
 // every queued ref against the slot's current occupant.
@@ -983,42 +976,6 @@ func (t *GroupTracker) markAffected(ref memberRef) {
 	}
 	t.affEpoch[ref.slot] = t.round
 	t.affected = append(t.affected, ref)
-}
-
-// addWatcher registers w as a watcher of u (w's view contains u), keeping
-// the set ascending by watcher ID.
-func (t *GroupTracker) addWatcher(u ident.NodeID, w memberRef) {
-	ws := t.watchers[u]
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].id >= w.id })
-	if i < len(ws) && ws[i].id == w.id {
-		ws[i] = w
-		return
-	}
-	ws = append(ws, memberRef{})
-	copy(ws[i+1:], ws[i:])
-	ws[i] = w
-	t.watchers[u] = ws
-}
-
-// dropWatcherOne removes w from u's watcher set.
-func (t *GroupTracker) dropWatcherOne(u, w ident.NodeID) {
-	ws := t.watchers[u]
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].id >= w })
-	if i < len(ws) && ws[i].id == w {
-		ws = append(ws[:i], ws[i+1:]...)
-		if len(ws) == 0 {
-			delete(t.watchers, u)
-		} else {
-			t.watchers[u] = ws
-		}
-	}
-}
-
-// dropWatcher removes w from the watcher sets of every member of view.
-func (t *GroupTracker) dropWatcher(view []ident.NodeID, w ident.NodeID) {
-	for _, u := range view {
-		t.dropWatcherOne(u, w)
-	}
 }
 
 func (t *GroupTracker) shardInsert(ref memberRef) {
@@ -1084,29 +1041,4 @@ func subsetSorted(a, b []ident.NodeID) bool {
 		j++
 	}
 	return true
-}
-
-// diffSorted walks two ascending slices and reports members only in a
-// (gone) and only in b (fresh).
-func diffSorted(a, b []ident.NodeID, gone, fresh func(ident.NodeID)) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			gone(a[i])
-			i++
-		default:
-			fresh(b[j])
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		gone(a[i])
-	}
-	for ; j < len(b); j++ {
-		fresh(b[j])
-	}
 }

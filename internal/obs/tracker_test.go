@@ -8,12 +8,15 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/antlist"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
+	"repro/internal/priority"
 	"repro/internal/radio"
 	"repro/internal/space"
 )
@@ -184,6 +187,109 @@ func TestTrackerMatchesOracleChurn(t *testing.T) {
 	}
 }
 
+// TestTrackerMatchesOracleChaos pins the tracker to the oracle where views
+// name IDs that are not members: the walled chaos world of the
+// conformance suite (60 waypoint nodes, the mixed fault preset, flapping
+// neighborhoods) leaves views naming departed nodes, and one round loads a
+// view that drops its owner and names a fabricated ID. The nodes a view
+// change affects are read from the old and the new view, so every such ID
+// must be a plain lookup miss and every member that shared either view
+// must be re-checked.
+func TestTrackerMatchesOracleChaos(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			const dmax, forgeAt = 3, 75
+			w := space.NewWorld(2.5)
+			ids := make([]ident.NodeID, 60)
+			for i := range ids {
+				ids[i] = ident.NodeID(i + 1)
+			}
+			topo := engine.NewSpatialTopology(w,
+				&mobility.Waypoint{Side: 20, SpeedMin: 0.5, SpeedMax: 2, Pause: 1},
+				0.2, ids, rand.New(rand.NewSource(29)))
+			prof, err := fault.Preset("mixed", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof.Seed = 31
+			prof.Flap = fault.FlapConfig{Rate: 0.04, DownRounds: 5, MaxStorm: 3}
+			e := engine.New(engine.Params{
+				Cfg:     core.Config{Dmax: dmax},
+				Channel: prof.NewChannel(nil),
+				Seed:    29,
+				Workers: workers,
+			}, topo)
+			positions := map[ident.NodeID]space.Point{}
+			inj := fault.NewInjector(prof, e, fault.Hooks{
+				Leave: func(v ident.NodeID) {
+					if p, ok := w.Pos(v); ok {
+						positions[v] = p
+					}
+					w.Remove(v)
+				},
+				Rejoin: func(v ident.NodeID) { w.Place(v, positions[v]) },
+			})
+			tr := NewGroupTracker(e)
+
+			var prev metrics.Snapshot
+			hasPrev := false
+			vers := map[ident.NodeID]uint64{}
+			strangers, ownerless := 0, 0
+			for r := 1; r <= 150; r++ {
+				inj.Apply(r)
+				for _, v := range e.Order() {
+					vers[v] = e.Node(v).ViewVersion()
+				}
+				e.StepRound()
+				if r == forgeAt {
+					forgeOwnerlessView(t, e, vers)
+				}
+				st := tr.Observe()
+				cur := metrics.SnapshotOf(e)
+				checkAgainstOracle(t, fmt.Sprintf("workers %d round %d", workers, r), st, tr, prev, cur, hasPrev, dmax)
+				prev, hasPrev = cur, true
+				for _, v := range e.Order() {
+					view := e.Node(v).AppendView(nil)
+					if !slices.Contains(view, v) {
+						ownerless++
+					}
+					for _, u := range view {
+						if e.Node(u) == nil {
+							strangers++
+						}
+					}
+				}
+			}
+			t.Logf("%d faults injected, %d view entries naming a non-member, %d views without their owner", inj.FaultsInjected, strangers, ownerless)
+			if inj.FaultsInjected == 0 || strangers == 0 || ownerless == 0 {
+				t.Fatalf("%d faults injected, %d view entries naming a non-member, %d views without their owner — the comparison is vacuous unless all are positive",
+					inj.FaultsInjected, strangers, ownerless)
+			}
+		})
+	}
+}
+
+// forgeOwnerlessView loads, into the first member whose view version moved
+// in the round just stepped (so its compute is in the dirty report the
+// tracker drains), its view with the owner dropped and a fabricated ID
+// added, as a corrupted reload could leave it.
+func forgeOwnerlessView(t *testing.T, e *engine.Engine, vers map[ident.NodeID]uint64) {
+	t.Helper()
+	for _, v := range e.Order() {
+		n := e.Node(v)
+		if old, ok := vers[v]; !ok || n.ViewVersion() == old {
+			continue
+		}
+		view := map[ident.NodeID]bool{fault.FabricatedBase + 7: true}
+		for _, u := range n.AppendView(nil) {
+			view[u] = u != v
+		}
+		n.LoadState(antlist.Singleton(ident.Plain(v)), view, nil, priority.New(v))
+		return
+	}
+	t.Fatal("no member computed in the forging round")
+}
+
 // obsFingerprint renders everything the acceptance criterion pins:
 // partition, predicate bits, rates and counters.
 func obsFingerprint(st RoundStats, tr *GroupTracker) string {
@@ -288,13 +394,13 @@ func TestTrackerSparseObservation(t *testing.T) {
 // TestTrackerSteadyStateAllocations pins what a changed view costs the
 // allocator once the per-slot buffers have grown: the two view buffers of
 // a slot swap, a group record is written again, so what is left (growth
-// towards the largest view a slot has seen, watcher sets
-// of newly watched nodes, a dozen closures an Observe) stays under one
-// allocation per ten changed views. A view copy or a record per change is
-// more than one per changed view. The buffers are still growing at round
-// 30 (0.15 per changed view in this world), hence the longer warm-up.
-// After it, 30 observations of some 7 500 changed views cost about 435
-// allocations (473 while the tracker kept a copy of every neighborhood).
+// towards the largest view a slot has seen, a dozen closures an Observe)
+// stays under one allocation per ten changed views. A view copy or a
+// record per change is more than one per changed view. The buffers are
+// still growing at round 30 (0.15 per changed view in this world), hence
+// the longer warm-up. After it, 30 observations of some 7 500 changed
+// views cost about 380 allocations (435 while the tracker kept a watcher
+// set per viewed node, 473 while it kept a copy of every neighborhood).
 func TestTrackerSteadyStateAllocations(t *testing.T) {
 	w := space.NewWorld(4)
 	ids := make([]ident.NodeID, 500)
