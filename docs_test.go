@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 var (
@@ -14,6 +15,8 @@ var (
 	docSpan     = regexp.MustCompile("`([^`]+)`")
 	docIdent    = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z]\w*\*?`)
 	docTestDecl = regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Z]\w*)\(`)
+	docGoName   = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9]*(?:\.[A-Za-z][A-Za-z0-9]*)*$`)
+	docGoWord   = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 )
 
 // TestDocsNameExistingPaths keeps the documents that describe the current
@@ -22,10 +25,14 @@ var (
 // anything ending in .json, .yml, .sh or _test.go) must exist — from the
 // root, or for a bare name like expected.json as a basename somewhere in
 // the tree — and a Benchmark*/Test*/Fuzz* identifier must be declared in
-// some _test.go (a trailing * makes it a prefix). CHANGES.md and
-// ROADMAP.md are history and are not scanned.
+// some _test.go (a trailing * makes it a prefix). A span that is a Go
+// identifier or selector without _ and with an upper-case letter after
+// its first character (graph.Row.Same, engine.Spatial) must have each of
+// its names occur as a word in some .go file. CHANGES.md and ROADMAP.md
+// are history and are not scanned.
 func TestDocsNameExistingPaths(t *testing.T) {
 	basenames := map[string]bool{}
+	words := map[string]bool{}
 	var decls []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -35,11 +42,17 @@ func TestDocsNameExistingPaths(t *testing.T) {
 			return filepath.SkipDir // .git, build and run directories
 		}
 		basenames[d.Name()] = true
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, w := range docGoWord.FindAll(src, -1) {
+			words[string(w)] = true
+		}
 		if strings.HasSuffix(path, "_test.go") {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
 			for _, m := range docTestDecl.FindAllSubmatch(src, -1) {
 				decls = append(decls, string(m[1]))
 			}
@@ -96,6 +109,13 @@ func TestDocsNameExistingPaths(t *testing.T) {
 			for _, name := range docIdent.FindAllString(span, -1) {
 				if !declared(name) {
 					t.Errorf("%s:%d: `%s` is not declared in any _test.go", doc, line, name)
+				}
+			}
+			if docGoName.MatchString(span) && strings.IndexFunc(span[1:], unicode.IsUpper) >= 0 && !docIdent.MatchString(span) {
+				for _, name := range strings.Split(span, ".") {
+					if !words[name] {
+						t.Errorf("%s:%d: `%s` names %s, which no .go file has", doc, line, span, name)
+					}
 				}
 			}
 		}

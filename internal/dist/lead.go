@@ -226,15 +226,18 @@ func (ls *leadSource) apply(p int, rs *roundSync) {
 	}
 }
 
-func (ls *leadSource) Workers() int                      { return ls.sh.Soak.Workers }
-func (ls *leadSource) Dmax() int                         { return ls.sh.Soak.Dmax }
-func (ls *leadSource) Roster() *engine.Roster            { return ls.roster }
-func (ls *leadSource) DrainRows() ([]ident.NodeID, bool) { return ls.sh.Topo.DrainRows() }
-func (ls *leadSource) Tick() int                         { return ls.sh.E.Tick() }
+func (ls *leadSource) Workers() int           { return ls.sh.Soak.Workers }
+func (ls *leadSource) Dmax() int              { return ls.sh.Soak.Dmax }
+func (ls *leadSource) Roster() *engine.Roster { return ls.roster }
+func (ls *leadSource) Tick() int              { return ls.sh.E.Tick() }
 
 // TrackDirty arms the replicated world's changed-row record; the shards
 // track their own engines' computes.
-func (ls *leadSource) TrackDirty() { ls.sh.Topo.TrackRows() }
+func (ls *leadSource) TrackDirty() { ls.sh.World.TrackRows() }
+
+func (ls *leadSource) DrainRows() ([]ident.NodeID, bool) {
+	return ls.sh.World.DrainRows(ls.sh.Topo.Graph())
+}
 
 func (ls *leadSource) ViewerAtSlot(s int32) obs.Viewer {
 	if int(s) >= len(ls.views) || ls.views[s].id == ident.None {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
 	"repro/internal/obs"
@@ -95,14 +94,6 @@ type ghost struct {
 	msg      *core.Message
 }
 
-// rowMask caches the peer mask derived from a receiver row, valid while
-// the graph serves a Same row (the engine's receiver cache uses the same
-// proof: the same window within one row era ⟹ unchanged content).
-type rowMask struct {
-	row  graph.Row
-	mask uint64
-}
-
 // Shard is one slab owner: a full world replica plus an engine over the
 // owned population, speaking the ghost-boundary protocol with its peers.
 type Shard struct {
@@ -127,7 +118,6 @@ type Shard struct {
 	batches  [][]wire.BoundaryEntry
 	out      [][]byte
 	lastSent []ident.Table[genVer] // per peer: the sender's last shipped frame
-	masks    []rowMask
 
 	// Receiver side. dec is the storage every frame is decoded in before
 	// its ghost publishes it.
@@ -204,7 +194,6 @@ func newShard(cfg Config, index int, tr Transport, jitter bool) (*Shard, error) 
 		batches:  make([][]wire.BoundaryEntry, cfg.Shards),
 		out:      make([][]byte, cfg.Shards),
 		lastSent: make([]ident.Table[genVer], cfg.Shards),
-		masks:    make([]rowMask, e.Roster().SlotCap()),
 		ghosts:   make([]*ghost, len(owners)),
 		Soak:     soak,
 	}
@@ -250,23 +239,11 @@ func (sh *Shard) StepRound() error {
 }
 
 // foreignMask returns the peers owning at least one receiver of v's
-// broadcast — v's row of the replicated graph, as in the single-process
-// deliver phase — cached per sender slot against the row.
+// broadcast: v's row of the replicated graph, as in the single-process
+// deliver phase.
 func (sh *Shard) foreignMask(v ident.NodeID) uint64 {
-	row := sh.Topo.Graph().Row(v)
-	if slot := sh.E.SlotOf(v); slot >= 0 && int(slot) < len(sh.masks) {
-		rm := &sh.masks[slot]
-		if !rm.row.Same(row) {
-			rm.row, rm.mask = row, sh.maskOf(row.IDs())
-		}
-		return rm.mask
-	}
-	return sh.maskOf(row.IDs())
-}
-
-func (sh *Shard) maskOf(row []ident.NodeID) uint64 {
 	var mask uint64
-	for _, u := range row {
+	for _, u := range sh.Topo.Graph().NeighborsView(v) {
 		if o := sh.owners[u]; int(o) != sh.Index {
 			mask |= 1 << o
 		}

@@ -903,9 +903,9 @@ func (e *Engine) Step() {
 func (e *Engine) AdvancePhase() {
 	start := time.Now()
 	e.Topo.Advance(e.rng)
-	if s, ok := e.Topo.(interface{ spatial() *SpatialTopology }); ok {
-		e.reg.AddPhaseNs(introspect.PhaseAdvanceMobility, s.spatial().stepped.Sub(start).Nanoseconds())
-		e.endPhase(introspect.PhaseAdvanceGraph, s.spatial().stepped)
+	if s := Spatial(e.Topo); s != nil {
+		e.reg.AddPhaseNs(introspect.PhaseAdvanceMobility, s.stepped.Sub(start).Nanoseconds())
+		e.endPhase(introspect.PhaseAdvanceGraph, s.stepped)
 	}
 	e.endPhase(introspect.PhaseAdvance, start)
 }
@@ -947,15 +947,15 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	// against the epoch bumped below on any (topology, membership) change.
 	g := e.Topo.Graph()
 	if g != e.recvG || e.memberGen != e.recvMem {
-		// Before invalidating every receiver cache, ask the topology which
+		// Before invalidating every receiver cache, ask the world which
 		// rows the change could actually have touched: when the graph
 		// advanced by exactly one delta step over an unchanged roster, only
 		// the returned senders' records are demoted and the overwhelming
 		// majority keeps its current epoch — the per-sender row check in
 		// the shard loop below never even runs for them.
 		dirty, ok := []ident.NodeID(nil), false
-		if rower, _ := e.Topo.(RowTopology); rower != nil && e.recvG != nil && e.memberGen == e.recvMem {
-			dirty, ok = rower.RowsChanged(e.recvG)
+		if s := Spatial(e.Topo); s != nil && e.recvG != nil && e.memberGen == e.recvMem {
+			dirty, ok = s.World.RowsChanged(e.recvG)
 		}
 		if ok {
 			demoted := uint64(0)
@@ -1469,14 +1469,11 @@ func (e *Engine) StepRound() { e.StepTicks(e.P.Tc) }
 
 // SnapshotGraph returns the topology graph restricted to the live
 // protocol nodes — the G half of metrics.SnapshotOf without materializing
-// any view map. It comes from snapshotBuilder: the cached pointer while
-// neither topology nor membership changed, otherwise a sibling sharing
-// the topology's graph storage (every node live) or a copy of the induced
-// subgraph. Incremental observers key their per-node neighborhood caches
-// on its pointer; it is replaced, never edited, when the topology or the
-// membership changes. Call it between
-// ticks: it marks the topology's graph shared, and so costs the next
-// delta a header copy.
+// any view map, from snapshotBuilder: the topology's graph itself, held,
+// when every node is live, otherwise a copy of the induced subgraph,
+// cached while neither changes. Observers key their caches on its
+// pointer. Call it between ticks: it marks the topology's graph shared,
+// and so costs the next delta a header copy.
 func (e *Engine) SnapshotGraph() *graph.G {
 	return e.snap.Graph(e.Topo.Graph(), e.memberGen, e.order.Has)
 }

@@ -10,9 +10,9 @@ import (
 //
 //   - Every node of src live — the soak path, where world and engine
 //     membership are equal by construction: the restriction is the
-//     identity and the result is a sibling of src, one graph header
-//     over src's index, roster and rows. A mobile world hands out a new
-//     src every tick, so this is the per-round cost.
+//     identity, src itself, held: Restrict marks it shared, so that the
+//     next graph does not take its storage. A mobile world hands out a new
+//     src every tick, and holding it allocates nothing.
 //   - Some node of src not live (static topologies with departed nodes):
 //     a deep copy of the induced subgraph.
 //   - Same src (pointer: a graph is never edited in place, and holding
@@ -23,9 +23,9 @@ import (
 // The graph is handed out shared and read-only. A snapshot held across
 // rounds (Tracker, ΠT/ΠC) keeps seeing the topology of its own round: the
 // cache is replaced, never mutated; an edit of a static topology installs
-// a new src, and a retired src keeps the storage a sibling reads. Graph
-// sets src's sharing flags (see Restrict), so it belongs between rounds,
-// never beside a phase that reads src concurrently.
+// a new src, and a retired src that is held keeps its storage. Graph sets
+// src's sharing flag (see Restrict), so it belongs between rounds, never
+// beside a phase that reads src concurrently.
 type snapshotBuilder struct {
 	src     *graph.G
 	liveGen uint64
@@ -48,8 +48,8 @@ func (b *snapshotBuilder) Graph(src *graph.G, liveGen uint64, live func(ident.No
 
 // Live is Graph for a reader that is done with the result before src's
 // owner next advances or edits it: src itself, borrowed, when every node
-// of it is live — no sibling to pin src's row header or to make the next
-// graph.ApplyDelta copy it — and Graph's restricted copy otherwise.
+// of it is live — not held, so the next graph still takes its row header
+// — and Graph's restricted copy otherwise.
 func (b *snapshotBuilder) Live(src *graph.G, liveGen uint64, live func(ident.NodeID) bool) *graph.G {
 	if src.All(live) {
 		return src

@@ -19,37 +19,20 @@ type Topology interface {
 	// Graph returns the current symmetric communication graph. A graph is
 	// never edited in place: a topology change is a new graph, so the
 	// pointer is the graph's identity. It is valid until the next Advance
-	// (SpatialTopology retires what it replaces, and the next rebuild takes
-	// its row header or its arena, see graph.Retire); SnapshotGraph or
-	// Restrict it to keep one. The engine caches receiver sets on the
-	// pointer and, below it, on graph.Row.Same.
+	// (SpatialTopology retires what it replaces, and the next graph takes
+	// its storage, see graph.Retire); SnapshotGraph or an identity Restrict
+	// holds it. The engine caches receiver sets on the pointer and, below
+	// it, on graph.Row.Same.
 	Graph() *graph.G
 	// Nodes returns the current node population in ascending order.
 	Nodes() []ident.NodeID
 }
 
-// RowTopology is an optional refinement of Topology: a topology that
-// records which rows a graph change touched lets the engine keep every
-// other sender's receiver cache on its current epoch. Delta-incremental
-// graph rebuilds share untouched rows between generations within one row
-// era (graph.Row), so in a mostly-parked world almost every sender keeps
-// its cache even though the graph pointer changes every tick.
-type RowTopology interface {
-	// RowsChanged returns (a superset of) the nodes whose receiver row
-	// may differ between the graph since and the current Graph(), plus
-	// true — or (nil, false) when no such delta record exists (full
-	// rebuild, roster change). With a true return the engine invalidates
-	// only the listed senders' receiver caches instead of every record;
-	// correctness therefore requires that any node absent from the slice
-	// has a Same row in both graphs.
-	RowsChanged(since *graph.G) ([]ident.NodeID, bool)
-}
-
 // StaticTopology is a graph that changes only when the experiment edits
 // it between ticks (Edit), e.g. to inject a link cut or a departure. It
-// records no row changes (RowTopology): an edit is rare and replaces the
-// whole graph, so after one every sender's receiver set is checked
-// against its row of the new graph.
+// records no row changes (only a SpatialTopology's world does): an edit is
+// rare and replaces the whole graph, so after one every sender's receiver
+// set is checked against its row of the new graph.
 type StaticTopology struct{ G *graph.G }
 
 // Edit installs the graph f makes of a copy of G (graph.RefOf, then
@@ -100,7 +83,7 @@ func NewSpatialTopology(w *space.World, mob mobility.Model, dt float64, nodes []
 // world generation, so a step that moved no node costs O(1) and keeps
 // the previous graph (and every cache keyed on it) intact; a graph that
 // is replaced was retired first, so a delta reuses its row header and a
-// full rebuild its offsets and arena.
+// full rebuild its header and arena.
 func (t *SpatialTopology) Advance(rng *rand.Rand) {
 	t.Mob.Step(t.World, t.DT, rng)
 	t.stepped = time.Now()
@@ -108,26 +91,20 @@ func (t *SpatialTopology) Advance(rng *rand.Rand) {
 	t.cached = t.World.SymmetricGraph()
 }
 
-// spatial lets Engine.AdvancePhase reach an embedded SpatialTopology.
+// spatial is what Spatial finds, in t or in a topology embedding it.
 func (t *SpatialTopology) spatial() *SpatialTopology { return t }
+
+// Spatial returns the SpatialTopology that t is or embeds, or nil: its
+// World records which rows a rebuild changed (RowsChanged, DrainRows).
+func Spatial(t Topology) *SpatialTopology {
+	if s, ok := t.(interface{ spatial() *SpatialTopology }); ok {
+		return s.spatial()
+	}
+	return nil
+}
 
 // Graph implements Topology.
 func (t *SpatialTopology) Graph() *graph.G { return t.cached }
-
-// RowsChanged implements RowTopology via the world's delta-rebuild record.
-func (t *SpatialTopology) RowsChanged(since *graph.G) ([]ident.NodeID, bool) {
-	return t.World.RowsChanged(since)
-}
-
-// TrackRows arms the world's changed-row record (space.World.TrackRows).
-func (t *SpatialTopology) TrackRows() { t.World.TrackRows() }
-
-// DrainRows drains the world's changed-row record up to Graph()
-// (space.World.DrainRows): the nodes whose row changed since the previous
-// drain, or all when the world cannot tell.
-func (t *SpatialTopology) DrainRows() (ids []ident.NodeID, all bool) {
-	return t.World.DrainRows(t.cached)
-}
 
 // Nodes implements Topology.
 func (t *SpatialTopology) Nodes() []ident.NodeID { return t.World.Nodes() }

@@ -30,14 +30,14 @@ func TestRetiringTopologyKeepsOneRowHeader(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := &mobility.Commuter{Side: 120, SpeedMin: 0.5, SpeedMax: 2, Pause: 1, ActiveFraction: 0.02}
 	topo := NewSpatialTopology(space.NewWorld(2.5), m, 0.2, ids, rng)
-	topo.Advance(rng) // the packed base's child: the header the lineage keeps
+	topo.Advance(rng) // the bulk-built base's child: it takes the header the lineage keeps
 	topo.Advance(rng)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < ticks; i++ {
 		prev := topo.Graph()
 		topo.Advance(rng)
-		if _, delta := topo.RowsChanged(prev); !delta {
+		if _, delta := topo.World.RowsChanged(prev); !delta {
 			t.Fatalf("tick %d: not a delta tick", i)
 		}
 	}
@@ -64,9 +64,9 @@ func allMovingTopology(seed int64) (*SpatialTopology, *rand.Rand) {
 }
 
 // TestRetiringTopologyReusesPackedStorage is the full-rebuild twin of
-// TestRetiringTopologyKeepsOneRowHeader: the retired graph's offsets and
-// arena become the next graph's, so a full tick allocates a graph header
-// and the odd regrowth, not O(n + edges). 50 full ticks: under a quarter
+// TestRetiringTopologyKeepsOneRowHeader: the retired graph's row header
+// and arena become the next graph's, so a full tick allocates a graph
+// value and the odd regrowth, not O(n + edges). 50 full ticks: under a quarter
 // of one arena a tick.
 func TestRetiringTopologyReusesPackedStorage(t *testing.T) {
 	const ticks = 50
@@ -77,7 +77,7 @@ func TestRetiringTopologyReusesPackedStorage(t *testing.T) {
 	for i := 0; i < ticks; i++ {
 		prev := topo.Graph()
 		topo.Advance(rng)
-		if _, delta := topo.RowsChanged(prev); delta {
+		if _, delta := topo.World.RowsChanged(prev); delta {
 			t.Fatalf("tick %d: a delta tick", i)
 		}
 	}

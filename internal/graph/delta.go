@@ -53,21 +53,20 @@ func checkRow(who string, idx *ident.Table[int32], r NodeAdj) {
 // is rewritten but not reported.
 //
 // Sharing semantics: the result is a new graph (a new pointer) that
-// shares prev's roster (as FromRows does) and every unpatched row. It is
-// unpacked whatever prev is: one header whose untouched rows alias prev's
-// storage, a packed prev's arena included, so a row nobody patched keeps
-// its backing pointer from graph to graph (the identity the receiver
-// caches key on). Neither graph is edited afterwards, so the sharing is
-// invisible to callers.
+// shares prev's roster (as FromRows does) and every unpatched row: its
+// own row header, no arena, its untouched rows where prev has them, so a
+// row nobody patched keeps its backing pointer from graph to graph (the
+// identity the receiver caches key on). Neither graph is edited
+// afterwards, so the sharing is invisible to callers; prev is marked
+// shared, so that no FromRows successor takes its storage.
 //
 // The header is a copy of prev's and prev stays intact — unless prev was
-// retired (Retire), is unpacked and has no identity-Restrict sibling
-// reading through its header: then the child takes the header and patches
-// it in place, one header per delta lineage instead of one per step, and
-// prev is left without rows (the preconditions are checked first). A delta
-// never rewrites or recycles row storage, so along one lineage (&row[0],
-// len) proves content; only FromRows rewrites storage, taken from a
-// retired packed graph, and starts a new row era, which scopes that proof
+// retired (Retire) and is not shared: then the child takes the header and
+// patches it in place, one header per lineage instead of one per step,
+// and prev is left without rows (the preconditions are checked first). A
+// delta never rewrites or recycles row storage, so along one lineage
+// (&row[0], len) proves content; only FromRows rewrites storage, taken
+// from a retired graph, and starts a new row era, which scopes that proof
 // to the era (Row).
 func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 	prev.mustHaveRows("ApplyDelta")
@@ -94,15 +93,13 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 	}
 
 	adj := prev.adj
-	if prev.retired && prev.off == nil && !prev.hdrShared {
-		prev.adj = nil // handed on: prev is without rows from here
+	if prev.retired && !prev.shared {
+		prev.adj, prev.arena = nil, nil // handed on: prev is without rows from here
 	} else {
-		adj = prev.header()
+		adj = slices.Clone(prev.adj)
 	}
+	prev.shared = true
 	g := &G{idx: prev.idx, nodes: prev.nodes, adj: adj, era: prev.era, edges: prev.edges}
-	// g's rows alias prev's storage from here on: a packed prev's arena
-	// must not go to a FromRows successor.
-	prev.cowAdj = true
 
 	// One arena holds every updated row (the patched mirror rows are
 	// allocated per row below — there are few of them and their sizes are
@@ -219,24 +216,14 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 
 // Retire declares that g's owner will not read g once a child has been
 // derived from it, which lets that child take g's storage: an ApplyDelta
-// child the row header of an unpacked g, a FromRows successor the offsets
-// and arena of a packed one. A no-op on an empty graph, which has neither.
-func (g *G) Retire() { g.retired = g.retired || len(g.adj) > 0 || g.off != nil }
+// child its row header, a FromRows successor its header and arena. A
+// no-op on a graph without rows, which has nothing to hand on.
+func (g *G) Retire() { g.retired = g.retired || len(g.adj) > 0 }
 
-// mustHaveRows panics if g's rows went to a child: an identity Restrict
-// would otherwise return a silently empty sibling.
+// mustHaveRows panics if g's rows went to a child: a Restrict would
+// otherwise return a silently empty graph.
 func (g *G) mustHaveRows(who string) {
-	if g.retired && g.adj == nil && g.off == nil {
+	if g.retired && g.adj == nil {
 		panic("graph: " + who + " on a retired graph whose rows were handed to its ApplyDelta child or FromRows successor")
 	}
-}
-
-// header returns a fresh row header over g's adjacency storage: one
-// slice per slot, aliasing the rows where they are.
-func (g *G) header() [][]ident.NodeID {
-	adj := make([][]ident.NodeID, len(g.nodes))
-	for i := range adj {
-		adj[i] = g.row(int32(i))
-	}
-	return adj
 }

@@ -131,19 +131,18 @@ func checkChanged(t *testing.T, changed []ident.NodeID, before, after *G, nodes 
 }
 
 func TestApplyDeltaLeavesPrevIntact(t *testing.T) {
-	// Over a packed base (straight from the bulk build) and an unpacked one
-	// (an empty delta of it).
-	for _, unpack := range []bool{false, true} {
+	// Over a bulk-built base and a delta child (an empty delta of it).
+	for _, child := range []bool{false, true} {
 		w := newDeltaWorld(8)
 		w.set(1, 2, true)
 		w.set(2, 3, true)
 		w.set(3, 4, true)
 		prev := w.build()
-		if unpack {
+		if child {
 			prev = ApplyDelta(prev, nil, nil)
 		}
-		if packed := prev.off != nil; packed == unpack {
-			t.Fatalf("base packed = %v with unpack = %v", packed, unpack)
+		if bulk := prev.arena != nil; bulk == child {
+			t.Fatalf("base has an arena %v with child = %v", bulk, child)
 		}
 		snapshot := w.build()
 
@@ -162,17 +161,17 @@ func TestApplyDeltaLeavesPrevIntact(t *testing.T) {
 	}
 }
 
-// TestRetiredPrevWithSiblingIsCopied: an identity-Restrict sibling reads
-// through prev's row header, so a retired prev's child copies the header
-// all the same, and the sibling keeps reading its own tick however far the
-// lineage (handing headers on from the next step) moves on.
+// TestRetiredPrevWithSiblingIsCopied: an identity Restrict holds prev
+// itself, so a retired prev's child copies the header all the same, and
+// the holder keeps reading its own tick however far the lineage (handing
+// headers on from the next step) moves on.
 func TestRetiredPrevWithSiblingIsCopied(t *testing.T) {
 	w := newDeltaWorld(12)
 	for i := 1; i < 12; i++ {
 		w.set(ident.NodeID(i), ident.NodeID(i+1), true)
 	}
 	prev := ApplyDelta(w.build(), nil, nil)
-	sib := prev.Restrict(func(ident.NodeID) bool { return true })
+	sib := prev.Restrict(func(ident.NodeID) bool { return true }) // prev itself, held
 	tickT := w.build()
 	hdr := &prev.adj[0]
 	for step := 0; step < 4; step++ {
@@ -185,12 +184,12 @@ func TestRetiredPrevWithSiblingIsCopied(t *testing.T) {
 			t.Fatalf("step %d: child differs from a scratch build", step)
 		}
 		if step == 0 && (prev.adj == nil || &g.adj[0] == hdr || !prev.Equal(tickT)) {
-			t.Fatal("a prev with a sibling must be copied and stay intact")
+			t.Fatal("a held prev must be copied and stay intact")
 		} else if step > 0 && prev.adj != nil {
 			t.Fatalf("step %d: an unshared retired prev must be taken", step)
 		}
 		if !sib.Equal(tickT) || &sib.adj[0] != hdr {
-			t.Fatalf("step %d: the sibling no longer reads tick t", step)
+			t.Fatalf("step %d: the holder no longer reads tick t", step)
 		}
 		prev = g
 	}
@@ -212,7 +211,7 @@ func TestApplyDeltaEmptyUpdates(t *testing.T) {
 func TestApplyDeltaPanicsOnViolations(t *testing.T) {
 	w := newDeltaWorld(4)
 	w.set(1, 2, true)
-	// Unpacked and retired: a rejected delta must not have taken the header.
+	// Retired: a rejected delta must not have taken the header.
 	prev := ApplyDelta(w.build(), nil, nil)
 	prev.Retire()
 	defer func() {
@@ -249,10 +248,11 @@ func TestApplyDeltaPanicsOnViolations(t *testing.T) {
 // updates and requires the patched CSR to equal a from-scratch FromRows
 // build of the mutated edge table — rows, edge counts, and the
 // untouchability of prev included. Two bits of churn choose how prev is
-// held: 0x80 unpacks and retires it, so the child may take its row header
-// (prev must then be left without rows, not with the child's), and 0x40
-// takes an identity-Restrict sibling first, which must block exactly that
-// and go on reading prev's tick through the chained step.
+// held: 0x80 makes it a delta child and retires it, so the child may take
+// its row header (prev must then be left without rows, not with the
+// child's), and 0x40 holds it through an identity Restrict first, which
+// must block exactly that and go on reading prev's tick through the
+// chained step.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(3))
 	f.Add(int64(42), uint8(20), uint8(1))
@@ -274,7 +274,7 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		prev := w.build()
 		if retire {
-			prev = ApplyDelta(prev, nil, nil) // unpacked: a header to hand on
+			prev = ApplyDelta(prev, nil, nil) // a header over its parent's arena
 		}
 		snapshot := w.build()
 		var sib *G
@@ -310,7 +310,7 @@ func FuzzApplyDelta(f *testing.F) {
 			t.Fatalf("patched %v vs scratch %v (dirty %v)", got, want, dirty)
 		}
 		checkChanged(t, changed, snapshot, want, w.nodes)
-		if taken := retire && !sibling; taken != (prev.adj == nil && prev.off == nil) {
+		if taken := retire && !sibling; taken != (prev.adj == nil) {
 			t.Fatalf("retire %v, sibling %v: prev.adj = %v", retire, sibling, prev.adj)
 		} else if !taken && !prev.Equal(snapshot) {
 			t.Fatal("ApplyDelta mutated prev")
@@ -336,7 +336,7 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 		}
 		if sibling && !sib.Equal(snapshot) {
-			t.Fatal("a later delta wrote through the sibling's header")
+			t.Fatal("a later delta wrote through the holder's header")
 		}
 	})
 }

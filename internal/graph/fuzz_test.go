@@ -10,8 +10,8 @@ import (
 
 // FuzzCSROps replays an arbitrary edit/query sequence decoded from the
 // fuzz input on a Ref and packs it after every op (FromRef), asserting
-// that every observable of the packed graph, of its identity-Restrict
-// sibling and of an ApplyDelta child agrees with the Ref. Each input byte
+// that every observable of the packed graph, of its identity Restrict (the
+// graph itself) and of an ApplyDelta child agrees with the Ref. Each input byte
 // pair is one op: the first byte mod 5 selects the operation, the second
 // the operand nodes (high and low nibble, plus one) — a small ID space
 // keeps collisions (re-adds, double-removes, duplicate edges) frequent.
@@ -105,11 +105,13 @@ func (g *Ref) clone() *Ref {
 // duplicates included) from the fuzz input into the reference, bulk-builds
 // the CSR graph from the reference's rows — the roster in first-seen order,
 // the rows in reverse — and asserts it matches the reference: construction
-// and neighbor iteration both.
+// and neighbor iteration both. Then it runs a lineage of rebuilds and
+// deltas that hand storage on, and re-checks every graph held on the way.
 func FuzzCSRFromRows(f *testing.F) {
 	f.Add([]byte{0x12, 0x23, 0x31, 0x11, 0x23, 0x23})
 	f.Add([]byte{0xab, 0xbc, 0xcd, 0xde, 0xea})
 	f.Add([]byte{0x11, 0x22, 0x33})
+	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0x21, 0x43, 0x65, 0x87})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var nodes []ident.NodeID
 		ref := NewRef()
@@ -150,40 +152,103 @@ func FuzzCSRFromRows(f *testing.F) {
 		if !slices.Equal(roster, g2.Nodes()) {
 			t.Fatal("shared-index rebuild changed the roster")
 		}
-		// A lineage of recycled rebuilds from g: each step retires its
-		// predecessor and rewrites that one's storage, over another edge set
-		// and, every other step, another roster order. Step 2 adds a clique,
-		// which grows the storage past its capacity; step 4 has no edge.
-		for step, cur := 1, g; step <= 4; step++ {
-			roster := slices.Clone(nodes)
-			if step%2 == 0 {
-				slices.Reverse(roster)
+		// A lineage from g. Each step's control byte may hold cur (an
+		// identity Restrict), retire it, and derive the next graph by a delta
+		// that toggles edges over cur's roster, or else by a rebuild over
+		// another edge set and, every other step, another roster order. Step
+		// 2 adds a clique, which grows the storage past its capacity; step 4
+		// has no edge, step 5 no node. A retired cur that nobody holds hands
+		// its rows on; any other cur, and every holder at the end, still
+		// reads its own tick.
+		type held struct {
+			g   *G
+			ref *Ref
+		}
+		var holders []held
+		cur, curRef := g, ref
+		for step := 1; step <= 7; step++ {
+			ctl := byte(step)
+			if len(data) > 0 {
+				ctl ^= data[(7*step)%len(data)]
 			}
-			ref := NewRef()
-			for _, v := range roster {
-				ref.AddNode(v)
+			hold, retire := ctl&2 != 0, ctl&4 != 0
+			if hold {
+				holders = append(holders, held{cur.Restrict(func(ident.NodeID) bool { return true }), curRef.clone()})
 			}
-			for i, x := range data {
-				if step < 4 && (i+step)%3 != 0 {
-					ref.AddEdge(roster[int(x>>4)%len(roster)], roster[(int(x&0xf)+step)%len(roster)])
+			if retire {
+				cur.Retire()
+			}
+			var next *G
+			nextRef := NewRef()
+			if ctl&1 != 0 {
+				roster := cur.Nodes()
+				nextRef = curRef.clone()
+				moved := map[ident.NodeID]bool{}
+				for i, x := range data {
+					if len(roster) == 0 || (i+step)%2 != 0 {
+						continue
+					}
+					a, b := roster[int(x>>4)%len(roster)], roster[(int(x&0xf)+step)%len(roster)]
+					if a == b {
+						continue
+					}
+					if nextRef.HasEdge(a, b) {
+						nextRef.RemoveEdge(a, b)
+					} else {
+						nextRef.AddEdge(a, b)
+					}
+					moved[a] = true
 				}
-			}
-			for i := 0; step == 2 && i < min(8, len(roster)); i++ {
-				for j := 0; j < i; j++ {
-					ref.AddEdge(roster[i], roster[j])
+				var upd []NodeAdj
+				for _, v := range roster {
+					if moved[v] {
+						upd = append(upd, NodeAdj{Node: v, Adj: nextRef.Neighbors(v)})
+					}
 				}
+				next = ApplyDelta(cur, upd, nil)
+			} else {
+				roster := slices.Clone(nodes)
+				if step%2 == 0 {
+					slices.Reverse(roster)
+				}
+				if step == 5 {
+					roster = nil
+				}
+				for _, v := range roster {
+					nextRef.AddNode(v)
+				}
+				for i, x := range data {
+					if step != 4 && len(roster) > 0 && (i+step)%3 != 0 {
+						nextRef.AddEdge(roster[int(x>>4)%len(roster)], roster[(int(x&0xf)+step)%len(roster)])
+					}
+				}
+				for i := 0; step == 2 && i < min(8, len(roster)); i++ {
+					for j := 0; j < i; j++ {
+						nextRef.AddEdge(roster[i], roster[j])
+					}
+				}
+				rows := make([]NodeAdj, 0, len(roster))
+				for _, v := range roster {
+					rows = append(rows, NodeAdj{Node: v, Adj: nextRef.Neighbors(v)})
+				}
+				next = FromRows(cur, roster, rows)
 			}
-			rows := make([]NodeAdj, 0, len(roster))
-			for _, v := range roster {
-				rows = append(rows, NodeAdj{Node: v, Adj: ref.Neighbors(v)})
+			checkSame(t, next, nextRef)
+			taken := retire && !hold && cur.NumNodes() > 0
+			if got := cur.NumNodes() > 0 && cur.adj == nil; got != taken {
+				t.Fatalf("step %d (retired %v, held %v): rows handed on %v", step, retire, hold, got)
+			} else if !taken {
+				checkSame(t, cur, curRef)
+			} else if cur.arena != nil {
+				t.Fatalf("step %d: a predecessor that handed its rows on kept its arena", step)
 			}
-			cur.Retire()
-			next := FromRows(cur, roster, rows)
-			if cur.off != nil || cur.arena != nil {
-				t.Fatalf("step %d: a retired, unshared predecessor kept its storage", step)
+			cur, curRef = next, nextRef
+		}
+		for i, h := range holders {
+			checkSame(t, h.g, h.ref)
+			if !h.g.shared {
+				t.Fatalf("holder %d is not marked shared", i)
 			}
-			checkSame(t, next, ref)
-			cur = next
 		}
 	})
 }
@@ -228,7 +293,7 @@ func checkSame(t *testing.T, g *G, ref *Ref) {
 func rowsOf(g *G) []NodeAdj {
 	rows := make([]NodeAdj, 0, len(g.nodes))
 	for i := len(g.nodes) - 1; i >= 0; i-- {
-		rows = append(rows, NodeAdj{Node: g.nodes[i], Adj: g.row(int32(i))})
+		rows = append(rows, NodeAdj{Node: g.nodes[i], Adj: g.adj[i]})
 	}
 	return rows
 }

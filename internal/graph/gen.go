@@ -1,9 +1,9 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 
+	"repro/internal/fp"
 	"repro/internal/ident"
 )
 
@@ -83,7 +83,9 @@ func Complete(n int) *G {
 }
 
 // RandomGeometric places n nodes uniformly in the side×side square and
-// connects pairs within range r. Deterministic for a given rng state.
+// connects pairs within range r, the distance taken by fp.Hypot, so that a
+// pair at distance ≈ r links alike on every target. Deterministic for a
+// given rng state.
 func RandomGeometric(n int, side, r float64, rng *rand.Rand) *G {
 	type pt struct{ x, y float64 }
 	pts := make([]pt, n)
@@ -96,7 +98,7 @@ func RandomGeometric(n int, side, r float64, rng *rand.Rand) *G {
 		g.AddNode(v[i])
 		for j := 0; j < i; j++ {
 			dx, dy := pts[i].x-pts[j].x, pts[i].y-pts[j].y
-			if math.Hypot(dx, dy) <= r {
+			if fp.Hypot(dx, dy) <= r {
 				g.AddEdge(v[i], v[j])
 			}
 		}

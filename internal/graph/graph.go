@@ -11,13 +11,12 @@
 // and nothing edits it afterwards, so a topology change is a new graph
 // and graph identity is the pointer. Storage is CSR: a node index (a
 // paged ident.Table, so a lookup is two loads) plus one ascending neighbor
-// row per node, in one of two forms read through row(i). A bulk-built
-// graph (FromRows — the spatial index's per-tick rebuild — FromRef, a
-// partial Restrict) is packed: n+1 offsets over one arena, no per-row
-// header. An ApplyDelta child is unpacked: one slice header per row, its
-// untouched rows aliasing its parent's storage. Either way neighbor
-// iteration is a slice scan in ascending order, and observers diff
-// neighborhoods with a flat slice compare (NeighborsView).
+// row per node, held in a row header of one slice per slot. A bulk build
+// (FromRows — the spatial index's per-tick rebuild — FromRef, a partial
+// Restrict) lays every row out in one arena; an ApplyDelta child has no
+// arena, its untouched rows staying in its parent's storage. Either way
+// neighbor iteration is a slice scan in ascending order, and observers
+// diff neighborhoods with a flat slice compare (NeighborsView).
 package graph
 
 import (
@@ -34,31 +33,21 @@ type G struct {
 	idx   *ident.Table[int32] // node → slot; nil in the zero value
 	nodes []ident.NodeID      // slot → node (insertion order)
 
-	// Slot → neighbors, ascending; read through row(i). Packed (off != nil,
-	// adj == nil): row i is arena[off[i]:off[i+1]], written only by the
-	// FromRows that builds it, which may have taken the storage over from a
-	// retired graph. Unpacked (off == nil, an ApplyDelta child): row i is
-	// adj[i]. The node index and roster are shared between graphs built
-	// over the same roster (FromRows, ApplyDelta, identity Restrict): no
-	// graph writes them after it is built.
-	off   []uint32
-	arena []ident.NodeID
+	// Slot → neighbors, ascending: adj[i] is a window of storage no graph
+	// writes again, its cap clamped to its length so that an append cannot
+	// reach the next row. A bulk build lays the rows out in arena, in slot
+	// order; an ApplyDelta child has no arena. Graphs over one roster
+	// (FromRows, ApplyDelta) share idx and nodes, which nothing writes.
 	adj   [][]ident.NodeID
+	arena []ident.NodeID
 
-	// cowAdj marks the adjacency storage as read by another graph — an
-	// ApplyDelta child aliases its packed parent's arena, an identity
-	// Restrict sibling all of it — so that no FromRows successor takes it.
-	cowAdj bool
-
-	// retired is Retire's promise; hdrShared marks the header adj itself as
-	// read by an identity-Restrict sibling (both sides, never cleared). An
-	// ApplyDelta child takes the adj of a retired, unshared parent, a
-	// FromRows successor the off and arena.
-	retired, hdrShared bool
+	// retired is Retire's promise; shared, never cleared, marks g as read
+	// by an ApplyDelta child or held through an identity Restrict.
+	retired, shared bool
 
 	// era is the row era (see Row): FromRows starts one past prev's, since
-	// it may rewrite the storage it takes over; ApplyDelta and an identity
-	// Restrict keep their parent's, since they never rewrite a row.
+	// it may rewrite the storage it takes over; ApplyDelta keeps its
+	// parent's, since it never rewrites a row.
 	era uint64
 
 	edges int
@@ -89,33 +78,30 @@ func (r Row) Same(o Row) bool {
 	return len(r.ids) == 0 || (r.era == o.era && &r.ids[0] == &o.ids[0])
 }
 
-// FromRows bulk-builds a packed graph from one finished row per node: the
+// FromRows bulk-builds a graph from one finished row per node: the
 // full-rebuild sibling of ApplyDelta, fed by the same vicinity scan. rows
 // holds exactly one entry per node of nodes, in any order, each Adj
 // strictly ascending, self-free and naming only nodes of nodes (violations
 // panic); that v is in u's row iff u is in v's is the caller's symmetric
 // link predicate's to guarantee, and is not re-checked. The rows are
-// copied, not adopted. When prev was built over exactly this node
-// sequence (a mobile world's rebuild with unchanged membership), the
-// result shares its node index and roster instead of rebuilding them.
-// Over another node sequence the index starts as a copy of prev's, whose
-// pages already have about the right sizes.
+// copied into one arena, not adopted. When prev was built over exactly
+// this node sequence (a mobile world's rebuild with unchanged
+// membership), the result shares its node index and roster instead of
+// rebuilding them. Over another node sequence the index starts as a copy
+// of prev's, whose pages already have about the right sizes.
 //
-// When prev was retired (Retire), is packed and shares its storage with
-// nobody — no identity-Restrict sibling, no ApplyDelta child (cowAdj
-// covers both) — the result takes prev's offsets and arena, grown the way
-// append grows, and rewrites them; prev is left without rows. rows must
-// then not alias prev's storage: a retired graph is not read again.
+// When prev was retired (Retire) and is not shared, the result takes
+// prev's row header, and its arena if it has one, grown the way append
+// grows, and rewrites them; prev is left without rows, and rows must not
+// alias its storage.
 func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	g := &G{}
-	var off []uint32
-	var arena []ident.NodeID
 	if prev != nil {
 		g.era = prev.era + 1
-	}
-	if prev != nil && prev.retired && prev.off != nil && !prev.cowAdj {
-		off, arena = prev.off[:0], prev.arena[:0]
-		prev.off, prev.arena = nil, nil // handed on: prev is without rows from here
+		if prev.retired && !prev.shared {
+			g.adj, g.arena = prev.adj[:0], prev.arena[:0]
+			prev.adj, prev.arena = nil, nil // handed on: prev is without rows from here
+		}
 	}
 	if prev != nil && slices.Equal(prev.nodes, nodes) {
 		g.idx, g.nodes = prev.idx, prev.nodes
@@ -135,29 +121,34 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	if len(rows) != n {
 		panic(fmt.Sprintf("graph: FromRows: %d rows for %d nodes", len(rows), n))
 	}
-	// off[i+1] holds len(row i)+1 until the prefix sum, so that zero means
-	// "no row yet": n rows, none unknown, none repeated — none missing.
-	off = slices.Grow(off, n+1)[:n+1]
-	clear(off)
+	// adj[i] holds the caller's row until it is copied, non-nil even when
+	// empty, so that nil means "no row yet": n rows, none unknown, none
+	// repeated — none missing.
+	adj := slices.Grow(g.adj, n)[:n]
+	clear(adj)
+	total := 0
 	for _, r := range rows {
 		i, ok := g.idx.Get(r.Node)
 		if !ok {
 			panic(fmt.Sprintf("graph: FromRows: unknown node %v", r.Node))
 		}
-		if off[i+1] != 0 {
+		if adj[i] != nil {
 			panic(fmt.Sprintf("graph: FromRows: duplicate row for %v", r.Node))
 		}
-		off[i+1] = uint32(len(r.Adj)) + 1
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + off[i+1] - 1
-	}
-	arena = slices.Grow(arena, int(off[n]))[:off[n]]
-	for _, r := range rows {
 		checkRow("FromRows", g.idx, r)
-		copy(arena[off[g.IndexOf(r.Node)]:], r.Adj)
+		adj[i] = r.Adj
+		if adj[i] == nil {
+			adj[i] = []ident.NodeID{}
+		}
+		total += len(r.Adj)
 	}
-	g.off, g.arena, g.edges = off, arena, len(arena)/2
+	arena := slices.Grow(g.arena, total)
+	for i, row := range adj {
+		start := len(arena)
+		arena = append(arena, row...)
+		adj[i] = arena[start:len(arena):len(arena)]
+	}
+	g.adj, g.arena, g.edges = adj, arena, total/2
 	return g
 }
 
@@ -181,17 +172,6 @@ func (g *G) dropStale(nodes []ident.NodeID) {
 	}
 }
 
-// row returns slot i's neighbors, ascending, in either storage form. A
-// packed row's cap is pinned to its segment, so that nothing appended to
-// it can reach the next row.
-func (g *G) row(i int32) []ident.NodeID {
-	if g.off != nil {
-		lo, hi := g.off[i], g.off[i+1]
-		return g.arena[lo:hi:hi]
-	}
-	return g.adj[i]
-}
-
 // HasNode reports whether v is in the graph.
 func (g *G) HasNode(v ident.NodeID) bool { return g.idx.Has(v) }
 
@@ -201,7 +181,7 @@ func (g *G) HasEdge(u, v ident.NodeID) bool {
 	if !ok {
 		return false
 	}
-	_, found := slices.BinarySearch(g.row(i), v)
+	_, found := slices.BinarySearch(g.adj[i], v)
 	return found
 }
 
@@ -244,13 +224,13 @@ func (g *G) Row(v ident.NodeID) Row {
 	if !ok {
 		return Row{}
 	}
-	return Row{ids: g.row(i), era: g.era}
+	return Row{ids: g.adj[i], era: g.era}
 }
 
 // NeighborsAt is NeighborsView by internal index (see IndexOf): the
 // map-free adjacency access for index-based scans. i must be a valid
 // index for this graph.
-func (g *G) NeighborsAt(i int32) []ident.NodeID { return g.row(i) }
+func (g *G) NeighborsAt(i int32) []ident.NodeID { return g.adj[i] }
 
 // Neighbors returns v's neighbors in ascending order (a fresh copy).
 func (g *G) Neighbors(v ident.NodeID) []ident.NodeID {
@@ -258,7 +238,7 @@ func (g *G) Neighbors(v ident.NodeID) []ident.NodeID {
 	if !ok {
 		return nil
 	}
-	return slices.Clone(g.row(i))
+	return slices.Clone(g.adj[i])
 }
 
 // NeighborsView returns v's neighbors in ascending order as a view of the
@@ -270,7 +250,7 @@ func (g *G) NeighborsView(v ident.NodeID) []ident.NodeID {
 	if !ok {
 		return nil
 	}
-	return g.row(i)
+	return g.adj[i]
 }
 
 // Connected reports whether the whole graph is connected: one BFS over
@@ -284,7 +264,7 @@ func (g *G) Connected() bool {
 	seen[0] = true
 	queue := append(make([]int32, 0, n), 0)
 	for qi := 0; qi < len(queue); qi++ {
-		for _, u := range g.row(queue[qi]) {
+		for _, u := range g.adj[queue[qi]] {
 			if j := g.IndexOf(u); !seen[j] {
 				seen[j] = true
 				queue = append(queue, j)
@@ -303,7 +283,7 @@ func (g *G) Equal(o *G) bool {
 	}
 	for i, v := range g.nodes {
 		j, ok := o.idx.Get(v)
-		if !ok || !slices.Equal(g.row(int32(i)), o.row(j)) {
+		if !ok || !slices.Equal(g.adj[i], o.adj[j]) {
 			return false
 		}
 	}
@@ -316,14 +296,12 @@ func (g *G) String() string {
 }
 
 // Restrict returns the subgraph induced by the nodes keep accepts (keep is
-// called once per node). When it accepts every node the result is a
-// sibling at the cost of one G: it shares g's node index, roster and
-// adjacency storage in whichever form g has it, and keeps reading them
-// after g is retired, since the flags set here stop g's successor from
-// taking them (cowAdj, hdrShared). Like ApplyDelta(prev, …) this writes
-// flags on its receiver, so Restrict must be called from a sequential
-// phase, never beside concurrent readers of g. Otherwise the result is a
-// copy in one pass, packed.
+// called once per node). When it accepts every node the result is g
+// itself, marked shared so that no successor takes its storage: the
+// holder keeps reading it after g is retired. Like ApplyDelta(prev, …)
+// this writes a flag on its receiver, so Restrict must be called from a
+// sequential phase, never beside concurrent readers of g. Otherwise the
+// result is a copy in one pass, in one arena.
 func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 	g.mustHaveRows("Restrict")
 	cut := 0 // first rejected slot
@@ -331,9 +309,8 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 		cut++
 	}
 	if cut == len(g.nodes) {
-		g.cowAdj, g.hdrShared = true, true
-		return &G{idx: g.idx, nodes: g.nodes, off: g.off, arena: g.arena, adj: g.adj,
-			cowAdj: true, hdrShared: true, era: g.era, edges: g.edges}
+		g.shared = true
+		return g
 	}
 	out := &G{idx: g.idx.Clone()}
 	slots := make([]int32, 0, len(g.nodes)-1) // out slot → g slot
@@ -342,19 +319,20 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 		if i < cut || (i > cut && keep(v)) {
 			out.addSlot(v)
 			slots = append(slots, int32(i))
-			total += len(g.row(int32(i)))
+			total += len(g.adj[i])
 		}
 	}
 	out.dropStale(g.nodes)
-	out.off = make([]uint32, len(slots)+1)
+	out.adj = make([][]ident.NodeID, len(slots))
 	out.arena = make([]ident.NodeID, 0, total)
 	for oi, i := range slots {
-		for _, u := range g.row(i) {
+		start := len(out.arena)
+		for _, u := range g.adj[i] {
 			if out.idx.Has(u) {
 				out.arena = append(out.arena, u)
 			}
 		}
-		out.off[oi+1] = uint32(len(out.arena))
+		out.adj[oi] = out.arena[start:len(out.arena):len(out.arena)]
 	}
 	out.edges = len(out.arena) / 2
 	return out

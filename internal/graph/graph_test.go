@@ -292,29 +292,18 @@ func TestAppendVariantsMatchAllocating(t *testing.T) {
 }
 
 // TestRestrictIdentityShares pins the zero-copy hand-off: a restriction
-// that keeps every node is a fresh graph value (own pointer) over the
-// source's storage, and a restriction that drops a node is not.
+// that keeps every node is the receiver itself, marked shared so that no
+// successor takes its storage, and a restriction that drops a node copies
+// its rows.
 func TestRestrictIdentityShares(t *testing.T) {
-	// The same over both storage forms: the packed generator output and
-	// an ApplyDelta child's rows under their own header.
-	packed := Grid(4, 4)
-	for _, g := range []*G{packed, ApplyDelta(packed, nil, nil)} {
-		all := func(ident.NodeID) bool { return true }
-		s := g.Restrict(all)
-		if s == g {
-			t.Fatal("sibling must be a fresh graph")
-		}
-		if !s.Equal(g) || s.NumEdges() != g.NumEdges() || !slices.Equal(s.Nodes(), g.Nodes()) {
-			t.Fatalf("sibling %v differs from source %v", s, g)
-		}
-		for _, v := range g.Nodes() {
-			a, b := g.NeighborsView(v), s.NeighborsView(v)
-			if len(a) == 0 || &a[0] != &b[0] {
-				t.Fatalf("row of %v is not shared", v)
-			}
+	// The same over a bulk-built graph and an ApplyDelta child of it.
+	bulk := Grid(4, 4)
+	for _, g := range []*G{bulk, ApplyDelta(bulk, nil, nil)} {
+		if s := g.Restrict(func(ident.NodeID) bool { return true }); s != g || !g.shared {
+			t.Fatal("an identity restriction must be the receiver, marked shared")
 		}
 		p := g.Restrict(func(v ident.NodeID) bool { return v != 16 })
-		if a, b := g.NeighborsView(6), p.NeighborsView(6); &a[0] == &b[0] || !slices.Equal(a, b) {
+		if a, b := g.NeighborsView(6), p.NeighborsView(6); &a[0] == &b[0] || !slices.Equal(a, b) || !laidOut(p) {
 			t.Fatal("a partial restriction must copy its rows")
 		}
 	}

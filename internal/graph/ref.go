@@ -35,7 +35,7 @@ func RefOf(g *G) *Ref {
 	r := NewRef()
 	for i, v := range g.nodes {
 		r.AddNode(v)
-		for _, u := range g.row(int32(i)) {
+		for _, u := range g.adj[i] {
 			r.AddEdge(v, u)
 		}
 	}

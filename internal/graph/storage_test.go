@@ -9,9 +9,22 @@ import (
 	"repro/internal/ident"
 )
 
-// Tests of the packed storage form (offsets + arena): construction
-// against the map reference, the hand-off of storage from a retired
-// graph, and row identity down a delta chain.
+// Tests of the storage (a row header over an arena or a parent's rows):
+// construction against the map reference, the hand-off of storage from a
+// retired graph, and row identity down a delta chain.
+
+// laidOut reports whether g's rows are the cap-clamped windows of its
+// arena, in slot order, that a bulk build lays out.
+func laidOut(g *G) bool {
+	at := 0
+	for _, row := range g.adj {
+		if cap(row) != len(row) || at+len(row) > len(g.arena) || len(row) > 0 && &row[0] != &g.arena[at] {
+			return false
+		}
+		at += len(row)
+	}
+	return at == len(g.arena)
+}
 
 // randomRows draws a random roster (sparse IDs, shuffled slot order, some
 // nodes isolated) with a symmetric random edge set, and returns it as
@@ -57,8 +70,8 @@ func TestFromRowsMatchesReference(t *testing.T) {
 			t.Fatalf("round %d: index shared %v, want %v", round, !shared, shared)
 		}
 		checkSame(t, g, ref)
-		if g.off == nil || g.adj != nil {
-			t.Fatalf("round %d: FromRows result is not packed", round)
+		if !laidOut(g) {
+			t.Fatalf("round %d: FromRows did not lay its rows out in its arena", round)
 		}
 		for i, v := range nodes {
 			if g.IndexOf(v) != int32(i) {
@@ -110,59 +123,63 @@ func TestFromRowsPanicsOnViolations(t *testing.T) {
 	}
 }
 
-// TestFromRowsHandOff: a full rebuild takes its predecessor's offsets and
-// arena exactly when the predecessor is retired, packed and shares its
-// storage with nobody. Otherwise the result is fresh and the predecessor,
-// with whoever shares its storage, reads as before. A graph whose storage
+// TestFromRowsHandOff: a full rebuild takes its predecessor's row header,
+// and its arena if it has one, exactly when the predecessor is retired and
+// shared with nobody. Otherwise the result is fresh and the predecessor,
+// with whoever reads its storage, reads as before. A graph whose storage
 // went on has no rows: reads panic, and the calls that would otherwise
 // succeed on nothing say where the rows went.
 func TestFromRowsHandOff(t *testing.T) {
 	all := func(ident.NodeID) bool { return true }
 	for _, tc := range []struct {
-		name  string
-		prev  func(*deltaWorld) (prev, sharer *G)
-		taken bool
+		name          string
+		prev          func(*deltaWorld) (prev, reader *G)
+		header, arena bool // taken
 	}{
-		{"retired", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, nil }, true},
-		{"not retired", func(w *deltaWorld) (*G, *G) { return w.build(), nil }, false},
-		{"Restrict sibling", func(w *deltaWorld) (*G, *G) { g := w.build(); s := g.Restrict(all); g.Retire(); return g, s }, false},
-		{"delta child", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, ApplyDelta(g, nil, nil) }, false},
-		{"unpacked", func(w *deltaWorld) (*G, *G) { g := ApplyDelta(w.build(), nil, nil); g.Retire(); return g, nil }, false},
-		{"nil", func(*deltaWorld) (*G, *G) { return nil, nil }, false},
+		{"retired bulk-built", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, nil }, true, true},
+		{"retired delta child", func(w *deltaWorld) (*G, *G) { g := ApplyDelta(w.build(), nil, nil); g.Retire(); return g, nil }, true, false},
+		{"held", func(w *deltaWorld) (*G, *G) { g := w.build(); h := g.Restrict(all); g.Retire(); return g, h }, false, false},
+		{"delta parent", func(w *deltaWorld) (*G, *G) { g := w.build(); c := ApplyDelta(g, nil, nil); g.Retire(); return g, c }, false, false},
+		{"not retired", func(w *deltaWorld) (*G, *G) { return w.build(), nil }, false, false},
+		{"nil", func(*deltaWorld) (*G, *G) { return nil, nil }, false, false},
 	} {
 		w := newDeltaWorld(10)
 		for i := 1; i < 10; i++ {
 			w.set(ident.NodeID(i), ident.NodeID(i+1), true)
 		}
 		tickT := w.build()
-		prev, sharer := tc.prev(w)
-		var off *uint32
+		prev, reader := tc.prev(w)
+		var hdr [][]ident.NodeID
 		var arena *ident.NodeID
-		if prev != nil && prev.off != nil {
-			off, arena = &prev.off[0], &prev.arena[0]
+		if prev != nil {
+			hdr = prev.adj
+			if len(prev.arena) > 0 {
+				arena = &prev.arena[0]
+			}
 		}
 		w.set(2, 3, false) // the same edge count: the storage fits as it is
 		w.set(2, 9, true)
 		g := FromRows(prev, w.nodes, w.updatesFor(w.nodes))
-		if !g.Equal(w.build()) || g.off == nil {
+		if !g.Equal(w.build()) || !laidOut(g) {
 			t.Fatalf("%s: rebuild %v differs from a scratch build", tc.name, g)
 		}
-		if taken := &g.off[0] == off && &g.arena[0] == arena; taken != tc.taken {
-			t.Fatalf("%s: storage taken %v, want %v", tc.name, taken, tc.taken)
+		header, arenaTaken := hdr != nil && &g.adj[0] == &hdr[0], &g.arena[0] == arena
+		if header != tc.header || arenaTaken != tc.arena {
+			t.Fatalf("%s: header taken %v, arena taken %v; want %v, %v", tc.name, header, arenaTaken, tc.header, tc.arena)
 		}
-		if sharer != nil && !sharer.Equal(tickT) {
-			t.Fatalf("%s: the graph sharing prev's storage no longer reads its tick", tc.name)
+		if reader != nil && !reader.Equal(tickT) {
+			t.Fatalf("%s: the graph reading prev's storage no longer reads its tick", tc.name)
 		}
 		if prev == nil {
 			continue
 		}
-		if !tc.taken {
+		if !tc.header {
 			if !prev.Equal(tickT) {
 				t.Fatalf("%s: prev changed", tc.name)
 			}
 			continue
 		}
-		if prev.off != nil || prev.arena != nil {
+		if prev.adj != nil || prev.arena != nil {
 			t.Fatalf("%s: prev kept its storage", tc.name)
 		}
 		for name, read := range map[string]func(){
@@ -190,11 +207,12 @@ func TestFromRowsHandOff(t *testing.T) {
 }
 
 // TestRowIdentityAcrossDeltaChain pins what the receiver caches key on: a
-// row no delta step patched keeps its backing array from the packed base
-// through every child, and a patched one moves exactly once — whether each
-// child copies its parent's row header or, the parent retired, takes it.
-// A parent whose header was taken has no rows left: reads panic, and the
-// calls that would otherwise succeed on nothing say why.
+// row no delta step patched keeps its backing array from the bulk-built
+// base through every child, and a patched one moves exactly once — whether
+// each child copies its parent's row header or, the parent retired, takes
+// it, the base's included. A parent whose header was taken has no rows
+// left: reads panic, and the calls that would otherwise succeed on nothing
+// say why.
 func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 	for _, retire := range []bool{false, true} {
 		w := newDeltaWorld(10)
@@ -202,33 +220,40 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 			w.set(ident.NodeID(i), ident.NodeID(i+1), true)
 		}
 		// rowPtrs records &row[0] of every node (nil for an empty row) while
-		// g still has its rows.
+		// g still has its rows, checking NeighborsAt against NeighborsView.
 		rowPtrs := func(g *G) map[ident.NodeID]*ident.NodeID {
 			out := map[ident.NodeID]*ident.NodeID{}
 			for _, v := range w.nodes {
 				if row := g.NeighborsAt(g.IndexOf(v)); len(row) > 0 {
+					if &row[0] != &g.NeighborsView(v)[0] {
+						t.Fatalf("NeighborsAt and NeighborsView of %v disagree", v)
+					}
 					out[v] = &row[0]
 				}
 			}
 			return out
 		}
+		// step derives a child of prev, retired first when retire is set,
+		// and checks that it took prev's header exactly then.
+		step := func(prev *G, updates []NodeAdj) *G {
+			hdr := &prev.adj[0]
+			if retire {
+				prev.Retire()
+			}
+			g := ApplyDelta(prev, updates, nil)
+			if taken := &g.adj[0] == hdr; taken != retire || taken != (prev.adj == nil) {
+				t.Fatalf("retire %v: header taken %v, parent's header %v", retire, taken, prev.adj)
+			}
+			return g
+		}
 		base := w.build()
 		pb := rowPtrs(base)
-		if retire {
-			base.Retire() // packed: no header for a delta child to take
-		}
 		w.set(1, 2, false) // patches rows 1 (update) and 2 (mirror)
-		c1 := ApplyDelta(base, w.updatesFor([]ident.NodeID{1}), nil)
-		p1, hdr := rowPtrs(c1), &c1.adj[0]
-		if retire {
-			c1.Retire()
-		}
+		c1 := step(base, w.updatesFor([]ident.NodeID{1}))
+		p1 := rowPtrs(c1)
 		w.set(9, 10, false) // rows 9 and 10
-		c2 := ApplyDelta(c1, w.updatesFor([]ident.NodeID{10}), nil)
+		c2 := step(c1, w.updatesFor([]ident.NodeID{10}))
 		p2 := rowPtrs(c2)
-		if taken := &c2.adj[0] == hdr; taken != retire || taken != (c1.adj == nil) {
-			t.Fatalf("retire %v: header taken %v, parent's header %v", retire, taken, c1.adj)
-		}
 		for v := ident.NodeID(3); v <= 8; v++ {
 			if p := pb[v]; p == nil || p != p1[v] || p != p2[v] {
 				t.Fatalf("retire %v: untouched row %v moved along the chain", retire, v)
@@ -240,12 +265,6 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 		if pb[9] != p1[9] || p1[9] == p2[9] {
 			t.Fatal("row 9: patched by the second step only")
 		}
-		// The rows of the packed base read the same through every accessor.
-		for _, v := range w.nodes {
-			if p := pb[v]; p != nil && p != &base.NeighborsView(v)[0] {
-				t.Fatalf("NeighborsAt and NeighborsView of %v disagree", v)
-			}
-		}
 		if !c2.Equal(w.build()) {
 			t.Fatalf("retire %v: end of chain differs from a scratch build", retire)
 		}
@@ -253,37 +272,39 @@ func TestRowIdentityAcrossDeltaChain(t *testing.T) {
 			continue
 		}
 		all := func(ident.NodeID) bool { return true }
-		for name, read := range map[string]func(){
-			"NeighborsAt":   func() { c1.NeighborsAt(2) },
-			"NeighborsView": func() { c1.NeighborsView(3) },
-			"Neighbors":     func() { c1.Neighbors(3) },
-			"HasEdge":       func() { c1.HasEdge(3, 4) },
-			"Connected":     func() { c1.Connected() },
-			"!Restrict":     func() { c1.Restrict(all) },
-			"!Equal":        func() { c2.Equal(c1) },
-			"!RefOf":        func() { RefOf(c1) },
-			"!ApplyDelta":   func() { ApplyDelta(c1, nil, nil) },
-		} {
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatalf("%s on a parent without rows did not panic", name)
-					}
-					if msg, _ := r.(string); name[0] == '!' && !strings.Contains(msg, "handed to its ApplyDelta child") {
-						t.Fatalf("%s: panic %v does not say where the rows went", name, r)
-					}
+		for _, parent := range []*G{base, c1} {
+			for name, read := range map[string]func(){
+				"NeighborsAt":   func() { parent.NeighborsAt(2) },
+				"NeighborsView": func() { parent.NeighborsView(3) },
+				"Neighbors":     func() { parent.Neighbors(3) },
+				"HasEdge":       func() { parent.HasEdge(3, 4) },
+				"Connected":     func() { parent.Connected() },
+				"!Restrict":     func() { parent.Restrict(all) },
+				"!Equal":        func() { c2.Equal(parent) },
+				"!RefOf":        func() { RefOf(parent) },
+				"!ApplyDelta":   func() { ApplyDelta(parent, nil, nil) },
+			} {
+				func() {
+					defer func() {
+						r := recover()
+						if r == nil {
+							t.Fatalf("%s on a parent without rows did not panic", name)
+						}
+						if msg, _ := r.(string); name[0] == '!' && !strings.Contains(msg, "handed to its ApplyDelta child") {
+							t.Fatalf("%s: panic %v does not say where the rows went", name, r)
+						}
+					}()
+					read()
 				}()
-				read()
-			}()
+			}
 		}
 	}
 }
 
 // TestRowSameWithinOneEra pins the proof the receiver caches act on. A
 // delta stays in its parent's row era: a row it left untouched is Same
-// across it, a patched one is not, and an identity Restrict sibling serves
-// Same rows. FromRows starts a new era: when it takes over a retired
+// across it, a patched one is not, and an identity Restrict, the graph
+// itself, serves Same rows. FromRows starts a new era: when it takes over a retired
 // graph's storage, an unchanged topology puts a row in the very window it
 // had, and still that row is not Same as the one served before. Any two
 // empty rows are Same.
@@ -300,7 +321,7 @@ func TestRowSameWithinOneEra(t *testing.T) {
 	if !c.Row(1).Same(r1) || !c.Row(3).Same(r3) || c.Row(9).Same(r9) {
 		t.Fatal("delta: untouched rows 1 and 3 must stay Same, patched row 9 must not")
 	}
-	if sib := c.Restrict(func(ident.NodeID) bool { return true }); !sib.Row(3).Same(r3) {
+	if held := c.Restrict(func(ident.NodeID) bool { return true }); held != c || !held.Row(3).Same(r3) {
 		t.Fatal("an identity Restrict left the row era")
 	}
 	if !c.Row(10).Same(Row{}) || !c.Row(99).Same(c.Row(10)) || c.Row(99).IDs() != nil {
@@ -320,29 +341,28 @@ func TestRowSameWithinOneEra(t *testing.T) {
 	}
 }
 
-// TestReadersAgreeAcrossForms reads one graph through every accessor in
-// both storage forms — packed, and an ApplyDelta child's rows under their
-// own header — and against the map reference: row(i) is the only place
-// that knows the difference.
+// TestReadersAgreeAcrossForms reads a bulk-built graph and an ApplyDelta
+// child of it — its own header, its rows in the parent's arena — through
+// every accessor and against the map reference: they read alike.
 func TestReadersAgreeAcrossForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ref := RefOf(RandomGeometric(40, 12, 3, rng))
 	ref.AddNode(77) // isolated
-	packed := FromRef(ref)
-	unpacked := ApplyDelta(packed, nil, nil)
-	if unpacked.off != nil || packed.off == nil {
-		t.Fatal("expected one graph of each form")
+	bulk := FromRef(ref)
+	child := ApplyDelta(bulk, nil, nil)
+	if !laidOut(bulk) || child.arena != nil || &child.adj[0] == &bulk.adj[0] {
+		t.Fatal("expected a bulk-built graph and a delta child with its own header")
 	}
-	if ref.NumNodes() != packed.NumNodes() || !packed.Equal(unpacked) || !unpacked.Equal(packed) {
-		t.Fatalf("packed %v, unpacked %v, reference n=%d", packed, unpacked, ref.NumNodes())
+	if ref.NumNodes() != bulk.NumNodes() || !bulk.Equal(child) || !child.Equal(bulk) {
+		t.Fatalf("bulk-built %v, delta child %v, reference n=%d", bulk, child, ref.NumNodes())
 	}
 	comp := map[ident.NodeID]bool{}
 	for v := range ref.BFSFrom(1, nil) {
 		comp[v] = true
 	}
-	for _, g := range []*G{unpacked, packed} {
+	for _, g := range []*G{child, bulk} {
 		checkSame(t, g, ref)
-		if g.String() != packed.String() || g.IndexOf(999) != -1 || g.Neighbors(999) != nil || g.HasEdge(999, 1) {
+		if g.String() != bulk.String() || g.IndexOf(999) != -1 || g.Neighbors(999) != nil || g.HasEdge(999, 1) {
 			t.Fatalf("%v: unknown-node queries", g)
 		}
 		for _, v := range g.Nodes() {

@@ -14,7 +14,7 @@
 // rng.Float64() whose own scaling would fuse with the next add: the Go
 // spec lets a compiler fuse x*y + z into one rounding, gc does on arm64,
 // ppc64le, s390x and riscv64 and never on amd64, and the conversion keeps
-// every product rounded on its own (space.hypot says why). So a position
+// every product rounded on its own (package fp says why). So a position
 // is the same on every target; scripts/fma.sh holds the package at zero
 // fused opcodes.
 package mobility

@@ -75,13 +75,6 @@ type engineSource struct {
 // EngineSource is NewGroupTracker's Source over e, for callers that wrap it.
 func EngineSource(e *engine.Engine) Source { return &engineSource{e: e} }
 
-// rowRecorder is a topology that records which graph rows changed
-// (engine.SpatialTopology).
-type rowRecorder interface {
-	TrackRows()
-	DrainRows() ([]ident.NodeID, bool)
-}
-
 func (s *engineSource) Workers() int                     { return s.e.P.Workers }
 func (s *engineSource) Dmax() int                        { return s.e.P.Cfg.Dmax }
 func (s *engineSource) Roster() *engine.Roster           { return s.e.Roster() }
@@ -91,23 +84,23 @@ func (s *engineSource) Introspect() *introspect.Registry { return s.e.Introspect
 
 func (s *engineSource) TrackDirty() {
 	s.e.TrackDirty()
-	if r, ok := s.e.Topo.(rowRecorder); ok {
-		r.TrackRows()
+	if sp := engine.Spatial(s.e.Topo); sp != nil {
+		sp.World.TrackRows()
 	}
 }
 
-// DrainRows serves the topology's record while the live graph is the
-// topology's own: a row of a strict restriction also changes when a
-// neighbor's membership does, which no topology records, so while the
+// DrainRows serves the world's changed-row record while the live graph is
+// the topology's own: a row of a strict restriction also changes when a
+// neighbor's membership does, which no world records, so while the
 // restriction is strict, and on the drain after, every row counts.
 func (s *engineSource) DrainRows() ([]ident.NodeID, bool) {
 	was := s.partial
 	s.partial = s.e.Topo.Graph().NumNodes() != len(s.e.Order())
-	r, ok := s.e.Topo.(rowRecorder)
-	if !ok {
+	sp := engine.Spatial(s.e.Topo)
+	if sp == nil {
 		return nil, true
 	}
-	ids, all := r.DrainRows()
+	ids, all := sp.World.DrainRows(sp.Graph())
 	return ids, all || was || s.partial
 }
 

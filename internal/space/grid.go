@@ -219,7 +219,7 @@ func (w *World) scanRows(ids []ident.NodeID, diff bool) []graph.NodeAdj {
 						// Dist decides; two candidates in three of a 3×3 block
 						// are out of range by far more than any rounding of the
 						// squares and are dropped before it. The squares are
-						// rounded on their own, unfused (hypot says why).
+						// rounded on their own, unfused (fp says why).
 						dx, dy := pu.X-c.pt.X, pu.Y-c.pt.Y
 						if float64(dx*dx)+float64(dy*dy) > r*r*(1+1e-9) || pu.Dist(c.pt) > r {
 							continue

@@ -17,6 +17,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/fp"
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/shard"
@@ -25,33 +26,8 @@ import (
 // Point is a position in the plane.
 type Point struct{ X, Y float64 }
 
-// Dist returns the Euclidean distance to o.
-func (p Point) Dist(o Point) float64 { return hypot(p.X-o.X, p.Y-o.Y) }
-
-// hypot is math.Hypot's portable body, special cases included, with a
-// conversion that keeps q*q rounded before the add. The Go spec lets a
-// compiler fuse x*y + z into one rounding; gc does on arm64, ppc64le, s390x
-// and riscv64, where math.Hypot runs that body fused, and never on amd64,
-// where math.Hypot's assembly runs the same sequence unfused. So a link
-// decided here is decided alike on every target, and bit-equal to
-// math.Hypot on amd64.
-func hypot(p, q float64) float64 {
-	p, q = math.Abs(p), math.Abs(q)
-	if !(p <= math.MaxFloat64 && q <= math.MaxFloat64) { // one compare pair on the finite path
-		if math.IsInf(p, 1) || math.IsInf(q, 1) {
-			return math.Inf(1)
-		}
-		return math.NaN()
-	}
-	if p < q {
-		p, q = q, p
-	}
-	if p == 0 {
-		return 0
-	}
-	q = q / p
-	return p * math.Sqrt(1+float64(q*q))
-}
+// Dist returns the Euclidean distance to o, alike on every target.
+func (p Point) Dist(o Point) float64 { return fp.Hypot(p.X-o.X, p.Y-o.Y) }
 
 // Add returns p translated by (dx, dy).
 func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
@@ -286,7 +262,7 @@ func (w *World) CanReach(u, v ident.NodeID) bool {
 // scanRows: when only a small fraction of nodes moved since the last
 // build (and the membership and radio configuration stayed put), the
 // movers' rows patch the previous CSR through graph.ApplyDelta, in the
-// previous graph's row era; otherwise every node's row is packed by
+// previous graph's row era; otherwise every node's row is laid out by
 // graph.FromRows, which starts a new one (graph.Row).
 func (w *World) SymmetricGraph() *graph.G {
 	w.validate()
@@ -406,7 +382,7 @@ func segmentsCross(p, q, a, b Point) bool {
 }
 
 // orient is the sign-carrying cross product (b−a)×(c−a), each product
-// rounded on its own (hypot says why).
+// rounded on its own (fp says why).
 func orient(a, b, c Point) float64 {
 	return float64((b.X-a.X)*(c.Y-a.Y)) - float64((b.Y-a.Y)*(c.X-a.X))
 }
