@@ -44,8 +44,8 @@
 // -stats JSONL stream, and ends the report with the idle time of the
 // engine's three fanned-out phases (width · phase time − the summed time
 // their participants spent working), the broadcast pools' misses per
-// build and the tracker's rows swept per observation;
-// -trace-wakes streams one record per executed
+// build, the tracker's rows swept per observation and its ΠM verdicts
+// reused and settled by BFS; -trace-wakes streams one record per executed
 // compute attributing the skip-check gate that woke the node. On a
 // chaos run the registry's injection counters are cross-checked against
 // the injector's own totals, and any drift exits non-zero.

@@ -255,11 +255,12 @@ func SortRecs(recs []PrioRec) {
 	})
 }
 
-// EncodedSize returns the wire size of the message in bytes (frame header
-// + list + two priority records per advertised node + group priority +
-// quarantine records), used by the overhead experiment. Duplicate IDs (a
-// corrupted list can repeat a node) count once, matching the wire codec's
-// map-shaped frame sections.
+// EncodedSize returns the size the overhead figures (bytes_sent, E11)
+// count: sender, group priority, list, 12 bytes per node- or group-priority
+// record, 5 per quarantine record. A wire.Encode frame is exactly
+// EncodedSize() + 9 + 4·(priority records) bytes: magic, version and the
+// three section counts, and each priority record's ID key. Duplicate IDs
+// (a corrupted list can repeat a node) count once, as in the frame.
 func (m Message) EncodedSize() int {
 	nPrio, nGPrio, nQuar := 0, 0, 0
 	prev := ident.None

@@ -93,6 +93,8 @@ const (
 	CtrObsUnexcusedBreaks  // ΠC false while ΠT held
 	CtrObsViolatingNodes   // total nodes that lost a group member
 	CtrObsRowsSwept        // rows phase 2 examined (topology-dirty members)
+	CtrObsPairsReused      // ΠM verdicts reused from the last scan
+	CtrObsPairsBFS         // ΠM verdicts settled by a BFS
 
 	// Distributed boundary exchange (internal/dist).
 	CtrBoundaryBytesSent    // encoded boundary-batch bytes shipped to peers
@@ -148,6 +150,8 @@ var counterNames = [NumCounters]string{
 	CtrObsUnexcusedBreaks:  "obs_unexcused_breaks",
 	CtrObsViolatingNodes:   "obs_violating_nodes",
 	CtrObsRowsSwept:        "obs_rows_swept",
+	CtrObsPairsReused:      "obs_pairs_reused",
+	CtrObsPairsBFS:         "obs_pairs_bfs",
 
 	CtrBoundaryBytesSent:    "boundary_bytes_sent",
 	CtrBoundaryBytesRecv:    "boundary_bytes_recv",

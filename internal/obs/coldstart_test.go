@@ -41,11 +41,8 @@ func TestColdStartAllocsPerNode(t *testing.T) {
 	}
 	perNode := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("cold start: %.2f allocations a node", perNode)
-	// Measured 10.9 (11.9 while the tracker kept a watcher set per viewed
-	// node, 14.4 while it copied every node's neighbourhood at its first
-	// observation, 16.6 when each node's first two broadcasts allocated
-	// their headers, 30.2 when every node joined one addNode at a time);
-	// the ceiling is 10.9 + 15 %.
+	// Measured 11.0; the ceiling is 12.5, an earlier measurement of 10.9
+	// plus 15 %.
 	if ceiling := 12.5; perNode > ceiling {
 		t.Errorf("cold start allocates %.2f a node, ceiling %.1f", perNode, ceiling)
 	}

@@ -68,6 +68,19 @@ func (src *scriptSource) remove(v ident.NodeID) {
 	src.g = graph.FromRef(r)
 }
 
+// rebirth removes v and adds it again inside one window, its view reset
+// to {v} and the graph left as it was: no row changes.
+func (src *scriptSource) rebirth(v ident.NodeID) {
+	s, _ := src.roster.Remove(v)
+	src.removed = append(src.removed, engine.RemovedNode{ID: v, Slot: s})
+	src.viewers[s] = nil
+	s, _ = src.roster.Add(v)
+	if int(s) == len(src.viewers) {
+		src.viewers = append(src.viewers, nil)
+	}
+	src.viewers[s] = &scriptViewer{ver: 1, view: []ident.NodeID{v}}
+}
+
 // snapshot is the oracle's view of the current configuration.
 func (src *scriptSource) snapshot() metrics.Snapshot {
 	views := map[ident.NodeID]map[ident.NodeID]bool{}
@@ -145,7 +158,7 @@ func TestFreshRecordUnderCachedPair(t *testing.T) {
 	observe("{1,2} beside {4,5}", true)
 	b := groupOf(tr, 4)
 	verdict := func() pairVerdict {
-		for _, v := range tr.shards[pairKey{a: 1, b: 4}.owner()].verdicts {
+		for _, v := range tr.shards[shard.Of(1)].verdicts {
 			if v.k == (pairKey{a: 1, b: 4}) {
 				return v
 			}
@@ -166,47 +179,89 @@ func TestFreshRecordUnderCachedPair(t *testing.T) {
 	}
 }
 
+// TestRebirthRescansNeighborGroups pins the one change of record that
+// moves no row: node 3, removed and re-added inside a window, leaves
+// {1,3} for a fresh {3}. Group {2} keeps its rows and its stamp, and had
+// no group above it, so only the mark 3's re-addition leaves on its
+// neighbors' records makes {2} rescan and count the edge 2–3 as (2, 3).
+func TestRebirthRescansNeighborGroups(t *testing.T) {
+	r := graph.NewRef()
+	r.AddEdge(1, 3)
+	r.AddEdge(2, 3)
+	src := newScriptSource(2, graph.FromRef(r))
+	tr := NewGroupTrackerSource(src)
+	tr.Observe()
+	src.setView(1, 1, 3)
+	src.setView(3, 1, 3)
+	prev := src.snapshot()
+	st := tr.Observe()
+	checkAgainstOracle(t, "{1,3} beside {2}", st, tr, metrics.Snapshot{}, prev, false, 2)
+	src.rebirth(3)
+	st = tr.Observe()
+	checkAgainstOracle(t, "3 reborn", st, tr, prev, src.snapshot(), true, 2)
+}
+
 // pairPaths counts, over one Observe, the three ways scanPairs settles a
-// pair: reports of one pair from two or more scanning shards (deduped
-// across them), verdicts reused from the last scan (prev, copied before
-// the Observe) and verdicts settled by BFS. It reads only the tracker's
-// state: a verdict with the stamps of a previous one was reused, and one
-// without whose groups could not take the Dmax+1 fast path ran the BFS.
+// pair: pairs whose groups two or more edges join (deduplicated within
+// the lower group's scan), verdicts reused from the last scan (prev,
+// copied before the Observe) and verdicts settled by BFS. It reads only
+// the partition and the graph: a verdict with the stamps of a previous
+// one was reused, and one without whose groups could not take the Dmax+1
+// fast path ran the BFS.
 func pairPaths(tr *GroupTracker, prev []pairVerdict) (deduped, reused, bfs int) {
-	reporters := map[pairKey]map[int]bool{}
-	for s := range tr.shards {
-		for _, e := range tr.shards[s].pairs {
-			if reporters[e.k] == nil {
-				reporters[e.k] = map[int]bool{}
-			}
-			reporters[e.k][s] = true
-		}
-	}
-	for _, by := range reporters {
-		if len(by) > 1 {
-			deduped++
-		}
-	}
 	old := map[pairKey]pairVerdict{}
 	for _, v := range prev {
 		old[v.k] = v
 	}
-	for o := range tr.shards {
-		for _, v := range tr.shards[o].verdicts {
-			if p, ok := old[v.k]; ok && p.ta == v.ta && p.tb == v.tb {
-				reused++
-				continue
+	for _, v := range allVerdicts(tr) {
+		ga, gb := groupOf(tr, v.k.a), groupOf(tr, v.k.b)
+		edges := 0
+		for _, x := range ga.members {
+			for _, u := range tr.prevG.NeighborsView(x) {
+				if _, in := slices.BinarySearch(gb.members, u); in {
+					edges++
+				}
 			}
-			ga, gb := groupOf(tr, v.k.a), groupOf(tr, v.k.b)
-			if ga.stretched || gb.stretched || len(ga.members)+len(gb.members) > tr.dmax+1 {
-				bfs++
-			}
+		}
+		if edges > 1 {
+			deduped++
+		}
+		if p, ok := old[v.k]; ok && p.ta == v.ta && p.tb == v.tb {
+			reused++
+			continue
+		}
+		if ga.stretched || gb.stretched || len(ga.members)+len(gb.members) > tr.dmax+1 {
+			bfs++
 		}
 	}
 	return deduped, reused, bfs
 }
 
-// allVerdicts copies every owner's verdicts of the last scan.
+// verdictBufs lists where each shard's verdicts are stored: a scan swaps
+// every shard's two buffers, so the list moves exactly when one ran.
+func verdictBufs(tr *GroupTracker) []*pairVerdict {
+	var out []*pairVerdict
+	for s := range tr.shards {
+		out = append(out, unsafe.SliceData(tr.shards[s].verdicts))
+	}
+	return out
+}
+
+// cleanGroups counts the groups with pairs that the last scan did not walk:
+// stamped no later than the scan before it (scanned) and with no member's
+// neighbor that changed record this round.
+func cleanGroups(tr *GroupTracker, scanned uint64) int {
+	n, last := 0, ident.None
+	for _, v := range allVerdicts(tr) {
+		if a := groupOf(tr, v.k.a); v.k.a != last && a.topoGen <= scanned && a.nearRnd != tr.round {
+			n++
+		}
+		last = v.k.a
+	}
+	return n
+}
+
+// allVerdicts copies every shard's verdicts of the last scan.
 func allVerdicts(tr *GroupTracker) []pairVerdict {
 	var out []pairVerdict
 	for o := range tr.shards {
@@ -216,15 +271,14 @@ func allVerdicts(tr *GroupTracker) []pairVerdict {
 }
 
 // TestTrackerFootprint pins what settling ΠM without a map leaves in the
-// heap, on a parked world (2 % movers) of 2 000 nodes over 50 rounds: the
-// pair state's arenas hold at most one boundary report and two verdicts
-// per graph edge at the run's peak, headroom included, and the tracker
-// keeps no map (the group index is an ident.Table; the nodes a view
-// change affects are read from the view). Two value maps of
-// verdicts, with the per-shard report lists grown by doubling, held 7.3 MB
-// at parked-commuter's n = 20 000. A node's cache holds no neighborhood
-// and no view hash, only its two view buffers: 96 B, where a copy of the
-// neighbor IDs and their slots took it to 152 B plus the copies' storage.
+// heap, on a parked world (2 % movers) of 2 000 nodes over 50 rounds: each
+// shard's two verdict buffers and the workers' neighbor-group scratch hold
+// at most 110 B per graph edge at the run's peak (measured 100.6), and the
+// tracker keeps no map (the group index is an ident.Table; the nodes a
+// view change affects are read from the view): two value maps of verdicts
+// held 7.3 MB at parked-commuter's n = 20 000. A node's cache holds no
+// neighborhood, no view hash and no neighbor count, only its two view
+// buffers: 88 B.
 func TestTrackerFootprint(t *testing.T) {
 	cfg := SoakConfig{N: 2000, ActiveFraction: 0.02, Seed: 1, Workers: 2}
 	w, mob, ids := BuildSoakWorld(&cfg)
@@ -238,20 +292,23 @@ func TestTrackerFootprint(t *testing.T) {
 		st = tr.Observe()
 		peak = max(peak, st.Edges)
 	}
-	entries, verdicts := cap(tr.scanArena), cap(tr.verdArena)+cap(tr.verdSpare)
-	gathered := 0
-	for _, ws := range tr.ws {
-		gathered += cap(ws.pairs)
+	verdicts, nbrs := 0, 0
+	for s := range tr.shards {
+		verdicts += cap(tr.shards[s].verdicts) + cap(tr.shards[s].spare)
 	}
-	entrySize, verdictSize := int(unsafe.Sizeof(pairEntry{})), int(unsafe.Sizeof(pairVerdict{}))
-	t.Logf("peak %d edges, now %d with %d boundary edges: arenas of %d reports (%d B) and 2 × %d verdicts (%d B), %d gathered by the workers (%d B): %.1f B an edge",
-		peak, st.Edges, st.ExternalEdges, entries, entries*entrySize, verdicts/2, verdicts*verdictSize,
-		gathered, gathered*entrySize, float64(entries*entrySize+verdicts*verdictSize+gathered*entrySize)/float64(peak))
+	for _, ws := range tr.ws {
+		nbrs += cap(ws.nbrs)
+	}
+	verdictSize := int(unsafe.Sizeof(pairVerdict{}))
+	held := verdicts*verdictSize + nbrs*int(unsafe.Sizeof((*group)(nil)))
+	perEdge := float64(held) / float64(peak)
+	t.Logf("peak %d edges, now %d with %d boundary edges: 2 buffers of %d verdicts in all (%d B), %d neighbor groups of scratch: %.1f B an edge",
+		peak, st.Edges, st.ExternalEdges, verdicts, verdicts*verdictSize, nbrs, perEdge)
 	if verdictSize != 32 {
 		t.Errorf("a verdict is %d B, want 32", verdictSize)
 	}
-	if size := unsafe.Sizeof(nodeState{}); size != 96 {
-		t.Errorf("a node's cache is %d B, want 96", size)
+	if size := unsafe.Sizeof(nodeState{}); size != 88 {
+		t.Errorf("a node's cache is %d B, want 88", size)
 	}
 	var bufs []string
 	typ := reflect.TypeOf(nodeState{})
@@ -263,8 +320,8 @@ func TestTrackerFootprint(t *testing.T) {
 	if got := fmt.Sprint(bufs); got != "[view spare]" {
 		t.Errorf("a node's cache holds the slices %s, want only its two view buffers", got)
 	}
-	if limit := peak + peak/4; entries > limit || verdicts > 2*limit {
-		t.Errorf("%d reports and %d verdicts held for a peak of %d edges, want at most %d and %d", entries, verdicts, peak, limit, 2*limit)
+	if perEdge > 110 {
+		t.Errorf("the pair state holds %.1f B per edge at a peak of %d edges, want at most 110", perEdge, peak)
 	}
 	var maps []string
 	for _, v := range []any{GroupTracker{}, trackerShard{}, workerScratch{}} {

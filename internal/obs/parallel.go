@@ -18,7 +18,7 @@ type workerScratch struct {
 	dist  []int          // distance per member index, -1 = unreached
 	queue []int          // member-index frontier
 	ubuf  []ident.NodeID // union-of-two-groups member buffer
-	pairs []pairEntry    // one owner's gathered boundary reports (scanPairs)
+	nbrs  []*group       // one group's upper neighbor groups, by rep (scanPairs)
 
 	memberEpoch []uint32 // graph index → epoch last marked a member
 	distEpoch   []uint32 // graph index → epoch last reached

@@ -273,15 +273,16 @@ func (r *SoakResult) PoolReport() string {
 		msgs, ents, builds, float64(msgs+ents)/float64(builds))
 }
 
-// SweepReport renders the rows the tracker's phase 2 examined, per
-// observation: the changed rows of the topology (registry obs_rows_swept).
+// SweepReport renders, per observation, the rows the tracker's phase 2
+// examined (registry obs_rows_swept), then the ΠM verdicts its cache
+// reused and its BFS settled (obs_pairs_reused, obs_pairs_bfs).
 func (r *SoakResult) SweepReport() string {
 	c := r.Flight.Counters
 	if c["obs_rounds"] == 0 {
 		return ""
 	}
-	return fmt.Sprintf("  tracker: %d rows swept over %d observations, %.1f an observation\n",
-		c["obs_rows_swept"], c["obs_rounds"], float64(c["obs_rows_swept"])/float64(c["obs_rounds"]))
+	return fmt.Sprintf("  tracker: %d rows swept over %d observations, %.1f an observation; ΠM verdicts: %d reused, %d by BFS\n",
+		c["obs_rows_swept"], c["obs_rounds"], float64(c["obs_rows_swept"])/float64(c["obs_rounds"]), c["obs_pairs_reused"], c["obs_pairs_bfs"])
 }
 
 // BuildSoakWorld constructs the soak scenario's world, mobility model

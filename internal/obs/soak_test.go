@@ -208,21 +208,26 @@ func TestPoolReport(t *testing.T) {
 
 // TestSweepReport checks the tracker's line of grpsoak -flight-every on a
 // parked world (2 % movers): the first observation sweeps every row, each
-// later one only the rows that changed, under a tenth of the population.
+// later one only the rows that changed, under a tenth of the population;
+// the ΠM cache reuses more verdicts than the BFS settles.
 func TestSweepReport(t *testing.T) {
 	const n, rounds = 2000, 40
 	res, err := RunSoak(SoakConfig{N: n, ActiveFraction: 0.02, Seed: 1, MaxRounds: rounds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var swept, obs uint64
+	var swept, obs, reused, bfs uint64
 	var per float64
 	line := res.SweepReport()
-	if _, err := fmt.Sscanf(line, "  tracker: %d rows swept over %d observations, %f an observation", &swept, &obs, &per); err != nil {
+	if _, err := fmt.Sscanf(line, "  tracker: %d rows swept over %d observations, %f an observation; ΠM verdicts: %d reused, %d by BFS",
+		&swept, &obs, &per, &reused, &bfs); err != nil {
 		t.Fatalf("%q: %v", line, err)
 	}
 	if obs != rounds || swept < n || swept-n >= (rounds-1)*n/10 {
 		t.Errorf("%q: want %d observations, the first sweeping all %d rows and the rest under a tenth each", line, rounds, n)
+	}
+	if bfs == 0 || reused <= bfs {
+		t.Errorf("%q: want some BFS, and more verdicts reused than settled by it", line)
 	}
 }
 

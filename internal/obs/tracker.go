@@ -42,7 +42,6 @@ package obs
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -98,14 +97,13 @@ type RoundStats struct {
 // slot-derived access validates against it).
 type nodeState struct {
 	id      ident.NodeID
-	up      int32          // neighbors above v in the graph last observed
+	good    bool           // local agreement check holds (Ω = view)
 	viewVer uint64         // core.Node.ViewVersion at last extraction
 	view    []ident.NodeID // the node's own view, ascending
 	spare   []ident.NodeID // view's other buffer: the two swap on a change
 	grp     *group         // current Ω record
 	born    int            // round the state was created (suppresses ΠC on arrival)
 	topoRnd int            // round v was last marked topology-dirty
-	good    bool           // local agreement check holds (Ω = view)
 }
 
 // memberRef pairs a live node's identity with its engine slot: the shape
@@ -134,20 +132,11 @@ type group struct {
 	// fresh or reused, and when a member's neighborhood changes or it
 	// departs, so a ΠM verdict is proved by its two records' stamps alone.
 	topoGen uint64
+	nearRnd int // round a member's neighbor last changed record
+	upEdges int // edges to the groups above it, counted at its last rescan
 }
 
 type pairKey struct{ a, b ident.NodeID } // a < b, group representatives
-
-// owner is the shard that settles the pair: the lower representative's.
-func (k pairKey) owner() int { return shard.Of(k.a) }
-
-// order ranks keys by representatives, lower first.
-func (k pairKey) order() uint64 { return uint64(k.a)<<32 | uint64(k.b) }
-
-type pairEntry struct {
-	k      pairKey
-	ga, gb *group // the records on each side of the boundary edge
-}
 
 // pairVerdict is a pair's ΠM verdict, valid while both records hold the
 // stamps it was settled under; pointer-free, so the GC never scans it.
@@ -188,14 +177,10 @@ type GroupTracker struct {
 	// hand its address to a new one.
 	prevG *graph.G
 
-	// ΠM / nee state: the arenas scanPairs cuts its reports and each
-	// owner's verdicts from (last scan's in verdArena).
-	scanArena []pairEntry
-	verdArena []pairVerdict
-	verdSpare []pairVerdict
-	stamp     uint64 // last topoGen handed out
-	nee       int
-	mergeCnt  int
+	stamp    uint64 // last topoGen handed out
+	scanned  uint64 // stamp at the last scan: a record stamped above it changed since
+	nee      int    // external edges, summed over the shards
+	mergeCnt int    // mergeable pairs, summed over the shards
 
 	// Cumulative soak counters (transitions observed so far).
 	Rounds           int
@@ -206,29 +191,27 @@ type GroupTracker struct {
 	TotalMembership  int // total Ω changes across nodes
 
 	// Scratch (coordinator-owned).
-	shards   [shard.N]trackerShard
-	ws       []*workerScratch
-	affected []memberRef
-	added    []ident.NodeID
-	removed  []engine.RemovedNode
-	reborn   []rebornRec
-	evalList []*group
-	boolRes  []bool
-	regroup  []regroupRes
+	shards    [shard.N]trackerShard
+	ws        []*workerScratch
+	affected  []memberRef
+	topoDirty []int32 // slots whose neighborhood changed
+	added     []ident.NodeID
+	removed   []engine.RemovedNode
+	reborn    []rebornRec
+	evalList  []*group
+	boolRes   []bool
+	regroup   []regroupRes
 }
 
 // trackerShard is one shard's parallel-phase output buffers.
 type trackerShard struct {
-	topoDirty []int32 // slots whose neighborhood changed
-	changed   []changeRec
-	upper     int     // Σ up over the shard's nodes: the bound of pairs
-	extract   []int32 // extraction-candidate slots (computed ∪ added)
-	vbuf      []ident.NodeID
-	pairs     []pairEntry      // boundary edges scanned here, by owner
-	runs      [shard.N + 1]int // pairs[runs[o]:runs[o+1]] are owner o's
-	verdicts  []pairVerdict    // as an owner: its pairs' verdicts, by key
-	cut       []pairVerdict    // where this scan writes the next ones
-	merges    int              // mergeable pairs among verdicts
+	changed  []changeRec
+	extract  []int32 // extraction-candidate slots (computed ∪ added)
+	vbuf     []ident.NodeID
+	verdicts []pairVerdict // the pairs of the groups represented here, by key
+	spare    []pairVerdict // verdicts' other buffer: the two swap every scan
+	nee      int           // boundary edges counted by those groups
+	merges   int           // mergeable pairs among verdicts
 }
 
 type changeRec struct {
@@ -390,7 +373,6 @@ func (t *GroupTracker) Observe() RoundStats {
 		if !st.good {
 			t.badNodes--
 		}
-		t.shards[shard.Of(r.ID)].upper -= int(st.up)
 		t.detach(st.grp)
 		st.id = ident.None
 		st.grp = nil
@@ -415,11 +397,13 @@ func (t *GroupTracker) Observe() RoundStats {
 		st.id = a
 		st.viewVer = 0
 		st.view = st.view[:0]
-		st.up = 0
 		st.good = true
 		st.born = t.round
 		st.grp = t.newGroup(a, a)
 		st.grp.refs = 1
+		if !first { // on the first, every record is new
+			t.markNear(g, a)
+		}
 		t.affEpoch[slot] = 0
 		ref := memberRef{id: a, slot: slot}
 		t.shardInsert(ref)
@@ -430,12 +414,9 @@ func (t *GroupTracker) Observe() RoundStats {
 
 	// Phase 2: the topology-dirty set — every node of the source's
 	// changed-row record and every added node, each once (all of them when
-	// the source cannot tell) — and, in parallel, each one's count of
-	// neighbors above it, whose per-shard sums bound the boundary scan.
+	// the source cannot tell).
 	if topoChanged {
-		for s := range t.shards {
-			t.shards[s].topoDirty = t.shards[s].topoDirty[:0]
-		}
+		t.topoDirty = t.topoDirty[:0]
 		switch {
 		case first: // every member is added
 		case allRows:
@@ -452,19 +433,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		for _, v := range t.added {
 			t.markTopo(v)
 		}
-		reg := t.e.Introspect()
-		shard.Run(t.workers, func(s, _ int) {
-			sh := &t.shards[s]
-			for _, slot := range sh.topoDirty {
-				st := &t.nodes[slot]
-				nb := g.NeighborsView(st.id)
-				below, _ := slices.BinarySearch(nb, st.id)
-				up := int32(len(nb) - below)
-				sh.upper += int(up - st.up)
-				st.up = up
-			}
-			reg.Shard(s).Add(introspect.CtrObsRowsSwept, uint64(len(sh.topoDirty)))
-		})
+		t.e.Introspect().Add(introspect.CtrObsRowsSwept, uint64(len(t.topoDirty)))
 		t.prevG = g
 	}
 
@@ -475,14 +444,12 @@ func (t *GroupTracker) Observe() RoundStats {
 	// it; both read the same per-record stretched flag.
 	if topoChanged {
 		t.evalList = t.evalList[:0]
-		for s := range t.shards {
-			for _, slot := range t.shards[s].topoDirty {
-				grp := t.nodes[slot].grp
-				t.restamp(grp)
-				if grp.evalRound != t.round && len(grp.members) > 1 {
-					grp.evalRound = t.round
-					t.evalList = append(t.evalList, grp)
-				}
+		for _, slot := range t.topoDirty {
+			grp := t.nodes[slot].grp
+			t.restamp(grp)
+			if grp.evalRound != t.round && len(grp.members) > 1 {
+				grp.evalRound = t.round
+				t.evalList = append(t.evalList, grp)
 			}
 		}
 		t.evalStretched(g, t.evalList)
@@ -514,7 +481,7 @@ func (t *GroupTracker) Observe() RoundStats {
 			}
 			st.viewVer = ver
 			sh.vbuf = n.AppendView(sh.vbuf[:0])
-			if idsEqual(st.view, sh.vbuf) {
+			if slices.Equal(st.view, sh.vbuf) {
 				continue
 			}
 			nv := append(st.spare[:0], sh.vbuf...)
@@ -541,21 +508,9 @@ func (t *GroupTracker) Observe() RoundStats {
 	// sort by ID to restore the canonical processing order; a reborn node
 	// can be marked under both its old and its new slot, so equal IDs are
 	// deduplicated too.
-	aff := t.affected[:0]
-	for _, ref := range t.affected {
-		if t.nodes[ref.slot].id == ref.id {
-			aff = append(aff, ref)
-		}
-	}
-	t.affected = aff
+	t.affected = slices.DeleteFunc(t.affected, func(ref memberRef) bool { return t.nodes[ref.slot].id != ref.id })
 	slices.SortFunc(t.affected, func(a, b memberRef) int { return cmp.Compare(a.id, b.id) })
-	aff = t.affected[:0]
-	for i, ref := range t.affected {
-		if i == 0 || ref.id != t.affected[i-1].id {
-			aff = append(aff, ref)
-		}
-	}
-	t.affected = aff
+	t.affected = slices.CompactFunc(t.affected, func(a, b memberRef) bool { return a.id == b.id })
 
 	// Phase 6 (parallel): regroup — the local agreement check for every
 	// affected node, a pure read of the freshly extracted views compared
@@ -564,11 +519,11 @@ func (t *GroupTracker) Observe() RoundStats {
 	shard.Slots(t.workers, len(t.affected), func(i, w int) {
 		ref := t.affected[i]
 		st := &t.nodes[ref.slot]
-		good := containsID(st.view, ref.id)
+		_, good := slices.BinarySearch(st.view, ref.id)
 		if good {
 			for _, u := range st.view {
 				su := t.state(u)
-				if su == nil || !idsEqual(su.view, st.view) {
+				if su == nil || !slices.Equal(su.view, st.view) {
 					good = false
 					break
 				}
@@ -594,7 +549,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		old := st.grp
 		same := false
 		if res.good {
-			same = idsEqual(old.members, st.view)
+			same = slices.Equal(old.members, st.view)
 		} else {
 			same = len(old.members) == 1 && old.members[0] == v
 		}
@@ -612,7 +567,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		var target *group
 		if res.good {
 			target, _ = t.groups.Get(res.rep)
-			if target == nil || !idsEqual(target.members, st.view) {
+			if target == nil || !slices.Equal(target.members, st.view) {
 				target = t.newGroup(res.rep, st.view...)
 				if len(st.view) > 1 {
 					t.evalList = append(t.evalList, target)
@@ -633,6 +588,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		}
 		t.detach(old)
 		st.grp = target
+		t.markNear(g, v)
 		changedPartition = true
 	}
 	// Nodes removed and re-added within the window look new-born to the
@@ -641,7 +597,7 @@ func (t *GroupTracker) Observe() RoundStats {
 	if !first {
 		for _, rb := range t.reborn {
 			st := t.state(rb.v)
-			if st == nil || idsEqual(rb.old, st.grp.members) {
+			if st == nil || slices.Equal(rb.old, st.grp.members) {
 				continue
 			}
 			if !subsetSorted(rb.old, st.grp.members) {
@@ -760,127 +716,94 @@ func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
 }
 
 // scanPairs recounts the external edges and settles ΠM over the
-// adjacent-group pairs, each owned by the shard of its lower
-// representative. Pass 1, per scanning shard, walks the boundary edges
-// (each once, from its lower end) and counting-sorts its reports by owner.
-// Pass 2, per owner, gathers its runs in shard order, sorts them stably by
-// key, keeps each pair's first report and merge-joins them against its
-// verdicts of the last scan: one is reused while both records hold the
-// stamps it was settled under; else two unstretched groups of at most
-// Dmax+1 members in all are mergeable (a connected graph on m nodes has
-// diameter ≤ m−1); else the BFS runs inline. Counts fold in shard order.
-// No map backs the pair state: reports and verdicts are cut from arenas
-// bounded by the upper-neighbor counts phase 2 keeps.
+// adjacent-group pairs, each owned by its lower-representative group, and
+// that group by its representative's shard. Shard s takes, in ascending
+// order, every node of its own that represents its group. A group whose
+// stamp predates the last scan and no neighbor of whose members changed
+// record since (nearRnd) has the same edges and upper groups as then: its
+// upper groups are read off its verdicts and its edge count is kept. Any
+// other group walks its rows. A neighbor u ≤ rep is rep or lies in a lower
+// group (the representative is its group's least member), so it is
+// skipped unlooked; an edge into a group b above it counts, and b is kept,
+// once, in the ascending list nbrs. Pairs thus come out in key order, and
+// each is merge-joined against the shard's verdicts of the last scan: one
+// is reused while both records hold the stamps it was settled under; else
+// two unstretched groups of at most Dmax+1 members in all are mergeable
+// (a connected graph on m nodes has diameter ≤ m−1); else the BFS runs
+// inline. Counts fold in shard order.
 func (t *GroupTracker) scanPairs(g *graph.G) {
-	upper := 0
-	for s := range t.shards {
-		upper += t.shards[s].upper
-	}
-	t.scanArena = reserve(t.scanArena, upper)
-	at := 0
-	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.pairs = t.scanArena[at : at : at+sh.upper]
-		at += sh.upper
-	}
+	reg := t.e.Introspect()
 	shard.Run(t.workers, func(s, w int) {
 		sh, ws := &t.shards[s], t.ws[w]
-		found := reserve(ws.pairs, sh.upper)
-		sh.runs = [shard.N + 1]int{}
+		old := sh.verdicts
+		next := slices.Grow(sh.spare[:0], len(old)+len(old)/4) // room for a growing pair count
+		sh.nee, sh.merges = 0, 0
+		reused, bfs := 0, 0
 		for _, m := range t.byShard[s] {
-			st := &t.nodes[m.slot]
-			for _, u := range g.NeighborsView(m.id) {
-				if u <= m.id {
-					continue
-				}
-				su := &t.nodes[t.ro.SlotOf(u)]
-				if su.grp == st.grp {
-					continue
-				}
-				e := pairEntry{k: pairKey{a: st.grp.rep, b: su.grp.rep}, ga: st.grp, gb: su.grp}
-				if e.k.b < e.k.a {
-					e.k.a, e.k.b = e.k.b, e.k.a
-					e.ga, e.gb = e.gb, e.ga
-				}
-				found = append(found, e)
-				sh.runs[e.k.owner()+1]++
+			a := t.nodes[m.slot].grp
+			if a.rep != m.id {
+				continue
 			}
-		}
-		for o := range shard.N {
-			sh.runs[o+1] += sh.runs[o]
-		}
-		next := sh.runs
-		sh.pairs = sh.pairs[:len(found)]
-		for _, e := range found {
-			sh.pairs[next[e.k.owner()]] = e
-			next[e.k.owner()]++
-		}
-		ws.pairs = found
-	})
-
-	if c := cap(t.scanArena); cap(t.verdSpare) < c {
-		t.verdSpare = make([]pairVerdict, 0, c)
-	}
-	at = 0
-	for o := range t.shards {
-		n := 0
-		for s := range t.shards {
-			n += t.shards[s].runs[o+1] - t.shards[s].runs[o]
-		}
-		t.shards[o].cut = t.verdSpare[at : at : at+n]
-		at += n
-	}
-	shard.Run(t.workers, func(o, w int) {
-		ws, sh := t.ws[w], &t.shards[o]
-		in := reserve(ws.pairs, cap(sh.cut))
-		for s := range t.shards {
-			r := &t.shards[s]
-			in = append(in, r.pairs[r.runs[o]:r.runs[o+1]]...)
-		}
-		slices.SortStableFunc(in, func(x, y pairEntry) int { return cmp.Compare(x.k.order(), y.k.order()) })
-		old, next := sh.verdicts, sh.cut
-		sh.merges = 0
-		for i, e := range in {
-			if i > 0 && e.k == in[i-1].k {
-				continue // reported by another boundary edge: the same records
-			}
-			for len(old) > 0 && old[0].k.order() < e.k.order() {
+			for len(old) > 0 && old[0].k.a < a.rep {
 				old = old[1:]
 			}
-			v := pairVerdict{k: e.k, ta: e.ga.topoGen, tb: e.gb.topoGen}
-			switch {
-			case len(old) > 0 && old[0].k == v.k && old[0].ta == v.ta && old[0].tb == v.tb:
-				v.mergeable = old[0].mergeable
-			case !e.ga.stretched && !e.gb.stretched && len(e.ga.members)+len(e.gb.members) <= t.dmax+1:
-				v.mergeable = true
-			default:
-				v.mergeable = ws.mergeable(g, e.ga.members, e.gb.members, t.dmax)
+			ws.nbrs = ws.nbrs[:0]
+			if a.topoGen <= t.scanned && a.nearRnd != t.round { // clean
+				for i := 0; i < len(old) && old[i].k.a == a.rep; i++ {
+					b, _ := t.groups.Get(old[i].k.b)
+					ws.nbrs = append(ws.nbrs, b)
+				}
+			} else {
+				a.upEdges = 0
+				for _, x := range a.members {
+					for _, u := range g.NeighborsView(x) {
+						if u <= a.rep {
+							continue
+						}
+						b := t.nodes[t.ro.SlotOf(u)].grp
+						if b.rep <= a.rep {
+							continue // a itself, or a lower group, whose scan counts the edge
+						}
+						a.upEdges++
+						i, found := slices.BinarySearchFunc(ws.nbrs, b.rep, func(x *group, rep ident.NodeID) int { return cmp.Compare(x.rep, rep) })
+						if !found {
+							ws.nbrs = slices.Insert(ws.nbrs, i, b)
+						}
+					}
+				}
 			}
-			if v.mergeable {
-				sh.merges++
+			sh.nee += a.upEdges
+			for _, b := range ws.nbrs {
+				v := pairVerdict{k: pairKey{a: a.rep, b: b.rep}, ta: a.topoGen, tb: b.topoGen}
+				for len(old) > 0 && old[0].k.a == a.rep && old[0].k.b < b.rep {
+					old = old[1:]
+				}
+				switch {
+				case len(old) > 0 && old[0].k == v.k && old[0].ta == v.ta && old[0].tb == v.tb:
+					v.mergeable = old[0].mergeable
+					reused++
+				case !a.stretched && !b.stretched && len(a.members)+len(b.members) <= t.dmax+1:
+					v.mergeable = true
+				default:
+					v.mergeable = ws.mergeable(g, a.members, b.members, t.dmax)
+					bfs++
+				}
+				if v.mergeable {
+					sh.merges++
+				}
+				next = append(next, v)
 			}
-			next = append(next, v)
 		}
-		sh.verdicts, sh.cut = next, nil
-		ws.pairs = in
+		sh.verdicts, sh.spare = next, sh.verdicts
+		reg.Shard(s).Add(introspect.CtrObsPairsReused, uint64(reused))
+		reg.Shard(s).Add(introspect.CtrObsPairsBFS, uint64(bfs))
 	})
-	t.verdArena, t.verdSpare = t.verdSpare, t.verdArena
+	t.scanned = t.stamp
 	t.nee, t.mergeCnt = 0, 0
 	for s := range t.shards {
-		t.nee += len(t.shards[s].pairs)
+		t.nee += t.shards[s].nee
 		t.mergeCnt += t.shards[s].merges
 	}
-}
-
-// reserve returns buf emptied, with room for n: if too small, replaced by
-// one a quarter larger than n the first time, twice its size later (a
-// bound that outgrew its first sizing is drifting, as a waypoint world
-// densifies for its first hundred rounds).
-func reserve[T any](buf []T, n int) []T {
-	if cap(buf) >= n {
-		return buf[:0]
-	}
-	return make([]T, 0, max(n+n/4, 2*cap(buf)))
 }
 
 // restamp gives grp a stamp no record has held — stamps are handed out in
@@ -945,7 +868,7 @@ func (t *GroupTracker) setStretched(grp *group, v bool) {
 	}
 }
 
-// markTopo queues v's slot in its shard's topology-dirty list, once a
+// markTopo queues v's slot in the topology-dirty list, once a
 // round, if v is a tracked member.
 func (t *GroupTracker) markTopo(v ident.NodeID) {
 	slot := t.ro.SlotOf(v)
@@ -953,8 +876,17 @@ func (t *GroupTracker) markTopo(v ident.NodeID) {
 		return
 	}
 	t.nodes[slot].topoRnd = t.round
-	sh := &t.shards[shard.Of(v)]
-	sh.topoDirty = append(sh.topoDirty, slot)
+	t.topoDirty = append(t.topoDirty, slot)
+}
+
+// markNear flags the records of v's neighbors, v having changed record:
+// a group above theirs may have come or gone with it.
+func (t *GroupTracker) markNear(g *graph.G, v ident.NodeID) {
+	for _, u := range g.NeighborsView(v) {
+		if st := t.state(u); st != nil {
+			st.grp.nearRnd = t.round
+		}
+	}
 }
 
 // markView marks every tracked member of view as affected. A view can
@@ -980,22 +912,18 @@ func (t *GroupTracker) markAffected(ref memberRef) {
 
 func (t *GroupTracker) shardInsert(ref memberRef) {
 	s := shard.Of(ref.id)
-	ids := t.byShard[s]
-	i := sort.Search(len(ids), func(i int) bool { return ids[i].id >= ref.id })
-	ids = append(ids, memberRef{})
-	copy(ids[i+1:], ids[i:])
-	ids[i] = ref
-	t.byShard[s] = ids
+	i, _ := slices.BinarySearchFunc(t.byShard[s], ref.id, byID)
+	t.byShard[s] = slices.Insert(t.byShard[s], i, ref)
 }
 
 func (t *GroupTracker) shardRemove(v ident.NodeID) {
 	s := shard.Of(v)
-	ids := t.byShard[s]
-	i := sort.Search(len(ids), func(i int) bool { return ids[i].id >= v })
-	if i < len(ids) && ids[i].id == v {
-		t.byShard[s] = append(ids[:i], ids[i+1:]...)
+	if i, ok := slices.BinarySearchFunc(t.byShard[s], v, byID); ok {
+		t.byShard[s] = slices.Delete(t.byShard[s], i, i+1)
 	}
 }
+
+func byID(m memberRef, id ident.NodeID) int { return cmp.Compare(m.id, id) }
 
 // Groups materializes the current partition, each group ascending, the
 // list sorted by representative — the same shape as
@@ -1010,23 +938,6 @@ func (t *GroupTracker) Groups() [][]ident.NodeID {
 }
 
 // --- small sorted-slice helpers ---
-
-func idsEqual(a, b []ident.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsID(sorted []ident.NodeID, v ident.NodeID) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= v })
-	return i < len(sorted) && sorted[i] == v
-}
 
 // subsetSorted reports a ⊆ b for ascending slices.
 func subsetSorted(a, b []ident.NodeID) bool {

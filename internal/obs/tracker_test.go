@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/antlist"
 	"repro/internal/core"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/priority"
@@ -305,10 +305,13 @@ func obsFingerprint(st RoundStats, tr *GroupTracker) string {
 // the tracker's full output, Groups() included, is bit-identical at
 // Workers=1, 2, 3 and 4 on a churning mobile scenario in which group
 // records are written again (width 2 three times: the claiming order
-// differs between runs). ΠM is settled per owner shard, so the comparison
-// counts only if every run took each of its paths: a pair reported from
-// two scanning shards and deduped across them, a verdict reused from the
-// last scan, and one settled by BFS.
+// differs between runs). ΠM is settled group by group, each in its
+// representative's shard, so the comparison counts only if every run took
+// each of its paths: a pair joined by two edges and deduplicated, a
+// verdict reused from the last scan, one settled by BFS, and a clean group
+// that read its upper groups off its verdicts instead of walking its rows.
+// The registry's obs_pairs_reused and obs_pairs_bfs must move by the
+// second and third counts.
 func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []string {
 		w := space.NewWorld(4)
@@ -325,7 +328,7 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 		}, topo)
 		tr := NewGroupTracker(e)
 		var out []string
-		reused, deduped, hits, bfs := 0, 0, 0, 0
+		reused, deduped, hits, bfs, clean := 0, 0, 0, 0, 0
 		for r := 1; r <= 40; r++ {
 			switch r {
 			case 12:
@@ -337,20 +340,29 @@ func TestTrackerDeterministicAcrossWorkers(t *testing.T) {
 			}
 			e.StepRound()
 			idle := len(tr.free) + len(tr.parked)
-			prev, arena := allVerdicts(tr), tr.verdArena
+			prev, bufs, scanned := allVerdicts(tr), verdictBufs(tr), tr.scanned
+			reg := e.Introspect()
+			ctrReused, ctrBFS := reg.Get(introspect.CtrObsPairsReused), reg.Get(introspect.CtrObsPairsBFS)
 			st := tr.Observe()
 			if len(tr.free) < idle {
 				reused++
 			}
-			if cap(arena) > 0 && unsafe.SliceData(tr.verdSpare) == unsafe.SliceData(arena) { // scanned
+			if !slices.Equal(verdictBufs(tr), bufs) { // scanned
 				d, h, b := pairPaths(tr, prev)
 				deduped, hits, bfs = deduped+d, hits+h, bfs+b
+				clean += cleanGroups(tr, scanned)
+				if got := reg.Get(introspect.CtrObsPairsReused) - ctrReused; got != uint64(h) {
+					t.Fatalf("workers=%d, round %d: obs_pairs_reused moved by %d, %d verdicts were reused", workers, r, got, h)
+				}
+				if got := reg.Get(introspect.CtrObsPairsBFS) - ctrBFS; got != uint64(b) {
+					t.Fatalf("workers=%d, round %d: obs_pairs_bfs moved by %d, %d verdicts ran the BFS", workers, r, got, b)
+				}
 			}
 			out = append(out, obsFingerprint(st, tr))
 		}
-		if reused == 0 || deduped == 0 || hits == 0 || bfs == 0 {
-			t.Fatalf("workers=%d: %d rounds reused a record; scans deduped %d cross-shard pairs, reused %d verdicts, ran %d BFS — the comparison is vacuous unless all are positive",
-				workers, reused, deduped, hits, bfs)
+		if reused == 0 || deduped == 0 || hits == 0 || bfs == 0 || clean == 0 {
+			t.Fatalf("workers=%d: %d rounds reused a record; scans deduped %d pairs joined twice, reused %d verdicts, ran %d BFS, read %d clean groups off their verdicts — the comparison is vacuous unless all are positive",
+				workers, reused, deduped, hits, bfs, clean)
 		}
 		return out
 	}
@@ -399,8 +411,7 @@ func TestTrackerSparseObservation(t *testing.T) {
 // record per change is more than one per changed view. The buffers are
 // still growing at round 30 (0.15 per changed view in this world), hence
 // the longer warm-up. After it, 30 observations of some 7 500 changed
-// views cost about 380 allocations (435 while the tracker kept a watcher
-// set per viewed node, 473 while it kept a copy of every neighborhood).
+// views cost about 320 allocations.
 func TestTrackerSteadyStateAllocations(t *testing.T) {
 	w := space.NewWorld(4)
 	ids := make([]ident.NodeID, 500)

@@ -1,10 +1,10 @@
 // Package wire is the frame codec for GRP messages: the byte format a
 // real radio or UDP deployment would broadcast. The paper's Airplug
 // implementation exchanged text frames between processes; this codec
-// plays that role for the Go runtime, and doubles as the authoritative
-// definition of the protocol's control-message overhead (experiment E11
-// reports EncodedSize, which this package keeps honest: encoding then
-// decoding any message is the identity).
+// plays that role for the Go runtime. Encoding then decoding any message
+// is the identity. A frame is exactly core.Message.EncodedSize, the figure
+// E11 and bytes_sent count, plus 9 header bytes and a 4-byte ID key per
+// node- or group-priority record; this package's tests pin the relation.
 //
 // Both directions stream over the message's ID-sorted records, with no map
 // on either side: the sections keep the map era's shape on the wire only.
