@@ -54,32 +54,42 @@ func checkRow(who string, idx *ident.Table[int32], r NodeAdj) {
 //
 // Sharing semantics: the result is a new graph (a new pointer) that
 // shares prev's roster (as FromRows does) and every unpatched row: its
-// own row header, no arena, its untouched rows where prev has them, so a
-// row nobody patched keeps its backing pointer from graph to graph (the
-// identity the receiver caches key on). Neither graph is edited
-// afterwards, so the sharing is invisible to callers; prev is marked
-// shared, so that no FromRows successor takes its storage.
+// own row header, its untouched rows where prev has them, so a row nobody
+// patched keeps its backing pointer from graph to graph (the identity the
+// receiver caches key on). Neither graph is edited afterwards, so the
+// sharing is invisible to callers; prev is marked shared, so that no
+// FromRows successor takes its storage. The rows a step changes are cut
+// from two arenas of that step, one for the updated rows and one, sized
+// after the diff, for the mirror-patched rows: a few allocations a step,
+// not one a row. Neither is the child's arena, which a FromRows successor
+// may rewrite, and each stays alive while a live graph, a held snapshot
+// or a receiver cache's Row holds any of its rows.
 //
 // The header is a copy of prev's and prev stays intact — unless prev was
-// retired (Retire) and is not shared: then the child takes the header and
-// patches it in place, one header per lineage instead of one per step,
-// and prev is left without rows (the preconditions are checked first). A
-// delta never rewrites or recycles row storage, so along one lineage
-// (&row[0], len) proves content; only FromRows rewrites storage, taken
-// from a retired graph, and starts a new row era, which scopes that proof
-// to the era (Row).
+// retired (Retire) and is not shared: then the child takes the header,
+// and ApplyDelta's scratch with it, and patches the header in place, one
+// header per lineage instead of one per step, and prev is left without
+// rows (the preconditions are checked first). A delta never rewrites or
+// recycles row storage, so along one lineage (&row[0], len) proves
+// content; only FromRows rewrites storage, taken from a retired graph,
+// and starts a new row era, which scopes that proof to the era (Row).
 func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 	prev.mustHaveRows("ApplyDelta")
+	handOn := prev.retired && !prev.shared
+	var upd []ident.NodeID
+	var patches []patch
+	if handOn {
+		upd, patches = prev.upd[:0], prev.patches[:0]
+	}
 	// The updated-node set, ascending, for the mirror-patch membership
 	// tests (an edge between two updated nodes is fully described by their
 	// own rows and must not be double-patched or double-counted).
-	upd := make([]ident.NodeID, len(updates))
-	for i, u := range updates {
+	for _, u := range updates {
 		if !prev.idx.Has(u.Node) {
 			panic(fmt.Sprintf("graph: ApplyDelta: unknown node %v", u.Node))
 		}
 		checkRow("ApplyDelta", prev.idx, u)
-		upd[i] = u.Node
+		upd = append(upd, u.Node)
 	}
 	slices.Sort(upd)
 	for i := 1; i < len(upd); i++ {
@@ -93,29 +103,22 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 	}
 
 	adj := prev.adj
-	if prev.retired && !prev.shared {
-		prev.adj, prev.arena = nil, nil // handed on: prev is without rows from here
+	if handOn {
+		// Handed on: prev is without rows or scratch from here.
+		prev.adj, prev.arena, prev.upd, prev.patches = nil, nil, nil, nil
 	} else {
 		adj = slices.Clone(prev.adj)
 	}
 	prev.shared = true
 	g := &G{idx: prev.idx, nodes: prev.nodes, adj: adj, era: prev.era, edges: prev.edges}
 
-	// One arena holds every updated row (the patched mirror rows are
-	// allocated per row below — there are few of them and their sizes are
-	// only known after the diff).
+	// One arena holds every updated row, another every patched mirror row;
+	// neither is g.arena, which a FromRows successor may rewrite.
 	total := 0
 	for i := range updates {
 		total += len(updates[i].Adj)
 	}
 	arena := make([]ident.NodeID, 0, total)
-
-	type patch struct {
-		slot int32
-		nb   ident.NodeID
-		add  bool
-	}
-	var patches []patch
 
 	for i := range updates {
 		u := updates[i].Node
@@ -160,9 +163,11 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 		}
 	}
 
-	// Apply the mirror patches, one fresh row per touched neighbor. Each
-	// (slot, nb) pair occurs at most once (updates are unique), so the
-	// grouped merge below is a plain sorted-walk.
+	// Apply the mirror patches, one fresh row per touched neighbor, cut
+	// from the mirror arena. Each (slot, nb) pair occurs at most once
+	// (updates are unique), so the grouped merge below is a plain
+	// sorted-walk, and a row's length is its old one plus its additions
+	// minus its removals.
 	slices.SortFunc(patches, func(a, b patch) int {
 		switch {
 		case a.slot != b.slot:
@@ -175,6 +180,18 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 			return 0
 		}
 	})
+	total = 0
+	for i, p := range patches {
+		if i == 0 || p.slot != patches[i-1].slot {
+			total += len(g.adj[p.slot])
+		}
+		if p.add {
+			total++
+		} else {
+			total--
+		}
+	}
+	arena = make([]ident.NodeID, 0, max(total, 0))
 	for lo := 0; lo < len(patches); {
 		hi := lo
 		for hi < len(patches) && patches[hi].slot == patches[lo].slot {
@@ -182,19 +199,19 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 		}
 		slot := patches[lo].slot
 		old := g.adj[slot]
-		row := make([]ident.NodeID, 0, len(old)+hi-lo)
+		start := len(arena)
 		pi := lo
 		for oi := 0; oi < len(old) || pi < hi; {
 			switch {
 			case pi >= hi || (oi < len(old) && old[oi] < patches[pi].nb):
-				row = append(row, old[oi])
+				arena = append(arena, old[oi])
 				oi++
 			case oi >= len(old) || patches[pi].nb < old[oi]:
 				if !patches[pi].add {
 					panic(fmt.Sprintf("graph: ApplyDelta: removing absent edge %v-%v",
 						prev.nodes[slot], patches[pi].nb))
 				}
-				row = append(row, patches[pi].nb)
+				arena = append(arena, patches[pi].nb)
 				pi++
 			default: // same ID: a removal drops it, an addition is a dup
 				if patches[pi].add {
@@ -205,13 +222,22 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 				pi++
 			}
 		}
-		g.adj[slot] = row
+		g.adj[slot] = arena[start:len(arena):len(arena)]
 		if changed != nil {
 			*changed = append(*changed, prev.nodes[slot])
 		}
 		lo = hi
 	}
+	g.upd, g.patches = upd, patches
 	return g
+}
+
+// patch is one mirror half of a gained or lost edge: nb added to or
+// removed from the row at slot.
+type patch struct {
+	slot int32
+	nb   ident.NodeID
+	add  bool
 }
 
 // Retire declares that g's owner will not read g once a child has been

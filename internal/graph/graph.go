@@ -13,10 +13,13 @@
 // paged ident.Table, so a lookup is two loads) plus one ascending neighbor
 // row per node, held in a row header of one slice per slot. A bulk build
 // (FromRows — the spatial index's per-tick rebuild — FromRef, a partial
-// Restrict) lays every row out in one arena; an ApplyDelta child has no
-// arena, its untouched rows staying in its parent's storage. Either way
-// neighbor iteration is a slice scan in ascending order, and observers
-// diff neighborhoods with a flat slice compare (NeighborsView).
+// Restrict) lays every row out in one arena; an ApplyDelta child cuts the
+// rows it changes from two arenas of its step, its updated rows from one
+// and its mirror-patched rows from the other, and leaves its untouched
+// rows in its parent's storage. An arena lives while any of its rows is
+// held by a live graph, a held snapshot or a receiver cache's Row. Either
+// way neighbor iteration is a slice scan in ascending order, and
+// observers diff neighborhoods with a flat slice compare (NeighborsView).
 package graph
 
 import (
@@ -36,10 +39,17 @@ type G struct {
 	// Slot → neighbors, ascending: adj[i] is a window of storage no graph
 	// writes again, its cap clamped to its length so that an append cannot
 	// reach the next row. A bulk build lays the rows out in arena, in slot
-	// order; an ApplyDelta child has no arena. Graphs over one roster
-	// (FromRows, ApplyDelta) share idx and nodes, which nothing writes.
+	// order; an ApplyDelta child cuts its changed rows from two arenas of
+	// its step that no graph rewrites, so its arena stays nil. Graphs over
+	// one roster (FromRows, ApplyDelta) share idx and nodes, which nothing
+	// writes.
 	adj   [][]ident.NodeID
 	arena []ident.NodeID
+
+	// ApplyDelta's scratch (the updated-node set, the mirror patches),
+	// handed on with the row header.
+	upd     []ident.NodeID
+	patches []patch
 
 	// retired is Retire's promise; shared, never cleared, marks g as read
 	// by an ApplyDelta child or held through an identity Restrict.

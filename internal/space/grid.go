@@ -266,12 +266,14 @@ func rowMoved(prev *graph.G, u ident.NodeID, row []ident.NodeID) bool {
 }
 
 // gridInsert adds v (already in pos) to its bucket; a bucket entered anew
-// takes the slice some emptied bucket left behind.
+// takes the slice some emptied bucket left behind, else one of four slots.
 func (w *World) gridInsert(v ident.NodeID, p Point) {
 	b := w.bucketAt(p)
 	lst := w.cells[b]
 	if n := len(w.freeCells); lst == nil && n > 0 {
 		lst, w.freeCells = w.freeCells[n-1], w.freeCells[:n-1]
+	} else if lst == nil {
+		lst = make([]cellNode, 0, 4)
 	}
 	w.cells[b] = append(lst, cellNode{id: v, pt: p})
 }
