@@ -58,12 +58,13 @@ func checkRow(who string, idx *ident.Table[int32], r NodeAdj) {
 // patched keeps its backing pointer from graph to graph (the identity the
 // receiver caches key on). Neither graph is edited afterwards, so the
 // sharing is invisible to callers; prev is marked shared, so that no
-// FromRows successor takes its storage. The rows a step changes are cut
-// from two arenas of that step, one for the updated rows and one, sized
-// after the diff, for the mirror-patched rows: a few allocations a step,
-// not one a row. Neither is the child's arena, which a FromRows successor
-// may rewrite, and each stays alive while a live graph, a held snapshot
-// or a receiver cache's Row holds any of its rows.
+// FromRows successor takes its storage, and its roster held unless it
+// hands its rows on. The rows a step changes are cut from two arenas of
+// that step, one for the updated rows and one, sized after the diff, for
+// the mirror-patched rows: a few allocations a step, not one a row.
+// Neither is the child's arena, which a FromRows successor may rewrite,
+// and each stays alive while a live graph, a held snapshot or a receiver
+// cache's Row holds any of its rows.
 //
 // The header is a copy of prev's and prev stays intact — unless prev was
 // retired (Retire) and is not shared: then the child takes the header,
@@ -108,9 +109,10 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 		prev.adj, prev.arena, prev.upd, prev.patches = nil, nil, nil, nil
 	} else {
 		adj = slices.Clone(prev.adj)
+		prev.hold()
 	}
 	prev.shared = true
-	g := &G{idx: prev.idx, nodes: prev.nodes, adj: adj, era: prev.era, edges: prev.edges}
+	g := &G{idx: prev.idx, nodes: prev.nodes, held: prev.held, adj: adj, era: prev.era, edges: prev.edges}
 
 	// One arena holds every updated row, another every patched mirror row;
 	// neither is g.arena, which a FromRows successor may rewrite.
@@ -242,8 +244,9 @@ type patch struct {
 
 // Retire declares that g's owner will not read g once a child has been
 // derived from it, which lets that child take g's storage: an ApplyDelta
-// child its row header, a FromRows successor its header and arena. A
-// no-op on a graph without rows, which has nothing to hand on.
+// child its row header, a FromRows successor its header and arena, and
+// over a new node sequence its roster unless held. A no-op on a graph
+// without rows, which has nothing to hand on.
 func (g *G) Retire() { g.retired = g.retired || len(g.adj) > 0 }
 
 // mustHaveRows panics if g's rows went to a child: a Restrict would

@@ -112,6 +112,13 @@ func FuzzCSRFromRows(f *testing.F) {
 	f.Add([]byte{0xab, 0xbc, 0xcd, 0xde, 0xea})
 	f.Add([]byte{0x11, 0x22, 0x33})
 	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0x21, 0x43, 0x65, 0x87})
+	// Two lineages in which a holder's roster outlives a descendant's
+	// roster change: step 2 rebuilds over a new roster order; step 3 holds
+	// the result and derives a delta child (the first seed), or derives a
+	// retired delta child that step 4 holds and rebuilds over the same
+	// order (the second); step 5, retired, rebuilds over no node at all.
+	f.Add([]byte{0x12, 0x23, 0x34, 0x01, 0x45, 0x00, 0x56, 0x01, 0x67, 0x78, 0x89, 0x9a, 0x00, 0xab, 0x06, 0xbc})
+	f.Add([]byte{0x12, 0x23, 0x34, 0x01, 0x45, 0x06, 0x56, 0x01, 0x67, 0x78, 0x89, 0x9a, 0x06, 0xab, 0x06, 0xbc})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var nodes []ident.NodeID
 		ref := NewRef()
@@ -155,11 +162,13 @@ func FuzzCSRFromRows(f *testing.F) {
 		// A lineage from g. Each step's control byte may hold cur (an
 		// identity Restrict), retire it, and derive the next graph by a delta
 		// that toggles edges over cur's roster, or else by a rebuild over
-		// another edge set and, every other step, another roster order. Step
-		// 2 adds a clique, which grows the storage past its capacity; step 4
-		// has no edge, step 5 no node. A retired cur that nobody holds hands
-		// its rows on; any other cur, and every holder at the end, still
-		// reads its own tick.
+		// another edge set and, every other step, another roster order; at
+		// steps 3 and 7 the first node leaves and a node from another index
+		// page joins. Step 2 adds a clique, which grows the storage past its
+		// capacity; step 4 has no edge, step 5 no node. A retired cur that
+		// nobody holds hands its rows on, and its roster with them unless a
+		// graph that still reads it holds it; any other cur, and every holder
+		// at the end, still reads its own tick.
 		type held struct {
 			g   *G
 			ref *Ref
@@ -210,6 +219,9 @@ func FuzzCSRFromRows(f *testing.F) {
 				roster := slices.Clone(nodes)
 				if step%2 == 0 {
 					slices.Reverse(roster)
+				}
+				if step%4 == 3 && len(roster) > 0 {
+					roster = append(roster[1:], ident.NodeID(4096+step))
 				}
 				if step == 5 {
 					roster = nil

@@ -9,9 +9,13 @@
 //
 // A G is a value: FromRows, ApplyDelta, Restrict and FromRef build one,
 // and nothing edits it afterwards, so a topology change is a new graph
-// and graph identity is the pointer. Storage is CSR: a node index (a
-// paged ident.Table, so a lookup is two loads) plus one ascending neighbor
-// row per node, held in a row header of one slice per slot. A bulk build
+// and graph identity is the pointer. Storage is CSR: a roster (a node
+// index, a paged ident.Table, so a lookup is two loads, and the node
+// list) plus one ascending neighbor row per node, held in a row header of
+// one slice per slot. A roster belongs to its lineage: the graphs over
+// one node sequence share it, a sharer that keeps its rows beside a
+// successor marks it held, and a successor over a new node sequence takes
+// over an unheld one from a predecessor that handed on its rows. A bulk build
 // (FromRows — the spatial index's per-tick rebuild — FromRef, a partial
 // Restrict) lays every row out in one arena; an ApplyDelta child cuts the
 // rows it changes from two arenas of its step, its updated rows from one
@@ -33,16 +37,20 @@ import (
 // Directed (asymmetric) links are modeled at the radio layer; the
 // specification predicates all use the symmetric graph.
 type G struct {
-	idx   *ident.Table[int32] // node → slot; nil in the zero value
-	nodes []ident.NodeID      // slot → node (insertion order)
+	// The roster: node → slot (nil in the zero value) and slot → node, in
+	// insertion order. Graphs over one node sequence (FromRows, ApplyDelta)
+	// share it and its held mark, set once a sharer keeps its rows beside a
+	// successor; until then a FromRows successor over a new node sequence
+	// that took its predecessor's rows patches it in place (reslot).
+	idx   *ident.Table[int32]
+	nodes []ident.NodeID
+	held  *bool
 
 	// Slot → neighbors, ascending: adj[i] is a window of storage no graph
 	// writes again, its cap clamped to its length so that an append cannot
 	// reach the next row. A bulk build lays the rows out in arena, in slot
 	// order; an ApplyDelta child cuts its changed rows from two arenas of
-	// its step that no graph rewrites, so its arena stays nil. Graphs over
-	// one roster (FromRows, ApplyDelta) share idx and nodes, which nothing
-	// writes.
+	// its step that no graph rewrites, so its arena stays nil.
 	adj   [][]ident.NodeID
 	arena []ident.NodeID
 
@@ -96,36 +104,41 @@ func (r Row) Same(o Row) bool {
 // link predicate's to guarantee, and is not re-checked. The rows are
 // copied into one arena, not adopted. When prev was built over exactly
 // this node sequence (a mobile world's rebuild with unchanged
-// membership), the result shares its node index and roster instead of
-// rebuilding them. Over another node sequence the index starts as a copy
-// of prev's, whose pages already have about the right sizes.
+// membership), the result shares its roster instead of rebuilding it.
+// Over another node sequence the roster is prev's patched (reslot): taken
+// over in place when prev handed on its rows and its roster is not held,
+// else a copy, whose index pages already have about the right sizes.
 //
-// When prev was retired (Retire) and is not shared, the result takes
-// prev's row header, and its arena if it has one, grown the way append
-// grows, and rewrites them; prev is left without rows, and rows must not
-// alias its storage.
+// When prev was retired (Retire), is not shared and still has its rows,
+// the result takes prev's row header, and its arena if it has one, grown
+// the way append grows, and rewrites them; prev is left without rows, and
+// rows must not alias its storage.
 func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	g := &G{}
+	took := false
 	if prev != nil {
 		g.era = prev.era + 1
-		if prev.retired && !prev.shared {
+		if took = prev.retired && !prev.shared && prev.adj != nil; took {
 			g.adj, g.arena = prev.adj[:0], prev.arena[:0]
 			prev.adj, prev.arena = nil, nil // handed on: prev is without rows from here
 		}
 	}
-	if prev != nil && slices.Equal(prev.nodes, nodes) {
-		g.idx, g.nodes = prev.idx, prev.nodes
-	} else {
-		g.idx, g.nodes = new(ident.Table[int32]), make([]ident.NodeID, 0, len(nodes))
+	switch {
+	case prev != nil && slices.Equal(prev.nodes, nodes):
+		g.idx, g.nodes, g.held = prev.idx, prev.nodes, prev.held
+		if !took {
+			prev.hold()
+		}
+	case took && !*prev.held:
+		g.idx, g.nodes, g.held = prev.idx, prev.nodes, prev.held
+		g.reslot(prev.nodes, nodes)
+	default:
+		g.idx, g.nodes, g.held = new(ident.Table[int32]), make([]ident.NodeID, 0, len(nodes)), new(bool)
+		var old []ident.NodeID
 		if prev != nil && prev.idx != nil {
-			g.idx = prev.idx.Clone()
+			g.idx, old = prev.idx.Clone(), prev.nodes
 		}
-		for _, v := range nodes {
-			g.addSlot(v)
-		}
-		if prev != nil {
-			g.dropStale(prev.nodes)
-		}
+		g.reslot(old, nodes)
 	}
 	n := len(g.nodes)
 	if len(rows) != n {
@@ -162,23 +175,35 @@ func FromRows(prev *G, nodes []ident.NodeID, rows []NodeAdj) *G {
 	return g
 }
 
-// addSlot gives v a slot in the roster of a graph under bulk construction
-// (no adjacency storage yet), if it has none. The index may be a copy of
-// another graph's: an entry that names no slot holding v does not count.
-func (g *G) addSlot(v ident.NodeID) {
-	if i, ok := g.idx.Get(v); !ok || int(i) >= len(g.nodes) || g.nodes[i] != v {
-		g.idx.Set(v, int32(len(g.nodes)))
-		g.nodes = append(g.nodes, v)
+// reslot turns the roster old lists into one that lists nodes, in order,
+// a repeat keeping its first slot: g.idx holds old's entries (taken over
+// or copied), and g.nodes is storage for the result (old's, fresh, or
+// nodes' own: a slot is written only after nodes was read up to it). It
+// marks the IDs that stay or come, deletes the ones that left and gives
+// the marked ones their slots.
+func (g *G) reslot(old, nodes []ident.NodeID) {
+	for _, v := range nodes {
+		g.idx.Set(v, -1)
+	}
+	for _, v := range old {
+		if i, _ := g.idx.Get(v); i >= 0 {
+			g.idx.Delete(v)
+		}
+	}
+	g.nodes = g.nodes[:0]
+	for _, v := range nodes {
+		if i := g.idx.Ref(v); *i < 0 {
+			*i = int32(len(g.nodes))
+			g.nodes = append(g.nodes, v)
+		}
 	}
 }
 
-// dropStale removes from a copied index the entries of those of nodes
-// that addSlot gave no slot.
-func (g *G) dropStale(nodes []ident.NodeID) {
-	for _, v := range nodes {
-		if i, _ := g.idx.Get(v); int(i) >= len(g.nodes) || g.nodes[i] != v {
-			g.idx.Delete(v)
-		}
+// hold marks g's roster as read by g beside a successor, so that no later
+// successor takes it over.
+func (g *G) hold() {
+	if g.held != nil {
+		*g.held = true
 	}
 }
 
@@ -307,11 +332,12 @@ func (g *G) String() string {
 
 // Restrict returns the subgraph induced by the nodes keep accepts (keep is
 // called once per node). When it accepts every node the result is g
-// itself, marked shared so that no successor takes its storage: the
-// holder keeps reading it after g is retired. Like ApplyDelta(prev, …)
-// this writes a flag on its receiver, so Restrict must be called from a
-// sequential phase, never beside concurrent readers of g. Otherwise the
-// result is a copy in one pass, in one arena.
+// itself, marked shared so that no successor takes its storage (its rows,
+// nor with them its roster): the holder keeps reading it after g is
+// retired. Like ApplyDelta(prev, …) this writes a flag on its receiver,
+// so Restrict must be called from a sequential phase, never beside
+// concurrent readers of g. Otherwise the result is a copy in one pass, in
+// one arena, over a copy of g's roster.
 func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 	g.mustHaveRows("Restrict")
 	cut := 0 // first rejected slot
@@ -322,22 +348,20 @@ func (g *G) Restrict(keep func(ident.NodeID) bool) *G {
 		g.shared = true
 		return g
 	}
-	out := &G{idx: g.idx.Clone()}
-	slots := make([]int32, 0, len(g.nodes)-1) // out slot → g slot
+	out := &G{idx: g.idx.Clone(), nodes: make([]ident.NodeID, 0, len(g.nodes)-1), held: new(bool)}
 	total := 0
 	for i, v := range g.nodes {
 		if i < cut || (i > cut && keep(v)) {
-			out.addSlot(v)
-			slots = append(slots, int32(i))
+			out.nodes = append(out.nodes, v)
 			total += len(g.adj[i])
 		}
 	}
-	out.dropStale(g.nodes)
-	out.adj = make([][]ident.NodeID, len(slots))
+	out.reslot(g.nodes, out.nodes)
+	out.adj = make([][]ident.NodeID, len(out.nodes))
 	out.arena = make([]ident.NodeID, 0, total)
-	for oi, i := range slots {
+	for oi, v := range out.nodes {
 		start := len(out.arena)
-		for _, u := range g.adj[i] {
+		for _, u := range g.NeighborsView(v) {
 			if out.idx.Has(u) {
 				out.arena = append(out.arena, u)
 			}

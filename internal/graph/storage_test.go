@@ -125,83 +125,122 @@ func TestFromRowsPanicsOnViolations(t *testing.T) {
 
 // TestFromRowsHandOff: a full rebuild takes its predecessor's row header,
 // and its arena if it has one, exactly when the predecessor is retired and
-// shared with nobody. Otherwise the result is fresh and the predecessor,
-// with whoever reads its storage, reads as before. A graph whose storage
-// went on has no rows: reads panic, and the calls that would otherwise
-// succeed on nothing say where the rows went.
+// shared with nobody. Over a new roster it takes the predecessor's node
+// index and node list with the header, unless a graph that still reads
+// them holds the roster. Otherwise the result is fresh and the
+// predecessor, with whoever reads its storage, reads as before, its own
+// roster included. A graph whose storage went on has no rows: reads
+// panic, and the calls that would otherwise succeed on nothing say where
+// the rows went, and a second successor of it takes nothing.
 func TestFromRowsHandOff(t *testing.T) {
 	all := func(ident.NodeID) bool { return true }
 	for _, tc := range []struct {
-		name          string
-		prev          func(*deltaWorld) (prev, reader *G)
-		header, arena bool // taken
+		name                  string
+		prev                  func(*deltaWorld) (prev, reader *G)
+		header, arena, roster bool // taken
 	}{
-		{"retired bulk-built", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, nil }, true, true},
-		{"retired delta child", func(w *deltaWorld) (*G, *G) { g := ApplyDelta(w.build(), nil, nil); g.Retire(); return g, nil }, true, false},
-		{"held", func(w *deltaWorld) (*G, *G) { g := w.build(); h := g.Restrict(all); g.Retire(); return g, h }, false, false},
-		{"delta parent", func(w *deltaWorld) (*G, *G) { g := w.build(); c := ApplyDelta(g, nil, nil); g.Retire(); return g, c }, false, false},
-		{"not retired", func(w *deltaWorld) (*G, *G) { return w.build(), nil }, false, false},
-		{"nil", func(*deltaWorld) (*G, *G) { return nil, nil }, false, false},
+		{"retired bulk-built", func(w *deltaWorld) (*G, *G) { g := w.build(); g.Retire(); return g, nil }, true, true, true},
+		{"retired delta child", func(w *deltaWorld) (*G, *G) { g := ApplyDelta(w.build(), nil, nil); g.Retire(); return g, nil }, true, false, false},
+		{"retired delta child of a retired parent", func(w *deltaWorld) (*G, *G) {
+			g := w.build()
+			g.Retire()
+			c := ApplyDelta(g, nil, nil)
+			c.Retire()
+			return c, nil
+		}, true, false, true},
+		{"retired successor of a kept roster", func(w *deltaWorld) (*G, *G) {
+			g := w.build()
+			s := FromRows(g, w.nodes, w.updatesFor(w.nodes))
+			s.Retire()
+			return s, g
+		}, true, true, false},
+		{"rows already handed on", func(w *deltaWorld) (*G, *G) {
+			g := w.build()
+			g.Retire()
+			return g, FromRows(g, w.nodes, w.updatesFor(w.nodes))
+		}, false, false, false},
+		{"held", func(w *deltaWorld) (*G, *G) { g := w.build(); h := g.Restrict(all); g.Retire(); return g, h }, false, false, false},
+		{"delta parent", func(w *deltaWorld) (*G, *G) { g := w.build(); c := ApplyDelta(g, nil, nil); g.Retire(); return g, c }, false, false, false},
+		{"not retired", func(w *deltaWorld) (*G, *G) { return w.build(), nil }, false, false, false},
+		{"nil", func(*deltaWorld) (*G, *G) { return nil, nil }, false, false, false},
 	} {
-		w := newDeltaWorld(10)
-		for i := 1; i < 10; i++ {
-			w.set(ident.NodeID(i), ident.NodeID(i+1), true)
-		}
-		tickT := w.build()
-		prev, reader := tc.prev(w)
-		var hdr [][]ident.NodeID
-		var arena *ident.NodeID
-		if prev != nil {
-			hdr = prev.adj
-			if len(prev.arena) > 0 {
-				arena = &prev.arena[0]
+		for _, churn := range []bool{false, true} {
+			name := tc.name
+			if churn {
+				name += ", new roster"
 			}
-		}
-		w.set(2, 3, false) // the same edge count: the storage fits as it is
-		w.set(2, 9, true)
-		g := FromRows(prev, w.nodes, w.updatesFor(w.nodes))
-		if !g.Equal(w.build()) || !laidOut(g) {
-			t.Fatalf("%s: rebuild %v differs from a scratch build", tc.name, g)
-		}
-		header, arenaTaken := hdr != nil && &g.adj[0] == &hdr[0], &g.arena[0] == arena
-		if header != tc.header || arenaTaken != tc.arena {
-			t.Fatalf("%s: header taken %v, arena taken %v; want %v, %v", tc.name, header, arenaTaken, tc.header, tc.arena)
-		}
-		if reader != nil && !reader.Equal(tickT) {
-			t.Fatalf("%s: the graph reading prev's storage no longer reads its tick", tc.name)
-		}
-		if prev == nil {
-			continue
-		}
-		if !tc.header {
-			if !prev.Equal(tickT) {
-				t.Fatalf("%s: prev changed", tc.name)
+			w := newDeltaWorld(10)
+			for i := 1; i < 10; i++ {
+				w.set(ident.NodeID(i), ident.NodeID(i+1), true)
 			}
-			continue
-		}
-		if prev.adj != nil || prev.arena != nil {
-			t.Fatalf("%s: prev kept its storage", tc.name)
-		}
-		for name, read := range map[string]func(){
-			"NeighborsAt":   func() { prev.NeighborsAt(0) },
-			"NeighborsView": func() { prev.NeighborsView(3) },
-			"HasEdge":       func() { prev.HasEdge(3, 4) },
-			"!Restrict":     func() { prev.Restrict(all) },
-			"!Equal":        func() { g.Equal(prev) },
-			"!ApplyDelta":   func() { ApplyDelta(prev, nil, nil) },
-		} {
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatalf("%s on a graph whose storage went on did not panic", name)
-					}
-					if msg, _ := r.(string); name[0] == '!' && !strings.Contains(msg, "FromRows successor") {
-						t.Fatalf("%s: panic %v does not say where the rows went", name, r)
-					}
+			tickT := w.build()
+			prev, reader := tc.prev(w)
+			var hdr [][]ident.NodeID
+			var arena, slot0 *ident.NodeID
+			var idx *ident.Table[int32]
+			hadRows := prev != nil && prev.adj != nil
+			if prev != nil {
+				hdr, idx, slot0 = prev.adj, prev.idx, &prev.nodes[0]
+				if len(prev.arena) > 0 {
+					arena = &prev.arena[0]
+				}
+			}
+			w.set(2, 3, false) // the same edge count: the storage fits as it is
+			w.set(2, 9, true)
+			if churn { // 1 leaves, 12 joins: the roster keeps its length
+				w.nodes = append(w.nodes[1:], 12)
+				w.set(12, 5, true)
+			}
+			g := FromRows(prev, w.nodes, w.updatesFor(w.nodes))
+			if !g.Equal(w.build()) || !laidOut(g) {
+				t.Fatalf("%s: rebuild %v differs from a scratch build", name, g)
+			}
+			header, arenaTaken := hdr != nil && &g.adj[0] == &hdr[0], &g.arena[0] == arena
+			if header != tc.header || arenaTaken != tc.arena {
+				t.Fatalf("%s: header taken %v, arena taken %v; want %v, %v", name, header, arenaTaken, tc.header, tc.arena)
+			}
+			// Over an equal roster any prev lends its roster; over a new one
+			// the roster goes on with the header, unless it is held.
+			roster, list := g.idx == idx, &g.nodes[0] == slot0
+			if want := prev != nil && (!churn || tc.roster); roster != want || list != want {
+				t.Fatalf("%s: index taken %v, node list taken %v; want %v", name, roster, list, want)
+			}
+			if reader != nil && !reader.Equal(tickT) {
+				t.Fatalf("%s: the graph reading prev's storage no longer reads its tick", name)
+			}
+			if prev == nil {
+				continue
+			}
+			if !tc.header {
+				if hadRows && !prev.Equal(tickT) {
+					t.Fatalf("%s: prev changed", name)
+				}
+				continue
+			}
+			if prev.adj != nil || prev.arena != nil {
+				t.Fatalf("%s: prev kept its storage", name)
+			}
+			for call, read := range map[string]func(){
+				"NeighborsAt":   func() { prev.NeighborsAt(0) },
+				"NeighborsView": func() { prev.NeighborsView(3) },
+				"HasEdge":       func() { prev.HasEdge(3, 4) },
+				"!Restrict":     func() { prev.Restrict(all) },
+				"!Equal":        func() { g.Equal(prev) },
+				"!ApplyDelta":   func() { ApplyDelta(prev, nil, nil) },
+			} {
+				func() {
+					defer func() {
+						r := recover()
+						if r == nil {
+							t.Fatalf("%s: %s on a graph whose storage went on did not panic", name, call)
+						}
+						if msg, _ := r.(string); call[0] == '!' && !strings.Contains(msg, "FromRows successor") {
+							t.Fatalf("%s: %s: panic %v does not say where the rows went", name, call, r)
+						}
+					}()
+					read()
 				}()
-				read()
-			}()
+			}
 		}
 	}
 }

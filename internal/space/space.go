@@ -213,9 +213,9 @@ func (w *World) Remove(v ident.NodeID) {
 func (w *World) Pos(v ident.NodeID) (Point, bool) { return w.pos.Get(v) }
 
 // Nodes returns all present nodes in ascending order. The slice is the
-// world's cached roster: callers must not mutate it, and must copy it if
-// they hold it across a Place of a new node or a Remove (mere motion
-// never invalidates it).
+// world's cached roster: callers must not mutate it. It stays intact when
+// held across churn: a Place of a new node or a Remove makes the next call
+// build a fresh slice, and mere motion keeps serving the same one.
 func (w *World) Nodes() []ident.NodeID {
 	if w.idsDirty {
 		ids := make([]ident.NodeID, 0, w.pos.Len())
