@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -185,6 +188,19 @@ func TestE13DensityTrend(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "regenerate the E-table golden")
+
+// goldenPath is the checked-in E-table golden: every table of All(1) as
+// TSV under a "== title ==" line, host-time columns left out.
+const goldenPath = "testdata/tables_golden.tsv"
+
+// TestAllProducesEveryTable runs the whole suite once at one seed and
+// compares every protocol column with the golden, so a change that moves
+// a paper result fails here. The ticks/s* columns are host throughput and
+// are left out. A deliberate protocol change re-pins the golden in its
+// own diff:
+//
+//	go test ./internal/experiments -run TestAllProducesEveryTable -update
 func TestAllProducesEveryTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
@@ -193,10 +209,63 @@ func TestAllProducesEveryTable(t *testing.T) {
 	if len(tables) != 19 {
 		t.Fatalf("tables = %d, want 19", len(tables))
 	}
+	var b strings.Builder
 	for _, tb := range tables {
 		if len(tb.Rows) == 0 {
 			t.Errorf("table %q is empty", tb.Title)
 		}
+		writeGolden(&b, tb)
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", goldenPath)
+		return
+	}
+	buf, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(buf), "\n")
+	title := ""
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if strings.HasPrefix(w, "== ") {
+			title = w
+		}
+		if g != w {
+			t.Fatalf("%s: line %d differs from %s:\n got %q\nwant %q\n"+
+				"(a deliberate protocol change re-pins via `go test ./internal/experiments -run TestAllProducesEveryTable -update`)",
+				title, i+1, goldenPath, g, w)
+		}
+	}
+}
+
+// writeGolden writes tb as TSV under its title, without the columns whose
+// name starts with "ticks/s" (host throughput, not protocol output).
+func writeGolden(b *strings.Builder, tb *Table) {
+	fmt.Fprintf(b, "== %s ==\n", tb.Title)
+	line := func(cells []string) {
+		sep := ""
+		for i, c := range cells {
+			if !strings.HasPrefix(tb.Columns[i], "ticks/s") {
+				b.WriteString(sep + c)
+				sep = "\t"
+			}
+		}
+		b.WriteString("\n")
+	}
+	line(tb.Columns)
+	for _, row := range tb.Rows {
+		line(row)
 	}
 }
 
