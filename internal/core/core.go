@@ -734,18 +734,7 @@ func (n *Node) PoisonBoundary(u ident.NodeID, holdComputes uint64) {
 	if u == n.id || holdComputes == 0 {
 		return
 	}
-	exp := n.computes + holdComputes
-	found := false
-	for i := range n.rejected {
-		if n.rejected[i].id == u {
-			n.rejected[i].exp = exp
-			found = true
-			break
-		}
-	}
-	if !found {
-		n.rejected = append(n.rejected, rejEntry{id: u, exp: exp})
-	}
+	n.holdBoundary(u, n.computes+holdComputes)
 	n.version++
 	n.quiet = QuietNone
 }
@@ -1337,7 +1326,12 @@ func (n *Node) reject(u ident.NodeID) {
 	for _, x := range [...]uint64{uint64(n.id), uint64(u), n.computes} {
 		h = (h ^ x) * 1099511628211
 	}
-	exp := n.computes + hold + h%(hold+1)
+	n.holdBoundary(u, n.computes+hold+h%(hold+1))
+}
+
+// holdBoundary sets u's boundary-memory entry to expire after compute
+// exp, replacing any earlier one.
+func (n *Node) holdBoundary(u ident.NodeID, exp uint64) {
 	for i := range n.rejected {
 		if n.rejected[i].id == u {
 			n.rejected[i].exp = exp
@@ -1521,12 +1515,14 @@ func abs(x int) int {
 // endpoints* are compared (that is what breaks loops of groups willing to
 // merge consistently at both ends — intermediary nodes' priorities never
 // enter), falling back to node priorities when the group priorities tie.
+// An unknown group priority is capped with w's node priority, which
+// upper-bounds its group's.
 func (n *Node) farNodeHasPriority(w ident.NodeID, incs []incoming) bool {
-	wNode := n.lookupPriority(w, incs)
+	wNode, wGroup, _, _ := n.elect(w, incs)
 	if n.inView(w) {
 		return wNode.Less(n.self)
 	}
-	wGroup := n.lookupGroupPriority(w, incs).Min(wNode)
+	wGroup = wGroup.Min(wNode)
 	switch {
 	case wGroup.Less(n.group):
 		return true
@@ -1537,52 +1533,58 @@ func (n *Node) farNodeHasPriority(w ident.NodeID, incs []incoming) bool {
 	}
 }
 
-// lookupPriority finds the freshest priority known for u. Clocks are
-// monotone, so the freshest advertisement is the largest; the local cache
-// fills in when no message mentions u this round. The fold is a max, so
-// the iteration order over the round's messages is immaterial.
-func (n *Node) lookupPriority(u ident.NodeID, incs []incoming) priority.P {
-	best, found := priority.Infinite, false
-	for i := range incs {
-		if r, ok := incs[i].msg.Rec(u); ok && r.HasPrio {
-			if !found || best.Less(r.Prio) {
-				best, found = r.Prio, true
-			}
-		}
-	}
-	if !found {
-		if p, ok := n.prioOf(u); ok {
-			return p
-		}
-	}
-	return best
-}
-
-// lookupGroupPriority finds the freshest known priority of u's group: the
-// value relayed by the provider knowing u at the smallest position (the
-// shortest witness chain), else the local cache, else Infinite (the caller
-// caps it with u's own node priority, which upper-bounds its group's).
-// Ties on the position break toward the smallest sender ID — the order
-// the former ascending-ID iteration produced implicitly.
-func (n *Node) lookupGroupPriority(u ident.NodeID, incs []incoming) priority.P {
-	best, bestPos := priority.Infinite, -1
+// elect returns the node and group priorities this round elects for u,
+// and whether each is known; an unknown one is Infinite. Freshness rules
+// matter:
+//
+//   - A node's clock is monotone non-decreasing (it ticks while alone and
+//     freezes in a group), so the freshest advertised node priority is the
+//     *largest* one. Taking a minimum would resurrect stale small clocks
+//     forever.
+//   - Group priorities are not monotone (merges lower them, splits raise
+//     them), so "largest" is meaningless; instead the value is taken from
+//     the provider that knows u at the smallest list position — the
+//     shortest witness chain back to u's own authoritative advertisement —
+//     with the smallest provider ID as deterministic tie-break. This
+//     re-propagates the source's current value along BFS paths every
+//     round, so stale values wash out in O(Dmax) computes instead of
+//     circulating as poison.
+//
+// One record lookup per sender feeds both elections, each of them
+// order-independent. When no message advertises one, the previous
+// round's cache fills it in: learnPriorities commits its caches only
+// after every election of the round.
+func (n *Node) elect(u ident.NodeID, incs []incoming) (node, group priority.P, nodeOK, groupOK bool) {
+	node, group = priority.Infinite, priority.Infinite
+	bestPos := int16(-1)
 	var bestSid ident.NodeID
 	for i := range incs {
 		r, ok := incs[i].msg.Rec(u)
-		if !ok || !r.HasGroupPrio || r.Pos < 0 {
+		if !ok {
 			continue
 		}
-		sid := incs[i].msg.From
-		if bestPos < 0 || int(r.Pos) < bestPos || (int(r.Pos) == bestPos && sid < bestSid) {
-			best, bestPos, bestSid = r.GroupPrio, int(r.Pos), sid
+		if r.HasPrio && (!nodeOK || node.Less(r.Prio)) {
+			node, nodeOK = r.Prio, true
+		}
+		if r.HasGroupPrio && r.Pos >= 0 {
+			sid := incs[i].msg.From
+			if bestPos < 0 || r.Pos < bestPos || (r.Pos == bestPos && sid < bestSid) {
+				group, bestPos, bestSid = r.GroupPrio, r.Pos, sid
+			}
 		}
 	}
-	if bestPos < 0 {
-		if p, ok := n.gprOf(u); ok {
-			return p
+	if !nodeOK {
+		if p, ok := n.prioOf(u); ok {
+			node, nodeOK = p, true
 		}
 	}
-	return best
+	groupOK = bestPos >= 0
+	if !groupOK {
+		if g, ok := n.gprOf(u); ok {
+			group, groupOK = g, true
+		}
+	}
+	return node, group, nodeOK, groupOK
 }
 
 // fold runs lines 24–27: listv ← (v), then ant over the checked incoming
@@ -1612,29 +1614,12 @@ func holeTruncate(l antlist.List) antlist.List {
 }
 
 // learnPriorities refreshes the local node- and group-priority caches for
-// every node of the new list from this round's messages, and prunes
-// entries for nodes no longer tracked. Freshness rules matter:
-//
-//   - A node's clock is monotone non-decreasing (it ticks while alone and
-//     freezes in a group), so the freshest advertised node priority is the
-//     *largest* one. Taking a minimum would resurrect stale small clocks
-//     forever.
-//   - Group priorities are not monotone (merges lower them, splits raise
-//     them), so "largest" is meaningless; instead the value is taken from
-//     the provider that knows the node at the smallest list position — the
-//     shortest witness chain back to the node's own authoritative
-//     advertisement — with the smallest provider ID as deterministic
-//     tie-break. This re-propagates the source's current value along BFS
-//     paths every round, so stale values wash out in O(Dmax) computes
-//     instead of circulating as poison.
-//
-// The lookups are flat scans over each sender's record slice, with the
-// advertised position carried in the record — the map-based original
-// (retained in reference.go as the oracle) probed three maps and
-// re-scanned the sender's list for the position on every lookup. The
-// caches are rebuilt in the scratch keyed by the new list's node set, which
-// replaces the old update-then-prune map walk with appends and one small
-// sort; the results report whether each cache stayed as it was (commit).
+// every node of the new list with this round's elections (elect), and
+// prunes entries for nodes no longer tracked; the self entry stays pinned
+// to the node's own priority. The caches are rebuilt in the scratch keyed
+// by the new list's node set and sorted once; the results report whether
+// each cache stayed as it was (commit). The map-based original is
+// retained in reference.go as the oracle.
 func (n *Node) learnPriorities(s *Scratch, newList antlist.List, incs []incoming) (priosSame, gprsSame bool) {
 	np := s.prios[:0]
 	ng := s.gprs[:0]
@@ -1642,53 +1627,16 @@ func (n *Node) learnPriorities(s *Scratch, newList antlist.List, incs []incoming
 	for i := 0; i < newList.Len(); i++ {
 		for _, e := range newList.At(i) {
 			u := e.ID
-			// One record lookup per (node, sender) feeds both folds: the
-			// node-priority max and the group-priority pick are each
-			// order-independent, so fusing the two passes (the former code
-			// scanned every sender's records twice per node) changes
-			// nothing but the scan count.
-			//
-			// Node priority: clocks are monotone, the freshest
-			// advertisement is the largest; fall back to the previous
-			// cache entry when nobody mentioned u this round.
-			// Group priority: the provider knowing u at the smallest list
-			// position wins (shortest witness chain), smallest sender ID
-			// breaking ties.
-			best, found := priority.Infinite, false
-			bestPos := -1
-			var bestSid ident.NodeID
-			var gbest priority.P
-			for i := range incs {
-				r, ok := incs[i].msg.Rec(u)
-				if !ok {
-					continue
-				}
-				if r.HasPrio && (!found || best.Less(r.Prio)) {
-					best, found = r.Prio, true
-				}
-				if r.HasGroupPrio && r.Pos >= 0 {
-					sid := incs[i].msg.From
-					if bestPos < 0 || int(r.Pos) < bestPos || (int(r.Pos) == bestPos && sid < bestSid) {
-						bestPos, bestSid, gbest = int(r.Pos), sid, r.GroupPrio
-					}
-				}
-			}
+			p, g, pok, gok := n.elect(u, incs)
 			if u == n.id {
 				selfSeen = true
-				best, found = n.self, true // the self entry is pinned
-			} else if !found {
-				best, found = precGet(n.prios, u)
+				p, pok = n.self, true
 			}
-			if found {
-				np = append(np, prec{id: u, p: best})
+			if pok {
+				np = append(np, prec{id: u, p: p})
 			}
-			if bestPos < 0 {
-				if g, ok := precGet(n.gprs, u); ok {
-					gbest, bestPos = g, 0
-				}
-			}
-			if bestPos >= 0 {
-				ng = append(ng, prec{id: u, p: gbest})
+			if gok {
+				ng = append(ng, prec{id: u, p: g})
 			}
 		}
 	}
@@ -1720,11 +1668,16 @@ func (n *Node) String() string {
 }
 
 // Compatible evaluates, without side effects, the first-contact
-// compatibility decision this node would take for the list lu: the safe
-// prefix depth (how deep lu's content may be folded) and whether the
-// sender is acceptable at all. It exposes the compatibleList test of
-// Proposition 13 for analysis and experiments; Compute applies the same
-// logic internally with the round's partial fold.
-func (n *Node) Compatible(lu antlist.List) (int, bool) {
-	return n.safePrefix(lu.Owner(), antlist.Singleton(ident.Plain(n.id)), lu)
+// admission decision this node would take for the list lu of a sender
+// outside its view, with nothing else folded this round: the
+// compatibleList test of Proposition 13 must cover lu's whole foreign
+// depth (safePrefix against foreignDepth, as Compute's line 7 decides),
+// and that depth must land within Dmax of this node, or the fold's
+// too-far contest truncates it (content at position Dmax+1 never joins,
+// though the test, which protects only content behind this node, waves
+// it through). It exposes the admission for analysis and experiments.
+func (n *Node) Compatible(lu antlist.List) bool {
+	q := foreignDepth(n, lu)
+	qsafe, ok := n.safePrefix(lu.Owner(), antlist.Singleton(ident.Plain(n.id)), lu)
+	return ok && qsafe >= q && q < n.cfg.Dmax
 }

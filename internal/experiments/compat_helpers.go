@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/antlist"
-	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/priority"
 )
@@ -29,24 +28,4 @@ func pathListAndView(owner ident.NodeID, depth int, base uint32) (antlist.List, 
 		view[u] = true
 	}
 	return l, view
-}
-
-// decideCompat evaluates the receiver's full admission decision for the
-// sender's list: the compatibility test must accept the sender's whole
-// foreign depth, and the subsequent fold must not trigger the too-far
-// contest at the receiver itself (content at position Dmax+1 is contested
-// and truncated, so it never joins the group even when the test, which
-// only protects content *behind* the receiver, waves it through).
-func decideCompat(n *core.Node, lu antlist.List) bool {
-	q := 0
-	for i := 0; i < lu.Len(); i++ {
-		for _, e := range lu.At(i) {
-			if !e.Mark.Marked() && e.ID != n.ID() && !n.InView(e.ID) {
-				q = i
-				break
-			}
-		}
-	}
-	qsafe, ok := n.Compatible(lu)
-	return ok && qsafe >= q && 1+q <= n.Config().Dmax
 }

@@ -97,7 +97,7 @@ func compatGadget(p, q, i, dmax int) (*graph.G, ident.NodeID, ident.NodeID, bool
 	} else {
 		uref[1] = l1
 	}
-	return g, v, u, decideCompat(node, uref.List())
+	return g, v, u, node.Compatible(uref.List())
 }
 
 // E6Continuity regenerates the Prop. 14 table: the best-effort contract
