@@ -110,6 +110,20 @@ func TestE8LifetimeShape(t *testing.T) {
 	}
 }
 
+// TestE8BaselinesSeeGRPTopology pins E8's pairing: the baselines' trace,
+// past the warm-up GRP runs, is the graph sequence GRP is measured on.
+func TestE8BaselinesSeeGRPTopology(t *testing.T) {
+	const n, dmax, steps = 12, 4, 20
+	for _, spread := range []float64{0, 1.5} {
+		snaps := highwayTrace(n, spread, highwayWarmup+steps, 1)[highwayWarmup:]
+		for i, s := range replayGRP(n, dmax, spread, steps, 1) {
+			if !s.G.Equal(snaps[i]) {
+				t.Fatalf("spread %v: GRP's measured round %d is not the baselines' trace step %d", spread, i, i)
+			}
+		}
+	}
+}
+
 func TestE14FullStabilizersConvergeBest(t *testing.T) {
 	tb := E14Stabilizers(testSeeds)
 	if tb.Rows[0][0] != "full" {

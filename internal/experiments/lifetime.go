@@ -43,8 +43,8 @@ func E8Lifetime(seeds int) *Table {
 		}
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			// One shared mobility trace per seed: replayed identically
-			// for all algorithms.
-			snaps := highwayTrace(n, spread, steps, seed)
+			// for all algorithms, from the step GRP starts measuring at.
+			snaps := highwayTrace(n, spread, highwayWarmup+steps, seed)[highwayWarmup:]
 
 			// GRP: the live protocol over the trace.
 			grpTr := metrics.NewTracker()
@@ -129,14 +129,18 @@ func highwayTrace(n int, spread float64, steps int, seed int64) []*graph.G {
 	return out
 }
 
+// highwayWarmup is the number of rounds E8 runs GRP before measuring, so
+// that groups exist; the baselines skip as many steps of the trace.
+const highwayWarmup = 30
+
 // replayGRP runs the protocol over the same mobility process and returns
-// one snapshot per round.
+// one snapshot per round after the warm-up: round i's graph is
+// highwayTrace's step highwayWarmup+i.
 func replayGRP(n, dmax int, spread float64, steps int, seed int64) []metrics.Snapshot {
 	w := space.NewWorld(8)
 	topo := engine.NewSpatialTopology(w, highwayModel(spread), 0.05/float64(2), idRange(n), rand.New(rand.NewSource(seed)))
 	s := engine.New(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, topo)
-	// Warm up so groups exist before measuring.
-	for i := 0; i < 30; i++ {
+	for i := 0; i < highwayWarmup; i++ {
 		s.StepRound()
 	}
 	out := make([]metrics.Snapshot, 0, steps)
