@@ -5,6 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,19 +17,20 @@ import (
 )
 
 // TestSinksRoundTrip pins the record formats: JSONL decodes back to the
-// same struct, CSV has the documented header and one row per record, and
+// same struct, CSV carries the JSON record's columns and values in field
+// order, one row per record, OpenSink picks the format by extension, and
 // the decimating wrapper keeps every k-th record.
 func TestSinksRoundTrip(t *testing.T) {
 	recs := []RoundStats{
 		{Round: 1, Tick: 2, Nodes: 5, Edges: 4, Groups: 2, Singletons: 1,
 			MeanSize: 2.5, Agreement: true, Safety: true, Maximality: false,
 			SafeGroups: 2, SafetyRate: 1, Topological: true, Continuity: true,
-			ExternalEdges: 1, MessagesSent: 10, Deliveries: 8},
+			ExternalEdges: 1, MessagesSent: 10, Deliveries: 8, RadioDrops: 3},
 		{Round: 2, Tick: 4, Nodes: 5, Edges: 3, Groups: 3, Singletons: 2,
 			MeanSize: 5.0 / 3.0, Agreement: false, Safety: false,
 			SafeGroups: 2, SafetyRate: 2.0 / 3.0, Topological: false,
 			Continuity: false, ContinuityViolations: 2, MembershipChanges: 3,
-			ExternalEdges: 2, MessagesSent: 20, Deliveries: 15},
+			ExternalEdges: 2, MessagesSent: 20, Deliveries: 15, RadioDrops: 7},
 	}
 
 	var jbuf bytes.Buffer
@@ -66,11 +71,67 @@ func TestSinksRoundTrip(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("csv lines = %d, want header + 2 rows:\n%s", len(lines), cbuf.String())
 	}
-	if !strings.HasPrefix(lines[0], "round,tick,nodes,edges,groups") {
-		t.Fatalf("csv header = %q", lines[0])
+	// The CSV header is the JSON record's field names in field order, and
+	// every cell is its column's JSON value (a bool as 1 or 0).
+	rt := reflect.TypeOf(RoundStats{})
+	names := make([]string, rt.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(rt.Field(i).Tag.Get("json"), ",")
 	}
-	if !strings.HasPrefix(lines[2], "2,4,5,3,3,2,") {
-		t.Fatalf("csv row = %q", lines[2])
+	if want := strings.Join(names, ","); lines[0] != want {
+		t.Fatalf("csv header = %q, want the JSON names %q", lines[0], want)
+	}
+	for i, r := range recs {
+		buf, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(buf, &rec); err != nil {
+			t.Fatal(err)
+		}
+		cells := strings.Split(lines[i+1], ",")
+		if len(cells) != len(names) {
+			t.Fatalf("csv row %d has %d cells, want %d: %q", i+1, len(cells), len(names), lines[i+1])
+		}
+		for j, name := range names {
+			var ok bool
+			switch v := rec[name].(type) {
+			case bool:
+				ok = cells[j] == map[bool]string{true: "1", false: "0"}[v]
+			case float64:
+				f, err := strconv.ParseFloat(cells[j], 64)
+				ok = err == nil && f == v
+			}
+			if !ok {
+				t.Errorf("csv row %d column %s = %q, JSON has %v", i+1, name, cells[j], rec[name])
+			}
+		}
+	}
+
+	// OpenSink picks CSV for a .csv path and JSONL for anything else.
+	dir := t.TempDir()
+	for _, c := range []struct {
+		file, first string
+	}{{"s.csv", "round,tick,"}, {"s.jsonl", `{"round":1,`}, {"s.csv.json", `{"round":1,`}} {
+		path := filepath.Join(dir, c.file)
+		s, err := OpenSink(path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(recs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(got), c.first) {
+			t.Errorf("OpenSink(%s) wrote %q, want it to start with %q", c.file, got, c.first)
+		}
 	}
 
 	var dbuf bytes.Buffer
