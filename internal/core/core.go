@@ -972,8 +972,7 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 			// of incompatibility: the streak is left alone.
 			lu = b.Singleton(ident.Single(u))
 		case !n.inView(u):
-			qsafe, ok := n.safePrefix(u, b.View(), lu)
-			if !ok || qsafe < foreignDepth(n, lu) {
+			if _, ok := n.admits(b.View(), lu); !ok {
 				// Line 7: u is denoted as an incompatible neighbor
 				// (after the debounce; see escalate).
 				lu = n.escalate(b, u)
@@ -1292,11 +1291,15 @@ func (n *Node) escalate(b *antlist.Builder, u ident.NodeID) antlist.List {
 	return b.Singleton(ident.Double(u))
 }
 
-// foreignDepth returns the deepest position in lu holding a plain entry
-// that is neither this node nor one of its view members — the q of the
-// compatibility bound.
-func foreignDepth(n *Node, lu antlist.List) int {
-	q := 0
+// admits is the compatibility test line 7 acts on, for the good list lu of
+// a sender outside the view against the round's partial fold: the safe
+// prefix must reach lu's foreign depth q, the deepest position holding a
+// plain entry that is neither this node nor one of its view members.
+func (n *Node) admits(partial, lu antlist.List) (q int, ok bool) {
+	qsafe, ok := n.safePrefix(lu.Owner(), partial, lu)
+	if !ok {
+		return 0, false
+	}
 	for i := 0; i < lu.Len(); i++ {
 		for _, e := range lu.At(i) {
 			if !e.Mark.Marked() && e.ID != n.id && !n.inView(e.ID) {
@@ -1305,7 +1308,7 @@ func foreignDepth(n *Node, lu antlist.List) int {
 			}
 		}
 	}
-	return q
+	return q, qsafe >= q
 }
 
 // reject records a double-mark decision against sender u in the boundary
@@ -1515,8 +1518,7 @@ func abs(x int) int {
 // endpoints* are compared (that is what breaks loops of groups willing to
 // merge consistently at both ends — intermediary nodes' priorities never
 // enter), falling back to node priorities when the group priorities tie.
-// An unknown group priority is capped with w's node priority, which
-// upper-bounds its group's.
+// w's node priority caps its group's (an unknown one is Infinite).
 func (n *Node) farNodeHasPriority(w ident.NodeID, incs []incoming) bool {
 	wNode, wGroup, _, _ := n.elect(w, incs)
 	if n.inView(w) {
@@ -1550,10 +1552,9 @@ func (n *Node) farNodeHasPriority(w ident.NodeID, incs []incoming) bool {
 //     round, so stale values wash out in O(Dmax) computes instead of
 //     circulating as poison.
 //
-// One record lookup per sender feeds both elections, each of them
-// order-independent. When no message advertises one, the previous
-// round's cache fills it in: learnPriorities commits its caches only
-// after every election of the round.
+// One record lookup per sender feeds both order-independent elections.
+// The previous round's cache fills in what no message advertises:
+// learnPriorities commits only after the round's last election.
 func (n *Node) elect(u ident.NodeID, incs []incoming) (node, group priority.P, nodeOK, groupOK bool) {
 	node, group = priority.Infinite, priority.Infinite
 	bestPos := int16(-1)
@@ -1667,17 +1668,12 @@ func (n *Node) String() string {
 	return fmt.Sprintf("%s list=%s view=%v pr=%s gpr=%s", n.id, n.list, n.View(), n.self, n.group)
 }
 
-// Compatible evaluates, without side effects, the first-contact
-// admission decision this node would take for the list lu of a sender
-// outside its view, with nothing else folded this round: the
-// compatibleList test of Proposition 13 must cover lu's whole foreign
-// depth (safePrefix against foreignDepth, as Compute's line 7 decides),
-// and that depth must land within Dmax of this node, or the fold's
-// too-far contest truncates it (content at position Dmax+1 never joins,
-// though the test, which protects only content behind this node, waves
-// it through). It exposes the admission for analysis and experiments.
+// Compatible evaluates, without side effects, the first-contact admission
+// this node would take for the list lu of a sender outside its view, with
+// nothing else folded: Compute's compatibility test (admits) must pass,
+// and lu's foreign depth must land within Dmax, or the too-far contest
+// truncates it. It exposes the admission for analysis and experiments.
 func (n *Node) Compatible(lu antlist.List) bool {
-	q := foreignDepth(n, lu)
-	qsafe, ok := n.safePrefix(lu.Owner(), antlist.Singleton(ident.Plain(n.id)), lu)
-	return ok && qsafe >= q && q < n.cfg.Dmax
+	q, ok := n.admits(antlist.Singleton(ident.Plain(n.id)), lu)
+	return ok && q < n.cfg.Dmax
 }

@@ -63,19 +63,10 @@ func viewEq(got []ident.NodeID, want ...ident.NodeID) bool {
 }
 
 // compatibleAll reports whether the full foreign depth of lu is foldable
-// (the old boolean reading of the test): safePrefix covers everything.
+// against the partial fold: Compute's compatibility test.
 func compatibleAll(n *Node, partial, lu antlist.List) bool {
-	q := 0
-	for i := 0; i < lu.Len(); i++ {
-		for _, e := range lu.At(i) {
-			if !e.Mark.Marked() && e.ID != n.id && !n.InView(e.ID) {
-				q = i
-				break
-			}
-		}
-	}
-	qsafe, ok := n.safePrefix(lu.Owner(), partial, lu)
-	return ok && qsafe >= q
+	_, ok := n.admits(partial, lu)
+	return ok
 }
 
 func TestNewNodeInitialState(t *testing.T) {

@@ -287,8 +287,9 @@ func (m Message) EncodedSize() int {
 
 // PrioMaps explodes the records into the map shape of the previous
 // message representation: node priorities, group priorities, and the
-// positive quarantines. The wire codec's frame sections, the reference
-// oracle, and tests consume this; the hot path never does.
+// positive quarantines. The reference oracle and tests consume this; the
+// hot path and the wire codec (which reads and writes records directly)
+// never do.
 func (m Message) PrioMaps() (prios, gprios map[ident.NodeID]priority.P, quars map[ident.NodeID]int) {
 	prios = make(map[ident.NodeID]priority.P)
 	gprios = make(map[ident.NodeID]priority.P)
@@ -316,9 +317,9 @@ func (m Message) PrioMaps() (prios, gprios map[ident.NodeID]priority.P, quars ma
 }
 
 // RecsFromMaps builds the record slice for a message assembled from the
-// map shape (the wire codec's decode path and tests): one record per list
-// entry plus one per map-only ID, sorted by (ID, Pos). Quarantine values
-// are clamped to the record range.
+// map shape (fault's forged lies and tests; wire.DecodeInto builds its
+// records directly): one record per list entry plus one per map-only ID,
+// sorted by (ID, Pos). Quarantine values are clamped to the record range.
 func RecsFromMaps(list antlist.List, prios, gprios map[ident.NodeID]priority.P, quars map[ident.NodeID]int) []PrioRec {
 	recs := make([]PrioRec, 0, list.NodeCount()+len(prios))
 	inList := make(map[ident.NodeID]bool, list.NodeCount())

@@ -418,9 +418,8 @@ func (in *Injector) setLie(v ident.NodeID) {
 	in.e.SetLie(v, m)
 }
 
-// crash resets one victim's protocol state through CrashNode: zeroed (a
-// clean reboot) or adversarially corrupted, per CrashConfig.CorruptP; a
-// corrupted victim's boundary memory is poisoned per PoisonP.
+// crash reboots one victim through CrashNode, corrupted per CorruptP, and
+// poisons a corrupted victim's boundary memory per PoisonP.
 func (in *Injector) crash(r int) {
 	rng := in.crashRNG
 	v := pick(rng, in.e.Order())
@@ -432,11 +431,10 @@ func (in *Injector) crash(r int) {
 	if corrupt && rng.Float64() < in.Crash().PoisonP {
 		// Poison the boundary memory against genuine neighbors: the
 		// recovered node auto-rejects real peers until the holds expire.
-		n := in.e.Node(v)
 		nbrs := in.e.Topo.Graph().NeighborsView(v)
 		for k := 1 + rng.Intn(2); k > 0 && len(nbrs) > 0; k-- {
 			u := nbrs[rng.Intn(len(nbrs))]
-			n.PoisonBoundary(u, uint64(1+rng.Intn(3*in.e.P.Cfg.Dmax+1)))
+			in.e.Node(v).PoisonBoundary(u, uint64(1+rng.Intn(3*in.e.P.Cfg.Dmax+1)))
 		}
 	}
 	in.emit(Event{Round: r, Kind: KindCrash, Node: v, N: 1})
@@ -477,11 +475,9 @@ func (in *Injector) storm(r int) {
 	in.emit(Event{Round: r, Kind: KindFlap, Node: epi, N: len(victims)})
 }
 
-// CrashNode injects a single targeted crash-recover fault against v: a
-// zeroed reboot, or an adversarially corrupted state drawn from rng. It is
-// the scheduled crash's reset and the standalone entry point for tests
-// and experiments that do not want a full profile. It reports whether v
-// is a live member.
+// CrashNode injects a single targeted crash-recover fault against v — the
+// scheduled crash's reset, and the entry point for tests and experiments
+// that do not want a full profile. It reports whether v is a live member.
 func CrashNode(e *engine.Engine, v ident.NodeID, rng *rand.Rand, corrupt bool) bool {
 	n := e.Node(v)
 	if n == nil {
