@@ -486,8 +486,6 @@ type Engine struct {
 	recvMem   uint64
 	recvEpoch uint64
 
-	snap snapshotBuilder
-
 	// Dirty-node reporting for incremental observers (obs.GroupTracker):
 	// while enabled, the compute phase appends the slot of every node
 	// whose Compute actually ran to its shard's list (shard-local, so the
@@ -1469,17 +1467,22 @@ func (e *Engine) StepRound() { e.StepTicks(e.P.Tc) }
 
 // SnapshotGraph returns the topology graph restricted to the live
 // protocol nodes — the G half of metrics.SnapshotOf without materializing
-// any view map, from snapshotBuilder: the topology's graph itself, held,
-// when every node is live, otherwise a copy of the induced subgraph,
-// cached while neither changes. Observers key their caches on its
-// pointer. Call it between ticks: it marks the topology's graph shared,
-// and so costs the next delta a header copy.
+// any view map: the topology's graph itself, held, when every node is
+// live, otherwise a fresh copy of the induced subgraph on every call. The
+// graph is replaced, never mutated, so a snapshot held across rounds keeps
+// its own round's topology. Call it between ticks: it marks the
+// topology's graph shared, and so costs the next delta a header copy.
 func (e *Engine) SnapshotGraph() *graph.G {
-	return e.snap.Graph(e.Topo.Graph(), e.memberGen, e.order.Has)
+	return e.Topo.Graph().Restrict(e.order.Has)
 }
 
 // LiveGraph is SnapshotGraph for a reader that is done with the graph
-// before the next tick (the tracker's Observe): see snapshotBuilder.Live.
+// before the next tick (the tracker's Observe): the topology's graph
+// itself, borrowed — not held, so the next graph still takes its row
+// header — when every node is live, and SnapshotGraph's copy otherwise.
 func (e *Engine) LiveGraph() *graph.G {
-	return e.snap.Live(e.Topo.Graph(), e.memberGen, e.order.Has)
+	if g := e.Topo.Graph(); g.All(e.order.Has) {
+		return g
+	}
+	return e.SnapshotGraph()
 }

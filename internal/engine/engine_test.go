@@ -142,11 +142,11 @@ func TestEngineConvergesParallel(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheTracksMutation guards the incremental snapshot
-// builder: a link cut in the static graph must be visible in the next
-// snapshot while snapshots taken before the cut keep the old topology —
-// although, with every node live, they share the topology's storage
-// instead of copying it.
+// TestSnapshotCacheTracksMutation guards the snapshot hand-off: a link
+// cut in the static graph must be visible in the next snapshot while
+// snapshots taken before the cut keep the old topology — although, with
+// every node live, they share the topology's storage instead of copying
+// it.
 func TestSnapshotCacheTracksMutation(t *testing.T) {
 	// Over both storage forms of the topology: a generator's packed rows
 	// (what a bulk build — a mobile world's rebuild — hands the engine too)
@@ -163,8 +163,8 @@ func TestSnapshotCacheTracksMutation(t *testing.T) {
 			t.Fatal("all-live snapshot should share the topology's rows")
 		}
 		mid := metrics.SnapshotOf(e)
-		if mid.G != before.G {
-			t.Fatal("unchanged topology should reuse the cached graph")
+		if mid.G != before.G || mid.G != g {
+			t.Fatal("an unchanged all-live topology should be served itself")
 		}
 		topo.Edit(func(r *graph.Ref) { r.RemoveEdge(3, 4) })
 		after := metrics.SnapshotOf(e)
@@ -183,6 +183,56 @@ func TestSnapshotCacheTracksMutation(t *testing.T) {
 			t.Fatal("removed node still in snapshot graph")
 		}
 	}
+}
+
+// TestSnapshotGraphAllLiveIsZeroCopy pins the cost of the per-round
+// topology hand-off in a dynamic network, where the topology hands out a
+// new graph on every tick: with every node live the restriction is the
+// topology's graph itself, held, and costs nothing.
+func TestSnapshotGraphAllLiveIsZeroCopy(t *testing.T) {
+	const n = 2000
+	srcs := [2]*graph.G{graph.Grid(n/50, 50), graph.Grid(n/50, 50)}
+	topo := &StaticTopology{G: srcs[0]}
+	e := New(Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, topo)
+	call := 0
+	step := func() {
+		topo.G = srcs[call%2]
+		call++
+		if got := e.SnapshotGraph(); got != topo.G {
+			t.Fatalf("call %d: restricted graph %v of %v is not the topology's", call, got, topo.G)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("all-live snapshot graph: %.0f allocs per call, want 0", allocs)
+	}
+}
+
+// TestLiveBorrowsWhenEveryNodeIsLive: LiveGraph is the topology's graph
+// itself — not held, so a retired graph still hands its row header to its
+// ApplyDelta child — exactly when SnapshotGraph would be the identity
+// restriction. With a node removed from the engine but not from the
+// static topology, both serve a copy without it.
+func TestLiveBorrowsWhenEveryNodeIsLive(t *testing.T) {
+	src := graph.ApplyDelta(graph.Line(6), nil, nil)
+	e := New(Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, &StaticTopology{G: src})
+	if got := e.LiveGraph(); got != src {
+		t.Fatal("every node live: LiveGraph must serve the topology's graph itself")
+	}
+	e.RemoveNode(6)
+	want := graph.Line(5)
+	for name, got := range map[string]*graph.G{"LiveGraph": e.LiveGraph(), "SnapshotGraph": e.SnapshotGraph()} {
+		if got == src || !got.Equal(want) {
+			t.Fatalf("node 6 removed from the engine: %s must serve a copy without it, got %v", name, got)
+		}
+	}
+	src.Retire()
+	child := graph.ApplyDelta(src, nil, nil)
+	defer func() {
+		if recover() == nil || !child.Equal(graph.Line(6)) {
+			t.Fatal("a borrowed, retired graph should have handed its header to its child")
+		}
+	}()
+	graph.RefOf(src)
 }
 
 // TestHeldSnapshotOutlivesEdit: a snapshot taken before Edit cuts a link

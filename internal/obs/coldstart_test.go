@@ -17,13 +17,7 @@ import (
 // start); what still scales with n is the first round's real work — every
 // node's first broadcast, first commit and first neighbourhood.
 func TestColdStartAllocsPerNode(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("the race detector changes what allocates; CI runs this step without it")
-			}
-		}
-	}
+	skipUnderRace(t)
 	const n = 2000
 	cfg := SoakConfig{N: n, ActiveFraction: 0.02, Seed: 1, Workers: 1}
 	var before, after runtime.MemStats
@@ -45,5 +39,18 @@ func TestColdStartAllocsPerNode(t *testing.T) {
 	// plus 15 %.
 	if ceiling := 12.5; perNode > ceiling {
 		t.Errorf("cold start allocates %.2f a node, ceiling %.1f", perNode, ceiling)
+	}
+}
+
+// skipUnderRace skips an allocation count under the race detector, which
+// changes what allocates; CI runs these tests without it.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector changes what allocates; CI runs this step without it")
+			}
+		}
 	}
 }

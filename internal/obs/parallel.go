@@ -8,17 +8,13 @@ import (
 // workerScratch is one fan-out participant's reusable evaluation buffers
 // (the tracker keeps one per participant index; a participant runs one
 // item at a time and every answer is a pure function of the graph and
-// the members, so which participant ran an item never shows): array-based
-// BFS state for the small groups the Dmax bound produces, with a
-// graph-indexed fallback for pathological sizes. The fallback arrays are
-// indexed by the graph's dense node index (graph.G.IndexOf) and
-// epoch-stamped, so reuse across evaluations costs two counter bumps
+// the members, so which participant ran an item never shows). The BFS
+// arrays are indexed by the graph's dense node index (graph.G.IndexOf)
+// and epoch-stamped, so reuse across evaluations costs two counter bumps
 // instead of rebuilding (or clearing) per-evaluation maps.
 type workerScratch struct {
-	dist  []int          // distance per member index, -1 = unreached
-	queue []int          // member-index frontier
-	ubuf  []ident.NodeID // union-of-two-groups member buffer
-	nbrs  []*group       // one group's upper neighbor groups, by rep (scanPairs)
+	ubuf []ident.NodeID // union-of-two-groups member buffer
+	nbrs []*group       // one group's upper neighbor groups, by rep (scanPairs)
 
 	memberEpoch []uint32 // graph index → epoch last marked a member
 	distEpoch   []uint32 // graph index → epoch last reached
@@ -30,70 +26,23 @@ type workerScratch struct {
 
 func newWorkerScratch() *workerScratch { return &workerScratch{} }
 
-// smallGroup is the member count up to which the induced-diameter BFS
-// runs on index arrays with linear membership scans — no map traffic.
-// Groups are Dmax-bounded in practice, so the fallback is for corrupted
-// or adversarial configurations only.
-const smallGroup = 48
-
 // stretched reports whether the subgraph of g induced by members has
 // diameter > dmax (disconnection counts as infinite): the single quantity
 // behind both ΠS (evaluated on the current partition and graph) and ΠT
 // (evaluated on the previous partition against the new graph — a member
 // that left g is unreachable and stretches the group). Singleton groups
-// are never stretched.
+// are never stretched. One BFS per member over the graph's dense node
+// indices: no map beyond the one IndexOf probe per member and per
+// visited edge.
 func (w *workerScratch) stretched(g *graph.G, members []ident.NodeID, dmax int) bool {
 	k := len(members)
 	if k <= 1 {
 		return false
 	}
-	if k > smallGroup {
-		return w.stretchedLarge(g, members, dmax)
-	}
-	if cap(w.dist) < k {
-		w.dist = make([]int, k)
-	}
-	dist := w.dist[:k]
-	for src := 0; src < k; src++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		w.queue = append(w.queue[:0], src)
-		reached := 1
-		for qi := 0; qi < len(w.queue); qi++ {
-			i := w.queue[qi]
-			dv := dist[i]
-		nbrs:
-			for _, u := range g.NeighborsView(members[i]) {
-				// Linear membership scan: the slice is tiny.
-				for j := 0; j < k; j++ {
-					if members[j] == u {
-						if dist[j] < 0 {
-							if dv+1 > dmax {
-								return true
-							}
-							dist[j] = dv + 1
-							w.queue = append(w.queue, j)
-							reached++
-						}
-						continue nbrs
-					}
-				}
-			}
-		}
-		if reached != k {
-			return true // disconnected (or src left the graph)
-		}
-	}
-	return false
-}
-
-// stretchedLarge is the fallback for oversized groups: BFS over the
-// graph's dense node indices with epoch-stamped scratch arrays — no map
-// beyond the one IndexOf probe per member and per visited edge.
-func (w *workerScratch) stretchedLarge(g *graph.G, members []ident.NodeID, dmax int) bool {
 	if n := g.NumNodes(); len(w.memberEpoch) < n {
+		// A quarter of headroom: a population that grows a node at a
+		// time reallocates a bounded number of times, not once per node.
+		n += n / 4
 		w.memberEpoch = make([]uint32, n)
 		w.distEpoch = make([]uint32, n)
 		w.gdist = make([]int32, n)
@@ -104,7 +53,6 @@ func (w *workerScratch) stretchedLarge(g *graph.G, members []ident.NodeID, dmax 
 		clear(w.memberEpoch)
 		w.mEpoch = 1
 	}
-	k := len(members)
 	for _, v := range members {
 		i := g.IndexOf(v)
 		if i < 0 {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,14 +12,13 @@ import (
 
 // TestStretchedMatchesReference is the differential for the tracker's
 // induced-diameter test: workerScratch.stretched and mergeable must answer
-// exactly RefOf(g).InducedDiameter(set) > dmax, on both sides of
-// smallGroup (the linear-scan BFS and the graph-indexed stretchedLarge).
-// Member sets are connected balls of 2–120 nodes, checked at their own
-// diameter and one either side of it, so every answer sits on the
-// boundary; plus a disconnected union and a member absent from the graph
-// (ΠT: a member that left). One scratch serves graphs of growing size, so
-// the index arrays are re-allocated between graphs, and one evaluation
-// starts at the last epoch, so the stamps wrap.
+// exactly RefOf(g).InducedDiameter(set) > dmax. Member sets are connected
+// balls of 2–120 nodes, checked at their own diameter and one either side
+// of it, so every answer sits on the boundary; plus a disconnected union
+// and a member absent from the graph (ΠT: a member that left). One scratch
+// serves graphs of growing size, so the index arrays are re-allocated
+// between graphs, and one evaluation starts at the last epoch, so the
+// stamps wrap.
 func TestStretchedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	graphs := []*graph.G{
@@ -29,7 +29,6 @@ func TestStretchedMatchesReference(t *testing.T) {
 		graph.RandomGeometric(400, 22, 1.8, rng),
 	}
 	w := newWorkerScratch()
-	large := 0
 	for gi, g := range graphs {
 		ref := graph.RefOf(g)
 		nodes := g.Nodes()
@@ -39,9 +38,6 @@ func TestStretchedMatchesReference(t *testing.T) {
 			if got := w.stretched(g, members, dmax); got != want {
 				t.Fatalf("graph %d (%v), %s of %d members, dmax %d: stretched = %v, reference %v",
 					gi, g, what, len(members), dmax, got, want)
-			}
-			if len(members) > smallGroup {
-				large++
 			}
 		}
 		for trial := 0; trial < 24; trial++ {
@@ -82,8 +78,42 @@ func TestStretchedMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if large == 0 {
-		t.Fatal("no member set above smallGroup: stretchedLarge never ran")
+}
+
+// TestStretchedArraysGrowWithHeadroom pins how the BFS arrays follow a
+// growing population: one scratch evaluates a group holding the newest
+// node on lines that grow one node at a time past the 1 500 nodes its
+// arrays were sized for, to 1 600. The arrays are indexed by graph index,
+// so they must cover every node; sized to the exact node count they were
+// reallocated on every growth (3 arrays × 100 growths), with a quarter of
+// headroom never.
+func TestStretchedArraysGrowWithHeadroom(t *testing.T) {
+	skipUnderRace(t)
+	const peak, last = 1500, 1600
+	graphs := make([]*graph.G, 0, last-peak+1)
+	for n := peak; n <= last; n++ {
+		graphs = append(graphs, graph.Line(n))
+	}
+	w := newWorkerScratch()
+	eval := func(g *graph.G) {
+		n := ident.NodeID(g.NumNodes())
+		if w.stretched(g, []ident.NodeID{n - 2, n - 1, n}, 2) {
+			t.Fatalf("the last three nodes of a line of %d are stretched at dmax 2", n)
+		}
+	}
+	eval(graphs[0])
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, g := range graphs[1:] {
+		eval(g)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d growths by one node: %d allocations", len(graphs)-1, allocs)
+	// Measured 0; the ceiling is one reallocation of the three arrays.
+	if allocs > 3 {
+		t.Errorf("growing %d → %d nodes one at a time: %d allocations, want at most 3", peak, last, allocs)
 	}
 }
 
