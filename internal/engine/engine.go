@@ -1468,10 +1468,9 @@ func (e *Engine) StepRound() { e.StepTicks(e.P.Tc) }
 // SnapshotGraph returns the topology graph restricted to the live
 // protocol nodes — the G half of metrics.SnapshotOf without materializing
 // any view map: the topology's graph itself, held, when every node is
-// live, otherwise a fresh copy of the induced subgraph on every call. The
-// graph is replaced, never mutated, so a snapshot held across rounds keeps
-// its own round's topology. Call it between ticks: it marks the
-// topology's graph shared, and so costs the next delta a header copy.
+// live, else a fresh copy of the induced subgraph on every call. Call it
+// between ticks: it marks the topology's graph shared, and so costs the
+// next delta a header copy.
 func (e *Engine) SnapshotGraph() *graph.G {
 	return e.Topo.Graph().Restrict(e.order.Has)
 }

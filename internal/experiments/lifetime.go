@@ -20,11 +20,10 @@ import (
 // d-clustering and the greedy partitioner recompute every epoch from
 // scratch (the behavior of clusterhead algorithms under mobility). The
 // paper's claim: GRP keeps memberships stable wherever the topology
-// allows; recomputing partitioners reshuffle them. As measured
-// (EXPERIMENTS.md, seeds=5) the claim does not hold: GRP's mean lifetime
-// is below every baseline's at every spread (11.1 against 14.7–18.7 at
-// spread 0), and its membership changes equal or exceed MaxMin-oracle's
-// at spreads 0–0.8 (81 against 67 at spread 0).
+// allows; recomputing partitioners reshuffle them. Measured at seeds=5
+// (EXPERIMENTS.md) it does not hold: GRP's mean lifetime is below every
+// baseline's at every spread (11.1 against 14.7–18.7 at spread 0), and
+// its membership changes reach MaxMin-oracle's or more at spreads 0–0.8.
 func E8Lifetime(seeds int) *Table {
 	tb := newTable("E8 — group service under highway mobility (n=12, Dmax=4, opposing traffic)",
 		"speed_spread", "algo", "mean_lifetime", "membership_changes", "ΠS_ok_pct")

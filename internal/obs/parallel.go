@@ -31,9 +31,7 @@ func newWorkerScratch() *workerScratch { return &workerScratch{} }
 // behind both ΠS (evaluated on the current partition and graph) and ΠT
 // (evaluated on the previous partition against the new graph — a member
 // that left g is unreachable and stretches the group). Singleton groups
-// are never stretched. One BFS per member over the graph's dense node
-// indices: no map beyond the one IndexOf probe per member and per
-// visited edge.
+// are never stretched.
 func (w *workerScratch) stretched(g *graph.G, members []ident.NodeID, dmax int) bool {
 	k := len(members)
 	if k <= 1 {

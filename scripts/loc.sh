@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ceiling=16317 # total (non-test, without cmd/grpbench) at the last change that moved it
+ceiling=16319 # total (non-test, without cmd/grpbench) at the last change that moved it
 
 count() { # non-test .go lines directly in directory $1
 	find "$1" -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l
