@@ -21,7 +21,8 @@
 // each shard owns a private RNG stream derived from the seed. Workers
 // only ever race for *which* shard they process next, never for the order
 // of effects inside a shard, and cross-shard effects (message delivery)
-// are partitioned by receiver before the parallel phase starts. A fixed
+// are partitioned by receiver, over fixed chunks of the delivery list,
+// before any receiver stores them. A fixed
 // seed therefore yields bit-identical traces at any GOMAXPROCS and any
 // Workers setting.
 //
@@ -51,6 +52,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -131,22 +133,13 @@ type senderVer struct {
 	ver uint64 // sender state version the delivered broadcast was built at
 }
 
-// resolvedDelivery is one reception with the receiver record and message
-// resolved on the coordinator, so the parallel deliver phase touches no
-// shared maps.
-type resolvedDelivery struct {
-	to   *nodeRec
-	msg  *core.Message
-	from senderVer
-}
-
 // shardScratch is one shard's reusable buffers: the per-tick slates, and
 // the scratch every node of the shard computes in — a shard is a function
 // of the node ID worked by one worker at a time at any Workers setting.
 type shardScratch struct {
 	txs   []radio.Tx
 	bytes int
-	deliv []resolvedDelivery
+	in    []radio.Delivery     // this tick's receptions at the shard's nodes, in delivBuf order
 	wakes []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
 	core  core.Scratch
 	msgs  pool[*core.Message]
@@ -477,6 +470,13 @@ type Engine struct {
 	txsBuf   []radio.Tx
 	delivBuf []radio.Delivery
 
+	// deliver's partition: row c counts, then places, chunk c's receptions
+	// by receiver shard; its fan-outs are bound once, in New. ext is
+	// deliver's argument while it runs, so its closure captures e alone.
+	chunks           [shard.N][shard.N]int32
+	countFn, placeFn func(c, w int)
+	ext              []ExternalDelivery
+
 	// Receiver-cache key: the per-record receiver sets are valid while
 	// the topology graph and the engine membership stay put; any change
 	// bumps recvEpoch, invalidating every record at once. A graph is never
@@ -539,6 +539,7 @@ func New(p Params, topo Topology) *Engine {
 		recvEpoch:    1, // fresh records (epoch 0) start invalid
 		reg:          introspect.NewRegistry(shard.N),
 	}
+	e.countFn, e.placeFn = e.countChunk, e.placeChunk
 	for s := range e.shardRNGs {
 		e.shardRNGs[s] = rand.New(rand.NewSource(shardSeed(p.Seed, s)))
 		sc := &e.scratch[s]
@@ -562,52 +563,69 @@ func New(p Params, topo Topology) *Engine {
 	if st, ok := topo.(*SpatialTopology); ok && st.World.Workers == 0 {
 		st.World.Workers = p.Workers
 	}
-	// The population is built, not joined n times: what a join would grow
-	// is reserved, and every node's first storage is cut from boot's slabs.
-	e.recs = make([]nodeRec, 0, len(nodes))
-	boot := &bootStore{nodes: core.NewNodes(nodes, p.Cfg), room: make([]int, len(nodes))}
-	var count, need [shard.N]int
-	g := topo.Graph()
-	for i, v := range nodes {
-		// The capacity append would have grown to: a cut of exactly the
-		// degree moves out at the first new neighbour, in the steady state.
-		if d := len(g.NeighborsView(v)); d > 0 {
-			boot.room[i] = 1 << bits.Len(uint(d-1))
-		}
-		count[shard.Of(v)]++
-		need[shard.Of(v)] += boot.room[i]
-	}
-	for s, n := range need {
-		boot.sigs[s] = make([]senderVer, 2*n)
-		boot.recv[s] = make([]ident.NodeID, n)
-		e.scratch[s].boot = make([]core.Message, 2*count[s]) // a node builds twice in its first round
-		// Slot 0 is where every unjittered node's timers live.
-		e.computeWheel.slots[0][s] = make([]wheelEnt, 0, count[s])
-		if e.sendWheel != nil {
-			e.sendWheel.slots[0][s] = make([]wheelEnt, 0, count[s])
-		}
-	}
+	// The population is built, not joined n times: what is numbered or
+	// drawn in node order is here (join, into records zeroed once, so it
+	// appends none), each shard's worker builds the rest (bootShard).
+	e.recs = make([]nodeRec, len(nodes))
+	var first [shard.N + 1]int // shard s's slots are bySlot[first[s]:first[s+1]]
 	for _, v := range nodes {
-		e.addNode(v, boot)
+		e.join(v)
+		first[shard.Of(v)+1]++
 	}
+	for s := range shard.N {
+		first[s+1] += first[s]
+	}
+	bySlot, at := make([]int32, len(nodes)), first
+	for slot, v := range nodes {
+		s := shard.Of(v)
+		bySlot[at[s]], at[s] = int32(slot), at[s]+1
+	}
+	g := topo.Graph()
+	shard.Run(p.Workers, func(s, _ int) { e.bootShard(s, g, nodes, bySlot[first[s]:first[s+1]]) })
+	e.txsBuf = make([]radio.Tx, 0, len(nodes))
+	e.delivBuf = make([]radio.Delivery, 0, room(2*g.NumEdges()))
 	return e
 }
 
-// bootStore is what New builds its population in: the node slab, and per
-// shard (whose nodes one worker at a time works) an arena each for the two
-// inbox signatures and the receiver sets, cut by each node's degree in the
-// first graph. Cuts are cap-clamped: growing past one moves the slice into
-// storage of its own. Nothing is ever returned to a slab; a recycled slot
-// allocates. Only pointer-free elements are cut from arenas: an outgrown
-// cut of message pointers would keep alive whatever it last pointed at, so
-// an inbox is reserved at the same capacity but allocated on its own (the
-// first-round headers, shardScratch.boot, are safe: their pool clears them).
-type bootStore struct {
-	nodes []core.Node
-	room  []int // per slot: the capacity of the node's cuts
-	sigs  [shard.N][]senderVer
-	recv  [shard.N][]ident.NodeID
+// bootShard builds shard s's nodes, at slots (in node order), from the
+// shard's slabs: the nodes', and an arena each for the inbox signatures and
+// the receiver sets, cut by degree in the first graph g. Cuts are
+// cap-clamped: growing past one moves the slice into storage of its own;
+// nothing returns to a slab. An inbox is allocated on its own: an outgrown
+// cut of message pointers would pin what it last pointed at (the
+// first-round headers, shardScratch.boot, are safe: their pool clears
+// them). The per-tick buffers are sized so the first round grows nothing.
+func (e *Engine) bootShard(s int, g *graph.G, nodes []ident.NodeID, slots []int32) {
+	ids := make([]ident.NodeID, len(slots))
+	need, deg := 0, 0
+	for i, slot := range slots {
+		ids[i] = nodes[slot]
+		d := len(g.NeighborsView(ids[i]))
+		deg, need = deg+d, need+room(d)
+	}
+	slab := core.NewNodes(ids, e.P.Cfg)
+	sigs, recv := make([]senderVer, 2*need), make([]ident.NodeID, need)
+	sc := &e.scratch[s]
+	sc.boot = make([]core.Message, 2*len(slots)) // a node builds twice in its first round
+	sc.txs = make([]radio.Tx, 0, len(slots))
+	sc.in = make([]radio.Delivery, 0, room(deg))
+	// Slot 0 is where every unjittered node's timers live.
+	e.computeWheel.slots[0][s] = make([]wheelEnt, 0, len(slots))
+	if e.sendWheel != nil {
+		e.sendWheel.slots[0][s] = make([]wheelEnt, 0, len(slots))
+	}
+	for i, slot := range slots {
+		rec, n := &e.recs[slot], room(len(g.NeighborsView(ids[i])))
+		rec.n = &slab[i]
+		rec.n.SetInbox(make([]*core.Message, 0, n))
+		rec.pending, rec.consumed, rec.recv = carve(&sigs, n), carve(&sigs, n), carve(&recv, n)
+		e.initRec(rec, ids[i], slot)
+	}
 }
+
+// room is the capacity append grows a slice of d elements to (0 at d = 0:
+// the shift passes the word); a cut of just d moves out at a new neighbour.
+func room(d int) int { return 1 << bits.Len(uint(d-1)) }
 
 // carve cuts n elements off the front of *arena: empty, capacity n.
 func carve[T any](arena *[]T, n int) []T {
@@ -621,30 +639,13 @@ func NewStatic(p Params, g *graph.G) *Engine {
 	return New(p, &StaticTopology{G: g})
 }
 
-// addNode joins v: the one place a record is initialised. boot is nil
-// mid-run; in New slots are handed out densely, so v's is its place in boot.
-func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
-	slot, _ := e.order.Add(v)
-	e.memberGen++
-	if int(slot) >= len(e.recs) {
-		e.recs = append(e.recs, nodeRec{})
-	}
-	rec := &e.recs[slot]
-	// Recycle the record in place: identity-bearing fields reset, buffers
-	// (receiver cache, signatures) keep their capacity.
-	if boot == nil {
-		rec.n = core.NewNode(v, e.P.Cfg)
-	} else {
-		s, n := shard.Of(v), boot.room[slot]
-		rec.n = &boot.nodes[slot]
-		rec.n.SetInbox(make([]*core.Message, 0, n))
-		rec.pending, rec.consumed = carve(&boot.sigs[s], n), carve(&boot.sigs[s], n)
-		rec.recv = carve(&boot.recv[s], n)
-	}
-	rec.n.SetScratch(&e.scratch[shard.Of(v)].core)
+// initRec readies the record at slot, whose node, stamp and phase are set,
+// for v: New's (on v's shard's worker) and AddNode's. A recycled record
+// resets in place; its buffers keep their capacity.
+func (e *Engine) initRec(rec *nodeRec, v ident.NodeID, slot int32) {
+	s := shard.Of(v)
+	rec.n.SetScratch(&e.scratch[s].core)
 	rec.id = v
-	rec.gen = e.memberGen
-	rec.phase = 0
 	rec.cm = unbuilt
 	rec.recv = rec.recv[:0]
 	rec.recvEpoch = 0
@@ -658,27 +659,43 @@ func (e *Engine) addNode(v ident.NodeID, boot *bootStore) {
 	rec.stateDig, rec.stateDigVer = 0, 0
 	rec.seeded = false
 	rec.lie, rec.lieVer, rec.lieSize = nil, 0, 0
-	if e.P.Jitter {
-		rec.phase = e.rng.Intn(e.P.Tc)
-	}
 	ent := wheelEnt{id: v, slot: slot}
 	if e.P.RandomizedSends {
-		e.sendOneshot.schedule(ent, e.tick+e.shardRNGs[shard.Of(v)].Intn(e.P.Ts))
+		e.sendOneshot.schedule(ent, e.tick+e.shardRNGs[s].Intn(e.P.Ts))
 	} else {
 		e.sendWheel.add(ent, rec.phase)
 	}
 	e.computeWheel.add(ent, rec.phase)
-	if e.dirtyOn {
-		e.dirtyAdded = append(e.dirtyAdded, v)
-	}
 }
 
 // AddNode introduces a fresh node mid-run (it must already be present in
 // the topology, e.g. placed in the world or added to the static graph).
 func (e *Engine) AddNode(v ident.NodeID) {
-	if !e.order.Has(v) {
-		e.addNode(v, nil)
+	if e.order.Has(v) {
+		return
 	}
+	rec, slot := e.join(v)
+	rec.n = core.NewNode(v, e.P.Cfg)
+	e.initRec(rec, v, slot)
+	if e.dirtyOn {
+		e.dirtyAdded = append(e.dirtyAdded, v)
+	}
+}
+
+// join gives v what is numbered or drawn in node order: its slot, its
+// incarnation stamp and its jittered timer phase.
+func (e *Engine) join(v ident.NodeID) (*nodeRec, int32) {
+	slot, _ := e.order.Add(v)
+	e.memberGen++
+	if int(slot) >= len(e.recs) {
+		e.recs = append(e.recs, nodeRec{})
+	}
+	rec := &e.recs[slot]
+	rec.gen, rec.phase = e.memberGen, 0
+	if e.P.Jitter {
+		rec.phase = e.rng.Intn(e.P.Tc)
+	}
+	return rec, slot
 }
 
 // RemoveNode makes a node leave: it stops sending and computing, and its
@@ -1144,85 +1161,107 @@ func (e *Engine) arbitrate() {
 }
 
 // deliver runs phase 4: the receptions arbitrate left in delivBuf, plus
-// ext, are partitioned by receiver shard on the coordinator — with the
-// receiver record and sender message resolved up front (the two ID→slot
-// probes here are the radio contract's boundary) — then stored in
-// parallel: each node's inbox and signature are only ever touched by its
-// own shard's worker.
+// ext, are stored at their receivers by their shards' workers. Two timed
+// fan-outs over delivBuf's chunks partition it by receiver shard: one
+// counts, the coordinator sums the counts up to offsets, one copies. A
+// shard's list is chunk 0's receptions, then chunk 1's, …: delivBuf's
+// order filtered to the shard, at any width. A third resolves each
+// reception's two slots (the ID→slot probes are the radio contract's
+// boundary) and the sender's broadcast, and stores it.
 func (e *Engine) deliver(ext []ExternalDelivery) {
 	if len(e.txsBuf) == 0 && len(ext) == 0 {
 		return
 	}
-	start := time.Now()
+	start, busy := time.Now(), e.reg.Busy(introspect.PhaseDeliver)
+	e.ext = ext
+	shard.RunTimed(e.P.Workers, busy, e.countFn)
 	for s := range e.scratch {
-		e.scratch[s].deliv = e.scratch[s].deliv[:0]
+		sc, n := &e.scratch[s], int32(0)
+		for c := range e.chunks {
+			n, e.chunks[c][s] = n+e.chunks[c][s], n
+		}
+		sc.in = slices.Grow(sc.in[:0], int(n))[:n]
 	}
-	delivs := uint64(0)
-	for _, d := range e.delivBuf {
-		toSlot := e.order.SlotOf(d.To)
-		if toSlot < 0 {
-			continue
-		}
-		delivs++
-		fromSlot := e.order.SlotOf(d.From)
-		if fromSlot < 0 {
-			// A channel implementation fabricated or replayed a delivery
-			// from a sender that is no longer (or never was) live: count
-			// it, deliver nothing.
-			continue
-		}
-		from := &e.recs[fromSlot]
-		msg, ver := from.cm.m, from.cm.ver
-		if from.lie != nil {
-			msg, ver = from.lie, from.lieVer
-		}
-		sc := &e.scratch[shard.Of(d.To)]
-		sc.deliv = append(sc.deliv, resolvedDelivery{
-			to:   &e.recs[toSlot],
-			msg:  msg,
-			from: senderVer{id: d.From, gen: from.gen, ver: ver},
-		})
-	}
-	// External receptions (distributed wrapper): the sender's record lives
-	// in another process, so the (gen, ver) signature arrives resolved;
-	// only the receiver is looked up locally. Appending after the local
-	// partition keeps each scratch list single-writer; within a shard the
-	// relative order is irrelevant (see FinishTick).
-	for _, x := range ext {
-		toSlot := e.order.SlotOf(x.To)
-		if toSlot < 0 {
-			continue
-		}
-		delivs++
-		sc := &e.scratch[shard.Of(x.To)]
-		sc.deliv = append(sc.deliv, resolvedDelivery{
-			to:   &e.recs[toSlot],
-			msg:  x.Msg,
-			from: senderVer{id: x.From, gen: x.Gen, ver: x.Ver},
-		})
-	}
-	e.reg.Add(introspect.CtrDeliveries, delivs)
-	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseDeliver), func(s, _ int) {
-		var elided uint64
-		for _, d := range e.scratch[s].deliv {
-			if d.from.ver == ^uint64(0) {
-				// An unbuilt broadcast (fabricated delivery) is the shared
-				// zero Message that ReceiveRef drops; it never enters the
-				// inbox, so it must not enter the signature either.
-				d.to.n.ReceiveRef(d.msg)
+	shard.RunTimed(e.P.Workers, busy, e.placeFn)
+	shard.RunTimed(e.P.Workers, busy, func(s, _ int) {
+		var delivs, elided uint64
+		for _, d := range e.scratch[s].in {
+			to := e.order.SlotOf(d.To)
+			if to < 0 {
 				continue
 			}
-			var dup bool
-			d.to.pending, dup = pendingUpsert(d.to.pending, d.from)
-			if !dup {
-				d.to.n.ReceiveRef(d.msg)
-			} else {
-				elided++
+			delivs++
+			from := e.order.SlotOf(d.From)
+			if from < 0 {
+				// A channel implementation fabricated or replayed a delivery
+				// from a sender that is no longer (or never was) live: count
+				// it, deliver nothing.
+				continue
+			}
+			f := &e.recs[from]
+			msg, ver := f.cm.m, f.cm.ver
+			if f.lie != nil {
+				msg, ver = f.lie, f.lieVer
+			}
+			elided += e.recs[to].store(msg, senderVer{id: d.From, gen: f.gen, ver: ver})
+		}
+		// An external reception's sender lives in another process: its
+		// signature arrives resolved. Each shard picks its own out of ext,
+		// the boundary's receptions, which are few beside the local ones;
+		// order is immaterial (see FinishTick).
+		for _, x := range e.ext {
+			if shard.Of(x.To) != s {
+				continue
+			}
+			if to := e.order.SlotOf(x.To); to >= 0 {
+				delivs++
+				elided += e.recs[to].store(x.Msg, senderVer{id: x.From, gen: x.Gen, ver: x.Ver})
 			}
 		}
-		e.reg.Shard(s).Add(introspect.CtrDeliveriesElided, elided)
+		lane := e.reg.Shard(s)
+		lane.Add(introspect.CtrDeliveries, delivs)
+		lane.Add(introspect.CtrDeliveriesElided, elided)
 	})
+	e.ext = nil
 	e.endPhase(introspect.PhaseDeliver, start)
+}
+
+// countChunk counts chunk c's receptions, the c-th of delivBuf's shard.N
+// fixed index ranges, by receiver shard into row c.
+func (e *Engine) countChunk(c, _ int) {
+	row, n := &e.chunks[c], len(e.delivBuf)
+	*row = [shard.N]int32{}
+	for _, d := range e.delivBuf[c*n/shard.N : (c+1)*n/shard.N] {
+		row[shard.Of(d.To)]++
+	}
+}
+
+// placeChunk copies chunk c's receptions into their shards' lists from the
+// offsets row c holds after the prefix sum.
+func (e *Engine) placeChunk(c, _ int) {
+	at, n := &e.chunks[c], len(e.delivBuf)
+	for _, d := range e.delivBuf[c*n/shard.N : (c+1)*n/shard.N] {
+		s := shard.Of(d.To)
+		e.scratch[s].in[at[s]] = d
+		at[s]++
+	}
+}
+
+// store buffers one delivery of m, signed sv, at the record's node and
+// reports 1 when it elides it: the signature already holds sv, so the
+// inbox already buffers this very message as the sender's last. An
+// unbuilt broadcast (a fabricated delivery) never enters the inbox, so it
+// must not enter the signature either.
+func (r *nodeRec) store(m *core.Message, sv senderVer) (elided uint64) {
+	if sv.ver == ^uint64(0) {
+		return 0
+	}
+	var dup bool
+	if r.pending, dup = pendingUpsert(r.pending, sv); dup {
+		return 1
+	}
+	r.n.ReceiveRef(m)
+	return 0
 }
 
 // compute runs phase 5, activity-driven, and closes the tick. skipGate

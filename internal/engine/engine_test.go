@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strconv"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/introspect"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/radio"
@@ -48,11 +51,41 @@ func setToSorted(m map[ident.NodeID]bool) []ident.NodeID {
 	return out
 }
 
+// edgeChannel wraps a channel with the deliver partition's edge cases:
+// every tenth call it delivers nothing; every third it replays each
+// delivery (the copy is elided), which takes the buffer past 64 and off
+// its multiples; and on every call that delivers it fabricates
+// deliveries from and to node 3 (removed mid-run) and from node 20 (a
+// member only later, and then unbuilt until its first send).
+type edgeChannel struct {
+	radio.Channel
+	tick int
+}
+
+func (c *edgeChannel) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radio.Delivery) []radio.Delivery {
+	c.tick++
+	n := len(buf)
+	buf = c.Channel.AppendDeliverSlot(txs, rng, buf)
+	switch {
+	case c.tick%10 == 0:
+		return buf[:n]
+	case c.tick%3 == 0:
+		buf = append(buf, buf[n:]...)
+	}
+	return append(buf, radio.Delivery{From: 3, To: 1}, radio.Delivery{From: 1, To: 3}, radio.Delivery{From: 20, To: 2})
+}
+
 // scenario builds one run of the given worker width: a mobile spatial
 // topology, a lossy channel, jitter and randomized sends all at once, so
 // every RNG consumer (global stream and per-shard streams) is exercised,
-// plus mid-run churn to cover the wheels' add/remove paths.
-func scenario(workers int) []string {
+// plus mid-run churn to cover the wheels' add/remove paths. The channel
+// adds the deliver partition's edge cases (edgeChannel), node 5 lies for
+// a while, and a sender of another process reaches nodes 2 and 3 through
+// external deliveries. It returns, per round, the snapshot's fingerprint
+// and, per tick, the delivery counters and every member's inbox: its
+// size, its read digest and its pending signature; and the lengths of the
+// delivery buffer the deliver phase partitioned.
+func scenario(workers int) (rounds, ticks []string, lens []int) {
 	w := space.NewWorld(6)
 	ids := make([]ident.NodeID, 14)
 	for i := range ids {
@@ -60,52 +93,189 @@ func scenario(workers int) []string {
 	}
 	topo := NewSpatialTopology(w, &mobility.Waypoint{Side: 14, SpeedMin: 0.5, SpeedMax: 2, Pause: 1},
 		0.2, ids, rand.New(rand.NewSource(99)))
+	cfg := core.Config{Dmax: 3}
 	e := New(Params{
-		Cfg:             core.Config{Dmax: 3},
+		Cfg:             cfg,
 		Ts:              2,
 		Tc:              4,
-		Channel:         radio.Lossy{P: 0.2},
+		Channel:         &edgeChannel{Channel: radio.Lossy{P: 0.2}},
 		Jitter:          true,
 		RandomizedSends: true,
 		Seed:            7,
 		Workers:         workers,
 	}, topo)
-	var out []string
+	lie, foreign := core.NewNode(5, cfg).BuildMessage(), core.NewNode(90, cfg).BuildMessage()
+	reg := e.Introspect()
 	for r := 1; r <= 30; r++ {
-		e.StepRound()
+		for range e.P.Tc {
+			var ext []ExternalDelivery
+			if r >= 4 {
+				ver := uint64(e.Tick() / 8)
+				ext = []ExternalDelivery{{To: 2, From: 90, Gen: 1, Ver: ver, Msg: &foreign}, {To: 3, From: 90, Gen: 1, Ver: ver, Msg: &foreign}}
+			}
+			e.AdvancePhase()
+			e.BuildPhase()
+			e.FinishTick(ext)
+			lens = append(lens, len(e.delivBuf))
+			b := fmt.Appendf(nil, "%d %d:", reg.Get(introspect.CtrDeliveries), reg.Get(introspect.CtrDeliveriesElided))
+			for _, v := range e.Order() {
+				rec := &e.recs[e.SlotOf(v)]
+				b = fmt.Appendf(b, " %v %d %x %v", v, rec.n.PendingMessages(), rec.n.InboxReadDigest(), rec.pending)
+			}
+			ticks = append(ticks, string(b))
+		}
 		switch r {
+		case 5:
+			e.SetLie(5, &lie)
 		case 10:
 			e.RemoveNode(3)
 			w.Remove(3)
+		case 15:
+			e.ClearLie(5)
 		case 18:
 			w.Place(20, space.Point{X: 7, Y: 7})
 			e.AddNode(20)
 		}
-		out = append(out, fingerprint(metrics.SnapshotOf(e)))
+		rounds = append(rounds, fingerprint(metrics.SnapshotOf(e)))
 	}
-	return out
+	return rounds, ticks, lens
 }
 
 // TestDeterministicAcrossWorkersAndProcs is the engine's core contract:
 // the sequential path (Workers ≤ 1) and the parallel engine produce
-// bit-identical per-round snapshots for the same seed, at GOMAXPROCS 1
-// and 4 alike.
+// bit-identical per-round snapshots, and per-tick inboxes, inbox
+// signatures and delivery counters, for the same seed, at GOMAXPROCS 1
+// and 4 alike — over every edge case of the deliver partition: no
+// delivery at all, fewer than its 64 chunks, more and not a multiple, a
+// lossy channel, senders and receivers that are not members, a lie and
+// external deliveries.
 func TestDeterministicAcrossWorkersAndProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(1)
-	want := scenario(1) // the sequential path
+	wantRounds, wantTicks, lens := scenario(1) // the sequential path
+	var empty, short, long bool
+	for _, n := range lens {
+		empty = empty || n == 0
+		short = short || (n > 0 && n < shard.N)
+		long = long || (n > shard.N && n%shard.N != 0)
+	}
+	if !empty || !short || !long {
+		t.Fatalf("delivery buffer lengths %v: want an empty one, one below %d and one above it off its multiples", lens, shard.N)
+	}
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{1, 2, 4, shard.N + 5} {
-			got := scenario(workers)
-			for r := range want {
-				if got[r] != want[r] {
+		for _, workers := range []int{1, 2, 4, 8, shard.N + 5} {
+			rounds, ticks, _ := scenario(workers)
+			for i := range wantTicks {
+				if ticks[i] != wantTicks[i] {
+					t.Fatalf("GOMAXPROCS=%d workers=%d: tick %d's deliveries diverge:\n seq: %s\n par: %s",
+						procs, workers, i+1, wantTicks[i], ticks[i])
+				}
+			}
+			for r := range wantRounds {
+				if rounds[r] != wantRounds[r] {
 					t.Fatalf("GOMAXPROCS=%d workers=%d: round %d diverges:\n seq: %s\n par: %s",
-						procs, workers, r+1, want[r], got[r])
+						procs, workers, r+1, wantRounds[r], rounds[r])
 				}
 			}
 		}
 	}
+}
+
+// TestNewIndependentOfWidth holds New's per-shard build to the width
+// contract with every draw it makes on: jittered phases on the global
+// stream, first send instants on the shards' streams. Records, snapshots
+// and registries are equal at widths 1, 3 and 8, right after New and
+// after each of 10 rounds.
+func TestNewIndependentOfWidth(t *testing.T) {
+	run := func(workers int) (recs []nodeRec, rounds []string) {
+		p := Params{Cfg: core.Config{Dmax: 3}, Ts: 2, Tc: 4, Jitter: true, RandomizedSends: true, Seed: 11, Workers: workers}
+		e := NewStatic(p, graph.Grid(20, 20))
+		for i := range e.recs {
+			recs = append(recs, fresh(&e.recs[i]))
+		}
+		for range 10 {
+			e.StepRound()
+			rounds = append(rounds, fmt.Sprint(fingerprint(metrics.SnapshotOf(e)), e.Introspect().Snapshot().Counters))
+		}
+		return recs, rounds
+	}
+	wantRecs, want := run(1)
+	for _, workers := range []int{3, 8} {
+		recs, rounds := run(workers)
+		if !reflect.DeepEqual(recs, wantRecs) {
+			t.Fatalf("workers=%d: New built other records than at width 1", workers)
+		}
+		for r := range want {
+			if rounds[r] != want[r] {
+				t.Fatalf("workers=%d: round %d diverges:\n seq: %s\n par: %s", workers, r+1, want[r], rounds[r])
+			}
+		}
+	}
+}
+
+// fresh is a just-joined record with what may differ between two that
+// joined alike left out: the node (compared by digest), the incarnation
+// stamp, the buffers' capacities (compared empty) and the memo's dead
+// entries past memoN.
+func fresh(rec *nodeRec) nodeRec {
+	c := *rec
+	c.n, c.gen = nil, 0
+	if len(c.recv)+len(c.pending)+len(c.consumed) != 0 {
+		panic(fmt.Sprintf("node %v joined with buffered state", c.id))
+	}
+	c.recv, c.pending, c.consumed = nil, nil, nil
+	c.memo = [memoCap]memoEnt{}
+	return c
+}
+
+// TestAddNodeMatchesNew: a node AddNode joins mid-run, into a recycled
+// slot and into a fresh one, holds the same record New gives it, and is
+// on the same wheel slots.
+func TestAddNodeMatchesNew(t *testing.T) {
+	p := Params{Cfg: core.Config{Dmax: 3}, Seed: 2, Workers: 4}
+	g := graph.Grid(6, 6)
+	bulk := NewStatic(p, g)
+	joined := New(p, noNodes{&StaticTopology{G: g}})
+	for _, v := range g.Nodes() {
+		if v != 7 && v != 29 {
+			joined.AddNode(v)
+		}
+	}
+	joined.StepTicks(3 * joined.P.Tc)
+	recycled := joined.SlotOf(12)
+	joined.RemoveNode(12)
+	for _, v := range []ident.NodeID{7, 29} {
+		joined.AddNode(v)
+		a, b := &bulk.recs[bulk.SlotOf(v)], &joined.recs[joined.SlotOf(v)]
+		if got, want := fresh(b), fresh(a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %v: joined with\n%+v\nNew gave it\n%+v", v, got, want)
+		}
+		if a.n.StateDigest() != b.n.StateDigest() || a.n.Version() != b.n.Version() {
+			t.Fatalf("node %v joined as %s, New built it as %s", v, b.n, a.n)
+		}
+		if b.gen != joined.memberGen {
+			t.Fatalf("node %v joined with stamp %d, want the newest, %d", v, b.gen, joined.memberGen)
+		}
+		for name, w := range map[string][2]*periodicWheel{"send": {bulk.sendWheel, joined.sendWheel}, "compute": {bulk.computeWheel, joined.computeWheel}} {
+			if !onWheel(w[0], v, a.phase) || !onWheel(w[1], v, b.phase) {
+				t.Fatalf("node %v is not on its %s wheel slot", v, name)
+			}
+		}
+	}
+	if joined.SlotOf(7) != recycled || int(joined.SlotOf(29)) != len(joined.recs)-1 {
+		t.Fatalf("slots %d and %d: want the recycled %d and the fresh %d", joined.SlotOf(7), joined.SlotOf(29), recycled, len(joined.recs)-1)
+	}
+}
+
+// onWheel reports whether v is in its shard's bucket of phase's slot.
+func onWheel(w *periodicWheel, v ident.NodeID, phase int) bool {
+	for _, ent := range w.slots[w.slotOf(phase)][shard.Of(v)] {
+		if ent.id == v {
+			return true
+		}
+	}
+	return false
 }
 
 // TestParallelMatchesSequentialStatic pins the same contract on the

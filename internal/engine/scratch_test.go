@@ -100,13 +100,16 @@ func TestFootprint(t *testing.T) {
 	}
 	perNode := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
 	t.Logf("live heap per node: %d B", perNode)
-	// Measured 3 696 B on amd64: 3 568 B when the pools dropped storage one
+	// Measured 3 565 B on amd64, 3 722 B while deliver kept a 40-byte
+	// resolved entry per reception where it now keeps the 8-byte delivery.
+	// Earlier, against 3 696 B: 3 568 B when the pools dropped storage one
 	// compute period after it ripened, not poolLife; 3 897 B when every
 	// inbox entry and every cached broadcast held a copy of the 96-byte
 	// header, 5.5 KB when every node kept a private fold arena and work
-	// buffers. Of it 0.19 KB is New's slab of first-round headers, two a
-	// node, alive while any header cut from it is.
-	if budget := int64(3850); perNode > budget {
+	// buffers. Of it 0.19 KB is New's slabs of first-round headers, two a
+	// node, alive while any header cut from them is. The budget is the
+	// measurement plus 154 B.
+	if budget := int64(3719); perNode > budget {
 		t.Errorf("live heap per node = %d B, budget %d B", perNode, budget)
 	}
 	runtime.KeepAlive(e)
