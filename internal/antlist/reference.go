@@ -140,16 +140,3 @@ func (r RefList) Truncate(n int) RefList {
 	copy(out, r[:n])
 	return out.Normalize()
 }
-
-// Equal reports whether two reference lists are identical.
-func (r RefList) Equal(o RefList) bool {
-	if len(r) != len(o) {
-		return false
-	}
-	for i := range r {
-		if !r[i].Equal(o[i]) {
-			return false
-		}
-	}
-	return true
-}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/introspect"
 )
 
 // recordType classifies one JSONL line: flight and wake records carry an
@@ -49,7 +51,7 @@ func TestJSONLSinkInterleavesRecordKinds(t *testing.T) {
 	for r := 1; r <= 5; r++ {
 		write("stats", s.Write(RoundStats{Round: r, Tick: 2 * r}))
 		if r == 2 {
-			write("wake", s.WriteWake(WakeRecord{Type: "wake", Round: r, Node: 7, Cause: "inbox_new", Sender: 9}))
+			write("wake", s.WriteWake(NewWakeRecord(r, introspect.WakeRec{Node: 7, Cause: introspect.WakeInboxNew, Sender: 9})))
 		}
 		if r == 3 {
 			write("episode", s.WriteEpisode(Episode{ID: 1, OpenedRound: r}))
@@ -76,6 +78,9 @@ func TestJSONLSinkInterleavesRecordKinds(t *testing.T) {
 	for i, line := range lines {
 		if got := recordType(t, line); got != want[i] {
 			t.Errorf("record %d is %q, want %q (write order not preserved)", i, got, want[i])
+		}
+		if want[i] == "wake" && !strings.Contains(line, `"cause":"inbox_new"`) {
+			t.Errorf("wake record %q does not name its cause inbox_new", line)
 		}
 	}
 }

@@ -8,13 +8,17 @@
 # reviewer sees it; a change that shrinks the tree lowers it to its result.
 # cmd/grpbench is listed apart from the total and outside the ceiling:
 # the benchmark may not change with the code it measures, so its size
-# says nothing about a change to the system.
+# says nothing about a change to the system. DESIGN.md and EXPERIMENTS.md
+# are held the same way, each under its own ceiling, so that the
+# documents state the tree as it is instead of growing by accretion.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ceiling=16358 # total (non-test, without cmd/grpbench) at the last change that moved it
+ceiling=16345 # total (non-test, without cmd/grpbench) at the last change that moved it
+design_ceiling=996      # lines of DESIGN.md, likewise
+experiments_ceiling=498 # lines of EXPERIMENTS.md, likewise
 
 count() { # non-test .go lines directly in directory $1
 	find "$1" -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l
@@ -32,7 +36,17 @@ while read -r dir; do
 done < <(find . -name '*.go' -not -name '*_test.go' -not -path './.*' -exec dirname {} + | sort -u)
 printf '%6d  total (non-test, without cmd/grpbench)\n' "$total"
 printf '%6d  cmd/grpbench (the benchmark, listed apart)\n' "${bench:-0}"
-if [ "$total" -gt "$ceiling" ]; then
-	echo "loc.sh: total $total is above the ceiling $ceiling (raise it in this script if the growth is meant)" >&2
-	exit 1
-fi
+design=$(wc -l <DESIGN.md)
+experiments=$(wc -l <EXPERIMENTS.md)
+printf '%6d  DESIGN.md\n%6d  EXPERIMENTS.md\n' "$design" "$experiments"
+status=0
+check() { # name value ceiling
+	if [ "$2" -gt "$3" ]; then
+		echo "loc.sh: $1 $2 is above the ceiling $3 (raise it in this script if the growth is meant)" >&2
+		status=1
+	fi
+}
+check total "$total" "$ceiling"
+check DESIGN.md "$design" "$design_ceiling"
+check EXPERIMENTS.md "$experiments" "$experiments_ceiling"
+exit "$status"
