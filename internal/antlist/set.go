@@ -151,19 +151,6 @@ func (s Set) Filter(keep func(ident.Entry) bool) Set {
 	return out
 }
 
-// Equal reports whether two sets hold the same entries (IDs and marks).
-func (s Set) Equal(o Set) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the set as {n1, n2', n3”}.
 func (s Set) String() string { return string(s.AppendString(nil)) }
 

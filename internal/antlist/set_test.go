@@ -1,8 +1,10 @@
 package antlist
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -53,7 +55,7 @@ func TestSetHasGetRemove(t *testing.T) {
 	if s2.Has(5) || !s2.Has(7) {
 		t.Fatalf("Remove(5) wrong: %v", s2)
 	}
-	if got := s.Remove(99); !got.Equal(s) {
+	if got := s.Remove(99); !slices.Equal(got, s) {
 		t.Fatalf("Remove of absent id changed set: %v", got)
 	}
 }
@@ -63,14 +65,14 @@ func TestSetUnionMergesMarks(t *testing.T) {
 	b := NewSet(ident.Double(2), ident.Plain(3))
 	u := a.Union(b)
 	want := NewSet(ident.Plain(1), ident.Double(2), ident.Plain(3))
-	if !u.Equal(want) {
+	if !slices.Equal(u, want) {
 		t.Fatalf("Union = %v, want %v", u, want)
 	}
 }
 
 func TestSetUnionEmpty(t *testing.T) {
 	a := NewSet(ident.Plain(1))
-	if !a.Union(nil).Equal(a) || !Set(nil).Union(a).Equal(a) {
+	if !slices.Equal(a.Union(nil), a) || !slices.Equal(Set(nil).Union(a), a) {
 		t.Fatal("union with empty should be identity")
 	}
 	if got := Set(nil).Union(nil); len(got) != 0 {
@@ -91,6 +93,12 @@ func TestSetString(t *testing.T) {
 	if got := s.String(); got != "{n1,n2',n3''}" {
 		t.Fatalf("String = %q", got)
 	}
+	if got := s[2].String(); got != "n3''" {
+		t.Fatalf("Entry.String = %q", got)
+	}
+	if got := fmt.Sprint(ident.MarkPlain, ident.MarkSingle, ident.MarkDouble, ident.Mark(3)); got != "plain single double mark(3)" {
+		t.Fatalf("Mark.String = %q", got)
+	}
 }
 
 func randomSet(r *rand.Rand, maxID uint32) Set {
@@ -107,7 +115,7 @@ func TestQuickSetUnionCommutative(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		a, b := randomSet(rr, 8), randomSet(rr, 8)
-		return a.Union(b).Equal(b.Union(a))
+		return slices.Equal(a.Union(b), b.Union(a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: r}); err != nil {
 		t.Fatal(err)
@@ -118,10 +126,10 @@ func TestQuickSetUnionAssociativeIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		a, b, c := randomSet(rr, 8), randomSet(rr, 8), randomSet(rr, 8)
-		if !a.Union(b).Union(c).Equal(a.Union(b.Union(c))) {
+		if !slices.Equal(a.Union(b).Union(c), a.Union(b.Union(c))) {
 			return false
 		}
-		return a.Union(a).Equal(a)
+		return slices.Equal(a.Union(a), a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

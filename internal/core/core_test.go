@@ -83,6 +83,9 @@ func TestNewNodeInitialState(t *testing.T) {
 	if n.QuarantineOf(7) != 0 || n.QuarantineOf(9) != -1 {
 		t.Fatal("initial quarantine wrong")
 	}
+	if got, want := n.String(), "n7 list=({n7}) view=[n7] pr=pr(0@n7) gpr=pr(0@n7)"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
 }
 
 func TestNewNodePanicsOnBadDmax(t *testing.T) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -183,22 +181,18 @@ func E9Loss(seeds int) *Table {
 		"loss", "Tc/Ts", "converged", "ΠC_violations/run", "unexcused/run")
 	for _, loss := range []float64{0, 0.1, 0.2, 0.4} {
 		for _, ratio := range []int{2, 4} {
-			conv := 0
-			viol, unexc := 0, 0
+			sw, viol, unexc := sweep{cap: 400}, 0, 0
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				s := engine.NewStatic(engine.Params{
+				s := sw.run(engine.Params{
 					Cfg: core.Config{Dmax: 3}, Seed: seed,
 					Ts: 1, Tc: ratio,
 					Channel: radio.Lossy{P: loss},
-				}, graph.Line(8))
-				if _, ok := metrics.RunUntilConverged(s, 3, 400, 3); ok {
-					conv++
-				}
+				}, &engine.StaticTopology{G: graph.Line(8)})
 				tr := observeRounds(s, nil, 60, 3)
 				viol += tr.ContinuityViolations
 				unexc += tr.UnexcusedViolations
 			}
-			tb.AddRow(loss, ratio, fmt.Sprintf("%d/%d", conv, seeds),
+			tb.AddRow(loss, ratio, sw.converged(),
 				float64(viol)/float64(seeds), float64(unexc)/float64(seeds))
 		}
 	}

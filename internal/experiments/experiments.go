@@ -39,6 +39,59 @@ func sparseCases() []topoCase {
 	}
 }
 
+// sweep is where every converging E-world is built and run, and one table
+// row's runs are tallied. A run is engine.New(p, topo) stepped by
+// metrics.RunUntilConverged at p's Dmax — the map-based oracle, which
+// shares no index with the engine — until ΠA∧ΠS∧ΠM has held 3 rounds in a
+// row or cap rounds have passed; its final snapshot is folded into the
+// row's cells.
+type sweep struct {
+	cap int // round cap of a run
+
+	runs, conv, rounds, groups int
+	size                       float64 // summed mean group size
+	unsafe                     bool    // ΠS failed at the end of some run
+}
+
+// run builds one world, converges it and folds it, and returns the engine
+// for follow-up measurement.
+func (sw *sweep) run(p engine.Params, topo engine.Topology) *engine.Engine {
+	s := engine.New(p, topo)
+	sw.settle(s, 0)
+	return s
+}
+
+// settle converges s from its current state and folds it; a converged
+// run counts spent earlier rounds on top of its own.
+func (sw *sweep) settle(s *engine.Engine, spent int) {
+	r, ok := metrics.RunUntilConverged(s, s.P.Cfg.Dmax, sw.cap, 3)
+	sw.fold(s, spent+r, ok)
+}
+
+// fold tallies one run that ends at s's current state.
+func (sw *sweep) fold(s *engine.Engine, rounds int, ok bool) {
+	snap := metrics.SnapshotOf(s)
+	sw.runs++
+	if ok {
+		sw.conv++
+		sw.rounds += rounds
+	}
+	sw.groups += snap.GroupCount()
+	sw.size += snap.MeanGroupSize()
+	sw.unsafe = sw.unsafe || !snap.Safety(s.P.Cfg.Dmax)
+}
+
+func (sw *sweep) converged() string { return fmt.Sprintf("%d/%d", sw.conv, sw.runs) }
+
+// meanRounds is the mean over the converged runs.
+func (sw *sweep) meanRounds() float64 { return float64(sw.rounds) / float64(max(sw.conv, 1)) }
+
+func (sw *sweep) meanGroups() float64 { return float64(sw.groups) / float64(sw.runs) }
+
+func (sw *sweep) meanSize() float64 { return sw.size / float64(sw.runs) }
+
+func (sw *sweep) safe() bool { return !sw.unsafe }
+
 // E1Stabilization regenerates the Prop. 1+2 table: from corrupted initial
 // configurations, how many rounds until all garbage (ghost identities,
 // oversized lists) is gone and the legitimacy predicate holds again.
@@ -60,10 +113,11 @@ func E1Stabilization(seeds int) *Table {
 	}
 	for _, k := range kinds {
 		for _, tc := range topos {
-			healSum, convSum, rec := 0, 0, 0
+			sw, healSum := sweep{cap: 400}, 0
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed}, tc.g())
-				metrics.RunUntilConverged(s, tc.dmax, 400, 3) // reach legitimacy first
+				// Reach legitimacy first, in a sweep of its own: it is no cell.
+				warm := sweep{cap: 400}
+				s := warm.run(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed}, &engine.StaticTopology{G: tc.g()})
 				workload.Corrupt(s, k.kind, 0.5, rand.New(rand.NewSource(seed*97)))
 				heal := 0
 				for r := 1; r <= 200; r++ {
@@ -74,13 +128,9 @@ func E1Stabilization(seeds int) *Table {
 					}
 				}
 				healSum += heal
-				if rounds, ok := metrics.RunUntilConverged(s, tc.dmax, 400, 3); ok {
-					convSum += heal + rounds
-					rec++
-				}
+				sw.settle(s, heal)
 			}
-			tb.AddRow(k.name, tc.name, float64(healSum)/float64(seeds),
-				float64(convSum)/float64(max(rec, 1)), fmt.Sprintf("%d/%d", rec, seeds))
+			tb.AddRow(k.name, tc.name, float64(healSum)/float64(seeds), sw.meanRounds(), sw.converged())
 		}
 	}
 	return tb
@@ -92,24 +142,11 @@ func E2Agreement(seeds int) *Table {
 	tb := newTable("E2/E3/E4 — convergence to ΠA∧ΠS∧ΠM (Props. 7, 8, 12)",
 		"topology", "n", "Dmax", "converged", "mean_rounds", "groups", "ΠS_holds")
 	for _, tc := range sparseCases() {
-		conv, roundsSum, groups := 0, 0, 0
-		safe := true
-		var n int
+		sw := sweep{cap: 800}
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			g := tc.g()
-			n = g.NumNodes()
-			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed, Jitter: seed%2 == 0}, g)
-			r, ok := metrics.RunUntilConverged(s, tc.dmax, 800, 3)
-			snap := metrics.SnapshotOf(s)
-			if ok {
-				conv++
-				roundsSum += r
-			}
-			groups += snap.GroupCount()
-			safe = safe && snap.Safety(tc.dmax)
+			sw.run(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed, Jitter: seed%2 == 0}, &engine.StaticTopology{G: tc.g()})
 		}
-		tb.AddRow(tc.name, n, tc.dmax, fmt.Sprintf("%d/%d", conv, seeds),
-			float64(roundsSum)/float64(max(conv, 1)), float64(groups)/float64(seeds), safe)
+		tb.AddRow(tc.name, tc.g().NumNodes(), tc.dmax, sw.converged(), sw.meanRounds(), sw.meanGroups(), sw.safe())
 	}
 	return tb
 }
@@ -126,18 +163,11 @@ func E4MergeGadgets(seeds int) *Table {
 		{"ring-4x3", func() *graph.G { return workload.MergeRing(4, 3) }, 2},
 	}
 	for _, tc := range gadgets {
-		conv, roundsSum, groups := 0, 0, 0
+		sw := sweep{cap: 800}
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed}, tc.g())
-			r, ok := metrics.RunUntilConverged(s, tc.dmax, 800, 3)
-			if ok {
-				conv++
-				roundsSum += r
-			}
-			groups += metrics.SnapshotOf(s).GroupCount()
+			sw.run(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed}, &engine.StaticTopology{G: tc.g()})
 		}
-		tb.AddRow(tc.name, fmt.Sprintf("%d/%d", conv, seeds),
-			float64(roundsSum)/float64(max(conv, 1)), float64(groups)/float64(seeds))
+		tb.AddRow(tc.name, sw.converged(), sw.meanRounds(), sw.meanGroups())
 	}
 	return tb
 }
@@ -149,28 +179,20 @@ func E7Scaling(seeds int) (*Table, *Table) {
 	bySize := newTable("E7a — convergence rounds vs network size (line, Dmax=4)",
 		"n", "mean_rounds", "converged")
 	for _, n := range []int{10, 20, 30, 40, 60} {
-		conv, sum := 0, 0
+		sw := sweep{cap: 1200}
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: seed}, graph.Line(n))
-			if r, ok := metrics.RunUntilConverged(s, 4, 1200, 3); ok {
-				conv++
-				sum += r
-			}
+			sw.run(engine.Params{Cfg: core.Config{Dmax: 4}, Seed: seed}, &engine.StaticTopology{G: graph.Line(n)})
 		}
-		bySize.AddRow(n, float64(sum)/float64(max(conv, 1)), fmt.Sprintf("%d/%d", conv, seeds))
+		bySize.AddRow(n, sw.meanRounds(), sw.converged())
 	}
 	byDmax := newTable("E7b — convergence rounds vs Dmax (line n=24)",
 		"Dmax", "mean_rounds", "converged")
 	for _, dmax := range []int{2, 3, 4, 6, 8} {
-		conv, sum := 0, 0
+		sw := sweep{cap: 1200}
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, graph.Line(24))
-			if r, ok := metrics.RunUntilConverged(s, dmax, 1200, 3); ok {
-				conv++
-				sum += r
-			}
+			sw.run(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, &engine.StaticTopology{G: graph.Line(24)})
 		}
-		byDmax.AddRow(dmax, float64(sum)/float64(max(conv, 1)), fmt.Sprintf("%d/%d", conv, seeds))
+		byDmax.AddRow(dmax, sw.meanRounds(), sw.converged())
 	}
 	return bySize, byDmax
 }
@@ -191,8 +213,8 @@ func E11Overhead() *Table {
 	for _, tc := range cases {
 		g := tc.g()
 		n := g.NumNodes()
-		s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: 1}, g)
-		metrics.RunUntilConverged(s, tc.dmax, 600, 3)
+		warm := sweep{cap: 600} // the table's cells are the steady window's
+		s := warm.run(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: 1}, &engine.StaticTopology{G: g})
 		// Measure a steady window.
 		reg := s.Introspect()
 		m0, b0, t0 := reg.Get(introspect.CtrMessagesSent), reg.Get(introspect.CtrBytesSent), s.Tick()
@@ -217,29 +239,19 @@ func E13Density(seeds int) *Table {
 	tb := newTable("E13 — convergence rate vs density (RGG n=20, Dmax=3)",
 		"radio_range", "mean_degree", "converged", "ΠS_holds", "mean_groups")
 	for _, r := range []float64{2.2, 2.8, 3.4, 4.0, 5.0} {
-		conv, total, groups := 0, 0, 0
-		degSum := 0.0
-		safe := true
+		sw, degSum := sweep{cap: 600}, 0.0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			g := graph.ConnectedRandomGeometric(20, 10, r, rand.New(rand.NewSource(seed)), 300)
 			if g == nil {
 				continue
 			}
-			total++
 			degSum += 2 * float64(g.NumEdges()) / float64(g.NumNodes())
-			s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: seed}, g)
-			if _, ok := metrics.RunUntilConverged(s, 3, 600, 3); ok {
-				conv++
-			}
-			snap := metrics.SnapshotOf(s)
-			groups += snap.GroupCount()
-			safe = safe && snap.Safety(3)
+			sw.run(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: seed}, &engine.StaticTopology{G: g})
 		}
-		if total == 0 {
+		if sw.runs == 0 {
 			continue
 		}
-		tb.AddRow(r, degSum/float64(total), fmt.Sprintf("%d/%d", conv, total),
-			safe, float64(groups)/float64(total))
+		tb.AddRow(r, degSum/float64(sw.runs), sw.converged(), sw.safe(), sw.meanGroups())
 	}
 	return tb
 }

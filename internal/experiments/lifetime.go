@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -171,22 +170,14 @@ func E10Ablation(seeds int) *Table {
 			name string
 			mode core.CompatMode
 		}{{"full", core.CompatFull}, {"naive-sum", core.CompatNaiveSum}} {
-			conv, groups := 0, 0
-			size := 0.0
+			sw := sweep{cap: 600}
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				s := engine.NewStatic(engine.Params{
+				sw.run(engine.Params{
 					Cfg:  core.Config{Dmax: tc.dmax, Compat: variant.mode},
 					Seed: seed,
-				}, tc.g())
-				if _, ok := metrics.RunUntilConverged(s, tc.dmax, 600, 3); ok {
-					conv++
-				}
-				snap := metrics.SnapshotOf(s)
-				groups += snap.GroupCount()
-				size += snap.MeanGroupSize()
+				}, &engine.StaticTopology{G: tc.g()})
 			}
-			tb.AddRow(tc.name, variant.name, ratio(conv, seeds),
-				float64(groups)/float64(seeds), size/float64(seeds))
+			tb.AddRow(tc.name, variant.name, sw.converged(), sw.meanGroups(), sw.meanSize())
 		}
 	}
 	return tb
@@ -203,7 +194,7 @@ func E12Quarantine(seeds int) *Table {
 		name    string
 		disable bool
 	}{{"quarantine-on", false}, {"quarantine-off", true}} {
-		conv := 0
+		var sw sweep // the runs are observed for a fixed horizon, not converged
 		changes, unexc := 0, 0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			g, _, _ := workload.DoubleJoin(4, 4)
@@ -214,17 +205,13 @@ func E12Quarantine(seeds int) *Table {
 			tr := observeRounds(s, nil, 80, 4)
 			changes += tr.MembershipChanges
 			unexc += tr.UnexcusedViolations
-			if metrics.SnapshotOf(s).Converged(4) {
-				conv++
-			}
+			sw.fold(s, 0, metrics.SnapshotOf(s).Converged(4))
 		}
-		tb.AddRow(variant.name, ratio(conv, seeds),
+		tb.AddRow(variant.name, sw.converged(),
 			float64(changes)/float64(seeds), float64(unexc)/float64(seeds))
 	}
 	return tb
 }
-
-func ratio(a, b int) string { return fmt.Sprintf("%d/%d", a, b) }
 
 // E8bHeadLoss regenerates the churn-on-departure comparison, the precise
 // mechanism behind the paper's "maintain existing groups" claim: when a
@@ -249,8 +236,8 @@ func E8bHeadLoss(seeds int) *Table {
 	sums := map[string]*acc{"GRP": {}, "MaxMin": {}}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		topo := &engine.StaticTopology{G: graph.Line(n)}
-		s := engine.New(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, topo)
-		metrics.RunUntilConverged(s, dmax, 400, 3)
+		warm := sweep{cap: 400} // the table counts the changes after it
+		s := warm.run(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, topo)
 
 		grpTr := metrics.NewTracker()
 		mmTr := metrics.NewTracker()

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/radio"
 )
 
@@ -29,19 +26,13 @@ func E14Stabilizers(seeds int) *Table {
 		}},
 	}
 	for _, v := range variants {
-		conv, total, roundsSum := 0, 0, 0
+		sw := sweep{cap: 800}
 		for _, tc := range sparseCases() {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				s := engine.NewStatic(engine.Params{Cfg: v.cfg(tc.dmax), Seed: seed}, tc.g())
-				total++
-				if r, ok := metrics.RunUntilConverged(s, tc.dmax, 800, 3); ok {
-					conv++
-					roundsSum += r
-				}
+				sw.run(engine.Params{Cfg: v.cfg(tc.dmax), Seed: seed}, &engine.StaticTopology{G: tc.g()})
 			}
 		}
-		tb.AddRow(v.name, fmt.Sprintf("%d/%d", conv, total),
-			float64(roundsSum)/float64(max(conv, 1)))
+		tb.AddRow(v.name, sw.converged(), sw.meanRounds())
 	}
 	return tb
 }
@@ -65,20 +56,15 @@ func E15Collision(seeds int) *Table {
 		{8, 32, true}, // 8-tick window: mostly collision-free
 	}
 	for _, c := range cases {
-		conv, roundsSum := 0, 0
+		sw := sweep{cap: 600}
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			s := engine.NewStatic(engine.Params{
+			sw.run(engine.Params{
 				Cfg: core.Config{Dmax: 3}, Seed: seed,
 				Ts: c.ts, Tc: c.tc, Jitter: true, RandomizedSends: c.randomized,
 				Channel: radio.Collision{},
-			}, graph.Line(6))
-			if r, ok := metrics.RunUntilConverged(s, 3, 600, 3); ok {
-				conv++
-				roundsSum += r
-			}
+			}, &engine.StaticTopology{G: graph.Line(6)})
 		}
-		tb.AddRow(c.ts, c.tc, c.randomized, fmt.Sprintf("%d/%d", conv, seeds),
-			float64(roundsSum)/float64(max(conv, 1)))
+		tb.AddRow(c.ts, c.tc, c.randomized, sw.converged(), sw.meanRounds())
 	}
 	return tb
 }

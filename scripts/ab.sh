@@ -1,0 +1,214 @@
+#!/usr/bin/env bash
+# ab.sh — an interleaved A/B of grpbench between two git refs.
+#
+# Builds ./cmd/grpbench at REF_A, in a temporary git worktree, and at
+# REF_B (another worktree; without REF_B, the working tree as it stands),
+# then runs A B A B … pairs for each workload and seed, every run a
+# process of its own. For each metric of the result line and of the
+# #host line it prints both medians, both interquartile ranges (Python's
+# exclusive quantiles, grpbench's rule), how many pairs B was lower in,
+# and a verdict: "every B below every A", "every B above every A" (at
+# least five runs a side: with three, identical code separates by chance
+# one time in ten), "equal" (every run the same value) or "unresolved".
+# Air bytes, the safety rate, the stream SHA-256 and the fingerprint must
+# be equal in every run of both sides; a difference prints a line
+# starting "!!! DIFFERS", and so does a run that fails a check.
+#
+# Interrupted (INT, TERM) or done, it kills the run in flight and removes
+# its worktrees and binaries. (A non-interactive shell starts a
+# background job with INT ignored, and bash cannot trap an ignored
+# signal: stop such a job with TERM.)
+#
+# Usage: scripts/ab.sh REF_A [REF_B] [-w workload[,workload…]]
+#          [-seeds 1[,2…]] [-pairs 5] [-trace 0|1]
+# Defaults: all four workloads, seed 1, five pairs, -trace 0. Each run
+# measures grpbench's -seconds 6 window (about 20–30 s a run).
+# Exit status: 0 when every run passed its checks and every exact value
+# is equal, 1 otherwise, 2 on a usage or build error.
+set -euo pipefail
+
+usage() {
+	sed -n 's/^# \{0,1\}//; /^Usage:/,/^Exit/p' "$0" | sed '$d' >&2
+	exit 2
+}
+
+refs=()
+workloads=parked-commuter,rwp-allmoving,churn-chaos,parked-2shard
+seeds=1 pairs=5 trace=0
+while [ $# -gt 0 ]; do
+	case "$1" in
+	-w) workloads=${2:?}; shift 2 ;;
+	-seeds) seeds=${2:?}; shift 2 ;;
+	-pairs) pairs=${2:?}; shift 2 ;;
+	-trace) trace=${2:?}; shift 2 ;;
+	-h | --help | -*) usage ;;
+	*) refs+=("$1"); shift ;;
+	esac
+done
+[ ${#refs[@]} -ge 1 ] && [ ${#refs[@]} -le 2 ] || usage
+case "$pairs$trace" in *[!0-9]*) usage ;; esac
+[ "$pairs" -ge 1 ] || usage
+
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+child=
+cleanup() {
+	trap - EXIT INT TERM
+	if [ -n "$child" ]; then
+		kill "$child" 2>/dev/null || true
+		wait "$child" 2>/dev/null || true
+	fi
+	for wt in "$tmp"/wt-*; do
+		[ -d "$wt" ] && git -C "$root" worktree remove --force "$wt" 2>/dev/null
+	done
+	git -C "$root" worktree prune
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'cleanup; exit 130' INT
+trap 'cleanup; exit 143' TERM
+
+# bg runs a command as the one child in flight, so that a signal reaches
+# the trap at once instead of after the command, and returns its status.
+bg() {
+	"$@" &
+	child=$!
+	local rc=0
+	wait "$child" || rc=$?
+	child=
+	return "$rc"
+}
+
+# build SIDE REF: a binary of ./cmd/grpbench at REF (empty: the working
+# tree) at $tmp/grpbench-SIDE.
+build() {
+	local side=$1 ref=$2 dir=$root
+	if [ -n "$ref" ]; then
+		dir=$tmp/wt-$side
+		git -C "$root" rev-parse --quiet --verify "$ref^{commit}" >/dev/null ||
+			{ echo "ab.sh: $ref is not a commit" >&2; exit 2; }
+		git -C "$root" worktree add --quiet --detach "$dir" "$ref"
+	fi
+	bg go -C "$dir" build -o "$tmp/grpbench-$side" ./cmd/grpbench ||
+		{ echo "ab.sh: building $side at ${ref:-the working tree} failed" >&2; exit 2; }
+}
+
+name_a=$(git -C "$root" rev-parse --short "${refs[0]}^{commit}" 2>/dev/null || echo "${refs[0]}")
+name_b="the working tree"
+[ ${#refs[@]} -eq 2 ] && name_b=$(git -C "$root" rev-parse --short "${refs[1]}^{commit}" 2>/dev/null || echo "${refs[1]}")
+build a "${refs[0]}"
+build b "${refs[1]:-}"
+mkdir -p "$tmp/out"
+
+# parse SIDE PAIR: one run's output on stdin as "side pair key value"
+# lines; the stream and the fingerprint come from the "#" line, host time
+# from "#host", the rest from the result line.
+parse() {
+	awk -v side="$1" -v pair="$2" '
+	function metrics(s, prefix) {
+		while (match(s, /"[A-Za-z0-9_.]+":\{"value":[^,}]+/)) {
+			tok = substr(s, RSTART + 1, RLENGTH - 1)
+			s = substr(s, RSTART + RLENGTH)
+			split(tok, kv, /":\{"value":/)
+			print side, pair, prefix kv[1], kv[2]
+		}
+	}
+	/^# .* stream [0-9a-f]+, fingerprint [0-9a-f]+/ {
+		match($0, /stream [0-9a-f]+/); print side, pair, "=stream", substr($0, RSTART + 7, RLENGTH - 7)
+		match($0, /fingerprint [0-9a-f]+/); print side, pair, "=fingerprint", substr($0, RSTART + 12, RLENGTH - 12)
+	}
+	/^#host / { metrics($0, "#") }
+	/^FAILED/ { bad = 1 }
+	/^\{"correct":/ { ok = 1; if ($0 !~ /"correct":true/) bad = 1; metrics($0, "") }
+	END { if (bad || !ok) print side, pair, "!failed", 1 }'
+}
+
+# summarize: the "side pair key value" lines of one workload and seed on
+# stdin, the table and the exact checks on stdout; exit 1 on a difference.
+summarize() {
+	awk -v pairs="$pairs" '
+	function sort(a, n,    i, j, x) {
+		for (i = 2; i <= n; i++) {
+			x = a[i]
+			for (j = i - 1; j >= 1 && a[j] > x; j--) a[j + 1] = a[j]
+			a[j + 1] = x
+		}
+	}
+	# q(a, n, i): the i-th of Python statistics.quantiles(n=4) cut points.
+	function q(a, n, i,    j, d) {
+		if (n == 1) return a[1]
+		j = int(i * (n + 1) / 4); if (j < 1) j = 1; if (j > n - 1) j = n - 1
+		d = i * (n + 1) - j * 4
+		return (a[j] * (4 - d) + a[j + 1] * d) / 4
+	}
+	{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; keys[++nk] = $3 } }
+	$3 == "!failed" { bad = 1; print "!!! DIFFERS: run " $2 " of side " toupper($1) " failed a check (FAILED line, \"correct\":false or no result line)" }
+	END {
+		ne = split("air_bytes_per_node_round safety_rate_mean =stream =fingerprint", exact, " ")
+		printf "%-34s %12s %10s %12s %10s %5s  %s\n", "metric", "A median", "A IQR", "B median", "B IQR", "B<A", "verdict"
+		for (k = 1; k <= nk; k++) {
+			key = keys[k]
+			if (key ~ /^[=!]/) continue
+			na = nb = lower = 0; same = 1; split("", a); split("", b)
+			for (p = 1; p <= pairs; p++) {
+				if (("a" SUBSEP p SUBSEP key) in v) { a[++na] = v["a", p, key] + 0 }
+				if (("b" SUBSEP p SUBSEP key) in v) { b[++nb] = v["b", p, key] + 0 }
+				if ((("a" SUBSEP p SUBSEP key) in v) && (("b" SUBSEP p SUBSEP key) in v) && v["b", p, key] + 0 < v["a", p, key] + 0) lower++
+			}
+			for (i = 1; i <= na; i++) if (a[i] != a[1]) same = 0
+			for (i = 1; i <= nb; i++) if (b[i] != a[1]) same = 0
+			if (na == 0 || nb == 0) continue
+			sort(a, na); sort(b, nb)
+			verdict = "unresolved"
+			if (same) verdict = "equal"
+			else if (na < 5 || nb < 5) verdict = "unresolved"
+			else if (b[nb] < a[1]) verdict = "every B below every A"
+			else if (b[1] > a[na]) verdict = "every B above every A"
+			name = key; sub(/^#/, "#host ", name)
+			printf "%-34s %12.6g %10.4g %12.6g %10.4g %2d/%-2d  %s\n", name, q(a, na, 2), q(a, na, 3) - q(a, na, 1),
+				q(b, nb, 2), q(b, nb, 3) - q(b, nb, 1), lower, (na < nb ? na : nb), verdict
+		}
+		for (e = 1; e <= ne; e++) {
+			key = exact[e]
+			if (!(key in seen)) continue
+			ref = ""; diff = 0; runs = 0
+			for (p = 1; p <= pairs; p++) for (s = 0; s < 2; s++) {
+				side = s ? "b" : "a"
+				if (!((side SUBSEP p SUBSEP key) in v)) continue
+				runs++
+				if (ref == "") ref = v[side, p, key] ""
+				else if ((v[side, p, key] "") != ref) diff = 1
+			}
+			name = key; sub(/^=/, "", name)
+			if (!diff) { printf "exact: %s = %s in all %d runs\n", name, ref, runs; continue }
+			bad = 1
+			line = "!!! DIFFERS: " name ":"
+			for (p = 1; p <= pairs; p++) line = line " A" p "=" v["a", p, key] " B" p "=" v["b", p, key]
+			print line
+		}
+		exit bad
+	}'
+}
+
+status=0
+IFS=, read -r -a wl <<<"$workloads"
+IFS=, read -r -a sl <<<"$seeds"
+for w in "${wl[@]}"; do
+	for seed in "${sl[@]}"; do
+		data=$tmp/$w-$seed.data
+		: >"$data"
+		for ((p = 1; p <= pairs; p++)); do
+			for side in a b; do
+				out=$tmp/out/$w-$seed-$side-$p.txt
+				bg "$tmp/grpbench-$side" -workload "$w" -seed "$seed" -seconds 6 -trace "$trace" \
+					-out "$tmp/out" >"$out" 2>&1 || true
+				parse "$side" "$p" <"$out" >>"$data"
+				echo "ab.sh: $w seed $seed pair $p/$pairs side ${side^^} done" >&2
+			done
+		done
+		echo "== $w seed $seed, -trace $trace: A = $name_a, B = $name_b, $pairs pairs (A B A B …)"
+		summarize <"$data" || status=1
+		echo
+	done
+done
+exit "$status"
