@@ -115,7 +115,7 @@ func E1Stabilization(seeds int) *Table {
 		for _, tc := range topos {
 			sw, healSum := sweep{cap: 400}, 0
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				// Reach legitimacy first, in a sweep of its own: it is no cell.
+				// Reach legitimacy first; this warm-up is tallied nowhere.
 				warm := sweep{cap: 400}
 				s := warm.run(engine.Params{Cfg: core.Config{Dmax: tc.dmax}, Seed: seed}, &engine.StaticTopology{G: tc.g()})
 				workload.Corrupt(s, k.kind, 0.5, rand.New(rand.NewSource(seed*97)))
