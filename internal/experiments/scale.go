@@ -101,11 +101,10 @@ func E13bDense(seeds int) *Table {
 			w := space.NewWorld(r)
 			topo := engine.NewSpatialTopology(w, &mobility.Static{Side: side}, 0.1,
 				idRange(n), rand.New(rand.NewSource(seed)))
-			// The map-based oracle costs little here: at seed 1 over 300
-			// rounds on a two-core Xeon it took 29 / 33 / 36 ms at
-			// r = 3 / 5 / 8 against 0.32 / 1.60 / 5.16 s of StepRound,
-			// and it agreed with the incremental tracker on every round
-			// (verdict, group count, ΠS and edge count).
+			// The map-based oracle costs little here: at seed 1, 300 rounds
+			// on a two-core Xeon, it took 29 / 33 / 36 ms at r = 3 / 5 / 8
+			// against 0.32 / 1.60 / 5.16 s of StepRound, and agreed with the
+			// tracker on every round (verdict, groups, ΠS, edge count).
 			s := sw.run(engine.Params{Cfg: core.Config{Dmax: dmax}, Seed: seed}, topo)
 			degSum += 2 * float64(s.SnapshotGraph().NumEdges()) / float64(n)
 		}
