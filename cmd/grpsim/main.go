@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -33,34 +34,46 @@ import (
 	"repro/internal/space"
 )
 
-func main() {
-	topo := flag.String("topo", "line", "topology: line ring grid star clique clusters rgg highway waypoint convoy urban")
-	n := flag.Int("n", 8, "number of nodes")
-	dmax := flag.Int("dmax", 3, "group diameter bound Dmax")
-	rounds := flag.Int("rounds", 60, "rounds to simulate")
-	seed := flag.Int64("seed", 1, "random seed")
-	loss := flag.Float64("loss", 0, "i.i.d. message loss probability")
-	watch := flag.Bool("watch", false, "print groups every round (default: only on change)")
-	workers := flag.Int("workers", 1, "engine worker fan-out (same trace at any width)")
-	stats := flag.String("stats", "", "stream per-round stat records to this file (.csv: CSV, else JSONL)")
-	introspectAddr := flag.String("introspect", "", "serve net/http/pprof and the flight-recorder registry JSON on this address while the run lasts")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command on its arguments; it returns the exit status: 2 for
+// a bad flag or topology, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("grpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topo := fs.String("topo", "line", "topology: line ring grid star clique clusters rgg highway waypoint convoy urban")
+	n := fs.Int("n", 8, "number of nodes")
+	dmax := fs.Int("dmax", 3, "group diameter bound Dmax")
+	rounds := fs.Int("rounds", 60, "rounds to simulate")
+	seed := fs.Int64("seed", 1, "random seed")
+	loss := fs.Float64("loss", 0, "i.i.d. message loss probability")
+	watch := fs.Bool("watch", false, "print groups every round (default: only on change)")
+	workers := fs.Int("workers", 1, "engine worker fan-out (same trace at any width)")
+	stats := fs.String("stats", "", "stream per-round stat records to this file (.csv: CSV, else JSONL)")
+	introspectAddr := fs.String("introspect", "", "serve net/http/pprof and the flight-recorder registry JSON on this address while the run lasts")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "grpsim:", err)
+		return code
+	}
 
 	p := engine.Params{Cfg: core.Config{Dmax: *dmax}, Seed: *seed, Workers: *workers}
 	if *loss > 0 {
-		p.Channel = radio.Lossy{P: *loss}
+		p.Channel = radio.Lossy{P: *loss, Drops: new(uint64)}
 	}
 
 	s, err := build(p, *topo, *n, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "grpsim:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if *introspectAddr != "" {
 		srv, err := introspect.Serve(*introspectAddr, s.Introspect())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "grpsim:", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		defer srv.Close()
 	}
@@ -72,8 +85,7 @@ func main() {
 	cfg := obs.SoakConfig{MaxRounds: *rounds, ProgressEvery: 1}
 	if *stats != "" {
 		if cfg.Sink, err = obs.OpenSink(*stats, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "grpsim:", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 	}
 	last := ""
@@ -84,7 +96,7 @@ func main() {
 			if st.Converged {
 				conv = "  [ΠA∧ΠS∧ΠM]"
 			}
-			fmt.Printf("round %3d: %s%s\n", r, cur, conv)
+			fmt.Fprintf(stdout, "round %3d: %s%s\n", r, cur, conv)
 			last = cur
 		}
 	}
@@ -99,15 +111,15 @@ func main() {
 		err = cfg.Sink.Close()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "grpsim:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	st := res.Final
-	fmt.Printf("\nfinal: groups=%d singletons=%d mean_size=%.2f converged=%v\n",
+	fmt.Fprintf(stdout, "\nfinal: groups=%d singletons=%d mean_size=%.2f converged=%v\n",
 		st.Groups, st.Singletons, st.MeanSize, st.Converged)
 	reg := s.Introspect()
-	fmt.Printf("traffic: %d msgs, %d bytes, %d deliveries\n", reg.Get(introspect.CtrMessagesSent),
+	fmt.Fprintf(stdout, "traffic: %d msgs, %d bytes, %d deliveries\n", reg.Get(introspect.CtrMessagesSent),
 		reg.Get(introspect.CtrBytesSent), reg.Get(introspect.CtrDeliveries))
+	return 0
 }
 
 func build(p engine.Params, topo string, n int, seed int64) (*engine.Engine, error) {

@@ -135,8 +135,6 @@ type (
 	Highway = mobility.Highway
 	// Convoy is the rigid platoon with an optional straggler.
 	Convoy = mobility.Convoy
-	// GroupMobility is reference-point group mobility.
-	GroupMobility = mobility.Groups
 )
 
 // NewWorld returns an empty world with the given radio range.

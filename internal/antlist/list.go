@@ -252,64 +252,45 @@ func (l List) prefixHas(id ident.NodeID, end int32) bool {
 // cost linear, exactly like the pre-arena implementation (RefList).
 func (l List) Normalize() List {
 	if len(l.ents) > 32 {
-		return l.normalizeLarge()
+		seen := make(map[ident.NodeID]bool, len(l.ents))
+		for _, e := range l.ents {
+			if seen[e.ID] {
+				clear(seen)
+				return l.dedup(seen)
+			}
+			seen[e.ID] = true
+		}
+		return trimTail(l)
 	}
 	for i := 1; i < l.Len(); i++ {
 		for _, e := range l.ents[l.offs[i]:l.offs[i+1]] {
 			if l.prefixHas(e.ID, l.offs[i]) {
-				return l.normalizeSlow()
+				return l.dedup(nil)
 			}
 		}
 	}
 	return trimTail(l)
 }
 
-// normalizeSlow rebuilds the list with cross-position duplicates dropped
-// (first occurrence kept, with the mark it has there) — the small-list
-// path, quadratic but allocation-bounded.
-func (l List) normalizeSlow() List {
+// dedup rebuilds the list with cross-position duplicates dropped (first
+// occurrence kept, with the mark it has there). The duplicate test is a
+// scan of the rebuilt prefix when seen is nil — small lists, quadratic
+// but with no map — and the empty seen-map past the small-list bound,
+// where the scan would be O(n²) on a hostile 10⁴-entry frame.
+func (l List) dedup(seen map[ident.NodeID]bool) List {
 	out := List{
 		ents: make([]ident.Entry, 0, len(l.ents)),
 		offs: make([]int32, 1, len(l.offs)),
 	}
 	for i := 0; i < l.Len(); i++ {
 		for _, e := range l.ents[l.offs[i]:l.offs[i+1]] {
-			if !out.Has(e.ID) {
-				out.ents = append(out.ents, e)
+			if seen[e.ID] || seen == nil && out.Has(e.ID) {
+				continue
 			}
-		}
-		out.offs = append(out.offs, int32(len(out.ents)))
-	}
-	return trimTail(out)
-}
-
-// normalizeLarge is Normalize for lists past the small-list bound: one
-// map pass detects duplicates, a second rebuilds if needed — O(n) where
-// the prefix scan would be O(n²) on a hostile 10⁴-entry frame.
-func (l List) normalizeLarge() List {
-	seen := make(map[ident.NodeID]bool, len(l.ents))
-	dirty := false
-	for _, e := range l.ents {
-		if seen[e.ID] {
-			dirty = true
-			break
-		}
-		seen[e.ID] = true
-	}
-	if !dirty {
-		return trimTail(l)
-	}
-	clear(seen)
-	out := List{
-		ents: make([]ident.Entry, 0, len(l.ents)),
-		offs: make([]int32, 1, len(l.offs)),
-	}
-	for i := 0; i < l.Len(); i++ {
-		for _, e := range l.ents[l.offs[i]:l.offs[i+1]] {
-			if !seen[e.ID] {
+			if seen != nil {
 				seen[e.ID] = true
-				out.ents = append(out.ents, e)
 			}
+			out.ents = append(out.ents, e)
 		}
 		out.offs = append(out.offs, int32(len(out.ents)))
 	}

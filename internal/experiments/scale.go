@@ -40,42 +40,53 @@ func E7cSpatialScale(seeds int, sizes ...int) *Table {
 		safeWindow = 4 // rounds of the tail over which ΠS freshness is sampled
 	)
 	for _, n := range sizes {
-		degSum, groupSum, groupedSum, ticksPerSec := 0.0, 0.0, 0.0, 0.0
-		safeRateSum, safeRounds := 0.0, 0
+		var c scaleCells
+		ticksPerSec := 0.0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			w := space.NewWorld(2.5)
 			m := &mobility.Waypoint{Side: rwpSide(n), SpeedMin: 0.5, SpeedMax: 2, Pause: 1}
-			topo := engine.NewSpatialTopology(w, m, 0.2, idRange(n), rand.New(rand.NewSource(seed)))
-			s := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: seed, Workers: 4}, topo)
-			tr := obs.NewGroupTracker(s)
-			t0 := time.Now()
-			for r := 0; r < rounds-safeWindow; r++ {
-				s.StepRound()
-			}
-			// ΠS is evaluated against the instantaneous topology, so
-			// mobility breaks it transiently somewhere in the population
-			// on nearly every round at this scale; report the per-group
-			// freshness rate sampled over the tail. The incremental
-			// tracker (internal/obs) replaces the per-round snapshot
-			// re-derivation the seed paid here.
-			var st obs.RoundStats
-			for r := 0; r < safeWindow; r++ {
-				s.StepRound()
-				safeRounds++
-				st = tr.Observe()
-				safeRateSum += st.SafetyRate
-			}
-			ticksPerSec += float64(s.Tick()) / time.Since(t0).Seconds()
-			degSum += 2 * float64(st.Edges) / float64(n)
-			groupSum += float64(st.Groups)
-			groupedSum += 100 * float64(n-st.Singletons) / float64(n)
+			ticksPerSec += scaleRun(&c, n, seed, m, false, rounds, safeWindow)
 		}
 		f := float64(seeds)
-		tb.AddRow(n, degSum/f, groupSum/f, groupedSum/f,
-			100*safeRateSum/float64(max(safeRounds, 1)), ticksPerSec/f)
+		tb.AddRow(n, c.deg/f, c.groups/f, c.grouped/f,
+			100*c.safe/float64(max(seeds*safeWindow, 1)), ticksPerSec/f)
 	}
 	return tb
 }
+
+// scaleRun is one run of the scale sweeps: n nodes under m (sized by
+// rwpSide) at range 2.5, Dmax 3 and 4 workers, the graph rebuilt in full
+// every tick when fullRebuild is set. It steps rounds rounds with the
+// incremental tracker observing the last window of them, folds the
+// observations into c and returns the engine's throughput in ticks/s.
+func scaleRun(c *scaleCells, n int, seed int64, m mobility.Model, fullRebuild bool, rounds, window int) float64 {
+	w := space.NewWorld(2.5)
+	w.DisableDelta = fullRebuild
+	topo := engine.NewSpatialTopology(w, m, 0.2, idRange(n), rand.New(rand.NewSource(seed)))
+	s := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: seed, Workers: 4}, topo)
+	tr := obs.NewGroupTracker(s)
+	var st obs.RoundStats
+	t0 := time.Now()
+	for r := 0; r < rounds; r++ {
+		s.StepRound()
+		if r >= rounds-window {
+			st = tr.Observe()
+			c.safe += st.SafetyRate
+		}
+	}
+	tps := float64(s.Tick()) / time.Since(t0).Seconds()
+	c.deg += 2 * float64(st.Edges) / float64(n)
+	c.groups += float64(st.Groups)
+	c.grouped += 100 * float64(n-st.Singletons) / float64(n)
+	return tps
+}
+
+// scaleCells sums the cells of the scale sweeps over their runs: mean
+// degree, groups and the grouped share of the nodes (in percent) at the
+// last observation, and ΠS group freshness over every observed round.
+// ΠS is evaluated against the instantaneous topology, so mobility
+// breaks it transiently somewhere in the population on nearly every
+// round at this scale; E7c reports the rate sampled over the tail.
+type scaleCells struct{ deg, groups, grouped, safe float64 }
 
 // E13bDense regenerates the dense-regime sweep the grid makes
 // affordable: a static spatial RGG at n=200 whose radio range sweeps the
@@ -136,35 +147,18 @@ func E7cDeltaScale(seeds int, sizes ...int) *Table {
 		"n", "mean_degree", "groups", "grouped_pct", "ticks/s_delta", "ticks/s_full")
 	const rounds = 10
 	for _, n := range sizes {
-		degSum, groupSum, groupedSum := 0.0, 0.0, 0.0
+		var c scaleCells
 		tpsDelta, tpsFull := 0.0, 0.0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			run := func(disable bool) (obs.RoundStats, float64) {
-				w := space.NewWorld(2.5)
-				w.DisableDelta = disable
-				m := &mobility.Commuter{Side: rwpSide(n), SpeedMin: 0.5, SpeedMax: 2,
+			commuter := func() mobility.Model {
+				return &mobility.Commuter{Side: rwpSide(n), SpeedMin: 0.5, SpeedMax: 2,
 					Pause: 1, ActiveFraction: 0.05}
-				topo := engine.NewSpatialTopology(w, m, 0.2, idRange(n), rand.New(rand.NewSource(seed)))
-				s := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: seed, Workers: 4}, topo)
-				tr := obs.NewGroupTracker(s)
-				var st obs.RoundStats
-				t0 := time.Now()
-				for r := 0; r < rounds; r++ {
-					s.StepRound()
-					st = tr.Observe()
-				}
-				return st, float64(s.Tick()) / time.Since(t0).Seconds()
 			}
-			st, tps := run(false)
-			_, tpsF := run(true)
-			tpsDelta += tps
-			tpsFull += tpsF
-			degSum += 2 * float64(st.Edges) / float64(n)
-			groupSum += float64(st.Groups)
-			groupedSum += 100 * float64(n-st.Singletons) / float64(n)
+			tpsDelta += scaleRun(&c, n, seed, commuter(), false, rounds, rounds)
+			tpsFull += scaleRun(&scaleCells{}, n, seed, commuter(), true, rounds, rounds)
 		}
 		f := float64(seeds)
-		tb.AddRow(n, degSum/f, groupSum/f, groupedSum/f, tpsDelta/f, tpsFull/f)
+		tb.AddRow(n, c.deg/f, c.groups/f, c.grouped/f, tpsDelta/f, tpsFull/f)
 	}
 	return tb
 }

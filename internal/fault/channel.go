@@ -1,7 +1,7 @@
 // Channel adversities: stateful radio.Channel wrappers that model the
 // messy loss regimes the paper's fair-channel hypothesis abstracts away —
-// time-correlated burst loss, per-link asymmetric loss, and frame
-// duplication — layered over any inner channel (radio.Collision included).
+// time-correlated burst loss and per-link asymmetric loss — layered over
+// any inner channel (radio.Collision included).
 //
 // Determinism: channel arbitration is phase 3 of the engine's Step and
 // runs sequentially on the coordinator, on the single global RNG stream,
@@ -156,38 +156,3 @@ func (a *AsymLoss) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radio
 
 // DroppedDeliveries implements radio.DropCounter.
 func (a *AsymLoss) DroppedDeliveries() uint64 { return a.drops + innerDrops(a.Inner) }
-
-// Dup duplicates each delivery with probability P — the frame-duplication
-// adversity (a retransmitting MAC, a reflection). Duplicates are appended
-// after the slot's genuine deliveries, so the receiver hears the frame
-// twice within one slot; the protocol's one-message channel semantics
-// (last message per sender wins) must absorb it.
-type Dup struct {
-	P     float64
-	Inner radio.Channel
-
-	dups uint64
-}
-
-// AppendDeliverSlot implements radio.Channel.
-func (d *Dup) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radio.Delivery) []radio.Delivery {
-	start := len(buf)
-	buf = innerDeliver(d.Inner, txs, rng, buf)
-	// Expand in place: collect the duplicated indices first so the draw
-	// order is one variate per inner delivery, then splice.
-	n := len(buf)
-	for i := start; i < n; i++ {
-		if rng.Float64() < d.P {
-			d.dups++
-			buf = append(buf, buf[i])
-		}
-	}
-	return buf
-}
-
-// Duplicated returns the cumulative number of injected duplicates.
-func (d *Dup) Duplicated() uint64 { return d.dups }
-
-// DroppedDeliveries implements radio.DropCounter (Dup itself never
-// drops; it forwards the inner channel's count).
-func (d *Dup) DroppedDeliveries() uint64 { return innerDrops(d.Inner) }

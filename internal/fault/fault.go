@@ -112,19 +112,13 @@ type FlapConfig struct {
 	MaxStorm int
 }
 
-// ChanConfig describes the channel adversity stack (see channel.go).
-// Zero-valued layers are omitted.
+// ChanConfig describes the channel adversity (see channel.go), omitted
+// when zero.
 type ChanConfig struct {
-	// LossP is memoryless per-delivery loss (radio.Lossy).
-	LossP float64
 	// Burst*: the Gilbert–Elliott chain (BurstLoss). Enabled when
 	// BurstPGoodBad > 0.
 	BurstLossGood, BurstLossBad  float64
 	BurstPGoodBad, BurstPBadGood float64
-	// AsymMaxP enables per-link asymmetric loss with rates in [0, AsymMaxP].
-	AsymMaxP float64
-	// DupP duplicates frames with this probability.
-	DupP float64
 }
 
 // Profile is one complete fault schedule.
@@ -163,38 +157,26 @@ func faultSeed(seed int64, s int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// NewChannel stacks the profile's channel adversities over inner (Perfect
-// when nil) and returns the resulting channel, or inner unchanged when
-// the profile schedules no channel adversity. The returned channel
-// implements radio.DropCounter whenever any lossy layer is present. When
-// the profile has an Until horizon the stack is wrapped in a round-clock
-// gate: an Injector armed on the same profile advances the clock, and
-// slots past Until bypass the adversities entirely (see gated).
+// NewChannel layers the profile's burst chain over inner (Perfect when
+// nil) and returns the resulting channel, or inner unchanged when the
+// profile schedules no channel adversity. The returned channel implements
+// radio.DropCounter whenever the chain is present. The chain is wrapped
+// in a round-clock gate: an Injector armed on the same profile advances
+// the clock, and slots past Until bypass the adversity entirely (see
+// gated).
 func (p *Profile) NewChannel(inner radio.Channel) radio.Channel {
-	ch := inner
-	if p.Chan.LossP > 0 {
-		ch = radio.Lossy{P: p.Chan.LossP, Inner: ch, Drops: new(uint64)}
-	}
-	if p.Chan.AsymMaxP > 0 {
-		ch = &AsymLoss{MaxP: p.Chan.AsymMaxP, Seed: uint64(p.Seed), Inner: ch}
-	}
-	if p.Chan.BurstPGoodBad > 0 {
-		ch = &BurstLoss{
-			LossGood: p.Chan.BurstLossGood, LossBad: p.Chan.BurstLossBad,
-			PGoodBad: p.Chan.BurstPGoodBad, PBadGood: p.Chan.BurstPBadGood,
-			Inner: ch,
-		}
-	}
-	if p.Chan.DupP > 0 {
-		ch = &Dup{P: p.Chan.DupP, Inner: ch}
-	}
-	if ch == inner {
-		return ch
+	if p.Chan.BurstPGoodBad <= 0 {
+		return inner
 	}
 	if p.clock == nil {
 		p.clock = new(int)
 	}
-	return &gated{adverse: ch, plain: inner, until: &p.Until, clock: p.clock}
+	burst := &BurstLoss{
+		LossGood: p.Chan.BurstLossGood, LossBad: p.Chan.BurstLossBad,
+		PGoodBad: p.Chan.BurstPGoodBad, PBadGood: p.Chan.BurstPBadGood,
+		Inner: inner,
+	}
+	return &gated{adverse: burst, plain: inner, until: &p.Until, clock: p.clock}
 }
 
 // Preset returns a named profile with rates scaled by intensity (1 = the

@@ -78,21 +78,6 @@ func TestAsymLossIsPerLinkStable(t *testing.T) {
 	}
 }
 
-func TestDupDuplicatesEveryFrame(t *testing.T) {
-	d := &Dup{P: 1}
-	rng := rand.New(rand.NewSource(1))
-	got := d.AppendDeliverSlot(testTxs(), rng, nil)
-	if len(got) != 8 {
-		t.Fatalf("Dup{P:1} delivered %d, want 8 (4 originals + 4 duplicates)", len(got))
-	}
-	if d.Duplicated() != 4 {
-		t.Fatalf("Duplicated = %d, want 4", d.Duplicated())
-	}
-	if d.DroppedDeliveries() != 0 {
-		t.Fatalf("Dup reported drops: %d", d.DroppedDeliveries())
-	}
-}
-
 func TestProfileChannelStack(t *testing.T) {
 	p, _ := Preset("mixed", 1)
 	ch := p.NewChannel(nil)

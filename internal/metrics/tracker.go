@@ -12,8 +12,6 @@ type Tracker struct {
 	prev    *Snapshot
 	hasPrev bool
 
-	// Steps is the number of observed transitions.
-	Steps int
 	// ContinuityViolations counts transitions where ΠC failed.
 	ContinuityViolations int
 	// ExcusedViolations counts transitions where ΠC failed but ΠT was
@@ -52,7 +50,6 @@ func (t *Tracker) Observe(s Snapshot, dmax int) {
 	}
 
 	if t.hasPrev {
-		t.Steps++
 		piT := Topological(*t.prev, s, dmax)
 		piC := Continuity(*t.prev, s)
 		if !piT {

@@ -1,7 +1,8 @@
 // Package mobility provides the node movement models driving the dynamic
 // topologies: static placement, random waypoint, a VANET-style
-// highway convoy, and reference-point group mobility. All models are
-// deterministic for a given rng and advance in discrete time steps.
+// highway, a convoy, a ring road and a mostly-parked commuter
+// population. All models are deterministic for a given rng and advance
+// in discrete time steps.
 //
 // Step iterates the world's cached roster (space.World.Nodes is an
 // incrementally maintained sorted slice, not a per-call sort), and a
@@ -37,11 +38,9 @@ type Model interface {
 }
 
 // Static scatters nodes uniformly in a Side×Side square and never moves
-// them. With Jitter > 0, Step wobbles each node by at most Jitter per step
-// (useful for "almost static" link-flap studies).
+// them.
 type Static struct {
-	Side   float64
-	Jitter float64
+	Side float64
 }
 
 // Init implements Model.
@@ -51,16 +50,8 @@ func (s *Static) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
 	}
 }
 
-// Step implements Model.
-func (s *Static) Step(w *space.World, dt float64, rng *rand.Rand) {
-	if s.Jitter == 0 || dt == 0 {
-		return
-	}
-	for _, v := range w.Nodes() {
-		p, _ := w.Pos(v)
-		w.Place(v, clamp(p.Add(float64((float64(rng.Float64())*2-1)*s.Jitter), float64((float64(rng.Float64())*2-1)*s.Jitter)), s.Side))
-	}
-}
+// Step implements Model: a no-op.
+func (s *Static) Step(*space.World, float64, *rand.Rand) {}
 
 // Waypoint is the classic random-waypoint model in a Side×Side square:
 // each node picks a uniform destination and speed in [SpeedMin, SpeedMax],
@@ -216,67 +207,6 @@ func (m *Convoy) Step(w *space.World, dt float64, rng *rand.Rand) {
 			sp -= m.StragglerSlowdown
 		}
 		w.Place(v, p.Add(float64(sp*dt), 0))
-	}
-}
-
-// Groups is reference-point group mobility: group centers follow a
-// Waypoint model; members stay within Radius of their center with a small
-// independent jitter. Membership is by node order: node i belongs to group
-// i % NumGroups.
-type Groups struct {
-	Side, SpeedMin, SpeedMax float64
-	NumGroups                int
-	Radius                   float64
-
-	centers  *Waypoint
-	centerID []ident.NodeID
-	group    ident.Table[int]
-	cw       *space.World
-}
-
-// Init implements Model.
-func (m *Groups) Init(w *space.World, nodes []ident.NodeID, rng *rand.Rand) {
-	if m.NumGroups <= 0 {
-		m.NumGroups = 1
-	}
-	m.centers = &Waypoint{Side: m.Side, SpeedMin: m.SpeedMin, SpeedMax: m.SpeedMax}
-	m.cw = space.NewWorld(0)
-	m.centerID = make([]ident.NodeID, m.NumGroups)
-	for i := range m.centerID {
-		m.centerID[i] = ident.NodeID(i + 1)
-	}
-	m.centers.Init(m.cw, m.centerID, rng)
-	m.group = ident.Table[int]{}
-	for i, v := range nodes {
-		m.group.Set(v, i%m.NumGroups)
-		c, _ := m.cw.Pos(m.centerID[i%m.NumGroups])
-		w.Place(v, jitterAround(c, m.Radius, rng))
-	}
-}
-
-// Step implements Model.
-func (m *Groups) Step(w *space.World, dt float64, rng *rand.Rand) {
-	if dt == 0 {
-		return
-	}
-	m.centers.Step(m.cw, dt, rng)
-	for _, v := range w.Nodes() {
-		g, _ := m.group.Get(v)
-		c, _ := m.cw.Pos(m.centerID[g])
-		w.Place(v, jitterAround(c, m.Radius, rng))
-	}
-}
-
-func jitterAround(c space.Point, radius float64, rng *rand.Rand) space.Point {
-	ang := float64(rng.Float64()) * 2 * math.Pi
-	r := rng.Float64() * radius
-	return c.Add(float64(math.Cos(ang)*r), float64(math.Sin(ang)*r))
-}
-
-func clamp(p space.Point, side float64) space.Point {
-	return space.Point{
-		X: math.Min(math.Max(p.X, 0), side),
-		Y: math.Min(math.Max(p.Y, 0), side),
 	}
 }
 

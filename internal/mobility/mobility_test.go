@@ -32,17 +32,6 @@ func TestStaticNeverMoves(t *testing.T) {
 	}
 }
 
-func TestStaticJitterStaysInBounds(t *testing.T) {
-	w := space.NewWorld(5)
-	m := &Static{Side: 10, Jitter: 3}
-	rng := rand.New(rand.NewSource(1))
-	m.Init(w, nodes(8), rng)
-	for i := 0; i < 50; i++ {
-		m.Step(w, 1, rng)
-	}
-	checkBounds(t, w, 10)
-}
-
 func TestWaypointMovesTowardDestAtBoundedSpeed(t *testing.T) {
 	w := space.NewWorld(5)
 	m := &Waypoint{Side: 100, SpeedMin: 1, SpeedMax: 2}
@@ -131,31 +120,6 @@ func TestConvoyRigidUntilStraggler(t *testing.T) {
 	}
 	if gap() <= g0 {
 		t.Fatal("straggler must fall behind")
-	}
-}
-
-func TestGroupsKeepMembersNearCenters(t *testing.T) {
-	w := space.NewWorld(5)
-	m := &Groups{Side: 100, SpeedMin: 1, SpeedMax: 2, NumGroups: 3, Radius: 4}
-	rng := rand.New(rand.NewSource(5))
-	m.Init(w, nodes(12), rng)
-	for i := 0; i < 30; i++ {
-		m.Step(w, 1, rng)
-	}
-	// Members of the same group must be within 2*Radius of each other.
-	for i, u := range w.Nodes() {
-		for _, v := range w.Nodes()[i+1:] {
-			gu, _ := m.group.Get(u)
-			gv, _ := m.group.Get(v)
-			if gu != gv {
-				continue
-			}
-			pu, _ := w.Pos(u)
-			pv, _ := w.Pos(v)
-			if pu.Dist(pv) > 8.0001 {
-				t.Fatalf("group members too far: %v", pu.Dist(pv))
-			}
-		}
 	}
 }
 

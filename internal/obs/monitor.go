@@ -93,13 +93,12 @@ type Monitor struct {
 	nextID int
 
 	// Cumulative aggregates over closed episodes.
-	Episodes           int
-	TotalStabRounds    int
-	MaxStabRounds      int
-	TotalViolationRnds int
-	TotalUnexcused     int
-	UnexcusedOutside   int // unexcused ΠC breaks with no episode open
-	FaultsRecorded     int
+	Episodes         int
+	TotalStabRounds  int
+	MaxStabRounds    int
+	TotalUnexcused   int
+	UnexcusedOutside int // unexcused ΠC breaks with no episode open
+	FaultsRecorded   int
 }
 
 // NewMonitor returns a monitor with the given confirmation window (≤ 0
@@ -196,7 +195,6 @@ func (m *Monitor) ObserveRound(st RoundStats, active bool) (Episode, bool) {
 	if ep.StabilizationRounds > m.MaxStabRounds {
 		m.MaxStabRounds = ep.StabilizationRounds
 	}
-	m.TotalViolationRnds += ep.ViolationRounds
 	m.TotalUnexcused += ep.Unexcused
 	return ep, true
 }

@@ -139,11 +139,10 @@ type SoakResult struct {
 	ConvergedRounds  int     // rounds with ΠA ∧ ΠS ∧ ΠM
 	AgreementRounds  int     // rounds with ΠA
 	MeanSafetyRate   float64 // mean per-round ΠS group freshness
-	MeanGroups       float64
-	ContinuityBreaks int // rounds with ΠC false
-	TopologyBreaks   int // rounds with ΠT false
-	UnexcusedBreaks  int // ΠC false while ΠT held — contract violations
-	ViolatingNodes   int // total nodes that lost a group member
+	ContinuityBreaks int     // rounds with ΠC false
+	TopologyBreaks   int     // rounds with ΠT false
+	UnexcusedBreaks  int     // ΠC false while ΠT held — contract violations
+	ViolatingNodes   int     // total nodes that lost a group member
 
 	// Chaos aggregates (zero when no Fault profile was armed).
 	FaultsInjected   int     // fault events the injector emitted
@@ -172,7 +171,7 @@ type SoakResult struct {
 	// SoakConfig.Fingerprint was set).
 	Fingerprint uint64
 
-	safetySum, groupSum float64 // running sums behind the two means
+	safetySum float64 // running sum behind MeanSafetyRate
 }
 
 // fold accumulates one observed round.
@@ -195,7 +194,6 @@ func (r *SoakResult) fold(st RoundStats) {
 	}
 	r.ViolatingNodes += st.ContinuityViolations
 	r.safetySum += st.SafetyRate
-	r.groupSum += float64(st.Groups)
 	r.Final = st
 }
 
@@ -526,7 +524,6 @@ func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 	}
 	if res.Rounds > 0 {
 		res.MeanSafetyRate = res.safetySum / float64(res.Rounds)
-		res.MeanGroups = res.groupSum / float64(res.Rounds)
 	}
 	reg := e.Introspect()
 	res.Flight = reg.Snapshot()

@@ -188,7 +188,6 @@ type GroupTracker struct {
 	TopologyBreaks   int // observations with ΠT false
 	UnexcusedBreaks  int // ΠC false while ΠT held (contract violations)
 	ViolatingNodes   int // total nodes that lost a group member
-	TotalMembership  int // total Ω changes across nodes
 
 	// Scratch (coordinator-owned).
 	shards    [shard.N]trackerShard
@@ -633,7 +632,6 @@ func (t *GroupTracker) Observe() RoundStats {
 		piT, piC = true, true
 	} else {
 		t.ViolatingNodes += piCViolations
-		t.TotalMembership += membership
 		if !piT {
 			t.TopologyBreaks++
 		}

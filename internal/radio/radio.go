@@ -57,20 +57,18 @@ func (Perfect) AppendDeliverSlot(txs []Tx, _ *rand.Rand, buf []Delivery) []Deliv
 	return buf
 }
 
-// Lossy drops each reception independently with probability P, on top of
-// an inner channel (Perfect when Inner is nil).
+// Lossy drops each reception independently with probability P.
 //
 // Determinism: channel arbitration is phase 3 of the engine's Step — it
 // runs sequentially on the coordinator, on the engine's single global RNG
 // stream, over the slot's transmissions in canonical shard-major order.
-// Lossy draws exactly one rng.Float64() per inner delivery, in that
-// order, so the draw sequence is a pure function of the seed and the
-// slot's traffic: it is bit-identical at any Params.Workers setting and
-// any GOMAXPROCS (TestLossyDrawsWorkerIndependent pins this — the
-// conformance goldens and every chaos episode record ride on it).
+// Lossy draws exactly one rng.Float64() per reachable (sender, receiver)
+// pair, in that order, so the draw sequence is a pure function of the
+// seed and the slot's traffic: it is bit-identical at any Params.Workers
+// setting and any GOMAXPROCS (TestLossyDrawsWorkerIndependent pins this —
+// the conformance goldens and every chaos episode record ride on it).
 type Lossy struct {
-	P     float64
-	Inner Channel
+	P float64
 
 	// Drops, when non-nil, is incremented once per suppressed delivery —
 	// the drop counter chaos observers surface through the obs sink (the
@@ -78,28 +76,20 @@ type Lossy struct {
 	Drops *uint64
 }
 
-// DroppedDeliveries implements DropCounter: Lossy's own suppressions
-// (when counting is armed) plus any counting inner channel's.
+// DroppedDeliveries implements DropCounter: Lossy's suppressions, when
+// counting is armed.
 func (l Lossy) DroppedDeliveries() uint64 {
-	var n uint64
-	if l.Drops != nil {
-		n = *l.Drops
+	if l.Drops == nil {
+		return 0
 	}
-	if dc, ok := l.Inner.(DropCounter); ok {
-		n += dc.DroppedDeliveries()
-	}
-	return n
+	return *l.Drops
 }
 
-// AppendDeliverSlot implements Channel. The inner channel's deliveries
-// land in buf's tail and are filtered in place.
+// AppendDeliverSlot implements Channel. Perfect's deliveries land in
+// buf's tail and are filtered in place.
 func (l Lossy) AppendDeliverSlot(txs []Tx, rng *rand.Rand, buf []Delivery) []Delivery {
-	inner := l.Inner
-	if inner == nil {
-		inner = Perfect{}
-	}
 	start := len(buf)
-	buf = inner.AppendDeliverSlot(txs, rng, buf)
+	buf = Perfect{}.AppendDeliverSlot(txs, rng, buf)
 	kept := buf[:start]
 	for _, d := range buf[start:] {
 		if rng.Float64() >= l.P {

@@ -75,18 +75,6 @@ func TestCollisionSingleSenderDelivers(t *testing.T) {
 	}
 }
 
-func TestLossyOverCollision(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	txs := []Tx{
-		{Sender: n(1), Receivers: []ident.NodeID{3}},
-		{Sender: n(2), Receivers: []ident.NodeID{3}},
-	}
-	ch := Lossy{P: 0, Inner: Collision{}}
-	if got := ch.AppendDeliverSlot(txs, rng, nil); len(got) != 0 {
-		t.Fatalf("collision must survive composition: %v", got)
-	}
-}
-
 func TestChannelsDoNotMutateInput(t *testing.T) {
 	txs := []Tx{{Sender: n(1), Receivers: []ident.NodeID{2, 3}}}
 	rng := rand.New(rand.NewSource(4))
