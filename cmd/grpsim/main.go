@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	loss := fs.Float64("loss", 0, "i.i.d. message loss probability")
 	watch := fs.Bool("watch", false, "print groups every round (default: only on change)")
 	workers := fs.Int("workers", 1, "engine worker fan-out (same trace at any width)")
-	stats := fs.String("stats", "", "stream per-round stat records to this file (.csv: CSV, else JSONL)")
+	stats := fs.String("stats", "", "stream per-round stat records to this file as JSONL")
 	introspectAddr := fs.String("introspect", "", "serve net/http/pprof and the flight-recorder registry JSON on this address while the run lasts")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -80,11 +80,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The round loop is obs.Driver.Run: the partition, the predicates and
 	// the optional stat stream all come from the incremental tracker, and
-	// the stream is checked against the tracker's cumulative counters.
+	// the stream is checked against the registry's observation counters.
 	tr := obs.NewGroupTracker(s)
 	cfg := obs.SoakConfig{MaxRounds: *rounds, ProgressEvery: 1}
 	if *stats != "" {
-		if cfg.Sink, err = obs.OpenSink(*stats, 0); err != nil {
+		if cfg.Sink, err = obs.CreateJSONLSink(*stats, 0); err != nil {
 			return fail(2, err)
 		}
 	}

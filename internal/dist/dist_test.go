@@ -26,7 +26,8 @@ func (c *captureSink) Write(r obs.RoundStats) error {
 	c.recs = append(c.recs, r)
 	return nil
 }
-func (c *captureSink) Close() error { return nil }
+func (c *captureSink) WriteFlight(obs.FlightRecord) error { return nil }
+func (c *captureSink) Close() error                       { return nil }
 
 // commuterSoak is the conformance scenario: the mostly-parked commuter
 // regime (delta graph path) over a dense-enough world that the slabs
@@ -639,7 +640,8 @@ func (s *failAtSink) Write(r obs.RoundStats) error {
 	s.written++
 	return nil
 }
-func (s *failAtSink) Close() error { return nil }
+func (s *failAtSink) WriteFlight(obs.FlightRecord) error { return nil }
+func (s *failAtSink) Close() error                       { return nil }
 
 // TestDriversShareTheRoundTail holds both product drivers to the one
 // round tail: a sink that fails at round k aborts each of them with the

@@ -765,12 +765,6 @@ func (e *Engine) ClearLie(v ident.NodeID) {
 	}
 }
 
-// Lying reports whether v currently has a Byzantine override armed.
-func (e *Engine) Lying(v ident.NodeID) bool {
-	slot := e.order.SlotOf(v)
-	return slot >= 0 && e.recs[slot].lie != nil
-}
-
 // TrackDirty enables dirty-node reporting. Observers call it once at
 // attach time and then DrainDirty after every observation window; nodes
 // that computed before tracking was enabled are not reported (a fresh

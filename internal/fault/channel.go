@@ -109,9 +109,6 @@ func (b *BurstLoss) AppendDeliverSlot(txs []radio.Tx, rng *rand.Rand, buf []radi
 	return kept
 }
 
-// Bad reports the current chain state (for tests).
-func (b *BurstLoss) Bad() bool { return b.bad }
-
 // DroppedDeliveries implements radio.DropCounter.
 func (b *BurstLoss) DroppedDeliveries() uint64 { return b.drops + innerDrops(b.Inner) }
 

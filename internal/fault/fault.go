@@ -347,12 +347,12 @@ func (in *Injector) Apply(r int) []Event {
 	}
 
 	// 3. Crash-recover.
-	for k := countFromRate(in.crashRNG, in.Crash().Rate); k > 0; k-- {
+	for k := countFromRate(in.crashRNG, in.p.Crash.Rate); k > 0; k-- {
 		in.crash(r)
 	}
 
 	// 4. New Byzantine episode.
-	b := in.Byz()
+	b := in.p.Byz
 	if b.Liars > 0 && b.LieRounds > 0 && len(in.liars) < b.Liars && in.byzRNG.Float64() < b.Rate {
 		if v := pick(in.byzRNG, in.e.Order()); v != ident.None && !in.lying(v) {
 			in.liars = append(in.liars, liar{id: v, until: r + b.LieRounds})
@@ -362,18 +362,13 @@ func (in *Injector) Apply(r int) []Event {
 	}
 
 	// 5. Membership storm.
-	f := in.Flap()
+	f := in.p.Flap
 	if f.Rate > 0 && in.flapRNG.Float64() < f.Rate {
 		in.storm(r)
 	}
 
 	return in.events
 }
-
-// Crash, Byz and Flap expose the armed profile's sections.
-func (in *Injector) Crash() CrashConfig { return in.p.Crash }
-func (in *Injector) Byz() ByzConfig     { return in.p.Byz }
-func (in *Injector) Flap() FlapConfig   { return in.p.Flap }
 
 func (in *Injector) emit(ev Event) {
 	in.events = append(in.events, ev)
@@ -408,9 +403,9 @@ func (in *Injector) crash(r int) {
 	if v == ident.None {
 		return
 	}
-	corrupt := rng.Float64() < in.Crash().CorruptP
+	corrupt := rng.Float64() < in.p.Crash.CorruptP
 	CrashNode(in.e, v, rng, corrupt)
-	if corrupt && rng.Float64() < in.Crash().PoisonP {
+	if corrupt && rng.Float64() < in.p.Crash.PoisonP {
 		// Poison the boundary memory against genuine neighbors: the
 		// recovered node auto-rejects real peers until the holds expire.
 		nbrs := in.e.Topo.Graph().NeighborsView(v)
@@ -425,7 +420,7 @@ func (in *Injector) crash(r int) {
 // storm removes an epicenter and (a capped slice of) its current
 // neighborhood in one round and schedules their correlated rejoin.
 func (in *Injector) storm(r int) {
-	f := in.Flap()
+	f := in.p.Flap
 	epi := pick(in.flapRNG, in.e.Order())
 	if epi == ident.None {
 		return

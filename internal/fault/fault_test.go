@@ -56,9 +56,6 @@ func TestBurstLossChainAndCounter(t *testing.T) {
 			t.Fatalf("slot %d: bad-state burst channel delivered %d", slot, len(got))
 		}
 	}
-	if !b.Bad() {
-		t.Fatal("chain did not transition to bad")
-	}
 	if b.DroppedDeliveries() != 20 { // 4 deliveries × 5 slots
 		t.Fatalf("DroppedDeliveries = %d, want 20", b.DroppedDeliveries())
 	}
@@ -257,8 +254,8 @@ func TestByzantineLieReachesReceivers(t *testing.T) {
 		t.Fatalf("expected a byz start, got %v", evs)
 	}
 	liar := evs[0].Node
-	if !cw.e.Lying(liar) {
-		t.Fatal("engine does not report the liar as lying")
+	if _, _, ver, _ := cw.e.BroadcastOf(liar); ver>>63 == 0 {
+		t.Fatal("engine does not serve the liar's forged broadcast")
 	}
 	cw.inj.p.Byz.Rate = 0 // one episode only, or a new liar starts on expiry
 	cw.e.StepRound()
@@ -267,7 +264,7 @@ func TestByzantineLieReachesReceivers(t *testing.T) {
 		cw.inj.Apply(r)
 		cw.e.StepRound()
 	}
-	if cw.e.Lying(liar) {
+	if _, _, ver, _ := cw.e.BroadcastOf(liar); ver>>63 != 0 {
 		t.Fatal("lie still armed after its episode ended")
 	}
 	if cw.inj.Active() {

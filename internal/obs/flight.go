@@ -58,10 +58,3 @@ func NewWakeRecord(round int, w introspect.WakeRec) WakeRecord {
 		Sender: w.Sender,
 	}
 }
-
-// FlightWriter is the optional sink capability for flight-recorder
-// snapshot records. JSONLSink (and the Every wrapper) implement
-// it; fixed-schema sinks (CSV) do not and are skipped.
-type FlightWriter interface {
-	WriteFlight(FlightRecord) error
-}

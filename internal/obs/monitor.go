@@ -29,8 +29,9 @@ package obs
 //     is the fixpoint the protocol actually reaches and re-reaches after
 //     a fault, which is what stabilization time must measure.
 
-// Episode is one fault-to-stabilization recovery record, emitted as one
-// JSONL object through JSONLSink.WriteEpisode.
+// Episode is one fault-to-stabilization recovery record: one object in
+// the run's JSONL stream (JSONLSink.WriteEpisode), told apart from the
+// stats records by its "episode" field.
 type Episode struct {
 	ID int `json:"episode"`
 

@@ -93,16 +93,12 @@ func TestDecimateForwardsFlightsUndecimated(t *testing.T) {
 	var buf bytes.Buffer
 	inner := NewJSONLSink(&buf, 1)
 	s := Every(4, inner)
-	fw, ok := s.(FlightWriter)
-	if !ok {
-		t.Fatal("decimated JSONL sink lost the FlightWriter capability")
-	}
 	for r := 1; r <= 12; r++ {
 		if err := s.Write(RoundStats{Round: r}); err != nil {
 			t.Fatal(err)
 		}
 		if r%3 == 0 {
-			if err := fw.WriteFlight(FlightRecord{Type: "flight", Round: r}); err != nil {
+			if err := s.WriteFlight(FlightRecord{Type: "flight", Round: r}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -82,23 +82,6 @@ func TestJSONLSinkPeriodicFlushErrorIsSticky(t *testing.T) {
 	}
 }
 
-func TestCSVSinkCloseSurfacesFlushError(t *testing.T) {
-	w := &chokeWriter{budget: 0}
-	s, err := NewCSVSink(w, 1000) // header is buffered, so construction succeeds
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(RoundStats{Round: 1}); err != nil {
-		t.Fatalf("buffered write errored early: %v", err)
-	}
-	if err := s.Close(); !errors.Is(err, errDiskFull) {
-		t.Fatalf("Close = %v, want the flush's disk-full error", err)
-	}
-	if w.closed != 1 {
-		t.Fatalf("underlying writer closed %d times after the failed flush, want 1", w.closed)
-	}
-}
-
 func TestDecimatedSinkCloseSurfacesFlushError(t *testing.T) {
 	w := &chokeWriter{budget: 0}
 	s := Every(5, NewJSONLSink(w, 1000))

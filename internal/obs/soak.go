@@ -83,8 +83,7 @@ type SoakConfig struct {
 	IntrospectAddr string
 
 	// FlightEvery streams a flight-recorder snapshot record into Sink
-	// every k rounds (plus one final snapshot at run end), when the sink
-	// can carry them (FlightWriter — JSONL, not CSV). 0 disables.
+	// every k rounds (plus one final snapshot at run end). 0 disables.
 	FlightEvery int
 
 	// WakeTrace receives every attributed wake (round, record) — e.g.
@@ -126,9 +125,9 @@ func (c *SoakConfig) normalize() {
 }
 
 // SoakResult is the final report of a soak run. The violation counters
-// are cross-checked against an independent accumulation of the per-round
-// records — any drift between the stream and the tracker's cumulative
-// state fails the run.
+// are folded from the per-round records and cross-checked against the
+// registry's obs_* counters, which the tracker adds to as it observes —
+// any drift between the two fails the run.
 type SoakResult struct {
 	Rounds int
 	Ticks  int
@@ -435,10 +434,7 @@ type Driver struct {
 // (BuildSoakWorld does it); entry is when the driver's set-up began.
 func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 	e, tr, inj, mon := d.Engine, d.Tracker, d.inj, d.mon
-	var flightSink FlightWriter
-	if cfg.FlightEvery > 0 {
-		flightSink, _ = cfg.Sink.(FlightWriter)
-	}
+	flights := cfg.Sink != nil && cfg.FlightEvery > 0
 	res := &SoakResult{}
 	start := time.Now()
 	deadline := time.Time{}
@@ -475,8 +471,8 @@ func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 				return nil, fmt.Errorf("soak: sink: round %d: %w", r, err)
 			}
 		}
-		if flightSink != nil && r%cfg.FlightEvery == 0 {
-			if err := flightSink.WriteFlight(NewFlightRecord(r, e)); err != nil {
+		if flights && r%cfg.FlightEvery == 0 {
+			if err := cfg.Sink.WriteFlight(NewFlightRecord(r, e)); err != nil {
 				return nil, fmt.Errorf("soak: flight sink: %w", err)
 			}
 		}
@@ -512,8 +508,8 @@ func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 		res.EpisodeUnexcused = mon.TotalUnexcused
 		res.UnexcusedOutside = mon.UnexcusedOutside
 	}
-	if flightSink != nil {
-		if err := flightSink.WriteFlight(NewFlightRecord(res.Rounds, e)); err != nil {
+	if flights {
+		if err := cfg.Sink.WriteFlight(NewFlightRecord(res.Rounds, e)); err != nil {
 			return nil, fmt.Errorf("soak: flight sink: %w", err)
 		}
 	}
@@ -541,17 +537,18 @@ func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 		}
 	}
 
-	// Drift check: the tracker's cumulative counters must equal the
-	// independent accumulation over the streamed records. The first
-	// observation is transition-free on both sides.
-	if res.ContinuityBreaks != tr.ContinuityBreaks ||
-		res.TopologyBreaks != tr.TopologyBreaks ||
-		res.UnexcusedBreaks != tr.UnexcusedBreaks ||
-		res.ViolatingNodes != tr.ViolatingNodes {
-		return res, fmt.Errorf(
-			"soak: violation-counter drift: stream (ΠC %d, ΠT %d, unexcused %d, nodes %d) vs tracker (ΠC %d, ΠT %d, unexcused %d, nodes %d)",
-			res.ContinuityBreaks, res.TopologyBreaks, res.UnexcusedBreaks, res.ViolatingNodes,
-			tr.ContinuityBreaks, tr.TopologyBreaks, tr.UnexcusedBreaks, tr.ViolatingNodes)
+	// Drift check: the registry's observation counters, which the tracker
+	// adds to as it observes, must equal the independent accumulation over
+	// the streamed records. The first observation is transition-free on
+	// both sides; a dist lead's peers have no tracker and add nothing.
+	stream := [4]int{res.ContinuityBreaks, res.TopologyBreaks, res.UnexcusedBreaks, res.ViolatingNodes}
+	var registry [4]int
+	for i, id := range [4]introspect.CounterID{introspect.CtrObsContinuityBreaks, introspect.CtrObsTopologyBreaks,
+		introspect.CtrObsUnexcusedBreaks, introspect.CtrObsViolatingNodes} {
+		registry[i] = int(reg.Get(id))
+	}
+	if stream != registry {
+		return res, fmt.Errorf("soak: violation-counter drift: stream %v vs registry %v (ΠC, ΠT, unexcused, nodes)", stream, registry)
 	}
 	return res, nil
 }

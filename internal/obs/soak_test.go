@@ -5,21 +5,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/introspect"
 )
 
-// TestSinksRoundTrip pins the record formats: JSONL decodes back to the
-// same struct, CSV carries the JSON record's columns and values in field
-// order, one row per record, OpenSink picks the format by extension, and
-// the decimating wrapper keeps every k-th record.
+// TestSinksRoundTrip pins the record format: JSONL decodes back to the
+// same struct, and the decimating wrapper keeps every k-th record.
 func TestSinksRoundTrip(t *testing.T) {
 	recs := []RoundStats{
 		{Round: 1, Tick: 2, Nodes: 5, Edges: 4, Groups: 2, Singletons: 1,
@@ -51,86 +49,6 @@ func TestSinksRoundTrip(t *testing.T) {
 		}
 		if got != recs[i] {
 			t.Fatalf("line %d: %+v != %+v", i, got, recs[i])
-		}
-	}
-
-	var cbuf bytes.Buffer
-	cs, err := NewCSVSink(&cbuf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := cs.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(cbuf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d, want header + 2 rows:\n%s", len(lines), cbuf.String())
-	}
-	// The CSV header is the JSON record's field names in field order, and
-	// every cell is its column's JSON value (a bool as 1 or 0).
-	rt := reflect.TypeOf(RoundStats{})
-	names := make([]string, rt.NumField())
-	for i := range names {
-		names[i], _, _ = strings.Cut(rt.Field(i).Tag.Get("json"), ",")
-	}
-	if want := strings.Join(names, ","); lines[0] != want {
-		t.Fatalf("csv header = %q, want the JSON names %q", lines[0], want)
-	}
-	for i, r := range recs {
-		buf, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rec map[string]any
-		if err := json.Unmarshal(buf, &rec); err != nil {
-			t.Fatal(err)
-		}
-		cells := strings.Split(lines[i+1], ",")
-		if len(cells) != len(names) {
-			t.Fatalf("csv row %d has %d cells, want %d: %q", i+1, len(cells), len(names), lines[i+1])
-		}
-		for j, name := range names {
-			var ok bool
-			switch v := rec[name].(type) {
-			case bool:
-				ok = cells[j] == map[bool]string{true: "1", false: "0"}[v]
-			case float64:
-				f, err := strconv.ParseFloat(cells[j], 64)
-				ok = err == nil && f == v
-			}
-			if !ok {
-				t.Errorf("csv row %d column %s = %q, JSON has %v", i+1, name, cells[j], rec[name])
-			}
-		}
-	}
-
-	// OpenSink picks CSV for a .csv path and JSONL for anything else.
-	dir := t.TempDir()
-	for _, c := range []struct {
-		file, first string
-	}{{"s.csv", "round,tick,"}, {"s.jsonl", `{"round":1,`}, {"s.csv.json", `{"round":1,`}} {
-		path := filepath.Join(dir, c.file)
-		s, err := OpenSink(path, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Write(recs[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(string(got), c.first) {
-			t.Errorf("OpenSink(%s) wrote %q, want it to start with %q", c.file, got, c.first)
 		}
 	}
 
@@ -197,6 +115,55 @@ func TestSoakSmoke(t *testing.T) {
 		t.Fatalf("sink records = %d, want %d", n, rounds)
 	}
 	t.Logf("%s", res.Report())
+}
+
+// driftRun drives a static line through a Driver whose Step also bumps
+// ctr in the registry, behind the backs of the tracker and the injector;
+// chaos arms an injector with an empty profile and a monitor.
+func driftRun(ctr introspect.CounterID, chaos bool) error {
+	e := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, graph.Line(6))
+	d := &Driver{
+		Engine:  e,
+		Tracker: NewGroupTracker(e),
+		Step: func(int, *SoakResult) error {
+			e.StepRound()
+			e.Introspect().Inc(ctr)
+			return nil
+		},
+		Close: func(*SoakResult) error { return nil },
+	}
+	if chaos {
+		d.inj, d.mon = fault.NewInjector(&fault.Profile{}, e, fault.Hooks{}), NewMonitor(0)
+	}
+	_, err := d.Run(&SoakConfig{MaxRounds: 5}, time.Now())
+	return err
+}
+
+// The run fails when the registry's observation counters drift from the
+// fold of the streamed records.
+func TestDriverCatchesViolationCounterDrift(t *testing.T) {
+	if err := driftRun(introspect.CtrMessagesSent, false); err != nil {
+		t.Fatalf("a counter no check reads failed the run: %v", err)
+	}
+	for _, ctr := range []introspect.CounterID{introspect.CtrObsContinuityBreaks, introspect.CtrObsTopologyBreaks,
+		introspect.CtrObsUnexcusedBreaks, introspect.CtrObsViolatingNodes} {
+		if err := driftRun(ctr, false); err == nil || !strings.Contains(err.Error(), "violation-counter drift") {
+			t.Errorf("%s bumped outside the tracker: Run = %v, want the violation-counter drift error", ctr, err)
+		}
+	}
+}
+
+// On a chaos run, the run fails when the registry's injection counters
+// drift from the injector's own totals.
+func TestDriverCatchesInjectionCounterDrift(t *testing.T) {
+	if err := driftRun(introspect.CtrMessagesSent, true); err != nil {
+		t.Fatalf("a counter no check reads failed the run: %v", err)
+	}
+	for _, ctr := range []introspect.CounterID{introspect.CtrFaultsInjected, introspect.CtrFaultNodesAffected} {
+		if err := driftRun(ctr, true); err == nil || !strings.Contains(err.Error(), "flight-recorder drift: "+ctr.String()) {
+			t.Errorf("%s bumped outside the injector: Run = %v, want its flight-recorder drift error", ctr, err)
+		}
+	}
 }
 
 // TestSoakDeterministicAcrossWorkers pins the whole harness — engine,

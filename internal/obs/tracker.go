@@ -182,13 +182,6 @@ type GroupTracker struct {
 	nee      int    // external edges, summed over the shards
 	mergeCnt int    // mergeable pairs, summed over the shards
 
-	// Cumulative soak counters (transitions observed so far).
-	Rounds           int
-	ContinuityBreaks int // observations with ΠC false
-	TopologyBreaks   int // observations with ΠT false
-	UnexcusedBreaks  int // ΠC false while ΠT held (contract violations)
-	ViolatingNodes   int // total nodes that lost a group member
-
 	// Scratch (coordinator-owned).
 	shards    [shard.N]trackerShard
 	ws        []*workerScratch
@@ -630,25 +623,12 @@ func (t *GroupTracker) Observe() RoundStats {
 	piC := piCViolations == 0
 	if first {
 		piT, piC = true, true
-	} else {
-		t.ViolatingNodes += piCViolations
-		if !piT {
-			t.TopologyBreaks++
-		}
-		if !piC {
-			t.ContinuityBreaks++
-			if piT {
-				t.UnexcusedBreaks++
-			}
-		}
 	}
-	t.Rounds++
 
-	// Mirror the observation counters into the engine's flight recorder,
-	// so a registry snapshot carries the full picture (traffic, computes,
-	// wakes AND observed violations) in one deterministic block. The
-	// tracker's own cumulative fields stay authoritative for the soak
-	// drift self-check; the registry copy is the unified surface.
+	// Count the observation in the engine's flight recorder, so a registry
+	// snapshot carries the full picture (traffic, computes, wakes AND
+	// observed violations) in one deterministic block; the soak drift
+	// check holds these counts to the fold of the streamed records.
 	reg := t.e.Introspect()
 	reg.Inc(introspect.CtrObsRounds)
 	if !first {
