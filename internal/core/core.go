@@ -531,22 +531,19 @@ func (n *Node) StateDigest() uint64 {
 		mix(uint64(n.quar[i].id))
 		mix(uint64(uint32(n.quar[i].q)))
 	}
+	mixP := func(p priority.P) { mix(p.Clock()); mix(uint64(p.ID)) }
 	mix(uint64(len(n.prios)))
 	for i := range n.prios {
 		mix(uint64(n.prios[i].id))
-		mix(n.prios[i].p.Clock)
-		mix(uint64(n.prios[i].p.ID))
+		mixP(n.prios[i].p)
 	}
 	mix(uint64(len(n.gprs)))
 	for i := range n.gprs {
 		mix(uint64(n.gprs[i].id))
-		mix(n.gprs[i].p.Clock)
-		mix(uint64(n.gprs[i].p.ID))
+		mixP(n.gprs[i].p)
 	}
-	mix(n.self.Clock)
-	mix(uint64(n.self.ID))
-	mix(n.group.Clock)
-	mix(uint64(n.group.ID))
+	mixP(n.self)
+	mixP(n.group)
 	mix(uint64(len(n.streak)))
 	for i := range n.streak {
 		mix(uint64(n.streak[i].id))
@@ -791,11 +788,13 @@ func (n *Node) RecsNeeded() int {
 }
 
 // BuildMessageIn is BuildMessage assembled into recs[:0], which no receiver
-// may still hold; it allocates only when cap(recs) < RecsNeeded().
+// may still hold; it allocates only when cap(recs) < RecsNeeded(), and then
+// at an even capacity, so one record more still fits when a driver's pool
+// hands the array back (DESIGN.md §2.3, The pool).
 func (n *Node) BuildMessageIn(recs []PrioRec) Message {
 	need := n.RecsNeeded()
 	if cap(recs) < need {
-		recs = slices.Grow([]PrioRec(nil), need)
+		recs = slices.Grow([]PrioRec(nil), (need+1)&^1)
 	}
 	recs = recs[:0]
 	for i := 0; i < n.list.Len(); i++ {
@@ -1140,15 +1139,15 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 		case len(incs) == 0:
 			n.self = n.self.Tick()
 		case !n.synced:
-			base := n.self.Clock
+			base := n.self.Clock()
 			for i := range incs {
 				for _, r := range incs[i].msg.Recs {
-					if r.HasPrio && !r.Prio.IsInfinite() && r.Prio.Clock > base {
-						base = r.Prio.Clock
+					if r.HasPrio && !r.Prio.IsInfinite() && r.Prio.Clock() > base {
+						base = r.Prio.Clock()
 					}
 				}
 			}
-			n.self = priority.P{Clock: base + 1, ID: n.id}
+			n.self = priority.Of(base+1, n.id)
 			n.synced = true
 		}
 	}

@@ -253,15 +253,15 @@ func TestDepartureDetection(t *testing.T) {
 func TestPriorityTicksOnlyWhenAlone(t *testing.T) {
 	r := newRing(graph.Line(2), Config{Dmax: 2})
 	n1 := r.nodes[1]
-	c0 := n1.Priority().Clock
+	c0 := n1.Priority().Clock()
 	r.round()
-	if n1.Priority().Clock <= c0 {
+	if n1.Priority().Clock() <= c0 {
 		t.Fatal("lone node's clock must tick")
 	}
 	r.rounds(10) // now grouped
-	c1 := n1.Priority().Clock
+	c1 := n1.Priority().Clock()
 	r.rounds(5)
-	if n1.Priority().Clock != c1 {
+	if n1.Priority().Clock() != c1 {
 		t.Fatal("grouped node's clock must freeze")
 	}
 	if got := n1.GroupPriority(); !got.Less(priority.Infinite) {
@@ -279,9 +279,9 @@ func TestLamportJumpOnJoin(t *testing.T) {
 	fresh := NewNode(2, Config{Dmax: 2})
 	fresh.Receive(old.BuildMessage())
 	fresh.Compute()
-	if fresh.Priority().Clock <= old.Priority().Clock-1 {
+	if fresh.Priority().Clock() <= old.Priority().Clock()-1 {
 		t.Fatalf("fresh clock %d did not jump past heard clock %d",
-			fresh.Priority().Clock, old.Priority().Clock)
+			fresh.Priority().Clock(), old.Priority().Clock())
 	}
 }
 
@@ -451,16 +451,21 @@ func TestBuildMessageCarriesPriorities(t *testing.T) {
 	if m.EncodedSize() <= 0 {
 		t.Fatal("encoded size must be positive")
 	}
+	// A fresh record array has an even capacity, so one record more fits
+	// when a driver's pool hands it back.
+	if c := cap(NewNode(3, Config{Dmax: 2}).BuildMessage().Recs); c != 2 {
+		t.Errorf("a lone node's one record has capacity %d, want 2", c)
+	}
 }
 
 func TestLoadStateDefaults(t *testing.T) {
 	n := NewNode(1, Config{Dmax: 2})
 	l := antlist.FromSets(antlist.NewSet(ident.Plain(1)), antlist.NewSet(ident.Plain(9)))
-	n.LoadState(l, nil, nil, priority.P{Clock: 5, ID: 1})
+	n.LoadState(l, nil, nil, priority.Of(5, 1))
 	if !n.List().Equal(l) || !n.InView(1) || n.QuarantineOf(9) != 0 {
 		t.Fatalf("LoadState defaults wrong: %v", n)
 	}
-	if n.Priority().Clock != 5 {
+	if n.Priority().Clock() != 5 {
 		t.Fatal("priority not loaded")
 	}
 }
@@ -582,7 +587,7 @@ func TestAppendStateMatchesFmt(t *testing.T) {
 		{antlist.List{}, map[ident.NodeID]bool{}, map[ident.NodeID]int{}, priority.Infinite,
 			"7|()|[]|pr(∞)|pr(∞)|-1\n"},
 		{antlist.FromSets(set(ident.Plain(me)), set(ident.Single(3), ident.Double(4), ident.Entry{ID: 5, Mark: 9}), set(ident.Plain(4294967295))),
-			map[ident.NodeID]bool{3: true, me: true, 4294967295: true, 4: false}, map[ident.NodeID]int{me: 3, 3: 1}, priority.P{Clock: ^uint64(0) - 1, ID: 1},
+			map[ident.NodeID]bool{3: true, me: true, 4294967295: true, 4: false}, map[ident.NodeID]int{me: 3, 3: 1}, priority.Of(^uint64(0)-1, 1),
 			"7|({n7},{n3',n4'',n5},{n4294967295})|[n3 n7 n4294967295]|pr(18446744073709551614@n1)|pr(18446744073709551614@n1)|3\n"},
 		{antlist.FromSets(set(), set(ident.Double(me)), set(), set(ident.Plain(2), ident.Plain(1))),
 			map[ident.NodeID]bool{1: true}, map[ident.NodeID]int{2: 12}, priority.P{},

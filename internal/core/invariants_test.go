@@ -141,7 +141,7 @@ func TestQuickInvariantsFromCorruptedStates(t *testing.T) {
 				}
 				sets[i] = s
 			}
-			n.LoadState(antlist.FromSets(sets...), nil, nil, priority.P{Clock: rng.Uint64() % 1000, ID: v})
+			n.LoadState(antlist.FromSets(sets...), nil, nil, priority.Of(rng.Uint64()%1000, v))
 			nodes[v] = n
 		}
 		for step := 0; step < 12; step++ {
@@ -189,10 +189,10 @@ func TestComputeNeverPanicsOnHostileMessages(t *testing.T) {
 			From: ident.NodeID(2 + rng.Uint32()%4),
 			List: l,
 			Recs: RecsFromMaps(l,
-				map[ident.NodeID]priority.P{ident.NodeID(rng.Uint32() % 8): {Clock: rng.Uint64()}},
+				map[ident.NodeID]priority.P{ident.NodeID(rng.Uint32() % 8): priority.Of(rng.Uint64(), 0)},
 				nil,
 				map[ident.NodeID]int{ident.NodeID(rng.Uint32() % 8): rng.Intn(10) - 3}),
-			GroupPrio: priority.P{Clock: rng.Uint64(), ID: ident.NodeID(rng.Uint32())},
+			GroupPrio: priority.Of(rng.Uint64(), ident.NodeID(rng.Uint32())),
 		}
 		n.Receive(m)
 		if i%3 == 0 {

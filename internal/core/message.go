@@ -25,9 +25,9 @@ import (
 // only that long: see BuildMessage for when they may be written again.
 type Message struct {
 	From      ident.NodeID
+	GroupPrio priority.P // beside From: 16 B of 4-byte fields, no padding
 	List      antlist.List
 	Recs      []PrioRec
-	GroupPrio priority.P
 }
 
 // PrioRec is the per-node metadata record of a Message.
@@ -188,9 +188,9 @@ func (m Message) MaskedDigest(self ident.NodeID, inRead func(ident.NodeID) bool,
 			f |= 2
 		}
 		mix(f)
-		mix(r.Prio.Clock)
+		mix(r.Prio.Clock())
 		mix(uint64(r.Prio.ID))
-		mix(r.GroupPrio.Clock)
+		mix(r.GroupPrio.Clock())
 		mix(uint64(r.GroupPrio.ID))
 	}
 	return h

@@ -231,7 +231,7 @@ func PoisonEntries(ents []ident.Entry) {
 }
 
 func PoisonMessage(m *Message) {
-	bad := PrioRec{ID: ^ident.NodeID(0), HasPrio: true, Pos: -7, Quar: 99, Prio: priority.P{Clock: 1 << 40}}
+	bad := PrioRec{ID: ^ident.NodeID(0), HasPrio: true, Pos: -7, Quar: 99, Prio: priority.Of(1<<40, 0)}
 	copy(m.Recs[:cap(m.Recs)], slices.Repeat([]PrioRec{bad}, cap(m.Recs)))
 	m.From, m.List, m.GroupPrio = bad.ID, antlist.List{}, bad.Prio
 }

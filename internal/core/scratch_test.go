@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ident"
+	"repro/internal/priority"
 )
 
 // TestNodeFootprint pins the size of the per-node state. A Node is paid
@@ -13,10 +14,31 @@ import (
 // protocol state that survives from one compute to the next. Anything a
 // compute needs only while it runs belongs in Scratch, which a driver pays
 // once per worker — and so does the switch that runs it under the oracle:
-// the Tracer hook and the SelfCheck flag left the node (360 → 344 B).
+// the Tracer hook and the SelfCheck flag left the node (360 → 344 B), and
+// the 12-byte priority packed self and group (344 → 336 B).
 func TestNodeFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 344 {
-		t.Errorf("sizeof(Node) = %d, want 344", got)
+	if got := unsafe.Sizeof(Node{}); got != 336 {
+		t.Errorf("sizeof(Node) = %d, want 336", got)
+	}
+}
+
+// TestRecordFootprint pins the priority and the records that hold it: a
+// priority is 12 bytes at 4-byte alignment (its clock in two halves), so
+// a cached priority is 16 B, a broadcast record 36 B and a broadcast
+// header 88 B. A field reorder that brings padding back fails here.
+func TestRecordFootprint(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"priority.P", unsafe.Sizeof(priority.P{}), 12},
+		{"prec", unsafe.Sizeof(prec{}), 16},
+		{"PrioRec", unsafe.Sizeof(PrioRec{}), 36},
+		{"Message", unsafe.Sizeof(Message{}), 88},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -180,10 +180,10 @@ func (p *pool[T]) retire(v T, c, tick int) {
 	}
 }
 
-// take returns what was retired by ripe at capacity need, or up to four
+// take returns what was retired by ripe at capacity need, or up to six
 // more, and the zero T when nothing was.
 func (p *pool[T]) take(need, ripe int) (v T) {
-	for c := need; c <= need+4 && c < len(p.byCap); c++ {
+	for c := need; c <= need+6 && c < len(p.byCap); c++ {
 		if f := &p.byCap[c]; f.head < len(f.q) && f.q[f.head].tick <= ripe {
 			f.head++
 			return f.q[f.head-1].v

@@ -212,7 +212,7 @@ func offersEnts(p *pool[[]ident.Entry], at *ident.Entry) bool {
 }
 
 // TestPoolTakeWindow pins which retired storage a taker is handed: the
-// smallest ripe capacity in need..need+4, once, and nothing smaller,
+// smallest ripe capacity in need..need+6, once, and nothing smaller,
 // roomier or retired later than ripe — for entry buffers and for messages,
 // by the capacity of their records, alike.
 func TestPoolTakeWindow(t *testing.T) {
@@ -223,8 +223,8 @@ func TestPoolTakeWindow(t *testing.T) {
 		want       int // capacity handed out, 0 for none
 	}{
 		{"exact fit preferred", []int{9, 5, 7}, 5, 9, 5},
-		{"need+4 taken", []int{9}, 5, 9, 9},
-		{"need+5 not", []int{10}, 5, 9, 0},
+		{"need+6 taken", []int{11}, 5, 9, 11},
+		{"need+7 not", []int{12}, 5, 9, 0},
 		{"smaller never", []int{4}, 5, 9, 0},
 		{"unripe skipped for a roomier ripe one", []int{7, 5}, 5, 1, 7},
 		{"unripe only", []int{5}, 5, 0, 0},
@@ -347,7 +347,10 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 		ents  []ident.Entry // nil when the commit kept the list's storage
 	}
 	for _, armed := range []bool{true, false} {
-		const n, joiner = 40, ident.NodeID(41)
+		// The joiner shares node 1's shard (65 mod 64) and pool: alone in
+		// a shard it would take each retired broadcast of its own back in
+		// the very build it ripens, and none would be left to check.
+		const n, joiner = 40, ident.NodeID(65)
 		on, off := pairRefs(n)
 		p := Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}
 		p.normalize()

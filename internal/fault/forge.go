@@ -85,7 +85,7 @@ func corruptState(rng *rand.Rand, v ident.NodeID, members []ident.NodeID, dmax i
 	if rng.Float64() < 0.5 {
 		clock = uint64(rng.Int63n(1 << 40))
 	}
-	return list, view, quar, priority.P{Clock: clock, ID: v}
+	return list, view, quar, priority.Of(clock, v)
 }
 
 // forgeLie assembles a falsified broadcast for liar v: layer 0 is v
@@ -131,8 +131,8 @@ func forgeLie(rng *rand.Rand, v ident.NodeID, neighbors, members []ident.NodeID,
 	gprios := make(map[ident.NodeID]priority.P)
 	quars := make(map[ident.NodeID]int)
 	for _, id := range list.IDs() {
-		prios[id] = priority.P{Clock: uint64(rng.Int63n(1 << 20)), ID: id}
-		gprios[id] = priority.P{Clock: uint64(rng.Intn(3)), ID: v}
+		prios[id] = priority.Of(uint64(rng.Int63n(1<<20)), id)
+		gprios[id] = priority.Of(uint64(rng.Intn(3)), v)
 		if id >= FabricatedBase {
 			quars[id] = 0
 		}
@@ -142,7 +142,7 @@ func forgeLie(rng *rand.Rand, v ident.NodeID, neighbors, members []ident.NodeID,
 		From:      v,
 		List:      list,
 		Recs:      core.RecsFromMaps(list, prios, gprios, quars),
-		GroupPrio: priority.P{Clock: uint64(rng.Intn(3)), ID: v},
+		GroupPrio: priority.Of(uint64(rng.Intn(3)), v),
 	}
 	frame := wire.Encode(m)
 	decoded, err := wire.Decode(frame)

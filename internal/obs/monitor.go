@@ -84,9 +84,10 @@ type Monitor struct {
 	// free-floating counter: on a churn-free chaos run nothing else can
 	// cause one, so it is fault-attributable even when the causal chain —
 	// a corrupted reload's time-bomb, a deferred merge repair — outlives
-	// any fixed confirmation window. The break still counts in
-	// UnexcusedOutside; the episode must then re-stabilize like any
-	// other. RunSoak sets this whenever the injector is armed.
+	// any fixed confirmation window. The break counts as the episode's
+	// first unexcused round, not in UnexcusedOutside; the episode must
+	// then re-stabilize like any other. RunSoak sets this whenever the
+	// injector is armed.
 	Aftershocks bool
 
 	open   *Episode
@@ -148,20 +149,19 @@ func (m *Monitor) ObserveRound(st RoundStats, active bool) (Episode, bool) {
 	unexcused := !st.Continuity && st.Topological
 
 	if m.open == nil {
-		if unexcused {
-			m.UnexcusedOutside++
-			// Only after the first injected fault: the bootstrap phase of
-			// a fresh world produces formation-time breaks (the soak
-			// suite's documented "bootstrap" column) that are nobody's
-			// aftershock.
-			if m.Aftershocks && m.FaultsRecorded > 0 {
-				m.nextID++
-				m.open = &Episode{
-					ID: m.nextID, OpenedRound: st.Round, LastFaultRound: st.Round,
-					ViolationRounds: 1, Unexcused: 1, Aftershock: true,
-				}
-				m.streak = 0
+		// Only after the first injected fault: the bootstrap phase of a
+		// fresh world produces formation-time breaks (the soak suite's
+		// documented "bootstrap" column) that are nobody's aftershock.
+		switch {
+		case unexcused && m.Aftershocks && m.FaultsRecorded > 0:
+			m.nextID++
+			m.open = &Episode{
+				ID: m.nextID, OpenedRound: st.Round, LastFaultRound: st.Round,
+				ViolationRounds: 1, Unexcused: 1, Aftershock: true,
 			}
+			m.streak = 0
+		case unexcused:
+			m.UnexcusedOutside++
 		}
 		return Episode{}, false
 	}

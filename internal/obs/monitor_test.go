@@ -209,6 +209,40 @@ func TestMonitorFaultFreeSoak(t *testing.T) {
 	}
 }
 
+// TestAftershockBreakCountedOnce runs a chaos soak whose third episode is
+// an aftershock, opened by an unexcused break after the last episode
+// closed, and requires the in-episode and outside counts to partition the
+// run's unexcused breaks: the break that opens the aftershock counts in
+// the episode only.
+func TestAftershockBreakCountedOnce(t *testing.T) {
+	prof, err := fault.Preset("mixed", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.Seed, prof.Until = 1^0x6368616f73, 400 // grpsoak -seed 1 -chaos mixed -chaos-until 400
+	aftershocks := 0
+	res, err := RunSoak(SoakConfig{
+		N: 150, Seed: 1, Workers: 2, MaxRounds: 600, Static: true,
+		Fault: prof,
+		Episodes: func(ep Episode) error {
+			if ep.Aftershock {
+				aftershocks++
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aftershocks != 1 {
+		t.Fatalf("%d aftershock episodes, want the one this run is chosen for", aftershocks)
+	}
+	if got := res.EpisodeUnexcused + res.UnexcusedOutside; got != res.UnexcusedBreaks {
+		t.Fatalf("unexcused %d in-episode + %d outside = %d, want the run's %d",
+			res.EpisodeUnexcused, res.UnexcusedOutside, got, res.UnexcusedBreaks)
+	}
+}
+
 // TestChaosSoakDeterministicAcrossWorkers pins the acceptance criterion
 // end to end: with the injector armed (crash + byzantine + burst loss),
 // the entire soak result and every emitted episode record are

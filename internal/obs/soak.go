@@ -150,8 +150,8 @@ type SoakResult struct {
 	EpisodesOpen     int     // episodes still open at run end (0 or 1)
 	MeanStabRounds   float64 // mean stabilization time over closed episodes
 	MaxStabRounds    int     // worst stabilization time
-	EpisodeUnexcused int     // unexcused breaks inside episodes
-	UnexcusedOutside int     // unexcused breaks with no episode open
+	EpisodeUnexcused int     // unexcused breaks inside episodes, the open one included
+	UnexcusedOutside int     // unexcused breaks with no episode open (the two sum to UnexcusedBreaks)
 
 	Final       RoundStats
 	Elapsed     time.Duration
@@ -500,12 +500,13 @@ func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 		res.FaultsInjected = inj.FaultsInjected
 		res.NodesAffected = inj.NodesAffected
 		res.Episodes = mon.Episodes
-		if mon.Open() != nil {
+		res.EpisodeUnexcused = mon.TotalUnexcused
+		if ep := mon.Open(); ep != nil {
 			res.EpisodesOpen = 1
+			res.EpisodeUnexcused += ep.Unexcused
 		}
 		res.MeanStabRounds = mon.MeanStabRounds()
 		res.MaxStabRounds = mon.MaxStabRounds
-		res.EpisodeUnexcused = mon.TotalUnexcused
 		res.UnexcusedOutside = mon.UnexcusedOutside
 	}
 	if flights {

@@ -9,12 +9,12 @@ import (
 )
 
 func TestLessClockThenID(t *testing.T) {
-	a := P{Clock: 1, ID: 9}
-	b := P{Clock: 2, ID: 1}
+	a := Of(1, 9)
+	b := Of(2, 1)
 	if !a.Less(b) || b.Less(a) {
 		t.Fatal("clock must dominate")
 	}
-	c := P{Clock: 1, ID: 2}
+	c := Of(1, 2)
 	if !c.Less(a) || a.Less(c) {
 		t.Fatal("ID must break clock ties")
 	}
@@ -31,7 +31,7 @@ func TestTickLowersPriorityRank(t *testing.T) {
 }
 
 func TestMin(t *testing.T) {
-	a, b := P{Clock: 3, ID: 1}, P{Clock: 1, ID: 7}
+	a, b := Of(3, 1), Of(1, 7)
 	if a.Min(b) != b || b.Min(a) != b {
 		t.Fatal("Min wrong")
 	}
@@ -41,7 +41,7 @@ func TestMin(t *testing.T) {
 }
 
 func TestInfiniteIsIdentity(t *testing.T) {
-	a := P{Clock: 1 << 40, ID: 3}
+	a := Of(1<<40, 3)
 	if !a.Less(Infinite) || Infinite.Less(a) {
 		t.Fatal("Infinite must lose to everything")
 	}
@@ -68,7 +68,7 @@ func TestQuickTotalOrder(t *testing.T) {
 		}
 		ps := make([]P, n)
 		for i := 0; i < n; i++ {
-			ps[i] = P{Clock: uint64(clocks[i]), ID: ident.NodeID(ids[i])}
+			ps[i] = Of(uint64(clocks[i]), ident.NodeID(ids[i]))
 		}
 		sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
 		for i := 1; i < len(ps); i++ {
@@ -100,12 +100,41 @@ func TestQuickTotalOrder(t *testing.T) {
 
 func TestQuickMinCommutativeAssociative(t *testing.T) {
 	f := func(c1, c2, c3 uint32, i1, i2, i3 uint16) bool {
-		a := P{Clock: uint64(c1), ID: ident.NodeID(i1)}
-		b := P{Clock: uint64(c2), ID: ident.NodeID(i2)}
-		c := P{Clock: uint64(c3), ID: ident.NodeID(i3)}
+		a := Of(uint64(c1), ident.NodeID(i1))
+		b := Of(uint64(c2), ident.NodeID(i2))
+		c := Of(uint64(c3), ident.NodeID(i3))
 		return a.Min(b) == b.Min(a) && a.Min(b).Min(c) == a.Min(b.Min(c))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzPriorityOrder pins the two-halves layout to the value it stores: the
+// clock and ID round-trip through Of, Less is the lexicographic order of
+// (clock, ID), and Infinite is the largest pair.
+func FuzzPriorityOrder(f *testing.F) {
+	if Infinite != Of(^uint64(0), ident.NodeID(^uint32(0))) {
+		f.Fatal("Infinite is not the largest (clock, ID) pair")
+	}
+	for _, c := range []uint64{0, 1<<32 - 1, 1 << 32, 1 << 40, ^uint64(0)} {
+		f.Add(c, uint32(7), c+1, uint32(3))
+		f.Add(c, ^uint32(0), c, uint32(0))
+	}
+	f.Fuzz(func(t *testing.T, c1 uint64, id1 uint32, c2 uint64, id2 uint32) {
+		a, b := Of(c1, ident.NodeID(id1)), Of(c2, ident.NodeID(id2))
+		if a.Clock() != c1 || a.ID != ident.NodeID(id1) {
+			t.Fatalf("Of(%d, %d) reads back clock %d, ID %d", c1, id1, a.Clock(), a.ID)
+		}
+		want := c1 < c2 || c1 == c2 && id1 < id2
+		if a.Less(b) != want {
+			t.Fatalf("Of(%d, %d).Less(Of(%d, %d)) = %v, want %v", c1, id1, c2, id2, a.Less(b), want)
+		}
+		if (a == b) != (c1 == c2 && id1 == id2) {
+			t.Fatalf("Of(%d, %d) == Of(%d, %d) is %v", c1, id1, c2, id2, a == b)
+		}
+		if Infinite.Less(a) || a != Infinite && !a.Less(Infinite) {
+			t.Fatalf("Of(%d, %d) is not below Infinite", c1, id1)
+		}
+	})
 }

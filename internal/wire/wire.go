@@ -177,14 +177,11 @@ func DecodeInto(buf []byte, into core.Message) (core.Message, error) {
 }
 
 func appendPrio(dst []byte, p priority.P) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, p.Clock)
+	dst = binary.LittleEndian.AppendUint64(dst, p.Clock())
 	return binary.LittleEndian.AppendUint32(dst, uint32(p.ID))
 }
 
 // prioAt reads the priority record at the front of buf (12 bytes).
 func prioAt(buf []byte) priority.P {
-	return priority.P{
-		Clock: binary.LittleEndian.Uint64(buf),
-		ID:    ident.NodeID(binary.LittleEndian.Uint32(buf[8:])),
-	}
+	return priority.Of(binary.LittleEndian.Uint64(buf), ident.NodeID(binary.LittleEndian.Uint32(buf[8:])))
 }

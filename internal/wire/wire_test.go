@@ -29,13 +29,13 @@ func sampleMessage() core.Message {
 		List: list,
 		Recs: core.RecsFromMaps(list,
 			map[ident.NodeID]priority.P{
-				1: {Clock: 7, ID: 1}, 2: {Clock: 9, ID: 2}, 3: {Clock: 2, ID: 3},
+				1: priority.Of(7, 1), 2: priority.Of(9, 2), 3: priority.Of(2, 3),
 			},
 			map[ident.NodeID]priority.P{
-				1: {Clock: 2, ID: 3}, 3: {Clock: 2, ID: 3},
+				1: priority.Of(2, 3), 3: priority.Of(2, 3),
 			},
 			map[ident.NodeID]int{1: 2}),
-		GroupPrio: priority.P{Clock: 2, ID: 3},
+		GroupPrio: priority.Of(2, 3),
 	}
 }
 
@@ -135,7 +135,7 @@ func dirtyStorage(t testing.TB, n int) core.Message {
 		id := ident.NodeID(1000 + i)
 		sets[i] = antlist.NewSet(ident.Double(id))
 		junk.Recs = append(junk.Recs, core.PrioRec{ID: id, Pos: int16(i), Quar: 77, HasPrio: true, HasGroupPrio: true,
-			Prio: priority.P{Clock: 1 << 50, ID: id}, GroupPrio: priority.P{Clock: 1 << 51, ID: id}})
+			Prio: priority.Of(1<<50, id), GroupPrio: priority.Of(1<<51, id)})
 	}
 	junk.List = antlist.FromSets(sets...)
 	m, err := Decode(Encode(junk))
@@ -188,7 +188,7 @@ func rawFrame(from ident.NodeID, list antlist.List, prios, gprios, quars []secRe
 	dst := binary.LittleEndian.AppendUint16(nil, magic)
 	dst = append(dst, version)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(from))
-	dst = appendPrio(dst, priority.P{Clock: 4, ID: from})
+	dst = appendPrio(dst, priority.Of(4, from))
 	dst = list.AppendBinary(dst)
 	for sec, recs := range [][]secRec{prios, gprios, quars} {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(recs)))
@@ -197,7 +197,7 @@ func rawFrame(from ident.NodeID, list antlist.List, prios, gprios, quars []secRe
 			if sec == 2 {
 				dst = append(dst, byte(r.val))
 			} else {
-				dst = appendPrio(dst, priority.P{Clock: r.val, ID: r.id})
+				dst = appendPrio(dst, priority.Of(r.val, r.id))
 			}
 		}
 	}
@@ -220,10 +220,10 @@ func nonCanonicalFrames() []namedFrame {
 	// One position naming node 4 three times, out of order: the strongest
 	// mark is kept.
 	dupInSet := []byte{magic & 0xff, magic >> 8, version, 3, 0, 0, 0}
-	dupInSet = appendPrio(dupInSet, priority.P{Clock: 4, ID: 3})
+	dupInSet = appendPrio(dupInSet, priority.Of(4, 3))
 	dupInSet = append(dupInSet, 1, 0, 4, 0, 6, 0, 0, 0, 0, 4, 0, 0, 0, 1, 4, 0, 0, 0, 2, 4, 0, 0, 0, 0)
 	dupInSet = append(dupInSet, 1, 0, 4, 0, 0, 0)
-	dupInSet = appendPrio(dupInSet, priority.P{Clock: 8, ID: 4})
+	dupInSet = appendPrio(dupInSet, priority.Of(8, 4))
 	dupInSet = append(dupInSet, 0, 0, 0, 0)
 	return []namedFrame{
 		{"unsorted sections", rawFrame(3, list, []secRec{{9, 1}, {3, 2}, {1, 3}, {2, 4}}, []secRec{{2, 5}, {1, 6}}, []secRec{{9, 7}, {1, 8}})},
@@ -262,13 +262,13 @@ func TestDecodeNormalisesLikeTheMapEraDecoder(t *testing.T) {
 		}
 		return r
 	}
-	if r := rec("unsorted sections", 1); r.Prio.Clock != 3 || r.GroupPrio.Clock != 6 || r.Quar != 8 || r.Pos != 1 {
+	if r := rec("unsorted sections", 1); r.Prio.Clock() != 3 || r.GroupPrio.Clock() != 6 || r.Quar != 8 || r.Pos != 1 {
 		t.Errorf("unsorted sections: node 1 decoded to %+v", r)
 	}
-	if r := rec("repeat in each section", 1); r.Prio.Clock != 3 {
+	if r := rec("repeat in each section", 1); r.Prio.Clock() != 3 {
 		t.Errorf("repeated priority: first value kept: %+v", r)
 	}
-	if r := rec("repeat in each section", 9); r.GroupPrio.Clock != 5 || r.HasPrio {
+	if r := rec("repeat in each section", 9); r.GroupPrio.Clock() != 5 || r.HasPrio {
 		t.Errorf("repeated group priority: %+v", r)
 	}
 	if r := rec("repeat in each section", 2); r.Quar != 8 || r.Mark != ident.MarkSingle {
@@ -277,10 +277,10 @@ func TestDecodeNormalisesLikeTheMapEraDecoder(t *testing.T) {
 	if r := rec("quarantine-only ID", 6); r.Pos != -1 || r.Quar != 9 || r.HasPrio || r.HasGroupPrio {
 		t.Errorf("quarantine-only ID: %+v", r)
 	}
-	if r := rec("unlisted IDs, repeated", 8); r.Pos != -1 || r.Prio.Clock != 3 || r.HasGroupPrio || r.Quar != 0 {
+	if r := rec("unlisted IDs, repeated", 8); r.Pos != -1 || r.Prio.Clock() != 3 || r.HasGroupPrio || r.Quar != 0 {
 		t.Errorf("unlisted node 8: %+v", r)
 	}
-	if r := rec("unlisted IDs, repeated", 4); r.Pos != -1 || r.Prio.Clock != 2 || r.GroupPrio.Clock != 4 || r.Quar != 7 {
+	if r := rec("unlisted IDs, repeated", 4); r.Pos != -1 || r.Prio.Clock() != 2 || r.GroupPrio.Clock() != 4 || r.Quar != 7 {
 		t.Errorf("unlisted node 4: %+v", r)
 	}
 	two := got["ID at two positions"].Recs
@@ -288,10 +288,10 @@ func TestDecodeNormalisesLikeTheMapEraDecoder(t *testing.T) {
 		two[1].Mark != ident.MarkSingle || two[0].Prio != two[1].Prio || two[1].Quar != 4 || !two[1].HasGroupPrio {
 		t.Errorf("ID at two positions: %+v", two)
 	}
-	if m := got["ID thrice in a position"]; m.List.NodeCount() != 2 || m.List.At(0)[0] != ident.Double(4) || len(m.Recs) != 2 || m.Recs[0].Prio.Clock != 8 {
+	if m := got["ID thrice in a position"]; m.List.NodeCount() != 2 || m.List.At(0)[0] != ident.Double(4) || len(m.Recs) != 2 || m.Recs[0].Prio.Clock() != 8 {
 		t.Errorf("ID thrice in a position: %+v", m)
 	}
-	if m := got["nothing listed"]; len(m.Recs) != 2 || m.Recs[0].ID != 1 || m.Recs[0].Quar != 3 || m.Recs[1].Prio.Clock != 1 {
+	if m := got["nothing listed"]; len(m.Recs) != 2 || m.Recs[0].ID != 1 || m.Recs[0].Quar != 3 || m.Recs[1].Prio.Clock() != 1 {
 		t.Errorf("nothing listed: %+v", m)
 	}
 }
@@ -352,7 +352,7 @@ func TestEncodeMatchesMapEraOracle(t *testing.T) {
 		}
 		checkOracle(t, *m)
 	}
-	p := priority.P{Clock: 5, ID: 2}
+	p := priority.Of(5, 2)
 	checkOracle(t, core.Message{From: 2, Recs: []core.PrioRec{
 		{ID: 1, Pos: 1, Quar: -1, HasGroupPrio: true, GroupPrio: p},
 		{ID: 1, Pos: 2, Quar: 300, HasPrio: true, Prio: p, HasGroupPrio: true},

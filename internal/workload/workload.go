@@ -49,7 +49,7 @@ func Corrupt(s *engine.Engine, kind CorruptionKind, fraction float64, rng *rand.
 				antlist.NewSet(ident.Plain(ident.NodeID(ghostBase+rng.Uint32()%1000))),
 				antlist.NewSet(ident.Plain(ident.NodeID(ghostBase+1000+rng.Uint32()%1000))),
 			)
-			n.LoadState(l, nil, nil, priority.P{Clock: uint64(rng.Intn(10)), ID: v})
+			n.LoadState(l, nil, nil, priority.Of(uint64(rng.Intn(10)), v))
 		case CorruptOversized:
 			depth := s.P.Cfg.Dmax + 3 + rng.Intn(4)
 			sets := make([]antlist.Set, depth)
@@ -57,7 +57,7 @@ func Corrupt(s *engine.Engine, kind CorruptionKind, fraction float64, rng *rand.
 			for i := 1; i < depth; i++ {
 				sets[i] = antlist.NewSet(ident.Plain(ident.NodeID(ghostBase + uint32(i)*17 + rng.Uint32()%100)))
 			}
-			n.LoadState(antlist.FromSets(sets...), nil, nil, priority.P{Clock: uint64(rng.Intn(10)), ID: v})
+			n.LoadState(antlist.FromSets(sets...), nil, nil, priority.Of(uint64(rng.Intn(10)), v))
 		case CorruptViews:
 			view := map[ident.NodeID]bool{v: true}
 			for i := 0; i < 3; i++ {
@@ -66,7 +66,7 @@ func Corrupt(s *engine.Engine, kind CorruptionKind, fraction float64, rng *rand.
 			n.LoadState(antlist.Singleton(ident.Plain(v)), view, nil, priority.New(v))
 		case CorruptPriorities:
 			n.LoadState(antlist.Singleton(ident.Plain(v)), nil, nil,
-				priority.P{Clock: rng.Uint64() % (1 << 40), ID: v})
+				priority.Of(rng.Uint64()%(1<<40), v))
 		}
 	}
 	return corrupted
