@@ -2,7 +2,6 @@ package dist
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"repro/internal/engine"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/introspect"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // roundSync is one shard's per-round report to the lead: cumulative
@@ -61,73 +61,33 @@ func appendIDs(dst []byte, ids []ident.NodeID) []byte {
 	return dst
 }
 
-// reader walks a little-endian frame a peer sent. A read past the end, or
-// a count the remaining bytes cannot back, sets bad and yields zeros — so
-// nothing is ever sized by a length the frame does not hold — and the
-// caller checks once, at the end.
-type reader struct {
-	buf []byte
-	bad bool
-}
-
-var zeros [8]byte // what a bad read reads; never written
-
-func (r *reader) take(n int) []byte {
-	if r.bad = r.bad || n > len(r.buf); r.bad {
-		return zeros[:n]
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.take(2)) }
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
-
-// count reads an element count, refusing one that the rest of the frame,
-// at size bytes an element, cannot hold.
-func (r *reader) count(size int) int {
-	n := int(r.u32())
-	if r.bad = r.bad || n > len(r.buf)/size; r.bad {
-		return 0
-	}
-	return n
-}
-
-// ids appends a length-prefixed ID list to dst.
-func (r *reader) ids(dst []ident.NodeID) []ident.NodeID {
-	n := r.count(4)
+// readIDs appends a length-prefixed ID list to dst.
+func readIDs(r *wire.Reader, dst []ident.NodeID) []ident.NodeID {
+	n := r.Count32(4)
 	dst = slices.Grow(dst, n)
 	for ; n > 0; n-- {
-		dst = append(dst, ident.NodeID(r.u32()))
+		dst = append(dst, ident.NodeID(r.U32()))
 	}
 	return dst
 }
 
-// end is the one check: every read was backed and no byte is left over.
-func (r *reader) end(frame string) error {
-	if r.bad || len(r.buf) != 0 {
-		return fmt.Errorf("dist: %s truncated or malformed", frame)
-	}
-	return nil
-}
-
 // decodeSync decodes a report over rs, whose slices it reuses.
 func decodeSync(buf []byte, rs *roundSync) error {
-	r := reader{buf: buf}
-	r.bad = r.u16() != syncMagic
-	rs.msgs, rs.delivs = r.u64(), r.u64()
-	rs.computed = r.ids(rs.computed[:0])
-	n := r.count(16)
+	r := wire.NewReader(buf)
+	if r.U16() != syncMagic {
+		return wire.ErrBadMagic
+	}
+	rs.msgs, rs.delivs = r.U64(), r.U64()
+	rs.computed = readIDs(&r, rs.computed[:0])
+	n := r.Count32(16)
 	rs.views, rs.ids = slices.Grow(rs.views[:0], n), rs.ids[:0]
 	for ; n > 0; n-- {
-		u := viewUpd{id: ident.NodeID(r.u32()), ver: r.u64(), off: len(rs.ids)}
-		rs.ids = r.ids(rs.ids)
+		u := viewUpd{id: ident.NodeID(r.U32()), ver: r.U64(), off: len(rs.ids)}
+		rs.ids = readIDs(&r, rs.ids)
 		u.n = len(rs.ids) - u.off
 		rs.views = append(rs.views, u)
 	}
-	return r.end("sync")
+	return r.End()
 }
 
 // collectSync gathers this shard's round report: the engine's dirty

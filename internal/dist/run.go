@@ -11,6 +11,7 @@ import (
 	"repro/internal/ident"
 	"repro/internal/introspect"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // runShard drives one shard through the whole run: the handshake, Tc
@@ -133,9 +134,9 @@ func (sh *Shard) handshake() error {
 		if p == sh.Index {
 			continue
 		}
-		r := reader{buf: b}
-		index, n, scenario := int(r.u32()), int(r.u32()), r.u64()
-		if r.end("handshake") != nil || index != p || n != sh.N || scenario != h.Sum64() {
+		r := wire.NewReader(b)
+		index, n, scenario := int(r.U32()), int(r.U32()), r.U64()
+		if r.End() != nil || index != p || n != sh.N || scenario != h.Sum64() {
 			return fmt.Errorf("dist: shard %d of %d (scenario %016x) refuses its peer %d, which is shard %d of %d (scenario %016x): the shards of a run are started from one scenario",
 				sh.Index, sh.N, h.Sum64(), p, index, n, scenario)
 		}
@@ -164,25 +165,29 @@ func appendFinal(dst []byte, pairs []obs.NodeHashPair, reg *introspect.Registry)
 }
 
 func decodeFinal(buf []byte) (pairs []obs.NodeHashPair, counters []uint64, phases []int64, err error) {
-	r := reader{buf: buf}
-	r.bad = r.u16() != finalMagic
-	pairs = make([]obs.NodeHashPair, r.count(12))
+	r := wire.NewReader(buf)
+	if r.U16() != finalMagic {
+		return nil, nil, nil, wire.ErrBadMagic
+	}
+	pairs = make([]obs.NodeHashPair, r.Count32(12))
 	for i := range pairs {
-		pairs[i] = obs.NodeHashPair{ID: ident.NodeID(r.u32()), Hash: r.u64()}
+		pairs[i] = obs.NodeHashPair{ID: ident.NodeID(r.U32()), Hash: r.U64()}
+	}
+	counters = make([]uint64, r.Count32(8))
+	for i := range counters {
+		counters[i] = r.U64()
+	}
+	phases = make([]int64, r.Count32(8))
+	for i := range phases {
+		phases[i] = int64(r.U64())
+	}
+	if err := r.End(); err != nil {
+		return nil, nil, nil, err
 	}
 	// Both blocks have the registry's own length, or the peer runs other code.
-	counters = make([]uint64, int(introspect.NumCounters))
-	r.bad = r.bad || r.count(8) != len(counters)
-	for i := range counters {
-		counters[i] = r.u64()
-	}
-	phases = make([]int64, int(introspect.NumPhases))
-	r.bad = r.bad || r.count(8) != len(phases)
-	for i := range phases {
-		phases[i] = int64(r.u64())
-	}
-	if err := r.end("final report"); err != nil {
-		return nil, nil, nil, err
+	if len(counters) != int(introspect.NumCounters) || len(phases) != int(introspect.NumPhases) {
+		return nil, nil, nil, fmt.Errorf("dist: %d counters and %d phases, this build has %d and %d",
+			len(counters), len(phases), introspect.NumCounters, introspect.NumPhases)
 	}
 	return pairs, counters, phases, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ident"
@@ -27,7 +28,7 @@ type Roster struct {
 	ids     []ident.NodeID     // ascending membership (canonical order)
 	slots   ident.Table[int32] // membership + ID→slot, one invariant
 	slotCap int32              // slots handed out so far: live + free
-	free    []int32            // min-heap of freed slots (lowest recycles first)
+	free    []int32            // freed slots, descending: the lowest, last, recycles first
 }
 
 // NewRoster returns an empty roster that n members join without growing it.
@@ -43,8 +44,8 @@ func (r *Roster) Add(v ident.NodeID) (int32, bool) {
 		return s, false
 	}
 	var s int32
-	if len(r.free) > 0 {
-		s = heapPop(&r.free)
+	if n := len(r.free); n > 0 {
+		s, r.free = r.free[n-1], r.free[:n-1]
 	} else {
 		s = r.slotCap
 		r.slotCap++
@@ -65,7 +66,7 @@ func (r *Roster) Remove(v ident.NodeID) (int32, bool) {
 		return NoSlot, false
 	}
 	r.slots.Delete(v)
-	heapPush(&r.free, s)
+	r.free = slices.Insert(r.free, sort.Search(len(r.free), func(i int) bool { return r.free[i] < s }), s)
 	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= v })
 	r.ids = append(r.ids[:i], r.ids[i+1:]...)
 	return s, true
@@ -93,46 +94,3 @@ func (r *Roster) Len() int { return len(r.ids) }
 // backing store: callers must not mutate it and must copy it if they keep
 // it across an Add or Remove.
 func (r *Roster) IDs() []ident.NodeID { return r.ids }
-
-// heapPush / heapPop maintain the free list as a binary min-heap, so the
-// lowest freed slot is always recycled first and the table stays dense
-// under churn.
-func heapPush(h *[]int32, x int32) {
-	*h = append(*h, x)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p] <= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-}
-
-func heapPop(h *[]int32) int32 {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(s) && s[l] < s[m] {
-			m = l
-		}
-		if r < len(s) && s[r] < s[m] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
-}

@@ -205,14 +205,13 @@ func TestE13DensityTrend(t *testing.T) {
 var update = flag.Bool("update", false, "regenerate the E-table golden")
 
 // goldenPath is the checked-in E-table golden: every table of All(1) as
-// TSV under a "== title ==" line, host-time columns left out.
+// TSV under a "== title ==" line.
 const goldenPath = "testdata/tables_golden.tsv"
 
 // TestAllProducesEveryTable runs the whole suite once at one seed and
 // compares every protocol column with the golden, so a change that moves
-// a paper result fails here. The ticks/s* columns are host throughput and
-// are left out. A deliberate protocol change re-pins the golden in its
-// own diff:
+// a paper result fails here. A deliberate protocol change re-pins the
+// golden in its own diff:
 //
 //	go test ./internal/experiments -run TestAllProducesEveryTable -update
 func TestAllProducesEveryTable(t *testing.T) {
@@ -263,23 +262,11 @@ func TestAllProducesEveryTable(t *testing.T) {
 	}
 }
 
-// writeGolden writes tb as TSV under its title, without the columns whose
-// name starts with "ticks/s" (host throughput, not protocol output).
+// writeGolden writes tb as TSV under its title.
 func writeGolden(b *strings.Builder, tb *Table) {
 	fmt.Fprintf(b, "== %s ==\n", tb.Title)
-	line := func(cells []string) {
-		sep := ""
-		for i, c := range cells {
-			if !strings.HasPrefix(tb.Columns[i], "ticks/s") {
-				b.WriteString(sep + c)
-				sep = "\t"
-			}
-		}
-		b.WriteString("\n")
-	}
-	line(tb.Columns)
-	for _, row := range tb.Rows {
-		line(row)
+	for _, cells := range append([][]string{tb.Columns}, tb.Rows...) {
+		b.WriteString(strings.Join(cells, "\t") + "\n")
 	}
 }
 
@@ -339,11 +326,6 @@ func TestE7cDeltaScaleShape(t *testing.T) {
 	deg, _ := strconv.ParseFloat(row[1], 64)
 	if deg < 1 || deg > 8 {
 		t.Errorf("mean degree %v outside the constant-density band", deg)
-	}
-	tpsDelta, _ := strconv.ParseFloat(row[4], 64)
-	tpsFull, _ := strconv.ParseFloat(row[5], 64)
-	if tpsDelta <= 0 || tpsFull <= 0 {
-		t.Fatalf("throughput columns missing: %v", row)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -25,47 +24,39 @@ func rwpSide(n int) float64 { return 2.7 * math.Sqrt(float64(n)) }
 
 // E7cSpatialScale regenerates the large-scale mobile sweep: a random
 // waypoint world at constant density, stepped for a fixed horizon, with
-// the group structure and safety measured at the end. The protocol
-// columns are deterministic per seed; ticks/s is the measured engine
-// throughput (mobility + sharded graph build + protocol) on the host and
-// is reported for the perf trajectory, not for reproducibility.
+// the group structure and safety measured at the end. Every column is
+// deterministic per seed.
 func E7cSpatialScale(seeds int, sizes ...int) *Table {
 	if len(sizes) == 0 {
 		sizes = E7cSizes
 	}
 	tb := newTable("E7c — spatial scale sweep (mobile RWP, range 2.5, Dmax=3, 12 rounds)",
-		"n", "mean_degree", "groups", "grouped_pct", "ΠS_group_pct", "ticks/s")
+		"n", "mean_degree", "groups", "grouped_pct", "ΠS_group_pct")
 	const (
 		rounds     = 12
 		safeWindow = 4 // rounds of the tail over which ΠS freshness is sampled
 	)
 	for _, n := range sizes {
 		var c scaleCells
-		ticksPerSec := 0.0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			m := &mobility.Waypoint{Side: rwpSide(n), SpeedMin: 0.5, SpeedMax: 2, Pause: 1}
-			ticksPerSec += scaleRun(&c, n, seed, m, false, rounds, safeWindow)
+			scaleRun(&c, n, seed, m, rounds, safeWindow)
 		}
 		f := float64(seeds)
-		tb.AddRow(n, c.deg/f, c.groups/f, c.grouped/f,
-			100*c.safe/float64(max(seeds*safeWindow, 1)), ticksPerSec/f)
+		tb.AddRow(n, c.deg/f, c.groups/f, c.grouped/f, 100*c.safe/float64(max(seeds*safeWindow, 1)))
 	}
 	return tb
 }
 
 // scaleRun is one run of the scale sweeps: n nodes under m (sized by
-// rwpSide) at range 2.5, Dmax 3 and 4 workers, the graph rebuilt in full
-// every tick when fullRebuild is set. It steps rounds rounds with the
-// incremental tracker observing the last window of them, folds the
-// observations into c and returns the engine's throughput in ticks/s.
-func scaleRun(c *scaleCells, n int, seed int64, m mobility.Model, fullRebuild bool, rounds, window int) float64 {
-	w := space.NewWorld(2.5)
-	w.DisableDelta = fullRebuild
-	topo := engine.NewSpatialTopology(w, m, 0.2, idRange(n), rand.New(rand.NewSource(seed)))
+// rwpSide) at range 2.5, Dmax 3 and 4 workers. It steps rounds rounds
+// with the incremental tracker observing the last window of them and
+// folds the observations into c.
+func scaleRun(c *scaleCells, n int, seed int64, m mobility.Model, rounds, window int) {
+	topo := engine.NewSpatialTopology(space.NewWorld(2.5), m, 0.2, idRange(n), rand.New(rand.NewSource(seed)))
 	s := engine.New(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: seed, Workers: 4}, topo)
 	tr := obs.NewGroupTracker(s)
 	var st obs.RoundStats
-	t0 := time.Now()
 	for r := 0; r < rounds; r++ {
 		s.StepRound()
 		if r >= rounds-window {
@@ -73,11 +64,9 @@ func scaleRun(c *scaleCells, n int, seed int64, m mobility.Model, fullRebuild bo
 			c.safe += st.SafetyRate
 		}
 	}
-	tps := float64(s.Tick()) / time.Since(t0).Seconds()
 	c.deg += 2 * float64(st.Edges) / float64(n)
 	c.groups += float64(st.Groups)
 	c.grouped += 100 * float64(n-st.Singletons) / float64(n)
-	return tps
 }
 
 // scaleCells sums the cells of the scale sweeps over their runs: mean
@@ -133,32 +122,23 @@ var E7cDeltaSizes = []int{20000, 50000}
 // regime (5% of nodes drive random-waypoint journeys, the rest are
 // parked), where the spatial index's delta-incremental rebuild applies:
 // each tick re-scans only the movers' vicinities and patches the previous
-// CSR via graph.ApplyDelta instead of re-deriving every adjacency. Each
-// configuration is run twice from the same seed — delta enabled and
-// forced full rebuild — and both throughputs are reported; the protocol
-// columns come from the delta run (the graphs are identical, so the full
-// run would produce the same trace). ticks/s is host throughput for the
-// perf trajectory, not for reproducibility.
+// CSR via graph.ApplyDelta instead of re-deriving every adjacency. Every
+// column is deterministic per seed.
 func E7cDeltaScale(seeds int, sizes ...int) *Table {
 	if len(sizes) == 0 {
 		sizes = E7cDeltaSizes
 	}
 	tb := newTable("E7cΔ — delta-incremental graph sweep (commuter RWP, 5% active, range 2.5, Dmax=3, 10 rounds)",
-		"n", "mean_degree", "groups", "grouped_pct", "ticks/s_delta", "ticks/s_full")
+		"n", "mean_degree", "groups", "grouped_pct")
 	const rounds = 10
 	for _, n := range sizes {
 		var c scaleCells
-		tpsDelta, tpsFull := 0.0, 0.0
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			commuter := func() mobility.Model {
-				return &mobility.Commuter{Side: rwpSide(n), SpeedMin: 0.5, SpeedMax: 2,
-					Pause: 1, ActiveFraction: 0.05}
-			}
-			tpsDelta += scaleRun(&c, n, seed, commuter(), false, rounds, rounds)
-			tpsFull += scaleRun(&scaleCells{}, n, seed, commuter(), true, rounds, rounds)
+			m := &mobility.Commuter{Side: rwpSide(n), SpeedMin: 0.5, SpeedMax: 2, Pause: 1, ActiveFraction: 0.05}
+			scaleRun(&c, n, seed, m, rounds, rounds)
 		}
 		f := float64(seeds)
-		tb.AddRow(n, c.deg/f, c.groups/f, c.grouped/f, tpsDelta/f, tpsFull/f)
+		tb.AddRow(n, c.deg/f, c.groups/f, c.grouped/f)
 	}
 	return tb
 }

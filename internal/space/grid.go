@@ -172,7 +172,7 @@ func (w *World) markMoved(v ident.NodeID) {
 // build needs it sorted and unique anyway). An empty moved set with a
 // stale generation can only follow an Invalidate — deltaFull covers it.
 func (w *World) deltaViable(n int) bool {
-	if w.DisableDelta || w.deltaFull || w.symGraph == nil || len(w.movedDirty) == 0 {
+	if w.disableDelta || w.deltaFull || w.symGraph == nil || len(w.movedDirty) == 0 {
 		return false
 	}
 	slices.Sort(w.movedDirty)

@@ -61,11 +61,10 @@ type World struct {
 	// does): engine.New fills a zero in from its own Workers, but by then
 	// NewSpatialTopology has already built the first graph inline.
 	Workers int
-	// DisableDelta forces every SymmetricGraph rebuild down the full
-	// FromRows path even when the delta-incremental patch would apply.
-	// For A/B benchmarks and ablations; the graphs are identical either
-	// way.
-	DisableDelta bool
+	// disableDelta forces every SymmetricGraph rebuild down the full
+	// FromRows path even when the delta-incremental patch would apply:
+	// the tests' seam for holding the delta path to the full one.
+	disableDelta bool
 
 	pos ident.Table[Point]
 

@@ -415,7 +415,7 @@ func TestDeltaRebuildMatchesBruteForce(t *testing.T) {
 	p, _ := w.Pos(v)
 	w.Place(v, p.Add(0.3, -0.2))
 	delta := w.SymmetricGraph()
-	w.DisableDelta = true
+	w.disableDelta = true
 	w.Invalidate()
 	full := w.SymmetricGraph()
 	if !delta.Equal(full) {
@@ -506,7 +506,7 @@ func TestFullDeltaAndBruteForceAgree(t *testing.T) {
 	worlds := make([]*World, len(variants))
 	for i, v := range variants {
 		w := NewWorld(2.0)
-		w.Workers, w.DisableDelta = v.workers, v.full
+		w.Workers, w.disableDelta = v.workers, v.full
 		w.Walls = []Segment{{A: Point{X: 10, Y: -1}, B: Point{X: 10, Y: 14}}, {A: Point{X: 3, Y: 17}, B: Point{X: 21, Y: 16.5}}}
 		worlds[i] = w
 	}
@@ -697,7 +697,7 @@ func TestChangedRowRecordIsExact(t *testing.T) {
 	for _, full := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			w := NewWorld(2.0)
-			w.Workers, w.DisableDelta = workers, full
+			w.Workers, w.disableDelta = workers, full
 			w.Walls = []Segment{{A: Point{X: 10, Y: -1}, B: Point{X: 10, Y: 14}}}
 			rng := rand.New(rand.NewSource(31))
 			point := func() Point { return Point{X: rng.Float64() * 22, Y: rng.Float64() * 22} }

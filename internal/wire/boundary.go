@@ -85,54 +85,24 @@ func appendBoundaryEntry(dst []byte, e BoundaryEntry) []byte {
 // embedded GRP frames are not decoded here — the consumer decodes only the
 // frames it needs (wire.DecodeInto validates them).
 func DecodeBoundaryBatch(buf []byte, entries []BoundaryEntry) (BoundaryBatch, error) {
-	var b BoundaryBatch
-	if len(buf) < 2+1+2+8+4 {
-		return b, ErrTruncated
-	}
-	if binary.LittleEndian.Uint16(buf) != boundaryMagic || buf[2] != boundaryVersion {
+	r := Reader{buf: buf}
+	mag, ver := r.U16(), r.U8()
+	b := BoundaryBatch{Shard: int(r.U16()), Seq: r.U64()}
+	if !r.bad && (mag != boundaryMagic || ver != boundaryVersion) {
 		return b, ErrBadMagic
 	}
-	b.Shard = int(binary.LittleEndian.Uint16(buf[3:]))
-	b.Seq = binary.LittleEndian.Uint64(buf[5:])
-	n := binary.LittleEndian.Uint32(buf[13:])
-	buf = buf[17:]
-	// A count header can claim anything; bound the allocation by what the
-	// remaining bytes could possibly hold (21 bytes per entry minimum).
-	if uint64(n) > uint64(len(buf)/21)+1 {
-		return b, ErrTruncated
-	}
-	b.Entries = slices.Grow(entries[:0], int(n))
-	for i := uint32(0); i < n; i++ {
-		if len(buf) < 21 {
-			return b, ErrTruncated
-		}
-		e := BoundaryEntry{
-			Sender: ident.NodeID(binary.LittleEndian.Uint32(buf)),
-			Gen:    binary.LittleEndian.Uint64(buf[4:]),
-			Ver:    binary.LittleEndian.Uint64(buf[12:]),
-		}
-		flag := buf[20]
-		buf = buf[21:]
-		switch flag {
+	n := r.Count32(21) // an elided entry, the shortest
+	b.Entries = slices.Grow(entries[:0], n)
+	for ; n > 0; n-- {
+		e := BoundaryEntry{Sender: ident.NodeID(r.U32()), Gen: r.U64(), Ver: r.U64()}
+		switch flag := r.U8(); flag {
 		case 0:
 		case 1:
-			if len(buf) < 4 {
-				return b, ErrTruncated
-			}
-			flen := binary.LittleEndian.Uint32(buf)
-			buf = buf[4:]
-			if uint64(flen) > uint64(len(buf)) {
-				return b, ErrTruncated
-			}
-			e.Frame = buf[:flen:flen]
-			buf = buf[flen:]
+			e.Frame = r.take(r.Count32(1))
 		default:
 			return b, fmt.Errorf("wire: boundary entry flag %d", flag)
 		}
 		b.Entries = append(b.Entries, e)
 	}
-	if len(buf) != 0 {
-		return b, fmt.Errorf("wire: %d trailing bytes after boundary batch", len(buf))
-	}
-	return b, nil
+	return b, r.End()
 }

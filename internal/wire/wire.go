@@ -42,9 +42,11 @@ const (
 )
 
 var (
-	// ErrTruncated reports a frame shorter than its own structure.
+	// ErrTruncated reports a frame shorter than its own structure, or
+	// with a count it cannot back: what a bad Reader's End returns.
 	ErrTruncated = errors.New("wire: truncated frame")
-	// ErrBadMagic reports a frame that is not a GRP frame.
+	// ErrBadMagic reports a frame whose magic or version is not its
+	// layout's.
 	ErrBadMagic = errors.New("wire: bad magic or version")
 )
 
@@ -94,7 +96,7 @@ func Decode(buf []byte) (core.Message, error) { return DecodeInto(buf, core.Mess
 
 // DecodeInto is the decoder. It writes over into's storage (its Recs, and
 // its List as antlist.DecodeListInto does), which must come from the zero
-// Message or an earlier DecodeInto and have no reader left, and allocates
+// Message or an earlier DecodeInto and no longer be in use, and allocates
 // only what that storage lacks. The records are one per list entry, sorted
 // by (ID, Pos), with the three ID-ordered sections merged onto them by a
 // cursor. A hostile frame is normalised, not refused, as assignment into
@@ -103,18 +105,17 @@ func Decode(buf []byte) (core.Message, error) { return DecodeInto(buf, core.Mess
 // record of its own (Pos -1).
 func DecodeInto(buf []byte, into core.Message) (core.Message, error) {
 	var none core.Message
-	if len(buf) < 2+1+4 {
-		return none, ErrTruncated
-	}
-	if binary.LittleEndian.Uint16(buf) != magic || buf[2] != version {
+	r := Reader{buf: buf}
+	mag, ver, from := r.U16(), r.U8(), ident.NodeID(r.U32())
+	if !r.bad && (mag != magic || ver != version) {
 		return none, ErrBadMagic
 	}
-	if len(buf) < 7+12 {
+	m := core.Message{From: from, GroupPrio: priority.Of(r.U64(), ident.NodeID(r.U32()))}
+	if r.bad {
 		return none, ErrTruncated
 	}
-	m := core.Message{From: ident.NodeID(binary.LittleEndian.Uint32(buf[3:])), GroupPrio: prioAt(buf[7:])}
 	var err error
-	if m.List, buf, err = antlist.DecodeListInto(buf[19:], into.List); err != nil {
+	if m.List, r.buf, err = antlist.DecodeListInto(r.buf, into.List); err != nil {
 		return none, fmt.Errorf("wire: list: %w", err)
 	}
 	recs := slices.Grow(into.Recs[:0], m.List.NodeCount())
@@ -125,22 +126,19 @@ func DecodeInto(buf []byte, into core.Message) (core.Message, error) {
 	}
 	// One pass merges the sections onto the sorted records. An ID it does
 	// not find is appended bare; those are then sorted in, once each, and a
-	// second pass finds them all.
+	// second pass reads the sections again and finds them all.
 	core.SortRecs(recs)
 	for {
-		sorted, rest := len(recs), buf
+		sorted, s := len(recs), r
 		for sec := 0; sec < 3; sec++ { // node priorities, group priorities, quarantines
-			size := [...]int{16, 16, 5}[sec]
-			if len(rest) < 2 {
-				return none, ErrTruncated
-			}
-			n := int(binary.LittleEndian.Uint16(rest))
-			if rest = rest[2:]; len(rest) < n*size {
-				return none, ErrTruncated
-			}
 			cur, last := 0, ident.None
-			for ; n > 0; n, rest = n-1, rest[size:] {
-				id := ident.NodeID(binary.LittleEndian.Uint32(rest))
+			for n := s.Count16([...]int{16, 16, 5}[sec]); n > 0; n-- {
+				id, p, q := ident.NodeID(s.U32()), priority.P{}, int16(0)
+				if sec < 2 {
+					p = priority.Of(s.U64(), ident.NodeID(s.U32()))
+				} else {
+					q = int16(s.U8())
+				}
 				if id < last {
 					cur, _ = slices.BinarySearchFunc(recs[:sorted], id, func(r core.PrioRec, id ident.NodeID) int {
 						return cmp.Compare(r.ID, id)
@@ -155,17 +153,17 @@ func DecodeInto(buf []byte, into core.Message) (core.Message, error) {
 				for i := cur; i < sorted && recs[i].ID == id; i++ {
 					switch r := &recs[i]; sec {
 					case 0:
-						r.HasPrio, r.Prio = true, prioAt(rest[4:])
+						r.HasPrio, r.Prio = true, p
 					case 1:
-						r.HasGroupPrio, r.GroupPrio = true, prioAt(rest[4:])
+						r.HasGroupPrio, r.GroupPrio = true, p
 					default:
-						r.Quar = int16(rest[4])
+						r.Quar = q
 					}
 				}
 			}
 		}
-		if len(rest) != 0 {
-			return none, fmt.Errorf("wire: %d trailing bytes", len(rest))
+		if err := s.End(); err != nil {
+			return none, err
 		}
 		if len(recs) == sorted {
 			m.Recs = recs
@@ -181,7 +179,76 @@ func appendPrio(dst []byte, p priority.P) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(p.ID))
 }
 
-// prioAt reads the priority record at the front of buf (12 bytes).
-func prioAt(buf []byte) priority.P {
-	return priority.Of(binary.LittleEndian.Uint64(buf), ident.NodeID(binary.LittleEndian.Uint32(buf[8:])))
+// Reader walks a little-endian frame a peer sent; every decoder of peer
+// bytes, here and in internal/dist, reads through one. Its three rules:
+// a read past the end marks the reader bad for good and yields zeros; a
+// count the rest of the frame cannot back, at its element size, marks it
+// bad and yields 0, so nothing is ever sized by a length the frame does
+// not hold; and End refuses a bad reader or a byte left over. A decoder
+// reads on regardless and checks once, at End.
+type Reader struct {
+	buf []byte
+	bad bool
+}
+
+// NewReader returns a reader at the front of buf.
+func NewReader(buf []byte) Reader { return Reader{buf: buf} }
+
+var zeros [8]byte // what a bad read reads; never written
+
+// take reads the next n bytes, aliasing the frame; nil past the end.
+func (r *Reader) take(n int) []byte {
+	if n > len(r.buf) {
+		r.fail()
+		return nil
+	}
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+// fail marks the reader bad for good: with no byte left, every later read
+// overruns too.
+func (r *Reader) fail() { r.buf, r.bad = nil, true }
+
+// fixed reads n <= 8 bytes, zeros past the end.
+func (r *Reader) fixed(n int) []byte {
+	if n > len(r.buf) {
+		r.fail()
+		return zeros[:n]
+	}
+	b := r.buf[:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+// U8, U16, U32 and U64 read an integer of their width.
+func (r *Reader) U8() uint8   { return r.fixed(1)[0] }
+func (r *Reader) U16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
+func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
+
+// Count16 and Count32 read an element count of their width, refusing one
+// that the rest of the frame, at size bytes an element, cannot hold.
+func (r *Reader) Count16(size int) int { return r.count(uint64(r.U16()), size) }
+func (r *Reader) Count32(size int) int { return r.count(uint64(r.U32()), size) }
+
+func (r *Reader) count(n uint64, size int) int {
+	if n > uint64(len(r.buf)/size) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// End is a decoder's one check: every read was backed (else ErrTruncated)
+// and no byte is left over.
+func (r *Reader) End() error {
+	switch {
+	case r.bad:
+		return ErrTruncated
+	case len(r.buf) != 0:
+		return fmt.Errorf("wire: %d trailing bytes", len(r.buf))
+	}
+	return nil
 }

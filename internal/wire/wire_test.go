@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -122,6 +124,11 @@ func decodeViaMaps(buf []byte) (core.Message, error) {
 	}
 	m.Recs = core.RecsFromMaps(m.List, pm[0], pm[1], quars)
 	return m, nil
+}
+
+// prioAt reads the priority record at the front of buf (12 bytes).
+func prioAt(buf []byte) priority.P {
+	return priority.Of(binary.LittleEndian.Uint64(buf), ident.NodeID(binary.LittleEndian.Uint32(buf[8:])))
 }
 
 // dirtyStorage is a message DecodeInto returned for some other frame — what
@@ -328,6 +335,79 @@ func TestDecodeIntoWarmStorageAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("DecodeBoundaryBatch into warm storage: %v allocations a batch", n)
+	}
+}
+
+// TestHostileLengthsAllocateNothingBig overwrites each count or length
+// field a peer controls (a batch's entry count, an entry's frame length,
+// the three section counts of a GRP frame) with values the rest of the
+// frame cannot back, and requires the decoder to refuse with ErrTruncated
+// before it sizes an allocation by them, into fresh and into warm storage.
+func TestHostileLengthsAllocateNothingBig(t *testing.T) {
+	frame, batch := Encode(sampleMessage()), AppendBoundaryBatch(nil, sampleBatch())
+	warmMsg, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmBatch, err := DecodeBoundaryBatch(batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeFrame := func(into core.Message) func([]byte) error {
+		return func(b []byte) error { _, err := DecodeInto(b, into); return err }
+	}
+	decodeBatch := func(into []BoundaryEntry) func([]byte) error {
+		return func(b []byte) error { _, err := DecodeBoundaryBatch(b, into); return err }
+	}
+	// The sections follow the 19-byte header and the list, each a u16
+	// count and its records.
+	sec := []int{19 + len(sampleMessage().List.AppendBinary(nil))}
+	for _, size := range []int{16, 16} {
+		at := sec[len(sec)-1]
+		sec = append(sec, at+2+size*int(binary.LittleEndian.Uint16(frame[at:])))
+	}
+	type field struct {
+		name   string
+		frame  []byte
+		at     int
+		width  int // bytes: 2 or 4
+		decode func([]byte) error
+	}
+	for _, warm := range []bool{false, true} {
+		msg, entries, storage := core.Message{}, []BoundaryEntry(nil), "fresh"
+		if warm {
+			msg, entries, storage = warmMsg, warmBatch.Entries, "warm"
+		}
+		for _, f := range []field{
+			{"batch entry count", batch, 13, 4, decodeBatch(entries)},
+			{"entry frame length", batch, 17 + 21, 4, decodeBatch(entries)},
+			{"node priority count", frame, sec[0], 2, decodeFrame(msg)},
+			{"group priority count", frame, sec[1], 2, decodeFrame(msg)},
+			{"quarantine count", frame, sec[2], 2, decodeFrame(msg)},
+		} {
+			ns := []uint32{^uint32(0), 1 << 31, uint32(len(f.frame))}
+			if f.width == 2 {
+				ns = []uint32{1<<16 - 1, 1 << 15, uint32(len(f.frame))}
+			}
+			for _, n := range ns {
+				bad := bytes.Clone(f.frame)
+				if f.width == 2 {
+					binary.LittleEndian.PutUint16(bad[f.at:], uint16(n))
+				} else {
+					binary.LittleEndian.PutUint32(bad[f.at:], n)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := f.decode(bad)
+				runtime.ReadMemStats(&after)
+				if !errors.Is(err, ErrTruncated) {
+					t.Errorf("%s = %d, %s storage: %v, want ErrTruncated", f.name, n, storage, err)
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+					t.Errorf("%s = %d, %s storage: decode allocated %d bytes for a %d-byte frame", f.name, n, storage, grew, len(bad))
+				}
+			}
+		}
 	}
 }
 

@@ -16,9 +16,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ceiling=15952 # total (non-test, without cmd/grpbench) at the last change that moved it
+ceiling=15891 # total (non-test, without cmd/grpbench) at the last change that moved it
 design_ceiling=996      # lines of DESIGN.md, likewise
-experiments_ceiling=498 # lines of EXPERIMENTS.md, likewise
+experiments_ceiling=497 # lines of EXPERIMENTS.md, likewise
 
 count() { # non-test .go lines directly in directory $1
 	find "$1" -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l
