@@ -96,7 +96,8 @@ func TestHeldSnapshotSurvivesDeltaTicks(t *testing.T) {
 }
 
 // allRowsSource drains the changed-row record and answers that every row
-// may have changed, which forces the tracker's phase 2 over every member.
+// may have changed, which forces the tracker's markTopoDirty over every
+// member.
 type allRowsSource struct{ obs.Source }
 
 func (s allRowsSource) DrainRows() ([]ident.NodeID, bool) {

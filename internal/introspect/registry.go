@@ -92,7 +92,7 @@ const (
 	CtrObsTopologyBreaks   // observations with ΠT false
 	CtrObsUnexcusedBreaks  // ΠC false while ΠT held
 	CtrObsViolatingNodes   // total nodes that lost a group member
-	CtrObsRowsSwept        // rows phase 2 examined (topology-dirty members)
+	CtrObsRowsSwept        // topology-dirty rows obs's markTopoDirty examined
 	CtrObsPairsReused      // ΠM verdicts reused from the last scan
 	CtrObsPairsBFS         // ΠM verdicts settled by a BFS
 

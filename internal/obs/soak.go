@@ -270,9 +270,9 @@ func (r *SoakResult) PoolReport() string {
 		msgs, ents, builds, float64(msgs+ents)/float64(builds))
 }
 
-// SweepReport renders, per observation, the rows the tracker's phase 2
-// examined (registry obs_rows_swept), then the ΠM verdicts its cache
-// reused and its BFS settled (obs_pairs_reused, obs_pairs_bfs).
+// SweepReport renders, per observation, the rows the tracker's
+// markTopoDirty examined (registry obs_rows_swept), then the ΠM verdicts
+// its cache reused and its BFS settled (obs_pairs_reused, obs_pairs_bfs).
 func (r *SoakResult) SweepReport() string {
 	c := r.Flight.Counters
 	if c["obs_rounds"] == 0 {
@@ -434,7 +434,6 @@ type Driver struct {
 // (BuildSoakWorld does it); entry is when the driver's set-up began.
 func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 	e, tr, inj, mon := d.Engine, d.Tracker, d.inj, d.mon
-	flights := cfg.Sink != nil && cfg.FlightEvery > 0
 	res := &SoakResult{}
 	start := time.Now()
 	deadline := time.Time{}
@@ -471,7 +470,7 @@ func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 				return nil, fmt.Errorf("soak: sink: round %d: %w", r, err)
 			}
 		}
-		if flights && r%cfg.FlightEvery == 0 {
+		if cfg.Sink != nil && cfg.FlightEvery > 0 && r%cfg.FlightEvery == 0 {
 			if err := cfg.Sink.WriteFlight(NewFlightRecord(r, e)); err != nil {
 				return nil, fmt.Errorf("soak: flight sink: %w", err)
 			}
@@ -496,6 +495,15 @@ func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 	if err := d.Close(res); err != nil || tr == nil {
 		return nil, err
 	}
+	return d.closeResult(cfg, res, start)
+}
+
+// closeResult completes a lead's result after the last round: the chaos
+// monitor's totals, the last flight record, the rates, the registry
+// snapshot, and the two drift checks that hold the registry to the
+// injector and to the streamed records.
+func (d *Driver) closeResult(cfg *SoakConfig, res *SoakResult, start time.Time) (*SoakResult, error) {
+	e, inj, mon := d.Engine, d.inj, d.mon
 	if inj != nil {
 		res.FaultsInjected = inj.FaultsInjected
 		res.NodesAffected = inj.NodesAffected
@@ -509,7 +517,7 @@ func (d *Driver) Run(cfg *SoakConfig, entry time.Time) (*SoakResult, error) {
 		res.MaxStabRounds = mon.MaxStabRounds
 		res.UnexcusedOutside = mon.UnexcusedOutside
 	}
-	if flights {
+	if cfg.Sink != nil && cfg.FlightEvery > 0 {
 		if err := cfg.Sink.WriteFlight(NewFlightRecord(res.Rounds, e)); err != nil {
 			return nil, fmt.Errorf("soak: flight sink: %w", err)
 		}

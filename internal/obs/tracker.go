@@ -129,8 +129,8 @@ type group struct {
 	stretched bool // induced diameter > dmax in the last evaluated graph
 	evalRound int  // round of that evaluation (dedup stamp)
 	// topoGen is a stamp unique tracker-wide (restamp), taken on creation,
-	// fresh or reused, and when a member's neighborhood changes or it
-	// departs, so a ΠM verdict is proved by its two records' stamps alone.
+	// fresh or reused, and when a member's neighborhood changes, so a ΠM
+	// verdict is proved by its two records' stamps alone.
 	topoGen uint64
 	nearRnd int // round a member's neighbor last changed record
 	upEdges int // edges to the groups above it, counted at its last rescan
@@ -183,6 +183,7 @@ type GroupTracker struct {
 	mergeCnt int    // mergeable pairs, summed over the shards
 
 	// Scratch (coordinator-owned).
+	ob        observation
 	shards    [shard.N]trackerShard
 	ws        []*workerScratch
 	affected  []memberRef
@@ -192,7 +193,22 @@ type GroupTracker struct {
 	reborn    []rebornRec
 	evalList  []*group
 	boolRes   []bool
-	regroup   []regroupRes
+	agree     []bool // regroup's verdict for each affected node, by index
+}
+
+// observation is what one Observe's phases hand each other. drain sets
+// it afresh; it is a field, so an observation allocates nothing for it.
+type observation struct {
+	first   bool           // no earlier observation: every live node is added
+	g       *graph.G       // the live graph observed
+	rows    []ident.NodeID // members whose row changed (Source.DrainRows)
+	allRows bool           // the source cannot tell which rows changed
+
+	topoChanged      bool // first, or g is not the graph observed last
+	changedPartition bool // a record was created or destroyed
+	piT              bool // ΠT: false once a non-singleton group loses a member to a departure
+	piCViolations    int  // nodes whose Ω lost a member
+	membership       int  // nodes whose Ω changed
 }
 
 // trackerShard is one shard's parallel-phase output buffers.
@@ -209,7 +225,7 @@ type trackerShard struct {
 type changeRec struct {
 	slot    int32
 	v       ident.NodeID
-	oldView []ident.NodeID // the slot's spare: valid until its next extraction, read by phase 5
+	oldView []ident.NodeID // the slot's spare: valid until its next extraction, read by collectAffected
 }
 
 // rebornRec remembers the previous Ω of a node that was removed and
@@ -218,11 +234,6 @@ type changeRec struct {
 type rebornRec struct {
 	v   ident.NodeID
 	old []ident.NodeID
-}
-
-type regroupRes struct {
-	good bool
-	rep  ident.NodeID
 }
 
 // NewGroupTracker attaches a tracker to the engine. Dmax comes from the
@@ -268,19 +279,16 @@ func (t *GroupTracker) firstSync(n int) {
 	}
 }
 
-// state resolves a live node's cache by ID, or nil when v is not a
-// member. Used only where the ID may legitimately be dead (view
-// contents); slot-carrying paths index t.nodes directly.
-func (t *GroupTracker) state(v ident.NodeID) *nodeState {
+// slotOf resolves v to its slot when v is a tracked member, else -1. Used
+// where the ID may legitimately be dead (view contents, neighbors, the
+// changed-row record): a departed or fabricated ID is a miss, nothing
+// more. Slot-carrying paths index t.nodes directly.
+func (t *GroupTracker) slotOf(v ident.NodeID) int32 {
 	s := t.ro.SlotOf(v)
-	if s < 0 {
-		return nil
+	if s < 0 || t.nodes[s].id != v {
+		return -1
 	}
-	st := &t.nodes[s]
-	if st.id != v {
-		return nil
-	}
-	return st
+	return s
 }
 
 // Observe processes everything that happened since the previous call
@@ -290,11 +298,32 @@ func (t *GroupTracker) state(v ident.NodeID) *nodeState {
 // bracketing engine.Snapshots to metrics.Topological/ContinuityViolations.
 func (t *GroupTracker) Observe() RoundStats {
 	t.round++
-	first := !t.synced
+	t.drain()
+	t.applyMembership()
+	if t.ob.topoChanged {
+		t.markTopoDirty()
+		t.refreshPiT()
+	}
+	t.ob.piT = t.ob.piT && t.stretchedCnt == 0 // sampled before the partition moves
+	t.extractViews()
+	t.collectAffected()
+	t.regroup()
+	t.updatePartition()
+	t.evalStretched() // ΠS over the records updatePartition created
+	if t.ob.topoChanged || t.ob.changedPartition {
+		t.scanPairs(t.ob.g)
+	}
+	return t.record()
+}
 
-	// Phase 0: size the slot-indexed arrays to the engine's slot table
-	// and drain the dirty report. On the first observation the report is
-	// discarded and every live node is treated as added.
+// drain sizes the slot-indexed arrays to the source's slot table, turns
+// the records the last observation parked into free ones, poisoned so that
+// a stale alias reads no plausible group, and drains the dirty report into
+// t.added, t.removed and each shard's extract list, and the changed-row
+// record and the live graph into t.ob. On the first observation the report
+// is discarded, every live node is added and firstSync presizes storage.
+func (t *GroupTracker) drain() {
+	t.ob = observation{first: !t.synced, piT: true}
 	if c := t.ro.SlotCap(); len(t.nodes) < c {
 		t.nodes = append(t.nodes, make([]nodeState, c-len(t.nodes))...)
 		t.affEpoch = append(t.affEpoch, make([]int, c-len(t.affEpoch))...)
@@ -304,15 +333,13 @@ func (t *GroupTracker) Observe() RoundStats {
 	for s := range t.shards {
 		t.shards[s].extract = t.shards[s].extract[:0]
 	}
-	// Last Observe's dead records become writable, poisoned so that a
-	// stale alias reads no plausible group.
 	for _, grp := range t.parked {
 		clear(grp.members)
 		grp.rep = ident.None
 	}
 	t.free, t.parked = append(t.free, t.parked...), t.parked[:0]
 	t.e.DrainDirty(func(computed [shard.N][]int32, added []ident.NodeID, removed []engine.RemovedNode) {
-		if first {
+		if t.ob.first {
 			return
 		}
 		for s := range computed {
@@ -321,140 +348,124 @@ func (t *GroupTracker) Observe() RoundStats {
 		t.added = append(t.added, added...)
 		t.removed = append(t.removed, removed...)
 	})
-	if first {
+	if t.ob.first {
 		t.added = append(t.added, t.ro.IDs()...)
 		t.synced = true
 		t.firstSync(len(t.added))
 	}
-	rows, allRows := t.e.DrainRows()
+	t.ob.rows, t.ob.allRows = t.e.DrainRows()
+	t.ob.g = t.e.LiveGraph()
+	t.ob.topoChanged = t.ob.first || t.ob.g != t.prevG
+}
 
-	g := t.e.LiveGraph()
-	topoChanged := first || g != t.prevG
-	changedPartition := false
-	piTBroken := false
-
+// applyMembership applies t.removed, then t.added, and starts the affected
+// set. A removal marks the members of the departed node's last view (a
+// node whose check held with it in its view shared that view) and drops
+// the cache. A node removed and re-added inside the window is a state
+// reset: its old Ω goes to t.reborn for ΠC and it joins t.added, to come
+// back possibly on another slot. A departure from a non-singleton group
+// breaks ΠT outright: the distance to the others is infinite in the new
+// topology (the record dissolves this round, every survivor regrouping
+// away from it). An addition starts a good singleton, its initial view
+// {a}, marked affected and queued for extraction, which confirms or
+// corrects it; its slot's epoch stamp is reset, so that a mark against an
+// earlier occupant within the window cannot suppress its regroup.
+func (t *GroupTracker) applyMembership() {
 	t.affected = t.affected[:0]
-
-	// Phase 1 (sequential): membership. Removals first — a node that was
-	// removed and re-added inside the window is a state reset (drop the
-	// cache, let the addition path recreate it, possibly on a different
-	// slot).
 	t.reborn = t.reborn[:0]
 	for _, r := range t.removed {
-		if int(r.Slot) >= len(t.nodes) {
-			continue
-		}
-		st := &t.nodes[r.Slot]
-		if st.id != r.ID {
+		if int(r.Slot) >= len(t.nodes) || t.nodes[r.Slot].id != r.ID {
 			continue // never tracked, or the slot was never synced
 		}
+		st := &t.nodes[r.Slot]
 		if t.ro.SlotOf(r.ID) >= 0 {
 			t.added = append(t.added, r.ID)
 			t.reborn = append(t.reborn, rebornRec{v: r.ID, old: st.grp.members})
 		} else if len(st.grp.members) > 1 {
-			// A member departing from a non-singleton group breaks ΠT
-			// outright: its distance to the others is infinite in the new
-			// topology. (The record itself dissolves this round — every
-			// surviving member re-groups away from it below.)
-			piTBroken = true
-			t.restamp(st.grp)
+			t.ob.piT = false
 		}
-		// A node whose check held with r.ID in its view shared r.ID's
-		// last view, so it is a member of it.
 		t.markView(st.view)
 		if !st.good {
 			t.badNodes--
 		}
 		t.detach(st.grp)
-		st.id = ident.None
-		st.grp = nil
-		st.view = st.view[:0]
+		st.id, st.grp, st.view = ident.None, nil, st.view[:0]
 		t.shardRemove(r.ID)
-		changedPartition = true
+		t.ob.changedPartition = true
 	}
 	for _, a := range t.added {
 		slot := t.ro.SlotOf(a)
-		if slot < 0 {
-			continue // added and removed again within the window
+		if slot < 0 || t.nodes[slot].id == a {
+			continue // added and removed again within the window, or a duplicate report
 		}
 		st := &t.nodes[slot]
-		if st.id == a {
-			continue // duplicate report
-		}
-		// A fresh node starts as a good singleton (its initial view is
-		// {a}); the extraction below confirms or corrects that. The slot
-		// may be recycled within the window: reset the epoch stamp so an
-		// earlier mark against the previous occupant cannot suppress this
-		// node's regroup.
-		st.id = a
-		st.viewVer = 0
-		st.view = st.view[:0]
-		st.good = true
-		st.born = t.round
-		st.grp = t.newGroup(a, a)
+		st.id, st.viewVer, st.view, st.good, st.born = a, 0, st.view[:0], true, t.round
+		st.grp = t.newGroup(a)
 		st.grp.refs = 1
-		if !first { // on the first, every record is new
-			t.markNear(g, a)
+		if !t.ob.first { // on the first, every record is new
+			t.markNear(a)
 		}
 		t.affEpoch[slot] = 0
 		ref := memberRef{id: a, slot: slot}
 		t.shardInsert(ref)
 		t.shards[shard.Of(a)].extract = append(t.shards[shard.Of(a)].extract, slot)
 		t.markAffected(ref)
-		changedPartition = true
+		t.ob.changedPartition = true
 	}
+}
 
-	// Phase 2: the topology-dirty set — every node of the source's
-	// changed-row record and every added node, each once (all of them when
-	// the source cannot tell).
-	if topoChanged {
-		t.topoDirty = t.topoDirty[:0]
-		switch {
-		case first: // every member is added
-		case allRows:
-			for s := range t.byShard {
-				for _, m := range t.byShard[s] {
-					t.markTopo(m.id)
-				}
-			}
-		default:
-			for _, v := range rows {
-				t.markTopo(v)
+// markTopoDirty lists in t.topoDirty, each once, the slots whose
+// neighborhood may have changed: every member the source's changed-row
+// record names (every member when the source cannot tell) and every added
+// node. It counts them (registry obs_rows_swept) and keys the graph cache
+// on the observed graph. Observe runs it only when the graph moved.
+func (t *GroupTracker) markTopoDirty() {
+	t.topoDirty = t.topoDirty[:0]
+	switch {
+	case t.ob.first: // every member is added
+	case t.ob.allRows:
+		for s := range t.byShard {
+			for _, m := range t.byShard[s] {
+				t.markTopo(m.id)
 			}
 		}
-		for _, v := range t.added {
+	default:
+		for _, v := range t.ob.rows {
 			t.markTopo(v)
 		}
-		t.e.Introspect().Add(introspect.CtrObsRowsSwept, uint64(len(t.topoDirty)))
-		t.prevG = g
 	}
-
-	// Phase 3: ΠT refresh — re-evaluate the *previous* partition's
-	// topology-dirty groups against the new graph (a group whose members
-	// kept their adjacency keeps its cached verdict: its induced subgraph
-	// is unchanged). ΠT is sampled before the partition update, ΠS after
-	// it; both read the same per-record stretched flag.
-	if topoChanged {
-		t.evalList = t.evalList[:0]
-		for _, slot := range t.topoDirty {
-			grp := t.nodes[slot].grp
-			t.restamp(grp)
-			if grp.evalRound != t.round && len(grp.members) > 1 {
-				grp.evalRound = t.round
-				t.evalList = append(t.evalList, grp)
-			}
-		}
-		t.evalStretched(g, t.evalList)
+	for _, v := range t.added {
+		t.markTopo(v)
 	}
-	piT := !piTBroken && t.stretchedCnt == 0
+	t.e.Introspect().Add(introspect.CtrObsRowsSwept, uint64(len(t.topoDirty)))
+	t.prevG = t.ob.g
+}
 
-	// Phase 4 (parallel): view extraction for the computed/added slots.
-	// At steady state a node whose view did not change costs one counter
-	// comparison (core.Node.ViewVersion); content is re-extracted and
-	// diffed only on an actual change. A slot freed (or recycled across
-	// shards) after its node computed is skipped: the shard guard keeps
-	// a recycled slot's extraction inside the new occupant's own shard,
-	// so no slot is ever touched by two workers.
+// refreshPiT restamps the previous partition's records that hold a
+// topology-dirty member and re-evaluates their stretched verdicts against
+// the new graph. A record whose members kept their adjacency keeps its
+// cached verdict: its induced subgraph is unchanged. Observe samples ΠT
+// from the verdicts after this, before the partition update; ΠS reads the
+// same flag after it.
+func (t *GroupTracker) refreshPiT() {
+	t.evalList = t.evalList[:0]
+	for _, slot := range t.topoDirty {
+		grp := t.nodes[slot].grp
+		t.restamp(grp)
+		t.evalList = append(t.evalList, grp)
+	}
+	t.evalStretched()
+}
+
+// extractViews re-reads, shard-parallel, the views of every shard's
+// extract slots, and lists in the shard's changed records the nodes whose
+// view content moved, each with its old view. A node whose view did not
+// change costs one counter comparison (core.Node.ViewVersion); content is
+// re-extracted and diffed only on a version change. A slot freed (or
+// recycled across shards) after its node computed is skipped: the shard
+// guard keeps a recycled slot's extraction inside the new occupant's own
+// shard, so no slot is ever touched by two workers.
+func (t *GroupTracker) extractViews() {
 	shard.Run(t.workers, func(s, w int) {
 		sh := &t.shards[s]
 		sh.changed = sh.changed[:0]
@@ -481,13 +492,19 @@ func (t *GroupTracker) Observe() RoundStats {
 			st.view, st.spare = nv, st.view
 		}
 	})
+}
 
-	// Phase 5 (sequential): the affected set. Node w passes the check
-	// only if w ∈ view_w and every member's view equals view_w, so when
-	// v's view moves from old to new, a w that passed before with v in its
-	// view is a member of old, and a w that passes after is a member of
-	// new; a w that fails both keeps its Ω. The affected nodes are v and
-	// the tracked members of both views.
+// collectAffected completes t.affected from the changed views. Node w
+// passes the check only if w ∈ view_w and every member's view equals
+// view_w, so when v's view moves from old to new, a w that passed before
+// with v in its view is a member of old, and a w that passes after is a
+// member of new; a w that fails both keeps its Ω. The affected nodes are
+// v and the tracked members of both views. It then drops refs whose node
+// is gone (or whose slot was recycled — the new occupant marked itself on
+// arrival) and sorts by ID, the canonical processing order; a reborn node
+// can be marked under both its old and its new slot, so equal IDs are
+// deduplicated too.
+func (t *GroupTracker) collectAffected() {
 	for s := range t.shards {
 		for _, ch := range t.shards[s].changed {
 			t.markAffected(memberRef{id: ch.v, slot: ch.slot})
@@ -495,143 +512,132 @@ func (t *GroupTracker) Observe() RoundStats {
 			t.markView(t.nodes[ch.slot].view)
 		}
 	}
-	// Finalize the affected set: drop refs whose node is gone (or whose
-	// slot was recycled — the new occupant marked itself on arrival) and
-	// sort by ID to restore the canonical processing order; a reborn node
-	// can be marked under both its old and its new slot, so equal IDs are
-	// deduplicated too.
 	t.affected = slices.DeleteFunc(t.affected, func(ref memberRef) bool { return t.nodes[ref.slot].id != ref.id })
 	slices.SortFunc(t.affected, func(a, b memberRef) int { return cmp.Compare(a.id, b.id) })
 	t.affected = slices.CompactFunc(t.affected, func(a, b memberRef) bool { return a.id == b.id })
+}
 
-	// Phase 6 (parallel): regroup — the local agreement check for every
-	// affected node, a pure read of the freshly extracted views compared
-	// exactly, so the verdict matches metrics.Snapshot.Omega bit for bit.
-	t.regroup = slices.Grow(t.regroup[:0], len(t.affected))[:len(t.affected)]
+// regroup runs the local agreement check for every affected node,
+// slot-parallel: t.agree[i] holds when t.affected[i] is in its own view
+// and every member of that view is tracked with an equal view. It is a
+// pure read of the freshly extracted views compared exactly, so the
+// verdict matches metrics.Snapshot.Omega bit for bit.
+func (t *GroupTracker) regroup() {
+	t.agree = slices.Grow(t.agree[:0], len(t.affected))[:len(t.affected)]
 	shard.Slots(t.workers, len(t.affected), func(i, w int) {
 		ref := t.affected[i]
-		st := &t.nodes[ref.slot]
-		_, good := slices.BinarySearch(st.view, ref.id)
-		if good {
-			for _, u := range st.view {
-				su := t.state(u)
-				if su == nil || !slices.Equal(su.view, st.view) {
-					good = false
-					break
-				}
-			}
+		view := t.nodes[ref.slot].view
+		_, good := slices.BinarySearch(view, ref.id)
+		for j := 0; good && j < len(view); j++ {
+			s := t.slotOf(view[j])
+			good = s >= 0 && slices.Equal(t.nodes[s].view, view)
 		}
-		rep := ref.id
-		if good {
-			rep = st.view[0]
-		}
-		t.regroup[i] = regroupRes{good: good, rep: rep}
+		t.agree[i] = good
 	})
+}
 
-	// Phase 7 (sequential, canonical order): partition update — detach
-	// from stale records, attach to (or create) the new ones, account ΠC
-	// and the membership churn.
+// updatePartition moves each affected node, in canonical order, whose Ω
+// changed — its view when its check held, {v} otherwise — to the
+// representative's record when that holds exactly Ω, else to a new record
+// queued in t.evalList for ΠS, and detaches it from the old one. It keeps
+// the ΠA count, and past the first observation accounts ΠC and the
+// membership churn for every move of a node not born this round, and for
+// every reborn node: that looks new-born here, but the bracketing
+// snapshots still compare its old Ω against its new one.
+func (t *GroupTracker) updatePartition() {
 	t.evalList = t.evalList[:0]
-	piCViolations := 0
-	membership := 0
 	for i, ref := range t.affected {
-		v := ref.id
-		st := &t.nodes[ref.slot]
-		res := t.regroup[i]
-		old := st.grp
-		same := false
-		if res.good {
-			same = slices.Equal(old.members, st.view)
-		} else {
-			same = len(old.members) == 1 && old.members[0] == v
-		}
-		if st.good != res.good {
-			if res.good {
+		st, good := &t.nodes[ref.slot], t.agree[i]
+		if st.good != good {
+			if good {
 				t.badNodes--
 			} else {
 				t.badNodes++
 			}
-			st.good = res.good
+			st.good = good
 		}
-		if same {
+		self := [1]ident.NodeID{ref.id}
+		omega := self[:]
+		if good {
+			omega = st.view
+		}
+		old := st.grp
+		if slices.Equal(old.members, omega) {
 			continue // Ω unchanged (only the agreement accounting moved)
 		}
-		var target *group
-		if res.good {
-			target, _ = t.groups.Get(res.rep)
-			if target == nil || !slices.Equal(target.members, st.view) {
-				target = t.newGroup(res.rep, st.view...)
-				if len(st.view) > 1 {
-					t.evalList = append(t.evalList, target)
-				}
-			}
-		} else {
-			target, _ = t.groups.Get(v)
-			if target == nil || len(target.members) != 1 || target.members[0] != v {
-				target = t.newGroup(v, v)
-			}
+		target, _ := t.groups.Get(omega[0])
+		if target == nil || !slices.Equal(target.members, omega) {
+			target = t.newGroup(omega...)
+			t.evalList = append(t.evalList, target)
 		}
 		target.refs++
-		if !first && st.born != t.round {
-			if !subsetSorted(old.members, target.members) {
-				piCViolations++
-			}
-			membership++
+		if !t.ob.first && st.born != t.round {
+			t.countMove(old.members, target.members)
 		}
 		t.detach(old)
 		st.grp = target
-		t.markNear(g, v)
-		changedPartition = true
+		t.markNear(ref.id)
+		t.ob.changedPartition = true
 	}
-	// Nodes removed and re-added within the window look new-born to the
-	// partition update, but the bracketing-snapshot semantics still
-	// compare their old Ω against the new one.
-	if !first {
-		for _, rb := range t.reborn {
-			st := t.state(rb.v)
-			if st == nil || slices.Equal(rb.old, st.grp.members) {
-				continue
-			}
-			if !subsetSorted(rb.old, st.grp.members) {
-				piCViolations++
-			}
-			membership++
+	if t.ob.first {
+		return
+	}
+	for _, rb := range t.reborn {
+		if s := t.slotOf(rb.v); s >= 0 && !slices.Equal(rb.old, t.nodes[s].grp.members) {
+			t.countMove(rb.old, t.nodes[s].grp.members)
 		}
 	}
+}
 
-	// Phase 8 (parallel): ΠS for the records created this round. Records
-	// that survived the partition update were either re-evaluated in
-	// phase 3 (topology-dirty) or keep a valid cached verdict.
-	fresh := t.evalList[:0]
+// countMove accounts one node's Ω moving from old to cur: a membership
+// change, and a ΠC violation when cur lost a member of old.
+func (t *GroupTracker) countMove(old, cur []ident.NodeID) {
+	if !subsetSorted(old, cur) {
+		t.ob.piCViolations++
+	}
+	t.ob.membership++
+}
+
+// evalStretched settles the stretched verdict (induced diameter > Dmax)
+// against the observed graph for every record of t.evalList that is
+// live, has more than one member and was not evaluated this round yet
+// (slot-parallel, merged in list order). refreshPiT hands it the
+// previous partition's topology-dirty records. After updatePartition it
+// is ΠS for the records just created: every other live record was
+// re-evaluated by refreshPiT or keeps a valid cached verdict.
+func (t *GroupTracker) evalStretched() {
+	list := t.evalList[:0]
 	for _, grp := range t.evalList {
-		if grp.refs > 0 && grp.evalRound != t.round {
+		if grp.refs > 0 && len(grp.members) > 1 && grp.evalRound != t.round {
 			grp.evalRound = t.round
-			fresh = append(fresh, grp)
+			list = append(list, grp)
 		}
 	}
-	t.evalStretched(g, fresh)
-
-	// Phase 9 (parallel): external edges and ΠM over adjacent group
-	// pairs. Ω sets are disjoint, so two groups can merge only if an
-	// edge joins them — the candidate pairs are exactly the
-	// group-boundary edges, and the counts are reused verbatim when
-	// neither the topology nor the partition moved.
-	if topoChanged || changedPartition {
-		t.scanPairs(g)
+	if len(list) == 0 {
+		return
 	}
-
-	piC := piCViolations == 0
-	if first {
-		piT, piC = true, true
+	t.boolRes = slices.Grow(t.boolRes[:0], len(list))
+	res := t.boolRes[:len(list)]
+	shard.Slots(t.workers, len(list), func(i, w int) {
+		res[i] = t.ws[w].stretched(t.ob.g, list[i].members, t.dmax)
+	})
+	for i, grp := range list {
+		t.setStretched(grp, res[i])
 	}
+}
 
-	// Count the observation in the engine's flight recorder, so a registry
-	// snapshot carries the full picture (traffic, computes, wakes AND
-	// observed violations) in one deterministic block; the soak drift
-	// check holds these counts to the fold of the streamed records.
+// record counts the observation in the source's registry and returns its
+// statistics. The registry then carries the full picture (traffic,
+// computes, wakes and observed violations) in one deterministic block; the
+// soak drift check holds these counts to the fold of the streamed records.
+// On the first observation ΠT and ΠC hold and count nothing.
+func (t *GroupTracker) record() RoundStats {
+	piT, piC := t.ob.piT, t.ob.piCViolations == 0
 	reg := t.e.Introspect()
 	reg.Inc(introspect.CtrObsRounds)
-	if !first {
+	if t.ob.first {
+		piT, piC = true, true
+	} else {
 		if !piT {
 			reg.Inc(introspect.CtrObsTopologyBreaks)
 		}
@@ -641,7 +647,7 @@ func (t *GroupTracker) Observe() RoundStats {
 				reg.Inc(introspect.CtrObsUnexcusedBreaks)
 			}
 		}
-		reg.Add(introspect.CtrObsViolatingNodes, uint64(piCViolations))
+		reg.Add(introspect.CtrObsViolatingNodes, uint64(t.ob.piCViolations))
 	}
 
 	msgs, delivs := t.e.TrafficTotals()
@@ -649,7 +655,7 @@ func (t *GroupTracker) Observe() RoundStats {
 		Round:                t.round,
 		Tick:                 t.e.Tick(),
 		Nodes:                t.memberSum,
-		Edges:                g.NumEdges(),
+		Edges:                t.ob.g.NumEdges(),
 		Groups:               t.groupCount,
 		Singletons:           t.singletonCnt,
 		Agreement:            t.badNodes == 0,
@@ -659,8 +665,8 @@ func (t *GroupTracker) Observe() RoundStats {
 		SafetyRate:           1,
 		Topological:          piT,
 		Continuity:           piC,
-		ContinuityViolations: piCViolations,
-		MembershipChanges:    membership,
+		ContinuityViolations: t.ob.piCViolations,
+		MembershipChanges:    t.ob.membership,
 		ExternalEdges:        t.nee,
 		MessagesSent:         msgs,
 		Deliveries:           delivs,
@@ -675,22 +681,6 @@ func (t *GroupTracker) Observe() RoundStats {
 	}
 	stats.Converged = stats.Agreement && stats.Safety && stats.Maximality
 	return stats
-}
-
-// evalStretched evaluates the induced-diameter verdict for every group
-// in list against g (slot-parallel, merged in list order).
-func (t *GroupTracker) evalStretched(g *graph.G, list []*group) {
-	if len(list) == 0 {
-		return
-	}
-	t.boolRes = slices.Grow(t.boolRes[:0], len(list))
-	res := t.boolRes[:len(list)]
-	shard.Slots(t.workers, len(list), func(i, w int) {
-		res[i] = t.ws[w].stretched(g, list[i].members, t.dmax)
-	})
-	for i, grp := range list {
-		t.setStretched(grp, res[i])
-	}
 }
 
 // scanPairs recounts the external edges and settles ΠM over the
@@ -791,10 +781,10 @@ func (t *GroupTracker) restamp(grp *group) {
 	grp.topoGen = t.stamp
 }
 
-// newGroup creates a record holding a copy of members — in a free record
-// when there is one — stamps it, registers it as the representative's
-// canonical record and accounts it.
-func (t *GroupTracker) newGroup(rep ident.NodeID, members ...ident.NodeID) *group {
+// newGroup creates a record holding a copy of members, ascending — in a
+// free record when there is one — stamps it, registers it as the
+// representative's (members[0]'s) canonical record and accounts it.
+func (t *GroupTracker) newGroup(members ...ident.NodeID) *group {
 	var grp *group
 	if n := len(t.free); n == 0 {
 		grp = &group{}
@@ -803,8 +793,8 @@ func (t *GroupTracker) newGroup(rep ident.NodeID, members ...ident.NodeID) *grou
 		grp.refs, grp.evalRound, grp.stretched = 0, 0, false
 	}
 	t.restamp(grp)
-	grp.rep, grp.members = rep, append(grp.members[:0], members...)
-	t.groups.Set(rep, grp)
+	grp.rep, grp.members = members[0], append(grp.members[:0], members...)
+	t.groups.Set(grp.rep, grp)
 	t.groupCount++
 	t.memberSum += len(members)
 	if len(members) == 1 {
@@ -849,36 +839,33 @@ func (t *GroupTracker) setStretched(grp *group, v bool) {
 // markTopo queues v's slot in the topology-dirty list, once a
 // round, if v is a tracked member.
 func (t *GroupTracker) markTopo(v ident.NodeID) {
-	slot := t.ro.SlotOf(v)
-	if slot < 0 || t.nodes[slot].id != v || t.nodes[slot].topoRnd == t.round {
-		return
+	if s := t.slotOf(v); s >= 0 && t.nodes[s].topoRnd != t.round {
+		t.nodes[s].topoRnd = t.round
+		t.topoDirty = append(t.topoDirty, s)
 	}
-	t.nodes[slot].topoRnd = t.round
-	t.topoDirty = append(t.topoDirty, slot)
 }
 
 // markNear flags the records of v's neighbors, v having changed record:
 // a group above theirs may have come or gone with it.
-func (t *GroupTracker) markNear(g *graph.G, v ident.NodeID) {
-	for _, u := range g.NeighborsView(v) {
-		if st := t.state(u); st != nil {
-			st.grp.nearRnd = t.round
+func (t *GroupTracker) markNear(v ident.NodeID) {
+	for _, u := range t.ob.g.NeighborsView(v) {
+		if s := t.slotOf(u); s >= 0 {
+			t.nodes[s].grp.nearRnd = t.round
 		}
 	}
 }
 
-// markView marks every tracked member of view as affected. A view can
-// name a departed or fabricated ID: that is a lookup miss, nothing more.
+// markView marks every tracked member of view as affected.
 func (t *GroupTracker) markView(view []ident.NodeID) {
 	for _, u := range view {
-		if slot := t.ro.SlotOf(u); slot >= 0 && t.nodes[slot].id == u {
-			t.markAffected(memberRef{id: u, slot: slot})
+		if s := t.slotOf(u); s >= 0 {
+			t.markAffected(memberRef{id: u, slot: s})
 		}
 	}
 }
 
 // markAffected stamps ref's slot for this round and queues it. Refs can
-// go stale across in-window churn; the finalization step re-validates
+// go stale across in-window churn; collectAffected re-validates
 // every queued ref against the slot's current occupant.
 func (t *GroupTracker) markAffected(ref memberRef) {
 	if t.affEpoch[ref.slot] == t.round {

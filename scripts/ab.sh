@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # ab.sh — an interleaved A/B of grpbench between two git refs.
 #
-# Builds ./cmd/grpbench at REF_A, in a temporary git worktree, and at
-# REF_B (another worktree; without REF_B, the working tree as it stands),
-# then runs A B A B … pairs for each workload and seed, every run a
-# process of its own. For each metric of the result line and of the
-# #host line it prints both medians, both interquartile ranges (Python's
+# Builds ./cmd/grpbench at REF_A, from a `git archive` of it unpacked in
+# a temporary directory, and at REF_B (likewise; without REF_B, the
+# working tree as it stands), so that it writes nothing into the
+# repository. Then it runs pairs for each workload and seed, alternating
+# which side runs first (A B, B A, A B, …), every run a process of its
+# own. For each metric of the result line and of the #host line it
+# prints both medians, both interquartile ranges (Python's
 # exclusive quantiles, grpbench's rule), how many pairs B was lower in,
 # and a verdict: "every B below every A", "every B above every A" (at
 # least five runs a side: with three, identical code separates by chance
@@ -15,7 +17,7 @@
 # starting "!!! DIFFERS", and so does a run that fails a check.
 #
 # Interrupted (INT, TERM) or done, it kills the run in flight and removes
-# its worktrees and binaries. (A non-interactive shell starts a
+# its sources and binaries. (A non-interactive shell starts a
 # background job with INT ignored, and bash cannot trap an ignored
 # signal: stop such a job with TERM.)
 #
@@ -58,10 +60,6 @@ cleanup() {
 		kill "$child" 2>/dev/null || true
 		wait "$child" 2>/dev/null || true
 	fi
-	for wt in "$tmp"/wt-*; do
-		[ -d "$wt" ] && git -C "$root" worktree remove --force "$wt" 2>/dev/null
-	done
-	git -C "$root" worktree prune
 	rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -80,16 +78,20 @@ bg() {
 }
 
 # build SIDE REF: a binary of ./cmd/grpbench at REF (empty: the working
-# tree) at $tmp/grpbench-SIDE.
+# tree) at $tmp/grpbench-SIDE. -trimpath and -buildvcs=false make the
+# binary a function of the source alone: built in the working tree or in
+# an unpacked archive, the same source gives the same bytes, so where a
+# side was built cannot move its code placement.
 build() {
 	local side=$1 ref=$2 dir=$root
 	if [ -n "$ref" ]; then
-		dir=$tmp/wt-$side
+		dir=$tmp/src-$side
 		git -C "$root" rev-parse --quiet --verify "$ref^{commit}" >/dev/null ||
 			{ echo "ab.sh: $ref is not a commit" >&2; exit 2; }
-		git -C "$root" worktree add --quiet --detach "$dir" "$ref"
+		mkdir "$dir"
+		git -C "$root" archive "$ref" | tar -x -C "$dir"
 	fi
-	bg go -C "$dir" build -o "$tmp/grpbench-$side" ./cmd/grpbench ||
+	bg go -C "$dir" build -trimpath -buildvcs=false -o "$tmp/grpbench-$side" ./cmd/grpbench ||
 		{ echo "ab.sh: building $side at ${ref:-the working tree} failed" >&2; exit 2; }
 }
 
@@ -198,7 +200,9 @@ for w in "${wl[@]}"; do
 		data=$tmp/$w-$seed.data
 		: >"$data"
 		for ((p = 1; p <= pairs; p++)); do
-			for side in a b; do
+			order="a b"
+			((p % 2)) || order="b a"
+			for side in $order; do
 				out=$tmp/out/$w-$seed-$side-$p.txt
 				bg "$tmp/grpbench-$side" -workload "$w" -seed "$seed" -seconds 6 -trace "$trace" \
 					-out "$tmp/out" >"$out" 2>&1 || true
@@ -206,7 +210,7 @@ for w in "${wl[@]}"; do
 				echo "ab.sh: $w seed $seed pair $p/$pairs side ${side^^} done" >&2
 			done
 		done
-		echo "== $w seed $seed, -trace $trace: A = $name_a, B = $name_b, $pairs pairs (A B A B …)"
+		echo "== $w seed $seed, -trace $trace: A = $name_a, B = $name_b, $pairs pairs (A B, B A, …)"
 		summarize <"$data" || status=1
 		echo
 	done
