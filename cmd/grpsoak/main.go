@@ -116,35 +116,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := obs.SoakConfig{
-		N:              *n,
-		Dmax:           *dmax,
-		Range:          *radius,
-		Side:           *side,
-		Urban:          *urban,
-		DT:             *dt,
-		Seed:           *seed,
-		Workers:        *workers,
-		JoinRate:       *join,
-		LeaveRate:      *leave,
-		ActiveFraction: *active,
-		Static:         *static,
-		MaxRounds:      *rounds,
-		Duration:       *duration,
-		ConfirmWindow:  *window,
-		IntrospectAddr: *introspectAddr,
-		FlightEvery:    *flightEvery,
-		Fingerprint:    *fingerprint,
+		N: *n, Dmax: *dmax, Range: *radius, Side: *side, Urban: *urban, DT: *dt,
+		Seed: *seed, Workers: *workers, JoinRate: *join, LeaveRate: *leave,
+		ActiveFraction: *active, Static: *static, MaxRounds: *rounds, Duration: *duration,
+		ConfirmWindow: *window, IntrospectAddr: *introspectAddr, FlightEvery: *flightEvery,
+		Fingerprint: *fingerprint,
 	}
 	if *chaos != "" {
 		prof, err := fault.Preset(*chaos, *chaosIntensity)
 		if err != nil {
 			return fail(2, err)
 		}
-		prof.Seed = *chaosSeed
+		prof.Seed, prof.Until = *chaosSeed, *chaosUntil
 		if prof.Seed == 0 {
 			prof.Seed = *seed ^ 0x6368616f73 // "chaos"
 		}
-		prof.Until = *chaosUntil
 		cfg.Fault = prof
 	}
 	if *traceWakes && *stats == "" {
@@ -159,20 +145,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *stats != "" {
-		// One stream: the per-round records go through the decimating
-		// wrapper, every other kind straight to the file.
-		s, err := obs.CreateJSONLSink(*stats, 0)
-		if err != nil {
+		if err := openStream(&cfg, *stats, *every, *traceWakes); err != nil {
 			return fail(2, err)
-		}
-		cfg.Sink = obs.Every(*every, s)
-		if cfg.Fault != nil {
-			cfg.Episodes = s.WriteEpisode
-		}
-		if *traceWakes {
-			cfg.WakeTrace = func(round int, w introspect.WakeRec) error {
-				return s.WriteWake(obs.NewWakeRecord(round, w))
-			}
 		}
 	}
 	if *progress > 0 {
@@ -185,23 +159,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	res, err := execute(cfg, *shards, *transport, *shardIndex, *peers, stderr)
+	if err != nil {
+		return fail(1, err)
+	}
+	if res == nil {
+		// Non-lead shard of a TCP mesh: the lead prints the merged report.
+		return 0
+	}
+	return report(res, cfg.Fault != nil, *flightEvery, *workers, *fingerprint, stdout, stderr)
+}
+
+// openStream points cfg's records at one JSONL stream at path: the
+// per-round records through the decimating wrapper (every k-th round),
+// every other kind — episodes on a chaos run, wakes when traced —
+// straight to the file.
+func openStream(cfg *obs.SoakConfig, path string, every int, traceWakes bool) error {
+	s, err := obs.CreateJSONLSink(path, 0)
+	if err != nil {
+		return err
+	}
+	cfg.Sink = obs.Every(every, s)
+	if cfg.Fault != nil {
+		cfg.Episodes = s.WriteEpisode
+	}
+	if traceWakes {
+		cfg.WakeTrace = func(round int, w introspect.WakeRec) error {
+			return s.WriteWake(obs.NewWakeRecord(round, w))
+		}
+	}
+	return nil
+}
+
+// execute runs cfg in this process, or over shards (internal/dist), whose
+// Config.Validate rejects what the split cannot carry (churn, chaos,
+// wall-clock caps, -flight-every, -trace-wakes, -introspect). It closes
+// (and flushes) the sink before returning, failed run or not: on a failed
+// run the streamed tail is exactly what the operator needs. A nil result
+// without an error is a non-lead shard of a TCP mesh.
+func execute(cfg obs.SoakConfig, shards int, transport string, shardIndex int, peers string, stderr io.Writer) (*obs.SoakResult, error) {
 	var res *obs.SoakResult
 	var err error
-	if *shards > 1 {
-		// Distributed run: dist.Config.Validate rejects what the split
-		// cannot carry (churn, chaos, wall-clock caps, -flight-every,
-		// -trace-wakes, -introspect).
-		dcfg := dist.Config{Soak: cfg, Shards: *shards}
-		if *transport == "tcp" {
-			res, err = dist.RunTCP(dcfg, *shardIndex, strings.Split(*peers, ","))
-		} else {
-			res, err = dist.RunLoopback(dcfg)
-		}
-	} else {
+	switch dcfg := (dist.Config{Soak: cfg, Shards: shards}); {
+	case shards > 1 && transport == "tcp":
+		res, err = dist.RunTCP(dcfg, shardIndex, strings.Split(peers, ","))
+	case shards > 1:
+		res, err = dist.RunLoopback(dcfg)
+	default:
 		res, err = obs.RunSoak(cfg)
 	}
-	// Close (and flush) the sink before any exit: on a failed run the
-	// streamed tail is exactly what the operator needs.
 	if cfg.Sink != nil {
 		if cerr := cfg.Sink.Close(); cerr != nil {
 			fmt.Fprintln(stderr, "grpsoak: closing sink:", cerr)
@@ -210,20 +216,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if err != nil {
-		return fail(1, err)
-	}
-	if res == nil {
-		// Non-lead shard of a TCP mesh: the lead prints the merged report.
-		return 0
-	}
+	return res, err
+}
+
+// report prints the run's report and returns the exit status.
+func report(res *obs.SoakResult, chaos bool, flightEvery, workers int, fingerprint bool, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, res.Report())
-	if *flightEvery > 0 {
-		fmt.Fprint(stdout, res.IdleReport(*workers))
+	if flightEvery > 0 {
+		fmt.Fprint(stdout, res.IdleReport(workers))
 		fmt.Fprint(stdout, res.PoolReport())
 		fmt.Fprint(stdout, res.SweepReport())
 	}
-	if *fingerprint {
+	if fingerprint {
 		fmt.Fprintf(stdout, "fingerprint: %016x\n", res.Fingerprint)
 	}
 
@@ -231,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// (an unexcused break with no fault in flight opens one too) — must
 	// have re-stabilized within the run. Leave a fault-free tail with
 	// -chaos-until so the last episode has room to close.
-	if cfg.Fault != nil && res.EpisodesOpen > 0 {
+	if chaos && res.EpisodesOpen > 0 {
 		fmt.Fprintf(stderr, "grpsoak: %d stabilization episode(s) still open at run end\n", res.EpisodesOpen)
 		return 1
 	}

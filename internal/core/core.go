@@ -104,12 +104,8 @@ func (c Config) boundaryHold() uint64 {
 	}
 }
 
-// heardRec is one quarantine value heard this round (slice-backed scratch
-// replacing the per-round `heard` map).
-type heardRec struct {
-	id ident.NodeID
-	q  int32
-}
+// heardRec is one quarantine value heard this round (hearQuarantines).
+type heardRec = quarEntry
 
 // quarEntry is one tracked quarantine (the slice-backed replacement for
 // the quarantine map; ascending by id).
@@ -250,6 +246,7 @@ type Scratch struct {
 	prios   []prec
 	gprs    []prec
 	readSet []ident.NodeID
+	rd      round // what one compute's rules hand each other
 }
 
 // SetScratch makes n work in s, which a driver running many nodes one at a
@@ -475,9 +472,7 @@ func (n *Node) SkipQuietRound() {
 // itself and stays untouched. The caller owns the precondition, exactly
 // as for SkipQuietRound.
 func (n *Node) SkipLonelyRound() {
-	n.computes++
-	clear(n.msgSet)
-	n.msgSet = n.msgSet[:0]
+	n.SkipQuietRound()
 	n.self = n.self.Tick()
 	n.storeSelfPrio()
 	n.group = n.self
@@ -532,15 +527,12 @@ func (n *Node) StateDigest() uint64 {
 		mix(uint64(uint32(n.quar[i].q)))
 	}
 	mixP := func(p priority.P) { mix(p.Clock()); mix(uint64(p.ID)) }
-	mix(uint64(len(n.prios)))
-	for i := range n.prios {
-		mix(uint64(n.prios[i].id))
-		mixP(n.prios[i].p)
-	}
-	mix(uint64(len(n.gprs)))
-	for i := range n.gprs {
-		mix(uint64(n.gprs[i].id))
-		mixP(n.gprs[i].p)
+	for _, cache := range [2][]prec{n.prios, n.gprs} {
+		mix(uint64(len(cache)))
+		for i := range cache {
+			mix(uint64(cache[i].id))
+			mixP(cache[i].p)
+		}
 	}
 	mixP(n.self)
 	mixP(n.group)
@@ -804,22 +796,16 @@ func (n *Node) BuildMessageIn(recs []PrioRec) Message {
 				ID: u, Mark: e.Mark, Pos: int16(i), Quar: -1,
 				HasPrio: true, HasGroupPrio: true,
 			}
-			if u == n.id {
-				r.Prio, r.GroupPrio = n.self, n.group
-			} else {
+			r.Prio, r.GroupPrio = n.self, n.group
+			if u != n.id {
+				r.Prio = priority.Infinite
 				if p, ok := n.prioOf(u); ok {
 					r.Prio = p
-				} else {
-					r.Prio = priority.Infinite
 				}
-				switch {
-				case n.inView(u):
-					r.GroupPrio = n.group
-				default:
+				if !n.inView(u) {
+					r.GroupPrio = r.Prio
 					if g, ok := n.gprOf(u); ok {
 						r.GroupPrio = g
-					} else {
-						r.GroupPrio = r.Prio
 					}
 				}
 			}
@@ -859,7 +845,12 @@ type incoming struct {
 // prefCmp is Compute's stable preference order over received messages:
 // view members first (their lists are never subject to the compatibility
 // test), then senders by their advertised group priority (oldest first),
-// then by ID. InboxReadDigest folds the buffer in exactly this order —
+// then by ID. The first compatible content a node folds is what it
+// commits to for the round, so this order makes every uncommitted node
+// side with the *oldest* adjacent group — the greedy accretion the
+// maximality proof (Prop. 11) reasons about — instead of a choice that
+// can flip between rounds and keep the network in metastable partitions.
+// InboxReadDigest folds the buffer in exactly this order —
 // that shared comparator is what lets the masked digest leave the
 // message-level group priority unhashed (see Message.MaskedDigest), so
 // the two must never diverge.
@@ -906,210 +897,221 @@ func (n *Node) Compute() { n.ComputeIn(nil) }
 // round that reproduces the current list byte for byte keeps the existing
 // allocation and, when nothing else observable moved either, leaves the
 // node's Version untouched so drivers keep their cached broadcast. A nil
-// builder uses the scratch's own.
+// builder uses the scratch's own. The body is the paper's rules in their
+// order, one method each (DESIGN.md §2.1); what one rule hands the next
+// is the scratch's round.
 func (n *Node) ComputeIn(b *antlist.Builder) {
 	s := n.scratch()
 	if b == nil {
 		b = &s.bld
 	}
-	n.computes++
-	dmax := n.cfg.Dmax
-	oldSelf, oldGroup := n.self, n.group
-	emptyInbox := len(n.msgSet) == 0
-	n.streakMoved = false
-	n.rejectedMoved = false
-	n.overflowed = false
+	r := n.beginRound(s, b)
+	n.expireHolds()
+	n.checkAndFold(r)
+	n.dropTooFar(r)
+	n.learnPriorities(s, r)
+	n.updateQuarantines(s, r)
+	n.extractView(s, r)
+	n.ageClock(r)
+	n.commitRound(s, r)
+	n.classifyRound(r)
+	if s.SelfCheck {
+		s.scribble()
+	}
+}
 
-	// Check order is a stable preference order, not plain ID order: view
-	// members first (their lists are never subject to the compatibility
-	// test), then senders by their advertised group priority (oldest
-	// first), then by ID. The first compatible content a node folds is
-	// what it commits to for the round, so this order makes every
-	// uncommitted node side with the *oldest* adjacent group — the same
-	// greedy accretion the maximality proof (Prop. 11) reasons about —
-	// instead of an arbitrary choice that can flip between rounds and
-	// keep the network in metastable partitions. The fold itself (⊕) is
-	// order-independent.
-	incs := n.sortedInbox(s)
-	// Expire boundary memory (in-place filter; empty at steady state of an
-	// interior node, stable under an active hold at a group boundary).
-	if len(n.rejected) > 0 {
-		was := len(n.rejected)
-		kept := n.rejected[:0]
-		for _, r := range n.rejected {
-			if n.computes <= r.exp {
-				kept = append(kept, r)
-			}
-		}
-		n.rejected = kept
-		if len(kept) != was {
-			n.rejectedMoved = true
+// round is what one compute hands from rule to rule. It lives in the
+// Scratch, so nothing is allocated for it, and beginRound writes every
+// field before any rule reads one.
+type round struct {
+	b                 *antlist.Builder // the fold arena
+	incs              []incoming       // the inbox in preference order, with each sender's checked list
+	newList           antlist.List     // the fold (lines 10–29), in b's arena until commitRound publishes it
+	view              []ident.NodeID   // line 31's new view, ascending
+	oldSelf, oldGroup priority.P
+	emptyInbox        bool
+	// Whether each table stayed as it was at its commit, and what moved.
+	quarSame, priosSame, gprsSame, listChanged, viewChanged, versionMoved bool
+}
+
+// beginRound opens a compute: it advances the round counter, clears the
+// round's motion flags and writes every field of the scratch's round —
+// the inbox in preference order (prefCmp), the pre-round priorities and
+// whether the inbox was empty.
+func (n *Node) beginRound(s *Scratch, b *antlist.Builder) *round {
+	n.computes++
+	n.streakMoved, n.overflowed = false, false
+	s.rd = round{b: b, incs: n.sortedInbox(s), oldSelf: n.self, oldGroup: n.group, emptyInbox: len(n.msgSet) == 0}
+	return &s.rd
+}
+
+// expireHolds drops the boundary-memory entries whose hold has run out
+// (the memory is this reproduction's addition, DESIGN.md §3). Input: the
+// advanced round counter. Output: n.rejected filtered in place, and
+// rejectedMoved, whether an entry went. Invariant: empty at the steady
+// state of an interior node, unchanged under an active hold at a group
+// boundary.
+func (n *Node) expireHolds() {
+	kept := n.rejected[:0]
+	for _, r := range n.rejected {
+		if n.computes <= r.exp {
+			kept = append(kept, r)
 		}
 	}
+	n.rejectedMoved = len(kept) != len(n.rejected)
+	n.rejected = kept
+}
 
-	// Lines 1–9 fused with 10–13: check the received lists in
-	// deterministic sender order while building the fold incrementally.
-	// Each compatibility test sees the partial fold, so content already
-	// committed from earlier senders is protected against later
-	// incompatible senders — this is what lets a lone node bridging two
-	// far-apart groups side with one of them instead of absorbing both
-	// and being punished by each in turn. The partial fold lives in the
-	// recycled builder arena; b.View() is a zero-copy read of it.
+// checkAndFold runs lines 1–13: each received list is cleaned (line 2),
+// checked and folded, sender by sender in preference order. A sender in
+// the boundary memory counts as double-marked; a bad list (line 4) is
+// ignored but its sender kept, single-marked, with its streak left alone;
+// a view member, or a sender whose list the compatibility test admits,
+// resets its streak; any other sender is line 7's incompatible neighbour,
+// after the debounce (escalate). Input: r.incs. Output: r.incs[i].list,
+// each sender's checked list, and r.newList, their hole-truncated fold.
+// Invariant: each compatibility test sees the partial fold of the senders
+// checked before it, so content committed from earlier senders is
+// protected against later incompatible ones — a lone node bridging two
+// far-apart groups sides with one instead of absorbing both and being
+// punished by each in turn. The fold itself (⊕) is order-independent.
+func (n *Node) checkAndFold(r *round) {
+	b := r.b
 	b.BeginRound(ident.Plain(n.id))
-	for i := range incs {
-		msg := incs[i].msg
-		u := msg.From
-		lu := n.cleanReceived(b, msg.List)
+	for i := range r.incs {
+		u := r.incs[i].msg.From
+		lu := n.cleanReceived(b, r.incs[i].msg.List)
 		switch {
 		case n.rejectedUntil(u) != 0:
-			// Boundary memory: the sender was recently rejected as
-			// incompatible; hold the boundary while views consolidate.
 			lu = b.Singleton(ident.Double(u))
 		case !n.goodList(u, lu):
-			// Line 4: the list is ignored but the sender is kept
-			// (single mark: asymmetric / unconfirmed link). Not evidence
-			// of incompatibility: the streak is left alone.
 			lu = b.Singleton(ident.Single(u))
-		case !n.inView(u):
-			if _, ok := n.admits(b.View(), lu); !ok {
-				// Line 7: u is denoted as an incompatible neighbor
-				// (after the debounce; see escalate).
-				lu = n.escalate(b, u)
-			} else {
-				n.setStreak(u, 0)
-			}
-		default:
+		case n.inView(u) || n.admits(b.View(), lu):
 			n.setStreak(u, 0)
+		default:
+			lu = n.escalate(b, u)
 		}
-		incs[i].list = lu
+		r.incs[i].list = lu
 		b.Ant(lu)
 	}
+	r.newList = holeTruncate(b.View())
+}
 
-	// Lines 10–13: the fold of the checked lists (built above). newList
-	// stays a view of the builder arena until the commit below.
-	newList := holeTruncate(b.View())
-
-	// Lines 14–29: removal of incoming lists containing too-far nodes.
-	if newList.Len() > dmax+1 {
-		n.overflowed = true
-		for _, w := range newList.At(dmax + 1) {
-			if w.Mark.Marked() {
-				continue // marks never travel that far; defensive
+// dropTooFar runs lines 14–29 when the fold reaches past Dmax+1
+// positions: for each plain too-far node w that has the priority
+// (farNodeHasPriority), every neighbour that provided w at position Dmax
+// is ignored (line 19, after the debounce), the checked lists are folded
+// again, and the too-far nodes that remain, which did not have the
+// priority, are cut (line 28). Input: r.incs and r.newList. Output: the
+// same, rewritten, and overflowed set. Invariant: r.newList holds at most
+// Dmax+1 positions.
+func (n *Node) dropTooFar(r *round) {
+	dmax := n.cfg.Dmax
+	if r.newList.Len() <= dmax+1 {
+		return
+	}
+	n.overflowed = true
+	for _, w := range r.newList.At(dmax + 1) {
+		if w.Mark.Marked() || !n.farNodeHasPriority(w.ID, r.incs) {
+			continue
+		}
+		for i := range r.incs {
+			if pos, _ := r.incs[i].list.Position(w.ID); pos == dmax {
+				r.incs[i].list = n.escalate(r.b, r.incs[i].msg.From)
 			}
-			if n.farNodeHasPriority(w.ID, incs) {
-				for i := range incs {
-					if pos, _ := incs[i].list.Position(w.ID); pos == dmax {
-						// Line 19: the neighbor that provided w is
-						// ignored (after the debounce; see escalate).
-						incs[i].list = n.escalate(b, incs[i].msg.From)
-					}
+		}
+	}
+	r.newList = n.fold(r.b, r.incs).Truncate(dmax + 1)
+}
+
+// updateQuarantines runs line 30. A node's countdown starts at Dmax when
+// it first appears plain (marked entries are not propagated, so the group
+// learns of a newcomer only from then on) and drops by one a round, or to
+// one below the smallest value heard for it (hearQuarantines), so that
+// both ends reach 0 in the same round. DisableQuarantine admits every
+// listed node at once. Input: r.newList, r.incs. Output: n.quar committed
+// from s.quar, and r.quarSame. Invariant: ascending by ID, one entry a
+// node, the node's own entry at 0.
+func (n *Node) updateQuarantines(s *Scratch, r *round) {
+	nq := s.quar[:0]
+	if n.cfg.DisableQuarantine {
+		for _, e := range r.newList.Entries() {
+			nq = append(nq, quarEntry{id: e.ID})
+		}
+	} else {
+		heard := n.hearQuarantines(s, r.incs)
+		for _, e := range r.newList.Entries() {
+			if !e.Mark.Marked() {
+				nq = append(nq, quarEntry{id: e.ID, q: n.countdown(e.ID, heard)})
+			}
+		}
+	}
+	if i := slices.IndexFunc(nq, func(e quarEntry) bool { return e.id == n.id }); i >= 0 {
+		nq[i].q = 0
+	} else {
+		nq = append(nq, quarEntry{id: n.id})
+	}
+	slices.SortFunc(nq, func(a, b quarEntry) int { return cmp.Compare(a.id, b.id) })
+	s.quar = slices.CompactFunc(nq, func(a, b quarEntry) bool { return a.id == b.id })
+	r.quarSame = commit(&n.quar, s.quar)
+}
+
+// hearQuarantines collects, in s.heard, the smallest remaining quarantine
+// heard per node this round (inheritance; see the Quar record), plus the
+// reverse direction: when a sender's message says *our* remaining
+// quarantine is k, the join completes in k rounds, so our own countdown
+// for the sender's already-admitted members (entries it lists without a
+// quarantine) syncs to the same k and both sides' views flip in the same
+// round. The fold is a min, so the order of the senders does not matter.
+func (n *Node) hearQuarantines(s *Scratch, incs []incoming) []heardRec {
+	heard := s.heard[:0]
+	for i := range incs {
+		msg := incs[i].msg
+		selfQ := int32(-1)
+		for _, r := range msg.Recs {
+			if r.Quar >= 0 {
+				heard = heardMin(heard, r.ID, int32(r.Quar))
+				if r.ID == n.id && selfQ < 0 {
+					selfQ = int32(r.Quar)
 				}
 			}
 		}
-		newList = n.fold(b, incs)
-		// Line 28: remaining too-far nodes did not have the priority.
-		newList = newList.Truncate(dmax + 1)
-	}
-
-	// Learn priorities for the nodes we now track.
-	var refPrios, refGprs map[ident.NodeID]priority.P
-	if s.SelfCheck {
-		refPrios, refGprs = precMap(n.prios), precMap(n.gprs)
-	}
-	priosSame, gprsSame := n.learnPriorities(s, newList, incs)
-	if s.SelfCheck {
-		n.checkRefLearnPriorities(newList, incs, refPrios, refGprs)
-	}
-
-	// Line 30: update quarantines. The quarantine clock of a node starts
-	// when it first appears *plain* (marked entries are not propagated, so
-	// the group learns about the newcomer only from then on).
-	nq := s.quar[:0]
-	if !n.cfg.DisableQuarantine {
-		// The smallest remaining quarantine heard per node this round
-		// (inheritance; see the Quar record), plus the reverse direction:
-		// when a sender's message says *our* remaining quarantine is k,
-		// the join completes in k rounds — so our own countdown for the
-		// sender's already-admitted members (entries it lists without a
-		// quarantine) syncs to the same k, and both sides' views flip in
-		// the same round. The fold is a min, so the slice-backed scratch
-		// (empty at steady state) replays the former map bit for bit.
-		heard := s.heard[:0]
-		for i := range incs {
-			msg := incs[i].msg
-			selfQ := int32(-1)
+		if selfQ >= 0 {
 			for _, r := range msg.Recs {
-				if r.Quar >= 0 {
-					heard = heardMin(heard, r.ID, int32(r.Quar))
-					if r.ID == n.id && selfQ < 0 {
-						selfQ = int32(r.Quar)
-					}
-				}
-			}
-			if selfQ >= 0 {
-				for _, r := range msg.Recs {
-					if r.Pos < 0 || r.Mark.Marked() || r.ID == n.id || r.Quar >= 0 {
-						continue
-					}
+				if r.Pos >= 0 && !r.Mark.Marked() && r.ID != n.id && r.Quar < 0 {
 					heard = heardMin(heard, r.ID, selfQ)
 				}
 			}
 		}
-		s.heard = heard
-		// The new quarantine slice is appended in list order (each node
-		// appears once in a normalized fold), the self entry forced to 0,
-		// then sorted — same content the former map rebuild produced.
-		selfAt := -1
-		for _, e := range newList.Entries() {
-			if e.Mark.Marked() {
-				continue
-			}
-			q, known := quarGet(n.quar, e.ID)
-			if !known {
-				q = dmax
-			} else if q > 0 {
-				q--
-			}
-			// The heard value was sampled before the peer's own
-			// decrement this round; inherit h-1 so both countdowns
-			// hit zero in the same round.
-			if h, ok := heardGet(heard, e.ID); ok && int(h)-1 < q {
-				q = int(h) - 1
-				if q < 0 {
-					q = 0
-				}
-			}
-			if e.ID == n.id {
-				selfAt = len(nq)
-			}
-			nq = append(nq, quarEntry{id: e.ID, q: int32(q)})
-		}
-		if selfAt >= 0 {
-			nq[selfAt].q = 0
-		} else {
-			nq = append(nq, quarEntry{id: n.id})
-		}
-		slices.SortFunc(nq, func(a, b quarEntry) int { return cmp.Compare(a.id, b.id) })
-	} else {
-		self := false
-		for _, e := range newList.Entries() {
-			if e.ID == n.id {
-				self = true
-			}
-			nq = append(nq, quarEntry{id: e.ID})
-		}
-		if !self {
-			nq = append(nq, quarEntry{id: n.id})
-		}
-		slices.SortFunc(nq, func(a, b quarEntry) int { return cmp.Compare(a.id, b.id) })
-		nq = slices.CompactFunc(nq, func(a, b quarEntry) bool { return a.id == b.id })
 	}
-	s.quar = nq
-	quarSame := commit(&n.quar, nq)
+	s.heard = heard
+	return heard
+}
 
-	// Line 31: the view is the plain-marked nodes with null quarantine.
+// countdown is line 30 for one plain node u of the new list: Dmax when u
+// is new, else one less than its last value (down to 0), lowered to h-1
+// when h was heard for it — the heard value was sampled before the peer's
+// own decrement this round, so both countdowns hit zero together.
+func (n *Node) countdown(u ident.NodeID, heard []heardRec) int32 {
+	q, known := quarGet(n.quar, u)
+	if !known {
+		q = n.cfg.Dmax
+	} else if q > 0 {
+		q--
+	}
+	if h, ok := heardGet(heard, u); ok && int(h)-1 < q {
+		q = max(int(h)-1, 0)
+	}
+	return int32(q)
+}
+
+// extractView runs line 31: the view is the node itself and the plain
+// nodes of the new list whose quarantine is 0. Input: r.newList and the
+// committed n.quar. Output: r.view, built in s.view. Invariant:
+// ascending, and it holds the node.
+func (n *Node) extractView(s *Scratch, r *round) {
 	nv := s.view[:0]
-	for _, e := range newList.Entries() {
+	for _, e := range r.newList.Entries() {
 		if !e.Mark.Marked() && e.ID != n.id {
 			if q, _ := quarGet(n.quar, e.ID); q == 0 {
 				nv = append(nv, e.ID)
@@ -1118,32 +1120,34 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 	}
 	nv = append(nv, n.id)
 	slices.Sort(nv)
-	s.view = nv
+	s.view, r.view = nv, nv
+}
 
-	// Line 32: priorities increase only while the node is not in a group.
-	// "Not in a group" is read as *hearing nobody*: the clock ages while
-	// the node is truly isolated and freezes from its first contact with
-	// other nodes (with a one-time Lamport jump past every clock heard, so
-	// a late arrival ranks below the nodes already there). The paper
-	// freezes only on view membership; freezing already on contact is
-	// required for the contests to terminate — a clock that keeps growing
-	// during merge negotiation is seen by the far endpoint lagged by up to
-	// Dmax relay hops, so two negotiating lone nodes each observe the
-	// other as older, both retreat, and the race re-runs forever. Frozen
-	// clocks relay without skew and keep every contest's outcome
-	// consistent at both ends. The join-order property the paper wants
-	// ("the last entered nodes have less priority") is preserved: a
-	// member's frozen clock records when it arrived.
-	if len(nv) <= 1 {
+// ageClock runs line 32: priorities increase only while the node is not
+// in a group, read as *hearing nobody*. The clock ticks while the node is
+// alone in its view with an empty inbox, and freezes from its first
+// contact, with a one-time Lamport jump past every clock heard so that a
+// late arrival ranks below the nodes already there. The paper freezes
+// only on view membership; freezing on contact is what lets the contests
+// terminate — a clock that grows during merge negotiation is seen by the
+// far endpoint lagged by up to Dmax relay hops, so two negotiating lone
+// nodes each see the other as older, both retreat, and the race re-runs
+// forever. The join order the paper wants ("the last entered nodes have
+// less priority") holds: a member's frozen clock records when it arrived.
+// Input: r.view, r.incs. Output: n.self, and its pinned cache entry.
+// Invariant: the clock moves only while the view is the node alone — a
+// tick when it heard nobody, one jump at its first contact.
+func (n *Node) ageClock(r *round) {
+	if len(r.view) <= 1 {
 		switch {
-		case len(incs) == 0:
+		case len(r.incs) == 0:
 			n.self = n.self.Tick()
 		case !n.synced:
 			base := n.self.Clock()
-			for i := range incs {
-				for _, r := range incs[i].msg.Recs {
-					if r.HasPrio && !r.Prio.IsInfinite() && r.Prio.Clock() > base {
-						base = r.Prio.Clock()
+			for i := range r.incs {
+				for _, p := range r.incs[i].msg.Recs {
+					if p.HasPrio && !p.Prio.IsInfinite() && p.Prio.Clock() > base {
+						base = p.Prio.Clock()
 					}
 				}
 			}
@@ -1152,78 +1156,74 @@ func (n *Node) ComputeIn(b *antlist.Builder) {
 		}
 	}
 	n.storeSelfPrio()
+}
 
-	// Commit: publish the fold out of the builder arena. A round that
-	// reproduced the current list keeps the existing allocation (the
-	// steady state of every settled group — the commit-time copy happens
-	// only when the list actually moved).
-	listChanged := !newList.Equal(n.list)
-	if listChanged {
-		n.list = newList.Publish(n.list, &s.Lists)
+// commitRound publishes the round: the fold leaves the builder arena only
+// when it differs from the current list (a settled group's steady state
+// keeps its allocation), the view and its version, and the group priority,
+// the smallest priority of the view's members. Line 5 of the main
+// algorithm then resets the message buffer to detect departures: the
+// buffers are truncated with their elements zeroed, so retired broadcasts
+// become collectable while the capacity is kept. Output: r.listChanged,
+// r.viewChanged and r.versionMoved. Invariant: Version moves exactly when
+// the observable state did — BuildMessage, View and List are pure
+// functions of (list, view, quarantine, priority caches, self, group),
+// each table was compared at its commit, and storeSelfPrio's write to the
+// priority cache moves exactly when self does — so drivers keep serving
+// their cached broadcast through an unchanged round.
+func (n *Node) commitRound(s *Scratch, r *round) {
+	if r.listChanged = !r.newList.Equal(n.list); r.listChanged {
+		n.list = r.newList.Publish(n.list, &s.Lists)
 	}
-	viewChanged := !commit(&n.view, nv)
-	if viewChanged {
+	if r.viewChanged = !commit(&n.view, r.view); r.viewChanged {
 		n.viewVer++
 	}
-
-	// Group priority: the smallest priority of the view's members.
 	gp := n.self
-	for _, u := range nv {
+	for _, u := range r.view {
 		if p, ok := n.prioOf(u); ok {
 			gp = gp.Min(p)
 		}
 	}
 	n.group = gp
-
-	// Line 5 of the main algorithm: reset msgSet to detect departures.
-	// The buffers are truncated with their elements zeroed, so retired
-	// broadcasts become collectable while the capacity is kept.
 	clear(n.msgSet)
 	n.msgSet = n.msgSet[:0]
-	clear(incs)
-
-	// Version moves only when the observable state did: every output of
-	// BuildMessage, View and List is a pure function of (list, view,
-	// quarantine, priority caches, self, group), so an unchanged round —
-	// the steady state — leaves the version alone and drivers keep serving
-	// their cached broadcast without re-assembling it. Each table was
-	// compared at its commit; storeSelfPrio's later write to the priority
-	// cache moves exactly when self does.
-	versionMoved := listChanged || viewChanged || n.self != oldSelf || n.group != oldGroup ||
-		!quarSame || !priosSame || !gprsSame
-	if versionMoved {
+	clear(r.incs)
+	r.versionMoved = r.listChanged || r.viewChanged || n.self != r.oldSelf || n.group != r.oldGroup ||
+		!r.quarSame || !r.priosSame || !r.gprsSame
+	if r.versionMoved {
 		n.version++
 	}
+}
 
-	// Round-quietness classification, the engine-facing "this round would
-	// be a no-op" predicate. A fixpoint round left every input Compute
-	// consults untouched — version-covered state, the incompatibility
-	// streaks, and the boundary memory (whose emptiness also keeps the
-	// round counter out of play: expiry and rejection jitter are its only
-	// consumers) — so with an identical inbox the whole function replays
-	// itself. A lonely round is the isolated-singleton variant: the inbox
-	// was empty and the only motion is the closed-form isolation-clock
-	// chain self → prios[self] → group, which SkipLonelyRound reproduces.
-	// A held round is the stable-boundary variant: the memory is non-empty
-	// but this round neither expired nor renewed any entry, so the counter
-	// enters only through the expiry comparisons — the replay stays exact
-	// until the earliest expiry (HoldHorizon), which the driver enforces.
+// classifyRound sets the round's quietness, the engine-facing "this round
+// would be a no-op" predicate. A fixpoint round left every input Compute
+// consults untouched — version-covered state, the incompatibility
+// streaks, and the boundary memory, whose emptiness also keeps the round
+// counter out of play (expiry and rejection jitter are its only
+// consumers) — so with an identical inbox the whole compute replays
+// itself. A lonely round is the isolated-singleton variant: the inbox was
+// empty and the only motion is the closed-form isolation-clock chain self
+// → prios[self] → group, which SkipLonelyRound reproduces. A held round is
+// the stable-boundary variant: the memory is non-empty but this round
+// neither expired nor renewed any entry, so the counter enters only
+// through the expiry comparisons and the replay stays exact until the
+// earliest expiry (HoldHorizon), which the driver enforces. Input: the
+// round's motion flags. Output: n.quiet, which licenses only that replay.
+func (n *Node) classifyRound(r *round) {
 	n.quiet = QuietNone
-	if !n.streakMoved {
-		switch {
-		case len(n.rejected) > 0:
-			if !versionMoved && !n.rejectedMoved {
-				n.quiet = QuietHeld
-			}
-		case !versionMoved:
-			n.quiet = QuietFixpoint
-		case emptyInbox && !listChanged && !viewChanged && quarSame && gprsSame &&
-			n.self == oldSelf.Tick() && n.group == n.self:
-			n.quiet = QuietLonely
-		}
+	if n.streakMoved {
+		return
 	}
-	if s.SelfCheck {
-		s.scribble()
+	switch {
+	case len(n.rejected) > 0:
+		if !r.versionMoved && !n.rejectedMoved {
+			n.quiet = QuietHeld
+		}
+	case !r.versionMoved:
+		n.quiet = QuietFixpoint
+	case r.emptyInbox && !r.listChanged && !r.viewChanged && r.quarSame && r.gprsSame &&
+		n.self == r.oldSelf.Tick() && n.group == n.self:
+		n.quiet = QuietLonely
 	}
 }
 
@@ -1236,7 +1236,7 @@ func (n *Node) storeSelfPrio() {
 		}
 	}
 	n.prios = append(n.prios, prec{id: n.id, p: n.self})
-	slices.SortFunc(n.prios, func(a, b prec) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(n.prios, precByID)
 }
 
 // heardMin folds (id → min q) into the heard scratch.
@@ -1292,13 +1292,15 @@ func (n *Node) escalate(b *antlist.Builder, u ident.NodeID) antlist.List {
 
 // admits is the compatibility test line 7 acts on, for the good list lu of
 // a sender outside the view against the round's partial fold: the safe
-// prefix must reach lu's foreign depth q, the deepest position holding a
-// plain entry that is neither this node nor one of its view members.
-func (n *Node) admits(partial, lu antlist.List) (q int, ok bool) {
+// prefix must reach lu's foreign depth.
+func (n *Node) admits(partial, lu antlist.List) bool {
 	qsafe, ok := n.safePrefix(lu.Owner(), partial, lu)
-	if !ok {
-		return 0, false
-	}
+	return ok && qsafe >= n.foreignDepth(lu)
+}
+
+// foreignDepth is the deepest position of lu holding a plain entry that is
+// neither this node nor one of its view members (0 when there is none).
+func (n *Node) foreignDepth(lu antlist.List) (q int) {
 	for i := 0; i < lu.Len(); i++ {
 		for _, e := range lu.At(i) {
 			if !e.Mark.Marked() && e.ID != n.id && !n.inView(e.ID) {
@@ -1307,7 +1309,7 @@ func (n *Node) admits(partial, lu antlist.List) (q int, ok bool) {
 			}
 		}
 	}
-	return q, qsafe >= q
+	return q
 }
 
 // reject records a double-mark decision against sender u in the boundary
@@ -1486,13 +1488,7 @@ func (n *Node) safePrefix(from ident.NodeID, partial antlist.List, lu antlist.Li
 		}
 		worst := 0
 		for k := 1; k <= p; k++ {
-			d := k
-			if abs(k-i) < d {
-				d = abs(k - i)
-			}
-			if d > worst {
-				worst = d
-			}
+			worst = max(worst, min(k, max(k-i, i-k)))
 		}
 		if qi := dmax - 1 - worst; qi > best {
 			best = qi
@@ -1502,13 +1498,6 @@ func (n *Node) safePrefix(from ident.NodeID, partial antlist.List, lu antlist.Li
 		return 0, false
 	}
 	return best, true
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // farNodeHasPriority decides line 16: does the too-far node w win against
@@ -1613,31 +1602,34 @@ func holeTruncate(l antlist.List) antlist.List {
 	return l
 }
 
-// learnPriorities refreshes the local node- and group-priority caches for
-// every node of the new list with this round's elections (elect), and
-// prunes entries for nodes no longer tracked; the self entry stays pinned
-// to the node's own priority. The caches are rebuilt in the scratch keyed
-// by the new list's node set and sorted once; the results report whether
-// each cache stayed as it was (commit). The map-based original is
-// retained in reference.go as the oracle.
-func (n *Node) learnPriorities(s *Scratch, newList antlist.List, incs []incoming) (priosSame, gprsSame bool) {
+// learnPriorities runs between lines 29 and 30 (how priorities travel,
+// the paper leaves open; DESIGN.md §3): it refreshes the node- and
+// group-priority caches for every node of the new list with this round's
+// elections (elect) and prunes nodes no longer tracked. Input: r.newList,
+// r.incs. Output: n.prios and n.gprs, rebuilt in the scratch keyed by the
+// new list's node set, sorted once and committed, and r.priosSame,
+// r.gprsSame. Invariant: the self entry is the node's own priority. Under
+// SelfCheck the map-based original (reference.go) replays it as the oracle.
+func (n *Node) learnPriorities(s *Scratch, r *round) {
+	var refPrios, refGprs map[ident.NodeID]priority.P
+	if s.SelfCheck {
+		refPrios, refGprs = precMap(n.prios), precMap(n.gprs)
+	}
 	np := s.prios[:0]
 	ng := s.gprs[:0]
 	selfSeen := false
-	for i := 0; i < newList.Len(); i++ {
-		for _, e := range newList.At(i) {
-			u := e.ID
-			p, g, pok, gok := n.elect(u, incs)
-			if u == n.id {
-				selfSeen = true
-				p, pok = n.self, true
-			}
-			if pok {
-				np = append(np, prec{id: u, p: p})
-			}
-			if gok {
-				ng = append(ng, prec{id: u, p: g})
-			}
+	for _, e := range r.newList.Entries() {
+		u := e.ID
+		p, g, pok, gok := n.elect(u, r.incs)
+		if u == n.id {
+			selfSeen = true
+			p, pok = n.self, true
+		}
+		if pok {
+			np = append(np, prec{id: u, p: p})
+		}
+		if gok {
+			ng = append(ng, prec{id: u, p: g})
 		}
 	}
 	if !selfSeen {
@@ -1646,12 +1638,17 @@ func (n *Node) learnPriorities(s *Scratch, newList antlist.List, incs []incoming
 			ng = append(ng, prec{id: n.id, p: g})
 		}
 	}
-	byID := func(a, b prec) int { return cmp.Compare(a.id, b.id) }
-	slices.SortFunc(np, byID)
-	slices.SortFunc(ng, byID)
+	slices.SortFunc(np, precByID)
+	slices.SortFunc(ng, precByID)
 	s.prios, s.gprs = np, ng
-	return commit(&n.prios, np), commit(&n.gprs, ng)
+	r.priosSame, r.gprsSame = commit(&n.prios, np), commit(&n.gprs, ng)
+	if s.SelfCheck {
+		n.checkRefLearnPriorities(r.newList, r.incs, refPrios, refGprs)
+	}
 }
+
+// precByID orders a priority cache by node ID.
+func precByID(a, b prec) int { return cmp.Compare(a.id, b.id) }
 
 // commit makes *live equal to built, a table rebuilt in the scratch, and
 // reports whether it already was: an unchanged table is not even written.
@@ -1673,6 +1670,5 @@ func (n *Node) String() string {
 // and lu's foreign depth must land within Dmax, or the too-far contest
 // truncates it. It exposes the admission for analysis and experiments.
 func (n *Node) Compatible(lu antlist.List) bool {
-	q, ok := n.admits(antlist.Singleton(ident.Plain(n.id)), lu)
-	return ok && q < n.cfg.Dmax
+	return n.admits(antlist.Singleton(ident.Plain(n.id)), lu) && n.foreignDepth(lu) < n.cfg.Dmax
 }

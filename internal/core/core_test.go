@@ -65,8 +65,7 @@ func viewEq(got []ident.NodeID, want ...ident.NodeID) bool {
 // compatibleAll reports whether the full foreign depth of lu is foldable
 // against the partial fold: Compute's compatibility test.
 func compatibleAll(n *Node, partial, lu antlist.List) bool {
-	_, ok := n.admits(partial, lu)
-	return ok
+	return n.admits(partial, lu)
 }
 
 func TestNewNodeInitialState(t *testing.T) {

@@ -340,13 +340,14 @@ func RecsFromMaps(list antlist.List, prios, gprios map[ident.NodeID]priority.P, 
 		fillFromMaps(&r, prios, gprios, quars)
 		recs = append(recs, r)
 	}
-	for _, id := range sortedKeysP(prios) {
+	// Map order is free: each (ID, Pos) is unique, so SortRecs fixes one.
+	for id := range prios {
 		addOnly(id)
 	}
-	for _, id := range sortedKeysP(gprios) {
+	for id := range gprios {
 		addOnly(id)
 	}
-	for _, id := range sortedKeysQ(quars) {
+	for id := range quars {
 		addOnly(id)
 	}
 	SortRecs(recs)
@@ -364,30 +365,6 @@ func fillFromMaps(r *PrioRec, prios, gprios map[ident.NodeID]priority.P, quars m
 		r.HasGroupPrio, r.GroupPrio = true, g
 	}
 	if q, ok := quars[r.ID]; ok {
-		if q < 0 {
-			q = 0
-		}
-		if q > 32767 {
-			q = 32767
-		}
-		r.Quar = int16(q)
+		r.Quar = int16(min(max(q, 0), 32767))
 	}
-}
-
-func sortedKeysP(m map[ident.NodeID]priority.P) []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func sortedKeysQ(m map[ident.NodeID]int) []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -947,109 +947,15 @@ func (e *Engine) appendLive(dst, ids []ident.NodeID) []ident.NodeID {
 // route boundary copies of due broadcasts to neighboring shards.
 func (e *Engine) BuildPhase() []radio.Tx {
 	start := time.Now()
-
-	// The wheel hands each shard exactly its due senders in canonical
-	// order; workers draw send backoffs from their shard's private stream,
-	// so the draw sequence is independent of the worker count. Broadcasts
-	// and receiver sets come from each node's slot-indexed record:
-	// messages revalidate against the node's state version, receiver sets
-	// against the epoch bumped below on any (topology, membership) change.
 	g := e.Topo.Graph()
-	if g != e.recvG || e.memberGen != e.recvMem {
-		// Before invalidating every receiver cache, ask the world which
-		// rows the change could actually have touched: when the graph
-		// advanced by exactly one delta step over an unchanged roster, only
-		// the returned senders' records are demoted and the overwhelming
-		// majority keeps its current epoch — the per-sender row check in
-		// the shard loop below never even runs for them.
-		dirty, ok := []ident.NodeID(nil), false
-		if s := Spatial(e.Topo); s != nil && e.recvG != nil && e.memberGen == e.recvMem {
-			dirty, ok = s.World.RowsChanged(e.recvG)
-		}
-		if ok {
-			demoted := uint64(0)
-			for _, v := range dirty {
-				if s := e.order.SlotOf(v); s >= 0 && e.recs[s].recvEpoch == e.recvEpoch {
-					e.recs[s].recvEpoch--
-					demoted++
-				}
-			}
-			e.reg.Inc(introspect.CtrGraphDeltaRounds)
-			e.reg.Add(introspect.CtrRecvRowDemotions, demoted)
-		} else {
-			e.recvEpoch++
-			e.reg.Inc(introspect.CtrGraphFullRounds)
-		}
-		e.recvG, e.recvMem = g, e.memberGen
-	}
+	e.revalidateReceivers(g)
 	var due *shardBuckets
 	if e.P.RandomizedSends {
 		due = e.sendOneshot.take(e.tick)
 	} else {
 		due = e.sendWheel.due(e.tick)
 	}
-	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseBuild), func(s, _ int) {
-		sc := &e.scratch[s]
-		sc.txs = sc.txs[:0]
-		sc.bytes = 0
-		// Shard-local accumulators, flushed to the shard's registry lane
-		// once at the end: the hot loop pays plain integer adds only.
-		var builds, cacheHits, recvHits, rowHits, rowRefills uint64
-		for _, ent := range due[s] {
-			rec := &e.recs[ent.slot]
-			if rec.id != ent.id {
-				continue // defensive: wheels are maintained on removal
-			}
-			if e.P.RandomizedSends {
-				e.sendOneshot.schedule(ent, e.tick+1+e.shardRNGs[s].Intn(e.P.Ts))
-			}
-			if rec.recvEpoch == e.recvEpoch {
-				recvHits++
-			} else {
-				// The receiver cache is stale on the coarse key (graph or
-				// membership changed somewhere). A row Same as the cached
-				// one under the same membership generation proves this
-				// sender's receiver set is untouched. Refilling the record's
-				// recycled slice is safe: transmissions referencing the old
-				// backing were consumed within their own tick.
-				if row := g.Row(ent.id); rec.rowMem == e.memberGen && rec.row.Same(row) {
-					rowHits++
-				} else {
-					rowRefills++
-					rec.recv = e.appendLive(rec.recv[:0], row.IDs())
-					rec.row = row
-					rec.rowMem = e.memberGen
-				}
-				rec.recvEpoch = e.recvEpoch
-			}
-			if rec.lie != nil {
-				// A Byzantine liar transmits its forged frame instead of
-				// assembling a genuine broadcast; the deliver phase
-				// resolves its receptions to the lie.
-				sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
-				sc.bytes += rec.lieSize
-				continue
-			}
-			if rec.cm.ver != rec.n.Version() {
-				builds++
-				m := sc.take(rec.n.RecsNeeded(), e.tick-e.recsHold)
-				*m = rec.n.BuildMessageIn(m.Recs)
-				sc.retire(rec.cm.m, m.List, e.tick)
-				rec.cm = cachedMsg{m: m, size: m.EncodedSize(), ver: rec.n.Version()}
-			} else {
-				cacheHits++
-			}
-			sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
-			sc.bytes += rec.cm.size
-		}
-		sc.sweep(e)
-		lane := e.reg.Shard(s)
-		lane.Add(introspect.CtrMsgBuilds, builds)
-		lane.Add(introspect.CtrMsgCacheHits, cacheHits)
-		lane.Add(introspect.CtrRecvCacheHits, recvHits)
-		lane.Add(introspect.CtrRecvRowHits, rowHits)
-		lane.Add(introspect.CtrRecvRowRefills, rowRefills)
-	})
+	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseBuild), func(s, _ int) { e.buildShard(s, due[s], g) })
 	if e.P.RandomizedSends {
 		e.sendOneshot.reset(e.tick)
 	}
@@ -1066,6 +972,99 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	e.txsBuf = txs
 	e.endPhase(introspect.PhaseBuild, start)
 	return e.txsBuf
+}
+
+// revalidateReceivers keys the receiver caches to graph g and the current
+// membership. When either changed, it first asks the world which rows the
+// change could have touched: when the graph advanced by exactly one delta
+// step over an unchanged roster, only the returned senders' records are
+// demoted and the overwhelming majority keeps its current epoch — the
+// per-sender row check in buildShard never even runs for them. Otherwise
+// the epoch moves, which invalidates every record at once.
+func (e *Engine) revalidateReceivers(g *graph.G) {
+	if g == e.recvG && e.memberGen == e.recvMem {
+		return
+	}
+	dirty, ok := []ident.NodeID(nil), false
+	if s := Spatial(e.Topo); s != nil && e.recvG != nil && e.memberGen == e.recvMem {
+		dirty, ok = s.World.RowsChanged(e.recvG)
+	}
+	if ok {
+		demoted := uint64(0)
+		for _, v := range dirty {
+			if s := e.order.SlotOf(v); s >= 0 && e.recs[s].recvEpoch == e.recvEpoch {
+				e.recs[s].recvEpoch--
+				demoted++
+			}
+		}
+		e.reg.Inc(introspect.CtrGraphDeltaRounds)
+		e.reg.Add(introspect.CtrRecvRowDemotions, demoted)
+	} else {
+		e.recvEpoch++
+		e.reg.Inc(introspect.CtrGraphFullRounds)
+	}
+	e.recvG, e.recvMem = g, e.memberGen
+}
+
+// buildShard is BuildPhase for shard s's due senders, in the canonical
+// order the wheel hands them. Workers draw send backoffs from the shard's
+// private stream, so the draw sequence is independent of the worker
+// count. A sender's broadcast revalidates against its node's state
+// version, its receiver set against the receiver epoch; the shard's
+// counters are plain adds, flushed to its registry lane once at the end.
+func (e *Engine) buildShard(s int, due []wheelEnt, g *graph.G) {
+	sc := &e.scratch[s]
+	sc.txs = sc.txs[:0]
+	sc.bytes = 0
+	var builds, cacheHits, recvHits, rowHits, rowRefills uint64
+	for _, ent := range due {
+		rec := &e.recs[ent.slot]
+		if rec.id != ent.id {
+			continue // defensive: wheels are maintained on removal
+		}
+		if e.P.RandomizedSends {
+			e.sendOneshot.schedule(ent, e.tick+1+e.shardRNGs[s].Intn(e.P.Ts))
+		}
+		if rec.recvEpoch == e.recvEpoch {
+			recvHits++
+		} else {
+			// The receiver cache is stale on the coarse key. A row Same as
+			// the cached one under the same membership generation proves
+			// this sender's receiver set is untouched. Refilling the
+			// record's recycled slice is safe: transmissions referencing
+			// the old backing were consumed within their own tick.
+			if row := g.Row(ent.id); rec.rowMem == e.memberGen && rec.row.Same(row) {
+				rowHits++
+			} else {
+				rowRefills++
+				rec.recv = e.appendLive(rec.recv[:0], row.IDs())
+				rec.row, rec.rowMem = row, e.memberGen
+			}
+			rec.recvEpoch = e.recvEpoch
+		}
+		size := rec.lieSize // a Byzantine liar transmits its forged frame instead
+		if rec.lie == nil {
+			if rec.cm.ver != rec.n.Version() {
+				builds++
+				m := sc.take(rec.n.RecsNeeded(), e.tick-e.recsHold)
+				*m = rec.n.BuildMessageIn(m.Recs)
+				sc.retire(rec.cm.m, m.List, e.tick)
+				rec.cm = cachedMsg{m: m, size: m.EncodedSize(), ver: rec.n.Version()}
+			} else {
+				cacheHits++
+			}
+			size = rec.cm.size
+		}
+		sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
+		sc.bytes += size
+	}
+	sc.sweep(e)
+	lane := e.reg.Shard(s)
+	lane.Add(introspect.CtrMsgBuilds, builds)
+	lane.Add(introspect.CtrMsgCacheHits, cacheHits)
+	lane.Add(introspect.CtrRecvCacheHits, recvHits)
+	lane.Add(introspect.CtrRecvRowHits, rowHits)
+	lane.Add(introspect.CtrRecvRowRefills, rowRefills)
 }
 
 // BroadcastOf returns member v's current broadcast as the deliver phase
@@ -1270,102 +1269,7 @@ func (r *nodeRec) store(m *core.Message, sv senderVer) (elided uint64) {
 func (e *Engine) compute() {
 	start := time.Now()
 	cdue := e.computeWheel.due(e.tick)
-	memoOn := !e.eager && !e.noMemo
-	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseCompute), func(s, _ int) {
-		sc := &e.scratch[s]
-		sc.wakes = sc.wakes[:0]
-		var ran, skipFix, skipLonely, skipHeld, skipMemo uint64
-		var wk [introspect.NumWakeCauses]uint64
-		for _, ent := range cdue[s] {
-			rec := &e.recs[ent.slot]
-			if rec.id != ent.id {
-				continue // defensive: wheels are maintained on removal
-			}
-			cause, offender := skipGate(rec)
-			if cause == introspect.WakeQuietReplay && !e.eager {
-				switch rec.quiet {
-				case core.QuietLonely:
-					rec.n.SkipLonelyRound()
-					skipLonely++
-				case core.QuietHeld:
-					rec.n.SkipQuietRound()
-					skipHeld++
-				default:
-					rec.n.SkipQuietRound()
-					skipFix++
-				}
-				rec.fixVer = rec.n.Version()
-				rec.pending = rec.pending[:0]
-				continue
-			}
-			var preInbox uint64
-			probed := false
-			if memoOn {
-				var replayed bool
-				if preInbox, probed, replayed = rec.memoReplay(); replayed {
-					skipMemo++
-					continue
-				}
-			}
-			wk[cause]++
-			if e.traceWakes {
-				sc.wakes = append(sc.wakes, introspect.WakeRec{Node: ent.id, Cause: cause, Sender: offender})
-			}
-			rec.n.Compute()
-			rec.seeded = true
-			q := rec.n.RoundQuietness()
-			if q != core.QuietNone {
-				rec.pending, rec.consumed = rec.consumed[:0], rec.pending
-				rec.armed = true
-				rec.quiet = q
-				if q == core.QuietHeld {
-					rec.holdExp = rec.n.HoldHorizon()
-				}
-			} else {
-				rec.armed = false
-				rec.pending = rec.pending[:0]
-			}
-			rec.fixVer = rec.n.Version()
-			// Fixpoint memo maintenance (skipped in the modes that never
-			// read it): refresh the cached state digest — the compute may
-			// have moved the state — and, when a *probed* round just proved
-			// itself a fixpoint of the inbox whose digest the probe
-			// captured, record the (state, inbox) content proof. Only
-			// probed rounds store: hashing the inbox of every executed
-			// compute costs more than the memo returns (most runs are
-			// self-active wakes that never produce a storable proof, and
-			// the first quiet round after real activity is the signature
-			// skip's case until the window churns, at which point the
-			// re-probe seeds the memo). A round that entered the too-far
-			// contest read priorities the masked inbox digest does not
-			// cover, so its proof would overclaim
-			// (core.Node.RoundOverflowed). Stale proofs for content the
-			// node has drifted away from stay in the table — they are
-			// facts, not caches, and the boundary oscillation this memo
-			// targets revisits them.
-			if memoOn {
-				rec.stateDig = rec.n.StateDigest()
-				rec.stateDigVer = rec.n.Version()
-				if probed && (q == core.QuietFixpoint || q == core.QuietHeld) && !rec.n.RoundOverflowed() {
-					rec.memoStore(rec.stateDig, preInbox)
-				}
-			}
-			ran++
-			if e.dirtyOn {
-				e.dirtyComputed[s] = append(e.dirtyComputed[s], ent.slot)
-			}
-		}
-		lane := e.reg.Shard(s)
-		lane.Add(introspect.CtrComputesRun, ran)
-		lane.Add(introspect.CtrComputesSkipped, skipFix+skipLonely+skipHeld+skipMemo)
-		lane.Add(introspect.CtrSkipFixpoint, skipFix)
-		lane.Add(introspect.CtrSkipLonely, skipLonely)
-		lane.Add(introspect.CtrSkipHeld, skipHeld)
-		lane.Add(introspect.CtrSkipMemo, skipMemo)
-		for c, n := range wk {
-			lane.Add(introspect.WakeCause(c).Counter(), n)
-		}
-	})
+	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseCompute), func(s, _ int) { e.computeShard(s, cdue[s]) })
 	if e.traceWakes {
 		for s := range e.scratch {
 			e.wakeRing = append(e.wakeRing, e.scratch[s].wakes...)
@@ -1374,6 +1278,114 @@ func (e *Engine) compute() {
 	e.reg.Inc(introspect.CtrTicks)
 	e.tick++
 	e.endPhase(introspect.PhaseCompute, start)
+}
+
+// computeShard is compute for shard s's due nodes, in the wheel's order;
+// its counters are plain adds, flushed to the shard's registry lane once
+// at the end, and its wakes go to the shard's ring segment.
+func (e *Engine) computeShard(s int, due []wheelEnt) {
+	sc := &e.scratch[s]
+	sc.wakes = sc.wakes[:0]
+	memoOn := !e.eager && !e.noMemo
+	var ran, skipMemo uint64
+	var skips [core.QuietHeld + 1]uint64 // signature replays, by quietness
+	var wk [introspect.NumWakeCauses]uint64
+	for _, ent := range due {
+		rec := &e.recs[ent.slot]
+		if rec.id != ent.id {
+			continue // defensive: wheels are maintained on removal
+		}
+		cause, offender := skipGate(rec)
+		if cause == introspect.WakeQuietReplay && !e.eager {
+			if rec.quiet == core.QuietLonely {
+				rec.n.SkipLonelyRound()
+			} else {
+				rec.n.SkipQuietRound()
+			}
+			skips[rec.quiet]++
+			rec.fixVer = rec.n.Version()
+			rec.pending = rec.pending[:0]
+			continue
+		}
+		var preInbox uint64
+		probed := false
+		if memoOn {
+			var replayed bool
+			if preInbox, probed, replayed = rec.memoReplay(); replayed {
+				skipMemo++
+				continue
+			}
+		}
+		wk[cause]++
+		if e.traceWakes {
+			sc.wakes = append(sc.wakes, introspect.WakeRec{Node: ent.id, Cause: cause, Sender: offender})
+		}
+		rec.execute(memoOn, probed, preInbox)
+		ran++
+		if e.dirtyOn {
+			e.dirtyComputed[s] = append(e.dirtyComputed[s], ent.slot)
+		}
+	}
+	lane := e.reg.Shard(s)
+	lane.Add(introspect.CtrComputesRun, ran)
+	lane.Add(introspect.CtrComputesSkipped, skips[core.QuietFixpoint]+skips[core.QuietLonely]+skips[core.QuietHeld]+skipMemo)
+	lane.Add(introspect.CtrSkipFixpoint, skips[core.QuietFixpoint])
+	lane.Add(introspect.CtrSkipLonely, skips[core.QuietLonely])
+	lane.Add(introspect.CtrSkipHeld, skips[core.QuietHeld])
+	lane.Add(introspect.CtrSkipMemo, skipMemo)
+	for c, n := range wk {
+		lane.Add(introspect.WakeCause(c).Counter(), n)
+	}
+}
+
+// execute runs the record's Compute in full and records the round
+// (consume). Unless the memo is off, it then refreshes the cached state
+// digest — the compute may have moved the state — and, when a *probed*
+// round (memoReplay) just proved itself a fixpoint of the inbox whose
+// digest the probe captured, stores the (state, inbox) content proof.
+// Only probed rounds store: hashing the inbox of every executed compute
+// costs more than the memo returns (most runs are self-active wakes that
+// never produce a storable proof, and the first quiet round after real
+// activity is the signature skip's case until the window churns, at which
+// point the re-probe seeds the memo). A round that entered the too-far
+// contest read priorities the masked inbox digest does not cover, so its
+// proof would overclaim (core.Node.RoundOverflowed). Stale proofs for
+// content the node has drifted away from stay in the table — they are
+// facts, not caches, and the boundary oscillation this memo targets
+// revisits them.
+func (rec *nodeRec) execute(memoOn, probed bool, preInbox uint64) {
+	rec.n.Compute()
+	rec.seeded = true
+	q := rec.n.RoundQuietness()
+	rec.consume(q)
+	if memoOn {
+		rec.stateDig = rec.n.StateDigest()
+		rec.stateDigVer = rec.n.Version()
+		if probed && (q == core.QuietFixpoint || q == core.QuietHeld) && !rec.n.RoundOverflowed() {
+			rec.memoStore(rec.stateDig, preInbox)
+		}
+	}
+}
+
+// consume records a round that consumed this window's inbox signature,
+// executed (execute) or replayed from the memo (memoReplay), with
+// quietness q. A quiet round swaps the window into consumed and re-arms
+// the record, so that follow-up identical windows take skipGate's cheap
+// path (a held one under its boundary-memory horizon); any other round
+// disarms it. Either way the gate compares the next window's version with
+// the one this round ended at.
+func (rec *nodeRec) consume(q core.Quietness) {
+	if q == core.QuietNone {
+		rec.armed = false
+		rec.pending = rec.pending[:0]
+	} else {
+		rec.pending, rec.consumed = rec.consumed[:0], rec.pending
+		rec.armed, rec.quiet = true, q
+		if q == core.QuietHeld {
+			rec.holdExp = rec.n.HoldHorizon()
+		}
+	}
+	rec.fixVer = rec.n.Version()
 }
 
 // skipGate is the activity-skip decision and its explanation in one walk
@@ -1472,17 +1484,11 @@ func (rec *nodeRec) memoReplay() (inbox uint64, probed, replayed bool) {
 		return inbox, true, false
 	}
 	rec.n.SkipQuietRound()
-	rec.quiet = core.QuietFixpoint
+	q := core.QuietFixpoint
 	if hh != 0 {
-		rec.quiet = core.QuietHeld
-		rec.holdExp = hh
+		q = core.QuietHeld
 	}
-	// The replayed round consumed this window's signature: swap it into
-	// consumed exactly as the executed path does, and re-arm — follow-up
-	// identical windows take skipGate's cheap path.
-	rec.armed = true
-	rec.fixVer = rec.n.Version()
-	rec.pending, rec.consumed = rec.consumed[:0], rec.pending
+	rec.consume(q)
 	return inbox, true, true
 }
 

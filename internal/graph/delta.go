@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -82,9 +83,17 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 	if handOn {
 		upd, patches = prev.upd[:0], prev.patches[:0]
 	}
-	// The updated-node set, ascending, for the mirror-patch membership
-	// tests (an edge between two updated nodes is fully described by their
-	// own rows and must not be double-patched or double-counted).
+	upd = updatedSet(prev, updates, upd)
+	g := deltaChild(prev, handOn)
+	patches = g.rewriteUpdated(prev, updates, upd, patches, changed)
+	g.patchMirrors(prev, patches, changed)
+	g.upd, g.patches = upd, patches
+	return g
+}
+
+// updatedSet checks the preconditions on updates and appends the updated
+// nodes to upd, ascending, for the mirror-patch membership tests.
+func updatedSet(prev *G, updates []NodeAdj, upd []ident.NodeID) []ident.NodeID {
 	for _, u := range updates {
 		if !prev.idx.Has(u.Node) {
 			panic(fmt.Sprintf("graph: ApplyDelta: unknown node %v", u.Node))
@@ -98,63 +107,63 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 			panic(fmt.Sprintf("graph: ApplyDelta: duplicate update for %v", upd[i]))
 		}
 	}
-	isUpd := func(v ident.NodeID) bool {
-		_, ok := slices.BinarySearch(upd, v)
-		return ok
-	}
+	return upd
+}
 
+// deltaChild returns ApplyDelta's result before any row is rewritten: a
+// graph over prev's roster whose row header is prev's own when handed on
+// (prev is left without rows or scratch), else a copy of it (prev held).
+func deltaChild(prev *G, handOn bool) *G {
 	adj := prev.adj
 	if handOn {
-		// Handed on: prev is without rows or scratch from here.
 		prev.adj, prev.arena, prev.upd, prev.patches = nil, nil, nil, nil
 	} else {
 		adj = slices.Clone(prev.adj)
 		prev.hold()
 	}
 	prev.shared = true
-	g := &G{idx: prev.idx, nodes: prev.nodes, held: prev.held, adj: adj, era: prev.era, edges: prev.edges}
+	return &G{idx: prev.idx, nodes: prev.nodes, held: prev.held, adj: adj, era: prev.era, edges: prev.edges}
+}
 
-	// One arena holds every updated row, another every patched mirror row;
-	// neither is g.arena, which a FromRows successor may rewrite.
+// rewriteUpdated installs each updated row, cut from one arena of this
+// step (not g.arena, which a FromRows successor may rewrite), and diffs it
+// against the old row: every gained or lost neighbour that is not itself
+// updated gets a mirror patch appended to patches. The edge count moves
+// by one per gained or lost edge: an edge between two updated nodes is
+// described by both their rows, so it is patched into neither and counted
+// once, by its smaller end. g's header may be prev's own: every slot is
+// read before it is written, updated and mirror slots being disjoint.
+func (g *G) rewriteUpdated(prev *G, updates []NodeAdj, upd []ident.NodeID, patches []patch, changed *[]ident.NodeID) []patch {
 	total := 0
 	for i := range updates {
 		total += len(updates[i].Adj)
 	}
 	arena := make([]ident.NodeID, 0, total)
-
-	for i := range updates {
-		u := updates[i].Node
-		na := updates[i].Adj
+	for _, up := range updates {
+		u, na := up.Node, up.Adj
 		iu := prev.IndexOf(u)
-		// Diff the old and new rows; mirror the changes into rows that are
-		// not themselves updated. g's header may be prev's own: every slot is
-		// read before it is written, updated and mirror slots being disjoint.
 		old := g.adj[iu]
 		oi, ni, same := 0, 0, true
 		for oi < len(old) || ni < len(na) {
+			p := patch{nb: u}
+			var v ident.NodeID
 			switch {
 			case ni >= len(na) || (oi < len(old) && old[oi] < na[ni]):
-				v := old[oi]
-				oi++
-				same = false
-				if !isUpd(v) {
-					patches = append(patches, patch{slot: prev.IndexOf(v), nb: u, add: false})
-					g.edges--
-				} else if u < v {
-					g.edges--
-				}
+				v, oi = old[oi], oi+1
 			case oi >= len(old) || na[ni] < old[oi]:
-				v := na[ni]
-				ni++
-				same = false
-				if !isUpd(v) {
-					patches = append(patches, patch{slot: prev.IndexOf(v), nb: u, add: true})
-					g.edges++
-				} else if u < v {
-					g.edges++
-				}
+				v, ni, p.add = na[ni], ni+1, true
 			default:
 				oi, ni = oi+1, ni+1
+				continue
+			}
+			same = false
+			_, updated := slices.BinarySearch(upd, v)
+			if !updated {
+				p.slot = prev.IndexOf(v)
+				patches = append(patches, p)
+			}
+			if !updated || u < v {
+				g.edges += p.delta()
 			}
 		}
 		start := len(arena)
@@ -164,36 +173,30 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 			*changed = append(*changed, u)
 		}
 	}
+	return patches
+}
 
-	// Apply the mirror patches, one fresh row per touched neighbor, cut
-	// from the mirror arena. Each (slot, nb) pair occurs at most once
-	// (updates are unique), so the grouped merge below is a plain
-	// sorted-walk, and a row's length is its old one plus its additions
-	// minus its removals.
+// patchMirrors applies the mirror patches, one fresh row per touched
+// neighbour, cut from a second arena sized after the diff. Each (slot, nb)
+// pair occurs at most once (updates are unique), so the grouped merge is
+// a plain sorted walk, and a row's length is its old one plus its
+// additions minus its removals. A patch that adds a present edge or
+// removes an absent one panics.
+func (g *G) patchMirrors(prev *G, patches []patch, changed *[]ident.NodeID) {
 	slices.SortFunc(patches, func(a, b patch) int {
-		switch {
-		case a.slot != b.slot:
+		if a.slot != b.slot {
 			return int(a.slot - b.slot)
-		case a.nb < b.nb:
-			return -1
-		case a.nb > b.nb:
-			return 1
-		default:
-			return 0
 		}
+		return cmp.Compare(a.nb, b.nb)
 	})
-	total = 0
+	total := 0
 	for i, p := range patches {
 		if i == 0 || p.slot != patches[i-1].slot {
 			total += len(g.adj[p.slot])
 		}
-		if p.add {
-			total++
-		} else {
-			total--
-		}
+		total += p.delta()
 	}
-	arena = make([]ident.NodeID, 0, max(total, 0))
+	arena := make([]ident.NodeID, 0, max(total, 0))
 	for lo := 0; lo < len(patches); {
 		hi := lo
 		for hi < len(patches) && patches[hi].slot == patches[lo].slot {
@@ -230,8 +233,6 @@ func ApplyDelta(prev *G, updates []NodeAdj, changed *[]ident.NodeID) *G {
 		}
 		lo = hi
 	}
-	g.upd, g.patches = upd, patches
-	return g
 }
 
 // patch is one mirror half of a gained or lost edge: nb added to or
@@ -240,6 +241,14 @@ type patch struct {
 	slot int32
 	nb   ident.NodeID
 	add  bool
+}
+
+// delta is the patch's change to a row's length, and to the edge count.
+func (p patch) delta() int {
+	if p.add {
+		return 1
+	}
+	return -1
 }
 
 // Retire declares that g's owner will not read g once a child has been

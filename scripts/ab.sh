@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# ab.sh — an interleaved A/B of grpbench between two git refs.
+# ab.sh — an interleaved A/B of grpbench between two git refs, or two
+# prebuilt binaries.
 #
 # Builds ./cmd/grpbench at REF_A, from a `git archive` of it unpacked in
 # a temporary directory, and at REF_B (likewise; without REF_B, the
 # working tree as it stands), so that it writes nothing into the
-# repository. Then it runs pairs for each workload and seed, alternating
-# which side runs first (A B, B A, A B, …), every run a process of its
-# own. For each metric of the result line and of the #host line it
-# prints both medians, both interquartile ranges (Python's
+# repository; with -bin A B it runs the grpbench binaries A and B as they
+# are and builds nothing. Then it runs pairs for each workload and seed,
+# alternating which side runs first (A B, B A, A B, …), every run a process of its
+# own. For each metric of the result line and of the #host line
+# (driver.cpu_ms_per_round first among the host metrics) it prints both
+# medians, both interquartile ranges (Python's
 # exclusive quantiles, grpbench's rule), how many pairs B was lower in,
 # and a verdict: "every B below every A", "every B above every A" (at
 # least five runs a side: with three, identical code separates by chance
@@ -21,7 +24,7 @@
 # background job with INT ignored, and bash cannot trap an ignored
 # signal: stop such a job with TERM.)
 #
-# Usage: scripts/ab.sh REF_A [REF_B] [-w workload[,workload…]]
+# Usage: scripts/ab.sh {REF_A [REF_B] | -bin A B} [-w workload[,workload…]]
 #          [-seeds 1[,2…]] [-pairs 5] [-trace 0|1]
 # Defaults: all four workloads, seed 1, five pairs, -trace 0. Each run
 # measures grpbench's -seconds 6 window (about 20–30 s a run).
@@ -34,11 +37,12 @@ usage() {
 	exit 2
 }
 
-refs=()
+refs=() bins=()
 workloads=parked-commuter,rwp-allmoving,churn-chaos,parked-2shard
 seeds=1 pairs=5 trace=0
 while [ $# -gt 0 ]; do
 	case "$1" in
+	-bin) bins=("${2:?}" "${3:?}"); shift 3 ;;
 	-w) workloads=${2:?}; shift 2 ;;
 	-seeds) seeds=${2:?}; shift 2 ;;
 	-pairs) pairs=${2:?}; shift 2 ;;
@@ -47,7 +51,11 @@ while [ $# -gt 0 ]; do
 	*) refs+=("$1"); shift ;;
 	esac
 done
-[ ${#refs[@]} -ge 1 ] && [ ${#refs[@]} -le 2 ] || usage
+if [ ${#bins[@]} -eq 2 ]; then
+	[ ${#refs[@]} -eq 0 ] || usage
+else
+	[ ${#refs[@]} -ge 1 ] && [ ${#refs[@]} -le 2 ] || usage
+fi
 case "$pairs$trace" in *[!0-9]*) usage ;; esac
 [ "$pairs" -ge 1 ] || usage
 
@@ -95,11 +103,21 @@ build() {
 		{ echo "ab.sh: building $side at ${ref:-the working tree} failed" >&2; exit 2; }
 }
 
-name_a=$(git -C "$root" rev-parse --short "${refs[0]}^{commit}" 2>/dev/null || echo "${refs[0]}")
-name_b="the working tree"
-[ ${#refs[@]} -eq 2 ] && name_b=$(git -C "$root" rev-parse --short "${refs[1]}^{commit}" 2>/dev/null || echo "${refs[1]}")
-build a "${refs[0]}"
-build b "${refs[1]:-}"
+if [ ${#bins[@]} -eq 2 ]; then
+	sides=(a b)
+	for i in 0 1; do
+		bin=${bins[i]}
+		[ -f "$bin" ] && [ -x "$bin" ] || { echo "ab.sh: $bin is not an executable file" >&2; exit 2; }
+		ln -s "$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")" "$tmp/grpbench-${sides[i]}"
+	done
+	name_a=${bins[0]} name_b=${bins[1]}
+else
+	name_a=$(git -C "$root" rev-parse --short "${refs[0]}^{commit}" 2>/dev/null || echo "${refs[0]}")
+	name_b="the working tree"
+	[ ${#refs[@]} -eq 2 ] && name_b=$(git -C "$root" rev-parse --short "${refs[1]}^{commit}" 2>/dev/null || echo "${refs[1]}")
+	build a "${refs[0]}"
+	build b "${refs[1]:-}"
+fi
 mkdir -p "$tmp/out"
 
 # parse SIDE PAIR: one run's output on stdin as "side pair key value"
@@ -146,6 +164,13 @@ summarize() {
 	{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; keys[++nk] = $3 } }
 	$3 == "!failed" { bad = 1; print "!!! DIFFERS: run " $2 " of side " toupper($1) " failed a check (FAILED line, \"correct\":false or no result line)" }
 	END {
+		# driver.cpu_ms_per_round moves to the head of the host metrics.
+		for (k = 1; k <= nk && keys[k] !~ /^#/; k++) ;
+		for (h = k; k <= nk; k++) if (keys[k] == "#driver.cpu_ms_per_round") {
+			for (; k > h; k--) keys[k] = keys[k - 1]
+			keys[h] = "#driver.cpu_ms_per_round"
+			break
+		}
 		ne = split("air_bytes_per_node_round safety_rate_mean =stream =fingerprint", exact, " ")
 		printf "%-34s %12s %10s %12s %10s %5s  %s\n", "metric", "A median", "A IQR", "B median", "B IQR", "B<A", "verdict"
 		for (k = 1; k <= nk; k++) {
