@@ -395,9 +395,9 @@ func (n *Node) Version() uint64 { return n.version }
 
 // ViewVersion returns a counter that increases only when the view's
 // *content* changes (a Compute that leaves the view identical does not
-// move it, unlike Version). Incremental observers (obs.GroupTracker) key
-// their per-node view caches on it: at steady state every compute is a
-// single counter comparison instead of a view re-extraction.
+// move it, unlike Version). The one view feed of incremental observers
+// (obs.ViewFeed) keys its per-slot entries on it: at steady state every
+// compute is a single counter comparison instead of a view re-extraction.
 func (n *Node) ViewVersion() uint64 { return n.viewVer }
 
 // Quietness classifies an executed Compute round for activity-driven

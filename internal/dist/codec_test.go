@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -13,31 +14,48 @@ import (
 	"repro/internal/ident"
 	"repro/internal/introspect"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
-// sampleSyncs covers the sync layout's shapes: the empty report, a view
-// of length 0 beside longer ones, and every scalar field at a distinct
-// non-zero value so a field dropped from one side of the codec shows.
+// sampleSyncs covers the sync layout's shapes: the empty report, a report
+// of counters alone, and views in several shards, one of length 0 beside
+// longer ones, with every scalar field at a distinct non-zero value so a
+// field dropped from one side of the codec shows.
 func sampleSyncs() []*roundSync {
+	views := new(obs.Views)
+	for _, u := range []struct {
+		v    ident.NodeID
+		view []ident.NodeID
+	}{{1, nil}, {65, []ident.NodeID{65}}, {4, []ident.NodeID{4, 5, 6}}, {0xfffffffe, []ident.NodeID{0xfffffffe}}} {
+		copy(views[shard.Of(u.v)].Add(u.v, len(u.view)), u.view)
+	}
 	return []*roundSync{
-		{},
-		{msgs: 0x0102030405060708, delivs: 0x1112131415161718, computed: []ident.NodeID{3, 9, 27}},
-		{msgs: 5, delivs: 7, computed: []ident.NodeID{1}, ids: []ident.NodeID{4, 5, 6, 0xfffffffe}, views: []viewUpd{
-			{id: 1, ver: 2},
-			{id: 4, ver: 0x2122232425262728, off: 0, n: 3},
-			{id: 0xfffffffe, ver: 1, off: 3, n: 1},
-		}},
+		{views: new(obs.Views)},
+		{msgs: 0x0102030405060708, delivs: 0x1112131415161718, views: new(obs.Views)},
+		{msgs: 5, delivs: 7, views: views},
 	}
 }
 
 // sameSync reports whether two reports say the same, wherever in their
 // arenas the views lie.
 func sameSync(a, b *roundSync) bool {
-	return a.msgs == b.msgs && a.delivs == b.delivs && slices.Equal(a.computed, b.computed) &&
-		slices.EqualFunc(a.views, b.views, func(x, y viewUpd) bool {
-			return x.id == y.id && x.ver == y.ver && slices.Equal(a.view(x), b.view(y))
-		})
+	if a.msgs != b.msgs || a.delivs != b.delivs {
+		return false
+	}
+	for s := range a.views {
+		x, y := &a.views[s], &b.views[s]
+		if x.Len() != y.Len() {
+			return false
+		}
+		for i := range x.Len() {
+			u, uv := x.At(i)
+			if v, vv := y.At(i); u != v || !slices.Equal(uv, vv) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestSyncRoundTrip decodes every sample into fresh storage and into the
@@ -55,14 +73,28 @@ func TestSyncRoundTrip(t *testing.T) {
 				t.Errorf("sample %d: decoded %+v, want %+v", i, got, want)
 			}
 		}
-		// The layout is 2 magic + 2 counters + two length-prefixed sections.
-		size := 2 + 16 + 4 + 4*len(want.computed) + 4
-		for _, u := range want.views {
-			size += 16 + 4*u.n
+		// The layout is the header, then per view its node, its length and
+		// its members.
+		size := syncHeader
+		for s := range want.views {
+			for j := range want.views[s].Len() {
+				_, view := want.views[s].At(j)
+				size += 8 + 4*len(view)
+			}
 		}
 		if len(buf) != size {
 			t.Errorf("sample %d: %d bytes, want %d", i, len(buf), size)
 		}
+	}
+	// Views out of shard order are refused, so that the layout stays
+	// canonical: node 4 (shard 4) before node 1 (shard 1).
+	bad := binary.LittleEndian.AppendUint16(nil, syncMagic)
+	bad = binary.LittleEndian.AppendUint32(append(bad, make([]byte, 16)...), 2)
+	for _, v := range []uint32{4, 1} {
+		bad = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(bad, v), 0)
+	}
+	if err := decodeSync(bad, new(roundSync)); !errors.Is(err, errSyncOrder) {
+		t.Errorf("views out of shard order: %v, want %v", err, errSyncOrder)
 	}
 	// Steady state: a report the size of the last one decodes into the
 	// lead's retained roundSync without allocating.
@@ -124,9 +156,9 @@ func TestFinalRoundTrip(t *testing.T) {
 }
 
 // TestHostileLengthsAllocateNothingBig overwrites each length field a
-// TCP peer controls (the computed count, nview, a view's length; n, nc,
-// np) with values the rest of the frame cannot back, and requires the
-// decoder to refuse before it sizes an allocation by them.
+// TCP peer controls (nview, a view's length; n, nc, np) with values the
+// rest of the frame cannot back, and requires the decoder to refuse before
+// it sizes an allocation by them.
 func TestHostileLengthsAllocateNothingBig(t *testing.T) {
 	sync := appendSync(nil, sampleSyncs()[2])
 	final := appendFinal(nil, samplePairs()[1], sampleRegistry())
@@ -141,12 +173,10 @@ func TestHostileLengthsAllocateNothingBig(t *testing.T) {
 		at     int
 		decode func([]byte) error
 	}{
-		{"sync computed", sync, 18, syncErr},
-		{"sync nview", sync, 26, syncErr},
-		{"sync view length", sync, 30 + 12, syncErr},
-		{"sync computed, storage retained", sync, 18, retained.syncErr},
-		{"sync nview, storage retained", sync, 26, retained.syncErr},
-		{"sync view length, storage retained", sync, 30 + 12, retained.syncErr},
+		{"sync nview", sync, syncHeader - 4, syncErr},
+		{"sync view length", sync, syncHeader + 4, syncErr},
+		{"sync nview, storage retained", sync, syncHeader - 4, retained.syncErr},
+		{"sync view length, storage retained", sync, syncHeader + 4, retained.syncErr},
 		{"final n", final, 2, finalErr},
 		{"final nc", final, afterPairs, finalErr},
 		{"final np", final, afterPairs + 4 + 8*int(introspect.NumCounters), finalErr},

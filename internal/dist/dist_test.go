@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -580,6 +581,114 @@ func TestBoundaryTrafficIsDelta(t *testing.T) {
 	}
 	if elided < frames {
 		t.Fatalf("mostly-parked world elided %d < framed %d — delta encoding not engaging", elided, frames)
+	}
+}
+
+// syncTap checks, on shard 1's side of its transport, every sync report
+// the shard ships against the shard's own engine: the views whose version
+// moved since the report before, each with its current content.
+type syncTap struct {
+	Transport
+	t        *testing.T
+	sh       *Shard
+	vers     map[ident.NodeID]uint64 // each owned view's version at the last report
+	computes uint64                  // the shard's computes at the last report
+	reports  int
+	bytes    uint64 // shipped in all
+	quiet    int    // reports after computes that moved no view
+}
+
+func (tap *syncTap) Exchange(seq uint64, out [][]byte) ([][]byte, error) {
+	if p := out[0]; len(p) >= 2 && binary.LittleEndian.Uint16(p) == syncMagic {
+		tap.check(p)
+	}
+	return tap.Transport.Exchange(seq, out)
+}
+
+func (tap *syncTap) check(p []byte) {
+	var rs roundSync
+	if err := decodeSync(p, &rs); err != nil {
+		tap.t.Errorf("report %d: %v", tap.reports, err)
+		return
+	}
+	got := map[ident.NodeID][]ident.NodeID{}
+	for s := range rs.views {
+		for i := range rs.views[s].Len() {
+			v, view := rs.views[s].At(i)
+			got[v] = view
+		}
+	}
+	size, moved := syncHeader, 0
+	for _, v := range tap.sh.Owned {
+		n := tap.sh.E.Node(v)
+		if ver, ok := tap.vers[v]; ok && ver == n.ViewVersion() {
+			if _, ok := got[v]; ok {
+				tap.t.Errorf("report %d ships the view of %d, whose version did not move", tap.reports, v)
+			}
+			continue
+		}
+		tap.vers[v] = n.ViewVersion()
+		view := n.AppendView(nil)
+		if g, ok := got[v]; !ok || !slices.Equal(g, view) {
+			tap.t.Errorf("report %d: node %d's view %v shipped as %v (shipped: %v)", tap.reports, v, view, g, ok)
+		}
+		size += 8 + 4*len(view)
+		moved++
+	}
+	if len(got) != moved || len(p) != size {
+		tap.t.Errorf("report %d: %d views in %d B, want %d in %d B", tap.reports, len(got), len(p), moved, size)
+	}
+	if c := tap.sh.reg.Get(introspect.CtrComputesRun); c > tap.computes && moved == 0 {
+		tap.quiet++
+	}
+	tap.computes = tap.sh.reg.Get(introspect.CtrComputesRun)
+	tap.reports++
+	tap.bytes += uint64(len(p))
+}
+
+// TestSyncShipsMovedViewsOnly pins the sync layout on a 2-shard commuter
+// world: every non-lead report is exactly the header plus, for each view
+// whose version moved since the report before (every view in the first),
+// its node, its length and its members, so a round in which nodes compute
+// but no view moves ships the header alone. sync_bytes_sent sums the
+// reports, the lead counting none, and does not depend on the worker count.
+func TestSyncShipsMovedViewsOnly(t *testing.T) {
+	var sent []uint64
+	for _, workers := range []int{1, 2} {
+		soak := commuterSoak(40)
+		soak.Workers = workers
+		cfg := Config{Soak: soak, Shards: 2}
+		trs := NewLoopback(2)
+		tap := &syncTap{Transport: trs[1], t: t, vers: map[ident.NodeID]uint64{}}
+		sh, err := NewShard(cfg, 1, tap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap.sh = sh
+		var res *obs.SoakResult
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); res, errs[0] = runShard(cfg, 0, trs[0]) }()
+		go func() { defer wg.Done(); _, errs[1] = sh.run(time.Now()) }()
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%d workers, shard %d: %v", workers, i, err)
+			}
+		}
+		if tap.reports != soak.MaxRounds || tap.quiet == 0 {
+			t.Fatalf("%d workers: %d reports, %d of them after computes that moved no view; want %d and some",
+				workers, tap.reports, tap.quiet, soak.MaxRounds)
+		}
+		sent = append(sent, res.Flight.Counters["sync_bytes_sent"])
+		if sent[len(sent)-1] != tap.bytes {
+			t.Errorf("%d workers: sync_bytes_sent %d, shard 1 shipped %d B", workers, sent[len(sent)-1], tap.bytes)
+		}
+		t.Logf("%d workers: %d reports, %d quiet, sync_bytes_sent %d", workers, tap.reports, tap.quiet, sent[len(sent)-1])
+	}
+	if sent[0] == 0 || sent[0] != sent[1] {
+		t.Errorf("sync_bytes_sent %d at 1 worker a shard, %d at 2", sent[0], sent[1])
 	}
 }
 

@@ -39,7 +39,7 @@ func (sh *Shard) run(entry time.Time) (*obs.SoakResult, error) {
 	if err := sh.handshake(); err != nil {
 		return nil, err
 	}
-	sh.E.TrackDirty()
+	sh.feed = obs.NewViewFeed(sh.E)
 	lead := sh.Index == 0
 	d := &obs.Driver{Engine: sh.E}
 	var ls *leadSource
@@ -47,11 +47,11 @@ func (sh *Shard) run(entry time.Time) (*obs.SoakResult, error) {
 		ls = newLeadSource(sh)
 		d.Tracker = obs.NewGroupTrackerSource(ls)
 	}
-	var rs, peer roundSync
+	var rs roundSync
 	out := make([][]byte, sh.N) // only out[0], a non-lead shard's report, is ever set
 
 	// One round: Tc boundary-exchange ticks, then the sync exchange the
-	// lead folds, own report first, into the state its tracker observes.
+	// lead takes, own report first, as the state its tracker observes.
 	d.Step = func(int, *obs.SoakResult) error {
 		if err := sh.StepRound(); err != nil {
 			return err
@@ -59,20 +59,14 @@ func (sh *Shard) run(entry time.Time) (*obs.SoakResult, error) {
 		sh.collectSync(&rs)
 		if !lead {
 			out[0] = appendSync(out[0][:0], &rs)
+			sh.reg.Add(introspect.CtrSyncBytesSent, uint64(len(out[0])))
 		}
 		in, err := sh.tr.Exchange(sh.seq, out)
 		sh.seq++
 		if err != nil || !lead {
 			return err
 		}
-		ls.apply(0, &rs)
-		for p := 1; p < sh.N; p++ {
-			if err := decodeSync(in[p], &peer); err != nil {
-				return fmt.Errorf("dist: sync from shard %d: %w", p, err)
-			}
-			ls.apply(p, &peer)
-		}
-		return nil
+		return ls.sync(&rs, in)
 	}
 	// Final exchange: every shard ships its node hashes and flight
 	// recorder; the lead folds the fingerprint in ID order and merges the

@@ -129,9 +129,8 @@ type Shard struct {
 
 	// Soak is the normalized scenario (NewShard's copy).
 	Soak obs.SoakConfig
-	// lastViewVer gates the per-round view sync to the lead (slot-indexed
-	// on this shard's engine; see collectSync).
-	lastViewVer []uint64
+	// feed hands the per-round sync the views that moved (see collectSync).
+	feed *obs.ViewFeed
 }
 
 // NewShard replicates the scenario world and attaches shard index to
@@ -196,13 +195,6 @@ func newShard(cfg Config, index int, tr Transport, jitter bool) (*Shard, error) 
 		lastSent: make([]ident.Table[genVer], cfg.Shards),
 		ghosts:   make([]*ghost, len(owners)),
 		Soak:     soak,
-	}
-	// Every fresh node starts at view version 1 ({self}); the lead mirror
-	// is seeded with the same, so nothing needs syncing until a view
-	// actually moves.
-	sh.lastViewVer = make([]uint64, e.Roster().SlotCap())
-	for _, v := range owned {
-		sh.lastViewVer[e.SlotOf(v)] = 1
 	}
 	return sh, nil
 }

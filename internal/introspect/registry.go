@@ -103,6 +103,7 @@ const (
 	CtrBoundaryFramesElided // boundary entries elided to a version header (peer replays its ghost)
 	CtrGhostUpdates         // ghost replicas refreshed from a received full frame
 	CtrExtDeliveries        // receptions injected across the process boundary
+	CtrSyncBytesSent        // round-sync payload bytes a non-lead shard shipped to the lead
 
 	// NumCounters sizes every lane.
 	NumCounters
@@ -159,6 +160,7 @@ var counterNames = [NumCounters]string{
 	CtrBoundaryFramesElided: "boundary_frames_elided",
 	CtrGhostUpdates:         "ghost_updates",
 	CtrExtDeliveries:        "ext_deliveries",
+	CtrSyncBytesSent:        "sync_bytes_sent",
 }
 
 // String returns the counter's stable snake_case name.

@@ -23,44 +23,36 @@ type scriptSource struct {
 	dmax    int
 	g       *graph.G
 	roster  *engine.Roster
-	viewers []*scriptViewer // by slot; nil when free
-	dirty   [shard.N][]int32
+	views   [][]ident.NodeID // by slot; nil when free
+	moved   []ident.NodeID   // the nodes setView or rebirth touched since the last drain
+	synced  bool
+	batch   Views
 	removed []engine.RemovedNode
 	rows    []ident.NodeID // the changed-row record: exact
 	reg     *introspect.Registry
 }
-
-type scriptViewer struct {
-	ver  uint64
-	view []ident.NodeID
-}
-
-func (v *scriptViewer) ViewVersion() uint64                          { return v.ver }
-func (v *scriptViewer) AppendView(dst []ident.NodeID) []ident.NodeID { return append(dst, v.view...) }
 
 // newScriptSource builds a world of g's nodes, every view {self}.
 func newScriptSource(dmax int, g *graph.G) *scriptSource {
 	src := &scriptSource{dmax: dmax, g: g, roster: engine.NewRoster(g.NumNodes()), reg: introspect.NewRegistry(shard.N)}
 	for _, v := range g.Nodes() {
 		src.roster.Add(v)
-		src.viewers = append(src.viewers, &scriptViewer{ver: 1, view: []ident.NodeID{v}})
+		src.views = append(src.views, []ident.NodeID{v})
 	}
 	return src
 }
 
-// setView gives v the view members and reports v as computed.
+// setView gives v the view members.
 func (src *scriptSource) setView(v ident.NodeID, members ...ident.NodeID) {
-	s := src.roster.SlotOf(v)
-	src.viewers[s].ver++
-	src.viewers[s].view = slices.Sorted(slices.Values(members))
-	src.dirty[shard.Of(v)] = append(src.dirty[shard.Of(v)], s)
+	src.views[src.roster.SlotOf(v)] = slices.Sorted(slices.Values(members))
+	src.moved = append(src.moved, v)
 }
 
 // remove takes v out of the world and the graph: v's neighbors' rows
 // change.
 func (src *scriptSource) remove(v ident.NodeID) {
 	s, _ := src.roster.Remove(v)
-	src.viewers[s] = nil
+	src.views[s] = nil
 	src.removed = append(src.removed, engine.RemovedNode{ID: v, Slot: s})
 	src.rows = append(src.rows, src.g.NeighborsView(v)...)
 	r := graph.RefOf(src.g)
@@ -69,16 +61,18 @@ func (src *scriptSource) remove(v ident.NodeID) {
 }
 
 // rebirth removes v and adds it again inside one window, its view reset
-// to {v} and the graph left as it was: no row changes.
+// to {v} and the graph left as it was: no row changes. The added node's
+// view goes out with the drain, as a Source's must.
 func (src *scriptSource) rebirth(v ident.NodeID) {
 	s, _ := src.roster.Remove(v)
 	src.removed = append(src.removed, engine.RemovedNode{ID: v, Slot: s})
-	src.viewers[s] = nil
+	src.views[s] = nil
 	s, _ = src.roster.Add(v)
-	if int(s) == len(src.viewers) {
-		src.viewers = append(src.viewers, nil)
+	if int(s) == len(src.views) {
+		src.views = append(src.views, nil)
 	}
-	src.viewers[s] = &scriptViewer{ver: 1, view: []ident.NodeID{v}}
+	src.views[s] = []ident.NodeID{v}
+	src.moved = append(src.moved, v)
 }
 
 // snapshot is the oracle's view of the current configuration.
@@ -86,7 +80,7 @@ func (src *scriptSource) snapshot() metrics.Snapshot {
 	views := map[ident.NodeID]map[ident.NodeID]bool{}
 	for _, v := range src.roster.IDs() {
 		views[v] = map[ident.NodeID]bool{}
-		for _, u := range src.viewers[src.roster.SlotOf(v)].view {
+		for _, u := range src.views[src.roster.SlotOf(v)] {
 			views[v][u] = true
 		}
 	}
@@ -95,7 +89,7 @@ func (src *scriptSource) snapshot() metrics.Snapshot {
 
 func (src *scriptSource) Workers() int                     { return 1 }
 func (src *scriptSource) Dmax() int                        { return src.dmax }
-func (src *scriptSource) TrackDirty()                      {}
+func (src *scriptSource) TrackRows()                       {}
 func (src *scriptSource) Roster() *engine.Roster           { return src.roster }
 func (src *scriptSource) LiveGraph() *graph.G              { return src.g }
 func (src *scriptSource) Tick() int                        { return 0 }
@@ -108,19 +102,23 @@ func (src *scriptSource) DrainRows() ([]ident.NodeID, bool) {
 	return rows, false
 }
 
-func (src *scriptSource) ViewerAtSlot(s int32) Viewer {
-	if v := src.viewers[s]; v != nil {
-		return v
+// DrainViews hands over the views of the nodes touched since the last
+// drain that are still members, every member's on the first drain.
+func (src *scriptSource) DrainViews() ([]*Views, []ident.NodeID, []engine.RemovedNode) {
+	if !src.synced {
+		src.moved, src.synced = append(src.moved, src.roster.IDs()...), true
 	}
-	return nil
-}
-
-func (src *scriptSource) DrainDirty(fn func([shard.N][]int32, []ident.NodeID, []engine.RemovedNode)) {
-	fn(src.dirty, nil, src.removed)
-	for s := range src.dirty {
-		src.dirty[s] = nil
+	for s := range src.batch {
+		src.batch[s].Reset()
 	}
-	src.removed = nil
+	for _, v := range src.moved {
+		if s := src.roster.SlotOf(v); s >= 0 {
+			copy(src.batch[shard.Of(v)].Add(v, len(src.views[s])), src.views[s])
+		}
+	}
+	removed := src.removed
+	src.moved, src.removed = nil, nil
+	return []*Views{&src.batch}, nil, removed
 }
 
 // TestFreshRecordUnderCachedPair replaces the record under a
@@ -278,7 +276,7 @@ func allVerdicts(tr *GroupTracker) []pairVerdict {
 // view change affects are read from the view): two value maps of verdicts
 // held 7.3 MB at parked-commuter's n = 20 000. A node's cache holds no
 // neighborhood, no view hash and no neighbor count, only its two view
-// buffers: 88 B.
+// buffers: 80 B.
 func TestTrackerFootprint(t *testing.T) {
 	cfg := SoakConfig{N: 2000, ActiveFraction: 0.02, Seed: 1, Workers: 2}
 	w, mob, ids := BuildSoakWorld(&cfg)
@@ -307,8 +305,8 @@ func TestTrackerFootprint(t *testing.T) {
 	if verdictSize != 32 {
 		t.Errorf("a verdict is %d B, want 32", verdictSize)
 	}
-	if size := unsafe.Sizeof(nodeState{}); size != 88 {
-		t.Errorf("a node's cache is %d B, want 88", size)
+	if size := unsafe.Sizeof(nodeState{}); size != 80 {
+		t.Errorf("a node's cache is %d B, want 80", size)
 	}
 	var bufs []string
 	typ := reflect.TypeOf(nodeState{})

@@ -1,25 +1,11 @@
 package obs
 
 import (
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/introspect"
-	"repro/internal/shard"
 )
-
-// Viewer is the per-node surface the tracker's extraction phase reads: a
-// change counter to reject unchanged views cheaply, and the view content
-// itself. *core.Node implements it; the distributed lead (internal/dist)
-// serves mirrored views shipped from the owning shard instead.
-type Viewer interface {
-	// ViewVersion counts view-content changes (monotone; equal values
-	// imply an identical view).
-	ViewVersion() uint64
-	// AppendView appends the view's members in ascending order.
-	AppendView(dst []ident.NodeID) []ident.NodeID
-}
 
 // Source is the engine surface GroupTracker observes. The canonical
 // implementation is the adapter over *engine.Engine (NewGroupTracker);
@@ -27,27 +13,28 @@ type Viewer interface {
 // engines' reports in fixed shard order, which is what keeps the
 // tracker's record stream bit-identical between one process and many.
 //
-// The slot/shard contract mirrors the engine's: the Roster assigns every
-// member a stable dense slot below its SlotCap and lists members
-// ascending, and DrainDirty buckets computed slots by shard.Of of the
-// occupant. A Source must report every executed compute that can have
-// changed a view — exactly the engine's dirty-report guarantee — and
-// every row of LiveGraph that changed, or answer that it cannot tell.
+// The slot contract mirrors the engine's: the Roster assigns every member
+// a stable dense slot below its SlotCap and lists members ascending. A
+// Source must hand over every view that moved since the previous drain,
+// every added member's view and, on the first drain, every member's view
+// (ViewFeed is the one implementation over an engine), and every row of
+// LiveGraph that changed, or answer that it cannot tell.
 type Source interface {
 	// Workers is the tracker's fan-out width (a pure throughput knob).
 	Workers() int
 	// Dmax is the protocol's group diameter bound.
 	Dmax() int
-	// TrackDirty enables dirty and changed-row reporting; called once at
-	// attach time.
-	TrackDirty()
+	// TrackRows enables changed-row reporting; called once at attach time.
+	TrackRows()
 	// Roster is the membership: slots, slot capacity and the ascending
 	// member order (read-only).
 	Roster() *engine.Roster
-	// ViewerAtSlot serves the occupant's view surface (nil when free).
-	ViewerAtSlot(s int32) Viewer
-	// DrainDirty hands over and resets the accumulated dirty report.
-	DrainDirty(fn func(computed [shard.N][]int32, added []ident.NodeID, removed []engine.RemovedNode))
+	// DrainViews hands over and resets the report accumulated since the
+	// previous drain: the moved views, as batches a tracker shard reads in
+	// order, and the membership changes, joins and departures with the
+	// slot each held, in call order. All are read only inside the Observe
+	// that drained them.
+	DrainViews() (views []*Views, added []ident.NodeID, removed []engine.RemovedNode)
 	// DrainRows hands over and resets the changed-row record: ids names
 	// every member whose LiveGraph row may differ from the one the
 	// previous call's graph gave it (repeats allowed), valid until the
@@ -69,11 +56,13 @@ type Source interface {
 // the last drain's live graph was a strict restriction of the topology's.
 type engineSource struct {
 	e       *engine.Engine
+	feed    *ViewFeed
+	batch   [1]*Views
 	partial bool
 }
 
 // EngineSource is NewGroupTracker's Source over e, for callers that wrap it.
-func EngineSource(e *engine.Engine) Source { return &engineSource{e: e} }
+func EngineSource(e *engine.Engine) Source { return &engineSource{e: e, feed: NewViewFeed(e)} }
 
 func (s *engineSource) Workers() int                     { return s.e.P.Workers }
 func (s *engineSource) Dmax() int                        { return s.e.P.Cfg.Dmax }
@@ -82,11 +71,16 @@ func (s *engineSource) LiveGraph() *graph.G              { return s.e.LiveGraph(
 func (s *engineSource) Tick() int                        { return s.e.Tick() }
 func (s *engineSource) Introspect() *introspect.Registry { return s.e.Introspect() }
 
-func (s *engineSource) TrackDirty() {
-	s.e.TrackDirty()
+func (s *engineSource) TrackRows() {
 	if sp := engine.Spatial(s.e.Topo); sp != nil {
 		sp.World.TrackRows()
 	}
+}
+
+func (s *engineSource) DrainViews() ([]*Views, []ident.NodeID, []engine.RemovedNode) {
+	views, added, removed := s.feed.Drain()
+	s.batch[0] = views
+	return s.batch[:], added, removed
 }
 
 // DrainRows serves the world's changed-row record while the live graph is
@@ -108,19 +102,3 @@ func (s *engineSource) TrafficTotals() (msgs, delivs int) {
 	reg := s.e.Introspect()
 	return int(reg.Get(introspect.CtrMessagesSent)), int(reg.Get(introspect.CtrDeliveries))
 }
-
-func (s *engineSource) ViewerAtSlot(slot int32) Viewer {
-	// The nil *core.Node must become a nil interface, not a non-nil
-	// interface wrapping nil.
-	if n := s.e.NodeAtSlot(slot); n != nil {
-		return n
-	}
-	return nil
-}
-
-func (s *engineSource) DrainDirty(fn func([shard.N][]int32, []ident.NodeID, []engine.RemovedNode)) {
-	s.e.DrainDirty(fn)
-}
-
-// Compile-time check that core.Node satisfies the extraction surface.
-var _ Viewer = (*core.Node)(nil)

@@ -17,12 +17,13 @@
 //
 // Per-node bookkeeping is slot-indexed, mirroring the roster slots the
 // Source serves (engine.Roster): the per-node cache, the affected-set
-// epoch stamps and the shard worklists index flat arrays by slot, and the
-// dirty report feeds slots straight through, so the steady-state round
-// touches no per-node map at all. ID-keyed lookups survive only where an
-// ID may legitimately not be a member: view contents (a view can retain a
-// departed node or name a fabricated one), resolved through the roster's
-// slot table, and the group index keyed by representative.
+// epoch stamps and the shard worklists index flat arrays by slot, so the
+// steady-state round touches no per-node map at all. ID-keyed lookups
+// survive only where an ID may legitimately not be a member: the moved
+// views the Source hands over (a node may have left since) and view
+// contents (a view can retain a departed node or name a fabricated one),
+// both resolved through the roster's slot table, and the group index
+// keyed by representative.
 //
 // Parallel phases follow the engine's discipline (internal/shard): work
 // is sharded by NodeID into the shard.N fixed shards or into slot-indexed
@@ -98,7 +99,6 @@ type RoundStats struct {
 type nodeState struct {
 	id      ident.NodeID
 	good    bool           // local agreement check holds (Ω = view)
-	viewVer uint64         // core.Node.ViewVersion at last extraction
 	view    []ident.NodeID // the node's own view, ascending
 	spare   []ident.NodeID // view's other buffer: the two swap on a change
 	grp     *group         // current Ω record
@@ -200,6 +200,7 @@ type GroupTracker struct {
 // it afresh; it is a field, so an observation allocates nothing for it.
 type observation struct {
 	first   bool           // no earlier observation: every live node is added
+	views   []*Views       // the moved views (Source.DrainViews)
 	g       *graph.G       // the live graph observed
 	rows    []ident.NodeID // members whose row changed (Source.DrainRows)
 	allRows bool           // the source cannot tell which rows changed
@@ -214,8 +215,6 @@ type observation struct {
 // trackerShard is one shard's parallel-phase output buffers.
 type trackerShard struct {
 	changed  []changeRec
-	extract  []int32 // extraction-candidate slots (computed ∪ added)
-	vbuf     []ident.NodeID
 	verdicts []pairVerdict // the pairs of the groups represented here, by key
 	spare    []pairVerdict // verdicts' other buffer: the two swap every scan
 	nee      int           // boundary edges counted by those groups
@@ -254,7 +253,7 @@ func NewGroupTrackerSource(src Source) *GroupTracker {
 	for i := range t.ws {
 		t.ws[i] = newWorkerScratch()
 	}
-	src.TrackDirty()
+	src.TrackRows()
 	return t
 }
 
@@ -318,38 +317,26 @@ func (t *GroupTracker) Observe() RoundStats {
 
 // drain sizes the slot-indexed arrays to the source's slot table, turns
 // the records the last observation parked into free ones, poisoned so that
-// a stale alias reads no plausible group, and drains the dirty report into
-// t.added, t.removed and each shard's extract list, and the changed-row
-// record and the live graph into t.ob. On the first observation the report
-// is discarded, every live node is added and firstSync presizes storage.
+// a stale alias reads no plausible group, and drains the membership changes
+// into t.added and t.removed, and the moved views, the changed-row record
+// and the live graph into t.ob. On the first observation every live node
+// is added, whatever the report says, and firstSync presizes storage.
 func (t *GroupTracker) drain() {
 	t.ob = observation{first: !t.synced, piT: true}
 	if c := t.ro.SlotCap(); len(t.nodes) < c {
 		t.nodes = append(t.nodes, make([]nodeState, c-len(t.nodes))...)
 		t.affEpoch = append(t.affEpoch, make([]int, c-len(t.affEpoch))...)
 	}
-	t.added = t.added[:0]
-	t.removed = t.removed[:0]
-	for s := range t.shards {
-		t.shards[s].extract = t.shards[s].extract[:0]
-	}
 	for _, grp := range t.parked {
 		clear(grp.members)
 		grp.rep = ident.None
 	}
 	t.free, t.parked = append(t.free, t.parked...), t.parked[:0]
-	t.e.DrainDirty(func(computed [shard.N][]int32, added []ident.NodeID, removed []engine.RemovedNode) {
-		if t.ob.first {
-			return
-		}
-		for s := range computed {
-			t.shards[s].extract = append(t.shards[s].extract, computed[s]...)
-		}
-		t.added = append(t.added, added...)
-		t.removed = append(t.removed, removed...)
-	})
+	views, added, removed := t.e.DrainViews()
+	t.ob.views = views
+	t.added, t.removed = append(t.added[:0], added...), append(t.removed[:0], removed...)
 	if t.ob.first {
-		t.added = append(t.added, t.ro.IDs()...)
+		t.added, t.removed = append(t.added[:0], t.ro.IDs()...), t.removed[:0]
 		t.synced = true
 		t.firstSync(len(t.added))
 	}
@@ -367,9 +354,10 @@ func (t *GroupTracker) drain() {
 // breaks ΠT outright: the distance to the others is infinite in the new
 // topology (the record dissolves this round, every survivor regrouping
 // away from it). An addition starts a good singleton, its initial view
-// {a}, marked affected and queued for extraction, which confirms or
-// corrects it; its slot's epoch stamp is reset, so that a mark against an
-// earlier occupant within the window cannot suppress its regroup.
+// {a}, marked affected; its view, which the source hands over with every
+// addition, confirms or corrects it. Its slot's epoch stamp is reset, so
+// that a mark against an earlier occupant within the window cannot
+// suppress its regroup.
 func (t *GroupTracker) applyMembership() {
 	t.affected = t.affected[:0]
 	t.reborn = t.reborn[:0]
@@ -399,7 +387,7 @@ func (t *GroupTracker) applyMembership() {
 			continue // added and removed again within the window, or a duplicate report
 		}
 		st := &t.nodes[slot]
-		st.id, st.viewVer, st.view, st.good, st.born = a, 0, st.view[:0], true, t.round
+		st.id, st.view, st.good, st.born = a, st.view[:0], true, t.round
 		st.grp = t.newGroup(a)
 		st.grp.refs = 1
 		if !t.ob.first { // on the first, every record is new
@@ -408,7 +396,6 @@ func (t *GroupTracker) applyMembership() {
 		t.affEpoch[slot] = 0
 		ref := memberRef{id: a, slot: slot}
 		t.shardInsert(ref)
-		t.shards[shard.Of(a)].extract = append(t.shards[shard.Of(a)].extract, slot)
 		t.markAffected(ref)
 		t.ob.changedPartition = true
 	}
@@ -457,39 +444,28 @@ func (t *GroupTracker) refreshPiT() {
 	t.evalStretched()
 }
 
-// extractViews re-reads, shard-parallel, the views of every shard's
-// extract slots, and lists in the shard's changed records the nodes whose
-// view content moved, each with its old view. A node whose view did not
-// change costs one counter comparison (core.Node.ViewVersion); content is
-// re-extracted and diffed only on a version change. A slot freed (or
-// recycled across shards) after its node computed is skipped: the shard
-// guard keeps a recycled slot's extraction inside the new occupant's own
-// shard, so no slot is ever touched by two workers.
+// extractViews reads, shard-parallel, each shard's moved views and lists
+// in the shard's changed records the nodes whose view content moved, each
+// with its old view. A view that came back to the content last seen
+// changes nothing; a node no longer tracked (removed after its view moved)
+// is skipped. Records are bucketed by their node's shard, so no slot is
+// touched by two workers.
 func (t *GroupTracker) extractViews() {
 	shard.Run(t.workers, func(s, w int) {
 		sh := &t.shards[s]
 		sh.changed = sh.changed[:0]
-		for _, slot := range sh.extract {
-			st := &t.nodes[slot]
-			if st.id == ident.None || shard.Of(st.id) != s {
-				continue // removed after computing, or recycled cross-shard
+		for _, views := range t.ob.views {
+			a := &views[s]
+			for i := range a.Len() {
+				v, view := a.At(i)
+				slot := t.slotOf(v)
+				if slot < 0 || slices.Equal(t.nodes[slot].view, view) {
+					continue
+				}
+				st := &t.nodes[slot]
+				sh.changed = append(sh.changed, changeRec{slot: slot, v: v, oldView: st.view})
+				st.view, st.spare = append(st.spare[:0], view...), st.view
 			}
-			n := t.e.ViewerAtSlot(slot)
-			if n == nil {
-				continue
-			}
-			ver := n.ViewVersion()
-			if st.viewVer == ver {
-				continue
-			}
-			st.viewVer = ver
-			sh.vbuf = n.AppendView(sh.vbuf[:0])
-			if slices.Equal(st.view, sh.vbuf) {
-				continue
-			}
-			nv := append(st.spare[:0], sh.vbuf...)
-			sh.changed = append(sh.changed, changeRec{slot: slot, v: st.id, oldView: st.view})
-			st.view, st.spare = nv, st.view
 		}
 	})
 }

@@ -187,6 +187,54 @@ func TestTrackerMatchesOracleChurn(t *testing.T) {
 	}
 }
 
+// TestTrackerAttachedLate holds a tracker attached to an engine that has
+// already stepped to the oracle: on a churning walled world, joins and
+// leaves before the attach included (no dirty report covers them), every
+// observation after it agrees with metrics.SnapshotOf on the partition and
+// every predicate. The first one rests on the feed's first drain, which
+// hands out every live member's view.
+func TestTrackerAttachedLate(t *testing.T) {
+	for _, k := range []int{1, 13, 30} {
+		const dmax = 3
+		w := space.NewWorld(5)
+		w.Walls = []space.Segment{{A: space.Point{X: 10, Y: -2}, B: space.Point{X: 10, Y: 12}}}
+		ids := make([]ident.NodeID, 30)
+		for i := range ids {
+			ids[i] = ident.NodeID(i + 1)
+		}
+		topo := engine.NewSpatialTopology(w,
+			&mobility.Waypoint{Side: 20, SpeedMin: 0.5, SpeedMax: 2.5, Pause: 0.5},
+			0.25, ids, rand.New(rand.NewSource(int64(k))))
+		e := engine.New(engine.Params{Cfg: core.Config{Dmax: dmax}, Jitter: true, Seed: int64(k), Workers: 2}, topo)
+		churn := rand.New(rand.NewSource(int64(k) * 31))
+		nextID := ident.NodeID(100)
+		var tr *GroupTracker
+		var prev metrics.Snapshot
+		for r := 1; r <= k+30; r++ {
+			if order := e.Order(); r%3 == 0 && len(order) > 10 {
+				v := order[churn.Intn(len(order))]
+				e.RemoveNode(v)
+				w.Remove(v)
+			} else if r%3 == 1 {
+				w.Place(nextID, space.Point{X: churn.Float64() * 20, Y: churn.Float64() * 20})
+				e.AddNode(nextID)
+				nextID++
+			}
+			e.StepRound()
+			if r == k {
+				tr = NewGroupTracker(e)
+			}
+			if tr == nil {
+				continue
+			}
+			st := tr.Observe()
+			cur := metrics.SnapshotOf(e)
+			checkAgainstOracle(t, fmt.Sprintf("attached after %d rounds, round %d", k, r), st, tr, prev, cur, r > k, dmax)
+			prev = cur
+		}
+	}
+}
+
 // TestTrackerMatchesOracleChaos pins the tracker to the oracle where views
 // name IDs that are not members: the walled chaos world of the
 // conformance suite (60 waypoint nodes, the mixed fault preset, flapping

@@ -17,7 +17,9 @@
 # one time in ten), "equal" (every run the same value) or "unresolved".
 # Air bytes, the safety rate, the stream SHA-256 and the fingerprint must
 # be equal in every run of both sides; a difference prints a line
-# starting "!!! DIFFERS", and so does a run that fails a check.
+# starting "!!! DIFFERS", and so does a run that fails a check. A traced
+# run (-trace 1) prints none of the four, so its summary says "exact:
+# none checked" and names the -trace 0 rerun that checks them.
 #
 # Interrupted (INT, TERM) or done, it kills the run in flight and removes
 # its sources and binaries. (A non-interactive shell starts a
@@ -195,9 +197,11 @@ summarize() {
 			printf "%-34s %12.6g %10.4g %12.6g %10.4g %2d/%-2d  %s\n", name, q(a, na, 2), q(a, na, 3) - q(a, na, 1),
 				q(b, nb, 2), q(b, nb, 3) - q(b, nb, 1), lower, (na < nb ? na : nb), verdict
 		}
+		checked = 0
 		for (e = 1; e <= ne; e++) {
 			key = exact[e]
 			if (!(key in seen)) continue
+			checked++
 			ref = ""; diff = 0; runs = 0
 			for (p = 1; p <= pairs; p++) for (s = 0; s < 2; s++) {
 				side = s ? "b" : "a"
@@ -213,6 +217,7 @@ summarize() {
 			for (p = 1; p <= pairs; p++) line = line " A" p "=" v["a", p, key] " B" p "=" v["b", p, key]
 			print line
 		}
+		if (!checked) print "exact: none checked (a traced run prints no stream, fingerprint, air bytes or safety rate: rerun with -trace 0 to check them)"
 		exit bad
 	}'
 }
