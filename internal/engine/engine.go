@@ -827,15 +827,6 @@ func (e *Engine) Roster() *Roster { return e.order }
 // slot-indexed bookkeeping.
 func (e *Engine) SlotOf(v ident.NodeID) int32 { return e.order.SlotOf(v) }
 
-// IDAtSlot returns the member occupying slot s, or ident.None when the
-// slot is free or out of range.
-func (e *Engine) IDAtSlot(s int32) ident.NodeID {
-	if s < 0 || int(s) >= len(e.recs) {
-		return ident.None
-	}
-	return e.recs[s].id
-}
-
 // NodeAtSlot returns the protocol node at slot s, or nil when the slot is
 // free or out of range.
 func (e *Engine) NodeAtSlot(s int32) *core.Node {

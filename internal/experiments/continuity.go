@@ -28,7 +28,7 @@ func E5Compatibility() *Table {
 		for p := 0; p <= dmax; p++ {
 			for q := 0; q <= dmax; q++ {
 				for i := 0; i <= p; i++ {
-					g, vID, uID, decision := compatGadget(p, q, i, dmax)
+					g, decision := compatGadget(p, q, i, dmax)
 					cases++
 					merged := make(map[ident.NodeID]bool, g.NumNodes())
 					for _, v := range g.Nodes() {
@@ -43,8 +43,6 @@ func E5Compatibility() *Table {
 					default:
 						fr++
 					}
-					_ = vID
-					_ = uID
 				}
 			}
 		}
@@ -55,7 +53,7 @@ func E5Compatibility() *Table {
 
 // compatGadget builds the two-path gadget and evaluates the receiver's
 // compatibility decision exactly as Compute would at first contact.
-func compatGadget(p, q, i, dmax int) (*graph.G, ident.NodeID, ident.NodeID, bool) {
+func compatGadget(p, q, i, dmax int) (*graph.G, bool) {
 	r := graph.NewRef()
 	// A: nodes 1..p+1, where node 1 is the border v; node k+1 is at
 	// depth k from v.
@@ -95,7 +93,7 @@ func compatGadget(p, q, i, dmax int) (*graph.G, ident.NodeID, ident.NodeID, bool
 	} else {
 		uref[1] = l1
 	}
-	return g, v, u, node.Compatible(uref.List())
+	return g, node.Compatible(uref.List())
 }
 
 // E6Continuity regenerates the Prop. 14 table: the best-effort contract

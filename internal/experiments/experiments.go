@@ -157,10 +157,10 @@ func E4MergeGadgets(seeds int) *Table {
 	tb := newTable("E4 — merge chains and rings (maximality, group priorities)",
 		"gadget", "converged", "mean_rounds", "mean_groups")
 	gadgets := []topoCase{
-		{"chain-3x4", func() *graph.G { return workload.MergeChain(3, 4) }, 2},
-		{"chain-4x3", func() *graph.G { return workload.MergeChain(4, 3) }, 2},
-		{"ring-3x3", func() *graph.G { return workload.MergeRing(3, 3) }, 2},
-		{"ring-4x3", func() *graph.G { return workload.MergeRing(4, 3) }, 2},
+		{"chain-3x4", func() *graph.G { return graph.Clusters(3, 4, 0, false) }, 2},
+		{"chain-4x3", func() *graph.G { return graph.Clusters(4, 3, 0, false) }, 2},
+		{"ring-3x3", func() *graph.G { return graph.Clusters(3, 3, 0, true) }, 2},
+		{"ring-4x3", func() *graph.G { return graph.Clusters(4, 3, 0, true) }, 2},
 	}
 	for _, tc := range gadgets {
 		sw := sweep{cap: 800}

@@ -14,7 +14,9 @@ import (
 	"repro/internal/ident"
 	"repro/internal/introspect"
 	"repro/internal/metrics"
+	"repro/internal/mobility"
 	"repro/internal/shard"
+	"repro/internal/space"
 )
 
 // scriptSource is a Source whose graph and views a test writes directly:
@@ -125,10 +127,10 @@ func (src *scriptSource) DrainViews() ([]*Views, []ident.NodeID, []engine.Remove
 // representative pair whose ΠM verdict is cached, with both records
 // freshly allocated rather than recycled, and the pair's mergeability
 // flipping: with Dmax=1, {1,2} and {4,5} cannot merge, {1} and {4,5} (a
-// triangle) can. Only the fresh record's stamp tells the two verdicts
-// apart — the neighbour record keeps its own — so a stamp a fresh record
-// shares with another (left at zero, or counted per record) reuses the
-// stale verdict and reports ΠM where the oracle denies it.
+// triangle) can. The neighbour record keeps its stamp, so only the fresh
+// record's run tells the two verdicts apart: the fresh {1} starts with an
+// empty run and settles (1, 4) afresh. A run a fresh record inherited
+// would reuse the stale verdict and report ΠM where the oracle denies it.
 func TestFreshRecordUnderCachedPair(t *testing.T) {
 	const dmax = 1
 	r := graph.NewRef()
@@ -154,26 +156,70 @@ func TestFreshRecordUnderCachedPair(t *testing.T) {
 	src.setView(4, 4, 5)
 	src.setView(5, 4, 5)
 	observe("{1,2} beside {4,5}", true)
-	b := groupOf(tr, 4)
-	verdict := func() pairVerdict {
-		for _, v := range tr.shards[shard.Of(1)].verdicts {
-			if v.k == (pairKey{a: 1, b: 4}) {
+	a, b := groupOf(tr, 1), groupOf(tr, 4)
+	verdict := func() pairRec {
+		for _, v := range allVerdicts(tr) {
+			if v.a == 1 && v.b == 4 {
 				return v
 			}
 		}
 		t.Fatalf("no verdict for the pair (1, 4)")
-		return pairVerdict{}
+		return pairRec{}
 	}
 	before := verdict()
 
 	src.remove(2)
 	src.setView(1, 1)
+	reused := src.reg.Get(introspect.CtrObsPairsReused)
 	observe("{1} beside {4,5}", false)
 	if groupOf(tr, 4) != b || b.topoGen != before.tb {
 		t.Fatalf("the record of {4,5} changed or was restamped: the case no longer isolates the fresh record")
 	}
-	if after := verdict(); after.ta == before.ta {
-		t.Fatalf("the fresh record of {1} took stamp %d, the stamp its predecessor's verdict holds", after.ta)
+	if groupOf(tr, 1) == a {
+		t.Fatalf("{1} kept the record of {1,2}: the case no longer isolates the fresh record")
+	}
+	if got := src.reg.Get(introspect.CtrObsPairsReused) - reused; got != 0 || !verdict().mergeable {
+		t.Fatalf("the fresh record of {1} reused %d verdicts, settling (1, 4) as mergeable=%v", got, verdict().mergeable)
+	}
+}
+
+// TestRestampedRecordSettlesItsPairsAfresh adds an edge inside a group
+// whose pair with its neighbour group is cached, with Dmax=3: {1,2,5} (the
+// path 1–2–5) beside {3,4} across 5–3 spans the path 1–2–5–3–4 and cannot
+// merge; the chord 1–5 brings every distance to 3 or less. The group keeps
+// its record and is restamped, the neighbour keeps both, so only the run
+// that restamp empties tells the two verdicts apart: a run kept through
+// the restamp reuses the stale verdict and reports ΠM where the oracle
+// denies it.
+func TestRestampedRecordSettlesItsPairsAfresh(t *testing.T) {
+	const dmax = 3
+	r := graph.NewRef()
+	for _, e := range [][2]ident.NodeID{{1, 2}, {2, 5}, {5, 3}, {3, 4}} {
+		r.AddEdge(e[0], e[1])
+	}
+	src := newScriptSource(dmax, graph.FromRef(r))
+	tr := NewGroupTrackerSource(src)
+	tr.Observe()
+	for _, v := range []ident.NodeID{1, 2, 5} {
+		src.setView(v, 1, 2, 5)
+	}
+	src.setView(3, 3, 4)
+	src.setView(4, 3, 4)
+	st := tr.Observe()
+	checkAgainstOracle(t, "{1,2,5} beside {3,4}", st, tr, metrics.Snapshot{}, src.snapshot(), false, dmax)
+	a, b := groupOf(tr, 1), groupOf(tr, 3)
+	stamp := b.topoGen
+
+	r.AddEdge(1, 5)
+	src.g = graph.FromRef(r)
+	src.rows = append(src.rows, 1, 5)
+	st = tr.Observe()
+	checkAgainstOracle(t, "chord 1–5", st, tr, metrics.Snapshot{}, src.snapshot(), false, dmax)
+	if groupOf(tr, 1) != a || groupOf(tr, 3) != b || b.topoGen != stamp {
+		t.Fatalf("a record changed or {3,4} was restamped: the case no longer isolates the restamped record")
+	}
+	if st.Maximality {
+		t.Fatalf("ΠM holds with {1,2,5} and {3,4} mergeable")
 	}
 }
 
@@ -199,6 +245,14 @@ func TestRebirthRescansNeighborGroups(t *testing.T) {
 	checkAgainstOracle(t, "3 reborn", st, tr, prev, src.snapshot(), true, 2)
 }
 
+// pairRec is one verdict of the last scan as a test reads it: the pair's
+// representatives and the stamps it was settled under.
+type pairRec struct {
+	a, b      ident.NodeID
+	ta, tb    uint64
+	mergeable bool
+}
+
 // pairPaths counts, over one Observe, the three ways scanPairs settles a
 // pair: pairs whose groups two or more edges join (deduplicated within
 // the lower group's scan), verdicts reused from the last scan (prev,
@@ -206,13 +260,13 @@ func TestRebirthRescansNeighborGroups(t *testing.T) {
 // the partition and the graph: a verdict with the stamps of a previous
 // one was reused, and one without whose groups could not take the Dmax+1
 // fast path ran the BFS.
-func pairPaths(tr *GroupTracker, prev []pairVerdict) (deduped, reused, bfs int) {
-	old := map[pairKey]pairVerdict{}
+func pairPaths(tr *GroupTracker, prev []pairRec) (deduped, reused, bfs int) {
+	old := map[[2]ident.NodeID]pairRec{}
 	for _, v := range prev {
-		old[v.k] = v
+		old[[2]ident.NodeID{v.a, v.b}] = v
 	}
 	for _, v := range allVerdicts(tr) {
-		ga, gb := groupOf(tr, v.k.a), groupOf(tr, v.k.b)
+		ga, gb := groupOf(tr, v.a), groupOf(tr, v.b)
 		edges := 0
 		for _, x := range ga.members {
 			for _, u := range tr.prevG.NeighborsView(x) {
@@ -224,7 +278,7 @@ func pairPaths(tr *GroupTracker, prev []pairVerdict) (deduped, reused, bfs int) 
 		if edges > 1 {
 			deduped++
 		}
-		if p, ok := old[v.k]; ok && p.ta == v.ta && p.tb == v.tb {
+		if p, ok := old[[2]ident.NodeID{v.a, v.b}]; ok && p.ta == v.ta && p.tb == v.tb {
 			reused++
 			continue
 		}
@@ -249,32 +303,127 @@ func verdictBufs(tr *GroupTracker) []*pairVerdict {
 // stamped no later than the scan before it (scanned) and with no member's
 // neighbor that changed record this round.
 func cleanGroups(tr *GroupTracker, scanned uint64) int {
-	n, last := 0, ident.None
-	for _, v := range allVerdicts(tr) {
-		if a := groupOf(tr, v.k.a); v.k.a != last && a.topoGen <= scanned && a.nearRnd != tr.round {
-			n++
+	n := 0
+	for s := range tr.reps {
+		for _, a := range tr.reps[s] {
+			if a.upN > 0 && a.topoGen <= scanned && a.nearRnd != tr.round {
+				n++
+			}
 		}
-		last = v.k.a
 	}
 	return n
 }
 
-// allVerdicts copies every shard's verdicts of the last scan.
-func allVerdicts(tr *GroupTracker) []pairVerdict {
-	var out []pairVerdict
-	for o := range tr.shards {
-		out = append(out, tr.shards[o].verdicts...)
+// allVerdicts copies every record's run of the last scan, owner by owner,
+// each verdict with its owner's representative and stamp.
+func allVerdicts(tr *GroupTracker) []pairRec {
+	var out []pairRec
+	for s := range tr.reps {
+		for _, a := range tr.reps[s] {
+			for _, v := range verdictRun(tr, a) {
+				out = append(out, pairRec{a: a.rep, b: v.b.rep, ta: a.topoGen, tb: v.tb, mergeable: v.mergeable})
+			}
+		}
 	}
 	return out
+}
+
+// verdictRun is a's verdict run in its shard's buffer.
+func verdictRun(tr *GroupTracker, a *group) []pairVerdict {
+	return tr.shards[shard.Of(a.rep)].verdicts[a.upAt : a.upAt+a.upN]
+}
+
+// TestRecordListsTrackPartition holds the per-shard record lists to the
+// partition after every Observe on a churning walled world (joins, leaves
+// and one rebirth): every live record (the record of some tracked node) is
+// listed exactly once, in its representative's shard, at the index it
+// holds; no parked or free record is listed; and each record's verdict run
+// names only live groups above it, ascending.
+func TestRecordListsTrackPartition(t *testing.T) {
+	const dmax = 3
+	w := space.NewWorld(5)
+	w.Walls = []space.Segment{{A: space.Point{X: 10, Y: -2}, B: space.Point{X: 10, Y: 12}}}
+	ids := make([]ident.NodeID, 30)
+	for i := range ids {
+		ids[i] = ident.NodeID(i + 1)
+	}
+	topo := engine.NewSpatialTopology(w,
+		&mobility.Waypoint{Side: 20, SpeedMin: 0.5, SpeedMax: 2.5, Pause: 0.5},
+		0.25, ids, rand.New(rand.NewSource(5)))
+	e := engine.New(engine.Params{Cfg: core.Config{Dmax: dmax}, Jitter: true, Seed: 5, Workers: 2}, topo)
+	tr := NewGroupTracker(e)
+	churn := rand.New(rand.NewSource(17))
+	nextID := ident.NodeID(100)
+	pairs := 0
+	for r := 1; r <= 60; r++ {
+		order := e.Order()
+		switch {
+		case r == 30:
+			v := order[churn.Intn(len(order))]
+			p, _ := w.Pos(v)
+			e.RemoveNode(v)
+			w.Remove(v)
+			w.Place(v, p.Add(1, 1))
+			e.AddNode(v)
+		case r%4 == 1 && len(order) > 10:
+			v := order[churn.Intn(len(order))]
+			e.RemoveNode(v)
+			w.Remove(v)
+		case r%4 == 3:
+			w.Place(nextID, space.Point{X: churn.Float64() * 20, Y: churn.Float64() * 20})
+			e.AddNode(nextID)
+			nextID++
+		}
+		e.StepRound()
+		tr.Observe()
+		live := map[*group]bool{}
+		for i := range tr.nodes {
+			if tr.nodes[i].id != ident.None {
+				live[tr.nodes[i].grp] = true
+			}
+		}
+		listed := map[*group]bool{}
+		for s := range tr.reps {
+			for i, a := range tr.reps[s] {
+				if listed[a] || !live[a] || shard.Of(a.rep) != s || int(a.at) != i {
+					t.Fatalf("round %d: shard %d lists %v at %d (index held %d, listed before %v, live %v)",
+						r, s, a.members, i, a.at, listed[a], live[a])
+				}
+				listed[a] = true
+			}
+		}
+		if len(listed) != len(live) {
+			t.Fatalf("round %d: %d records listed, %d live", r, len(listed), len(live))
+		}
+		for _, grp := range append(slices.Clone(tr.parked), tr.free...) {
+			if listed[grp] {
+				t.Fatalf("round %d: a destroyed record is listed", r)
+			}
+		}
+		for a := range listed {
+			last := a.rep
+			for _, v := range verdictRun(tr, a) {
+				if !listed[v.b] || v.b.rep <= last {
+					t.Fatalf("round %d: the run of %v names %v after %d (live %v)", r, a.members, v.b.members, last, listed[v.b])
+				}
+				last = v.b.rep
+				pairs++
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no record held a verdict: the run check is vacuous")
+	}
 }
 
 // TestTrackerFootprint pins what settling ΠM without a map leaves in the
 // heap, on a parked world (2 % movers) of 2 000 nodes over 50 rounds: each
 // shard's two verdict buffers and the workers' neighbor-group scratch hold
-// at most 110 B per graph edge at the run's peak (measured 100.6), and the
+// at most 110 B per graph edge at the run's peak (measured 91.2), and the
 // tracker keeps no map (the group index is an ident.Table; the nodes a
 // view change affects are read from the view): two value maps of verdicts
-// held 7.3 MB at parked-commuter's n = 20 000. A node's cache holds no
+// held 7.3 MB at parked-commuter's n = 20 000. A verdict is 24 B: the
+// upper record, its stamp and the bit. A node's cache holds no
 // neighborhood, no view hash and no neighbor count, only its two view
 // buffers: 80 B.
 func TestTrackerFootprint(t *testing.T) {
@@ -302,8 +451,8 @@ func TestTrackerFootprint(t *testing.T) {
 	perEdge := float64(held) / float64(peak)
 	t.Logf("peak %d edges, now %d with %d boundary edges: 2 buffers of %d verdicts in all (%d B), %d neighbor groups of scratch: %.1f B an edge",
 		peak, st.Edges, st.ExternalEdges, verdicts, verdicts*verdictSize, nbrs, perEdge)
-	if verdictSize != 32 {
-		t.Errorf("a verdict is %d B, want 32", verdictSize)
+	if verdictSize != 24 {
+		t.Errorf("a verdict is %d B, want 24", verdictSize)
 	}
 	if size := unsafe.Sizeof(nodeState{}); size != 80 {
 		t.Errorf("a node's cache is %d B, want 80", size)

@@ -107,11 +107,10 @@ type nodeState struct {
 }
 
 // memberRef pairs a live node's identity with its engine slot: the shape
-// the shard worklists and the affected set carry, so downstream phases
-// index the slot array directly while every canonical-order decision
-// still compares IDs. A ref is valid while nodes[slot].id == id; holders
-// that can outlive the referent (the affected set, across in-window
-// churn) re-validate before use.
+// the affected set carries, so downstream phases index the slot array
+// directly while every canonical-order decision still compares IDs. A ref
+// is valid while nodes[slot].id == id; the affected set, which can
+// outlive the referent across in-window churn, re-validates before use.
 type memberRef struct {
 	id   ident.NodeID
 	slot int32
@@ -123,26 +122,27 @@ type memberRef struct {
 // storage and is written again one Observe after detach destroyed it.
 type group struct {
 	rep     ident.NodeID   // minimum member — the unique representative
+	at      int32          // index in its shard's list t.reps while live
 	members []ident.NodeID // ascending; len ≥ 1; the record's own copy
 	refs    int            // nodes currently assigned to this record
 
 	stretched bool // induced diameter > dmax in the last evaluated graph
 	evalRound int  // round of that evaluation (dedup stamp)
 	// topoGen is a stamp unique tracker-wide (restamp), taken on creation,
-	// fresh or reused, and when a member's neighborhood changes, so a ΠM
-	// verdict is proved by its two records' stamps alone.
-	topoGen uint64
-	nearRnd int // round a member's neighbor last changed record
-	upEdges int // edges to the groups above it, counted at its last rescan
+	// fresh or reused, and when a member's neighborhood changes: a ΠM
+	// verdict holds while neither of its two records is restamped.
+	topoGen   uint64
+	nearRnd   int   // round a member's neighbor last changed record
+	upEdges   int   // edges to the groups above it, counted at its last rescan
+	upAt, upN int32 // its run in its shard's verdicts: the pairs above it, as of the last scan
 }
 
-type pairKey struct{ a, b ident.NodeID } // a < b, group representatives
-
-// pairVerdict is a pair's ΠM verdict, valid while both records hold the
-// stamps it was settled under; pointer-free, so the GC never scans it.
+// pairVerdict is the ΠM verdict of a pair (a, b) with b above a, held in
+// a's run: valid while a keeps its stamp (restamp empties the run) and b
+// holds tb.
 type pairVerdict struct {
-	k         pairKey
-	ta, tb    uint64 // topoGen of the records on each side at evaluation
+	b         *group
+	tb        uint64 // b's topoGen at evaluation
 	mergeable bool
 }
 
@@ -157,12 +157,12 @@ type GroupTracker struct {
 	round  int
 	synced bool
 
-	nodes    []nodeState          // engine slot → cache (id validates)
-	affEpoch []int                // engine slot → round last marked affected
-	groups   ident.Table[*group]  // representative → current record
-	parked   []*group             // destroyed this Observe: still read (ΠC, reborn, ΠS)
-	free     []*group             // destroyed before it: poisoned, newGroup's to write
-	byShard  [shard.N][]memberRef // live nodes, ascending per shard
+	nodes    []nodeState         // engine slot → cache (id validates)
+	affEpoch []int               // engine slot → round last marked affected
+	groups   ident.Table[*group] // representative → current record
+	reps     [shard.N][]*group   // live records by their representative's shard, unordered
+	parked   []*group            // destroyed this Observe: still read (ΠC, reborn, ΠS)
+	free     []*group            // destroyed before it: poisoned, newGroup's to write
 
 	// Aggregates over the live partition, maintained on every record
 	// create/destroy and verdict flip — never recomputed by scanning.
@@ -215,7 +215,7 @@ type observation struct {
 // trackerShard is one shard's parallel-phase output buffers.
 type trackerShard struct {
 	changed  []changeRec
-	verdicts []pairVerdict // the pairs of the groups represented here, by key
+	verdicts []pairVerdict // the runs of the records listed here
 	spare    []pairVerdict // verdicts' other buffer: the two swap every scan
 	nee      int           // boundary edges counted by those groups
 	merges   int           // mergeable pairs among verdicts
@@ -378,7 +378,6 @@ func (t *GroupTracker) applyMembership() {
 		}
 		t.detach(st.grp)
 		st.id, st.grp, st.view = ident.None, nil, st.view[:0]
-		t.shardRemove(r.ID)
 		t.ob.changedPartition = true
 	}
 	for _, a := range t.added {
@@ -394,9 +393,7 @@ func (t *GroupTracker) applyMembership() {
 			t.markNear(a)
 		}
 		t.affEpoch[slot] = 0
-		ref := memberRef{id: a, slot: slot}
-		t.shardInsert(ref)
-		t.markAffected(ref)
+		t.markAffected(memberRef{id: a, slot: slot})
 		t.ob.changedPartition = true
 	}
 }
@@ -411,10 +408,8 @@ func (t *GroupTracker) markTopoDirty() {
 	switch {
 	case t.ob.first: // every member is added
 	case t.ob.allRows:
-		for s := range t.byShard {
-			for _, m := range t.byShard[s] {
-				t.markTopo(m.id)
-			}
+		for i := range t.nodes {
+			t.markTopo(t.nodes[i].id) // a free slot's None is no member
 		}
 	default:
 		for _, v := range t.ob.rows {
@@ -661,41 +656,33 @@ func (t *GroupTracker) record() RoundStats {
 
 // scanPairs recounts the external edges and settles ΠM over the
 // adjacent-group pairs, each owned by its lower-representative group, and
-// that group by its representative's shard. Shard s takes, in ascending
-// order, every node of its own that represents its group. A group whose
-// stamp predates the last scan and no neighbor of whose members changed
-// record since (nearRnd) has the same edges and upper groups as then: its
-// upper groups are read off its verdicts and its edge count is kept. Any
-// other group walks its rows. A neighbor u ≤ rep is rep or lies in a lower
-// group (the representative is its group's least member), so it is
-// skipped unlooked; an edge into a group b above it counts, and b is kept,
-// once, in the ascending list nbrs. Pairs thus come out in key order, and
-// each is merge-joined against the shard's verdicts of the last scan: one
-// is reused while both records hold the stamps it was settled under; else
-// two unstretched groups of at most Dmax+1 members in all are mergeable
-// (a connected graph on m nodes has diameter ≤ m−1); else the BFS runs
-// inline. Counts fold in shard order.
+// that group by its representative's shard: shard s takes the records of
+// t.reps[s]. A group whose stamp predates the last scan and no neighbor of
+// whose members changed record since (nearRnd) has the same edges and
+// upper groups as then: its upper groups are read off its run and its edge
+// count is kept. Any other group walks its rows. A neighbor u ≤ rep is rep
+// or lies in a lower group (the representative is its group's least
+// member), so it is skipped unlooked; an edge into a group b above it
+// counts, and b is kept, once, in the ascending list nbrs. A pair's
+// verdict in the group's run (kept only while the group keeps its stamp)
+// is reused while b holds the stamp it was settled under; a live record
+// keeps its rep, so those come in nbrs' order. Else two unstretched groups
+// of at most Dmax+1 members in all are mergeable (a connected graph on m
+// nodes has diameter ≤ m−1); else the BFS runs inline. Counts fold in
+// shard order.
 func (t *GroupTracker) scanPairs(g *graph.G) {
 	reg := t.e.Introspect()
 	shard.Run(t.workers, func(s, w int) {
 		sh, ws := &t.shards[s], t.ws[w]
-		old := sh.verdicts
-		next := slices.Grow(sh.spare[:0], len(old)+len(old)/4) // room for a growing pair count
+		next := slices.Grow(sh.spare[:0], len(sh.verdicts)+len(sh.verdicts)/2) // room for a growing pair count
 		sh.nee, sh.merges = 0, 0
 		reused, bfs := 0, 0
-		for _, m := range t.byShard[s] {
-			a := t.nodes[m.slot].grp
-			if a.rep != m.id {
-				continue
-			}
-			for len(old) > 0 && old[0].k.a < a.rep {
-				old = old[1:]
-			}
+		for _, a := range t.reps[s] {
+			old := sh.verdicts[a.upAt : a.upAt+a.upN]
 			ws.nbrs = ws.nbrs[:0]
 			if a.topoGen <= t.scanned && a.nearRnd != t.round { // clean
-				for i := 0; i < len(old) && old[i].k.a == a.rep; i++ {
-					b, _ := t.groups.Get(old[i].k.b)
-					ws.nbrs = append(ws.nbrs, b)
+				for _, v := range old {
+					ws.nbrs = append(ws.nbrs, v.b)
 				}
 			} else {
 				a.upEdges = 0
@@ -717,14 +704,13 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 				}
 			}
 			sh.nee += a.upEdges
+			a.upAt, a.upN = int32(len(next)), int32(len(ws.nbrs))
 			for _, b := range ws.nbrs {
-				v := pairVerdict{k: pairKey{a: a.rep, b: b.rep}, ta: a.topoGen, tb: b.topoGen}
-				for len(old) > 0 && old[0].k.a == a.rep && old[0].k.b < b.rep {
-					old = old[1:]
-				}
-				switch {
-				case len(old) > 0 && old[0].k == v.k && old[0].ta == v.ta && old[0].tb == v.tb:
-					v.mergeable = old[0].mergeable
+				v := pairVerdict{b: b, tb: b.topoGen}
+				switch i := slices.IndexFunc(old, func(o pairVerdict) bool { return o.b == b && o.tb == v.tb }); {
+				case i >= 0:
+					v.mergeable = old[i].mergeable
+					old = old[i+1:]
 					reused++
 				case !a.stretched && !b.stretched && len(a.members)+len(b.members) <= t.dmax+1:
 					v.mergeable = true
@@ -751,15 +737,18 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 }
 
 // restamp gives grp a stamp no record has held — stamps are handed out in
-// sequential phases only — so no cached ΠM verdict names it.
+// sequential phases only — so no cached ΠM verdict names it, and empties
+// its run: the verdicts it owns were settled under its old stamp.
 func (t *GroupTracker) restamp(grp *group) {
 	t.stamp++
 	grp.topoGen = t.stamp
+	grp.upAt, grp.upN = 0, 0
 }
 
 // newGroup creates a record holding a copy of members, ascending — in a
 // free record when there is one — stamps it, registers it as the
-// representative's (members[0]'s) canonical record and accounts it.
+// representative's (members[0]'s) canonical record, lists it in the
+// representative's shard and accounts it.
 func (t *GroupTracker) newGroup(members ...ident.NodeID) *group {
 	var grp *group
 	if n := len(t.free); n == 0 {
@@ -771,6 +760,9 @@ func (t *GroupTracker) newGroup(members ...ident.NodeID) *group {
 	t.restamp(grp)
 	grp.rep, grp.members = members[0], append(grp.members[:0], members...)
 	t.groups.Set(grp.rep, grp)
+	s := shard.Of(grp.rep)
+	grp.at = int32(len(t.reps[s]))
+	t.reps[s] = append(t.reps[s], grp)
 	t.groupCount++
 	t.memberSum += len(members)
 	if len(members) == 1 {
@@ -780,9 +772,10 @@ func (t *GroupTracker) newGroup(members ...ident.NodeID) *group {
 }
 
 // detach drops one reference and destroys the record when it was the
-// last, parking it for the rest of this Observe (the canonical map entry
-// is removed only if it still points at this record — a replacement may
-// already have taken the slot).
+// last: it leaves its shard's list, the last record there taking its
+// place, and is parked for the rest of this Observe (the canonical map
+// entry is removed only if it still points at this record — a replacement
+// may already have taken the slot).
 func (t *GroupTracker) detach(grp *group) {
 	grp.refs--
 	if grp.refs > 0 {
@@ -794,6 +787,10 @@ func (t *GroupTracker) detach(grp *group) {
 		t.singletonCnt--
 	}
 	t.setStretched(grp, false)
+	reps := t.reps[shard.Of(grp.rep)]
+	last := reps[len(reps)-1]
+	reps[grp.at], last.at = last, grp.at
+	t.reps[shard.Of(grp.rep)] = reps[:len(reps)-1]
 	if cur, _ := t.groups.Get(grp.rep); cur == grp {
 		t.groups.Delete(grp.rep)
 	}
@@ -850,21 +847,6 @@ func (t *GroupTracker) markAffected(ref memberRef) {
 	t.affEpoch[ref.slot] = t.round
 	t.affected = append(t.affected, ref)
 }
-
-func (t *GroupTracker) shardInsert(ref memberRef) {
-	s := shard.Of(ref.id)
-	i, _ := slices.BinarySearchFunc(t.byShard[s], ref.id, byID)
-	t.byShard[s] = slices.Insert(t.byShard[s], i, ref)
-}
-
-func (t *GroupTracker) shardRemove(v ident.NodeID) {
-	s := shard.Of(v)
-	if i, ok := slices.BinarySearchFunc(t.byShard[s], v, byID); ok {
-		t.byShard[s] = slices.Delete(t.byShard[s], i, i+1)
-	}
-}
-
-func byID(m memberRef, id ident.NodeID) int { return cmp.Compare(m.id, id) }
 
 // Groups materializes the current partition, each group ascending, the
 // list sorted by representative — the same shape as

@@ -338,6 +338,31 @@ func TestDecodeIntoWarmStorageAllocatesNothing(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeInto times the receive side of one broadcast in the
+// steady state: the frames of a settled world (a 12×10 grid at Dmax 3,
+// 200 ticks stepped, 120 frames) decoded in turn into one message's
+// storage, warmed by a first pass, so an op (one frame) allocates nothing.
+func BenchmarkDecodeInto(b *testing.B) {
+	s := engine.NewStatic(engine.Params{Cfg: core.Config{Dmax: 3}, Seed: 1}, graph.Grid(12, 10))
+	s.StepTicks(200)
+	var frames [][]byte
+	for _, v := range s.Order() {
+		frames = append(frames, Encode(s.Node(v).BuildMessage()))
+	}
+	var m core.Message
+	var err error
+	for _, f := range frames { // warms m's storage
+		if m, err = DecodeInto(f, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; b.Loop(); i++ {
+		if m, err = DecodeInto(frames[i%len(frames)], m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestHostileLengthsAllocateNothingBig overwrites each count or length
 // field a peer controls (a batch's entry count, an entry's frame length,
 // the three section counts of a GRP frame) with values the rest of the

@@ -124,20 +124,6 @@ func (d *GentleDrift) Apply(topo *engine.StaticTopology, round int) bool {
 	return true
 }
 
-// MergeChain returns a static scenario where k groups sit on a line with
-// one-hop gaps, sized so that consecutive groups can merge under dmax —
-// exercising repeated pairwise merging (the maximality property).
-func MergeChain(k, groupSize int) *graph.G {
-	return graph.Clusters(k, groupSize, 0, false)
-}
-
-// MergeRing is the paper's "loop of groups willing to merge": k groups in
-// a cycle, every consecutive pair mergeable. Group priorities must break
-// the symmetry.
-func MergeRing(k, groupSize int) *graph.G {
-	return graph.Clusters(k, groupSize, 0, true)
-}
-
 // DoubleJoin is the concurrent-admission gadget for the quarantine
 // experiment: a core line of coreN nodes plus two fresh nodes attached at
 // the opposite ends, sized so that each newcomer is individually

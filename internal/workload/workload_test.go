@@ -81,12 +81,14 @@ func TestGentleDrift(t *testing.T) {
 	}
 }
 
+// TestMergeGadgets checks E4's merge gadgets: a chain of groups is one
+// connected line, and the ring closes it with one edge.
 func TestMergeGadgets(t *testing.T) {
-	if g := MergeChain(3, 3); !g.Connected() || g.NumNodes() != 9 {
+	if g := graph.Clusters(3, 3, 0, false); !g.Connected() || g.NumNodes() != 9 {
 		t.Fatalf("merge chain wrong: %v", g)
 	}
-	ring := MergeRing(3, 3)
-	chain := MergeChain(3, 3)
+	ring := graph.Clusters(3, 3, 0, true)
+	chain := graph.Clusters(3, 3, 0, false)
 	if ring.NumEdges() != chain.NumEdges()+1 {
 		t.Fatal("merge ring must close the loop")
 	}

@@ -21,6 +21,16 @@
 # run (-trace 1) prints none of the four, so its summary says "exact:
 # none checked" and names the -trace 0 rerun that checks them.
 #
+# With -bench 'PKG REGEXP' it times Go benchmarks instead: it builds the
+# test binary of PKG (a package directory, ./internal/wire) at each side,
+# from the same sources, and runs pairs of it, each run a process of its
+# own started in the package directory, with -test.run '^$' -test.bench
+# REGEXP -test.count 1 -test.cpu 1 -test.benchmem (and -test.timeout 10m,
+# so that a hung benchmark fails its run). Every metric of a
+# benchmark line (ns/op, B/op, allocs/op) goes through the same summary;
+# a bench run checks no exact value, and a run that does not print PASS
+# and a benchmark line fails a check.
+#
 # Interrupted (INT, TERM) or done, it kills the run in flight and removes
 # its sources and binaries. (A non-interactive shell starts a
 # background job with INT ignored, and bash cannot trap an ignored
@@ -28,8 +38,10 @@
 #
 # Usage: scripts/ab.sh {REF_A [REF_B] | -bin A B} [-w workload[,workload…]]
 #          [-seeds 1[,2…]] [-pairs 5] [-trace 0|1]
+#        scripts/ab.sh REF_A [REF_B] -bench 'PKG REGEXP' [-pairs 5]
 # Defaults: all four workloads, seed 1, five pairs, -trace 0. Each run
-# measures grpbench's -seconds 6 window (about 20–30 s a run).
+# measures grpbench's -seconds 6 window (about 20–30 s a run); a bench
+# run takes what go test's -benchtime 1s makes of it.
 # Exit status: 0 when every run passed its checks and every exact value
 # is equal, 1 otherwise, 2 on a usage or build error.
 set -euo pipefail
@@ -41,10 +53,11 @@ usage() {
 
 refs=() bins=()
 workloads=parked-commuter,rwp-allmoving,churn-chaos,parked-2shard
-seeds=1 pairs=5 trace=0
+seeds=1 pairs=5 trace=0 bench=
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-bin) bins=("${2:?}" "${3:?}"); shift 3 ;;
+	-bench) bench=${2:?}; shift 2 ;;
 	-w) workloads=${2:?}; shift 2 ;;
 	-seeds) seeds=${2:?}; shift 2 ;;
 	-pairs) pairs=${2:?}; shift 2 ;;
@@ -54,12 +67,14 @@ while [ $# -gt 0 ]; do
 	esac
 done
 if [ ${#bins[@]} -eq 2 ]; then
-	[ ${#refs[@]} -eq 0 ] || usage
+	[ ${#refs[@]} -eq 0 ] && [ -z "$bench" ] || usage
 else
 	[ ${#refs[@]} -ge 1 ] && [ ${#refs[@]} -le 2 ] || usage
 fi
 case "$pairs$trace" in *[!0-9]*) usage ;; esac
 [ "$pairs" -ge 1 ] || usage
+pkg=${bench%% *} regexp=${bench#* }
+[ -z "$bench" ] || { [ "$pkg" != "$bench" ] && [ -n "$pkg" ] && [ -n "$regexp" ]; } || usage
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
@@ -87,11 +102,17 @@ bg() {
 	return "$rc"
 }
 
+# indir DIR CMD…: CMD run from DIR (bg runs a function in a subshell).
+indir() { cd "$1" && shift && exec "$@"; }
+
 # build SIDE REF: a binary of ./cmd/grpbench at REF (empty: the working
-# tree) at $tmp/grpbench-SIDE. -trimpath and -buildvcs=false make the
-# binary a function of the source alone: built in the working tree or in
-# an unpacked archive, the same source gives the same bytes, so where a
-# side was built cannot move its code placement.
+# tree) at $tmp/grpbench-SIDE, or with -bench the test binary of PKG at
+# $tmp/bench-SIDE, its source directory in src[SIDE]. -trimpath and
+# -buildvcs=false make the binary a function of the source alone: built
+# in the working tree or in an unpacked archive, the same source gives
+# the same bytes, so where a side was built cannot move its code
+# placement.
+declare -A src
 build() {
 	local side=$1 ref=$2 dir=$root
 	if [ -n "$ref" ]; then
@@ -100,6 +121,13 @@ build() {
 			{ echo "ab.sh: $ref is not a commit" >&2; exit 2; }
 		mkdir "$dir"
 		git -C "$root" archive "$ref" | tar -x -C "$dir"
+	fi
+	src[$side]=$dir
+	if [ -n "$bench" ]; then
+		[ -d "$dir/$pkg" ] || { echo "ab.sh: $pkg is not a package directory at ${ref:-the working tree}" >&2; exit 2; }
+		bg go -C "$dir" test -c -trimpath -buildvcs=false -o "$tmp/bench-$side" "$pkg" ||
+			{ echo "ab.sh: building the tests of $pkg for $side at ${ref:-the working tree} failed" >&2; exit 2; }
+		return
 	fi
 	bg go -C "$dir" build -trimpath -buildvcs=false -o "$tmp/grpbench-$side" ./cmd/grpbench ||
 		{ echo "ab.sh: building $side at ${ref:-the working tree} failed" >&2; exit 2; }
@@ -145,10 +173,22 @@ parse() {
 	END { if (bad || !ok) print side, pair, "!failed", 1 }'
 }
 
-# summarize: the "side pair key value" lines of one workload and seed on
-# stdin, the table and the exact checks on stdout; exit 1 on a difference.
+# parsebench SIDE PAIR: one go test -bench run on stdin as "side pair key
+# value" lines, a key per benchmark and unit (BenchmarkX.ns/op).
+parsebench() {
+	awk -v side="$1" -v pair="$2" '
+	/^Benchmark[^ \t]+[ \t]+[0-9]+[ \t]/ { n++; for (i = 3; i < NF; i += 2) print side, pair, $1 "." $(i + 1), $i }
+	/^PASS$/ { ok = 1 }
+	/^(--- )?FAIL/ { bad = 1 }
+	END { if (bad || !ok || !n) print side, pair, "!failed", 1 }'
+}
+
+# summarize CHECK WHY: the "side pair key value" lines of one workload and
+# seed (or of the bench runs) on stdin, the table and the exact checks on
+# stdout; exit 1 on a difference. CHECK names what a failed run lacked,
+# WHY why no exact value was checked, when none was.
 summarize() {
-	awk -v pairs="$pairs" '
+	awk -v pairs="$pairs" -v check="$1" -v why="$2" '
 	function sort(a, n,    i, j, x) {
 		for (i = 2; i <= n; i++) {
 			x = a[i]
@@ -164,7 +204,7 @@ summarize() {
 		return (a[j] * (4 - d) + a[j + 1] * d) / 4
 	}
 	{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; keys[++nk] = $3 } }
-	$3 == "!failed" { bad = 1; print "!!! DIFFERS: run " $2 " of side " toupper($1) " failed a check (FAILED line, \"correct\":false or no result line)" }
+	$3 == "!failed" { bad = 1; print "!!! DIFFERS: run " $2 " of side " toupper($1) " failed a check (" check ")" }
 	END {
 		# driver.cpu_ms_per_round moves to the head of the host metrics.
 		for (k = 1; k <= nk && keys[k] !~ /^#/; k++) ;
@@ -217,31 +257,56 @@ summarize() {
 			for (p = 1; p <= pairs; p++) line = line " A" p "=" v["a", p, key] " B" p "=" v["b", p, key]
 			print line
 		}
-		if (!checked) print "exact: none checked (a traced run prints no stream, fingerprint, air bytes or safety rate: rerun with -trace 0 to check them)"
+		if (!checked) print "exact: none checked (" why ")"
 		exit bad
 	}'
 }
 
+# one SIDE PAIR: one run of SIDE, parsed: the test binary in its package
+# directory, or grpbench on workload $w and seed $seed.
+one() {
+	local out=$tmp/out/run-$1-$2.txt
+	if [ -n "$bench" ]; then
+		bg indir "${src[$1]}/$pkg" "$tmp/bench-$1" -test.run '^$' -test.bench "$regexp" \
+			-test.count 1 -test.cpu 1 -test.benchmem -test.timeout 10m >"$out" 2>&1 || true
+		parsebench "$1" "$2" <"$out"
+		return
+	fi
+	bg "$tmp/grpbench-$1" -workload "$w" -seed "$seed" -seconds 6 -trace "$trace" \
+		-out "$tmp/out" >"$out" 2>&1 || true
+	parse "$1" "$2" <"$out"
+}
+
+# runpairs NAME DATA: the pairs, alternating which side runs first, every
+# run's lines into DATA.
+runpairs() {
+	local p side order
+	: >"$2"
+	for ((p = 1; p <= pairs; p++)); do
+		order="a b"
+		((p % 2)) || order="b a"
+		for side in $order; do
+			one "$side" "$p" >>"$2"
+			echo "ab.sh: $1 pair $p/$pairs side ${side^^} done" >&2
+		done
+	done
+}
+
 status=0
+if [ -n "$bench" ]; then
+	runpairs bench "$tmp/bench.data"
+	echo "== go test -bench '$regexp' $pkg: A = $name_a, B = $name_b, $pairs pairs (A B, B A, …)"
+	summarize "FAIL line, or no PASS or benchmark line" "a bench run checks no exact value" <"$tmp/bench.data" || status=1
+	exit "$status"
+fi
 IFS=, read -r -a wl <<<"$workloads"
 IFS=, read -r -a sl <<<"$seeds"
 for w in "${wl[@]}"; do
 	for seed in "${sl[@]}"; do
-		data=$tmp/$w-$seed.data
-		: >"$data"
-		for ((p = 1; p <= pairs; p++)); do
-			order="a b"
-			((p % 2)) || order="b a"
-			for side in $order; do
-				out=$tmp/out/$w-$seed-$side-$p.txt
-				bg "$tmp/grpbench-$side" -workload "$w" -seed "$seed" -seconds 6 -trace "$trace" \
-					-out "$tmp/out" >"$out" 2>&1 || true
-				parse "$side" "$p" <"$out" >>"$data"
-				echo "ab.sh: $w seed $seed pair $p/$pairs side ${side^^} done" >&2
-			done
-		done
+		runpairs "$w seed $seed" "$tmp/$w-$seed.data"
 		echo "== $w seed $seed, -trace $trace: A = $name_a, B = $name_b, $pairs pairs (A B, B A, …)"
-		summarize <"$data" || status=1
+		summarize 'FAILED line, "correct":false or no result line' \
+			"a traced run prints no stream, fingerprint, air bytes or safety rate: rerun with -trace 0 to check them" <"$tmp/$w-$seed.data" || status=1
 		echo
 	done
 done
