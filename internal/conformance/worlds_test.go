@@ -139,3 +139,37 @@ func TestGoldenPinnedWorlds(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolMissesAcrossWidths holds the broadcast pools to the worker
+// count: the churn-chaos and parked-commuter tunes of TestGoldenPinnedWorlds
+// must miss the message and the entry pools (registry msg_pool_misses,
+// ents_pool_misses: the allocations the pools leave to the heap) equally
+// often at 1, 2 and 4 workers. A pool is shared by a fixed group of shards
+// that one participant runs in order, so its takes come in one order at
+// any width; a pool owned by a participant would see them in the order
+// the participants happened to claim the shards.
+func TestPoolMissesAcrossWidths(t *testing.T) {
+	for _, w := range pinnedWorlds() {
+		if w.name != "churn-chaos" && w.name != "parked-commuter" {
+			continue
+		}
+		var want [2]uint64
+		for _, workers := range []int{1, 2, 4} {
+			cfg := w.cfg()
+			cfg.Workers = workers
+			res, err := obs.RunSoak(cfg)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", w.name, workers, err)
+			}
+			got := [2]uint64{res.Flight.Counters["msg_pool_misses"], res.Flight.Counters["ents_pool_misses"]}
+			switch {
+			case got[0] == 0 || got[1] == 0:
+				t.Fatalf("%s at %d workers: %v misses (messages, entries) — the pools are not exercised", w.name, workers, got)
+			case workers == 1:
+				want = got
+			case got != want:
+				t.Errorf("%s: %v misses (messages, entries) at %d workers, %v at one", w.name, got, workers, want)
+			}
+		}
+	}
+}

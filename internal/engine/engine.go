@@ -142,22 +142,33 @@ type shardScratch struct {
 	in    []radio.Delivery     // this tick's receptions at the shard's nodes, in delivBuf order
 	wakes []introspect.WakeRec // per-shard wake ring segment (TraceWakes only)
 	core  core.Scratch
-	msgs  pool[*core.Message]
-	ents  pool[[]ident.Entry]
+	pools *groupPools      // the pools of the shard's group, shared with its poolGroup−1 neighbours
 	boot  []core.Message   // New's first-round headers, handed out on pool misses until spent
 	lane  *introspect.Lane // the shard's registry lane, which counts the pool misses
 }
 
+// groupPools is the replaced broadcasts of poolGroup consecutive shards:
+// the messages, and their lists' entries. Build and compute hand out whole
+// groups, one participant running a group's shards in ascending order, so
+// the pools see one goroutine at a time, in one order at any width
+// (DESIGN.md §2.3, The pool).
+type groupPools struct {
+	msgs pool[*core.Message]
+	ents pool[[]ident.Entry]
+}
+
+const poolGroup = 4 // shards a groupPools serves
+
 // poolLife is how many compute periods retired storage stays takeable
-// after it ripens: a shard's pool sees a build of any one size seldom, and
+// after it ripens: a group's pool sees a build of any one size seldom, and
 // one period was too short a wait for most of them (DESIGN.md §2.3, The
 // pool).
 const poolLife = 4
 
-// pool is one shard's storage of replaced broadcasts — the broadcasts
+// pool is one group's storage of replaced broadcasts — the broadcasts
 // themselves, header and records, or their lists' entries — oldest first
 // per capacity (of the records, of the entries; DESIGN.md §2.3, pools):
-// retired at tick t, written again from t+Tc on by any node of the shard,
+// retired at tick t, written again from t+Tc on by any node of the group,
 // left to the GC if unclaimed by t+(1+poolLife)·Tc.
 type pool[T any] struct{ byCap []fifo[T] }
 
@@ -193,7 +204,7 @@ func (p *pool[T]) take(need, ripe int) (v T) {
 }
 
 // sweep ends a tick's build: what was retired at ripe is poisoned if poison
-// is set (the shard runs under the oracle); what was retired by stale is
+// is set (the group runs under the oracle); what was retired by stale is
 // dropped, through drop if set, and so is the array of a queue empty for
 // longer than that took.
 func (p *pool[T]) sweep(ripe, stale int, poison, drop func(T)) {
@@ -225,16 +236,16 @@ func (p *pool[T]) sweep(ripe, stale int, poison, drop func(T)) {
 // list's entries iff the commit moved the list to cur (Publish returns prev
 // itself on equal content, and then they live on).
 func (sc *shardScratch) retire(old *core.Message, cur antlist.List, tick int) {
-	sc.msgs.retire(old, cap(old.Recs), tick)
+	sc.pools.msgs.retire(old, cap(old.Recs), tick)
 	if was, now := old.List.Entries(), cur.Entries(); cap(was) > 0 && (cap(now) == 0 || &was[:1][0] != &now[:1][0]) {
-		sc.ents.retire(was, cap(was), tick)
+		sc.pools.ents.retire(was, cap(was), tick)
 	}
 }
 
 // take returns a pooled message with room for need records, else — a
 // miss — one of New's first-round headers while they last, else a new one.
 func (sc *shardScratch) take(need, ripe int) *core.Message {
-	if m := sc.msgs.take(need, ripe); m != nil {
+	if m := sc.pools.msgs.take(need, ripe); m != nil {
 		return m
 	}
 	sc.lane.Inc(introspect.CtrMsgPoolMisses)
@@ -246,18 +257,18 @@ func (sc *shardScratch) take(need, ripe int) *core.Message {
 	return new(core.Message)
 }
 
-// sweep ends the shard's build tick on both pools; under the shard's
-// SelfCheck what becomes takeable is poisoned. A dropped message is
-// cleared: it may sit in New's slab, which must not pin its records.
-func (sc *shardScratch) sweep(e *Engine) {
+// sweep ends the group's build tick on both pools; under SelfCheck what
+// becomes takeable is poisoned. A dropped message is cleared: it may sit in
+// New's slab, which must not pin its records.
+func (p *groupPools) sweep(e *Engine, selfCheck bool) {
 	var poisonMsg func(*core.Message)
 	var poisonEnts func([]ident.Entry)
-	if sc.core.SelfCheck {
+	if selfCheck {
 		poisonMsg, poisonEnts = core.PoisonMessage, core.PoisonEntries
 	}
 	life := poolLife * e.P.Tc
-	sc.msgs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-life, poisonMsg, func(m *core.Message) { *m = core.Message{} })
-	sc.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-life, poisonEnts, nil)
+	p.msgs.sweep(e.tick-e.recsHold, e.tick-e.recsHold-life, poisonMsg, func(m *core.Message) { *m = core.Message{} })
+	p.ents.sweep(e.tick-e.entsHold, e.tick-e.entsHold-life, poisonEnts, nil)
 }
 
 // SetRecsHold is a test seam: conformance shows either hold below Tc is caught.
@@ -266,7 +277,7 @@ func (e *Engine) SetRecsHold(recs, ents int) { e.recsHold, e.entsHold = recs, en
 // SetSelfCheck is a test seam, to be called before the first tick: it arms
 // (or disarms) the reference oracle on every shard's scratch, so every node
 // that computes or builds here — joiners and rejoiners included — runs
-// under it, and the shard's pools poison what they hand out again.
+// under it, and the pools poison what they hand out again.
 func (e *Engine) SetSelfCheck(on bool) {
 	for s := range e.scratch {
 		e.scratch[s].core.SelfCheck = on
@@ -463,7 +474,8 @@ type Engine struct {
 	computeWheel *periodicWheel
 
 	scratch  [shard.N]shardScratch
-	recsHold int  // ticks a replaced broadcast sits out of its shard's pool: Tc
+	pools    [shard.N / poolGroup]groupPools
+	recsHold int  // ticks a replaced broadcast sits out of its group's pool: Tc
 	entsHold int  // the same for a replaced list's entries
 	eager    bool // SetSkipMode: a licensed replay computes anyway
 	noMemo   bool // SetSkipMode: no fixpoint-memo second chance
@@ -543,9 +555,9 @@ func New(p Params, topo Topology) *Engine {
 	for s := range e.shardRNGs {
 		e.shardRNGs[s] = rand.New(rand.NewSource(shardSeed(p.Seed, s)))
 		sc := &e.scratch[s]
-		sc.lane = e.reg.Shard(s)
+		sc.lane, sc.pools = e.reg.Shard(s), &e.pools[s/poolGroup]
 		sc.core.Lists.Take = func(need int) []ident.Entry {
-			ents := sc.ents.take(need, e.tick-e.entsHold)
+			ents := sc.pools.ents.take(need, e.tick-e.entsHold)
 			if ents == nil {
 				sc.lane.Inc(introspect.CtrEntsPoolMisses)
 			}
@@ -946,7 +958,12 @@ func (e *Engine) BuildPhase() []radio.Tx {
 	} else {
 		due = e.sendWheel.due(e.tick)
 	}
-	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseBuild), func(s, _ int) { e.buildShard(s, due[s], g) })
+	shard.SlotsTimed(e.P.Workers, len(e.pools), e.reg.Busy(introspect.PhaseBuild), func(k, _ int) {
+		for s := k * poolGroup; s < (k+1)*poolGroup; s++ {
+			e.buildShard(s, due[s], g)
+		}
+		e.pools[k].sweep(e, e.scratch[k*poolGroup].core.SelfCheck)
+	})
 	if e.P.RandomizedSends {
 		e.sendOneshot.reset(e.tick)
 	}
@@ -1049,7 +1066,6 @@ func (e *Engine) buildShard(s int, due []wheelEnt, g *graph.G) {
 		sc.txs = append(sc.txs, radio.Tx{Sender: ent.id, Receivers: rec.recv})
 		sc.bytes += size
 	}
-	sc.sweep(e)
 	lane := e.reg.Shard(s)
 	lane.Add(introspect.CtrMsgBuilds, builds)
 	lane.Add(introspect.CtrMsgCacheHits, cacheHits)
@@ -1063,7 +1079,7 @@ func (e *Engine) buildShard(s int, due []wheelEnt, g *graph.G) {
 // armed Byzantine lie — together with the (incarnation, version) pair
 // its deliveries are signed with. ok is false when v is not a member or
 // its send timer has not fired yet this run (no broadcast built). The
-// message is the one every receiver is handed, and returns to the shard's
+// message is the one every receiver is handed, and returns to its group's
 // pool: it is valid until v's next rebuild and for Tc ticks after, and must
 // not be mutated. Distributed wrappers call this after BuildPhase to encode
 // boundary copies of due broadcasts.
@@ -1086,13 +1102,13 @@ func (e *Engine) BroadcastOf(v ident.NodeID) (m *core.Message, gen, ver uint64, 
 // sender v that lives in another process, by a copy of m, which a
 // distributed wrapper decoded into scratch storage of its own (nothing of m
 // is kept), and returns the copy. It is a local rebuild's twin: the copy is
-// a message taken from v's shard's pool, its list published into entries
-// of that shard's (offsets interned, an unchanged list shared with cur's),
-// cur retires to them, and so one rule holds for both — receivers buffer a
-// delivered broadcast until their next compute, hence it sits out Tc ticks
-// (SetRecsHold) and is poisoned, under SetSelfCheck, in the tick it may be
-// taken again. To be called between BuildPhase and FinishTick; the copy may
-// then be delivered through ExternalDelivery.Msg.
+// a message taken from the pool of v's group, its list published into
+// entries of that group's (offsets interned, an unchanged list shared with
+// cur's), cur retires to them, and so one rule holds for both — receivers
+// buffer a delivered broadcast until their next compute, hence it sits out
+// Tc ticks (SetRecsHold) and is poisoned, under SetSelfCheck, in the tick it
+// may be taken again. To be called between BuildPhase and FinishTick; the
+// copy may then be delivered through ExternalDelivery.Msg.
 func (e *Engine) PublishForeign(v ident.NodeID, cur *core.Message, m core.Message) *core.Message {
 	if cur == nil {
 		cur = unbuilt.m
@@ -1158,7 +1174,7 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 	}
 	start, busy := time.Now(), e.reg.Busy(introspect.PhaseDeliver)
 	e.ext = ext
-	shard.RunTimed(e.P.Workers, busy, e.countFn)
+	shard.SlotsTimed(e.P.Workers, shard.N, busy, e.countFn)
 	for s := range e.scratch {
 		sc, n := &e.scratch[s], int32(0)
 		for c := range e.chunks {
@@ -1166,8 +1182,8 @@ func (e *Engine) deliver(ext []ExternalDelivery) {
 		}
 		sc.in = slices.Grow(sc.in[:0], int(n))[:n]
 	}
-	shard.RunTimed(e.P.Workers, busy, e.placeFn)
-	shard.RunTimed(e.P.Workers, busy, func(s, _ int) {
+	shard.SlotsTimed(e.P.Workers, shard.N, busy, e.placeFn)
+	shard.SlotsTimed(e.P.Workers, shard.N, busy, func(s, _ int) {
 		var delivs, elided uint64
 		for _, d := range e.scratch[s].in {
 			to := e.order.SlotOf(d.To)
@@ -1260,7 +1276,11 @@ func (r *nodeRec) store(m *core.Message, sv senderVer) (elided uint64) {
 func (e *Engine) compute() {
 	start := time.Now()
 	cdue := e.computeWheel.due(e.tick)
-	shard.RunTimed(e.P.Workers, e.reg.Busy(introspect.PhaseCompute), func(s, _ int) { e.computeShard(s, cdue[s]) })
+	shard.SlotsTimed(e.P.Workers, len(e.pools), e.reg.Busy(introspect.PhaseCompute), func(k, _ int) {
+		for s := k * poolGroup; s < (k+1)*poolGroup; s++ {
+			e.computeShard(s, cdue[s])
+		}
+	})
 	if e.traceWakes {
 		for s := range e.scratch {
 			e.wakeRing = append(e.wakeRing, e.scratch[s].wakes...)

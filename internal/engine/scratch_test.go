@@ -117,7 +117,7 @@ func TestFootprint(t *testing.T) {
 
 // TestRemoveNodeDropsBorrowedStorage pins that a departure leaves nothing
 // reachable through the free slot: the last broadcast retires to its
-// shard's pool like a replaced one, and the pool clears it when it drops it
+// group's pool like a replaced one, and the pool clears it when it drops it
 // unclaimed, so its records are collected (finalizer on the record slice)
 // although the message itself, which New's slab may hold, is still
 // referenced; nor the topology row, which aliases the adjacency slab of a
@@ -142,7 +142,7 @@ func TestRemoveNodeDropsBorrowedStorage(t *testing.T) {
 	if rec := &e.recs[slot]; rec.row.IDs() != nil || rec.cm != unbuilt {
 		t.Fatalf("free slot still holds row=%v broadcast=%v", rec.row.IDs(), *rec.cm.m)
 	}
-	if !offersMsg(&e.scratch[shard.Of(v)].msgs, last) {
+	if !offersMsg(&e.scratch[shard.Of(v)].pools.msgs, last) {
 		t.Fatal("the departed node's broadcast did not retire to its pool")
 	}
 	if n.ID() != ident.None || n.List().Len() != 0 || n.PendingMessages() != 0 {
@@ -179,11 +179,11 @@ func held[T any](p *pool[T]) (bufs, arrays int) {
 	return bufs, arrays
 }
 
-// pooled sums held over every shard: messages, entry buffers, arrays.
+// pooled sums held over every group: messages, entry buffers, arrays.
 func pooled(e *Engine) (msgs, ents, arrays int) {
-	for s := range e.scratch {
-		m, ma := held(&e.scratch[s].msgs)
-		n, na := held(&e.scratch[s].ents)
+	for k := range e.pools {
+		m, ma := held(&e.pools[k].msgs)
+		n, na := held(&e.pools[k].ents)
 		msgs, ents, arrays = msgs+m, ents+n, arrays+ma+na
 	}
 	return msgs, ents, arrays
@@ -295,17 +295,17 @@ func TestRetirementFollowsListIdentity(t *testing.T) {
 			last := e.recs[e.SlotOf(2)].cm.m
 			e.RemoveNode(2)
 			topo.Edit(func(r *graph.Ref) { r.RemoveNode(2) })
-			if sc := &e.scratch[shard.Of(2)]; !offersMsg(&sc.msgs, last) || !offersEnts(&sc.ents, &last.List.Entries()[0]) {
+			if p := e.scratch[shard.Of(2)].pools; !offersMsg(&p.msgs, last) || !offersEnts(&p.ents, &last.List.Entries()[0]) {
 				t.Fatalf("removed node 2's last broadcast %v did not retire with its list", *last)
 			}
 		}
 		e.AdvancePhase()
 		e.BuildPhase()
 		e.FinishTick([]ExternalDelivery{{To: 3, From: 9, Gen: 1, Ver: 1, Msg: ghost}})
-		for s := range e.scratch {
+		for k := range e.pools {
 			for _, m := range outside {
-				if offersEnts(&e.scratch[s].ents, &m.List.Entries()[0]) || offersMsg(&e.scratch[s].msgs, m) {
-					t.Fatalf("tick %d: shard %d pools storage of %v, which no member's rebuild replaced", e.Tick(), s, m)
+				if offersEnts(&e.pools[k].ents, &m.List.Entries()[0]) || offersMsg(&e.pools[k].msgs, m) {
+					t.Fatalf("tick %d: group %d pools storage of %v, which no member's rebuild replaced", e.Tick(), k, m)
 				}
 			}
 		}
@@ -334,7 +334,7 @@ func poisonedMsg(m *core.Message) bool {
 }
 
 // TestSetSelfCheckPoisonsRetiredBroadcasts pins the one oracle switch: with
-// SetSelfCheck(true) called before the run, every shard poisons a replaced
+// SetSelfCheck(true) called before the run, every group poisons a replaced
 // broadcast, header and records, and its list's entries when the commit
 // moved them, in the tick its pool may hand them out again (Tc after the
 // replacement) and not a tick sooner — a node added mid-run included, which
@@ -347,10 +347,11 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 		ents  []ident.Entry // nil when the commit kept the list's storage
 	}
 	for _, armed := range []bool{true, false} {
-		// The joiner shares node 1's shard (65 mod 64) and pool: alone in
-		// a shard it would take each retired broadcast of its own back in
-		// the very build it ripens, and none would be left to check.
-		const n, joiner = 40, ident.NodeID(65)
+		// The joiner shares its pools with node 40 alone (shards 40–43
+		// are one group): alone in a group it would take each retired
+		// broadcast of its own back in the very build it ripens, and with
+		// more builders beside it none of its own would be left to check.
+		const n, joiner = 40, ident.NodeID(41)
 		on, off := pairRefs(n)
 		p := Params{Cfg: core.Config{Dmax: 3}, Seed: 1, Jitter: true}
 		p.normalize()
@@ -361,9 +362,9 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 		var pending []retiredMsg
 		var checked, joiners [2]int // messages, entries
 		for e.tick < 40*p.Tc {
-			if e.tick == 10*p.Tc { // it blinks with node 1: its list moves too
+			if e.tick == 10*p.Tc { // it blinks with node 40: its list moves too
 				off.AddNode(joiner)
-				on.AddEdge(1, joiner)
+				on.AddEdge(n, joiner)
 				blink.on, blink.off = graph.FromRef(on), graph.FromRef(off)
 				e.AddNode(joiner)
 			}
@@ -382,7 +383,7 @@ func TestSetSelfCheckPoisonsRetiredBroadcasts(t *testing.T) {
 			}
 			kept := pending[:0]
 			for _, r := range pending {
-				sc := &e.scratch[shard.Of(r.owner)]
+				sc := e.scratch[shard.Of(r.owner)].pools
 				switch e.tick - r.tick {
 				case p.Tc - 1: // receivers may still read it
 					if r.msg.From != r.owner || poisonedMsg(r.msg) || r.ents != nil && poisonedEnts(r.ents) {
@@ -561,7 +562,7 @@ func TestRecsPoolDrains(t *testing.T) {
 // TestSteadyRebuildsAllocateNothing drives isolated nodes, whose ticking
 // lonely clocks move every broadcast once a compute period: after warm-up
 // each rebuild is assembled into a message, header and records, the same
-// shard retired a period earlier, and no allocation scales with the
+// group retired a period earlier, and no allocation scales with the
 // rebuilds.
 func TestSteadyRebuildsAllocateNothing(t *testing.T) {
 	_, off := pairRefs(300)
@@ -610,7 +611,7 @@ func pairRefs(n ident.NodeID) (on, off *graph.Ref) {
 // TestSteadyCommitsAllocateNothing drives pairs that hear each other in one
 // tick of every blink period, on jittered timers: the compute after a blink
 // moves its node's list from (v) to (v, {u'}) and the next one moves it
-// back, and after warm-up each commit is published into entries its shard
+// back, and after warm-up each commit is published into entries its group
 // retired up to a blink period earlier, over offsets interned once — no
 // allocation scales with the commits. At 2·Tc every compute commits; at
 // 4·Tc the entries wait three compute periods for their next taker, which

@@ -340,7 +340,7 @@ func (r *Registry) PhaseNs(p Phase) int64 {
 
 // Busy is the accumulator of one fanned-out phase's busy time: the wall
 // nanoseconds its participants spent claiming and running shard items
-// (shard.RunTimed adds to it). Any participant may add to it.
+// (shard.SlotsTimed adds to it). Any participant may add to it.
 func (r *Registry) Busy(p Phase) *atomic.Int64 { return &r.busyNs[p] }
 
 // BusyNs returns one phase's summed participant busy time (0 for a phase

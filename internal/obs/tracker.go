@@ -674,7 +674,13 @@ func (t *GroupTracker) scanPairs(g *graph.G) {
 	reg := t.e.Introspect()
 	shard.Run(t.workers, func(s, w int) {
 		sh, ws := &t.shards[s], t.ws[w]
-		next := slices.Grow(sh.spare[:0], len(sh.verdicts)+len(sh.verdicts)/2) // room for a growing pair count
+		// Room for a growing pair count. The spare is stale, so a regrown
+		// one copies nothing, and its capacity is exact: when it regrows
+		// depends on the counts, not on the allocator's size classes.
+		next := sh.spare[:0]
+		if want := len(sh.verdicts) + len(sh.verdicts)/2; cap(next) < want {
+			next = make([]pairVerdict, 0, max(want, 2*cap(next)))
+		}
 		sh.nee, sh.merges = 0, 0
 		reused, bfs := 0, 0
 		for _, a := range t.reps[s] {

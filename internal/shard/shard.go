@@ -42,12 +42,6 @@ func Width(workers int) int { return min(max(workers, 1), N) }
 // shard s or by participant w. See Slots for the assignment.
 func Run(workers int, fn func(s, w int)) { slots(workers, N, nil, fn) }
 
-// RunTimed is Run that also adds to busy, once per participant, the wall
-// time the participant spent claiming and running shards, so a call at
-// width W that took d left its participants idle for W·d minus what it
-// added. The clock is read twice per participant, not per shard.
-func RunTimed(workers int, busy *atomic.Int64, fn func(s, w int)) { slots(workers, N, busy, fn) }
-
 // Slots applies fn to n independent items and returns when every call has
 // returned: inline and in order at width ≤ 1, else claimed as the package
 // comment says. fn(i, w) runs each item exactly once, with w below
@@ -58,7 +52,13 @@ func RunTimed(workers int, busy *atomic.Int64, fn func(s, w int)) { slots(worker
 // what the caller's closure costs.
 func Slots(workers, n int, fn func(i, w int)) { slots(workers, n, nil, fn) }
 
-// slots is Slots, and RunTimed when busy is not nil.
+// SlotsTimed is Slots that also adds to busy, once per participant, the
+// wall time the participant spent claiming and running items, so a call at
+// width W that took d left its participants idle for W·d minus what it
+// added. The clock is read twice per participant, not per item.
+func SlotsTimed(workers, n int, busy *atomic.Int64, fn func(i, w int)) { slots(workers, n, busy, fn) }
+
+// slots is Slots, and SlotsTimed when busy is not nil.
 func slots(workers, n int, busy *atomic.Int64, fn func(i, w int)) {
 	width := min(Width(workers), n)
 	if width <= 1 {
@@ -106,7 +106,7 @@ func stop(busy *atomic.Int64, start time.Time) {
 type job struct {
 	fn     func(i, w int)
 	n      int64
-	busy   *atomic.Int64 // RunTimed's accumulator, nil for an untimed call
+	busy   *atomic.Int64 // SlotsTimed's accumulator, nil for an untimed call
 	next   atomic.Int64  // the next unclaimed item
 	part   atomic.Int32  // participant indices handed to helpers
 	joined sync.WaitGroup

@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ceiling=15833 # total (non-test, without cmd/grpbench) at the last change that moved it
+ceiling=15859 # total (non-test, without cmd/grpbench) at the last change that moved it
 design_ceiling=996      # lines of DESIGN.md, likewise
 experiments_ceiling=497 # lines of EXPERIMENTS.md, likewise
 
